@@ -31,7 +31,10 @@ docs: vet
 # BENCH_scan.json so the trajectory is diffable in git. SelectLimit10From1M
 # proves the LIMIT pushdown short-circuits (compare rows scanned against
 # SelectRows1M); Execute1M vs ExecuteContext1M is the context-plumbing
-# overhead-parity pair.
+# overhead-parity pair. Estimate and FindOptimalLayout are the layout search:
+# one sample evaluation (against the straight-line oracle), and one whole
+# search over 100k rows at the repository benchmark's effort and at the
+# optimizer's defaults.
 bench:
 	$(GO) test ./internal/core -run '^$$' \
 		-bench 'Residual|WideRect|SteadyState|Build1M|Build200k|Ablation|Parallel|Batch|DeleteHeavy' \
@@ -39,6 +42,9 @@ bench:
 	$(GO) test . -run '^$$' -bench '^BenchmarkSelect|^BenchmarkExecute|^BenchmarkSaveLoad|^BenchmarkDictEq|^BenchmarkSharded' \
 		-benchmem -benchtime=1s | tee -a /tmp/bench_scan.txt
 	$(GO) test ./internal/wal -run '^$$' -bench 'WALAppend' \
+		-benchmem -benchtime=1s | tee -a /tmp/bench_scan.txt
+	$(GO) test ./internal/costmodel ./internal/optimizer -run '^$$' \
+		-bench '^BenchmarkEstimate$$|^BenchmarkFindOptimalLayout$$' \
 		-benchmem -benchtime=1s | tee -a /tmp/bench_scan.txt
 	$(GO) run ./cmd/benchjson < /tmp/bench_scan.txt > BENCH_scan.json
 

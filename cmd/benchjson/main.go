@@ -18,14 +18,22 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 )
 
 // Benchmark is one parsed result line.
 type Benchmark struct {
-	Name        string  `json:"name"`
+	Name string `json:"name"`
+	// Pkg is the package of the `pkg:` header the line followed: one
+	// document holds the runs of several packages.
+	Pkg string `json:"pkg,omitempty"`
+	// GOMAXPROCS is the -N suffix `go test` appends to the name (1 when
+	// it appends none).
+	GOMAXPROCS  int     `json:"gomaxprocs"`
 	Iterations  int64   `json:"iterations"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  *int64  `json:"bytes_per_op,omitempty"`
@@ -34,10 +42,14 @@ type Benchmark struct {
 
 // Report is the emitted document.
 type Report struct {
-	Goos       string      `json:"goos,omitempty"`
-	Goarch     string      `json:"goarch,omitempty"`
-	Pkg        string      `json:"pkg,omitempty"`
-	CPU        string      `json:"cpu,omitempty"`
+	Goos   string `json:"goos,omitempty"`
+	Goarch string `json:"goarch,omitempty"`
+	CPU    string `json:"cpu,omitempty"`
+	// NumCPU and GoVersion describe the host and toolchain benchjson itself
+	// runs on — the benchmarks' own when it reads their output as they
+	// finish, as `make bench` has it do.
+	NumCPU     int         `json:"num_cpu"`
+	GoVersion  string      `json:"go_version"`
 	Benchmarks []Benchmark `json:"benchmarks"`
 	// Serve embeds a floodload serving report (-serve FILE), verbatim.
 	Serve json.RawMessage `json:"serve,omitempty"`
@@ -46,7 +58,7 @@ type Report struct {
 func main() {
 	servePath := flag.String("serve", "", "embed this floodload BENCH_serve.json document in the output")
 	flag.Parse()
-	var rep Report
+	rep := Report{NumCPU: runtime.NumCPU(), GoVersion: runtime.Version()}
 	if *servePath != "" {
 		raw, err := os.ReadFile(*servePath)
 		if err != nil {
@@ -59,26 +71,7 @@ func main() {
 		}
 		rep.Serve = json.RawMessage(raw)
 	}
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		switch {
-		case strings.HasPrefix(line, "goos:"):
-			rep.Goos = strings.TrimSpace(strings.TrimPrefix(line, "goos:"))
-		case strings.HasPrefix(line, "goarch:"):
-			rep.Goarch = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
-		case strings.HasPrefix(line, "pkg:"):
-			rep.Pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
-		case strings.HasPrefix(line, "cpu:"):
-			rep.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
-		case strings.HasPrefix(line, "Benchmark"):
-			if b, ok := parseLine(line); ok {
-				rep.Benchmarks = append(rep.Benchmarks, b)
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
+	if err := parse(os.Stdin, &rep); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
@@ -88,6 +81,33 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
+}
+
+// parse reads `go test -bench` output into rep: the host header lines once,
+// and each result line under the package whose `pkg:` header it followed.
+func parse(r io.Reader, rep *Report) error {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	pkg := ""
+	for sc.Scan() {
+		line := strings.TrimSpace(sc.Text())
+		switch {
+		case strings.HasPrefix(line, "goos:"):
+			rep.Goos = strings.TrimSpace(strings.TrimPrefix(line, "goos:"))
+		case strings.HasPrefix(line, "goarch:"):
+			rep.Goarch = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
+		case strings.HasPrefix(line, "pkg:"):
+			pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
+		case strings.HasPrefix(line, "cpu:"):
+			rep.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
+		case strings.HasPrefix(line, "Benchmark"):
+			if b, ok := parseLine(line); ok {
+				b.Pkg = pkg
+				rep.Benchmarks = append(rep.Benchmarks, b)
+			}
+		}
+	}
+	return sc.Err()
 }
 
 // parseLine parses e.g.
@@ -103,13 +123,13 @@ func parseLine(line string) (Benchmark, bool) {
 	if err1 != nil || err2 != nil {
 		return Benchmark{}, false
 	}
-	name := fields[0]
+	name, procs := fields[0], 1
 	if i := strings.LastIndex(name, "-"); i > 0 {
-		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			name = name[:i] // strip the -GOMAXPROCS suffix
+		if p, err := strconv.Atoi(name[i+1:]); err == nil {
+			name, procs = name[:i], p // the -GOMAXPROCS suffix
 		}
 	}
-	b := Benchmark{Name: name, Iterations: iters, NsPerOp: ns}
+	b := Benchmark{Name: name, GOMAXPROCS: procs, Iterations: iters, NsPerOp: ns}
 	for i := 4; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseInt(fields[i], 10, 64)
 		if err != nil {

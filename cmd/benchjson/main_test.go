@@ -1,0 +1,45 @@
+package main
+
+import (
+	"strings"
+	"testing"
+)
+
+func TestParseRecordsEachBenchmarksPackageAndProcs(t *testing.T) {
+	const out = `goos: linux
+goarch: amd64
+pkg: flood/internal/core
+cpu: Some CPU @ 2.10GHz
+BenchmarkBuild1M-2         	       2	 512345678 ns/op	 1024 B/op	      12 allocs/op
+PASS
+ok  	flood/internal/core	3.1s
+pkg: flood/internal/wal
+BenchmarkWALAppend/batch-64-2         	    1000	      1234.5 ns/op
+BenchmarkWALAppend/sync         	    1000	      99 ns/op
+`
+	var rep Report
+	if err := parse(strings.NewReader(out), &rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Goos != "linux" || rep.Goarch != "amd64" || rep.CPU != "Some CPU @ 2.10GHz" {
+		t.Fatalf("header = %+v", rep)
+	}
+	want := []Benchmark{
+		{Name: "BenchmarkBuild1M", Pkg: "flood/internal/core", GOMAXPROCS: 2, Iterations: 2, NsPerOp: 512345678},
+		{Name: "BenchmarkWALAppend/batch-64", Pkg: "flood/internal/wal", GOMAXPROCS: 2, Iterations: 1000, NsPerOp: 1234.5},
+		// go test prints no suffix under GOMAXPROCS=1.
+		{Name: "BenchmarkWALAppend/sync", Pkg: "flood/internal/wal", GOMAXPROCS: 1, Iterations: 1000, NsPerOp: 99},
+	}
+	if len(rep.Benchmarks) != len(want) {
+		t.Fatalf("parsed %d benchmarks, want %d", len(rep.Benchmarks), len(want))
+	}
+	for i, w := range want {
+		g := rep.Benchmarks[i]
+		if g.Name != w.Name || g.Pkg != w.Pkg || g.GOMAXPROCS != w.GOMAXPROCS || g.Iterations != w.Iterations || g.NsPerOp != w.NsPerOp {
+			t.Errorf("benchmark %d = %+v, want %+v", i, g, w)
+		}
+	}
+	if b := rep.Benchmarks[0]; b.BytesPerOp == nil || *b.BytesPerOp != 1024 || b.AllocsPerOp == nil || *b.AllocsPerOp != 12 {
+		t.Errorf("memory columns = %+v", b)
+	}
+}

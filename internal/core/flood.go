@@ -98,6 +98,8 @@ func Build(t *colstore.Table, layout Layout, opts Options) (*Flood, error) {
 	if opts.Delta <= 0 {
 		opts.Delta = plm.DefaultDelta
 	}
+	cdfs := opts.FlattenCDFs
+	opts.FlattenCDFs = nil
 	f := &Flood{layout: layout, opts: opts, numCells: layout.NumCells()}
 	f.computeParallelCutover()
 	g := len(layout.GridDims)
@@ -115,14 +117,18 @@ func Build(t *colstore.Table, layout Layout, opts Options) (*Flood, error) {
 	f.buckets = make([]bucketer, g)
 	parallelFor(g, func(lo, hi int) {
 		for gi := lo; gi < hi; gi++ {
-			raw := t.Raw(layout.GridDims[gi])
+			dim := layout.GridDims[gi]
 			if layout.Flatten {
-				leaves := opts.CDFLeaves
-				if leaves <= 0 {
-					leaves = defaultCDFLeaves(n)
+				var cdf *rmi.CDF
+				if dim < len(cdfs) {
+					cdf = cdfs[dim]
 				}
-				f.buckets[gi] = cdfBucketer{cdf: rmi.TrainCDF(raw, leaves)}
+				if cdf == nil {
+					cdf = TrainFlattenCDF(t, dim, opts)
+				}
+				f.buckets[gi] = cdfBucketer{cdf: cdf}
 			} else {
+				raw := t.Raw(dim)
 				var minV, maxV int64
 				if len(raw) > 0 {
 					minV, maxV = raw[0], raw[0]

@@ -3,10 +3,12 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"flood/internal/colstore"
 	"flood/internal/query"
+	"flood/internal/rmi"
 )
 
 // makeData builds an nRows x nDims table with mixed distributions.
@@ -327,5 +329,32 @@ func TestFlatteningBalancesSkewedCells(t *testing.T) {
 	flatMax, rawMax := maxCell(flat), maxCell(raw)
 	if flatMax*2 >= rawMax {
 		t.Fatalf("flattening should cap the largest cell: flattened max %d vs raw max %d", flatMax, rawMax)
+	}
+}
+
+func TestBuildWithPrefittedCDFsIsTheSameIndex(t *testing.T) {
+	tbl, _ := makeData(t, 20000, 4, 91)
+	layout := Layout{GridDims: []int{2, 0}, GridCols: []int{9, 14}, SortDim: 1, Flatten: true}
+	want, err := Build(tbl, layout, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Dimension 2 handed over, dimension 0 left for Build to fit.
+	opts := Options{FlattenCDFs: make([]*rmi.CDF, 3)}
+	opts.FlattenCDFs[2] = TrainFlattenCDF(tbl, 2, opts)
+	got, err := Build(tbl, layout, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Options().FlattenCDFs != nil {
+		t.Fatal("the index kept the pre-fitted CDFs: a rebuild over other rows would reuse them")
+	}
+	if !slices.Equal(got.cellStart, want.cellStart) {
+		t.Fatal("cell table differs from the index that fitted its own CDFs")
+	}
+	for d := 0; d < tbl.NumCols(); d++ {
+		if !slices.Equal(got.Table().Raw(d), want.Table().Raw(d)) {
+			t.Fatalf("column %d is ordered differently", d)
+		}
 	}
 }

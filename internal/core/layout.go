@@ -12,6 +12,9 @@ package core
 import (
 	"fmt"
 	"strings"
+
+	"flood/internal/colstore"
+	"flood/internal/rmi"
 )
 
 // Layout describes the shape of a Flood grid: which dimensions form the grid
@@ -131,6 +134,23 @@ type Options struct {
 	// 0 picks DefaultBitmapMaxCardinality; negative disables bitmap
 	// indexes.
 	BitmapMaxCardinality int
+	// FlattenCDFs optionally carries flattening CDFs already fitted to this
+	// table's columns (indexed by dimension, as TrainFlattenCDF returns
+	// them), so a caller building many layouts over one table — cost-model
+	// calibration — fits each column once. Build trains whatever is missing
+	// or nil, and does not keep the slice: the index's Options, which
+	// rebuilds over other rows reuse, never carry it.
+	FlattenCDFs []*rmi.CDF
+}
+
+// TrainFlattenCDF fits the flattening CDF Build would fit to dimension dim of
+// t under opts.
+func TrainFlattenCDF(t *colstore.Table, dim int, opts Options) *rmi.CDF {
+	leaves := opts.CDFLeaves
+	if leaves <= 0 {
+		leaves = defaultCDFLeaves(t.NumRows())
+	}
+	return rmi.TrainCDF(t.Raw(dim), leaves)
 }
 
 // DefaultBitmapMaxCardinality is the bitmap-index cardinality threshold used

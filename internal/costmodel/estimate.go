@@ -1,8 +1,11 @@
 package costmodel
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 
 	"flood/internal/colstore"
 	"flood/internal/query"
@@ -18,6 +21,7 @@ type Estimator struct {
 	d      int         // dimensions
 	cdfs   []*rmi.CDF  // per-dimension CDFs trained on the sample
 	flat   [][]float64 // [dim][i]: flattened sample values in [0, 1]
+	order  [][]int32   // [dim]: sample row ids sorted by flat[dim], the windows count walks
 	scale  float64     // n / sampleSize
 	sample int
 }
@@ -37,6 +41,7 @@ func NewEstimator(tbl *colstore.Table, sampleSize int, seed int64) *Estimator {
 	}
 	e.cdfs = make([]*rmi.CDF, e.d)
 	e.flat = make([][]float64, e.d)
+	e.order = make([][]int32, e.d)
 	vals := make([]int64, sampleSize)
 	for dim := 0; dim < e.d; dim++ {
 		col := tbl.Column(dim)
@@ -46,9 +51,13 @@ func NewEstimator(tbl *colstore.Table, sampleSize int, seed int64) *Estimator {
 		leaves := sampleSize / 32
 		e.cdfs[dim] = rmi.TrainCDF(vals, leaves)
 		e.flat[dim] = make([]float64, sampleSize)
+		e.order[dim] = make([]int32, sampleSize)
 		for i, v := range vals {
 			e.flat[dim][i] = e.cdfs[dim].At(v)
+			e.order[dim][i] = int32(i)
 		}
+		flat := e.flat[dim]
+		slices.SortFunc(e.order[dim], func(a, b int32) int { return cmp.Compare(flat[a], flat[b]) })
 	}
 	return e
 }
@@ -101,13 +110,116 @@ func (c Candidate) NumCells() float64 {
 	return t
 }
 
-// Estimate computes the features q would produce under the candidate layout.
-// Scan-region membership is smoothed: a column of width 1/c overshoots each
-// range endpoint by 1/(2c) in expectation, which keeps the objective
-// differentiable enough for numeric gradients.
-func (e *Estimator) Estimate(fq FlatQuery, cand Candidate) Features {
+// constraint is one per-row test of an evaluation: a filtered grid dimension
+// with its smoothed bounds, or the filtered sort dimension with its exact
+// ones (refinement excludes rows outside them from the scan and never spoils
+// exactness, so its interior bounds are infinite).
+type constraint struct {
+	gi             int     // position in Candidate.GridDims; len(GridDims) for the sort dimension
+	dim            int     // table dimension
+	scanLo, scanHi float64 // a row outside is not scanned
+	intLo, intHi   float64 // a scanned row outside is not in an exact sub-range
+}
+
+// gridConstraint is the test grid position gi applies to rows under cols
+// columns: a column of width 1/c overshoots each range endpoint by 1/(2c) in
+// expectation, which keeps the objective differentiable enough for numeric
+// gradients.
+func gridConstraint(fq FlatQuery, gi, dim int, cols float64) constraint {
+	over := 1 / (2 * math.Max(1, cols))
+	lo, hi := fq.Lo[dim], fq.Hi[dim]
+	return constraint{gi: gi, dim: dim, scanLo: lo - over, scanHi: hi + over, intLo: lo + over, intHi: hi - over}
+}
+
+// constraints appends to cs the per-row tests of fq under cand and reports
+// whether fq filters a residual dimension (neither grid nor sort), which
+// spoils exactness for every row.
+func (e *Estimator) constraints(fq FlatQuery, cand Candidate, cs []constraint) ([]constraint, bool) {
+	for gi, dim := range cand.GridDims {
+		if fq.Present[dim] {
+			cs = append(cs, gridConstraint(fq, gi, dim, cand.Cols[gi]))
+		}
+	}
+	if sd := cand.SortDim; sd >= 0 && fq.Present[sd] {
+		cs = append(cs, constraint{gi: len(cand.GridDims), dim: sd,
+			scanLo: fq.Lo[sd], scanHi: fq.Hi[sd], intLo: math.Inf(-1), intHi: math.Inf(1)})
+	}
+	for dim := 0; dim < e.d; dim++ {
+		if !fq.Present[dim] || dim == cand.SortDim {
+			continue
+		}
+		inGrid := false
+		for _, g := range cand.GridDims {
+			if g == dim {
+				inGrid = true
+				break
+			}
+		}
+		if !inGrid {
+			return cs, true
+		}
+	}
+	return cs, false
+}
+
+// window returns the sample rows whose value in c's dimension lies inside
+// c's scan bounds: a binary-searched run of that dimension's sorted order.
+func (e *Estimator) window(c *constraint) []int32 {
+	ord, vals := e.order[c.dim], e.flat[c.dim]
+	lo := sort.Search(len(ord), func(k int) bool { return vals[ord[k]] >= c.scanLo })
+	n := sort.Search(len(ord)-lo, func(k int) bool { return vals[ord[lo+k]] > c.scanHi })
+	return ord[lo : lo+n]
+}
+
+// narrowest returns the smallest of the constraints' windows: the only sample
+// rows that can pass all of them.
+func (e *Estimator) narrowest(cs []constraint) []int32 {
+	var rows []int32
+	for i := range cs {
+		if w := e.window(&cs[i]); i == 0 || len(w) < len(rows) {
+			rows = w
+		}
+	}
+	return rows
+}
+
+// count returns how many sample rows pass every constraint's scan bounds and
+// how many of those also lie inside every interior. It walks the narrowest
+// window only; the counts are integers, so the visiting order cannot change
+// them.
+func (e *Estimator) count(cs []constraint, hasResidual bool) (ns, exact int) {
+	if len(cs) == 0 {
+		if hasResidual {
+			return e.sample, 0
+		}
+		return e.sample, e.sample
+	}
+scan:
+	for _, r := range e.narrowest(cs) {
+		interior := !hasResidual
+		for i := range cs {
+			c := &cs[i]
+			u := e.flat[c.dim][r]
+			if u < c.scanLo || u > c.scanHi {
+				continue scan
+			}
+			if u < c.intLo || u > c.intHi {
+				interior = false
+			}
+		}
+		ns++
+		if interior {
+			exact++
+		}
+	}
+	return ns, exact
+}
+
+// features assembles the features of fq under cand from the sample counts;
+// total is cand.NumCells(), which callers evaluating a workload compute once.
+func (e *Estimator) features(fq FlatQuery, cand Candidate, total float64, ns, exact int) Features {
 	f := Features{
-		TotalCells:   cand.NumCells(),
+		TotalCells:   total,
 		DimsFiltered: float64(fq.Filtered),
 	}
 	f.AvgCellSize = float64(e.n) / f.TotalCells
@@ -129,80 +241,31 @@ func (e *Estimator) Estimate(fq FlatQuery, cand Candidate) Features {
 		nc *= w
 	}
 	f.Nc = nc
-
-	// Residual dims (filtered but neither grid nor refined sort dims)
-	// spoil exactness for every cell.
-	hasResidual := false
-	for dim := 0; dim < e.d; dim++ {
-		if !fq.Present[dim] || dim == cand.SortDim {
-			continue
-		}
-		inGrid := false
-		for _, g := range cand.GridDims {
-			if g == dim {
-				inGrid = true
-				break
-			}
-		}
-		if !inGrid {
-			hasResidual = true
-			break
-		}
-	}
-
-	// Ns and exact points: count sample points inside the (smoothed) scan
-	// region and its interior.
-	var ns, exact float64
-	for i := 0; i < e.sample; i++ {
-		inScan := true
-		inInterior := !hasResidual
-		for gi, dim := range cand.GridDims {
-			if !fq.Present[dim] {
-				continue
-			}
-			c := math.Max(1, cand.Cols[gi])
-			over := 1 / (2 * c)
-			u := e.flat[dim][i]
-			if u < fq.Lo[dim]-over || u > fq.Hi[dim]+over {
-				inScan = false
-				break
-			}
-			if u < fq.Lo[dim]+over || u > fq.Hi[dim]-over {
-				inInterior = false
-			}
-		}
-		if !inScan {
-			continue
-		}
-		if sd := cand.SortDim; sd >= 0 && fq.Present[sd] {
-			u := e.flat[sd][i]
-			if u < fq.Lo[sd] || u > fq.Hi[sd] {
-				continue // refinement excludes it from the scan
-			}
-		}
-		ns++
-		if inInterior {
-			exact++
-		}
-	}
-	f.Ns = ns * e.scale
+	f.Ns = float64(ns) * e.scale
 	if f.Nc > 0 {
 		f.AvgVisitedPerCell = f.Ns / f.Nc
 	}
 	if f.Ns > 0 {
-		f.ExactFraction = exact * e.scale / f.Ns
+		f.ExactFraction = float64(exact) * e.scale / f.Ns
 	}
 	return f
+}
+
+// Estimate computes the features q would produce under the candidate layout:
+// Nc from the query rectangle and column counts, Ns and the exact fraction by
+// counting sample rows inside the (smoothed) scan region and its interior.
+func (e *Estimator) Estimate(fq FlatQuery, cand Candidate) Features {
+	var buf [8]constraint
+	cs, hasResidual := e.constraints(fq, cand, buf[:0])
+	ns, exact := e.count(cs, hasResidual)
+	return e.features(fq, cand, cand.NumCells(), ns, exact)
 }
 
 // PredictWorkload returns the model's average predicted query time (ns) for
 // the flattened workload under the candidate layout.
 func (e *Estimator) PredictWorkload(m *Model, fqs []FlatQuery, cand Candidate) float64 {
-	var total float64
-	for i := range fqs {
-		total += m.PredictTime(e.Estimate(fqs[i], cand))
-	}
-	return total / float64(len(fqs))
+	s := Search{e: e, m: m, fqs: fqs}
+	return s.Cost(cand)
 }
 
 // DimSelectivities returns the average passing fraction per dimension over

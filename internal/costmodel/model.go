@@ -9,6 +9,7 @@ import (
 	"flood/internal/core"
 	"flood/internal/query"
 	"flood/internal/rforest"
+	"flood/internal/rmi"
 )
 
 // Model holds the three weight regressors of Eq. 1. Weights are in
@@ -60,9 +61,17 @@ func Calibrate(tbl *colstore.Table, queries []query.Query, cfg CalibrationConfig
 		xp, xr, xs [][]float64
 		yp, yr, ys []float64
 	)
+	// Every random layout flattens the same columns of the same table: fit
+	// each column's CDF once, on first use, and hand it to the builds.
+	opts := core.Options{FlattenCDFs: make([]*rmi.CDF, tbl.NumCols())}
 	for li := 0; li < cfg.NumLayouts; li++ {
 		layout := randomLayout(rng, tbl.NumCols(), tbl.NumRows())
-		idx, err := core.Build(tbl, layout, core.Options{})
+		for _, dim := range layout.GridDims {
+			if opts.FlattenCDFs[dim] == nil {
+				opts.FlattenCDFs[dim] = core.TrainFlattenCDF(tbl, dim, opts)
+			}
+		}
+		idx, err := core.Build(tbl, layout, opts)
 		if err != nil {
 			return nil, fmt.Errorf("costmodel: building random layout %d: %w", li, err)
 		}

@@ -119,6 +119,7 @@ func FindOptimalLayout(tbl *colstore.Table, queries []query.Query, m *costmodel.
 		sortCandidates = sortCandidates[:cfg.MaxSortCandidates]
 	}
 
+	search := est.NewSearch(m, fqs)
 	best := Result{PredictedCost: math.Inf(1)}
 	// Lines 12-21: try each dimension as the sort dimension.
 	for _, sortDim := range sortCandidates {
@@ -128,7 +129,7 @@ func FindOptimalLayout(tbl *colstore.Table, queries []query.Query, m *costmodel.
 				gridDims = append(gridDims, d)
 			}
 		}
-		cand, cost := descend(est, m, fqs, gridDims, sortDim, sels, cfg, rng)
+		cand, cost := descend(search, gridDims, sortDim, sels, cfg)
 		if cost < best.PredictedCost {
 			best.PredictedCost = cost
 			best.Layout = finalize(cand)
@@ -142,9 +143,7 @@ func FindOptimalLayout(tbl *colstore.Table, queries []query.Query, m *costmodel.
 
 // descend runs the multi-start gradient descent over column counts for a
 // fixed dimension ordering and returns the cheapest candidate.
-func descend(est *costmodel.Estimator, m *costmodel.Model, fqs []costmodel.FlatQuery,
-	gridDims []int, sortDim int, sels []float64, cfg Config, rng *rand.Rand) (costmodel.Candidate, float64) {
-
+func descend(s *costmodel.Search, gridDims []int, sortDim int, sels []float64, cfg Config) (costmodel.Candidate, float64) {
 	filtered := make([]bool, len(gridDims))
 	anyFiltered := false
 	for i, d := range gridDims {
@@ -152,7 +151,12 @@ func descend(est *costmodel.Estimator, m *costmodel.Model, fqs []costmodel.FlatQ
 		anyFiltered = anyFiltered || filtered[i]
 	}
 	bestCost := math.Inf(1)
-	var bestCand costmodel.Candidate
+	bestCand := costmodel.Candidate{GridDims: gridDims, SortDim: sortDim}
+	// The step's trial point and the gradient live in scratch shared by
+	// every restart; an accepted step swaps the trial's columns with the
+	// candidate's.
+	next := costmodel.Candidate{GridDims: gridDims, Cols: make([]float64, len(gridDims)), SortDim: sortDim}
+	grad := make([]float64, len(gridDims))
 	for _, budget := range cfg.Restarts {
 		cand := costmodel.Candidate{
 			GridDims: gridDims,
@@ -160,31 +164,37 @@ func descend(est *costmodel.Estimator, m *costmodel.Model, fqs []costmodel.FlatQ
 			SortDim:  sortDim,
 		}
 		clampCells(&cand, cfg.MaxTotalCells)
-		cost := est.PredictWorkload(m, fqs, cand)
+		cost := s.Cost(cand)
 		lr := 0.6
+		norm := 0.0
+		moved := true // cand changed since grad was computed
 		for step := 0; step < cfg.GDSteps; step++ {
-			grad := gradient(est, m, fqs, cand)
-			norm := 0.0
-			for _, g := range grad {
-				norm += g * g
+			if moved {
+				// A rejected step leaves cand, and so its
+				// gradient, as they were.
+				s.Gradient(cand, gradientStep, grad)
+				norm = 0.0
+				for _, g := range grad {
+					norm += g * g
+				}
+				norm = math.Sqrt(norm)
+				moved = false
 			}
-			norm = math.Sqrt(norm)
 			if norm < 1e-12 {
 				break
 			}
-			next := cand
-			next.Cols = append([]float64(nil), cand.Cols...)
-			for i := range next.Cols {
+			for i, c := range cand.Cols {
 				// Move in log-space so steps are relative.
-				next.Cols[i] = math.Exp(math.Log(next.Cols[i]) - lr*grad[i]/norm)
+				next.Cols[i] = math.Exp(math.Log(c) - lr*grad[i]/norm)
 				if next.Cols[i] < 1 {
 					next.Cols[i] = 1
 				}
 			}
 			clampCells(&next, cfg.MaxTotalCells)
-			nextCost := est.PredictWorkload(m, fqs, next)
+			nextCost := s.Cost(next)
 			if nextCost < cost {
-				cand, cost = next, nextCost
+				cand.Cols, next.Cols = next.Cols, cand.Cols
+				cost, moved = nextCost, true
 			} else {
 				lr *= 0.5
 				if lr < 0.02 {
@@ -193,31 +203,16 @@ func descend(est *costmodel.Estimator, m *costmodel.Model, fqs []costmodel.FlatQ
 			}
 		}
 		if cost < bestCost {
-			bestCost, bestCand = cost, cand
+			bestCost = cost
+			bestCand.Cols = append(bestCand.Cols[:0], cand.Cols...)
 		}
-		_ = rng
 	}
 	return bestCand, bestCost
 }
 
-// gradient computes the numeric gradient of the predicted cost with respect
-// to log(cols).
-func gradient(est *costmodel.Estimator, m *costmodel.Model, fqs []costmodel.FlatQuery, cand costmodel.Candidate) []float64 {
-	const h = 0.25
-	grad := make([]float64, len(cand.Cols))
-	for i := range cand.Cols {
-		up := cand
-		up.Cols = append([]float64(nil), cand.Cols...)
-		up.Cols[i] = math.Exp(math.Log(up.Cols[i]) + h)
-		down := cand
-		down.Cols = append([]float64(nil), cand.Cols...)
-		down.Cols[i] = math.Max(1, math.Exp(math.Log(down.Cols[i])-h))
-		cu := est.PredictWorkload(m, fqs, up)
-		cd := est.PredictWorkload(m, fqs, down)
-		grad[i] = (cu - cd) / (2 * h)
-	}
-	return grad
-}
+// gradientStep is the log-space step of the numeric gradient of the
+// predicted cost with respect to log(cols).
+const gradientStep = 0.25
 
 // initialCols spreads the cell budget evenly (in log space) over the
 // filtered grid dimensions; never-filtered dimensions start at one column.

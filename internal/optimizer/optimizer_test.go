@@ -149,3 +149,23 @@ func TestAblationVariants(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestFindOptimalLayoutAllocationBound(t *testing.T) {
+	// A search allocates to set up — the sample, its CDFs and sorted
+	// orders, the flattened queries, one column slice per restart — and
+	// then descends in scratch. At the default effort that is about 330
+	// allocations however many steps run; one allocation per gradient
+	// step would add some 240, the per-step column copies this replaced
+	// about 2,900.
+	ds := dataset.TPCH(20000, 63)
+	queries := workload.Standard(ds, 100, 64)
+	m := syntheticModel(t)
+	allocs := testing.AllocsPerRun(2, func() {
+		if _, err := FindOptimalLayout(ds.Table, queries, m, Config{Seed: 65}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 400 {
+		t.Fatalf("FindOptimalLayout allocated %.0f times, want <= 400", allocs)
+	}
+}
