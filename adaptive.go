@@ -1,7 +1,6 @@
 package flood
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -107,9 +106,10 @@ const (
 
 // adaptiveEpoch is one immutable serving generation: a built index, the
 // append-only insert log layered on top of it, and the drift monitor born
-// with it. Swapping generations is a single atomic pointer store, so readers
+// with it, plus the index whose lifecycle its queries feed. Swapping generations is a single atomic pointer store, so readers
 // never take a lock to find the current index.
 type adaptiveEpoch struct {
+	a     *AdaptiveIndex
 	flood *Flood
 	log   *sideLog
 	mon   *Monitor
@@ -123,11 +123,11 @@ type adaptiveEpoch struct {
 // fresh index with an atomic pointer swap. Queries are never blocked: the
 // old generation keeps serving until the instant the new one is visible.
 //
-// Concurrency contract: Execute, ExecuteBatch, Insert, Stats, and the
-// trigger methods may all be called from any number of goroutines. The hot
-// read path takes no locks — it loads the current generation with one atomic
-// pointer read and scans the insert log through an atomically published row
-// count. At most one background rebuild runs at a time; concurrent triggers
+// Concurrency contract: the query methods, Insert, Delete, Update, Stats,
+// and the trigger methods may all be called from any number of goroutines.
+// The hot read path takes no locks — it loads the current generation with
+// one atomic pointer read and scans the insert log through an atomically
+// published row count. At most one background rebuild runs at a time; concurrent triggers
 // (drift signals, merge thresholds, forced calls) coalesce into it.
 //
 //	idx, _ := flood.Build(tbl, train, nil)
@@ -137,10 +137,10 @@ type adaptiveEpoch struct {
 //	stats := a.Execute(q, flood.NewCount())
 //	_ = a.Insert(row)
 type AdaptiveIndex struct {
-	cfg    AdaptiveConfig
-	schema *Schema // inherited from the wrapped index at construction
-	epoch  atomic.Pointer[adaptiveEpoch]
-	sample *workload.Reservoir
+	surface // schema inherited from the wrapped index at construction
+	cfg     AdaptiveConfig
+	epoch   atomic.Pointer[adaptiveEpoch]
+	sample  *workload.Reservoir
 
 	// mu serializes writers: Insert appends under it, and a finishing
 	// rebuild holds it across the swap so the insert-log tail it carries
@@ -191,147 +191,78 @@ func NewAdaptiveIndex(base *Flood, cfg *AdaptiveConfig) *AdaptiveIndex {
 	c := cfg.withDefaults()
 	a := &AdaptiveIndex{
 		cfg:    c,
-		schema: base.schema,
 		sample: workload.NewReservoir(c.SampleSize, c.Seed),
 	}
+	a.surface = newSurface(a, base.schema, base.Table().Names())
 	a.epoch.Store(a.newEpoch(base))
 	return a
 }
 
 func (a *AdaptiveIndex) newEpoch(f *Flood) *adaptiveEpoch {
 	return &adaptiveEpoch{
+		a:     a,
 		flood: f,
 		log:   newSideLog(f.Table().Names()),
 		mon:   NewMonitor(f, a.cfg.WindowSize, a.cfg.DriftFactor),
 	}
 }
 
-// Execute serves one query against the current generation — learned base
-// plus insert log — records it in the workload sample and drift monitor, and
-// starts a background relearn if drift is detected. Safe for unlimited
-// concurrency; never blocks on rebuilds.
-func (a *AdaptiveIndex) Execute(q Query, agg Aggregator) Stats {
-	ep := a.epoch.Load()
-	st := executeEpoch(ep, q, agg)
-	a.observe(ep, q, st)
-	return st
-}
+// pin implements engine: the current generation. Readers never take a lock
+// to find it, and never block on rebuilds.
+func (a *AdaptiveIndex) pin() generation { return a.epoch.Load() }
 
-// executeEpoch runs q against one generation (base index plus insert log)
-// with no lifecycle bookkeeping.
-func executeEpoch(ep *adaptiveEpoch, q Query, agg Aggregator) Stats {
-	st := ep.flood.Execute(q, agg)
-	if n := ep.log.rows(); n > 0 {
-		st.Add(ep.log.scan(q, n, agg, nil))
+// scan runs q against the generation — base index, then insert log — with
+// no lifecycle bookkeeping. Both scans share the control's cancellation
+// signal and limit budget (base rows fill the budget first), and a stop
+// during the base scan skips the log entirely. A row collector gets the base
+// table pinned first, so base rows occupy ids [0, base) and log rows follow
+// whichever delivers first.
+func (ep *adaptiveEpoch) scan(ctl *query.Control, q Query, agg Aggregator, workers, cutover int) Stats {
+	if rc, ok := agg.(*query.RowCollector); ok {
+		rc.PinSource(ep.flood.Table())
 	}
-	return st
-}
-
-// executeEpochControl is executeEpoch threaded with an externally owned
-// control: base scan and insert-log scan share the cancellation signal and
-// the limit budget, and a stop during the base scan skips the log entirely.
-func executeEpochControl(ep *adaptiveEpoch, ctl *query.Control, q Query, agg Aggregator, cutover int) Stats {
-	st := ep.flood.idx.ExecuteControl(ctl, q, agg, cutover)
-	if ctl.Stopped() {
-		return st
-	}
-	if n := ep.log.rows(); n > 0 {
+	st := ep.flood.run(ctl, q, agg, workers, cutover)
+	if n := ep.log.rows(); n > 0 && !ctl.Stopped() {
 		st.Add(ep.log.scan(q, n, agg, ctl))
 	}
 	return st
 }
 
-// ExecuteBatch serves queries[i] into aggs[i] with inter-query parallelism
-// over the shared worker pool (see Flood.ExecuteBatch), all against one
-// consistent generation. len(queries) must equal len(aggs).
-func (a *AdaptiveIndex) ExecuteBatch(queries []Query, aggs []Aggregator) []Stats {
-	ep := a.epoch.Load()
-	stats := executeBatchEpoch(ep, queries, aggs)
-	for i := range queries {
-		a.observe(ep, queries[i], stats[i])
-	}
-	return stats
-}
-
-// executeBatchEpoch is ExecuteBatch against one generation, minus the
-// lifecycle bookkeeping.
-func executeBatchEpoch(ep *adaptiveEpoch, queries []Query, aggs []Aggregator) []Stats {
-	if len(queries) != len(aggs) {
-		panic(fmt.Sprintf("flood: ExecuteBatch got %d queries but %d aggregators", len(queries), len(aggs)))
-	}
-	n := ep.log.rows()
-	stats := make([]Stats, len(queries))
-	core.RunBatch(len(queries), func(i int) {
-		stats[i] = ep.flood.idx.ExecuteSequential(queries[i], aggs[i])
-		if n > 0 {
-			stats[i].Add(ep.log.scan(queries[i], n, aggs[i], nil))
-		}
-	})
-	return stats
-}
-
-// ExecuteOr evaluates a disjunction (OR) of conjunctive queries against one
-// consistent generation, decomposing the rectangles into disjoint pieces so
-// every matching row counts exactly once (the package-level ExecuteOr routes
-// here automatically). The disjunction counts as one served query and its
-// conjunctive rectangles feed the workload sample, but the decomposed pieces
-// bypass the drift monitor: per-piece times are fractions of a query and
-// would dilute the window average against the per-query reference cost.
-func (a *AdaptiveIndex) ExecuteOr(queries []Query, agg Aggregator) Stats {
-	st := query.ExecuteDisjunction(adaptiveRaw{a: a, ep: a.epoch.Load()}, queries, agg)
-	a.queries.Add(1)
-	for _, q := range queries {
-		a.sample.Add(q)
+// run implements generation: scan, then the bookkeeping tail. A completed
+// query is sampled and feeds the drift monitor; a limit-truncated one is
+// real workload signal for the sample, but its truncated timing would drag
+// the window average below real full-query cost; a canceled one reaches
+// neither.
+func (ep *adaptiveEpoch) run(ctl *query.Control, q Query, agg Aggregator, workers, cutover int) Stats {
+	st := ep.scan(ctl, q, agg, workers, cutover)
+	switch ctl.Err() {
+	case nil:
+		ep.a.observe(ep, q, st)
+	case ErrLimitReached:
+		ep.a.queries.Add(1)
+		ep.a.sample.Add(q)
 	}
 	return st
 }
 
-// adaptiveRaw exposes bookkeeping-free execution pinned to one generation,
-// so disjunction decomposition runs against a consistent snapshot without
-// polluting the drift monitor or the workload sample.
-type adaptiveRaw struct {
-	a  *AdaptiveIndex
-	ep *adaptiveEpoch
-}
-
-// Name implements query.Index.
-func (r adaptiveRaw) Name() string { return r.a.Name() }
-
-// SizeBytes implements query.Index.
-func (r adaptiveRaw) SizeBytes() int64 { return r.a.SizeBytes() }
-
-// Execute implements query.Index against the pinned generation.
-func (r adaptiveRaw) Execute(q Query, agg Aggregator) Stats {
-	return executeEpoch(r.ep, q, agg)
-}
-
-// ExecuteContext implements query.Index against the pinned generation.
-func (r adaptiveRaw) ExecuteContext(ctx context.Context, q Query, agg Aggregator) (Stats, error) {
-	return query.RunContext(ctx, q, agg, func(ctl *query.Control, q Query, agg Aggregator) Stats {
-		return executeEpochControl(r.ep, ctl, q, agg, 0)
-	})
-}
-
-// ExecuteBatch implements query.BatchIndex against the pinned generation.
-func (r adaptiveRaw) ExecuteBatch(queries []Query, aggs []Aggregator) []Stats {
-	return executeBatchEpoch(r.ep, queries, aggs)
-}
-
-// ExecuteBatchContext implements query.BatchIndex against the pinned
-// generation: one cancellation stops every query in the batch, queries not
-// yet started are skipped.
-func (r adaptiveRaw) ExecuteBatchContext(ctx context.Context, queries []Query, aggs []Aggregator) ([]Stats, error) {
-	ctl, err := getControl(ctx, nil)
-	if err != nil {
-		return make([]Stats, len(queries)), err
+// runPieces implements generation: the pieces bypass the drift monitor, and
+// unless canceled the disjunction counts as one served query whose
+// rectangles feed the workload sample.
+func (ep *adaptiveEpoch) runPieces(ctl *query.Control, pieces, shapes []Query, agg Aggregator, cutover int) Stats {
+	var total Stats
+	for _, piece := range pieces {
+		if ctl.Stopped() {
+			break
+		}
+		total.Add(ep.scan(ctl, piece, agg, 0, cutover))
 	}
-	if ctl == nil {
-		return r.ExecuteBatch(queries, aggs), nil
+	if ctl.Err() != ErrCanceled {
+		ep.a.queries.Add(1)
+		for _, q := range shapes {
+			ep.a.sample.Add(q)
+		}
 	}
-	stats := executeBatchEpochControl(r.ep, ctl, queries, aggs)
-	err = ctl.Finish()
-	ctl.Release()
-	return stats, err
+	return total
 }
 
 // observe is the bookkeeping tail of every query: sample it, feed the drift
@@ -746,7 +677,7 @@ func (a *AdaptiveIndex) rebuild(kind rebuildKind, done chan struct{}) {
 			// growth as workload drift.
 			res := ep.flood.result
 			res.PredictedCost = 0
-			fresh = &Flood{idx: idx, result: res, model: ep.flood.model, schema: ep.flood.schema}
+			fresh = newFlood(idx, res, ep.flood.model, ep.flood.schema)
 		}
 	}
 	if a.testHookBuilt != nil {

@@ -1,6 +1,8 @@
 package flood
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -370,6 +372,55 @@ func TestAdaptiveExecuteOr(t *testing.T) {
 			t.Fatalf("disjunction pieces moved the drift window: %v -> %v", before, after)
 		}
 	}
+}
+
+// TestAdaptiveBookkeepingByOutcome pins what one execution feeds, by how it
+// ended: a completed query reaches the workload sample and the drift
+// monitor; a limit-truncated select is real workload signal for the sample,
+// but its truncated timing stays out of the monitor; a canceled execution —
+// refused up front or stopped mid-scan — reaches neither.
+func TestAdaptiveBookkeepingByOutcome(t *testing.T) {
+	a, ds, _ := adaptiveUnderTest(t, &AdaptiveConfig{MergeFraction: -1})
+	q := NewQuery(ds.Table.NumCols()).WithRange(0, NegInf, PosInf)
+	type snapshot struct {
+		served  int64
+		sampled int
+		window  float64
+	}
+	var last snapshot
+	step := func(what string, served int64, sampled int, monitored bool) {
+		t.Helper()
+		st := a.Stats()
+		now := snapshot{st.Queries, st.SampledQueries, st.WindowAverage}
+		if now.served-last.served != served || now.sampled-last.sampled != sampled || (now.window != last.window) != monitored {
+			t.Fatalf("%s: served %+d, sampled %+d, monitor window %v -> %v; want %+d, %+d, monitored %v",
+				what, now.served-last.served, now.sampled-last.sampled, last.window, now.window, served, sampled, monitored)
+		}
+		last = now
+	}
+	step("fresh index", 0, 0, false)
+
+	a.Execute(q, NewCount())
+	step("completed Execute", 1, 1, true)
+
+	rows, _, err := a.SelectContext(context.Background(), q, &QueryOptions{Limit: 3})
+	if err != nil || rows.Len() != 3 {
+		t.Fatalf("limited select returned %d rows (err %v)", rows.Len(), err)
+	}
+	rows.Close()
+	step("limit-truncated SelectContext", 1, 1, false)
+
+	if _, err := a.ExecuteContext(canceledCtx(), q, NewCount()); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("pre-canceled ExecuteContext err = %v", err)
+	}
+	step("pre-canceled ExecuteContext", 0, 0, false)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if _, err := a.ExecuteContext(ctx, q, &cancelOnDeliver{cancel: cancel, once: &sync.Once{}}); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("mid-scan cancel err = %v", err)
+	}
+	step("ExecuteContext canceled mid-scan", 0, 0, false)
 }
 
 // TestAdaptiveSideLogSegments pushes the insert log well past the sealing

@@ -32,13 +32,33 @@ func TestFloodExecuteBatchMatchesExecute(t *testing.T) {
 	}
 }
 
-// TestDeltaIndexExecuteBatchWithPending checks the batched path through the
-// delta index while rows are buffered: base + pending must both be visible,
-// identically to sequential Execute.
-func TestDeltaIndexExecuteBatchWithPending(t *testing.T) {
+// unmerged wraps idx in an adaptive index whose autonomous rebuilds are off,
+// so pending inserts stay in the insert log until mergeNow: the
+// explicitly-merged insert buffer.
+func unmerged(t testing.TB, idx *Flood) *AdaptiveIndex {
+	t.Helper()
+	a := NewAdaptiveIndex(idx, &AdaptiveConfig{MergeFraction: -1, DriftFactor: 1e12})
+	t.Cleanup(a.Close)
+	return a
+}
+
+// mergeNow folds a's insert log into its base and waits for the swap.
+func mergeNow(t testing.TB, a *AdaptiveIndex) {
+	t.Helper()
+	a.TriggerMerge()
+	a.Wait()
+	if st := a.Stats(); st.LastError != nil || st.PendingRows != 0 {
+		t.Fatalf("merge left %d pending rows (error %v)", st.PendingRows, st.LastError)
+	}
+}
+
+// TestAdaptiveExecuteBatchWithPending checks the batched path while rows
+// sit in the insert log: base + pending must both be visible, identically
+// to sequential Execute.
+func TestAdaptiveExecuteBatchWithPending(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	idx, ds, queries := buildSmall(t)
-	d := NewDeltaIndex(idx, 0)
+	d := unmerged(t, idx)
 	rng := rand.New(rand.NewSource(401))
 	for i := 0; i < 500; i++ {
 		src := rng.Intn(6000)
@@ -50,8 +70,8 @@ func TestDeltaIndexExecuteBatchWithPending(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if d.Pending() != 500 {
-		t.Fatalf("pending = %d, want 500", d.Pending())
+	if got := d.Stats().PendingRows; got != 500 {
+		t.Fatalf("pending = %d, want 500", got)
 	}
 	batchAggs := make([]Aggregator, len(queries))
 	for i := range batchAggs {
@@ -62,17 +82,15 @@ func TestDeltaIndexExecuteBatchWithPending(t *testing.T) {
 		agg := NewCount()
 		st := d.Execute(q, agg)
 		if batchAggs[i].Result() != agg.Result() {
-			t.Fatalf("query %d: delta batch count %d != sequential %d", i, batchAggs[i].Result(), agg.Result())
+			t.Fatalf("query %d: pending batch count %d != sequential %d", i, batchAggs[i].Result(), agg.Result())
 		}
 		if batchStats[i].Scanned != st.Scanned || batchStats[i].Matched != st.Matched {
-			t.Fatalf("query %d: delta batch stats (scanned=%d matched=%d) != sequential (scanned=%d matched=%d)",
+			t.Fatalf("query %d: pending batch stats (scanned=%d matched=%d) != sequential (scanned=%d matched=%d)",
 				i, batchStats[i].Scanned, batchStats[i].Matched, st.Scanned, st.Matched)
 		}
 	}
 	// After merging, the batched path still agrees.
-	if err := d.Merge(); err != nil {
-		t.Fatal(err)
-	}
+	mergeNow(t, d)
 	post := make([]Aggregator, len(queries))
 	for i := range post {
 		post[i] = NewCount()
@@ -86,35 +104,29 @@ func TestDeltaIndexExecuteBatchWithPending(t *testing.T) {
 	}
 }
 
-// TestDeltaIndexConcurrentReads pins the lazily-built delta table's
-// construction guard: many goroutines executing against a DeltaIndex with
-// pending rows (the documented read contract) must build the buffer view
-// exactly once and agree on results; the race detector covers the rest.
-func TestDeltaIndexConcurrentReads(t *testing.T) {
+// TestAdaptiveConcurrentReadsWithPending runs many goroutines against an
+// index with pending rows no scan has touched yet: they must agree on
+// results; the race detector covers the rest.
+func TestAdaptiveConcurrentReadsWithPending(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	idx, ds, queries := buildSmall(t)
-	d := NewDeltaIndex(idx, 0)
 	row := make([]int64, ds.Table.NumCols())
 	for c := range row {
 		row[c] = ds.Cols[c][0]
 	}
-	for i := 0; i < 50; i++ {
-		if err := d.Insert(row); err != nil {
-			t.Fatal(err)
-		}
-	}
-	q := queries[0]
-	want := NewCount()
-	d.Execute(q, want)
-	d = func() *DeltaIndex { // fresh index so the delta table is unbuilt
-		nd := NewDeltaIndex(idx, 0)
+	fresh := func() *AdaptiveIndex {
+		d := unmerged(t, idx)
 		for i := 0; i < 50; i++ {
-			if err := nd.Insert(row); err != nil {
+			if err := d.Insert(row); err != nil {
 				t.Fatal(err)
 			}
 		}
-		return nd
-	}()
+		return d
+	}
+	q := queries[0]
+	want := NewCount()
+	fresh().Execute(q, want)
+	d := fresh()
 	var wg sync.WaitGroup
 	results := make([]int64, 8)
 	for g := range results {
@@ -134,10 +146,10 @@ func TestDeltaIndexConcurrentReads(t *testing.T) {
 	}
 }
 
-// TestExecuteOrBatchedMatchesSequentialIndex runs the same disjunction
-// through Flood (a BatchIndex, so the pieces run as one batch) and through a
-// wrapper that hides the batched path; both must agree.
-func TestExecuteOrBatchedMatchesSequentialIndex(t *testing.T) {
+// TestExecuteOrFacadeMatchesForeignIndex runs the same disjunction through
+// Flood's own engine and through a wrapper that hides it, leaving only the
+// Index interface (the fallback every baseline takes); both must agree.
+func TestExecuteOrFacadeMatchesForeignIndex(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	idx, ds, _ := buildSmall(t)
 	rng := rand.New(rand.NewSource(402))
@@ -153,17 +165,17 @@ func TestExecuteOrBatchedMatchesSequentialIndex(t *testing.T) {
 			}
 			rects = append(rects, NewQuery(nd).WithRange(d, lo, hi))
 		}
-		batched, plain := NewCount(), NewCount()
-		ExecuteOr(idx, rects, batched)
+		facade, plain := NewCount(), NewCount()
+		ExecuteOr(idx, rects, facade)
 		ExecuteOr(indexOnly{idx}, rects, plain)
-		if batched.Result() != plain.Result() {
-			t.Fatalf("trial %d: batched ExecuteOr %d != sequential %d", trial, batched.Result(), plain.Result())
+		if facade.Result() != plain.Result() {
+			t.Fatalf("trial %d: facade ExecuteOr %d != foreign-index %d", trial, facade.Result(), plain.Result())
 		}
 	}
 }
 
-// indexOnly hides Flood's ExecuteBatch so ExecuteOr takes the sequential
-// route.
+// indexOnly hides everything but the Index interface, so the package-level
+// helpers take the foreign-index fallback.
 type indexOnly struct{ idx *Flood }
 
 func (w indexOnly) Name() string                          { return w.idx.Name() }

@@ -1,0 +1,345 @@
+package flood
+
+import (
+	"context"
+	"errors"
+	"slices"
+	"testing"
+	"time"
+)
+
+// confRow is one logical row of the conformance fixture.
+type confRow struct {
+	ts     int64
+	fare   float64
+	city   string
+	pickup time.Time
+}
+
+// confFacade is one facade under the conformance table, held only as an
+// Index: every check drives it through the interface and the package-level
+// helpers, never through a concrete type.
+type confFacade struct {
+	name string
+	idx  Index
+	live []confRow // the oracle: rows a query may observe
+	// served reports how many queries the facade's lifecycle has counted;
+	// nil for facades that keep no count.
+	served func() int64
+}
+
+// confPredicate pairs a query with its brute-force check.
+type confPredicate struct {
+	q     Query
+	match func(r confRow) bool
+}
+
+func (f *confFacade) brute(preds ...confPredicate) []string {
+	var out []string
+	for _, r := range f.live {
+		for _, p := range preds {
+			if p.match(r) {
+				out = append(out, rowTuple(r.ts, r.fare, r.city, r.pickup))
+				break
+			}
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// confFacades builds every facade over one 20k-row typed table. The
+// mutable ones carry pending inserts (marked by a fare far outside the
+// fixture's domain, spread over the whole ts range so every shard holds
+// some) and tombstones in both the base and the insert log.
+func confFacades(t *testing.T) (*typedFixture, []*confFacade) {
+	t.Helper()
+	fx := newTypedFixture(t, 20_000, 91)
+	base := make([]confRow, len(fx.ts))
+	for i := range base {
+		base[i] = confRow{fx.ts[i], fx.fare[i], fx.city[i], fx.pickup[i]}
+	}
+	var extra []confRow
+	for i := 0; i < 96; i++ {
+		extra = append(extra, confRow{
+			ts:     int64(i) * 1000,
+			fare:   500 + float64(i)/100,
+			city:   fixtureCities[i%len(fixtureCities)],
+			pickup: time.Date(2023, 1, 1+i%28, 0, 0, 0, 0, time.UTC),
+		})
+	}
+	build := func() *Flood {
+		f, err := BuildWithLayout(fx.tbl, fixtureLayout(fx), &Options{Schema: fx.schema})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	quiet := &AdaptiveConfig{MergeFraction: -1, DriftFactor: 1e12}
+	sharded := &ShardedOptions{
+		Dim:      0,
+		Splits:   []int64{25_000, 50_000, 75_000},
+		Build:    &Options{Schema: fx.schema, CalibrationLayouts: 2, GDSteps: 3, Seed: 92},
+		Adaptive: quiet,
+	}
+	train := []Query{
+		fx.schema.Where().WithIntRange("ts", 0, 30_000).Query(),
+		fx.schema.Where().WithStringEquals("city", "nyc").WithFloatRange("fare", 1, 20).Query(),
+	}
+	served := func(a *AdaptiveIndex) func() int64 {
+		return func() int64 { return a.Stats().Queries }
+	}
+	servedShards := func(s *ShardedIndex) func() int64 {
+		return func() int64 {
+			var n int64
+			for _, st := range s.ShardStats() {
+				n += st.Queries
+			}
+			return n
+		}
+	}
+
+	var out []*confFacade
+	out = append(out, &confFacade{name: "Flood", idx: build()})
+
+	a := NewAdaptiveIndex(build(), quiet)
+	t.Cleanup(a.Close)
+	out = append(out, &confFacade{name: "AdaptiveIndex", idx: a, served: served(a)})
+
+	d, err := CreateDurable(t.TempDir(), build(), &DurableOptions{Sync: SyncNever, Adaptive: quiet})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d.Close() })
+	out = append(out, &confFacade{name: "DurableIndex", idx: d, served: served(d.Adaptive())})
+
+	s, err := NewSharded(fx.tbl, train, sharded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	out = append(out, &confFacade{name: "ShardedIndex", idx: s, served: servedShards(s)})
+
+	sd, err := CreateShardedDurable(t.TempDir(), fx.tbl, train, sharded, &DurableOptions{Sync: SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sd.Close() })
+	out = append(out, &confFacade{name: "ShardedIndex/durable", idx: sd, served: servedShards(sd)})
+
+	denver := fx.schema.Where().WithStringEquals("city", "denver").Query()
+	for _, f := range out {
+		f.live = slices.Clone(base)
+		if ins, ok := f.idx.(Inserter); ok {
+			for _, r := range extra {
+				row, err := fx.schema.EncodeRow(r.ts, r.fare, r.city, r.pickup)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := ins.Insert(row); err != nil {
+					t.Fatalf("%s: insert: %v", f.name, err)
+				}
+			}
+			f.live = append(f.live, extra...)
+		}
+		want := int64(len(f.live))
+		f.live = slices.DeleteFunc(f.live, func(r confRow) bool { return r.city == "denver" })
+		want -= int64(len(f.live))
+		if n, err := f.idx.(Deleter).Delete(denver); err != nil || n != want {
+			t.Fatalf("%s: Delete(denver) = %d, %v; want %d", f.name, n, err, want)
+		}
+	}
+	return fx, out
+}
+
+// drain reads a cursor projected over every fixture column into sorted
+// tuples plus the row ids in cursor order, and closes it.
+func drain(t *testing.T, rows *Rows) (tuples []string, ids []int64) {
+	t.Helper()
+	defer rows.Close()
+	for rows.Next() {
+		tuples = append(tuples, rowTuple(rows.Int64(0), rows.Float64(1), rows.String(2), rows.Time(3)))
+		ids = append(ids, rows.RowID())
+	}
+	slices.Sort(tuples)
+	return tuples, ids
+}
+
+// TestFacadeConformance runs one table of checks over every facade, each
+// held only as an Index and driven through the package-level helpers: the
+// facades serve one query surface, so they must agree on all of it.
+func TestFacadeConformance(t *testing.T) {
+	fx, facades := confFacades(t)
+	sch := fx.schema
+	bg := context.Background()
+
+	cheapNYC := confPredicate{
+		sch.Where().WithStringEquals("city", "nyc").WithFloatRange("fare", 1.5, 9.99).Query(),
+		func(r confRow) bool { return r.city == "nyc" && r.fare >= 1.5 && r.fare <= 9.99 },
+	}
+	midTS := confPredicate{
+		sch.Where().WithIntRange("ts", 20_000, 60_000).WithStringEquals("city", "boston").Query(),
+		func(r confRow) bool { return r.ts >= 20_000 && r.ts <= 60_000 && r.city == "boston" },
+	}
+	// inserted matches exactly the pending inserts, in every shard.
+	inserted := confPredicate{
+		sch.Where().WithFloatRange("fare", 500, 600).Query(),
+		func(r confRow) bool { return r.fare >= 500 },
+	}
+	// lowA and lowB overlap, and both sit inside the first shard.
+	lowA := confPredicate{
+		sch.Where().WithIntRange("ts", 100, 900).Query(),
+		func(r confRow) bool { return r.ts >= 100 && r.ts <= 900 },
+	}
+	lowB := confPredicate{
+		sch.Where().WithIntRange("ts", 600, 1500).Query(),
+		func(r confRow) bool { return r.ts >= 600 && r.ts <= 1500 },
+	}
+	all := confPredicate{sch.Where().Query(), func(confRow) bool { return true }}
+	ors := [][]confPredicate{{cheapNYC, inserted}, {lowA, lowB}, {midTS, lowB, inserted}}
+	queriesOf := func(preds []confPredicate) []Query {
+		qs := make([]Query, len(preds))
+		for i, p := range preds {
+			qs[i] = p.q
+		}
+		return qs
+	}
+
+	checks := []struct {
+		name string
+		run  func(t *testing.T, f *confFacade)
+	}{
+		{"results equal brute force", func(t *testing.T, f *confFacade) {
+			for i, p := range []confPredicate{cheapNYC, midTS, inserted, lowA, all} {
+				want := f.brute(p)
+				rows, _ := sch.Select(f.idx, p.q)
+				if got, _ := drain(t, rows); !slices.Equal(got, want) {
+					t.Errorf("Select %d: %d rows, brute force %d", i, len(got), len(want))
+				}
+				rows, _, err := sch.SelectContext(bg, f.idx, p.q, nil)
+				if got, _ := drain(t, rows); err != nil || !slices.Equal(got, want) {
+					t.Errorf("SelectContext %d: %d rows (err %v), brute force %d", i, len(got), err, len(want))
+				}
+			}
+			for i, preds := range ors {
+				want, qs := f.brute(preds...), queriesOf(preds)
+				cnt := NewCount()
+				if ExecuteOr(f.idx, qs, cnt); cnt.Result() != int64(len(want)) {
+					t.Errorf("ExecuteOr %d: counted %d, brute force %d", i, cnt.Result(), len(want))
+				}
+				cnt.Reset()
+				if _, err := ExecuteOrContext(bg, f.idx, qs, cnt); err != nil || cnt.Result() != int64(len(want)) {
+					t.Errorf("ExecuteOrContext %d: counted %d (err %v), brute force %d", i, cnt.Result(), err, len(want))
+				}
+				rows, _ := sch.SelectOr(f.idx, qs)
+				if got, _ := drain(t, rows); !slices.Equal(got, want) {
+					t.Errorf("SelectOr %d: %d rows, brute force %d", i, len(got), len(want))
+				}
+				rows, _, err := sch.SelectOrContext(bg, f.idx, qs, nil)
+				if got, _ := drain(t, rows); err != nil || !slices.Equal(got, want) {
+					t.Errorf("SelectOrContext %d: %d rows (err %v), brute force %d", i, len(got), err, len(want))
+				}
+			}
+		}},
+		{"limit stops the scan", func(t *testing.T, f *confFacade) {
+			const k = 5
+			rows, full := sch.Select(f.idx, all.q)
+			rows.Close()
+			rows, st, err := sch.SelectContext(bg, f.idx, all.q, &QueryOptions{Limit: k})
+			if n := rows.Len(); err != nil || n != k || st.Scanned*10 > full.Scanned {
+				t.Errorf("SelectContext LIMIT %d: %d rows, scanned %d of %d (err %v)", k, n, st.Scanned, full.Scanned, err)
+			}
+			rows.Close()
+			qs := queriesOf(ors[1])
+			rows, full = sch.SelectOr(f.idx, qs)
+			rows.Close()
+			rows, st, err = sch.SelectOrContext(bg, f.idx, qs, &QueryOptions{Limit: k})
+			if n := rows.Len(); err != nil || n != k || st.Scanned*4 > full.Scanned {
+				t.Errorf("SelectOrContext LIMIT %d: %d rows, scanned %d of %d (err %v)", k, n, st.Scanned, full.Scanned, err)
+			}
+			rows.Close()
+		}},
+		{"a disjunction is one served query", func(t *testing.T, f *confFacade) {
+			if f.served == nil {
+				t.Skip("facade keeps no query count")
+			}
+			qs := queriesOf(ors[1]) // two rectangles, one shard
+			before := f.served()
+			ExecuteOr(f.idx, qs, NewCount())
+			if got := f.served() - before; got != 1 {
+				t.Errorf("ExecuteOr of 2 rectangles counted %d served queries, want 1", got)
+			}
+			before = f.served()
+			if _, err := ExecuteOrContext(bg, f.idx, qs, NewCount()); err != nil {
+				t.Fatal(err)
+			}
+			rows, _, err := sch.SelectOrContext(bg, f.idx, qs, &QueryOptions{Limit: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows.Close()
+			if got := f.served() - before; got != 2 {
+				t.Errorf("ExecuteOrContext + limited SelectOrContext counted %d served queries, want 2", got)
+			}
+		}},
+		{"a pre-canceled context scans nothing", func(t *testing.T, f *confFacade) {
+			ctx := canceledCtx()
+			cnt := NewCount()
+			st, err := f.idx.ExecuteContext(ctx, all.q, cnt)
+			if !errors.Is(err, ErrCanceled) || st.Scanned != 0 || cnt.Result() != 0 {
+				t.Errorf("ExecuteContext: err %v, scanned %d, counted %d", err, st.Scanned, cnt.Result())
+			}
+			st, err = ExecuteOrContext(ctx, f.idx, queriesOf(ors[0]), cnt)
+			if !errors.Is(err, ErrCanceled) || st.Scanned != 0 || cnt.Result() != 0 {
+				t.Errorf("ExecuteOrContext: err %v, scanned %d, counted %d", err, st.Scanned, cnt.Result())
+			}
+			rows, st, err := sch.SelectContext(ctx, f.idx, all.q, nil)
+			if !errors.Is(err, ErrCanceled) || st.Scanned != 0 || rows.Len() != 0 {
+				t.Errorf("SelectContext: err %v, scanned %d, %d rows", err, st.Scanned, rows.Len())
+			}
+			rows.Close()
+			rows, st, err = sch.SelectOrContext(ctx, f.idx, queriesOf(ors[0]), nil)
+			if !errors.Is(err, ErrCanceled) || st.Scanned != 0 || rows.Len() != 0 {
+				t.Errorf("SelectOrContext: err %v, scanned %d, %d rows", err, st.Scanned, rows.Len())
+			}
+			rows.Close()
+		}},
+		// Last: it deletes rows.
+		{"select ids round-trip through DeleteRows", func(t *testing.T, f *confFacade) {
+			del := f.idx.(interface {
+				DeleteRows(ids []int64) (int64, error)
+			})
+			for i, p := range []confPredicate{inserted, lowA} {
+				rows, _ := sch.Select(f.idx, p.q)
+				want, ids := drain(t, rows)
+				if _, mutable := f.idx.(Inserter); len(ids) == 0 && (mutable || i > 0) {
+					t.Fatalf("victim query %d matched nothing", i)
+				}
+				n, err := del.DeleteRows(ids)
+				if err != nil || n != int64(len(ids)) {
+					t.Fatalf("DeleteRows(%d ids) = %d, %v", len(ids), n, err)
+				}
+				if !slices.Equal(want, f.brute(p)) {
+					t.Fatalf("victim query %d disagreed with brute force before the delete", i)
+				}
+				f.live = slices.DeleteFunc(f.live, p.match)
+				// The victims are gone and nothing else is: had an id named
+				// the wrong row, a victim would survive and the total would
+				// still drop.
+				rows, _ = sch.Select(f.idx, p.q)
+				if left, _ := drain(t, rows); len(left) != 0 {
+					t.Errorf("victim query %d still matches %d rows after DeleteRows", i, len(left))
+				}
+				rows, _ = sch.Select(f.idx, all.q)
+				if got, _ := drain(t, rows); !slices.Equal(got, f.brute(all)) {
+					t.Errorf("after DeleteRows %d the store holds %d rows, brute force %d", i, len(got), len(f.brute(all)))
+				}
+			}
+		}},
+	}
+	for _, f := range facades {
+		for _, c := range checks {
+			t.Run(f.name+"/"+c.name, func(t *testing.T) { c.run(t, f) })
+		}
+	}
+}

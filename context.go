@@ -1,8 +1,8 @@
 // Context-aware execution: cancellation, deadlines, and LIMIT pushdown.
 //
-// Every index in this package (Flood, DeltaIndex, AdaptiveIndex, and the
-// baselines behind the Index interface) executes queries under a caller's
-// context.Context: ExecuteContext, ExecuteBatchContext, and SelectContext
+// Every index in this package (Flood, AdaptiveIndex, DurableIndex,
+// ShardedIndex, and the baselines behind the Index interface) executes
+// queries under a caller's context.Context: ExecuteContext, ExecuteBatchContext, and SelectContext
 // stop cooperatively once the context is canceled or a deadline passes,
 // returning the partial Stats (rows seen before the stop) together with
 // ErrCanceled. Cancellation is polled at morsel-claim boundaries on the
@@ -14,14 +14,17 @@
 // the shared row budget is drawn before survivors reach the row collector,
 // so a `LIMIT 10` over a million rows stops scanning after the tenth match
 // instead of materializing the full result and truncating it.
+//
+// The entry points themselves are declared once, on the query surface every
+// facade embeds (engine.go). The single-writer delta facade of earlier
+// versions is gone; docs/MUTATIONS.md has the four-line migration to
+// NewAdaptiveIndex(f, &AdaptiveConfig{MergeFraction: -1}).
 package flood
 
 import (
 	"context"
-	"fmt"
 	"time"
 
-	"flood/internal/core"
 	"flood/internal/query"
 )
 
@@ -81,10 +84,10 @@ func (o *QueryOptions) cutover() int {
 }
 
 // getControl derives the pooled execution control for (ctx, opts). It
-// returns (nil, nil) when nothing can ever fire — the caller then runs the
-// plain unconditioned path — and (nil, ErrCanceled) when the context or the
-// options deadline has already expired, so execution returns promptly
-// without scanning.
+// returns (nil, nil) when nothing can ever fire — a nil control is the
+// unconditioned execution every engine accepts — and (nil, ErrCanceled) when
+// the context or the options deadline has already expired, so execution
+// returns promptly without scanning.
 func getControl(ctx context.Context, opts *QueryOptions) (*query.Control, error) {
 	if ctx.Err() != nil {
 		return nil, ErrCanceled
@@ -97,268 +100,4 @@ func getControl(ctx context.Context, opts *QueryOptions) (*query.Control, error)
 		}
 	}
 	return query.GetControl(ctx.Done(), opts.limit(), deadline), nil
-}
-
-// runExecute is the shared control lifecycle of the scalar ExecuteContext /
-// ExecuteOrContext variants: derive the pooled control (opts-less — these
-// entry points carry no limit), run the plain unconditioned path when
-// nothing can fire, otherwise run the control-threaded path, poll
-// cancellation one last time, and release. rows.go's runSelect is the
-// options-aware sibling for the Select paths.
-func runExecute(ctx context.Context, plain func() Stats, controlled func(*query.Control) Stats) (Stats, error) {
-	ctl, err := getControl(ctx, nil)
-	if err != nil {
-		return Stats{}, err
-	}
-	if ctl == nil {
-		return plain(), nil
-	}
-	st := controlled(ctl)
-	err = ctl.Finish()
-	ctl.Release()
-	return st, err
-}
-
-// runExecuteBatch is runExecute for the batch variants; n sizes the zero
-// stats returned on an already-expired context.
-func runExecuteBatch(ctx context.Context, n int, plain func() []Stats, controlled func(*query.Control) []Stats) ([]Stats, error) {
-	ctl, err := getControl(ctx, nil)
-	if err != nil {
-		return make([]Stats, n), err
-	}
-	if ctl == nil {
-		return plain(), nil
-	}
-	stats := controlled(ctl)
-	err = ctl.Finish()
-	ctl.Release()
-	return stats, err
-}
-
-// --- Flood ---
-
-// ExecuteContext is Execute under ctx: execution stops cooperatively once
-// ctx is canceled or its deadline passes, returning the partial Stats
-// together with ErrCanceled. An already-expired context returns promptly
-// without scanning. With context.Background() the call is identical to
-// Execute — same path, same zero-allocation steady state.
-func (f *Flood) ExecuteContext(ctx context.Context, q Query, agg Aggregator) (Stats, error) {
-	return f.idx.ExecuteContext(ctx, q, agg)
-}
-
-// ExecuteBatchContext is ExecuteBatch under ctx: one cancellation stops
-// every query in the batch, queries not yet started are skipped (their
-// Stats stay zero), and the partial per-query stats return with
-// ErrCanceled.
-func (f *Flood) ExecuteBatchContext(ctx context.Context, queries []Query, aggs []Aggregator) ([]Stats, error) {
-	return f.idx.ExecuteBatchContext(ctx, queries, aggs)
-}
-
-// executeControl threads an externally owned control (shared cancellation
-// signal and limit budget) into one execution; the root-package building
-// block behind SelectContext and ExecuteOrContext.
-func (f *Flood) executeControl(ctl *query.Control, q Query, agg Aggregator, cutover int) Stats {
-	return f.idx.ExecuteControl(ctl, q, agg, cutover)
-}
-
-// --- DeltaIndex ---
-
-// ExecuteContext is Execute under ctx: the base-index scan and the
-// pending-row scan share one cancellation signal, and a stop during either
-// returns the partial Stats with ErrCanceled. See Flood.ExecuteContext.
-func (d *DeltaIndex) ExecuteContext(ctx context.Context, q Query, agg Aggregator) (Stats, error) {
-	return runExecute(ctx,
-		func() Stats { return d.Execute(q, agg) },
-		func(ctl *query.Control) Stats { return d.executeControl(ctl, q, agg, 0) })
-}
-
-// executeControl runs base then delta under one shared control.
-func (d *DeltaIndex) executeControl(ctl *query.Control, q Query, agg Aggregator, cutover int) Stats {
-	st := d.base.ExecuteControl(ctl, q, agg, cutover)
-	if d.pending == 0 || ctl.Stopped() {
-		return st
-	}
-	st.Add(d.scanDelta(d.ensureDeltaTable(), d.tombDelta.Words(), q, agg, ctl))
-	return st
-}
-
-// ExecuteBatchContext is ExecuteBatch under ctx: one cancellation stops
-// every query in the batch. See Flood.ExecuteBatchContext.
-func (d *DeltaIndex) ExecuteBatchContext(ctx context.Context, queries []Query, aggs []Aggregator) ([]Stats, error) {
-	if len(queries) != len(aggs) {
-		panic(fmt.Sprintf("flood: ExecuteBatch got %d queries but %d aggregators", len(queries), len(aggs)))
-	}
-	return runExecuteBatch(ctx, len(queries),
-		func() []Stats { return d.ExecuteBatch(queries, aggs) },
-		func(ctl *query.Control) []Stats {
-			pending := d.pending
-			var delta *Table
-			var tomb []uint64
-			if pending > 0 {
-				delta = d.ensureDeltaTable()
-				tomb = d.tombDelta.Words()
-			}
-			stats := make([]Stats, len(queries))
-			core.RunBatch(len(queries), func(i int) {
-				if ctl.Stopped() {
-					return
-				}
-				stats[i] = d.base.ExecuteSequentialControl(ctl, queries[i], aggs[i])
-				if pending > 0 && !ctl.Stopped() {
-					stats[i].Add(d.scanDelta(delta, tomb, queries[i], aggs[i], ctl))
-				}
-			})
-			return stats
-		})
-}
-
-// --- AdaptiveIndex ---
-
-// ExecuteContext is Execute under ctx against one consistent generation:
-// base index and insert log share the cancellation signal, and a canceled
-// query returns partial Stats with ErrCanceled. Canceled executions bypass
-// the drift monitor and the workload sample — their truncated timings would
-// poison the window average — so adaptation sees only completed queries.
-func (a *AdaptiveIndex) ExecuteContext(ctx context.Context, q Query, agg Aggregator) (Stats, error) {
-	ep := a.epoch.Load()
-	st, err := runExecute(ctx,
-		func() Stats { return executeEpoch(ep, q, agg) },
-		func(ctl *query.Control) Stats { return executeEpochControl(ep, ctl, q, agg, 0) })
-	if err == nil {
-		a.observe(ep, q, st)
-	}
-	return st, err
-}
-
-// ExecuteBatchContext is ExecuteBatch under ctx against one consistent
-// generation; one cancellation stops every query in the batch, and only a
-// fully completed batch feeds the drift monitor.
-func (a *AdaptiveIndex) ExecuteBatchContext(ctx context.Context, queries []Query, aggs []Aggregator) ([]Stats, error) {
-	ep := a.epoch.Load()
-	stats, err := runExecuteBatch(ctx, len(queries),
-		func() []Stats { return executeBatchEpoch(ep, queries, aggs) },
-		func(ctl *query.Control) []Stats { return executeBatchEpochControl(ep, ctl, queries, aggs) })
-	if err == nil {
-		for i := range queries {
-			a.observe(ep, queries[i], stats[i])
-		}
-	}
-	return stats, err
-}
-
-// executeBatchEpochControl is executeBatchEpoch threaded with a shared
-// control: the per-query building block of the context-aware adaptive batch
-// paths (the facade's and the pinned-generation adaptiveRaw's).
-func executeBatchEpochControl(ep *adaptiveEpoch, ctl *query.Control, queries []Query, aggs []Aggregator) []Stats {
-	if len(queries) != len(aggs) {
-		panic(fmt.Sprintf("flood: ExecuteBatch got %d queries but %d aggregators", len(queries), len(aggs)))
-	}
-	n := ep.log.rows()
-	stats := make([]Stats, len(queries))
-	core.RunBatch(len(queries), func(i int) {
-		if ctl.Stopped() {
-			return
-		}
-		stats[i] = ep.flood.idx.ExecuteSequentialControl(ctl, queries[i], aggs[i])
-		if n > 0 && !ctl.Stopped() {
-			stats[i].Add(ep.log.scan(queries[i], n, aggs[i], ctl))
-		}
-	})
-	return stats
-}
-
-// ExecuteOrContext evaluates a disjunction under ctx against one consistent
-// generation (see ExecuteOr); the decomposed pieces share the cancellation
-// signal, and only a completed disjunction feeds the workload sample.
-func (a *AdaptiveIndex) ExecuteOrContext(ctx context.Context, queries []Query, agg Aggregator) (Stats, error) {
-	ctl, err := getControl(ctx, nil)
-	if err != nil {
-		return Stats{}, err
-	}
-	if ctl == nil {
-		return a.ExecuteOr(queries, agg), nil
-	}
-	st := a.executeOrControl(ctl, queries, agg, 0)
-	err = ctl.Finish()
-	ctl.Release()
-	if err == nil {
-		a.queries.Add(1)
-		for _, q := range queries {
-			a.sample.Add(q)
-		}
-	}
-	return st, err
-}
-
-// executeOrControl runs the decomposed pieces of a disjunction against one
-// pinned generation under a shared control and per-query cutover override.
-func (a *AdaptiveIndex) executeOrControl(ctl *query.Control, queries []Query, agg Aggregator, cutover int) Stats {
-	ep := a.epoch.Load()
-	var total Stats
-	for _, piece := range query.Disjoint(queries) {
-		if ctl.Stopped() {
-			break
-		}
-		total.Add(executeEpochControl(ep, ctl, piece, agg, cutover))
-	}
-	return total
-}
-
-// --- package-level helpers ---
-
-// ExecuteOrContext is ExecuteOr under ctx: the disjoint pieces of the
-// disjunction share one cancellation signal, a stop between or inside
-// pieces returns the partial Stats with ErrCanceled, and rows accumulated
-// before the stop remain in agg. Indexes with their own context-aware
-// disjunction handling (AdaptiveIndex) route through it.
-func ExecuteOrContext(ctx context.Context, idx Index, queries []Query, agg Aggregator) (Stats, error) {
-	if oi, ok := idx.(interface {
-		ExecuteOrContext(context.Context, []Query, Aggregator) (Stats, error)
-	}); ok {
-		return oi.ExecuteOrContext(ctx, queries, agg)
-	}
-	return runExecute(ctx,
-		func() Stats { return ExecuteOr(idx, queries, agg) },
-		func(ctl *query.Control) Stats { return executeOrControl(idx, ctl, queries, agg, 0) })
-}
-
-// executeOrControl decomposes the disjunction and runs each disjoint piece
-// under the shared control and per-query cutover override, stopping as soon
-// as the control latches.
-func executeOrControl(idx Index, ctl *query.Control, queries []Query, agg Aggregator, cutover int) Stats {
-	var total Stats
-	for _, piece := range query.Disjoint(queries) {
-		if ctl.Stopped() {
-			break
-		}
-		total.Add(executeControl(idx, ctl, piece, agg, cutover))
-	}
-	return total
-}
-
-// executeControl routes one control-threaded execution to the index's
-// control path: the concrete types of this package (which also honor the
-// per-query cutover override), any baseline (via query.ControlIndex), and —
-// for foreign Index implementations without a control path — plain Execute
-// behind a budget-enforcing aggregator wrapper, so the "at most Limit rows
-// delivered" contract holds even though the foreign scan itself cannot be
-// stopped early (its Stats count the full scan).
-func executeControl(idx Index, ctl *query.Control, q Query, agg Aggregator, cutover int) Stats {
-	switch t := idx.(type) {
-	case *Flood:
-		return t.executeControl(ctl, q, agg, cutover)
-	case *DeltaIndex:
-		return t.executeControl(ctl, q, agg, cutover)
-	case *AdaptiveIndex:
-		return executeEpochControl(t.epoch.Load(), ctl, q, agg, cutover)
-	case *ShardedIndex:
-		return t.executeControl(ctl, q, agg, cutover)
-	}
-	if ctl == nil {
-		return idx.Execute(q, agg)
-	}
-	if ci, ok := idx.(query.ControlIndex); ok {
-		return ci.ExecuteControl(ctl, q, agg)
-	}
-	return idx.Execute(q, query.ControlledAggregator(ctl, agg))
 }

@@ -24,7 +24,6 @@ func canceledCtx() context.Context {
 // every index type behind the Index interface.
 func TestExecuteContextPreCanceled(t *testing.T) {
 	idx, ds, queries := buildSmall(t)
-	d := NewDeltaIndex(idx, 0)
 	a := NewAdaptiveIndex(idx, nil)
 	defer a.Close()
 	fs, err := BuildBaseline(FullScan, ds.Table, BaselineOptions{})
@@ -36,7 +35,7 @@ func TestExecuteContextPreCanceled(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := queries[0]
-	for _, idx := range []Index{idx, d, a, fs, kd} {
+	for _, idx := range []Index{idx, a, fs, kd} {
 		agg := NewCount()
 		st, err := idx.ExecuteContext(canceledCtx(), q, agg)
 		if !errors.Is(err, ErrCanceled) {
@@ -139,6 +138,49 @@ func TestExecuteContextZeroAllocSequential(t *testing.T) {
 	}
 }
 
+// TestDisjunctionZeroAllocAdaptive pins the disjunction paths a SQL front end
+// drives per statement: against an AdaptiveIndex, ExecuteOrContext and a
+// limited SelectOrContext under a cancelable context allocate nothing in
+// steady state (pooled decomposition, control, and cursor; the generation is
+// pinned without boxing).
+func TestDisjunctionZeroAllocAdaptive(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	fx := newTypedFixture(t, 20_000, 31)
+	idx, err := BuildWithLayout(fx.tbl, fixtureLayout(fx), &Options{Schema: fx.schema, ParallelCutoverRows: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := unmerged(t, idx)
+	or := []Query{
+		fx.schema.Where().WithIntRange("ts", 100, 300).Query(),
+		fx.schema.Where().WithIntRange("ts", 5000, 5300).Query(),
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cnt := NewCount()
+	run := func() {
+		cnt.Reset()
+		if _, err := ExecuteOrContext(ctx, a, or, cnt); err != nil {
+			panic(err)
+		}
+		rows, _, err := fx.schema.SelectOrContext(ctx, a, or, &QueryOptions{Limit: 10}, "ts")
+		if err != nil {
+			panic(err)
+		}
+		rows.Close()
+	}
+	// Fill the workload reservoir first: sampling allocates while it grows
+	// and recycles Range storage once full.
+	for i := 0; i < 300; i++ {
+		run()
+	}
+	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+		t.Fatalf("ExecuteOrContext + limited SelectOrContext allocated %.1f times per op, want 0", allocs)
+	}
+}
+
 // TestSelectContextLimitPushdown pins the acceptance criterion: a LIMIT k
 // select scans strictly fewer rows than the unlimited select (asserted via
 // Stats), returns exactly k rows, and — on the deterministic sequential
@@ -187,7 +229,7 @@ func TestSelectContextLimitPushdown(t *testing.T) {
 }
 
 // TestSelectContextLimitAcrossDelta pins the shared budget across the base
-// index and the pending-row buffer: base rows fill the limit first, and a
+// index and the pending insert log: base rows fill the limit first, and a
 // limit inside the base row count never scans the delta.
 func TestSelectContextLimitAcrossDelta(t *testing.T) {
 	fx := newTypedFixture(t, 10_000, 35)
@@ -195,7 +237,7 @@ func TestSelectContextLimitAcrossDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := NewDeltaIndex(idx, 0)
+	d := unmerged(t, idx)
 	// Insert rows that all match the probe query.
 	enc, err := fx.schema.EncodeRow(int64(50), 5.00, "nyc", time.Date(2023, 1, 2, 0, 0, 0, 0, time.UTC))
 	if err != nil {

@@ -2,7 +2,6 @@ package flood
 
 import (
 	"bufio"
-	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -103,12 +102,17 @@ type RecoveryReport struct {
 //	d.Close()
 //	d, rep, err := flood.OpenDurable(dir, nil)   // after a crash
 //
-// Concurrency matches AdaptiveIndex: Execute, ExecuteBatch, and Insert from
-// any number of goroutines; Checkpoint runs concurrently with all of them
-// (writers stall only for a pointer swap).
+// A DurableIndex is its AdaptiveIndex — the embedded index's whole query and
+// mutation surface is the durable one's, since the write-ahead log is
+// attached to the adaptive index itself: every Insert, Delete, and Update is
+// logged before it is acknowledged, so acknowledged mutations survive a
+// crash at any point (they are either replayed from the log or absorbed
+// into a snapshot). Concurrency matches AdaptiveIndex; Checkpoint runs
+// concurrently with queries and mutations (writers stall only for a pointer
+// swap).
 type DurableIndex struct {
+	*AdaptiveIndex
 	dir  string
-	a    *AdaptiveIndex
 	opts DurableOptions
 
 	// ckptMu serializes checkpoints; gen is the current WAL generation,
@@ -133,7 +137,7 @@ func CreateDurable(dir string, base *Flood, opts *DurableOptions) (*DurableIndex
 	if _, err := os.Stat(filepath.Join(dir, snapshotFile)); err == nil {
 		return nil, fmt.Errorf("flood: %s already contains a snapshot (use OpenDurable)", dir)
 	}
-	d := &DurableIndex{dir: dir, a: NewAdaptiveIndex(base, o.Adaptive), opts: o}
+	d := &DurableIndex{dir: dir, AdaptiveIndex: NewAdaptiveIndex(base, o.Adaptive), opts: o}
 	if err := d.writeSnapshot(0, base.idx, base.schema, nil, 0, base.idx.Tombstones(), nil); err != nil {
 		return nil, err
 	}
@@ -142,7 +146,7 @@ func CreateDurable(dir string, base *Flood, opts *DurableOptions) (*DurableIndex
 		return nil, err
 	}
 	d.gen = 1
-	d.a.AttachWAL(l)
+	d.AttachWAL(l)
 	return d, nil
 }
 
@@ -181,7 +185,7 @@ func OpenDurable(dir string, opts *DurableOptions) (*DurableIndex, RecoveryRepor
 			return nil, rep, fmt.Errorf("flood: snapshot marker: %w", err)
 		}
 	}
-	d := &DurableIndex{dir: dir, a: NewAdaptiveIndex(fl, o.Adaptive), opts: o}
+	d := &DurableIndex{dir: dir, AdaptiveIndex: NewAdaptiveIndex(fl, o.Adaptive), opts: o}
 
 	// Seed the side log with the checkpoint-captured rows.
 	if p, ok := res.Extra[sectionDelta]; ok {
@@ -189,7 +193,7 @@ func OpenDurable(dir string, opts *DurableOptions) (*DurableIndex, RecoveryRepor
 		if err != nil {
 			return nil, rep, err
 		}
-		d.a.epoch.Load().log.seed(cols, n)
+		d.epoch.Load().log.seed(cols, n)
 		rep.SnapshotRows = fl.Table().NumRows() + int(n)
 	} else {
 		rep.SnapshotRows = fl.Table().NumRows()
@@ -203,7 +207,7 @@ func OpenDurable(dir string, opts *DurableOptions) (*DurableIndex, RecoveryRepor
 			return nil, rep, err
 		}
 		if len(logDead) > 0 {
-			log := d.a.epoch.Load().log
+			log := d.epoch.Load().log
 			n := log.rows()
 			rows := make([]int, 0, len(logDead))
 			for _, r := range logDead {
@@ -235,7 +239,7 @@ func OpenDurable(dir string, opts *DurableOptions) (*DurableIndex, RecoveryRepor
 			return nil, rep, fmt.Errorf("flood: wal segment %s missing: %w", wal.SegmentName(want), ErrTruncated)
 		}
 		path := filepath.Join(dir, wal.SegmentName(g))
-		ep := d.a.epoch.Load()
+		ep := d.epoch.Load()
 		r, err := wal.Replay(path, func(payload []byte) error {
 			if isWALDelete(payload) {
 				tuples, err := decodeWALDelete(payload, fl.Table().NumCols())
@@ -275,7 +279,7 @@ func OpenDurable(dir string, opts *DurableOptions) (*DurableIndex, RecoveryRepor
 		return nil, rep, err
 	}
 	d.gen = next
-	d.a.AttachWAL(l)
+	d.AttachWAL(l)
 	d.removeSegmentsThrough(marker, gens)
 	return d, rep, nil
 }
@@ -299,7 +303,7 @@ func (d *DurableIndex) Checkpoint() error {
 	// swap the log: rows [0, frozen) of the side log plus the (immutable)
 	// base are exactly the inserts acknowledged against segments <= oldGen;
 	// later inserts land in the new segment.
-	a := d.a
+	a := d.AdaptiveIndex
 	a.mu.Lock()
 	ep := a.epoch.Load()
 	frozen := ep.log.rows()
@@ -351,53 +355,19 @@ func (d *DurableIndex) Checkpoint() error {
 // stops the adaptive index's background work. The directory remains openable
 // with OpenDurable.
 func (d *DurableIndex) Close() error {
-	d.a.Close()
-	d.a.mu.Lock()
-	l := d.a.walLog
-	d.a.walLog = nil
-	d.a.mu.Unlock()
+	d.AdaptiveIndex.Close()
+	d.mu.Lock()
+	l := d.walLog
+	d.walLog = nil
+	d.mu.Unlock()
 	if l == nil {
 		return nil
 	}
 	return l.Close()
 }
 
-// Adaptive returns the wrapped serving index for its full API (stats,
-// triggers, typed selects).
-func (d *DurableIndex) Adaptive() *AdaptiveIndex { return d.a }
-
-// Execute serves one query; see AdaptiveIndex.Execute.
-func (d *DurableIndex) Execute(q Query, agg Aggregator) Stats { return d.a.Execute(q, agg) }
-
-// ExecuteBatch serves a batch; see AdaptiveIndex.ExecuteBatch.
-func (d *DurableIndex) ExecuteBatch(queries []Query, aggs []Aggregator) []Stats {
-	return d.a.ExecuteBatch(queries, aggs)
-}
-
-// Insert logs and applies one row; acknowledged inserts survive a crash per
-// the sync policy. See AdaptiveIndex.Insert.
-func (d *DurableIndex) Insert(row []int64) error { return d.a.Insert(row) }
-
-// Delete tombstones every live row matching q; the deletion is WAL-logged
-// before it is acknowledged, so acknowledged deletes survive a crash at any
-// point (they are either replayed from the log or absorbed into a snapshot's
-// tombstone section). See AdaptiveIndex.Delete.
-func (d *DurableIndex) Delete(q Query) (int64, error) { return d.a.Delete(q) }
-
-// DeleteRows tombstones rows by their Select ids, with Delete's durability
-// contract. See AdaptiveIndex.DeleteRows.
-func (d *DurableIndex) DeleteRows(ids []int64) (int64, error) { return d.a.DeleteRows(ids) }
-
-// Update rewrites every live row matching q with the assignments applied,
-// logging the delete record and the re-inserted rows before acknowledging.
-// See AdaptiveIndex.Update.
-func (d *DurableIndex) Update(q Query, set []Assignment) (int64, error) { return d.a.Update(q, set) }
-
-// Deleted returns the number of tombstoned (not yet compacted) rows.
-func (d *DurableIndex) Deleted() int { return d.a.Deleted() }
-
-// LiveRows returns the number of rows queries can observe.
-func (d *DurableIndex) LiveRows() int { return d.a.LiveRows() }
+// Adaptive returns the embedded serving index.
+func (d *DurableIndex) Adaptive() *AdaptiveIndex { return d.AdaptiveIndex }
 
 // SetCrashPoint installs fn to run at the named stages of a checkpoint
 // ("rotated", "old-closed", "snapshot"). Fault-injection harnesses panic
@@ -405,20 +375,8 @@ func (d *DurableIndex) LiveRows() int { return d.a.LiveRows() }
 // clear. Not for production use.
 func (d *DurableIndex) SetCrashPoint(fn func(stage string)) { d.crashPoint = fn }
 
-// ExecuteContext serves one query with cancellation and limit support; see
-// AdaptiveIndex.ExecuteContext.
-func (d *DurableIndex) ExecuteContext(ctx context.Context, q Query, agg Aggregator) (Stats, error) {
-	return d.a.ExecuteContext(ctx, q, agg)
-}
-
-// NumRows returns the total row count (base + pending inserts).
-func (d *DurableIndex) NumRows() int { return d.a.NumRows() }
-
 // Name implements Index.
 func (d *DurableIndex) Name() string { return "Flood+Durable" }
-
-// SizeBytes implements Index.
-func (d *DurableIndex) SizeBytes() int64 { return d.a.SizeBytes() }
 
 var (
 	_ Index   = (*DurableIndex)(nil)

@@ -20,11 +20,13 @@ func buildSmall(t *testing.T) (*Flood, *dataset.Dataset, []Query) {
 	return idx, ds, queries
 }
 
-func TestDeltaIndexInsertAndQuery(t *testing.T) {
+// TestUnmergedInsertAndQuery drives the explicitly-merged insert buffer: an
+// AdaptiveIndex with automatic merges off.
+func TestUnmergedInsertAndQuery(t *testing.T) {
 	idx, ds, queries := buildSmall(t)
-	d := NewDeltaIndex(idx, 0)
-	if d.NumRows() != 6000 || d.Pending() != 0 {
-		t.Fatal("fresh delta index counts wrong")
+	d := unmerged(t, idx)
+	if d.NumRows() != 6000 || d.Stats().PendingRows != 0 {
+		t.Fatal("fresh index counts wrong")
 	}
 	// Insert rows cloned from the dataset with a recognizable marker on
 	// the date dimension.
@@ -42,8 +44,8 @@ func TestDeltaIndexInsertAndQuery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if d.Pending() != added || d.NumRows() != 6000+added {
-		t.Fatalf("pending %d rows, want %d", d.Pending(), added)
+	if p := d.Stats().PendingRows; p != added || d.NumRows() != 6000+added {
+		t.Fatalf("pending %d rows, want %d", p, added)
 	}
 	// A query isolating the inserted rows.
 	agg := NewCount()
@@ -60,48 +62,18 @@ func TestDeltaIndexInsertAndQuery(t *testing.T) {
 		idx.Execute(q, a1)
 		d.Execute(q, a2)
 		if a2.Result() < a1.Result() {
-			t.Fatalf("delta query lost rows: %d < %d", a2.Result(), a1.Result())
+			t.Fatalf("query over base + pending lost rows: %d < %d", a2.Result(), a1.Result())
 		}
 	}
 	// Merge folds everything into the base.
-	if err := d.Merge(); err != nil {
-		t.Fatal(err)
-	}
-	if d.Pending() != 0 || d.NumRows() != 6000+added {
-		t.Fatalf("after merge: pending %d, rows %d", d.Pending(), d.NumRows())
+	mergeNow(t, d)
+	if d.Index().Table().NumRows() != 6000+added || d.NumRows() != 6000+added {
+		t.Fatalf("after merge: base %d rows, total %d", d.Index().Table().NumRows(), d.NumRows())
 	}
 	agg.Reset()
 	d.Execute(NewQuery(ds.Table.NumCols()).WithRange(dateCol, 5000, 6000), agg)
 	if agg.Result() != added {
 		t.Fatalf("post-merge query found %d, want %d", agg.Result(), added)
-	}
-}
-
-func TestDeltaIndexAutoMerge(t *testing.T) {
-	idx, ds, _ := buildSmall(t)
-	d := NewDeltaIndex(idx, 50)
-	row := make([]int64, ds.Table.NumCols())
-	for i := 0; i < 120; i++ {
-		if err := d.Insert(row); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if d.Pending() >= 50 {
-		t.Fatalf("auto-merge did not fire: %d pending", d.Pending())
-	}
-	if d.NumRows() != 6120 {
-		t.Fatalf("rows = %d, want 6120", d.NumRows())
-	}
-}
-
-func TestDeltaIndexValidation(t *testing.T) {
-	idx, _, _ := buildSmall(t)
-	d := NewDeltaIndex(idx, 0)
-	if err := d.Insert([]int64{1, 2}); err == nil {
-		t.Fatal("short row should fail")
-	}
-	if err := d.Merge(); err != nil {
-		t.Fatal("empty merge should be a no-op")
 	}
 }
 

@@ -41,8 +41,18 @@
 // lifecycle of §8: it serves queries and inserts concurrently, samples the
 // live workload, detects drift with a Monitor, relearns the layout in the
 // background, and swaps the fresh index in atomically with zero downtime.
-// DeltaIndex is the single-writer building block for insert buffering, and
-// Save/Load persist a built index.
+// DurableIndex adds a write-ahead log and checkpoints, ShardedIndex
+// partitions the table across independent adaptive shards, and Save/Load
+// persist a built index. Every facade serves the same query surface:
+// Execute, ExecuteBatch, ExecuteOr, Select, and their context-aware twins.
+//
+// The single-writer delta facade of earlier versions is gone; AdaptiveIndex
+// with automatic merges off subsumes it:
+//
+//	its constructor (f, n) → NewAdaptiveIndex(f, &AdaptiveConfig{MergeFraction: -1})
+//	Merge()                → TriggerMerge() then Wait()
+//	Base()                 → Index()
+//	Pending()              → Stats().PendingRows
 //
 // The package also exposes the paper's seven baseline multi-dimensional
 // indexes (see BuildBaseline) on the same column-store substrate, which is
@@ -118,22 +128,6 @@ func NewMin(col int) Aggregator { return query.NewMin(col) }
 // NewMax returns a MAX(col) aggregator.
 func NewMax(col int) Aggregator { return query.NewMax(col) }
 
-// ExecuteOr evaluates a disjunction (OR) of conjunctive queries against any
-// index, decomposing the rectangles into disjoint pieces first so every
-// matching row is accumulated exactly once (§3). Against an index with a
-// batched path (Flood, DeltaIndex) and a mergeable aggregator, the pieces
-// execute as one batch over the shared worker pool. Indexes with their own
-// disjunction handling — AdaptiveIndex, whose drift monitoring must not see
-// the decomposed pieces — route through their ExecuteOr method instead.
-func ExecuteOr(idx Index, queries []Query, agg Aggregator) Stats {
-	if oi, ok := idx.(interface {
-		ExecuteOr([]Query, Aggregator) Stats
-	}); ok {
-		return oi.ExecuteOr(queries, agg)
-	}
-	return query.ExecuteDisjunction(idx, queries, agg)
-}
-
 // Options tunes learned-index construction. The zero value (or nil) picks
 // the paper's defaults.
 type Options struct {
@@ -187,12 +181,21 @@ func (o *Options) orDefault() Options {
 	return *o
 }
 
-// Flood is a built learned index.
+// Flood is a built learned index. It is read-only after Build (deletes
+// aside), so every query method may be called from any number of
+// goroutines.
 type Flood struct {
+	surface
 	idx    *core.Flood
 	result optimizer.Result
 	model  *CostModel
-	schema *Schema // optional: decodes Select results (see SetSchema)
+}
+
+// newFlood wraps a built core index in the public handle.
+func newFlood(idx *core.Flood, res optimizer.Result, m *CostModel, s *Schema) *Flood {
+	f := &Flood{idx: idx, result: res, model: m}
+	f.surface = newSurface(f, s, idx.Table().Names())
+	return f
 }
 
 // Build learns a layout for tbl from the sample workload and constructs the
@@ -226,7 +229,7 @@ func Build(tbl *Table, train []Query, opts *Options) (*Flood, error) {
 	if err != nil {
 		return nil, fmt.Errorf("flood: building layout: %w", err)
 	}
-	return &Flood{idx: idx, result: res, model: m, schema: o.Schema}, nil
+	return newFlood(idx, res, m, o.Schema), nil
 }
 
 // Calibrate trains a reusable cost model on any dataset and workload
@@ -247,25 +250,7 @@ func BuildWithLayout(tbl *Table, layout Layout, opts *Options) (*Flood, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Flood{idx: idx, result: optimizer.Result{Layout: layout}, schema: o.Schema}, nil
-}
-
-// Execute runs q through projection, refinement, and scan, feeding matching
-// rows to agg. The aggregator is not reset: callers reset it between
-// queries. Small queries run a zero-allocation sequential scan; queries
-// whose refined ranges clear Options.ParallelCutoverRows fan out over a
-// process-wide worker pool when the aggregator supports merging (all
-// built-in aggregators do). The index is read-only after Build, so Execute
-// may be called from any number of goroutines.
-func (f *Flood) Execute(q Query, agg Aggregator) Stats { return f.idx.Execute(q, agg) }
-
-// ExecuteBatch executes queries[i] into aggs[i] and returns per-query stats.
-// The batch shares one worker pool across queries — each runs its zero-alloc
-// sequential path while the batch fans out across cores — which is the
-// highest-throughput arrangement for serving many concurrent queries.
-// len(queries) must equal len(aggs); aggregators are not reset.
-func (f *Flood) ExecuteBatch(queries []Query, aggs []Aggregator) []Stats {
-	return f.idx.ExecuteBatch(queries, aggs)
+	return newFlood(idx, optimizer.Result{Layout: layout}, nil, o.Schema), nil
 }
 
 // Name implements Index.
@@ -291,13 +276,23 @@ func (f *Flood) Table() *Table { return f.idx.Table() }
 
 // SetSchema attaches the typed schema the table was built with, so Select
 // results decode floats, strings, and timestamps. Wrappers constructed from
-// this index (NewDeltaIndex, NewAdaptiveIndex) inherit the schema at
+// this index (NewAdaptiveIndex, CreateDurable) inherit the schema at
 // construction; set it before wrapping.
 func (f *Flood) SetSchema(s *Schema) { f.schema = s }
 
 // Schema returns the attached typed schema (nil when the index was built
 // from raw int64 columns).
 func (f *Flood) Schema() *Schema { return f.schema }
+
+// Neighbor is one k-nearest-neighbor result: a physical row in the index's
+// reordered table and its squared distance in flattened grid coordinates.
+type Neighbor = core.Neighbor
+
+// KNN returns the k nearest neighbors of point under the scale-free
+// flattened metric of the index's grid dimensions (§6). See core.Flood.KNN.
+func (f *Flood) KNN(point []int64, k int) ([]Neighbor, error) {
+	return f.idx.KNN(point, k)
+}
 
 var (
 	_ Index            = (*Flood)(nil)

@@ -146,9 +146,8 @@ func (s *Statement) aggregator() (flood.Aggregator, error) {
 
 // Exec executes an INSERT, DELETE, or UPDATE statement against an index
 // facade that supports mutation (flood.Inserter / flood.Deleter /
-// flood.Updater: DeltaIndex, AdaptiveIndex, DurableIndex; plain Flood
-// supports DELETE only). It returns
-// the number of rows affected. An OR predicate executes one mutation per
+// flood.Updater: AdaptiveIndex, DurableIndex, ShardedIndex; plain Flood
+// supports DELETE only). It returns the number of rows affected. An OR predicate executes one mutation per
 // disjunct: deletes are idempotent so overlapping disjuncts never
 // double-count, while an UPDATE whose rewritten rows still match a later
 // disjunct rewrites them again (same final values — assignments are

@@ -795,7 +795,8 @@ func TestDeleteStatementRaw(t *testing.T) {
 	}
 }
 
-// TestUpdateStatementTyped pins UPDATE through a DeltaIndex: assignments are
+// TestUpdateStatementTyped pins UPDATE through an insert-capable facade (an
+// AdaptiveIndex with automatic merges off): assignments are
 // encoded through the schema (dictionary code, scaled decimal) and the
 // rewritten rows are observable through subsequent typed queries.
 func TestUpdateStatementTyped(t *testing.T) {
@@ -804,7 +805,8 @@ func TestUpdateStatementTyped(t *testing.T) {
 	if !ok {
 		t.Fatalf("typedFixture returned %T", base)
 	}
-	idx := flood.NewDeltaIndex(fl, 1<<20)
+	idx := flood.NewAdaptiveIndex(fl, &flood.AdaptiveConfig{MergeFraction: -1})
+	defer idx.Close()
 	st, err := ParseTyped("UPDATE t SET fare = 5.25, dist = 7 WHERE city = 'boston'", s)
 	if err != nil {
 		t.Fatal(err)
@@ -921,7 +923,8 @@ func TestInsertStatement(t *testing.T) {
 	if !ok {
 		t.Fatalf("typedFixture index is %T, want *flood.Flood", idx)
 	}
-	delta := flood.NewDeltaIndex(base, 1<<30)
+	delta := flood.NewAdaptiveIndex(base, &flood.AdaptiveConfig{MergeFraction: -1})
+	defer delta.Close()
 
 	st, err := ParseTyped(
 		"INSERT INTO t (dist, fare, city) VALUES (7, 5.25, 'boston'), (9, 1.25, 'nyc')", s)

@@ -2,9 +2,21 @@ package flood
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"time"
 )
+
+// v1Snapshot opens with the magic of the unframed, unchecksummed version-1
+// format, whose reader is gone.
+const v1Snapshot = "FLOODIX1garbage"
+
+// TestLoadV1MagicIsErrVersion pins the typed answer to a version-1 file.
+func TestLoadV1MagicIsErrVersion(t *testing.T) {
+	if _, err := Load(bytes.NewReader([]byte(v1Snapshot))); !errors.Is(err, ErrVersion) {
+		t.Fatalf("Load(v1 magic) err = %v, want ErrVersion", err)
+	}
+}
 
 // fuzzSnapshot builds a tiny typed index and returns its serialized
 // snapshot, giving the fuzzer a structurally valid starting point.
@@ -71,7 +83,7 @@ func FuzzWireDecode(f *testing.F) {
 			f.Add(snap[:cut])
 		}
 	}
-	f.Add([]byte("FLOODIX1garbage"))
+	f.Add([]byte(v1Snapshot))
 	f.Add([]byte("FLOOD\x02\xff\xff"))
 	f.Add([]byte{})
 	// The bitmap-index section is reconstructible: a checksum-damaged copy

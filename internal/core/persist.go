@@ -15,9 +15,9 @@ import (
 // Snapshot format. Version 2 wraps the stream in a FLOOD header and
 // length-prefixed, CRC32-C-checksummed sections (see internal/wire), so
 // truncation and bit flips surface as typed errors instead of garbage
-// decodes. Version 1 files (raw magic + unframed fields) are still readable.
+// decodes. Any other version — including the unframed, unchecksummed
+// version 1, which no release of this tree can write — is wire.ErrVersion.
 const (
-	persistMagicV1 = "FLOODIX1"
 	// PersistVersion is the snapshot format version this package writes.
 	PersistVersion = 2
 
@@ -179,7 +179,7 @@ func (f *Flood) encodeModels(w *wire.Writer) error {
 	return nil
 }
 
-// Load reads an index written by Save (either format version). A damaged
+// Load reads an index written by Save. A damaged
 // models section is recovered by retraining; use LoadSections to observe
 // whether that happened.
 func Load(in io.Reader) (*Flood, error) {
@@ -200,14 +200,6 @@ func LoadSections(in io.Reader) (LoadResult, error) {
 	var h [wire.HeaderSize]byte
 	if _, err := io.ReadFull(in, h[:]); err != nil {
 		return res, fmt.Errorf("core: snapshot header: %w", wire.ErrTruncated)
-	}
-	if string(h[:]) == persistMagicV1 {
-		f, err := loadV1(wire.NewReader(in))
-		if err != nil {
-			return res, err
-		}
-		res.Index = f
-		return res, nil
 	}
 	count, err := wire.ParseHeader(h[:], PersistVersion)
 	if err != nil {
@@ -435,28 +427,4 @@ func (f *Flood) validateCellTable() error {
 		}
 	}
 	return nil
-}
-
-// loadV1 reads the unframed version-1 format (no checksums); the 8-byte
-// magic has already been consumed.
-func loadV1(r *wire.Reader) (*Flood, error) {
-	f := &Flood{}
-	if err := f.decodeMeta(r); err != nil {
-		return nil, err
-	}
-	var err error
-	if f.t, err = colstore.DecodeTable(r); err != nil {
-		return nil, err
-	}
-	if err := f.validateLayout(); err != nil {
-		return nil, err
-	}
-	if err := f.decodeModels(r); err != nil {
-		return nil, err
-	}
-	// Version 1 predates bitmap indexes; build them fresh.
-	f.t.EnableBitmapIndexes(f.opts.bitmapMaxCard())
-	f.computeCellStats()
-	f.computeParallelCutover()
-	return f, nil
 }

@@ -156,28 +156,3 @@ func TestLoadDamagedBitmapSectionRecovers(t *testing.T) {
 	}
 	checkBitmapQueries(t, f, res.Index)
 }
-
-// TestLoadV1RebuildsBitmaps checks that the unframed version-1 reader also
-// leaves the loaded index with bitmap indexes.
-func TestLoadV1RebuildsBitmaps(t *testing.T) {
-	f, _ := bitmapTestIndex(t, 1500)
-	var buf bytes.Buffer
-	buf.WriteString(persistMagicV1)
-	w := wire.NewWriter(&buf)
-	f.encodeMeta(w)
-	f.t.Encode(w)
-	if err := f.encodeModels(w); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.t.Bitmap(2) == nil {
-		t.Fatal("v1 load should rebuild bitmap indexes")
-	}
-	checkBitmapQueries(t, f, loaded)
-}

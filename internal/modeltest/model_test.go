@@ -89,17 +89,6 @@ func TestModelFlood(t *testing.T) {
 	})
 }
 
-// TestModelDelta drives DeltaIndex through the full mutation surface:
-// inserts into the buffer, deletes spanning base and buffer, updates
-// (delete + re-insert), auto- and forced merges compacting tombstones.
-func TestModelDelta(t *testing.T) {
-	const seed = 2
-	runModel(t, seed, Caps{Insert: true, Maintain: true}, func() (*Runner, error) {
-		f, rows := buildBase(t, seed)
-		return NewRunner(NewDeltaSystem(flood.NewDeltaIndex(f, 512), nCols), NewOracle(rows), nCols), nil
-	})
-}
-
 // quiesced disables the autonomous rebuild triggers (growth merges, drift
 // relearns). The oracle harness is single-threaded: it resolves physical ids
 // with Select and immediately deletes them, and physical ids are only stable
@@ -203,7 +192,7 @@ func TestModelCatchesInjectedBug(t *testing.T) {
 	ops := Generate(seed, cfg)
 	mk := func() (*Runner, error) {
 		f, rows := buildBase(t, seed)
-		sys := &lyingSystem{System: NewDeltaSystem(flood.NewDeltaIndex(f, 512), nCols), breakAt: 3}
+		sys := &lyingSystem{System: NewAdaptiveSystem(flood.NewAdaptiveIndex(f, quiesced()), nCols), breakAt: 3}
 		return NewRunner(sys, NewOracle(rows), nCols), nil
 	}
 	r, err := mk()

@@ -113,162 +113,107 @@ func (s *floodSystem) Crash() error { return ErrUnsupported }
 
 func (s *floodSystem) Close() error { return nil }
 
-// deltaSystem adapts DeltaIndex; Maintain forces a merge of the buffer (and
-// with it, tombstone compaction).
-type deltaSystem struct {
-	d    *flood.DeltaIndex
-	cols int
+// store is the method set AdaptiveIndex, DurableIndex, and ShardedIndex
+// share; one adapter serves all three.
+type store interface {
+	Insert(row []int64) error
+	Delete(q flood.Query) (int64, error)
+	DeleteRows(ids []int64) (int64, error)
+	Update(q flood.Query, set []flood.Assignment) (int64, error)
+	Select(q flood.Query, cols ...string) (*flood.Rows, flood.Stats)
+	Execute(q flood.Query, agg flood.Aggregator) flood.Stats
+	LiveRows() int
 }
 
-// NewDeltaSystem wraps a DeltaIndex.
-func NewDeltaSystem(d *flood.DeltaIndex, cols int) System {
-	return &deltaSystem{d: d, cols: cols}
+// storeSystem adapts a mutable facade. maintain runs one lifecycle event on
+// the current handle; crash (nil when the facade has no disk state)
+// abandons it mid-flight, recovers from disk, and installs the recovered
+// handle; closer releases the current handle.
+type storeSystem struct {
+	store
+	cols     int
+	maintain func(step int) error
+	crash    func() error
+	closer   func() error
 }
 
-func (s *deltaSystem) Insert(row []int64) error { return s.d.Insert(row) }
-
-func (s *deltaSystem) Delete(q flood.Query) (int64, error) { return s.d.Delete(q) }
-
-func (s *deltaSystem) DeleteRows(ids []int64) (int64, error) { return s.d.DeleteRows(ids) }
-
-func (s *deltaSystem) Update(q flood.Query, set []flood.Assignment) (int64, error) {
-	return s.d.Update(q, set)
-}
-
-func (s *deltaSystem) Select(q flood.Query) ([][]int64, []int64) {
-	rows, _ := s.d.Select(q)
+func (s *storeSystem) Select(q flood.Query) ([][]int64, []int64) {
+	rows, _ := s.store.Select(q)
 	return readRows(rows, s.cols)
 }
 
-func (s *deltaSystem) Aggregate(q flood.Query) (int64, int64) {
-	return aggregate(s.d.Execute, q)
+func (s *storeSystem) Aggregate(q flood.Query) (int64, int64) {
+	return aggregate(s.store.Execute, q)
 }
 
-func (s *deltaSystem) LiveRows() int { return s.d.LiveRows() }
+func (s *storeSystem) Maintain(step int) error { return s.maintain(step) }
 
-func (s *deltaSystem) Maintain(int) error { return s.d.Merge() }
-
-func (s *deltaSystem) Crash() error { return ErrUnsupported }
-
-func (s *deltaSystem) Close() error { return nil }
-
-// adaptiveSystem adapts AdaptiveIndex; Maintain alternates forced merges and
-// relearns, waiting for the background swap so the next op observes it.
-type adaptiveSystem struct {
-	a    *flood.AdaptiveIndex
-	cols int
+func (s *storeSystem) Crash() error {
+	if s.crash == nil {
+		return ErrUnsupported
+	}
+	return s.crash()
 }
 
-// NewAdaptiveSystem wraps an AdaptiveIndex.
-func NewAdaptiveSystem(a *flood.AdaptiveIndex, cols int) System {
-	return &adaptiveSystem{a: a, cols: cols}
-}
+func (s *storeSystem) Close() error { return s.closer() }
 
-func (s *adaptiveSystem) Insert(row []int64) error { return s.a.Insert(row) }
-
-func (s *adaptiveSystem) Delete(q flood.Query) (int64, error) { return s.a.Delete(q) }
-
-func (s *adaptiveSystem) DeleteRows(ids []int64) (int64, error) { return s.a.DeleteRows(ids) }
-
-func (s *adaptiveSystem) Update(q flood.Query, set []flood.Assignment) (int64, error) {
-	return s.a.Update(q, set)
-}
-
-func (s *adaptiveSystem) Select(q flood.Query) ([][]int64, []int64) {
-	rows, _ := s.a.Select(q)
-	return readRows(rows, s.cols)
-}
-
-func (s *adaptiveSystem) Aggregate(q flood.Query) (int64, int64) {
-	return aggregate(s.a.Execute, q)
-}
-
-func (s *adaptiveSystem) LiveRows() int { return s.a.LiveRows() }
-
-func (s *adaptiveSystem) Maintain(step int) error {
+// rebuild forces a merge (even steps) or a relearn (odd steps) on a and
+// waits for the background swap, so the next op observes it.
+func rebuild(a *flood.AdaptiveIndex, step int) {
 	if step%2 == 0 {
-		s.a.TriggerMerge()
+		a.TriggerMerge()
 	} else {
-		s.a.TriggerRelearn()
+		a.TriggerRelearn()
 	}
-	s.a.Wait()
-	return nil
+	a.Wait()
 }
 
-func (s *adaptiveSystem) Crash() error { return ErrUnsupported }
-
-func (s *adaptiveSystem) Close() error { s.a.Close(); return nil }
-
-// durableSystem adapts DurableIndex. Crash snapshots the directory at the
-// kill instant (simulating the disk image a real crash leaves, including
-// whatever the WAL has fsynced) and recovers from the copy with OpenDurable.
-type durableSystem struct {
-	d      *flood.DurableIndex
-	dir    string
-	opts   *flood.DurableOptions
-	cols   int
-	newDir func() string
+// NewAdaptiveSystem wraps an AdaptiveIndex; Maintain alternates forced
+// merges and relearns.
+func NewAdaptiveSystem(a *flood.AdaptiveIndex, cols int) System {
+	return &storeSystem{
+		store:    a,
+		cols:     cols,
+		maintain: func(step int) error { rebuild(a, step); return nil },
+		closer:   func() error { a.Close(); return nil },
+	}
 }
 
-// NewDurableSystem wraps a DurableIndex living in dir. newDir must return a
-// fresh empty directory each call; Crash recovers into one so the abandoned
-// handle can never touch the recovered state.
+// NewDurableSystem wraps a DurableIndex living in dir. Maintain rotates
+// checkpoints with forced merges and relearns. Crash snapshots the
+// directory at the kill instant (simulating the disk image a real crash
+// leaves, including whatever the WAL has fsynced) and recovers from the
+// copy with OpenDurable. newDir must return a fresh empty directory each
+// call; Crash recovers into one so the abandoned handle can never touch the
+// recovered state.
 func NewDurableSystem(d *flood.DurableIndex, dir string, opts *flood.DurableOptions, cols int, newDir func() string) System {
-	return &durableSystem{d: d, dir: dir, opts: opts, cols: cols, newDir: newDir}
-}
-
-func (s *durableSystem) Insert(row []int64) error { return s.d.Insert(row) }
-
-func (s *durableSystem) Delete(q flood.Query) (int64, error) { return s.d.Delete(q) }
-
-func (s *durableSystem) DeleteRows(ids []int64) (int64, error) { return s.d.DeleteRows(ids) }
-
-func (s *durableSystem) Update(q flood.Query, set []flood.Assignment) (int64, error) {
-	return s.d.Update(q, set)
-}
-
-func (s *durableSystem) Select(q flood.Query) ([][]int64, []int64) {
-	rows, _ := s.d.Adaptive().Select(q)
-	return readRows(rows, s.cols)
-}
-
-func (s *durableSystem) Aggregate(q flood.Query) (int64, int64) {
-	return aggregate(s.d.Execute, q)
-}
-
-func (s *durableSystem) LiveRows() int { return s.d.LiveRows() }
-
-func (s *durableSystem) Maintain(step int) error {
-	switch step % 3 {
-	case 0:
-		return s.d.Checkpoint()
-	case 1:
-		s.d.Adaptive().TriggerMerge()
-	default:
-		s.d.Adaptive().TriggerRelearn()
+	s := &storeSystem{store: d, cols: cols}
+	s.maintain = func(step int) error {
+		if step%3 == 0 {
+			return d.Checkpoint()
+		}
+		rebuild(d.Adaptive(), step%3-1)
+		return nil
 	}
-	s.d.Adaptive().Wait()
-	return nil
-}
-
-func (s *durableSystem) Crash() error {
-	// Copy first: the image at this instant is what a kill -9 leaves.
-	// Closing the abandoned handle afterwards only releases resources; it
-	// can no longer influence the copy we recover from.
-	dst := s.newDir()
-	if err := copyDir(s.dir, dst); err != nil {
-		return err
+	s.crash = func() error {
+		// Copy first: the image at this instant is what a kill -9 leaves.
+		// Closing the abandoned handle afterwards only releases resources;
+		// it can no longer influence the copy we recover from.
+		dst := newDir()
+		if err := copyDir(dir, dst); err != nil {
+			return err
+		}
+		d.Close()
+		re, _, err := flood.OpenDurable(dst, opts)
+		if err != nil {
+			return fmt.Errorf("modeltest: recovery failed: %w", err)
+		}
+		d, dir, s.store = re, dst, re
+		return nil
 	}
-	s.d.Close()
-	re, _, err := flood.OpenDurable(dst, s.opts)
-	if err != nil {
-		return fmt.Errorf("modeltest: recovery failed: %w", err)
-	}
-	s.d, s.dir = re, dst
-	return nil
+	s.closer = func() error { return d.Close() }
+	return s
 }
-
-func (s *durableSystem) Close() error { return s.d.Close() }
 
 // copyDir copies the flat durable directory (snapshot + WAL segments).
 func copyDir(src, dst string) error {
@@ -313,74 +258,34 @@ func copyTree(src, dst string) error {
 	return copyDir(src, dst)
 }
 
-// shardedSystem adapts ShardedIndex in its durable form. Maintain rotates a
-// whole-store checkpoint with per-shard merges and relearns (the shard
-// picked by the step ordinal, so every shard's lifecycle runs); Crash
+// NewShardedSystem wraps a durable ShardedIndex living in dir. Maintain
+// rotates a whole-store checkpoint with per-shard merges and relearns (the
+// shard picked by the step ordinal, so every shard's lifecycle runs); Crash
 // snapshots the entire root — manifest and every shard directory — at the
-// kill instant and recovers the copy through OpenShardedDurable.
-type shardedSystem struct {
-	s      *flood.ShardedIndex
-	dir    string
-	opts   *flood.DurableOptions
-	cols   int
-	newDir func() string
-}
-
-// NewShardedSystem wraps a durable ShardedIndex living in dir. newDir must
-// return a fresh empty directory each call, as in NewDurableSystem.
-func NewShardedSystem(s *flood.ShardedIndex, dir string, opts *flood.DurableOptions, cols int, newDir func() string) System {
-	return &shardedSystem{s: s, dir: dir, opts: opts, cols: cols, newDir: newDir}
-}
-
-func (s *shardedSystem) Insert(row []int64) error { return s.s.Insert(row) }
-
-func (s *shardedSystem) Delete(q flood.Query) (int64, error) { return s.s.Delete(q) }
-
-func (s *shardedSystem) DeleteRows(ids []int64) (int64, error) { return s.s.DeleteRows(ids) }
-
-func (s *shardedSystem) Update(q flood.Query, set []flood.Assignment) (int64, error) {
-	return s.s.Update(q, set)
-}
-
-func (s *shardedSystem) Select(q flood.Query) ([][]int64, []int64) {
-	rows, _ := s.s.Select(q)
-	return readRows(rows, s.cols)
-}
-
-func (s *shardedSystem) Aggregate(q flood.Query) (int64, int64) {
-	return aggregate(s.s.Execute, q)
-}
-
-func (s *shardedSystem) LiveRows() int { return s.s.LiveRows() }
-
-func (s *shardedSystem) Maintain(step int) error {
-	switch step % 3 {
-	case 0:
-		return s.s.Checkpoint()
-	case 1:
-		sh := s.s.Shard((step / 3) % s.s.NumShards())
-		sh.TriggerMerge()
-		sh.Wait()
-	default:
-		sh := s.s.Shard((step / 3) % s.s.NumShards())
-		sh.TriggerRelearn()
-		sh.Wait()
+// kill instant and recovers the copy through OpenShardedDurable. newDir
+// must return a fresh empty directory each call, as in NewDurableSystem.
+func NewShardedSystem(sh *flood.ShardedIndex, dir string, opts *flood.DurableOptions, cols int, newDir func() string) System {
+	s := &storeSystem{store: sh, cols: cols}
+	s.maintain = func(step int) error {
+		if step%3 == 0 {
+			return sh.Checkpoint()
+		}
+		rebuild(sh.Shard((step/3)%sh.NumShards()), step%3-1)
+		return nil
 	}
-	return nil
-}
-
-func (s *shardedSystem) Crash() error {
-	dst := s.newDir()
-	if err := copyTree(s.dir, dst); err != nil {
-		return err
+	s.crash = func() error {
+		dst := newDir()
+		if err := copyTree(dir, dst); err != nil {
+			return err
+		}
+		sh.Close()
+		re, _, err := flood.OpenShardedDurable(dst, opts)
+		if err != nil {
+			return fmt.Errorf("modeltest: sharded recovery failed: %w", err)
+		}
+		sh, dir, s.store = re, dst, re
+		return nil
 	}
-	s.s.Close()
-	re, _, err := flood.OpenShardedDurable(dst, s.opts)
-	if err != nil {
-		return fmt.Errorf("modeltest: sharded recovery failed: %w", err)
-	}
-	s.s, s.dir = re, dst
-	return nil
+	s.closer = func() error { return sh.Close() }
+	return s
 }
-
-func (s *shardedSystem) Close() error { return s.s.Close() }

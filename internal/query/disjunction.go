@@ -1,9 +1,6 @@
 package query
 
-import (
-	"runtime"
-	"sync"
-)
+import "sync"
 
 // Disjunction support (§3): "Typical selections generally also include
 // disjunctions (i.e. OR clauses). However, these can be decomposed into
@@ -72,16 +69,16 @@ func normRange(min, max int64) Range {
 // is bounded by O(len(queries)^2 * d) rectangles in the worst case; typical
 // OR clauses over distinct value ranges produce no growth at all.
 func Disjoint(queries []Query) []Query {
-	var s disjunctionScratch
-	return disjointWith(&s, queries, cloneQuery)
+	var d Decomposition
+	return disjointWith(&d, queries, cloneQuery)
 }
 
 // disjointWith is the decomposition shared by the public Disjoint and the
-// pooled ExecuteDisjunction path; clone supplies Range storage for every
-// emitted piece and s supplies the working rectangle lists.
-func disjointWith(s *disjunctionScratch, queries []Query, clone func(Query) Query) []Query {
-	out := s.pieces[:0]
-	pending, next := s.pending[:0], s.next[:0]
+// pooled Decompose; clone supplies Range storage for every emitted piece and
+// d supplies the working rectangle lists.
+func disjointWith(d *Decomposition, queries []Query, clone func(Query) Query) []Query {
+	out := d.Pieces[:0]
+	pending, next := d.pending[:0], d.next[:0]
 	for _, q := range queries {
 		if q.Empty() {
 			continue
@@ -99,89 +96,56 @@ func disjointWith(s *disjunctionScratch, queries []Query, clone func(Query) Quer
 		}
 		out = append(out, pending...)
 	}
-	s.pieces, s.pending, s.next = out, pending, next
+	d.Pieces, d.pending, d.next = out, pending, next
 	return out
 }
 
-// disjunctionScratch pools the per-piece allocations of disjunction
-// execution: the rectangle lists built during decomposition, the Range arena
-// backing each decomposed piece, and the per-piece aggregator clones. One
-// scratch serves one ExecuteDisjunction call at a time; pieces handed to the
-// index alias the arena, which is only recycled after the call completes.
-type disjunctionScratch struct {
-	pieces  []Query
+// Decomposition is a pooled disjoint decomposition of one disjunction: the
+// rectangle lists built while decomposing and the Range arena backing each
+// piece are recycled, so repeated disjunctions decompose without allocating.
+// Pieces alias the arena and are valid until Release.
+type Decomposition struct {
+	// Pieces are the pairwise-disjoint rectangles covering the union.
+	Pieces  []Query
 	pending []Query
 	next    []Query
 	arena   []Range
-	clones  []Aggregator
 }
 
-var disjunctionPool = sync.Pool{New: func() any { return new(disjunctionScratch) }}
+var decompositionPool = sync.Pool{New: func() any { return new(Decomposition) }}
+
+// Decompose is Disjoint on pooled storage: the execution paths run each of
+// the returned Pieces against an index and sum the aggregates, so every row
+// of the union is accumulated exactly once. Call Release once no execution
+// references the pieces.
+func Decompose(queries []Query) *Decomposition {
+	d := decompositionPool.Get().(*Decomposition)
+	disjointWith(d, queries, d.clone)
+	return d
+}
 
 // clone copies q's ranges into the arena. When the arena runs out a fresh,
 // larger one is started; slices already handed out keep the old backing
 // array alive, so they stay valid.
-func (s *disjunctionScratch) clone(q Query) Query {
+func (d *Decomposition) clone(q Query) Query {
 	n := len(q.Ranges)
-	if len(s.arena)+n > cap(s.arena) {
-		c := 2 * cap(s.arena)
+	if len(d.arena)+n > cap(d.arena) {
+		c := 2 * cap(d.arena)
 		if c < 16*n {
 			c = 16 * n
 		}
-		s.arena = make([]Range, 0, c)
+		d.arena = make([]Range, 0, c)
 	}
-	lo := len(s.arena)
-	s.arena = append(s.arena, q.Ranges...)
-	return Query{Ranges: s.arena[lo : lo+n : lo+n]}
+	lo := len(d.arena)
+	d.arena = append(d.arena, q.Ranges...)
+	return Query{Ranges: d.arena[lo : lo+n : lo+n]}
 }
 
-func (s *disjunctionScratch) release() {
-	for i := range s.clones {
-		s.clones[i] = nil // don't pin aggregators across uses
-	}
-	s.clones = s.clones[:0]
-	s.pieces = s.pieces[:0]
-	s.pending = s.pending[:0]
-	s.next = s.next[:0]
-	s.arena = s.arena[:0]
-	disjunctionPool.Put(s)
-}
-
-// ExecuteDisjunction evaluates an OR of conjunctive queries against idx,
-// accumulating every matching row into agg exactly once, and returns the
-// combined execution stats.
-//
-// When the index supports batched execution (BatchIndex), the aggregator is
-// Mergeable, and there are enough disjoint pieces to occupy the cores, the
-// pieces run as one batch over the index's shared worker pool — each piece
-// into its own aggregator clone, merged afterwards. With fewer pieces than
-// cores, each piece instead runs through the index's ordinary Execute, whose
-// intra-query (morsel) parallelism uses the hardware better than a short
-// batch would. Decomposition scratch and the per-piece rectangles come from
-// a pool, so repeated disjunctions allocate only the aggregator clones.
-func ExecuteDisjunction(idx Index, queries []Query, agg Aggregator) Stats {
-	s := disjunctionPool.Get().(*disjunctionScratch)
-	defer s.release()
-	pieces := disjointWith(s, queries, s.clone)
-	var total Stats
-	bi, batched := idx.(BatchIndex)
-	m, mergeable := agg.(Mergeable)
-	if batched && mergeable && len(pieces) >= runtime.GOMAXPROCS(0) && len(pieces) > 1 {
-		clones := s.clones[:0]
-		for range pieces {
-			clones = append(clones, m.CloneEmpty())
-		}
-		s.clones = clones
-		for _, st := range bi.ExecuteBatch(pieces, clones) {
-			total.Add(st)
-		}
-		for _, c := range clones {
-			m.Merge(c.(Mergeable))
-		}
-		return total
-	}
-	for _, q := range pieces {
-		total.Add(idx.Execute(q, agg))
-	}
-	return total
+// Release returns the decomposition's storage to the pool.
+func (d *Decomposition) Release() {
+	d.Pieces = d.Pieces[:0]
+	d.pending = d.pending[:0]
+	d.next = d.next[:0]
+	d.arena = d.arena[:0]
+	decompositionPool.Put(d)
 }

@@ -3,7 +3,6 @@ package query
 import (
 	"context"
 	"math/rand"
-	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -117,7 +116,10 @@ func TestSubtractExtremes(t *testing.T) {
 	}
 }
 
-func TestExecuteDisjunctionNoDoubleCount(t *testing.T) {
+// TestDecomposeNoDoubleCount runs the pooled decomposition the execution
+// paths use: summing an aggregate over the pieces counts every row of the
+// union exactly once, call after call on recycled storage.
+func TestDecomposeNoDoubleCount(t *testing.T) {
 	tbl, data := buildTestTable(t, 2000, 63)
 	idx := &scanIndex{t: tbl}
 	rng := rand.New(rand.NewSource(64))
@@ -127,7 +129,11 @@ func TestExecuteDisjunctionNoDoubleCount(t *testing.T) {
 			rects = append(rects, randomRect(rng, 3, 100))
 		}
 		agg := NewCount()
-		ExecuteDisjunction(idx, rects, agg)
+		d := Decompose(rects)
+		for _, piece := range d.Pieces {
+			idx.Execute(piece, agg)
+		}
+		d.Release()
 		var want int64
 		p := make([]int64, 3)
 		for r := 0; r < 2000; r++ {
@@ -163,85 +169,6 @@ func (s *scanIndex) ExecuteControl(ctl *Control, q Query, agg Aggregator) Stats 
 	scanned, matched := sc.ScanRange(q, q.FilteredDims(), 0, s.t.NumRows(), agg)
 	return Stats{Scanned: scanned, Matched: matched}
 }
-
-// batchScanIndex adds a BatchIndex path to scanIndex so the batched
-// disjunction route is testable without a real Flood index.
-type batchScanIndex struct {
-	scanIndex
-	batchCalls int
-}
-
-func (s *batchScanIndex) ExecuteBatch(queries []Query, aggs []Aggregator) []Stats {
-	s.batchCalls++
-	stats := make([]Stats, len(queries))
-	for i, q := range queries {
-		stats[i] = s.Execute(q, aggs[i])
-	}
-	return stats
-}
-
-func (s *batchScanIndex) ExecuteBatchContext(ctx context.Context, queries []Query, aggs []Aggregator) ([]Stats, error) {
-	if ctx.Err() != nil {
-		return make([]Stats, len(queries)), ErrCanceled
-	}
-	return s.ExecuteBatch(queries, aggs), nil
-}
-
-// TestExecuteDisjunctionBatchedRoute checks that a BatchIndex + Mergeable
-// aggregator takes the batched path and still counts every row exactly
-// once, with stats matching the sequential route. Repeated calls reuse the
-// pooled decomposition scratch.
-func TestExecuteDisjunctionBatchedRoute(t *testing.T) {
-	// The batch route engages when pieces >= GOMAXPROCS; pin it so the
-	// assertion below holds on any host.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	tbl, data := buildTestTable(t, 2000, 65)
-	plain := &scanIndex{t: tbl}
-	batched := &batchScanIndex{scanIndex: scanIndex{t: tbl}}
-	rng := rand.New(rand.NewSource(66))
-	for trial := 0; trial < 30; trial++ {
-		var rects []Query
-		for i := 0; i < 2+rng.Intn(3); i++ {
-			rects = append(rects, randomRect(rng, 3, 100))
-		}
-		seq, par := NewCount(), NewCount()
-		seqSt := ExecuteDisjunction(plain, rects, seq)
-		parSt := ExecuteDisjunction(batched, rects, par)
-		if par.Result() != seq.Result() {
-			t.Fatalf("trial %d: batched disjunction %d != sequential %d", trial, par.Result(), seq.Result())
-		}
-		if parSt.Scanned != seqSt.Scanned || parSt.Matched != seqSt.Matched {
-			t.Fatalf("trial %d: batched stats (%d, %d) != sequential (%d, %d)",
-				trial, parSt.Scanned, parSt.Matched, seqSt.Scanned, seqSt.Matched)
-		}
-		var want int64
-		p := make([]int64, 3)
-		for r := 0; r < 2000; r++ {
-			for c := range data {
-				p[c] = data[c][r]
-			}
-			if inUnion(rects, p) {
-				want++
-			}
-		}
-		if par.Result() != want {
-			t.Fatalf("trial %d: batched disjunction %d != brute %d", trial, par.Result(), want)
-		}
-	}
-	if batched.batchCalls == 0 {
-		t.Fatal("no disjunction took the batched route")
-	}
-	// A non-mergeable aggregator must fall back to sequential execution.
-	calls := batched.batchCalls
-	rects := []Query{randomRect(rng, 3, 100), randomRect(rng, 3, 100)}
-	ExecuteDisjunction(batched, rects, nonMergeableCount{NewCount()})
-	if batched.batchCalls != calls {
-		t.Fatal("non-mergeable aggregator must not take the batched route")
-	}
-}
-
-// nonMergeableCount hides Count's Mergeable methods.
-type nonMergeableCount struct{ Aggregator }
 
 func TestDisjunctionProperty(t *testing.T) {
 	f := func(seed int64) bool {

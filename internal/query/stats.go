@@ -91,8 +91,7 @@ type ControlIndex interface {
 // call, sharing a worker pool across them (§8). ExecuteBatch runs
 // queries[i] into aggs[i] — len(queries) must equal len(aggs) — and returns
 // per-query stats; results are identical to executing the queries one by
-// one. ExecuteDisjunction routes multi-rectangle queries through this
-// interface when the index offers it.
+// one.
 //
 // ExecuteBatchContext is ExecuteBatch under the caller's context: one
 // cancellation stops every query in the batch, queries not yet started are

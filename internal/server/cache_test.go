@@ -65,7 +65,7 @@ func TestServerCacheNeverStale(t *testing.T) {
 			t.Fatal(err)
 		}
 		agg := aggregatorFor(st)
-		if _, err := srv.a.ExecuteOrContext(srv.baseCtx, srv.statementQueries(st), agg); err != nil {
+		if _, err := srv.shards[0].ExecuteOrContext(srv.baseCtx, srv.statementQueries(st), agg); err != nil {
 			t.Fatal(err)
 		}
 		return agg.Result()
@@ -96,8 +96,8 @@ func TestServerCacheNeverStale(t *testing.T) {
 		case op < 9:
 			postQuery(t, url, fmt.Sprintf("UPDATE t SET dist = %d WHERE dist = %d", rng.Intn(300), rng.Intn(300)))
 		default: // relearn: the epoch fold must invalidate without a mutation
-			if srv.a.TriggerRelearn() {
-				srv.a.Wait()
+			if srv.shards[0].TriggerRelearn() {
+				srv.shards[0].Wait()
 			}
 		}
 	}
@@ -160,7 +160,7 @@ func TestServerConcurrentCacheMutateRelearn(t *testing.T) {
 			case <-done:
 				return
 			default:
-				srv.a.TriggerRelearn()
+				srv.shards[0].TriggerRelearn()
 			}
 		}
 	}()
@@ -174,5 +174,5 @@ func TestServerConcurrentCacheMutateRelearn(t *testing.T) {
 	if failures.Load() != 0 {
 		t.Fatalf("%d requests failed under concurrency", failures.Load())
 	}
-	srv.a.Wait()
+	srv.shards[0].Wait()
 }

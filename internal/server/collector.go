@@ -14,8 +14,8 @@ import (
 // admission layer maps it to a shed (429) response.
 var errOverloaded = errors.New("server: batch collector overloaded")
 
-// batchExecutor is the slice of the index surface the collector drives:
-// AdaptiveIndex (and anything wrapping it) satisfies it.
+// batchExecutor is the slice of the index surface the collector drives;
+// every Store satisfies it.
 type batchExecutor interface {
 	ExecuteBatchContext(ctx context.Context, queries []flood.Query, aggs []flood.Aggregator) ([]flood.Stats, error)
 }

@@ -1,6 +1,6 @@
 // Package server is flood's network serving tier: an HTTP/JSON front end
-// that speaks floodsql against an AdaptiveIndex (optionally durable), built
-// for many concurrent clients.
+// that speaks floodsql against an AdaptiveIndex (optionally durable or
+// sharded), built for many concurrent clients.
 //
 // Three mechanisms turn concurrent request traffic into the index's
 // preferred execution shape:
@@ -104,39 +104,37 @@ func (c *Config) withDefaults() Config {
 	return out
 }
 
-// Store is the query surface the serving tier sits on: plain, batched, and
-// context-aware execution plus a monotonic epoch for cache invalidation and
-// a row count. *flood.AdaptiveIndex and *flood.ShardedIndex satisfy it (a
-// durable flat store serves queries through its embedded adaptive index).
+// Store is the index surface the serving tier sits on: plain, batched, and
+// context-aware queries, mutations (the durable stores acknowledge through
+// their WAL before returning), a monotonic epoch for cache invalidation, and
+// a row count. *flood.AdaptiveIndex, *flood.DurableIndex, and
+// *flood.ShardedIndex satisfy it.
 type Store interface {
 	flood.Index
 	ExecuteBatchContext(ctx context.Context, queries []flood.Query, aggs []flood.Aggregator) ([]flood.Stats, error)
+	flood.Inserter
+	flood.Deleter
+	flood.Updater
 	Epoch() int64
 	NumRows() int
 }
 
-// mutableIndex is the store surface mutations route through; AdaptiveIndex,
-// DurableIndex, and ShardedIndex all satisfy it (the durable facades add
-// WAL acknowledgment before returning).
-type mutableIndex interface {
-	flood.Index
-	Insert(row []int64) error
-	flood.Deleter
-	flood.Updater
-}
-
-// Server serves floodsql over HTTP against one adaptive index — flat or
+// Server serves floodsql over HTTP against one store — flat, durable, or
 // sharded. Construct with New, NewDurable, or NewSharded, mount Handler on
 // an http.Server, and call Close on the way out (after http.Server.Shutdown)
 // to drain batches and release the store.
 type Server struct {
-	store  Store
-	a      *flood.AdaptiveIndex // flat store; nil when sharded
-	sh     *flood.ShardedIndex  // sharded store; nil when flat
-	dur    *flood.DurableIndex
-	mut    mutableIndex
-	schema *flood.Schema
-	cfg    Config
+	store Store
+	// shards are the store's adaptive indexes, the source of lifecycle
+	// stats and column metadata: one per shard, exactly one for a flat store.
+	shards []*flood.AdaptiveIndex
+	// perShard reports the per-shard stats block; nil for a flat store.
+	perShard func() []flood.ShardStat
+	// checkpoint, when the store has one, runs before closeStore on Close.
+	checkpoint func() error
+	closeStore func() error
+	schema     *flood.Schema
+	cfg        Config
 
 	sem        chan struct{}
 	col        *collector
@@ -167,27 +165,16 @@ type Server struct {
 // New wraps an adaptive index in the serving tier. The server takes
 // ownership of the index's lifecycle: Close stops its background work.
 func New(a *flood.AdaptiveIndex, cfg *Config) *Server {
-	return newServer(a, nil, cfg)
+	s := newServer(a, []*flood.AdaptiveIndex{a}, cfg)
+	s.closeStore = func() error { a.Close(); return nil }
+	return s
 }
 
 // NewDurable is New over a durable store: mutations acknowledge through the
 // WAL, and Close checkpoints before releasing the directory.
 func NewDurable(d *flood.DurableIndex, cfg *Config) *Server {
-	return newServer(d.Adaptive(), d, cfg)
-}
-
-func newServer(a *flood.AdaptiveIndex, d *flood.DurableIndex, cfg *Config) *Server {
-	s := baseServer(cfg)
-	s.a = a
-	s.dur = d
-	s.store = a
-	s.schema = a.Index().Schema()
-	if d != nil {
-		s.mut = d
-	} else {
-		s.mut = a
-	}
-	s.col = newCollector(s.store, s.cfg.BatchWindow, s.cfg.BatchMax, s.baseCtx)
+	s := newServer(d, []*flood.AdaptiveIndex{d.Adaptive()}, cfg)
+	s.checkpoint, s.closeStore = d.Checkpoint, d.Close
 	return s
 }
 
@@ -197,26 +184,30 @@ func newServer(a *flood.AdaptiveIndex, d *flood.DurableIndex, cfg *Config) *Serv
 // every shard through the manifest-rooted layout before releasing the
 // store.
 func NewSharded(sh *flood.ShardedIndex, cfg *Config) *Server {
-	s := baseServer(cfg)
-	s.sh = sh
-	s.store = sh
-	s.mut = sh
-	s.schema = sh.Schema()
-	s.col = newCollector(s.store, s.cfg.BatchWindow, s.cfg.BatchMax, s.baseCtx)
+	shards := make([]*flood.AdaptiveIndex, sh.NumShards())
+	for i := range shards {
+		shards[i] = sh.Shard(i)
+	}
+	s := newServer(sh, shards, cfg)
+	s.perShard, s.checkpoint, s.closeStore = sh.ShardStats, sh.Checkpoint, sh.Close
 	return s
 }
 
-// baseServer builds the store-independent part of a Server.
-func baseServer(cfg *Config) *Server {
+func newServer(store Store, shards []*flood.AdaptiveIndex, cfg *Config) *Server {
 	c := cfg.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
-	return &Server{
+	s := &Server{
+		store:      store,
+		shards:     shards,
+		schema:     shards[0].Index().Schema(),
 		cfg:        c,
 		sem:        make(chan struct{}, c.MaxInFlight),
 		cache:      newResultCache(c.CacheEntries),
 		baseCtx:    ctx,
 		baseCancel: cancel,
 	}
+	s.col = newCollector(store, c.BatchWindow, c.BatchMax, ctx)
+	return s
 }
 
 // version is the cache epoch: acknowledged mutations plus completed
@@ -227,51 +218,34 @@ func (s *Server) version() uint64 {
 	return uint64(s.muts.Load()) + uint64(s.store.Epoch())
 }
 
-// refTable is a table describing the store's columns: the flat store's base
-// table, or shard 0's for a sharded store (all shards share column names
-// and schema; only /schema's value bounds need the per-shard fold).
-func (s *Server) refTable() *flood.Table {
-	if s.sh != nil {
-		return s.sh.Shard(0).Index().Table()
-	}
-	return s.a.Index().Table()
-}
+// refTable is a table describing the store's columns: shard 0's base table
+// (all shards share column names and schema; only /schema's value bounds
+// need the per-shard fold).
+func (s *Server) refTable() *flood.Table { return s.shards[0].Index().Table() }
 
 // numCols is the store's column count.
 func (s *Server) numCols() int { return s.refTable().NumCols() }
 
 // Close drains and shuts down: in-flight handlers finish, queued batches
-// flush through the collector, and then the store is released — Checkpoint
-// followed by Close for a durable server (so acknowledged writes are both
-// WAL-durable and snapshotted), Close for a plain adaptive one. Callers
-// running an http.Server should Shutdown it first so no new requests race
-// the drain; requests arriving during Close are refused with 503. Safe to
-// call more than once.
+// flush through the collector, and then the store is released — checkpoint
+// first if the store can (so acknowledged writes are both WAL-durable and
+// snapshotted), then close. Callers running an http.Server should Shutdown
+// it first so no new requests race the drain; requests arriving during
+// Close are refused with 503. Safe to call more than once.
 func (s *Server) Close() error {
 	s.closing.Store(true)
 	s.closed.Do(func() {
 		s.handlers.Wait()
 		s.col.close()
 		s.baseCancel()
-		if s.sh != nil {
-			if err := s.sh.Checkpoint(); err != nil {
+		if s.checkpoint != nil {
+			if err := s.checkpoint(); err != nil {
 				s.closeErr = fmt.Errorf("server: shutdown checkpoint: %w", err)
-				s.sh.Close()
-				return
 			}
-			s.closeErr = s.sh.Close()
-			return
 		}
-		if s.dur != nil {
-			if err := s.dur.Checkpoint(); err != nil {
-				s.closeErr = fmt.Errorf("server: shutdown checkpoint: %w", err)
-				s.dur.Close()
-				return
-			}
-			s.closeErr = s.dur.Close()
-			return
+		if err := s.closeStore(); s.closeErr == nil {
+			s.closeErr = err
 		}
-		s.a.Close()
 	})
 	return s.closeErr
 }
@@ -426,7 +400,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.runSelect(w, ctx, st, start, queueWait)
 	case "delete", "update", "insert":
 		s.mutations.Add(1)
-		n, err := st.Exec(s.mut)
+		n, err := st.Exec(s.store)
 		if err != nil {
 			s.errorCount.Add(1)
 			writeError(w, http.StatusBadRequest, err.Error())
@@ -572,7 +546,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	for i, raw := range req.Rows {
 		row, err := s.encodeRow(raw)
 		if err == nil {
-			err = s.mut.Insert(row)
+			err = s.store.Insert(row)
 		}
 		if err != nil {
 			if inserted > 0 {
@@ -679,16 +653,13 @@ func (s *Server) handleSchema(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, resp)
 }
 
-// storeColumnBounds folds column i's physical [min,max] domain across the
-// whole store — every shard's base table for a sharded one.
+// storeColumnBounds folds column i's physical [min,max] domain across every
+// shard's base table (0,0 when the column is empty everywhere).
 func (s *Server) storeColumnBounds(i int) (int64, int64) {
-	if s.sh == nil {
-		return columnBounds(s.a.Index().Table().Column(i))
-	}
 	mn, mx := int64(0), int64(0)
 	seen := false
-	for k := 0; k < s.sh.NumShards(); k++ {
-		c := s.sh.Shard(k).Index().Table().Column(i)
+	for _, a := range s.shards {
+		c := a.Index().Table().Column(i)
 		if c.Len() == 0 {
 			continue
 		}
@@ -704,12 +675,9 @@ func (s *Server) storeColumnBounds(i int) (int64, int64) {
 	return mn, mx
 }
 
-// columnBounds folds the column's per-block zone maps into a physical
-// [min,max] domain (0,0 for an empty column).
+// columnBounds folds a non-empty column's per-block zone maps into a
+// physical [min,max] domain.
 func columnBounds(c *colstore.Column) (int64, int64) {
-	if c.Len() == 0 {
-		return 0, 0
-	}
 	mn, mx := int64(math.MaxInt64), int64(math.MinInt64)
 	for b := 0; b < c.NumBlocks(); b++ {
 		bmn, bmx := c.BlockBounds(b)
@@ -750,37 +718,18 @@ func (s *Server) Stats() Stats {
 		InFlight:        len(s.sem),
 		IndexEpoch:      s.store.Epoch(),
 	}
-	if s.sh != nil {
-		for _, sh := range s.sh.ShardStats() {
-			st.BaseRows += sh.Rows
-			st.PendingRows += sh.Pending
-			st.Relearns += sh.Relearns
-			st.Merges += sh.Merges
-			st.Shards = append(st.Shards, ShardInfo{
-				Shard:    sh.Shard,
-				Lo:       sh.Lo,
-				Hi:       sh.Hi,
-				Rows:     sh.Rows,
-				Pending:  sh.Pending,
-				Epoch:    sh.Epoch,
-				Relearns: sh.Relearns,
-				Merges:   sh.Merges,
-				Queries:  sh.Queries,
-			})
+	for _, a := range s.shards {
+		ast := a.Stats()
+		st.BaseRows += ast.BaseRows
+		st.PendingRows += ast.PendingRows
+		st.Relearns += ast.Relearns
+		st.Merges += ast.Merges
+		st.Rebuilding = st.Rebuilding || ast.Rebuilding
+	}
+	if s.perShard != nil {
+		for _, sh := range s.perShard() {
+			st.Shards = append(st.Shards, ShardInfo(sh))
 		}
-		for i := 0; i < s.sh.NumShards(); i++ {
-			if s.sh.Shard(i).Stats().Rebuilding {
-				st.Rebuilding = true
-				break
-			}
-		}
-	} else {
-		ast := s.a.Stats()
-		st.BaseRows = ast.BaseRows
-		st.PendingRows = ast.PendingRows
-		st.Relearns = ast.Relearns
-		st.Merges = ast.Merges
-		st.Rebuilding = ast.Rebuilding
 	}
 	if st.Batches > 0 {
 		st.AvgBatch = float64(st.BatchedQueries) / float64(st.Batches)
@@ -913,9 +862,10 @@ type Stats struct {
 	// InFlight is the current admitted-request gauge.
 	InFlight int `json:"in_flight"`
 	// IndexEpoch, BaseRows, PendingRows, Relearns, Merges, and Rebuilding
-	// snapshot the adaptive index lifecycle. On a sharded server the row
-	// and rebuild counters are summed across shards, IndexEpoch is the sum
-	// of shard epochs, and Rebuilding reports any shard rebuilding.
+	// snapshot the adaptive index lifecycle (BaseRows the learned base,
+	// PendingRows the unmerged insert log). On a sharded server the row and
+	// rebuild counters are summed across shards, IndexEpoch is the sum of
+	// shard epochs, and Rebuilding reports any shard rebuilding.
 	IndexEpoch  int64 `json:"index_epoch"`
 	BaseRows    int   `json:"base_rows"`
 	PendingRows int   `json:"pending_rows"`

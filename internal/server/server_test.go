@@ -355,8 +355,8 @@ func TestServerSharded(t *testing.T) {
 	if queries == 0 {
 		t.Fatal("no per-shard queries recorded")
 	}
-	if st.BaseRows != int(rows) {
-		t.Fatalf("BaseRows = %d, want per-shard sum %d", st.BaseRows, rows)
+	if st.BaseRows+st.PendingRows != sh.NumRows() {
+		t.Fatalf("BaseRows %d + PendingRows %d, want the store's %d physical rows", st.BaseRows, st.PendingRows, sh.NumRows())
 	}
 }
 

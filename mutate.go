@@ -4,9 +4,8 @@
 // Deletion is logical everywhere — a word-packed bitmap marks dead rows and
 // the scan kernel masks them with one AND-NOT per block word — and physical
 // compaction piggybacks on the rebuilds the insert path already performs
-// (DeltaIndex.Merge, the adaptive relearn/merge cycle). Row identity follows
-// Select's global id space: base rows tile first, buffered/side-log rows
-// after them.
+// (the adaptive relearn/merge cycle). Row identity follows Select's global id
+// space: base rows tile first, side-log rows after them.
 
 package flood
 
@@ -29,7 +28,7 @@ type Assignment struct {
 }
 
 // Deleter is implemented by every index facade that supports tombstone
-// deletion (Flood, DeltaIndex, AdaptiveIndex, DurableIndex). Delete removes
+// deletion (Flood, AdaptiveIndex, DurableIndex, ShardedIndex). Delete removes
 // rows matching a conjunctive query; the returned count is the number of
 // rows newly deleted.
 type Deleter interface {
@@ -37,7 +36,7 @@ type Deleter interface {
 }
 
 // Inserter is implemented by facades that accept new rows after build
-// (DeltaIndex, AdaptiveIndex, DurableIndex — not the immutable Flood). Insert
+// (AdaptiveIndex, DurableIndex, ShardedIndex — not the immutable Flood). Insert
 // appends one encoded row in physical column order; callers of floodsql's
 // INSERT route through it.
 type Inserter interface {
@@ -45,7 +44,7 @@ type Inserter interface {
 }
 
 // Updater is implemented by facades that support in-place updates
-// (DeltaIndex, AdaptiveIndex, DurableIndex — not the immutable Flood, which
+// (AdaptiveIndex, DurableIndex, ShardedIndex — not the immutable Flood, which
 // has no insert path). Update rewrites every row matching q with the given
 // assignments applied; it is executed as a tombstone delete plus re-insert
 // of the modified copies.
@@ -89,7 +88,16 @@ func (f *Flood) Rebuild() (*Flood, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Flood{idx: idx, result: f.result, model: f.model, schema: f.schema}, nil
+	return newFlood(idx, f.result, f.model, f.schema), nil
+}
+
+// rowValues materializes one stored row as a value tuple.
+func rowValues(t *Table, r int) []int64 {
+	row := make([]int64, t.NumCols())
+	for c := range row {
+		row[c] = t.Get(c, r)
+	}
+	return row
 }
 
 // applyAssignments validates set against the column count and returns a
@@ -107,8 +115,8 @@ func applyAssignments(row []int64, set []Assignment, cols int) ([]int64, error) 
 }
 
 // matchColumns reports whether row i of the column-major data satisfies q.
-// It is the brute-force matcher for buffered rows (delta buffer, adaptive
-// side log), where no index structure exists.
+// It is the brute-force matcher for the adaptive side log, where no index
+// structure exists.
 func matchColumns(q query.Query, cols [][]int64, i int) bool {
 	for c, r := range q.Ranges {
 		if r.Present {

@@ -54,7 +54,7 @@ func (f *Flood) Save(w io.Writer) error {
 	return f.idx.SaveSections(w, extra)
 }
 
-// Load reads an index written by Save (either format version). Corruption
+// Load reads an index written by Save. Corruption
 // surfaces as an error wrapping ErrTruncated, ErrChecksum, or ErrVersion —
 // except damage confined to the learned-models section, which Load repairs
 // by retraining from the intact data (use LoadWithReport to observe that).
@@ -82,13 +82,13 @@ func LoadWithReport(r io.Reader) (*Flood, LoadReport, error) {
 // carried them. A damaged tombstone section is a hard error, never a silent
 // degrade: resurrecting deleted rows would be wrong answers, not slow ones.
 func floodFromLoadResult(res core.LoadResult) (*Flood, error) {
-	f := &Flood{idx: res.Index, result: optimizer.Result{Layout: res.Index.Layout()}}
+	var schema *Schema
 	if payload, ok := res.Extra[sectionSchema]; ok {
 		s, err := decodeSchema(payload)
 		if err != nil {
 			return nil, err
 		}
-		f.schema = s
+		schema = s
 	}
 	if payload, ok := res.Extra[sectionTomb]; ok {
 		tomb, _, err := decodeTombSection(payload, res.Index.Table().NumRows())
@@ -96,10 +96,10 @@ func floodFromLoadResult(res core.LoadResult) (*Flood, error) {
 			return nil, err
 		}
 		if tomb != nil {
-			f.idx.SetTombstones(tomb)
+			res.Index.SetTombstones(tomb)
 		}
 	}
-	return f, nil
+	return newFlood(res.Index, optimizer.Result{Layout: res.Index.Layout()}, nil, schema), nil
 }
 
 // SaveFile writes the snapshot to path atomically: the bytes go to a

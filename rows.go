@@ -12,8 +12,8 @@ import (
 )
 
 // Rows is a cursor over the rows matched by a Select. It is produced by the
-// Select methods on Flood, DeltaIndex, and AdaptiveIndex, and by
-// Schema.Select for any other index (the baselines). Iterate with Next and
+// Select methods on every facade, and by Schema.Select for any other index
+// (the baselines). Iterate with Next and
 // read the projected columns with the typed accessors:
 //
 //	rows, _ := idx.Select(q, "city", "fare")
@@ -28,7 +28,7 @@ import (
 // table was built with; without one, every column reads as raw int64.
 //
 // Rows are delivered in ascending physical row id — base-index rows in
-// storage order, then any unmerged delta/insert-log rows — unless OrderBy
+// storage order, then any unmerged insert-log rows — unless OrderBy
 // re-ordered them. The cursor and its buffers are pooled: Close returns them
 // for reuse, making steady-state sequential Select allocation-free. A Rows
 // must not be used after Close, and is not safe for concurrent use.
@@ -48,8 +48,9 @@ type Rows struct {
 
 var rowsPool = sync.Pool{New: func() any { return new(Rows) }}
 
-// colResolver maps projection names to physical column positions; *Table
-// and *Schema both satisfy it (schema declaration order is physical order).
+// colResolver maps projection names to physical column positions;
+// nameResolver and *Schema satisfy it (schema declaration order is physical
+// order).
 type colResolver interface {
 	ColumnIndex(name string) int
 	Name(i int) string
@@ -149,7 +150,7 @@ func (r *Rows) seek(id int64) {
 }
 
 // RowID returns the current row's global physical id (base rows first, then
-// delta/insert-log rows) — useful for debugging storage locality. It is 0
+// insert-log rows) — useful for debugging storage locality. It is 0
 // when the cursor is not positioned on a row.
 func (r *Rows) RowID() int64 {
 	if !r.valid() {
@@ -368,49 +369,19 @@ func (r *Rows) Close() {
 	r.release()
 }
 
-// Select executes q and returns the matching rows with the named columns
-// projected (none = every column), plus the execution stats. Row gathering
-// rides the regular execution engine — zone-map block skipping, the
-// selection-vector kernel, and (for large results) the morsel-driven
-// parallel scan — so retrieval costs one id append per matching row; small
-// selects are allocation-free in steady state once pooled cursors warm up.
-// Typed accessors on the result need the index's schema (SetSchema, or
-// Options.Schema at build time).
-func (f *Flood) Select(q Query, cols ...string) (*Rows, Stats) {
-	r := getRows(f.schema, f.Table(), cols)
-	r.rc.PinSource(f.Table())
-	st := f.Execute(q, &r.rc)
+// finish ends a select under ctl: the control's outcome (a satisfied limit
+// is the requested outcome, hence success), ordered ids, a rewound cursor.
+func (r *Rows) finish(ctl *query.Control, st Stats) (*Rows, Stats, error) {
+	err := finish(ctl)
+	if err == ErrLimitReached {
+		err = nil
+	}
 	r.finalize()
-	return r, st
+	return r, st, err
 }
 
-// Select executes q against the base index and the pending-row buffer,
-// returning matching rows from both: buffered rows follow base rows in the
-// cursor, their ids offset past the base. See Flood.Select.
-func (d *DeltaIndex) Select(q Query, cols ...string) (*Rows, Stats) {
-	r := getRows(d.schema, d.base.Table(), cols)
-	r.rc.PinSource(d.base.Table())
-	st := d.Execute(q, &r.rc)
-	r.finalize()
-	return r, st
-}
-
-// Select executes q against the current generation — learned base plus
-// insert log — returning matching rows from both; log rows follow base rows
-// in the cursor. The query is sampled and drift-monitored like any Execute.
-// See Flood.Select.
-func (a *AdaptiveIndex) Select(q Query, cols ...string) (*Rows, Stats) {
-	ep := a.epoch.Load()
-	r := getRows(a.schema, ep.flood.Table(), cols)
-	r.rc.PinSource(ep.flood.Table())
-	st := executeEpoch(ep, q, &r.rc)
-	a.observe(ep, q, st)
-	r.finalize()
-	return r, st
-}
-
-// nameResolver adapts a plain column-name list to colResolver, for indexes
-// (the sharded facade) that hold no single table to resolve against.
+// nameResolver adapts a plain column-name list to colResolver, so a facade
+// resolves projections without pinning any one generation's table.
 type nameResolver []string
 
 func (n nameResolver) ColumnIndex(name string) int {
@@ -425,251 +396,43 @@ func (n nameResolver) ColumnIndex(name string) int {
 func (n nameResolver) Name(i int) string { return n[i] }
 func (n nameResolver) NumCols() int      { return len(n) }
 
-// resolver returns the projection resolver for the sharded facade: the
-// schema when one is attached, else the column-name list.
-func (s *ShardedIndex) resolver() colResolver {
-	if s.schema != nil {
-		return s.schema
-	}
-	return nameResolver(s.names)
-}
-
-// Select executes q across the surviving shards and returns the matching
-// rows: each shard's sources are pinned at that shard's id stride, so ids
-// sort shard-by-shard (base rows then insert-log rows within each) and
-// resolve back to their owning shard by arithmetic — DeleteRows accepts
-// them directly. Pruned shards contribute nothing and are never scanned.
-// See Flood.Select.
-func (s *ShardedIndex) Select(q Query, cols ...string) (*Rows, Stats) {
-	r := getRows(s.schema, s.resolver(), cols)
-	st := s.collectShards(nil, q, &r.rc, 0)
-	r.finalize()
-	return r, st
-}
-
-// SelectContext is Select under ctx and opts: every surviving shard draws
-// from one cancellation signal and one LIMIT budget, so `LIMIT n` over k
-// shards collects at most n rows in total and stops scanning once the
-// budget is dry. See Flood.SelectContext.
-func (s *ShardedIndex) SelectContext(ctx context.Context, q Query, opts *QueryOptions, cols ...string) (*Rows, Stats, error) {
-	r := getRows(s.schema, s.resolver(), cols)
-	st, err := runSelect(ctx, opts,
-		func() Stats { return s.collectShards(nil, q, &r.rc, 0) },
-		func(ctl *query.Control, cutover int) Stats { return s.collectShards(ctl, q, &r.rc, cutover) },
-		nil)
-	r.finalize()
-	return r, st, err
-}
-
 // Select executes q against any index built over a table this schema
-// produced — including the baselines — and returns the matching rows. The
-// named columns are resolved through the schema; indexes with their own
-// Select method (Flood, DeltaIndex, AdaptiveIndex) route through it so
-// composite row-id spaces stay correct.
+// produced — including the baselines — and returns the matching rows. A
+// facade of this package serves it through its own Select, so composite
+// row-id spaces stay correct; the schema decodes the result when the index
+// carries none of its own.
 func (s *Schema) Select(idx Index, q Query, cols ...string) (*Rows, Stats) {
-	if si, ok := idx.(interface {
-		Select(Query, ...string) (*Rows, Stats)
-	}); ok {
-		r, st := si.Select(q, cols...)
-		if r.schema == nil {
-			// The index was built without an attached schema; the caller
-			// supplied one explicitly, so typed accessors should work.
-			r.schema = s
-		}
-		return r, st
-	}
-	r := getRows(s, s, cols)
-	st := idx.Execute(q, &r.rc)
-	r.finalize()
+	r, st, _ := s.SelectContext(context.Background(), idx, q, nil, cols...)
 	return r, st
+}
+
+// SelectContext is Schema.Select under ctx and opts, serving any index —
+// including the baselines — with cancellation and LIMIT pushdown. See the
+// facades' SelectContext method.
+func (s *Schema) SelectContext(ctx context.Context, idx Index, q Query, opts *QueryOptions, cols ...string) (*Rows, Stats, error) {
+	return s.typed(surfaceOf(idx, s).SelectContext(ctx, q, opts, cols...))
 }
 
 // SelectOr evaluates a disjunction (OR) of conjunctive queries and returns
 // the union of matching rows, each exactly once: the rectangles are
 // decomposed into disjoint pieces first (see ExecuteOr).
 func (s *Schema) SelectOr(idx Index, queries []Query, cols ...string) (*Rows, Stats) {
-	r := getRows(s, s, cols)
-	if bp, ok := idx.(basePinner); ok {
-		bp.pinBase(&r.rc)
-	}
-	st := ExecuteOr(idx, queries, &r.rc)
-	r.finalize()
+	r, st, _ := s.SelectOrContext(context.Background(), idx, queries, nil, cols...)
 	return r, st
-}
-
-// SelectContext is Select under ctx and opts: execution honors the
-// context's cancellation and deadline, and opts.Limit is pushed down into
-// the scan so at most Limit rows are collected and scanning stops as soon
-// as the budget is satisfied — a `LIMIT 10` over a million rows stops after
-// the tenth match. A satisfied limit is success (nil error); cancellation
-// returns the rows gathered so far together with ErrCanceled (the cursor is
-// always non-nil and must be closed). With a background context and nil
-// opts the call is identical to Select.
-func (f *Flood) SelectContext(ctx context.Context, q Query, opts *QueryOptions, cols ...string) (*Rows, Stats, error) {
-	r := getRows(f.schema, f.Table(), cols)
-	r.rc.PinSource(f.Table())
-	st, err := runSelect(ctx, opts,
-		func() Stats { return f.Execute(q, &r.rc) },
-		func(ctl *query.Control, cutover int) Stats { return f.executeControl(ctl, q, &r.rc, cutover) },
-		nil)
-	r.finalize()
-	return r, st, err
-}
-
-// runSelect is the shared control lifecycle of every SelectContext flavor:
-// derive the pooled control from (ctx, opts), run the plain unconditioned
-// path when nothing can fire, otherwise run the control-threaded path with
-// the per-query cutover override, poll cancellation one last time, release
-// the control, and map a satisfied limit to success (the Select contract).
-// finished, when non-nil, observes the latched stop state and the stats
-// after a controlled execution completes — the hook for the adaptive
-// facade's bookkeeping; the plain path's closure does its own.
-func runSelect(ctx context.Context, opts *QueryOptions, plain func() Stats, controlled func(*query.Control, int) Stats, finished func(stop error, st Stats)) (Stats, error) {
-	ctl, err := getControl(ctx, opts)
-	if err != nil {
-		return Stats{}, err
-	}
-	if ctl == nil && opts.cutover() == 0 {
-		return plain(), nil
-	}
-	st := controlled(ctl, opts.cutover())
-	stop := ctl.Finish()
-	ctl.Release()
-	if finished != nil {
-		finished(stop, st)
-	}
-	if stop == ErrLimitReached {
-		stop = nil
-	}
-	return st, stop
-}
-
-// SelectContext is Select under ctx and opts against the base index and the
-// pending-row buffer; both scans share the cancellation signal and the
-// limit budget (base rows fill the budget first). See Flood.SelectContext.
-func (d *DeltaIndex) SelectContext(ctx context.Context, q Query, opts *QueryOptions, cols ...string) (*Rows, Stats, error) {
-	r := getRows(d.schema, d.base.Table(), cols)
-	r.rc.PinSource(d.base.Table())
-	st, err := runSelect(ctx, opts,
-		func() Stats { return d.Execute(q, &r.rc) },
-		func(ctl *query.Control, cutover int) Stats { return d.executeControl(ctl, q, &r.rc, cutover) },
-		nil)
-	r.finalize()
-	return r, st, err
-}
-
-// SelectContext is Select under ctx and opts against the current
-// generation — learned base plus insert log — sharing one cancellation
-// signal and limit budget across both. Canceled selects bypass the drift
-// monitor and workload sample. See Flood.SelectContext.
-func (a *AdaptiveIndex) SelectContext(ctx context.Context, q Query, opts *QueryOptions, cols ...string) (*Rows, Stats, error) {
-	ep := a.epoch.Load()
-	r := getRows(a.schema, ep.flood.Table(), cols)
-	r.rc.PinSource(ep.flood.Table())
-	st, err := runSelect(ctx, opts,
-		func() Stats {
-			st := executeEpoch(ep, q, &r.rc)
-			a.observe(ep, q, st)
-			return st
-		},
-		func(ctl *query.Control, cutover int) Stats { return executeEpochControl(ep, ctl, q, &r.rc, cutover) },
-		func(stop error, st Stats) {
-			switch stop {
-			case nil:
-				a.observe(ep, q, st)
-			case ErrLimitReached:
-				// The query shape is real workload signal for the sample,
-				// but the truncated timing must not feed the drift monitor —
-				// it would drag the window average below real full-query
-				// cost.
-				a.queries.Add(1)
-				a.sample.Add(q)
-			}
-		})
-	r.finalize()
-	return r, st, err
-}
-
-// SelectContext is Schema.Select under ctx and opts, serving any index —
-// including the baselines — with cancellation and LIMIT pushdown. Indexes
-// with their own SelectContext (Flood, DeltaIndex, AdaptiveIndex) route
-// through it so composite row-id spaces stay correct.
-func (s *Schema) SelectContext(ctx context.Context, idx Index, q Query, opts *QueryOptions, cols ...string) (*Rows, Stats, error) {
-	if si, ok := idx.(interface {
-		SelectContext(context.Context, Query, *QueryOptions, ...string) (*Rows, Stats, error)
-	}); ok {
-		r, st, err := si.SelectContext(ctx, q, opts, cols...)
-		if r != nil && r.schema == nil {
-			r.schema = s
-		}
-		return r, st, err
-	}
-	r := getRows(s, s, cols)
-	st, err := runSelect(ctx, opts,
-		func() Stats { return idx.Execute(q, &r.rc) },
-		func(ctl *query.Control, cutover int) Stats { return executeControl(idx, ctl, q, &r.rc, cutover) },
-		nil)
-	r.finalize()
-	return r, st, err
 }
 
 // SelectOrContext is SelectOr under ctx and opts: the disjoint pieces of
 // the disjunction share one cancellation signal and one limit budget, so a
 // LIMIT spanning an OR stops scanning globally after the limit-th match.
 func (s *Schema) SelectOrContext(ctx context.Context, idx Index, queries []Query, opts *QueryOptions, cols ...string) (*Rows, Stats, error) {
-	r := getRows(s, s, cols)
-	if bp, ok := idx.(basePinner); ok {
-		bp.pinBase(&r.rc)
+	return s.typed(surfaceOf(idx, s).selectOr(ctx, queries, opts, cols))
+}
+
+// typed attaches the schema to a cursor whose index was built without one:
+// the caller supplied it explicitly, so typed accessors should work.
+func (s *Schema) typed(r *Rows, st Stats, err error) (*Rows, Stats, error) {
+	if r.schema == nil {
+		r.schema = s
 	}
-	a, isAdaptive := idx.(*AdaptiveIndex)
-	var finished func(stop error, st Stats)
-	if isAdaptive {
-		finished = func(stop error, _ Stats) {
-			// Completed (or limit-satisfied) disjunctions feed the workload
-			// sample like ExecuteOr does; only cancellations are dropped,
-			// and truncated timings never reach the drift monitor.
-			if stop != ErrCanceled {
-				a.queries.Add(1)
-				for _, q := range queries {
-					a.sample.Add(q)
-				}
-			}
-		}
-	}
-	st, err := runSelect(ctx, opts,
-		func() Stats { return ExecuteOr(idx, queries, &r.rc) },
-		func(ctl *query.Control, cutover int) Stats {
-			if isAdaptive {
-				return a.executeOrControl(ctl, queries, &r.rc, cutover)
-			}
-			if sh, ok := idx.(*ShardedIndex); ok {
-				// Shard-outer iteration keeps the collector's per-shard id
-				// strides intact; the generic piece-outer loop would
-				// interleave shards and break the tiling.
-				return sh.executeOrShards(ctl, queries, &r.rc, cutover)
-			}
-			return executeOrControl(idx, ctl, queries, &r.rc, cutover)
-		},
-		finished)
-	r.finalize()
 	return r, st, err
-}
-
-// basePinner lets composite indexes pin their base table into a collector's
-// id space before a multi-piece execution, so base rows occupy ids
-// [0, baseRows) regardless of which disjoint piece delivers first.
-type basePinner interface {
-	pinBase(rc *query.RowCollector)
-}
-
-func (f *Flood) pinBase(rc *query.RowCollector) { rc.PinSource(f.Table()) }
-
-func (d *DeltaIndex) pinBase(rc *query.RowCollector) { rc.PinSource(d.base.Table()) }
-
-// pinBase pins the current epoch's base. A swap landing between this pin
-// and the execution's own epoch load just leaves a source that delivers no
-// rows — ids stay consistent, only the base-first ordering degrades for
-// that one race.
-func (a *AdaptiveIndex) pinBase(rc *query.RowCollector) {
-	rc.PinSource(a.epoch.Load().flood.Table())
 }

@@ -32,15 +32,16 @@ func TestSelectParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestDeltaMergeSaveLoadRoundTrip covers the persist path after a delta
-// merge: the merged base saves, loads, and answers Select identically.
+// TestDeltaMergeSaveLoadRoundTrip covers the persist path after an
+// insert-log merge: the merged base saves, loads, and answers Select
+// identically.
 func TestDeltaMergeSaveLoadRoundTrip(t *testing.T) {
 	fx := newTypedFixture(t, 3000, 32)
 	idx, err := BuildWithLayout(fx.tbl, fixtureLayout(fx), &Options{Schema: fx.schema})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := NewDeltaIndex(idx, 0)
+	d := unmerged(t, idx)
 	extra := newTypedFixture(t, 500, 33)
 	for i := range extra.ts {
 		// Reuse city values from the fitted dictionary: the merged rows
@@ -53,15 +54,10 @@ func TestDeltaMergeSaveLoadRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := d.Merge(); err != nil {
-		t.Fatal(err)
-	}
-	if d.Pending() != 0 {
-		t.Fatalf("pending = %d after merge", d.Pending())
-	}
+	mergeNow(t, d)
 
 	var buf bytes.Buffer
-	if err := d.Base().Save(&buf); err != nil {
+	if err := d.Index().Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := Load(&buf)
@@ -87,42 +83,32 @@ func TestDeltaMergeSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDeltaSizeBytesCountsBufferCapacity pins the memory-reporting fix:
-// after a large insert burst the buffered columns are charged at slice
-// capacity, which append doubling grows past the pending row count.
-func TestDeltaSizeBytesCountsBufferCapacity(t *testing.T) {
+// TestDeltaSizeBytesCountsPendingRows pins the memory reporting of the
+// insert log: a large insert burst is charged on top of the base metadata,
+// and a merge returns the accounting to the merged base's metadata.
+func TestDeltaSizeBytesCountsPendingRows(t *testing.T) {
 	fx := newTypedFixture(t, 1000, 34)
 	idx, err := BuildWithLayout(fx.tbl, fixtureLayout(fx), &Options{Schema: fx.schema})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := NewDeltaIndex(idx, 0)
+	d := unmerged(t, idx)
 	base := d.SizeBytes()
 	const burst = 10_000
 	row, err := fx.schema.EncodeRow(int64(1), 2.50, fx.city[0], fx.pickup[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	var capSum int64
 	for i := 0; i < burst; i++ {
 		if err := d.Insert(row); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for _, col := range d.buffer {
-		capSum += int64(cap(col)) * 8
+	if got, want := d.SizeBytes(), base+int64(burst*len(row)*8); got != want {
+		t.Fatalf("SizeBytes = %d, want base %d + %d pending rows = %d", got, base, burst, want)
 	}
-	if capSum <= int64(burst)*int64(len(d.buffer))*8 {
-		t.Fatalf("test premise broken: capacity %d not above %d", capSum, burst*len(d.buffer)*8)
-	}
-	if got := d.SizeBytes(); got != base+capSum {
-		t.Fatalf("SizeBytes = %d, want base %d + buffer capacity %d", got, base, capSum)
-	}
-	// Merge returns the capacity accounting to (near) zero buffered bytes.
-	if err := d.Merge(); err != nil {
-		t.Fatal(err)
-	}
-	if got := d.SizeBytes(); got < d.base.SizeBytes() {
-		t.Fatalf("post-merge SizeBytes = %d below base metadata", got)
+	mergeNow(t, d)
+	if got := d.SizeBytes(); got != d.Index().SizeBytes() {
+		t.Fatalf("post-merge SizeBytes = %d, want the merged base's metadata %d", got, d.Index().SizeBytes())
 	}
 }

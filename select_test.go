@@ -182,7 +182,7 @@ func TestSelectDeltaWithPending(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := NewDeltaIndex(idx, 0)
+	d := unmerged(t, idx)
 	for i := cut; i < len(fx.ts); i++ {
 		row, err := fx.schema.EncodeRow(fx.ts[i], fx.fare[i], fx.city[i], fx.pickup[i])
 		if err != nil {
@@ -214,9 +214,7 @@ func TestSelectDeltaWithPending(t *testing.T) {
 		rows.Close()
 	}
 	// After a merge the same queries still agree.
-	if err := d.Merge(); err != nil {
-		t.Fatal(err)
-	}
+	mergeNow(t, d)
 	for _, tc := range fixtureQueries(fx) {
 		rows, _ := d.Select(tc.q)
 		if got, want := collectRows(t, rows), bruteForce(fx, tc.match); !slices.Equal(got, want) {
@@ -425,7 +423,7 @@ func TestSelectOrDeltaPinsBaseFirst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := NewDeltaIndex(idx, 0)
+	d := unmerged(t, idx)
 	// Pending rows that ONLY the first disjunct matches: without base
 	// pinning the delta table would register at id 0.
 	row, err := fx.schema.EncodeRow(int64(999_999), 1.00, fx.city[0], fx.pickup[0])

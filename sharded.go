@@ -12,7 +12,6 @@
 package flood
 
 import (
-	"context"
 	"fmt"
 	"sync"
 
@@ -88,8 +87,7 @@ type ShardStat struct {
 
 // ShardedIndex is a partitioned serving engine: independent adaptive Flood
 // indexes over disjoint key ranges of one split dimension, behind the same
-// Execute/ExecuteContext/ExecuteBatchContext/Select/Insert/Delete/Update
-// surface as the flat facades. Queries whose predicate on the split
+// query and Insert/Delete/Update surface as the flat facades. Queries whose predicate on the split
 // dimension misses a shard's range never touch that shard; queries fully
 // contained in one shard delegate to it directly on the zero-allocation
 // path. Mutations route by split point. Each shard adapts independently —
@@ -101,9 +99,9 @@ type ShardStat struct {
 // dimension are atomic per shard, not transactional across shards (see
 // Update).
 type ShardedIndex struct {
+	surface
 	router *shard.Router
 	shards []*AdaptiveIndex
-	schema *Schema
 	names  []string
 
 	// durable state; nil/empty for the in-memory form. dur[i] persists
@@ -123,12 +121,26 @@ type ShardedIndex struct {
 // a reordered copy of its partition.
 func NewSharded(tbl *Table, train []Query, opts *ShardedOptions) (*ShardedIndex, error) {
 	o := opts.withDefaults()
+	r, floods, err := planShards(tbl, train, o)
+	if err != nil {
+		return nil, err
+	}
+	shards := make([]*AdaptiveIndex, len(floods))
+	for i, f := range floods {
+		shards[i] = NewAdaptiveIndex(f, o.Adaptive)
+	}
+	return newShardedIndex(r, shards), nil
+}
+
+// planShards resolves the split dimension and split points, and builds one
+// index per shard.
+func planShards(tbl *Table, train []Query, o ShardedOptions) (*shard.Router, []*Flood, error) {
 	dim := o.Dim
 	if dim < 0 {
 		dim = shard.ChooseDim(train, tbl.NumCols())
 	}
 	if dim >= tbl.NumCols() {
-		return nil, fmt.Errorf("flood: sharded split dimension %d out of range (table has %d columns)", dim, tbl.NumCols())
+		return nil, nil, fmt.Errorf("flood: sharded split dimension %d out of range (table has %d columns)", dim, tbl.NumCols())
 	}
 	splits := o.Splits
 	if splits == nil {
@@ -136,26 +148,17 @@ func NewSharded(tbl *Table, train []Query, opts *ShardedOptions) (*ShardedIndex,
 	}
 	r, err := shard.NewRouter(dim, splits)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	floods, err := buildShards(tbl, train, r, o.Build)
-	if err != nil {
-		return nil, err
-	}
-	return newShardedFromFloods(r, floods, o.Adaptive), nil
+	return r, floods, err
 }
 
-// newShardedFromFloods assembles the facade over per-shard built indexes.
-func newShardedFromFloods(r *shard.Router, floods []*Flood, cfg *AdaptiveConfig) *ShardedIndex {
-	s := &ShardedIndex{
-		router: r,
-		shards: make([]*AdaptiveIndex, len(floods)),
-		schema: floods[0].schema,
-		names:  floods[0].Table().Names(),
-	}
-	for i, f := range floods {
-		s.shards[i] = NewAdaptiveIndex(f, cfg)
-	}
+// newShardedIndex assembles the facade over its shards; every shard shares
+// one schema and one set of column names.
+func newShardedIndex(r *shard.Router, shards []*AdaptiveIndex) *ShardedIndex {
+	s := &ShardedIndex{router: r, shards: shards, names: shards[0].Index().Table().Names()}
+	s.surface = newSurface(s, shards[0].schema, s.names)
 	return s
 }
 
@@ -267,150 +270,45 @@ func (s *ShardedIndex) prune(q Query) (first, last int) {
 	return s.router.ShardRange(lo, hi)
 }
 
-// executeShardSequential runs q against one shard's current generation on
-// the sequential kernel — fan-out already provides cross-shard parallelism,
-// mirroring the batch paths' inter-query idiom — and feeds the result to
-// that shard's drift monitor and workload sample.
-func executeShardSequential(a *AdaptiveIndex, q Query, agg Aggregator) Stats {
-	ep := a.epoch.Load()
-	st := ep.flood.idx.ExecuteSequential(q, agg)
-	if n := ep.log.rows(); n > 0 {
-		st.Add(ep.log.scan(q, n, agg, nil))
-	}
-	a.observe(ep, q, st)
-	return st
-}
+// pin implements engine. Each shard adapts on its own, so there is no
+// store-wide generation to pin: every per-shard execution pins that shard's
+// current one.
+func (s *ShardedIndex) pin() generation { return s }
 
-// Execute serves one query: shards outside the predicate's split-dimension
-// range are pruned, a single surviving shard serves the query directly (the
-// no-merge fast path — zero allocations, identical to the flat engine), and
-// multiple survivors fan out in parallel with per-shard aggregator clones
-// merged at the end. Every surviving shard observes the query in its own
-// drift monitor, so adaptation stays shard-local.
-func (s *ShardedIndex) Execute(q Query, agg Aggregator) Stats {
-	if rc, ok := agg.(*query.RowCollector); ok {
-		return s.collectShards(nil, q, rc, 0)
-	}
-	first, last := s.prune(q)
-	if first > last {
-		return Stats{}
-	}
-	if first == last {
-		return s.shards[first].Execute(q, agg)
-	}
-	return s.fanOut(q, agg, first, last)
-}
-
-// collectShards serves a row-collecting query shard by shard in split
-// order: each surviving shard's sources are pinned at that shard's id
-// stride before its scan, so every collected id carries its owning shard in
+// run implements generation. Shards outside the predicate's split-dimension
+// range are pruned; every surviving shard runs the query through its own
+// generation and does its own bookkeeping, so adaptation stays shard-local,
+// and all of them draw cancellation and the LIMIT budget from the one
+// control. A single survivor serves the query directly (the no-merge fast
+// path — zero allocations, identical to the flat engine). A row collector
+// is served shard by shard in split order, each shard's sources pinned at
+// that shard's id stride, so every collected id carries its owning shard in
 // the high bits (id >> shardStrideBits) and the shard-local remainder is
 // exactly the id the shard's own Select would have produced — the contract
-// DeleteRows routes by. Sequential by design: the per-shard stride pinning
-// is ordered, and collectors aren't shared across workers anyway.
-func (s *ShardedIndex) collectShards(ctl *query.Control, q Query, rc *query.RowCollector, cutover int) Stats {
+// DeleteRows routes by. Batch members (workers == 1) and non-mergeable
+// aggregators also visit their shards in sequence; everything else fans out.
+func (s *ShardedIndex) run(ctl *query.Control, q Query, agg Aggregator, workers, cutover int) Stats {
 	first, last := s.prune(q)
+	rc, collecting := agg.(*query.RowCollector)
+	m, mergeable := agg.(query.Mergeable)
+	if first < last && mergeable && !collecting && workers != 1 {
+		return s.fanOut(ctl, q, m, first, last, cutover)
+	}
 	var total Stats
-	for i := first; i <= last && i >= 0; i++ {
-		if ctl.Stopped() {
-			break
+	for i := first; i <= last && !ctl.Stopped(); i++ {
+		if collecting {
+			rc.SkipTo(int64(i) * shardStride)
 		}
-		a := s.shards[i]
-		ep := a.epoch.Load()
-		rc.SkipTo(int64(i) * shardStride)
-		rc.PinSource(ep.flood.Table())
-		st := executeEpochControl(ep, ctl, q, rc, cutover)
-		if !ctl.Stopped() {
-			a.observe(ep, q, st)
-		}
-		total.Add(st)
+		total.Add(s.shards[i].epoch.Load().run(ctl, q, agg, workers, cutover))
 	}
 	return total
 }
 
 // fanOut runs q on shards [first, last] in parallel over the shared worker
-// pool, each into its own pooled clone of agg, and merges. Non-mergeable
-// aggregators fall back to a sequential pass.
-func (s *ShardedIndex) fanOut(q Query, agg Aggregator, first, last int) Stats {
-	m, ok := agg.(query.Mergeable)
-	if !ok {
-		var total Stats
-		for i := first; i <= last; i++ {
-			total.Add(executeShardSequential(s.shards[i], q, agg))
-		}
-		return total
-	}
-	n := last - first + 1
-	clones := make([]query.Mergeable, n)
-	stats := make([]Stats, n)
-	core.RunBatch(n, func(i int) {
-		c := query.GetClone(m)
-		if c == nil {
-			c = m.CloneEmpty()
-		}
-		stats[i] = executeShardSequential(s.shards[first+i], q, c)
-		clones[i] = c
-	})
-	var total Stats
-	for i, c := range clones {
-		total.Add(stats[i])
-		m.Merge(c)
-		query.PutClone(c)
-	}
-	return total
-}
-
-// ExecuteContext is Execute under ctx: all surviving shards share one
-// cancellation signal, and a stop returns the partial Stats with
-// ErrCanceled. See Flood.ExecuteContext.
-func (s *ShardedIndex) ExecuteContext(ctx context.Context, q Query, agg Aggregator) (Stats, error) {
-	return runExecute(ctx,
-		func() Stats { return s.Execute(q, agg) },
-		func(ctl *query.Control) Stats { return s.executeControl(ctl, q, agg, 0) })
-}
-
-// executeControl threads an externally owned control through the pruned
-// fan-out: every shard scan draws cancellation and the LIMIT budget from
-// the same control, so `LIMIT n` over k surviving shards delivers at most n
-// rows in total and stops scanning globally once the budget is dry.
-// RowCollector aggregators are delivered shard-sequentially with per-shard
-// id strides (see selectInto); everything else fans out in parallel.
-func (s *ShardedIndex) executeControl(ctl *query.Control, q Query, agg Aggregator, cutover int) Stats {
-	if rc, ok := agg.(*query.RowCollector); ok {
-		return s.collectShards(ctl, q, rc, cutover)
-	}
-	first, last := s.prune(q)
-	if first > last {
-		return Stats{}
-	}
-	if first == last {
-		a := s.shards[first]
-		ep := a.epoch.Load()
-		st := executeEpochControl(ep, ctl, q, agg, cutover)
-		if !ctl.Stopped() {
-			a.observe(ep, q, st)
-		}
-		return st
-	}
-	m, mergeable := agg.(query.Mergeable)
-	if !mergeable || ctl == nil {
-		// Sequential fan-out: non-mergeables can't clone, and with no
-		// control there is nothing to share across parallel workers anyway.
-		var total Stats
-		for i := first; i <= last; i++ {
-			if ctl.Stopped() {
-				break
-			}
-			a := s.shards[i]
-			ep := a.epoch.Load()
-			st := executeEpochControl(ep, ctl, q, agg, cutover)
-			if !ctl.Stopped() {
-				a.observe(ep, q, st)
-			}
-			total.Add(st)
-		}
-		return total
-	}
+// pool, each on its sequential kernel — the fan-out already provides the
+// parallelism, mirroring the batch path's inter-query idiom — into its own
+// pooled clone of agg, and merges.
+func (s *ShardedIndex) fanOut(ctl *query.Control, q Query, m query.Mergeable, first, last, cutover int) Stats {
 	n := last - first + 1
 	clones := make([]query.Mergeable, n)
 	stats := make([]Stats, n)
@@ -422,12 +320,7 @@ func (s *ShardedIndex) executeControl(ctl *query.Control, q Query, agg Aggregato
 		if c == nil {
 			c = m.CloneEmpty()
 		}
-		a := s.shards[first+i]
-		ep := a.epoch.Load()
-		stats[i] = executeEpochControl(ep, ctl, q, c, cutover)
-		if !ctl.Stopped() {
-			a.observe(ep, q, stats[i])
-		}
+		stats[i] = s.shards[first+i].epoch.Load().run(ctl, q, c, 1, cutover)
 		clones[i] = c
 	})
 	var total Stats
@@ -442,132 +335,52 @@ func (s *ShardedIndex) executeControl(ctl *query.Control, q Query, agg Aggregato
 	return total
 }
 
-// ExecuteBatch serves queries[i] into aggs[i] with inter-query parallelism
-// over the shared worker pool; each query prunes and scans its surviving
-// shards sequentially. len(queries) must equal len(aggs).
-func (s *ShardedIndex) ExecuteBatch(queries []Query, aggs []Aggregator) []Stats {
-	if len(queries) != len(aggs) {
-		panic(fmt.Sprintf("flood: ExecuteBatch got %d queries but %d aggregators", len(queries), len(aggs)))
-	}
-	stats := make([]Stats, len(queries))
-	core.RunBatch(len(queries), func(i int) {
-		first, last := s.prune(queries[i])
-		for sh := first; sh <= last && sh >= 0; sh++ {
-			stats[i].Add(executeShardSequential(s.shards[sh], queries[i], aggs[i]))
-		}
-	})
-	return stats
-}
-
-// ExecuteBatchContext is ExecuteBatch under ctx: one cancellation stops
-// every query in the batch, queries not yet started are skipped, and the
-// partial per-query stats return with ErrCanceled. The serving tier's
-// micro-batching collector drives the sharded engine through this path.
-func (s *ShardedIndex) ExecuteBatchContext(ctx context.Context, queries []Query, aggs []Aggregator) ([]Stats, error) {
-	if len(queries) != len(aggs) {
-		panic(fmt.Sprintf("flood: ExecuteBatch got %d queries but %d aggregators", len(queries), len(aggs)))
-	}
-	return runExecuteBatch(ctx, len(queries),
-		func() []Stats { return s.ExecuteBatch(queries, aggs) },
-		func(ctl *query.Control) []Stats {
-			stats := make([]Stats, len(queries))
-			core.RunBatch(len(queries), func(i int) {
-				if ctl.Stopped() {
-					return
-				}
-				first, last := s.prune(queries[i])
-				for sh := first; sh <= last && sh >= 0; sh++ {
-					if ctl.Stopped() {
-						return
-					}
-					a := s.shards[sh]
-					ep := a.epoch.Load()
-					st := ep.flood.idx.ExecuteSequentialControl(ctl, queries[i], aggs[i])
-					if n := ep.log.rows(); n > 0 && !ctl.Stopped() {
-						st.Add(ep.log.scan(queries[i], n, aggs[i], ctl))
-					}
-					if !ctl.Stopped() {
-						a.observe(ep, queries[i], st)
-					}
-					stats[i].Add(st)
-				}
-			})
-			return stats
-		})
-}
-
-// ExecuteOr evaluates a disjunction (OR) of conjunctive queries: the
-// rectangles decompose into disjoint pieces once, then each shard scans the
-// pieces overlapping its key range. Row collectors tile shard-locally (see
-// Select's id contract). Each shard that served at least one piece samples
-// the original conjunctive shapes into its workload reservoir.
-func (s *ShardedIndex) ExecuteOr(queries []Query, agg Aggregator) Stats {
-	return s.executeOrShards(nil, queries, agg, 0)
-}
-
-// ExecuteOrContext is ExecuteOr under ctx; the pieces share one
-// cancellation signal and limit budget across every shard.
-func (s *ShardedIndex) ExecuteOrContext(ctx context.Context, queries []Query, agg Aggregator) (Stats, error) {
-	return runExecute(ctx,
-		func() Stats { return s.ExecuteOr(queries, agg) },
-		func(ctl *query.Control) Stats { return s.executeOrShards(ctl, queries, agg, 0) })
-}
-
-// executeOrShards runs the decomposed pieces of a disjunction shard-by-
-// shard under one shared control. The loop is shard-outer so a collector's
-// id watermark moves monotonically through the per-shard strides — every
-// source a shard registers (base, sealed log segments, transient suffix
-// tables) lands inside that shard's stride region.
-func (s *ShardedIndex) executeOrShards(ctl *query.Control, queries []Query, agg Aggregator, cutover int) Stats {
-	pieces := query.Disjoint(queries)
-	rc, isCollector := agg.(*query.RowCollector)
+// runPieces implements generation: each shard scans the pieces overlapping
+// its key range against one pinned generation of its own, and records the
+// disjunction once if it served any. The loop is shard-outer so a
+// collector's id watermark moves monotonically through the per-shard
+// strides — every source a shard registers (base, sealed log segments,
+// transient suffix tables) lands inside that shard's stride region.
+func (s *ShardedIndex) runPieces(ctl *query.Control, pieces, shapes []Query, agg Aggregator, cutover int) Stats {
+	rc, collecting := agg.(*query.RowCollector)
+	dim := s.router.Dim()
+	mine := make([]Query, 0, len(pieces))
 	var total Stats
 	for i, a := range s.shards {
 		if ctl.Stopped() {
 			break
 		}
 		lo, hi := s.router.Bounds(i)
-		served := false
-		var ep *adaptiveEpoch
+		mine = mine[:0]
 		for _, piece := range pieces {
-			if ctl.Stopped() {
-				break
-			}
-			dim := s.router.Dim()
 			if dim < len(piece.Ranges) {
 				if rg := piece.Ranges[dim]; rg.Present && (rg.Max < lo || rg.Min > hi) {
 					continue
 				}
 			}
-			if !served {
-				ep = a.epoch.Load()
-				if isCollector {
-					rc.SkipTo(int64(i) * shardStride)
-					rc.PinSource(ep.flood.Table())
-				}
-				served = true
-			}
-			total.Add(executeEpochControl(ep, ctl, piece, agg, cutover))
+			mine = append(mine, piece)
 		}
-		if served && !ctl.Stopped() {
-			a.queries.Add(1)
-			for _, q := range queries {
-				a.sample.Add(q)
-			}
+		if len(mine) == 0 {
+			continue
 		}
+		if collecting {
+			rc.SkipTo(int64(i) * shardStride)
+		}
+		total.Add(a.epoch.Load().runPieces(ctl, mine, shapes, agg, cutover))
 	}
 	return total
 }
 
 // Insert routes the row to the shard owning its split-dimension value and
-// appends it there; visibility, WAL acknowledgment (durable form), and
-// merge scheduling are the owning shard's (see AdaptiveIndex.Insert).
+// appends it there; visibility, WAL acknowledgment (the durable form attaches
+// each shard's log to its adaptive index), and merge scheduling are the
+// owning shard's (see AdaptiveIndex.Insert).
 func (s *ShardedIndex) Insert(row []int64) error {
 	dim := s.router.Dim()
 	if dim >= len(row) {
 		return fmt.Errorf("flood: row has %d values, split dimension is %d", len(row), dim)
 	}
-	return s.target(s.router.Shard(row[dim])).Insert(row)
+	return s.shards[s.router.Shard(row[dim])].Insert(row)
 }
 
 // Delete tombstones every live row matching q across the surviving shards
@@ -576,8 +389,8 @@ func (s *ShardedIndex) Insert(row []int64) error {
 func (s *ShardedIndex) Delete(q Query) (int64, error) {
 	first, last := s.prune(q)
 	var total int64
-	for i := first; i <= last && i >= 0; i++ {
-		n, err := s.target(i).Delete(q)
+	for i := first; i <= last; i++ {
+		n, err := s.shards[i].Delete(q)
 		total += n
 		if err != nil {
 			return total, err
@@ -604,7 +417,7 @@ func (s *ShardedIndex) DeleteRows(ids []int64) (int64, error) {
 		if len(locals) == 0 {
 			continue
 		}
-		n, err := s.target(sh).DeleteRows(locals)
+		n, err := s.shards[sh].DeleteRows(locals)
 		total += n
 		if err != nil {
 			return total, err
@@ -633,8 +446,8 @@ func (s *ShardedIndex) Update(q Query, set []Assignment) (int64, error) {
 	first, last := s.prune(q)
 	if !moves {
 		var total int64
-		for i := first; i <= last && i >= 0; i++ {
-			n, err := s.target(i).Update(q, set)
+		for i := first; i <= last; i++ {
+			n, err := s.shards[i].Update(q, set)
 			total += n
 			if err != nil {
 				return total, err
@@ -649,7 +462,7 @@ func (s *ShardedIndex) Update(q Query, set []Assignment) (int64, error) {
 	// assignments and re-route the rewritten rows.
 	cols := len(s.names)
 	var tuples [][]int64
-	for i := first; i <= last && i >= 0; i++ {
+	for i := first; i <= last; i++ {
 		rows, _ := s.shards[i].Select(q)
 		for rows.Next() {
 			tp := make([]int64, cols)
@@ -661,8 +474,8 @@ func (s *ShardedIndex) Update(q Query, set []Assignment) (int64, error) {
 		rows.Close()
 	}
 	var total int64
-	for i := first; i <= last && i >= 0; i++ {
-		n, err := s.target(i).Delete(q)
+	for i := first; i <= last; i++ {
+		n, err := s.shards[i].Delete(q)
 		total += n
 		if err != nil {
 			return total, err
@@ -678,21 +491,6 @@ func (s *ShardedIndex) Update(q Query, set []Assignment) (int64, error) {
 		}
 	}
 	return total, nil
-}
-
-// target returns the mutation surface for shard i: the durable wrapper when
-// one exists (so writes are WAL-acknowledged), else the adaptive facade
-// directly. Both expose the same mutation signatures.
-func (s *ShardedIndex) target(i int) interface {
-	Inserter
-	Deleter
-	Updater
-	DeleteRows(ids []int64) (int64, error)
-} {
-	if s.dur != nil {
-		return s.dur[i]
-	}
-	return s.shards[i]
 }
 
 // Name implements Index.
@@ -763,8 +561,7 @@ func (s *ShardedIndex) SplitDim() int { return s.router.Dim() }
 func (s *ShardedIndex) Splits() []int64 { return s.router.Splits() }
 
 // Shard returns shard i's adaptive index, for per-shard stats, triggers,
-// and tests. Mutations through it bypass the WAL in the durable form — use
-// the ShardedIndex surface for writes.
+// and tests.
 func (s *ShardedIndex) Shard(i int) *AdaptiveIndex { return s.shards[i] }
 
 // ShardStats returns one entry per shard in split order: key bounds, live
@@ -803,13 +600,7 @@ func (s *ShardedIndex) Wait() {
 // they just stop adapting.
 func (s *ShardedIndex) Close() error {
 	if s.dur != nil {
-		var first error
-		for _, d := range s.dur {
-			if err := d.Close(); err != nil && first == nil {
-				first = err
-			}
-		}
-		return first
+		return closeAll(s.dur)
 	}
 	for _, a := range s.shards {
 		a.Close()

@@ -34,22 +34,7 @@ func shardDirName(i int) string { return fmt.Sprintf("shard-%04d", i) }
 // directory that fails to open rather than a store missing shards.
 func CreateShardedDurable(dir string, tbl *Table, train []Query, opts *ShardedOptions, dopts *DurableOptions) (*ShardedIndex, error) {
 	o := opts.withDefaults()
-	dim := o.Dim
-	if dim < 0 {
-		dim = shard.ChooseDim(train, tbl.NumCols())
-	}
-	if dim >= tbl.NumCols() {
-		return nil, fmt.Errorf("flood: sharded split dimension %d out of range (table has %d columns)", dim, tbl.NumCols())
-	}
-	splits := o.Splits
-	if splits == nil {
-		splits = shard.FitSplits(tbl.Raw(dim), o.Shards)
-	}
-	r, err := shard.NewRouter(dim, splits)
-	if err != nil {
-		return nil, err
-	}
-	floods, err := buildShards(tbl, train, r, o.Build)
+	r, floods, err := planShards(tbl, train, o)
 	if err != nil {
 		return nil, err
 	}
@@ -60,37 +45,49 @@ func CreateShardedDurable(dir string, tbl *Table, train []Query, opts *ShardedOp
 	if do.Adaptive == nil {
 		do.Adaptive = o.Adaptive
 	}
-	s := &ShardedIndex{
-		router: r,
-		shards: make([]*AdaptiveIndex, len(floods)),
-		schema: floods[0].schema,
-		names:  floods[0].Table().Names(),
-		dur:    make([]*DurableIndex, len(floods)),
-		root:   dir,
-	}
-	m := &shard.Manifest{Dim: dim, Splits: r.Splits(), ShardDirs: make([]string, len(floods))}
+	durs := make([]*DurableIndex, 0, len(floods))
+	m := &shard.Manifest{Dim: r.Dim(), Splits: r.Splits(), ShardDirs: make([]string, len(floods))}
 	for i, f := range floods {
 		m.ShardDirs[i] = shardDirName(i)
 		d, err := CreateDurable(filepath.Join(dir, m.ShardDirs[i]), f, &do)
 		if err != nil {
-			s.closePartial(i)
+			closeAll(durs)
 			return nil, fmt.Errorf("flood: creating durable shard %d: %w", i, err)
 		}
-		s.dur[i] = d
-		s.shards[i] = d.Adaptive()
+		durs = append(durs, d)
 	}
 	if err := shard.WriteManifest(dir, m); err != nil {
-		s.closePartial(len(floods))
+		closeAll(durs)
 		return nil, fmt.Errorf("flood: writing shard manifest: %w", err)
 	}
-	return s, nil
+	return newShardedDurable(r, durs, dir), nil
 }
 
-// closePartial tears down the first n shards of a create that failed midway.
-func (s *ShardedIndex) closePartial(n int) {
-	for i := 0; i < n; i++ {
-		s.dur[i].Close()
+// newShardedDurable assembles the durable facade over its recovered or
+// freshly created shards.
+func newShardedDurable(r *shard.Router, durs []*DurableIndex, dir string) *ShardedIndex {
+	shards := make([]*AdaptiveIndex, len(durs))
+	for i, d := range durs {
+		shards[i] = d.AdaptiveIndex
 	}
+	s := newShardedIndex(r, shards)
+	s.dur, s.root = durs, dir
+	return s
+}
+
+// closeAll closes every opened shard, keeping the first error; nil entries
+// (shards that failed to open) are skipped.
+func closeAll(durs []*DurableIndex) error {
+	var first error
+	for _, d := range durs {
+		if d == nil {
+			continue
+		}
+		if err := d.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
 }
 
 // OpenShardedDurable reopens a sharded store: the manifest is read and
@@ -123,11 +120,7 @@ func OpenShardedDurable(dir string, dopts *DurableOptions) (*ShardedIndex, Shard
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
-			for j, d := range durs {
-				if d != nil {
-					durs[j].Close()
-				}
-			}
+			closeAll(durs)
 			return nil, rep, fmt.Errorf("flood: recovering shard %d: %w", i, err)
 		}
 	}
@@ -137,18 +130,7 @@ func OpenShardedDurable(dir string, dopts *DurableOptions) (*ShardedIndex, Shard
 		rep.ReplayedRows += sr.ReplayedRows
 		rep.TruncatedTail = rep.TruncatedTail || sr.TruncatedTail
 	}
-	s := &ShardedIndex{
-		router: r,
-		shards: make([]*AdaptiveIndex, n),
-		dur:    durs,
-		root:   dir,
-	}
-	for i, d := range durs {
-		s.shards[i] = d.Adaptive()
-	}
-	s.schema = s.shards[0].epoch.Load().flood.schema
-	s.names = s.shards[0].epoch.Load().flood.Table().Names()
-	return s, rep, nil
+	return newShardedDurable(r, durs, dir), rep, nil
 }
 
 // Checkpoint absorbs every shard's WAL into its snapshot (see

@@ -223,9 +223,7 @@ func TestShardedExecuteOrEquivalence(t *testing.T) {
 // selectOrSharded drives the sharded OR select the way Schema.SelectOr
 // would: rows collected shard-outer into a striped id space.
 func selectOrSharded(s *ShardedIndex, queries []Query) (*Rows, Stats) {
-	r := getRows(s.schema, s.resolver(), nil)
-	st := s.executeOrShards(nil, queries, &r.rc, 0)
-	r.finalize()
+	r, st, _ := s.selectOr(context.Background(), queries, nil, nil)
 	return r, st
 }
 
