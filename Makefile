@@ -3,9 +3,14 @@
 
 GO ?= go
 
-.PHONY: all build test vet docs bench bench-serve bench-full fuzz-smoke clean
+.PHONY: all fmt build test vet docs bench bench-serve bench-full fuzz-smoke clean
 
-all: vet build test
+all: fmt vet build test
+
+# fmt fails when any file is not gofmt-clean, naming the files.
+fmt:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
+		echo "gofmt -l . is not empty:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -28,7 +33,10 @@ docs: vet
 
 # bench runs the scan-kernel, build, parallel-execution, row-retrieval, and
 # context/limit benchmarks that gate perf PRs and records them in
-# BENCH_scan.json so the trajectory is diffable in git. SelectLimit10From1M
+# BENCH_scan.json so the trajectory is diffable in git. LookupPoint and
+# ParseLookup are the selective-query path on the repository benchmark's
+# lookup_sql store: SQL text to one decoded row, and the parser alone on
+# that workload's four statement shapes. SelectLimit10From1M
 # proves the LIMIT pushdown short-circuits (compare rows scanned against
 # SelectRows1M); Execute1M vs ExecuteContext1M is the context-plumbing
 # overhead-parity pair. Estimate and FindOptimalLayout are the layout search:
@@ -40,6 +48,8 @@ bench:
 		-bench 'Residual|WideRect|SteadyState|Build1M|Build200k|Ablation|Parallel|Batch|DeleteHeavy' \
 		-benchmem -benchtime=1s | tee /tmp/bench_scan.txt
 	$(GO) test . -run '^$$' -bench '^BenchmarkSelect|^BenchmarkExecute|^BenchmarkSaveLoad|^BenchmarkDictEq|^BenchmarkSharded' \
+		-benchmem -benchtime=1s | tee -a /tmp/bench_scan.txt
+	$(GO) test ./floodsql -run '^$$' -bench '^BenchmarkLookupPoint$$|^BenchmarkParseLookup$$' \
 		-benchmem -benchtime=1s | tee -a /tmp/bench_scan.txt
 	$(GO) test ./internal/wal -run '^$$' -bench 'WALAppend' \
 		-benchmem -benchtime=1s | tee -a /tmp/bench_scan.txt

@@ -215,15 +215,16 @@ func (a *AdaptiveIndex) pin() generation { return a.epoch.Load() }
 // no lifecycle bookkeeping. Both scans share the control's cancellation
 // signal and limit budget (base rows fill the budget first), and a stop
 // during the base scan skips the log entirely. A row collector gets the base
-// table pinned first, so base rows occupy ids [0, base) and log rows follow
-// whichever delivers first.
+// table pinned first, so base rows occupy ids [0, base) whichever delivers
+// first, and log row r gets id base+r.
 func (ep *adaptiveEpoch) scan(ctl *query.Control, q Query, agg Aggregator, workers, cutover int) Stats {
+	var logStart int64
 	if rc, ok := agg.(*query.RowCollector); ok {
-		rc.PinSource(ep.flood.Table())
+		logStart = rc.PinSource(ep.flood.Table()) + int64(ep.flood.Table().NumRows())
 	}
 	st := ep.flood.run(ctl, q, agg, workers, cutover)
 	if n := ep.log.rows(); n > 0 && !ctl.Stopped() {
-		st.Add(ep.log.scan(q, n, agg, ctl))
+		st.Add(ep.log.scan(q, n, agg, ctl, logStart))
 	}
 	return st
 }
@@ -946,35 +947,39 @@ const logViewStep = 2048
 // kernel, accumulating matches into agg and returning delta-scan stats.
 // ctl, when non-nil, threads the query's cancellation signal and limit
 // budget into the segment scans, stopping between segments once latched.
-func (l *sideLog) scan(q Query, n int64, agg Aggregator, ctl *query.Control) Stats {
+// When agg collects rows, every table scanned is placed at logStart, the id
+// of log row 0, plus its first log row, so a log row's id does not depend on
+// which earlier tables delivered or on which encoding of the unsealed suffix
+// it was read from.
+func (l *sideLog) scan(q Query, n int64, agg Aggregator, ctl *query.Control, logStart int64) Stats {
 	var st Stats
 	t0 := time.Now()
 	dims := q.FilteredDims()
 	tw := l.tomb.Load()
+	rc, _ := agg.(*query.RowCollector)
+	scanTable := func(t *colstore.Table, start int64) {
+		if rc != nil {
+			rc.PinSourceAt(t, logStart+start)
+		}
+		sc := query.GetScanner(t)
+		sc.SetControl(ctl)
+		sc.SetTombstones(tw.Slice(int(start) >> 6))
+		s, m := sc.ScanRange(q, dims, 0, t.NumRows(), agg)
+		sc.Release()
+		st.Scanned += s
+		st.Matched += m
+	}
 	l.seal(n)
 	covered := int64(0)
 	for _, sg := range *l.segs.Load() {
 		if sg.end > n || ctl.Stopped() {
 			break
 		}
-		sc := query.GetScanner(sg.t)
-		sc.SetControl(ctl)
-		sc.SetTombstones(tw.Slice(int(sg.start) >> 6))
-		s, m := sc.ScanRange(q, dims, 0, int(sg.end-sg.start), agg)
-		sc.Release()
-		st.Scanned += s
-		st.Matched += m
+		scanTable(sg.t, sg.start)
 		covered = sg.end
 	}
 	if n > covered && !ctl.Stopped() {
-		t := colstore.MustNewTable(l.names, l.columnsRange(covered, n))
-		sc := query.GetScanner(t)
-		sc.SetControl(ctl)
-		sc.SetTombstones(tw.Slice(int(covered) >> 6))
-		s, m := sc.ScanRange(q, dims, 0, int(n-covered), agg)
-		sc.Release()
-		st.Scanned += s
-		st.Matched += m
+		scanTable(colstore.MustNewTable(l.names, l.columnsRange(covered, n)), covered)
 	}
 	st.ScanTime = time.Since(t0)
 	st.Total = st.ScanTime

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"os/exec"
 	"runtime"
 	"strconv"
 	"strings"
@@ -48,8 +49,12 @@ type Report struct {
 	// NumCPU and GoVersion describe the host and toolchain benchjson itself
 	// runs on — the benchmarks' own when it reads their output as they
 	// finish, as `make bench` has it do.
-	NumCPU     int         `json:"num_cpu"`
-	GoVersion  string      `json:"go_version"`
+	NumCPU    int    `json:"num_cpu"`
+	GoVersion string `json:"go_version"`
+	// GitSHA is the commit checked out in the directory benchjson runs in,
+	// with "-dirty" appended when tracked files differ from it; absent
+	// outside a checkout.
+	GitSHA     string      `json:"git_sha,omitempty"`
 	Benchmarks []Benchmark `json:"benchmarks"`
 	// Serve embeds a floodload serving report (-serve FILE), verbatim.
 	Serve json.RawMessage `json:"serve,omitempty"`
@@ -58,7 +63,7 @@ type Report struct {
 func main() {
 	servePath := flag.String("serve", "", "embed this floodload BENCH_serve.json document in the output")
 	flag.Parse()
-	rep := Report{NumCPU: runtime.NumCPU(), GoVersion: runtime.Version()}
+	rep := Report{NumCPU: runtime.NumCPU(), GoVersion: runtime.Version(), GitSHA: gitSHA()}
 	if *servePath != "" {
 		raw, err := os.ReadFile(*servePath)
 		if err != nil {
@@ -81,6 +86,20 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
+}
+
+// gitSHA asks git for the working directory's commit; it returns "" when
+// there is no git or no checkout, which leaves the field out.
+func gitSHA() string {
+	out, err := exec.Command("git", "rev-parse", "HEAD").Output()
+	if err != nil {
+		return ""
+	}
+	sha := strings.TrimSpace(string(out))
+	if st, err := exec.Command("git", "status", "--porcelain", "--untracked-files=no").Output(); err == nil && len(st) > 0 {
+		sha += "-dirty"
+	}
+	return sha
 }
 
 // parse reads `go test -bench` output into rep: the host header lines once,

@@ -43,3 +43,14 @@ BenchmarkWALAppend/sync         	    1000	      99 ns/op
 		t.Errorf("memory columns = %+v", b)
 	}
 }
+
+func TestGitSHANamesTheCheckout(t *testing.T) {
+	sha := gitSHA()
+	if sha == "" {
+		t.Skip("no git, or not a checkout")
+	}
+	hex := strings.TrimSuffix(sha, "-dirty")
+	if len(hex) != 40 || strings.Trim(hex, "0123456789abcdef") != "" {
+		t.Fatalf("gitSHA() = %q, want a 40-digit commit with an optional -dirty", sha)
+	}
+}

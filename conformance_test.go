@@ -51,7 +51,10 @@ func (f *confFacade) brute(preds ...confPredicate) []string {
 // confFacades builds every facade over one 20k-row typed table. The
 // mutable ones carry pending inserts (marked by a fare far outside the
 // fixture's domain, spread over the whole ts range so every shard holds
-// some) and tombstones in both the base and the insert log.
+// some) and tombstones in both the base and the insert log. The inserts come
+// in three bands: 96 at fare 500+, then enough padding at 700+ to push every
+// log — each shard's too — past its first 2,048-row sealed segment, then 48
+// at 900+ that therefore sit in each log's unsealed suffix.
 func confFacades(t *testing.T) (*typedFixture, []*confFacade) {
 	t.Helper()
 	fx := newTypedFixture(t, 20_000, 91)
@@ -66,6 +69,22 @@ func confFacades(t *testing.T) (*typedFixture, []*confFacade) {
 			fare:   500 + float64(i)/100,
 			city:   fixtureCities[i%len(fixtureCities)],
 			pickup: time.Date(2023, 1, 1+i%28, 0, 0, 0, 0, time.UTC),
+		})
+	}
+	for i := 0; i < 4*2200; i++ {
+		extra = append(extra, confRow{
+			ts:     int64(i*11) % 100_000,
+			fare:   700 + float64(i%100)/100,
+			city:   fixtureCities[i%len(fixtureCities)],
+			pickup: time.Date(2023, 2, 1+i%28, 0, 0, 0, 0, time.UTC),
+		})
+	}
+	for i := 0; i < 48; i++ {
+		extra = append(extra, confRow{
+			ts:     int64(i)*2000 + 7,
+			fare:   900 + float64(i%3*10) + float64(i)/100,
+			city:   fixtureCities[i%len(fixtureCities)],
+			pickup: time.Date(2023, 3, 1+i%28, 0, 0, 0, 0, time.UTC),
 		})
 	}
 	build := func() *Flood {
@@ -181,11 +200,22 @@ func TestFacadeConformance(t *testing.T) {
 		sch.Where().WithIntRange("ts", 20_000, 60_000).WithStringEquals("city", "boston").Query(),
 		func(r confRow) bool { return r.ts >= 20_000 && r.ts <= 60_000 && r.city == "boston" },
 	}
-	// inserted matches exactly the pending inserts, in every shard.
+	// inserted matches exactly the first band of pending inserts, in every
+	// shard.
 	inserted := confPredicate{
 		sch.Where().WithFloatRange("fare", 500, 600).Query(),
-		func(r confRow) bool { return r.fare >= 500 },
+		func(r confRow) bool { return r.fare >= 500 && r.fare <= 600 },
 	}
+	// The suffix predicates match only rows of the last band, which every
+	// log holds past a sealed segment that matches none of them: their ids
+	// must still count the sealed rows in front.
+	fareBand := func(lo, hi float64) confPredicate {
+		return confPredicate{
+			sch.Where().WithFloatRange("fare", lo, hi).Query(),
+			func(r confRow) bool { return r.fare >= lo && r.fare <= hi },
+		}
+	}
+	suffix, suffixLo, suffixHi := fareBand(900, 909), fareBand(910, 919), fareBand(920, 929)
 	// lowA and lowB overlap, and both sit inside the first shard.
 	lowA := confPredicate{
 		sch.Where().WithIntRange("ts", 100, 900).Query(),
@@ -309,24 +339,28 @@ func TestFacadeConformance(t *testing.T) {
 			del := f.idx.(interface {
 				DeleteRows(ids []int64) (int64, error)
 			})
-			for i, p := range []confPredicate{inserted, lowA} {
-				rows, _ := sch.Select(f.idx, p.q)
+			// The last victim is a disjunction whose two pieces both reach
+			// the unsealed suffix, each through its own encoding of it.
+			for i, preds := range [][]confPredicate{{inserted}, {lowA}, {suffix}, {suffixLo, suffixHi}} {
+				rows, _ := sch.SelectOr(f.idx, queriesOf(preds))
 				want, ids := drain(t, rows)
-				if _, mutable := f.idx.(Inserter); len(ids) == 0 && (mutable || i > 0) {
+				if _, mutable := f.idx.(Inserter); len(ids) == 0 && (mutable || i == 1) {
 					t.Fatalf("victim query %d matched nothing", i)
 				}
 				n, err := del.DeleteRows(ids)
 				if err != nil || n != int64(len(ids)) {
 					t.Fatalf("DeleteRows(%d ids) = %d, %v", len(ids), n, err)
 				}
-				if !slices.Equal(want, f.brute(p)) {
+				if !slices.Equal(want, f.brute(preds...)) {
 					t.Fatalf("victim query %d disagreed with brute force before the delete", i)
 				}
-				f.live = slices.DeleteFunc(f.live, p.match)
+				for _, p := range preds {
+					f.live = slices.DeleteFunc(f.live, p.match)
+				}
 				// The victims are gone and nothing else is: had an id named
 				// the wrong row, a victim would survive and the total would
 				// still drop.
-				rows, _ = sch.Select(f.idx, p.q)
+				rows, _ = sch.SelectOr(f.idx, queriesOf(preds))
 				if left, _ := drain(t, rows); len(left) != 0 {
 					t.Errorf("victim query %d still matches %d rows after DeleteRows", i, len(left))
 				}

@@ -19,7 +19,7 @@
 //	or      := and (OR and)*
 //	and     := atom (AND atom)*
 //	atom    := '(' pred ')' | col op value | col BETWEEN value AND value
-//	         | col LIKE 'prefix%'
+//	         | col LIKE 'prefix%' | col IN '(' value (',' value)* ')'
 //	op      := = | < | <= | > | >=
 //	value   := integer | float | 'string'
 //
@@ -103,7 +103,7 @@ type Statement struct {
 // literals are accepted; use ParseTyped for float and string predicates and
 // typed projections.
 func Parse(sql string, tbl *flood.Table) (*Statement, error) {
-	p := &parser{lex: newLexer(sql), cols: tbl}
+	p := parser{lex: lexer{src: sql}, cols: tbl}
 	return p.run()
 }
 
@@ -111,11 +111,12 @@ func Parse(sql string, tbl *flood.Table) (*Statement, error) {
 // TableBuilder), resolving float and string literals through the schema's
 // encoders. Projections decode through the same schema when executed.
 func ParseTyped(sql string, schema *flood.Schema) (*Statement, error) {
-	p := &parser{lex: newLexer(sql), cols: schema, schema: schema}
+	p := parser{lex: lexer{src: sql}, cols: schema, schema: schema}
 	return p.run()
 }
 
 func (p *parser) run() (*Statement, error) {
+	p.lex.next()
 	st, err := p.statement()
 	if err != nil {
 		return nil, fmt.Errorf("floodsql: %w", err)
@@ -290,7 +291,7 @@ type columns interface {
 
 // --- lexer ---
 
-type tokenKind int
+type tokenKind uint8
 
 const (
 	tokEOF tokenKind = iota
@@ -300,8 +301,80 @@ const (
 	tokSymbol // ( ) , * =  < <= > >=
 )
 
+// keyword classifies an identifier once, when it is lexed, so the parser's
+// many "is this WHERE / AND / LIMIT ..." tests are integer compares instead
+// of a case-folding string compare per candidate.
+type keyword uint8
+
+const (
+	kwNone keyword = iota
+	kwSelect
+	kwInsert
+	kwDelete
+	kwUpdate
+	kwFrom
+	kwWhere
+	kwLimit
+	kwInto
+	kwValues
+	kwSet
+	kwAnd
+	kwOr
+	kwBetween
+	kwLike
+	kwIn
+)
+
+var keywordNames = [...]string{
+	kwSelect: "SELECT", kwInsert: "INSERT", kwDelete: "DELETE", kwUpdate: "UPDATE",
+	kwFrom: "FROM", kwWhere: "WHERE", kwLimit: "LIMIT", kwInto: "INTO",
+	kwValues: "VALUES", kwSet: "SET", kwAnd: "AND", kwOr: "OR",
+	kwBetween: "BETWEEN", kwLike: "LIKE", kwIn: "IN",
+}
+
+// keywordsByLen buckets the keywords by length, each with its letters packed
+// into one word, the form keywordOf compares in.
+var keywordsByLen = func() (byLen [len("BETWEEN") + 1][]packedKeyword) {
+	for kw, name := range keywordNames {
+		if name != "" {
+			byLen[len(name)] = append(byLen[len(name)], packedKeyword{packUpper(name), keyword(kw)})
+		}
+	}
+	return byLen
+}()
+
+type packedKeyword struct {
+	key uint64
+	kw  keyword
+}
+
+// packUpper packs up to eight identifier bytes into a word, folding letters
+// to upper case by clearing bit 0x20; no digit, '_' or '.' folds to a letter,
+// so only a keyword's own spelling packs to its key.
+func packUpper(s string) uint64 {
+	var k uint64
+	for i := 0; i < len(s); i++ {
+		k = k<<8 | uint64(s[i]&^0x20)
+	}
+	return k
+}
+
+func keywordOf(s string) keyword {
+	if len(s) >= len(keywordsByLen) {
+		return kwNone
+	}
+	k := packUpper(s)
+	for _, c := range keywordsByLen[len(s)] {
+		if c.key == k {
+			return c.kw
+		}
+	}
+	return kwNone
+}
+
 type token struct {
 	kind tokenKind
+	kw   keyword // for tokIdent: the keyword it spells, if any
 	text string
 	off  int // byte offset of the token's first character
 }
@@ -314,6 +387,9 @@ func (t token) describe() string {
 	return fmt.Sprintf("%q", t.text)
 }
 
+// isSymbol reports whether t is the punctuation s.
+func (t token) isSymbol(s string) bool { return t.kind == tokSymbol && t.text == s }
+
 type lexer struct {
 	src string
 	pos int
@@ -321,87 +397,96 @@ type lexer struct {
 	err error // first lexical error (unterminated string)
 }
 
-func newLexer(src string) *lexer {
-	l := &lexer{src: src}
-	l.next()
-	return l
-}
-
 func (l *lexer) next() {
-	for l.pos < len(l.src) && isSpace(l.src[l.pos]) {
-		l.pos++
+	src, pos := l.src, l.pos
+	for pos < len(src) && isSpace(src[pos]) {
+		pos++
 	}
-	start := l.pos
-	if l.pos >= len(l.src) {
+	start := pos
+	if pos >= len(src) {
+		l.pos = pos
 		l.tok = token{kind: tokEOF, off: start}
 		return
 	}
-	c := l.src[l.pos]
-	switch {
+	kind, kw := tokSymbol, kwNone
+	switch c := src[pos]; {
 	case isAlpha(c):
-		for l.pos < len(l.src) && (isAlpha(l.src[l.pos]) || isDigit(l.src[l.pos]) || l.src[l.pos] == '_' || l.src[l.pos] == '.') {
-			l.pos++
+		for pos < len(src) && identChar[src[pos]] {
+			pos++
 		}
-		l.tok = token{kind: tokIdent, text: l.src[start:l.pos], off: start}
-	case isDigit(c) || (c == '-' && l.pos+1 < len(l.src) && isDigit(l.src[l.pos+1])):
-		l.pos++
-		for l.pos < len(l.src) && (isDigit(l.src[l.pos]) || l.src[l.pos] == '_') {
-			l.pos++
+		kind, kw = tokIdent, keywordOf(src[start:pos])
+	case isDigit(c) || (c == '-' && pos+1 < len(src) && isDigit(src[pos+1])):
+		pos++
+		for pos < len(src) && (isDigit(src[pos]) || src[pos] == '_') {
+			pos++
 		}
-		if l.pos+1 < len(l.src) && l.src[l.pos] == '.' && isDigit(l.src[l.pos+1]) {
-			l.pos++
-			for l.pos < len(l.src) && isDigit(l.src[l.pos]) {
-				l.pos++
+		if pos+1 < len(src) && src[pos] == '.' && isDigit(src[pos+1]) {
+			pos++
+			for pos < len(src) && isDigit(src[pos]) {
+				pos++
 			}
 		}
-		l.tok = token{kind: tokNumber, text: l.src[start:l.pos], off: start}
+		kind = tokNumber
 	case c == '\'':
-		// String literal; '' escapes a quote.
-		var sb strings.Builder
-		l.pos++
-		for {
-			if l.pos >= len(l.src) {
-				l.tok = token{kind: tokEOF, off: start}
-				if l.err == nil {
-					l.err = fmt.Errorf("at byte %d: unterminated string literal", start)
-				}
-				return
-			}
-			if l.src[l.pos] == '\'' {
-				if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' {
-					sb.WriteByte('\'')
-					l.pos += 2
-					continue
-				}
-				l.pos++
-				break
-			}
-			sb.WriteByte(l.src[l.pos])
-			l.pos++
-		}
-		l.tok = token{kind: tokString, text: sb.String(), off: start}
-	case c == '<' || c == '>':
-		if l.pos+1 < len(l.src) && l.src[l.pos+1] == '=' {
-			l.tok = token{kind: tokSymbol, text: l.src[l.pos : l.pos+2], off: start}
-			l.pos += 2
-		} else {
-			l.tok = token{kind: tokSymbol, text: string(c), off: start}
-			l.pos++
-		}
+		l.stringLiteral(start)
+		return
+	case (c == '<' || c == '>') && pos+1 < len(src) && src[pos+1] == '=':
+		pos += 2
 	default:
-		l.tok = token{kind: tokSymbol, text: string(c), off: start}
+		pos++
+	}
+	l.pos = pos
+	l.tok = token{kind: kind, kw: kw, text: src[start:pos], off: start}
+}
+
+// stringLiteral lexes a quoted literal starting at the opening quote. The
+// value is a slice of the source unless it contains a doubled-quote escape,
+// the only case that needs a rewritten copy.
+func (l *lexer) stringLiteral(start int) {
+	l.pos = start + 1
+	body := l.pos
+	escaped := false
+	for {
+		i := strings.IndexByte(l.src[l.pos:], '\'')
+		if i < 0 {
+			l.pos = len(l.src)
+			l.tok = token{kind: tokEOF, off: start}
+			if l.err == nil {
+				l.err = fmt.Errorf("at byte %d: unterminated string literal", start)
+			}
+			return
+		}
+		l.pos += i + 1
+		if l.pos >= len(l.src) || l.src[l.pos] != '\'' {
+			break
+		}
+		escaped = true
 		l.pos++
 	}
+	text := l.src[body : l.pos-1]
+	if escaped {
+		text = strings.ReplaceAll(text, "''", "'")
+	}
+	l.tok = token{kind: tokString, text: text, off: start}
 }
 
 func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
 func isAlpha(c byte) bool { return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' }
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
+// identChar marks the bytes that continue an identifier: letters, digits,
+// '_' and the '.' of a qualified name.
+var identChar = func() (t [256]bool) {
+	for c := 0; c < 256; c++ {
+		t[c] = isAlpha(byte(c)) || isDigit(byte(c)) || c == '_' || c == '.'
+	}
+	return t
+}()
+
 // --- parser ---
 
 type parser struct {
-	lex    *lexer
+	lex    lexer
 	cols   columns
 	schema *flood.Schema // nil when parsing against a raw table
 }
@@ -417,16 +502,16 @@ func (p *parser) errAt(tok token, format string, args ...any) error {
 }
 
 func (p *parser) statement() (*Statement, error) {
-	if p.isKeyword("DELETE") {
+	if p.isKeyword(kwDelete) {
 		return p.deleteStatement()
 	}
-	if p.isKeyword("UPDATE") {
+	if p.isKeyword(kwUpdate) {
 		return p.updateStatement()
 	}
-	if p.isKeyword("INSERT") {
+	if p.isKeyword(kwInsert) {
 		return p.insertStatement()
 	}
-	if !p.isKeyword("SELECT") {
+	if !p.isKeyword(kwSelect) {
 		return nil, p.errAt(p.lex.tok, "expected SELECT, INSERT, DELETE, or UPDATE")
 	}
 	p.lex.next()
@@ -434,7 +519,7 @@ func (p *parser) statement() (*Statement, error) {
 	if err := p.target(st); err != nil {
 		return nil, err
 	}
-	if err := p.keyword("FROM"); err != nil {
+	if err := p.keyword(kwFrom); err != nil {
 		return nil, err
 	}
 	var err error
@@ -444,17 +529,17 @@ func (p *parser) statement() (*Statement, error) {
 	if p.lex.tok.kind == tokEOF && p.lex.err == nil {
 		return st, nil
 	}
-	if p.isKeyword("WHERE") {
+	if p.isKeyword(kwWhere) {
 		p.lex.next()
 		dnf, err := p.orExpr()
 		if err != nil {
 			return nil, err
 		}
 		st.Disjuncts = dnf
-	} else if !p.isKeyword("LIMIT") {
+	} else if !p.isKeyword(kwLimit) {
 		return nil, p.errAt(p.lex.tok, "expected WHERE")
 	}
-	if p.isKeyword("LIMIT") {
+	if p.isKeyword(kwLimit) {
 		if err := p.limitClause(st); err != nil {
 			return nil, err
 		}
@@ -468,7 +553,7 @@ func (p *parser) statement() (*Statement, error) {
 // deleteStatement parses `DELETE FROM table [WHERE pred]`.
 func (p *parser) deleteStatement() (*Statement, error) {
 	p.lex.next()
-	if err := p.keyword("FROM"); err != nil {
+	if err := p.keyword(kwFrom); err != nil {
 		return nil, err
 	}
 	st := &Statement{Agg: "delete", AggCol: -1, nDims: p.cols.NumCols(), schema: p.schema}
@@ -487,7 +572,7 @@ func (p *parser) updateStatement() (*Statement, error) {
 	if st.Table, err = p.ident(); err != nil {
 		return nil, err
 	}
-	if err := p.keyword("SET"); err != nil {
+	if err := p.keyword(kwSet); err != nil {
 		return nil, err
 	}
 	for {
@@ -508,7 +593,7 @@ func (p *parser) updateStatement() (*Statement, error) {
 			return nil, err
 		}
 		st.Assignments = append(st.Assignments, flood.Assignment{Col: col, Value: enc})
-		if p.lex.tok.kind == tokSymbol && p.lex.tok.text == "," {
+		if p.lex.tok.isSymbol(",") {
 			p.lex.next()
 			continue
 		}
@@ -526,7 +611,7 @@ func (p *parser) updateStatement() (*Statement, error) {
 // are dense, so there is no value a partial INSERT could leave behind.
 func (p *parser) insertStatement() (*Statement, error) {
 	p.lex.next()
-	if err := p.keyword("INTO"); err != nil {
+	if err := p.keyword(kwInto); err != nil {
 		return nil, err
 	}
 	st := &Statement{Agg: "insert", AggCol: -1, nDims: p.cols.NumCols(), schema: p.schema}
@@ -536,7 +621,7 @@ func (p *parser) insertStatement() (*Statement, error) {
 	}
 	// Optional column list: a permutation of all columns.
 	order := make([]int, 0, st.nDims)
-	if p.lex.tok.kind == tokSymbol && p.lex.tok.text == "(" {
+	if p.lex.tok.isSymbol("(") {
 		p.lex.next()
 		seen := make(map[int]bool, st.nDims)
 		for {
@@ -550,7 +635,7 @@ func (p *parser) insertStatement() (*Statement, error) {
 			}
 			seen[col] = true
 			order = append(order, col)
-			if p.lex.tok.kind == tokSymbol && p.lex.tok.text == "," {
+			if p.lex.tok.isSymbol(",") {
 				p.lex.next()
 				continue
 			}
@@ -567,7 +652,7 @@ func (p *parser) insertStatement() (*Statement, error) {
 			order = append(order, i)
 		}
 	}
-	if err := p.keyword("VALUES"); err != nil {
+	if err := p.keyword(kwValues); err != nil {
 		return nil, err
 	}
 	for {
@@ -596,7 +681,7 @@ func (p *parser) insertStatement() (*Statement, error) {
 			return nil, err
 		}
 		st.InsertRows = append(st.InsertRows, row)
-		if p.lex.tok.kind == tokSymbol && p.lex.tok.text == "," {
+		if p.lex.tok.isSymbol(",") {
 			p.lex.next()
 			continue
 		}
@@ -612,7 +697,7 @@ func (p *parser) insertStatement() (*Statement, error) {
 // rejects trailing input. Mutations take no LIMIT: "delete some of the
 // matches" has no deterministic meaning.
 func (p *parser) optionalWhere(st *Statement) (*Statement, error) {
-	if p.isKeyword("WHERE") {
+	if p.isKeyword(kwWhere) {
 		p.lex.next()
 		dnf, err := p.orExpr()
 		if err != nil {
@@ -702,14 +787,15 @@ func (p *parser) limitClause(st *Statement) error {
 // target parses the SELECT list: an aggregate call, *, or a column list.
 func (p *parser) target(st *Statement) error {
 	// SELECT * FROM ...
-	if p.lex.tok.kind == tokSymbol && p.lex.tok.text == "*" {
+	if p.lex.tok.isSymbol("*") {
 		if p.schema == nil {
 			return p.errAt(p.lex.tok, "projection needs a typed schema; parse with ParseTyped")
 		}
 		p.lex.next()
 		st.Agg = "select"
-		for i := 0; i < p.cols.NumCols(); i++ {
-			st.Projection = append(st.Projection, p.cols.Name(i))
+		st.Projection = make([]string, p.cols.NumCols())
+		for i := range st.Projection {
+			st.Projection[i] = p.cols.Name(i)
 		}
 		return nil
 	}
@@ -718,9 +804,13 @@ func (p *parser) target(st *Statement) error {
 	if err != nil {
 		return err
 	}
-	if p.lex.tok.kind == tokSymbol && p.lex.tok.text == "(" {
-		st.Agg = strings.ToLower(first)
-		if st.Agg != "count" && st.Agg != "sum" && st.Agg != "min" && st.Agg != "max" {
+	if p.lex.tok.isSymbol("(") {
+		for _, agg := range [...]string{"count", "sum", "min", "max"} {
+			if strings.EqualFold(first, agg) {
+				st.Agg = agg
+			}
+		}
+		if st.Agg == "" {
 			return p.errAt(firstTok, "unsupported aggregate %q (want COUNT, SUM, MIN, or MAX)", first)
 		}
 		p.lex.next()
@@ -758,8 +848,8 @@ func (p *parser) target(st *Statement) error {
 	if err != nil {
 		return err
 	}
-	st.Projection = append(st.Projection, p.cols.Name(col))
-	for p.lex.tok.kind == tokSymbol && p.lex.tok.text == "," {
+	st.Projection = append(make([]string, 0, p.cols.NumCols()), p.cols.Name(col))
+	for p.lex.tok.isSymbol(",") {
 		p.lex.next()
 		col, err := p.column()
 		if err != nil {
@@ -776,7 +866,7 @@ func (p *parser) orExpr() ([]flood.Query, error) {
 	if err != nil {
 		return nil, err
 	}
-	for p.isKeyword("OR") {
+	for p.isKeyword(kwOr) {
 		p.lex.next()
 		rhs, err := p.andExpr()
 		if err != nil {
@@ -787,38 +877,85 @@ func (p *parser) orExpr() ([]flood.Query, error) {
 	return out, nil
 }
 
+// andExpr parses a conjunction into its DNF. It starts from one unfiltered
+// rectangle and narrows it in place, atom by atom; only an atom that is
+// itself a disjunction (a parenthesised OR, an IN list) makes more
+// rectangles. A contradictory conjunction yields one unsatisfiable
+// rectangle, so the statement still executes (to an empty result).
 func (p *parser) andExpr() ([]flood.Query, error) {
-	out, err := p.atom()
-	if err != nil {
-		return nil, err
-	}
-	for p.isKeyword("AND") {
-		p.lex.next()
-		rhs, err := p.atom()
+	out := []flood.Query{flood.NewQuery(p.cols.NumCols())}
+	for {
+		a, err := p.atom()
 		if err != nil {
 			return nil, err
 		}
-		// Distribute: (A1 ∨ A2) ∧ (B1 ∨ B2) = ∨_{i,j} (Ai ∧ Bj).
-		var merged []flood.Query
-		for _, a := range out {
-			for _, b := range rhs {
-				if q, ok := intersect(a, b); ok {
-					merged = append(merged, q)
-				}
-			}
+		if a.dnf == nil {
+			out = narrow(out, a.col, a.lo, a.hi)
+		} else {
+			out = distribute(out, a.dnf)
 		}
-		out = merged
-		if len(out) == 0 {
-			// Contradictory predicate: empty result, keep one
-			// unsatisfiable query for well-formed execution.
-			return []flood.Query{p.unsatisfiable()}, nil
+		if !p.isKeyword(kwAnd) {
+			break
 		}
+		p.lex.next()
+	}
+	if len(out) == 0 {
+		return []flood.Query{p.unsatisfiable()}, nil
 	}
 	return out, nil
 }
 
+// narrow intersects dimension col of every rectangle with [lo, hi] in place,
+// dropping the rectangles the intersection empties.
+func narrow(rects []flood.Query, col int, lo, hi int64) []flood.Query {
+	kept := rects[:0]
+	for _, q := range rects {
+		r := &q.Ranges[col]
+		if lo > r.Min {
+			r.Min = lo
+		}
+		if hi < r.Max {
+			r.Max = hi
+		}
+		r.Present = true
+		if r.Min <= r.Max {
+			kept = append(kept, q)
+		}
+	}
+	return kept
+}
+
+// narrowBy intersects every rectangle with b in place, as narrow does.
+func narrowBy(rects []flood.Query, b flood.Query) []flood.Query {
+	for d, r := range b.Ranges {
+		if r.Present {
+			rects = narrow(rects, d, r.Min, r.Max)
+		}
+	}
+	return rects
+}
+
+// distribute intersects every rectangle of as with every rectangle of bs:
+// (A1 ∨ A2) ∧ (B1 ∨ B2) = ∨_{i,j} (Ai ∧ Bj). A single b narrows as in place;
+// more than one needs a copy of each a per b.
+func distribute(as, bs []flood.Query) []flood.Query {
+	if len(bs) == 1 {
+		return narrowBy(as, bs[0])
+	}
+	var out []flood.Query
+	for _, a := range as {
+		for _, b := range bs {
+			one := []flood.Query{{Ranges: append([]flood.Range(nil), a.Ranges...)}}
+			out = append(out, narrowBy(one, b)...)
+		}
+	}
+	return out
+}
+
 func (p *parser) unsatisfiable() flood.Query {
-	return flood.NewQuery(p.cols.NumCols()).WithRange(0, 1, 0)
+	q := flood.NewQuery(p.cols.NumCols())
+	q.Ranges[0] = flood.Range{Min: 1, Max: 0, Present: true}
+	return q
 }
 
 // value is one parsed literal.
@@ -856,69 +993,98 @@ func (p *parser) value() (value, error) {
 	return value{}, p.errAt(tok, "expected a literal value")
 }
 
-func (p *parser) atom() ([]flood.Query, error) {
-	if p.lex.tok.kind == tokSymbol && p.lex.tok.text == "(" {
+// atom is one parsed predicate atom: an inclusive range [lo, hi] on a single
+// column (lo > hi when nothing can satisfy it), or, when dnf is non-nil, a
+// disjunction of rectangles from a parenthesised predicate or an IN list.
+type atom struct {
+	col    int
+	lo, hi int64
+	dnf    []flood.Query
+}
+
+func (p *parser) atom() (atom, error) {
+	if p.lex.tok.isSymbol("(") {
 		p.lex.next()
 		inner, err := p.orExpr()
 		if err != nil {
-			return nil, err
+			return atom{}, err
 		}
-		if err := p.symbol(")"); err != nil {
-			return nil, err
-		}
-		return inner, nil
+		return atom{dnf: inner}, p.symbol(")")
 	}
 	colTok := p.lex.tok
 	col, err := p.column()
 	if err != nil {
-		return nil, err
+		return atom{}, err
 	}
-	if p.isKeyword("BETWEEN") {
+	a := atom{col: col}
+	switch {
+	case p.isKeyword(kwBetween):
 		p.lex.next()
 		lo, err := p.value()
 		if err != nil {
-			return nil, err
+			return atom{}, err
 		}
-		if err := p.keyword("AND"); err != nil {
-			return nil, err
+		if err := p.keyword(kwAnd); err != nil {
+			return atom{}, err
 		}
 		hi, err := p.value()
 		if err != nil {
-			return nil, err
+			return atom{}, err
 		}
-		q, err := p.rangeQuery(col, lo, hi)
-		if err != nil {
-			return nil, err
-		}
-		return []flood.Query{q}, nil
-	}
-	if p.isKeyword("LIKE") {
-		likeTok := p.lex.tok
+		a.lo, a.hi, err = p.betweenBounds(col, lo, hi)
+		return a, err
+	case p.isKeyword(kwLike):
 		p.lex.next()
 		pat, err := p.value()
 		if err != nil {
-			return nil, err
+			return atom{}, err
 		}
-		q, err := p.likeQuery(col, colTok, likeTok, pat)
-		if err != nil {
-			return nil, err
-		}
-		return []flood.Query{q}, nil
+		a.lo, a.hi, err = p.likeBounds(col, colTok, pat)
+		return a, err
+	case p.isKeyword(kwIn):
+		p.lex.next()
+		return p.inList(col)
 	}
 	if p.lex.tok.kind != tokSymbol || !isCompareOp(p.lex.tok.text) {
-		return nil, p.errAt(p.lex.tok, "expected comparison operator")
+		return atom{}, p.errAt(p.lex.tok, "expected comparison operator")
 	}
 	op := p.lex.tok.text
 	p.lex.next()
 	v, err := p.value()
 	if err != nil {
-		return nil, err
+		return atom{}, err
 	}
-	q, err := p.compareQuery(col, op, v)
-	if err != nil {
-		return nil, err
+	a.lo, a.hi, err = p.compareBounds(col, op, v)
+	return a, err
+}
+
+// inList parses the parenthesised value list of `col IN (v, ...)` into one
+// equality rectangle per value the column can hold.
+func (p *parser) inList(col int) (atom, error) {
+	if err := p.symbol("("); err != nil {
+		return atom{}, err
 	}
-	return []flood.Query{q}, nil
+	a := atom{col: col, lo: 1, hi: 0}
+	for {
+		v, err := p.value()
+		if err != nil {
+			return atom{}, err
+		}
+		lo, hi, err := p.compareBounds(col, "=", v)
+		if err != nil {
+			return atom{}, err
+		}
+		if lo <= hi {
+			q := flood.NewQuery(p.cols.NumCols())
+			q.Ranges[col] = flood.Range{Min: lo, Max: hi, Present: true}
+			a.dnf = append(a.dnf, q)
+		}
+		if !p.lex.tok.isSymbol(",") {
+			break
+		}
+		p.lex.next()
+	}
+	return a, p.symbol(")")
 }
 
 func isCompareOp(s string) bool {
@@ -953,26 +1119,26 @@ func intBounds(op string, v int64) (lo, hi int64) {
 	}
 }
 
-// compareQuery builds the single-range query for `col op literal`,
-// dispatching on the column's logical kind when a schema is present.
-func (p *parser) compareQuery(col int, op string, v value) (flood.Query, error) {
-	base := flood.NewQuery(p.cols.NumCols())
+// compareBounds returns the inclusive physical range of `col op literal`
+// (inverted when nothing can satisfy it), dispatching on the column's logical
+// kind when a schema is present.
+func (p *parser) compareBounds(col int, op string, v value) (lo, hi int64, err error) {
 	kind := p.kindOf(col)
 	switch {
 	case v.kind == tokString:
 		if kind != flood.KindString {
-			return base, p.errAt(v.tok, "string literal on non-string column %q", p.cols.Name(col))
+			return 0, 0, p.errAt(v.tok, "string literal on non-string column %q", p.cols.Name(col))
 		}
 		d := p.schema.Dictionary(p.cols.Name(col))
 		if d == nil {
-			return base, p.errAt(v.tok, "column %q has no fitted dictionary yet (build the table first)", p.cols.Name(col))
+			return 0, 0, p.errAt(v.tok, "column %q has no fitted dictionary yet (build the table first)", p.cols.Name(col))
 		}
-		var lo, hi int64 = 0, int64(d.Len()) - 1
+		lo, hi = 0, int64(d.Len())-1
 		switch op {
 		case "=":
 			c, ok := d.Code(v.s)
 			if !ok {
-				return p.unsatisfiable(), nil
+				return 1, 0, nil
 			}
 			lo, hi = c, c
 		case "<":
@@ -984,132 +1150,121 @@ func (p *parser) compareQuery(col int, op string, v value) (flood.Query, error) 
 		case ">=":
 			lo = d.LowerBound(v.s)
 		}
-		if lo > hi {
-			return p.unsatisfiable(), nil
-		}
-		return base.WithRange(col, lo, hi), nil
-	case v.isFloat:
-		if kind != flood.KindFloat64 {
-			return base, p.errAt(v.tok, "float literal on non-float column %q", p.cols.Name(col))
-		}
-		return p.floatCompare(base, col, op, v.f, v.tok)
+		return lo, hi, nil
+	case v.isFloat && kind != flood.KindFloat64:
+		return 0, 0, p.errAt(v.tok, "float literal on non-float column %q", p.cols.Name(col))
 	case kind == flood.KindFloat64:
-		// Integer literal on a float column: treat as a float endpoint.
-		return p.floatCompare(base, col, op, v.f, v.tok)
+		// A float literal, or an integer literal treated as a float endpoint.
+		return p.floatBounds(col, op, v.f, v.tok)
 	case kind == flood.KindString:
-		return base, p.errAt(v.tok, "string column %q needs a string literal", p.cols.Name(col))
+		return 0, 0, p.errAt(v.tok, "string column %q needs a string literal", p.cols.Name(col))
 	default:
 		// Int64 columns, and time columns compared as raw ticks.
-		lo, hi := intBounds(op, v.i)
-		return base.WithRange(col, lo, hi), nil
+		lo, hi = intBounds(op, v.i)
+		return lo, hi, nil
 	}
 }
 
-// floatCompare encodes a float comparison through the column's decimal
+// floatBounds encodes a float comparison through the column's decimal
 // scaler with conservative directed rounding: lo is the smallest code whose
 // decoded value is >= v, hi the largest <= v; they coincide exactly when v
 // lands on a representable code, which is what strict bounds and equality
 // pivot on.
-func (p *parser) floatCompare(base flood.Query, col int, op string, v float64, tok token) (flood.Query, error) {
+func (p *parser) floatBounds(col int, op string, v float64, tok token) (int64, int64, error) {
 	sc := p.schema.Scaler(p.cols.Name(col))
 	if sc == nil {
-		return base, p.errAt(tok, "column %q has no fitted scaler yet (build the table first)", p.cols.Name(col))
+		return 0, 0, p.errAt(tok, "column %q has no fitted scaler yet (build the table first)", p.cols.Name(col))
 	}
 	lo, hi := sc.EncodeLower(v), sc.EncodeUpper(v)
 	exact := lo == hi
 	switch op {
 	case "=":
 		if !exact {
-			return p.unsatisfiable(), nil
+			return 1, 0, nil
 		}
-		return base.WithRange(col, lo, lo), nil
+		return lo, lo, nil
 	case "<=":
-		return base.WithRange(col, flood.NegInf, hi), nil
+		return flood.NegInf, hi, nil
 	case ">=":
-		return base.WithRange(col, lo, flood.PosInf), nil
+		return lo, flood.PosInf, nil
 	case "<":
 		if exact {
 			if hi == flood.NegInf { // endpoint clamped at the domain floor
-				return p.unsatisfiable(), nil
+				return 1, 0, nil
 			}
 			hi--
 		}
-		return base.WithRange(col, flood.NegInf, hi), nil
+		return flood.NegInf, hi, nil
 	default: // ">"
 		if exact {
 			if lo == flood.PosInf { // endpoint clamped at the domain ceiling
-				return p.unsatisfiable(), nil
+				return 1, 0, nil
 			}
 			lo++
 		}
-		return base.WithRange(col, lo, flood.PosInf), nil
+		return lo, flood.PosInf, nil
 	}
 }
 
-// rangeQuery builds `col BETWEEN lo AND hi`.
-func (p *parser) rangeQuery(col int, lo, hi value) (flood.Query, error) {
-	base := flood.NewQuery(p.cols.NumCols())
+// betweenBounds returns the physical range of `col BETWEEN lo AND hi`.
+func (p *parser) betweenBounds(col int, lo, hi value) (int64, int64, error) {
 	kind := p.kindOf(col)
 	switch {
 	case lo.kind == tokString || hi.kind == tokString:
 		if lo.kind != tokString || hi.kind != tokString {
-			return base, p.errAt(hi.tok, "BETWEEN endpoints must share a type")
+			return 0, 0, p.errAt(hi.tok, "BETWEEN endpoints must share a type")
 		}
 		if kind != flood.KindString {
-			return base, p.errAt(lo.tok, "string literal on non-string column %q", p.cols.Name(col))
+			return 0, 0, p.errAt(lo.tok, "string literal on non-string column %q", p.cols.Name(col))
 		}
 		d := p.schema.Dictionary(p.cols.Name(col))
 		if d == nil {
-			return base, p.errAt(lo.tok, "column %q has no fitted dictionary yet (build the table first)", p.cols.Name(col))
+			return 0, 0, p.errAt(lo.tok, "column %q has no fitted dictionary yet (build the table first)", p.cols.Name(col))
 		}
 		l, h, ok := d.RangeFor(lo.s, hi.s)
 		if !ok {
-			return p.unsatisfiable(), nil
+			return 1, 0, nil
 		}
-		return base.WithRange(col, l, h), nil
+		return l, h, nil
 	case lo.isFloat || hi.isFloat || kind == flood.KindFloat64:
 		if kind != flood.KindFloat64 {
-			return base, p.errAt(lo.tok, "float literal on non-float column %q", p.cols.Name(col))
+			return 0, 0, p.errAt(lo.tok, "float literal on non-float column %q", p.cols.Name(col))
 		}
 		sc := p.schema.Scaler(p.cols.Name(col))
 		if sc == nil {
-			return base, p.errAt(lo.tok, "column %q has no fitted scaler yet (build the table first)", p.cols.Name(col))
+			return 0, 0, p.errAt(lo.tok, "column %q has no fitted scaler yet (build the table first)", p.cols.Name(col))
 		}
-		l, h := sc.EncodeLower(lo.f), sc.EncodeUpper(hi.f)
-		if l > h {
-			return p.unsatisfiable(), nil
-		}
-		return base.WithRange(col, l, h), nil
+		return sc.EncodeLower(lo.f), sc.EncodeUpper(hi.f), nil
 	case kind == flood.KindString:
-		return base, p.errAt(lo.tok, "string column %q needs string literals", p.cols.Name(col))
+		return 0, 0, p.errAt(lo.tok, "string column %q needs string literals", p.cols.Name(col))
 	default:
 		// Int64 columns, and time columns bounded by raw ticks.
-		return base.WithRange(col, lo.i, hi.i), nil
+		return lo.i, hi.i, nil
 	}
 }
 
-// likeQuery builds `col LIKE 'prefix%'`; only prefix patterns (a literal
-// followed by a single trailing %) are supported.
-func (p *parser) likeQuery(col int, colTok token, likeTok token, pat value) (flood.Query, error) {
-	base := flood.NewQuery(p.cols.NumCols())
+// likeBounds returns the physical range of `col LIKE 'prefix%'`; only prefix
+// patterns (a literal followed by a single trailing %) are supported.
+func (p *parser) likeBounds(col int, colTok token, pat value) (int64, int64, error) {
 	if pat.kind != tokString {
-		return base, p.errAt(pat.tok, "LIKE needs a string pattern")
+		return 0, 0, p.errAt(pat.tok, "LIKE needs a string pattern")
 	}
 	if p.kindOf(col) != flood.KindString {
-		return base, p.errAt(colTok, "LIKE on non-string column %q", p.cols.Name(col))
+		return 0, 0, p.errAt(colTok, "LIKE on non-string column %q", p.cols.Name(col))
 	}
-	if !strings.HasSuffix(pat.s, "%") || strings.ContainsAny(strings.TrimSuffix(pat.s, "%"), "%_") {
-		return base, p.errAt(pat.tok, "only prefix LIKE patterns ('abc%%') are supported")
+	prefix, ok := strings.CutSuffix(pat.s, "%")
+	if !ok || strings.ContainsAny(prefix, "%_") {
+		return 0, 0, p.errAt(pat.tok, "only prefix LIKE patterns ('abc%%') are supported")
 	}
 	d := p.schema.Dictionary(p.cols.Name(col))
 	if d == nil {
-		return base, p.errAt(pat.tok, "column %q has no fitted dictionary yet (build the table first)", p.cols.Name(col))
+		return 0, 0, p.errAt(pat.tok, "column %q has no fitted dictionary yet (build the table first)", p.cols.Name(col))
 	}
-	l, h, ok := d.PrefixRange(strings.TrimSuffix(pat.s, "%"))
+	l, h, ok := d.PrefixRange(prefix)
 	if !ok {
-		return p.unsatisfiable(), nil
+		return 1, 0, nil
 	}
-	return base.WithRange(col, l, h), nil
+	return l, h, nil
 }
 
 // kindOf returns the logical kind of col (KindInt64 when parsing against a
@@ -1121,48 +1276,18 @@ func (p *parser) kindOf(col int) flood.Kind {
 	return p.schema.KindAt(col)
 }
 
-// intersect combines two conjunctive queries; ok is false when the
-// conjunction is unsatisfiable.
-func intersect(a, b flood.Query) (flood.Query, bool) {
-	out := flood.Query{Ranges: append([]flood.Range(nil), a.Ranges...)}
-	for d := range out.Ranges {
-		rb := b.Ranges[d]
-		if !rb.Present {
-			continue
-		}
-		ra := out.Ranges[d]
-		if !ra.Present {
-			out.Ranges[d] = rb
-			continue
-		}
-		if rb.Min > ra.Min {
-			ra.Min = rb.Min
-		}
-		if rb.Max < ra.Max {
-			ra.Max = rb.Max
-		}
-		if ra.Min > ra.Max {
-			return out, false
-		}
-		out.Ranges[d] = ra
-	}
-	return out, true
-}
-
-func (p *parser) keyword(kw string) error {
+func (p *parser) keyword(kw keyword) error {
 	if !p.isKeyword(kw) {
-		return p.errAt(p.lex.tok, "expected %s", kw)
+		return p.errAt(p.lex.tok, "expected %s", keywordNames[kw])
 	}
 	p.lex.next()
 	return nil
 }
 
-func (p *parser) isKeyword(kw string) bool {
-	return p.lex.tok.kind == tokIdent && strings.EqualFold(p.lex.tok.text, kw)
-}
+func (p *parser) isKeyword(kw keyword) bool { return p.lex.tok.kw == kw }
 
 func (p *parser) symbol(s string) error {
-	if p.lex.tok.kind != tokSymbol || p.lex.tok.text != s {
+	if !p.lex.tok.isSymbol(s) {
 		return p.errAt(p.lex.tok, "expected %q", s)
 	}
 	p.lex.next()

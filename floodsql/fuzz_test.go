@@ -41,6 +41,12 @@ func FuzzFloodSQLParse(f *testing.F) {
 		"INSERT INTO t (dist, fare, city) VALUES (1, 1.25, 'nyc'), (2, 99.99, 'chicago')",
 		"INSERT INTO t (city) VALUES ('boston')",
 		"INSERT INTO t VALUES",
+		// The repository benchmark's four lookup_sql shapes, on this schema.
+		"SELECT * FROM t WHERE dist = 42",
+		"SELECT dist, fare, city FROM t WHERE dist BETWEEN 3 AND 250 LIMIT 10",
+		"SELECT dist, fare FROM t WHERE dist BETWEEN -100 AND 300 AND city = 'nyc' AND fare BETWEEN 1 AND 20",
+		"SELECT COUNT(*) FROM t WHERE dist BETWEEN 3 AND 3002 AND city = 'chicago'",
+		"SELECT COUNT(*) FROM t WHERE city IN ('nyc', 'it''s', 'boston') AND (dist < 5 OR dist IN (42, 250))",
 		"DELETE FROM t LIMIT 5",
 		"UPDATE t SET",
 		"SELECT * FROM",

@@ -107,16 +107,19 @@ func (c *Column) Get(i int) int64 {
 	if w == 0 {
 		return c.mins[b]
 	}
-	r := uint(i % BlockSize)
-	pos := uint(c.offsets[b])*64 + r*w
-	wi := pos >> 6
-	off := pos & 63
-	delta := c.words[wi] >> off
-	if off+w > 64 {
-		delta |= c.words[wi+1] << (64 - off)
-	}
-	delta &= mask(w)
+	delta := unpack(c.words, uint(c.offsets[b])*64+uint(i%BlockSize)*w, w)
 	return c.mins[b] + int64(delta)
+}
+
+// unpack extracts the w-bit delta (0 < w <= 64) that starts at bit pos of
+// the packed words.
+func unpack(words []uint64, pos, w uint) uint64 {
+	wi, off := pos>>6, pos&63
+	delta := words[wi] >> off
+	if off+w > 64 {
+		delta |= words[wi+1] << (64 - off)
+	}
+	return delta & mask(w)
 }
 
 // DecodeBlock decodes block b into out and returns the number of valid
@@ -204,8 +207,10 @@ func (c *Column) Decode() []int64 {
 // LowerBound returns the smallest index i in [start, end) with Get(i) >= v,
 // or end if no such index exists. The rows [start, end) must be sorted
 // ascending. The search runs at row granularity until the remaining window
-// fits inside one compression block, which is then decoded once and finished
-// in-cache — cheaper than repeated bit-unpacking probes.
+// fits inside one compression block and then finishes with direct probes of
+// that block's packed deltas: the block's min, width and offset are read
+// once and each of the at most seven remaining steps extracts one delta —
+// several times cheaper than unpacking all 128 values to look at seven.
 func (c *Column) LowerBound(start, end int, v int64) int {
 	lo, hi := start, end
 	for lo < hi && lo/BlockSize != (hi-1)/BlockSize {
@@ -220,25 +225,35 @@ func (c *Column) LowerBound(start, end int, v int64) int {
 		return lo
 	}
 	b := lo / BlockSize
-	base := b * BlockSize
-	var buf [BlockSize]int64
-	c.DecodeBlock(b, buf[:])
-	i, j := lo-base, hi-base
+	minV := c.mins[b]
+	if v <= minV {
+		return lo // every value in the block is >= its minimum
+	}
+	w := uint(c.widths[b])
+	if w == 0 {
+		return hi // a constant block below v
+	}
+	// Compare in the delta domain: value < v iff delta < v-minV, and v-minV
+	// is positive here, so the wrapping subtraction is its exact uint64.
+	target := uint64(v) - uint64(minV)
+	base := uint(c.offsets[b]) * 64
+	i, j := uint(lo%BlockSize), uint(hi-b*BlockSize)
 	for i < j {
-		mid := int(uint(i+j) >> 1)
-		if buf[mid] < v {
+		mid := (i + j) >> 1
+		if unpack(c.words, base+mid*w, w) < target {
 			i = mid + 1
 		} else {
 			j = mid
 		}
 	}
-	return base + i
+	return b*BlockSize + int(i)
 }
 
 // LowerBoundHint is LowerBound seeded with a predicted position (e.g. from a
-// learned model): an exponential search brackets the answer around hint, then
-// the block-decoded binary search finishes inside the bracket. hint is
-// clamped into [start, end].
+// learned model, or a neighbouring answer): an exponential search outward
+// from hint brackets the answer between the last row probed below v and the
+// first probed at or above it, then LowerBound finishes inside the bracket.
+// hint is clamped into [start, end].
 func (c *Column) LowerBoundHint(start, end, hint int, v int64) int {
 	if hint < start {
 		hint = start
@@ -246,21 +261,34 @@ func (c *Column) LowerBoundHint(start, end, hint int, v int64) int {
 	if hint > end {
 		hint = end
 	}
-	lo, hi := hint, hint
-	width := 1
-	for lo > start && c.Get(lo-1) >= v {
-		lo -= width
-		width <<= 1
-		if lo < start {
-			lo = start
+	lo, hi := start, end
+	if hint < end && c.Get(hint) < v {
+		// The answer is above hint: gallop up.
+		lo = hint + 1
+		for step := 1; ; step <<= 1 {
+			p := lo + step - 1
+			if p >= end {
+				break
+			}
+			if c.Get(p) >= v {
+				hi = p
+				break
+			}
+			lo = p + 1
 		}
-	}
-	width = 1
-	for hi < end && c.Get(hi) < v {
-		hi += width
-		width <<= 1
-		if hi > end {
-			hi = end
+	} else {
+		// Get(hint) >= v, or hint == end: the answer is at or below hint.
+		hi = hint
+		for step := 1; ; step <<= 1 {
+			p := hi - step
+			if p < start {
+				break
+			}
+			if c.Get(p) < v {
+				lo = p + 1
+				break
+			}
+			hi = p
 		}
 	}
 	return c.LowerBound(lo, hi, v)

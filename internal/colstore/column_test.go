@@ -3,6 +3,7 @@ package colstore
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -338,4 +339,72 @@ func TestColumnLowerBound(t *testing.T) {
 	}
 	check(0, n, math.MinInt64)
 	check(0, n, math.MaxInt64)
+}
+
+// TestLowerBoundMatchesSortSearch holds LowerBound and LowerBoundHint to
+// sort.Search over the decoded values, for every delta width 0–64 and for
+// windows that sit inside one block, cover exactly one, start and end
+// mid-block across several, run into a partial tail block, or are empty.
+// Rows outside the window are unsorted neighbours drawn from the same value
+// range, so the blocks the window shares with them keep the width under
+// test. Half the windows draw from nine distinct values: long duplicate runs.
+func TestLowerBoundMatchesSortSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	signed := func(u uint64) int64 { return int64(u ^ 1<<63) } // order-preserving
+	shapes := []struct{ n, start, end int }{
+		{3 * BlockSize, BlockSize + 5, 2*BlockSize - 7},
+		{3 * BlockSize, BlockSize, 2 * BlockSize},
+		{6 * BlockSize, BlockSize + 64, 4*BlockSize + 3},
+		{4*BlockSize + 37, 77, 4*BlockSize + 37},
+		{2 * BlockSize, 140, 140},
+	}
+	for w := 0; w <= 64; w++ {
+		spreadMask := ^uint64(0)
+		if w < 64 {
+			spreadMask = 1<<uint(w) - 1
+		}
+		off := rng.Uint64() &^ spreadMask // aligned, so off+spreadMask never wraps
+		for si, sh := range shapes {
+			pool := make([]uint64, 9)
+			for i := range pool {
+				pool[i] = rng.Uint64() & spreadMask
+			}
+			delta := func() uint64 {
+				if si%2 == 1 || w%2 == 1 {
+					return pool[rng.Intn(len(pool))]
+				}
+				return rng.Uint64() & spreadMask
+			}
+			vals := make([]int64, sh.n)
+			for i := range vals {
+				vals[i] = signed(off + delta())
+			}
+			if sh.end-sh.start >= 2 {
+				vals[sh.start], vals[sh.start+1] = signed(off), signed(off+spreadMask)
+			}
+			win := vals[sh.start:sh.end]
+			sort.Slice(win, func(i, j int) bool { return win[i] < win[j] })
+			c := NewColumn(vals)
+			if b := sh.start / BlockSize; sh.end-sh.start >= 2 && b == (sh.end-1)/BlockSize && int(c.widths[b]) != w {
+				t.Fatalf("width %d: the window's block is %d bits wide", w, c.widths[b])
+			}
+
+			targets := []int64{math.MinInt64, math.MaxInt64, signed(off), signed(off + spreadMask)}
+			for k := 0; k < 24 && len(win) > 0; k++ {
+				v := win[rng.Intn(len(win))]
+				targets = append(targets, v, v-1, v+1)
+			}
+			for _, v := range targets {
+				want := sh.start + sort.Search(len(win), func(i int) bool { return win[i] >= v })
+				if got := c.LowerBound(sh.start, sh.end, v); got != want {
+					t.Fatalf("width %d, window [%d,%d): LowerBound(%d) = %d, want %d", w, sh.start, sh.end, v, got, want)
+				}
+				for _, hint := range []int{sh.start - 3, sh.start, (sh.start + sh.end) / 2, want - 1, want, want + 1, sh.end, sh.end + 5} {
+					if got := c.LowerBoundHint(sh.start, sh.end, hint, v); got != want {
+						t.Fatalf("width %d, window [%d,%d): LowerBoundHint(hint %d, %d) = %d, want %d", w, sh.start, sh.end, hint, v, got, want)
+					}
+				}
+			}
+		}
+	}
 }

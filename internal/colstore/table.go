@@ -12,7 +12,7 @@ import (
 type Table struct {
 	names    []string
 	cols     []*Column
-	prefixes [][]int64 // optional per-column prefix sums (len n+1), nil if absent
+	prefixes [][]int64      // optional per-column prefix sums (len n+1), nil if absent
 	bitmaps  []*BitmapIndex // optional per-column bitmap indexes, nil if absent
 	n        int
 }

@@ -542,7 +542,11 @@ func (f *Flood) refine(q query.Query, ranges []scanRange, st *query.Stats, paral
 }
 
 // refineRanges narrows one slice of ranges; it is the workhorse shared by
-// the sequential and parallel refinement paths.
+// the sequential and parallel refinement paths. A range's lower bound comes
+// from the cell's model (or a plain search); its upper bound is then
+// galloped to from that lower bound rather than searched for from scratch —
+// a point or narrow range ends a few rows after it starts, and a wide one
+// pays two probes per doubling, about what a second model bracket costs.
 func (f *Flood) refineRanges(q query.Query, ranges []scanRange) {
 	r := q.Ranges[f.layout.SortDim]
 	col := f.t.Column(f.layout.SortDim)
@@ -550,30 +554,16 @@ func (f *Flood) refineRanges(q query.Query, ranges []scanRange) {
 	for i := range ranges {
 		rg := &ranges[i]
 		base, end := int(rg.start), int(rg.end)
-		var i1, i2 int
-		if useModel && f.models[rg.cell] != nil {
-			m := f.models[rg.cell]
-			if r.Min == query.NegInf {
-				i1 = base
-			} else {
-				i1 = col.LowerBoundHint(base, end, base+m.Predict(r.Min), r.Min)
-			}
-			if r.Max == query.PosInf {
-				i2 = end
-			} else {
-				i2 = col.LowerBoundHint(base, end, base+m.Predict(r.Max+1), r.Max+1)
-			}
-		} else {
-			if r.Min == query.NegInf {
-				i1 = base
+		i1, i2 := base, end
+		if r.Min != query.NegInf {
+			if useModel && f.models[rg.cell] != nil {
+				i1 = col.LowerBoundHint(base, end, base+f.models[rg.cell].Predict(r.Min), r.Min)
 			} else {
 				i1 = col.LowerBound(base, end, r.Min)
 			}
-			if r.Max == query.PosInf {
-				i2 = end
-			} else {
-				i2 = col.LowerBound(base, end, r.Max+1)
-			}
+		}
+		if r.Max != query.PosInf {
+			i2 = col.LowerBoundHint(i1, end, i1, r.Max+1)
 		}
 		rg.start, rg.end = int32(i1), int32(i2)
 	}

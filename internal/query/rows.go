@@ -17,7 +17,8 @@ type RowSource struct {
 	Table *colstore.Table
 	// Start is the global row id of the table's physical row 0.
 	Start int64
-	// End is Start + Table.NumRows(); sources cover disjoint [Start, End).
+	// End is Start + Table.NumRows(). Sources cover disjoint [Start, End)
+	// except where PinSourceAt placed two encodings of the same rows.
 	End int64
 }
 
@@ -30,9 +31,11 @@ type RowSource struct {
 // engine and batched/disjunction execution work unchanged.
 //
 // Ids are global: the first table scanned occupies [0, NumRows), the next
-// (a delta buffer, an insert-log segment) is offset past it, and so on —
-// Sources records the tiling. PinSource pre-registers a table so composite
-// indexes can guarantee base rows sort before delta rows. A RowCollector is
+// is offset past it, and so on — Sources records the tiling. PinSource
+// pre-registers a table so composite indexes can guarantee base rows sort
+// before insert-log rows, and PinSourceAt places a table at an id range the
+// caller computed, so a log row keeps one id whichever table encodes it and
+// whichever tables delivered before it. A RowCollector is
 // reusable via Reset; it is not safe for concurrent use (the morsel engine
 // gives each worker its own clone).
 type RowCollector struct {
@@ -58,23 +61,39 @@ func (rc *RowCollector) Reset() {
 
 // PinSource registers t in the collector's id space before any scan, so its
 // rows occupy the next id range even if another table happens to deliver
-// first (or t delivers nothing at all). Composite indexes pin the base table
-// so base rows always map to ids [0, baseRows).
-func (rc *RowCollector) PinSource(t *colstore.Table) { rc.setTable(t) }
+// first (or t delivers nothing at all), and returns the id of its physical
+// row 0. Composite indexes pin the base table so base rows always map to ids
+// [0, baseRows).
+func (rc *RowCollector) PinSource(t *colstore.Table) int64 {
+	rc.setTable(t)
+	return rc.curOff
+}
 
-// setTable makes t the current source, registering it at the watermark on
-// first sight.
-func (rc *RowCollector) setTable(t *colstore.Table) {
+// PinSourceAt makes t the current source with its physical row 0 at id
+// start, unless t is already registered. The insert log places every table
+// it scans this way: sealed segments at their log offset whether or not an
+// earlier segment delivered anything, and each transient encoding of the
+// unsealed suffix at the same offset as the last. Two tables placed over
+// one id range must hold the same rows there (the log's published prefix is
+// immutable), so resolving an id through either decodes the same values.
+func (rc *RowCollector) PinSourceAt(t *colstore.Table, start int64) {
 	for i := range rc.sources {
 		if rc.sources[i].Table == t {
 			rc.curT, rc.curOff = t, rc.sources[i].Start
 			return
 		}
 	}
-	rc.sources = append(rc.sources, RowSource{Table: t, Start: rc.watermark, End: rc.watermark + int64(t.NumRows())})
-	rc.curT, rc.curOff = t, rc.watermark
-	rc.watermark += int64(t.NumRows())
+	end := start + int64(t.NumRows())
+	rc.sources = append(rc.sources, RowSource{Table: t, Start: start, End: end})
+	rc.curT, rc.curOff = t, start
+	if end > rc.watermark {
+		rc.watermark = end
+	}
 }
+
+// setTable makes t the current source, registering it at the watermark on
+// first sight.
+func (rc *RowCollector) setTable(t *colstore.Table) { rc.PinSourceAt(t, rc.watermark) }
 
 // Add implements Aggregator: record one matching physical row.
 func (rc *RowCollector) Add(t *colstore.Table, row int) {
@@ -129,7 +148,8 @@ func (rc *RowCollector) SkipTo(w int64) {
 	}
 }
 
-// Sources exposes the observed tables tiling the id space, ordered by Start.
+// Sources exposes the observed tables tiling the id space, in registration
+// order.
 func (rc *RowCollector) Sources() []RowSource { return rc.sources }
 
 // Resolve maps a global id back to its table and physical row. ok is false

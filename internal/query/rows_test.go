@@ -121,3 +121,34 @@ func TestRowCollectorResetReusesCapacity(t *testing.T) {
 		t.Fatalf("steady-state collect allocated %.1f times per run", allocs)
 	}
 }
+
+// TestRowCollectorPinSourceAt places tables the way the insert log does: a
+// silent first segment still owns its id range, and two encodings of the
+// same trailing rows share one.
+func TestRowCollectorPinSourceAt(t *testing.T) {
+	base := seqTable(t, 100, 0)
+	seg := seqTable(t, 64, 1000)     // log rows [0, 64): matches nothing below
+	suffixA := seqTable(t, 10, 2000) // log rows [64, 74)
+	suffixB := seqTable(t, 12, 2000) // the same rows re-encoded after two appends
+	rc := NewRowCollector()
+	logStart := rc.PinSource(base) + int64(base.NumRows())
+	rc.PinSourceAt(seg, logStart)
+	rc.PinSourceAt(suffixA, logStart+64)
+	rc.Add(suffixA, 3)
+	rc.PinSourceAt(suffixB, logStart+64)
+	rc.Add(suffixB, 11)
+	if want := []int64{100 + 64 + 3, 100 + 64 + 11}; !slices.Equal(rc.IDs(), want) {
+		t.Fatalf("ids %v, want %v", rc.IDs(), want)
+	}
+	if tt, row, ok := rc.Resolve(100 + 64 + 3); !ok || tt.Get(0, row) != 2003 {
+		t.Fatalf("Resolve(suffix row 3) = row %d of %p, ok %v", row, tt, ok)
+	}
+	if tt, row, ok := rc.Resolve(100 + 64 + 11); !ok || tt != suffixB || row != 11 {
+		t.Fatalf("Resolve(suffix row 11) = row %d of %p, ok %v", row, tt, ok)
+	}
+	// The next table to arrive unplaced lands past everything placed.
+	rc.Add(seqTable(t, 5, 0), 0)
+	if got := rc.IDs()[2]; got != 100+64+12 {
+		t.Fatalf("unplaced table started at id %d, want %d", got, 100+64+12)
+	}
+}
