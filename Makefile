@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all fmt build test vet docs bench bench-serve bench-full fuzz-smoke clean
+.PHONY: all fmt build test vet docs loc bench bench-serve bench-full fuzz-smoke clean
 
 all: fmt vet build test
 
@@ -30,6 +30,17 @@ docs: vet
 		./internal/core ./internal/query ./internal/colstore ./internal/encode \
 		./internal/wal ./internal/faultfs ./internal/modeltest \
 		./internal/server ./internal/loadgen ./internal/shard
+
+# loc prints the code size ROADMAP tracks: non-blank, non-comment lines of the
+# non-test Go files of the root package plus internal/server (the facades and
+# the serving tier over them), then the same count for the two packages they
+# sit between. CI prints it on every run, so each PR shows its delta.
+LOC = ls $(1)/*.go | grep -v _test.go | xargs cat | grep -cvE '^[[:space:]]*(//|$$)'
+loc:
+	@root=$$($(call LOC,.)); server=$$($(call LOC,internal/server)); \
+	echo "root + internal/server: $$((root + server)) (root $$root, internal/server $$server)"; \
+	echo "internal/core: $$($(call LOC,internal/core))"; \
+	echo "floodsql: $$($(call LOC,floodsql))"
 
 # bench runs the scan-kernel, build, parallel-execution, row-retrieval, and
 # context/limit benchmarks that gate perf PRs and records them in

@@ -137,20 +137,19 @@ type adaptiveEpoch struct {
 //	stats := a.Execute(q, flood.NewCount())
 //	_ = a.Insert(row)
 type AdaptiveIndex struct {
-	surface // schema inherited from the wrapped index at construction
-	cfg     AdaptiveConfig
-	epoch   atomic.Pointer[adaptiveEpoch]
-	sample  *workload.Reservoir
+	mutableSurface // schema inherited from the wrapped index at construction
+	cfg            AdaptiveConfig
+	epoch          atomic.Pointer[adaptiveEpoch]
+	sample         *workload.Reservoir
 
-	// mu serializes writers: Insert appends under it, and a finishing
-	// rebuild holds it across the swap so the insert-log tail it carries
-	// forward is exact. Readers never touch it.
+	// mu serializes writers: apply carries every mutation out under it, and
+	// a finishing rebuild holds it across the swap so the insert-log tail it
+	// carries forward is exact. Readers never touch it.
 	mu sync.Mutex
 
-	// walLog, when set, receives a record for every insert before the row
-	// is published; guarded by mu (a durable checkpoint swaps it while
-	// quiescing writers). The fsync wait happens outside mu, so appends
-	// stay cheap and concurrent inserts group-commit.
+	// walLog, when set, receives every mutation's records before they are
+	// published (see apply); guarded by mu (a durable checkpoint swaps it
+	// while quiescing writers).
 	walLog *wal.Log
 
 	// Deferred deletions, guarded by mu. A background rebuild compacts a
@@ -276,233 +275,176 @@ func (a *AdaptiveIndex) observe(ep *adaptiveEpoch, q Query, st Stats) {
 	}
 }
 
-// AttachWAL routes every subsequent Insert through an append to l before the
-// row is acknowledged, so acknowledged inserts survive a crash. Safe to call
-// concurrently with inserts; the durable checkpoint uses that to rotate
-// segments without stopping writers for more than the swap.
+// AttachWAL routes every subsequent mutation through an append to l before
+// it is published, so acknowledged writes survive a crash. Safe to call
+// concurrently with writers.
 func (a *AdaptiveIndex) AttachWAL(l *wal.Log) {
 	a.mu.Lock()
 	a.walLog = l
 	a.mu.Unlock()
 }
 
-// Insert appends one row (one value per dimension). The row is visible to
-// queries as soon as Insert returns; with a WAL attached it is also logged
-// before the append and acknowledged per the log's sync policy. When the
-// insert log exceeds MergeFraction of the base, a background merge is
-// scheduled; Insert itself never blocks on index building.
-func (a *AdaptiveIndex) Insert(row []int64) error {
+// apply implements engine for the generation-owning facades — AdaptiveIndex,
+// DurableIndex, and every shard of a ShardedIndex. It is the only writer of a
+// live generation: one writer-lock hold in which the current epoch carries m
+// out (adaptiveEpoch.apply: resolve, validate, log, defer, tombstone,
+// append), then, outside the lock, the wait for the log to be as durable as
+// its sync policy promises — so appends stay cheap and concurrent writers
+// group-commit — and the merge trigger.
+func (a *AdaptiveIndex) apply(m mutation) (int64, error) {
 	a.mu.Lock()
-	ep := a.epoch.Load()
-	w := a.walLog
-	var target int64
-	if w != nil {
-		// Validate before logging so a malformed row is rejected, not
-		// replayed forever.
-		if cols := ep.flood.Table().NumCols(); len(row) != cols {
-			a.mu.Unlock()
-			return fmt.Errorf("flood: row has %d values, table has %d dimensions", len(row), cols)
-		}
-		var err error
-		if target, err = w.AppendAsync(encodeWALRow(row)); err != nil {
-			a.mu.Unlock()
-			return fmt.Errorf("flood: wal append: %w", err)
-		}
-	}
-	if err := ep.log.append(row); err != nil {
-		a.mu.Unlock()
-		return err
-	}
+	ep, w := a.epoch.Load(), a.walLog
+	before := ep.log.rows()
+	n, target, err := ep.apply(m, w)
 	pending := ep.log.rows()
 	a.mu.Unlock()
-	if w != nil {
+	if err != nil {
+		return n, err
+	}
+	if target > 0 {
 		if err := w.WaitDurable(target); err != nil {
-			return fmt.Errorf("flood: wal sync: %w", err)
+			return n, fmt.Errorf("flood: wal sync: %w", err)
 		}
 	}
 	base := ep.flood.Table().NumRows()
-	if a.cfg.MergeFraction > 0 && float64(pending) >= a.cfg.MergeFraction*float64(base) {
+	if pending > before && a.cfg.MergeFraction > 0 && float64(pending) >= a.cfg.MergeFraction*float64(base) {
 		a.tryRebuild(rebuildMerge, 0)
 	}
-	return nil
+	return n, nil
 }
 
-// Delete tombstones every live row matching q — base index and insert log —
-// and returns how many rows were newly deleted. With a WAL attached the
-// deletion is logged (as resolved row values, which replay identically
-// against any rebuilt physical layout) before the tombstones are published,
-// and acknowledged per the log's sync policy. Safe to call concurrently with
-// queries and background rebuilds; concurrent mutators serialize on the
-// writer lock.
-func (a *AdaptiveIndex) Delete(q Query) (int64, error) {
-	a.mu.Lock()
-	ep := a.epoch.Load()
-	baseRows := ep.flood.idx.CollectWhere(q)
-	n := ep.log.rows()
-	logRows := ep.log.matchRows(q, n)
-	cnt, target, w, err := a.applyDelete(ep, baseRows, logRows, n, nil)
-	a.mu.Unlock()
-	if err != nil {
-		return 0, err
-	}
-	if w != nil {
-		if err := w.WaitDurable(target); err != nil {
-			return cnt, fmt.Errorf("flood: wal sync: %w", err)
+// apply carries m out on this generation, logging each record to w first
+// when w is non-nil, and returns the rows affected plus the log position to
+// wait on (0 when nothing was logged). The caller serializes it with every
+// other writer of the epoch: the facade's writer lock for a live write, or
+// sole ownership of an epoch no reader can reach yet — WAL replay in
+// OpenDurable and the swap in rebuild, which pass a nil log, so a logged or
+// deferred record re-enters here without being logged or deferred again.
+//
+// The order is the contract. The whole mutation is validated before the
+// first record is logged, so a malformed one is rejected rather than
+// replayed forever, and is never half-applied. Every record is logged before
+// its effect is published — the delete record, then the tombstones; each
+// insert record, then its row — so memory never holds what the log does not
+// and a failed append leaves both at the same prefix. A deletion of rows an
+// in-flight rebuild has captured is also kept by value for the swap.
+func (ep *adaptiveEpoch) apply(m mutation, w *wal.Log) (n, target int64, err error) {
+	a := ep.a
+	cols := ep.flood.Table().NumCols()
+	for _, as := range m.set {
+		if as.Col < 0 || as.Col >= cols {
+			return 0, 0, fmt.Errorf("flood: update assigns column %d, table has %d", as.Col, cols)
 		}
 	}
-	return cnt, nil
+	for _, row := range m.rows {
+		if len(row) != cols {
+			return 0, 0, fmt.Errorf("flood: row has %d values, table has %d dimensions", len(row), cols)
+		}
+	}
+
+	logN := ep.log.rows()
+	baseRows, logRows := ep.victims(m, logN)
+	var rewritten [][]int64
+	if len(baseRows)+len(logRows) > 0 {
+		var tuples [][]int64 // the victims' values, base rows then log rows
+		if w != nil || a.deferring || m.rewrite {
+			tuples = ep.tuples(baseRows, logRows)
+		}
+		if w != nil {
+			if target, err = w.AppendAsync(encodeWALDelete(tuples)); err != nil {
+				return 0, 0, fmt.Errorf("flood: wal append: %w", err)
+			}
+		}
+		if a.deferring {
+			// The in-flight rebuild's captured image includes these rows; log
+			// rows past its frozen point carry over by bitmap at the swap,
+			// the rest must be re-deleted by value (see the swap in rebuild).
+			a.deferred = append(a.deferred, tuples[:len(baseRows)]...)
+			for i, r := range logRows {
+				if int64(r) < a.deferFrozen {
+					a.deferred = append(a.deferred, tuples[len(baseRows)+i])
+				}
+			}
+		}
+		n = int64(ep.flood.idx.DeleteRows(baseRows)) + int64(ep.log.deleteRows(logRows, logN))
+		if m.rewrite {
+			rewritten = make([][]int64, len(tuples))
+			for i, tp := range tuples {
+				row := append([]int64(nil), tp...)
+				for _, as := range m.set {
+					row[as.Col] = as.Value
+				}
+				rewritten[i] = row
+			}
+			if m.moved != nil {
+				*m.moved = append(*m.moved, rewritten...)
+				rewritten = nil
+			}
+		}
+	}
+
+	for _, row := range rewritten {
+		if target, err = ep.add(row, w, target); err != nil {
+			return n, target, err
+		}
+	}
+	for _, row := range m.rows {
+		if target, err = ep.add(row, w, target); err != nil {
+			return n, target, err
+		}
+		n++
+	}
+	return n, target, nil
 }
 
-// DeleteRows tombstones rows by their Select ids — base rows tile first
-// [0, base), insert-log rows follow — and returns how many were newly
-// deleted. Ids already dead, duplicated, or out of range are skipped. Same
-// concurrency and durability contract as Delete, with one caveat: ids are
-// physical positions in the epoch that produced them, so they are only
-// meaningful until the next layout swap — a merge or relearn (including the
-// autonomous ones MergeFraction and drift scheduling trigger) renumbers
-// rows, and stale ids will delete the wrong rows or none. Callers that
-// cannot bracket Select→DeleteRows against rebuilds should use the
-// predicate form, which is layout-independent.
-func (a *AdaptiveIndex) DeleteRows(ids []int64) (int64, error) {
-	a.mu.Lock()
-	ep := a.epoch.Load()
+// add appends one row to the insert log, logging it to w first when w is
+// non-nil, and returns the log position to wait on (target when w is nil).
+func (ep *adaptiveEpoch) add(row []int64, w *wal.Log, target int64) (int64, error) {
+	if w != nil {
+		at, err := w.AppendAsync(encodeWALRow(row))
+		if err != nil {
+			return target, fmt.Errorf("flood: wal append: %w", err)
+		}
+		target = at
+	}
+	return target, ep.log.append(row)
+}
+
+// victims resolves the rows m names to live base rows and live log rows
+// among the first logN, free of repeats. The caller holds the epoch against
+// writers, so both sets stay live until it tombstones them.
+func (ep *adaptiveEpoch) victims(m mutation, logN int64) (baseRows, logRows []int) {
+	switch {
+	case m.where != nil:
+		return ep.flood.idx.CollectWhere(*m.where), ep.log.matchRows(*m.where, logN)
+	case m.tuples != nil:
+		return ep.matchTuples(m.tuples, logN)
+	case len(m.ids) == 0:
+		return nil, nil
+	}
 	baseN := int64(ep.flood.Table().NumRows())
-	n := ep.log.rows()
 	bt := ep.flood.idx.Tombstones()
 	lt := ep.log.tomb.Load()
-	seen := make(map[int64]struct{}, len(ids))
-	var baseRows, logRows []int
-	for _, id := range ids {
-		if _, dup := seen[id]; dup {
+	seen := make(map[int64]struct{}, len(m.ids))
+	for _, id := range m.ids {
+		if _, dup := seen[id]; dup || id < 0 || id >= baseN+logN {
 			continue
 		}
 		seen[id] = struct{}{}
-		switch {
-		case id < 0 || id >= baseN+n:
-		case id < baseN:
+		if id < baseN {
 			if !bt.Has(int(id)) {
 				baseRows = append(baseRows, int(id))
 			}
-		default:
-			if !lt.Has(int(id - baseN)) {
-				logRows = append(logRows, int(id-baseN))
-			}
+		} else if !lt.Has(int(id - baseN)) {
+			logRows = append(logRows, int(id-baseN))
 		}
 	}
-	cnt, target, w, err := a.applyDelete(ep, baseRows, logRows, n, nil)
-	a.mu.Unlock()
-	if err != nil {
-		return 0, err
-	}
-	if w != nil {
-		if err := w.WaitDurable(target); err != nil {
-			return cnt, fmt.Errorf("flood: wal sync: %w", err)
-		}
-	}
-	return cnt, nil
+	return baseRows, logRows
 }
 
-// Update rewrites every live row matching q with the assignments applied:
-// old versions are tombstoned and modified copies are appended to the insert
-// log, all under one writer-lock hold. With a WAL attached, the delete
-// record and the re-inserted rows are logged in that order, so replay
-// reproduces the rewrite. Returns the number of rows updated. Same
-// concurrency contract as Delete; a concurrent reader may observe the
-// instant between the tombstoning and a re-insert (mutations are atomic
-// per structure, not transactional — see docs/MUTATIONS.md).
-func (a *AdaptiveIndex) Update(q Query, set []Assignment) (int64, error) {
-	a.mu.Lock()
-	ep := a.epoch.Load()
-	cols := ep.flood.Table().NumCols()
-	baseRows := ep.flood.idx.CollectWhere(q)
-	n := ep.log.rows()
-	logRows := ep.log.matchRows(q, n)
-	if len(baseRows)+len(logRows) == 0 {
-		a.mu.Unlock()
-		return 0, nil
-	}
-	tuples := resolveTuples(ep, baseRows, logRows)
-	newRows := make([][]int64, len(tuples))
-	for i, tp := range tuples {
-		nr, err := applyAssignments(tp, set, cols)
-		if err != nil {
-			a.mu.Unlock()
-			return 0, err
-		}
-		newRows[i] = nr
-	}
-	cnt, target, w, err := a.applyDelete(ep, baseRows, logRows, n, tuples)
-	if err != nil {
-		a.mu.Unlock()
-		return 0, err
-	}
-	for _, row := range newRows {
-		if w != nil {
-			if target, err = w.AppendAsync(encodeWALRow(row)); err != nil {
-				a.mu.Unlock()
-				return cnt, fmt.Errorf("flood: wal append: %w", err)
-			}
-		}
-		if err := ep.log.append(row); err != nil {
-			a.mu.Unlock()
-			return cnt, err
-		}
-	}
-	pending := ep.log.rows()
-	a.mu.Unlock()
-	if w != nil {
-		if err := w.WaitDurable(target); err != nil {
-			return cnt, fmt.Errorf("flood: wal sync: %w", err)
-		}
-	}
-	base := ep.flood.Table().NumRows()
-	if a.cfg.MergeFraction > 0 && float64(pending) >= a.cfg.MergeFraction*float64(base) {
-		a.tryRebuild(rebuildMerge, 0)
-	}
-	return cnt, nil
-}
-
-// applyDelete logs (when a WAL is attached) and applies a deletion already
-// resolved to live base rows and live log rows. Caller holds mu. tuples, when
-// non-nil, are the pre-resolved row values in baseRows-then-logRows order;
-// nil resolves them on demand. Returns the count, the WAL durability target,
-// and the WAL to wait on outside the lock.
-func (a *AdaptiveIndex) applyDelete(ep *adaptiveEpoch, baseRows, logRows []int, n int64, tuples [][]int64) (int64, int64, *wal.Log, error) {
-	if len(baseRows)+len(logRows) == 0 {
-		return 0, 0, nil, nil
-	}
-	w := a.walLog
-	if tuples == nil && (w != nil || a.deferring) {
-		tuples = resolveTuples(ep, baseRows, logRows)
-	}
-	var target int64
-	if w != nil {
-		var err error
-		if target, err = w.AppendAsync(encodeWALDelete(tuples)); err != nil {
-			return 0, 0, nil, fmt.Errorf("flood: wal append: %w", err)
-		}
-	}
-	if a.deferring {
-		// The in-flight rebuild's captured image includes these rows; rows
-		// past its frozen point carry over by bitmap at the swap, the rest
-		// must be re-deleted by value (see the swap in rebuild).
-		for i := range baseRows {
-			a.deferred = append(a.deferred, tuples[i])
-		}
-		for i, r := range logRows {
-			if int64(r) < a.deferFrozen {
-				a.deferred = append(a.deferred, tuples[len(baseRows)+i])
-			}
-		}
-	}
-	cnt := int64(ep.flood.idx.DeleteRows(baseRows))
-	cnt += int64(ep.log.deleteRows(logRows, n))
-	return cnt, target, w, nil
-}
-
-// resolveTuples materializes the values of live base rows and log rows, in
-// that order. Caller holds mu (or the epoch is otherwise private).
-func resolveTuples(ep *adaptiveEpoch, baseRows, logRows []int) [][]int64 {
+// tuples materializes the values of live base rows and log rows, in that
+// order.
+func (ep *adaptiveEpoch) tuples(baseRows, logRows []int) [][]int64 {
 	t := ep.flood.Table()
 	cols := *ep.log.cols.Load()
 	out := make([][]int64, 0, len(baseRows)+len(logRows))
@@ -519,59 +461,46 @@ func resolveTuples(ep *adaptiveEpoch, baseRows, logRows []int) [][]int64 {
 	return out
 }
 
-// deleteTuples deletes one live row per value tuple — multiset semantics:
-// k copies of a tuple delete k matching rows — scanning base rows first,
-// then the log, in physical order. It is how value-logged deletions (WAL
-// replay, deferred re-application at an epoch swap) apply against a state
-// whose physical row ids differ from the state the deletion was resolved
-// on. Returns the number of rows deleted; tuples with no remaining live
-// match are ignored (the row was already compacted away).
-func deleteTuples(ep *adaptiveEpoch, tuples [][]int64) int {
-	if len(tuples) == 0 {
-		return 0
-	}
+// matchTuples is the by-value victim resolver: one live row per tuple —
+// multiset semantics, k copies of a tuple name k matching rows — taking base
+// rows first, then the log's first logN, in physical order. It is how a
+// deletion resolved on one physical layout names its rows on another; a
+// tuple with no remaining live match names nothing (the row was already
+// compacted away).
+func (ep *adaptiveEpoch) matchTuples(tuples [][]int64, logN int64) (baseRows, logRows []int) {
 	want := make(map[string]int, len(tuples))
 	for _, tp := range tuples {
 		want[tupleKey(tp)]++
 	}
 	remaining := len(tuples)
 	t := ep.flood.Table()
-	bt := ep.flood.idx.Tombstones()
 	buf := make([]int64, t.NumCols())
-	var baseDel []int
-	for r := 0; r < t.NumRows() && remaining > 0; r++ {
-		if bt.Has(r) {
-			continue
+	take := func(n int, dead *colstore.Tombstones, load func(r int)) (rows []int) {
+		for r := 0; r < n && remaining > 0; r++ {
+			if dead.Has(r) {
+				continue
+			}
+			load(r)
+			if k := tupleKey(buf); want[k] > 0 {
+				want[k]--
+				remaining--
+				rows = append(rows, r)
+			}
 		}
+		return rows
+	}
+	baseRows = take(t.NumRows(), ep.flood.idx.Tombstones(), func(r int) {
 		for c := range buf {
 			buf[c] = t.Get(c, r)
 		}
-		if k := tupleKey(buf); want[k] > 0 {
-			want[k]--
-			remaining--
-			baseDel = append(baseDel, r)
-		}
-	}
-	n := ep.log.rows()
+	})
 	cols := *ep.log.cols.Load()
-	lt := ep.log.tomb.Load()
-	var logDel []int
-	for r := 0; int64(r) < n && remaining > 0; r++ {
-		if lt.Has(r) {
-			continue
-		}
+	logRows = take(int(logN), ep.log.tomb.Load(), func(r int) {
 		for c := range buf {
 			buf[c] = cols[c][r]
 		}
-		if k := tupleKey(buf); want[k] > 0 {
-			want[k]--
-			remaining--
-			logDel = append(logDel, r)
-		}
-	}
-	cnt := ep.flood.idx.DeleteRows(baseDel)
-	cnt += ep.log.deleteRows(logDel, n)
-	return cnt
+	})
+	return baseRows, logRows
 }
 
 // TriggerRelearn forces a background relearn as if drift had been detected,
@@ -700,23 +629,25 @@ func (a *AdaptiveIndex) rebuild(kind rebuildKind, done chan struct{}) {
 	next := a.newEpoch(fresh)
 	total := cur.log.rows()
 	next.log.seed(cur.log.columnsRange(frozen, total), total-frozen)
-	// Deletions that landed during the build: tail-row deletions carry by
-	// re-marking the same rows at their re-based log positions; deletions
-	// of rows the build compacted re-apply by value. Both happen before
-	// the epoch pointer is stored, so no reader ever observes a deleted
-	// row transiently resurrected.
+	// Deletions that landed during the build re-enter through the fresh
+	// epoch's own apply, unlogged (their records are already in the log) and
+	// with deferring lowered first: tail-row deletions by the ids the same
+	// rows have at their re-based log positions, deletions of rows the build
+	// compacted by value. Both happen before the epoch pointer is stored, so
+	// no reader ever observes a deleted row transiently resurrected.
+	deferred := mutation{tuples: a.deferred}
+	a.deferred, a.deferring = nil, false
 	if lt := cur.log.tomb.Load(); lt.Dead() > 0 && total > frozen {
-		var carry []int
+		tail := int64(fresh.Table().NumRows()) - frozen // id of old log row r is tail+r
+		var carry mutation
 		for r := frozen; r < total; r++ {
 			if lt.Has(int(r)) {
-				carry = append(carry, int(r-frozen))
+				carry.ids = append(carry.ids, tail+r)
 			}
 		}
-		next.log.deleteRows(carry, total-frozen)
+		next.apply(carry, nil)
 	}
-	deleteTuples(next, a.deferred)
-	a.deferred = nil
-	a.deferring = false
+	next.apply(deferred, nil)
 	swapped = true
 	a.epoch.Store(next)
 	a.epochGen.Add(1)
@@ -1003,20 +934,28 @@ func (l *sideLog) deleteRows(rows []int, n int64) int {
 }
 
 // matchRows returns the live log rows among the first n that satisfy q, by
-// brute-force evaluation (the log is small by construction). Caller holds
-// the facade's writer lock, so rows below n and the tombstone set are
-// stable.
+// brute-force evaluation: the log is small by construction, and a pass over
+// its raw columns is several times cheaper than encoding the unsealed suffix
+// for the scan kernel. Caller holds the facade's writer lock, so rows below n
+// and the tombstone set are stable.
 func (l *sideLog) matchRows(q Query, n int64) []int {
-	if n == 0 {
-		return nil
-	}
 	cols := *l.cols.Load()
 	tw := l.tomb.Load()
 	var rows []int
+next:
 	for i := 0; i < int(n); i++ {
-		if !tw.Has(i) && matchColumns(q, cols, i) {
-			rows = append(rows, i)
+		if tw.Has(i) {
+			continue
 		}
+		for c, r := range q.Ranges {
+			if !r.Present {
+				continue
+			}
+			if v := cols[c][i]; v < r.Min || v > r.Max {
+				continue next
+			}
+		}
+		rows = append(rows, i)
 	}
 	return rows
 }

@@ -32,6 +32,18 @@ func TestFloodExecuteBatchMatchesExecute(t *testing.T) {
 	}
 }
 
+// TestExecuteBatchLenMismatchPanics pins the one misuse the batch surface
+// refuses outright.
+func TestExecuteBatchLenMismatchPanics(t *testing.T) {
+	idx, _, _ := buildSmall(t)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("mismatched queries/aggs lengths must panic")
+		}
+	}()
+	idx.ExecuteBatch(make([]Query, 2), make([]Aggregator, 1))
+}
+
 // unmerged wraps idx in an adaptive index whose autonomous rebuilds are off,
 // so pending inserts stay in the insert log until mergeNow: the
 // explicitly-merged insert buffer.

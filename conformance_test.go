@@ -3,9 +3,13 @@ package flood
 import (
 	"context"
 	"errors"
+	"io/fs"
+	"path/filepath"
 	"slices"
 	"testing"
 	"time"
+
+	"flood/internal/wal"
 )
 
 // confRow is one logical row of the conformance fixture.
@@ -26,6 +30,45 @@ type confFacade struct {
 	// served reports how many queries the facade's lifecycle has counted;
 	// nil for facades that keep no count.
 	served func() int64
+	// dir is the facade's durable directory; "" for the in-memory ones.
+	dir string
+}
+
+// walBytes is the total size of every WAL segment under the facade's
+// directory (the stores run SyncNever, so an append is in the file as soon as
+// it returns).
+func (f *confFacade) walBytes(t *testing.T) int64 {
+	t.Helper()
+	var n int64
+	err := filepath.WalkDir(f.dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		if _, ok := wal.ParseSegmentName(d.Name()); ok {
+			info, err := d.Info()
+			if err != nil {
+				return err
+			}
+			n += info.Size()
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// rewrite applies an Update to the oracle and returns how many rows it hit.
+func (f *confFacade) rewrite(p confPredicate, set func(r *confRow)) int64 {
+	var n int64
+	for i := range f.live {
+		if p.match(f.live[i]) {
+			set(&f.live[i])
+			n++
+		}
+	}
+	return n
 }
 
 // confPredicate pairs a query with its brute-force check.
@@ -125,12 +168,13 @@ func confFacades(t *testing.T) (*typedFixture, []*confFacade) {
 	t.Cleanup(a.Close)
 	out = append(out, &confFacade{name: "AdaptiveIndex", idx: a, served: served(a)})
 
-	d, err := CreateDurable(t.TempDir(), build(), &DurableOptions{Sync: SyncNever, Adaptive: quiet})
+	dir := t.TempDir()
+	d, err := CreateDurable(dir, build(), &DurableOptions{Sync: SyncNever, Adaptive: quiet})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { d.Close() })
-	out = append(out, &confFacade{name: "DurableIndex", idx: d, served: served(d.Adaptive())})
+	out = append(out, &confFacade{name: "DurableIndex", idx: d, served: served(d.Adaptive()), dir: dir})
 
 	s, err := NewSharded(fx.tbl, train, sharded)
 	if err != nil {
@@ -139,12 +183,13 @@ func confFacades(t *testing.T) (*typedFixture, []*confFacade) {
 	t.Cleanup(func() { s.Close() })
 	out = append(out, &confFacade{name: "ShardedIndex", idx: s, served: servedShards(s)})
 
-	sd, err := CreateShardedDurable(t.TempDir(), fx.tbl, train, sharded, &DurableOptions{Sync: SyncNever})
+	dir = t.TempDir()
+	sd, err := CreateShardedDurable(dir, fx.tbl, train, sharded, &DurableOptions{Sync: SyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { sd.Close() })
-	out = append(out, &confFacade{name: "ShardedIndex/durable", idx: sd, served: servedShards(sd)})
+	out = append(out, &confFacade{name: "ShardedIndex/durable", idx: sd, served: servedShards(sd), dir: dir})
 
 	denver := fx.schema.Where().WithStringEquals("city", "denver").Query()
 	for _, f := range out {
@@ -226,6 +271,23 @@ func TestFacadeConformance(t *testing.T) {
 		func(r confRow) bool { return r.ts >= 600 && r.ts <= 1500 },
 	}
 	all := confPredicate{sch.Where().Query(), func(confRow) bool { return true }}
+	// assign is one SET clause, its literal encoded through the schema.
+	assign := func(col string, v any) Assignment {
+		c := sch.ColumnIndex(col)
+		enc, err := sch.encodeValue(c, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Assignment{Col: c, Value: enc}
+	}
+	sameAsOracle := func(t *testing.T, f *confFacade) {
+		t.Helper()
+		rows, _ := sch.Select(f.idx, all.q)
+		got, _ := drain(t, rows)
+		if want := f.brute(all); !slices.Equal(got, want) {
+			t.Fatalf("the store holds %d rows that differ from the oracle's %d", len(got), len(want))
+		}
+	}
 	ors := [][]confPredicate{{cheapNYC, inserted}, {lowA, lowB}, {midTS, lowB, inserted}}
 	queriesOf := func(preds []confPredicate) []Query {
 		qs := make([]Query, len(preds))
@@ -334,7 +396,107 @@ func TestFacadeConformance(t *testing.T) {
 			}
 			rows.Close()
 		}},
-		// Last: it deletes rows.
+		// From here on the checks mutate; each leaves the store equal to the
+		// oracle, and none empties a predicate a later check needs.
+		{"update rewrites rows where they are", func(t *testing.T, f *confFacade) {
+			up, ok := f.idx.(Updater)
+			if !ok {
+				t.Skip("facade has no insert path")
+			}
+			// The split dimension is untouched, and the rewritten rows still
+			// match the predicate: each must be rewritten exactly once.
+			want := f.rewrite(cheapNYC, func(r *confRow) { r.fare = 3.25 })
+			n, err := up.Update(cheapNYC.q, []Assignment{assign("fare", 3.25)})
+			if err != nil || n != want || want == 0 {
+				t.Fatalf("Update(fare) = %d, %v; brute force %d", n, err, want)
+			}
+			sameAsOracle(t, f)
+			// No assignments at all is still an Update, not a Delete.
+			if n, err := up.Update(cheapNYC.q, nil); err != nil || n != want {
+				t.Fatalf("Update with an empty SET list = %d, %v; want %d", n, err, want)
+			}
+			sameAsOracle(t, f)
+			// The last band of pending rows sits past each log's first sealed
+			// segment, so their victims are resolved in the unsealed suffix.
+			late := fareBand(900, 929)
+			want = f.rewrite(late, func(r *confRow) { r.city = "nyc" })
+			n, err = up.Update(late.q, []Assignment{assign("city", "nyc")})
+			if err != nil || n != want || want == 0 {
+				t.Fatalf("Update(pending suffix) = %d, %v; brute force %d", n, err, want)
+			}
+			sameAsOracle(t, f)
+		}},
+		{"update moves rows across shards", func(t *testing.T, f *confFacade) {
+			up, ok := f.idx.(Updater)
+			if !ok {
+				t.Skip("facade has no insert path")
+			}
+			// midTS spans three shards; the new value lands in the middle one,
+			// still inside the predicate, so a rewritten row re-inserted too
+			// early would be rewritten twice and counted twice.
+			want := f.rewrite(midTS, func(r *confRow) { r.ts = 30_000 })
+			n, err := up.Update(midTS.q, []Assignment{assign("ts", int64(30_000))})
+			if err != nil || n != want || want == 0 {
+				t.Fatalf("Update(ts into a covered shard) = %d, %v; brute force %d", n, err, want)
+			}
+			sameAsOracle(t, f)
+			// And out of every shard the predicate reaches, with a second
+			// column assigned along the way.
+			out := confPredicate{
+				sch.Where().WithIntRange("ts", 2_000, 3_000).Query(),
+				func(r confRow) bool { return r.ts >= 2_000 && r.ts <= 3_000 },
+			}
+			want = f.rewrite(out, func(r *confRow) { r.ts, r.fare = 90_000, 1.5 })
+			n, err = up.Update(out.q, []Assignment{assign("ts", int64(90_000)), assign("fare", 1.5)})
+			if err != nil || n != want || want == 0 {
+				t.Fatalf("Update(ts out of the predicate) = %d, %v; brute force %d", n, err, want)
+			}
+			sameAsOracle(t, f)
+		}},
+		{"a wrong-width insert is rejected before it is logged", func(t *testing.T, f *confFacade) {
+			ins, ok := f.idx.(Inserter)
+			if !ok {
+				t.Skip("facade has no insert path")
+			}
+			var logged int64
+			if f.dir != "" {
+				logged = f.walBytes(t)
+			}
+			for _, row := range [][]int64{{1, 2, 3}, {1, 2, 3, 4, 5}, nil} {
+				if err := ins.Insert(row); err == nil {
+					t.Errorf("Insert of %d values into 4 columns succeeded", len(row))
+				}
+			}
+			if f.dir != "" && f.walBytes(t) != logged {
+				t.Errorf("rejected inserts grew the WAL from %d to %d bytes", logged, f.walBytes(t))
+			}
+			sameAsOracle(t, f)
+		}},
+		{"DeleteRows skips repeated, dead and out-of-range ids", func(t *testing.T, f *confFacade) {
+			del := f.idx.(interface {
+				DeleteRows(ids []int64) (int64, error)
+			})
+			victims := confPredicate{
+				sch.Where().WithIntRange("ts", 40_000, 40_400).Query(),
+				func(r confRow) bool { return r.ts >= 40_000 && r.ts <= 40_400 },
+			}
+			rows, _ := sch.Select(f.idx, victims.q)
+			_, ids := drain(t, rows)
+			if len(ids) == 0 {
+				t.Fatal("victim query matched nothing")
+			}
+			noisy := append(slices.Clone(ids), ids...)
+			noisy = append(noisy, -1, 1<<62, 3<<shardStrideBits+1<<30, 900<<shardStrideBits)
+			if n, err := del.DeleteRows(noisy); err != nil || n != int64(len(ids)) {
+				t.Fatalf("DeleteRows(%d ids, %d distinct and live) = %d, %v", len(noisy), len(ids), n, err)
+			}
+			if n, err := del.DeleteRows(ids); err != nil || n != 0 {
+				t.Fatalf("DeleteRows of dead ids = %d, %v; want 0", n, err)
+			}
+			f.live = slices.DeleteFunc(f.live, victims.match)
+			sameAsOracle(t, f)
+		}},
+		// Last: it deletes the rows the suffix predicates need.
 		{"select ids round-trip through DeleteRows", func(t *testing.T, f *confFacade) {
 			del := f.idx.(interface {
 				DeleteRows(ids []int64) (int64, error)

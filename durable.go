@@ -240,20 +240,16 @@ func OpenDurable(dir string, opts *DurableOptions) (*DurableIndex, RecoveryRepor
 		}
 		path := filepath.Join(dir, wal.SegmentName(g))
 		ep := d.epoch.Load()
+		// Each record re-enters through the epoch's own apply — the path a
+		// live write takes — with no log attached yet, so nothing is logged
+		// twice.
 		r, err := wal.Replay(path, func(payload []byte) error {
-			if isWALDelete(payload) {
-				tuples, err := decodeWALDelete(payload, fl.Table().NumCols())
-				if err != nil {
-					return err
-				}
-				deleteTuples(ep, tuples)
-				return nil
-			}
-			row, err := decodeWALRow(payload, fl.Table().NumCols())
+			m, err := decodeWALRecord(payload, fl.Table().NumCols())
 			if err != nil {
 				return err
 			}
-			return ep.log.append(row)
+			_, _, err = ep.apply(m, nil)
+			return err
 		})
 		if err != nil {
 			return nil, rep, fmt.Errorf("flood: replaying %s: %w", wal.SegmentName(g), err)

@@ -1,15 +1,18 @@
 // The engine contract: the one execution interface under every facade.
 //
 // Flood, AdaptiveIndex (and DurableIndex, which embeds it), and ShardedIndex
-// differ only in how one query reaches storage: straight into the learned
+// differ only in how one query reaches storage — straight into the learned
 // index, through the current generation's base index and insert log with the
-// lifecycle bookkeeping, or pruned and fanned out across shards. Each says
-// that once, as an engine; the public query surface — Execute, ExecuteBatch,
-// ExecuteOr, Select and their context-aware twins — is written once, on the
-// surface struct the facades embed, in terms of it. A nil control is the
-// unconditioned execution, so the plain and the context-aware entry points
-// are the same path. docs/ARCHITECTURE.md ("Engine contract") lists which
-// behaviour each entry point derives from the contract.
+// lifecycle bookkeeping, or pruned and fanned out across shards — and in how
+// one write does: tombstones only, the logged lock-hold of a generation
+// owner, or split by shard. Each says both once, as an engine; the public
+// query surface — Execute, ExecuteBatch, ExecuteOr, Select and their
+// context-aware twins — is written once, on the surface struct the facades
+// embed, and the write surface — Insert, Delete, DeleteRows, Update — once on
+// the mutableSurface struct the mutable ones embed, in terms of it. A nil
+// control is the unconditioned execution, so the plain and the context-aware
+// entry points are the same path. docs/ARCHITECTURE.md ("Engine contract")
+// lists which behaviour each entry point derives from the contract.
 package flood
 
 import (
@@ -20,11 +23,112 @@ import (
 	"flood/internal/query"
 )
 
-// engine is what a facade is to the query surface: something that can pin
-// the generation an execution runs against. A batch or a disjunction pins
-// once, so all of its queries see one consistent image of the data.
+// engine is what a facade is to its public surface: something that can pin
+// the generation an execution runs against — a batch or a disjunction pins
+// once, so all of its queries see one consistent image of the data — and
+// apply one mutation to the data.
 type engine interface {
 	pin() generation
+	// apply carries out m and returns the rows it affected: victims newly
+	// tombstoned plus rows appended (an Update counts its victims once). On
+	// an error the count is what had been applied before it.
+	apply(m mutation) (int64, error)
+}
+
+// mutation is one write, the single value every Insert, Delete, DeleteRows
+// and Update — live, replayed from a WAL, or re-applied at a generation swap
+// — is expressed in. Victims are named one way: by predicate, by Select id,
+// or by value.
+type mutation struct {
+	// where names every live row matching the predicate.
+	where *Query
+	// ids names rows by Select id; dead, repeated and out-of-range ids are
+	// skipped.
+	ids []int64
+	// tuples names victims by value, one live row per tuple (k copies delete
+	// k matching rows; a tuple with no live match is skipped). It is how a
+	// deletion resolved against one physical layout applies to another: WAL
+	// replay, and deferred re-application at a swap.
+	tuples [][]int64
+	// rewrite appends a copy of every victim with set applied (an Update; an
+	// empty set rewrites the rows unchanged).
+	rewrite bool
+	set     []Assignment
+	// rows are appended.
+	rows [][]int64
+	// moved, when set, receives the rewritten copies instead of the engine
+	// appending them: the caller owns their placement (a sharded Update that
+	// assigns the split dimension).
+	moved *[][]int64
+}
+
+// mutableSurface is surface plus the write API, embedded by the facades that
+// accept every mutation: the methods below are their Insert, Delete,
+// DeleteRows and Update, and each only names a mutation for the engine's
+// apply.
+type mutableSurface struct{ surface }
+
+// Insert appends one encoded row (one value per dimension, physical column
+// order). The row is visible to queries as soon as Insert returns; on a
+// durable store it is logged before it is published and acknowledged per the
+// log's sync policy. A ShardedIndex routes the row to the shard owning its
+// split-dimension value. When an insert log exceeds MergeFraction of its
+// base, a background merge is scheduled; Insert never blocks on index
+// building.
+func (s *mutableSurface) Insert(row []int64) error {
+	_, err := s.eng.apply(mutation{rows: [][]int64{row}})
+	return err
+}
+
+// Delete tombstones every live row matching q — base index and insert log,
+// in every shard the predicate reaches — and returns how many rows were newly
+// deleted. On a durable store the deletion is logged (as resolved row values,
+// which replay identically against any rebuilt physical layout) before the
+// tombstones are published. Safe to call concurrently with queries and
+// background rebuilds; concurrent mutators serialize on the writer lock of
+// the index (or shard) they reach. A sharded sweep is atomic per shard, not a
+// transaction across shards.
+func (s *mutableSurface) Delete(q Query) (int64, error) {
+	return s.eng.apply(mutation{where: &q})
+}
+
+// DeleteRows tombstones rows by their Select ids — base rows tile first
+// [0, base), insert-log rows follow, each shard in its own id stride — and
+// returns how many were newly deleted. Ids already dead, duplicated, or out
+// of range are skipped. Same concurrency and durability contract as Delete,
+// with one caveat: ids are physical positions in the generation that produced
+// them, so they are only meaningful until that index's (or shard's) next
+// layout swap — a merge or relearn (including the autonomous ones
+// MergeFraction and drift scheduling trigger) renumbers rows, and stale ids
+// will delete the wrong rows or none. Callers that cannot bracket
+// Select→DeleteRows against rebuilds should use the predicate form, which is
+// layout-independent.
+func (s *mutableSurface) DeleteRows(ids []int64) (int64, error) {
+	return s.eng.apply(mutation{ids: ids})
+}
+
+// Update rewrites every live row matching q with the assignments applied and
+// returns the number of rows updated. Within one index (or one shard) the old
+// versions are tombstoned and the modified copies appended to the insert log
+// under one writer-lock hold; on a durable store the delete record and the
+// re-inserted rows are logged in that order, so replay reproduces the
+// rewrite. An out-of-range assignment is rejected before anything is touched.
+// A concurrent reader may observe the instant between the tombstoning and a
+// re-insert (mutations are atomic per structure, not transactional — see
+// docs/MUTATIONS.md).
+//
+// On a ShardedIndex an assignment to the split dimension can move rows
+// between shards. Each surviving shard tombstones its matching rows and
+// hands back their rewritten copies from one lock hold — so a row another
+// writer inserts or deletes concurrently is either rewritten whole or left
+// whole, never lost or resurrected — and the copies are re-inserted, routed
+// by their new split value, only after every surviving shard has been swept,
+// so a rewritten row can never match q a second time. The sequence is atomic
+// per shard but not transactional across shards (a concurrent reader can
+// observe the gap; a crash between the phases in the durable form can lose
+// the re-insert).
+func (s *mutableSurface) Update(q Query, set []Assignment) (int64, error) {
+	return s.eng.apply(mutation{where: &q, rewrite: true, set: set})
 }
 
 // generation executes queries against one immutable image of a facade's
@@ -273,6 +377,12 @@ func (f *foreign) runPieces(ctl *query.Control, pieces, _ []Query, agg Aggregato
 	return runEach(f, ctl, pieces, agg, cutover)
 }
 
+// apply implements engine: the adapter is read-only (nothing embeds a
+// mutableSurface over it).
+func (f *foreign) apply(mutation) (int64, error) {
+	return 0, fmt.Errorf("flood: index %s takes no mutations", f.idx.Name())
+}
+
 // runEach runs the pieces in order against g until the control latches.
 func runEach(g generation, ctl *query.Control, pieces []Query, agg Aggregator, cutover int) Stats {
 	var total Stats
@@ -291,10 +401,7 @@ func (f *Flood) pin() generation { return f }
 // run implements generation: project, refine, scan (§3.2), with nothing to
 // record.
 func (f *Flood) run(ctl *query.Control, q Query, agg Aggregator, workers, cutover int) Stats {
-	if workers == 1 {
-		return f.idx.ExecuteSequentialControl(ctl, q, agg)
-	}
-	return f.idx.ExecuteControl(ctl, q, agg, cutover)
+	return f.idx.Run(ctl, q, agg, workers, cutover)
 }
 
 func (f *Flood) runPieces(ctl *query.Control, pieces, _ []Query, agg Aggregator, cutover int) Stats {

@@ -154,51 +154,44 @@ func (s *Statement) aggregator() (flood.Aggregator, error) {
 // disjunct rewrites them again (same final values — assignments are
 // constants — but the affected count can exceed the distinct row count).
 func (s *Statement) Exec(idx flood.Index) (int64, error) {
+	// One step per disjunct (DELETE, UPDATE) or per row (INSERT).
+	var steps int
+	var step func(i int) (int64, error)
 	switch s.Agg {
 	case "delete":
-		del, ok := idx.(flood.Deleter)
-		if !ok {
-			return 0, fmt.Errorf("floodsql: index %s does not support DELETE", idx.Name())
+		if del, ok := idx.(flood.Deleter); ok {
+			qs := s.queries()
+			steps, step = len(qs), func(i int) (int64, error) { return del.Delete(qs[i]) }
 		}
-		var total int64
-		for _, q := range s.queries() {
-			n, err := del.Delete(q)
-			total += n
-			if err != nil {
-				return total, err
-			}
-		}
-		return total, nil
 	case "update":
-		up, ok := idx.(flood.Updater)
-		if !ok {
-			return 0, fmt.Errorf("floodsql: index %s does not support UPDATE", idx.Name())
+		if up, ok := idx.(flood.Updater); ok {
+			qs := s.queries()
+			steps, step = len(qs), func(i int) (int64, error) { return up.Update(qs[i], s.Assignments) }
 		}
-		var total int64
-		for _, q := range s.queries() {
-			n, err := up.Update(q, s.Assignments)
-			total += n
-			if err != nil {
-				return total, err
-			}
-		}
-		return total, nil
 	case "insert":
-		ins, ok := idx.(flood.Inserter)
-		if !ok {
-			return 0, fmt.Errorf("floodsql: index %s does not support INSERT", idx.Name())
-		}
-		var total int64
-		for _, row := range s.InsertRows {
-			if err := ins.Insert(row); err != nil {
-				return total, err
+		if ins, ok := idx.(flood.Inserter); ok {
+			steps, step = len(s.InsertRows), func(i int) (int64, error) {
+				if err := ins.Insert(s.InsertRows[i]); err != nil {
+					return 0, err
+				}
+				return 1, nil
 			}
-			total++
 		}
-		return total, nil
 	default:
 		return 0, fmt.Errorf("floodsql: %s statements execute via Run or Select, not Exec", strings.ToUpper(s.Agg))
 	}
+	if step == nil {
+		return 0, fmt.Errorf("floodsql: index %s does not support %s", idx.Name(), strings.ToUpper(s.Agg))
+	}
+	var total int64
+	for i := 0; i < steps; i++ {
+		n, err := step(i)
+		total += n
+		if err != nil {
+			return total, err
+		}
+	}
+	return total, nil
 }
 
 // Run executes an aggregation statement against any index built over the

@@ -191,8 +191,15 @@ func (r RunResult) TPS() float64 {
 	return float64(r.AvgScan.Nanoseconds()) * float64(r.Queries) / float64(r.Scanned)
 }
 
+// executor is what the experiments need of an index under measurement, Flood
+// or baseline: run one query, report the index's size.
+type executor interface {
+	Execute(q query.Query, agg query.Aggregator) query.Stats
+	SizeBytes() int64
+}
+
 // run executes queries against idx and aggregates stats.
-func run(idx query.Index, queries []query.Query) RunResult {
+func run(idx executor, queries []query.Query) RunResult {
 	var res RunResult
 	agg := query.NewCount()
 	var total query.Stats

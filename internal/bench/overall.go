@@ -6,13 +6,12 @@ import (
 	"time"
 
 	"flood/internal/core"
-	"flood/internal/query"
 )
 
 // builtSet holds every index of Fig. 7 built and tuned for one dataset.
 type builtSet struct {
 	order      []string // presentation order, Flood last
-	idx        map[string]query.Index
+	idx        map[string]executor
 	buildErr   map[string]error
 	buildTime  map[string]time.Duration
 	floodLearn time.Duration
@@ -25,7 +24,7 @@ type builtSet struct {
 // workload") plus Flood learned from it.
 func (e *env) buildAll() (*builtSet, error) {
 	bs := &builtSet{
-		idx:       map[string]query.Index{},
+		idx:       map[string]executor{},
 		buildErr:  map[string]error{},
 		buildTime: map[string]time.Duration{},
 	}

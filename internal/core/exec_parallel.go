@@ -18,7 +18,6 @@
 package core
 
 import (
-	"fmt"
 	"math/bits"
 	"runtime"
 	"sync"
@@ -185,8 +184,9 @@ func parallelFor(n int, fn func(lo, hi int)) {
 // RunBatch runs fn(i) for every i in [0, n) across the shared worker pool
 // and returns when all calls complete. The calling goroutine participates,
 // so RunBatch makes progress even when the pool is saturated, and calls
-// issued from inside another batch cannot deadlock. Exported for sibling
-// packages (the delta index) that batch work over the same pool.
+// issued from inside another batch cannot deadlock. It is the batch path of
+// every facade: each member runs Run with workers == 1 while the batch fans
+// out across cores.
 func RunBatch(n int, fn func(i int)) {
 	poolFor(n, 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -413,46 +413,4 @@ func (f *Flood) scanParallel(q query.Query, ranges []scanRange, agg query.Mergea
 	st.ExactMatched += j.exact
 	j.retire()
 	morselJobPool.Put(j)
-}
-
-// ExecuteParallel is Execute with the scan phase forced onto the morsel
-// engine regardless of the cost-based cutover: projection and refinement run
-// as usual, then up to workers goroutines (the caller plus pool helpers)
-// claim morsels. workers <= 0 uses GOMAXPROCS; workers == 1 is the
-// sequential path; counts above GOMAXPROCS are capped to it (extra helpers
-// add no parallelism). Results and scan counters are identical to Execute.
-//
-// Most callers should use Execute, which picks this path automatically for
-// mergeable aggregators once the estimated scan volume clears the cutover.
-func (f *Flood) ExecuteParallel(q query.Query, agg query.Mergeable, workers int) query.Stats {
-	if workers <= 0 {
-		workers = maxWorkers()
-	}
-	return f.execute(q, agg, workers, nil, 0)
-}
-
-// ExecuteSequential is Execute pinned to the sequential scan path, whatever
-// the cutover or aggregator would choose. It is the per-query building block
-// of the batched serving paths (this package's ExecuteBatch and the delta
-// index's), which supply parallelism across queries instead of within them.
-func (f *Flood) ExecuteSequential(q query.Query, agg query.Aggregator) query.Stats {
-	return f.execute(q, agg, 1, nil, 0)
-}
-
-// ExecuteBatch executes queries[i] into aggs[i] and returns per-query stats.
-// The batch shares the persistent worker pool across queries: each query
-// runs the zero-alloc sequential path while the batch itself fans out across
-// cores (inter-query parallelism), the arrangement that maximizes throughput
-// for high-QPS serving. len(queries) must equal len(aggs); aggregators are
-// not reset. The index is read-only, so any number of ExecuteBatch and
-// Execute calls may run concurrently.
-func (f *Flood) ExecuteBatch(queries []query.Query, aggs []query.Aggregator) []query.Stats {
-	if len(queries) != len(aggs) {
-		panic(fmt.Sprintf("core: ExecuteBatch got %d queries but %d aggregators", len(queries), len(aggs)))
-	}
-	stats := make([]query.Stats, len(queries))
-	RunBatch(len(queries), func(i int) {
-		stats[i] = f.execute(queries[i], aggs[i], 1, nil, 0)
-	})
-	return stats
 }

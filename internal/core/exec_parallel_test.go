@@ -89,7 +89,7 @@ func TestParallelAllAggregators(t *testing.T) {
 		seqs, pars := mk(), mk()
 		for i := range seqs {
 			idx.Execute(q, sequentialOnly{seqs[i]})
-			idx.ExecuteParallel(q, pars[i], 5)
+			idx.Run(nil, q, pars[i], 5, 0)
 			if pars[i].Result() != seqs[i].Result() {
 				t.Fatalf("trial %d agg %d: parallel %d != sequential %d",
 					trial, i, pars[i].Result(), seqs[i].Result())
@@ -138,7 +138,7 @@ func TestParallelRandomLayoutsProperty(t *testing.T) {
 			queries[i] = randomQuery(rng, data, 5)
 			aggs[i] = query.NewCount()
 		}
-		batchStats := idx.ExecuteBatch(queries, aggs)
+		batchStats := runBatch(idx, queries, aggs)
 		for i, q := range queries {
 			want := bruteCount(data, q)
 			if got := aggs[i].(*query.Count).Result(); got != want {
@@ -147,7 +147,7 @@ func TestParallelRandomLayoutsProperty(t *testing.T) {
 			seq := query.NewCount()
 			seqSt := idx.Execute(q, sequentialOnly{seq})
 			par := query.NewCount()
-			parSt := idx.ExecuteParallel(q, par, 3)
+			parSt := idx.Run(nil, q, par, 3, 0)
 			if par.Result() != want || seq.Result() != want {
 				t.Fatalf("layout %s mode %d: parallel %d / sequential %d != brute %d",
 					layout, mode, par.Result(), seq.Result(), want)
@@ -196,6 +196,16 @@ func TestRefineParallelEquivalence(t *testing.T) {
 	})
 }
 
+// runBatch is the batch path as the facades run it: every member on the
+// sequential kernel, the batch fanned out over the shared pool.
+func runBatch(idx *Flood, queries []query.Query, aggs []query.Aggregator) []query.Stats {
+	stats := make([]query.Stats, len(queries))
+	RunBatch(len(queries), func(i int) {
+		stats[i] = idx.Run(nil, queries[i], aggs[i], 1, 0)
+	})
+	return stats
+}
+
 // TestExecuteBatchMatchesSequential checks the batched serving path against
 // one-at-a-time execution, including the per-query stats.
 func TestExecuteBatchMatchesSequential(t *testing.T) {
@@ -224,7 +234,7 @@ func TestExecuteBatchMatchesSequential(t *testing.T) {
 					batchAggs[i], seqAggs[i] = query.NewMax(3), query.NewMax(3)
 				}
 			}
-			batchStats := idx.ExecuteBatch(queries, batchAggs)
+			batchStats := runBatch(idx, queries, batchAggs)
 			for i := range queries {
 				seqSt := idx.Execute(queries[i], sequentialOnly{seqAggs[i]})
 				if batchAggs[i].Result() != seqAggs[i].Result() {
@@ -235,17 +245,6 @@ func TestExecuteBatchMatchesSequential(t *testing.T) {
 			}
 		})
 	}
-}
-
-func TestExecuteBatchLenMismatchPanics(t *testing.T) {
-	tbl, _ := makeData(t, 100, 3, 310)
-	idx, _ := Build(tbl, Layout{GridDims: []int{0}, GridCols: []int{4}, SortDim: 1, Flatten: true}, Options{})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mismatched queries/aggs lengths must panic")
-		}
-	}()
-	idx.ExecuteBatch(make([]query.Query, 2), make([]query.Aggregator, 1))
 }
 
 // TestAppendMorsels pins the morsel splitter: full coverage, no overlap,
@@ -368,7 +367,7 @@ func BenchmarkParallelExecute1M(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				agg.Reset()
-				idx.ExecuteParallel(queries[i%len(queries)], agg, workers)
+				idx.Run(nil, queries[i%len(queries)], agg, workers, 0)
 			}
 		})
 	}
@@ -393,7 +392,7 @@ func BenchmarkExecuteBatch1M(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			reset()
 			for j, q := range queries {
-				idx.ExecuteSequential(q, aggs[j])
+				idx.Run(nil, q, aggs[j], 1, 0)
 			}
 		}
 	})
@@ -402,7 +401,7 @@ func BenchmarkExecuteBatch1M(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			reset()
-			idx.ExecuteBatch(queries, aggs)
+			runBatch(idx, queries, aggs)
 		}
 	})
 }

@@ -291,7 +291,7 @@ func (f *Flood) computeCellStats() {
 	f.p99CellSize = float64(sizes[(len(sizes)-1)*99/100])
 }
 
-// Name implements query.Index.
+// Name identifies the index in reports.
 func (f *Flood) Name() string { return "Flood" }
 
 // Layout returns the layout the index was built with.
@@ -336,7 +336,7 @@ func (f *Flood) SizeBytes() int64 {
 	return s
 }
 
-// Execute implements query.Index: projection, refinement, scan (§3.2).
+// Execute runs q through projection, refinement and scan (§3.2).
 //
 // Small queries run the sequential path, which performs zero heap
 // allocations in steady state: projection scratch and scan ranges come from
@@ -347,18 +347,23 @@ func (f *Flood) SizeBytes() int64 {
 // pool instead (see exec_parallel.go); results and scan counters are
 // identical either way.
 func (f *Flood) Execute(q query.Query, agg query.Aggregator) query.Stats {
-	return f.execute(q, agg, 0, nil, 0)
+	return f.Run(nil, q, agg, 0, 0)
 }
 
-// execute is the shared body of Execute, ExecuteParallel, ExecuteBatch, and
-// the context-aware entry points. workers selects the scan strategy: 0 is
-// adaptive (sequential below the cutover, GOMAXPROCS workers above it), 1
-// forces the sequential path, and n > 1 forces the morsel engine with n
+// Run is the one controlled entry point under Execute and every facade.
+// workers selects the scan strategy: 0 is adaptive (sequential below the
+// cutover, GOMAXPROCS workers above it), 1 forces the sequential path — the
+// per-query building block of a batch, which supplies the parallelism across
+// queries instead (see RunBatch) — and n > 1 forces the morsel engine with n
 // workers. ctl, when non-nil, threads cancellation and the shared limit
-// budget into the scan phase. cutover overrides the index's parallel
-// cutover for this query (0 keeps the index default, negative pins the
-// query sequential).
-func (f *Flood) execute(q query.Query, agg query.Aggregator, workers int, ctl *query.Control, cutover int) query.Stats {
+// budget into the scan phase: the sequential kernel polls it every few
+// blocks and the morsel engine at every claim, so a stopped query ends within
+// about a thousand rows or one morsel; a nil control is the unconditioned
+// execution, allocation for allocation. The caller owns the control's
+// lifecycle: Release it only after every execution threading it has
+// returned. cutover overrides the index's parallel cutover for this query (0
+// keeps the index default, negative pins the query sequential).
+func (f *Flood) Run(ctl *query.Control, q query.Query, agg query.Aggregator, workers, cutover int) query.Stats {
 	var st query.Stats
 	t0 := time.Now()
 	if q.Empty() || f.t.NumRows() == 0 || ctl.Stopped() {
@@ -382,7 +387,7 @@ func (f *Flood) execute(q query.Query, agg query.Aggregator, workers int, ctl *q
 	// Pre-refinement row count: an upper bound on the scan volume, free to
 	// compute. Refinement probes fan out only when the query is allowed to
 	// parallelize at all (workers != 1) and was big before refinement —
-	// so the sequential cutover path, ExecuteSequential, and batch workers
+	// so the sequential cutover path and batch workers (workers == 1)
 	// never touch the pool, stay allocation-free, and skip the estimate
 	// loops entirely.
 	// Capture the tombstone set once per query: the scan phase (sequential

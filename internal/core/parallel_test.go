@@ -21,7 +21,7 @@ func TestExecuteParallelMatchesSerial(t *testing.T) {
 		idx.Execute(q, serial)
 		for _, workers := range []int{0, 2, 4, 7} {
 			par := query.NewCount()
-			st := idx.ExecuteParallel(q, par, workers)
+			st := idx.Run(nil, q, par, workers, 0)
 			if par.Result() != serial.Result() {
 				t.Fatalf("workers=%d: parallel count %d != serial %d", workers, par.Result(), serial.Result())
 			}
@@ -41,13 +41,13 @@ func TestExecuteParallelSumAndMin(t *testing.T) {
 	q := query.NewQuery(3).WithRange(0, 0, 800)
 	sumS, sumP := query.NewSum(2), query.NewSum(2)
 	idx.Execute(q, sumS)
-	idx.ExecuteParallel(q, sumP, 4)
+	idx.Run(nil, q, sumP, 4, 0)
 	if sumS.Result() != sumP.Result() {
 		t.Fatalf("parallel sum %d != serial %d", sumP.Result(), sumS.Result())
 	}
 	minS, minP := query.NewMin(2), query.NewMin(2)
 	idx.Execute(q, minS)
-	idx.ExecuteParallel(q, minP, 4)
+	idx.Run(nil, q, minP, 4, 0)
 	if minS.Result() != minP.Result() {
 		t.Fatalf("parallel min %d != serial %d", minP.Result(), minS.Result())
 	}
@@ -58,7 +58,7 @@ func TestExecuteParallelEmptyQuery(t *testing.T) {
 	tbl, _ := makeData(t, 1000, 3, 124)
 	idx, _ := Build(tbl, Layout{GridDims: []int{0}, GridCols: []int{4}, SortDim: 1, Flatten: true}, Options{})
 	agg := query.NewCount()
-	st := idx.ExecuteParallel(query.NewQuery(3).WithRange(0, 10, 5), agg, 4)
+	st := idx.Run(nil, query.NewQuery(3).WithRange(0, 10, 5), agg, 4, 0)
 	if agg.Result() != 0 || st.Scanned != 0 {
 		t.Fatal("empty query should do nothing in parallel mode")
 	}
@@ -76,7 +76,7 @@ func BenchmarkExecuteParallel(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				agg.Reset()
-				idx.ExecuteParallel(qs[i%len(qs)], agg, workers)
+				idx.Run(nil, qs[i%len(qs)], agg, workers, 0)
 			}
 		})
 	}

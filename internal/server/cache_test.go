@@ -1,9 +1,11 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -175,4 +177,46 @@ func TestServerConcurrentCacheMutateRelearn(t *testing.T) {
 		t.Fatalf("%d requests failed under concurrency", failures.Load())
 	}
 	srv.shards[0].Wait()
+}
+
+// failSecondInsert is a store whose second Insert fails, as a WAL append or
+// sync error would after the first row of a statement was applied.
+type failSecondInsert struct {
+	Store
+	inserts int
+}
+
+func (f *failSecondInsert) Insert(row []int64) error {
+	if f.inserts++; f.inserts == 2 {
+		return errors.New("injected: log append failed")
+	}
+	return f.Store.Insert(row)
+}
+
+// TestServerCacheAfterPartialMutation pins the cache version to what the
+// store holds, not to whether the request succeeded: a two-row INSERT whose
+// second row fails has changed the table, so the COUNT(*) cached before it
+// must not be served after it.
+func TestServerCacheAfterPartialMutation(t *testing.T) {
+	inner, _, _ := typedFixture(t, nil)
+	srv := newServer(&failSecondInsert{Store: inner.store}, inner.shards, &Config{BatchWindow: 1})
+	srv.closeStore = func() error { return nil } // the fixture's server owns the index
+	hs := httptest.NewServer(srv.Handler())
+	defer func() { hs.Close(); srv.Close() }()
+
+	const count = "SELECT COUNT(*) FROM t"
+	before, _ := postQuery(t, hs.URL, count)
+	if again, _ := postQuery(t, hs.URL, count); !again.Cached || again.Value != before.Value {
+		t.Fatalf("second COUNT(*) = %d (cached=%v), first %d: the cache is not in play", again.Value, again.Cached, before.Value)
+	}
+	if _, code := postQuery(t, hs.URL, "INSERT INTO t VALUES ('boston', 1.25, 3), ('nyc', 2.5, 4)"); code != http.StatusBadRequest {
+		t.Fatalf("INSERT whose second row fails: status %d, want 400", code)
+	}
+	after, _ := postQuery(t, hs.URL, count)
+	if after.Cached || after.Value != before.Value+1 {
+		t.Fatalf("COUNT(*) after a half-applied INSERT = %d (cached=%v), the table holds %d rows", after.Value, after.Cached, before.Value+1)
+	}
+	if st := srv.Stats(); st.InsertedRows != 1 || st.Errors != 1 {
+		t.Errorf("stats count %d inserted rows and %d errors, want 1 and 1", st.InsertedRows, st.Errors)
+	}
 }

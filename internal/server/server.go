@@ -366,6 +366,53 @@ func (s *Server) typedValue(st *floodsql.Statement, value, matched int64) any {
 	return s.schema.DecodeValue(st.AggCol, value)
 }
 
+// reply is how every POST /query request ends: one place stamps a response
+// with the request's queue and service times, and one maps an execution
+// error onto the wire.
+type reply struct {
+	s         *Server
+	w         http.ResponseWriter
+	start     time.Time
+	queueWait time.Duration
+}
+
+// ok sends resp.
+func (r reply) ok(resp QueryResponse) {
+	resp.QueueMicros = r.queueWait.Microseconds()
+	resp.ElapsedMicros = time.Since(r.start).Microseconds()
+	writeJSON(r.w, resp)
+}
+
+// failed reports a read that did not complete: 504 and a timeout when the
+// deadline or the client stopped it after stats.Scanned rows, 500 and an
+// error otherwise.
+func (r reply) failed(err error, stats flood.Stats) {
+	if errors.Is(err, flood.ErrCanceled) {
+		r.s.timeouts.Add(1)
+		writeError(r.w, http.StatusGatewayTimeout, "deadline exceeded after scanning "+fmt.Sprint(stats.Scanned)+" rows")
+		return
+	}
+	r.s.errorCount.Add(1)
+	writeError(r.w, http.StatusInternalServerError, err.Error())
+}
+
+// mutated accounts for one mutation request, from /query or /insert, that
+// affected the given number of rows (inserted of them new) and ended in err.
+// The cache version advances whenever the store may have changed — a
+// mutation can apply rows and then fail (a later row rejected, a WAL error
+// after the first disjunct) — so no aggregate cached before it is served
+// after it.
+func (s *Server) mutated(affected, inserted int64, err error) {
+	s.mutations.Add(1)
+	s.insertedRows.Add(inserted)
+	if err == nil || affected > 0 {
+		s.muts.Add(1)
+	}
+	if err != nil {
+		s.errorCount.Add(1)
+	}
+}
+
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -392,46 +439,42 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	deadline := s.deadlineFor(req.TimeoutMillis)
 	ctx, cancel := context.WithDeadline(r.Context(), deadline)
 	defer cancel()
-	start := time.Now()
+	rp := reply{s: s, w: w, start: time.Now(), queueWait: queueWait}
 
 	switch st.Agg {
 	case "select":
 		s.selects.Add(1)
-		s.runSelect(w, ctx, st, start, queueWait)
+		s.runSelect(rp, ctx, st)
 	case "delete", "update", "insert":
-		s.mutations.Add(1)
 		n, err := st.Exec(s.store)
+		var inserted int64
+		if st.Agg == "insert" {
+			inserted = n
+		}
+		s.mutated(n, inserted, err)
 		if err != nil {
-			s.errorCount.Add(1)
 			writeError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		s.muts.Add(1)
-		if st.Agg == "insert" {
-			s.insertedRows.Add(n)
-		}
-		writeJSON(w, QueryResponse{
-			Kind: "exec", Affected: n,
-			QueueMicros: queueWait.Microseconds(), ElapsedMicros: time.Since(start).Microseconds(),
-		})
+		rp.ok(QueryResponse{Kind: "exec", Affected: n})
 	default:
 		s.aggQueries.Add(1)
-		s.runAggregate(w, ctx, st, strings.TrimSpace(req.SQL), deadline, start, queueWait)
+		s.runAggregate(rp, ctx, st, strings.TrimSpace(req.SQL), deadline)
 	}
 }
 
 // runAggregate serves one aggregation: result cache first, then the
 // micro-batch collector for single-rectangle statements (the hot path), or
 // a direct disjoint-decomposition execution for OR predicates.
-func (s *Server) runAggregate(w http.ResponseWriter, ctx context.Context, st *floodsql.Statement, key string, deadline time.Time, start time.Time, queueWait time.Duration) {
+func (s *Server) runAggregate(rp reply, ctx context.Context, st *floodsql.Statement, key string, deadline time.Time) {
+	w := rp.w
+	resp := QueryResponse{Kind: "agg", Agg: st.Agg}
 	ver := s.version()
 	if e, ok := s.cache.get(key, ver); ok {
 		s.cacheHits.Add(1)
-		writeJSON(w, QueryResponse{
-			Kind: "agg", Agg: st.Agg, Value: e.value,
-			Typed: s.typedValue(st, e.value, e.matched), Matched: e.matched, Cached: true,
-			QueueMicros: queueWait.Microseconds(), ElapsedMicros: time.Since(start).Microseconds(),
-		})
+		resp.Value, resp.Matched, resp.Cached = e.value, e.matched, true
+		resp.Typed = s.typedValue(st, e.value, e.matched)
+		rp.ok(resp)
 		return
 	}
 	if s.cache != nil {
@@ -445,7 +488,6 @@ func (s *Server) runAggregate(w http.ResponseWriter, ctx context.Context, st *fl
 	qs := s.statementQueries(st)
 	var stats flood.Stats
 	var err error
-	batchSize := 0
 	if len(qs) == 1 {
 		j := &aggJob{q: qs[0], agg: agg, deadline: deadline, done: make(chan aggResult, 1)}
 		if s.col.submit(j) != nil {
@@ -456,7 +498,7 @@ func (s *Server) runAggregate(w http.ResponseWriter, ctx context.Context, st *fl
 		}
 		select {
 		case res := <-j.done:
-			stats, err, batchSize = res.stats, res.err, res.batchSize
+			stats, err, resp.BatchSize = res.stats, res.err, res.batchSize
 		case <-ctx.Done():
 			s.timeouts.Add(1)
 			writeError(w, http.StatusGatewayTimeout, "deadline exceeded waiting for batch")
@@ -466,28 +508,18 @@ func (s *Server) runAggregate(w http.ResponseWriter, ctx context.Context, st *fl
 		stats, err = flood.ExecuteOrContext(ctx, s.store, qs, agg)
 	}
 	if err != nil {
-		if errors.Is(err, flood.ErrCanceled) {
-			s.timeouts.Add(1)
-			writeError(w, http.StatusGatewayTimeout, "deadline exceeded after scanning "+fmt.Sprint(stats.Scanned)+" rows")
-			return
-		}
-		s.errorCount.Add(1)
-		writeError(w, http.StatusInternalServerError, err.Error())
+		rp.failed(err, stats)
 		return
 	}
-	value := agg.Result()
-	s.cache.put(key, cacheEntry{ver: ver, value: value, matched: stats.Matched})
-	writeJSON(w, QueryResponse{
-		Kind: "agg", Agg: st.Agg, Value: value,
-		Typed: s.typedValue(st, value, stats.Matched), Matched: stats.Matched,
-		BatchSize: batchSize, Scanned: stats.Scanned,
-		QueueMicros: queueWait.Microseconds(), ElapsedMicros: time.Since(start).Microseconds(),
-	})
+	resp.Value, resp.Matched, resp.Scanned = agg.Result(), stats.Matched, stats.Scanned
+	resp.Typed = s.typedValue(st, resp.Value, stats.Matched)
+	s.cache.put(key, cacheEntry{ver: ver, value: resp.Value, matched: stats.Matched})
+	rp.ok(resp)
 }
 
 // runSelect serves one projection through the typed row cursor, capping the
 // response at MaxResultRows.
-func (s *Server) runSelect(w http.ResponseWriter, ctx context.Context, st *floodsql.Statement, start time.Time, queueWait time.Duration) {
+func (s *Server) runSelect(rp reply, ctx context.Context, st *floodsql.Statement) {
 	limit := st.Limit
 	capped := false
 	if limit == 0 || limit > s.cfg.MaxResultRows {
@@ -496,13 +528,7 @@ func (s *Server) runSelect(w http.ResponseWriter, ctx context.Context, st *flood
 	}
 	rows, stats, err := s.schema.SelectOrContext(ctx, s.store, s.statementQueries(st), &flood.QueryOptions{Limit: limit}, st.Projection...)
 	if err != nil {
-		if errors.Is(err, flood.ErrCanceled) {
-			s.timeouts.Add(1)
-			writeError(w, http.StatusGatewayTimeout, "deadline exceeded after scanning "+fmt.Sprint(stats.Scanned)+" rows")
-		} else {
-			s.errorCount.Add(1)
-			writeError(w, http.StatusInternalServerError, err.Error())
-		}
+		rp.failed(err, stats)
 		return
 	}
 	defer rows.Close()
@@ -515,10 +541,9 @@ func (s *Server) runSelect(w http.ResponseWriter, ctx context.Context, st *flood
 		}
 		out = append(out, vals)
 	}
-	writeJSON(w, QueryResponse{
+	rp.ok(QueryResponse{
 		Kind: "rows", Columns: cols, Rows: out,
 		Truncated: capped && len(out) == limit, Scanned: stats.Scanned,
-		QueueMicros: queueWait.Microseconds(), ElapsedMicros: time.Since(start).Microseconds(),
 	})
 }
 
@@ -541,7 +566,6 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	s.mutations.Add(1)
 	var inserted int64
 	for i, raw := range req.Rows {
 		row, err := s.encodeRow(raw)
@@ -549,11 +573,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 			err = s.store.Insert(row)
 		}
 		if err != nil {
-			if inserted > 0 {
-				s.muts.Add(1)
-				s.insertedRows.Add(inserted)
-			}
-			s.errorCount.Add(1)
+			s.mutated(inserted, inserted, err)
 			writeJSON2(w, http.StatusBadRequest, InsertResponse{
 				Inserted: inserted,
 				Error:    fmt.Sprintf("row %d: %v", i, err),
@@ -562,8 +582,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		}
 		inserted++
 	}
-	s.muts.Add(1)
-	s.insertedRows.Add(inserted)
+	s.mutated(inserted, inserted, nil)
 	writeJSON(w, InsertResponse{Inserted: inserted})
 }
 

@@ -13,7 +13,6 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"flood/internal/query"
 	"flood/internal/wire"
 )
 
@@ -58,17 +57,25 @@ type Updater interface {
 // and compacted away on the next Rebuild. Queries already in flight keep the
 // snapshot they captured at scan setup. Single-writer: serialize Delete
 // calls with each other, not with readers.
-func (f *Flood) Delete(q Query) (int64, error) {
-	return int64(f.idx.DeleteWhere(q)), nil
-}
+func (f *Flood) Delete(q Query) (int64, error) { return f.apply(mutation{where: &q}) }
 
 // DeleteRows tombstones rows by their Select ids (physical rows, for a plain
 // Flood index) and returns how many were newly deleted. Ids already deleted
 // or out of range are skipped.
-func (f *Flood) DeleteRows(ids []int64) (int64, error) {
-	rows := make([]int, 0, len(ids))
-	for _, id := range ids {
-		rows = append(rows, int(id))
+func (f *Flood) DeleteRows(ids []int64) (int64, error) { return f.apply(mutation{ids: ids}) }
+
+// apply implements engine: a built index has no insert path, so it takes
+// predicate and id deletions and rejects everything that would append.
+func (f *Flood) apply(m mutation) (int64, error) {
+	if m.rewrite || len(m.rows) > 0 || m.tuples != nil {
+		return 0, fmt.Errorf("flood: a built Flood index only deletes by predicate or id; wrap it in NewAdaptiveIndex for other mutations")
+	}
+	if m.where != nil {
+		return int64(f.idx.DeleteWhere(*m.where)), nil
+	}
+	rows := make([]int, len(m.ids))
+	for i, id := range m.ids {
+		rows[i] = int(id)
 	}
 	return int64(f.idx.DeleteRows(rows)), nil
 }
@@ -98,34 +105,6 @@ func rowValues(t *Table, r int) []int64 {
 		row[c] = t.Get(c, r)
 	}
 	return row
-}
-
-// applyAssignments validates set against the column count and returns a
-// modified copy of row.
-func applyAssignments(row []int64, set []Assignment, cols int) ([]int64, error) {
-	out := make([]int64, len(row))
-	copy(out, row)
-	for _, a := range set {
-		if a.Col < 0 || a.Col >= cols {
-			return nil, fmt.Errorf("flood: update assigns column %d, table has %d", a.Col, cols)
-		}
-		out[a.Col] = a.Value
-	}
-	return out, nil
-}
-
-// matchColumns reports whether row i of the column-major data satisfies q.
-// It is the brute-force matcher for the adaptive side log, where no index
-// structure exists.
-func matchColumns(q query.Query, cols [][]int64, i int) bool {
-	for c, r := range q.Ranges {
-		if r.Present {
-			if v := cols[c][i]; v < r.Min || v > r.Max {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // WAL record framing. Insert records predate deletion support and are raw
@@ -192,8 +171,20 @@ func isWALDelete(payload []byte) bool {
 	return len(payload) >= 5 && len(payload)%8 == 5 && payload[0] == walTagDelete
 }
 
+// decodeWALRecord parses one WAL payload into the mutation it logged: a
+// tagged delete record names its victims by value, anything else is one
+// inserted row.
+func decodeWALRecord(payload []byte, cols int) (mutation, error) {
+	if isWALDelete(payload) {
+		tuples, err := decodeWALDelete(payload, cols)
+		return mutation{tuples: tuples}, err
+	}
+	row, err := decodeWALRow(payload, cols)
+	return mutation{rows: [][]int64{row}}, err
+}
+
 // tupleKey packs a row's values into a comparable map key, for multiset
-// matching of value-logged deletions (see deleteTuples).
+// matching of value-named victims (see adaptiveEpoch.matchTuples).
 func tupleKey(row []int64) string {
 	b := make([]byte, 8*len(row))
 	for i, v := range row {

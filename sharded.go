@@ -99,7 +99,7 @@ type ShardStat struct {
 // dimension are atomic per shard, not transactional across shards (see
 // Update).
 type ShardedIndex struct {
-	surface
+	mutableSurface
 	router *shard.Router
 	shards []*AdaptiveIndex
 	names  []string
@@ -371,122 +371,69 @@ func (s *ShardedIndex) runPieces(ctl *query.Control, pieces, shapes []Query, agg
 	return total
 }
 
-// Insert routes the row to the shard owning its split-dimension value and
-// appends it there; visibility, WAL acknowledgment (the durable form attaches
-// each shard's log to its adaptive index), and merge scheduling are the
-// owning shard's (see AdaptiveIndex.Insert).
-func (s *ShardedIndex) Insert(row []int64) error {
+// apply implements engine: the mutation is split by shard — a predicate
+// reaches the shards prune leaves, an id the shard whose stride it carries,
+// a row the shard owning its split-dimension value — and each part is the
+// owning shard's own apply, so visibility, logging, acknowledgment and merge
+// scheduling are that shard's (see AdaptiveIndex.apply). Nothing here holds a
+// lock or touches a log. Rows a shard hands back — an Update that assigns the
+// split dimension takes every victim's rewritten copy back instead of letting
+// the shard append it — are routed like inserts once every surviving shard
+// has been swept, so a rewritten row can never match the predicate a second
+// time.
+func (s *ShardedIndex) apply(m mutation) (int64, error) {
 	dim := s.router.Dim()
-	if dim >= len(row) {
-		return fmt.Errorf("flood: row has %d values, split dimension is %d", len(row), dim)
-	}
-	return s.shards[s.router.Shard(row[dim])].Insert(row)
-}
-
-// Delete tombstones every live row matching q across the surviving shards
-// and returns the total newly deleted. Per-shard deletes are atomic; the
-// cross-shard sweep is not a transaction.
-func (s *ShardedIndex) Delete(q Query) (int64, error) {
-	first, last := s.prune(q)
 	var total int64
-	for i := first; i <= last; i++ {
-		n, err := s.shards[i].Delete(q)
-		total += n
-		if err != nil {
-			return total, err
+	var moved [][]int64
+	switch {
+	case m.where != nil:
+		part := mutation{where: m.where, rewrite: m.rewrite, set: m.set}
+		for _, as := range m.set {
+			if as.Col == dim {
+				part.moved = &moved
+			}
 		}
-	}
-	return total, nil
-}
-
-// DeleteRows tombstones rows by their Select ids. Ids carry their owning
-// shard in the high bits (the per-shard stride), so each id resolves to the
-// shard that produced it and the shard-local position within it; stale ids
-// follow AdaptiveIndex.DeleteRows' epoch caveat per shard.
-func (s *ShardedIndex) DeleteRows(ids []int64) (int64, error) {
-	groups := make([][]int64, len(s.shards))
-	for _, id := range ids {
-		sh := int(id >> shardStrideBits)
-		if id < 0 || sh >= len(s.shards) {
-			continue
-		}
-		groups[sh] = append(groups[sh], id-int64(sh)*shardStride)
-	}
-	var total int64
-	for sh, locals := range groups {
-		if len(locals) == 0 {
-			continue
-		}
-		n, err := s.shards[sh].DeleteRows(locals)
-		total += n
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
-}
-
-// Update rewrites every live row matching q with the assignments applied.
-// When no assignment touches the split dimension the update delegates to
-// each surviving shard (atomic per shard). An assignment that reassigns the
-// split dimension can move rows between shards: those rows are collected by
-// value, deleted by predicate in their old shard, and re-inserted routed by
-// their new split value — a delete-then-insert sequence that is atomic per
-// shard but not transactional across shards (a concurrent reader can
-// observe the gap; a crash between the phases in the durable form can lose
-// the re-insert). Returns the number of rows updated.
-func (s *ShardedIndex) Update(q Query, set []Assignment) (int64, error) {
-	dim := s.router.Dim()
-	moves := false
-	for _, a := range set {
-		if a.Col == dim {
-			moves = true
-		}
-	}
-	first, last := s.prune(q)
-	if !moves {
-		var total int64
+		first, last := s.prune(*m.where)
 		for i := first; i <= last; i++ {
-			n, err := s.shards[i].Update(q, set)
+			n, err := s.shards[i].apply(part)
 			total += n
 			if err != nil {
 				return total, err
 			}
 		}
-		return total, nil
-	}
-	// Three phases, so a row re-inserted into a later surviving shard can
-	// never match the predicate a second time: collect every matching tuple
-	// by value (tuples survive layout swaps, unlike physical ids), then
-	// delete the predicate in every surviving shard, then apply the
-	// assignments and re-route the rewritten rows.
-	cols := len(s.names)
-	var tuples [][]int64
-	for i := first; i <= last; i++ {
-		rows, _ := s.shards[i].Select(q)
-		for rows.Next() {
-			tp := make([]int64, cols)
-			for c := range tp {
-				tp[c] = rows.Int64(c)
+	case len(m.ids) > 0:
+		parts := make([][]int64, len(s.shards))
+		for _, id := range m.ids {
+			if sh := int(id >> shardStrideBits); id >= 0 && sh < len(s.shards) {
+				parts[sh] = append(parts[sh], id-int64(sh)*shardStride)
 			}
-			tuples = append(tuples, tp)
 		}
-		rows.Close()
+		for sh, ids := range parts {
+			if len(ids) == 0 {
+				continue
+			}
+			n, err := s.shards[sh].apply(mutation{ids: ids})
+			total += n
+			if err != nil {
+				return total, err
+			}
+		}
 	}
-	var total int64
-	for i := first; i <= last; i++ {
-		n, err := s.shards[i].Delete(q)
+	route := func(row []int64) (int64, error) {
+		if dim >= len(row) {
+			return 0, fmt.Errorf("flood: row has %d values, split dimension is %d", len(row), dim)
+		}
+		return s.shards[s.router.Shard(row[dim])].apply(mutation{rows: [][]int64{row}})
+	}
+	for _, row := range moved {
+		if _, err := route(row); err != nil {
+			return total, err
+		}
+	}
+	for _, row := range m.rows {
+		n, err := route(row)
 		total += n
 		if err != nil {
-			return total, err
-		}
-	}
-	for _, tp := range tuples {
-		nr, err := applyAssignments(tp, set, cols)
-		if err != nil {
-			return total, err
-		}
-		if err := s.Insert(nr); err != nil {
 			return total, err
 		}
 	}
