@@ -29,18 +29,21 @@ docs: vet
 	$(GO) run ./cmd/doclint . ./floodsql ./datagen \
 		./internal/core ./internal/query ./internal/colstore ./internal/encode \
 		./internal/wal ./internal/faultfs ./internal/modeltest \
-		./internal/server ./internal/loadgen ./internal/shard
+		./internal/server ./internal/loadgen ./internal/shard \
+		./internal/baseline ./internal/baseline/plan
 
 # loc prints the code size ROADMAP tracks: non-blank, non-comment lines of the
 # non-test Go files of the root package plus internal/server (the facades and
 # the serving tier over them), then the same count for the two packages they
-# sit between. CI prints it on every run, so each PR shows its delta.
+# sit between, then internal/baseline with every package under it. CI prints
+# it on every run, so each PR shows its delta.
 LOC = ls $(1)/*.go | grep -v _test.go | xargs cat | grep -cvE '^[[:space:]]*(//|$$)'
 loc:
 	@root=$$($(call LOC,.)); server=$$($(call LOC,internal/server)); \
 	echo "root + internal/server: $$((root + server)) (root $$root, internal/server $$server)"; \
 	echo "internal/core: $$($(call LOC,internal/core))"; \
-	echo "floodsql: $$($(call LOC,floodsql))"
+	echo "floodsql: $$($(call LOC,floodsql))"; \
+	echo "internal/baseline/...: $$(find internal/baseline -name '*.go' ! -name '*_test.go' | xargs cat | grep -cvE '^[[:space:]]*(//|$$)')"
 
 # bench runs the scan-kernel, build, parallel-execution, row-retrieval, and
 # context/limit benchmarks that gate perf PRs and records them in

@@ -1,16 +1,9 @@
 package flood
 
 import (
-	"fmt"
-
+	"flood/internal/baseline"
 	"flood/internal/baseline/clustered"
-	"flood/internal/baseline/fullscan"
-	"flood/internal/baseline/gridfile"
-	"flood/internal/baseline/kdtree"
-	"flood/internal/baseline/octree"
-	"flood/internal/baseline/rstar"
-	"flood/internal/baseline/ubtree"
-	"flood/internal/baseline/zorder"
+	"flood/internal/baseline/plan"
 )
 
 // BaselineKind names the baseline indexes of §7.2.
@@ -18,14 +11,14 @@ type BaselineKind string
 
 // The available baselines.
 const (
-	FullScan    BaselineKind = "fullscan"
-	Clustered   BaselineKind = "clustered"
-	GridFile    BaselineKind = "gridfile"
-	ZOrder      BaselineKind = "zorder"
-	UBTree      BaselineKind = "ubtree"
-	Hyperoctree BaselineKind = "octree"
-	KDTree      BaselineKind = "kdtree"
-	RStarTree   BaselineKind = "rstar"
+	FullScan    = BaselineKind(baseline.FullScan)
+	Clustered   = BaselineKind(baseline.Clustered)
+	GridFile    = BaselineKind(baseline.GridFile)
+	ZOrder      = BaselineKind(baseline.ZOrder)
+	UBTree      = BaselineKind(baseline.UBTree)
+	Hyperoctree = BaselineKind(baseline.Hyperoctree)
+	KDTree      = BaselineKind(baseline.KDTree)
+	RStarTree   = BaselineKind(baseline.RStarTree)
 )
 
 // Baselines lists every baseline kind in the paper's order.
@@ -48,7 +41,9 @@ type BaselineOptions struct {
 
 // BuildBaseline constructs one of the paper's baseline indexes over tbl on
 // the shared column-store substrate, with the same scan optimizations Flood
-// enjoys (§7.1).
+// enjoys (§7.1): every baseline only plans a query into physical row ranges,
+// and those run through the scan stage Flood's own queries end in — pooled
+// scanner, bitmap indexes, parallel cutover, cancellation and LIMIT pushdown.
 func BuildBaseline(kind BaselineKind, tbl *Table, opts BaselineOptions) (Index, error) {
 	dims := opts.Dims
 	if len(dims) == 0 {
@@ -57,24 +52,16 @@ func BuildBaseline(kind BaselineKind, tbl *Table, opts BaselineOptions) (Index, 
 			dims[i] = i
 		}
 	}
-	switch kind {
-	case FullScan:
-		return fullscan.New(tbl), nil
-	case Clustered:
-		return clustered.Build(tbl, dims[0], clustered.Options{Leaves: opts.RMILeaves})
-	case GridFile:
-		return gridfile.Build(tbl, dims, opts.PageSize)
-	case ZOrder:
-		return zorder.Build(tbl, dims, opts.PageSize)
-	case UBTree:
-		return ubtree.Build(tbl, dims, opts.PageSize)
-	case Hyperoctree:
-		return octree.Build(tbl, dims, opts.PageSize)
-	case KDTree:
-		return kdtree.Build(tbl, dims, opts.PageSize)
-	case RStarTree:
-		return rstar.Build(tbl, dims, opts.PageSize)
-	default:
-		return nil, fmt.Errorf("flood: unknown baseline %q", kind)
+	if kind == Clustered && opts.RMILeaves > 0 {
+		return built(clustered.Build(tbl, dims[0], opts.RMILeaves))
 	}
+	return built(baseline.Build(baseline.Kind(kind), tbl, dims, opts.PageSize))
+}
+
+// built keeps a failed build's nil pointer out of the Index interface.
+func built(idx *plan.Index, err error) (Index, error) {
+	if err != nil {
+		return nil, err
+	}
+	return idx, nil
 }

@@ -351,11 +351,11 @@ func ExecuteOrContext(ctx context.Context, idx Index, queries []Query, agg Aggre
 }
 
 // foreign adapts an Index from outside this package's facades to the engine
-// contract: a control reaches the index's own control path when it has one
-// (every baseline, via query.ControlIndex) and is otherwise enforced at the
-// aggregator, so the "at most Limit rows delivered" contract holds even
-// though such a scan cannot be stopped early (its Stats count the full
-// scan).
+// contract: a control — and the scan strategy with it — reaches the index's
+// own controlled entry when it has one (every baseline, via
+// query.ControlIndex) and is otherwise enforced at the aggregator, so the "at
+// most Limit rows delivered" contract holds even though such a scan cannot be
+// stopped early (its Stats count the full scan).
 type foreign struct {
 	surface
 	idx Index
@@ -363,12 +363,9 @@ type foreign struct {
 
 func (f *foreign) pin() generation { return f }
 
-func (f *foreign) run(ctl *query.Control, q Query, agg Aggregator, _, _ int) Stats {
-	if ctl == nil {
-		return f.idx.Execute(q, agg)
-	}
+func (f *foreign) run(ctl *query.Control, q Query, agg Aggregator, workers, cutover int) Stats {
 	if ci, ok := f.idx.(query.ControlIndex); ok {
-		return ci.ExecuteControl(ctl, q, agg)
+		return ci.Run(ctl, q, agg, workers, cutover)
 	}
 	return f.idx.Execute(q, query.ControlledAggregator(ctl, agg))
 }

@@ -54,7 +54,7 @@
 //	Base()                 → Index()
 //	Pending()              → Stats().PendingRows
 //
-// The package also exposes the paper's seven baseline multi-dimensional
+// The package also exposes the paper's eight baseline multi-dimensional
 // indexes (see BuildBaseline) on the same column-store substrate, which is
 // what the benchmark harness in cmd/floodbench uses to regenerate the
 // paper's evaluation. Architecture and lifecycle documentation lives under

@@ -6,31 +6,26 @@
 package clustered
 
 import (
-	"context"
 	"fmt"
 	"sort"
-	"time"
 
+	"flood/internal/baseline/plan"
 	"flood/internal/colstore"
+	"flood/internal/core"
 	"flood/internal/query"
 	"flood/internal/rmi"
 )
 
-// Index is a clustered single-dimensional learned index.
-type Index struct {
+// index is a clustered single-dimensional learned index.
+type index struct {
 	t      *colstore.Table
 	keyDim int
 	pos    *rmi.PositionIndex
 }
 
-// Options configures construction.
-type Options struct {
-	// Leaves is the RMI leaf count; 0 picks sqrt(n) per Appendix A.
-	Leaves int
-}
-
-// Build sorts a copy of t by keyDim and trains the RMI.
-func Build(t *colstore.Table, keyDim int, opts Options) (*Index, error) {
+// Build sorts a copy of t by keyDim and trains the RMI over it with the
+// given leaf count; 0 picks sqrt(n) per Appendix A.
+func Build(t *colstore.Table, keyDim, leaves int) (*plan.Index, error) {
 	if keyDim < 0 || keyDim >= t.NumCols() {
 		return nil, fmt.Errorf("clustered: key dim %d out of range", keyDim)
 	}
@@ -45,13 +40,12 @@ func Build(t *colstore.Table, keyDim int, opts Options) (*Index, error) {
 	for r, p := range perm {
 		sortedKeys[r] = keys[p]
 	}
-	leaves := opts.Leaves
 	if leaves <= 0 {
 		leaves = intSqrt(n)
 	}
 	pos := rmi.TrainPosition(sortedKeys, leaves)
 	pos.DropKeys()
-	return &Index{t: t.Reorder(perm), keyDim: keyDim, pos: pos}, nil
+	return plan.New(&index{t: t.Reorder(perm), keyDim: keyDim, pos: pos})
 }
 
 func intSqrt(n int) int {
@@ -62,70 +56,26 @@ func intSqrt(n int) int {
 	return s
 }
 
-// Name implements query.Index.
-func (x *Index) Name() string { return "Clustered" }
+func (x *index) Name() string           { return "Clustered" }
+func (x *index) SizeBytes() int64       { return x.pos.SizeBytes() }
+func (x *index) Table() *colstore.Table { return x.t }
 
-// KeyDim returns the clustering dimension.
-func (x *Index) KeyDim() int { return x.keyDim }
-
-// SizeBytes implements query.Index.
-func (x *Index) SizeBytes() int64 { return x.pos.SizeBytes() }
-
-// Table returns the index's reordered table.
-func (x *Index) Table() *colstore.Table { return x.t }
-
-// Execute implements query.Index.
-func (x *Index) Execute(q query.Query, agg query.Aggregator) query.Stats {
-	return x.ExecuteControl(nil, q, agg)
-}
-
-// ExecuteContext implements query.Index: Execute under ctx's cancellation,
-// stopping at block-group boundaries inside the scan kernel.
-func (x *Index) ExecuteContext(ctx context.Context, q query.Query, agg query.Aggregator) (query.Stats, error) {
-	return query.RunContext(ctx, q, agg, x.ExecuteControl)
-}
-
-// ExecuteControl implements query.ControlIndex: Execute threaded with an
-// externally owned execution control (nil scans unconditionally).
-func (x *Index) ExecuteControl(ctl *query.Control, q query.Query, agg query.Aggregator) query.Stats {
-	var st query.Stats
-	t0 := time.Now()
-	if q.Empty() {
-		st.Total = time.Since(t0)
-		return st
-	}
-	n := x.t.NumRows()
-	lo, hi := 0, n
-	r := q.Ranges[x.keyDim]
-	col := x.t.Column(x.keyDim)
-	at := func(i int) int64 { return col.Get(i) }
-	if r.Present {
+// Plan locates the key filter's endpoints through the RMI: one span, in
+// which the key dimension is exact and drops out of the residual mask.
+// Without a filter on the key dimension the span is the whole table.
+func (x *index) Plan(q query.Query, dst []core.Span) []core.Span {
+	lo, hi := 0, x.t.NumRows()
+	mask := plan.FilterMask(q)
+	if r := q.Ranges[x.keyDim]; r.Present {
+		col := x.t.Column(x.keyDim)
+		at := func(i int) int64 { return col.Get(i) }
 		if r.Min != query.NegInf {
 			lo = x.pos.LookupAt(at, r.Min)
 		}
 		if r.Max != query.PosInf {
 			hi = x.pos.LookupAt(at, r.Max+1)
 		}
+		mask &^= 1 << uint(x.keyDim)
 	}
-	t1 := time.Now()
-	st.IndexTime = t1.Sub(t0)
-
-	// The key dimension is exact within [lo, hi): drop it from the
-	// residual filter set.
-	var dims []int
-	for _, d := range q.FilteredDims() {
-		if d != x.keyDim {
-			dims = append(dims, d)
-		}
-	}
-	sc := query.NewScanner(x.t)
-	sc.SetControl(ctl)
-	s, m := sc.ScanRange(q, dims, lo, hi, agg)
-	st.Scanned, st.Matched = s, m
-	if len(dims) == 0 {
-		st.ExactMatched = m
-	}
-	st.ScanTime = time.Since(t1)
-	st.Total = time.Since(t0)
-	return st
+	return append(dst, core.Span{Start: int32(lo), End: int32(hi), Mask: mask})
 }

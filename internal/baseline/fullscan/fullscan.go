@@ -3,56 +3,27 @@
 package fullscan
 
 import (
-	"context"
-	"time"
-
+	"flood/internal/baseline/plan"
 	"flood/internal/colstore"
+	"flood/internal/core"
 	"flood/internal/query"
 )
 
-// Index scans the whole table for every query.
-type Index struct {
-	t *colstore.Table
+// scan plans the whole table for every query.
+type scan struct{ t *colstore.Table }
+
+// New returns a full-scan "index" over t's rows in their given order. The
+// index holds a view of t — the same columns, not copied — so the bitmap
+// indexes it enables are its own and the caller's table is left as it was.
+func New(t *colstore.Table) (*plan.Index, error) {
+	view := *t
+	return plan.New(scan{&view})
 }
 
-// New returns a full-scan "index" over t. The table is used as-is (no
-// reordering).
-func New(t *colstore.Table) *Index { return &Index{t: t} }
+func (s scan) Name() string           { return "FullScan" }
+func (s scan) SizeBytes() int64       { return 0 } // a full scan keeps no metadata
+func (s scan) Table() *colstore.Table { return s.t }
 
-// Name implements query.Index.
-func (x *Index) Name() string { return "FullScan" }
-
-// SizeBytes implements query.Index: a full scan keeps no metadata.
-func (x *Index) SizeBytes() int64 { return 0 }
-
-// Table returns the underlying table.
-func (x *Index) Table() *colstore.Table { return x.t }
-
-// Execute implements query.Index.
-func (x *Index) Execute(q query.Query, agg query.Aggregator) query.Stats {
-	return x.ExecuteControl(nil, q, agg)
-}
-
-// ExecuteContext implements query.Index: Execute under ctx's cancellation,
-// stopping at block-group boundaries inside the scan kernel.
-func (x *Index) ExecuteContext(ctx context.Context, q query.Query, agg query.Aggregator) (query.Stats, error) {
-	return query.RunContext(ctx, q, agg, x.ExecuteControl)
-}
-
-// ExecuteControl implements query.ControlIndex: Execute threaded with an
-// externally owned execution control (nil scans unconditionally).
-func (x *Index) ExecuteControl(ctl *query.Control, q query.Query, agg query.Aggregator) query.Stats {
-	var st query.Stats
-	t0 := time.Now()
-	if q.Empty() {
-		st.Total = time.Since(t0)
-		return st
-	}
-	sc := query.NewScanner(x.t)
-	sc.SetControl(ctl)
-	s, m := sc.ScanRange(q, q.FilteredDims(), 0, x.t.NumRows(), agg)
-	st.Scanned, st.Matched = s, m
-	st.ScanTime = time.Since(t0)
-	st.Total = st.ScanTime
-	return st
+func (s scan) Plan(q query.Query, dst []core.Span) []core.Span {
+	return append(dst, core.Span{End: int32(s.t.NumRows()), Mask: plan.FilterMask(q)})
 }

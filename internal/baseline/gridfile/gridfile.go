@@ -11,12 +11,12 @@
 package gridfile
 
 import (
-	"context"
 	"fmt"
 	"sort"
-	"time"
 
+	"flood/internal/baseline/plan"
 	"flood/internal/colstore"
+	"flood/internal/core"
 	"flood/internal/query"
 )
 
@@ -27,8 +27,8 @@ const DefaultPageSize = 1024
 // past one hour; we abort past this directory size instead).
 const maxBlocks = 1 << 22
 
-// Index is a built grid file.
-type Index struct {
+// file is a built grid file.
+type file struct {
 	t      *colstore.Table
 	dims   []int
 	scales [][]int64 // per local dim: sorted split values (block boundary b: values > scales[b-1], <= handled via sort.Search)
@@ -36,12 +36,11 @@ type Index struct {
 	counts []int     // blocks per dim = len(scales[i])+1
 	// bucket -> physical range after loading.
 	bucketStart []int32
-	numBuckets  int
 }
 
 // Build inserts every row incrementally and then loads bucket contents
 // contiguously.
-func Build(t *colstore.Table, dims []int, pageSize int) (*Index, error) {
+func Build(t *colstore.Table, dims []int, pageSize int) (*plan.Index, error) {
 	if len(dims) == 0 {
 		return nil, fmt.Errorf("gridfile: no dimensions to index")
 	}
@@ -70,13 +69,11 @@ func Build(t *colstore.Table, dims []int, pageSize int) (*Index, error) {
 		}
 	}
 	// Load: concatenate buckets into physical order.
-	idx := &Index{
-		t:          nil,
-		dims:       append([]int(nil), dims...),
-		scales:     b.scales,
-		dir:        b.dir,
-		counts:     b.counts,
-		numBuckets: len(b.buckets),
+	idx := &file{
+		dims:   append([]int(nil), dims...),
+		scales: b.scales,
+		dir:    b.dir,
+		counts: b.counts,
 	}
 	perm := make([]int, 0, n)
 	idx.bucketStart = make([]int32, len(b.buckets)+1)
@@ -88,7 +85,7 @@ func Build(t *colstore.Table, dims []int, pageSize int) (*Index, error) {
 	}
 	idx.bucketStart[len(b.buckets)] = int32(len(perm))
 	idx.t = t.Reorder(perm)
-	return idx, nil
+	return plan.New(idx)
 }
 
 type fileBuilder struct {
@@ -314,11 +311,9 @@ func (b *fileBuilder) addBoundary(dim int, v int64) error {
 	return nil
 }
 
-// Name implements query.Index.
-func (x *Index) Name() string { return "GridFile" }
+func (x *file) Name() string { return "GridFile" }
 
-// SizeBytes implements query.Index.
-func (x *Index) SizeBytes() int64 {
+func (x *file) SizeBytes() int64 {
 	s := int64(len(x.dir))*4 + int64(len(x.bucketStart))*4
 	for _, sc := range x.scales {
 		s += int64(len(sc)) * 8
@@ -326,35 +321,12 @@ func (x *Index) SizeBytes() int64 {
 	return s
 }
 
-// Table returns the index's reordered table.
-func (x *Index) Table() *colstore.Table { return x.t }
+func (x *file) Table() *colstore.Table { return x.t }
 
-// NumBuckets returns the number of buckets.
-func (x *Index) NumBuckets() int { return x.numBuckets }
-
-// Execute implements query.Index: find all blocks intersecting the query
-// rectangle, dedupe their buckets, and scan each bucket fully (points in a
-// bucket are unsorted, so the whole bucket must be checked).
-func (x *Index) Execute(q query.Query, agg query.Aggregator) query.Stats {
-	return x.ExecuteControl(nil, q, agg)
-}
-
-// ExecuteContext implements query.Index: Execute under ctx's cancellation,
-// stopping between buckets and at block-group boundaries inside the scan
-// kernel.
-func (x *Index) ExecuteContext(ctx context.Context, q query.Query, agg query.Aggregator) (query.Stats, error) {
-	return query.RunContext(ctx, q, agg, x.ExecuteControl)
-}
-
-// ExecuteControl implements query.ControlIndex: Execute threaded with an
-// externally owned execution control (nil scans unconditionally).
-func (x *Index) ExecuteControl(ctl *query.Control, q query.Query, agg query.Aggregator) query.Stats {
-	var st query.Stats
-	t0 := time.Now()
-	if q.Empty() || x.t.NumRows() == 0 {
-		st.Total = time.Since(t0)
-		return st
-	}
+// Plan finds all blocks intersecting the query rectangle, dedupes their
+// buckets, and spans each bucket whole (points in a bucket are unsorted, so
+// every row of it must be checked).
+func (x *file) Plan(q query.Query, dst []core.Span) []core.Span {
 	lo := make([]int, len(x.dims))
 	hi := make([]int, len(x.dims))
 	for i, d := range x.dims {
@@ -394,22 +366,9 @@ func (x *Index) ExecuteControl(ctl *query.Control, q query.Query, agg query.Aggr
 		}
 	}
 	sort.Slice(order, func(a, b int) bool { return order[a] < order[b] })
-	t1 := time.Now()
-	st.IndexTime = t1.Sub(t0)
-
-	dims := q.FilteredDims()
-	sc := query.NewScanner(x.t)
-	sc.SetControl(ctl)
+	mask := plan.FilterMask(q)
 	for _, bu := range order {
-		if ctl.Stopped() {
-			break
-		}
-		st.CellsVisited++
-		s, m := sc.ScanRange(q, dims, int(x.bucketStart[bu]), int(x.bucketStart[bu+1]), agg)
-		st.Scanned += s
-		st.Matched += m
+		dst = append(dst, core.Span{Start: x.bucketStart[bu], End: x.bucketStart[bu+1], Mask: mask})
 	}
-	st.ScanTime = time.Since(t1)
-	st.Total = time.Since(t0)
-	return st
+	return dst
 }

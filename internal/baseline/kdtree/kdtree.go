@@ -8,39 +8,39 @@
 package kdtree
 
 import (
-	"context"
 	"fmt"
 	"sort"
-	"time"
 
+	"flood/internal/baseline/plan"
 	"flood/internal/colstore"
-	"flood/internal/query"
 )
 
 // DefaultPageSize bounds leaf occupancy.
 const DefaultPageSize = 1024
 
+// node is a tree node: the shared bounds, range and children, plus the split
+// that produced the two children.
 type node struct {
-	splitDim   int // table dimension; -1 for leaves
-	splitVal   int64
-	mins, maxs []int64 // tight bounds over indexed dims
-	start, end int32
-	left       *node
-	right      *node
-}
-
-// Index is a built k-d tree.
-type Index struct {
-	t        *colstore.Table
-	dims     []int
-	root     *node
-	numNodes int
+	plan.Node
+	splitDim    int // table dimension; -1 for leaves
+	splitVal    int64
+	left, right *node
 }
 
 // Build partitions t over dims (most selective first).
-func Build(t *colstore.Table, dims []int, pageSize int) (*Index, error) {
+func Build(t *colstore.Table, dims []int, pageSize int) (*plan.Index, error) {
+	x, _, err := build(t, dims, pageSize)
+	if err != nil {
+		return nil, err
+	}
+	return plan.New(x)
+}
+
+// build returns the tree and, for the invariant tests, its root with the
+// split each node was cut at.
+func build(t *colstore.Table, dims []int, pageSize int) (*plan.Tree, *node, error) {
 	if len(dims) == 0 {
-		return nil, fmt.Errorf("kdtree: no dimensions to index")
+		return nil, nil, fmt.Errorf("kdtree: no dimensions to index")
 	}
 	if pageSize <= 0 {
 		pageSize = DefaultPageSize
@@ -60,7 +60,10 @@ func Build(t *colstore.Table, dims []int, pageSize int) (*Index, error) {
 	for i, r := range b.order {
 		perm[i] = int(r)
 	}
-	return &Index{t: t.Reorder(perm), dims: append([]int(nil), dims...), root: root, numNodes: b.numNodes}, nil
+	return &plan.Tree{
+		Kind: "KDTree", T: t.Reorder(perm), Dims: append([]int(nil), dims...), Root: &root.Node, NumNodes: b.numNodes,
+		NodeBytes: int64(len(dims))*16 + 16 + 8 + 16, // bounds + split + range + child ptrs
+	}, root, nil
 }
 
 type builder struct {
@@ -73,35 +76,36 @@ type builder struct {
 
 func (b *builder) split(rows []int32, next int) *node {
 	b.numNodes++
-	nd := &node{splitDim: -1, start: int32(len(b.order))}
-	nd.mins = make([]int64, len(b.raws))
-	nd.maxs = make([]int64, len(b.raws))
+	nd := &node{splitDim: -1}
+	nd.Start = int32(len(b.order))
+	nd.Mins = make([]int64, len(b.raws))
+	nd.Maxs = make([]int64, len(b.raws))
 	if len(rows) == 0 {
-		nd.end = nd.start
+		nd.End = nd.Start
 		return nd
 	}
 	for i := range b.raws {
-		nd.mins[i], nd.maxs[i] = b.raws[i][rows[0]], b.raws[i][rows[0]]
+		nd.Mins[i], nd.Maxs[i] = b.raws[i][rows[0]], b.raws[i][rows[0]]
 		for _, r := range rows[1:] {
 			v := b.raws[i][r]
-			if v < nd.mins[i] {
-				nd.mins[i] = v
+			if v < nd.Mins[i] {
+				nd.Mins[i] = v
 			}
-			if v > nd.maxs[i] {
-				nd.maxs[i] = v
+			if v > nd.Maxs[i] {
+				nd.Maxs[i] = v
 			}
 		}
 	}
 	if len(rows) <= b.pageSize {
 		b.order = append(b.order, rows...)
-		nd.end = int32(len(b.order))
+		nd.End = int32(len(b.order))
 		return nd
 	}
 	// Round-robin over indexed dims, skipping constant ones.
 	li := -1
 	for probe := 0; probe < len(b.raws); probe++ {
 		cand := (next + probe) % len(b.raws)
-		if nd.mins[cand] < nd.maxs[cand] {
+		if nd.Mins[cand] < nd.Maxs[cand] {
 			li = cand
 			break
 		}
@@ -109,7 +113,7 @@ func (b *builder) split(rows []int32, next int) *node {
 	if li < 0 {
 		// Every dimension is constant: cannot partition further.
 		b.order = append(b.order, rows...)
-		nd.end = int32(len(b.order))
+		nd.End = int32(len(b.order))
 		return nd
 	}
 	sort.Slice(rows, func(a, c int) bool { return b.raws[li][rows[a]] < b.raws[li][rows[c]] })
@@ -126,7 +130,7 @@ func (b *builder) split(rows []int32, next int) *node {
 		}
 		if m == 0 {
 			b.order = append(b.order, rows...)
-			nd.end = int32(len(b.order))
+			nd.End = int32(len(b.order))
 			return nd
 		}
 	}
@@ -134,129 +138,7 @@ func (b *builder) split(rows []int32, next int) *node {
 	nd.splitVal = b.raws[li][rows[m]]
 	nd.left = b.split(rows[:m], next+1)
 	nd.right = b.split(rows[m:], next+1)
-	nd.end = int32(len(b.order))
+	nd.Children = []*plan.Node{&nd.left.Node, &nd.right.Node}
+	nd.End = int32(len(b.order))
 	return nd
-}
-
-// Name implements query.Index.
-func (x *Index) Name() string { return "KDTree" }
-
-// SizeBytes implements query.Index.
-func (x *Index) SizeBytes() int64 {
-	perNode := int64(len(x.dims))*16 + 16 + 8 + 16 // bounds + split + range + child ptrs
-	return int64(x.numNodes) * perNode
-}
-
-// Table returns the index's reordered table.
-func (x *Index) Table() *colstore.Table { return x.t }
-
-// NumNodes returns the number of tree nodes.
-func (x *Index) NumNodes() int { return x.numNodes }
-
-// Execute implements query.Index.
-func (x *Index) Execute(q query.Query, agg query.Aggregator) query.Stats {
-	return x.ExecuteControl(nil, q, agg)
-}
-
-// ExecuteContext implements query.Index: Execute under ctx's cancellation,
-// stopping between leaf spans and at block-group boundaries inside the
-// scan kernel.
-func (x *Index) ExecuteContext(ctx context.Context, q query.Query, agg query.Aggregator) (query.Stats, error) {
-	return query.RunContext(ctx, q, agg, x.ExecuteControl)
-}
-
-// ExecuteControl implements query.ControlIndex: Execute threaded with an
-// externally owned execution control (nil scans unconditionally).
-func (x *Index) ExecuteControl(ctl *query.Control, q query.Query, agg query.Aggregator) query.Stats {
-	var st query.Stats
-	t0 := time.Now()
-	if q.Empty() || x.t.NumRows() == 0 {
-		st.Total = time.Since(t0)
-		return st
-	}
-	type span struct {
-		start, end int32
-		exact      bool
-	}
-	var spans []span
-	dims := q.FilteredDims()
-	var walk func(nd *node)
-	walk = func(nd *node) {
-		rel := relation(q, x.dims, nd.mins, nd.maxs)
-		if rel == relDisjoint {
-			return
-		}
-		if rel == relContained {
-			st.CellsVisited++
-			spans = append(spans, span{nd.start, nd.end, true})
-			return
-		}
-		if nd.splitDim < 0 || nd.left == nil {
-			st.CellsVisited++
-			spans = append(spans, span{nd.start, nd.end, false})
-			return
-		}
-		walk(nd.left)
-		walk(nd.right)
-	}
-	walk(x.root)
-	t1 := time.Now()
-	st.IndexTime = t1.Sub(t0)
-
-	sc := query.NewScanner(x.t)
-	sc.SetControl(ctl)
-	for _, sp := range spans {
-		if ctl.Stopped() {
-			break
-		}
-		if sp.exact {
-			s, m := sc.ScanExactRange(int(sp.start), int(sp.end), agg)
-			st.Scanned += s
-			st.Matched += m
-			st.ExactMatched += m
-			continue
-		}
-		s, m := sc.ScanRange(q, dims, int(sp.start), int(sp.end), agg)
-		st.Scanned += s
-		st.Matched += m
-	}
-	st.ScanTime = time.Since(t1)
-	st.Total = time.Since(t0)
-	return st
-}
-
-type rel int
-
-const (
-	relDisjoint rel = iota
-	relIntersect
-	relContained
-)
-
-func relation(q query.Query, dims []int, mins, maxs []int64) rel {
-	contained := true
-	for _, d := range q.FilteredDims() {
-		i := -1
-		for j, dd := range dims {
-			if dd == d {
-				i = j
-				break
-			}
-		}
-		if i < 0 {
-			contained = false
-			continue
-		}
-		r := q.Ranges[d]
-		if maxs[i] < r.Min || mins[i] > r.Max {
-			return relDisjoint
-		}
-		if mins[i] < r.Min || maxs[i] > r.Max {
-			contained = false
-		}
-	}
-	if contained {
-		return relContained
-	}
-	return relIntersect
 }

@@ -4,10 +4,11 @@ import (
 	"math/rand"
 	"testing"
 
+	"flood/internal/baseline/plan"
 	"flood/internal/colstore"
 )
 
-func buildTree(t *testing.T, n, pageSize int) (*Index, [][]int64) {
+func buildTree(t *testing.T, n, pageSize int) (*plan.Tree, *node) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(21))
 	data := make([][]int64, 3)
@@ -18,44 +19,44 @@ func buildTree(t *testing.T, n, pageSize int) (*Index, [][]int64) {
 		}
 	}
 	tbl := colstore.MustNewTable([]string{"a", "b", "c"}, data)
-	idx, err := Build(tbl, []int{0, 1, 2}, pageSize)
+	idx, root, err := build(tbl, []int{0, 1, 2}, pageSize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return idx, data
+	return idx, root
 }
 
 // TestSplitInvariants checks that at every internal node, the left subtree
 // holds values strictly below the split and the right subtree holds values
 // at or above it, and ranges partition the table.
 func TestSplitInvariants(t *testing.T) {
-	idx, _ := buildTree(t, 6000, 128)
+	idx, root := buildTree(t, 6000, 128)
 	var walk func(nd *node)
 	walk = func(nd *node) {
 		if nd.splitDim < 0 || nd.left == nil {
-			if int(nd.end-nd.start) > 128 && nd.splitDim >= 0 {
-				t.Fatalf("oversized leaf: %d", nd.end-nd.start)
+			if int(nd.End-nd.Start) > 128 && nd.splitDim >= 0 {
+				t.Fatalf("oversized leaf: %d", nd.End-nd.Start)
 			}
 			return
 		}
-		if nd.left.start != nd.start || nd.left.end != nd.right.start || nd.right.end != nd.end {
+		if nd.left.Start != nd.Start || nd.left.End != nd.right.Start || nd.right.End != nd.End {
 			t.Fatal("child ranges do not partition parent")
 		}
-		for r := nd.left.start; r < nd.left.end; r++ {
-			if idx.t.Get(nd.splitDim, int(r)) >= nd.splitVal {
+		for r := nd.left.Start; r < nd.left.End; r++ {
+			if idx.T.Get(nd.splitDim, int(r)) >= nd.splitVal {
 				t.Fatalf("left row %d >= split %d on dim %d", r, nd.splitVal, nd.splitDim)
 			}
 		}
-		for r := nd.right.start; r < nd.right.end; r++ {
-			if idx.t.Get(nd.splitDim, int(r)) < nd.splitVal {
+		for r := nd.right.Start; r < nd.right.End; r++ {
+			if idx.T.Get(nd.splitDim, int(r)) < nd.splitVal {
 				t.Fatalf("right row %d < split %d on dim %d", r, nd.splitVal, nd.splitDim)
 			}
 		}
 		walk(nd.left)
 		walk(nd.right)
 	}
-	walk(idx.root)
-	if idx.root.start != 0 || int(idx.root.end) != 6000 {
+	walk(root)
+	if root.Start != 0 || int(root.End) != 6000 {
 		t.Fatal("root does not cover the table")
 	}
 }
@@ -70,7 +71,7 @@ func TestConstantDimensionSkipped(t *testing.T) {
 		varied[i] = rng.Int63n(1 << 20)
 	}
 	tbl := colstore.MustNewTable([]string{"con", "var"}, [][]int64{con, varied})
-	idx, err := Build(tbl, []int{0, 1}, 64)
+	_, root, err := build(tbl, []int{0, 1}, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestConstantDimensionSkipped(t *testing.T) {
 			walk(nd.right)
 		}
 	}
-	walk(idx.root)
+	walk(root)
 }
 
 func TestAllConstantBecomesLeaf(t *testing.T) {
@@ -95,14 +96,14 @@ func TestAllConstantBecomesLeaf(t *testing.T) {
 		a[i], b[i] = 1, 2
 	}
 	tbl := colstore.MustNewTable([]string{"a", "b"}, [][]int64{a, b})
-	idx, err := Build(tbl, []int{0, 1}, 64)
+	idx, root, err := build(tbl, []int{0, 1}, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if idx.root.left != nil {
+	if root.left != nil {
 		t.Fatal("fully constant data should be a single (oversized) leaf")
 	}
-	if idx.NumNodes() != 1 {
-		t.Fatalf("NumNodes = %d, want 1", idx.NumNodes())
+	if idx.NumNodes != 1 {
+		t.Fatalf("NumNodes = %d, want 1", idx.NumNodes)
 	}
 }

@@ -8,12 +8,10 @@
 package octree
 
 import (
-	"context"
 	"fmt"
-	"time"
 
+	"flood/internal/baseline/plan"
 	"flood/internal/colstore"
-	"flood/internal/query"
 )
 
 // DefaultPageSize bounds leaf occupancy.
@@ -22,22 +20,16 @@ const DefaultPageSize = 1024
 // maxDepth caps subdivision on pathological (heavily duplicated) data.
 const maxDepth = 48
 
-type node struct {
-	mins, maxs []int64 // tight bounds of the node's points (indexed dims)
-	start, end int32
-	children   []*node
-}
-
-// Index is a built hyperoctree.
-type Index struct {
-	t        *colstore.Table
-	dims     []int
-	root     *node
-	numNodes int
-}
-
 // Build subdivides t over the given dimensions.
-func Build(t *colstore.Table, dims []int, pageSize int) (*Index, error) {
+func Build(t *colstore.Table, dims []int, pageSize int) (*plan.Index, error) {
+	x, err := build(t, dims, pageSize)
+	if err != nil {
+		return nil, err
+	}
+	return plan.New(x)
+}
+
+func build(t *colstore.Table, dims []int, pageSize int) (*plan.Tree, error) {
 	if len(dims) == 0 {
 		return nil, fmt.Errorf("octree: no dimensions to index")
 	}
@@ -75,8 +67,10 @@ func Build(t *colstore.Table, dims []int, pageSize int) (*Index, error) {
 	for i, r := range b.order {
 		perm[i] = int(r)
 	}
-	idx := &Index{t: t.Reorder(perm), dims: append([]int(nil), dims...), root: root, numNodes: b.numNodes}
-	return idx, nil
+	return &plan.Tree{
+		Kind: "Hyperoctree", T: t.Reorder(perm), Dims: append([]int(nil), dims...), Root: root, NumNodes: b.numNodes,
+		NodeBytes: int64(len(dims))*16 + 8 + 24, // bounds + range + child slice header
+	}, nil
 }
 
 type builder struct {
@@ -86,24 +80,24 @@ type builder struct {
 	numNodes int
 }
 
-func (b *builder) split(rows []int32, boxLo, boxHi []int64, depth int) *node {
+func (b *builder) split(rows []int32, boxLo, boxHi []int64, depth int) *plan.Node {
 	b.numNodes++
-	nd := &node{
-		mins:  make([]int64, len(b.raws)),
-		maxs:  make([]int64, len(b.raws)),
-		start: int32(len(b.order)),
+	nd := &plan.Node{
+		Mins:  make([]int64, len(b.raws)),
+		Maxs:  make([]int64, len(b.raws)),
+		Start: int32(len(b.order)),
 	}
 	for i := range b.raws {
-		nd.mins[i], nd.maxs[i] = boxHi[i], boxLo[i]
+		nd.Mins[i], nd.Maxs[i] = boxHi[i], boxLo[i]
 	}
 	for _, r := range rows {
 		for i := range b.raws {
 			v := b.raws[i][r]
-			if v < nd.mins[i] {
-				nd.mins[i] = v
+			if v < nd.Mins[i] {
+				nd.Mins[i] = v
 			}
-			if v > nd.maxs[i] {
-				nd.maxs[i] = v
+			if v > nd.Maxs[i] {
+				nd.Maxs[i] = v
 			}
 		}
 	}
@@ -116,7 +110,7 @@ func (b *builder) split(rows []int32, boxLo, boxHi []int64, depth int) *node {
 	}
 	if len(rows) <= b.pageSize || depth >= maxDepth || degenerate {
 		b.order = append(b.order, rows...)
-		nd.end = int32(len(b.order))
+		nd.End = int32(len(b.order))
 		return nd
 	}
 	// Partition into hyperoctants around the box midpoint. Children are
@@ -139,7 +133,7 @@ func (b *builder) split(rows []int32, boxLo, boxHi []int64, depth int) *node {
 		// All points share an octant whose box no longer shrinks them
 		// apart: stop splitting to guarantee progress.
 		b.order = append(b.order, rows...)
-		nd.end = int32(len(b.order))
+		nd.End = int32(len(b.order))
 		return nd
 	}
 	// Deterministic child order: ascending octant key.
@@ -157,135 +151,8 @@ func (b *builder) split(rows []int32, boxLo, boxHi []int64, depth int) *node {
 				cLo[i], cHi[i] = boxLo[i], mid[i]
 			}
 		}
-		nd.children = append(nd.children, b.split(g, cLo, cHi, depth+1))
+		nd.Children = append(nd.Children, b.split(g, cLo, cHi, depth+1))
 	}
-	nd.end = int32(len(b.order))
+	nd.End = int32(len(b.order))
 	return nd
-}
-
-// Name implements query.Index.
-func (x *Index) Name() string { return "Hyperoctree" }
-
-// SizeBytes implements query.Index.
-func (x *Index) SizeBytes() int64 {
-	perNode := int64(len(x.dims))*16 + 8 + 24 // bounds + range + child slice header
-	return int64(x.numNodes) * perNode
-}
-
-// Table returns the index's reordered table.
-func (x *Index) Table() *colstore.Table { return x.t }
-
-// NumNodes returns the number of tree nodes.
-func (x *Index) NumNodes() int { return x.numNodes }
-
-// Execute implements query.Index.
-func (x *Index) Execute(q query.Query, agg query.Aggregator) query.Stats {
-	return x.ExecuteControl(nil, q, agg)
-}
-
-// ExecuteContext implements query.Index: Execute under ctx's cancellation,
-// stopping between leaf spans and at block-group boundaries inside the
-// scan kernel.
-func (x *Index) ExecuteContext(ctx context.Context, q query.Query, agg query.Aggregator) (query.Stats, error) {
-	return query.RunContext(ctx, q, agg, x.ExecuteControl)
-}
-
-// ExecuteControl implements query.ControlIndex: Execute threaded with an
-// externally owned execution control (nil scans unconditionally).
-func (x *Index) ExecuteControl(ctl *query.Control, q query.Query, agg query.Aggregator) query.Stats {
-	var st query.Stats
-	t0 := time.Now()
-	if q.Empty() || x.t.NumRows() == 0 {
-		st.Total = time.Since(t0)
-		return st
-	}
-	// Collect the page ranges first (index time), then scan them.
-	type span struct {
-		start, end int32
-		exact      bool
-	}
-	var spans []span
-	dims := q.FilteredDims()
-	var walk func(nd *node)
-	walk = func(nd *node) {
-		rel := relation(q, x.dims, nd.mins, nd.maxs)
-		if rel == relDisjoint {
-			return
-		}
-		if rel == relContained {
-			st.CellsVisited++
-			spans = append(spans, span{nd.start, nd.end, true})
-			return
-		}
-		if nd.children == nil {
-			st.CellsVisited++
-			spans = append(spans, span{nd.start, nd.end, false})
-			return
-		}
-		for _, c := range nd.children {
-			walk(c)
-		}
-	}
-	walk(x.root)
-	t1 := time.Now()
-	st.IndexTime = t1.Sub(t0)
-
-	sc := query.NewScanner(x.t)
-	sc.SetControl(ctl)
-	for _, sp := range spans {
-		if ctl.Stopped() {
-			break
-		}
-		if sp.exact {
-			s, m := sc.ScanExactRange(int(sp.start), int(sp.end), agg)
-			st.Scanned += s
-			st.Matched += m
-			st.ExactMatched += m
-			continue
-		}
-		s, m := sc.ScanRange(q, dims, int(sp.start), int(sp.end), agg)
-		st.Scanned += s
-		st.Matched += m
-	}
-	st.ScanTime = time.Since(t1)
-	st.Total = time.Since(t0)
-	return st
-}
-
-type rel int
-
-const (
-	relDisjoint rel = iota
-	relIntersect
-	relContained
-)
-
-// relation classifies a node's bounds against the query rectangle. Filters
-// on dimensions outside dims force relIntersect (they must be row-checked).
-func relation(q query.Query, dims []int, mins, maxs []int64) rel {
-	contained := true
-	for _, d := range q.FilteredDims() {
-		i := -1
-		for j, dd := range dims {
-			if dd == d {
-				i = j
-				break
-			}
-		}
-		if i < 0 {
-			contained = false
-			continue
-		}
-		r := q.Ranges[d]
-		if maxs[i] < r.Min || mins[i] > r.Max {
-			return relDisjoint
-		}
-		if mins[i] < r.Min || maxs[i] > r.Max {
-			contained = false
-		}
-	}
-	if contained {
-		return relContained
-	}
-	return relIntersect
 }

@@ -4,10 +4,11 @@ import (
 	"math/rand"
 	"testing"
 
+	"flood/internal/baseline/plan"
 	"flood/internal/colstore"
 )
 
-func buildTree(t *testing.T, n, pageSize int, dims int) (*Index, [][]int64) {
+func buildTree(t *testing.T, n, pageSize int, dims int) (*plan.Tree, [][]int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(11))
 	data := make([][]int64, dims)
@@ -24,7 +25,7 @@ func buildTree(t *testing.T, n, pageSize int, dims int) (*Index, [][]int64) {
 	for i := range idxDims {
 		idxDims[i] = i
 	}
-	idx, err := Build(tbl, idxDims, pageSize)
+	idx, err := build(tbl, idxDims, pageSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,45 +37,45 @@ func buildTree(t *testing.T, n, pageSize int, dims int) (*Index, [][]int64) {
 // respect the page size (unless degenerate).
 func TestTreeInvariants(t *testing.T) {
 	idx, _ := buildTree(t, 5000, 128, 3)
-	var walk func(nd *node) (int32, int32)
+	var walk func(nd *plan.Node) (int32, int32)
 	leafCount := 0
-	walk = func(nd *node) (int32, int32) {
-		for r := nd.start; r < nd.end; r++ {
-			for i, d := range idx.dims {
-				v := idx.t.Get(d, int(r))
-				if v < nd.mins[i] || v > nd.maxs[i] {
+	walk = func(nd *plan.Node) (int32, int32) {
+		for r := nd.Start; r < nd.End; r++ {
+			for i, d := range idx.Dims {
+				v := idx.T.Get(d, int(r))
+				if v < nd.Mins[i] || v > nd.Maxs[i] {
 					t.Fatalf("row %d outside node bounds on dim %d", r, d)
 				}
 			}
 		}
-		if nd.children == nil {
+		if nd.Children == nil {
 			leafCount++
-			if int(nd.end-nd.start) > 128 {
-				t.Fatalf("leaf holds %d > page size", nd.end-nd.start)
+			if int(nd.End-nd.Start) > 128 {
+				t.Fatalf("leaf holds %d > page size", nd.End-nd.Start)
 			}
-			return nd.start, nd.end
+			return nd.Start, nd.End
 		}
-		cur := nd.start
-		for _, c := range nd.children {
+		cur := nd.Start
+		for _, c := range nd.Children {
 			cs, ce := walk(c)
 			if cs != cur {
 				t.Fatalf("child ranges not contiguous: %d != %d", cs, cur)
 			}
 			cur = ce
 		}
-		if cur != nd.end {
-			t.Fatalf("children do not cover parent: %d != %d", cur, nd.end)
+		if cur != nd.End {
+			t.Fatalf("children do not cover parent: %d != %d", cur, nd.End)
 		}
-		return nd.start, nd.end
+		return nd.Start, nd.End
 	}
-	s, e := walk(idx.root)
+	s, e := walk(idx.Root)
 	if s != 0 || int(e) != 5000 {
 		t.Fatalf("root covers [%d, %d), want [0, 5000)", s, e)
 	}
 	if leafCount < 5000/128 {
 		t.Fatalf("suspiciously few leaves: %d", leafCount)
 	}
-	if idx.NumNodes() < leafCount {
+	if idx.NumNodes < leafCount {
 		t.Fatal("node count below leaf count")
 	}
 }
@@ -93,11 +94,11 @@ func TestDuplicateHeavyDataTerminates(t *testing.T) {
 		}
 	}
 	tbl := colstore.MustNewTable([]string{"a", "b"}, [][]int64{a, b})
-	idx, err := Build(tbl, []int{0, 1}, 64)
+	idx, err := build(tbl, []int{0, 1}, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if idx.t.NumRows() != n {
+	if idx.T.NumRows() != n {
 		t.Fatal("rows lost")
 	}
 }
@@ -106,7 +107,7 @@ func TestHighDimensionalSparseChildren(t *testing.T) {
 	// At d=14 a dense child array would need 2^14 slots per node; the
 	// sparse representation must stay proportional to the data.
 	idx, _ := buildTree(t, 3000, 64, 14)
-	if idx.NumNodes() > 3000+10 {
-		t.Fatalf("node explosion at high d: %d nodes for 3000 points", idx.NumNodes())
+	if idx.NumNodes > 3000+10 {
+		t.Fatalf("node explosion at high d: %d nodes for 3000 points", idx.NumNodes)
 	}
 }

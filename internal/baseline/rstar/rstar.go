@@ -7,14 +7,12 @@
 package rstar
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sort"
-	"time"
 
+	"flood/internal/baseline/plan"
 	"flood/internal/colstore"
-	"flood/internal/query"
 )
 
 // DefaultPageSize bounds leaf occupancy; DefaultFanout bounds internal nodes.
@@ -23,22 +21,16 @@ const (
 	DefaultFanout   = 16
 )
 
-type node struct {
-	mins, maxs []int64
-	start, end int32
-	children   []*node
-}
-
-// Index is an STR bulk-loaded R-tree.
-type Index struct {
-	t        *colstore.Table
-	dims     []int
-	root     *node
-	numNodes int
-}
-
 // Build packs t over dims using STR tiling.
-func Build(t *colstore.Table, dims []int, pageSize int) (*Index, error) {
+func Build(t *colstore.Table, dims []int, pageSize int) (*plan.Index, error) {
+	x, err := build(t, dims, pageSize)
+	if err != nil {
+		return nil, err
+	}
+	return plan.New(x)
+}
+
+func build(t *colstore.Table, dims []int, pageSize int) (*plan.Tree, error) {
 	if len(dims) == 0 {
 		return nil, fmt.Errorf("rstar: no dimensions to index")
 	}
@@ -55,51 +47,53 @@ func Build(t *colstore.Table, dims []int, pageSize int) (*Index, error) {
 		rows[i] = int32(i)
 	}
 	b := &builder{raws: raws, pageSize: pageSize}
-	var leaves []*node
+	var leaves []*plan.Node
 	b.tile(rows, 0, &leaves)
 	perm := make([]int, n)
 	for i, r := range b.order {
 		perm[i] = int(r)
 	}
-	idx := &Index{t: t.Reorder(perm), dims: append([]int(nil), dims...)}
-	idx.numNodes = len(leaves)
+	idx := &plan.Tree{
+		Kind: "RStar", T: t.Reorder(perm), Dims: append([]int(nil), dims...), NumNodes: len(leaves),
+		NodeBytes: int64(len(dims))*16 + 8 + 24, // bounds + range + child slice header
+	}
 	// Pack leaves upward into fanout-wide internal levels.
 	level := leaves
 	for len(level) > 1 {
-		var up []*node
+		var up []*plan.Node
 		for i := 0; i < len(level); i += DefaultFanout {
 			j := i + DefaultFanout
 			if j > len(level) {
 				j = len(level)
 			}
-			parent := &node{
-				mins:     make([]int64, len(dims)),
-				maxs:     make([]int64, len(dims)),
-				children: level[i:j:j],
-				start:    level[i].start,
-				end:      level[j-1].end,
+			parent := &plan.Node{
+				Mins:     make([]int64, len(dims)),
+				Maxs:     make([]int64, len(dims)),
+				Children: level[i:j:j],
+				Start:    level[i].Start,
+				End:      level[j-1].End,
 			}
-			copy(parent.mins, level[i].mins)
-			copy(parent.maxs, level[i].maxs)
+			copy(parent.Mins, level[i].Mins)
+			copy(parent.Maxs, level[i].Maxs)
 			for _, c := range level[i+1 : j] {
 				for k := range dims {
-					if c.mins[k] < parent.mins[k] {
-						parent.mins[k] = c.mins[k]
+					if c.Mins[k] < parent.Mins[k] {
+						parent.Mins[k] = c.Mins[k]
 					}
-					if c.maxs[k] > parent.maxs[k] {
-						parent.maxs[k] = c.maxs[k]
+					if c.Maxs[k] > parent.Maxs[k] {
+						parent.Maxs[k] = c.Maxs[k]
 					}
 				}
 			}
 			up = append(up, parent)
-			idx.numNodes++
+			idx.NumNodes++
 		}
 		level = up
 	}
 	if len(level) == 1 {
-		idx.root = level[0]
+		idx.Root = level[0]
 	} else {
-		idx.root = &node{mins: make([]int64, len(dims)), maxs: make([]int64, len(dims))}
+		idx.Root = &plan.Node{Mins: make([]int64, len(dims)), Maxs: make([]int64, len(dims))}
 	}
 	return idx, nil
 }
@@ -113,7 +107,7 @@ type builder struct {
 // tile recursively applies STR: sort by the current dimension, cut into
 // slabs sized so that the final leaves hold ~pageSize points, recurse on the
 // next dimension; the last dimension emits leaves directly.
-func (b *builder) tile(rows []int32, dim int, leaves *[]*node) {
+func (b *builder) tile(rows []int32, dim int, leaves *[]*plan.Node) {
 	if len(rows) == 0 {
 		return
 	}
@@ -145,148 +139,27 @@ func (b *builder) tile(rows []int32, dim int, leaves *[]*node) {
 	}
 }
 
-func (b *builder) leaf(rows []int32) *node {
-	nd := &node{
-		mins:  make([]int64, len(b.raws)),
-		maxs:  make([]int64, len(b.raws)),
-		start: int32(len(b.order)),
+func (b *builder) leaf(rows []int32) *plan.Node {
+	nd := &plan.Node{
+		Mins:  make([]int64, len(b.raws)),
+		Maxs:  make([]int64, len(b.raws)),
+		Start: int32(len(b.order)),
 	}
 	for i := range b.raws {
-		nd.mins[i], nd.maxs[i] = b.raws[i][rows[0]], b.raws[i][rows[0]]
+		nd.Mins[i], nd.Maxs[i] = b.raws[i][rows[0]], b.raws[i][rows[0]]
 	}
 	for _, r := range rows {
 		for i := range b.raws {
 			v := b.raws[i][r]
-			if v < nd.mins[i] {
-				nd.mins[i] = v
+			if v < nd.Mins[i] {
+				nd.Mins[i] = v
 			}
-			if v > nd.maxs[i] {
-				nd.maxs[i] = v
+			if v > nd.Maxs[i] {
+				nd.Maxs[i] = v
 			}
 		}
 	}
 	b.order = append(b.order, rows...)
-	nd.end = int32(len(b.order))
+	nd.End = int32(len(b.order))
 	return nd
-}
-
-// Name implements query.Index.
-func (x *Index) Name() string { return "RStar" }
-
-// SizeBytes implements query.Index.
-func (x *Index) SizeBytes() int64 {
-	perNode := int64(len(x.dims))*16 + 8 + 24
-	return int64(x.numNodes) * perNode
-}
-
-// Table returns the index's reordered table.
-func (x *Index) Table() *colstore.Table { return x.t }
-
-// Execute implements query.Index.
-func (x *Index) Execute(q query.Query, agg query.Aggregator) query.Stats {
-	return x.ExecuteControl(nil, q, agg)
-}
-
-// ExecuteContext implements query.Index: Execute under ctx's cancellation,
-// stopping between leaf spans and at block-group boundaries inside the
-// scan kernel.
-func (x *Index) ExecuteContext(ctx context.Context, q query.Query, agg query.Aggregator) (query.Stats, error) {
-	return query.RunContext(ctx, q, agg, x.ExecuteControl)
-}
-
-// ExecuteControl implements query.ControlIndex: Execute threaded with an
-// externally owned execution control (nil scans unconditionally).
-func (x *Index) ExecuteControl(ctl *query.Control, q query.Query, agg query.Aggregator) query.Stats {
-	var st query.Stats
-	t0 := time.Now()
-	if q.Empty() || x.t.NumRows() == 0 {
-		st.Total = time.Since(t0)
-		return st
-	}
-	type span struct {
-		start, end int32
-		exact      bool
-	}
-	var spans []span
-	dims := q.FilteredDims()
-	var walk func(nd *node)
-	walk = func(nd *node) {
-		rel := relation(q, x.dims, nd.mins, nd.maxs)
-		if rel == relDisjoint {
-			return
-		}
-		if rel == relContained {
-			st.CellsVisited++
-			spans = append(spans, span{nd.start, nd.end, true})
-			return
-		}
-		if nd.children == nil {
-			st.CellsVisited++
-			spans = append(spans, span{nd.start, nd.end, false})
-			return
-		}
-		for _, c := range nd.children {
-			walk(c)
-		}
-	}
-	walk(x.root)
-	t1 := time.Now()
-	st.IndexTime = t1.Sub(t0)
-
-	sc := query.NewScanner(x.t)
-	sc.SetControl(ctl)
-	for _, sp := range spans {
-		if ctl.Stopped() {
-			break
-		}
-		if sp.exact {
-			s, m := sc.ScanExactRange(int(sp.start), int(sp.end), agg)
-			st.Scanned += s
-			st.Matched += m
-			st.ExactMatched += m
-			continue
-		}
-		s, m := sc.ScanRange(q, dims, int(sp.start), int(sp.end), agg)
-		st.Scanned += s
-		st.Matched += m
-	}
-	st.ScanTime = time.Since(t1)
-	st.Total = time.Since(t0)
-	return st
-}
-
-type rel int
-
-const (
-	relDisjoint rel = iota
-	relIntersect
-	relContained
-)
-
-func relation(q query.Query, dims []int, mins, maxs []int64) rel {
-	contained := true
-	for _, d := range q.FilteredDims() {
-		i := -1
-		for j, dd := range dims {
-			if dd == d {
-				i = j
-				break
-			}
-		}
-		if i < 0 {
-			contained = false
-			continue
-		}
-		r := q.Ranges[d]
-		if maxs[i] < r.Min || mins[i] > r.Max {
-			return relDisjoint
-		}
-		if mins[i] < r.Min || maxs[i] > r.Max {
-			contained = false
-		}
-	}
-	if contained {
-		return relContained
-	}
-	return relIntersect
 }

@@ -4,10 +4,11 @@ import (
 	"math/rand"
 	"testing"
 
+	"flood/internal/baseline/plan"
 	"flood/internal/colstore"
 )
 
-func buildTree(t *testing.T, n, pageSize int) *Index {
+func buildTree(t *testing.T, n, pageSize int) *plan.Tree {
 	t.Helper()
 	rng := rand.New(rand.NewSource(31))
 	data := make([][]int64, 3)
@@ -18,7 +19,7 @@ func buildTree(t *testing.T, n, pageSize int) *Index {
 		}
 	}
 	tbl := colstore.MustNewTable([]string{"a", "b", "c"}, data)
-	idx, err := Build(tbl, []int{0, 1, 2}, pageSize)
+	idx, err := build(tbl, []int{0, 1, 2}, pageSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,35 +31,35 @@ func buildTree(t *testing.T, n, pageSize int) *Index {
 // their rows.
 func TestMBRInvariants(t *testing.T) {
 	idx := buildTree(t, 8000, 256)
-	var walk func(nd *node)
-	walk = func(nd *node) {
-		if nd.children == nil {
-			if int(nd.end-nd.start) > 256 {
-				t.Fatalf("oversized leaf: %d", nd.end-nd.start)
+	var walk func(nd *plan.Node)
+	walk = func(nd *plan.Node) {
+		if nd.Children == nil {
+			if int(nd.End-nd.Start) > 256 {
+				t.Fatalf("oversized leaf: %d", nd.End-nd.Start)
 			}
-			for r := nd.start; r < nd.end; r++ {
-				for i, d := range idx.dims {
-					v := idx.t.Get(d, int(r))
-					if v < nd.mins[i] || v > nd.maxs[i] {
+			for r := nd.Start; r < nd.End; r++ {
+				for i, d := range idx.Dims {
+					v := idx.T.Get(d, int(r))
+					if v < nd.Mins[i] || v > nd.Maxs[i] {
 						t.Fatalf("row %d outside leaf MBR on dim %d", r, d)
 					}
 				}
 			}
 			return
 		}
-		if len(nd.children) > DefaultFanout {
-			t.Fatalf("node has %d children > fanout", len(nd.children))
+		if len(nd.Children) > DefaultFanout {
+			t.Fatalf("node has %d children > fanout", len(nd.Children))
 		}
-		for _, c := range nd.children {
-			for i := range nd.mins {
-				if c.mins[i] < nd.mins[i] || c.maxs[i] > nd.maxs[i] {
+		for _, c := range nd.Children {
+			for i := range nd.Mins {
+				if c.Mins[i] < nd.Mins[i] || c.Maxs[i] > nd.Maxs[i] {
 					t.Fatal("child MBR escapes parent MBR")
 				}
 			}
 			walk(c)
 		}
 	}
-	walk(idx.root)
+	walk(idx.Root)
 }
 
 // TestLeavesPartitionRows ensures STR packing lays out every row exactly
@@ -66,20 +67,20 @@ func TestMBRInvariants(t *testing.T) {
 func TestLeavesPartitionRows(t *testing.T) {
 	idx := buildTree(t, 5000, 128)
 	var cur int32
-	var walk func(nd *node)
-	walk = func(nd *node) {
-		if nd.children == nil {
-			if nd.start != cur {
-				t.Fatalf("leaf starts at %d, want %d", nd.start, cur)
+	var walk func(nd *plan.Node)
+	walk = func(nd *plan.Node) {
+		if nd.Children == nil {
+			if nd.Start != cur {
+				t.Fatalf("leaf starts at %d, want %d", nd.Start, cur)
 			}
-			cur = nd.end
+			cur = nd.End
 			return
 		}
-		for _, c := range nd.children {
+		for _, c := range nd.Children {
 			walk(c)
 		}
 	}
-	walk(idx.root)
+	walk(idx.Root)
 	if int(cur) != 5000 {
 		t.Fatalf("leaves cover %d rows, want 5000", cur)
 	}
@@ -87,15 +88,15 @@ func TestLeavesPartitionRows(t *testing.T) {
 
 func TestTinyInputs(t *testing.T) {
 	tbl := colstore.MustNewTable([]string{"a"}, [][]int64{{9}})
-	idx, err := Build(tbl, []int{0}, 16)
+	idx, err := build(tbl, []int{0}, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if idx.root == nil {
+	if idx.Root == nil {
 		t.Fatal("single-row tree must have a root")
 	}
 	empty := colstore.MustNewTable([]string{"a"}, [][]int64{{}})
-	if _, err := Build(empty, []int{0}, 16); err != nil {
+	if _, err := build(empty, []int{0}, 16); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,149 +1,65 @@
 // Package ubtree implements the UB-tree baseline (§7.2, Appendix A): points
 // are ordered by Z-value and grouped into pages storing only their minimum
-// Z-value. A query walks the physical range between the rectangle's extreme
-// Z-values; whenever it reaches a point outside the rectangle it computes the
-// next in-rectangle Z-value (BIGMIN) and skips ahead to the page containing
-// it.
+// Z-value. A query walks the pages between the rectangle's extreme Z-values;
+// whenever a page starts outside the rectangle it computes the next
+// in-rectangle Z-value (BIGMIN) and, if that lies past the page, skips ahead
+// to the page containing it. Rows inside a visited page are filtered by the
+// scan kernel.
 package ubtree
 
 import (
-	"context"
-	"time"
-
+	"flood/internal/baseline/plan"
 	"flood/internal/baseline/zbase"
 	"flood/internal/colstore"
+	"flood/internal/core"
 	"flood/internal/query"
 )
 
-// Index is a UB-tree over a Z-sorted table.
-type Index struct {
-	b *zbase.Base
-}
+// tree is a UB-tree over a Z-sorted table.
+type tree struct{ b *zbase.Base }
 
 // Build Z-sorts t over dims (most selective first) with the given page size
 // (0 = default).
-func Build(t *colstore.Table, dims []int, pageSize int) (*Index, error) {
+func Build(t *colstore.Table, dims []int, pageSize int) (*plan.Index, error) {
 	b, err := zbase.Build(t, dims, pageSize)
 	if err != nil {
 		return nil, err
 	}
-	return &Index{b: b}, nil
+	return plan.New(tree{b})
 }
 
-// Name implements query.Index.
-func (x *Index) Name() string { return "UBtree" }
+func (x tree) Name() string           { return "UBtree" }
+func (x tree) SizeBytes() int64       { return x.b.SizeBytes() }
+func (x tree) Table() *colstore.Table { return x.b.T }
 
-// SizeBytes implements query.Index.
-func (x *Index) SizeBytes() int64 { return x.b.SizeBytes() }
-
-// Table returns the index's reordered table.
-func (x *Index) Table() *colstore.Table { return x.b.T }
-
-// Execute implements query.Index.
-func (x *Index) Execute(q query.Query, agg query.Aggregator) query.Stats {
-	return x.ExecuteControl(nil, q, agg)
-}
-
-// ExecuteContext implements query.Index: Execute under ctx's cancellation,
-// polled every ~1K rows of the BIGMIN walk.
-func (x *Index) ExecuteContext(ctx context.Context, q query.Query, agg query.Aggregator) (query.Stats, error) {
-	return query.RunContext(ctx, q, agg, x.ExecuteControl)
-}
-
-// ExecuteControl implements query.ControlIndex: Execute threaded with an
-// externally owned execution control (nil scans unconditionally).
-func (x *Index) ExecuteControl(ctl *query.Control, q query.Query, agg query.Aggregator) query.Stats {
-	var st query.Stats
-	t0 := time.Now()
-	lo, hi, ok := x.b.QuantizedRect(q)
-	if q.Empty() || !ok || x.b.T.NumRows() == 0 {
-		st.Total = time.Since(t0)
-		return st
+// Plan keeps every page whose code interval meets the quantized rectangle.
+// Page p holds codes from its own minimum up to the next page's (inclusive:
+// rows sharing a code can straddle the boundary), so it is needed exactly
+// when the smallest in-rectangle code at or above its minimum does not lie
+// past the next page's; when it does, that code names the page to resume at.
+// The page minimum is all a UB-tree stores, so no page is known exact.
+func (x tree) Plan(q query.Query, dst []core.Span) []core.Span {
+	b, enc := x.b, x.b.Enc
+	lo, hi, ok := b.QuantizedRect(q)
+	if !ok {
+		return dst
 	}
-	enc := x.b.Enc
-	zlo := enc.EncodeParts(lo)
-	zhi := enc.EncodeParts(hi)
-	page := x.b.PageFor(zlo)
-	lastPage := x.b.PageFor(zhi)
-	t1 := time.Now()
-	st.IndexTime = t1.Sub(t0)
-
-	// Row-level walk with BIGMIN skip-ahead. Each visited row is
-	// quantized and checked against the rectangle; out-of-rectangle rows
-	// trigger a jump to the page holding the next in-rectangle code.
-	dims := q.FilteredDims()
-	point := make([]int64, len(x.b.Dims))
-	parts := make([]uint64, len(x.b.Dims))
-	n := x.b.T.NumRows()
-	_, endRow := x.b.PageRange(lastPage)
-	row, _ := x.b.PageRange(page)
-	// skipTarget caches the last BIGMIN: rows with codes below it are
-	// known to be outside the rectangle, so they advance without paying
-	// for another BIGMIN + page search.
-	var skipTarget uint64
-	haveSkip := false
-	for row < endRow && row < n {
-		if ctl != nil && st.Scanned&1023 == 0 && ctl.Check() {
-			break
-		}
-		st.Scanned++
-		inRect := true
-		for i, d := range x.b.Dims {
-			point[i] = x.b.T.Get(d, row)
-			parts[i] = enc.Part(i, point[i])
-			if parts[i] < lo[i] || parts[i] > hi[i] {
-				inRect = false
+	zlo, zhi := enc.EncodeParts(lo), enc.EncodeParts(hi)
+	mask := plan.FilterMask(q)
+	last := b.PageFor(zhi)
+	for p := b.FirstPageFor(zlo); p <= last; {
+		z := b.PageMinZ[p]
+		if !enc.InRect(z, lo, hi) {
+			if z, ok = enc.BigMin(z, zlo, zhi); !ok {
+				break
 			}
 		}
-		if inRect {
-			if x.matchesResidual(q, dims, row) {
-				if ctl.Take(1) == 0 {
-					break // limit budget exhausted
-				}
-				agg.Add(x.b.T, row)
-				st.Matched++
-			}
-			row++
+		if p < last && z > b.PageMinZ[p+1] {
+			p = b.FirstPageFor(z)
 			continue
 		}
-		z := enc.EncodeParts(parts)
-		if z > zhi {
-			break
-		}
-		if haveSkip && z < skipTarget {
-			row++
-			continue
-		}
-		// Skip ahead: find the next Z-code inside the rectangle and
-		// jump to the page that contains it.
-		big, ok := enc.BigMin(z, zlo, zhi)
-		if !ok || big > zhi {
-			break
-		}
-		skipTarget, haveSkip = big, true
-		next := x.b.PageFor(big)
-		nextStart, _ := x.b.PageRange(next)
-		if nextStart > row {
-			row = nextStart
-			st.CellsVisited++
-		} else {
-			row++
-		}
+		dst = append(dst, core.Span{Start: b.PageRows[p], End: b.PageRows[p+1], Mask: mask})
+		p++
 	}
-	st.ScanTime = time.Since(t1)
-	st.Total = time.Since(t0)
-	return st
-}
-
-// matchesResidual verifies the exact (unquantized) filter for a row that
-// passed the quantized rectangle check.
-func (x *Index) matchesResidual(q query.Query, dims []int, row int) bool {
-	for _, d := range dims {
-		v := x.b.T.Get(d, row)
-		r := q.Ranges[d]
-		if v < r.Min || v > r.Max {
-			return false
-		}
-	}
-	return true
+	return dst
 }

@@ -120,14 +120,20 @@ func (b *Base) QuantizedRect(q query.Query) (lo, hi []uint64, nonEmpty bool) {
 	return lo, hi, true
 }
 
-// PageFor returns the index of the last page whose min code is <= z (the
-// page that would contain z), or 0 when z precedes everything.
+// PageFor returns the index of the last page whose min code is <= z — the
+// last page that can hold code z, where a walk up to z ends — or 0 when z
+// precedes everything.
 func (b *Base) PageFor(z uint64) int {
-	p := sort.Search(len(b.PageMinZ), func(i int) bool { return b.PageMinZ[i] > z }) - 1
-	if p < 0 {
-		p = 0
-	}
-	return p
+	return max(sort.Search(len(b.PageMinZ), func(i int) bool { return b.PageMinZ[i] > z })-1, 0)
+}
+
+// FirstPageFor returns the index of the first page that can hold code z,
+// where a walk from z starts: the last page whose min code is strictly
+// below z. Rows sharing one code can straddle a page boundary, so a page
+// whose min is z itself may be preceded by pages that end in — or consist
+// of — rows with code z; PageFor would skip those.
+func (b *Base) FirstPageFor(z uint64) int {
+	return max(sort.Search(len(b.PageMinZ), func(i int) bool { return b.PageMinZ[i] >= z })-1, 0)
 }
 
 // SizeBytes reports the page metadata footprint.

@@ -6,16 +6,15 @@
 package zorder
 
 import (
-	"context"
-	"time"
-
+	"flood/internal/baseline/plan"
 	"flood/internal/baseline/zbase"
 	"flood/internal/colstore"
+	"flood/internal/core"
 	"flood/internal/query"
 )
 
-// Index is a Z-order-sorted table with page MBR metadata.
-type Index struct {
+// index is a Z-order-sorted table with page MBR metadata.
+type index struct {
 	b        *zbase.Base
 	pageMins [][]int64 // per page, per indexed dim
 	pageMaxs [][]int64
@@ -23,12 +22,12 @@ type Index struct {
 
 // Build Z-sorts t over dims (most selective first) with the given page size
 // (0 = default).
-func Build(t *colstore.Table, dims []int, pageSize int) (*Index, error) {
+func Build(t *colstore.Table, dims []int, pageSize int) (*plan.Index, error) {
 	b, err := zbase.Build(t, dims, pageSize)
 	if err != nil {
 		return nil, err
 	}
-	x := &Index{b: b}
+	x := &index{b: b}
 	np := b.NumPages()
 	x.pageMins = make([][]int64, np)
 	x.pageMaxs = make([][]int64, np)
@@ -51,110 +50,37 @@ func Build(t *colstore.Table, dims []int, pageSize int) (*Index, error) {
 		}
 		x.pageMins[p], x.pageMaxs[p] = mins, maxs
 	}
-	return x, nil
+	return plan.New(x)
 }
 
-// Name implements query.Index.
-func (x *Index) Name() string { return "ZOrder" }
+func (x *index) Name() string { return "ZOrder" }
 
-// SizeBytes implements query.Index.
-func (x *Index) SizeBytes() int64 {
+func (x *index) SizeBytes() int64 {
 	return x.b.SizeBytes() + int64(len(x.pageMins))*int64(len(x.b.Dims))*16
 }
 
-// Table returns the index's reordered table.
-func (x *Index) Table() *colstore.Table { return x.b.T }
+func (x *index) Table() *colstore.Table { return x.b.T }
 
-// Execute implements query.Index.
-func (x *Index) Execute(q query.Query, agg query.Aggregator) query.Stats {
-	return x.ExecuteControl(nil, q, agg)
-}
-
-// ExecuteContext implements query.Index: Execute under ctx's cancellation,
-// stopping between pages and at block-group boundaries inside the kernel.
-func (x *Index) ExecuteContext(ctx context.Context, q query.Query, agg query.Aggregator) (query.Stats, error) {
-	return query.RunContext(ctx, q, agg, x.ExecuteControl)
-}
-
-// ExecuteControl implements query.ControlIndex: Execute threaded with an
-// externally owned execution control (nil scans unconditionally).
-func (x *Index) ExecuteControl(ctl *query.Control, q query.Query, agg query.Aggregator) query.Stats {
-	var st query.Stats
-	t0 := time.Now()
+// Plan walks the pages between the rectangle's smallest and largest Z-value
+// and keeps those whose min/max rectangle intersects the query's; a page
+// inside the query rectangle is exact.
+func (x *index) Plan(q query.Query, dst []core.Span) []core.Span {
 	lo, hi, ok := x.b.QuantizedRect(q)
-	if q.Empty() || !ok || x.b.T.NumRows() == 0 {
-		st.Total = time.Since(t0)
-		return st
+	if !ok {
+		return dst
 	}
-	zlo := x.b.Enc.EncodeParts(lo)
-	zhi := x.b.Enc.EncodeParts(hi)
-	pStart := x.b.PageFor(zlo)
-	pEnd := x.b.PageFor(zhi)
-	t1 := time.Now()
-	st.IndexTime = t1.Sub(t0)
-
-	dims := q.FilteredDims()
-	sc := query.NewScanner(x.b.T)
-	sc.SetControl(ctl)
-	for p := pStart; p <= pEnd; p++ {
-		if ctl.Stopped() {
-			break
-		}
-		// Scan a page only when the rectangle formed by its min/max
-		// values intersects the query rectangle.
-		if !x.pageIntersects(p, q) {
+	mask := plan.FilterMask(q)
+	last := x.b.PageFor(x.b.Enc.EncodeParts(hi))
+	for p := x.b.FirstPageFor(x.b.Enc.EncodeParts(lo)); p <= last; p++ {
+		rel := plan.Relation(q, x.b.Dims, x.pageMins[p], x.pageMaxs[p])
+		if rel == plan.Disjoint {
 			continue
 		}
-		st.CellsVisited++
-		start, end := x.b.PageRange(p)
-		if x.pageContained(p, q) {
-			s, m := sc.ScanExactRange(start, end, agg)
-			st.Scanned += s
-			st.Matched += m
-			st.ExactMatched += m
-			continue
+		sp := core.Span{Start: x.b.PageRows[p], End: x.b.PageRows[p+1], Mask: mask}
+		if rel == plan.Contained {
+			sp.Mask = 0
 		}
-		s, m := sc.ScanRange(q, dims, start, end, agg)
-		st.Scanned += s
-		st.Matched += m
+		dst = append(dst, sp)
 	}
-	st.ScanTime = time.Since(t1)
-	st.Total = time.Since(t0)
-	return st
-}
-
-func (x *Index) pageIntersects(p int, q query.Query) bool {
-	for i, d := range x.b.Dims {
-		r := q.Ranges[d]
-		if !r.Present {
-			continue
-		}
-		if x.pageMaxs[p][i] < r.Min || x.pageMins[p][i] > r.Max {
-			return false
-		}
-	}
-	return true
-}
-
-func (x *Index) pageContained(p int, q query.Query) bool {
-	for _, d := range q.FilteredDims() {
-		i := x.localDim(d)
-		if i < 0 {
-			return false // filter on an unindexed dimension
-		}
-		r := q.Ranges[d]
-		if x.pageMins[p][i] < r.Min || x.pageMaxs[p][i] > r.Max {
-			return false
-		}
-	}
-	return true
-}
-
-func (x *Index) localDim(d int) int {
-	for i, dd := range x.b.Dims {
-		if dd == d {
-			return i
-		}
-	}
-	return -1
+	return dst
 }

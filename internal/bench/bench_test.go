@@ -60,7 +60,7 @@ func runSmoke(t *testing.T, id string, expect ...string) {
 
 func TestTable1Smoke(t *testing.T) { runSmoke(t, "table1", "sales", "tpch", "osm", "perfmon") }
 func TestFig5Smoke(t *testing.T)   { runSmoke(t, "fig5", "not a constant") }
-func TestFig7Smoke(t *testing.T)   { runSmoke(t, "fig7", "Flood", "FullScan", "KDTree") }
+func TestFig7Smoke(t *testing.T)   { runSmoke(t, "fig7", "Flood", "fullscan", "kdtree") }
 func TestFig8Smoke(t *testing.T)   { runSmoke(t, "fig8", "Flood", "page=") }
 func TestFig9Smoke(t *testing.T)   { runSmoke(t, "fig9", "Flood", "FD") }
 func TestFig10Smoke(t *testing.T)  { runSmoke(t, "fig10", "median improvement") }

@@ -4,14 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"flood/internal/baseline/clustered"
-	"flood/internal/baseline/fullscan"
-	"flood/internal/baseline/gridfile"
-	"flood/internal/baseline/kdtree"
-	"flood/internal/baseline/octree"
-	"flood/internal/baseline/rstar"
-	"flood/internal/baseline/ubtree"
-	"flood/internal/baseline/zorder"
+	"flood/internal/baseline"
 	"flood/internal/core"
 	"flood/internal/costmodel"
 	"flood/internal/dataset"
@@ -100,38 +93,28 @@ func gdSteps(cfg Config) int {
 }
 
 // baselineKinds lists the baselines of Fig. 7 in presentation order.
-func baselineKinds() []string {
-	return []string{"FullScan", "Clustered", "RStar", "ZOrder", "UBtree", "Hyperoctree", "KDTree", "GridFile"}
+func baselineKinds() []baseline.Kind {
+	return []baseline.Kind{baseline.FullScan, baseline.Clustered, baseline.RStarTree, baseline.ZOrder,
+		baseline.UBTree, baseline.Hyperoctree, baseline.KDTree, baseline.GridFile}
+}
+
+// indexLabels lists the report columns: every baseline under its kind's
+// spelling, then Flood.
+func indexLabels() []string {
+	var cols []string
+	for _, k := range baselineKinds() {
+		cols = append(cols, string(k))
+	}
+	return append(cols, "Flood")
 }
 
 // buildBaseline constructs and page-size-tunes one baseline ("manually
 // optimized for each workload", §7.4). Construction failures (e.g. Grid
 // File directory explosions on skewed data) are reported as errors so
 // callers can print N/A, matching the paper's omissions.
-func (e *env) buildBaseline(kind string) (query.Index, time.Duration, error) {
-	build := func(page int) (query.Index, error) {
-		switch kind {
-		case "FullScan":
-			return fullscan.New(e.ds.Table), nil
-		case "Clustered":
-			return clustered.Build(e.ds.Table, e.order[0], clustered.Options{})
-		case "RStar":
-			return rstar.Build(e.ds.Table, e.order, page)
-		case "ZOrder":
-			return zorder.Build(e.ds.Table, e.order, page)
-		case "UBtree":
-			return ubtree.Build(e.ds.Table, e.order, page)
-		case "Hyperoctree":
-			return octree.Build(e.ds.Table, e.order, page)
-		case "KDTree":
-			return kdtree.Build(e.ds.Table, e.order, page)
-		case "GridFile":
-			return gridfile.Build(e.ds.Table, e.order, page)
-		}
-		return nil, fmt.Errorf("bench: unknown baseline %q", kind)
-	}
+func (e *env) buildBaseline(kind baseline.Kind) (query.Index, time.Duration, error) {
 	pages := e.cfg.PageSizes
-	if kind == "FullScan" || kind == "Clustered" {
+	if kind == baseline.FullScan || kind == baseline.Clustered {
 		pages = pages[:1]
 	}
 	if e.cfg.Fast && len(pages) > 1 {
@@ -145,7 +128,7 @@ func (e *env) buildBaseline(kind string) (query.Index, time.Duration, error) {
 	)
 	for _, p := range pages {
 		t0 := time.Now()
-		idx, err := build(p)
+		idx, err := baseline.Build(kind, e.ds.Table, e.order, p)
 		if err != nil {
 			if bestIdx == nil && p == pages[len(pages)-1] {
 				return nil, 0, err

@@ -5,6 +5,7 @@ import (
 	"text/tabwriter"
 	"time"
 
+	"flood/internal/baseline"
 	"flood/internal/core"
 )
 
@@ -31,12 +32,12 @@ func (e *env) buildAll() (*builtSet, error) {
 	for _, kind := range baselineKinds() {
 		idx, d, err := e.buildBaseline(kind)
 		if err != nil {
-			bs.buildErr[kind] = err
+			bs.buildErr[string(kind)] = err
 		} else {
-			bs.idx[kind] = idx
-			bs.buildTime[kind] = d
+			bs.idx[string(kind)] = idx
+			bs.buildTime[string(kind)] = d
 		}
-		bs.order = append(bs.order, kind)
+		bs.order = append(bs.order, string(kind))
 	}
 	fl, learn, load, err := e.buildFlood(e.train)
 	if err != nil {
@@ -195,8 +196,9 @@ func runTable4(cfg Config) error {
 		set("Flood Learning", fmt.Sprintf("%.2f", bs.floodLearn.Seconds()))
 		set("Flood Loading", fmt.Sprintf("%.2f", bs.floodLoad.Seconds()))
 		set("Flood Total", fmt.Sprintf("%.2f", (bs.floodLearn+bs.floodLoad).Seconds()))
-		for _, k := range baselineKinds() {
-			if k == "FullScan" {
+		for _, kind := range baselineKinds() {
+			k := string(kind)
+			if kind == baseline.FullScan {
 				continue
 			}
 			if _, ok := bs.idx[k]; !ok {

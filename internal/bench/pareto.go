@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"text/tabwriter"
 
+	"flood/internal/baseline"
 	"flood/internal/core"
 	"flood/internal/query"
 )
@@ -37,7 +38,7 @@ func runFig8(cfg Config) error {
 		fmt.Fprintln(w, "index\tknob\tsize\tavg query time")
 
 		// Baselines across page sizes.
-		for _, kind := range []string{"ZOrder", "UBtree", "Hyperoctree", "KDTree", "GridFile", "RStar"} {
+		for _, kind := range []baseline.Kind{baseline.ZOrder, baseline.UBTree, baseline.Hyperoctree, baseline.KDTree, baseline.GridFile, baseline.RStarTree} {
 			for _, p := range pages {
 				idx, err := buildOne(e, kind, p)
 				if err != nil {
@@ -49,9 +50,9 @@ func runFig8(cfg Config) error {
 			}
 		}
 		// Clustered: one point.
-		if idx, _, err := e.buildBaseline("Clustered"); err == nil {
+		if idx, _, err := e.buildBaseline(baseline.Clustered); err == nil {
 			r := run(idx, e.test)
-			fmt.Fprintf(w, "Clustered\t-\t%s\t%s\n", fmtBytes(idx.SizeBytes()), fmtDur(r.AvgTotal))
+			fmt.Fprintf(w, "%s\t-\t%s\t%s\n", baseline.Clustered, fmtBytes(idx.SizeBytes()), fmtDur(r.AvgTotal))
 		}
 		// Flood across cell budgets around the learned layout.
 		fl, _, _, err := e.buildFlood(e.train)
@@ -76,7 +77,7 @@ func runFig8(cfg Config) error {
 }
 
 // buildOne builds a baseline at an explicit page size (no tuning).
-func buildOne(e *env, kind string, page int) (query.Index, error) {
+func buildOne(e *env, kind baseline.Kind, page int) (query.Index, error) {
 	saved := e.cfg.PageSizes
 	e.cfg.PageSizes = []int{page}
 	idx, _, err := e.buildBaseline(kind)

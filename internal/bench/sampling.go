@@ -5,6 +5,7 @@ import (
 	"text/tabwriter"
 	"time"
 
+	"flood/internal/baseline"
 	"flood/internal/core"
 	"flood/internal/optimizer"
 )
@@ -34,7 +35,7 @@ func runFig15(cfg Config) error {
 		}
 		// Hyperoctree creation time, the paper's comparison line.
 		var octreeDur time.Duration
-		if _, d, err := e.buildBaseline("Hyperoctree"); err == nil {
+		if _, d, err := e.buildBaseline(baseline.Hyperoctree); err == nil {
 			octreeDur = d
 		}
 		sizes := []int{500, 2000, 10000, cfg.Scale / 2}

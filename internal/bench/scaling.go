@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"text/tabwriter"
 
+	"flood/internal/baseline"
 	"flood/internal/dataset"
 	"flood/internal/workload"
 )
@@ -25,8 +26,7 @@ func runFig12a(cfg Config) error {
 	}
 	w := tabwriter.NewWriter(cfg.Out, 2, 4, 2, ' ', 0)
 	fmt.Fprint(w, "records")
-	cols := append([]string{}, baselineKinds()...)
-	cols = append(cols, "Flood")
+	cols := indexLabels()
 	for _, k := range cols {
 		fmt.Fprintf(w, "\t%s", k)
 	}
@@ -67,8 +67,7 @@ func runFig12b(cfg Config) error {
 	ds := dataset.TPCH(cfg.Scale, cfg.Seed)
 	w := tabwriter.NewWriter(cfg.Out, 2, 4, 2, ' ', 0)
 	fmt.Fprint(w, "selectivity")
-	cols := append([]string{}, baselineKinds()...)
-	cols = append(cols, "Flood")
+	cols := indexLabels()
 	for _, k := range cols {
 		fmt.Fprintf(w, "\t%s", k)
 	}
@@ -108,8 +107,7 @@ func runFig13(cfg Config) error {
 	}
 	n := cfg.Scale / 2
 	w := tabwriter.NewWriter(cfg.Out, 2, 4, 2, ' ', 0)
-	cols := append([]string{}, baselineKinds()...)
-	cols = append(cols, "Flood")
+	cols := indexLabels()
 	fmt.Fprint(w, "d")
 	for _, k := range cols {
 		fmt.Fprintf(w, "\t%s", k)
@@ -135,7 +133,7 @@ func runFig13(cfg Config) error {
 				continue
 			}
 			r := run(idx, e.test)
-			if k == "FullScan" {
+			if k == string(baseline.FullScan) {
 				fullScan = float64(r.AvgTotal)
 			}
 			if k == "Flood" {

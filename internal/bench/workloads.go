@@ -6,6 +6,7 @@ import (
 	"text/tabwriter"
 	"time"
 
+	"flood/internal/baseline"
 	"flood/internal/query"
 	"flood/internal/workload"
 )
@@ -99,7 +100,7 @@ func runFig10(cfg Config) error {
 	}
 	w := tabwriter.NewWriter(cfg.Out, 2, 4, 2, ' ', 0)
 	fmt.Fprint(w, "workload")
-	compare := []string{"ZOrder", "UBtree", "Hyperoctree", "KDTree", "GridFile"}
+	compare := []baseline.Kind{baseline.ZOrder, baseline.UBTree, baseline.Hyperoctree, baseline.KDTree, baseline.GridFile}
 	for _, k := range compare {
 		fmt.Fprintf(w, "\t%s", k)
 	}
@@ -111,7 +112,7 @@ func runFig10(cfg Config) error {
 		fmt.Fprintf(w, "%d", wl)
 		best := time.Duration(1<<62 - 1)
 		for _, k := range compare {
-			idx, ok := bs.idx[k]
+			idx, ok := bs.idx[string(k)]
 			if !ok {
 				fmt.Fprint(w, "\tN/A")
 				continue

@@ -18,7 +18,6 @@
 package core
 
 import (
-	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -197,13 +196,6 @@ func RunBatch(n int, fn func(i int)) {
 
 // --- morsel scan engine ---
 
-// morsel is one unit of claimable scan work: a physical row range plus the
-// residual-filter mask inherited from the scan range it was cut from.
-type morsel struct {
-	start, end int32
-	mask       uint64
-}
-
 // morselTarget picks a morsel size for a scan of est rows across workers:
 // roughly four morsels per worker for load balance, clamped to
 // [minMorselRows, MorselRows] and rounded to a block multiple.
@@ -218,33 +210,25 @@ func morselTarget(est, workers int) int {
 	return t - t%colstore.BlockSize
 }
 
-// appendMorsels chops refined scan ranges into morsels of about target rows.
-// Interior split points sit at absolute multiples of target, so they align
-// with storage blocks and the per-block scan kernel visits exactly the same
-// blocks as a sequential scan (Scanned/Matched stay bit-identical).
-func appendMorsels(dst []morsel, ranges []scanRange, target int) []morsel {
-	for _, rg := range ranges {
-		s, e := int(rg.start), int(rg.end)
+// appendMorsels chops spans into morsels — spans themselves, each one unit
+// of claimable scan work — of about target rows, the residual mask inherited
+// from the span a morsel was cut from. Interior split points sit at absolute
+// multiples of target, so they align with storage blocks and the per-block
+// scan kernel visits exactly the same blocks as a sequential scan
+// (Scanned/Matched stay bit-identical).
+func appendMorsels(dst, spans []Span, target int) []Span {
+	for _, sp := range spans {
+		s, e := int(sp.Start), int(sp.End)
 		for s < e {
 			next := (s/target + 1) * target
 			if next > e {
 				next = e
 			}
-			dst = append(dst, morsel{start: int32(s), end: int32(next), mask: rg.mask})
+			dst = append(dst, Span{Start: int32(s), End: int32(next), Mask: sp.Mask})
 			s = next
 		}
 	}
 	return dst
-}
-
-// maskDims expands a residual-filter bitmask into dimension indexes.
-func maskDims(mask uint64, buf []int) []int {
-	buf = buf[:0]
-	for mask != 0 {
-		buf = append(buf, bits.TrailingZeros64(mask))
-		mask &= mask - 1
-	}
-	return buf
 }
 
 // morselJob is the shared state of one parallel scan: the morsel list, the
@@ -252,25 +236,26 @@ func maskDims(mask uint64, buf []int) []int {
 // worker releases its claimed morsels only after folding its partial
 // aggregate and stats into the job, so wg.Wait() implies the merge is done.
 //
-// Jobs are pooled across queries. Helpers queued for a finished query may
-// still hold the job pointer, so reuse is guarded by (gen, entered): a
-// helper atomically registers in entered, checks that the generation it was
-// queued with is still current, and only then touches the rest of the job;
-// retire bumps gen first and then waits entered out, so a recycled job's
-// plain fields are never written while a stale helper can read them.
+// Jobs are pooled across queries, each keeping its morsel buffer. Helpers
+// queued for a finished query may still hold the job pointer, so reuse is
+// guarded by (gen, entered): a helper atomically registers in entered,
+// checks that the generation it was queued with is still current, and only
+// then touches the rest of the job; retire bumps gen first and then waits
+// entered out, so a recycled job's plain fields are never written while a
+// stale helper can read them.
 type morselJob struct {
-	f                       *Flood
-	q                       query.Query
-	ctl                     *query.Control // nil: unconditioned scan
-	tomb                    []uint64       // tombstone snapshot captured by execute
-	morsels                 []morsel
-	cursor                  atomic.Int64
-	gen                     atomic.Uint64
-	entered                 atomic.Int64
-	wg                      sync.WaitGroup
-	mu                      sync.Mutex
-	agg                     query.Mergeable
-	scanned, matched, exact int64
+	t       *colstore.Table
+	q       query.Query
+	ctl     *query.Control // nil: unconditioned scan
+	tomb    []uint64       // tombstone snapshot captured by the caller
+	morsels []Span
+	cursor  atomic.Int64
+	gen     atomic.Uint64
+	entered atomic.Int64
+	wg      sync.WaitGroup
+	mu      sync.Mutex
+	agg     query.Mergeable
+	st      query.Stats // merged scan counters
 }
 
 var morselJobPool = sync.Pool{New: func() any { return new(morselJob) }}
@@ -297,14 +282,15 @@ func (j *morselJob) retire() {
 	for j.entered.Load() != 0 {
 		runtime.Gosched()
 	}
-	j.f = nil
+	j.t = nil
 	j.q = query.Query{}
 	j.ctl = nil
 	j.tomb = nil
-	j.morsels = nil
+	j.morsels = j.morsels[:0]
 	j.agg = nil
 	j.cursor.Store(0)
-	j.scanned, j.matched, j.exact = 0, 0, 0
+	j.st = query.Stats{}
+	morselJobPool.Put(j)
 }
 
 // run is one worker's claim loop; it executes on the issuing goroutine and
@@ -316,31 +302,25 @@ func (j *morselJob) run() {
 		return
 	}
 	var (
-		sc       *query.Scanner
-		agg      query.Mergeable
-		st       query.Stats
-		dimsBuf  [64]int
-		dims     []int
-		lastMask uint64
-		haveDims bool
-		done     int
+		w    spanWalker
+		agg  query.Mergeable
+		st   query.Stats
+		done int
 	)
 	for {
 		i := int(j.cursor.Add(1)) - 1
 		if i >= len(j.morsels) {
 			break
 		}
+		done++
 		if j.ctl.Stopped() {
 			// Cancellation/limit stop: keep claiming so the morsel count
 			// drains (wg.Wait depends on it), but skip the scan work. The
 			// job finishes in O(remaining morsels) atomic adds.
-			done++
 			continue
 		}
-		if sc == nil {
-			sc = query.GetScanner(j.f.t)
-			sc.SetControl(j.ctl)
-			sc.SetTombstones(j.tomb)
+		if w.sc == nil {
+			w.open(j.t, j.tomb, j.ctl)
 			// Prefer a recycled clone (compatibility only reads immutable
 			// config, so no lock); otherwise clone under the job lock —
 			// another worker may be Merge-ing into j.agg right now, and a
@@ -352,54 +332,34 @@ func (j *morselJob) run() {
 				j.mu.Unlock()
 			}
 		}
-		m := j.morsels[i]
-		if m.mask == 0 {
-			s, mt := sc.ScanExactRange(int(m.start), int(m.end), agg)
-			st.Scanned += s
-			st.Matched += mt
-			st.ExactMatched += mt
-		} else {
-			if !haveDims || m.mask != lastMask {
-				dims = maskDims(m.mask, dimsBuf[:0])
-				lastMask, haveDims = m.mask, true
-			}
-			s, mt := sc.ScanRange(j.q, dims, int(m.start), int(m.end), agg)
-			st.Scanned += s
-			st.Matched += mt
-		}
-		done++
+		w.scan(j.q, j.morsels[i], agg, &st)
 	}
 	// A worker that only drained stopped claims has no scanner or partial
 	// aggregate to fold in, but must still release its claimed morsels.
-	if sc != nil {
-		sc.Release()
+	if w.sc != nil {
+		w.close()
 		j.mu.Lock()
 		j.agg.Merge(agg)
-		j.scanned += st.Scanned
-		j.matched += st.Matched
-		j.exact += st.ExactMatched
+		j.st.Add(st)
 		j.mu.Unlock()
 		query.PutClone(agg)
 	}
 	j.wg.Add(-done)
 }
 
-// scanParallel runs the scan phase of q over ranges on the morsel engine,
+// scanParallel runs spans on the morsel engine with workers > 1 workers,
 // merging worker partials into agg and the scan counters into st. est is the
-// exact row count of ranges (already computed by the caller); workers <= 0
-// uses GOMAXPROCS. Falls back to the sequential kernel when the work does
-// not split.
-func (f *Flood) scanParallel(q query.Query, ranges []scanRange, agg query.Mergeable, st *query.Stats, workers, est int, es *execScratch, ctl *query.Control, tomb []uint64) {
-	if workers <= 0 {
-		workers = maxWorkers()
-	}
-	es.morsels = appendMorsels(es.morsels[:0], ranges, morselTarget(est, workers))
-	if len(es.morsels) <= 1 || workers == 1 {
-		f.scan(q, ranges, agg, st, ctl, tomb)
-		return
-	}
+// exact row count of spans. It reports false, having done nothing, when the
+// work does not split into more than one morsel.
+func scanParallel(t *colstore.Table, tomb []uint64, ctl *query.Control, q query.Query, spans []Span, agg query.Mergeable, workers, est int, st *query.Stats) bool {
 	j := morselJobPool.Get().(*morselJob)
-	j.f, j.q, j.ctl, j.tomb, j.morsels, j.agg = f, q, ctl, tomb, es.morsels, agg
+	j.morsels = appendMorsels(j.morsels, spans, morselTarget(est, workers))
+	if len(j.morsels) <= 1 {
+		j.morsels = j.morsels[:0]
+		morselJobPool.Put(j)
+		return false
+	}
+	j.t, j.q, j.ctl, j.tomb, j.agg = t, q, ctl, tomb, agg
 	j.wg.Add(len(j.morsels))
 	helpers := workers - 1
 	if helpers > len(j.morsels)-1 {
@@ -408,9 +368,7 @@ func (f *Flood) scanParallel(q query.Query, ranges []scanRange, agg query.Mergea
 	execPool.offer(helpers, poolTask{job: j, gen: j.gen.Load()})
 	j.run()
 	j.wg.Wait()
-	st.Scanned += j.scanned
-	st.Matched += j.matched
-	st.ExactMatched += j.exact
+	st.Add(j.st)
 	j.retire()
-	morselJobPool.Put(j)
+	return true
 }

@@ -250,32 +250,32 @@ func TestExecuteBatchMatchesSequential(t *testing.T) {
 // TestAppendMorsels pins the morsel splitter: full coverage, no overlap,
 // block-aligned interior boundaries, masks inherited from the source range.
 func TestAppendMorsels(t *testing.T) {
-	ranges := []scanRange{
-		{start: 100, end: 70000, mask: 0},
-		{start: 70000, end: 70001, mask: 5},
-		{start: 80000, end: 80000, mask: 1}, // empty: dropped
-		{start: 90000, end: 300000, mask: 9},
+	spans := []Span{
+		{Start: 100, End: 70000, Mask: 0},
+		{Start: 70000, End: 70001, Mask: 5},
+		{Start: 80000, End: 80000, Mask: 1}, // empty: dropped
+		{Start: 90000, End: 300000, Mask: 9},
 	}
 	const target = MorselRows
-	got := appendMorsels(nil, ranges, target)
+	got := appendMorsels(nil, spans, target)
 	var i int
-	for _, rg := range ranges {
-		s, e := rg.start, rg.end
+	for _, sp := range spans {
+		s, e := sp.Start, sp.End
 		for s < e {
 			if i >= len(got) {
-				t.Fatalf("ran out of morsels covering range [%d, %d)", rg.start, rg.end)
+				t.Fatalf("ran out of morsels covering span [%d, %d)", sp.Start, sp.End)
 			}
 			m := got[i]
-			if m.start != s || m.mask != rg.mask {
-				t.Fatalf("morsel %d = %+v, want start %d mask %d", i, m, s, rg.mask)
+			if m.Start != s || m.Mask != sp.Mask {
+				t.Fatalf("morsel %d = %+v, want start %d mask %d", i, m, s, sp.Mask)
 			}
-			if m.end != e && m.end%target != 0 {
-				t.Fatalf("morsel %d interior boundary %d not target-aligned", i, m.end)
+			if m.End != e && m.End%target != 0 {
+				t.Fatalf("morsel %d interior boundary %d not target-aligned", i, m.End)
 			}
-			if m.end <= m.start || m.end > e {
-				t.Fatalf("morsel %d = %+v escapes range [%d, %d)", i, m, rg.start, rg.end)
+			if m.End <= m.Start || m.End > e {
+				t.Fatalf("morsel %d = %+v escapes span [%d, %d)", i, m, sp.Start, sp.End)
 			}
-			s = m.end
+			s = m.End
 			i++
 		}
 	}

@@ -49,20 +49,14 @@ type Flood struct {
 	tomb atomic.Pointer[colstore.Tombstones]
 }
 
-type scanRange struct {
-	cell       int32
-	start, end int32
-	mask       uint64 // residual filter dims needing per-row checks
-}
-
 // execScratch holds the per-query working set of Execute — projection
-// coordinates, the scan-range list, and the parallel path's morsel list — so
-// the steady-state query path allocates nothing. Scratch is pooled
-// package-wide; slices grow to each index's dimensionality once and are
-// reused.
+// coordinates, the span list, and (only when the query refines) the cell each
+// span came from — so the steady-state query path allocates nothing. Scratch
+// is pooled package-wide; slices grow to each index's dimensionality once and
+// are reused.
 type execScratch struct {
-	ranges  []scanRange
-	morsels []morsel
+	spans   []Span
+	cells   []int32
 	los     []int
 	his     []int
 	coords  []int
@@ -101,7 +95,7 @@ func Build(t *colstore.Table, layout Layout, opts Options) (*Flood, error) {
 	cdfs := opts.FlattenCDFs
 	opts.FlattenCDFs = nil
 	f := &Flood{layout: layout, opts: opts, numCells: layout.NumCells()}
-	f.computeParallelCutover()
+	f.parallelCutover = resolveCutover(opts.ParallelCutover)
 	g := len(layout.GridDims)
 	f.strides = make([]int, g)
 	stride := 1
@@ -258,20 +252,6 @@ func defaultCDFLeaves(n int) int {
 	return l
 }
 
-// computeParallelCutover resolves Options.ParallelCutover: 0 picks the
-// default (the scan volume where parallel dispatch overhead clearly
-// amortizes), negative disables the parallel path entirely.
-func (f *Flood) computeParallelCutover() {
-	switch {
-	case f.opts.ParallelCutover > 0:
-		f.parallelCutover = f.opts.ParallelCutover
-	case f.opts.ParallelCutover < 0:
-		f.parallelCutover = math.MaxInt
-	default:
-		f.parallelCutover = defaultParallelCutover
-	}
-}
-
 func (f *Flood) computeCellStats() {
 	sizes := make([]int, 0, f.numCells)
 	total := 0
@@ -371,58 +351,34 @@ func (f *Flood) Run(ctl *query.Control, q query.Query, agg query.Aggregator, wor
 		return st
 	}
 	es := scratchPool.Get().(*execScratch)
-	ranges := f.project(q, es, &st)
+	f.project(q, es, &st)
 	t1 := time.Now()
 	st.ProjectTime = t1.Sub(t0)
 
-	// Resolve the cost-based cutover, honoring a per-query override.
+	// The cost-based cutover, honoring a per-query override.
 	cut := f.parallelCutover
-	switch {
-	case cutover > 0:
-		cut = cutover
-	case cutover < 0:
-		cut = math.MaxInt
+	if cutover != 0 {
+		cut = resolveCutover(cutover)
 	}
+
+	// Capture the tombstone set once per query: the scan stage (sequential
+	// or morsel-parallel) masks against this snapshot only, giving the query
+	// a stable view of the deleted set even while deletes land concurrently.
+	tombW := f.tomb.Load().Words()
 
 	// Pre-refinement row count: an upper bound on the scan volume, free to
 	// compute. Refinement probes fan out only when the query is allowed to
 	// parallelize at all (workers != 1) and was big before refinement —
 	// so the sequential cutover path and batch workers (workers == 1)
-	// never touch the pool, stay allocation-free, and skip the estimate
-	// loops entirely.
-	// Capture the tombstone set once per query: the scan phase (sequential
-	// or morsel-parallel) masks against this snapshot only, giving the query
-	// a stable view of the deleted set even while deletes land concurrently.
-	tombW := f.tomb.Load().Words()
-
-	m, mergeable := agg.(query.Mergeable)
-	refineParallel := false
-	if workers != 1 {
-		preEst := 0
-		for i := range ranges {
-			preEst += int(ranges[i].end - ranges[i].start)
-		}
-		refineParallel = preEst >= cut
-	}
-	f.refine(q, ranges, &st, refineParallel)
+	// never touch the pool, stay allocation-free, and skip the count
+	// entirely.
+	refineParallel := workers != 1 && spanRows(es.spans) >= cut
+	f.refine(q, es.spans, es.cells, &st, refineParallel)
 	t2 := time.Now()
 	st.RefineTime = t2.Sub(t1)
 	st.IndexTime = st.ProjectTime + st.RefineTime
 
-	if workers == 1 || !mergeable {
-		f.scan(q, ranges, agg, &st, ctl, tombW)
-	} else {
-		est := 0
-		for i := range ranges {
-			est += int(ranges[i].end - ranges[i].start)
-		}
-		if workers == 0 && (est < cut || maxWorkers() <= 1) {
-			f.scan(q, ranges, agg, &st, ctl, tombW)
-		} else {
-			f.scanParallel(q, ranges, m, &st, workers, est, es, ctl, tombW)
-		}
-	}
-	es.ranges = ranges[:0]
+	ScanSpans(f.t, tombW, ctl, q, es.spans, agg, workers, cut, &st)
 	scratchPool.Put(es)
 	t3 := time.Now()
 	st.ScanTime = t3.Sub(t2)
@@ -448,7 +404,7 @@ func (f *Flood) refines(q query.Query) bool {
 // sort-dimension refinement applies, since refinement relies on per-cell
 // sort order. CellsVisited counts only non-empty cells, matching
 // NonEmptyCells accounting.
-func (f *Flood) project(q query.Query, es *execScratch, st *query.Stats) []scanRange {
+func (f *Flood) project(q query.Query, es *execScratch, st *query.Stats) {
 	g := len(f.layout.GridDims)
 	los, his, coords, present := es.grids(g)
 	for gi, dim := range f.layout.GridDims {
@@ -480,8 +436,7 @@ func (f *Flood) project(q query.Query, es *execScratch, st *query.Stats) []scanR
 		baseMask |= 1 << uint(d)
 	}
 
-	coalesce := !refine
-	ranges := es.ranges[:0]
+	spans, cells := es.spans[:0], es.cells[:0]
 	copy(coords, los)
 	for {
 		cell := 0
@@ -495,13 +450,15 @@ func (f *Flood) project(q query.Query, es *execScratch, st *query.Stats) []scanR
 		cs, ce := f.cellStart[cell], f.cellStart[cell+1]
 		if cs != ce {
 			st.CellsVisited++
-			if coalesce && len(ranges) > 0 {
-				if last := &ranges[len(ranges)-1]; last.mask == mask && last.end == cs {
-					last.end = ce
+			if refine {
+				cells = append(cells, int32(cell))
+			} else if len(spans) > 0 {
+				if last := &spans[len(spans)-1]; last.Mask == mask && last.End == cs {
+					last.End = ce
 					goto next
 				}
 			}
-			ranges = append(ranges, scanRange{cell: int32(cell), start: cs, end: ce, mask: mask})
+			spans = append(spans, Span{Start: cs, End: ce, Mask: mask})
 		}
 	next:
 		// Odometer over the query rectangle's cells.
@@ -517,33 +474,32 @@ func (f *Flood) project(q query.Query, es *execScratch, st *query.Stats) []scanR
 			break
 		}
 	}
-	es.ranges = ranges
-	st.ScanRanges = int64(len(ranges))
-	return ranges
+	es.spans, es.cells = spans, cells
+	st.ScanRanges = int64(len(spans))
 }
 
 // refineParallelRanges is the range count at which refinement probes fan out
 // over the worker pool; below it, the sequential loop stays allocation-free.
 const refineParallelRanges = 128
 
-// refine implements §3.2.2 / §5.2: narrow each range along the sort
-// dimension, mutating ranges in place. Model predictions (or plain binary
+// refine implements §3.2.2 / §5.2: narrow each span along the sort
+// dimension, mutating spans in place (cells[i] is the cell spans[i] covers). Model predictions (or plain binary
 // search) are rectified through the column's block-decoded lower-bound
 // search — no per-probe accessor closures. When parallel is set, queries
 // touching many cells spread the probes per-range over the worker pool:
 // ranges are independent, so results match the sequential loop exactly.
-func (f *Flood) refine(q query.Query, ranges []scanRange, st *query.Stats, parallel bool) {
+func (f *Flood) refine(q query.Query, spans []Span, cells []int32, st *query.Stats, parallel bool) {
 	if !f.refines(q) {
 		return
 	}
-	st.RangesRefined += int64(len(ranges))
-	if parallel && len(ranges) >= refineParallelRanges && maxWorkers() > 1 {
-		poolFor(len(ranges), 32, func(lo, hi int) {
-			f.refineRanges(q, ranges[lo:hi])
+	st.RangesRefined += int64(len(spans))
+	if parallel && len(spans) >= refineParallelRanges && maxWorkers() > 1 {
+		poolFor(len(spans), 32, func(lo, hi int) {
+			f.refineRanges(q, spans[lo:hi], cells[lo:hi])
 		})
 		return
 	}
-	f.refineRanges(q, ranges)
+	f.refineRanges(q, spans, cells)
 }
 
 // refineRanges narrows one slice of ranges; it is the workhorse shared by
@@ -552,17 +508,17 @@ func (f *Flood) refine(q query.Query, ranges []scanRange, st *query.Stats, paral
 // galloped to from that lower bound rather than searched for from scratch —
 // a point or narrow range ends a few rows after it starts, and a wide one
 // pays two probes per doubling, about what a second model bracket costs.
-func (f *Flood) refineRanges(q query.Query, ranges []scanRange) {
+func (f *Flood) refineRanges(q query.Query, spans []Span, cells []int32) {
 	r := q.Ranges[f.layout.SortDim]
 	col := f.t.Column(f.layout.SortDim)
 	useModel := f.opts.Refinement == RefineModel && f.models != nil
-	for i := range ranges {
-		rg := &ranges[i]
-		base, end := int(rg.start), int(rg.end)
+	for i := range spans {
+		rg := &spans[i]
+		base, end := int(rg.Start), int(rg.End)
 		i1, i2 := base, end
 		if r.Min != query.NegInf {
-			if useModel && f.models[rg.cell] != nil {
-				i1 = col.LowerBoundHint(base, end, base+f.models[rg.cell].Predict(r.Min), r.Min)
+			if m := f.models; useModel && m[cells[i]] != nil {
+				i1 = col.LowerBoundHint(base, end, base+m[cells[i]].Predict(r.Min), r.Min)
 			} else {
 				i1 = col.LowerBound(base, end, r.Min)
 			}
@@ -570,45 +526,8 @@ func (f *Flood) refineRanges(q query.Query, ranges []scanRange) {
 		if r.Max != query.PosInf {
 			i2 = col.LowerBoundHint(i1, end, i1, r.Max+1)
 		}
-		rg.start, rg.end = int32(i1), int32(i2)
+		rg.Start, rg.End = int32(i1), int32(i2)
 	}
-}
-
-// scan implements §3.2 step 3: visit every refined physical range, using
-// exact-range fast paths when no residual filters remain. ctl, when
-// non-nil, is polled between ranges (and inside the scan kernel) so a
-// cancellation or satisfied limit stops the walk early.
-func (f *Flood) scan(q query.Query, ranges []scanRange, agg query.Aggregator, st *query.Stats, ctl *query.Control, tomb []uint64) {
-	sc := query.GetScanner(f.t)
-	sc.SetControl(ctl)
-	sc.SetTombstones(tomb)
-	var dimsBuf [64]int
-	dims := dimsBuf[:0]
-	var lastMask uint64
-	haveDims := false // a bool sentinel: every uint64 is a legal 64-dim mask
-	for _, rg := range ranges {
-		if rg.start >= rg.end {
-			continue
-		}
-		if ctl.Stopped() {
-			break
-		}
-		if rg.mask == 0 {
-			s, m := sc.ScanExactRange(int(rg.start), int(rg.end), agg)
-			st.Scanned += s
-			st.Matched += m
-			st.ExactMatched += m
-			continue
-		}
-		if !haveDims || rg.mask != lastMask {
-			dims = maskDims(rg.mask, dims)
-			lastMask, haveDims = rg.mask, true
-		}
-		s, m := sc.ScanRange(q, dims, int(rg.start), int(rg.end), agg)
-		st.Scanned += s
-		st.Matched += m
-	}
-	sc.Release()
 }
 
 func (f *Flood) gridIndexOf(dim int) int {

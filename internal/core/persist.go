@@ -315,7 +315,7 @@ sections:
 		return res, nil
 	}
 	f.computeCellStats()
-	f.computeParallelCutover()
+	f.parallelCutover = resolveCutover(f.opts.ParallelCutover)
 	res.Index = f
 	return res, nil
 }

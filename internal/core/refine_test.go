@@ -47,22 +47,24 @@ func TestRefineRangesMatchesIndependentSearches(t *testing.T) {
 			q.Ranges[layout.SortDim] = query.Range{Min: lo, Max: hi, Present: true}
 
 			var st query.Stats
-			ranges := append([]scanRange(nil), f.project(q, new(execScratch), &st)...)
-			want := make([]scanRange, len(ranges))
-			for i, rg := range ranges {
-				want[i] = rg
+			es := new(execScratch)
+			f.project(q, es, &st)
+			spans, cells := es.spans, es.cells
+			want := make([]Span, len(spans))
+			for i, sp := range spans {
+				want[i] = sp
 				if lo != query.NegInf {
-					want[i].start = int32(col.LowerBound(int(rg.start), int(rg.end), lo))
+					want[i].Start = int32(col.LowerBound(int(sp.Start), int(sp.End), lo))
 				}
 				if hi != query.PosInf {
-					want[i].end = int32(col.LowerBound(int(rg.start), int(rg.end), hi+1))
+					want[i].End = int32(col.LowerBound(int(sp.Start), int(sp.End), hi+1))
 				}
 			}
-			f.refineRanges(q, ranges)
-			for i := range ranges {
-				if ranges[i] != want[i] {
+			f.refineRanges(q, spans, cells)
+			for i := range spans {
+				if spans[i] != want[i] {
 					t.Fatalf("mode %d, sort range [%d,%d], cell %d: refined to [%d,%d), independent searches give [%d,%d)",
-						mode, lo, hi, ranges[i].cell, ranges[i].start, ranges[i].end, want[i].start, want[i].end)
+						mode, lo, hi, cells[i], spans[i].Start, spans[i].End, want[i].Start, want[i].End)
 				}
 			}
 		}

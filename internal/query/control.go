@@ -1,7 +1,6 @@
 package query
 
 import (
-	"context"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -207,20 +206,3 @@ func (c *controlledAggregator) AddExactRange(t *colstore.Table, start, end int) 
 
 // Result implements Aggregator.
 func (c *controlledAggregator) Result() int64 { return c.agg.Result() }
-
-// RunContext bridges a Control-threaded execute body to the ExecuteContext
-// contract: it rejects an already-expired context up front (no scanning),
-// derives a Control from the context (nil when the context can never fire,
-// so the plain path runs untouched), invokes exec, and translates the
-// control's latched state into the sentinel error. It is the shared
-// implementation behind every baseline's ExecuteContext.
-func RunContext(ctx context.Context, q Query, agg Aggregator, exec func(*Control, Query, Aggregator) Stats) (Stats, error) {
-	if ctx.Err() != nil {
-		return Stats{}, ErrCanceled
-	}
-	ctl := GetControl(ctx.Done(), 0, time.Time{})
-	st := exec(ctl, q, agg)
-	err := ctl.Finish()
-	ctl.Release()
-	return st, err
-}

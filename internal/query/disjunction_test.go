@@ -156,18 +156,12 @@ type scanIndex struct{ t *colstore.Table }
 func (s *scanIndex) Name() string     { return "scan" }
 func (s *scanIndex) SizeBytes() int64 { return 0 }
 func (s *scanIndex) Execute(q Query, agg Aggregator) Stats {
-	return s.ExecuteControl(nil, q, agg)
-}
-
-func (s *scanIndex) ExecuteContext(ctx context.Context, q Query, agg Aggregator) (Stats, error) {
-	return RunContext(ctx, q, agg, s.ExecuteControl)
-}
-
-func (s *scanIndex) ExecuteControl(ctl *Control, q Query, agg Aggregator) Stats {
-	sc := NewScanner(s.t)
-	sc.SetControl(ctl)
-	scanned, matched := sc.ScanRange(q, q.FilteredDims(), 0, s.t.NumRows(), agg)
+	scanned, matched := NewScanner(s.t).ScanRange(q, q.FilteredDims(), 0, s.t.NumRows(), agg)
 	return Stats{Scanned: scanned, Matched: matched}
+}
+
+func (s *scanIndex) ExecuteContext(_ context.Context, q Query, agg Aggregator) (Stats, error) {
+	return s.Execute(q, agg), nil
 }
 
 func TestDisjunctionProperty(t *testing.T) {

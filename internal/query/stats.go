@@ -80,11 +80,12 @@ type Index interface {
 // ControlIndex is implemented by indexes whose execution can thread an
 // externally owned Control, so one cancellation signal and one shared LIMIT
 // budget span several executions (the disjoint pieces of an OR, the base
-// and delta scans of a composite index). ExecuteControl with a nil control
-// is identical to Execute.
+// and delta scans of a composite index). Run has core.Flood.Run's signature:
+// workers and cutover choose between the sequential scan and the morsel
+// engine, and Run(nil, q, agg, 0, 0) is identical to Execute.
 type ControlIndex interface {
 	Index
-	ExecuteControl(ctl *Control, q Query, agg Aggregator) Stats
+	Run(ctl *Control, q Query, agg Aggregator, workers, cutover int) Stats
 }
 
 // BatchIndex is implemented by indexes that can execute many queries in one

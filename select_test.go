@@ -1,6 +1,7 @@
 package flood
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -224,20 +225,34 @@ func TestSelectDeltaWithPending(t *testing.T) {
 	}
 }
 
+// TestSelectBaselineEquivalence drives Select through the foreign adapter
+// into every baseline: the rows are brute force's, and a LIMIT reaches the
+// shared scan stage — three rows back, fewer rows scanned than without it.
 func TestSelectBaselineEquivalence(t *testing.T) {
 	fx := newTypedFixture(t, 3000, 24)
-	for _, kind := range []BaselineKind{FullScan, KDTree} {
-		bidx, err := BuildBaseline(kind, fx.tbl, BaselineOptions{})
+	for _, kind := range Baselines() {
+		bidx, err := BuildBaseline(kind, fx.tbl, BaselineOptions{PageSize: 256})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, tc := range fixtureQueries(fx) {
-			rows, _ := fx.schema.Select(bidx, tc.q)
+			rows, full := fx.schema.Select(bidx, tc.q)
 			got := collectRows(t, rows)
 			want := bruteForce(fx, tc.match)
 			if !slices.Equal(got, want) {
 				t.Fatalf("%s/%s: baseline Select returned %d rows, brute force %d",
 					kind, tc.name, len(got), len(want))
+			}
+			rows.Close()
+			if len(want) < 100 {
+				continue
+			}
+			rows, st, err := fx.schema.SelectContext(context.Background(), bidx, tc.q, &QueryOptions{Limit: 3})
+			if err != nil || rows.Len() != 3 {
+				t.Fatalf("%s/%s: LIMIT 3 returned %d rows, err %v", kind, tc.name, rows.Len(), err)
+			}
+			if st.Scanned >= full.Scanned {
+				t.Fatalf("%s/%s: LIMIT 3 scanned %d rows, the unlimited select %d", kind, tc.name, st.Scanned, full.Scanned)
 			}
 			rows.Close()
 		}

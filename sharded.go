@@ -186,23 +186,33 @@ func buildShards(tbl *Table, train []Query, r *shard.Router, bopts *Options) ([]
 	parts := shard.Partition(raw[r.Dim()], r)
 	names := tbl.Names()
 	floods := make([]*Flood, len(parts))
-	errs := make([]error, len(parts))
+	err := eachShard(len(parts), "building", func(i int) (err error) {
+		floods[i], err = Build(gatherTable(names, raw, parts[i]), clipWorkload(train, r, i), &o)
+		return err
+	})
+	return floods, err
+}
+
+// eachShard runs fn(i) for every shard i concurrently and waits for all of
+// them — every shard is attempted even when one fails — then returns the
+// lowest-numbered shard's error, wrapped with what it was doing.
+func eachShard(n int, doing string, fn func(i int) error) error {
+	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for i := range parts {
+	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			sub := gatherTable(names, raw, parts[i])
-			floods[i], errs[i] = Build(sub, clipWorkload(train, r, i), &o)
+			errs[i] = fn(i)
 		}(i)
 	}
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("flood: building shard %d: %w", i, err)
+			return fmt.Errorf("flood: %s shard %d: %w", doing, i, err)
 		}
 	}
-	return floods, nil
+	return nil
 }
 
 // gatherTable materializes the rows of one partition as a fresh table.
@@ -443,55 +453,40 @@ func (s *ShardedIndex) apply(m mutation) (int64, error) {
 // Name implements Index.
 func (s *ShardedIndex) Name() string { return "Flood+Sharded" }
 
-// SizeBytes implements Index: the sum of the shards' index metadata.
-func (s *ShardedIndex) SizeBytes() int64 {
+// sumShards adds one per-shard count up over the shards.
+func (s *ShardedIndex) sumShards(count func(*AdaptiveIndex) int64) int64 {
 	var total int64
 	for _, a := range s.shards {
-		total += a.SizeBytes()
+		total += count(a)
 	}
 	return total
 }
+
+// SizeBytes implements Index: the sum of the shards' index metadata.
+func (s *ShardedIndex) SizeBytes() int64 { return s.sumShards((*AdaptiveIndex).SizeBytes) }
 
 // NumRows returns the total row count across shards (including tombstoned
 // rows not yet compacted).
 func (s *ShardedIndex) NumRows() int {
-	total := 0
-	for _, a := range s.shards {
-		total += a.NumRows()
-	}
-	return total
+	return int(s.sumShards(func(a *AdaptiveIndex) int64 { return int64(a.NumRows()) }))
 }
 
 // LiveRows returns the number of rows queries can observe across shards.
 func (s *ShardedIndex) LiveRows() int {
-	total := 0
-	for _, a := range s.shards {
-		total += a.LiveRows()
-	}
-	return total
+	return int(s.sumShards(func(a *AdaptiveIndex) int64 { return int64(a.LiveRows()) }))
 }
 
 // Deleted returns the number of tombstoned (not yet compacted) rows across
 // shards.
 func (s *ShardedIndex) Deleted() int {
-	total := 0
-	for _, a := range s.shards {
-		total += a.Deleted()
-	}
-	return total
+	return int(s.sumShards(func(a *AdaptiveIndex) int64 { return int64(a.Deleted()) }))
 }
 
 // Epoch returns the sum of the shards' completed generation swaps — a
 // strictly monotonic counter that advances exactly when some shard's layout
 // changed, so epoch-keyed caches invalidate on any shard's relearn or merge
 // and survive all others.
-func (s *ShardedIndex) Epoch() int64 {
-	var total int64
-	for _, a := range s.shards {
-		total += a.Epoch()
-	}
-	return total
-}
+func (s *ShardedIndex) Epoch() int64 { return s.sumShards((*AdaptiveIndex).Epoch) }
 
 // Schema returns the typed schema shared by every shard (nil when the store
 // was built from a raw int64 table).

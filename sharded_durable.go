@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 
 	"flood/internal/shard"
 )
@@ -108,21 +107,13 @@ func OpenShardedDurable(dir string, dopts *DurableOptions) (*ShardedIndex, Shard
 	n := m.NumShards()
 	durs := make([]*DurableIndex, n)
 	reps := make([]RecoveryReport, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			durs[i], reps[i], errs[i] = OpenDurable(filepath.Join(dir, m.ShardDirs[i]), dopts)
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			closeAll(durs)
-			return nil, rep, fmt.Errorf("flood: recovering shard %d: %w", i, err)
-		}
+	err = eachShard(n, "recovering", func(i int) (err error) {
+		durs[i], reps[i], err = OpenDurable(filepath.Join(dir, m.ShardDirs[i]), dopts)
+		return err
+	})
+	if err != nil {
+		closeAll(durs)
+		return nil, rep, err
 	}
 	rep.Shards = reps
 	for _, sr := range reps {
@@ -144,22 +135,7 @@ func (s *ShardedIndex) Checkpoint() error {
 	}
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
-	errs := make([]error, len(s.dur))
-	var wg sync.WaitGroup
-	for i, d := range s.dur {
-		wg.Add(1)
-		go func(i int, d *DurableIndex) {
-			defer wg.Done()
-			errs[i] = d.Checkpoint()
-		}(i, d)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("flood: checkpointing shard %d: %w", i, err)
-		}
-	}
-	return nil
+	return eachShard(len(s.dur), "checkpointing", func(i int) error { return s.dur[i].Checkpoint() })
 }
 
 // Durable returns shard i's durable wrapper (nil when the index is
