@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all fmt build test vet docs loc bench bench-serve bench-full fuzz-smoke clean
+.PHONY: all fmt build test vet docs loc bench bench-full fuzz-smoke clean
 
 all: fmt vet build test
 
@@ -35,15 +35,18 @@ docs: vet
 # loc prints the code size ROADMAP tracks: non-blank, non-comment lines of the
 # non-test Go files of the root package plus internal/server (the facades and
 # the serving tier over them), then the same count for the two packages they
-# sit between, then internal/baseline with every package under it. CI prints
-# it on every run, so each PR shows its delta.
+# sit between, then internal/baseline with every package under it, then the
+# commands plus the model-test harness — the consumers that adapt a store, so
+# an adapter written per kind of store shows up here. CI prints it on every
+# run, so each PR shows its delta.
 LOC = ls $(1)/*.go | grep -v _test.go | xargs cat | grep -cvE '^[[:space:]]*(//|$$)'
 loc:
 	@root=$$($(call LOC,.)); server=$$($(call LOC,internal/server)); \
 	echo "root + internal/server: $$((root + server)) (root $$root, internal/server $$server)"; \
 	echo "internal/core: $$($(call LOC,internal/core))"; \
 	echo "floodsql: $$($(call LOC,floodsql))"; \
-	echo "internal/baseline/...: $$(find internal/baseline -name '*.go' ! -name '*_test.go' | xargs cat | grep -cvE '^[[:space:]]*(//|$$)')"
+	echo "internal/baseline/...: $$(find internal/baseline -name '*.go' ! -name '*_test.go' | xargs cat | grep -cvE '^[[:space:]]*(//|$$)')"; \
+	echo "cmd/... + internal/modeltest: $$(find cmd internal/modeltest -name '*.go' ! -name '*_test.go' | xargs cat | grep -cvE '^[[:space:]]*(//|$$)')"
 
 # bench runs the scan-kernel, build, parallel-execution, row-retrieval, and
 # context/limit benchmarks that gate perf PRs and records them in
@@ -71,21 +74,6 @@ bench:
 		-bench '^BenchmarkEstimate$$|^BenchmarkFindOptimalLayout$$' \
 		-benchmem -benchtime=1s | tee -a /tmp/bench_scan.txt
 	$(GO) run ./cmd/benchjson < /tmp/bench_scan.txt > BENCH_scan.json
-
-# bench-serve records serving-tier latency under load: floodload starts an
-# in-process floodserver over a 1M-row sales dataset and drives a fixed-QPS
-# zipfian open-loop run, writing coordinated-omission-safe p50/p99 latency,
-# throughput, shed rate, cache hit rate, and the server-side batching stats
-# to BENCH_serve.json (interpreted in docs/BENCHMARKS.md). -compare-shards 4
-# repeats the identical run against a 4-shard store and embeds it as the
-# document's "sharded" variant, with per-shard routing counts and the
-# observed shard skew. To merge with the microbenchmark snapshot into one
-# document, pass it to benchjson:
-# `go run ./cmd/benchjson -serve BENCH_serve.json < /tmp/bench_scan.txt`.
-bench-serve:
-	$(GO) run ./cmd/floodload -inprocess 1000000 -qps 2000 -duration 30s \
-		-dist zipfian -server-batch-window 2ms -compare-shards 4 \
-		-out BENCH_serve.json
 
 # fuzz-smoke gives each fuzz target a short coverage-guided run (also a CI
 # job). Minimization is capped so single-CPU runners keep mutating instead

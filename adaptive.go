@@ -181,6 +181,10 @@ type AdaptiveIndex struct {
 	// testHookBuilt, when set, runs after a background build finishes but
 	// before the swap — tests use it to hold the rebuilding state open.
 	testHookBuilt func()
+
+	// dur is the rest of a durable index's state (walLog above is its active
+	// segment): nil in memory, set once by CreateDurable or OpenDurable.
+	dur *durability
 }
 
 // NewAdaptiveIndex wraps a built index in the adaptive serving facade.
@@ -275,22 +279,13 @@ func (a *AdaptiveIndex) observe(ep *adaptiveEpoch, q Query, st Stats) {
 	}
 }
 
-// AttachWAL routes every subsequent mutation through an append to l before
-// it is published, so acknowledged writes survive a crash. Safe to call
-// concurrently with writers.
-func (a *AdaptiveIndex) AttachWAL(l *wal.Log) {
-	a.mu.Lock()
-	a.walLog = l
-	a.mu.Unlock()
-}
-
-// apply implements engine for the generation-owning facades — AdaptiveIndex,
-// DurableIndex, and every shard of a ShardedIndex. It is the only writer of a
-// live generation: one writer-lock hold in which the current epoch carries m
-// out (adaptiveEpoch.apply: resolve, validate, log, defer, tombstone,
-// append), then, outside the lock, the wait for the log to be as durable as
-// its sync policy promises — so appends stay cheap and concurrent writers
-// group-commit — and the merge trigger.
+// apply implements engine for the generation-owning facade — an
+// AdaptiveIndex, in memory or durable, alone or as a shard of a ShardedIndex.
+// It is the only writer of a live generation: one writer-lock hold in which
+// the current epoch carries m out (adaptiveEpoch.apply: resolve, validate,
+// log, defer, tombstone, append), then, outside the lock, the wait for the
+// log to be as durable as its sync policy promises — so appends stay cheap
+// and concurrent writers group-commit — and the merge trigger.
 func (a *AdaptiveIndex) apply(m mutation) (int64, error) {
 	a.mu.Lock()
 	ep, w := a.epoch.Load(), a.walLog
@@ -351,7 +346,7 @@ func (ep *adaptiveEpoch) apply(m mutation, w *wal.Log) (n, target int64, err err
 			tuples = ep.tuples(baseRows, logRows)
 		}
 		if w != nil {
-			if target, err = w.AppendAsync(encodeWALDelete(tuples)); err != nil {
+			if target, err = w.AppendAsync(mutation{tuples: tuples}.encodeWAL()); err != nil {
 				return 0, 0, fmt.Errorf("flood: wal append: %w", err)
 			}
 		}
@@ -401,7 +396,7 @@ func (ep *adaptiveEpoch) apply(m mutation, w *wal.Log) (n, target int64, err err
 // non-nil, and returns the log position to wait on (target when w is nil).
 func (ep *adaptiveEpoch) add(row []int64, w *wal.Log, target int64) (int64, error) {
 	if w != nil {
-		at, err := w.AppendAsync(encodeWALRow(row))
+		at, err := w.AppendAsync(mutation{rows: [][]int64{row}}.encodeWAL())
 		if err != nil {
 			return target, fmt.Errorf("flood: wal append: %w", err)
 		}
@@ -692,14 +687,24 @@ func (a *AdaptiveIndex) Wait() {
 	}
 }
 
-// Close stops accepting rebuild triggers and waits for any in-flight rebuild
-// to finish. Queries and inserts remain valid after Close; they just stop
-// adapting.
-func (a *AdaptiveIndex) Close() {
+// Close stops accepting rebuild triggers, waits for any in-flight rebuild to
+// finish and, on a durable index, syncs and closes the active WAL segment (it
+// checkpoints nothing; the directory reopens with OpenDurable). Queries and
+// inserts remain valid after Close; they just stop adapting. A second Close
+// is a no-op.
+func (a *AdaptiveIndex) Close() error {
 	a.rebuildMu.Lock()
 	a.closed = true
 	a.rebuildMu.Unlock()
 	a.Wait()
+	a.mu.Lock()
+	l := a.walLog
+	a.walLog = nil
+	a.mu.Unlock()
+	if l == nil {
+		return nil
+	}
+	return l.Close()
 }
 
 // Stats returns a consistent snapshot of the adaptive lifecycle.
@@ -728,7 +733,21 @@ func (a *AdaptiveIndex) Stats() AdaptiveStats {
 }
 
 // Name implements Index.
-func (a *AdaptiveIndex) Name() string { return "Flood+Adaptive" }
+func (a *AdaptiveIndex) Name() string {
+	if a.dur != nil {
+		return "Flood+Durable"
+	}
+	return "Flood+Adaptive"
+}
+
+// NumShards implements Store: a flat store is one shard.
+func (a *AdaptiveIndex) NumShards() int { return 1 }
+
+// Shard implements Store: a flat store is its own shard 0.
+func (a *AdaptiveIndex) Shard(int) *AdaptiveIndex { return a }
+
+// ShardStats implements Store: a flat store has no per-shard block.
+func (a *AdaptiveIndex) ShardStats() []ShardStat { return nil }
 
 // SizeBytes implements Index: current base metadata plus the insert log.
 func (a *AdaptiveIndex) SizeBytes() int64 {
@@ -771,12 +790,7 @@ func (a *AdaptiveIndex) Layout() Layout { return a.epoch.Load().flood.Layout() }
 // a serving handle.
 func (a *AdaptiveIndex) Index() *Flood { return a.epoch.Load().flood }
 
-var (
-	_ Index            = (*AdaptiveIndex)(nil)
-	_ query.BatchIndex = (*AdaptiveIndex)(nil)
-	_ Deleter          = (*AdaptiveIndex)(nil)
-	_ Updater          = (*AdaptiveIndex)(nil)
-)
+var _ query.BatchIndex = (*AdaptiveIndex)(nil)
 
 // sideLog is the insert side of a generation: an append-only column-major
 // log whose published prefix is immutable. Writers (serialized by the

@@ -30,7 +30,7 @@ func adaptiveUnderTest(t *testing.T, cfg *AdaptiveConfig) (*AdaptiveIndex, *data
 		cfg.Build = &Options{CalibrationLayouts: 3, GDSteps: 5, Seed: 207}
 	}
 	a := NewAdaptiveIndex(idx, cfg)
-	t.Cleanup(a.Close)
+	t.Cleanup(func() { a.Close() })
 	return a, ds, queries
 }
 

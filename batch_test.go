@@ -50,7 +50,7 @@ func TestExecuteBatchLenMismatchPanics(t *testing.T) {
 func unmerged(t testing.TB, idx *Flood) *AdaptiveIndex {
 	t.Helper()
 	a := NewAdaptiveIndex(idx, &AdaptiveConfig{MergeFraction: -1, DriftFactor: 1e12})
-	t.Cleanup(a.Close)
+	t.Cleanup(func() { a.Close() })
 	return a
 }
 

@@ -5,18 +5,11 @@
 // Usage:
 //
 //	go test ./internal/core -bench X -benchmem -run '^$' | go run ./cmd/benchjson > BENCH_scan.json
-//
-// With -serve FILE, the serving benchmark document written by floodload
-// (BENCH_serve.json) is embedded alongside the parsed microbenchmarks, so
-// one merged document carries both scan and serving numbers:
-//
-//	... | go run ./cmd/benchjson -serve BENCH_serve.json > BENCH_all.json
 package main
 
 import (
 	"bufio"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -56,26 +49,10 @@ type Report struct {
 	// outside a checkout.
 	GitSHA     string      `json:"git_sha,omitempty"`
 	Benchmarks []Benchmark `json:"benchmarks"`
-	// Serve embeds a floodload serving report (-serve FILE), verbatim.
-	Serve json.RawMessage `json:"serve,omitempty"`
 }
 
 func main() {
-	servePath := flag.String("serve", "", "embed this floodload BENCH_serve.json document in the output")
-	flag.Parse()
 	rep := Report{NumCPU: runtime.NumCPU(), GoVersion: runtime.Version(), GitSHA: gitSHA()}
-	if *servePath != "" {
-		raw, err := os.ReadFile(*servePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(1)
-		}
-		if !json.Valid(raw) {
-			fmt.Fprintf(os.Stderr, "benchjson: %s is not valid JSON\n", *servePath)
-			os.Exit(1)
-		}
-		rep.Serve = json.RawMessage(raw)
-	}
 	if err := parse(os.Stdin, &rep); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)

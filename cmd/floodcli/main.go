@@ -48,6 +48,8 @@ import (
 	flood "flood"
 	"flood/floodsql"
 	"flood/internal/encode"
+	"flood/internal/loadgen"
+	"flood/internal/server"
 )
 
 func main() {
@@ -164,11 +166,7 @@ func main() {
 func runRemote(addr, query string, timeout time.Duration) error {
 	client := &http.Client{}
 	run := func(sql string) error {
-		req := struct {
-			SQL           string `json:"sql"`
-			TimeoutMillis int64  `json:"timeout_ms,omitempty"`
-		}{SQL: sql, TimeoutMillis: timeout.Milliseconds()}
-		body, err := json.Marshal(req)
+		body, err := json.Marshal(server.QueryRequest{SQL: sql, TimeoutMillis: timeout.Milliseconds()})
 		if err != nil {
 			return err
 		}
@@ -187,18 +185,7 @@ func runRemote(addr, query string, timeout time.Duration) error {
 			}
 			return fmt.Errorf("server: %s", e.Error)
 		}
-		var r struct {
-			Kind      string   `json:"kind"`
-			Value     int64    `json:"value"`
-			Typed     any      `json:"typed"`
-			Matched   int64    `json:"matched"`
-			Cached    bool     `json:"cached"`
-			Columns   []string `json:"columns"`
-			Rows      [][]any  `json:"rows"`
-			Truncated bool     `json:"truncated"`
-			Affected  int64    `json:"affected"`
-			ElapsedUS int64    `json:"elapsed_us"`
-		}
+		var r server.QueryResponse
 		if err := json.NewDecoder(resp.Body).Decode(&r); err != nil {
 			return err
 		}
@@ -208,7 +195,7 @@ func runRemote(addr, query string, timeout time.Duration) error {
 			if r.Cached {
 				note = ", cached"
 			}
-			fmt.Printf("  = %v (matched %d rows in %dµs%s)\n", r.Typed, r.Matched, r.ElapsedUS, note)
+			fmt.Printf("  = %v (matched %d rows in %dµs%s)\n", r.Typed, r.Matched, r.ElapsedMicros, note)
 		case "rows":
 			fmt.Println("  " + strings.Join(r.Columns, "\t"))
 			for _, row := range r.Rows {
@@ -222,7 +209,7 @@ func runRemote(addr, query string, timeout time.Duration) error {
 				fmt.Printf("  (truncated at %d rows)\n", len(r.Rows))
 			}
 		case "exec":
-			fmt.Printf("  %d rows affected (%dµs)\n", r.Affected, r.ElapsedUS)
+			fmt.Printf("  %d rows affected (%dµs)\n", r.Affected, r.ElapsedMicros)
 		default:
 			fmt.Printf("  %+v\n", r)
 		}
@@ -255,39 +242,8 @@ func runRemote(addr, query string, timeout time.Duration) error {
 // printServerStats fetches GET /stats and renders the serving counters, the
 // index lifecycle, and — on a sharded server — the per-shard block.
 func printServerStats(client *http.Client, addr string) error {
-	resp, err := client.Get(addr + "/stats")
+	st, err := (&loadgen.Client{Base: addr, HTTP: client}).Stats(context.Background())
 	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("server: %s", resp.Status)
-	}
-	var st struct {
-		Requests    int64 `json:"requests"`
-		AggQueries  int64 `json:"agg_queries"`
-		Selects     int64 `json:"selects"`
-		Mutations   int64 `json:"mutations"`
-		CacheHits   int64 `json:"cache_hits"`
-		CacheMisses int64 `json:"cache_misses"`
-		IndexEpoch  int64 `json:"index_epoch"`
-		BaseRows    int64 `json:"base_rows"`
-		PendingRows int64 `json:"pending_rows"`
-		Relearns    int64 `json:"relearns"`
-		Merges      int64 `json:"merges"`
-		Rebuilding  bool  `json:"rebuilding"`
-		Shards      []struct {
-			Shard    int   `json:"shard"`
-			Lo       int64 `json:"lo"`
-			Hi       int64 `json:"hi"`
-			Rows     int64 `json:"rows"`
-			Pending  int64 `json:"pending"`
-			Epoch    int64 `json:"epoch"`
-			Relearns int64 `json:"relearns"`
-			Queries  int64 `json:"queries"`
-		} `json:"shards"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		return err
 	}
 	fmt.Printf("  requests %d (agg %d, select %d, mutate %d), cache %d/%d hit\n",
@@ -296,8 +252,8 @@ func printServerStats(client *http.Client, addr string) error {
 	fmt.Printf("  index: epoch %d, %d rows (+%d pending), %d relearns, %d merges, rebuilding=%v\n",
 		st.IndexEpoch, st.BaseRows, st.PendingRows, st.Relearns, st.Merges, st.Rebuilding)
 	for _, sh := range st.Shards {
-		fmt.Printf("  shard %d [%d, %d]: %d rows (+%d pending), epoch %d, %d relearns, %d queries\n",
-			sh.Shard, sh.Lo, sh.Hi, sh.Rows, sh.Pending, sh.Epoch, sh.Relearns, sh.Queries)
+		fmt.Printf("  shard %d [%d, %d]: %d rows (+%d pending), epoch %d, %d relearns, %d merges, %d queries\n",
+			sh.Shard, sh.Lo, sh.Hi, sh.Rows, sh.Pending, sh.Epoch, sh.Relearns, sh.Merges, sh.Queries)
 	}
 	return nil
 }

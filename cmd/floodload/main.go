@@ -10,11 +10,13 @@
 // SQL, exercising the server's result cache like real dashboard traffic.
 //
 //	floodload -addr http://localhost:8080 -qps 2000 -duration 30s \
-//	          -dist zipfian -column price -out BENCH_serve.json
+//	          -dist zipfian -column price -out report.json
 //
 // With -inprocess N, floodload starts its own floodserver over a fresh
 // N-row sales dataset on a loopback listener and drives it through real
-// HTTP — the one-command form used by `make bench-serve`.
+// HTTP — the one-command form the CI serve-smoke job uses. The recorded
+// serving numbers are the repository benchmark's serve_read and serve_mixed
+// workloads (benchmark/README.md), not a file this tool writes.
 package main
 
 import (
@@ -34,7 +36,7 @@ import (
 	"flood/internal/server"
 )
 
-// output is the BENCH_serve.json document: the runner's report plus the
+// output is the report document: the runner's report plus the
 // run's configuration and the server-side stats delta.
 type output struct {
 	// Config echoes the run parameters.
@@ -230,7 +232,7 @@ func startInProcess(rows, shards int, seed int64, cfg *server.Config) (*httptest
 	ds := datagen.Sales(rows, seed)
 	queries := datagen.StandardWorkload(ds, 40, seed+1)
 	t0 := time.Now()
-	var srv *server.Server
+	var store flood.Store
 	if shards > 0 {
 		sh, err := flood.NewSharded(ds.Table, queries,
 			&flood.ShardedOptions{Shards: shards, Build: &flood.Options{Seed: seed + 2}})
@@ -239,15 +241,16 @@ func startInProcess(rows, shards int, seed int64, cfg *server.Config) (*httptest
 		}
 		log.Printf("built sales (%d rows): %d shards split on %s in %v",
 			rows, sh.NumShards(), ds.Table.Name(sh.SplitDim()), time.Since(t0).Round(time.Millisecond))
-		srv = server.NewSharded(sh, cfg)
+		store = sh
 	} else {
 		idx, err := flood.Build(ds.Table, queries, &flood.Options{Seed: seed + 2})
 		if err != nil {
 			log.Fatal(err)
 		}
 		log.Printf("built sales (%d rows): layout %s in %v", rows, idx.Layout(), time.Since(t0).Round(time.Millisecond))
-		srv = server.New(flood.NewAdaptiveIndex(idx, nil), cfg)
+		store = flood.NewAdaptiveIndex(idx, nil)
 	}
+	srv := server.New(store, cfg)
 	hs := httptest.NewServer(srv.Handler())
 	return hs, srv
 }
@@ -287,7 +290,7 @@ func serverStats(ctx context.Context, c *loadgen.Client) (server.Stats, bool) {
 
 // shardSkew is the max/mean ratio of per-shard queries in a stats delta's
 // shard block (0 when unsharded or no shard saw a query).
-func shardSkew(shards []server.ShardInfo) float64 {
+func shardSkew(shards []flood.ShardStat) float64 {
 	if len(shards) == 0 {
 		return 0
 	}
@@ -326,7 +329,7 @@ func statsDelta(before, after server.Stats) server.Stats {
 	d.CacheHits -= before.CacheHits
 	d.CacheMisses -= before.CacheMisses
 	if len(before.Shards) == len(after.Shards) {
-		d.Shards = append([]server.ShardInfo(nil), after.Shards...)
+		d.Shards = append([]flood.ShardStat(nil), after.Shards...)
 		for i := range d.Shards {
 			d.Shards[i].Queries -= before.Shards[i].Queries
 			d.Shards[i].Relearns -= before.Shards[i].Relearns

@@ -11,8 +11,8 @@
 // -shards N partitions the store into N range shards with learned-CDF
 // splits (see docs/SHARDING.md): queries prune to the shards their split-
 // dimension predicate can touch, and GET /stats grows a per-shard block.
-// A durable directory remembers its own partitioning — a dir with a shard
-// manifest reopens sharded regardless of the flag.
+// A durable directory remembers its own partitioning — a sharded one reopens
+// sharded whatever the flag says, and a flat one refuses the flag.
 //
 //	floodserver -addr :8080 -dataset sales -rows 1000000
 //	floodserver -addr :8080 -dataset sales -rows 1000000 -shards 4
@@ -30,18 +30,17 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"log"
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
 	flood "flood"
 	"flood/datagen"
 	"flood/internal/server"
-	"flood/internal/shard"
 )
 
 func main() {
@@ -73,10 +72,11 @@ func main() {
 		MaxResultRows:  *maxRows,
 	}
 
-	srv, err := buildServer(*datasetName, *rows, *seed, *loadPath, *dir, *shards, cfg)
+	store, err := resolveStore(*datasetName, *rows, *seed, *loadPath, *dir, *shards)
 	if err != nil {
 		log.Fatal(err)
 	}
+	srv := server.New(store, cfg)
 
 	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -107,99 +107,80 @@ func main() {
 	log.Printf("shutdown complete")
 }
 
-// buildServer resolves the store precedence: durable directory (reopened or
-// created), then snapshot, then a freshly built synthetic dataset. A
-// durable directory's own layout wins over the -shards flag: a shard
-// manifest reopens sharded, a flat snapshot reopens flat.
-func buildServer(datasetName string, rows int, seed int64, loadPath, dir string, shards int, cfg *server.Config) (*server.Server, error) {
+// resolveStore resolves the store precedence: whatever -dir already holds,
+// then a store built from the snapshot or a synthetic dataset — sharded with
+// -shards, durable (created in -dir) with -dir. A directory's own layout wins
+// over the -shards flag: a sharded one reopens with the shards it has, a flat
+// one cannot be repartitioned.
+func resolveStore(datasetName string, rows int, seed int64, loadPath, dir string, shards int) (flood.Store, error) {
 	if shards > 0 && loadPath != "" {
 		return nil, errors.New("-shards cannot repartition a flat snapshot; use -dataset/-rows or a sharded -dir")
 	}
 	if dir != "" {
-		if _, err := os.Stat(filepath.Join(dir, shard.ManifestName)); err == nil {
-			t0 := time.Now()
-			sh, rep, err := flood.OpenShardedDurable(dir, nil)
-			if err != nil {
-				return nil, fmt.Errorf("opening sharded dir %s: %w", dir, err)
-			}
-			for i, sr := range rep.Shards {
-				for _, w := range sr.Warnings {
-					log.Printf("recovery shard %d: %s", i, w)
-				}
-			}
-			if shards > 0 && sh.NumShards() != shards {
-				log.Printf("-shards %d ignored: %s already holds %d shards", shards, dir, sh.NumShards())
-			}
-			log.Printf("opened sharded store %s: %d shards, %d rows in %v",
-				dir, sh.NumShards(), sh.NumRows(), time.Since(t0).Round(time.Millisecond))
-			return server.NewSharded(sh, cfg), nil
+		t0 := time.Now()
+		store, rep, err := flood.OpenStore(dir, nil)
+		if err == nil {
+			return opened(store, rep, dir, shards, time.Since(t0))
 		}
-		if _, err := os.Stat(filepath.Join(dir, "snapshot.flood")); err == nil {
-			if shards > 0 {
-				return nil, fmt.Errorf("-shards %d: %s already holds a flat store; point -dir at an empty directory", shards, dir)
-			}
-			t0 := time.Now()
-			d, rep, err := flood.OpenDurable(dir, nil)
-			if err != nil {
-				return nil, fmt.Errorf("opening durable dir %s: %w", dir, err)
-			}
-			for _, w := range rep.Warnings {
-				log.Printf("recovery: %s", w)
-			}
-			log.Printf("opened durable store %s: %d snapshot rows + %d replayed in %v",
-				dir, rep.SnapshotRows, rep.ReplayedRows, time.Since(t0).Round(time.Millisecond))
-			return server.NewDurable(d, cfg), nil
+		if !errors.Is(err, fs.ErrNotExist) {
+			return nil, fmt.Errorf("opening %s: %w", dir, err)
 		}
-		if shards > 0 {
-			ds, queries, err := syntheticWorkload(datasetName, rows, seed)
-			if err != nil {
-				return nil, err
-			}
-			t0 := time.Now()
-			sh, err := flood.CreateShardedDurable(dir, ds.Table, queries,
-				&flood.ShardedOptions{Shards: shards, Build: &flood.Options{Seed: seed + 2}}, nil)
-			if err != nil {
-				return nil, fmt.Errorf("creating sharded dir %s: %w", dir, err)
-			}
-			log.Printf("created sharded store %s: %d shards over %d rows in %v",
-				dir, sh.NumShards(), sh.NumRows(), time.Since(t0).Round(time.Millisecond))
-			return server.NewSharded(sh, cfg), nil
-		}
-		base, err := buildBase(datasetName, rows, seed, loadPath)
-		if err != nil {
-			return nil, err
-		}
-		d, err := flood.CreateDurable(dir, base, nil)
-		if err != nil {
-			return nil, fmt.Errorf("creating durable dir %s: %w", dir, err)
-		}
-		log.Printf("created durable store %s", dir)
-		return server.NewDurable(d, cfg), nil
 	}
+	t0 := time.Now()
 	if shards > 0 {
 		ds, queries, err := syntheticWorkload(datasetName, rows, seed)
 		if err != nil {
 			return nil, err
 		}
-		t0 := time.Now()
-		sh, err := flood.NewSharded(ds.Table, queries,
-			&flood.ShardedOptions{Shards: shards, Build: &flood.Options{Seed: seed + 2}})
+		opts := &flood.ShardedOptions{Shards: shards, Build: &flood.Options{Seed: seed + 2}}
+		var sh *flood.ShardedIndex
+		if dir != "" {
+			sh, err = flood.CreateShardedDurable(dir, ds.Table, queries, opts, nil)
+		} else {
+			sh, err = flood.NewSharded(ds.Table, queries, opts)
+		}
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("building sharded store: %w", err)
 		}
 		log.Printf("built sharded %s (%d rows): %d shards split on %s in %v",
 			datasetName, sh.NumRows(), sh.NumShards(), ds.Table.Name(sh.SplitDim()), time.Since(t0).Round(time.Millisecond))
-		return server.NewSharded(sh, cfg), nil
+		return sh, nil
 	}
 	base, err := buildBase(datasetName, rows, seed, loadPath)
 	if err != nil {
 		return nil, err
 	}
-	return server.New(flood.NewAdaptiveIndex(base, nil), cfg), nil
+	if dir == "" {
+		return flood.NewAdaptiveIndex(base, nil), nil
+	}
+	d, err := flood.CreateDurable(dir, base, nil)
+	if err != nil {
+		return nil, fmt.Errorf("creating durable dir %s: %w", dir, err)
+	}
+	log.Printf("created durable store %s", dir)
+	return d, nil
+}
+
+// opened reports what a directory held and holds -shards against it.
+func opened(store flood.Store, rep flood.ShardedRecoveryReport, dir string, shards int, took time.Duration) (flood.Store, error) {
+	for i, sr := range rep.Shards {
+		for _, w := range sr.Warnings {
+			log.Printf("recovery shard %d: %s", i, w)
+		}
+	}
+	if _, sharded := store.(*flood.ShardedIndex); shards > 0 && !sharded {
+		store.Close()
+		return nil, fmt.Errorf("-shards %d: %s already holds a flat store; point -dir at an empty directory", shards, dir)
+	} else if shards > 0 && store.NumShards() != shards {
+		log.Printf("-shards %d ignored: %s already holds %d shards", shards, dir, store.NumShards())
+	}
+	log.Printf("opened store %s: %d shards, %d snapshot rows + %d replayed records in %v",
+		dir, store.NumShards(), rep.SnapshotRows, rep.ReplayedRows, took.Round(time.Millisecond))
+	return store, nil
 }
 
 // syntheticWorkload materializes the named dataset and its standard training
-// workload for the sharded build paths, which partition the raw table.
+// workload.
 func syntheticWorkload(datasetName string, rows int, seed int64) (*datagen.Dataset, []flood.Query, error) {
 	ds := datagen.ByName(datasetName, rows, seed)
 	if ds == nil {
@@ -211,8 +192,8 @@ func syntheticWorkload(datasetName string, rows int, seed int64) (*datagen.Datas
 // buildBase loads the snapshot or builds a learned index over a synthetic
 // dataset's standard workload.
 func buildBase(datasetName string, rows int, seed int64, loadPath string) (*flood.Flood, error) {
+	t0 := time.Now()
 	if loadPath != "" {
-		t0 := time.Now()
 		idx, rep, err := flood.LoadFileWithReport(loadPath)
 		if err != nil {
 			return nil, fmt.Errorf("loading snapshot %s: %w", loadPath, err)
@@ -224,12 +205,10 @@ func buildBase(datasetName string, rows int, seed int64, loadPath string) (*floo
 			loadPath, idx.Table().NumRows(), idx.Layout(), time.Since(t0).Round(time.Millisecond))
 		return idx, nil
 	}
-	ds := datagen.ByName(datasetName, rows, seed)
-	if ds == nil {
-		return nil, errors.New("unknown -dataset " + datasetName + " (try: sales, tpch, osm, perfmon)")
+	ds, queries, err := syntheticWorkload(datasetName, rows, seed)
+	if err != nil {
+		return nil, err
 	}
-	queries := datagen.StandardWorkload(ds, 40, seed+1)
-	t0 := time.Now()
 	idx, err := flood.Build(ds.Table, queries, &flood.Options{Seed: seed + 2})
 	if err != nil {
 		return nil, err

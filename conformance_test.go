@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"io/fs"
+	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -21,15 +23,15 @@ type confRow struct {
 }
 
 // confFacade is one facade under the conformance table, held only as an
-// Index: every check drives it through the interface and the package-level
-// helpers, never through a concrete type.
+// Index — and, the mutable ones, as a Store: every check drives it through
+// the interfaces and the package-level helpers, never through a concrete type.
 type confFacade struct {
 	name string
 	idx  Index
 	live []confRow // the oracle: rows a query may observe
-	// served reports how many queries the facade's lifecycle has counted;
-	// nil for facades that keep no count.
-	served func() int64
+	// store is the same facade as a Store; nil for the immutable Flood, which
+	// has no lifecycle.
+	store Store
 	// dir is the facade's durable directory; "" for the in-memory ones.
 	dir string
 }
@@ -148,48 +150,35 @@ func confFacades(t *testing.T) (*typedFixture, []*confFacade) {
 		fx.schema.Where().WithIntRange("ts", 0, 30_000).Query(),
 		fx.schema.Where().WithStringEquals("city", "nyc").WithFloatRange("fare", 1, 20).Query(),
 	}
-	served := func(a *AdaptiveIndex) func() int64 {
-		return func() int64 { return a.Stats().Queries }
-	}
-	servedShards := func(s *ShardedIndex) func() int64 {
-		return func() int64 {
-			var n int64
-			for _, st := range s.ShardStats() {
-				n += st.Queries
-			}
-			return n
-		}
+	// The four mutable stores are held as a Store from here on.
+	mutable := func(name string, s Store, dir string) *confFacade {
+		t.Cleanup(func() { s.Close() })
+		return &confFacade{name: name, idx: s, store: s, dir: dir}
 	}
 
 	var out []*confFacade
 	out = append(out, &confFacade{name: "Flood", idx: build()})
-
-	a := NewAdaptiveIndex(build(), quiet)
-	t.Cleanup(a.Close)
-	out = append(out, &confFacade{name: "AdaptiveIndex", idx: a, served: served(a)})
+	out = append(out, mutable("AdaptiveIndex", NewAdaptiveIndex(build(), quiet), ""))
 
 	dir := t.TempDir()
 	d, err := CreateDurable(dir, build(), &DurableOptions{Sync: SyncNever, Adaptive: quiet})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { d.Close() })
-	out = append(out, &confFacade{name: "DurableIndex", idx: d, served: served(d.Adaptive()), dir: dir})
+	out = append(out, mutable("DurableIndex", d, dir))
 
 	s, err := NewSharded(fx.tbl, train, sharded)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { s.Close() })
-	out = append(out, &confFacade{name: "ShardedIndex", idx: s, served: servedShards(s)})
+	out = append(out, mutable("ShardedIndex", s, ""))
 
 	dir = t.TempDir()
 	sd, err := CreateShardedDurable(dir, fx.tbl, train, sharded, &DurableOptions{Sync: SyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { sd.Close() })
-	out = append(out, &confFacade{name: "ShardedIndex/durable", idx: sd, served: servedShards(sd), dir: dir})
+	out = append(out, mutable("ShardedIndex/durable", sd, dir))
 
 	denver := fx.schema.Where().WithStringEquals("city", "denver").Query()
 	for _, f := range out {
@@ -352,16 +341,17 @@ func TestFacadeConformance(t *testing.T) {
 			rows.Close()
 		}},
 		{"a disjunction is one served query", func(t *testing.T, f *confFacade) {
-			if f.served == nil {
+			if f.store == nil {
 				t.Skip("facade keeps no query count")
 			}
+			served := func() int64 { return f.store.Stats().Queries }
 			qs := queriesOf(ors[1]) // two rectangles, one shard
-			before := f.served()
+			before := served()
 			ExecuteOr(f.idx, qs, NewCount())
-			if got := f.served() - before; got != 1 {
+			if got := served() - before; got != 1 {
 				t.Errorf("ExecuteOr of 2 rectangles counted %d served queries, want 1", got)
 			}
-			before = f.served()
+			before = served()
 			if _, err := ExecuteOrContext(bg, f.idx, qs, NewCount()); err != nil {
 				t.Fatal(err)
 			}
@@ -370,7 +360,7 @@ func TestFacadeConformance(t *testing.T) {
 				t.Fatal(err)
 			}
 			rows.Close()
-			if got := f.served() - before; got != 2 {
+			if got := served() - before; got != 2 {
 				t.Errorf("ExecuteOrContext + limited SelectOrContext counted %d served queries, want 2", got)
 			}
 		}},
@@ -532,10 +522,78 @@ func TestFacadeConformance(t *testing.T) {
 				}
 			}
 		}},
+		// The lifecycle rows: what Store guarantees beyond queries and writes.
+		{"checkpoint is nil in memory and reopens from a directory", func(t *testing.T, f *confFacade) {
+			if f.store == nil {
+				t.Skip("facade has no lifecycle")
+			}
+			if err := f.store.Checkpoint(); err != nil {
+				t.Fatalf("Checkpoint: %v", err)
+			}
+			if f.dir == "" {
+				sameAsOracle(t, f)
+				return
+			}
+			// The store is still open: reopen a copy of what it left on disk.
+			dir := t.TempDir()
+			if err := os.CopyFS(dir, os.DirFS(f.dir)); err != nil {
+				t.Fatal(err)
+			}
+			re, rep, err := OpenStore(dir, &DurableOptions{Sync: SyncNever})
+			if err != nil {
+				t.Fatalf("OpenStore of a checkpointed directory: %v", err)
+			}
+			defer re.Close()
+			if reflect.TypeOf(re) != reflect.TypeOf(f.store) || re.NumShards() != f.store.NumShards() || len(rep.Shards) != re.NumShards() {
+				t.Fatalf("reopened a %T of %d shards (%d reports) from the directory of a %T of %d",
+					re, re.NumShards(), len(rep.Shards), f.store, f.store.NumShards())
+			}
+			if rep.ReplayedRows != 0 {
+				t.Errorf("replayed %d records past a checkpoint that absorbed the log", rep.ReplayedRows)
+			}
+			was, now := f.store.Stats(), re.Stats()
+			if was.BaseRows+was.PendingRows != now.BaseRows+now.PendingRows || re.LiveRows() != len(f.live) {
+				t.Errorf("reopened %d base + %d pending rows (%d live), the store held %d + %d (%d live)",
+					now.BaseRows, now.PendingRows, re.LiveRows(), was.BaseRows, was.PendingRows, len(f.live))
+			}
+			sameAsOracle(t, &confFacade{idx: re, live: f.live})
+		}},
+		{"close twice is safe and leaves queries valid", func(t *testing.T, f *confFacade) {
+			if f.store == nil {
+				t.Skip("facade has no lifecycle")
+			}
+			for i := 0; i < 2; i++ {
+				if err := f.store.Close(); err != nil {
+					t.Fatalf("Close %d: %v", i+1, err)
+				}
+			}
+			sameAsOracle(t, f)
+		}},
 	}
 	for _, f := range facades {
 		for _, c := range checks {
 			t.Run(f.name+"/"+c.name, func(t *testing.T) { c.run(t, f) })
 		}
 	}
+
+	// Only "no store here" reads as fs.ErrNotExist — the signal to create one.
+	t.Run("OpenStore/a directory with no store is fs.ErrNotExist", func(t *testing.T) {
+		for _, dir := range []string{t.TempDir(), filepath.Join(t.TempDir(), "missing")} {
+			if s, _, err := OpenStore(dir, nil); s != nil || !errors.Is(err, fs.ErrNotExist) {
+				t.Errorf("OpenStore(%s) = %v, %v; want an error that is fs.ErrNotExist", dir, s, err)
+			}
+		}
+	})
+	t.Run("OpenStore/a store missing a file is not", func(t *testing.T) {
+		dir := t.TempDir()
+		if err := os.CopyFS(dir, os.DirFS(facades[len(facades)-1].dir)); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Remove(filepath.Join(dir, shardDirName(2), snapshotFile)); err != nil {
+			t.Fatal(err)
+		}
+		if s, _, err := OpenStore(dir, nil); s != nil || err == nil || errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("OpenStore of a sharded store without shard 2's snapshot = %v, %v; want a failure that is not fs.ErrNotExist", s, err)
+		}
+	})
 }

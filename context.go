@@ -1,7 +1,7 @@
 // Context-aware execution: cancellation, deadlines, and LIMIT pushdown.
 //
-// Every index in this package (Flood, AdaptiveIndex, DurableIndex,
-// ShardedIndex, and the baselines behind the Index interface) executes
+// Every index in this package (Flood, AdaptiveIndex, ShardedIndex, and the
+// baselines behind the Index interface) executes
 // queries under a caller's context.Context: ExecuteContext, ExecuteBatchContext, and SelectContext
 // stop cooperatively once the context is canceled or a deadline passes,
 // returning the partial Stats (rows seen before the stop) together with

@@ -371,11 +371,11 @@ func TestCheckpointKillPoints(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			d.crashPoint = func(s string) {
+			d.SetCrashPoint(func(s string) {
 				if s == stage {
 					panic("crash:" + stage)
 				}
-			}
+			})
 			func() {
 				defer func() {
 					if recover() == nil {

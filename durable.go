@@ -2,7 +2,6 @@ package flood
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
@@ -52,7 +51,7 @@ const (
 	sectionTomb = "tomb"
 )
 
-// DurableOptions configures a DurableIndex.
+// DurableOptions configures a durable store.
 type DurableOptions struct {
 	// Sync selects the WAL sync policy (default SyncAlways).
 	Sync SyncPolicy
@@ -82,7 +81,10 @@ type RecoveryReport struct {
 	// SnapshotRows is the row count restored from the snapshot (base index
 	// plus its captured side rows).
 	SnapshotRows int
-	// ReplayedRows is the number of inserts recovered from WAL segments.
+	// ReplayedRows is the number of WAL records replayed past the snapshot:
+	// one per inserted row (an Update logs one per rewritten row) and one per
+	// Delete, DeleteRows or Update sweep that found victims — records, not
+	// rows, despite the name.
 	ReplayedRows int
 	// TruncatedTail reports that the newest WAL segment ended in a torn or
 	// corrupt record and was cut back to its last valid record — the
@@ -90,28 +92,21 @@ type RecoveryReport struct {
 	TruncatedTail bool
 }
 
-// DurableIndex is a crash-safe serving index over a directory: an
-// AdaptiveIndex whose inserts are write-ahead logged and whose state is
-// periodically absorbed into an atomic, checksummed snapshot. After kill -9
-// or power loss, OpenDurable restores the snapshot and replays the log tail,
-// recovering every acknowledged insert up to the sync policy's window.
+// durability is the part of an AdaptiveIndex that lives in a directory: one
+// atomic, checksummed snapshot plus the write-ahead log segments every
+// mutation is appended to before it is acknowledged (the active segment
+// itself is AdaptiveIndex.walLog, under the writer lock apply already holds).
+// After kill -9 or power loss, OpenDurable restores the snapshot and replays
+// the log tail, recovering every acknowledged mutation up to the sync policy's
+// window; Checkpoint runs concurrently with queries and mutations (writers
+// stall only for a pointer swap).
 //
 //	d, err := flood.CreateDurable(dir, idx, nil)
 //	d.Insert(row)            // logged, then visible
 //	d.Checkpoint()           // absorb the log into the snapshot
 //	d.Close()
 //	d, rep, err := flood.OpenDurable(dir, nil)   // after a crash
-//
-// A DurableIndex is its AdaptiveIndex — the embedded index's whole query and
-// mutation surface is the durable one's, since the write-ahead log is
-// attached to the adaptive index itself: every Insert, Delete, and Update is
-// logged before it is acknowledged, so acknowledged mutations survive a
-// crash at any point (they are either replayed from the log or absorbed
-// into a snapshot). Concurrency matches AdaptiveIndex; Checkpoint runs
-// concurrently with queries and mutations (writers stall only for a pointer
-// swap).
-type DurableIndex struct {
-	*AdaptiveIndex
+type durability struct {
 	dir  string
 	opts DurableOptions
 
@@ -126,10 +121,41 @@ type DurableIndex struct {
 	crashPoint func(stage string)
 }
 
+// DurableIndex is the AdaptiveIndex CreateDurable and OpenDurable return.
+//
+// Deprecated: durability is a property of an AdaptiveIndex, not a type of its
+// own; the alias remains only because benchmark/ names it.
+type DurableIndex = AdaptiveIndex
+
+// Adaptive returns a itself.
+//
+// Deprecated: a durable index is its adaptive index; the method remains only
+// because benchmark/ calls it.
+func (a *AdaptiveIndex) Adaptive() *AdaptiveIndex { return a }
+
+// newDurable wraps base as the durable index living in dir, its log not yet
+// attached.
+func newDurable(dir string, base *Flood, o DurableOptions) *AdaptiveIndex {
+	a := NewAdaptiveIndex(base, o.Adaptive)
+	a.dur = &durability{dir: dir, opts: o}
+	return a
+}
+
+// startLog makes a fresh segment of generation gen the active log. Nothing
+// else can reach a yet, so the writer lock is not needed.
+func (a *AdaptiveIndex) startLog(gen uint64) error {
+	l, err := wal.Create(filepath.Join(a.dur.dir, wal.SegmentName(gen)), gen, a.dur.opts.walOptions())
+	if err != nil {
+		return err
+	}
+	a.dur.gen, a.walLog = gen, l
+	return nil
+}
+
 // CreateDurable initializes dir (created if needed) with a snapshot of base
 // and an empty WAL segment, and returns the serving index. The directory
 // must not already contain a snapshot.
-func CreateDurable(dir string, base *Flood, opts *DurableOptions) (*DurableIndex, error) {
+func CreateDurable(dir string, base *Flood, opts *DurableOptions) (*AdaptiveIndex, error) {
 	o := opts.orDefault()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -137,17 +163,14 @@ func CreateDurable(dir string, base *Flood, opts *DurableOptions) (*DurableIndex
 	if _, err := os.Stat(filepath.Join(dir, snapshotFile)); err == nil {
 		return nil, fmt.Errorf("flood: %s already contains a snapshot (use OpenDurable)", dir)
 	}
-	d := &DurableIndex{dir: dir, AdaptiveIndex: NewAdaptiveIndex(base, o.Adaptive), opts: o}
-	if err := d.writeSnapshot(0, base.idx, base.schema, nil, 0, base.idx.Tombstones(), nil); err != nil {
+	a := newDurable(dir, base, o)
+	if err := a.dur.writeSnapshot(0, base.idx, base.schema, nil, 0, base.idx.Tombstones(), nil); err != nil {
 		return nil, err
 	}
-	l, err := wal.Create(filepath.Join(dir, wal.SegmentName(1)), 1, o.walOptions())
-	if err != nil {
+	if err := a.startLog(1); err != nil {
 		return nil, err
 	}
-	d.gen = 1
-	d.AttachWAL(l)
-	return d, nil
+	return a, nil
 }
 
 // OpenDurable recovers the index persisted in dir: it loads the snapshot
@@ -157,7 +180,7 @@ func CreateDurable(dir string, base *Flood, opts *DurableOptions) (*DurableIndex
 // anywhere acknowledged data could be lost — a corrupt snapshot data
 // section, a damaged non-newest segment, a missing segment generation —
 // surfaces as a typed error instead of a silently wrong index.
-func OpenDurable(dir string, opts *DurableOptions) (*DurableIndex, RecoveryReport, error) {
+func OpenDurable(dir string, opts *DurableOptions) (*AdaptiveIndex, RecoveryReport, error) {
 	o := opts.orDefault()
 	var rep RecoveryReport
 
@@ -185,7 +208,7 @@ func OpenDurable(dir string, opts *DurableOptions) (*DurableIndex, RecoveryRepor
 			return nil, rep, fmt.Errorf("flood: snapshot marker: %w", err)
 		}
 	}
-	d := &DurableIndex{dir: dir, AdaptiveIndex: NewAdaptiveIndex(fl, o.Adaptive), opts: o}
+	d := newDurable(dir, fl, o)
 
 	// Seed the side log with the checkpoint-captured rows.
 	if p, ok := res.Extra[sectionDelta]; ok {
@@ -269,14 +292,10 @@ func OpenDurable(dir string, opts *DurableOptions) (*DurableIndex, RecoveryRepor
 	}
 
 	// Resume on a fresh segment; replayed segments are never appended to.
-	next := marker + uint64(len(replay)) + 1
-	l, err := wal.Create(filepath.Join(dir, wal.SegmentName(next)), next, o.walOptions())
-	if err != nil {
+	if err := d.startLog(marker + uint64(len(replay)) + 1); err != nil {
 		return nil, rep, err
 	}
-	d.gen = next
-	d.AttachWAL(l)
-	d.removeSegmentsThrough(marker, gens)
+	d.dur.removeSegmentsThrough(marker, gens)
 	return d, rep, nil
 }
 
@@ -284,8 +303,13 @@ func OpenDurable(dir string, opts *DurableOptions) (*DurableIndex, RecoveryRepor
 // inserts onto a new segment, captures the current base index plus the
 // frozen side-log prefix, writes them as the new snapshot, and deletes the
 // absorbed segments. Serving continues throughout; a crash at any point
-// leaves a directory OpenDurable recovers completely.
-func (d *DurableIndex) Checkpoint() error {
+// leaves a directory OpenDurable recovers completely. On an in-memory index
+// there is nothing to absorb: Checkpoint returns nil.
+func (a *AdaptiveIndex) Checkpoint() error {
+	d := a.dur
+	if d == nil {
+		return nil
+	}
 	d.ckptMu.Lock()
 	defer d.ckptMu.Unlock()
 
@@ -299,7 +323,6 @@ func (d *DurableIndex) Checkpoint() error {
 	// swap the log: rows [0, frozen) of the side log plus the (immutable)
 	// base are exactly the inserts acknowledged against segments <= oldGen;
 	// later inserts land in the new segment.
-	a := d.AdaptiveIndex
 	a.mu.Lock()
 	ep := a.epoch.Load()
 	frozen := ep.log.rows()
@@ -347,40 +370,17 @@ func (d *DurableIndex) Checkpoint() error {
 	return nil
 }
 
-// Close checkpoints nothing; it syncs and closes the active WAL segment and
-// stops the adaptive index's background work. The directory remains openable
-// with OpenDurable.
-func (d *DurableIndex) Close() error {
-	d.AdaptiveIndex.Close()
-	d.mu.Lock()
-	l := d.walLog
-	d.walLog = nil
-	d.mu.Unlock()
-	if l == nil {
-		return nil
-	}
-	return l.Close()
-}
-
-// Adaptive returns the embedded serving index.
-func (d *DurableIndex) Adaptive() *AdaptiveIndex { return d.AdaptiveIndex }
-
 // SetCrashPoint installs fn to run at the named stages of a checkpoint
 // ("rotated", "old-closed", "snapshot"). Fault-injection harnesses panic
 // from it to simulate a crash between any two durability steps; pass nil to
-// clear. Not for production use.
-func (d *DurableIndex) SetCrashPoint(fn func(stage string)) { d.crashPoint = fn }
+// clear. Not for production use, and no effect on an in-memory index.
+func (a *AdaptiveIndex) SetCrashPoint(fn func(stage string)) {
+	if a.dur != nil {
+		a.dur.crashPoint = fn
+	}
+}
 
-// Name implements Index.
-func (d *DurableIndex) Name() string { return "Flood+Durable" }
-
-var (
-	_ Index   = (*DurableIndex)(nil)
-	_ Deleter = (*DurableIndex)(nil)
-	_ Updater = (*DurableIndex)(nil)
-)
-
-func (d *DurableIndex) crash(stage string) {
+func (d *durability) crash(stage string) {
 	if d.crashPoint != nil {
 		d.crashPoint(stage)
 	}
@@ -391,7 +391,7 @@ func (d *DurableIndex) crash(stage string) {
 // absorbed-generation marker. baseTomb and logDead must be the versions
 // pinned at the same instant as cols/rows, never re-read at encode time — a
 // delete landing between capture and encode belongs to the new WAL segment.
-func (d *DurableIndex) writeSnapshot(marker uint64, idx *core.Flood, schema *Schema, cols [][]int64, rows int64, baseTomb *colstore.Tombstones, logDead []int64) error {
+func (d *durability) writeSnapshot(marker uint64, idx *core.Flood, schema *Schema, cols [][]int64, rows int64, baseTomb *colstore.Tombstones, logDead []int64) error {
 	return WriteFileAtomic(filepath.Join(d.dir, snapshotFile), func(w io.Writer) error {
 		var extra []core.ExtraSection
 		if schema != nil {
@@ -498,7 +498,7 @@ func listSegments(dir string) ([]uint64, error) {
 // removeSegmentsThrough deletes segments with generation <= g and fsyncs the
 // directory. Deletion failures are ignored: a leftover absorbed segment is
 // re-collected by the next open or checkpoint.
-func (d *DurableIndex) removeSegmentsThrough(g uint64, gens []uint64) {
+func (d *durability) removeSegmentsThrough(g uint64, gens []uint64) {
 	removed := false
 	for _, gen := range gens {
 		if gen <= g {
@@ -509,27 +509,4 @@ func (d *DurableIndex) removeSegmentsThrough(g uint64, gens []uint64) {
 	if removed {
 		SyncDir(d.dir)
 	}
-}
-
-// encodeWALRow serializes one inserted row as a WAL record payload.
-func encodeWALRow(row []int64) []byte {
-	buf := make([]byte, 8*len(row))
-	for i, v := range row {
-		binary.LittleEndian.PutUint64(buf[i*8:], uint64(v))
-	}
-	return buf
-}
-
-// decodeWALRow parses a WAL record payload back into a row, validating the
-// dimensionality against the serving table.
-func decodeWALRow(payload []byte, wantCols int) ([]int64, error) {
-	if len(payload) != 8*wantCols {
-		return nil, fmt.Errorf("flood: wal record of %d bytes for a %d-column table: %w",
-			len(payload), wantCols, ErrChecksum)
-	}
-	row := make([]int64, wantCols)
-	for i := range row {
-		row[i] = int64(binary.LittleEndian.Uint64(payload[i*8:]))
-	}
-	return row, nil
 }

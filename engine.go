@@ -1,18 +1,20 @@
 // The engine contract: the one execution interface under every facade.
 //
-// Flood, AdaptiveIndex (and DurableIndex, which embeds it), and ShardedIndex
-// differ only in how one query reaches storage — straight into the learned
-// index, through the current generation's base index and insert log with the
-// lifecycle bookkeeping, or pruned and fanned out across shards — and in how
-// one write does: tombstones only, the logged lock-hold of a generation
+// Flood, AdaptiveIndex, and ShardedIndex differ only in how one query reaches
+// storage — straight into the learned index, through the current generation's
+// base index and insert log with the lifecycle bookkeeping, or pruned and
+// fanned out across shards — and in how one write does: tombstones only, the logged lock-hold of a generation
 // owner, or split by shard. Each says both once, as an engine; the public
 // query surface — Execute, ExecuteBatch, ExecuteOr, Select and their
 // context-aware twins — is written once, on the surface struct the facades
 // embed, and the write surface — Insert, Delete, DeleteRows, Update — once on
 // the mutableSurface struct the mutable ones embed, in terms of it. A nil
 // control is the unconditioned execution, so the plain and the context-aware
-// entry points are the same path. docs/ARCHITECTURE.md ("Engine contract")
-// lists which behaviour each entry point derives from the contract.
+// entry points are the same path. The third contract, Store, is the lifecycle
+// the two mutable facades share — in memory or over a directory — and what
+// every consumer (the server, the model tests, the commands) holds.
+// docs/ARCHITECTURE.md ("Engine contract") lists which behaviour each entry
+// point derives from the contracts.
 package flood
 
 import (
@@ -61,6 +63,62 @@ type mutation struct {
 	// assigns the split dimension).
 	moved *[][]int64
 }
+
+// Store is a serving store and its whole life: the query surface, the write
+// surface, the counters, and the lifecycle — wait, checkpoint, close — spelled
+// the same whether the store is flat or sharded, in memory or over a
+// directory. *AdaptiveIndex and *ShardedIndex implement it; NewAdaptiveIndex
+// and NewSharded build the in-memory forms, CreateDurable and
+// CreateShardedDurable the durable ones, and OpenStore reopens either from its
+// directory. Durability is where a store lives, not another type: on an
+// in-memory store Checkpoint does nothing and returns nil, and Close only
+// stops background work. TestFacadeConformance holds all four forms as a Store
+// and checks each guarantee below.
+type Store interface {
+	Index
+	ExecuteBatchContext(ctx context.Context, queries []Query, aggs []Aggregator) ([]Stats, error)
+	Select(q Query, cols ...string) (*Rows, Stats)
+	Inserter
+	Deleter
+	Updater
+	DeleteRows(ids []int64) (int64, error)
+
+	// Schema is the typed schema the store was built with (nil over a raw
+	// int64 table).
+	Schema() *Schema
+	// NumRows counts physical rows, LiveRows the rows a query can observe.
+	NumRows() int
+	LiveRows() int
+	// Epoch counts completed generation swaps, summed over shards; it never
+	// moves backwards.
+	Epoch() int64
+	// Stats is the lifecycle snapshot, folded over shards: counts add,
+	// Rebuilding is any shard's, LastSwap the latest, LastError the first,
+	// and the per-monitor Reference and WindowAverage stay zero.
+	Stats() AdaptiveStats
+
+	// NumShards and Shard reach the adaptive indexes underneath — for
+	// per-shard triggers, layouts and tables; a flat store is its own shard
+	// 0. ShardStats is the per-shard block, nil for a flat store.
+	NumShards() int
+	Shard(i int) *AdaptiveIndex
+	ShardStats() []ShardStat
+
+	// Wait blocks until no background rebuild is in flight.
+	Wait()
+	// Checkpoint absorbs the write-ahead log into a fresh snapshot, leaving a
+	// directory OpenStore reopens to the same rows; nil and no effect in
+	// memory.
+	Checkpoint() error
+	// Close stops background work and, over a directory, syncs and closes
+	// the log. Queries stay valid afterwards; a second Close is a no-op.
+	Close() error
+}
+
+var (
+	_ Store = (*AdaptiveIndex)(nil)
+	_ Store = (*ShardedIndex)(nil)
+)
 
 // mutableSurface is surface plus the write API, embedded by the facades that
 // accept every mutation: the methods below are their Insert, Delete,
@@ -159,6 +217,10 @@ type surface struct {
 func newSurface(eng engine, schema *Schema, names []string) surface {
 	return surface{eng: eng, schema: schema, cols: nameResolver(names)}
 }
+
+// Schema returns the typed schema the facade was built with (nil when it was
+// built from raw int64 columns).
+func (s *surface) Schema() *Schema { return s.schema }
 
 // facade exposes the embedded surface to the package-level helpers.
 func (s *surface) facade() *surface { return s }

@@ -41,10 +41,15 @@
 // lifecycle of §8: it serves queries and inserts concurrently, samples the
 // live workload, detects drift with a Monitor, relearns the layout in the
 // background, and swaps the fresh index in atomically with zero downtime.
-// DurableIndex adds a write-ahead log and checkpoints, ShardedIndex
-// partitions the table across independent adaptive shards, and Save/Load
-// persist a built index. Every facade serves the same query surface:
-// Execute, ExecuteBatch, ExecuteOr, Select, and their context-aware twins.
+// ShardedIndex partitions the table across independent adaptive shards, and
+// Save/Load persist a built index. Those are the three facades, and every one
+// serves the same query surface: Execute, ExecuteBatch, ExecuteOr, Select,
+// and their context-aware twins. Durability is where a mutable store lives,
+// not a fourth facade: CreateDurable and CreateShardedDurable put one over a
+// directory with a write-ahead log and checkpoints, OpenStore reopens
+// whichever a directory holds, and Store is the one lifecycle contract —
+// stats, wait, checkpoint, close — both mutable facades implement in either
+// form.
 //
 // The single-writer delta facade of earlier versions is gone; AdaptiveIndex
 // with automatic merges off subsumes it:
@@ -279,10 +284,6 @@ func (f *Flood) Table() *Table { return f.idx.Table() }
 // this index (NewAdaptiveIndex, CreateDurable) inherit the schema at
 // construction; set it before wrapping.
 func (f *Flood) SetSchema(s *Schema) { f.schema = s }
-
-// Schema returns the attached typed schema (nil when the index was built
-// from raw int64 columns).
-func (f *Flood) Schema() *Schema { return f.schema }
 
 // Neighbor is one k-nearest-neighbor result: a physical row in the index's
 // reordered table and its squared distance in flattened grid coordinates.

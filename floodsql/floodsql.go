@@ -124,30 +124,61 @@ func (p *parser) run() (*Statement, error) {
 	return st, nil
 }
 
-// aggregator constructs the statement's aggregator, or errors for
-// projection statements (which execute via Select).
-func (s *Statement) aggregator() (flood.Aggregator, error) {
+// Queries returns the statement's rectangles — its DNF disjuncts, or one
+// unfiltered query when it has no WHERE clause — together with a fresh
+// aggregator for an aggregation statement (nil for a projection or a
+// mutation). It is what Run executes and what a caller batching statements
+// itself (the server's collector) needs of one.
+func (s *Statement) Queries() ([]flood.Query, flood.Aggregator) {
+	qs := s.Disjuncts
+	if len(qs) == 0 {
+		qs = []flood.Query{flood.NewQuery(s.nDims)}
+	}
 	switch s.Agg {
 	case "count":
-		return flood.NewCount(), nil
+		return qs, flood.NewCount()
 	case "sum":
-		return flood.NewSum(s.AggCol), nil
+		return qs, flood.NewSum(s.AggCol)
 	case "min":
-		return flood.NewMin(s.AggCol), nil
+		return qs, flood.NewMin(s.AggCol)
 	case "max":
-		return flood.NewMax(s.AggCol), nil
-	case "select":
-		return nil, fmt.Errorf("floodsql: projection statements execute via Select, not Run")
-	case "insert", "delete", "update":
-		return nil, fmt.Errorf("floodsql: mutation statements execute via Exec, not Run")
-	default:
-		return nil, fmt.Errorf("floodsql: unknown aggregate %q", s.Agg)
+		return qs, flood.NewMax(s.AggCol)
 	}
+	return qs, nil
+}
+
+// notAggregate is the error for running a statement Queries gives no
+// aggregator for.
+func (s *Statement) notAggregate() error {
+	switch s.Agg {
+	case "select":
+		return fmt.Errorf("floodsql: projection statements execute via Select, not Run")
+	case "insert", "delete", "update":
+		return fmt.Errorf("floodsql: mutation statements execute via Exec, not Run")
+	}
+	return fmt.Errorf("floodsql: unknown aggregate %q", s.Agg)
+}
+
+// Typed decodes an aggregate's physical result into the aggregated column's
+// logical type: COUNT(*) stays int64, SUM/MIN/MAX over a float column become
+// float64 (decimal scaling is linear, so SUM decodes exactly), MIN/MAX over a
+// time column time.Time. A MIN/MAX over matched == 0 rows is nil: there is no
+// extremum, and checking the count rather than the sentinel keeps a
+// legitimate MIN of MaxInt64 distinguishable from an empty result. A
+// statement parsed without a schema returns value unchanged.
+func (s *Statement) Typed(value, matched int64) any {
+	if s.schema == nil || s.AggCol < 0 {
+		return value
+	}
+	if (s.Agg == "min" || s.Agg == "max") && matched == 0 {
+		return nil
+	}
+	return s.schema.DecodeValue(s.AggCol, value)
 }
 
 // Exec executes an INSERT, DELETE, or UPDATE statement against an index
 // facade that supports mutation (flood.Inserter / flood.Deleter /
-// flood.Updater: AdaptiveIndex, DurableIndex, ShardedIndex; plain Flood
+// flood.Updater: AdaptiveIndex, ShardedIndex; plain Flood
 // supports DELETE only). It returns the number of rows affected. An OR predicate executes one mutation per
 // disjunct: deletes are idempotent so overlapping disjuncts never
 // double-count, while an UPDATE whose rewritten rows still match a later
@@ -160,12 +191,12 @@ func (s *Statement) Exec(idx flood.Index) (int64, error) {
 	switch s.Agg {
 	case "delete":
 		if del, ok := idx.(flood.Deleter); ok {
-			qs := s.queries()
+			qs, _ := s.Queries()
 			steps, step = len(qs), func(i int) (int64, error) { return del.Delete(qs[i]) }
 		}
 	case "update":
 		if up, ok := idx.(flood.Updater); ok {
-			qs := s.queries()
+			qs, _ := s.Queries()
 			steps, step = len(qs), func(i int) (int64, error) { return up.Update(qs[i], s.Assignments) }
 		}
 	case "insert":
@@ -200,11 +231,11 @@ func (s *Statement) Exec(idx flood.Index) (int64, error) {
 // RunTyped for the decoded logical value). Projection statements must run
 // through Select instead.
 func (s *Statement) Run(idx flood.Index) (int64, flood.Stats, error) {
-	agg, err := s.aggregator()
-	if err != nil {
-		return 0, flood.Stats{}, err
+	qs, agg := s.Queries()
+	if agg == nil {
+		return 0, flood.Stats{}, s.notAggregate()
 	}
-	st := flood.ExecuteOr(idx, s.queries(), agg)
+	st := flood.ExecuteOr(idx, qs, agg)
 	return agg.Result(), st, nil
 }
 
@@ -212,32 +243,22 @@ func (s *Statement) Run(idx flood.Index) (int64, flood.Stats, error) {
 // execution cooperatively, returning the partial aggregate and Stats with
 // flood.ErrCanceled.
 func (s *Statement) RunContext(ctx context.Context, idx flood.Index) (int64, flood.Stats, error) {
-	agg, err := s.aggregator()
-	if err != nil {
-		return 0, flood.Stats{}, err
+	qs, agg := s.Queries()
+	if agg == nil {
+		return 0, flood.Stats{}, s.notAggregate()
 	}
-	st, err := flood.ExecuteOrContext(ctx, idx, s.queries(), agg)
+	st, err := flood.ExecuteOrContext(ctx, idx, qs, agg)
 	return agg.Result(), st, err
 }
 
-// RunTyped executes an aggregation like Run and decodes the result into the
-// aggregated column's logical type: COUNT(*) yields int64, SUM/MIN/MAX over
-// a float column yield float64 (decimal scaling is linear, so SUM decodes
-// exactly), MIN/MAX over a time column yield time.Time. Requires a
-// ParseTyped statement. A MIN/MAX that matched no rows returns a nil value
-// (the raw sentinel has no meaningful decoding).
+// RunTyped executes an aggregation like Run and decodes the result through
+// Typed. Requires a ParseTyped statement.
 func (s *Statement) RunTyped(idx flood.Index) (any, flood.Stats, error) {
 	v, st, err := s.Run(idx)
-	if err != nil || s.schema == nil || s.AggCol < 0 {
+	if err != nil {
 		return v, st, err
 	}
-	if (s.Agg == "min" || s.Agg == "max") && st.Matched == 0 {
-		// No rows matched: there is no extremum (checking the matched count
-		// rather than the sentinel keeps a legitimate MIN of MaxInt64
-		// distinguishable from an empty result).
-		return nil, st, nil
-	}
-	return s.schema.DecodeValue(s.AggCol, v), st, nil
+	return s.Typed(v, st.Matched), st, nil
 }
 
 // Select executes a projection statement against any index built over the
@@ -260,16 +281,8 @@ func (s *Statement) SelectContext(ctx context.Context, idx flood.Index) (*flood.
 	if s.schema == nil {
 		return nil, flood.Stats{}, fmt.Errorf("floodsql: projection needs a typed schema; parse with ParseTyped")
 	}
-	return s.schema.SelectOrContext(ctx, idx, s.queries(), &flood.QueryOptions{Limit: s.Limit}, s.Projection...)
-}
-
-// queries returns the DNF rectangles, or one unfiltered query when there is
-// no WHERE clause.
-func (s *Statement) queries() []flood.Query {
-	if len(s.Disjuncts) == 0 {
-		return []flood.Query{flood.NewQuery(s.nDims)}
-	}
-	return s.Disjuncts
+	qs, _ := s.Queries()
+	return s.schema.SelectOrContext(ctx, idx, qs, &flood.QueryOptions{Limit: s.Limit}, s.Projection...)
 }
 
 // --- column resolution ---

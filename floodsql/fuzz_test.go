@@ -63,7 +63,6 @@ func FuzzFloodSQLParse(f *testing.F) {
 		}
 		// A statement that parses must lower to executable queries and an
 		// aggregator without panicking.
-		_ = st.queries()
-		_, _ = st.aggregator()
+		_, _ = st.Queries()
 	})
 }

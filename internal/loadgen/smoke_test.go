@@ -46,7 +46,7 @@ func TestLoadgenShardedSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runServerSmoke(t, server.NewSharded(sh, &server.Config{BatchWindow: time.Millisecond}), true)
+	runServerSmoke(t, server.New(sh, &server.Config{BatchWindow: time.Millisecond}), true)
 }
 
 // runServerSmoke drives the shared smoke flow against an already-built

@@ -107,7 +107,8 @@ func TestModelAdaptive(t *testing.T) {
 	const seed = 3
 	runModel(t, seed, Caps{Insert: true, Maintain: true}, func() (*Runner, error) {
 		f, rows := buildBase(t, seed)
-		return NewRunner(NewAdaptiveSystem(flood.NewAdaptiveIndex(f, quiesced()), nCols), NewOracle(rows), nCols), nil
+		sys := NewStoreSystem(flood.NewAdaptiveIndex(f, quiesced()), "", nil, nCols, nil)
+		return NewRunner(sys, NewOracle(rows), nCols), nil
 	})
 }
 
@@ -126,7 +127,7 @@ func TestModelDurable(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		sys := NewDurableSystem(d, dir, opts, nCols, func() string { return t.TempDir() })
+		sys := NewStoreSystem(d, dir, opts, nCols, func() string { return t.TempDir() })
 		return NewRunner(sys, NewOracle(rows), nCols), nil
 	})
 }
@@ -161,7 +162,7 @@ func TestModelSharded(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		sys := NewShardedSystem(s, dir, opts, nCols, func() string { return t.TempDir() })
+		sys := NewStoreSystem(s, dir, opts, nCols, func() string { return t.TempDir() })
 		return NewRunner(sys, NewOracle(rows), nCols), nil
 	})
 }
@@ -192,7 +193,7 @@ func TestModelCatchesInjectedBug(t *testing.T) {
 	ops := Generate(seed, cfg)
 	mk := func() (*Runner, error) {
 		f, rows := buildBase(t, seed)
-		sys := &lyingSystem{System: NewAdaptiveSystem(flood.NewAdaptiveIndex(f, quiesced()), nCols), breakAt: 3}
+		sys := &lyingSystem{System: NewStoreSystem(flood.NewAdaptiveIndex(f, quiesced()), "", nil, nCols, nil), breakAt: 3}
 		return NewRunner(sys, NewOracle(rows), nCols), nil
 	}
 	r, err := mk()

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	flood "flood"
 )
@@ -113,179 +112,70 @@ func (s *floodSystem) Crash() error { return ErrUnsupported }
 
 func (s *floodSystem) Close() error { return nil }
 
-// store is the method set AdaptiveIndex, DurableIndex, and ShardedIndex
-// share; one adapter serves all three.
-type store interface {
-	Insert(row []int64) error
-	Delete(q flood.Query) (int64, error)
-	DeleteRows(ids []int64) (int64, error)
-	Update(q flood.Query, set []flood.Assignment) (int64, error)
-	Select(q flood.Query, cols ...string) (*flood.Rows, flood.Stats)
-	Execute(q flood.Query, agg flood.Aggregator) flood.Stats
-	LiveRows() int
+// storeSystem adapts a flood.Store — flat or sharded, in memory or living in
+// dir ("" in memory); everything it does not spell out is the store's own
+// method.
+type storeSystem struct {
+	flood.Store
+	dir    string
+	opts   *flood.DurableOptions
+	cols   int
+	newDir func() string
 }
 
-// storeSystem adapts a mutable facade. maintain runs one lifecycle event on
-// the current handle; crash (nil when the facade has no disk state)
-// abandons it mid-flight, recovers from disk, and installs the recovered
-// handle; closer releases the current handle.
-type storeSystem struct {
-	store
-	cols     int
-	maintain func(step int) error
-	crash    func() error
-	closer   func() error
+// NewStoreSystem wraps any flood.Store. Maintain rotates a whole-store
+// checkpoint (a no-op in memory) with a forced merge and a forced relearn of
+// one shard, picked by the step ordinal so every shard's lifecycle runs.
+// When the store lives in dir, Crash copies the whole tree at the kill
+// instant — the disk image a real crash leaves, including whatever the WAL
+// has fsynced — and recovers the copy with flood.OpenStore under opts;
+// newDir must return a fresh empty directory each call, so the abandoned
+// handle can never touch the recovered state. A store with dir "" has no
+// disk state and does not crash.
+func NewStoreSystem(store flood.Store, dir string, opts *flood.DurableOptions, cols int, newDir func() string) System {
+	return &storeSystem{Store: store, dir: dir, opts: opts, cols: cols, newDir: newDir}
 }
 
 func (s *storeSystem) Select(q flood.Query) ([][]int64, []int64) {
-	rows, _ := s.store.Select(q)
+	rows, _ := s.Store.Select(q)
 	return readRows(rows, s.cols)
 }
 
 func (s *storeSystem) Aggregate(q flood.Query) (int64, int64) {
-	return aggregate(s.store.Execute, q)
+	return aggregate(s.Store.Execute, q)
 }
 
-func (s *storeSystem) Maintain(step int) error { return s.maintain(step) }
-
-func (s *storeSystem) Crash() error {
-	if s.crash == nil {
-		return ErrUnsupported
+func (s *storeSystem) Maintain(step int) error {
+	if step%3 == 0 {
+		return s.Checkpoint()
 	}
-	return s.crash()
-}
-
-func (s *storeSystem) Close() error { return s.closer() }
-
-// rebuild forces a merge (even steps) or a relearn (odd steps) on a and
-// waits for the background swap, so the next op observes it.
-func rebuild(a *flood.AdaptiveIndex, step int) {
-	if step%2 == 0 {
+	// Wait for the background swap, so the next op observes it.
+	a := s.Shard((step / 3) % s.NumShards())
+	if step%3 == 1 {
 		a.TriggerMerge()
 	} else {
 		a.TriggerRelearn()
 	}
 	a.Wait()
-}
-
-// NewAdaptiveSystem wraps an AdaptiveIndex; Maintain alternates forced
-// merges and relearns.
-func NewAdaptiveSystem(a *flood.AdaptiveIndex, cols int) System {
-	return &storeSystem{
-		store:    a,
-		cols:     cols,
-		maintain: func(step int) error { rebuild(a, step); return nil },
-		closer:   func() error { a.Close(); return nil },
-	}
-}
-
-// NewDurableSystem wraps a DurableIndex living in dir. Maintain rotates
-// checkpoints with forced merges and relearns. Crash snapshots the
-// directory at the kill instant (simulating the disk image a real crash
-// leaves, including whatever the WAL has fsynced) and recovers from the
-// copy with OpenDurable. newDir must return a fresh empty directory each
-// call; Crash recovers into one so the abandoned handle can never touch the
-// recovered state.
-func NewDurableSystem(d *flood.DurableIndex, dir string, opts *flood.DurableOptions, cols int, newDir func() string) System {
-	s := &storeSystem{store: d, cols: cols}
-	s.maintain = func(step int) error {
-		if step%3 == 0 {
-			return d.Checkpoint()
-		}
-		rebuild(d.Adaptive(), step%3-1)
-		return nil
-	}
-	s.crash = func() error {
-		// Copy first: the image at this instant is what a kill -9 leaves.
-		// Closing the abandoned handle afterwards only releases resources;
-		// it can no longer influence the copy we recover from.
-		dst := newDir()
-		if err := copyDir(dir, dst); err != nil {
-			return err
-		}
-		d.Close()
-		re, _, err := flood.OpenDurable(dst, opts)
-		if err != nil {
-			return fmt.Errorf("modeltest: recovery failed: %w", err)
-		}
-		d, dir, s.store = re, dst, re
-		return nil
-	}
-	s.closer = func() error { return d.Close() }
-	return s
-}
-
-// copyDir copies the flat durable directory (snapshot + WAL segments).
-func copyDir(src, dst string) error {
-	entries, err := os.ReadDir(src)
-	if err != nil {
-		return err
-	}
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		b, err := os.ReadFile(filepath.Join(src, e.Name()))
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(filepath.Join(dst, e.Name()), b, 0o644); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
-// copyTree copies a sharded store root: the manifest plus one subdirectory
-// per shard.
-func copyTree(src, dst string) error {
-	entries, err := os.ReadDir(src)
-	if err != nil {
+func (s *storeSystem) Crash() error {
+	if s.dir == "" {
+		return ErrUnsupported
+	}
+	// Copy first: the image at this instant is what a kill -9 leaves.
+	// Closing the abandoned handle afterwards only releases resources; it
+	// can no longer influence the copy we recover from.
+	dst := s.newDir()
+	if err := os.CopyFS(dst, os.DirFS(s.dir)); err != nil {
 		return err
 	}
-	for _, e := range entries {
-		if !e.IsDir() {
-			continue
-		}
-		sub := filepath.Join(dst, e.Name())
-		if err := os.MkdirAll(sub, 0o755); err != nil {
-			return err
-		}
-		if err := copyDir(filepath.Join(src, e.Name()), sub); err != nil {
-			return err
-		}
+	s.Store.Close()
+	re, _, err := flood.OpenStore(dst, s.opts)
+	if err != nil {
+		return fmt.Errorf("modeltest: recovery failed: %w", err)
 	}
-	return copyDir(src, dst)
-}
-
-// NewShardedSystem wraps a durable ShardedIndex living in dir. Maintain
-// rotates a whole-store checkpoint with per-shard merges and relearns (the
-// shard picked by the step ordinal, so every shard's lifecycle runs); Crash
-// snapshots the entire root — manifest and every shard directory — at the
-// kill instant and recovers the copy through OpenShardedDurable. newDir
-// must return a fresh empty directory each call, as in NewDurableSystem.
-func NewShardedSystem(sh *flood.ShardedIndex, dir string, opts *flood.DurableOptions, cols int, newDir func() string) System {
-	s := &storeSystem{store: sh, cols: cols}
-	s.maintain = func(step int) error {
-		if step%3 == 0 {
-			return sh.Checkpoint()
-		}
-		rebuild(sh.Shard((step/3)%sh.NumShards()), step%3-1)
-		return nil
-	}
-	s.crash = func() error {
-		dst := newDir()
-		if err := copyTree(dir, dst); err != nil {
-			return err
-		}
-		sh.Close()
-		re, _, err := flood.OpenShardedDurable(dst, opts)
-		if err != nil {
-			return fmt.Errorf("modeltest: sharded recovery failed: %w", err)
-		}
-		sh, dir, s.store = re, dst, re
-		return nil
-	}
-	s.closer = func() error { return sh.Close() }
-	return s
+	s.Store, s.dir = re, dst
+	return nil
 }

@@ -10,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	flood "flood"
 )
 
 func TestResultCacheBasics(t *testing.T) {
@@ -66,8 +68,8 @@ func TestServerCacheNeverStale(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		agg := aggregatorFor(st)
-		if _, err := srv.shards[0].ExecuteOrContext(srv.baseCtx, srv.statementQueries(st), agg); err != nil {
+		qs, agg := st.Queries()
+		if _, err := flood.ExecuteOrContext(srv.baseCtx, srv.store, qs, agg); err != nil {
 			t.Fatal(err)
 		}
 		return agg.Result()
@@ -98,8 +100,8 @@ func TestServerCacheNeverStale(t *testing.T) {
 		case op < 9:
 			postQuery(t, url, fmt.Sprintf("UPDATE t SET dist = %d WHERE dist = %d", rng.Intn(300), rng.Intn(300)))
 		default: // relearn: the epoch fold must invalidate without a mutation
-			if srv.shards[0].TriggerRelearn() {
-				srv.shards[0].Wait()
+			if srv.store.Shard(0).TriggerRelearn() {
+				srv.store.Shard(0).Wait()
 			}
 		}
 	}
@@ -162,7 +164,7 @@ func TestServerConcurrentCacheMutateRelearn(t *testing.T) {
 			case <-done:
 				return
 			default:
-				srv.shards[0].TriggerRelearn()
+				srv.store.Shard(0).TriggerRelearn()
 			}
 		}
 	}()
@@ -176,13 +178,13 @@ func TestServerConcurrentCacheMutateRelearn(t *testing.T) {
 	if failures.Load() != 0 {
 		t.Fatalf("%d requests failed under concurrency", failures.Load())
 	}
-	srv.shards[0].Wait()
+	srv.store.Wait()
 }
 
 // failSecondInsert is a store whose second Insert fails, as a WAL append or
 // sync error would after the first row of a statement was applied.
 type failSecondInsert struct {
-	Store
+	flood.Store
 	inserts int
 }
 
@@ -199,8 +201,8 @@ func (f *failSecondInsert) Insert(row []int64) error {
 // must not be served after it.
 func TestServerCacheAfterPartialMutation(t *testing.T) {
 	inner, _, _ := typedFixture(t, nil)
-	srv := newServer(&failSecondInsert{Store: inner.store}, inner.shards, &Config{BatchWindow: 1})
-	srv.closeStore = func() error { return nil } // the fixture's server owns the index
+	// Both servers close the one index; a store's second Close is a no-op.
+	srv := New(&failSecondInsert{Store: inner.store}, &Config{BatchWindow: 1})
 	hs := httptest.NewServer(srv.Handler())
 	defer func() { hs.Close(); srv.Close() }()
 

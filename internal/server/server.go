@@ -1,6 +1,6 @@
 // Package server is flood's network serving tier: an HTTP/JSON front end
-// that speaks floodsql against an AdaptiveIndex (optionally durable or
-// sharded), built for many concurrent clients.
+// that speaks floodsql against a flood.Store — flat or sharded, in memory or
+// durable — built for many concurrent clients.
 //
 // Three mechanisms turn concurrent request traffic into the index's
 // preferred execution shape:
@@ -104,37 +104,13 @@ func (c *Config) withDefaults() Config {
 	return out
 }
 
-// Store is the index surface the serving tier sits on: plain, batched, and
-// context-aware queries, mutations (the durable stores acknowledge through
-// their WAL before returning), a monotonic epoch for cache invalidation, and
-// a row count. *flood.AdaptiveIndex, *flood.DurableIndex, and
-// *flood.ShardedIndex satisfy it.
-type Store interface {
-	flood.Index
-	ExecuteBatchContext(ctx context.Context, queries []flood.Query, aggs []flood.Aggregator) ([]flood.Stats, error)
-	flood.Inserter
-	flood.Deleter
-	flood.Updater
-	Epoch() int64
-	NumRows() int
-}
-
-// Server serves floodsql over HTTP against one store — flat, durable, or
-// sharded. Construct with New, NewDurable, or NewSharded, mount Handler on
-// an http.Server, and call Close on the way out (after http.Server.Shutdown)
-// to drain batches and release the store.
+// Server serves floodsql over HTTP against one store. Construct with New,
+// mount Handler on an http.Server, and call Close on the way out (after
+// http.Server.Shutdown) to drain batches and release the store.
 type Server struct {
-	store Store
-	// shards are the store's adaptive indexes, the source of lifecycle
-	// stats and column metadata: one per shard, exactly one for a flat store.
-	shards []*flood.AdaptiveIndex
-	// perShard reports the per-shard stats block; nil for a flat store.
-	perShard func() []flood.ShardStat
-	// checkpoint, when the store has one, runs before closeStore on Close.
-	checkpoint func() error
-	closeStore func() error
-	schema     *flood.Schema
-	cfg        Config
+	store  flood.Store
+	schema *flood.Schema
+	cfg    Config
 
 	sem        chan struct{}
 	col        *collector
@@ -162,44 +138,17 @@ type Server struct {
 	cacheMisses    atomic.Int64
 }
 
-// New wraps an adaptive index in the serving tier. The server takes
-// ownership of the index's lifecycle: Close stops its background work.
-func New(a *flood.AdaptiveIndex, cfg *Config) *Server {
-	s := newServer(a, []*flood.AdaptiveIndex{a}, cfg)
-	s.closeStore = func() error { a.Close(); return nil }
-	return s
-}
-
-// NewDurable is New over a durable store: mutations acknowledge through the
-// WAL, and Close checkpoints before releasing the directory.
-func NewDurable(d *flood.DurableIndex, cfg *Config) *Server {
-	s := newServer(d, []*flood.AdaptiveIndex{d.Adaptive()}, cfg)
-	s.checkpoint, s.closeStore = d.Checkpoint, d.Close
-	return s
-}
-
-// NewSharded wraps a sharded store — in-memory (flood.NewSharded) or
-// durable (flood.CreateShardedDurable / OpenShardedDurable) — in the
-// serving tier. GET /stats gains a per-shard block, and Close checkpoints
-// every shard through the manifest-rooted layout before releasing the
-// store.
-func NewSharded(sh *flood.ShardedIndex, cfg *Config) *Server {
-	shards := make([]*flood.AdaptiveIndex, sh.NumShards())
-	for i := range shards {
-		shards[i] = sh.Shard(i)
-	}
-	s := newServer(sh, shards, cfg)
-	s.perShard, s.checkpoint, s.closeStore = sh.ShardStats, sh.Checkpoint, sh.Close
-	return s
-}
-
-func newServer(store Store, shards []*flood.AdaptiveIndex, cfg *Config) *Server {
+// New wraps a store — flood.NewAdaptiveIndex, flood.NewSharded, their durable
+// forms, or whatever flood.OpenStore reopened — in the serving tier. The
+// server takes ownership of the store's lifecycle: Close checkpoints it
+// (which a durable store turns into a snapshot and an in-memory one ignores)
+// and closes it. GET /stats carries a per-shard block when the store has one.
+func New(store flood.Store, cfg *Config) *Server {
 	c := cfg.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		store:      store,
-		shards:     shards,
-		schema:     shards[0].Index().Schema(),
+		schema:     store.Schema(),
 		cfg:        c,
 		sem:        make(chan struct{}, c.MaxInFlight),
 		cache:      newResultCache(c.CacheEntries),
@@ -209,6 +158,9 @@ func newServer(store Store, shards []*flood.AdaptiveIndex, cfg *Config) *Server 
 	s.col = newCollector(store, c.BatchWindow, c.BatchMax, ctx)
 	return s
 }
+
+// NewDurable is New; it remains only because benchmark/ calls it.
+func NewDurable(d *flood.DurableIndex, cfg *Config) *Server { return New(d, cfg) }
 
 // version is the cache epoch: acknowledged mutations plus completed
 // adaptive generation swaps (summed across shards for a sharded store).
@@ -221,14 +173,14 @@ func (s *Server) version() uint64 {
 // refTable is a table describing the store's columns: shard 0's base table
 // (all shards share column names and schema; only /schema's value bounds
 // need the per-shard fold).
-func (s *Server) refTable() *flood.Table { return s.shards[0].Index().Table() }
+func (s *Server) refTable() *flood.Table { return s.store.Shard(0).Index().Table() }
 
 // numCols is the store's column count.
 func (s *Server) numCols() int { return s.refTable().NumCols() }
 
 // Close drains and shuts down: in-flight handlers finish, queued batches
 // flush through the collector, and then the store is released — checkpoint
-// first if the store can (so acknowledged writes are both WAL-durable and
+// first (so a durable store's acknowledged writes are both WAL-durable and
 // snapshotted), then close. Callers running an http.Server should Shutdown
 // it first so no new requests race the drain; requests arriving during
 // Close are refused with 503. Safe to call more than once.
@@ -238,12 +190,10 @@ func (s *Server) Close() error {
 		s.handlers.Wait()
 		s.col.close()
 		s.baseCancel()
-		if s.checkpoint != nil {
-			if err := s.checkpoint(); err != nil {
-				s.closeErr = fmt.Errorf("server: shutdown checkpoint: %w", err)
-			}
+		if err := s.store.Checkpoint(); err != nil {
+			s.closeErr = fmt.Errorf("server: shutdown checkpoint: %w", err)
 		}
-		if err := s.closeStore(); s.closeErr == nil {
+		if err := s.store.Close(); s.closeErr == nil {
 			s.closeErr = err
 		}
 	})
@@ -327,43 +277,6 @@ func (s *Server) parse(sql string) (*floodsql.Statement, error) {
 		return floodsql.ParseTyped(sql, s.schema)
 	}
 	return floodsql.Parse(sql, s.refTable())
-}
-
-// statementQueries is the statement's DNF rectangles, or one unfiltered
-// query when it has no WHERE clause.
-func (s *Server) statementQueries(st *floodsql.Statement) []flood.Query {
-	if len(st.Disjuncts) == 0 {
-		return []flood.Query{flood.NewQuery(s.numCols())}
-	}
-	return st.Disjuncts
-}
-
-// aggregatorFor builds the statement's aggregator (nil for non-aggregates).
-func aggregatorFor(st *floodsql.Statement) flood.Aggregator {
-	switch st.Agg {
-	case "count":
-		return flood.NewCount()
-	case "sum":
-		return flood.NewSum(st.AggCol)
-	case "min":
-		return flood.NewMin(st.AggCol)
-	case "max":
-		return flood.NewMax(st.AggCol)
-	}
-	return nil
-}
-
-// typedValue decodes an aggregate result into the aggregated column's
-// logical type (nil for an empty MIN/MAX, where the raw sentinel has no
-// meaningful decoding).
-func (s *Server) typedValue(st *floodsql.Statement, value, matched int64) any {
-	if s.schema == nil || st.AggCol < 0 {
-		return value
-	}
-	if (st.Agg == "min" || st.Agg == "max") && matched == 0 {
-		return nil
-	}
-	return s.schema.DecodeValue(st.AggCol, value)
 }
 
 // reply is how every POST /query request ends: one place stamps a response
@@ -473,19 +386,18 @@ func (s *Server) runAggregate(rp reply, ctx context.Context, st *floodsql.Statem
 	if e, ok := s.cache.get(key, ver); ok {
 		s.cacheHits.Add(1)
 		resp.Value, resp.Matched, resp.Cached = e.value, e.matched, true
-		resp.Typed = s.typedValue(st, e.value, e.matched)
+		resp.Typed = st.Typed(e.value, e.matched)
 		rp.ok(resp)
 		return
 	}
 	if s.cache != nil {
 		s.cacheMisses.Add(1)
 	}
-	agg := aggregatorFor(st)
+	qs, agg := st.Queries()
 	if agg == nil {
 		writeError(w, http.StatusBadRequest, "unsupported aggregate "+st.Agg)
 		return
 	}
-	qs := s.statementQueries(st)
 	var stats flood.Stats
 	var err error
 	if len(qs) == 1 {
@@ -512,7 +424,7 @@ func (s *Server) runAggregate(rp reply, ctx context.Context, st *floodsql.Statem
 		return
 	}
 	resp.Value, resp.Matched, resp.Scanned = agg.Result(), stats.Matched, stats.Scanned
-	resp.Typed = s.typedValue(st, resp.Value, stats.Matched)
+	resp.Typed = st.Typed(resp.Value, stats.Matched)
 	s.cache.put(key, cacheEntry{ver: ver, value: resp.Value, matched: stats.Matched})
 	rp.ok(resp)
 }
@@ -526,7 +438,8 @@ func (s *Server) runSelect(rp reply, ctx context.Context, st *floodsql.Statement
 		limit = s.cfg.MaxResultRows
 		capped = true
 	}
-	rows, stats, err := s.schema.SelectOrContext(ctx, s.store, s.statementQueries(st), &flood.QueryOptions{Limit: limit}, st.Projection...)
+	qs, _ := st.Queries()
+	rows, stats, err := s.schema.SelectOrContext(ctx, s.store, qs, &flood.QueryOptions{Limit: limit}, st.Projection...)
 	if err != nil {
 		rp.failed(err, stats)
 		return
@@ -588,7 +501,9 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 
 // encodeRow converts one JSON row to the physical int64 row: through the
 // typed schema when one is attached (int/float/string; time columns accept
-// RFC3339 strings or raw tick numbers), raw int64 numbers otherwise.
+// RFC3339 strings, or a number that is the column's physical tick — seconds
+// on a second-unit column — exactly as floodsql's INSERT reads one), raw
+// int64 numbers otherwise.
 func (s *Server) encodeRow(raw []json.RawMessage) ([]int64, error) {
 	cols := s.numCols()
 	if len(raw) != cols {
@@ -607,7 +522,7 @@ func (s *Server) encodeRow(raw []json.RawMessage) ([]int64, error) {
 	}
 	vals := make([]any, cols)
 	for i, m := range raw {
-		v, err := decodeTypedJSON(s.schema.KindAt(i), m)
+		v, err := decodeTypedJSON(s.schema, i, m)
 		if err != nil {
 			return nil, fmt.Errorf("column %q: %w", s.schema.Name(i), err)
 		}
@@ -617,8 +532,9 @@ func (s *Server) encodeRow(raw []json.RawMessage) ([]int64, error) {
 }
 
 // decodeTypedJSON maps one JSON value onto the logical type EncodeRow
-// expects for the column kind.
-func decodeTypedJSON(kind flood.Kind, m json.RawMessage) (any, error) {
+// expects for column i's kind.
+func decodeTypedJSON(schema *flood.Schema, i int, m json.RawMessage) (any, error) {
+	kind := schema.KindAt(i)
 	switch kind {
 	case flood.KindInt64:
 		var v int64
@@ -651,7 +567,8 @@ func decodeTypedJSON(kind flood.Kind, m json.RawMessage) (any, error) {
 		if err := json.Unmarshal(m, &ticks); err != nil {
 			return nil, fmt.Errorf("want RFC3339 string or tick number: %v", err)
 		}
-		return time.Unix(0, ticks), nil
+		// The number is the stored tick; the column's own codec knows its unit.
+		return schema.DecodeValue(i, ticks), nil
 	}
 	return nil, fmt.Errorf("unsupported column kind %v", kind)
 }
@@ -677,8 +594,8 @@ func (s *Server) handleSchema(w http.ResponseWriter, r *http.Request) {
 func (s *Server) storeColumnBounds(i int) (int64, int64) {
 	mn, mx := int64(0), int64(0)
 	seen := false
-	for _, a := range s.shards {
-		c := a.Index().Table().Column(i)
+	for sh := 0; sh < s.store.NumShards(); sh++ {
+		c := s.store.Shard(sh).Index().Table().Column(i)
 		if c.Len() == 0 {
 			continue
 		}
@@ -736,20 +653,11 @@ func (s *Server) Stats() Stats {
 		CacheVersion:    s.version(),
 		InFlight:        len(s.sem),
 		IndexEpoch:      s.store.Epoch(),
+		Shards:          s.store.ShardStats(),
 	}
-	for _, a := range s.shards {
-		ast := a.Stats()
-		st.BaseRows += ast.BaseRows
-		st.PendingRows += ast.PendingRows
-		st.Relearns += ast.Relearns
-		st.Merges += ast.Merges
-		st.Rebuilding = st.Rebuilding || ast.Rebuilding
-	}
-	if s.perShard != nil {
-		for _, sh := range s.perShard() {
-			st.Shards = append(st.Shards, ShardInfo(sh))
-		}
-	}
+	ast := s.store.Stats()
+	st.BaseRows, st.PendingRows = ast.BaseRows, ast.PendingRows
+	st.Relearns, st.Merges, st.Rebuilding = ast.Relearns, ast.Merges, ast.Rebuilding
 	if st.Batches > 0 {
 		st.AvgBatch = float64(st.BatchedQueries) / float64(st.Batches)
 	}
@@ -805,7 +713,8 @@ type QueryResponse struct {
 
 // InsertRequest is the POST /insert body: rows in schema column order.
 // Values are JSON numbers for int/float columns, strings for string
-// columns, and RFC3339 strings (or raw tick numbers) for time columns.
+// columns, and RFC3339 strings (or numbers: the column's physical tick, in
+// the column's own unit) for time columns.
 type InsertRequest struct {
 	// Rows holds the rows to insert, one array of column values each.
 	Rows [][]json.RawMessage `json:"rows"`
@@ -892,28 +801,9 @@ type Stats struct {
 	Merges      int64 `json:"merges"`
 	Rebuilding  bool  `json:"rebuilding"`
 	// Shards carries the per-shard lifecycle block on a sharded server
-	// (absent on a flat one).
-	Shards []ShardInfo `json:"shards,omitempty"`
-}
-
-// ShardInfo is one shard's entry in the Stats per-shard block: its key
-// range on the split dimension and an independent lifecycle snapshot.
-type ShardInfo struct {
-	// Shard is the shard's index in split order; Lo and Hi its inclusive
-	// key bounds on the split dimension.
-	Shard int   `json:"shard"`
-	Lo    int64 `json:"lo"`
-	Hi    int64 `json:"hi"`
-	// Rows is the shard's live row count; Pending its unmerged insert-log
-	// rows.
-	Rows    int `json:"rows"`
-	Pending int `json:"pending"`
-	// Epoch counts the shard's generation swaps; Relearns and Merges its
-	// completed background rebuilds; Queries the queries it has served.
-	Epoch    int64 `json:"epoch"`
-	Relearns int64 `json:"relearns"`
-	Merges   int64 `json:"merges"`
-	Queries  int64 `json:"queries"`
+	// (absent on a flat one): each shard's key range on the split dimension
+	// and an independent lifecycle snapshot.
+	Shards []flood.ShardStat `json:"shards,omitempty"`
 }
 
 // --- helpers ---

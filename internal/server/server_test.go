@@ -124,7 +124,7 @@ func shardedFixture(t *testing.T, cfg *Config) (*Server, *httptest.Server, *floo
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewSharded(sh, cfg)
+	srv := New(sh, cfg)
 	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() { hs.Close(); srv.Close() })
 	return srv, hs, sh
@@ -513,5 +513,61 @@ func TestServerCloseRefusesRequests(t *testing.T) {
 	}
 	if err := srv.Close(); err != nil { // idempotent
 		t.Fatal(err)
+	}
+}
+
+// TestServerInsertTimeTick pins what a number means on a time column: the
+// column's physical tick, in the column's own unit, whichever door it comes
+// through — POST /insert, a floodsql INSERT — and the RFC3339 string form
+// names the same instant. /insert used to read the number as nanoseconds.
+func TestServerInsertTimeTick(t *testing.T) {
+	for _, unit := range []time.Duration{time.Second, time.Nanosecond} {
+		t.Run(unit.String(), func(t *testing.T) {
+			s := flood.NewSchema().Int64("id").TimeUnit("ts", unit)
+			b := s.NewTableBuilder()
+			start := time.Date(2023, 11, 14, 0, 0, 0, 0, time.UTC)
+			for i := 0; i < 1000; i++ {
+				if err := b.AppendRow(int64(i), start.Add(time.Duration(i)*time.Second)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tbl, err := b.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			idx, err := flood.BuildWithLayout(tbl, flood.Layout{GridDims: []int{0}, GridCols: []int{8}, SortDim: 1, Flatten: true}, &flood.Options{Schema: s})
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := New(flood.NewAdaptiveIndex(idx, nil), nil)
+			hs := httptest.NewServer(srv.Handler())
+			defer func() { hs.Close(); srv.Close() }()
+
+			// Three instants a second apart, one per door.
+			at := func(i int) time.Time { return time.Unix(1700005000+int64(i), 0).UTC() }
+			tick := func(i int) int64 { return at(i).UnixNano() / int64(unit) }
+			body := fmt.Sprintf(`{"rows": [[5000, %d], [5002, %q]]}`, tick(0), at(2).Format(time.RFC3339))
+			resp, err := http.Post(hs.URL+"/insert", "application/json", bytes.NewReader([]byte(body)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("/insert status %d", resp.StatusCode)
+			}
+			if r, code := postQuery(t, hs.URL, fmt.Sprintf("INSERT INTO t VALUES (5001, %d)", tick(1))); code != http.StatusOK || r.Affected != 1 {
+				t.Fatalf("INSERT = %+v (status %d)", r, code)
+			}
+			r, code := postQuery(t, hs.URL, "SELECT id, ts FROM t WHERE id BETWEEN 5000 AND 5002")
+			if code != http.StatusOK || len(r.Rows) != 3 {
+				t.Fatalf("SELECT = %+v (status %d), want 3 rows", r, code)
+			}
+			for _, row := range r.Rows {
+				i := int(row[0].(float64)) - 5000
+				if got, want := row[1], at(i).Format(time.RFC3339); got != want {
+					t.Errorf("row %v (door %d) reads back as %v, want %s", row[0], i, got, want)
+				}
+			}
+		})
 	}
 }

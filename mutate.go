@@ -27,7 +27,7 @@ type Assignment struct {
 }
 
 // Deleter is implemented by every index facade that supports tombstone
-// deletion (Flood, AdaptiveIndex, DurableIndex, ShardedIndex). Delete removes
+// deletion (Flood, AdaptiveIndex, ShardedIndex). Delete removes
 // rows matching a conjunctive query; the returned count is the number of
 // rows newly deleted.
 type Deleter interface {
@@ -35,7 +35,7 @@ type Deleter interface {
 }
 
 // Inserter is implemented by facades that accept new rows after build
-// (AdaptiveIndex, DurableIndex, ShardedIndex — not the immutable Flood). Insert
+// (AdaptiveIndex, ShardedIndex — not the immutable Flood). Insert
 // appends one encoded row in physical column order; callers of floodsql's
 // INSERT route through it.
 type Inserter interface {
@@ -43,7 +43,7 @@ type Inserter interface {
 }
 
 // Updater is implemented by facades that support in-place updates
-// (AdaptiveIndex, DurableIndex, ShardedIndex — not the immutable Flood, which
+// (AdaptiveIndex, ShardedIndex — not the immutable Flood, which
 // has no insert path). Update rewrites every row matching q with the given
 // assignments applied; it is executed as a tombstone delete plus re-insert
 // of the modified copies.
@@ -120,67 +120,55 @@ func rowValues(t *Table, r int) []int64 {
 // this tuple" replays identically against any equivalent state.
 const walTagDelete = 0xD7
 
-// encodeWALDelete serializes a batch of deleted row tuples as a tagged WAL
-// record payload.
-func encodeWALDelete(rows [][]int64) []byte {
-	cols := 0
-	if len(rows) > 0 {
-		cols = len(rows[0])
+// encodeWAL serializes the one record m logs: its victim tuples as a tagged
+// delete record when it names any, its single appended row otherwise.
+func (m mutation) encodeWAL() []byte {
+	rows, head := m.rows, 0
+	if m.tuples != nil {
+		rows, head = m.tuples, 5
 	}
-	buf := make([]byte, 5+8*len(rows)*cols)
-	buf[0] = walTagDelete
-	binary.LittleEndian.PutUint32(buf[1:5], uint32(len(rows)))
-	at := 5
+	size := head
+	for _, row := range rows {
+		size += 8 * len(row)
+	}
+	buf := make([]byte, head, size)
+	if head > 0 {
+		buf[0] = walTagDelete
+		binary.LittleEndian.PutUint32(buf[1:5], uint32(len(rows)))
+	}
 	for _, row := range rows {
 		for _, v := range row {
-			binary.LittleEndian.PutUint64(buf[at:], uint64(v))
-			at += 8
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
 		}
 	}
 	return buf
 }
 
-// decodeWALDelete parses a tagged delete record back into row tuples,
-// validating the count and per-row width.
-func decodeWALDelete(payload []byte, wantCols int) ([][]int64, error) {
-	if len(payload) < 5 || payload[0] != walTagDelete {
-		return nil, fmt.Errorf("flood: wal record is not a delete: %w", wire.ErrChecksum)
+// decodeWALRecord parses one WAL payload into the mutation it logged: a
+// tagged delete record (never a multiple of 8 bytes, which an insert row
+// always is) names its victims by value, anything else is one inserted row.
+// The declared count and the row width are validated against the serving
+// table's dimensionality.
+func decodeWALRecord(payload []byte, cols int) (mutation, error) {
+	n, body, tagged := 1, payload, false
+	if len(payload) >= 5 && len(payload)%8 == 5 && payload[0] == walTagDelete {
+		n, body, tagged = int(binary.LittleEndian.Uint32(payload[1:5])), payload[5:], true
 	}
-	n := int(binary.LittleEndian.Uint32(payload[1:5]))
-	if len(payload) != 5+8*n*wantCols {
-		return nil, fmt.Errorf("flood: wal delete record has %d bytes for %d rows of %d columns: %w",
-			len(payload), n, wantCols, wire.ErrChecksum)
+	if len(body) != 8*n*cols {
+		return mutation{}, fmt.Errorf("flood: wal record of %d bytes for %d rows of a %d-column table: %w",
+			len(payload), n, cols, wire.ErrChecksum)
 	}
 	rows := make([][]int64, n)
-	at := 5
 	for i := range rows {
-		row := make([]int64, wantCols)
-		for c := range row {
-			row[c] = int64(binary.LittleEndian.Uint64(payload[at:]))
-			at += 8
+		rows[i] = make([]int64, cols)
+		for c := range rows[i] {
+			rows[i][c] = int64(binary.LittleEndian.Uint64(body[8*(i*cols+c):]))
 		}
-		rows[i] = row
 	}
-	return rows, nil
-}
-
-// isWALDelete reports whether a WAL payload is a tagged delete record rather
-// than a raw insert row. Insert rows are always a multiple of 8 bytes;
-// delete records never are.
-func isWALDelete(payload []byte) bool {
-	return len(payload) >= 5 && len(payload)%8 == 5 && payload[0] == walTagDelete
-}
-
-// decodeWALRecord parses one WAL payload into the mutation it logged: a
-// tagged delete record names its victims by value, anything else is one
-// inserted row.
-func decodeWALRecord(payload []byte, cols int) (mutation, error) {
-	if isWALDelete(payload) {
-		tuples, err := decodeWALDelete(payload, cols)
-		return mutation{tuples: tuples}, err
+	if tagged {
+		return mutation{tuples: rows}, nil
 	}
-	row, err := decodeWALRow(payload, cols)
-	return mutation{rows: [][]int64{row}}, err
+	return mutation{rows: rows}, nil
 }
 
 // tupleKey packs a row's values into a comparable map key, for multiset

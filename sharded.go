@@ -69,20 +69,21 @@ func (o *ShardedOptions) withDefaults() ShardedOptions {
 // endpoints and skew diagnostics.
 type ShardStat struct {
 	// Shard is the shard's index in split order.
-	Shard int
+	Shard int `json:"shard"`
 	// Lo and Hi are the shard's inclusive key bounds on the split dimension.
-	Lo, Hi int64
+	Lo int64 `json:"lo"`
+	Hi int64 `json:"hi"`
 	// Rows is the shard's live row count (excluding tombstones).
-	Rows int
+	Rows int `json:"rows"`
 	// Pending is the shard's unmerged insert-log row count.
-	Pending int
+	Pending int `json:"pending"`
 	// Epoch counts the shard's completed generation swaps.
-	Epoch int64
+	Epoch int64 `json:"epoch"`
 	// Relearns and Merges count the shard's completed background rebuilds.
-	Relearns int64
-	Merges   int64
+	Relearns int64 `json:"relearns"`
+	Merges   int64 `json:"merges"`
 	// Queries is the number of queries the shard has served.
-	Queries int64
+	Queries int64 `json:"queries"`
 }
 
 // ShardedIndex is a partitioned serving engine: independent adaptive Flood
@@ -101,14 +102,12 @@ type ShardStat struct {
 type ShardedIndex struct {
 	mutableSurface
 	router *shard.Router
+	// shards are in-memory or durable all alike: the durable form is the
+	// same indexes, each over its own subdirectory of the manifest's.
 	shards []*AdaptiveIndex
 	names  []string
 
-	// durable state; nil/empty for the in-memory form. dur[i] persists
-	// shards[i]; root is the manifest directory. ckptMu serializes
-	// checkpoints, matching DurableIndex.
-	dur    []*DurableIndex
-	root   string
+	// ckptMu serializes whole-store checkpoints.
 	ckptMu sync.Mutex
 }
 
@@ -488,10 +487,6 @@ func (s *ShardedIndex) Deleted() int {
 // and survive all others.
 func (s *ShardedIndex) Epoch() int64 { return s.sumShards((*AdaptiveIndex).Epoch) }
 
-// Schema returns the typed schema shared by every shard (nil when the store
-// was built from a raw int64 table).
-func (s *ShardedIndex) Schema() *Schema { return s.schema }
-
 // NumShards returns the shard count.
 func (s *ShardedIndex) NumShards() int { return len(s.shards) }
 
@@ -537,23 +532,34 @@ func (s *ShardedIndex) Wait() {
 	}
 }
 
+// Stats folds the shards' lifecycle snapshots into one: counts add,
+// Rebuilding reports any shard rebuilding, LastSwap is the latest swap and
+// LastError the lowest-numbered shard's failure. Reference and WindowAverage
+// describe one drift monitor and stay zero; read them per shard.
+func (s *ShardedIndex) Stats() AdaptiveStats {
+	var out AdaptiveStats
+	for _, a := range s.shards {
+		st := a.Stats()
+		out.Queries += st.Queries
+		out.BaseRows += st.BaseRows
+		out.PendingRows += st.PendingRows
+		out.SampledQueries += st.SampledQueries
+		out.Relearns += st.Relearns
+		out.Merges += st.Merges
+		out.Rebuilding = out.Rebuilding || st.Rebuilding
+		if st.LastSwap.After(out.LastSwap) {
+			out.LastSwap = st.LastSwap
+		}
+		if out.LastError == nil {
+			out.LastError = st.LastError
+		}
+	}
+	return out
+}
+
 // Close stops every shard's background work (and, in the durable form,
 // syncs and closes each shard's WAL). Queries remain valid after Close;
 // they just stop adapting.
-func (s *ShardedIndex) Close() error {
-	if s.dur != nil {
-		return closeAll(s.dur)
-	}
-	for _, a := range s.shards {
-		a.Close()
-	}
-	return nil
-}
+func (s *ShardedIndex) Close() error { return closeAll(s.shards) }
 
-var (
-	_ Index            = (*ShardedIndex)(nil)
-	_ query.BatchIndex = (*ShardedIndex)(nil)
-	_ Deleter          = (*ShardedIndex)(nil)
-	_ Inserter         = (*ShardedIndex)(nil)
-	_ Updater          = (*ShardedIndex)(nil)
-)
+var _ query.BatchIndex = (*ShardedIndex)(nil)

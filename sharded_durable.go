@@ -1,15 +1,18 @@
 package flood
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 
 	"flood/internal/shard"
 )
 
-// ShardedRecoveryReport describes what OpenShardedDurable reconstructed:
-// one RecoveryReport per shard plus the totals a caller usually wants.
+// ShardedRecoveryReport describes what OpenShardedDurable or OpenStore
+// reconstructed: one RecoveryReport per shard (one entry for a flat store)
+// plus the totals a caller usually wants.
 type ShardedRecoveryReport struct {
 	// Shards holds each shard's recovery report, in shard order.
 	Shards []RecoveryReport
@@ -44,45 +47,33 @@ func CreateShardedDurable(dir string, tbl *Table, train []Query, opts *ShardedOp
 	if do.Adaptive == nil {
 		do.Adaptive = o.Adaptive
 	}
-	durs := make([]*DurableIndex, 0, len(floods))
+	shards := make([]*AdaptiveIndex, 0, len(floods))
 	m := &shard.Manifest{Dim: r.Dim(), Splits: r.Splits(), ShardDirs: make([]string, len(floods))}
 	for i, f := range floods {
 		m.ShardDirs[i] = shardDirName(i)
 		d, err := CreateDurable(filepath.Join(dir, m.ShardDirs[i]), f, &do)
 		if err != nil {
-			closeAll(durs)
+			closeAll(shards)
 			return nil, fmt.Errorf("flood: creating durable shard %d: %w", i, err)
 		}
-		durs = append(durs, d)
+		shards = append(shards, d)
 	}
 	if err := shard.WriteManifest(dir, m); err != nil {
-		closeAll(durs)
+		closeAll(shards)
 		return nil, fmt.Errorf("flood: writing shard manifest: %w", err)
 	}
-	return newShardedDurable(r, durs, dir), nil
+	return newShardedIndex(r, shards), nil
 }
 
-// newShardedDurable assembles the durable facade over its recovered or
-// freshly created shards.
-func newShardedDurable(r *shard.Router, durs []*DurableIndex, dir string) *ShardedIndex {
-	shards := make([]*AdaptiveIndex, len(durs))
-	for i, d := range durs {
-		shards[i] = d.AdaptiveIndex
-	}
-	s := newShardedIndex(r, shards)
-	s.dur, s.root = durs, dir
-	return s
-}
-
-// closeAll closes every opened shard, keeping the first error; nil entries
-// (shards that failed to open) are skipped.
-func closeAll(durs []*DurableIndex) error {
+// closeAll closes every shard, keeping the first error; nil entries (shards
+// that failed to open) are skipped.
+func closeAll(shards []*AdaptiveIndex) error {
 	var first error
-	for _, d := range durs {
-		if d == nil {
+	for _, a := range shards {
+		if a == nil {
 			continue
 		}
-		if err := d.Close(); err != nil && first == nil {
+		if err := a.Close(); err != nil && first == nil {
 			first = err
 		}
 	}
@@ -105,47 +96,72 @@ func OpenShardedDurable(dir string, dopts *DurableOptions) (*ShardedIndex, Shard
 		return nil, rep, err
 	}
 	n := m.NumShards()
-	durs := make([]*DurableIndex, n)
+	shards := make([]*AdaptiveIndex, n)
 	reps := make([]RecoveryReport, n)
 	err = eachShard(n, "recovering", func(i int) (err error) {
-		durs[i], reps[i], err = OpenDurable(filepath.Join(dir, m.ShardDirs[i]), dopts)
+		shards[i], reps[i], err = OpenDurable(filepath.Join(dir, m.ShardDirs[i]), dopts)
 		return err
 	})
 	if err != nil {
-		closeAll(durs)
+		closeAll(shards)
 		return nil, rep, err
 	}
-	rep.Shards = reps
+	return newShardedIndex(r, shards), foldReports(reps), nil
+}
+
+// foldReports totals per-shard recovery reports.
+func foldReports(reps []RecoveryReport) ShardedRecoveryReport {
+	rep := ShardedRecoveryReport{Shards: reps}
 	for _, sr := range reps {
 		rep.SnapshotRows += sr.SnapshotRows
 		rep.ReplayedRows += sr.ReplayedRows
 		rep.TruncatedTail = rep.TruncatedTail || sr.TruncatedTail
 	}
-	return newShardedDurable(r, durs, dir), rep, nil
+	return rep
+}
+
+// OpenStore reopens whichever store dir holds, told apart by the directory's
+// own layout: a shard manifest reopens sharded (OpenShardedDurable), a
+// snapshot reopens flat (OpenDurable, its report the one entry of Shards). A
+// directory holding neither — empty, missing, or a sharded create that
+// crashed before its manifest — is an error satisfying
+// errors.Is(err, fs.ErrNotExist), which is how a caller decides to create;
+// no other failure satisfies it, so a store that is there but has lost a
+// file is never taken for an empty directory and created over.
+func OpenStore(dir string, opts *DurableOptions) (Store, ShardedRecoveryReport, error) {
+	holds := func(name string) bool {
+		_, err := os.Stat(filepath.Join(dir, name))
+		return err == nil
+	}
+	var store Store
+	var rep ShardedRecoveryReport
+	var err error
+	switch {
+	case holds(shard.ManifestName):
+		store, rep, err = OpenShardedDurable(dir, opts)
+	case holds(snapshotFile):
+		var r RecoveryReport
+		store, r, err = OpenDurable(dir, opts)
+		rep = foldReports([]RecoveryReport{r})
+	default:
+		return nil, rep, fmt.Errorf("flood: %s holds neither a shard manifest nor a snapshot: %w", dir, fs.ErrNotExist)
+	}
+	if errors.Is(err, fs.ErrNotExist) {
+		err = fmt.Errorf("flood: the store in %s is missing a file: %v", dir, err)
+	}
+	if err != nil {
+		return nil, rep, err
+	}
+	return store, rep, nil
 }
 
 // Checkpoint absorbs every shard's WAL into its snapshot (see
-// DurableIndex.Checkpoint), running the shards in parallel; the manifest is
+// AdaptiveIndex.Checkpoint), running the shards in parallel; the manifest is
 // immutable after create, so a sharded checkpoint is exactly the set of
 // per-shard checkpoints. All shards are attempted even when one fails; the
 // first error is returned. No-op (nil) on an in-memory ShardedIndex.
 func (s *ShardedIndex) Checkpoint() error {
-	if s.dur == nil {
-		return nil
-	}
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
-	return eachShard(len(s.dur), "checkpointing", func(i int) error { return s.dur[i].Checkpoint() })
+	return eachShard(len(s.shards), "checkpointing", func(i int) error { return s.shards[i].Checkpoint() })
 }
-
-// Durable returns shard i's durable wrapper (nil when the index is
-// in-memory), for checkpoint fault injection and per-shard inspection.
-func (s *ShardedIndex) Durable(i int) *DurableIndex {
-	if s.dur == nil {
-		return nil
-	}
-	return s.dur[i]
-}
-
-// Root returns the store's root directory ("" when in-memory).
-func (s *ShardedIndex) Root() string { return s.root }
