@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all fmt build test vet docs loc bench bench-full fuzz-smoke clean
+.PHONY: all fmt generate build test vet docs loc bench bench-full fuzz-smoke clean
 
 all: fmt vet build test
 
@@ -11,6 +11,12 @@ all: fmt vet build test
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt -l . is not empty:"; echo "$$out"; exit 1; fi
+
+# generate rewrites internal/colstore/kernels_gen.go, the width-specialised
+# unpack and compare kernels, from gen_kernels.go. The output is committed; CI
+# regenerates it and fails on a diff.
+generate:
+	$(GO) generate ./internal/colstore
 
 build:
 	$(GO) build ./...
@@ -59,11 +65,15 @@ loc:
 # overhead-parity pair. Estimate and FindOptimalLayout are the layout search:
 # one sample evaluation (against the straight-line oracle), and one whole
 # search over 100k rows at the repository benchmark's effort and at the
-# optimizer's defaults.
+# optimizer's defaults. DecodeBlock and CompareBlock are one 128-value block
+# through the generated kernels at the five commonest delta widths of the
+# repository benchmark's tables.
 bench:
 	$(GO) test ./internal/core -run '^$$' \
 		-bench 'Residual|WideRect|SteadyState|Build1M|Build200k|Ablation|Parallel|Batch|DeleteHeavy' \
 		-benchmem -benchtime=1s | tee /tmp/bench_scan.txt
+	$(GO) test ./internal/colstore -run '^$$' -bench '^BenchmarkDecodeBlock$$|^BenchmarkCompareBlock$$' \
+		-benchmem -benchtime=1s | tee -a /tmp/bench_scan.txt
 	$(GO) test . -run '^$$' -bench '^BenchmarkSelect|^BenchmarkExecute|^BenchmarkSaveLoad|^BenchmarkDictEq|^BenchmarkSharded' \
 		-benchmem -benchtime=1s | tee -a /tmp/bench_scan.txt
 	$(GO) test ./floodsql -run '^$$' -bench '^BenchmarkLookupPoint$$|^BenchmarkParseLookup$$' \
@@ -82,6 +92,8 @@ fuzz-smoke:
 	$(GO) test . -run '^$$' -fuzz '^FuzzWireDecode$$' \
 		-fuzztime 30s -fuzzminimizetime 10x
 	$(GO) test ./floodsql -run '^$$' -fuzz '^FuzzFloodSQLParse$$' \
+		-fuzztime 30s -fuzzminimizetime 10x
+	$(GO) test ./internal/colstore -run '^$$' -fuzz '^FuzzCompareBlock$$' \
 		-fuzztime 30s -fuzzminimizetime 10x
 
 # bench-full additionally covers the colstore micro-benchmarks.

@@ -78,7 +78,14 @@ func TestUnmergedInsertAndQuery(t *testing.T) {
 }
 
 func TestKNNPublicAPI(t *testing.T) {
-	idx, ds, _ := buildSmall(t)
+	// KNN measures distance over the layout's grid dimensions, so the layout
+	// is pinned: buildSmall's is learned from live timings, and on 6,000 rows
+	// a sort-only layout (no grid at all) is sometimes the cheapest.
+	ds := dataset.Sales(6000, 201)
+	idx, err := BuildWithLayout(ds.Table, Layout{GridDims: []int{0, 5}, GridCols: []int{4, 6}, SortDim: 3, Flatten: true}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	point := make([]int64, ds.Table.NumCols())
 	for c := range point {
 		point[c] = ds.Cols[c][42]

@@ -2,8 +2,7 @@
 // bulk-loaded read-optimized R*-tree from libspatialindex; this
 // implementation uses Sort-Tile-Recursive (STR) bulk loading — the standard
 // read-optimized packing — producing the same query path: descend nodes
-// whose minimum bounding rectangles intersect the query. See DESIGN.md §3
-// for the substitution rationale.
+// whose minimum bounding rectangles intersect the query.
 package rstar
 
 import (

@@ -6,8 +6,7 @@
 //
 // Absolute numbers depend on the machine and the (scaled-down) dataset
 // sizes; the shapes — which index wins, by roughly what factor, where
-// crossovers fall — are the reproduction target. EXPERIMENTS.md records
-// paper-vs-measured values.
+// crossovers fall — are the reproduction target.
 package bench
 
 import (

@@ -124,8 +124,10 @@ func unpack(words []uint64, pos, w uint) uint64 {
 
 // DecodeBlock decodes block b into out and returns the number of valid
 // values (BlockSize for all but possibly the last block). out must have
-// room for BlockSize values. Common bit widths (0/8/16/32/64) take
-// specialized word-at-a-time loops.
+// room for BlockSize values. A full block of 1..32-bit deltas — every block
+// but a handful in practice — decodes through straight-line code generated
+// for its width; the column's last partial block and wider deltas take the
+// generic bit loop.
 func (c *Column) DecodeBlock(b int, out []int64) int {
 	lo := b * BlockSize
 	cnt := c.n - lo
@@ -134,25 +136,19 @@ func (c *Column) DecodeBlock(b int, out []int64) int {
 	}
 	minV := c.mins[b]
 	w := uint(c.widths[b])
-	if w == 0 {
-		for i := 0; i < cnt; i++ {
-			out[i] = minV
-		}
-		return cnt
-	}
 	words := c.words[c.offsets[b]:]
 	out = out[:cnt]
-	switch w {
-	case 8:
-		decodeFixed(words, out, minV, 8)
-	case 16:
-		decodeFixed(words, out, minV, 16)
-	case 32:
-		decodeFixed(words, out, minV, 32)
-	case 64:
+	switch {
+	case w == 0:
+		for i := range out {
+			out[i] = minV
+		}
+	case w == 64:
 		for i := range out {
 			out[i] = minV + int64(words[i])
 		}
+	case cnt == BlockSize && unpackBlock(words, out, minV, w):
+		// decoded by the kernel generated for w
 	default:
 		m := mask(w)
 		pos := uint(0)
@@ -168,28 +164,6 @@ func (c *Column) DecodeBlock(b int, out []int64) int {
 		}
 	}
 	return cnt
-}
-
-// decodeFixed unpacks deltas of a width that evenly divides 64 (8, 16, or
-// 32 bits), so every value lies inside a single word and words unpack with
-// shifts only — no cross-word carries and no per-value division.
-func decodeFixed(words []uint64, out []int64, minV int64, w uint) {
-	per := 64 / w
-	m := mask(w)
-	i := 0
-	for ; i+int(per) <= len(out); i += int(per) {
-		wd := words[uint(i)/per]
-		for k := uint(0); k < per; k++ {
-			out[i+int(k)] = minV + int64((wd>>(k*w))&m)
-		}
-	}
-	if i < len(out) {
-		wd := words[uint(i)/per]
-		for sh := uint(0); i < len(out); i++ {
-			out[i] = minV + int64((wd>>sh)&m)
-			sh += w
-		}
-	}
 }
 
 // Decode materializes the whole column into a fresh slice.

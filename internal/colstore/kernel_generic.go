@@ -1,0 +1,11 @@
+//go:build floodscalar
+
+package colstore
+
+// The floodscalar build is the oracle the generated kernels are checked
+// against, so it contains none of them: every block decodes through the
+// generic bit loop and every compare runs over decoded values.
+
+func unpackBlock(words []uint64, out []int64, minV int64, w uint) bool { return false }
+
+func compareBlock(words []uint64, sel *BlockBitmap, w uint, off, span uint64) bool { return false }

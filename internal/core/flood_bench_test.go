@@ -8,7 +8,7 @@ import (
 	"flood/internal/query"
 )
 
-// Ablation benchmarks for the design choices DESIGN.md calls out: the
+// Ablation benchmarks for two design choices of the paper: the
 // refinement strategy (learned PLM vs binary search vs none) and flattening
 // (CDF vs equi-width columns). Run with:
 //

@@ -19,28 +19,28 @@ import (
 // selection bitmap (two uint64 words per 128-row block): a column with a
 // bitmap index resolves its predicate as a precomputed-bitmap AND without
 // touching the column data, every other column evaluates its range predicate
-// branchlessly over the decoded block into a 64-rows-per-word mask, and the
-// masks AND together. Survivors are emitted to the aggregator as contiguous
+// branchlessly on the block's packed deltas into a 64-rows-per-word mask
+// (colstore.Column.CompareBlock — nothing is decoded), and the masks AND
+// together. Survivors are emitted to the aggregator as contiguous
 // runs found with bits.TrailingZeros64, so run-length fast paths (COUNT
 // arithmetic, SUM prefix lookups) apply unchanged. SetScalarKernel selects
 // the selection-vector fallback kernel instead.
 //
-// Decode buffers are allocated lazily, one per dimension actually filtered,
-// and retained across calls: a reused or pooled Scanner performs zero
-// allocations in steady state.
+// All scratch lives inside the Scanner: a reused or pooled Scanner performs
+// zero allocations in steady state.
 //
 // A Scanner is not safe for concurrent use.
 type Scanner struct {
 	t         *colstore.Table
-	bufs      [][]int64 // lazily allocated per-dim decode buffers (BlockSize each)
-	active    []int     // scratch: dims decoded and compared in the current block
-	activeIdx []int     // scratch: dims served by a bitmap index in the current block
-	ctl       *Control  // optional execution control (nil: unconditioned scan)
-	ctlTick   int       // blocks since the last cancellation poll
-	scalar    bool      // use the selection-vector fallback kernel
-	tomb      []uint64  // word-packed tombstone bitmap (nil: no deletions)
+	active    []int    // scratch: dims compared row by row in the current block
+	activeIdx []int    // scratch: dims served by a bitmap index in the current block
+	ctl       *Control // optional execution control (nil: unconditioned scan)
+	ctlTick   int      // blocks since the last cancellation poll
+	scalar    bool     // use the selection-vector fallback kernel
+	tomb      []uint64 // word-packed tombstone bitmap (nil: no deletions)
 	selw      colstore.BlockBitmap
 	sel       [colstore.BlockSize]int32
+	buf       [colstore.BlockSize]int64 // scalar kernel: the dimension being refined, decoded
 }
 
 // NewScanner returns a scanner over t.
@@ -50,18 +50,13 @@ func NewScanner(t *colstore.Table) *Scanner {
 	return s
 }
 
-// Reset points the scanner at t, retaining decode buffers when possible so a
-// long-lived Scanner can serve many tables and queries without reallocating.
-// The kernel choice resets to the build default (see SetScalarKernel).
+// Reset points the scanner at t, so a long-lived Scanner can serve many
+// tables and queries. The kernel choice resets to the build default (see
+// SetScalarKernel).
 func (s *Scanner) Reset(t *colstore.Table) {
 	s.t = t
 	s.scalar = defaultScalarKernel
 	s.tomb = nil
-	if n := t.NumCols(); n > len(s.bufs) {
-		bufs := make([][]int64, n)
-		copy(bufs, s.bufs)
-		s.bufs = bufs
-	}
 }
 
 // SetControl attaches an execution control: the scan loops poll it for
@@ -119,13 +114,6 @@ func (s *Scanner) Release() {
 	s.ctlTick = 0
 	s.tomb = nil
 	scannerPool.Put(s)
-}
-
-func (s *Scanner) buf(d int) []int64 {
-	if s.bufs[d] == nil {
-		s.bufs[d] = make([]int64, colstore.BlockSize)
-	}
-	return s.bufs[d]
 }
 
 // ScanRange scans rows [start, end), filter-checking the dims listed in
@@ -203,7 +191,7 @@ func (s *Scanner) ScanRange(q Query, filterDims []int, start, end int, agg Aggre
 		}
 
 		// Zone-map pass: prune or exact-accept per dimension; dims that
-		// need row checks split into bitmap-indexed and decoded sets (the
+		// need row checks split into bitmap-indexed and compared sets (the
 		// scalar kernel decodes everything).
 		active, activeIdx := s.active[:0], s.activeIdx[:0]
 		skip := false
@@ -274,7 +262,7 @@ func (s *Scanner) ScanRange(q Query, filterDims []int, start, end int, agg Aggre
 // filterBlockBitmap runs the word-packed kernel over one block: the
 // selection bitmap starts as all-ones over [i0, i1), each bitmap-indexed dim
 // ANDs its precomputed value bitmaps in, each remaining dim ANDs a
-// branchless compare mask over its decoded block, and the surviving runs are
+// branchless compare mask over its packed block, and the surviving runs are
 // emitted. Returns the survivor count and how many were delivered (the
 // control's limit budget may truncate delivery).
 func (s *Scanner) filterBlockBitmap(q Query, b, blockLo, i0, i1 int, agg Aggregator) (nsel, take int) {
@@ -292,10 +280,8 @@ func (s *Scanner) filterBlockBitmap(q Query, b, blockLo, i0, i1 int, agg Aggrega
 		if !selAny(sel) {
 			break
 		}
-		buf := s.buf(d)
-		t.Column(d).DecodeBlock(b, buf)
 		r := q.Ranges[d]
-		andCompareMask(sel, buf, uint64(r.Min), uint64(r.Max)-uint64(r.Min))
+		t.Column(d).CompareBlock(b, sel, uint64(r.Min), uint64(r.Max)-uint64(r.Min))
 	}
 	nsel = selCount(sel)
 	if nsel == 0 {
@@ -558,7 +544,7 @@ func (s *Scanner) filterBlockScalar(q Query, b, blockLo, i0, i1 int, agg Aggrega
 		}
 	} else {
 		d0 := active[0]
-		buf := s.buf(d0)
+		buf := s.buf[:]
 		t.Column(d0).DecodeBlock(b, buf)
 		r := q.Ranges[d0]
 		rmin, span := uint64(r.Min), uint64(r.Max)-uint64(r.Min)
@@ -574,7 +560,7 @@ func (s *Scanner) filterBlockScalar(q Query, b, blockLo, i0, i1 int, agg Aggrega
 		if nsel == 0 {
 			break
 		}
-		buf := s.buf(d)
+		buf := s.buf[:]
 		t.Column(d).DecodeBlock(b, buf)
 		r := q.Ranges[d]
 		rmin, span := uint64(r.Min), uint64(r.Max)-uint64(r.Min)
@@ -652,60 +638,6 @@ func selCount(sel *colstore.BlockBitmap) int {
 		n += bits.OnesCount64(v)
 	}
 	return n
-}
-
-// sparseRefineBits is the survivor count per word at or below which
-// andCompareMask iterates set bits instead of evaluating all 64 lanes. The
-// full-lane pass costs ~64 branchless compares; the sparse pass costs one
-// TrailingZeros + compare per survivor, so it wins while survivors are a
-// minority of the word.
-const sparseRefineBits = 32
-
-// andCompareMask evaluates v ∈ [rmin, rmin+span] over one decoded block and
-// ANDs the result into sel, 64 rows per mask word. The per-row test compiles
-// branchlessly: the carry out of span - (v - rmin) (bits.Sub64 is an
-// intrinsic) is 1 exactly when the value falls outside the range, so each
-// word of the mask is built with subtract/xor/shift only — no data-dependent
-// branches for the predictor to miss. Words already empty are skipped
-// without touching their 64 rows, and words already thinned below
-// sparseRefineBits survivors are refined per set bit instead of per lane.
-func andCompareMask(sel *colstore.BlockBitmap, buf []int64, rmin, span uint64) {
-	for wi := range sel {
-		w := sel[wi]
-		if w == 0 {
-			continue
-		}
-		vals := buf[wi*64 : wi*64+64]
-		if bits.OnesCount64(w) <= sparseRefineBits {
-			m := w
-			for t := w; t != 0; t &= t - 1 {
-				k := uint(bits.TrailingZeros64(t)) & 63
-				_, borrow := bits.Sub64(span, uint64(vals[k])-rmin, 0)
-				m &^= borrow << k
-			}
-			sel[wi] = m
-			continue
-		}
-		// Full-lane pass, 8 lanes per step with compile-time shift counts:
-		// the eight compares are independent chains the CPU overlaps, and
-		// only the merge into m needs a variable shift.
-		var m uint64
-		for base := 0; base < 64; base += 8 {
-			v := vals[base : base+8 : base+8]
-			_, b0 := bits.Sub64(span, uint64(v[0])-rmin, 0)
-			_, b1 := bits.Sub64(span, uint64(v[1])-rmin, 0)
-			_, b2 := bits.Sub64(span, uint64(v[2])-rmin, 0)
-			_, b3 := bits.Sub64(span, uint64(v[3])-rmin, 0)
-			_, b4 := bits.Sub64(span, uint64(v[4])-rmin, 0)
-			_, b5 := bits.Sub64(span, uint64(v[5])-rmin, 0)
-			_, b6 := bits.Sub64(span, uint64(v[6])-rmin, 0)
-			_, b7 := bits.Sub64(span, uint64(v[7])-rmin, 0)
-			mb := (b0 ^ 1) | (b1^1)<<1 | (b2^1)<<2 | (b3^1)<<3 |
-				(b4^1)<<4 | (b5^1)<<5 | (b6^1)<<6 | (b7^1)<<7
-			m |= mb << uint(base)
-		}
-		sel[wi] = w & m
-	}
 }
 
 // ScanExactRange accumulates rows [start, end) that are all known to match

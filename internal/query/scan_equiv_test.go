@@ -183,36 +183,6 @@ func TestBitmapKernelAggregates(t *testing.T) {
 	}
 }
 
-// TestAndCompareMaskEdges pins the branchless compare mask on its wrap-prone
-// inputs: unbounded ranges (span wraps to ^0), single-value spans, and
-// extreme int64 values.
-func TestAndCompareMaskEdges(t *testing.T) {
-	vals := make([]int64, colstore.BlockSize)
-	for i := range vals {
-		vals[i] = int64(i - 64)
-	}
-	vals[0], vals[1] = -1<<63, 1<<63-1
-	check := func(lo, hi int64) {
-		var sel colstore.BlockBitmap
-		selInit(&sel, 0, colstore.BlockSize)
-		andCompareMask(&sel, vals, uint64(lo), uint64(hi)-uint64(lo))
-		for i, v := range vals {
-			want := v >= lo && v <= hi
-			got := sel[i/64]&(1<<uint(i%64)) != 0
-			if got != want {
-				t.Fatalf("[%d,%d] row %d (v=%d): got %v want %v", lo, hi, i, v, got, want)
-			}
-		}
-	}
-	check(NegInf, PosInf)
-	check(0, 0)
-	check(-1<<63, -1<<63)
-	check(1<<63-1, 1<<63-1)
-	check(-10, 10)
-	check(NegInf, 0)
-	check(0, PosInf)
-}
-
 // TestSelInitMaskBounds pins the selection-bitmap initializer across all
 // partial-block bounds.
 func TestSelInitMaskBounds(t *testing.T) {
