@@ -67,14 +67,18 @@ loc:
 # search over 100k rows at the repository benchmark's effort and at the
 # optimizer's defaults. DecodeBlock and CompareBlock are one 128-value block
 # through the generated kernels at the five commonest delta widths of the
-# repository benchmark's tables.
+# repository benchmark's tables; AggregateBlock is one block's survivors
+# folded under the selection mask per aggregate, mask density and width, and
+# BitmapAndBlock one block's predicate through the range-encoded bitmap index
+# by the number of values the range spans. DictEqScan1M and DictRangeScan1M
+# are the bitmap index against the residual compare, end to end.
 bench:
 	$(GO) test ./internal/core -run '^$$' \
 		-bench 'Residual|WideRect|SteadyState|Build1M|Build200k|Ablation|Parallel|Batch|DeleteHeavy' \
 		-benchmem -benchtime=1s | tee /tmp/bench_scan.txt
-	$(GO) test ./internal/colstore -run '^$$' -bench '^BenchmarkDecodeBlock$$|^BenchmarkCompareBlock$$' \
+	$(GO) test ./internal/colstore -run '^$$' -bench '^BenchmarkDecodeBlock$$|^BenchmarkCompareBlock$$|^BenchmarkAggregateBlock$$|^BenchmarkBitmapAndBlock$$' \
 		-benchmem -benchtime=1s | tee -a /tmp/bench_scan.txt
-	$(GO) test . -run '^$$' -bench '^BenchmarkSelect|^BenchmarkExecute|^BenchmarkSaveLoad|^BenchmarkDictEq|^BenchmarkSharded' \
+	$(GO) test . -run '^$$' -bench '^BenchmarkSelect|^BenchmarkExecute|^BenchmarkSaveLoad|^BenchmarkDict|^BenchmarkSharded' \
 		-benchmem -benchtime=1s | tee -a /tmp/bench_scan.txt
 	$(GO) test ./floodsql -run '^$$' -bench '^BenchmarkLookupPoint$$|^BenchmarkParseLookup$$' \
 		-benchmem -benchtime=1s | tee -a /tmp/bench_scan.txt
@@ -94,6 +98,8 @@ fuzz-smoke:
 	$(GO) test ./floodsql -run '^$$' -fuzz '^FuzzFloodSQLParse$$' \
 		-fuzztime 30s -fuzzminimizetime 10x
 	$(GO) test ./internal/colstore -run '^$$' -fuzz '^FuzzCompareBlock$$' \
+		-fuzztime 30s -fuzzminimizetime 10x
+	$(GO) test ./internal/colstore -run '^$$' -fuzz '^FuzzAggregateBlock$$' \
 		-fuzztime 30s -fuzzminimizetime 10x
 
 # bench-full additionally covers the colstore micro-benchmarks.

@@ -291,9 +291,9 @@ func (c *cancelOnDeliver) fire() { c.once.Do(c.cancel) }
 
 func (c *cancelOnDeliver) Reset() { c.n = 0 }
 
-func (c *cancelOnDeliver) Add(_ *Table, _ int) {
+func (c *cancelOnDeliver) AddBlock(_ *Table, _ int, sel *BlockBitmap) {
 	c.fire()
-	c.n++
+	c.n += int64(sel.Count())
 }
 
 func (c *cancelOnDeliver) AddExactRange(_ *Table, start, end int) {

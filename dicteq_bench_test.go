@@ -1,14 +1,16 @@
 package flood
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
 )
 
-// dictEqBenchState holds the paired 1M-row indexes for the dictionary-
-// equality benchmark: one built with bitmap indexes (the default), one with
-// them disabled so the same predicate runs as a residual decode-and-compare.
+// dictEqBenchState holds the paired 1M-row indexes for the dictionary
+// benchmarks: one built with bitmap indexes (the default), one with them
+// disabled so the same predicate runs as a residual decode-and-compare. city
+// has 8 values (the equality benchmark), zone 40 (the range benchmark).
 var dictEqBenchState struct {
 	once    sync.Once
 	schema  *Schema
@@ -26,12 +28,16 @@ func dictEqBenchSetup(b *testing.B) {
 		ts := make([]int64, n)
 		fare := make([]float64, n)
 		city := make([]string, n)
+		zone := make([]string, n)
 		for i := 0; i < n; i++ {
 			ts[i] = rng.Int63n(1_000_000)
 			fare[i] = float64(rng.Intn(10_000)) / 100
 			city[i] = cities[rng.Intn(len(cities))]
 		}
-		s.schema = NewSchema().Int64("ts").Float64("fare", 2).String("city")
+		for i := range zone { // drawn after the rest so their values stay as recorded
+			zone[i] = fmt.Sprintf("zone%02d", rng.Intn(40))
+		}
+		s.schema = NewSchema().Int64("ts").Float64("fare", 2).String("city").String("zone")
 		tb := s.schema.NewTableBuilder()
 		if err := tb.SetInt64Column("ts", ts); err != nil {
 			panic(err)
@@ -42,11 +48,14 @@ func dictEqBenchSetup(b *testing.B) {
 		if err := tb.SetStringColumn("city", city); err != nil {
 			panic(err)
 		}
+		if err := tb.SetStringColumn("zone", zone); err != nil {
+			panic(err)
+		}
 		tbl, err := tb.Build()
 		if err != nil {
 			panic(err)
 		}
-		// The city column stays out of the grid so its equality predicate is
+		// The dictionary columns stay out of the grid so their predicates are
 		// a residual filter on every scanned block — the case the bitmap
 		// index accelerates.
 		layout := Layout{GridDims: []int{0}, GridCols: []int{64}, SortDim: 1, Flatten: true}
@@ -71,11 +80,28 @@ func BenchmarkDictEqScan1M(b *testing.B) {
 	dictEqBenchSetup(b)
 	s := &dictEqBenchState
 	nyc := s.schema.PrepareString("city", "nyc")
+	benchDictScan(b, s.schema.Where().
+		WithPreparedString(nyc).
+		WithIntRange("ts", 400_000, 500_000).
+		Query())
+}
+
+// BenchmarkDictRangeScan1M is the same pair under a range over twelve of the
+// forty dictionary codes of zone (plus the 10% ts band): the range-encoded
+// bitmap index resolves it with the two bitmaps an equality takes.
+func BenchmarkDictRangeScan1M(b *testing.B) {
+	dictEqBenchSetup(b)
+	benchDictScan(b, dictEqBenchState.schema.Where().
+		WithStringRange("zone", "zone08", "zone19").
+		WithIntRange("ts", 400_000, 500_000).
+		Query())
+}
+
+// benchDictScan runs q as a COUNT over the bitmap-indexed and the residual
+// index.
+func benchDictScan(b *testing.B, q Query) {
+	s := &dictEqBenchState
 	run := func(b *testing.B, idx *Flood) {
-		q := s.schema.Where().
-			WithPreparedString(nyc).
-			WithIntRange("ts", 400_000, 500_000).
-			Query()
 		agg := NewCount()
 		b.ReportAllocs()
 		b.ResetTimer()

@@ -95,7 +95,16 @@ type Range = query.Range
 // Stats instruments one query execution (scan overhead, per-phase times).
 type Stats = query.Stats
 
-// Aggregator accumulates a statistic over matching rows.
+// BlockBitmap is the selection bitmap of one 128-row storage block: bit i
+// set means row i of the block matches. The scan stage hands an Aggregator
+// the survivors of a filtered block in this form.
+type BlockBitmap = colstore.BlockBitmap
+
+// Aggregator accumulates a statistic over matching rows. The scan stage calls
+// AddBlock with the survivors of each filtered block as a BlockBitmap, and
+// AddExactRange with each run of rows known to match without a check; the
+// built-in aggregators (NewCount, NewSum, NewMin, NewMax) aggregate under the
+// mask on the packed column data.
 type Aggregator = query.Aggregator
 
 // Index is the contract shared by Flood and every baseline.
@@ -159,9 +168,10 @@ type Options struct {
 	// BitmapIndexMaxCardinality is the largest per-column value spread
 	// (max-min+1) for which Build creates a bitmap index. Residual filters
 	// on bitmap-indexed columns — dictionary-coded strings, enums, flags —
-	// resolve as precomputed-bitmap ANDs in the scan kernel instead of
-	// decode-and-compare passes. 0 picks the default (64 distinct values);
-	// negative disables bitmap indexes.
+	// resolve from two precomputed (range-encoded) bitmaps in the scan
+	// kernel, whatever the width of the range, instead of a compare pass
+	// over the column. 0 picks the default (64 distinct values); negative
+	// disables bitmap indexes.
 	BitmapIndexMaxCardinality int
 	// Schema attaches the typed schema the table was built with, enabling
 	// typed accessors on Select results. Equivalent to SetSchema after

@@ -2,9 +2,12 @@ package flood
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 	"time"
+
+	"flood/internal/wire"
 )
 
 // v1Snapshot opens with the magic of the unframed, unchecksummed version-1
@@ -94,6 +97,17 @@ func FuzzWireDecode(f *testing.F) {
 		mut[at+16] ^= 0xFF
 		f.Add(mut)
 		f.Add(snap[:at+10])
+		// Wrong content under a right checksum — the first eight rows filed
+		// under no value — must load through the rebuild path too.
+		size := int(binary.LittleEndian.Uint64(snap[at+4:]))
+		mut = append([]byte(nil), snap...)
+		payload := mut[at+12 : at+12+size]
+		words := int(binary.LittleEndian.Uint64(payload[5*8:]))
+		for w := 0; w < words; w++ {
+			payload[6*8+w*8] = 0
+		}
+		binary.LittleEndian.PutUint32(mut[at+12+size:], wire.Checksum(mut[at:at+12+size]))
+		f.Add(mut)
 	}
 	// The tombstone section is NOT reconstructible: damage must surface as a
 	// typed load error, never as silently resurrected rows. Seed a bit flip

@@ -2,6 +2,9 @@ package colstore
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -91,6 +94,54 @@ func TestBitmapIndexAndBlockMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestBitmapIndexAndBlockEveryRange checks AndBlock against the per-row
+// definition for every [lo, hi] from two below the domain to two above it —
+// single values, inverted ranges and ranges clamped on either or both sides
+// included — in every block of a column whose last block is partial, under
+// a full and a random selection.
+func TestBitmapIndexAndBlockEveryRange(t *testing.T) {
+	const n, base, card = 3*BlockSize + 70, -4, 11
+	c, vals := lowCardColumn(n, base, card, 9)
+	bi := NewBitmapIndex(c, 64)
+	if bi == nil || bi.Cardinality() != card {
+		t.Fatalf("index over %d values did not build as such: %v", card, bi)
+	}
+	rng := rand.New(rand.NewSource(10))
+	for b := 0; b < c.NumBlocks(); b++ {
+		for lo := int64(base - 2); lo <= base+card+1; lo++ {
+			for hi := int64(base - 2); hi <= base+card+1; hi++ {
+				for _, sel := range []BlockBitmap{{^uint64(0), ^uint64(0)}, {rng.Uint64(), rng.Uint64()}} {
+					got := sel
+					bi.AndBlock(&got, b, lo, hi)
+					if want := bruteAndBlock(vals, sel, b, lo, hi); got != want {
+						t.Fatalf("AndBlock(b=%d, [%d,%d]) under %#x = %#x, want %#x", b, lo, hi, sel, got, want)
+					}
+				}
+			}
+		}
+	}
+	// The extremes of int64 clamp like any other bound outside the domain.
+	for _, r := range [][2]int64{{math.MinInt64, math.MaxInt64}, {math.MinInt64, base}, {base + card - 1, math.MaxInt64}, {math.MaxInt64, math.MinInt64}} {
+		got := BlockBitmap{^uint64(0), ^uint64(0)}
+		bi.AndBlock(&got, 3, r[0], r[1])
+		if want := bruteAndBlock(vals, BlockBitmap{^uint64(0), ^uint64(0)}, 3, r[0], r[1]); got != want {
+			t.Fatalf("AndBlock(b=3, [%d,%d]) = %#x, want %#x", r[0], r[1], got, want)
+		}
+	}
+}
+
+// TestBitmapIndexSizeIsOneBitmapPerValue pins the footprint: range encoding
+// stores exactly the card × ceil(n/64) words the per-value encoding did.
+func TestBitmapIndexSizeIsOneBitmapPerValue(t *testing.T) {
+	for _, n := range []int{1, 64, 65, 5*BlockSize + 37} {
+		c, _ := lowCardColumn(n, 3, 9, int64(n))
+		bi := NewBitmapIndex(c, 64)
+		if want := int64(bi.Cardinality()) * int64((n+63)/64) * 8; bi.SizeBytes() != want {
+			t.Fatalf("n=%d: SizeBytes %d, want %d", n, bi.SizeBytes(), want)
+		}
+	}
+}
+
 func TestBitmapIndexAndBlockEmptyIntersection(t *testing.T) {
 	c, _ := lowCardColumn(200, 0, 8, 4)
 	bi := NewBitmapIndex(c, 64)
@@ -125,13 +176,8 @@ func TestBitmapIndexRoundTrip(t *testing.T) {
 	c, vals := lowCardColumn(n, 2, 23, 6)
 	bi := NewBitmapIndex(c, 64)
 
-	var buf bytes.Buffer
-	w := wire.NewWriter(&buf)
-	bi.Encode(w)
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeBitmapIndex(wire.NewReaderBytes(buf.Bytes()), n)
+	enc := encodeBitmap(t, bi)
+	got, err := DecodeBitmapIndex(wire.NewReaderBytes(enc), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,11 +196,103 @@ func TestBitmapIndexRoundTrip(t *testing.T) {
 	_ = vals
 
 	// Row-count mismatch and truncation must error, not decode garbage.
-	if _, err := DecodeBitmapIndex(wire.NewReaderBytes(buf.Bytes()), n+1); err == nil {
+	if _, err := DecodeBitmapIndex(wire.NewReaderBytes(enc), n+1); err == nil {
 		t.Fatal("want error for row-count mismatch")
 	}
-	if _, err := DecodeBitmapIndex(wire.NewReaderBytes(buf.Bytes()[:8]), n); err == nil {
+	if _, err := DecodeBitmapIndex(wire.NewReaderBytes(enc[:8]), n); err == nil {
 		t.Fatal("want error for truncated payload")
+	}
+}
+
+// encodeBitmap returns bi's wire form.
+func encodeBitmap(t *testing.T, bi *BitmapIndex) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := wire.NewWriter(&buf)
+	bi.Encode(w)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestBitmapIndexWireFormIsPerValue pins the snapshot payload: whatever the
+// index holds in memory, the wire carries one bitmap per value with exactly
+// the rows holding that value — the layout every earlier snapshot has — and
+// re-encoding a decoded index reproduces the bytes.
+func TestBitmapIndexWireFormIsPerValue(t *testing.T) {
+	const n = 2*BlockSize + 19
+	c, vals := lowCardColumn(n, -2, 7, 11)
+	bi := NewBitmapIndex(c, 64)
+	enc := encodeBitmap(t, bi)
+
+	var want bytes.Buffer
+	w := wire.NewWriter(&want)
+	w.I64(-2)
+	w.Int(7)
+	w.Int(n)
+	nWords := (n + 63) / 64
+	eq := make([]uint64, 7*nWords)
+	for row, v := range vals {
+		eq[int(v+2)*nWords+row/64] |= 1 << uint(row%64)
+	}
+	w.U64s(eq)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(enc, want.Bytes()) {
+		t.Fatal("encoded bitmap index is not the per-value layout")
+	}
+	dec, err := DecodeBitmapIndex(wire.NewReaderBytes(enc), n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encodeBitmap(t, dec), enc) {
+		t.Fatal("encode → decode → encode changed the bytes")
+	}
+}
+
+// TestDecodeBitmapIndexChecksContent damages a payload in ways that keep its
+// shape: the decoder must refuse a row filed under two values, a row filed
+// under none, and a bit past the last row.
+func TestDecodeBitmapIndexChecksContent(t *testing.T) {
+	const n = BlockSize + 40 // three words per bitmap, the last partial
+	c, _ := lowCardColumn(n, 0, 5, 12)
+	enc := encodeBitmap(t, NewBitmapIndex(c, 64))
+	const header = 4 * 8 // min, card, n, word count
+	word := func(v, k int) int { return header + (v*3+k)*8 }
+	for name, damage := range map[string]func(p []byte){
+		"row under two values": func(p []byte) {
+			for i := 0; i < 8; i++ {
+				p[word(1, 0)+i] |= p[word(0, 0)+i]
+			}
+		},
+		"row under no value": func(p []byte) {
+			for v := 0; v < 5; v++ {
+				p[word(v, 1)] &^= 1
+			}
+		},
+		"bit past the last row": func(p []byte) { p[word(2, 2)+7] |= 0x80 },
+	} {
+		p := append([]byte(nil), enc...)
+		damage(p)
+		if bytes.Equal(p, enc) {
+			t.Fatalf("%s: damage changed nothing", name)
+		}
+		if _, err := DecodeBitmapIndex(wire.NewReaderBytes(p), n); err == nil {
+			t.Errorf("%s: decoded without error", name)
+		}
+	}
+	if _, err := DecodeBitmapIndex(wire.NewReaderBytes(enc), n); err != nil {
+		t.Fatalf("undamaged payload: %v", err)
+	}
+	// A cardinality chosen to wrap card × words back to the payload length.
+	p := append([]byte(nil), enc[:header]...)
+	binary.LittleEndian.PutUint64(p[8:], 1<<62) // card; × 4 words = 2^64
+	binary.LittleEndian.PutUint64(p[16:], 4*64) // n
+	binary.LittleEndian.PutUint64(p[24:], 0)    // words that follow
+	if _, err := DecodeBitmapIndex(wire.NewReaderBytes(p), 4*64); err == nil {
+		t.Error("wrapping cardinality decoded without error")
 	}
 }
 
@@ -185,5 +323,24 @@ func TestEnableBitmapIndexes(t *testing.T) {
 	}
 	if tbl.Bitmap(0) != nil {
 		t.Fatal("indexes should be cleared")
+	}
+}
+
+// BenchmarkBitmapAndBlock measures one block's predicate resolved through the
+// bitmap index, by the number of values the range spans: range encoding
+// makes it two bitmaps whatever the span.
+func BenchmarkBitmapAndBlock(b *testing.B) {
+	c, _ := lowCardColumn(1<<17, 0, 40, 13)
+	bi := NewBitmapIndex(c, 64)
+	for _, values := range []int64{1, 8, 32} {
+		b.Run(fmt.Sprintf("values=%d", values), func(b *testing.B) {
+			var kept uint64
+			for i := 0; i < b.N; i++ {
+				sel := BlockBitmap{^uint64(0), ^uint64(0)}
+				bi.AndBlock(&sel, i&(c.NumBlocks()-1), 4, 4+values-1)
+				kept += sel[0] ^ sel[1]
+			}
+			benchSink = kept
+		})
 	}
 }

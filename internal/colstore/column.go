@@ -147,23 +147,31 @@ func (c *Column) DecodeBlock(b int, out []int64) int {
 		for i := range out {
 			out[i] = minV + int64(words[i])
 		}
-	case cnt == BlockSize && unpackBlock(words, out, minV, w):
-		// decoded by the kernel generated for w
+	case cnt == BlockSize:
+		unpackWord(words, out, minV, w)
+		unpackWord(words[w:], out[64:], minV, w)
 	default:
-		m := mask(w)
-		pos := uint(0)
-		for i := range out {
-			wi := pos >> 6
-			off := pos & 63
-			delta := words[wi] >> off
-			if off+w > 64 {
-				delta |= words[wi+1] << (64 - off)
-			}
-			out[i] = minV + int64(delta&m)
-			pos += w
-		}
+		unpackGeneric(words, out, minV, w)
 	}
 	return cnt
+}
+
+// unpackGeneric decodes the len(out) w-bit deltas (0 < w <= 64) packed from
+// bit 0 of words into out, adding minV: the bit loop that serves every width
+// and count.
+func unpackGeneric(words []uint64, out []int64, minV int64, w uint) {
+	m := mask(w)
+	pos := uint(0)
+	for i := range out {
+		wi := pos >> 6
+		off := pos & 63
+		delta := words[wi] >> off
+		if off+w > 64 {
+			delta |= words[wi+1] << (64 - off)
+		}
+		out[i] = minV + int64(delta&m)
+		pos += w
+	}
 }
 
 // Decode materializes the whole column into a fresh slice.

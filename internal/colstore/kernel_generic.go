@@ -6,6 +6,8 @@ package colstore
 // against, so it contains none of them: every block decodes through the
 // generic bit loop and every compare runs over decoded values.
 
-func unpackBlock(words []uint64, out []int64, minV int64, w uint) bool { return false }
+func unpackWord(words []uint64, out []int64, minV int64, w uint) {
+	unpackGeneric(words, out[:64], minV, w)
+}
 
 func compareBlock(words []uint64, sel *BlockBitmap, w uint, off, span uint64) bool { return false }

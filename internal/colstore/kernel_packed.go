@@ -4,16 +4,15 @@ package colstore
 
 //go:generate go run gen_kernels.go
 
-// unpackBlock decodes a full block of w-bit deltas through the generated
-// straight-line kernels (kernels_gen.go), one call per 64 values. It reports
-// false, having written nothing, for the widths that have no kernel.
-func unpackBlock(words []uint64, out []int64, minV int64, w uint) bool {
-	if w-1 >= maxKernelWidth { // w == 0 wraps to the top of the range
-		return false
+// unpackWord decodes the 64 w-bit deltas (0 < w <= 64) packed in words[:w]
+// into out[:64], adding minV: through the generated straight-line kernel for
+// w (kernels_gen.go) where there is one, the generic bit loop otherwise.
+func unpackWord(words []uint64, out []int64, minV int64, w uint) {
+	if w > maxKernelWidth {
+		unpackGeneric(words, out[:64], minV, w)
+		return
 	}
 	unpack64(w, words, out, minV)
-	unpack64(w, words[w:], out[64:], minV)
-	return true
 }
 
 // compareBlock refines sel with delta+off <= span over a full block of packed

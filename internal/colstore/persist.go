@@ -109,17 +109,28 @@ func (c *Column) validate() error {
 	return nil
 }
 
-// Encode serializes bi for embedding in a snapshot section.
+// Encode serializes bi for embedding in a snapshot section. The wire form
+// is one bitmap per value holding the rows with exactly that value — what
+// the index stored before it was range-encoded — so adjacent cumulative
+// bitmaps are differenced on the way out and snapshots read the same on
+// either side of that change.
 func (bi *BitmapIndex) Encode(w *wire.Writer) {
 	w.I64(bi.min)
 	w.Int(bi.card)
 	w.Int(bi.n)
-	w.U64s(bi.bits)
+	w.Int(len(bi.bits))
+	for at, word := range bi.bits {
+		if at >= bi.nWords {
+			word &^= bi.bits[at-bi.nWords]
+		}
+		w.U64(word)
+	}
 }
 
 // DecodeBitmapIndex reads a bitmap index written by BitmapIndex.Encode and
-// validates it against a table of n rows. The payload arrives CRC-verified,
-// so validation guards structure (sizes, domain), not content.
+// validates it against a table of n rows: its sizes and domain, and — the
+// CRC only proves the bytes are the ones written — that the per-value
+// bitmaps partition the rows, which accumulating them checks for free.
 func DecodeBitmapIndex(r *wire.Reader, n int) (*BitmapIndex, error) {
 	bi := &BitmapIndex{
 		min:  r.I64(),
@@ -133,13 +144,18 @@ func DecodeBitmapIndex(r *wire.Reader, n int) (*BitmapIndex, error) {
 	if bi.n != n {
 		return nil, fmt.Errorf("colstore: bitmap index covers %d rows, table has %d", bi.n, n)
 	}
-	if bi.card < 1 {
+	bi.nWords = (n + 63) / 64
+	// The upper bound keeps a hostile cardinality from wrapping the product
+	// below.
+	if bi.card < 1 || bi.nWords > 0 && bi.card > len(bi.bits) {
 		return nil, fmt.Errorf("colstore: bitmap index declares cardinality %d", bi.card)
 	}
-	bi.nWords = (n + 63) / 64
 	if len(bi.bits) != bi.card*bi.nWords {
 		return nil, fmt.Errorf("colstore: bitmap index has %d words, %d values over %d rows need %d",
 			len(bi.bits), bi.card, n, bi.card*bi.nWords)
+	}
+	if !bi.accumulate() {
+		return nil, fmt.Errorf("colstore: bitmap index does not hold each of %d rows under exactly one of %d values", n, bi.card)
 	}
 	return bi, nil
 }

@@ -130,7 +130,8 @@ type Options struct {
 	// BitmapMaxCardinality is the largest per-column value spread
 	// (max-min+1) for which Build creates a bitmap index: low-cardinality
 	// columns (dictionary-coded strings, enums, flags) then resolve
-	// residual filters as precomputed-bitmap ANDs in the scan kernel.
+	// residual filters, equality or range, from two precomputed bitmaps in
+	// the scan kernel.
 	// 0 picks DefaultBitmapMaxCardinality; negative disables bitmap
 	// indexes.
 	BitmapMaxCardinality int
@@ -155,9 +156,9 @@ func TrainFlattenCDF(t *colstore.Table, dim int, opts Options) *rmi.CDF {
 
 // DefaultBitmapMaxCardinality is the bitmap-index cardinality threshold used
 // when Options.BitmapMaxCardinality is zero. At 64 values a one-million-row
-// column costs 8 MB of bitmaps — a fraction of the raw column — while a
-// typical equality filter replaces 1M decode-and-compares with 15.6K word
-// ANDs.
+// column costs 8 MB of bitmaps — a fraction of the raw column — while an
+// equality or range filter of any width replaces 1M packed compares with
+// 15.6K AND-NOTs of two range-encoded bitmap words.
 const DefaultBitmapMaxCardinality = 64
 
 // bitmapMaxCard resolves Options.BitmapMaxCardinality to an effective

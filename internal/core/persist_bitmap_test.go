@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
+	"os"
 	"testing"
 
 	"flood/internal/colstore"
@@ -155,4 +157,97 @@ func TestLoadDamagedBitmapSectionRecovers(t *testing.T) {
 		t.Fatal("damaged bidx should be rebuilt from the data section")
 	}
 	checkBitmapQueries(t, f, res.Index)
+}
+
+// TestLoadBitmapSectionWithWrongContentRecovers moves one row to no value at
+// all inside the bidx payload and reseals the section, so framing, checksum
+// and every size are right and only the content is wrong: the load must treat
+// it exactly like a checksum failure — a warning, bitmap indexes rebuilt from
+// the data section, models kept, right answers.
+func TestLoadBitmapSectionWithWrongContentRecovers(t *testing.T) {
+	f, _ := bitmapTestIndex(t, 3000)
+	var buf bytes.Buffer
+	if err := f.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	at := bytes.Index(raw, []byte(SectionBitmaps))
+	if at < 0 {
+		t.Fatal("snapshot has no bidx section")
+	}
+	// Frame: tag, payload length, payload, CRC over all three. Payload: index
+	// count, column, then the index — min, cardinality, rows, word count,
+	// words. Clear row 0 (and the rest of its byte) in all five bitmaps.
+	size := int(binary.LittleEndian.Uint64(raw[at+4:]))
+	payload := raw[at+12 : at+12+size]
+	const firstWord = 6 * 8
+	nWords := (3000 + 63) / 64
+	for v := 0; v < 5; v++ {
+		payload[firstWord+v*nWords*8] = 0
+	}
+	binary.LittleEndian.PutUint32(raw[at+12+size:], wire.Checksum(raw[at:at+12+size]))
+	res, err := LoadSections(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatalf("bidx with wrong content should recover, got %v", err)
+	}
+	if len(res.Warnings) == 0 {
+		t.Fatal("bidx with wrong content should be reported in Warnings")
+	}
+	if res.Retrained {
+		t.Fatal("bidx damage alone should not retrain the models")
+	}
+	checkBitmapQueries(t, f, res.Index)
+}
+
+// TestLoadSnapshotWrittenBeforeRangeEncoding opens testdata/pr21_bitmap.snapshot,
+// the bytes Save produced for bitmapTestIndex(3000) at the commit before the
+// bitmap index became range-encoded in memory (3000 rows: the last block and
+// the last bitmap word are both partial). It must load without a warning or a
+// rebuild, answer like a freshly built index and like brute force, and —
+// because the wire keeps one bitmap per value — save back to the same bytes,
+// as must a snapshot of the fresh index.
+func TestLoadSnapshotWrittenBeforeRangeEncoding(t *testing.T) {
+	old, err := os.ReadFile("testdata/pr21_bitmap.snapshot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := LoadSections(bytes.NewReader(old))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Warnings) != 0 || res.Retrained {
+		t.Fatalf("older snapshot should load cleanly: retrained=%v warnings=%v", res.Retrained, res.Warnings)
+	}
+	fresh, data := bitmapTestIndex(t, 3000)
+	checkBitmapQueries(t, fresh, res.Index)
+	rng := rand.New(rand.NewSource(79))
+	for trial := 0; trial < 40; trial++ {
+		lo := rng.Int63n(5)
+		q := query.NewQuery(3).WithRange(2, lo, lo+rng.Int63n(5)).WithRange(1, rng.Int63n(5000), 5000+rng.Int63n(5000))
+		for _, mk := range []func() query.Aggregator{
+			func() query.Aggregator { return query.NewCount() },
+			func() query.Aggregator { return query.NewSum(1) },
+			func() query.Aggregator { return query.NewMax(0) },
+		} {
+			got, want := mk(), mk()
+			st := res.Index.Execute(q, got)
+			wantSt := fresh.Execute(q, want)
+			if got.Result() != want.Result() || st.Scanned != wantSt.Scanned || st.Matched != wantSt.Matched {
+				t.Fatalf("trial %d %T: loaded %d (scanned %d, matched %d), fresh %d (scanned %d, matched %d)",
+					trial, got, got.Result(), st.Scanned, st.Matched, want.Result(), wantSt.Scanned, wantSt.Matched)
+			}
+			if _, ok := got.(*query.Count); ok && got.Result() != bruteCount(data, q) {
+				t.Fatalf("trial %d: loaded index counted %d, brute force %d", trial, got.Result(), bruteCount(data, q))
+			}
+		}
+	}
+	for name, idx := range map[string]*Flood{"loaded": res.Index, "fresh": fresh} {
+		var buf bytes.Buffer
+		if err := idx.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), old) {
+			t.Errorf("%s index saves to different bytes than the older snapshot", name)
+		}
+	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"runtime/debug"
 	"testing"
 
@@ -153,6 +154,36 @@ func TestExecuteSteadyStateZeroAllocs(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("query %d: %.1f allocs per Execute, want 0", qi, allocs)
 		}
+	}
+}
+
+// TestParallelAlternatingAggregatesZeroAllocs pins the worker-clone pool: a
+// caller that rotates COUNT, SUM and MAX over the morsel engine finds a
+// pooled clone of the right kind on every query. A single pool shared by all
+// kinds handed SUM the clone COUNT had just returned, which was dropped and
+// replaced by a fresh allocation per worker per query.
+func TestParallelAlternatingAggregatesZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates inside Execute")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	tbl, _ := makeData(t, 40000, 4, 78)
+	idx, err := Build(tbl, Layout{GridDims: []int{0, 1}, GridCols: []int{8, 8}, SortDim: 2, Flatten: true}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := query.NewQuery(4).WithRange(0, 100, 900).WithRange(3, 0, 500)
+	aggs := []query.Aggregator{query.NewCount(), query.NewSum(3), query.NewMax(3), query.NewSum(1)}
+	rotate := func() {
+		for _, agg := range aggs {
+			agg.Reset()
+			idx.Run(nil, q, agg, 2, 1) // cutover 1: every query takes the morsel engine
+		}
+	}
+	rotate() // warm the pools
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	if allocs := testing.AllocsPerRun(50, rotate); allocs != 0 {
+		t.Errorf("%.1f allocs per rotation of %d aggregates, want 0", allocs, len(aggs))
 	}
 }
 

@@ -2,15 +2,22 @@ package query
 
 import "flood/internal/colstore"
 
-// Aggregator accumulates a statistic over the rows an index produces. Exact
-// sub-ranges (every row in the range is known to match, §7.1) are delivered
-// through AddExactRange so implementations can use cumulative-aggregate
-// columns or arithmetic shortcuts instead of touching row data.
+// Aggregator accumulates a statistic over the rows an index produces. The
+// scan stage delivers the survivors of a filtered block all at once, as the
+// block's selection bitmap, so implementations aggregate under the mask
+// (a popcount, a fold over the packed deltas) instead of being called row by
+// row. Exact sub-ranges (every row in the range is known to match, §7.1) are
+// delivered through AddExactRange so implementations can use
+// cumulative-aggregate columns or arithmetic shortcuts instead of touching
+// row data.
 type Aggregator interface {
 	// Reset clears the accumulator so the aggregator can be reused.
 	Reset()
-	// Add accumulates one matching row.
-	Add(t *colstore.Table, row int)
+	// AddBlock accumulates the matching rows of block b of t: bit i of sel
+	// set means row b*colstore.BlockSize+i matches. sel has at least one bit
+	// set, none at or beyond the table's row count, and is only valid for
+	// the duration of the call.
+	AddBlock(t *colstore.Table, b int, sel *colstore.BlockBitmap)
 	// AddExactRange accumulates rows [start, end), all of which match.
 	AddExactRange(t *colstore.Table, start, end int)
 	// Result returns the accumulated value.
@@ -26,8 +33,10 @@ func NewCount() *Count { return &Count{} }
 // Reset implements Aggregator.
 func (c *Count) Reset() { c.n = 0 }
 
-// Add implements Aggregator.
-func (c *Count) Add(*colstore.Table, int) { c.n++ }
+// AddBlock implements Aggregator: a popcount.
+func (c *Count) AddBlock(_ *colstore.Table, _ int, sel *colstore.BlockBitmap) {
+	c.n += int64(sel.Count())
+}
 
 // AddExactRange implements Aggregator; exact ranges never touch row data.
 func (c *Count) AddExactRange(_ *colstore.Table, start, end int) { c.n += int64(end - start) }
@@ -51,8 +60,10 @@ func (s *Sum) Col() int { return s.col }
 // Reset implements Aggregator.
 func (s *Sum) Reset() { s.s = 0 }
 
-// Add implements Aggregator.
-func (s *Sum) Add(t *colstore.Table, row int) { s.s += t.Get(s.col, row) }
+// AddBlock implements Aggregator.
+func (s *Sum) AddBlock(t *colstore.Table, b int, sel *colstore.BlockBitmap) {
+	s.s += t.Column(s.col).SumBlock(b, sel)
+}
 
 // AddExactRange implements Aggregator.
 func (s *Sum) AddExactRange(t *colstore.Table, start, end int) {
@@ -94,12 +105,10 @@ func NewMin(col int) *Min { return &Min{col: col, m: PosInf} }
 // Reset implements Aggregator.
 func (m *Min) Reset() { m.m, m.any = PosInf, false }
 
-// Add implements Aggregator.
-func (m *Min) Add(t *colstore.Table, row int) {
-	if v := t.Get(m.col, row); v < m.m {
-		m.m = v
-	}
+// AddBlock implements Aggregator.
+func (m *Min) AddBlock(t *colstore.Table, b int, sel *colstore.BlockBitmap) {
 	m.any = true
+	m.m = t.Column(m.col).MinBlock(b, sel, m.m)
 }
 
 // AddExactRange implements Aggregator. Blocks wholly inside the range
@@ -174,12 +183,10 @@ func NewMax(col int) *Max { return &Max{col: col, m: NegInf} }
 // Reset implements Aggregator.
 func (m *Max) Reset() { m.m, m.any = NegInf, false }
 
-// Add implements Aggregator.
-func (m *Max) Add(t *colstore.Table, row int) {
-	if v := t.Get(m.col, row); v > m.m {
-		m.m = v
-	}
+// AddBlock implements Aggregator.
+func (m *Max) AddBlock(t *colstore.Table, b int, sel *colstore.BlockBitmap) {
 	m.any = true
+	m.m = t.Column(m.col).MaxBlock(b, sel, m.m)
 }
 
 // AddExactRange implements Aggregator. Blocks wholly inside the range

@@ -98,10 +98,10 @@ func TestMinMaxMergeAndEmptyRanges(t *testing.T) {
 	}
 	// Merging an empty clone is a no-op; merging a lower partial keeps max.
 	a, b := NewMax(0), NewMax(0)
-	a.Add(tbl, 0)
+	addRow(a, tbl, 0)
 	a.Merge(b)
 	want := a.Result()
-	b.Add(tbl, 1)
+	addRow(b, tbl, 1)
 	if b.Result() > want {
 		want = b.Result()
 	}
@@ -111,15 +111,23 @@ func TestMinMaxMergeAndEmptyRanges(t *testing.T) {
 	}
 	// Min: merging a non-empty into an empty adopts it.
 	m1, m2 := NewMin(0), NewMin(0)
-	m2.Add(tbl, 3)
+	addRow(m2, tbl, 3)
 	m1.Merge(m2)
 	if m1.Result() != m2.Result() {
 		t.Fatalf("empty.Merge(partial) = %d, want %d", m1.Result(), m2.Result())
 	}
 	// Reset restores the identity element.
-	mx.Add(tbl, 0)
+	addRow(mx, tbl, 0)
 	mx.Reset()
 	if mx.Result() != NegInf {
 		t.Fatal("Reset must restore NegInf")
 	}
+}
+
+// addRow delivers one row the way the scan stage delivers a block's
+// survivors: as a selection bitmap, here with a single bit set.
+func addRow(agg Aggregator, t *colstore.Table, row int) {
+	var sel colstore.BlockBitmap
+	sel[row%colstore.BlockSize/64] = 1 << uint(row%64)
+	agg.AddBlock(t, row/colstore.BlockSize, &sel)
 }

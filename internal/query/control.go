@@ -186,12 +186,23 @@ type controlledAggregator struct {
 // Reset implements Aggregator.
 func (c *controlledAggregator) Reset() { c.agg.Reset() }
 
-// Add implements Aggregator, delivering only while the budget grants.
-func (c *controlledAggregator) Add(t *colstore.Table, row int) {
-	if c.ctl.Stopped() || c.ctl.Take(1) == 0 {
+// AddBlock implements Aggregator, truncating the block's survivors to the
+// budget.
+func (c *controlledAggregator) AddBlock(t *colstore.Table, b int, sel *colstore.BlockBitmap) {
+	if c.ctl.Stopped() {
 		return
 	}
-	c.agg.Add(t, row)
+	nsel := sel.Count()
+	take := c.ctl.Take(nsel)
+	if take == 0 {
+		return
+	}
+	if take < nsel {
+		kept := *sel
+		keepFirst(&kept, take)
+		sel = &kept
+	}
+	c.agg.AddBlock(t, b, sel)
 }
 
 // AddExactRange implements Aggregator, truncating the run to the budget.

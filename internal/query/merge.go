@@ -52,26 +52,51 @@ func (m *Max) Merge(other Mergeable) {
 
 // Worker-clone recycling. The morsel engine needs one clone per worker per
 // query; pooling them is what keeps the parallel execute path at zero
-// steady-state allocations. A pooled clone may only stand in for a fresh
-// CloneEmpty of a prototype when it is configured identically — for the
-// built-in aggregators that is a type check plus the target column — so
-// unknown (user-supplied) Mergeable implementations always clone fresh.
+// steady-state allocations. There is one pool per built-in aggregator kind,
+// so a caller that alternates kinds (COUNT, then SUM, then MAX) finds a clone
+// of the right kind every time; a pooled clone is retargeted to the
+// prototype's column on the way out. Unknown (user-supplied) Mergeable
+// implementations are never pooled and always clone fresh.
 
-var clonePool = sync.Pool{}
+var clonePools [5]sync.Pool
 
-// GetClone returns a reset pooled clone compatible with proto, or nil when
-// none is available (the caller falls back to proto.CloneEmpty). Only
-// built-in aggregator clones are ever handed out; compatibility checks read
-// proto's immutable configuration, so GetClone is safe while other workers
-// merge into proto.
+// cloneKind returns the pool index of a built-in aggregator, or -1.
+func cloneKind(m Mergeable) int {
+	switch m.(type) {
+	case *Count:
+		return 0
+	case *Sum:
+		return 1
+	case *Min:
+		return 2
+	case *Max:
+		return 3
+	case *RowCollector:
+		return 4
+	}
+	return -1
+}
+
+// GetClone returns a reset pooled clone of proto's kind and target column, or
+// nil when none is available (the caller falls back to proto.CloneEmpty).
+// It reads only proto's immutable configuration, so it is safe while other
+// workers merge into proto.
 func GetClone(proto Mergeable) Mergeable {
-	v := clonePool.Get()
-	if v == nil {
+	kind := cloneKind(proto)
+	if kind < 0 {
 		return nil
 	}
-	c := v.(Mergeable)
-	if !compatibleClone(c, proto) {
+	c, _ := clonePools[kind].Get().(Mergeable)
+	if c == nil {
 		return nil
+	}
+	switch p := proto.(type) {
+	case *Sum:
+		c.(*Sum).col = p.col
+	case *Min:
+		c.(*Min).col = p.col
+	case *Max:
+		c.(*Max).col = p.col
 	}
 	c.Reset()
 	return c
@@ -79,29 +104,8 @@ func GetClone(proto Mergeable) Mergeable {
 
 // PutClone recycles a worker clone after its partial result has been merged.
 // The caller must not use c afterwards.
-func PutClone(c Mergeable) { clonePool.Put(c) }
-
-// compatibleClone reports whether cached can serve as a fresh clone of
-// proto: same concrete type and, for column-targeted aggregators, the same
-// column.
-func compatibleClone(cached, proto Mergeable) bool {
-	switch p := proto.(type) {
-	case *Count:
-		_, ok := cached.(*Count)
-		return ok
-	case *Sum:
-		c, ok := cached.(*Sum)
-		return ok && c.col == p.col
-	case *Min:
-		c, ok := cached.(*Min)
-		return ok && c.col == p.col
-	case *Max:
-		c, ok := cached.(*Max)
-		return ok && c.col == p.col
-	case *RowCollector:
-		_, ok := cached.(*RowCollector)
-		return ok
-	default:
-		return false
+func PutClone(c Mergeable) {
+	if kind := cloneKind(c); kind >= 0 {
+		clonePools[kind].Put(c)
 	}
 }

@@ -151,9 +151,9 @@ func TestAggregators(t *testing.T) {
 	sum := NewSum(2)
 	mn := NewMin(2)
 	for i := 0; i < 300; i++ {
-		cnt.Add(tbl, i)
-		sum.Add(tbl, i)
-		mn.Add(tbl, i)
+		addRow(cnt, tbl, i)
+		addRow(sum, tbl, i)
+		addRow(mn, tbl, i)
 	}
 	var wantSum, wantMin int64
 	wantMin = PosInf

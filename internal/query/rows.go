@@ -1,6 +1,7 @@
 package query
 
 import (
+	"math/bits"
 	"slices"
 
 	"flood/internal/colstore"
@@ -24,8 +25,8 @@ type RowSource struct {
 
 // RowCollector is an Aggregator that materializes the matching rows
 // themselves instead of folding them into a statistic: it gathers physical
-// row ids, riding the same selection-vector scan kernel and run-length
-// AddExactRange delivery as every other aggregator, so row retrieval costs
+// row ids, riding the same scan kernel and block-mask delivery as every
+// other aggregator, so row retrieval costs
 // exactly one id append per matching row on the zero-allocation sequential
 // path. It implements Mergeable, so large scans fan out over the morsel
 // engine and batched/disjunction execution work unchanged.
@@ -95,12 +96,20 @@ func (rc *RowCollector) PinSourceAt(t *colstore.Table, start int64) {
 // first sight.
 func (rc *RowCollector) setTable(t *colstore.Table) { rc.PinSourceAt(t, rc.watermark) }
 
-// Add implements Aggregator: record one matching physical row.
-func (rc *RowCollector) Add(t *colstore.Table, row int) {
+// AddBlock implements Aggregator: record the matching physical rows of block
+// b, in ascending order.
+func (rc *RowCollector) AddBlock(t *colstore.Table, b int, sel *colstore.BlockBitmap) {
 	if t != rc.curT {
 		rc.setTable(t)
 	}
-	rc.ids = append(rc.ids, rc.curOff+int64(row))
+	ids := rc.ids
+	for wi, w := range sel {
+		base := rc.curOff + int64(b*colstore.BlockSize+wi*64)
+		for ; w != 0; w &= w - 1 {
+			ids = append(ids, base+int64(bits.TrailingZeros64(w)))
+		}
+	}
+	rc.ids = ids
 }
 
 // AddExactRange implements Aggregator: materialize the run [start, end) of
@@ -197,7 +206,7 @@ func (rc *RowCollector) Merge(other Mergeable) {
 		}
 		rc.ids = append(rc.ids, id+delta)
 	}
-	rc.curT = nil // force re-resolution on the next Add
+	rc.curT = nil // force re-resolution on the next delivery
 }
 
 // sameSources reports whether o's source tiling is identical to rc's (same

@@ -91,7 +91,7 @@ func TestRowCollectorMergeRebasesForeignSources(t *testing.T) {
 	parent := NewRowCollector()
 	parent.PinSource(base)
 	other := NewRowCollector()
-	other.Add(delta, 3)
+	addRow(other, delta, 3)
 	other.AddExactRange(delta, 7, 9)
 	parent.Merge(other)
 	parent.Sort()
@@ -134,9 +134,9 @@ func TestRowCollectorPinSourceAt(t *testing.T) {
 	logStart := rc.PinSource(base) + int64(base.NumRows())
 	rc.PinSourceAt(seg, logStart)
 	rc.PinSourceAt(suffixA, logStart+64)
-	rc.Add(suffixA, 3)
+	addRow(rc, suffixA, 3)
 	rc.PinSourceAt(suffixB, logStart+64)
-	rc.Add(suffixB, 11)
+	addRow(rc, suffixB, 11)
 	if want := []int64{100 + 64 + 3, 100 + 64 + 11}; !slices.Equal(rc.IDs(), want) {
 		t.Fatalf("ids %v, want %v", rc.IDs(), want)
 	}
@@ -147,7 +147,7 @@ func TestRowCollectorPinSourceAt(t *testing.T) {
 		t.Fatalf("Resolve(suffix row 11) = row %d of %p, ok %v", row, tt, ok)
 	}
 	// The next table to arrive unplaced lands past everything placed.
-	rc.Add(seqTable(t, 5, 0), 0)
+	addRow(rc, seqTable(t, 5, 0), 0)
 	if got := rc.IDs()[2]; got != 100+64+12 {
 		t.Fatalf("unplaced table started at id %d, want %d", got, 100+64+12)
 	}

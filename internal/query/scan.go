@@ -21,10 +21,11 @@ import (
 // touching the column data, every other column evaluates its range predicate
 // branchlessly on the block's packed deltas into a 64-rows-per-word mask
 // (colstore.Column.CompareBlock — nothing is decoded), and the masks AND
-// together. Survivors are emitted to the aggregator as contiguous
-// runs found with bits.TrailingZeros64, so run-length fast paths (COUNT
-// arithmetic, SUM prefix lookups) apply unchanged. SetScalarKernel selects
-// the selection-vector fallback kernel instead.
+// together. The survivors of a block reach the aggregator in one call, as
+// that bitmap (Aggregator.AddBlock), so COUNT is a popcount and SUM/MIN/MAX
+// fold the packed deltas under the mask; a block that survives whole goes
+// through AddExactRange, where SUM's prefix lookups apply. SetScalarKernel
+// selects the selection-vector fallback kernel instead.
 //
 // All scratch lives inside the Scanner: a reused or pooled Scanner performs
 // zero allocations in steady state.
@@ -83,10 +84,6 @@ func (s *Scanner) SetScalarKernel(on bool) { s.scalar = on }
 // caller must not mutate words while the scanner uses them.
 func (s *Scanner) SetTombstones(words []uint64) { s.tomb = words }
 
-// minExactRun is the shortest survivor run delivered through AddExactRange;
-// shorter runs use per-row Add (see deliverRun).
-const minExactRun = 16
-
 // ctlCheckBlocks is the cancellation poll cadence: the block loop runs a
 // full Control.Check (channel poll + deadline read, tens of nanoseconds)
 // once per this many blocks, i.e. once per ~1K rows — under 0.1ns of
@@ -131,13 +128,7 @@ func (s *Scanner) ScanRange(q Query, filterDims []int, start, end int, agg Aggre
 	if start >= end || s.ctl.Stopped() {
 		return 0, 0
 	}
-	if len(filterDims) == 0 {
-		if s.tomb != nil {
-			// Every live row in the range matches; dead rows must still be
-			// masked out, so route through the block-at-a-time live-run
-			// emitter instead of one whole-range AddExactRange.
-			return s.scanLiveRange(start, end, agg)
-		}
+	if len(filterDims) == 0 && s.tomb == nil {
 		// Everything in the range matches: treat as exact. Poll
 		// cancellation here — there is no block loop to do it — so a
 		// canceled composite scan (delta buffer, side-log segments, OR
@@ -215,18 +206,7 @@ func (s *Scanner) ScanRange(q Query, filterDims []int, start, end int, agg Aggre
 		if skip {
 			continue
 		}
-		if len(active) == 0 && len(activeIdx) == 0 {
-			if s.tomb != nil {
-				// Whole-block zone-map accept, but deleted rows must not be
-				// delivered: emit the block's live runs instead.
-				nsel, tk := s.scanLiveBlock(b, blockLo, i0, i1, agg)
-				scanned += int64(i1 - i0)
-				matched += int64(tk)
-				if tk < nsel || s.ctl.Stopped() {
-					break
-				}
-				continue
-			}
+		if len(active) == 0 && len(activeIdx) == 0 && s.tomb == nil {
 			n := i1 - i0
 			if s.ctl != nil {
 				n = s.ctl.Take(n)
@@ -242,12 +222,15 @@ func (s *Scanner) ScanRange(q Query, filterDims []int, start, end int, agg Aggre
 			continue
 		}
 
-		var nsel, take int
+		// Rows to check, or — every predicate accepted the block whole but
+		// there are tombstones — dead rows to mask out.
+		sel := &s.selw
 		if s.scalar {
-			nsel, take = s.filterBlockScalar(q, b, blockLo, i0, i1, agg)
+			s.selectScalar(q, b, i0, i1, sel)
 		} else {
-			nsel, take = s.filterBlockBitmap(q, b, blockLo, i0, i1, agg)
+			s.selectBitmap(q, b, i0, i1, sel)
 		}
+		nsel, take := s.deliver(agg, b, sel)
 		scanned += int64(i1 - i0)
 		matched += int64(take)
 		if take < nsel {
@@ -259,15 +242,12 @@ func (s *Scanner) ScanRange(q Query, filterDims []int, start, end int, agg Aggre
 	return scanned, matched
 }
 
-// filterBlockBitmap runs the word-packed kernel over one block: the
-// selection bitmap starts as all-ones over [i0, i1), each bitmap-indexed dim
-// ANDs its precomputed value bitmaps in, each remaining dim ANDs a
-// branchless compare mask over its packed block, and the surviving runs are
-// emitted. Returns the survivor count and how many were delivered (the
-// control's limit budget may truncate delivery).
-func (s *Scanner) filterBlockBitmap(q Query, b, blockLo, i0, i1 int, agg Aggregator) (nsel, take int) {
+// selectBitmap runs the word-packed kernel over one block: sel starts as
+// all-ones over [i0, i1) minus the tombstoned rows, each bitmap-indexed dim
+// ANDs its precomputed bitmaps in, and each remaining dim ANDs a branchless
+// compare mask over its packed block.
+func (s *Scanner) selectBitmap(q Query, b, i0, i1 int, sel *colstore.BlockBitmap) {
 	t := s.t
-	sel := &s.selw
 	selInit(sel, i0, i1)
 	if s.tomb != nil {
 		s.andNotTomb(sel, b)
@@ -283,7 +263,15 @@ func (s *Scanner) filterBlockBitmap(q Query, b, blockLo, i0, i1 int, agg Aggrega
 		r := q.Ranges[d]
 		t.Column(d).CompareBlock(b, sel, uint64(r.Min), uint64(r.Max)-uint64(r.Min))
 	}
-	nsel = selCount(sel)
+}
+
+// deliver hands the survivors of block b to agg in one call and returns how
+// many there were and how many were delivered: a control's limit budget keeps
+// only the first take of them. A block that survives whole goes through
+// AddExactRange, so an aggregator's exact-range shortcut (SUM's prefix
+// lookups) still applies to it.
+func (s *Scanner) deliver(agg Aggregator, b int, sel *colstore.BlockBitmap) (nsel, take int) {
+	nsel = sel.Count()
 	if nsel == 0 {
 		return 0, 0
 	}
@@ -293,45 +281,31 @@ func (s *Scanner) filterBlockBitmap(q Query, b, blockLo, i0, i1 int, agg Aggrega
 		if take == 0 {
 			return nsel, 0
 		}
+		if take < nsel {
+			keepFirst(sel, take)
+		}
 	}
-	if take == nsel {
-		s.emitRuns(agg, blockLo, sel)
-		return nsel, take
+	if take == colstore.BlockSize {
+		agg.AddExactRange(s.t, b*colstore.BlockSize, (b+1)*colstore.BlockSize)
+	} else {
+		agg.AddBlock(s.t, b, sel)
 	}
-
-	// The limit budget truncates delivery inside this block: emit runs with
-	// per-run budget accounting (the slow path; it runs at most once per
-	// query, on the block where the budget runs out).
-	s.emitRunsBudget(agg, blockLo, sel, take)
 	return nsel, take
 }
 
-// emitRunsBudget is emitRuns with per-run budget accounting: it delivers at
-// most rem survivor rows of sel, in ascending row order, and stops once the
-// budget is spent. It is the shared slow path for the block where a LIMIT
-// budget runs out.
-func (s *Scanner) emitRunsBudget(agg Aggregator, blockLo int, sel *colstore.BlockBitmap, rem int) {
-	runS, runE := 0, 0 // pending run [runS, runE); empty while runE == runS
-	for wi := 0; wi < colstore.BlockWords; wi++ {
-		w := sel[wi]
-		for w != 0 {
-			lo, hi, rest := nextRun(w, wi)
-			w = rest
-			if lo == runE && runE > runS {
-				runE = hi
-				continue
-			}
-			if runE > runS {
-				rem -= s.deliverRun(agg, blockLo, runS, runE, rem)
-				if rem == 0 {
-					return
-				}
-			}
-			runS, runE = lo, hi
+// keepFirst clears all but the lowest take set bits of sel.
+func keepFirst(sel *colstore.BlockBitmap, take int) {
+	for wi, w := range sel {
+		if n := bits.OnesCount64(w); n <= take {
+			take -= n
+			continue
 		}
-	}
-	if runE > runS {
-		s.deliverRun(agg, blockLo, runS, runE, rem)
+		var kept uint64
+		for ; take > 0; take-- {
+			kept |= w & -w
+			w &= w - 1
+		}
+		sel[wi] = kept
 	}
 }
 
@@ -347,195 +321,24 @@ func (s *Scanner) andNotTomb(sel *colstore.BlockBitmap, b int) {
 	}
 }
 
-// scanLiveBlock delivers the live rows of block b's range [i0, i1) — rows
-// known to match every predicate, minus tombstones — as runs, drawing
-// delivery budget from the control. Returns the live count and how many were
-// delivered.
-func (s *Scanner) scanLiveBlock(b, blockLo, i0, i1 int, agg Aggregator) (nsel, take int) {
-	sel := &s.selw
-	selInit(sel, i0, i1)
-	s.andNotTomb(sel, b)
-	nsel = selCount(sel)
-	if nsel == 0 {
-		return 0, 0
-	}
-	take = nsel
-	if s.ctl != nil {
-		take = s.ctl.Take(nsel)
-		if take == 0 {
-			return nsel, 0
-		}
-	}
-	if take == nsel {
-		s.emitRuns(agg, blockLo, sel)
-		return nsel, take
-	}
-	s.emitRunsBudget(agg, blockLo, sel, take)
-	return nsel, take
-}
-
-// scanLiveRange is the tombstone-masked form of the exact-range fast paths:
-// every live row of [start, end) matches and is delivered; dead rows are
-// skipped. It reuses the selection-bitmap scratch (zero allocations) and
-// polls the control at the usual block cadence. Scanned counts rows visited;
-// matched counts live rows delivered.
-func (s *Scanner) scanLiveRange(start, end int, agg Aggregator) (scanned, matched int64) {
-	firstBlock := start / colstore.BlockSize
-	lastBlock := (end - 1) / colstore.BlockSize
-	for b := firstBlock; b <= lastBlock; b++ {
-		if s.ctl != nil {
-			if s.ctlTick++; s.ctlTick >= ctlCheckBlocks {
-				s.ctlTick = 0
-				if s.ctl.Check() {
-					break
-				}
-			} else if s.ctl.Stopped() {
-				break
-			}
-		}
-		blockLo := b * colstore.BlockSize
-		i0 := 0
-		if blockLo < start {
-			i0 = start - blockLo
-		}
-		i1 := end - blockLo
-		if i1 > colstore.BlockSize {
-			i1 = colstore.BlockSize
-		}
-		nsel, take := s.scanLiveBlock(b, blockLo, i0, i1, agg)
-		scanned += int64(i1 - i0)
-		matched += int64(take)
-		if take < nsel {
-			break
-		}
-	}
-	return scanned, matched
-}
-
-// nextRun extracts the lowest run of set bits from word wi of a selection
-// bitmap: it returns the run's block-row bounds [lo, hi) and the word with
-// the run cleared.
-func nextRun(w uint64, wi int) (lo, hi int, rest uint64) {
-	tz := bits.TrailingZeros64(w)
-	ones := bits.TrailingZeros64(^(w >> uint(tz)))
-	lo = wi*64 + tz
-	hi = lo + ones
-	if tz+ones >= 64 {
-		return lo, hi, 0
-	}
-	return lo, hi, w &^ (((1 << uint(ones)) - 1) << uint(tz))
-}
-
-// emitRuns feeds every survivor run of sel to agg, in ascending row order.
-// Runs are found with bits.TrailingZeros64; a run ending at a word boundary
-// stitches to one starting the next word, so block-spanning runs still reach
-// AddExactRange whole. Delivery is inlined here rather than a call per run —
-// scattered survivors produce a run per row, and this loop is the hot edge
-// of every selective scan.
-func (s *Scanner) emitRuns(agg Aggregator, blockLo int, sel *colstore.BlockBitmap) {
-	t := s.t
-	runS, runE := 0, 0 // pending run [runS, runE); empty while runE == runS
-	for wi := 0; wi < colstore.BlockWords; wi++ {
-		w := sel[wi]
-		if w == 0 {
-			continue
-		}
-		// A shift-AND chain detects whether the word holds any run of
-		// minExactRun (16) consecutive survivors. If not, every run here is
-		// short and would deliver per-row regardless, so skip the run
-		// bookkeeping and TrailingZeros-iterate the rows directly. (A short
-		// run stitched across a word edge may split into per-row deliveries
-		// where run tracking would have ranged it — same rows, same order,
-		// same results.)
-		r := w & (w >> 1)
-		r &= r >> 2
-		r &= r >> 4
-		if r&(r>>8) == 0 {
-			if n := runE - runS; n > 0 {
-				if n < minExactRun {
-					for i := runS; i < runE; i++ {
-						agg.Add(t, blockLo+i)
-					}
-				} else {
-					agg.AddExactRange(t, blockLo+runS, blockLo+runE)
-				}
-				runS, runE = 0, 0
-			}
-			base := blockLo + wi*64
-			for ; w != 0; w &= w - 1 {
-				agg.Add(t, base+bits.TrailingZeros64(w))
-			}
-			continue
-		}
-		for w != 0 {
-			lo, hi, rest := nextRun(w, wi)
-			w = rest
-			if lo == runE && runE > runS {
-				runE = hi
-				continue
-			}
-			if n := runE - runS; n > 0 {
-				if n < minExactRun {
-					for i := runS; i < runE; i++ {
-						agg.Add(t, blockLo+i)
-					}
-				} else {
-					agg.AddExactRange(t, blockLo+runS, blockLo+runE)
-				}
-			}
-			runS, runE = lo, hi
-		}
-	}
-	if n := runE - runS; n > 0 {
-		if n < minExactRun {
-			for i := runS; i < runE; i++ {
-				agg.Add(t, blockLo+i)
-			}
-		} else {
-			agg.AddExactRange(t, blockLo+runS, blockLo+runE)
-		}
-	}
-}
-
-// deliverRun feeds the survivor run [lo, hi) within the block at blockLo to
-// agg, truncated to the remaining delivery budget, and returns how many rows
-// it delivered. Short runs go through per-row Add: an AddExactRange
-// implementation may pay a fixed block-decode cost (e.g. SUM without a
-// prefix aggregate) that only amortizes over longer runs.
-func (s *Scanner) deliverRun(agg Aggregator, blockLo, lo, hi, rem int) int {
-	n := hi - lo
-	if n > rem {
-		n = rem
-		hi = lo + n
-	}
-	if n < minExactRun {
-		t := s.t
-		for i := lo; i < hi; i++ {
-			agg.Add(t, blockLo+i)
-		}
-	} else {
-		agg.AddExactRange(s.t, blockLo+lo, blockLo+hi)
-	}
-	return n
-}
-
-// filterBlockScalar is the portable fallback kernel: the original
-// selection-vector pipeline. It builds the vector from the first undecided
-// dimension, then refines it in place with each remaining one. The
-// membership test is branchless: v ∈ [Min, Max] becomes one unsigned
-// compare (u64(v-Min) <= u64(Max-Min), wrap-safe for unbounded ranges), and
-// the unconditional store + conditional increment compiles to a predicated
+// selectScalar is the portable fallback kernel: the original
+// selection-vector pipeline. It builds the vector from the block's live rows
+// or the first undecided dimension, refines it in place with each remaining
+// one, and sets the survivors' bits in sel. The membership test is
+// branchless: v ∈ [Min, Max] becomes one unsigned compare
+// (u64(v-Min) <= u64(Max-Min), wrap-safe for unbounded ranges), and the
+// unconditional store + conditional increment compiles to a predicated
 // instruction instead of a mispredicting branch.
-func (s *Scanner) filterBlockScalar(q Query, b, blockLo, i0, i1 int, agg Aggregator) (nsel, take int) {
+func (s *Scanner) selectScalar(q Query, b, i0, i1 int, out *colstore.BlockBitmap) {
 	t := s.t
-	active := s.active
+	rest := s.active
 	sel := s.sel[:]
-	rest := active
+	nsel := 0
 	if s.tomb != nil {
 		// Tombstone-masked build: seed the vector with the block's live rows
 		// (one bit test each), then refine with every active dimension below.
 		for i := i0; i < i1; i++ {
-			row := blockLo + i
+			row := b*colstore.BlockSize + i
 			if wi := row >> 6; wi < len(s.tomb) && s.tomb[wi]>>uint(row&63)&1 == 1 {
 				continue
 			}
@@ -543,7 +346,7 @@ func (s *Scanner) filterBlockScalar(q Query, b, blockLo, i0, i1 int, agg Aggrega
 			nsel++
 		}
 	} else {
-		d0 := active[0]
+		d0 := rest[0]
 		buf := s.buf[:]
 		t.Column(d0).DecodeBlock(b, buf)
 		r := q.Ranges[d0]
@@ -554,7 +357,7 @@ func (s *Scanner) filterBlockScalar(q Query, b, blockLo, i0, i1 int, agg Aggrega
 				nsel++
 			}
 		}
-		rest = active[1:]
+		rest = rest[1:]
 	}
 	for _, d := range rest {
 		if nsel == 0 {
@@ -573,29 +376,10 @@ func (s *Scanner) filterBlockScalar(q Query, b, blockLo, i0, i1 int, agg Aggrega
 		}
 		nsel = k
 	}
-	take = nsel
-	if s.ctl != nil {
-		// LIMIT pushdown: deliver only as many survivors as the shared
-		// budget grants.
-		take = s.ctl.Take(nsel)
+	*out = colstore.BlockBitmap{}
+	for _, i := range sel[:nsel] {
+		out[i>>6] |= 1 << uint(i&63)
 	}
-
-	// Feed survivors to the aggregator in contiguous runs.
-	for i := 0; i < take; {
-		j := i + 1
-		for j < take && sel[j] == sel[j-1]+1 {
-			j++
-		}
-		if j-i < minExactRun {
-			for k := i; k < j; k++ {
-				agg.Add(t, blockLo+int(sel[k]))
-			}
-		} else {
-			agg.AddExactRange(t, blockLo+int(sel[i]), blockLo+int(sel[j-1])+1)
-		}
-		i = j
-	}
-	return nsel, take
 }
 
 // selInit fills sel with ones over bit positions [i0, i1) and zeros
@@ -631,38 +415,14 @@ func selAny(sel *colstore.BlockBitmap) bool {
 	return w != 0
 }
 
-// selCount returns the number of set bits in sel.
-func selCount(sel *colstore.BlockBitmap) int {
-	n := 0
-	for _, v := range sel {
-		n += bits.OnesCount64(v)
-	}
-	return n
-}
-
 // ScanExactRange accumulates rows [start, end) that are all known to match
 // (an exact sub-range, §7.1): no per-row filter checks are performed. With a
 // control attached, the range is truncated to the remaining limit budget and
 // skipped entirely once a stop has latched; the aggregator call itself is
 // uninterruptible, so cancellation granularity on exact ranges is one range
-// (one morsel, on the parallel path).
+// (one morsel, on the parallel path). Under tombstones the live rows are
+// delivered block by block instead. It is ScanRange with no dimension left
+// to check.
 func (s *Scanner) ScanExactRange(start, end int, agg Aggregator) (scanned, matched int64) {
-	if start >= end {
-		return 0, 0
-	}
-	if s.tomb != nil {
-		return s.scanLiveRange(start, end, agg)
-	}
-	n := end - start
-	if s.ctl != nil {
-		if s.ctl.Check() {
-			return 0, 0
-		}
-		n = s.ctl.Take(n)
-		if n == 0 {
-			return 0, 0
-		}
-	}
-	agg.AddExactRange(s.t, start, start+n)
-	return int64(n), int64(n)
+	return s.ScanRange(Query{}, nil, start, end, agg)
 }

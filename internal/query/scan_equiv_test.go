@@ -159,25 +159,151 @@ func TestBitmapKernelEquivalenceLimit(t *testing.T) {
 	}
 }
 
+// bruteAggregates folds column col over the rows of data that match q and
+// are not dead, row by row: the definition the delivered aggregates are
+// checked against. It returns COUNT, SUM, MIN and MAX in that order.
+func bruteAggregates(data [][]int64, q Query, dead []bool, col int) [4]int64 {
+	out := [4]int64{0, 0, PosInf, NegInf}
+	row := make([]int64, len(data))
+	for i := range data[0] {
+		if dead != nil && dead[i] {
+			continue
+		}
+		for c := range data {
+			row[c] = data[c][i]
+		}
+		if !q.Matches(row) {
+			continue
+		}
+		v := data[col][i]
+		out[0]++
+		out[1] += v
+		out[2], out[3] = min(out[2], v), max(out[3], v)
+	}
+	return out
+}
+
 // TestBitmapKernelAggregates runs both kernels through each built-in
-// aggregator (exercising the run-length fast paths) and compares results.
+// aggregator, with and without tombstones, and compares the results with each
+// other and with the row by row definition — both kernels deliver through
+// AddBlock, so agreeing with each other is not enough. Column 2 is the wide
+// one (its blocks take the packed masked kernels), column 1 a narrow one.
 func TestBitmapKernelAggregates(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	n := 5*colstore.BlockSize + 7
-	tbl, _ := equivTable(rng, n)
-	aggs := func() []Mergeable {
-		return []Mergeable{NewCount(), NewSum(2), NewMin(2), NewMax(2)}
+	tbl, data := equivTable(rng, n)
+	for _, density := range []float64{0, 0.3} {
+		var words []uint64
+		var dead []bool
+		if density > 0 {
+			words, dead, _ = tombWords(rng, n, density)
+		}
+		for trial := 0; trial < 60; trial++ {
+			q := equivQuery(rng)
+			for _, col := range []int{2, 1} {
+				want := bruteAggregates(data, q, dead, col)
+				for i, mk := range []func() Aggregator{
+					func() Aggregator { return NewCount() },
+					func() Aggregator { return NewSum(col) },
+					func() Aggregator { return NewMin(col) },
+					func() Aggregator { return NewMax(col) },
+				} {
+					for _, scalar := range []bool{false, true} {
+						agg := mk()
+						sc := NewScanner(tbl)
+						sc.SetScalarKernel(scalar)
+						sc.SetTombstones(words)
+						sc.ScanRange(q, q.FilteredDims(), 0, n, agg)
+						if agg.Result() != want[i] {
+							t.Fatalf("density=%v trial=%d col=%d agg=%T scalar=%v: %d, row by row %d (query %+v)",
+								density, trial, col, agg, scalar, agg.Result(), want[i], q.Ranges)
+						}
+					}
+				}
+			}
+		}
 	}
-	for trial := 0; trial < 60; trial++ {
-		q := equivQuery(rng)
-		got, want := aggs(), aggs()
-		for i := range got {
-			sc := NewScanner(tbl)
-			sc.ScanRange(q, q.FilteredDims(), 0, n, got[i])
-			sc.SetScalarKernel(true)
-			sc.ScanRange(q, q.FilteredDims(), 0, n, want[i])
-			if got[i].Result() != want[i].Result() {
-				t.Fatalf("trial=%d agg=%T: bitmap %d != scalar %d", trial, got[i], got[i].Result(), want[i].Result())
+}
+
+// TestKeepFirst pins the LIMIT truncation of a block mask against its
+// definition — the lowest take set bits, in row order — for every take over
+// sparse, dense and full masks.
+func TestKeepFirst(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	masks := []colstore.BlockBitmap{
+		{^uint64(0), ^uint64(0)},
+		{rng.Uint64(), rng.Uint64()},
+		{rng.Uint64() & rng.Uint64() & rng.Uint64(), rng.Uint64() | rng.Uint64()},
+		{0, rng.Uint64()},
+		{rng.Uint64(), 0},
+	}
+	for _, m := range masks {
+		for take := 0; take <= m.Count(); take++ {
+			var want colstore.BlockBitmap
+			for i, left := 0, take; i < colstore.BlockSize && left > 0; i++ {
+				if bit := uint64(1) << uint(i%64); m[i/64]&bit != 0 {
+					want[i/64] |= bit
+					left--
+				}
+			}
+			got := m
+			keepFirst(&got, take)
+			if got != want {
+				t.Fatalf("keepFirst(%#x, %d) = %#x, want %#x", m, take, got, want)
+			}
+		}
+	}
+}
+
+// TestLimitPrefixEveryCut walks a LIMIT through every position of the first
+// blocks of a scan — cuts in the middle of a selection word, at a word edge,
+// in the middle of a block and at a block edge — with and without
+// tombstones, under a predicate that keeps about half the rows and under one
+// the zone maps accept whole: both kernels must deliver exactly the first
+// limit rows of the unlimited scan, and COUNT and SUM under the same limit
+// must be the fold of those rows.
+func TestLimitPrefixEveryCut(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	n := 4*colstore.BlockSize + 50
+	tbl, data := equivTable(rng, n)
+	tomb, _, _ := tombWords(rng, n, 0.2)
+	queries := []Query{
+		NewQuery(4).WithRange(2, 0, PosInf),
+		NewQuery(4).WithRange(2, NegInf, PosInf),
+		NewQuery(4).WithRange(2, 0, PosInf).WithRange(3, -10, 10),
+	}
+	for qi, q := range queries {
+		for _, words := range [][]uint64{nil, tomb} {
+			full, _, _ := runKernelTomb(tbl, q, words, 3, n, 0, false)
+			for limit := 1; limit <= min(len(full), 2*colstore.BlockSize+70); limit++ {
+				var wantSum int64
+				for _, id := range full[:limit] {
+					wantSum += data[2][id]
+				}
+				for _, scalar := range []bool{false, true} {
+					ids, _, matched := runKernelTomb(tbl, q, words, 3, n, limit, scalar)
+					if !equalIDs(ids, full[:limit]) || matched != int64(limit) {
+						t.Fatalf("query %d tomb=%v limit=%d scalar=%v: delivered %d ids (matched %d), not the unlimited prefix",
+							qi, words != nil, limit, scalar, len(ids), matched)
+					}
+					for _, agg := range []Aggregator{NewCount(), NewSum(2)} {
+						sc := NewScanner(tbl)
+						sc.SetScalarKernel(scalar)
+						sc.SetTombstones(words)
+						ctl := GetControl(nil, limit, time.Time{})
+						sc.SetControl(ctl)
+						sc.ScanRange(q, q.FilteredDims(), 3, n, agg)
+						ctl.Release()
+						want := int64(limit)
+						if _, ok := agg.(*Sum); ok {
+							want = wantSum
+						}
+						if agg.Result() != want {
+							t.Fatalf("query %d tomb=%v limit=%d scalar=%v agg=%T: %d, want %d",
+								qi, words != nil, limit, scalar, agg, agg.Result(), want)
+						}
+					}
+				}
 			}
 		}
 	}
@@ -190,7 +316,7 @@ func TestSelInitMaskBounds(t *testing.T) {
 		for i1 := i0; i1 <= colstore.BlockSize; i1 += 9 {
 			var sel colstore.BlockBitmap
 			selInit(&sel, i0, i1)
-			if got, want := selCount(&sel), i1-i0; got != want {
+			if got, want := sel.Count(), i1-i0; got != want {
 				t.Fatalf("selInit(%d,%d): %d bits set, want %d", i0, i1, got, want)
 			}
 			for i := 0; i < colstore.BlockSize; i++ {
@@ -240,8 +366,9 @@ func runKernelTomb(t *colstore.Table, q Query, tomb []uint64, start, end, limit 
 
 // TestBitmapKernelEquivalenceTombstones extends the cross-kernel property to
 // deletion masking: at tombstone densities from none to nearly-everything,
-// both kernels must deliver identical survivors, stats, aggregates, and
-// LIMIT prefixes, and must never deliver a tombstoned row.
+// both kernels must deliver identical survivors, stats, and LIMIT prefixes,
+// and must never deliver a tombstoned row (TestBitmapKernelAggregates holds
+// the aggregates to the row by row definition under the same masks).
 func TestBitmapKernelEquivalenceTombstones(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	n := 6*colstore.BlockSize + 29
@@ -293,27 +420,6 @@ func TestBitmapKernelEquivalenceTombstones(t *testing.T) {
 			}
 			if wantLen := min(limit, len(gotIDs)); len(limIDs) != wantLen || !equalIDs(limIDs, gotIDs[:wantLen]) {
 				t.Fatalf("density=%v trial=%d limit=%d: limited ids are not the unlimited prefix", density, trial, limit)
-			}
-		}
-		// Aggregates through the run-length fast paths agree too.
-		for trial := 0; trial < 20; trial++ {
-			q := equivQuery(rng)
-			for _, mk := range []func() Mergeable{
-				func() Mergeable { return NewCount() },
-				func() Mergeable { return NewSum(2) },
-			} {
-				got, want := mk(), mk()
-				sc := NewScanner(tbl)
-				sc.SetTombstones(words)
-				sc.ScanRange(q, q.FilteredDims(), 0, n, got)
-				sc2 := NewScanner(tbl)
-				sc2.SetScalarKernel(true)
-				sc2.SetTombstones(words)
-				sc2.ScanRange(q, q.FilteredDims(), 0, n, want)
-				if got.Result() != want.Result() {
-					t.Fatalf("density=%v trial=%d agg=%T: bitmap %d != scalar %d",
-						density, trial, got, got.Result(), want.Result())
-				}
 			}
 		}
 	}
