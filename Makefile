@@ -71,11 +71,18 @@ loc:
 # folded under the selection mask per aggregate, mask density and width, and
 # BitmapAndBlock one block's predicate through the range-encoded bitmap index
 # by the number of values the range spans. DictEqScan1M and DictRangeScan1M
-# are the bitmap index against the residual compare, end to end.
+# are the bitmap index against the residual compare, end to end. Build2M,
+# TrainCDF, Calibrate100k, ForestTrain and RebuildMerge500k are construction:
+# the build olap_flat's set-up waits for, one flattening CDF over a narrow and
+# over a full-range column, one live calibration as learn_build runs it, one
+# of its three forests, and one merge of buffered rows into an index.
 bench:
 	$(GO) test ./internal/core -run '^$$' \
-		-bench 'Residual|WideRect|SteadyState|Build1M|Build200k|Ablation|Parallel|Batch|DeleteHeavy' \
+		-bench 'Residual|WideRect|SteadyState|Build1M|Build200k|Build2M|RebuildMerge500k|Ablation|Parallel|Batch|DeleteHeavy' \
 		-benchmem -benchtime=1s | tee /tmp/bench_scan.txt
+	$(GO) test ./internal/rmi ./internal/rforest ./internal/costmodel -run '^$$' \
+		-bench '^BenchmarkTrainCDF$$|^BenchmarkForestTrain$$|^BenchmarkCalibrate100k$$' \
+		-benchmem -benchtime=1s | tee -a /tmp/bench_scan.txt
 	$(GO) test ./internal/colstore -run '^$$' -bench '^BenchmarkDecodeBlock$$|^BenchmarkCompareBlock$$|^BenchmarkAggregateBlock$$|^BenchmarkBitmapAndBlock$$' \
 		-benchmem -benchtime=1s | tee -a /tmp/bench_scan.txt
 	$(GO) test . -run '^$$' -bench '^BenchmarkSelect|^BenchmarkExecute|^BenchmarkSaveLoad|^BenchmarkDict|^BenchmarkSharded' \
@@ -100,6 +107,8 @@ fuzz-smoke:
 	$(GO) test ./internal/colstore -run '^$$' -fuzz '^FuzzCompareBlock$$' \
 		-fuzztime 30s -fuzzminimizetime 10x
 	$(GO) test ./internal/colstore -run '^$$' -fuzz '^FuzzAggregateBlock$$' \
+		-fuzztime 30s -fuzzminimizetime 10x
+	$(GO) test ./internal/colstore -run '^$$' -fuzz '^FuzzRadixSort$$' \
 		-fuzztime 30s -fuzzminimizetime 10x
 
 # bench-full additionally covers the colstore micro-benchmarks.

@@ -78,6 +78,19 @@ func TestBuildWithLayoutAndReuseModel(t *testing.T) {
 	}
 }
 
+// TestBuildWithLayoutRefusesHugeGrid: the reproduction from the issue — a
+// 65536×65536 grid over four rows used to end the process with "runtime: out
+// of memory"; hostile input gets an error.
+func TestBuildWithLayoutRefusesHugeGrid(t *testing.T) {
+	tbl, err := NewTable([]string{"a", "b", "c"}, [][]int64{{1, 2, 3, 4}, {4, 3, 2, 1}, {0, 0, 1, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := BuildWithLayout(tbl, Layout{GridDims: []int{0, 1}, GridCols: []int{65536, 65536}, SortDim: 2, Flatten: true}, nil); err == nil {
+		t.Fatal("a 2³²-cell layout over four rows was built")
+	}
+}
+
 func TestBuildBaselineKinds(t *testing.T) {
 	ds := dataset.Sales(4000, 79)
 	rng := rand.New(rand.NewSource(80))

@@ -35,7 +35,11 @@ type BitmapIndex struct {
 // column does not qualify: empty columns, and columns whose global value
 // spread (max-min+1) exceeds maxCard, are skipped — a wide domain would cost
 // O(spread · rows/8) bytes for bitmaps that are almost all zero.
-func NewBitmapIndex(c *Column, maxCard int) *BitmapIndex {
+func NewBitmapIndex(c *Column, maxCard int) *BitmapIndex { return newBitmapIndex(c, nil, maxCard) }
+
+// newBitmapIndex is NewBitmapIndex for a caller that still holds the values
+// it compressed into c: a non-nil raw is read instead of decoding c.
+func newBitmapIndex(c *Column, raw []int64, maxCard int) *BitmapIndex {
 	if c.n == 0 || maxCard <= 0 {
 		return nil
 	}
@@ -59,15 +63,11 @@ func NewBitmapIndex(c *Column, maxCard int) *BitmapIndex {
 		nWords: (c.n + 63) / 64,
 	}
 	bi.bits = make([]uint64, bi.card*bi.nWords)
-	var buf [BlockSize]int64
-	for b := 0; b < len(c.mins); b++ {
-		cnt := c.DecodeBlock(b, buf[:])
-		base := b * BlockSize
-		for i := 0; i < cnt; i++ {
-			row := base + i
-			v := int(buf[i] - minV)
-			bi.bits[v*bi.nWords+row>>6] |= 1 << uint(row&63)
-		}
+	if raw == nil {
+		raw = c.Decode()
+	}
+	for row, v := range raw {
+		bi.bits[int(v-minV)*bi.nWords+row>>6] |= 1 << uint(row&63)
 	}
 	bi.accumulate()
 	return bi

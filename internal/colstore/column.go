@@ -48,12 +48,7 @@ func NewColumn(values []int64) *Column {
 		blk := values[lo:hi]
 		minV, maxV := blk[0], blk[0]
 		for _, v := range blk[1:] {
-			if v < minV {
-				minV = v
-			}
-			if v > maxV {
-				maxV = v
-			}
+			minV, maxV = min(minV, v), max(maxV, v)
 		}
 		w := bits.Len64(uint64(maxV) - uint64(minV))
 		c.mins[b] = minV
@@ -73,17 +68,28 @@ func NewColumn(values []int64) *Column {
 		if w == 0 {
 			continue
 		}
-		base := uint(c.offsets[b]) * 64
+		// Deltas accumulate in a register and reach memory a whole word at
+		// a time; a delta that straddles a word boundary leaves its high
+		// bits in the next accumulator.
+		words := c.words[c.offsets[b]:]
 		minV := c.mins[b]
-		for r, v := range values[lo:hi] {
+		var acc uint64
+		used, wi := uint(0), 0
+		for _, v := range values[lo:hi] {
 			delta := uint64(v) - uint64(minV)
-			pos := base + uint(r)*w
-			wi := pos >> 6
-			off := pos & 63
-			c.words[wi] |= delta << off
-			if off+w > 64 {
-				c.words[wi+1] |= delta >> (64 - off)
+			acc |= delta << used
+			if used += w; used >= 64 {
+				words[wi] = acc
+				wi++
+				used -= 64
+				acc = 0
+				if used > 0 {
+					acc = delta >> (w - used)
+				}
 			}
+		}
+		if used > 0 {
+			words[wi] = acc
 		}
 	}
 	return c
@@ -175,15 +181,20 @@ func unpackGeneric(words []uint64, out []int64, minV int64, w uint) {
 }
 
 // Decode materializes the whole column into a fresh slice.
-func (c *Column) Decode() []int64 {
-	out := make([]int64, c.n)
-	var buf [BlockSize]int64
-	nBlocks := (c.n + BlockSize - 1) / BlockSize
-	for b := 0; b < nBlocks; b++ {
-		cnt := c.DecodeBlock(b, buf[:])
-		copy(out[b*BlockSize:], buf[:cnt])
+func (c *Column) Decode() []int64 { return c.DecodeInto(nil) }
+
+// DecodeInto is Decode into dst's storage, which is reallocated only when it
+// holds fewer than Len values: a caller walking several columns of one table
+// pays for one buffer, not one per column.
+func (c *Column) DecodeInto(dst []int64) []int64 {
+	if cap(dst) < c.n {
+		dst = make([]int64, c.n)
 	}
-	return out
+	dst = dst[:c.n]
+	for b := range c.mins {
+		c.DecodeBlock(b, dst[b*BlockSize:])
+	}
+	return dst
 }
 
 // LowerBound returns the smallest index i in [start, end) with Get(i) >= v,

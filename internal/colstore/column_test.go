@@ -3,6 +3,7 @@ package colstore
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -405,6 +406,40 @@ func TestLowerBoundMatchesSortSearch(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestNewColumnWordsMatchBitwiseDefinition packs every delta width the slow
+// way — each delta OR-ed into the packed words at bit blockStart + row·width,
+// spilling into the next word when it straddles one — and requires NewColumn,
+// which assembles words in a register, to produce the same words: the packed
+// form is what snapshots store, so its unused bits matter too.
+func TestNewColumnWordsMatchBitwiseDefinition(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	for w := uint(0); w <= 64; w++ {
+		n := 3*BlockSize + 1 + rng.Intn(BlockSize-1)
+		values := make([]int64, n)
+		for i := range values {
+			values[i] = int64(rng.Uint64()&mask(w)) - 1<<40
+		}
+		c := NewColumn(values)
+		want := make([]uint64, len(c.words))
+		for i, v := range values {
+			b := i / BlockSize
+			bw := uint(c.widths[b])
+			if bw == 0 {
+				continue
+			}
+			delta := uint64(v) - uint64(c.mins[b])
+			pos := uint(c.offsets[b])*64 + uint(i%BlockSize)*bw
+			want[pos>>6] |= delta << (pos & 63)
+			if pos&63+bw > 64 {
+				want[pos>>6+1] |= delta >> (64 - pos&63)
+			}
+		}
+		if !slices.Equal(c.words, want) {
+			t.Fatalf("width %d: packed words differ from the bit-position definition", w)
 		}
 	}
 }

@@ -87,39 +87,75 @@ func (t *Table) Raw(i int) []int64 { return t.cols[i].Decode() }
 // for the same set of columns that had them; bitmap indexes are positional
 // and are not carried over — builders call EnableBitmapIndexes on the
 // reordered table. Columns are independent, so they decode, permute, and
-// recompress in parallel.
+// recompress in parallel, each worker holding two raw columns (the one it
+// decoded and the one it gathers into) whatever the table's width.
 func (t *Table) Reorder(perm []int) *Table {
-	nt := &Table{
-		names:    append([]string(nil), t.names...),
-		cols:     make([]*Column, len(t.cols)),
-		prefixes: make([][]int64, len(t.cols)),
-		n:        t.n,
-	}
+	w := NewTableWriter(t.names, t.n, 0)
 	workers := runtime.GOMAXPROCS(0)
 	if workers > len(t.cols) {
 		workers = len(t.cols)
 	}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for k := 0; k < workers; k++ {
 		wg.Add(1)
-		go func(w int) {
+		go func(k int) {
 			defer wg.Done()
+			var raw []int64
 			buf := make([]int64, t.n)
-			for c := w; c < len(t.cols); c += workers {
-				raw := t.cols[c].Decode()
+			for c := k; c < len(t.cols); c += workers {
+				raw = t.cols[c].DecodeInto(raw)
 				for r, p := range perm {
 					buf[r] = raw[p]
 				}
-				nt.cols[c] = NewColumn(buf)
-				if t.prefixes[c] != nil {
-					nt.buildPrefix(c, buf)
-				}
+				w.SetColumn(c, buf, t.prefixes[c] != nil)
 			}
-		}(w)
+		}(k)
 	}
 	wg.Wait()
-	return nt
+	return w.Table()
 }
+
+// TableWriter assembles a table one column at a time, from raw values the
+// caller holds only while it hands them over — so a builder permuting a wide
+// table never has more than a column or two decoded. SetColumn may be called
+// concurrently for distinct columns.
+type TableWriter struct {
+	t             *Table
+	bitmapMaxCard int
+}
+
+// NewTableWriter starts a table of n rows with the given column names. Every
+// column whose value spread fits bitmapMaxCard (see NewBitmapIndex) gets a
+// bitmap index as it is set; bitmapMaxCard <= 0 builds none.
+func NewTableWriter(names []string, n, bitmapMaxCard int) *TableWriter {
+	t := &Table{
+		names:    append([]string(nil), names...),
+		cols:     make([]*Column, len(names)),
+		prefixes: make([][]int64, len(names)),
+		n:        n,
+	}
+	if bitmapMaxCard > 0 {
+		t.bitmaps = make([]*BitmapIndex, len(names))
+	}
+	return &TableWriter{t: t, bitmapMaxCard: bitmapMaxCard}
+}
+
+// SetColumn compresses raw, which must hold the table's row count and is not
+// retained, into column c, with a cumulative-aggregate companion when
+// aggregate is set.
+func (w *TableWriter) SetColumn(c int, raw []int64, aggregate bool) {
+	t := w.t
+	t.cols[c] = NewColumn(raw)
+	if aggregate {
+		t.buildPrefix(c, raw)
+	}
+	if w.bitmapMaxCard > 0 {
+		t.bitmaps[c] = newBitmapIndex(t.cols[c], raw, w.bitmapMaxCard)
+	}
+}
+
+// Table returns the assembled table; every column must have been set.
+func (w *TableWriter) Table() *Table { return w.t }
 
 // EnableAggregate builds a cumulative-aggregation companion for column c so
 // SUM over exact sub-ranges resolves as two prefix lookups (§7.1 optimization

@@ -1,10 +1,6 @@
 package core
 
 import (
-	"cmp"
-	"fmt"
-	"math"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -13,7 +9,6 @@ import (
 	"flood/internal/colstore"
 	"flood/internal/plm"
 	"flood/internal/query"
-	"flood/internal/rmi"
 )
 
 // Flood is a built index: the table reordered into grid traversal order, the
@@ -73,183 +68,6 @@ func (es *execScratch) grids(g int) (los, his, coords []int, present []bool) {
 		es.present = make([]bool, g)
 	}
 	return es.los[:g], es.his[:g], es.coords[:g], es.present[:g]
-}
-
-// Build constructs a Flood index over t with the given layout. The input
-// table is not modified; the index holds a reordered copy.
-func Build(t *colstore.Table, layout Layout, opts Options) (*Flood, error) {
-	if err := layout.Validate(t.NumCols()); err != nil {
-		return nil, err
-	}
-	n := t.NumRows()
-	if n > math.MaxInt32 {
-		return nil, fmt.Errorf("core: table has %d rows; max supported is %d", n, math.MaxInt32)
-	}
-	if t.NumCols() > 64 {
-		// Residual filter sets are dimension bitmasks in one uint64.
-		return nil, fmt.Errorf("core: table has %d dimensions; max supported is 64", t.NumCols())
-	}
-	if opts.Delta <= 0 {
-		opts.Delta = plm.DefaultDelta
-	}
-	cdfs := opts.FlattenCDFs
-	opts.FlattenCDFs = nil
-	f := &Flood{layout: layout, opts: opts, numCells: layout.NumCells()}
-	f.parallelCutover = resolveCutover(opts.ParallelCutover)
-	g := len(layout.GridDims)
-	f.strides = make([]int, g)
-	stride := 1
-	for i := g - 1; i >= 0; i-- {
-		f.strides[i] = stride
-		stride *= layout.GridCols[i]
-	}
-
-	// Train per-dimension bucketers (independent: one goroutine per grid
-	// dim; each decoded column is dropped as soon as its model is fit),
-	// then assign each row to a cell in parallel row chunks, decoding grid
-	// columns block-at-a-time so no full raw column stays resident.
-	f.buckets = make([]bucketer, g)
-	parallelFor(g, func(lo, hi int) {
-		for gi := lo; gi < hi; gi++ {
-			dim := layout.GridDims[gi]
-			if layout.Flatten {
-				var cdf *rmi.CDF
-				if dim < len(cdfs) {
-					cdf = cdfs[dim]
-				}
-				if cdf == nil {
-					cdf = TrainFlattenCDF(t, dim, opts)
-				}
-				f.buckets[gi] = cdfBucketer{cdf: cdf}
-			} else {
-				raw := t.Raw(dim)
-				var minV, maxV int64
-				if len(raw) > 0 {
-					minV, maxV = raw[0], raw[0]
-					for _, v := range raw[1:] {
-						if v < minV {
-							minV = v
-						}
-						if v > maxV {
-							maxV = v
-						}
-					}
-				}
-				f.buckets[gi] = newLinearBucketer(minV, maxV)
-			}
-		}
-	})
-	cells := make([]int32, n)
-	parallelFor(n, func(lo, hi int) {
-		var buf [colstore.BlockSize]int64
-		for gi := 0; gi < g; gi++ {
-			col := t.Column(layout.GridDims[gi])
-			b := f.buckets[gi]
-			cols := layout.GridCols[gi]
-			str := int32(f.strides[gi])
-			for i := lo; i < hi; {
-				blk := i / colstore.BlockSize
-				blockLo := blk * colstore.BlockSize
-				j1 := col.DecodeBlock(blk, buf[:])
-				if blockLo+j1 > hi {
-					j1 = hi - blockLo
-				}
-				for j := i - blockLo; j < j1; j++ {
-					cells[blockLo+j] += int32(b.bucket(buf[j], cols)) * str
-				}
-				i = blockLo + j1
-			}
-		}
-	})
-	if n == 0 {
-		f.t = t
-		f.cellStart = make([]int32, f.numCells+1)
-		return f, nil
-	}
-
-	// Order rows by (cell, sort value): a depth-first traversal of the grid
-	// with per-cell sorting (§3.1). Cell order comes from an O(n) counting
-	// sort — the cell histogram doubles as the cell table (§3.2.1) — and
-	// only the sort dimension is comparison-sorted, cell by cell, in
-	// parallel cell chunks.
-	f.cellStart = make([]int32, f.numCells+1)
-	for _, c := range cells {
-		f.cellStart[c+1]++
-	}
-	for c := 0; c < f.numCells; c++ {
-		f.cellStart[c+1] += f.cellStart[c]
-	}
-	perm := make([]int, n)
-	next := make([]int32, f.numCells)
-	copy(next, f.cellStart[:f.numCells])
-	for i := 0; i < n; i++ {
-		c := cells[i]
-		perm[next[c]] = i
-		next[c]++
-	}
-	if layout.SortDim >= 0 {
-		// Sort (value, row) pairs rather than rows through an indirection:
-		// the keys travel with the swaps, halving cache misses.
-		sortVals := t.Raw(layout.SortDim)
-		pairs := make([]sortPair, n)
-		for i, p := range perm {
-			pairs[i] = sortPair{v: sortVals[p], row: int32(p)}
-		}
-		parallelFor(f.numCells, func(lo, hi int) {
-			for c := lo; c < hi; c++ {
-				cs, ce := f.cellStart[c], f.cellStart[c+1]
-				if ce-cs > 1 {
-					slices.SortFunc(pairs[cs:ce], func(a, b sortPair) int {
-						return cmp.Compare(a.v, b.v)
-					})
-				}
-			}
-		})
-		for i, p := range pairs {
-			perm[i] = int(p.row)
-		}
-	}
-	f.t = t.Reorder(perm)
-
-	// Bitmap indexes over low-cardinality columns of the reordered data:
-	// residual filters on them become precomputed-bitmap ANDs in the scan
-	// kernel instead of decode-and-compare passes.
-	f.t.EnableBitmapIndexes(opts.bitmapMaxCard())
-
-	// Per-cell refinement models over the sort dimension (§5.2).
-	if layout.SortDim >= 0 && opts.Refinement == RefineModel {
-		sorted := f.t.Raw(layout.SortDim)
-		f.models = make([]*plm.Model, f.numCells)
-		parallelFor(f.numCells, func(lo, hi int) {
-			for c := lo; c < hi; c++ {
-				cs, ce := f.cellStart[c], f.cellStart[c+1]
-				if cs == ce {
-					continue
-				}
-				f.models[c] = plm.Train(sorted[cs:ce], opts.Delta)
-			}
-		})
-	}
-	f.computeCellStats()
-	return f, nil
-}
-
-// sortPair carries a sort-dimension key together with its original row so
-// per-cell sorts touch one contiguous array.
-type sortPair struct {
-	v   int64
-	row int32
-}
-
-func defaultCDFLeaves(n int) int {
-	l := n / 64
-	if l < 16 {
-		l = 16
-	}
-	if l > 1024 {
-		l = 1024
-	}
-	return l
 }
 
 func (f *Flood) computeCellStats() {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"flood/internal/colstore"
+	"flood/internal/dataset"
 	"flood/internal/query"
 )
 
@@ -120,6 +121,46 @@ func BenchmarkBuild200k(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Build(tbl, ablationLayout, Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkBuild2M is the build the repository benchmark's olap_flat set-up
+// waits for: TPC-H lineitem at 2M rows under the layout the frozen cost model
+// picks there, five flattened grid dimensions and a sort dimension.
+func BenchmarkBuild2M(b *testing.B) {
+	tbl := dataset.TPCH(2_000_000, 1).Table
+	layout := Layout{GridDims: []int{0, 1, 4, 2, 6}, GridCols: []int{5, 2, 2, 2, 9}, SortDim: 5, Flatten: true}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Build(tbl, layout, Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRebuildMerge500k is one merge of the differential-update scheme:
+// 1,000 buffered rows folded into a 500k-row index under its own layout.
+func BenchmarkRebuildMerge500k(b *testing.B) {
+	ds := dataset.TPCH(501_000, 1)
+	base, extra := make([][]int64, len(ds.Cols)), make([][]int64, len(ds.Cols))
+	for c, col := range ds.Cols {
+		base[c], extra[c] = col[:500_000], col[500_000:]
+	}
+	tbl, err := colstore.NewTable(ds.Table.Names(), base)
+	if err != nil {
+		b.Fatal(err)
+	}
+	idx, err := Build(tbl, Layout{GridDims: []int{0, 1, 4, 2, 6}, GridCols: []int{5, 2, 2, 2, 9}, SortDim: 5, Flatten: true}, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := idx.Rebuild(extra); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"slices"
@@ -8,7 +9,6 @@ import (
 
 	"flood/internal/colstore"
 	"flood/internal/query"
-	"flood/internal/rmi"
 )
 
 // makeData builds an nRows x nDims table with mixed distributions.
@@ -332,29 +332,121 @@ func TestFlatteningBalancesSkewedCells(t *testing.T) {
 	}
 }
 
+// TestBuildWithPrefittedCDFsIsTheSameIndex builds several layouts from one
+// Source, which fits each dimension's CDF and every row's position under it
+// for the first layout that grids the dimension and hands them to the rest:
+// each index must be the one a build of its own makes.
 func TestBuildWithPrefittedCDFsIsTheSameIndex(t *testing.T) {
 	tbl, _ := makeData(t, 20000, 4, 91)
-	layout := Layout{GridDims: []int{2, 0}, GridCols: []int{9, 14}, SortDim: 1, Flatten: true}
-	want, err := Build(tbl, layout, Options{})
+	tbl.EnableAggregate(3)
+	src := NewSource(tbl, Options{})
+	for _, layout := range []Layout{
+		{GridDims: []int{2, 0}, GridCols: []int{9, 14}, SortDim: 1, Flatten: true},
+		{GridDims: []int{0, 2, 3}, GridCols: []int{3, 40, 2}, SortDim: 1, Flatten: true}, // 0 and 2 handed over, 3 fitted now
+		{GridDims: []int{1, 2}, GridCols: []int{5, 5}, SortDim: 0, Flatten: false},
+	} {
+		want, err := Build(tbl, layout, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := src.Build(layout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var a, b bytes.Buffer
+		if err := want.Save(&a); err != nil {
+			t.Fatal(err)
+		}
+		if err := got.Save(&b); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Fatalf("%v: the index built from the shared source differs from the index built alone", layout)
+		}
+		if !got.Table().HasAggregate(3) {
+			t.Fatalf("%v: the shared source dropped the aggregate column", layout)
+		}
+	}
+}
+
+// TestBuildRefusesOversizedGrids: a grid whose cell count overflows the int32
+// cell ids, wraps the product, or is simply out of all proportion to the rows
+// under it is an error from Build — it used to be 8 GB of cell table and a
+// dead process, or silently wrapped cell numbers.
+func TestBuildRefusesOversizedGrids(t *testing.T) {
+	tbl, err := colstore.NewTable([]string{"a", "b", "c"}, [][]int64{{1, 2, 3, 4}, {4, 3, 2, 1}, {0, 0, 1, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Dimension 2 handed over, dimension 0 left for Build to fit.
-	opts := Options{FlattenCDFs: make([]*rmi.CDF, 3)}
-	opts.FlattenCDFs[2] = TrainFlattenCDF(tbl, 2, opts)
-	got, err := Build(tbl, layout, opts)
+	for _, tc := range []struct {
+		cols     []int
+		validate bool // refused by Layout.Validate already, whatever the table
+	}{
+		{[]int{65536, 65536}, true},     // 2³²
+		{[]int{1 << 20, 1 << 11}, true}, // 2³¹: one past the largest cell id
+		{[]int{46341, 46341}, true},     // just over 2³¹
+		{[]int{1 << 32, 1 << 32}, true}, // wraps to 0
+		{[]int{1 << 62, 4}, true},       // wraps negative, then to 0
+		{[]int{3000, 3000}, false},      // 9M cells over four rows
+	} {
+		l := Layout{GridDims: []int{0, 1}, GridCols: tc.cols, SortDim: 2, Flatten: true}
+		if err := l.Validate(3); (err != nil) != tc.validate {
+			t.Errorf("grid %v: Validate returned %v", tc.cols, err)
+		}
+		if _, err := Build(tbl, l, Options{}); err == nil {
+			t.Errorf("grid %v over 4 rows was built", tc.cols)
+		}
+	}
+	// The bound leaves room: a million cells over four rows is odd, not hostile.
+	idx, err := Build(tbl, Layout{GridDims: []int{0, 1}, GridCols: []int{1024, 1024}, SortDim: 2, Flatten: true}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Options().FlattenCDFs != nil {
-		t.Fatal("the index kept the pre-fitted CDFs: a rebuild over other rows would reuse them")
+	agg := query.NewCount()
+	idx.Execute(query.NewQuery(3).WithRange(0, 2, 3), agg)
+	if agg.Result() != 2 {
+		t.Fatalf("the 1024×1024 grid counted %d rows in [2, 3], want 2", agg.Result())
 	}
-	if !slices.Equal(got.cellStart, want.cellStart) {
-		t.Fatal("cell table differs from the index that fitted its own CDFs")
+}
+
+// TestBuildDecodesEachColumnOnce counts whole-column decodes per build. Over
+// a compressed table the sort column and every column outside the grid are
+// decoded once — the sort values travel with the counting scatter, and
+// aggregates and bitmap indexes come from the gathered values — and a grid
+// column twice, once to flatten and bucket it and once to gather it, because
+// a worker keeps two raw columns, not the grid. A source that already holds
+// raw columns (NewSource, a rebuild's merge) decodes nothing per build.
+func TestBuildDecodesEachColumnOnce(t *testing.T) {
+	tbl, _ := makeData(t, 5000, 6, 93)
+	tbl.EnableAggregate(4)
+	for _, layout := range []Layout{
+		{GridDims: []int{2, 0}, GridCols: []int{9, 14}, SortDim: 1, Flatten: true},
+		{GridDims: []int{5, 3}, GridCols: []int{4, 4}, SortDim: 0, Flatten: false},
+		{GridDims: []int{1}, GridCols: []int{7}, SortDim: -1, Flatten: true},
+	} {
+		src := tableSource(tbl, Options{})
+		if _, err := src.Build(layout); err != nil {
+			t.Fatal(err)
+		}
+		for c, got := range src.decodes {
+			want := 1
+			if slices.Contains(layout.GridDims, c) {
+				want = 2
+			}
+			if got != want {
+				t.Errorf("%v: column %d decoded %d times, want %d", layout, c, got, want)
+			}
+		}
 	}
-	for d := 0; d < tbl.NumCols(); d++ {
-		if !slices.Equal(got.Table().Raw(d), want.Table().Raw(d)) {
-			t.Fatalf("column %d is ordered differently", d)
+	shared := NewSource(tbl, Options{})
+	for i := 0; i < 3; i++ {
+		if _, err := shared.Build(Layout{GridDims: []int{2, 0}, GridCols: []int{9 + i, 14}, SortDim: 1, Flatten: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for c, got := range shared.decodes {
+		if got != 1 {
+			t.Errorf("shared source: column %d decoded %d times over three builds, want 1", c, got)
 		}
 	}
 }

@@ -11,10 +11,8 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strings"
-
-	"flood/internal/colstore"
-	"flood/internal/rmi"
 )
 
 // Layout describes the shape of a Flood grid: which dimensions form the grid
@@ -66,8 +64,24 @@ func (l Layout) Validate(nDims int) error {
 	if len(l.GridDims) == 0 && l.SortDim == -1 {
 		return fmt.Errorf("core: layout indexes no dimensions")
 	}
+	// Cell ids are int32. The product is checked factor by factor so that
+	// column counts whose product wraps cannot pass as a small grid.
+	cells := 1
+	for _, c := range l.GridCols {
+		if cells *= c; cells <= 0 || cells > math.MaxInt32 {
+			return fmt.Errorf("core: layout has more than %d cells: grid columns %v", math.MaxInt32, l.GridCols)
+		}
+	}
 	return nil
 }
+
+// maxCells is the largest grid Build accepts over a table of rows rows. A
+// cell costs 16 bytes of cell table and model slots whether or not a row
+// falls in it, so a grid out of all proportion to its data — four rows under
+// 2³¹ cells — is refused instead of allocated. The optimizer stops at half a
+// cell per row (1024 for small tables), calibration's random layouts at a
+// quarter: nothing learned comes near.
+func maxCells(rows int) int { return 4 * max(rows, 1<<20) }
 
 // NumCells returns the total number of grid cells.
 func (l Layout) NumCells() int {
@@ -76,6 +90,18 @@ func (l Layout) NumCells() int {
 		n *= c
 	}
 	return n
+}
+
+// strides returns the mixed-radix stride of each grid dimension in the cell
+// number: the last grid dimension varies fastest.
+func (l Layout) strides() []int {
+	out := make([]int, len(l.GridDims))
+	stride := 1
+	for i := len(out) - 1; i >= 0; i-- {
+		out[i] = stride
+		stride *= l.GridCols[i]
+	}
+	return out
 }
 
 // String renders the layout compactly, e.g. "grid[2:8 0:4] sort=1 flat".
@@ -135,23 +161,6 @@ type Options struct {
 	// 0 picks DefaultBitmapMaxCardinality; negative disables bitmap
 	// indexes.
 	BitmapMaxCardinality int
-	// FlattenCDFs optionally carries flattening CDFs already fitted to this
-	// table's columns (indexed by dimension, as TrainFlattenCDF returns
-	// them), so a caller building many layouts over one table — cost-model
-	// calibration — fits each column once. Build trains whatever is missing
-	// or nil, and does not keep the slice: the index's Options, which
-	// rebuilds over other rows reuse, never carry it.
-	FlattenCDFs []*rmi.CDF
-}
-
-// TrainFlattenCDF fits the flattening CDF Build would fit to dimension dim of
-// t under opts.
-func TrainFlattenCDF(t *colstore.Table, dim int, opts Options) *rmi.CDF {
-	leaves := opts.CDFLeaves
-	if leaves <= 0 {
-		leaves = defaultCDFLeaves(t.NumRows())
-	}
-	return rmi.TrainCDF(t.Raw(dim), leaves)
 }
 
 // DefaultBitmapMaxCardinality is the bitmap-index cardinality threshold used

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 
 	"flood/internal/colstore"
 	"flood/internal/plm"
@@ -336,28 +335,14 @@ func (f *Flood) decodeMeta(r *wire.Reader) error {
 }
 
 // validateLayout cross-checks the decoded layout against the decoded table
-// and materializes the derived grid state (cell count, strides). The cell
-// count is recomputed with an overflow guard: corrupt column counts must not
-// wrap the product into a plausible small number.
+// (Validate also refuses corrupt column counts whose product overflows) and
+// materializes the derived grid state: cell count and strides.
 func (f *Flood) validateLayout() error {
 	if err := f.layout.Validate(f.t.NumCols()); err != nil {
 		return fmt.Errorf("core: loaded layout invalid: %w", err)
 	}
-	cells := 1
-	for _, c := range f.layout.GridCols {
-		cells *= c
-		if cells <= 0 || cells > math.MaxInt32 {
-			return fmt.Errorf("core: loaded layout declares %v grid columns", f.layout.GridCols)
-		}
-	}
-	f.numCells = cells
-	g := len(f.layout.GridDims)
-	f.strides = make([]int, g)
-	stride := 1
-	for i := g - 1; i >= 0; i-- {
-		f.strides[i] = stride
-		stride *= f.layout.GridCols[i]
-	}
+	f.numCells = f.layout.NumCells()
+	f.strides = f.layout.strides()
 	return nil
 }
 

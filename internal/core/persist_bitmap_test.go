@@ -204,8 +204,11 @@ func TestLoadBitmapSectionWithWrongContentRecovers(t *testing.T) {
 // bitmap index became range-encoded in memory (3000 rows: the last block and
 // the last bitmap word are both partial). It must load without a warning or a
 // rebuild, answer like a freshly built index and like brute force, and —
-// because the wire keeps one bitmap per value — save back to the same bytes,
-// as must a snapshot of the fresh index.
+// because the wire keeps one bitmap per value — save back to the same bytes.
+// A fresh build is held to the answers and the scan counts only: the
+// snapshot's order among rows with equal sort keys is whatever the comparison
+// sort of its day left, where Build now keeps input order
+// (TestBuildTieOrderIsInputOrder), so the two tables differ inside tie runs.
 func TestLoadSnapshotWrittenBeforeRangeEncoding(t *testing.T) {
 	old, err := os.ReadFile("testdata/pr21_bitmap.snapshot")
 	if err != nil {
@@ -241,13 +244,11 @@ func TestLoadSnapshotWrittenBeforeRangeEncoding(t *testing.T) {
 			}
 		}
 	}
-	for name, idx := range map[string]*Flood{"loaded": res.Index, "fresh": fresh} {
-		var buf bytes.Buffer
-		if err := idx.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf.Bytes(), old) {
-			t.Errorf("%s index saves to different bytes than the older snapshot", name)
-		}
+	var buf bytes.Buffer
+	if err := res.Index.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), old) {
+		t.Error("loaded index saves to different bytes than the older snapshot")
 	}
 }

@@ -13,27 +13,25 @@ import (
 // Neither input is modified, so callers may pass live (immutable-prefix)
 // buffers without copying them first.
 func MergeRows(t *colstore.Table, extra [][]int64) (*colstore.Table, error) {
-	if len(extra) != 0 && len(extra) != t.NumCols() {
-		return nil, fmt.Errorf("core: merge has %d columns, table has %d", len(extra), t.NumCols())
+	return MergeRowsLive(t, nil, extra, nil)
+}
+
+// MergeRowsLive is MergeRows restricted to live rows: rows of t marked dead
+// in tomb and extra rows marked dead in extraTomb are dropped instead of
+// copied. Either tombstone set may be nil (nothing dead) or cover more rows
+// than its input (the extra slice is a frozen prefix of a still-growing
+// buffer); rows beyond a set's coverage are live. This is the compaction
+// step: a rebuild over the merged result physically discards deleted rows,
+// and the fresh index starts with an empty tombstone set.
+func MergeRowsLive(t *colstore.Table, tomb *colstore.Tombstones, extra [][]int64, extraTomb *colstore.Tombstones) (*colstore.Table, error) {
+	src, err := mergeSource(t, tomb, extra, extraTomb, Options{})
+	if err != nil {
+		return nil, err
 	}
-	add := 0
-	if len(extra) > 0 {
-		add = len(extra[0])
-	}
-	if add == 0 {
+	if src.cols == nil {
 		return t, nil
 	}
-	n := t.NumRows()
-	cols := make([][]int64, t.NumCols())
-	for c := range cols {
-		if len(extra[c]) != add {
-			return nil, fmt.Errorf("core: merge column %d has %d rows, column 0 has %d", c, len(extra[c]), add)
-		}
-		cols[c] = make([]int64, 0, n+add)
-		cols[c] = append(cols[c], t.Raw(c)...)
-		cols[c] = append(cols[c], extra[c]...)
-	}
-	merged, err := colstore.NewTable(t.Names(), cols)
+	merged, err := colstore.NewTable(t.Names(), src.cols)
 	if err != nil {
 		return nil, err
 	}
@@ -45,17 +43,11 @@ func MergeRows(t *colstore.Table, extra [][]int64) (*colstore.Table, error) {
 	return merged, nil
 }
 
-// MergeRowsLive is MergeRows restricted to live rows: rows of t marked dead
-// in tomb and extra rows marked dead in extraTomb are dropped instead of
-// copied. Either tombstone set may be nil (nothing dead) or cover more rows
-// than its input (the extra slice is a frozen prefix of a still-growing
-// buffer); rows beyond a set's coverage are live. This is the compaction
-// step: a rebuild over the merged result physically discards deleted rows,
-// and the fresh index starts with an empty tombstone set.
-func MergeRowsLive(t *colstore.Table, tomb *colstore.Tombstones, extra [][]int64, extraTomb *colstore.Tombstones) (*colstore.Table, error) {
-	if tomb.Dead() == 0 && extraTomb.Dead() == 0 {
-		return MergeRows(t, extra)
-	}
+// mergeSource is the merge itself, stopping at raw columns: t's live rows
+// followed by the live extra rows, as a Source a build reads directly —
+// nothing is compressed only to be decoded again. With nothing added and
+// nothing dead the source is t as it stands.
+func mergeSource(t *colstore.Table, tomb *colstore.Tombstones, extra [][]int64, extraTomb *colstore.Tombstones, opts Options) (*Source, error) {
 	if len(extra) != 0 && len(extra) != t.NumCols() {
 		return nil, fmt.Errorf("core: merge has %d columns, table has %d", len(extra), t.NumCols())
 	}
@@ -63,37 +55,39 @@ func MergeRowsLive(t *colstore.Table, tomb *colstore.Tombstones, extra [][]int64
 	if len(extra) > 0 {
 		add = len(extra[0])
 	}
-	n := t.NumRows()
-	cols := make([][]int64, t.NumCols())
-	for c := range cols {
-		if len(extra) > 0 && len(extra[c]) != add {
+	for c := range extra {
+		if len(extra[c]) != add {
 			return nil, fmt.Errorf("core: merge column %d has %d rows, column 0 has %d", c, len(extra[c]), add)
 		}
-		col := make([]int64, 0, n+add)
-		for i, v := range t.Raw(c) {
-			if !tomb.Has(i) {
-				col = append(col, v)
+	}
+	src := tableSource(t, opts)
+	if add == 0 && tomb.Dead() == 0 {
+		return src, nil
+	}
+	cols := make([][]int64, t.NumCols())
+	parallelFor(len(cols), func(lo, hi int) {
+		for c := lo; c < hi; c++ {
+			buf := make([]int64, 0, t.NumRows()+add)
+			col := src.column(c, &buf)
+			if tomb.Dead() > 0 {
+				live := col[:0]
+				for i, v := range col {
+					if !tomb.Has(i) {
+						live = append(live, v)
+					}
+				}
+				col = live
 			}
-		}
-		if len(extra) > 0 {
-			for i, v := range extra[c] {
+			for i := 0; i < add; i++ {
 				if !extraTomb.Has(i) {
-					col = append(col, v)
+					col = append(col, extra[c][i])
 				}
 			}
+			cols[c] = col
 		}
-		cols[c] = col
-	}
-	merged, err := colstore.NewTable(t.Names(), cols)
-	if err != nil {
-		return nil, err
-	}
-	for c := 0; c < t.NumCols(); c++ {
-		if t.HasAggregate(c) {
-			merged.EnableAggregate(c)
-		}
-	}
-	return merged, nil
+	})
+	src.cols, src.n = cols, len(cols[0])
+	return src, nil
 }
 
 // Rebuild constructs a fresh index over f's live rows plus the given
@@ -122,9 +116,9 @@ func (f *Flood) RebuildLive(extra [][]int64, extraTomb *colstore.Tombstones) (*F
 // separately — compacting a later tombstone version here would make those
 // deletions apply twice.
 func (f *Flood) RebuildCompact(extra [][]int64, tomb, extraTomb *colstore.Tombstones) (*Flood, error) {
-	merged, err := MergeRowsLive(f.t, tomb, extra, extraTomb)
+	src, err := mergeSource(f.t, tomb, extra, extraTomb, f.opts)
 	if err != nil {
 		return nil, fmt.Errorf("core: rebuild: %w", err)
 	}
-	return Build(merged, f.layout, f.opts)
+	return src.Build(f.layout)
 }

@@ -177,3 +177,18 @@ func TestCandidateNumCells(t *testing.T) {
 		t.Fatal("empty candidate should have 1 cell")
 	}
 }
+
+// BenchmarkCalibrate100k is one live calibration as the repository
+// benchmark's learn_build runs it: 100k rows, 100 training queries, ten
+// random layouts built and timed, three forests trained.
+func BenchmarkCalibrate100k(b *testing.B) {
+	ds := dataset.TPCH(100_000, 1)
+	queries := workload.Standard(ds, 100, 2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Calibrate(ds.Table, queries, CalibrationConfig{Seed: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

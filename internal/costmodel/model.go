@@ -1,15 +1,16 @@
 package costmodel
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"flood/internal/colstore"
 	"flood/internal/core"
 	"flood/internal/query"
 	"flood/internal/rforest"
-	"flood/internal/rmi"
 )
 
 // Model holds the three weight regressors of Eq. 1. Weights are in
@@ -61,17 +62,12 @@ func Calibrate(tbl *colstore.Table, queries []query.Query, cfg CalibrationConfig
 		xp, xr, xs [][]float64
 		yp, yr, ys []float64
 	)
-	// Every random layout flattens the same columns of the same table: fit
-	// each column's CDF once, on first use, and hand it to the builds.
-	opts := core.Options{FlattenCDFs: make([]*rmi.CDF, tbl.NumCols())}
+	// Every random layout reads the same table: decode it once, and let the
+	// source hand each column's flattening from the first layout that grids
+	// it to the rest.
+	src := core.NewSource(tbl, core.Options{})
 	for li := 0; li < cfg.NumLayouts; li++ {
-		layout := randomLayout(rng, tbl.NumCols(), tbl.NumRows())
-		for _, dim := range layout.GridDims {
-			if opts.FlattenCDFs[dim] == nil {
-				opts.FlattenCDFs[dim] = core.TrainFlattenCDF(tbl, dim, opts)
-			}
-		}
-		idx, err := core.Build(tbl, layout, opts)
+		idx, err := src.Build(randomLayout(rng, tbl.NumCols(), tbl.NumRows()))
 		if err != nil {
 			return nil, fmt.Errorf("costmodel: building random layout %d: %w", li, err)
 		}
@@ -99,23 +95,41 @@ func Calibrate(tbl *colstore.Table, queries []query.Query, cfg CalibrationConfig
 	if fcfg.NumTrees == 0 {
 		fcfg = rforest.DefaultConfig()
 	}
-	fcfg.Seed = rng.Int63()
+	// The three seeds are drawn in the order the forests used to be trained
+	// in; the forests share nothing else, so they train side by side. All of
+	// the timed executions above are over by now.
 	m := &Model{}
-	var err error
-	if m.WP, err = rforest.Train(xp, yp, fcfg); err != nil {
-		return nil, fmt.Errorf("costmodel: training wp: %w", err)
+	forests := [3]struct {
+		name string
+		dst  **rforest.Forest
+		x    [][]float64
+		y    []float64
+	}{{"wp", &m.WP, xp, yp}, {"wr", &m.WR, xr, yr}, {"ws", &m.WS, xs, ys}}
+	var errs [3]error
+	var wg sync.WaitGroup
+	for i, ft := range forests {
+		tcfg := fcfg
+		tcfg.Seed = rng.Int63()
+		if ft.name == "wr" && len(ft.x) == 0 {
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var err error
+			if *ft.dst, err = rforest.Train(ft.x, ft.y, tcfg); err != nil {
+				errs[i] = fmt.Errorf("costmodel: training %s: %w", ft.name, err)
+			}
+		}()
 	}
-	fcfg.Seed = rng.Int63()
-	if len(xr) == 0 {
+	wg.Wait()
+	if err := errors.Join(errs[:]...); err != nil {
+		return nil, err
+	}
+	if m.WR == nil {
 		// No refinement samples (workload never filters a sort dim):
 		// fall back to the projection model, whose magnitude is similar.
 		m.WR = m.WP
-	} else if m.WR, err = rforest.Train(xr, yr, fcfg); err != nil {
-		return nil, fmt.Errorf("costmodel: training wr: %w", err)
-	}
-	fcfg.Seed = rng.Int63()
-	if m.WS, err = rforest.Train(xs, ys, fcfg); err != nil {
-		return nil, fmt.Errorf("costmodel: training ws: %w", err)
 	}
 	return m, nil
 }

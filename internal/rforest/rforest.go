@@ -9,7 +9,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 )
 
 // Config controls forest training.
@@ -79,21 +82,41 @@ func Train(x [][]float64, y []float64, cfg Config) (*Forest, error) {
 	if nSplitFeats < 1 {
 		nSplitFeats = 1
 	}
-	for t := range f.trees {
-		// Bootstrap sample.
+	// Every tree's bootstrap sample and seed come from the one generator, in
+	// tree order, before any tree is grown: a tree then depends on nothing
+	// but its own draw, and the trees grow on all cores into the forest a
+	// single goroutine would have built, node for node.
+	type draw struct {
+		idx  []int // bootstrap sample
+		seed int64
+	}
+	draws := make([]draw, cfg.NumTrees)
+	for t := range draws {
 		idx := make([]int, len(x))
 		for i := range idx {
 			idx[i] = rng.Intn(len(x))
 		}
-		b := &treeBuilder{
-			x: x, y: y,
-			cfg:        cfg,
-			rng:        rand.New(rand.NewSource(rng.Int63())),
-			splitFeats: nSplitFeats,
-		}
-		b.build(idx, 0)
-		f.trees[t] = tree{nodes: b.nodes}
+		draws[t] = draw{idx: idx, seed: rng.Int63()}
 	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), cfg.NumTrees); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for t := int(next.Add(1)) - 1; t < cfg.NumTrees; t = int(next.Add(1)) - 1 {
+				b := &treeBuilder{
+					x: x, y: y,
+					cfg:        cfg,
+					rng:        rand.New(rand.NewSource(draws[t].seed)),
+					splitFeats: nSplitFeats,
+				}
+				b.build(draws[t].idx, 0)
+				f.trees[t] = tree{nodes: b.nodes}
+			}
+		}()
+	}
+	wg.Wait()
 	return f, nil
 }
 

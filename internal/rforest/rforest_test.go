@@ -1,6 +1,9 @@
 package rforest
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"testing"
@@ -153,4 +156,95 @@ func BenchmarkForestPredict(b *testing.B) {
 		sink += f.Predict(x[i%len(x)])
 	}
 	_ = sink
+}
+
+// goldenInput draws a fixed training set. Features are quantised so many
+// samples tie on a feature, the last feature is a function of the first
+// (two features that split the samples identically, as the cost model's
+// TotalCells and AvgCellSize do), and the target mixes a step, an
+// interaction and noise: the shapes under which a reordered tie or a
+// different summation order picks a different split.
+func goldenInput(n, nf int, seed int64) ([][]float64, []float64) {
+	rng := rand.New(rand.NewSource(seed))
+	x := make([][]float64, n)
+	y := make([]float64, n)
+	for i := range x {
+		row := make([]float64, nf)
+		for j := range row {
+			row[j] = float64(rng.Intn(40)) / 4
+		}
+		row[nf-1] = 1000 / (row[0] + 1)
+		x[i] = row
+		y[i] = row[0]*row[1] + rng.NormFloat64()
+		if row[2] > 5 {
+			y[i] += 20
+		}
+	}
+	return x, y
+}
+
+// forestDigest hashes every node of every tree, in order: feature, threshold
+// bits, value bits, children.
+func forestDigest(f *Forest) string {
+	h := sha256.New()
+	var b [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	put(uint64(f.nFeatures))
+	for _, t := range f.trees {
+		put(uint64(len(t.nodes)))
+		for _, n := range t.nodes {
+			put(uint64(int64(n.feature)))
+			put(math.Float64bits(n.thresh))
+			put(math.Float64bits(n.value))
+			put(uint64(int64(n.left)))
+			put(uint64(int64(n.right)))
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestForestGolden pins the trained forest node for node. The repository
+// benchmark's frozen cost model is Train over committed samples with fixed
+// seeds, so a forest that differs by one bit is a different model and
+// different layouts; the digests were recorded before tree building moved
+// onto worker goroutines and must never change.
+func TestForestGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		n, nf int
+		seed  int64
+		cfg   Config
+		want  string
+	}{
+		{"default1000x8", 1000, 8, 11, func() Config { c := DefaultConfig(); c.Seed = 42; return c }(),
+			"2f03c72978a8ea1309fd1b35896b0fc7b5513512aa33ae2525d1f092f8785e3b"},
+		{"small300x5", 300, 5, 12, Config{NumTrees: 7, MaxDepth: 6, MinLeaf: 3, FeatureFrac: 0.7, Seed: 9},
+			"364ed8c0636258097d59f1077c18356f4edc7cd18e975ee17d93814019b70def"},
+	} {
+		x, y := goldenInput(tc.n, tc.nf, tc.seed)
+		f, err := Train(x, y, tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := forestDigest(f); got != tc.want {
+			t.Errorf("%s: forest digest %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}
+
+// BenchmarkForestTrain is one of the cost model's three regressors: 1,000
+// samples of 8 features under the default configuration.
+func BenchmarkForestTrain(b *testing.B) {
+	x, y := goldenInput(1000, 8, 11)
+	cfg := DefaultConfig()
+	cfg.Seed = 42
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Train(x, y, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

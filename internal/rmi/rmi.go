@@ -10,7 +10,12 @@
 // columns.
 package rmi
 
-import "slices"
+import (
+	"slices"
+	"sort"
+
+	"flood/internal/colstore"
+)
 
 type linear struct {
 	slope, intercept float64
@@ -69,14 +74,26 @@ type CDF struct {
 	maxV   int64
 }
 
-// TrainCDF fits a CDF model to values (need not be sorted; a sorted copy is
-// made). numLeaves controls model capacity; it is clamped to [1, len(values)].
+// TrainCDF fits a CDF model to values, which need not be sorted and are not
+// modified: the model is fitted to a sorted copy, ordered by radix
+// (colstore.RadixSort), and that copy and the sort's second buffer are the
+// only allocations that grow with len(values). numLeaves controls model
+// capacity; it is clamped to [1, len(values)].
 func TrainCDF(values []int64, numLeaves int) *CDF {
-	if len(values) == 0 {
+	sorted := slices.Clone(values)
+	colstore.RadixSort(sorted, nil, new(colstore.SortScratch))
+	return TrainCDFSorted(sorted, numLeaves)
+}
+
+// TrainCDFSorted is TrainCDF over values already in ascending order, for a
+// caller that sorts into a buffer of its own; sorted is only read. Root and
+// leaves are each fitted in one walk of it over the empirical CDF points
+// (v_i, (i+1)/n), the upper rank making At(max) ~ 1, and nothing that grows
+// with the input is allocated.
+func TrainCDFSorted(sorted []int64, numLeaves int) *CDF {
+	if len(sorted) == 0 {
 		return &CDF{leaves: []cdfLeaf{{model: linear{}, lo: 0, hi: 1}}}
 	}
-	sorted := append([]int64(nil), values...)
-	slices.Sort(sorted)
 	if numLeaves < 1 {
 		numLeaves = 1
 	}
@@ -84,48 +101,58 @@ func TrainCDF(values []int64, numLeaves int) *CDF {
 		numLeaves = len(sorted)
 	}
 	n := len(sorted)
-	// Empirical CDF points: (v_i, (i+1)/n). Using the upper rank makes
-	// At(max) ~ 1.
-	xs := make([]float64, n)
-	ys := make([]float64, n)
-	for i, v := range sorted {
-		xs[i] = float64(v)
-		ys[i] = float64(i+1) / float64(n)
-	}
 	m := &CDF{
-		root:   fitMonotone(xs, ys),
+		root:   fitCDFPoints(sorted, 0, n),
 		leaves: make([]cdfLeaf, numLeaves),
 		minV:   sorted[0],
 		maxV:   sorted[n-1],
 	}
-	// Route every point through the root to its leaf, then fit leaves.
+	// The root is monotone and the input sorted, so each leaf owns one run
+	// of it, and the run's end is found by bisection.
 	start := 0
-	assign := make([]int, n)
-	for i, v := range sorted {
-		assign[i] = m.leafFor(v)
-	}
-	// assign is non-decreasing because root is monotone and input sorted.
 	prevHi := 0.0
 	for leaf := 0; leaf < numLeaves; leaf++ {
-		end := start
-		for end < n && assign[end] == leaf {
-			end++
-		}
+		end := start + sort.Search(n-start, func(i int) bool { return m.leafFor(sorted[start+i]) > leaf })
 		if start == end {
 			// Empty leaf: constant at the boundary CDF value.
 			m.leaves[leaf] = cdfLeaf{model: linear{0, prevHi}, lo: prevHi, hi: prevHi}
 			continue
 		}
-		lm := fitMonotone(xs[start:end], ys[start:end])
 		// Clamp to [prevHi, hi]: the true CDF span this leaf is
 		// responsible for. Monotone leaves with non-overlapping clamp
 		// ranges keep the whole model monotone.
-		hi := ys[end-1]
-		m.leaves[leaf] = cdfLeaf{model: lm, lo: prevHi, hi: hi}
+		hi := float64(end) / float64(n)
+		m.leaves[leaf] = cdfLeaf{model: fitCDFPoints(sorted, start, end), lo: prevHi, hi: hi}
 		prevHi = hi
 		start = end
 	}
 	return m
+}
+
+// fitCDFPoints is fitMonotone over the empirical CDF points of
+// sorted[start:end], x = sorted[i] and y = (i+1)/len(sorted), without
+// materialising them. The sums accumulate in index order, exactly as
+// fitLinear's do, so the fit is the one fitMonotone returns bit for bit.
+func fitCDFPoints(sorted []int64, start, end int) linear {
+	total := float64(len(sorted))
+	var sx, sy, sxx, sxy float64
+	for i := start; i < end; i++ {
+		x, y := float64(sorted[i]), float64(i+1)/total
+		sx += x
+		sy += y
+		sxx += x * x
+		sxy += x * y
+	}
+	n := float64(end - start)
+	den := n*sxx - sx*sx
+	if den == 0 {
+		return linear{slope: 0, intercept: sy / n}
+	}
+	a := (n*sxy - sx*sy) / den
+	if a < 0 {
+		return linear{slope: 0, intercept: sy / n}
+	}
+	return linear{slope: a, intercept: (sy - a*sx) / n}
 }
 
 func (m *CDF) leafFor(v int64) int {
@@ -161,8 +188,12 @@ func (m *CDF) At(v int64) float64 {
 
 // Bucket maps v into one of n equi-CDF buckets: ⌊CDF(v)·n⌋ clamped to
 // [0, n-1] (§5.1).
-func (m *CDF) Bucket(v int64, n int) int {
-	b := int(m.At(v) * float64(n))
+func (m *CDF) Bucket(v int64, n int) int { return BucketAt(m.At(v), n) }
+
+// BucketAt is Bucket for a caller that kept p = At(v): the same value is
+// bucketed at many column counts for one model evaluation.
+func BucketAt(p float64, n int) int {
+	b := int(p * float64(n))
 	if b < 0 {
 		b = 0
 	}
@@ -176,6 +207,9 @@ func (m *CDF) Bucket(v int64, n int) int {
 func (m *CDF) SizeBytes() int64 {
 	return int64(16 + len(m.leaves)*32 + 16)
 }
+
+// Domain returns the smallest and largest value the model was trained on.
+func (m *CDF) Domain() (min, max int64) { return m.minV, m.maxV }
 
 // NumLeaves returns the number of leaf models.
 func (m *CDF) NumLeaves() int { return len(m.leaves) }

@@ -1,8 +1,12 @@
 package rmi
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -226,5 +230,142 @@ func TestCDFBucketMonotoneAtExtremes(t *testing.T) {
 	}
 	if got := m.Bucket(math.MaxInt64, cols); got != cols-1 {
 		t.Fatalf("Bucket(MaxInt64) = %d, want %d", got, cols-1)
+	}
+}
+
+// trainCDFReference is TrainCDF as it stood at c4766b7, kept verbatim as the
+// oracle: a sorted copy by comparison sort, the CDF points and the leaf
+// assignment materialised, the fits taken over slices of them.
+func trainCDFReference(values []int64, numLeaves int) *CDF {
+	if len(values) == 0 {
+		return &CDF{leaves: []cdfLeaf{{model: linear{}, lo: 0, hi: 1}}}
+	}
+	sorted := append([]int64(nil), values...)
+	slices.Sort(sorted)
+	if numLeaves < 1 {
+		numLeaves = 1
+	}
+	if numLeaves > len(sorted) {
+		numLeaves = len(sorted)
+	}
+	n := len(sorted)
+	xs := make([]float64, n)
+	ys := make([]float64, n)
+	for i, v := range sorted {
+		xs[i] = float64(v)
+		ys[i] = float64(i+1) / float64(n)
+	}
+	m := &CDF{
+		root:   fitMonotone(xs, ys),
+		leaves: make([]cdfLeaf, numLeaves),
+		minV:   sorted[0],
+		maxV:   sorted[n-1],
+	}
+	start := 0
+	assign := make([]int, n)
+	for i, v := range sorted {
+		assign[i] = m.leafFor(v)
+	}
+	prevHi := 0.0
+	for leaf := 0; leaf < numLeaves; leaf++ {
+		end := start
+		for end < n && assign[end] == leaf {
+			end++
+		}
+		if start == end {
+			m.leaves[leaf] = cdfLeaf{model: linear{0, prevHi}, lo: prevHi, hi: prevHi}
+			continue
+		}
+		lm := fitMonotone(xs[start:end], ys[start:end])
+		hi := ys[end-1]
+		m.leaves[leaf] = cdfLeaf{model: lm, lo: prevHi, hi: hi}
+		prevHi = hi
+		start = end
+	}
+	return m
+}
+
+// cdfTestValues draws n values of one of the shapes flattening meets: a span
+// narrower than the row count, the full int64 range, a band of negatives, a
+// Gaussian, and a decreasing run (every fit's slope would be negative were
+// the input not sorted first).
+func cdfTestValues(rng *rand.Rand, shape, n int) []int64 {
+	vals := make([]int64, n)
+	for i := range vals {
+		switch shape {
+		case 0:
+			vals[i] = rng.Int63n(int64(n)/4+1) + 9000
+		case 1:
+			vals[i] = int64(rng.Uint64())
+		case 2:
+			vals[i] = -rng.Int63n(1<<40) - 1<<41
+		case 3:
+			vals[i] = int64(rng.NormFloat64() * 1e6)
+		default:
+			vals[i] = int64(n-i) * 17
+		}
+	}
+	return vals
+}
+
+// TestTrainCDFMatchesReference requires the streamed, radix-ordered TrainCDF
+// to return the reference's model bit for bit, and to leave its input alone.
+func TestTrainCDFMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	sizes := []int{1, 2, 3, 17, 64, 65, 1000, 40_000, 300_000}
+	for trial := 0; trial < 60; trial++ {
+		n := sizes[trial%len(sizes)]
+		if n > 1000 && trial >= 2*len(sizes) {
+			n = 1 + rng.Intn(5000)
+		}
+		vals := cdfTestValues(rng, trial%5, n)
+		leaves := 1 + rng.Intn(1024)
+		before := slices.Clone(vals)
+		got, want := TrainCDF(vals, leaves), trainCDFReference(vals, leaves)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d (shape %d, n=%d, leaves=%d): model differs from the reference", trial, trial%5, n, leaves)
+		}
+		if !slices.Equal(vals, before) {
+			t.Fatalf("trial %d: TrainCDF reordered its input", trial)
+		}
+	}
+}
+
+// TestTrainCDFAllocatesTwoBuffers pins the training footprint: the sorted
+// copy and the sort's second buffer (or, for a narrow column, its counts) and
+// nothing else that grows with the input. The reference held four more
+// n-length arrays.
+func TestTrainCDFAllocatesTwoBuffers(t *testing.T) {
+	const n = 200_000
+	rng := rand.New(rand.NewSource(24))
+	for shape, name := range []string{"narrow", "wide"} {
+		vals := cdfTestValues(rng, shape, n)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		TrainCDF(vals, 1024)
+		runtime.ReadMemStats(&after)
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(2*8*n+128<<10); got > limit {
+			t.Errorf("%s: TrainCDF allocated %d bytes for %d values, want at most %d", name, got, n, limit)
+		}
+		if allocs := testing.AllocsPerRun(3, func() { TrainCDF(vals, 1024) }); allocs > 8 {
+			t.Errorf("%s: TrainCDF made %.0f allocations, want a handful", name, allocs)
+		}
+	}
+}
+
+// BenchmarkTrainCDF is one flattening CDF at the leaf count Build uses: a
+// column narrower than its row count (dates, quantities, dictionary codes —
+// one counting pass) and one spanning the int64 range (eight byte passes).
+func BenchmarkTrainCDF(b *testing.B) {
+	for shape, name := range []string{"narrow", "wide"} {
+		for _, n := range []int{100_000, 2_000_000} {
+			vals := cdfTestValues(rand.New(rand.NewSource(25)), shape, n)
+			b.Run(fmt.Sprintf("%s/n=%dk", name, n/1000), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					TrainCDF(vals, 1024)
+				}
+			})
+		}
 	}
 }
