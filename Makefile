@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: all fmt generate build test vet docs loc bench bench-full fuzz-smoke clean
+.PHONY: all fmt generate build test kernels vet docs loc bench bench-full fuzz-smoke clean
 
-all: fmt vet build test
+all: fmt vet build test kernels
 
 # fmt fails when any file is not gofmt-clean, naming the files.
 fmt:
@@ -24,6 +24,17 @@ build:
 test:
 	$(GO) test ./...
 
+# kernels runs the scan-stage packages under the two builds `make test` does
+# not compile — purego, where the generated Go kernels are the packed compare
+# (on amd64 the default build puts the AVX2 routine of cmp_amd64.s above
+# them), and floodscalar, the oracle with no packed kernel at all — and builds
+# and vets for arm64, where the assembly is not compiled.
+kernels:
+	$(GO) test -tags purego ./internal/colstore ./internal/query ./internal/core
+	$(GO) test -tags floodscalar ./internal/colstore ./internal/query ./internal/core
+	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./...
+
+# vet includes asmdecl, which checks cmp_amd64.s against its Go declarations.
 vet:
 	$(GO) vet ./...
 
@@ -66,7 +77,8 @@ loc:
 # one sample evaluation (against the straight-line oracle), and one whole
 # search over 100k rows at the repository benchmark's effort and at the
 # optimizer's defaults. DecodeBlock and CompareBlock are one 128-value block
-# through the generated kernels at the five commonest delta widths of the
+# through the packed kernels (cmd/benchjson records which compare the host
+# selected as scan_kernel) at the five commonest delta widths of the
 # repository benchmark's tables; AggregateBlock is one block's survivors
 # folded under the selection mask per aggregate, mask density and width, and
 # BitmapAndBlock one block's predicate through the range-encoded bitmap index

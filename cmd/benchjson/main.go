@@ -17,6 +17,8 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+
+	"flood/internal/colstore"
 )
 
 // Benchmark is one parsed result line.
@@ -47,12 +49,16 @@ type Report struct {
 	// GitSHA is the commit checked out in the directory benchjson runs in,
 	// with "-dirty" appended when tracked files differ from it; absent
 	// outside a checkout.
-	GitSHA     string      `json:"git_sha,omitempty"`
+	GitSHA string `json:"git_sha,omitempty"`
+	// ScanKernel is the packed compare the scan stage selects on this host
+	// in a default build (colstore.KernelName): the one the CompareBlock and
+	// every end-to-end row were measured on.
+	ScanKernel string      `json:"scan_kernel"`
 	Benchmarks []Benchmark `json:"benchmarks"`
 }
 
 func main() {
-	rep := Report{NumCPU: runtime.NumCPU(), GoVersion: runtime.Version(), GitSHA: gitSHA()}
+	rep := Report{NumCPU: runtime.NumCPU(), GoVersion: runtime.Version(), GitSHA: gitSHA(), ScanKernel: colstore.KernelName()}
 	if err := parse(os.Stdin, &rep); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)

@@ -9,8 +9,9 @@ import "math/bits"
 // Bits past the column's last row are the caller's to keep clear.
 // A full block of 1..32-bit deltas is compared in its packed form — the test
 // v-rmin <= span becomes delta+(blockMin-rmin) <= span, so no value is ever
-// reconstructed or stored; the column's last partial block and wider deltas
-// decode first.
+// reconstructed or stored — by the vector routine or the generated kernels,
+// whichever KernelName reports; the column's last partial block and wider
+// deltas decode first.
 func (c *Column) CompareBlock(b int, sel *BlockBitmap, rmin, span uint64) {
 	if (b+1)*BlockSize <= c.n &&
 		compareBlock(c.words[c.offsets[b]:], sel, uint(c.widths[b]), uint64(c.mins[b])-rmin, span) {

@@ -2,9 +2,13 @@
 
 package colstore
 
-// The floodscalar build is the oracle the generated kernels are checked
-// against, so it contains none of them: every block decodes through the
-// generic bit loop and every compare runs over decoded values.
+// The floodscalar build is the oracle the packed kernels are checked against,
+// so it contains none of them: every block decodes through the generic bit
+// loop and every compare runs over decoded values.
+
+// KernelName names the packed compare this process runs; see the packed
+// build's.
+func KernelName() string { return "scalar" }
 
 func unpackWord(words []uint64, out []int64, minV int64, w uint) {
 	unpackGeneric(words, out[:64], minV, w)

@@ -28,10 +28,11 @@ func widthColumn(rng *rand.Rand, w uint, n int, minV int64) ([]int64, *Column) {
 }
 
 // blockMins are the block minima the width properties run at: the bottom of
-// the domain, the highest minimum a w-bit block can have, and one that puts
-// zero inside the block.
+// the domain, the highest minimum a w-bit block can have, one that puts zero
+// inside the block, and one that keeps the whole block negative.
 func blockMins(w uint) []int64 {
-	return []int64{math.MinInt64, int64(uint64(math.MaxInt64) - mask(w)), int64(-(mask(w) >> 1) - 1)}
+	return []int64{math.MinInt64, int64(uint64(math.MaxInt64) - mask(w)), int64(-(mask(w) >> 1) - 1),
+		-int64(min(mask(w), math.MaxInt64)) - 1}
 }
 
 // blockShapes are the column lengths the width properties run at: the block
@@ -72,14 +73,21 @@ func TestDecodeBlockEveryWidth(t *testing.T) {
 }
 
 // compareRanges returns the predicates the compare properties run against a
-// block holding vals: unbounded on either or both sides, the whole domain of
-// the block, single points (present, and just outside), and random ranges.
+// block holding vals: unbounded on either or both sides (query.NegInf and
+// PosInf are these extremes), the whole domain of the block, single points
+// (present, and just outside), ranges that start below the block or end above
+// it or both, ranges wholly to one side, and random ranges.
 func compareRanges(rng *rand.Rand, vals []int64) [][2]int64 {
 	lo, hi := vals[0], vals[0]
 	for _, v := range vals {
 		lo, hi = min(lo, v), max(hi, v)
 	}
 	pick := func() int64 { return vals[rng.Intn(len(vals))] }
+	// below and above step outside the block, stopping at the domain's ends.
+	below := func() int64 { return lo - int64(min(uint64(1+rng.Intn(1000)), uint64(lo)^(1<<63))) }
+	above := func() int64 { return hi + int64(min(uint64(1+rng.Intn(1000)), math.MaxInt64-uint64(hi))) }
+	ordered := func(a, b int64) [2]int64 { return [2]int64{min(a, b), max(a, b)} }
+	p := pick()
 	rs := [][2]int64{
 		{math.MinInt64, math.MaxInt64},
 		{math.MinInt64, pick()},
@@ -87,21 +95,21 @@ func compareRanges(rng *rand.Rand, vals []int64) [][2]int64 {
 		{lo, hi},
 		{lo, lo}, {hi, hi},
 		{math.MinInt64, math.MinInt64}, {math.MaxInt64, math.MaxInt64},
+		{below(), pick()}, {pick(), above()}, {below(), above()},
+		ordered(below(), below()), ordered(above(), above()),
+		{p, p},
 	}
-	p := pick()
-	rs = append(rs, [2]int64{p, p})
 	for i := 0; i < 6; i++ {
-		a, b := pick(), pick()
-		rs = append(rs, [2]int64{min(a, b), max(a, b)})
+		rs = append(rs, ordered(pick(), pick()))
 	}
 	return rs
 }
 
 // randomSel draws a selection word: empty, full, a handful of survivors (most
 // of a kernel's 8-row groups skipped; the decoded fallback's per-bit path),
-// about one in eight, or most.
+// one 8-row group alone, about one in eight, or most.
 func randomSel(rng *rand.Rand) uint64 {
-	switch rng.Intn(5) {
+	switch rng.Intn(6) {
 	case 0:
 		return 0
 	case 1:
@@ -110,39 +118,88 @@ func randomSel(rng *rand.Rand) uint64 {
 		return 1<<uint(rng.Intn(64)) | 1<<uint(rng.Intn(64)) | 1<<uint(rng.Intn(64))
 	case 3:
 		return rng.Uint64() & rng.Uint64() & rng.Uint64()
+	case 4:
+		return (rng.Uint64() & 0xff) << uint(8*rng.Intn(8))
 	}
 	return rng.Uint64() | rng.Uint64()
 }
 
-// checkCompareBlock runs CompareBlock on block b under sel and the predicate
-// [lo, hi] and checks it against the definition, row by row over the values
-// the column was built from, and against DecodeBlock + andCompareMask.
+// compareImpl is one packed compare compiled into this build (packedImpls:
+// the vector routine and the generated kernels, or nothing under
+// floodscalar), with compareBlock's contract: refine sel and report true, or
+// report false and leave sel alone.
+type compareImpl struct {
+	name string
+	fn   func(words []uint64, sel *BlockBitmap, w uint, off, span uint64) bool
+}
+
+// checkCompareBlock checks block b under sel and the predicate [lo, hi]
+// against the definition v >= lo && v <= hi.
 func checkCompareBlock(t *testing.T, c *Column, vals []int64, b int, sel BlockBitmap, lo, hi int64) {
 	t.Helper()
-	got, viaDecode := sel, sel
-	c.CompareBlock(b, &got, uint64(lo), uint64(hi)-uint64(lo))
+	checkCompare(t, c, vals, b, sel, uint64(lo), uint64(hi)-uint64(lo), func(v int64) bool { return v >= lo && v <= hi })
+}
+
+// checkCompare runs every compare there is on block b under sel and the
+// predicate (rmin, span) — CompareBlock, DecodeBlock + andCompareMask, and on
+// a full block each of packedImpls that accepts it — and checks each against
+// want, row by row over the values the column was built from.
+func checkCompare(t *testing.T, c *Column, vals []int64, b int, sel BlockBitmap, rmin, span uint64, want func(v int64) bool) {
+	t.Helper()
 	var buf [BlockSize]int64
 	cnt := c.DecodeBlock(b, buf[:])
-	andCompareMask(&viaDecode, &buf, uint64(lo), uint64(hi)-uint64(lo))
-	for i := 0; i < cnt; i++ {
-		v := vals[b*BlockSize+i]
-		bit := uint64(1) << uint(i%64)
-		want := sel[i/64]&bit != 0 && v >= lo && v <= hi
-		if (got[i/64]&bit != 0) != want || (viaDecode[i/64]&bit != 0) != want {
-			t.Fatalf("w=%d block %d row %d (v=%d) in [%d,%d] under sel %#x: CompareBlock %v, decode+mask %v, want %v",
-				c.widths[b], b, i, v, lo, hi, sel, got[i/64]&bit != 0, viaDecode[i/64]&bit != 0, want)
+	check := func(name string, got BlockBitmap) {
+		t.Helper()
+		for i := 0; i < cnt; i++ {
+			v := vals[b*BlockSize+i]
+			bit := uint64(1) << uint(i%64)
+			if w := sel[i/64]&bit != 0 && want(v); (got[i/64]&bit != 0) != w {
+				t.Fatalf("w=%d block %d row %d (v=%d), rmin %d span %#x under sel %#x: %s %v, want %v",
+					c.widths[b], b, i, v, int64(rmin), span, sel, name, !w, w)
+			}
+		}
+		for wi := range got {
+			if got[wi]&^sel[wi] != 0 {
+				t.Fatalf("w=%d block %d: %s set bits outside sel: %#x from %#x", c.widths[b], b, name, got[wi], sel[wi])
+			}
 		}
 	}
-	for wi := range got {
-		if got[wi]&^sel[wi] != 0 {
-			t.Fatalf("w=%d block %d: CompareBlock set bits outside sel: %#x from %#x", c.widths[b], b, got[wi], sel[wi])
+	got := sel
+	c.CompareBlock(b, &got, rmin, span)
+	check("CompareBlock", got)
+	got = sel
+	andCompareMask(&got, &buf, rmin, span)
+	check("decode+mask", got)
+	if cnt < BlockSize {
+		return
+	}
+	for _, impl := range packedImpls {
+		got = sel
+		if impl.fn(c.words[c.offsets[b]:], &got, uint(c.widths[b]), uint64(c.mins[b])-rmin, span) {
+			check(impl.name, got)
+		} else if got != sel {
+			t.Fatalf("w=%d block %d: %s refused the block but changed sel", c.widths[b], b, impl.name)
 		}
 	}
 }
 
+// wrappedPredicates are raw (rmin, span) pairs no Min <= Max range produces:
+// the passing values start inside the block, run off the top of the domain
+// and come back round to the block's first values. The bounds rewrite refuses
+// them (two runs of deltas, not one interval) and every other compare must
+// still answer uint64(v)-rmin <= span.
+func wrappedPredicates(rng *rand.Rand, blk []int64) [][2]uint64 {
+	var ps [][2]uint64
+	for i := 0; i < 3; i++ {
+		rmin := uint64(blk[rng.Intn(len(blk))])
+		ps = append(ps, [2]uint64{rmin, ^uint64(0) - uint64(1+rng.Intn(3))}, [2]uint64{rmin, uint64(blk[0]) - rmin})
+	}
+	return ps
+}
+
 // TestCompareBlockEveryWidth is the packed-compare property: for every width
-// 0..64, block minimum and block shape, CompareBlock agrees with the row by
-// row definition under random partial selections.
+// 0..64, block minimum and block shape, every compare compiled in agrees with
+// the row by row definition under random partial selections.
 func TestCompareBlockEveryWidth(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for w := uint(0); w <= 64; w++ {
@@ -154,6 +211,11 @@ func TestCompareBlockEveryWidth(t *testing.T) {
 					for _, r := range compareRanges(rng, blk) {
 						sel := BlockBitmap{randomSel(rng), randomSel(rng)}
 						checkCompareBlock(t, c, vals, b, sel, r[0], r[1])
+					}
+					for _, p := range wrappedPredicates(rng, blk) {
+						rmin, span := p[0], p[1]
+						sel := BlockBitmap{randomSel(rng), randomSel(rng)}
+						checkCompare(t, c, vals, b, sel, rmin, span, func(v int64) bool { return uint64(v)-rmin <= span })
 					}
 				}
 			}
@@ -190,13 +252,16 @@ func TestAndCompareMaskEdges(t *testing.T) {
 	check(0, math.MaxInt64)
 }
 
-// FuzzCompareBlock drives CompareBlock with fuzzer-chosen width, block
-// minimum, column length, predicate and selection, against the row by row
-// definition. The committed corpus (testdata/fuzz/FuzzCompareBlock) holds one
-// input per code path: a generated kernel under a full and under a sparse
-// selection, a cross-word width, the widest kernel, the decode fallback for a
-// wide width and for a partial block, an unbounded predicate, and the two
-// hand-written widths 0 and 64.
+// FuzzCompareBlock drives every compare compiled in with fuzzer-chosen width,
+// block minimum, column length, predicate and selection, against the row by
+// row definition; lo > hi is taken as the raw wrapping predicate rmin = lo,
+// span = hi-lo. The committed corpus (testdata/fuzz/FuzzCompareBlock) holds
+// one input per code path: a packed kernel under a full and under a sparse
+// selection, a cross-word width, the widest vector width and the first past
+// it, the widest generated kernel, the decode fallback for a wide width and
+// for a partial block, an unbounded predicate, a negative block under a
+// thinned selection, ranges that start below and end above the block, a wrap
+// the bounds rewrite refuses, and the two hand-written widths 0 and 64.
 func FuzzCompareBlock(f *testing.F) {
 	f.Add(int64(1), uint8(5), uint16(BlockSize), int64(100), int64(3), int64(20), ^uint64(0), uint64(7))
 	f.Fuzz(func(t *testing.T, seed int64, width uint8, n uint16, minV, lo, hi int64, sel0, sel1 uint64) {
@@ -204,12 +269,14 @@ func FuzzCompareBlock(f *testing.F) {
 		if minV > int64(uint64(math.MaxInt64)-mask(w)) {
 			minV = int64(uint64(math.MaxInt64) - mask(w))
 		}
-		if lo > hi {
-			lo, hi = hi, lo
-		}
 		vals, c := widthColumn(rand.New(rand.NewSource(seed)), w, 2+int(n)%(3*BlockSize), minV)
 		for b := 0; b < c.NumBlocks(); b++ {
-			checkCompareBlock(t, c, vals, b, BlockBitmap{sel0, sel1}, lo, hi)
+			if lo <= hi {
+				checkCompareBlock(t, c, vals, b, BlockBitmap{sel0, sel1}, lo, hi)
+				continue
+			}
+			rmin, span := uint64(lo), uint64(hi)-uint64(lo)
+			checkCompare(t, c, vals, b, BlockBitmap{sel0, sel1}, rmin, span, func(v int64) bool { return uint64(v)-rmin <= span })
 		}
 	})
 }

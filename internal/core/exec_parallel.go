@@ -55,15 +55,22 @@ type workerPool struct {
 	spawned int
 }
 
-// poolTask is one queued helper: either a plain closure (the build and
-// refinement paths) or a (job, generation) pair — morsel jobs are recycled,
-// so they submit by value instead of binding a fresh closure per query, and
-// the generation lets a stale helper detect that its job has since been
-// retired and reused (see morselJob.helperRun).
+// poolTask is one queued helper: either a plain closure (the build paths) or
+// a (job, generation) pair — the jobs of the query path, morsel scans and
+// parallel refinement, are recycled, so they submit by value instead of
+// binding a fresh closure per query, and the generation lets a stale helper
+// detect that its job has since been retired and reused (see jobFence).
 type poolTask struct {
 	fn  func()
-	job *morselJob
+	job fencedJob
 	gen uint64
+}
+
+// fencedJob is a recycled job as a queued helper sees it: the fence to pass
+// before touching it, and the claim loop to run once through.
+type fencedJob interface {
+	fence() *jobFence
+	run()
 }
 
 func (t poolTask) run() {
@@ -71,7 +78,43 @@ func (t poolTask) run() {
 		t.fn()
 		return
 	}
-	t.job.helperRun(t.gen)
+	f := t.job.fence()
+	if f.enter(t.gen) {
+		t.job.run()
+	}
+	f.leave()
+}
+
+// jobFence guards a recycled job against the helpers of its earlier uses,
+// which may still sit in the queue holding its pointer. A helper enters —
+// registering itself, then checking that the generation it was queued with
+// is still current — before it touches anything else in the job, and leaves
+// when done; retiring a job bumps the generation first and then waits the
+// entered helpers out, so a recycled job's plain fields are never written
+// while a stale helper can read them.
+type jobFence struct {
+	gen     atomic.Uint64
+	entered atomic.Int64
+}
+
+func (f *jobFence) fence() *jobFence { return f }
+
+func (f *jobFence) enter(gen uint64) bool {
+	f.entered.Add(1)
+	return f.gen.Load() == gen
+}
+
+func (f *jobFence) leave() { f.entered.Add(-1) }
+
+// shut invalidates the job for any helper still queued or racing in and
+// waits out those already past the generation check. Called once the job's
+// cursor is exhausted, so a straggler's claim loop returns at once — the spin
+// is a few scheduler yields at most.
+func (f *jobFence) shut() {
+	f.gen.Add(1)
+	for f.entered.Load() != 0 {
+		runtime.Gosched()
+	}
 }
 
 var execPool = &workerPool{tasks: make(chan poolTask, 1024)}
@@ -236,22 +279,16 @@ func appendMorsels(dst, spans []Span, target int) []Span {
 // worker releases its claimed morsels only after folding its partial
 // aggregate and stats into the job, so wg.Wait() implies the merge is done.
 //
-// Jobs are pooled across queries, each keeping its morsel buffer. Helpers
-// queued for a finished query may still hold the job pointer, so reuse is
-// guarded by (gen, entered): a helper atomically registers in entered,
-// checks that the generation it was queued with is still current, and only
-// then touches the rest of the job; retire bumps gen first and then waits
-// entered out, so a recycled job's plain fields are never written while a
-// stale helper can read them.
+// Jobs are pooled across queries, each keeping its morsel buffer; the fence
+// keeps the helpers of a finished query off a reused job.
 type morselJob struct {
+	jobFence
 	t       *colstore.Table
 	q       query.Query
 	ctl     *query.Control // nil: unconditioned scan
 	tomb    []uint64       // tombstone snapshot captured by the caller
 	morsels []Span
 	cursor  atomic.Int64
-	gen     atomic.Uint64
-	entered atomic.Int64
 	wg      sync.WaitGroup
 	mu      sync.Mutex
 	agg     query.Mergeable
@@ -260,28 +297,10 @@ type morselJob struct {
 
 var morselJobPool = sync.Pool{New: func() any { return new(morselJob) }}
 
-// helperRun is the pool-helper entry point: it joins the job only when gen
-// still matches the generation the helper was queued with. The entered
-// counter is raised before the check and lowered after run returns, giving
-// retire a fence to wait on.
-func (j *morselJob) helperRun(gen uint64) {
-	j.entered.Add(1)
-	if j.gen.Load() == gen {
-		j.run()
-	}
-	j.entered.Add(-1)
-}
-
-// retire invalidates the job for any helper still queued (or racing in) and
-// waits out helpers already past the generation check, after which the
-// job's fields may be rewritten and the job pooled. Called after wg.Wait,
-// so the cursor is exhausted and any straggler's run() returns immediately —
-// the spin is a few scheduler yields at most.
+// retire shuts the fence, after which the job's fields may be rewritten and
+// the job pooled. Called after wg.Wait.
 func (j *morselJob) retire() {
-	j.gen.Add(1)
-	for j.entered.Load() != 0 {
-		runtime.Gosched()
-	}
+	j.shut()
 	j.t = nil
 	j.q = query.Query{}
 	j.ctl = nil
@@ -371,4 +390,57 @@ func scanParallel(t *colstore.Table, tomb []uint64, ctl *query.Control, q query.
 	st.Add(j.st)
 	j.retire()
 	return true
+}
+
+// --- parallel refinement ---
+
+// refineGrain is the number of ranges a worker claims at a time.
+const refineGrain = 32
+
+// refineJob is the shared state of one parallel refinement: the ranges, a
+// claim cursor over them in refineGrain chunks, and a count of chunks still
+// out. Pooled and fenced like morselJob, so a query that refines in parallel
+// allocates nothing for it.
+type refineJob struct {
+	jobFence
+	f      *Flood
+	q      query.Query
+	spans  []Span
+	cells  []int32
+	cursor atomic.Int64
+	wg     sync.WaitGroup
+}
+
+var refineJobPool = sync.Pool{New: func() any { return new(refineJob) }}
+
+// run is one worker's claim loop, on the issuing goroutine and on any pool
+// helpers the job attracted.
+func (j *refineJob) run() {
+	done := 0
+	for {
+		lo := (int(j.cursor.Add(1)) - 1) * refineGrain
+		if lo >= len(j.spans) {
+			break
+		}
+		hi := min(lo+refineGrain, len(j.spans))
+		j.f.refineRanges(j.q, j.spans[lo:hi], j.cells[lo:hi])
+		done++
+	}
+	j.wg.Add(-done)
+}
+
+// refineParallel narrows spans over the worker pool, refineGrain ranges at a
+// time. Ranges are independent, so the result is the sequential loop's.
+func (f *Flood) refineParallel(q query.Query, spans []Span, cells []int32) {
+	j := refineJobPool.Get().(*refineJob)
+	j.f, j.q, j.spans, j.cells = f, q, spans, cells
+	chunks := (len(spans) + refineGrain - 1) / refineGrain
+	j.wg.Add(chunks)
+	execPool.offer(chunks-1, poolTask{job: j, gen: j.gen.Load()})
+	j.run()
+	j.wg.Wait()
+	j.shut()
+	j.f, j.q, j.spans, j.cells = nil, query.Query{}, nil, nil
+	j.cursor.Store(0)
+	refineJobPool.Put(j)
 }

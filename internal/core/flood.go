@@ -297,7 +297,7 @@ func (f *Flood) project(q query.Query, es *execScratch, st *query.Stats) {
 }
 
 // refineParallelRanges is the range count at which refinement probes fan out
-// over the worker pool; below it, the sequential loop stays allocation-free.
+// over the worker pool; below it, the probes cost less than waking a helper.
 const refineParallelRanges = 128
 
 // refine implements §3.2.2 / §5.2: narrow each span along the sort
@@ -312,9 +312,7 @@ func (f *Flood) refine(q query.Query, spans []Span, cells []int32, st *query.Sta
 	}
 	st.RangesRefined += int64(len(spans))
 	if parallel && len(spans) >= refineParallelRanges && maxWorkers() > 1 {
-		poolFor(len(spans), 32, func(lo, hi int) {
-			f.refineRanges(q, spans[lo:hi], cells[lo:hi])
-		})
+		f.refineParallel(q, spans, cells)
 		return
 	}
 	f.refineRanges(q, spans, cells)

@@ -187,6 +187,46 @@ func TestParallelAlternatingAggregatesZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestParallelRefineZeroAllocs pins the pooled refinement job: a query over
+// enough cells that its refinement probes fan out over the worker pool
+// allocates nothing for the fan-out. A closure, a cursor and a WaitGroup per
+// query used to. testing.AllocsPerRun pins GOMAXPROCS to 1, where refinement
+// never fans out, so the mallocs are counted here, process-wide, over enough
+// queries that a stray runtime allocation rounds away.
+func TestParallelRefineZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates inside Execute")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	tbl, _ := makeData(t, 40000, 4, 79)
+	idx, err := Build(tbl, Layout{GridDims: []int{0, 1}, GridCols: []int{16, 16}, SortDim: 2, Flatten: true}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := query.NewQuery(4).WithRange(2, 100, 900)
+	agg := query.NewCount()
+	run := func() {
+		agg.Reset()
+		// workers 0 and a huge cutover: refinement fans out (the unrefined
+		// ranges cover the table), the scan that follows stays sequential.
+		if st := idx.Run(nil, q, agg, 0, 30000); st.RangesRefined < refineParallelRanges {
+			t.Fatalf("only %d ranges refined: the query stays under the parallel threshold", st.RangesRefined)
+		}
+	}
+	run() // warm the pools
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const runs = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	if allocs := (after.Mallocs - before.Mallocs) / runs; allocs != 0 {
+		t.Errorf("%d allocs per query refined in parallel, want 0", allocs)
+	}
+}
+
 // TestOneSidedRangeOnTinyDomainGridDim is the regression test for the
 // bucketer extreme-value overflow at the engine level: a one-sided predicate
 // ([v, PosInf]) on a flattened grid dimension with a tiny value domain

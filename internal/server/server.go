@@ -654,6 +654,7 @@ func (s *Server) Stats() Stats {
 		InFlight:        len(s.sem),
 		IndexEpoch:      s.store.Epoch(),
 		Shards:          s.store.ShardStats(),
+		ScanKernel:      colstore.KernelName(),
 	}
 	ast := s.store.Stats()
 	st.BaseRows, st.PendingRows = ast.BaseRows, ast.PendingRows
@@ -804,6 +805,10 @@ type Stats struct {
 	// (absent on a flat one): each shard's key range on the split dimension
 	// and an independent lifecycle snapshot.
 	Shards []flood.ShardStat `json:"shards,omitempty"`
+	// ScanKernel names the packed compare under the scan stage of this
+	// process ("avx2", "generated" or "scalar"): chosen from the platform at
+	// start-up, recorded so a latency number says which kernel produced it.
+	ScanKernel string `json:"scan_kernel"`
 }
 
 // --- helpers ---
