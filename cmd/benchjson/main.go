@@ -34,6 +34,9 @@ type Benchmark struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  *int64  `json:"bytes_per_op,omitempty"`
 	AllocsPerOp *int64  `json:"allocs_per_op,omitempty"`
+	// Metrics are the columns a benchmark adds with b.ReportMetric, by unit
+	// (e.g. helper_frac).
+	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
 // Report is the emitted document.
@@ -114,7 +117,7 @@ func parse(r io.Reader, rep *Report) error {
 
 // parseLine parses e.g.
 //
-//	BenchmarkResidualFilterScan-8   25027   49475 ns/op   0 B/op   0 allocs/op
+//	BenchmarkResidualFilterScan-8   25027   49475 ns/op   0.25 helper_frac   0 B/op   0 allocs/op
 func parseLine(line string) (Benchmark, bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 || fields[3] != "ns/op" {
@@ -133,15 +136,20 @@ func parseLine(line string) (Benchmark, bool) {
 	}
 	b := Benchmark{Name: name, GOMAXPROCS: procs, Iterations: iters, NsPerOp: ns}
 	for i := 4; i+1 < len(fields); i += 2 {
-		v, err := strconv.ParseInt(fields[i], 10, 64)
+		f, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {
 			continue
 		}
-		switch fields[i+1] {
+		switch v := int64(f); fields[i+1] {
 		case "B/op":
 			b.BytesPerOp = &v
 		case "allocs/op":
 			b.AllocsPerOp = &v
+		default:
+			if b.Metrics == nil {
+				b.Metrics = map[string]float64{}
+			}
+			b.Metrics[fields[i+1]] = f
 		}
 	}
 	return b, true

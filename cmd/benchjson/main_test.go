@@ -10,7 +10,7 @@ func TestParseRecordsEachBenchmarksPackageAndProcs(t *testing.T) {
 goarch: amd64
 pkg: flood/internal/core
 cpu: Some CPU @ 2.10GHz
-BenchmarkBuild1M-2         	       2	 512345678 ns/op	 1024 B/op	      12 allocs/op
+BenchmarkBuild1M-2         	       2	 512345678 ns/op	         0.2750 helper_frac	 1024 B/op	      12 allocs/op
 PASS
 ok  	flood/internal/core	3.1s
 pkg: flood/internal/wal
@@ -41,6 +41,12 @@ BenchmarkWALAppend/sync         	    1000	      99 ns/op
 	}
 	if b := rep.Benchmarks[0]; b.BytesPerOp == nil || *b.BytesPerOp != 1024 || b.AllocsPerOp == nil || *b.AllocsPerOp != 12 {
 		t.Errorf("memory columns = %+v", b)
+	}
+	if b := rep.Benchmarks[0]; len(b.Metrics) != 1 || b.Metrics["helper_frac"] != 0.275 {
+		t.Errorf("reported metrics = %v, want helper_frac 0.275", b.Metrics)
+	}
+	if b := rep.Benchmarks[1]; b.Metrics != nil {
+		t.Errorf("benchmark without extra columns has metrics %v", b.Metrics)
 	}
 }
 

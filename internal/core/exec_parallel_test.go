@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"flood/internal/colstore"
 	"flood/internal/query"
@@ -299,6 +301,151 @@ func TestMorselTargetBounds(t *testing.T) {
 	}
 }
 
+// quiesce waits until no pool helper is lingering and the queue is empty,
+// and stays so for a few windows, so a test's spin count starts from rest:
+// stale query tasks left in the queue by earlier tests would spin legitimately.
+func quiesce(t *testing.T) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for calm := time.Now(); time.Since(calm) < 20*spinWindow; {
+		if spinners.Load() != 0 || len(execPool.tasks) != 0 {
+			calm = time.Now()
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("pool never came to rest: %d spinning, %d queued", spinners.Load(), len(execPool.tasks))
+		}
+		time.Sleep(spinWindow / 4)
+	}
+}
+
+// rendezvous is the body of a two-chunk pool loop whose chunks wait (up to a
+// second) for each other to start, so a pool helper, not only the caller,
+// runs one of them.
+func rendezvous() func(lo, hi int) {
+	var started atomic.Int32
+	return func(lo, hi int) {
+		started.Add(1)
+		for deadline := time.Now().Add(time.Second); started.Load() < 2 && time.Now().Before(deadline); {
+			runtime.Gosched()
+		}
+	}
+}
+
+// assertNoSpin runs fn on a pool at rest and checks that no helper lingered
+// afterwards: closures are build stages and batches, never a query's own
+// parallel section, so they must go straight back to parking.
+func assertNoSpin(t *testing.T, fn func()) {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	quiesce(t)
+	before := spins.Load()
+	fn()
+	time.Sleep(20 * spinWindow) // a helper that was going to spin has by now
+	if n := spins.Load() - before; n != 0 {
+		t.Fatalf("helpers lingered %d times after closure tasks, want 0", n)
+	}
+}
+
+// TestParallelForNeverSpins: a build stage's helpers park as soon as their
+// chunk is done.
+func TestParallelForNeverSpins(t *testing.T) {
+	assertNoSpin(t, func() { parallelFor(2, rendezvous()) })
+}
+
+// TestRunBatchNeverSpins: a batch's helpers park as soon as their member is
+// done — the serving collector's batches must not leave spinning helpers
+// competing with connection goroutines.
+func TestRunBatchNeverSpins(t *testing.T) {
+	assertNoSpin(t, func() {
+		wait := rendezvous()
+		RunBatch(2, func(i int) { wait(i, i+1) })
+	})
+}
+
+// TestParallelHelpersStopSpinning: a helper lingers after a query job, and
+// once spinWindow passes with no work it parks — an idle process burns no
+// CPU. The bound is loose for loaded CI runners; the window is 150 µs.
+func TestParallelHelpersStopSpinning(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	tbl, _ := makeData(t, 40000, 3, 311)
+	idx, err := Build(tbl, Layout{GridDims: []int{0}, GridCols: []int{4}, SortDim: -1}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	quiesce(t)
+	before := spins.Load()
+	idx.Run(nil, query.NewQuery(3), query.NewCount(), 2, 0)
+	deadline := time.Now().Add(2 * time.Second)
+	for spins.Load() == before {
+		if time.Now().After(deadline) {
+			t.Fatal("no helper lingered after a morsel scan")
+		}
+		runtime.Gosched()
+	}
+	start := time.Now()
+	for spinners.Load() != 0 {
+		if time.Since(start) > time.Second {
+			t.Fatalf("%d helpers still spinning %v after the last query", spinners.Load(), time.Since(start))
+		}
+		time.Sleep(spinWindow / 4)
+	}
+	t.Logf("helpers parked %v after lingering began", time.Since(start))
+}
+
+// TestParallelSingleProcStartsNoHelper: at GOMAXPROCS=1 a query job offers
+// no helper at all — nothing is queued, no goroutine is started, none spins.
+func TestParallelSingleProcStartsNoHelper(t *testing.T) {
+	tbl, _ := makeData(t, 40000, 3, 312)
+	idx, err := Build(tbl, Layout{GridDims: []int{0}, GridCols: []int{4}, SortDim: -1}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	quiesce(t)
+	execPool.mu.Lock()
+	spawned := execPool.spawned
+	execPool.mu.Unlock()
+	before := spins.Load()
+	var ran atomic.Int32
+	for i := 0; i < 10; i++ {
+		idx.Run(nil, query.NewQuery(3), query.NewCount(), 4, 0)
+		RunTasks(4, taskFunc(func(int) { ran.Add(1) }))
+	}
+	time.Sleep(20 * spinWindow)
+	execPool.mu.Lock()
+	defer execPool.mu.Unlock()
+	if execPool.spawned != spawned || len(execPool.tasks) != 0 || spins.Load() != before {
+		t.Fatalf("GOMAXPROCS=1: pool grew %d -> %d, %d tasks queued, %d spins",
+			spawned, execPool.spawned, len(execPool.tasks), spins.Load()-before)
+	}
+	if ran.Load() != 40 {
+		t.Fatalf("RunTasks ran %d tasks, want 40", ran.Load())
+	}
+}
+
+// taskFunc adapts a function to Tasks for tests.
+type taskFunc func(i int)
+
+func (f taskFunc) RunTask(i int) { f(i) }
+
+// TestParallelRunTasksEachOnce: every task of a fan-out runs exactly once,
+// whichever goroutines claim them, and RunTasks returns only after all have.
+func TestParallelRunTasksEachOnce(t *testing.T) {
+	for _, procs := range []int{1, 4} {
+		withGOMAXPROCS(t, procs, func(t *testing.T) {
+			for _, n := range []int{1, 2, 7, 64} {
+				counts := make([]atomic.Int32, n)
+				RunTasks(n, taskFunc(func(i int) { counts[i].Add(1) }))
+				for i := range counts {
+					if c := counts[i].Load(); c != 1 {
+						t.Fatalf("n=%d: task %d ran %d times", n, i, c)
+					}
+				}
+			}
+		})
+	}
+}
+
 // --- benchmarks (recorded in BENCH_scan.json via `make bench`) ---
 
 // parallelBenchIndex builds the 1M-row index behind the parallel-vs-
@@ -335,41 +482,31 @@ func parallelBenchIndex(b *testing.B) (*Flood, []query.Query) {
 
 // BenchmarkParallelExecute1M compares the PR 1 sequential scan against the
 // morsel engine on 1M rows. "adaptive" is plain Execute (cost-based
-// cutover); workersN forces the engine width. On a single-core host the
-// parallel variants degenerate to the sequential path plus dispatch cost.
+// cutover); workersN forces the engine width, capped at GOMAXPROCS. Each
+// reports helper_frac, the share of morsels pool helpers scanned: what the
+// second core contributed. At GOMAXPROCS=1 the parallel variants are the
+// sequential path plus the morsel bookkeeping.
 func BenchmarkParallelExecute1M(b *testing.B) {
 	idx, queries := parallelBenchIndex(b)
-	b.Run("sequential", func(b *testing.B) {
-		agg := query.NewCount()
-		// Hoist the interface conversion so the wrapper struct is boxed
-		// once, not per iteration.
-		var seq query.Aggregator = sequentialOnly{agg}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			agg.Reset()
-			idx.Execute(queries[i%len(queries)], seq)
-		}
-	})
-	b.Run("adaptive", func(b *testing.B) {
-		agg := query.NewCount()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			agg.Reset()
-			idx.Execute(queries[i%len(queries)], agg)
-		}
-	})
-	for _, workers := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
-			agg := query.NewCount()
+	cnt := query.NewCount()
+	run := func(name string, agg query.Aggregator, workers int) {
+		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
+			since, _ := HelperShare()
 			for i := 0; i < b.N; i++ {
-				agg.Reset()
+				cnt.Reset()
 				idx.Run(nil, queries[i%len(queries)], agg, workers, 0)
 			}
+			morsels, _ := HelperShare()
+			b.ReportMetric(morsels.Frac(since), "helper_frac")
 		})
+	}
+	// The wrapper is boxed once here, not per iteration.
+	run("sequential", sequentialOnly{cnt}, 0)
+	run("adaptive", cnt, 0)
+	for _, workers := range []int{2, 4, 8} {
+		run(fmt.Sprintf("workers%d", workers), cnt, workers)
 	}
 }
 

@@ -297,7 +297,10 @@ func (f *Flood) project(q query.Query, es *execScratch, st *query.Stats) {
 }
 
 // refineParallelRanges is the range count at which refinement probes fan out
-// over the worker pool; below it, the probes cost less than waking a helper.
+// over the worker pool; below it, the probes cost less than handing a chunk
+// to a helper. That holds for a lingering helper (1–2 µs to join, see
+// spinWindow); a parked one costs 50–60 µs to wake, more than 128 probes, so
+// only a helper still awake from the previous query earns its keep here.
 const refineParallelRanges = 128
 
 // refine implements §3.2.2 / §5.2: narrow each span along the sort

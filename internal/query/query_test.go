@@ -3,6 +3,7 @@ package query
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"flood/internal/colstore"
 )
@@ -200,6 +201,29 @@ func TestStatsDerived(t *testing.T) {
 	agg.Add(s)
 	if agg.Scanned != 2000 || agg.Matched != 200 {
 		t.Fatal("Stats.Add broken")
+	}
+}
+
+// TestStatsSetWall: concurrent parts' summed stats keep their counts, take
+// the wall time as Total, and scale phase times down to fit under it; parts
+// that did not overlap keep their phase times.
+func TestStatsSetWall(t *testing.T) {
+	part := Stats{Scanned: 10, Matched: 4, IndexTime: 20 * time.Microsecond, ProjectTime: 5 * time.Microsecond,
+		RefineTime: 15 * time.Microsecond, ScanTime: 80 * time.Microsecond, Total: 100 * time.Microsecond}
+	var s Stats
+	for i := 0; i < 4; i++ {
+		s.Add(part)
+	}
+	s.SetWall(200 * time.Microsecond) // four 100 µs parts overlapped into 200 µs
+	want := Stats{Scanned: 40, Matched: 16, IndexTime: 40 * time.Microsecond, ProjectTime: 10 * time.Microsecond,
+		RefineTime: 30 * time.Microsecond, ScanTime: 160 * time.Microsecond, Total: 200 * time.Microsecond}
+	if s != want {
+		t.Fatalf("SetWall over overlapping parts = %+v, want %+v", s, want)
+	}
+	s = part
+	s.SetWall(130 * time.Microsecond) // the call outlasted its one part
+	if want := part; s.ScanTime != want.ScanTime || s.IndexTime != want.IndexTime || s.Total != 130*time.Microsecond {
+		t.Fatalf("SetWall over a longer wall = %+v, want phases kept and Total 130µs", s)
 	}
 }
 

@@ -59,6 +59,21 @@ func (s *Stats) Add(o Stats) {
 	s.Total += o.Total
 }
 
+// SetWall turns the sum of the Stats of parts that ran concurrently into the
+// Stats of the one execution they made up, which took wall time d: the
+// counts stay summed, Total becomes d, and when the parts' summed Total
+// exceeds d the phase times are scaled down by d/Total, so each keeps its
+// share and none exceeds the wall time.
+func (s *Stats) SetWall(d time.Duration) {
+	if s.Total > d {
+		r := float64(d) / float64(s.Total)
+		for _, t := range []*time.Duration{&s.IndexTime, &s.ProjectTime, &s.RefineTime, &s.ScanTime} {
+			*t = min(time.Duration(float64(*t)*r), d)
+		}
+	}
+	s.Total = d
+}
+
 // Index is the contract satisfied by Flood and every baseline: execute a
 // hyper-rectangle predicate, feeding matching rows to agg, and report
 // instrumentation. SizeBytes covers index metadata only (not the stored

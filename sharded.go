@@ -13,7 +13,9 @@ package flood
 
 import (
 	"fmt"
+	"slices"
 	"sync"
+	"time"
 
 	"flood/internal/colstore"
 	"flood/internal/core"
@@ -313,35 +315,61 @@ func (s *ShardedIndex) run(ctl *query.Control, q Query, agg Aggregator, workers,
 	return total
 }
 
-// fanOut runs q on shards [first, last] in parallel over the shared worker
-// pool, each on its sequential kernel — the fan-out already provides the
-// parallelism, mirroring the batch path's inter-query idiom — into its own
-// pooled clone of agg, and merges.
+// fanOut runs q on shards [first, last] in parallel as one query's parallel
+// section (core.RunTasks), each shard on its sequential kernel — the fan-out
+// already provides the parallelism — into its own pooled clone of agg, and
+// merges the clones in shard order. The counts of the returned Stats are the
+// shards' summed; Total is the fan-out's wall time and the phase times are
+// scaled to fit inside it (query.Stats.SetWall).
 func (s *ShardedIndex) fanOut(ctl *query.Control, q Query, m query.Mergeable, first, last, cutover int) Stats {
+	t0 := time.Now()
 	n := last - first + 1
-	clones := make([]query.Mergeable, n)
-	stats := make([]Stats, n)
-	core.RunBatch(n, func(i int) {
-		if ctl.Stopped() {
-			return
-		}
-		c := query.GetClone(m)
-		if c == nil {
-			c = m.CloneEmpty()
-		}
-		stats[i] = s.shards[first+i].epoch.Load().run(ctl, q, c, 1, cutover)
-		clones[i] = c
-	})
+	f := shardFanPool.Get().(*shardFan)
+	f.shards, f.ctl, f.q, f.m, f.cutover = s.shards[first:last+1], ctl, q, m, cutover
+	f.clones = slices.Grow(f.clones[:0], n)[:n]
+	f.stats = slices.Grow(f.stats[:0], n)[:n]
+	core.RunTasks(n, f)
 	var total Stats
-	for i, c := range clones {
+	for i, c := range f.clones {
 		if c == nil {
 			continue
 		}
-		total.Add(stats[i])
+		total.Add(f.stats[i])
 		m.Merge(c)
 		query.PutClone(c)
 	}
+	clear(f.clones)
+	f.shards, f.ctl, f.q, f.m = nil, nil, Query{}, nil
+	shardFanPool.Put(f)
+	total.SetWall(time.Since(t0))
 	return total
+}
+
+// shardFan is one fan-out as core.Tasks: task i runs the query on shards[i]
+// into clones[i] and records stats[i]. Pooled with its slices.
+type shardFan struct {
+	shards  []*AdaptiveIndex
+	ctl     *query.Control
+	q       Query
+	m       query.Mergeable
+	cutover int
+	clones  []query.Mergeable
+	stats   []Stats
+}
+
+var shardFanPool = sync.Pool{New: func() any { return new(shardFan) }}
+
+// RunTask implements core.Tasks.
+func (f *shardFan) RunTask(i int) {
+	if f.ctl.Stopped() {
+		return
+	}
+	c := query.GetClone(f.m)
+	if c == nil {
+		c = f.m.CloneEmpty()
+	}
+	f.stats[i] = f.shards[i].epoch.Load().run(f.ctl, f.q, c, 1, f.cutover)
+	f.clones[i] = c
 }
 
 // runPieces implements generation: each shard scans the pieces overlapping

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"flood/internal/core"
 	"flood/internal/dataset"
 	"flood/internal/workload"
 )
@@ -100,7 +101,8 @@ func BenchmarkShardedBuild1M(b *testing.B) {
 // 1M-row index. The pruned/flat pair is the routing-overhead contract: a
 // query contained in one shard's key range must track the flat engine on the
 // same predicate within ~10% and allocate nothing. fanout runs the
-// every-shard-survives shape, where partial counts merge across shards.
+// every-shard-survives shape, where partial counts merge across shards; it
+// reports helper_frac, the share of shards pool helpers ran.
 func BenchmarkShardedExecute1M(b *testing.B) {
 	shardedBenchSetup(b)
 	s := &shardedBenchState
@@ -115,11 +117,15 @@ func BenchmarkShardedExecute1M(b *testing.B) {
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
+			_, since := core.HelperShare()
 			for i := 0; i < b.N; i++ {
 				cnt.Reset()
 				exec(q, cnt)
 			}
 			b.StopTimer()
+			if _, tasks := core.HelperShare(); name == "fanout" {
+				b.ReportMetric(tasks.Frac(since), "helper_frac")
+			}
 			if cnt.Result() == 0 {
 				b.Fatal("benchmark query matched nothing")
 			}

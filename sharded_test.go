@@ -4,8 +4,11 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
+	"time"
 
 	"flood/internal/dataset"
 	"flood/internal/workload"
@@ -477,6 +480,96 @@ func TestShardedSingleShardAllocs(t *testing.T) {
 		s.Execute(q, agg)
 	}); avg != 0 {
 		t.Fatalf("single-shard Execute allocates %.1f times per run, want 0", avg)
+	}
+}
+
+// TestShardedFanoutZeroAllocs pins the fan-out path the way the test above
+// pins delegation: a warmed COUNT or SUM that every shard survives allocates
+// nothing — no clones slice, stats slice or closure per query. AllocsPerRun
+// pins GOMAXPROCS to 1, where the caller runs every shard itself; with two
+// procs a pool helper takes shards too, so the mallocs are also counted
+// process-wide there, as TestParallelRefineZeroAllocs does.
+func TestShardedFanoutZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates inside Execute")
+	}
+	s, _, ds, _ := shardedUnderTest(t, 4)
+	q := NewQuery(ds.Table.NumCols()).WithRange(ds.ColumnIndex("quantity"), 1, 3)
+	if first, last := s.prune(q); first >= last {
+		t.Fatalf("query reaches shards [%d, %d], want several", first, last)
+	}
+	for _, agg := range []Aggregator{NewCount(), NewSum(ds.ColumnIndex("quantity"))} {
+		run := func() {
+			agg.Reset()
+			s.Execute(q, agg)
+		}
+		// Fill every shard's workload reservoir first (see above).
+		for i := 0; i < 520; i++ {
+			run()
+		}
+		if avg := testing.AllocsPerRun(100, run); avg > 0.1 {
+			t.Errorf("%T fan-out allocates %.2f times per run at GOMAXPROCS=1, want 0", agg, avg)
+		}
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			const runs = 200
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				run()
+			}
+			runtime.ReadMemStats(&after)
+			if avg := float64(after.Mallocs-before.Mallocs) / runs; avg > 0.1 {
+				t.Errorf("%T fan-out allocates %.2f times per run at GOMAXPROCS=2, want 0", agg, avg)
+			}
+		}()
+	}
+}
+
+// TestShardedFanoutStatsWallTime pins what a fanned-out query's Stats say
+// about time: the shards' counts add up, but their times overlap once the
+// shards run concurrently, so Total is the fan-out's wall time — never more
+// than the call took — and no phase time exceeds it.
+func TestShardedFanoutStatsWallTime(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(runtime.GOMAXPROCS(0), 2)))
+	ds := dataset.Sales(200_000, 431)
+	queries := workload.Standard(ds, 20, 432)
+	s, err := NewSharded(ds.Table, queries, &ShardedOptions{
+		Shards:   4,
+		Build:    &Options{CalibrationLayouts: 3, GDSteps: 5, Seed: 433},
+		Adaptive: &AdaptiveConfig{DriftFactor: 1e9, MergeFraction: -1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	qty := ds.ColumnIndex("quantity")
+	q := NewQuery(ds.Table.NumCols()).WithRange(qty, 1, 40)
+	if first, last := s.prune(q); first >= last {
+		t.Fatalf("query reaches shards [%d, %d], want several", first, last)
+	}
+	var scanned int64
+	for i := 0; i < 30; i++ {
+		agg := NewSum(qty)
+		t0 := time.Now()
+		st := s.Execute(q, agg)
+		call := time.Since(t0)
+		if st.Total > call {
+			t.Fatalf("run %d: Total %v exceeds the call's %v", i, st.Total, call)
+		}
+		for _, p := range []struct {
+			name string
+			d    time.Duration
+		}{{"IndexTime", st.IndexTime}, {"ProjectTime", st.ProjectTime}, {"RefineTime", st.RefineTime}, {"ScanTime", st.ScanTime}} {
+			if p.d > st.Total {
+				t.Fatalf("run %d: %s %v exceeds Total %v", i, p.name, p.d, st.Total)
+			}
+		}
+		if i > 0 && st.Scanned != scanned {
+			t.Fatalf("run %d: scanned %d rows, run 0 scanned %d", i, st.Scanned, scanned)
+		}
+		scanned = st.Scanned
 	}
 }
 
