@@ -2,6 +2,8 @@ package flood
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -153,15 +155,15 @@ type AdaptiveIndex struct {
 	walLog *wal.Log
 
 	// Deferred deletions, guarded by mu. A background rebuild compacts a
-	// captured image of base+log; a delete landing after that capture
-	// affects rows the fresh index will resurrect unless re-applied. While
-	// deferring is set, every delete of a captured row (base, or log row
-	// below deferFrozen) also records its value tuple here; the swap
-	// re-applies the tuples to the fresh epoch before publishing it, so no
-	// reader ever observes a deleted row coming back.
-	deferring   bool
-	deferFrozen int64
-	deferred    [][]int64
+	// captured image of base+log, and the swap carries over the log tail
+	// appended since; a delete landing after the capture affects rows the
+	// fresh epoch holds again unless re-applied. While deferring is set,
+	// every delete also records its victims' value tuples here, one entry
+	// per delete record; the swap re-applies them to the fresh epoch by
+	// value before publishing it, so no reader ever observes a deleted row
+	// coming back.
+	deferring bool
+	deferred  []mutation
 
 	// rebuildMu guards the single-rebuild-in-flight state. It is taken
 	// only when a trigger fires or a waiter blocks, never on the query
@@ -321,8 +323,8 @@ func (a *AdaptiveIndex) apply(m mutation) (int64, error) {
 // replayed forever, and is never half-applied. Every record is logged before
 // its effect is published — the delete record, then the tombstones; each
 // insert record, then its row — so memory never holds what the log does not
-// and a failed append leaves both at the same prefix. A deletion of rows an
-// in-flight rebuild has captured is also kept by value for the swap.
+// and a failed append leaves both at the same prefix. A deletion that lands
+// while a rebuild is in flight is also kept by value for the swap.
 func (ep *adaptiveEpoch) apply(m mutation, w *wal.Log) (n, target int64, err error) {
 	a := ep.a
 	cols := ep.flood.Table().NumCols()
@@ -351,15 +353,10 @@ func (ep *adaptiveEpoch) apply(m mutation, w *wal.Log) (n, target int64, err err
 			}
 		}
 		if a.deferring {
-			// The in-flight rebuild's captured image includes these rows; log
-			// rows past its frozen point carry over by bitmap at the swap,
-			// the rest must be re-deleted by value (see the swap in rebuild).
-			a.deferred = append(a.deferred, tuples[:len(baseRows)]...)
-			for i, r := range logRows {
-				if int64(r) < a.deferFrozen {
-					a.deferred = append(a.deferred, tuples[len(baseRows)+i])
-				}
-			}
+			// Each victim was live at the in-flight rebuild's capture or
+			// appended since, so the fresh epoch holds it again; the swap
+			// deletes it there by value (see rebuild).
+			a.deferred = append(a.deferred, mutation{tuples: tuples})
 		}
 		n = int64(ep.flood.idx.DeleteRows(baseRows)) + int64(ep.log.deleteRows(logRows, logN))
 		if m.rewrite {
@@ -407,13 +404,14 @@ func (ep *adaptiveEpoch) add(row []int64, w *wal.Log, target int64) (int64, erro
 
 // victims resolves the rows m names to live base rows and live log rows
 // among the first logN, free of repeats. The caller holds the epoch against
-// writers, so both sets stay live until it tombstones them.
+// writers, so both sets stay live until it tombstones them. Both lists are
+// ascending.
 func (ep *adaptiveEpoch) victims(m mutation, logN int64) (baseRows, logRows []int) {
 	switch {
 	case m.where != nil:
 		return ep.flood.idx.CollectWhere(*m.where), ep.log.matchRows(*m.where, logN)
-	case m.tuples != nil:
-		return ep.matchTuples(m.tuples, logN)
+	case len(m.tuples) > 0:
+		return ep.byValue(m.tuples, logN)
 	case len(m.ids) == 0:
 		return nil, nil
 	}
@@ -437,6 +435,69 @@ func (ep *adaptiveEpoch) victims(m mutation, logN int64) (baseRows, logRows []in
 	return baseRows, logRows
 }
 
+// byValue is victims for value tuples. The box that bounds them — for one
+// distinct tuple, a point query on every dimension — goes through the same
+// two calls as a where, and each row in it is looked up among the tuples: k
+// copies of a tuple name its first k live matches in physical order, base
+// rows before log rows, and a tuple with no live match left names nothing.
+// A record a predicate deleted costs about what the predicate did, and any
+// record at most one pass over base and log — one box, not a query per
+// tuple, because a bulk record names tens of thousands.
+func (ep *adaptiveEpoch) byValue(tuples [][]int64, logN int64) (baseRows, logRows []int) {
+	// keys holds the distinct tuples in order, need how many rows each still
+	// names. seen has the bit of each one's hash set, a sixteenth of its bits
+	// or fewer, so most rows in the box that match none fail without a search.
+	keys := slices.Clone(tuples)
+	slices.SortFunc(keys, slices.Compare)
+	need := make([]int, 0, len(keys))
+	lg := bits.Len(uint(len(keys))) + 4
+	seen := make([]uint64, 1+1<<lg/64)
+	hash := func(row []int64) (h uint64) {
+		for _, v := range row {
+			h = (h ^ uint64(v)) * 0x9e3779b97f4a7c15
+		}
+		return h >> (64 - lg)
+	}
+	box := Query{Ranges: make([]Range, len(keys[0]))}
+	for c, v := range keys[0] {
+		box.Ranges[c] = Range{Min: v, Max: v, Present: true}
+	}
+	for _, tp := range keys {
+		if n := len(need); n > 0 && slices.Equal(keys[n-1], tp) {
+			need[n-1]++
+			continue
+		}
+		keys[len(need)] = tp
+		need = append(need, 1)
+		h := hash(tp)
+		seen[h/64] |= 1 << (h % 64)
+		for c, v := range tp {
+			box.Ranges[c].Min, box.Ranges[c].Max = min(box.Ranges[c].Min, v), max(box.Ranges[c].Max, v)
+		}
+	}
+	keys = keys[:len(need)]
+
+	row := make([]int64, len(box.Ranges))
+	take := func(rows []int, get func(c, r int) int64) (out []int) {
+		for _, r := range rows {
+			for c := range row {
+				row[c] = get(c, r)
+			}
+			if h := hash(row); seen[h/64]&(1<<(h%64)) == 0 {
+				continue
+			}
+			if i, ok := slices.BinarySearchFunc(keys, row, slices.Compare); ok && need[i] > 0 {
+				need[i]--
+				out = append(out, r)
+			}
+		}
+		return out
+	}
+	cols := *ep.log.cols.Load()
+	return take(ep.flood.idx.CollectWhere(box), ep.flood.Table().Get),
+		take(ep.log.matchRows(box, logN), func(c, r int) int64 { return cols[c][r] })
+}
+
 // tuples materializes the values of live base rows and log rows, in that
 // order.
 func (ep *adaptiveEpoch) tuples(baseRows, logRows []int) [][]int64 {
@@ -454,48 +515,6 @@ func (ep *adaptiveEpoch) tuples(baseRows, logRows []int) [][]int64 {
 		out = append(out, row)
 	}
 	return out
-}
-
-// matchTuples is the by-value victim resolver: one live row per tuple —
-// multiset semantics, k copies of a tuple name k matching rows — taking base
-// rows first, then the log's first logN, in physical order. It is how a
-// deletion resolved on one physical layout names its rows on another; a
-// tuple with no remaining live match names nothing (the row was already
-// compacted away).
-func (ep *adaptiveEpoch) matchTuples(tuples [][]int64, logN int64) (baseRows, logRows []int) {
-	want := make(map[string]int, len(tuples))
-	for _, tp := range tuples {
-		want[tupleKey(tp)]++
-	}
-	remaining := len(tuples)
-	t := ep.flood.Table()
-	buf := make([]int64, t.NumCols())
-	take := func(n int, dead *colstore.Tombstones, load func(r int)) (rows []int) {
-		for r := 0; r < n && remaining > 0; r++ {
-			if dead.Has(r) {
-				continue
-			}
-			load(r)
-			if k := tupleKey(buf); want[k] > 0 {
-				want[k]--
-				remaining--
-				rows = append(rows, r)
-			}
-		}
-		return rows
-	}
-	baseRows = take(t.NumRows(), ep.flood.idx.Tombstones(), func(r int) {
-		for c := range buf {
-			buf[c] = t.Get(c, r)
-		}
-	})
-	cols := *ep.log.cols.Load()
-	logRows = take(int(logN), ep.log.tomb.Load(), func(r int) {
-		for c := range buf {
-			buf[c] = cols[c][r]
-		}
-	})
-	return baseRows, logRows
 }
 
 // TriggerRelearn forces a background relearn as if drift had been detected,
@@ -563,7 +582,6 @@ func (a *AdaptiveIndex) rebuild(kind rebuildKind, done chan struct{}) {
 	baseTomb := ep.flood.idx.Tombstones()
 	logTomb := ep.log.tomb.Load()
 	a.deferring = true
-	a.deferFrozen = frozen
 	a.mu.Unlock()
 
 	swapped := false
@@ -624,25 +642,19 @@ func (a *AdaptiveIndex) rebuild(kind rebuildKind, done chan struct{}) {
 	next := a.newEpoch(fresh)
 	total := cur.log.rows()
 	next.log.seed(cur.log.columnsRange(frozen, total), total-frozen)
-	// Deletions that landed during the build re-enter through the fresh
-	// epoch's own apply, unlogged (their records are already in the log) and
-	// with deferring lowered first: tail-row deletions by the ids the same
-	// rows have at their re-based log positions, deletions of rows the build
-	// compacted by value. Both happen before the epoch pointer is stored, so
-	// no reader ever observes a deleted row transiently resurrected.
-	deferred := mutation{tuples: a.deferred}
+	// The fresh epoch now holds every row live at the capture plus every row
+	// appended since — a superset, as a multiset, of what is live — and the
+	// difference is exactly the deferred deletions. They re-enter by value,
+	// record by record as WAL replay would, through its own apply, unlogged
+	// (their records are already in the log) and with deferring lowered
+	// first, before the epoch pointer is stored, so no reader ever observes
+	// a deleted row transiently resurrected. One record's tuples bound a
+	// small box; the whole list's would bound most of the table.
+	deferred := a.deferred
 	a.deferred, a.deferring = nil, false
-	if lt := cur.log.tomb.Load(); lt.Dead() > 0 && total > frozen {
-		tail := int64(fresh.Table().NumRows()) - frozen // id of old log row r is tail+r
-		var carry mutation
-		for r := frozen; r < total; r++ {
-			if lt.Has(int(r)) {
-				carry.ids = append(carry.ids, tail+r)
-			}
-		}
-		next.apply(carry, nil)
+	for _, m := range deferred {
+		next.apply(m, nil)
 	}
-	next.apply(deferred, nil)
 	swapped = true
 	a.epoch.Store(next)
 	a.epochGen.Add(1)

@@ -3,6 +3,7 @@ package flood
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"flood/internal/colstore"
 	"flood/internal/wal"
 )
 
@@ -147,6 +149,134 @@ func TestShardedUpdateMoveConcurrentMutators(t *testing.T) {
 		case !dead && n != 1:
 			t.Errorf("row %d was inserted and never deleted, yet the store holds it %d times", id, n)
 		}
+	}
+}
+
+// refValueVictims is by-value victim resolution written the slow, obvious
+// way: one pass over the base rows and then the log's first logN, in
+// physical order, taking each live row whose values a still-unmatched tuple
+// names.
+func refValueVictims(ep *adaptiveEpoch, tuples [][]int64, logN int64) (baseRows, logRows []int) {
+	want := map[string]int{}
+	for _, tp := range tuples {
+		want[fmt.Sprint(tp)]++
+	}
+	take := func(n int, dead *colstore.Tombstones, row func(r int) []int64) (rows []int) {
+		for r := 0; r < n; r++ {
+			if k := fmt.Sprint(row(r)); !dead.Has(r) && want[k] > 0 {
+				want[k]--
+				rows = append(rows, r)
+			}
+		}
+		return rows
+	}
+	t := ep.flood.Table()
+	baseRows = take(t.NumRows(), ep.flood.idx.Tombstones(), func(r int) []int64 { return rowValues(t, r) })
+	cols := *ep.log.cols.Load()
+	logRows = take(int(logN), ep.log.tomb.Load(), func(r int) []int64 {
+		row := make([]int64, len(cols))
+		for c := range cols {
+			row[c] = cols[c][r]
+		}
+		return row
+	})
+	return baseRows, logRows
+}
+
+// TestValueVictimsMatchReference is the property behind WAL replay and the
+// swap's re-applied deletes: on small tables where most rows share their
+// values, with random base and log tombstones, a list of value tuples —
+// repeated, absent, in any order — names exactly the rows refValueVictims
+// names (the first k live equal rows, base before log), in ascending order,
+// and leaves the list itself as it was. Every third table is wide instead:
+// few rows share values, and a list names up to a hundred distinct tuples
+// copied from the log, the shape of a bulk delete of recent inserts.
+func TestValueVictimsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	for trial := 0; trial < 150; trial++ {
+		wide := trial%3 == 2
+		domain := 1 + rng.Int63n(4)
+		if wide {
+			domain = 100 + rng.Int63n(200)
+		}
+		draw := func() []int64 { return []int64{rng.Int63n(domain) - domain/2, rng.Int63n(domain), rng.Int63n(2)} }
+		n := 1 + rng.Intn(300)
+		cols := make([][]int64, 3)
+		for i := 0; i < n; i++ {
+			for c, v := range draw() {
+				cols[c] = append(cols[c], v)
+			}
+		}
+		tbl, err := NewTable([]string{"a", "b", "c"}, cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := BuildWithLayout(tbl, Layout{GridDims: []int{0}, GridCols: []int{1 + rng.Intn(4)}, SortDim: 1, Flatten: true}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := NewAdaptiveIndex(f, &AdaptiveConfig{MergeFraction: -1})
+		inserts := rng.Intn(150)
+		if wide {
+			inserts = 150 + rng.Intn(250)
+		}
+		for i := inserts; i > 0; i-- {
+			if err := a.Insert(draw()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ep := a.epoch.Load()
+		logRows := ep.log.rows()
+		var baseDead, logDead []int
+		for r := 0; r < n; r++ {
+			if rng.Intn(3) == 0 {
+				baseDead = append(baseDead, r)
+			}
+		}
+		for r := 0; r < int(logRows); r++ {
+			if rng.Intn(3) == 0 {
+				logDead = append(logDead, r)
+			}
+		}
+		ep.flood.idx.DeleteRows(baseDead)
+		ep.log.deleteRows(logDead, logRows)
+
+		for probe := 0; probe < 8; probe++ {
+			var tuples [][]int64
+			count := rng.Intn(16)
+			if wide {
+				count = rng.Intn(100)
+			}
+			for i := count; i > 0; i-- {
+				switch tp := draw(); {
+				case wide && rng.Intn(4) != 0:
+					r := rng.Intn(int(logRows))
+					for c := range tp {
+						tp[c] = (*ep.log.cols.Load())[c][r]
+					}
+					tuples = append(tuples, tp)
+				case len(tuples) > 0 && rng.Intn(3) == 0:
+					tuples = append(tuples, slices.Clone(tuples[rng.Intn(len(tuples))]))
+				case rng.Intn(6) == 0:
+					tp[rng.Intn(3)] = domain + rng.Int63n(3) // no row holds it
+					tuples = append(tuples, tp)
+				default:
+					tuples = append(tuples, tp)
+				}
+			}
+			logN := rng.Int63n(logRows + 1)
+			before := fmt.Sprint(tuples)
+			gotBase, gotLog := ep.victims(mutation{tuples: tuples}, logN)
+			wantBase, wantLog := refValueVictims(ep, tuples, logN)
+			if !slices.Equal(gotBase, wantBase) || !slices.Equal(gotLog, wantLog) {
+				t.Fatalf("trial %d probe %d: tuples %v over %d base rows and %d of %d log rows:\nbase %v, want %v\nlog  %v, want %v",
+					trial, probe, tuples, n, logN, logRows, gotBase, wantBase, gotLog, wantLog)
+			}
+			if after := fmt.Sprint(tuples); after != before {
+				t.Fatalf("trial %d probe %d: resolving reordered the caller's tuples: %s, was %s", trial, probe, after, before)
+			}
+		}
+		a.Close()
 	}
 }
 

@@ -207,7 +207,7 @@ func baseRows(idx Index) int64 {
 
 // copyDir clones the durable directory so each corruption trial starts from
 // the same on-disk state.
-func copyDir(t *testing.T, src string) string {
+func copyDir(t testing.TB, src string) string {
 	t.Helper()
 	dst := t.TempDir()
 	entries, err := os.ReadDir(src)

@@ -48,9 +48,12 @@ type mutation struct {
 	// skipped.
 	ids []int64
 	// tuples names victims by value, one live row per tuple (k copies delete
-	// k matching rows; a tuple with no live match is skipped). It is how a
-	// deletion resolved against one physical layout applies to another: WAL
-	// replay, and deferred re-application at a swap.
+	// the first k live matches, base rows before log rows; a tuple with no
+	// live match is skipped). The box bounding the tuples is resolved like
+	// where, and each row in it looked up among them (adaptiveEpoch.byValue).
+	// It is how a deletion resolved against one physical layout applies to
+	// another: WAL replay, and the swap's re-application of every delete
+	// that landed during the rebuild.
 	tuples [][]int64
 	// rewrite appends a copy of every victim with set applied (an Update; an
 	// empty set rewrites the rows unchanged).

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"flood/internal/query"
@@ -284,6 +285,56 @@ func TestManifestCorruptionDetected(t *testing.T) {
 			t.Fatalf("truncation to %d bytes went undetected", n)
 		}
 	}
+}
+
+// FuzzManifestDecode writes arbitrary bytes as a store's manifest file.
+// ReadManifest must never panic and may only fail with an error; a manifest
+// it accepts must be valid and must read back unchanged after WriteManifest.
+// Seeds: a valid manifest, every truncation of it, and a flipped byte.
+func FuzzManifestDecode(f *testing.F) {
+	dir := f.TempDir()
+	m := &Manifest{Dim: 1, Splits: []int64{-5, 100, 7000}, ShardDirs: []string{"shard-0000", "shard-0001", "shard-0002", "shard-0003"}}
+	if err := WriteManifest(dir, m); err != nil {
+		f.Fatal(err)
+	}
+	valid, err := os.ReadFile(filepath.Join(dir, ManifestName))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for n := 0; n <= len(valid); n++ {
+		f.Add(valid[:n])
+	}
+	flipped := append([]byte(nil), valid...)
+	flipped[len(flipped)/2] ^= 0x40
+	f.Add(flipped)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, ManifestName), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadManifest(dir)
+		if err != nil {
+			if got != nil {
+				t.Fatalf("ReadManifest returned a manifest with its error %v", err)
+			}
+			return
+		}
+		if err := got.Validate(); err != nil {
+			t.Fatalf("accepted an invalid manifest %+v: %v", got, err)
+		}
+		out := t.TempDir()
+		if err := WriteManifest(out, got); err != nil {
+			t.Fatalf("accepted manifest %+v does not write: %v", got, err)
+		}
+		back, err := ReadManifest(out)
+		if err != nil {
+			t.Fatalf("accepted manifest %+v does not read back: %v", got, err)
+		}
+		if !reflect.DeepEqual(back, got) {
+			t.Fatalf("manifest %+v reads back as %+v", got, back)
+		}
+	})
 }
 
 func TestManifestValidate(t *testing.T) {

@@ -171,16 +171,6 @@ func decodeWALRecord(payload []byte, cols int) (mutation, error) {
 	return mutation{rows: rows}, nil
 }
 
-// tupleKey packs a row's values into a comparable map key, for multiset
-// matching of value-named victims (see adaptiveEpoch.matchTuples).
-func tupleKey(row []int64) string {
-	b := make([]byte, 8*len(row))
-	for i, v := range row {
-		binary.LittleEndian.PutUint64(b[8*i:], uint64(v))
-	}
-	return string(b)
-}
-
 var (
 	_ Deleter = (*Flood)(nil)
 )

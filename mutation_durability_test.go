@@ -2,8 +2,11 @@ package flood
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -297,6 +300,130 @@ func TestSnapshotTombSectionDamageIsTypedError(t *testing.T) {
 	}
 }
 
+// TestDeletesDuringRebuildSurviveSwap holds a merge, and then a relearn, open
+// between its build and its swap, and while it is held deletes a row of each
+// kind the swap must not bring back: a base row, a log row the build
+// captured, a log row appended after the capture, and one of two rows with
+// identical values. After the swap the store — and a recovery from a crash
+// copy of its directory — holds exactly what a brute-force model holds.
+func TestDeletesDuringRebuildSurviveSwap(t *testing.T) {
+	for _, kind := range []string{"merge", "relearn"} {
+		t.Run(kind, func(t *testing.T) {
+			fx := newTypedFixture(t, 256, 56)
+			idx, err := BuildWithLayout(fx.tbl, fixtureLayout(fx), &Options{Schema: fx.schema})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			d, err := CreateDurable(dir, idx, &DurableOptions{Sync: SyncAlways, Adaptive: &AdaptiveConfig{
+				MergeFraction: -1,
+				DriftFactor:   1e12,
+				Build:         &Options{CalibrationLayouts: 3, GDSteps: 5, Seed: 207},
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d.Close()
+
+			// byID reads every live row of the serving epoch with its Select id.
+			byID := func() map[int64][]int64 {
+				rows, _ := d.Select(NewQuery(4))
+				defer rows.Close()
+				out := map[int64][]int64{}
+				for rows.Next() {
+					out[rows.RowID()] = []int64{rows.Int64(0), rows.Int64(1), rows.Int64(2), rows.Int64(3)}
+				}
+				return out
+			}
+			var model [][]int64
+			for _, row := range byID() {
+				model = append(model, row)
+			}
+			insert := func(row []int64) {
+				t.Helper()
+				if err := d.Insert(row); err != nil {
+					t.Fatal(err)
+				}
+				model = append(model, row)
+			}
+			deleteID := func(id int64) {
+				t.Helper()
+				row, ok := byID()[id]
+				if !ok {
+					t.Fatalf("row %d is not live before its delete", id)
+				}
+				if n, err := d.DeleteRows([]int64{id}); err != nil || n != 1 {
+					t.Fatalf("DeleteRows(%d) = %d, %v; want 1", id, n, err)
+				}
+				i := slices.IndexFunc(model, func(m []int64) bool { return slices.Equal(m, row) })
+				model = slices.Delete(model, i, i+1)
+			}
+			check := func(s *AdaptiveIndex, when string) {
+				t.Helper()
+				if got := s.LiveRows(); got != len(model) {
+					t.Errorf("%s: LiveRows = %d, the model holds %d", when, got, len(model))
+				}
+				want := make([]string, len(model))
+				for i, row := range model {
+					want[i] = fmt.Sprintf("%d|%d|%d|%d|", row[0], row[1], row[2], row[3])
+				}
+				slices.Sort(want)
+				if got := allTuples(s, 4); !slices.Equal(got, want) {
+					t.Errorf("%s: the store holds %d rows and the model %d, and they differ", when, len(got), len(want))
+				}
+			}
+
+			base := int64(d.Stats().BaseRows)
+			twin := slices.Clone(byID()[7])
+			for i := 0; i < 4; i++ { // log rows base..base+3, captured by the build
+				insert(insertedRow(fx, i))
+			}
+			d.Execute(NewQuery(4).WithRange(0, 0, 50_000), NewCount()) // a relearn trains on it
+			entered, release := make(chan struct{}), make(chan struct{})
+			d.testHookBuilt = func() {
+				close(entered)
+				<-release
+			}
+			var releaseOnce sync.Once
+			free := func() { releaseOnce.Do(func() { close(release) }) }
+			defer free() // before Close waits for the rebuild, should the test stop early
+			trigger := d.TriggerMerge
+			if kind == "relearn" {
+				trigger = d.TriggerRelearn
+			}
+			if !trigger() {
+				t.Fatalf("the %s did not start", kind)
+			}
+			<-entered
+
+			// Log rows base+4..base+6, past the freeze; the last has the same
+			// values as base row 7.
+			insert(insertedRow(fx, 4))
+			insert(insertedRow(fx, 5))
+			insert(twin)
+			deleteID(3)        // a base row
+			deleteID(base + 1) // a log row below the freeze
+			deleteID(base + 5) // a log row past the freeze
+			deleteID(base + 6) // one of two identical rows
+			check(d, "while held")
+
+			free()
+			d.Wait()
+			if st := d.Stats(); st.Merges+st.Relearns != 1 || st.LastError != nil {
+				t.Fatalf("%d merges, %d relearns, last error %v; want one %s", st.Merges, st.Relearns, st.LastError, kind)
+			}
+			check(d, "after the swap")
+
+			re, _, err := OpenDurable(copyDir(t, dir), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			check(re, "recovered from a crash copy")
+		})
+	}
+}
+
 // TestDeleteConcurrentWithRelearnAndCheckpoint races four deleting mutators
 // against query loops while the index relearns, merges, and checkpoints
 // (runs in the CI race matrix). Observed epochs must be monotonic, observed
@@ -419,5 +546,128 @@ func TestDeleteConcurrentWithRelearnAndCheckpoint(t *testing.T) {
 	}
 	if got := baseRows(re); got != 256 {
 		t.Fatalf("base data damaged: %d of 256 rows", got)
+	}
+}
+
+// BenchmarkValueVictims times the two places a delete record is resolved by
+// value, each record naming 20,000 rows of a 500,000-row table: half of them
+// base rows, half recent inserts. replay is OpenDurable recovering the record
+// (none is the same recovery without it, to subtract); swap is the end of a
+// merge the delete landed during, which re-applies it to the merged index
+// (half the inserts came before the merge captured the log, half after).
+// box deletes a narrow range of one dimension; scattered deletes rows picked
+// at random by id, whose values bound most of the table.
+//
+//	go test . -run '^$' -bench ValueVictims -benchtime 5x
+func BenchmarkValueVictims(b *testing.B) {
+	const baseN, logN, span = 500_000, 10_000, 20_000
+	rng := rand.New(rand.NewSource(26))
+	cols := make([][]int64, 4)
+	for i := 0; i < baseN; i++ {
+		cols[0] = append(cols[0], rng.Int63n(1_000_000))
+		cols[1] = append(cols[1], rng.Int63n(1000))
+		cols[2] = append(cols[2], rng.Int63n(1_000_000))
+		cols[3] = append(cols[3], rng.Int63n(100))
+	}
+	tbl, err := NewTable([]string{"a", "b", "c", "d"}, cols)
+	if err != nil {
+		b.Fatal(err)
+	}
+	build := func() *Flood {
+		f, err := BuildWithLayout(tbl, Layout{GridDims: []int{0, 1}, GridCols: []int{64, 16}, SortDim: 2, Flatten: true}, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return f
+	}
+	inserted := make([][]int64, logN) // every one inside the box
+	for i := range inserted {
+		inserted[i] = []int64{rng.Int63n(span), rng.Int63n(1000), rng.Int63n(1_000_000), rng.Int63n(100)}
+	}
+	var ids []int64
+	for _, r := range rng.Perm(baseN)[:logN] {
+		ids = append(ids, int64(r))
+	}
+	for i := 0; i < logN; i++ {
+		ids = append(ids, baseN+int64(i))
+	}
+	deletes := []struct {
+		name string
+		del  func(s *AdaptiveIndex) (int64, error)
+	}{
+		{"box", func(s *AdaptiveIndex) (int64, error) { return s.Delete(NewQuery(4).WithRange(0, 0, span-1)) }},
+		{"scattered", func(s *AdaptiveIndex) (int64, error) { return s.DeleteRows(ids) }},
+		{"none", nil},
+	}
+	insert := func(s *AdaptiveIndex, rows [][]int64) {
+		for _, row := range rows {
+			if err := s.Insert(row); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+
+	for _, dc := range deletes {
+		b.Run("replay/"+dc.name, func(b *testing.B) {
+			dir := b.TempDir()
+			d, err := CreateDurable(dir, build(), &DurableOptions{Sync: SyncNever, Adaptive: &AdaptiveConfig{MergeFraction: -1}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			insert(d, inserted)
+			if dc.del != nil {
+				if n, err := dc.del(d); err != nil || n < logN {
+					b.Fatalf("deleted %d rows, %v", n, err)
+				}
+			}
+			if err := d.Close(); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				cp := copyDir(b, dir)
+				b.StartTimer()
+				re, _, err := OpenDurable(cp, &DurableOptions{Sync: SyncNever, Adaptive: &AdaptiveConfig{MergeFraction: -1}})
+				b.StopTimer()
+				if err != nil {
+					b.Fatal(err)
+				}
+				re.Close()
+				os.RemoveAll(cp)
+				b.StartTimer()
+			}
+		})
+	}
+	for _, dc := range deletes[:2] {
+		b.Run("swap/"+dc.name, func(b *testing.B) {
+			b.StopTimer()
+			for i := 0; i < b.N; i++ {
+				a := NewAdaptiveIndex(build(), &AdaptiveConfig{MergeFraction: -1})
+				insert(a, inserted[:logN/2])
+				entered, release := make(chan struct{}), make(chan struct{})
+				a.testHookBuilt = func() {
+					close(entered)
+					<-release
+				}
+				if !a.TriggerMerge() {
+					b.Fatal("the merge did not start")
+				}
+				<-entered
+				insert(a, inserted[logN/2:])
+				n, err := dc.del(a)
+				if err != nil || n < logN {
+					b.Fatalf("deleted %d rows, %v", n, err)
+				}
+				b.StartTimer()
+				close(release)
+				a.Wait()
+				b.StopTimer()
+				if got, want := a.LiveRows(), baseN+logN-int(n); got != want {
+					b.Fatalf("%d rows live after the swap, want %d", got, want)
+				}
+				a.Close()
+			}
+		})
 	}
 }
