@@ -46,7 +46,7 @@ docs: vet
 	$(GO) run ./cmd/doclint . ./floodsql ./datagen \
 		./internal/core ./internal/query ./internal/colstore ./internal/encode \
 		./internal/wal ./internal/faultfs ./internal/modeltest \
-		./internal/server ./internal/loadgen ./internal/shard \
+		./internal/server ./internal/shard \
 		./internal/baseline ./internal/baseline/plan
 
 # loc prints the code size ROADMAP tracks: non-blank, non-comment lines of the
@@ -111,12 +111,16 @@ bench:
 	$(GO) run ./cmd/benchjson < /tmp/bench_scan.txt > BENCH_scan.json
 
 # fuzz-smoke gives each fuzz target a short coverage-guided run (also a CI
-# job). Minimization is capped so single-CPU runners keep mutating instead
+# job). FuzzSQLDifferential is the differential one: every aggregate it
+# generates must get the same answer from a flat, a sharded and a full-scan
+# index. Minimization is capped so single-CPU runners keep mutating instead
 # of shrinking corpus entries for 60s each.
 fuzz-smoke:
 	$(GO) test . -run '^$$' -fuzz '^FuzzWireDecode$$' \
 		-fuzztime 30s -fuzzminimizetime 10x
 	$(GO) test ./floodsql -run '^$$' -fuzz '^FuzzFloodSQLParse$$' \
+		-fuzztime 30s -fuzzminimizetime 10x
+	$(GO) test ./floodsql -run '^$$' -fuzz '^FuzzSQLDifferential$$' \
 		-fuzztime 30s -fuzzminimizetime 10x
 	$(GO) test ./internal/colstore -run '^$$' -fuzz '^FuzzCompareBlock$$' \
 		-fuzztime 30s -fuzzminimizetime 10x

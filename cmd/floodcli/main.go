@@ -48,7 +48,6 @@ import (
 	flood "flood"
 	"flood/floodsql"
 	"flood/internal/encode"
-	"flood/internal/loadgen"
 	"flood/internal/server"
 )
 
@@ -65,7 +64,7 @@ func main() {
 	)
 	flag.Parse()
 	if *addr != "" {
-		if err := runRemote(*addr, *query, *timeout); err != nil {
+		if err := runRemote(os.Stdout, *addr, *query, *timeout); err != nil {
 			log.Fatal(err)
 		}
 		return
@@ -161,32 +160,18 @@ func main() {
 		*query, v, stats.Total.Round(time.Microsecond), stats.Scanned, tbl.NumRows())
 }
 
-// runRemote speaks to a floodserver: one statement with -query, or a
-// line-per-statement loop over stdin without it.
-func runRemote(addr, query string, timeout time.Duration) error {
+// runRemote speaks to a floodserver, writing answers to out: one statement
+// with -query, or a line-per-statement loop over stdin without it.
+func runRemote(out io.Writer, addr, query string, timeout time.Duration) error {
 	client := &http.Client{}
 	run := func(sql string) error {
 		body, err := json.Marshal(server.QueryRequest{SQL: sql, TimeoutMillis: timeout.Milliseconds()})
 		if err != nil {
 			return err
 		}
-		resp, err := client.Post(addr+"/query", "application/json", bytes.NewReader(body))
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			var e struct {
-				Error string `json:"error"`
-			}
-			json.NewDecoder(resp.Body).Decode(&e)
-			if e.Error == "" {
-				e.Error = resp.Status
-			}
-			return fmt.Errorf("server: %s", e.Error)
-		}
 		var r server.QueryResponse
-		if err := json.NewDecoder(resp.Body).Decode(&r); err != nil {
+		resp, err := client.Post(addr+"/query", "application/json", bytes.NewReader(body))
+		if err := decodeReply(resp, err, &r); err != nil {
 			return err
 		}
 		switch r.Kind {
@@ -195,34 +180,34 @@ func runRemote(addr, query string, timeout time.Duration) error {
 			if r.Cached {
 				note = ", cached"
 			}
-			fmt.Printf("  = %v (matched %d rows in %dµs%s)\n", r.Typed, r.Matched, r.ElapsedMicros, note)
+			fmt.Fprintf(out, "  = %v (matched %d rows in %dµs%s)\n", r.Typed, r.Matched, r.ElapsedMicros, note)
 		case "rows":
-			fmt.Println("  " + strings.Join(r.Columns, "\t"))
+			fmt.Fprintln(out, "  "+strings.Join(r.Columns, "\t"))
 			for _, row := range r.Rows {
 				parts := make([]string, len(row))
 				for i, v := range row {
 					parts[i] = fmt.Sprint(v)
 				}
-				fmt.Println("  " + strings.Join(parts, "\t"))
+				fmt.Fprintln(out, "  "+strings.Join(parts, "\t"))
 			}
 			if r.Truncated {
-				fmt.Printf("  (truncated at %d rows)\n", len(r.Rows))
+				fmt.Fprintf(out, "  (truncated at %d rows)\n", len(r.Rows))
 			}
 		case "exec":
-			fmt.Printf("  %d rows affected (%dµs)\n", r.Affected, r.ElapsedMicros)
+			fmt.Fprintf(out, "  %d rows affected (%dµs)\n", r.Affected, r.ElapsedMicros)
 		default:
-			fmt.Printf("  %+v\n", r)
+			fmt.Fprintf(out, "  %+v\n", r)
 		}
 		return nil
 	}
 	dispatch := func(sql string) error {
 		if sql == `\stats` {
-			return printServerStats(client, addr)
+			return printServerStats(out, client, addr)
 		}
 		return run(sql)
 	}
 	if query != "" {
-		fmt.Println(query)
+		fmt.Fprintln(out, query)
 		return dispatch(query)
 	}
 	fmt.Fprintf(os.Stderr, "connected to %s; one statement per line (\\stats for server stats, ctrl-D to exit)\n", addr)
@@ -239,20 +224,41 @@ func runRemote(addr, query string, timeout time.Duration) error {
 	return sc.Err()
 }
 
-// printServerStats fetches GET /stats and renders the serving counters, the
-// index lifecycle, and — on a sharded server — the per-shard block.
-func printServerStats(client *http.Client, addr string) error {
-	st, err := (&loadgen.Client{Base: addr, HTTP: client}).Stats(context.Background())
+// decodeReply reads one floodserver response into v, turning a non-200 into
+// an error carrying the server's error envelope.
+func decodeReply(resp *http.Response, err error, v any) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("  requests %d (agg %d, select %d, mutate %d), cache %d/%d hit\n",
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		var e struct {
+			Error string `json:"error"`
+		}
+		json.NewDecoder(resp.Body).Decode(&e)
+		if e.Error == "" {
+			e.Error = resp.Status
+		}
+		return fmt.Errorf("server: %s", e.Error)
+	}
+	return json.NewDecoder(resp.Body).Decode(v)
+}
+
+// printServerStats fetches GET /stats and renders the serving counters, the
+// index lifecycle, and — on a sharded server — the per-shard block.
+func printServerStats(out io.Writer, client *http.Client, addr string) error {
+	var st server.Stats
+	resp, err := client.Get(addr + "/stats")
+	if err := decodeReply(resp, err, &st); err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "  requests %d (agg %d, select %d, mutate %d), cache %d/%d hit\n",
 		st.Requests, st.AggQueries, st.Selects, st.Mutations,
 		st.CacheHits, st.CacheHits+st.CacheMisses)
-	fmt.Printf("  index: epoch %d, %d rows (+%d pending), %d relearns, %d merges, rebuilding=%v\n",
+	fmt.Fprintf(out, "  index: epoch %d, %d rows (+%d pending), %d relearns, %d merges, rebuilding=%v\n",
 		st.IndexEpoch, st.BaseRows, st.PendingRows, st.Relearns, st.Merges, st.Rebuilding)
 	for _, sh := range st.Shards {
-		fmt.Printf("  shard %d [%d, %d]: %d rows (+%d pending), epoch %d, %d relearns, %d merges, %d queries\n",
+		fmt.Fprintf(out, "  shard %d [%d, %d]: %d rows (+%d pending), epoch %d, %d relearns, %d merges, %d queries\n",
 			sh.Shard, sh.Lo, sh.Hi, sh.Rows, sh.Pending, sh.Epoch, sh.Relearns, sh.Merges, sh.Queries)
 	}
 	return nil

@@ -54,7 +54,7 @@ func TestResultCacheBasics(t *testing.T) {
 // (cached or not) must equal a fresh count computed directly against the
 // index at that moment.
 func TestServerCacheNeverStale(t *testing.T) {
-	srv, hs, _ := typedFixture(t, &Config{BatchWindow: 1})
+	srv, hs := typedFixture(t, &Config{BatchWindow: 1})
 	rng := rand.New(rand.NewSource(331))
 	url := hs.URL
 
@@ -119,7 +119,7 @@ func TestServerCacheNeverStale(t *testing.T) {
 // and every response is internally consistent"; staleness is covered by
 // the sequential property test above.
 func TestServerConcurrentCacheMutateRelearn(t *testing.T) {
-	srv, hs, _ := typedFixture(t, &Config{BatchWindow: 1})
+	srv, hs := typedFixture(t, &Config{BatchWindow: 1})
 	url := hs.URL
 	var wg sync.WaitGroup
 	var failures atomic.Int64
@@ -200,7 +200,7 @@ func (f *failSecondInsert) Insert(row []int64) error {
 // second row fails has changed the table, so the COUNT(*) cached before it
 // must not be served after it.
 func TestServerCacheAfterPartialMutation(t *testing.T) {
-	inner, _, _ := typedFixture(t, nil)
+	inner, _ := typedFixture(t, nil)
 	// Both servers close the one index; a store's second Close is a no-op.
 	srv := New(&failSecondInsert{Store: inner.store}, &Config{BatchWindow: 1})
 	hs := httptest.NewServer(srv.Handler())

@@ -24,8 +24,9 @@
 // API: queries over deadline stop scanning cooperatively and return 504.
 //
 // Endpoints: POST /query (floodsql: aggregates, projections, mutations),
-// POST /insert (bulk rows), GET /schema (column metadata for load
-// generators), GET /stats (serving counters), GET /healthz.
+// POST /insert (bulk rows), GET /schema (column names, kinds and value
+// bounds), GET /stats (serving counters), GET /healthz. A request body over
+// maxBodyBytes is refused with 413.
 // See docs/SERVING.md for the full contract.
 package server
 
@@ -45,6 +46,10 @@ import (
 	"flood/floodsql"
 	"flood/internal/colstore"
 )
+
+// maxBodyBytes caps a POST body, so one request cannot make the server buffer
+// an arbitrarily large JSON document; past it the answer is 413.
+const maxBodyBytes = 8 << 20
 
 // Config tunes the serving tier. The zero value (or nil) picks defaults
 // sized for a small multi-core box; every knob is independent.
@@ -328,8 +333,8 @@ func (s *Server) mutated(affected, inserted int64, err error) {
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
+		badBody(w, err)
 		return
 	}
 	if strings.TrimSpace(req.SQL) == "" {
@@ -461,11 +466,11 @@ func (s *Server) runSelect(rp reply, ctx context.Context, st *floodsql.Statement
 }
 
 func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.UseNumber()
 	var req InsertRequest
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		badBody(w, err)
 		return
 	}
 	if len(req.Rows) == 0 {
@@ -731,8 +736,8 @@ type InsertResponse struct {
 	Error string `json:"error,omitempty"`
 }
 
-// ColumnInfo describes one column for load generators: its logical kind and
-// the physical int64 domain observed in the base table.
+// ColumnInfo describes one column of GET /schema: its logical kind and the
+// physical int64 domain observed in the base table.
 type ColumnInfo struct {
 	// Name is the column name; Kind its logical kind ("int64", "float64",
 	// "string", "time").
@@ -816,6 +821,17 @@ type Stats struct {
 // errorBody is the JSON error envelope every non-2xx response carries.
 type errorBody struct {
 	Error string `json:"error"`
+}
+
+// badBody answers a POST body that did not decode: 413 when it ran past
+// maxBodyBytes, 400 otherwise.
+func badBody(w http.ResponseWriter, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, err.Error())
+		return
+	}
+	writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 }
 
 func writeError(w http.ResponseWriter, code int, msg string) {

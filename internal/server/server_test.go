@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -29,15 +30,12 @@ func rawFixture(t *testing.T, cfg *Config) (*Server, *httptest.Server) {
 		DriftFactor: 1e9,
 		Build:       &flood.Options{CalibrationLayouts: 3, GDSteps: 5, Seed: 14},
 	})
-	s := New(a, cfg)
-	hs := httptest.NewServer(s.Handler())
-	t.Cleanup(func() { hs.Close(); s.Close() })
-	return s, hs
+	return serve(t, a, cfg)
 }
 
-// typedFixture builds a typed city/fare/dist table so projections and typed
-// literals run through the server.
-func typedFixture(t *testing.T, cfg *Config) (*Server, *httptest.Server, *flood.Schema) {
+// cityTable builds the typed city/fare/dist table the typed fixtures serve,
+// and the two training queries their layouts are learned from.
+func cityTable(t *testing.T) (*flood.Table, *flood.Schema, []flood.Query) {
 	t.Helper()
 	cities := []string{"austin", "boston", "chicago", "nyc", "seattle"}
 	n := 2000
@@ -68,53 +66,30 @@ func typedFixture(t *testing.T, cfg *Config) (*Server, *httptest.Server, *flood.
 		flood.NewQuery(3).WithRange(2, 10, 100),
 		flood.NewQuery(3).WithRange(1, 100, 2000),
 	}
+	return tbl, s, queries
+}
+
+// typedIndex learns a flat index over cityTable.
+func typedIndex(t *testing.T) *flood.Flood {
+	t.Helper()
+	tbl, s, queries := cityTable(t)
 	idx, err := flood.Build(tbl, queries, &flood.Options{CalibrationLayouts: 3, GDSteps: 5, Seed: 17, Schema: s})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := flood.NewAdaptiveIndex(idx, &flood.AdaptiveConfig{
-		DriftFactor: 1e9,
-		Build:       &flood.Options{CalibrationLayouts: 3, GDSteps: 5, Seed: 18},
-	})
-	srv := New(a, cfg)
-	hs := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() { hs.Close(); srv.Close() })
-	return srv, hs, s
+	return idx
 }
 
-// shardedFixture mounts a server over a 4-shard typed index split on the
-// dist column, exercising the fan-out store path end to end.
-func shardedFixture(t *testing.T, cfg *Config) (*Server, *httptest.Server, *flood.ShardedIndex) {
+// typedConfig keeps the typed stores from relearning on their own.
+var typedConfig = &flood.AdaptiveConfig{
+	DriftFactor: 1e9,
+	Build:       &flood.Options{CalibrationLayouts: 3, GDSteps: 5, Seed: 18},
+}
+
+// shardedStore partitions cityTable into 4 shards split on the dist column.
+func shardedStore(t *testing.T) *flood.ShardedIndex {
 	t.Helper()
-	cities := []string{"austin", "boston", "chicago", "nyc", "seattle"}
-	n := 2000
-	var city []string
-	var fare []float64
-	var dist []int64
-	for i := 0; i < n; i++ {
-		city = append(city, cities[i%len(cities)])
-		fare = append(fare, float64(i%5000)/100)
-		dist = append(dist, int64(i%300))
-	}
-	s := flood.NewSchema().String("city").Float64("fare", 2).Int64("dist")
-	b := s.NewTableBuilder()
-	if err := b.SetStringColumn("city", city); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.SetFloat64Column("fare", fare); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.SetInt64Column("dist", dist); err != nil {
-		t.Fatal(err)
-	}
-	tbl, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	queries := []flood.Query{
-		flood.NewQuery(3).WithRange(2, 10, 100),
-		flood.NewQuery(3).WithRange(1, 100, 2000),
-	}
+	tbl, s, queries := cityTable(t)
 	sh, err := flood.NewSharded(tbl, queries, &flood.ShardedOptions{
 		Shards:   4,
 		Dim:      2, // dist
@@ -124,9 +99,31 @@ func shardedFixture(t *testing.T, cfg *Config) (*Server, *httptest.Server, *floo
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(sh, cfg)
+	return sh
+}
+
+// serve mounts a server over store, both closed when the test ends.
+func serve(t *testing.T, store flood.Store, cfg *Config) (*Server, *httptest.Server) {
+	t.Helper()
+	srv := New(store, cfg)
 	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() { hs.Close(); srv.Close() })
+	return srv, hs
+}
+
+// typedFixture serves a flat adaptive index over cityTable, so projections
+// and typed literals run through the server.
+func typedFixture(t *testing.T, cfg *Config) (*Server, *httptest.Server) {
+	t.Helper()
+	return serve(t, flood.NewAdaptiveIndex(typedIndex(t), typedConfig), cfg)
+}
+
+// shardedFixture serves the 4-shard store, exercising the fan-out store path
+// end to end.
+func shardedFixture(t *testing.T, cfg *Config) (*Server, *httptest.Server, *flood.ShardedIndex) {
+	t.Helper()
+	sh := shardedStore(t)
+	srv, hs := serve(t, sh, cfg)
 	return srv, hs, sh
 }
 
@@ -148,7 +145,7 @@ func postQuery(t *testing.T, url, sql string) (QueryResponse, int) {
 }
 
 func TestServerAggSelectMutate(t *testing.T) {
-	srv, hs, _ := typedFixture(t, nil)
+	srv, hs := typedFixture(t, nil)
 	url := hs.URL
 
 	// Aggregate with typed decode: SUM over the scaled fare column returns
@@ -201,7 +198,7 @@ func TestServerAggSelectMutate(t *testing.T) {
 }
 
 func TestServerSelectRowCap(t *testing.T) {
-	_, hs, _ := typedFixture(t, &Config{MaxResultRows: 5})
+	_, hs := typedFixture(t, &Config{MaxResultRows: 5})
 	r, code := postQuery(t, hs.URL, "SELECT dist FROM t")
 	if code != http.StatusOK || len(r.Rows) != 5 || !r.Truncated {
 		t.Fatalf("capped SELECT = %d rows truncated=%v (status %d), want 5/true", len(r.Rows), r.Truncated, code)
@@ -214,7 +211,7 @@ func TestServerSelectRowCap(t *testing.T) {
 }
 
 func TestServerInsertEndpoint(t *testing.T) {
-	srv, hs, _ := typedFixture(t, nil)
+	srv, hs := typedFixture(t, nil)
 	body := `{"rows": [["nyc", 12.5, 42], ["austin", 0.75, 7]]}`
 	resp, err := http.Post(hs.URL+"/insert", "application/json", bytes.NewReader([]byte(body)))
 	if err != nil {
@@ -240,13 +237,22 @@ func TestServerInsertEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad-arity insert status = %d, want 400", resp.StatusCode)
 	}
+	// So is a string the column's dictionary does not hold.
+	resp, err = http.Post(hs.URL+"/insert", "application/json", strings.NewReader(`{"rows": [["gotham", 1.25, 3]]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("unknown-city insert status = %d, want 400", resp.StatusCode)
+	}
 	if srv.Stats().InsertedRows != 2 {
 		t.Fatalf("InsertedRows = %d, want 2", srv.Stats().InsertedRows)
 	}
 }
 
 func TestServerSchemaEndpoint(t *testing.T) {
-	_, hs, _ := typedFixture(t, nil)
+	_, hs := typedFixture(t, nil)
 	resp, err := http.Get(hs.URL + "/schema")
 	if err != nil {
 		t.Fatal(err)
@@ -485,6 +491,20 @@ func TestServerRequestDeadline(t *testing.T) {
 	}
 }
 
+// TestServerDeadlineOnlyTightens pins timeout_ms against the server's
+// RequestTimeout: a shorter one tightens the deadline, a longer one is capped.
+func TestServerDeadlineOnlyTightens(t *testing.T) {
+	s := &Server{cfg: (&Config{RequestTimeout: time.Second}).withDefaults()}
+	for _, c := range []struct {
+		millis int64
+		want   time.Duration
+	}{{0, time.Second}, {10, 10 * time.Millisecond}, {60000, time.Second}} {
+		if got := time.Until(s.deadlineFor(c.millis)); got > c.want || got < c.want-100*time.Millisecond {
+			t.Errorf("timeout_ms %d: deadline %v away, want %v", c.millis, got, c.want)
+		}
+	}
+}
+
 // TestBatchCollectorOverload pins submit's non-blocking contract without
 // the gather loop draining the intake queue.
 func TestBatchCollectorOverload(t *testing.T) {
@@ -569,5 +589,31 @@ func TestServerInsertTimeTick(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestServerBodyLimit pins the body cap on both POST endpoints: one byte over
+// maxBodyBytes is refused with 413, a body of exactly the cap is read, and so
+// is the next ordinary request.
+func TestServerBodyLimit(t *testing.T) {
+	_, hs := typedFixture(t, nil)
+	// Each body pads a valid document with blanks up to n bytes.
+	pad := func(head, tail string) func(n int) string {
+		return func(n int) string { return head + strings.Repeat(" ", n-len(head)-len(tail)) + tail }
+	}
+	for path, body := range map[string]func(int) string{
+		"/query":  pad(`{"sql":"SELECT COUNT(*) FROM t`, `"}`),
+		"/insert": pad(`{"rows": [["nyc", 12.5, 42]]`, `}`),
+	} {
+		for _, c := range []struct{ n, want int }{{maxBodyBytes + 1, 413}, {maxBodyBytes, 200}, {64, 200}} {
+			resp, err := http.Post(hs.URL+path, "application/json", strings.NewReader(body(c.n)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != c.want {
+				t.Fatalf("POST %s with a %d-byte body: status %d, want %d", path, c.n, resp.StatusCode, c.want)
+			}
+		}
 	}
 }
