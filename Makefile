@@ -113,8 +113,12 @@ bench:
 # fuzz-smoke gives each fuzz target a short coverage-guided run (also a CI
 # job). FuzzSQLDifferential is the differential one: every aggregate it
 # generates must get the same answer from a flat, a sharded and a full-scan
-# index. Minimization is capped so single-CPU runners keep mutating instead
-# of shrinking corpus entries for 60s each.
+# index. Each run starts from its target's testdata/fuzz corpus as well as
+# its f.Add seeds; floodsql/testdata/fuzz/FuzzFloodSQLParse holds the lexer's
+# number and string edges (digit separators, a negative decimal, an int64
+# overflow, a qualified name, a doubled quote, an unterminated string).
+# Minimization is capped so single-CPU runners keep mutating instead of
+# shrinking corpus entries for 60s each.
 fuzz-smoke:
 	$(GO) test . -run '^$$' -fuzz '^FuzzWireDecode$$' \
 		-fuzztime 30s -fuzzminimizetime 10x

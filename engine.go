@@ -340,6 +340,15 @@ func (s *surface) ExecuteOrContext(ctx context.Context, queries []Query, agg Agg
 }
 
 func (s *surface) executeOr(ctl *query.Control, queries []Query, agg Aggregator, cutover int) Stats {
+	if len(queries) == 1 {
+		// One rectangle is its own disjoint decomposition, or none at all
+		// when it is empty.
+		pieces := queries
+		if queries[0].Empty() {
+			pieces = nil
+		}
+		return s.eng.pin().runPieces(ctl, pieces, queries, agg, cutover)
+	}
 	d := query.Decompose(queries)
 	st := s.eng.pin().runPieces(ctl, d.Pieces, queries, agg, cutover)
 	d.Release()
@@ -373,27 +382,29 @@ func (s *surface) Select(q Query, cols ...string) (*Rows, Stats) {
 // ErrCanceled (the cursor is always non-nil and must be closed). With a
 // background context and nil opts the call is identical to Select.
 func (s *surface) SelectContext(ctx context.Context, q Query, opts *QueryOptions, cols ...string) (*Rows, Stats, error) {
-	r, ctl, err := s.openRows(ctx, opts, cols)
+	r, ctl, err := s.openRows(ctx, opts, projection{names: cols})
 	if err != nil {
 		return r, Stats{}, err
 	}
-	return r.finish(ctl, s.eng.pin().run(ctl, q, &r.rc, 0, opts.cutover()))
+	st := s.eng.pin().run(ctl, q, &r.rc, 0, opts.cutover())
+	return r, st, r.finish(ctl)
 }
 
 // selectOr is SelectContext over a disjunction; the pieces share the
 // cancellation signal and the limit budget.
-func (s *surface) selectOr(ctx context.Context, queries []Query, opts *QueryOptions, cols []string) (*Rows, Stats, error) {
+func (s *surface) selectOr(ctx context.Context, queries []Query, opts *QueryOptions, cols projection) (*Rows, Stats, error) {
 	r, ctl, err := s.openRows(ctx, opts, cols)
 	if err != nil {
 		return r, Stats{}, err
 	}
-	return r.finish(ctl, s.executeOr(ctl, queries, &r.rc, opts.cutover()))
+	st := s.executeOr(ctl, queries, &r.rc, opts.cutover())
+	return r, st, r.finish(ctl)
 }
 
 // openRows starts a select: a pooled cursor with the projection resolved,
 // and the control for (ctx, opts). On an already-expired context the cursor
 // comes back empty and ready to close.
-func (s *surface) openRows(ctx context.Context, opts *QueryOptions, cols []string) (*Rows, *query.Control, error) {
+func (s *surface) openRows(ctx context.Context, opts *QueryOptions, cols projection) (*Rows, *query.Control, error) {
 	r := getRows(s.schema, s.cols, cols)
 	ctl, err := getControl(ctx, opts)
 	if err != nil {

@@ -39,8 +39,10 @@
 // Predicates are normalized to disjunctive normal form; disjuncts execute
 // through flood.ExecuteOr, which decomposes them into disjoint rectangles so
 // rows are never double-counted (§3: OR clauses "can be decomposed into
-// multiple queries over disjoint attribute ranges"). Projections return a
-// *flood.Rows cursor via Statement.Select.
+// multiple queries over disjoint attribute ranges"). A predicate whose normal
+// form would pass MaxDisjuncts rectangles, or whose rectangles would cut into
+// more than MaxPieces disjoint pieces, is refused at parse time.
+// Projections return a *flood.Rows cursor via Statement.Select.
 //
 // LIMIT n applies to projections only (an aggregate always yields one row)
 // and n must be a positive integer — LIMIT 0 and negative limits are
@@ -59,10 +61,13 @@ package floodsql
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
 	flood "flood"
+	"flood/internal/encode"
+	"flood/internal/query"
 )
 
 // Statement is a parsed, table-resolved query: an aggregation
@@ -77,7 +82,9 @@ type Statement struct {
 	// projections).
 	AggCol int
 	// Projection lists the selected column names for Agg == "select"
-	// (resolved; SELECT * expands to every column in schema order).
+	// (resolved; SELECT * expands to every column in schema order). It is
+	// informational: Select projects the column positions resolved at parse
+	// time, which editing Projection does not change.
 	Projection []string
 	// Table is the FROM identifier (informational; resolution happens
 	// against the table or schema passed at parse time).
@@ -97,13 +104,37 @@ type Statement struct {
 	InsertRows [][]int64
 	nDims      int
 	schema     *flood.Schema // non-nil for ParseTyped statements
+	proj       []int         // Projection's column positions
 }
+
+// MaxDisjuncts is the most rectangles a WHERE clause may expand to in
+// disjunctive normal form. An OR chain, an IN list, or an AND of
+// disjunctions that would pass it is refused with a positioned parse error
+// before the rectangles are built: a product of n two-way ORs is 2^n
+// rectangles, so a statement of a few hundred bytes could otherwise ask for
+// gigabytes.
+const MaxDisjuncts = 1024
+
+// MaxPieces bounds the disjoint decomposition of a WHERE clause of more than
+// one rectangle, which is what executing an OR runs (flood.ExecuteOr): n
+// slabs crossing in k columns cut about (n/k)^k pieces, so a clause well
+// within MaxDisjuncts could still ask for millions. The parser decomposes
+// such a clause once and refuses it with a positioned error as soon as it
+// has cut more than MaxPieces pieces or compared more than maxPairs pairs of
+// rectangles.
+const MaxPieces = 1 << 14
+
+// maxPairs is the rectangle comparisons the MaxPieces check allows: a
+// 1,024-value IN list takes about half of them, crossing slabs pass it in
+// tens of milliseconds.
+const maxPairs = 1 << 21
 
 // Parse compiles a SQL string against tbl's raw int64 schema. Only integer
 // literals are accepted; use ParseTyped for float and string predicates and
 // typed projections.
 func Parse(sql string, tbl *flood.Table) (*Statement, error) {
-	p := parser{lex: lexer{src: sql}, cols: tbl}
+	var p parser
+	p.lex.src, p.cols = sql, tbl
 	return p.run()
 }
 
@@ -111,17 +142,9 @@ func Parse(sql string, tbl *flood.Table) (*Statement, error) {
 // TableBuilder), resolving float and string literals through the schema's
 // encoders. Projections decode through the same schema when executed.
 func ParseTyped(sql string, schema *flood.Schema) (*Statement, error) {
-	p := parser{lex: lexer{src: sql}, cols: schema, schema: schema}
+	var p parser
+	p.lex.src, p.cols, p.schema = sql, schema, schema
 	return p.run()
-}
-
-func (p *parser) run() (*Statement, error) {
-	p.lex.next()
-	st, err := p.statement()
-	if err != nil {
-		return nil, fmt.Errorf("floodsql: %w", err)
-	}
-	return st, nil
 }
 
 // Queries returns the statement's rectangles — its DNF disjuncts, or one
@@ -282,7 +305,7 @@ func (s *Statement) SelectContext(ctx context.Context, idx flood.Index) (*flood.
 		return nil, flood.Stats{}, fmt.Errorf("floodsql: projection needs a typed schema; parse with ParseTyped")
 	}
 	qs, _ := s.Queries()
-	return s.schema.SelectOrContext(ctx, idx, qs, &flood.QueryOptions{Limit: s.Limit}, s.Projection...)
+	return s.schema.SelectColumns(ctx, idx, qs, &flood.QueryOptions{Limit: s.Limit}, s.proj)
 }
 
 // --- column resolution ---
@@ -303,7 +326,7 @@ const (
 	tokEOF tokenKind = iota
 	tokIdent
 	tokNumber // integer or decimal literal
-	tokString // '...' literal (text holds the unquoted value)
+	tokString // '...' literal
 	tokSymbol // ( ) , * =  < <= > >=
 )
 
@@ -329,6 +352,13 @@ const (
 	kwBetween
 	kwLike
 	kwIn
+	kwCount
+	kwSum
+	kwMin
+	kwMax
+	// kwQualified marks an identifier with a qualifier (R.price), which no
+	// keyword has; resolve strips the qualifier only then.
+	kwQualified
 )
 
 var keywordNames = [...]string{
@@ -336,6 +366,7 @@ var keywordNames = [...]string{
 	kwFrom: "FROM", kwWhere: "WHERE", kwLimit: "LIMIT", kwInto: "INTO",
 	kwValues: "VALUES", kwSet: "SET", kwAnd: "AND", kwOr: "OR",
 	kwBetween: "BETWEEN", kwLike: "LIKE", kwIn: "IN",
+	kwCount: "COUNT", kwSum: "SUM", kwMin: "MIN", kwMax: "MAX",
 }
 
 // keywordsByLen buckets the keywords by length, each with its letters packed
@@ -355,8 +386,8 @@ type packedKeyword struct {
 }
 
 // packUpper packs up to eight identifier bytes into a word, folding letters
-// to upper case by clearing bit 0x20; no digit, '_' or '.' folds to a letter,
-// so only a keyword's own spelling packs to its key.
+// to upper case by clearing bit 0x20; no digit or '_' folds to a letter, so
+// only a keyword's own spelling packs to its key.
 func packUpper(s string) uint64 {
 	var k uint64
 	for i := 0; i < len(s); i++ {
@@ -365,36 +396,61 @@ func packUpper(s string) uint64 {
 	return k
 }
 
-func keywordOf(s string) keyword {
-	if len(s) >= len(keywordsByLen) {
+// keywordOf returns the keyword an unqualified identifier of n bytes spells,
+// given key, its last eight bytes as packUpper packs them.
+func keywordOf(key uint64, n int) keyword {
+	if n >= len(keywordsByLen) {
 		return kwNone
 	}
-	k := packUpper(s)
-	for _, c := range keywordsByLen[len(s)] {
-		if c.key == k {
+	for _, c := range keywordsByLen[n] {
+		if c.key == key {
 			return c.kw
 		}
 	}
 	return kwNone
 }
 
+// The two-byte comparison operators as a token's sym; letters never lex as
+// symbols, so neither can be mistaken for one.
+const (
+	symLE = 'l' // <=
+	symGE = 'g' // >=
+)
+
+// Token flags: what a number or string literal holds beyond the common case,
+// noted by the lexer so the parser converts the common case straight from
+// the source bytes.
+const (
+	numDot        = 1 << iota // a decimal point: a float literal
+	numUnderscore             // digit separators to drop
+	strEscaped                // a doubled quote to undo
+)
+
+// token is one lexeme, located in the source rather than copied out of it.
+// It has four fields so the compiler keeps it in registers and stores and
+// loads it field by field: built in memory a byte at a time and copied as
+// words, a token cost a store-forwarding stall at every copy.
 type token struct {
 	kind tokenKind
-	kw   keyword // for tokIdent: the keyword it spells, if any
-	text string
-	off  int // byte offset of the token's first character
+	// detail is what the token is beyond its kind: the keyword an
+	// identifier spells (kwNone if none), a symbol's punctuation byte
+	// (symLE / symGE for the two-byte operators), a literal's numDot,
+	// numUnderscore and strEscaped flags.
+	detail uint8
+	off    int // byte offset of the token's first character
+	end    int // byte offset just past its last
 }
 
-// describe renders a token for error messages.
-func (t token) describe() string {
-	if t.kind == tokEOF {
-		return "end of input"
+// is reports whether t is the punctuation c.
+func (t token) is(c byte) bool { return t.kind == tokSymbol && t.detail == c }
+
+// kw is the keyword t spells, kwNone when it is not an identifier.
+func (t token) kw() keyword {
+	if t.kind != tokIdent {
+		return kwNone
 	}
-	return fmt.Sprintf("%q", t.text)
+	return keyword(t.detail)
 }
-
-// isSymbol reports whether t is the punctuation s.
-func (t token) isSymbol(s string) bool { return t.kind == tokSymbol && t.text == s }
 
 type lexer struct {
 	src string
@@ -405,89 +461,166 @@ type lexer struct {
 
 func (l *lexer) next() {
 	src, pos := l.src, l.pos
-	for pos < len(src) && isSpace(src[pos]) {
+	for pos < len(src) && src[pos] <= ' ' && isSpace(src[pos]) {
 		pos++
 	}
 	start := pos
-	if pos >= len(src) {
-		l.pos = pos
-		l.tok = token{kind: tokEOF, off: start}
-		return
-	}
-	kind, kw := tokSymbol, kwNone
-	switch c := src[pos]; {
-	case isAlpha(c):
-		for pos < len(src) && identChar[src[pos]] {
-			pos++
-		}
-		kind, kw = tokIdent, keywordOf(src[start:pos])
-	case isDigit(c) || (c == '-' && pos+1 < len(src) && isDigit(src[pos+1])):
-		pos++
-		for pos < len(src) && (isDigit(src[pos]) || src[pos] == '_') {
-			pos++
-		}
-		if pos+1 < len(src) && src[pos] == '.' && isDigit(src[pos+1]) {
-			pos++
-			for pos < len(src) && isDigit(src[pos]) {
-				pos++
+	kind, detail := tokEOF, uint8(0)
+	if pos < len(src) {
+		switch c := src[pos]; {
+		case isAlpha(c):
+			// One pass classes the bytes and packs them for keywordOf.
+			var classes uint8
+			var key uint64
+			for ; pos < len(src); pos++ {
+				c := src[pos]
+				cl := identClass[c]
+				if cl == 0 {
+					break
+				}
+				classes |= cl
+				key = key<<8 | uint64(c&^0x20)
 			}
+			kind, detail = tokIdent, uint8(kwQualified)
+			if classes&identDot == 0 {
+				detail = uint8(keywordOf(key, pos-start))
+			}
+		case isDigit(c) || (c == '-' && pos+1 < len(src) && isDigit(src[pos+1])):
+			kind = tokNumber
+			for pos++; pos < len(src); pos++ {
+				if c := src[pos]; c == '_' {
+					detail |= numUnderscore
+				} else if !isDigit(c) {
+					break
+				}
+			}
+			if pos+1 < len(src) && src[pos] == '.' && isDigit(src[pos+1]) {
+				detail |= numDot
+				pos++
+				for pos < len(src) && isDigit(src[pos]) {
+					pos++
+				}
+			}
+		case c == '\'':
+			kind, pos, detail = l.stringLiteral(start)
+		case (c == '<' || c == '>') && pos+1 < len(src) && src[pos+1] == '=':
+			kind, detail = tokSymbol, symLE
+			if c == '>' {
+				detail = symGE
+			}
+			pos += 2
+		default:
+			kind, detail = tokSymbol, c
+			pos++
 		}
-		kind = tokNumber
-	case c == '\'':
-		l.stringLiteral(start)
-		return
-	case (c == '<' || c == '>') && pos+1 < len(src) && src[pos+1] == '=':
-		pos += 2
-	default:
-		pos++
 	}
 	l.pos = pos
-	l.tok = token{kind: kind, kw: kw, text: src[start:pos], off: start}
+	l.tok = token{kind: kind, detail: detail, off: start, end: pos}
 }
 
-// stringLiteral lexes a quoted literal starting at the opening quote. The
-// value is a slice of the source unless it contains a doubled-quote escape,
-// the only case that needs a rewritten copy.
-func (l *lexer) stringLiteral(start int) {
-	l.pos = start + 1
-	body := l.pos
-	escaped := false
+// stringLiteral scans a quoted literal from its opening quote at start to
+// just past its closing one, noting whether it holds a doubled-quote escape
+// (the only case whose value is not a slice of the source). An unterminated
+// literal records the lexical error and lexes as the end of input.
+func (l *lexer) stringLiteral(start int) (tokenKind, int, uint8) {
+	var flag uint8
+	pos := start + 1
 	for {
-		i := strings.IndexByte(l.src[l.pos:], '\'')
+		i := strings.IndexByte(l.src[pos:], '\'')
 		if i < 0 {
-			l.pos = len(l.src)
-			l.tok = token{kind: tokEOF, off: start}
 			if l.err == nil {
 				l.err = fmt.Errorf("at byte %d: unterminated string literal", start)
 			}
-			return
+			return tokEOF, len(l.src), 0
 		}
-		l.pos += i + 1
-		if l.pos >= len(l.src) || l.src[l.pos] != '\'' {
-			break
+		pos += i + 1
+		if pos >= len(l.src) || l.src[pos] != '\'' {
+			return tokString, pos, flag
 		}
-		escaped = true
-		l.pos++
+		flag |= strEscaped
+		pos++
 	}
-	text := l.src[body : l.pos-1]
-	if escaped {
-		text = strings.ReplaceAll(text, "''", "'")
+}
+
+// text is t's source text; for a string literal, its value: the quotes
+// stripped and doubled quotes undone.
+func (l *lexer) text(t token) string {
+	if t.kind != tokString {
+		return l.src[t.off:t.end]
 	}
-	l.tok = token{kind: tokString, text: text, off: start}
+	s := l.src[t.off+1 : t.end-1]
+	if t.detail&strEscaped != 0 {
+		s = strings.ReplaceAll(s, "''", "'")
+	}
+	return s
+}
+
+// describe renders t for error messages.
+func (l *lexer) describe(t token) string {
+	if t.kind == tokEOF {
+		return "end of input"
+	}
+	return fmt.Sprintf("%q", l.text(t))
 }
 
 func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
 func isAlpha(c byte) bool { return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' }
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
-// identChar marks the bytes that continue an identifier: letters, digits,
-// '_' and the '.' of a qualified name.
-var identChar = func() (t [256]bool) {
+// identClass classes the bytes that continue an identifier: identWord for
+// letters, digits and '_', identDot for the '.' of a qualified name, 0 for
+// every byte that ends one.
+var identClass = func() (t [256]uint8) {
 	for c := 0; c < 256; c++ {
-		t[c] = isAlpha(byte(c)) || isDigit(byte(c)) || c == '_' || c == '.'
+		switch {
+		case isAlpha(byte(c)) || isDigit(byte(c)) || c == '_':
+			t[c] = identWord
+		case c == '.':
+			t[c] = identDot
+		}
 	}
 	return t
 }()
+
+const (
+	identWord = 1 << iota
+	identDot
+)
+
+// smallInt reads an integer literal of at most 18 digits — too few to
+// overflow — straight from its bytes, skipping '_' separators. A longer one
+// reports !ok and goes through strconv, whose range error the parser quotes.
+func smallInt(s string) (v int64, ok bool) {
+	neg := s[0] == '-'
+	if neg {
+		s = s[1:]
+	}
+	digits := 0
+	for i := 0; i < len(s); i++ {
+		if s[i] == '_' {
+			continue
+		}
+		if digits++; digits > 18 {
+			return 0, false
+		}
+		v = v*10 + int64(s[i]-'0')
+	}
+	if neg {
+		v = -v
+	}
+	return v, true
+}
+
+// parseInt converts an integer literal token's text.
+func parseInt(text string, flags uint8) (int64, error) {
+	if v, ok := smallInt(text); ok {
+		return v, nil
+	}
+	if flags&numUnderscore != 0 {
+		text = strings.ReplaceAll(text, "_", "")
+	}
+	return strconv.ParseInt(text, 10, 64)
+}
 
 // --- parser ---
 
@@ -495,6 +628,73 @@ type parser struct {
 	lex    lexer
 	cols   columns
 	schema *flood.Schema // nil when parsing against a raw table
+	nDims  int
+	block  *stmtBlock // the statement's storage; nil when the table is wider
+}
+
+// inlineCols is the widest table whose statements keep their first
+// rectangle's ranges and their projection inside the statement's own
+// allocation.
+const inlineCols = 8
+
+// stmtBlock is a Statement together with what a single-rectangle statement
+// over at most inlineCols columns needs besides: the rectangle list, its
+// ranges, and the projection's names and positions. Parsing such a
+// statement allocates this block and nothing else.
+type stmtBlock struct {
+	st     Statement
+	rect   [1]flood.Query
+	ranges [inlineCols]flood.Range
+	names  [inlineCols]string
+	cols   [inlineCols]int
+}
+
+func (p *parser) run() (*Statement, error) {
+	p.nDims = p.cols.NumCols()
+	p.lex.next()
+	st, err := p.statement()
+	if err != nil {
+		return nil, fmt.Errorf("floodsql: %w", err)
+	}
+	return st, nil
+}
+
+// newStatement starts the statement being parsed, in a stmtBlock when the
+// table fits one.
+func (p *parser) newStatement(agg string) *Statement {
+	var st *Statement
+	if p.nDims > inlineCols {
+		st = new(Statement)
+	} else {
+		p.block = new(stmtBlock)
+		st = &p.block.st
+	}
+	st.Agg, st.AggCol, st.nDims, st.schema = agg, -1, p.nDims, p.schema
+	return st
+}
+
+// rectangle returns a list of one unfiltered rectangle: the statement
+// block's on first use, a fresh one after that.
+func (p *parser) rectangle() []flood.Query {
+	b := p.block
+	if b == nil || b.rect[0].Ranges != nil {
+		return []flood.Query{flood.NewQuery(p.nDims)}
+	}
+	r := b.ranges[:p.nDims:p.nDims]
+	for i := range r {
+		r[i] = flood.Range{Min: flood.NegInf, Max: flood.PosInf}
+	}
+	b.rect[0] = flood.Query{Ranges: r}
+	return b.rect[:]
+}
+
+// projection returns empty name and position lists for a projection, backed
+// by the statement block when there is one.
+func (p *parser) projection() ([]string, []int) {
+	if b := p.block; b != nil {
+		return b.names[:0], b.cols[:0]
+	}
+	return make([]string, 0, p.nDims), make([]int, 0, p.nDims)
 }
 
 // errAt is the shared error constructor: every parse error pins the byte
@@ -504,24 +704,28 @@ func (p *parser) errAt(tok token, format string, args ...any) error {
 	if p.lex.err != nil {
 		return p.lex.err
 	}
-	return fmt.Errorf("at byte %d near %s: %s", tok.off, tok.describe(), fmt.Sprintf(format, args...))
+	return fmt.Errorf("at byte %d near %s: %s", tok.off, p.lex.describe(tok), fmt.Sprintf(format, args...))
+}
+
+// tooMany is the error for a predicate that would expand past MaxDisjuncts.
+func (p *parser) tooMany(tok token) error {
+	return p.errAt(tok, "predicate expands to more than %d rectangles (MaxDisjuncts)", MaxDisjuncts)
 }
 
 func (p *parser) statement() (*Statement, error) {
-	if p.isKeyword(kwDelete) {
+	switch p.lex.tok.kw() {
+	case kwDelete:
 		return p.deleteStatement()
-	}
-	if p.isKeyword(kwUpdate) {
+	case kwUpdate:
 		return p.updateStatement()
-	}
-	if p.isKeyword(kwInsert) {
+	case kwInsert:
 		return p.insertStatement()
-	}
-	if !p.isKeyword(kwSelect) {
+	case kwSelect:
+	default:
 		return nil, p.errAt(p.lex.tok, "expected SELECT, INSERT, DELETE, or UPDATE")
 	}
 	p.lex.next()
-	st := &Statement{AggCol: -1, nDims: p.cols.NumCols(), schema: p.schema}
+	st := p.newStatement("")
 	if err := p.target(st); err != nil {
 		return nil, err
 	}
@@ -532,16 +736,13 @@ func (p *parser) statement() (*Statement, error) {
 	if st.Table, err = p.ident(); err != nil {
 		return nil, err
 	}
-	if p.lex.tok.kind == tokEOF && p.lex.err == nil {
+	if p.atEnd() {
 		return st, nil
 	}
 	if p.isKeyword(kwWhere) {
-		p.lex.next()
-		dnf, err := p.orExpr()
-		if err != nil {
+		if err := p.where(st); err != nil {
 			return nil, err
 		}
-		st.Disjuncts = dnf
 	} else if !p.isKeyword(kwLimit) {
 		return nil, p.errAt(p.lex.tok, "expected WHERE")
 	}
@@ -550,7 +751,15 @@ func (p *parser) statement() (*Statement, error) {
 			return nil, err
 		}
 	}
-	if p.lex.tok.kind != tokEOF || p.lex.err != nil {
+	return p.end(st)
+}
+
+// atEnd reports whether the statement ended cleanly.
+func (p *parser) atEnd() bool { return p.lex.tok.kind == tokEOF && p.lex.err == nil }
+
+// end finishes st, rejecting trailing input.
+func (p *parser) end(st *Statement) (*Statement, error) {
+	if !p.atEnd() {
 		return nil, p.errAt(p.lex.tok, "unexpected trailing input")
 	}
 	return st, nil
@@ -562,7 +771,7 @@ func (p *parser) deleteStatement() (*Statement, error) {
 	if err := p.keyword(kwFrom); err != nil {
 		return nil, err
 	}
-	st := &Statement{Agg: "delete", AggCol: -1, nDims: p.cols.NumCols(), schema: p.schema}
+	st := p.newStatement("delete")
 	var err error
 	if st.Table, err = p.ident(); err != nil {
 		return nil, err
@@ -573,7 +782,7 @@ func (p *parser) deleteStatement() (*Statement, error) {
 // updateStatement parses `UPDATE table SET col = lit, ... [WHERE pred]`.
 func (p *parser) updateStatement() (*Statement, error) {
 	p.lex.next()
-	st := &Statement{Agg: "update", AggCol: -1, nDims: p.cols.NumCols(), schema: p.schema}
+	st := p.newStatement("update")
 	var err error
 	if st.Table, err = p.ident(); err != nil {
 		return nil, err
@@ -582,28 +791,26 @@ func (p *parser) updateStatement() (*Statement, error) {
 		return nil, err
 	}
 	for {
-		colTok := p.lex.tok
 		col, err := p.column()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.symbol("="); err != nil {
+		if err := p.symbol('='); err != nil {
 			return nil, err
 		}
-		v, err := p.value()
-		if err != nil {
+		var v value
+		if err := p.value(&v); err != nil {
 			return nil, err
 		}
-		enc, err := p.encodeAssign(col, colTok, v)
+		enc, err := p.encodeAssign(col, &v)
 		if err != nil {
 			return nil, err
 		}
 		st.Assignments = append(st.Assignments, flood.Assignment{Col: col, Value: enc})
-		if p.lex.tok.isSymbol(",") {
-			p.lex.next()
-			continue
+		if !p.lex.tok.is(',') {
+			break
 		}
-		break
+		p.lex.next()
 	}
 	return p.optionalWhere(st)
 }
@@ -620,34 +827,31 @@ func (p *parser) insertStatement() (*Statement, error) {
 	if err := p.keyword(kwInto); err != nil {
 		return nil, err
 	}
-	st := &Statement{Agg: "insert", AggCol: -1, nDims: p.cols.NumCols(), schema: p.schema}
+	st := p.newStatement("insert")
 	var err error
 	if st.Table, err = p.ident(); err != nil {
 		return nil, err
 	}
 	// Optional column list: a permutation of all columns.
 	order := make([]int, 0, st.nDims)
-	if p.lex.tok.isSymbol("(") {
+	if p.lex.tok.is('(') {
 		p.lex.next()
-		seen := make(map[int]bool, st.nDims)
 		for {
 			colTok := p.lex.tok
 			col, err := p.column()
 			if err != nil {
 				return nil, err
 			}
-			if seen[col] {
+			if slices.Contains(order, col) {
 				return nil, p.errAt(colTok, "column %q listed twice", p.cols.Name(col))
 			}
-			seen[col] = true
 			order = append(order, col)
-			if p.lex.tok.isSymbol(",") {
-				p.lex.next()
-				continue
+			if !p.lex.tok.is(',') {
+				break
 			}
-			break
+			p.lex.next()
 		}
-		if err := p.symbol(")"); err != nil {
+		if err := p.symbol(')'); err != nil {
 			return nil, err
 		}
 		if len(order) != st.nDims {
@@ -662,41 +866,34 @@ func (p *parser) insertStatement() (*Statement, error) {
 		return nil, err
 	}
 	for {
-		if err := p.symbol("("); err != nil {
+		if err := p.symbol('('); err != nil {
 			return nil, err
 		}
 		row := make([]int64, st.nDims)
 		for i, col := range order {
-			v, err := p.value()
-			if err != nil {
+			var v value
+			if err := p.value(&v); err != nil {
 				return nil, err
 			}
-			colTok := v.tok
-			enc, err := p.encodeAssign(col, colTok, v)
-			if err != nil {
+			if row[col], err = p.encodeAssign(col, &v); err != nil {
 				return nil, err
 			}
-			row[col] = enc
 			if i < len(order)-1 {
-				if err := p.symbol(","); err != nil {
+				if err := p.symbol(','); err != nil {
 					return nil, err
 				}
 			}
 		}
-		if err := p.symbol(")"); err != nil {
+		if err := p.symbol(')'); err != nil {
 			return nil, err
 		}
 		st.InsertRows = append(st.InsertRows, row)
-		if p.lex.tok.isSymbol(",") {
-			p.lex.next()
-			continue
+		if !p.lex.tok.is(',') {
+			break
 		}
-		break
+		p.lex.next()
 	}
-	if p.lex.tok.kind != tokEOF || p.lex.err != nil {
-		return nil, p.errAt(p.lex.tok, "unexpected trailing input")
-	}
-	return st, nil
+	return p.end(st)
 }
 
 // optionalWhere parses the optional WHERE clause of a mutation statement and
@@ -704,17 +901,27 @@ func (p *parser) insertStatement() (*Statement, error) {
 // matches" has no deterministic meaning.
 func (p *parser) optionalWhere(st *Statement) (*Statement, error) {
 	if p.isKeyword(kwWhere) {
-		p.lex.next()
-		dnf, err := p.orExpr()
-		if err != nil {
+		if err := p.where(st); err != nil {
 			return nil, err
 		}
-		st.Disjuncts = dnf
 	}
-	if p.lex.tok.kind != tokEOF || p.lex.err != nil {
-		return nil, p.errAt(p.lex.tok, "unexpected trailing input")
+	return p.end(st)
+}
+
+// where parses `WHERE pred` into st.Disjuncts, refusing a predicate of more
+// than one rectangle whose disjoint decomposition passes MaxPieces.
+func (p *parser) where(st *Statement) error {
+	p.lex.next()
+	predTok := p.lex.tok
+	rects, err := p.orExpr()
+	if err != nil {
+		return err
 	}
-	return st, nil
+	if len(rects) > 1 && !query.Decomposable(rects, MaxPieces, maxPairs) {
+		return p.errAt(predTok, "predicate decomposes into more than %d disjoint pieces (MaxPieces)", MaxPieces)
+	}
+	st.Disjuncts = rects
+	return nil
 }
 
 // encodeAssign converts an assignment literal to the column's storage
@@ -723,20 +930,21 @@ func (p *parser) optionalWhere(st *Statement) (*Statement, error) {
 // predicates — where a miss just selects nothing — an assignment that cannot
 // be represented exactly is an error, because storing a rounded neighbour
 // would silently change the written value.
-func (p *parser) encodeAssign(col int, colTok token, v value) (int64, error) {
+func (p *parser) encodeAssign(col int, v *value) (int64, error) {
 	kind := p.kindOf(col)
 	switch {
-	case v.kind == tokString:
+	case v.tok.kind == tokString:
 		if kind != flood.KindString {
 			return 0, p.errAt(v.tok, "string literal on non-string column %q", p.cols.Name(col))
 		}
-		d := p.schema.Dictionary(p.cols.Name(col))
-		if d == nil {
-			return 0, p.errAt(v.tok, "column %q has no fitted dictionary yet (build the table first)", p.cols.Name(col))
+		d, err := p.dictionary(col, v.tok)
+		if err != nil {
+			return 0, err
 		}
-		c, ok := d.Code(v.s)
+		s := p.lex.text(v.tok)
+		c, ok := d.Code(s)
 		if !ok {
-			return 0, p.errAt(v.tok, "value %q is not in column %q's dictionary", v.s, p.cols.Name(col))
+			return 0, p.errAt(v.tok, "value %q is not in column %q's dictionary", s, p.cols.Name(col))
 		}
 		return c, nil
 	case kind == flood.KindString:
@@ -745,9 +953,9 @@ func (p *parser) encodeAssign(col int, colTok token, v value) (int64, error) {
 		if kind != flood.KindFloat64 {
 			return 0, p.errAt(v.tok, "float literal on non-float column %q", p.cols.Name(col))
 		}
-		sc := p.schema.Scaler(p.cols.Name(col))
-		if sc == nil {
-			return 0, p.errAt(v.tok, "column %q has no fitted scaler yet (build the table first)", p.cols.Name(col))
+		sc, err := p.scaler(col, v.tok)
+		if err != nil {
+			return 0, err
 		}
 		lo, hi := sc.EncodeLower(v.f), sc.EncodeUpper(v.f)
 		if lo != hi {
@@ -769,10 +977,10 @@ func (p *parser) limitClause(st *Statement) error {
 	limTok := p.lex.tok
 	p.lex.next()
 	numTok := p.lex.tok
-	if numTok.kind != tokNumber || strings.Contains(numTok.text, ".") {
+	if numTok.kind != tokNumber || numTok.detail&numDot != 0 {
 		return p.errAt(numTok, "LIMIT needs an integer row count")
 	}
-	n, err := strconv.ParseInt(strings.ReplaceAll(numTok.text, "_", ""), 10, 64)
+	n, err := parseInt(p.lex.text(numTok), numTok.detail)
 	if err != nil {
 		return p.errAt(numTok, "bad LIMIT count: %v", err)
 	}
@@ -790,38 +998,38 @@ func (p *parser) limitClause(st *Statement) error {
 	return nil
 }
 
+// aggregates names the aggregate each aggregate keyword calls.
+var aggregates = [...]string{kwCount: "count", kwSum: "sum", kwMin: "min", kwMax: "max"}
+
 // target parses the SELECT list: an aggregate call, *, or a column list.
 func (p *parser) target(st *Statement) error {
-	// SELECT * FROM ...
-	if p.lex.tok.isSymbol("*") {
+	first := p.lex.tok
+	if first.is('*') { // SELECT * FROM ...
 		if p.schema == nil {
-			return p.errAt(p.lex.tok, "projection needs a typed schema; parse with ParseTyped")
+			return p.errAt(first, "projection needs a typed schema; parse with ParseTyped")
 		}
 		p.lex.next()
 		st.Agg = "select"
-		st.Projection = make([]string, p.cols.NumCols())
-		for i := range st.Projection {
-			st.Projection[i] = p.cols.Name(i)
+		names, cols := p.projection()
+		for i := 0; i < p.nDims; i++ {
+			names, cols = append(names, p.schema.Name(i)), append(cols, i)
 		}
+		st.Projection, st.proj = names, cols
 		return nil
 	}
-	firstTok := p.lex.tok
-	first, err := p.ident()
-	if err != nil {
+	if _, err := p.ident(); err != nil {
 		return err
 	}
-	if p.lex.tok.isSymbol("(") {
-		for _, agg := range [...]string{"count", "sum", "min", "max"} {
-			if strings.EqualFold(first, agg) {
-				st.Agg = agg
-			}
+	if p.lex.tok.is('(') {
+		if kw := first.kw(); int(kw) < len(aggregates) {
+			st.Agg = aggregates[kw]
 		}
 		if st.Agg == "" {
-			return p.errAt(firstTok, "unsupported aggregate %q (want COUNT, SUM, MIN, or MAX)", first)
+			return p.errAt(first, "unsupported aggregate %q (want COUNT, SUM, MIN, or MAX)", p.lex.text(first))
 		}
 		p.lex.next()
 		if st.Agg == "count" {
-			if err := p.symbol("*"); err != nil {
+			if err := p.symbol('*'); err != nil {
 				return err
 			}
 		} else {
@@ -843,26 +1051,28 @@ func (p *parser) target(st *Statement) error {
 			}
 			st.AggCol = col
 		}
-		return p.symbol(")")
+		return p.symbol(')')
 	}
 	if p.schema == nil {
-		return p.errAt(firstTok, "projection needs a typed schema; parse with ParseTyped")
+		return p.errAt(first, "projection needs a typed schema; parse with ParseTyped")
 	}
 	// Projection list: first is a column name; more follow after commas.
 	st.Agg = "select"
-	col, err := p.resolve(first, firstTok)
+	col, err := p.resolve(first)
 	if err != nil {
 		return err
 	}
-	st.Projection = append(make([]string, 0, p.cols.NumCols()), p.cols.Name(col))
-	for p.lex.tok.isSymbol(",") {
+	names, cols := p.projection()
+	names, cols = append(names, p.schema.Name(col)), append(cols, col)
+	for p.lex.tok.is(',') {
 		p.lex.next()
 		col, err := p.column()
 		if err != nil {
 			return err
 		}
-		st.Projection = append(st.Projection, p.cols.Name(col))
+		names, cols = append(names, p.schema.Name(col)), append(cols, col)
 	}
+	st.Projection, st.proj = names, cols
 	return nil
 }
 
@@ -873,10 +1083,14 @@ func (p *parser) orExpr() ([]flood.Query, error) {
 		return nil, err
 	}
 	for p.isKeyword(kwOr) {
+		orTok := p.lex.tok
 		p.lex.next()
 		rhs, err := p.andExpr()
 		if err != nil {
 			return nil, err
+		}
+		if len(out)+len(rhs) > MaxDisjuncts {
+			return nil, p.tooMany(orTok)
 		}
 		out = append(out, rhs...)
 	}
@@ -889,15 +1103,19 @@ func (p *parser) orExpr() ([]flood.Query, error) {
 // rectangles. A contradictory conjunction yields one unsatisfiable
 // rectangle, so the statement still executes (to an empty result).
 func (p *parser) andExpr() ([]flood.Query, error) {
-	out := []flood.Query{flood.NewQuery(p.cols.NumCols())}
+	out := p.rectangle()
 	for {
+		atomTok := p.lex.tok
 		a, err := p.atom()
 		if err != nil {
 			return nil, err
 		}
-		if a.dnf == nil {
+		switch {
+		case a.dnf == nil:
 			out = narrow(out, a.col, a.lo, a.hi)
-		} else {
+		case len(out)*len(a.dnf) > MaxDisjuncts:
+			return nil, p.tooMany(atomTok)
+		default:
 			out = distribute(out, a.dnf)
 		}
 		if !p.isKeyword(kwAnd) {
@@ -906,9 +1124,23 @@ func (p *parser) andExpr() ([]flood.Query, error) {
 		p.lex.next()
 	}
 	if len(out) == 0 {
-		return []flood.Query{p.unsatisfiable()}, nil
+		out = []flood.Query{flood.NewQuery(p.nDims)}
+		out[0].Ranges[0] = flood.Range{Min: 1, Max: 0, Present: true}
 	}
 	return out, nil
+}
+
+// narrowRange intersects r with [lo, hi], reporting whether anything is
+// left.
+func narrowRange(r *flood.Range, lo, hi int64) bool {
+	if lo > r.Min {
+		r.Min = lo
+	}
+	if hi < r.Max {
+		r.Max = hi
+	}
+	r.Present = true
+	return r.Min <= r.Max
 }
 
 // narrow intersects dimension col of every rectangle with [lo, hi] in place,
@@ -916,87 +1148,96 @@ func (p *parser) andExpr() ([]flood.Query, error) {
 func narrow(rects []flood.Query, col int, lo, hi int64) []flood.Query {
 	kept := rects[:0]
 	for _, q := range rects {
-		r := &q.Ranges[col]
-		if lo > r.Min {
-			r.Min = lo
-		}
-		if hi < r.Max {
-			r.Max = hi
-		}
-		r.Present = true
-		if r.Min <= r.Max {
+		if narrowRange(&q.Ranges[col], lo, hi) {
 			kept = append(kept, q)
 		}
 	}
 	return kept
 }
 
-// narrowBy intersects every rectangle with b in place, as narrow does.
-func narrowBy(rects []flood.Query, b flood.Query) []flood.Query {
+// intersect narrows q to b in place, reporting whether anything is left.
+func intersect(q, b flood.Query) bool {
 	for d, r := range b.Ranges {
-		if r.Present {
-			rects = narrow(rects, d, r.Min, r.Max)
+		if r.Present && !narrowRange(&q.Ranges[d], r.Min, r.Max) {
+			return false
 		}
 	}
-	return rects
+	return true
 }
 
 // distribute intersects every rectangle of as with every rectangle of bs:
 // (A1 ∨ A2) ∧ (B1 ∨ B2) = ∨_{i,j} (Ai ∧ Bj). A single b narrows as in place;
-// more than one needs a copy of each a per b.
+// more than one needs a copy of each a per b, all cut from one allocation.
 func distribute(as, bs []flood.Query) []flood.Query {
 	if len(bs) == 1 {
-		return narrowBy(as, bs[0])
+		kept := as[:0]
+		for _, a := range as {
+			if intersect(a, bs[0]) {
+				kept = append(kept, a)
+			}
+		}
+		return kept
 	}
-	var out []flood.Query
+	if len(as) == 0 {
+		return nil
+	}
+	n := len(as[0].Ranges)
+	out := make([]flood.Query, 0, len(as)*len(bs))
+	arena := make([]flood.Range, len(as)*len(bs)*n)
 	for _, a := range as {
 		for _, b := range bs {
-			one := []flood.Query{{Ranges: append([]flood.Range(nil), a.Ranges...)}}
-			out = append(out, narrowBy(one, b)...)
+			q := flood.Query{Ranges: arena[:n:n]}
+			copy(q.Ranges, a.Ranges)
+			if intersect(q, b) {
+				out = append(out, q)
+				arena = arena[n:]
+			}
 		}
 	}
 	return out
 }
 
-func (p *parser) unsatisfiable() flood.Query {
-	q := flood.NewQuery(p.cols.NumCols())
-	q.Ranges[0] = flood.Range{Min: 1, Max: 0, Present: true}
-	return q
-}
-
-// value is one parsed literal.
+// value is one parsed literal: a number (i, and f; only f when isFloat) or,
+// when tok is a tokString, a string the lexer's text of tok spells. It holds
+// no pointer, so filling one in is plain stores.
 type value struct {
 	tok     token
 	i       int64
 	f       float64
-	s       string
-	kind    tokenKind // tokNumber (i, and f when isFloat) or tokString (s)
 	isFloat bool
 }
 
-func (p *parser) value() (value, error) {
+// value parses the literal at the current token into v.
+func (p *parser) value(v *value) error {
 	tok := p.lex.tok
 	switch tok.kind {
 	case tokNumber:
-		t := strings.ReplaceAll(tok.text, "_", "")
 		p.lex.next()
-		if strings.Contains(t, ".") {
-			f, err := strconv.ParseFloat(t, 64)
+		*v = value{tok: tok}
+		text := p.lex.text(tok)
+		if tok.detail&numDot == 0 {
+			i, err := parseInt(text, tok.detail)
 			if err != nil {
-				return value{}, p.errAt(tok, "bad number: %v", err)
+				return p.errAt(tok, "bad number: %v", err)
 			}
-			return value{tok: tok, f: f, kind: tokNumber, isFloat: true}, nil
+			v.i, v.f = i, float64(i)
+			return nil
 		}
-		v, err := strconv.ParseInt(t, 10, 64)
+		if tok.detail&numUnderscore != 0 {
+			text = strings.ReplaceAll(text, "_", "")
+		}
+		f, err := strconv.ParseFloat(text, 64)
 		if err != nil {
-			return value{}, p.errAt(tok, "bad number: %v", err)
+			return p.errAt(tok, "bad number: %v", err)
 		}
-		return value{tok: tok, i: v, f: float64(v), kind: tokNumber}, nil
+		v.f, v.isFloat = f, true
+		return nil
 	case tokString:
 		p.lex.next()
-		return value{tok: tok, s: tok.text, kind: tokString}, nil
+		*v = value{tok: tok}
+		return nil
 	}
-	return value{}, p.errAt(tok, "expected a literal value")
+	return p.errAt(tok, "expected a literal value")
 }
 
 // atom is one parsed predicate atom: an inclusive range [lo, hi] on a single
@@ -1009,13 +1250,13 @@ type atom struct {
 }
 
 func (p *parser) atom() (atom, error) {
-	if p.lex.tok.isSymbol("(") {
+	if p.lex.tok.is('(') {
 		p.lex.next()
 		inner, err := p.orExpr()
 		if err != nil {
 			return atom{}, err
 		}
-		return atom{dnf: inner}, p.symbol(")")
+		return atom{dnf: inner}, p.symbol(')')
 	}
 	colTok := p.lex.tok
 	col, err := p.column()
@@ -1023,79 +1264,82 @@ func (p *parser) atom() (atom, error) {
 		return atom{}, err
 	}
 	a := atom{col: col}
-	switch {
-	case p.isKeyword(kwBetween):
+	switch p.lex.tok.kw() {
+	case kwBetween:
 		p.lex.next()
-		lo, err := p.value()
-		if err != nil {
+		var lo, hi value
+		if err := p.value(&lo); err != nil {
 			return atom{}, err
 		}
 		if err := p.keyword(kwAnd); err != nil {
 			return atom{}, err
 		}
-		hi, err := p.value()
-		if err != nil {
+		if err := p.value(&hi); err != nil {
 			return atom{}, err
 		}
-		a.lo, a.hi, err = p.betweenBounds(col, lo, hi)
+		a.lo, a.hi, err = p.betweenBounds(col, &lo, &hi)
 		return a, err
-	case p.isKeyword(kwLike):
+	case kwLike:
 		p.lex.next()
-		pat, err := p.value()
-		if err != nil {
+		var pat value
+		if err := p.value(&pat); err != nil {
 			return atom{}, err
 		}
-		a.lo, a.hi, err = p.likeBounds(col, colTok, pat)
+		a.lo, a.hi, err = p.likeBounds(col, colTok, &pat)
 		return a, err
-	case p.isKeyword(kwIn):
+	case kwIn:
 		p.lex.next()
 		return p.inList(col)
 	}
-	if p.lex.tok.kind != tokSymbol || !isCompareOp(p.lex.tok.text) {
-		return atom{}, p.errAt(p.lex.tok, "expected comparison operator")
+	op := p.lex.tok
+	if op.kind != tokSymbol || !isCompareOp(op.detail) {
+		return atom{}, p.errAt(op, "expected comparison operator")
 	}
-	op := p.lex.tok.text
 	p.lex.next()
-	v, err := p.value()
-	if err != nil {
+	var v value
+	if err := p.value(&v); err != nil {
 		return atom{}, err
 	}
-	a.lo, a.hi, err = p.compareBounds(col, op, v)
+	a.lo, a.hi, err = p.compareBounds(col, op.detail, &v)
 	return a, err
 }
 
 // inList parses the parenthesised value list of `col IN (v, ...)` into one
-// equality rectangle per value the column can hold.
+// equality rectangle per value the column can hold. A list of more than
+// MaxDisjuncts values is refused at the first value past the bound.
 func (p *parser) inList(col int) (atom, error) {
-	if err := p.symbol("("); err != nil {
+	if err := p.symbol('('); err != nil {
 		return atom{}, err
 	}
 	a := atom{col: col, lo: 1, hi: 0}
-	for {
-		v, err := p.value()
-		if err != nil {
+	for n := 1; ; n++ {
+		if n > MaxDisjuncts {
+			return atom{}, p.tooMany(p.lex.tok)
+		}
+		var v value
+		if err := p.value(&v); err != nil {
 			return atom{}, err
 		}
-		lo, hi, err := p.compareBounds(col, "=", v)
+		lo, hi, err := p.compareBounds(col, '=', &v)
 		if err != nil {
 			return atom{}, err
 		}
 		if lo <= hi {
-			q := flood.NewQuery(p.cols.NumCols())
+			q := flood.NewQuery(p.nDims)
 			q.Ranges[col] = flood.Range{Min: lo, Max: hi, Present: true}
 			a.dnf = append(a.dnf, q)
 		}
-		if !p.lex.tok.isSymbol(",") {
+		if !p.lex.tok.is(',') {
 			break
 		}
 		p.lex.next()
 	}
-	return a, p.symbol(")")
+	return a, p.symbol(')')
 }
 
-func isCompareOp(s string) bool {
-	switch s {
-	case "=", "<", "<=", ">", ">=":
+func isCompareOp(op byte) bool {
+	switch op {
+	case '=', '<', symLE, '>', symGE:
 		return true
 	}
 	return false
@@ -1104,23 +1348,23 @@ func isCompareOp(s string) bool {
 // intBounds converts (op, integer literal) to an inclusive physical range.
 // Strict comparisons against the extreme int64 values return an inverted
 // (unsatisfiable) range instead of wrapping around the domain.
-func intBounds(op string, v int64) (lo, hi int64) {
+func intBounds(op byte, v int64) (lo, hi int64) {
 	switch op {
-	case "=":
+	case '=':
 		return v, v
-	case "<":
+	case '<':
 		if v == flood.NegInf {
 			return 1, 0
 		}
 		return flood.NegInf, v - 1
-	case "<=":
+	case symLE:
 		return flood.NegInf, v
-	case ">":
+	case '>':
 		if v == flood.PosInf {
 			return 1, 0
 		}
 		return v + 1, flood.PosInf
-	default: // ">="
+	default: // symGE
 		return v, flood.PosInf
 	}
 }
@@ -1128,40 +1372,41 @@ func intBounds(op string, v int64) (lo, hi int64) {
 // compareBounds returns the inclusive physical range of `col op literal`
 // (inverted when nothing can satisfy it), dispatching on the column's logical
 // kind when a schema is present.
-func (p *parser) compareBounds(col int, op string, v value) (lo, hi int64, err error) {
+func (p *parser) compareBounds(col int, op byte, v *value) (lo, hi int64, err error) {
 	kind := p.kindOf(col)
 	switch {
-	case v.kind == tokString:
+	case v.tok.kind == tokString:
 		if kind != flood.KindString {
 			return 0, 0, p.errAt(v.tok, "string literal on non-string column %q", p.cols.Name(col))
 		}
-		d := p.schema.Dictionary(p.cols.Name(col))
-		if d == nil {
-			return 0, 0, p.errAt(v.tok, "column %q has no fitted dictionary yet (build the table first)", p.cols.Name(col))
+		d, err := p.dictionary(col, v.tok)
+		if err != nil {
+			return 0, 0, err
 		}
+		s := p.lex.text(v.tok)
 		lo, hi = 0, int64(d.Len())-1
 		switch op {
-		case "=":
-			c, ok := d.Code(v.s)
+		case '=':
+			c, ok := d.Code(s)
 			if !ok {
 				return 1, 0, nil
 			}
 			lo, hi = c, c
-		case "<":
-			hi = d.LowerBound(v.s) - 1
-		case "<=":
-			hi = d.UpperBound(v.s) - 1
-		case ">":
-			lo = d.UpperBound(v.s)
-		case ">=":
-			lo = d.LowerBound(v.s)
+		case '<':
+			hi = d.LowerBound(s) - 1
+		case symLE:
+			hi = d.UpperBound(s) - 1
+		case '>':
+			lo = d.UpperBound(s)
+		case symGE:
+			lo = d.LowerBound(s)
 		}
 		return lo, hi, nil
 	case v.isFloat && kind != flood.KindFloat64:
 		return 0, 0, p.errAt(v.tok, "float literal on non-float column %q", p.cols.Name(col))
 	case kind == flood.KindFloat64:
 		// A float literal, or an integer literal treated as a float endpoint.
-		return p.floatBounds(col, op, v.f, v.tok)
+		return p.floatBounds(col, op, v)
 	case kind == flood.KindString:
 		return 0, 0, p.errAt(v.tok, "string column %q needs a string literal", p.cols.Name(col))
 	default:
@@ -1176,24 +1421,24 @@ func (p *parser) compareBounds(col int, op string, v value) (lo, hi int64, err e
 // decoded value is >= v, hi the largest <= v; they coincide exactly when v
 // lands on a representable code, which is what strict bounds and equality
 // pivot on.
-func (p *parser) floatBounds(col int, op string, v float64, tok token) (int64, int64, error) {
-	sc := p.schema.Scaler(p.cols.Name(col))
-	if sc == nil {
-		return 0, 0, p.errAt(tok, "column %q has no fitted scaler yet (build the table first)", p.cols.Name(col))
+func (p *parser) floatBounds(col int, op byte, v *value) (int64, int64, error) {
+	sc, err := p.scaler(col, v.tok)
+	if err != nil {
+		return 0, 0, err
 	}
-	lo, hi := sc.EncodeLower(v), sc.EncodeUpper(v)
+	lo, hi := sc.EncodeLower(v.f), sc.EncodeUpper(v.f)
 	exact := lo == hi
 	switch op {
-	case "=":
+	case '=':
 		if !exact {
 			return 1, 0, nil
 		}
 		return lo, lo, nil
-	case "<=":
+	case symLE:
 		return flood.NegInf, hi, nil
-	case ">=":
+	case symGE:
 		return lo, flood.PosInf, nil
-	case "<":
+	case '<':
 		if exact {
 			if hi == flood.NegInf { // endpoint clamped at the domain floor
 				return 1, 0, nil
@@ -1201,7 +1446,7 @@ func (p *parser) floatBounds(col int, op string, v float64, tok token) (int64, i
 			hi--
 		}
 		return flood.NegInf, hi, nil
-	default: // ">"
+	default: // '>'
 		if exact {
 			if lo == flood.PosInf { // endpoint clamped at the domain ceiling
 				return 1, 0, nil
@@ -1213,21 +1458,21 @@ func (p *parser) floatBounds(col int, op string, v float64, tok token) (int64, i
 }
 
 // betweenBounds returns the physical range of `col BETWEEN lo AND hi`.
-func (p *parser) betweenBounds(col int, lo, hi value) (int64, int64, error) {
+func (p *parser) betweenBounds(col int, lo, hi *value) (int64, int64, error) {
 	kind := p.kindOf(col)
 	switch {
-	case lo.kind == tokString || hi.kind == tokString:
-		if lo.kind != tokString || hi.kind != tokString {
+	case lo.tok.kind == tokString || hi.tok.kind == tokString:
+		if lo.tok.kind != tokString || hi.tok.kind != tokString {
 			return 0, 0, p.errAt(hi.tok, "BETWEEN endpoints must share a type")
 		}
 		if kind != flood.KindString {
 			return 0, 0, p.errAt(lo.tok, "string literal on non-string column %q", p.cols.Name(col))
 		}
-		d := p.schema.Dictionary(p.cols.Name(col))
-		if d == nil {
-			return 0, 0, p.errAt(lo.tok, "column %q has no fitted dictionary yet (build the table first)", p.cols.Name(col))
+		d, err := p.dictionary(col, lo.tok)
+		if err != nil {
+			return 0, 0, err
 		}
-		l, h, ok := d.RangeFor(lo.s, hi.s)
+		l, h, ok := d.RangeFor(p.lex.text(lo.tok), p.lex.text(hi.tok))
 		if !ok {
 			return 1, 0, nil
 		}
@@ -1236,9 +1481,9 @@ func (p *parser) betweenBounds(col int, lo, hi value) (int64, int64, error) {
 		if kind != flood.KindFloat64 {
 			return 0, 0, p.errAt(lo.tok, "float literal on non-float column %q", p.cols.Name(col))
 		}
-		sc := p.schema.Scaler(p.cols.Name(col))
-		if sc == nil {
-			return 0, 0, p.errAt(lo.tok, "column %q has no fitted scaler yet (build the table first)", p.cols.Name(col))
+		sc, err := p.scaler(col, lo.tok)
+		if err != nil {
+			return 0, 0, err
 		}
 		return sc.EncodeLower(lo.f), sc.EncodeUpper(hi.f), nil
 	case kind == flood.KindString:
@@ -1251,26 +1496,46 @@ func (p *parser) betweenBounds(col int, lo, hi value) (int64, int64, error) {
 
 // likeBounds returns the physical range of `col LIKE 'prefix%'`; only prefix
 // patterns (a literal followed by a single trailing %) are supported.
-func (p *parser) likeBounds(col int, colTok token, pat value) (int64, int64, error) {
-	if pat.kind != tokString {
+func (p *parser) likeBounds(col int, colTok token, pat *value) (int64, int64, error) {
+	if pat.tok.kind != tokString {
 		return 0, 0, p.errAt(pat.tok, "LIKE needs a string pattern")
 	}
 	if p.kindOf(col) != flood.KindString {
 		return 0, 0, p.errAt(colTok, "LIKE on non-string column %q", p.cols.Name(col))
 	}
-	prefix, ok := strings.CutSuffix(pat.s, "%")
+	prefix, ok := strings.CutSuffix(p.lex.text(pat.tok), "%")
 	if !ok || strings.ContainsAny(prefix, "%_") {
 		return 0, 0, p.errAt(pat.tok, "only prefix LIKE patterns ('abc%%') are supported")
 	}
-	d := p.schema.Dictionary(p.cols.Name(col))
-	if d == nil {
-		return 0, 0, p.errAt(pat.tok, "column %q has no fitted dictionary yet (build the table first)", p.cols.Name(col))
+	d, err := p.dictionary(col, pat.tok)
+	if err != nil {
+		return 0, 0, err
 	}
 	l, h, ok := d.PrefixRange(prefix)
 	if !ok {
 		return 1, 0, nil
 	}
 	return l, h, nil
+}
+
+// dictionary returns string column col's fitted dictionary, or the error for
+// a schema not fitted yet, positioned at tok.
+func (p *parser) dictionary(col int, tok token) (*encode.Dictionary, error) {
+	d := p.schema.DictionaryAt(col)
+	if d == nil {
+		return nil, p.errAt(tok, "column %q has no fitted dictionary yet (build the table first)", p.cols.Name(col))
+	}
+	return d, nil
+}
+
+// scaler returns float column col's fitted scaler, or the error for a
+// schema not fitted yet, positioned at tok.
+func (p *parser) scaler(col int, tok token) (*encode.DecimalScaler, error) {
+	sc := p.schema.ScalerAt(col)
+	if sc == nil {
+		return nil, p.errAt(tok, "column %q has no fitted scaler yet (build the table first)", p.cols.Name(col))
+	}
+	return sc, nil
 }
 
 // kindOf returns the logical kind of col (KindInt64 when parsing against a
@@ -1290,40 +1555,40 @@ func (p *parser) keyword(kw keyword) error {
 	return nil
 }
 
-func (p *parser) isKeyword(kw keyword) bool { return p.lex.tok.kw == kw }
+func (p *parser) isKeyword(kw keyword) bool { return p.lex.tok.kw() == kw }
 
-func (p *parser) symbol(s string) error {
-	if !p.lex.tok.isSymbol(s) {
-		return p.errAt(p.lex.tok, "expected %q", s)
+func (p *parser) symbol(c byte) error {
+	if !p.lex.tok.is(c) {
+		return p.errAt(p.lex.tok, "expected %q", string(rune(c)))
 	}
 	p.lex.next()
 	return nil
 }
 
 func (p *parser) ident() (string, error) {
-	if p.lex.tok.kind != tokIdent {
-		return "", p.errAt(p.lex.tok, "expected identifier")
+	tok := p.lex.tok
+	if tok.kind != tokIdent {
+		return "", p.errAt(tok, "expected identifier")
 	}
-	t := p.lex.tok.text
 	p.lex.next()
-	return t, nil
+	return p.lex.text(tok), nil
 }
 
 // column parses an identifier (optionally qualified, e.g. R.price) and
 // resolves it against the table or schema.
 func (p *parser) column() (int, error) {
 	tok := p.lex.tok
-	name, err := p.ident()
-	if err != nil {
+	if _, err := p.ident(); err != nil {
 		return 0, err
 	}
-	return p.resolve(name, tok)
+	return p.resolve(tok)
 }
 
-// resolve maps a (possibly qualified) column name to its index.
-func (p *parser) resolve(name string, tok token) (int, error) {
-	if i := strings.LastIndexByte(name, '.'); i >= 0 {
-		name = name[i+1:]
+// resolve maps the (possibly qualified) column name tok spells to its index.
+func (p *parser) resolve(tok token) (int, error) {
+	name := p.lex.text(tok)
+	if tok.kw() == kwQualified {
+		name = name[strings.LastIndexByte(name, '.')+1:]
 	}
 	col := p.cols.ColumnIndex(name)
 	if col < 0 {

@@ -249,13 +249,33 @@ func TestFloodStatsTimings(t *testing.T) {
 	if st.IndexTime != st.ProjectTime+st.RefineTime {
 		t.Fatal("IndexTime must equal projection + refinement")
 	}
-	if st.Total < st.IndexTime+st.ScanTime {
-		t.Fatal("Total must cover index + scan time")
+	if st.ProjectTime+st.RefineTime+st.ScanTime != st.Total {
+		t.Fatalf("project %v + refine %v + scan %v != total %v: the phases must split Total exactly",
+			st.ProjectTime, st.RefineTime, st.ScanTime, st.Total)
+	}
+	if st.ProjectTime < 0 || st.RefineTime < 0 || st.ScanTime < 0 {
+		t.Fatalf("negative phase time: %+v", st)
 	}
 	if st.CellsVisited == 0 || st.RangesRefined == 0 {
 		t.Fatalf("expected cells visited and ranges refined, got %+v", st)
 	}
 	_ = data
+
+	// The early return for an empty query times itself too: no phase ran,
+	// but the call took time. Two clock reads a few ns apart can coincide,
+	// so one positive Total in a hundred calls is what is asserted.
+	empty := query.NewQuery(3).WithRange(0, 10, 5)
+	timed := false
+	for i := 0; i < 100 && !timed; i++ {
+		st := idx.Execute(empty, query.NewCount())
+		if st.ProjectTime != 0 || st.RefineTime != 0 || st.ScanTime != 0 || st.Total < 0 {
+			t.Fatalf("empty query: %+v, want only Total set", st)
+		}
+		timed = st.Total > 0
+	}
+	if !timed {
+		t.Fatal("the empty-query early return left Total zero on every call")
+	}
 }
 
 func TestFloodSizeBytes(t *testing.T) {

@@ -1,6 +1,9 @@
 package query
 
-import "sync"
+import (
+	"math"
+	"sync"
+)
 
 // Disjunction support (§3): "Typical selections generally also include
 // disjunctions (i.e. OR clauses). However, these can be decomposed into
@@ -54,40 +57,40 @@ func subtractAppend(dst []Query, a, b Query, clone func(Query) Query) []Query {
 	return dst
 }
 
-func cloneQuery(q Query) Query {
-	return Query{Ranges: append([]Range(nil), q.Ranges...)}
-}
-
 // normRange builds a range, clearing the Present flag when it spans the
 // whole domain (so unfiltered dimensions stay cheap to execute).
 func normRange(min, max int64) Range {
 	return Range{Min: min, Max: max, Present: min != NegInf || max != PosInf}
 }
 
-// Disjoint decomposes a union of hyper-rectangles into pairwise-disjoint
-// rectangles with the same union. Empty inputs are dropped. The output size
-// is bounded by O(len(queries)^2 * d) rectangles in the worst case; typical
-// OR clauses over distinct value ranges produce no growth at all.
-func Disjoint(queries []Query) []Query {
-	var d Decomposition
-	return disjointWith(&d, queries, cloneQuery)
-}
-
-// disjointWith is the decomposition shared by the public Disjoint and the
-// pooled Decompose; clone supplies Range storage for every emitted piece and
-// d supplies the working rectangle lists.
-func disjointWith(d *Decomposition, queries []Query, clone func(Query) Query) []Query {
+// decompose sets d.Pieces to pairwise-disjoint rectangles with the union of
+// queries, dropping empty inputs. It gives up, reporting false, once it has
+// cut more than maxPieces pieces or compared more than maxPairs pairs of
+// rectangles; a piece that a later rectangle cuts again counts each time,
+// as it takes arena space each time. Typical OR clauses over distinct value
+// ranges cut no more pieces than they have rectangles, but n slabs crossing
+// in k dimensions cut about (n/k)^k, each new rectangle compared with every
+// piece so far.
+func (d *Decomposition) decompose(queries []Query, maxPieces, maxPairs int) bool {
 	out := d.Pieces[:0]
 	pending, next := d.pending[:0], d.next[:0]
+	d.cut = 0
+	pairs := 0
+	ok := true
+outer:
 	for _, q := range queries {
 		if q.Empty() {
 			continue
 		}
-		pending = append(pending[:0], clone(q))
+		pending = append(pending[:0], d.clone(q))
 		for _, existing := range out {
+			if pairs += len(pending); pairs > maxPairs || d.cut > maxPieces {
+				ok = false
+				break outer
+			}
 			next = next[:0]
 			for _, p := range pending {
-				next = subtractAppend(next, p, existing, clone)
+				next = subtractAppend(next, p, existing, d.clone)
 			}
 			pending, next = next, pending
 			if len(pending) == 0 {
@@ -97,7 +100,7 @@ func disjointWith(d *Decomposition, queries []Query, clone func(Query) Query) []
 		out = append(out, pending...)
 	}
 	d.Pieces, d.pending, d.next = out, pending, next
-	return out
+	return ok && d.cut <= maxPieces
 }
 
 // Decomposition is a pooled disjoint decomposition of one disjunction: the
@@ -110,24 +113,38 @@ type Decomposition struct {
 	pending []Query
 	next    []Query
 	arena   []Range
+	cut     int // pieces cloned into the arena by this decomposition
 }
 
 var decompositionPool = sync.Pool{New: func() any { return new(Decomposition) }}
 
-// Decompose is Disjoint on pooled storage: the execution paths run each of
-// the returned Pieces against an index and sum the aggregates, so every row
-// of the union is accumulated exactly once. Call Release once no execution
-// references the pieces.
+// Decompose cuts the union of queries into pairwise-disjoint Pieces, on
+// pooled storage: the execution paths run each piece against an index and
+// sum the aggregates, so every row of the union is accumulated exactly once.
+// Call Release once no execution references the pieces.
 func Decompose(queries []Query) *Decomposition {
 	d := decompositionPool.Get().(*Decomposition)
-	disjointWith(d, queries, d.clone)
+	d.decompose(queries, math.MaxInt, math.MaxInt)
 	return d
+}
+
+// Decomposable reports whether Decompose(queries) cuts at most maxPieces
+// pieces and compares at most maxPairs pairs of rectangles on the way. It
+// stops as soon as either bound is passed, so refusing a disjunction whose
+// decomposition would take gigabytes costs what the bounds allow and no
+// more.
+func Decomposable(queries []Query, maxPieces, maxPairs int) bool {
+	d := decompositionPool.Get().(*Decomposition)
+	ok := d.decompose(queries, maxPieces, maxPairs)
+	d.Release()
+	return ok
 }
 
 // clone copies q's ranges into the arena. When the arena runs out a fresh,
 // larger one is started; slices already handed out keep the old backing
 // array alive, so they stay valid.
 func (d *Decomposition) clone(q Query) Query {
+	d.cut++
 	n := len(q.Ranges)
 	if len(d.arena)+n > cap(d.arena) {
 		c := 2 * cap(d.arena)

@@ -2,7 +2,9 @@ package query
 
 import (
 	"context"
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -16,6 +18,17 @@ func inUnion(queries []Query, p []int64) bool {
 		}
 	}
 	return false
+}
+
+// Disjoint is Decompose on storage of its own, which the caller keeps.
+func Disjoint(queries []Query) []Query {
+	var d Decomposition
+	d.decompose(queries, math.MaxInt, math.MaxInt)
+	return d.Pieces
+}
+
+func cloneQuery(q Query) Query {
+	return Query{Ranges: append([]Range(nil), q.Ranges...)}
 }
 
 func randomRect(rng *rand.Rand, d int, span int64) Query {
@@ -193,5 +206,55 @@ func TestDisjunctionProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// crossingSlabs returns n slabs on each of k dimensions, slab i of a
+// dimension the value 2i on it: their disjoint decomposition cuts about
+// (n+1)^(k-1) * n pieces.
+func crossingSlabs(n, k int) []Query {
+	var rects []Query
+	for d := 0; d < k; d++ {
+		for i := 0; i < n; i++ {
+			rects = append(rects, NewQuery(k).WithRange(d, int64(2*i), int64(2*i)))
+		}
+	}
+	return rects
+}
+
+// TestDecomposableBounds pins both of Decomposable's bounds on crossing
+// slabs, whose decomposition grows as a power of their count.
+func TestDecomposableBounds(t *testing.T) {
+	small := crossingSlabs(20, 2) // 20 + 21*20 = 440 pieces
+	d := Decompose(small)
+	pieces := len(d.Pieces)
+	d.Release()
+	if pieces != 440 {
+		t.Fatalf("20x20 crossing slabs cut %d pieces, want 440", pieces)
+	}
+	// The piece bound counts every piece cut, the ones a later slab cuts
+	// again included: so at least the final count, here about twice it.
+	if !Decomposable(small, 4*pieces, math.MaxInt) {
+		t.Error("refused within a piece bound of four times its piece count")
+	}
+	if Decomposable(small, pieces-1, math.MaxInt) {
+		t.Error("accepted with fewer pieces allowed than it has")
+	}
+	if Decomposable(small, math.MaxInt, 1000) {
+		t.Error("accepted past a bound of 1000 compared pairs")
+	}
+
+	// 341 slabs on each of three dimensions decompose into ~40M pieces;
+	// refusing them stops at the bounds, in bounded time and memory.
+	huge := crossingSlabs(341, 3)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ok := Decomposable(huge, 1<<14, 1<<21)
+	runtime.ReadMemStats(&after)
+	if ok {
+		t.Fatal("341x341x341 crossing slabs decomposed within the bounds")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 8<<20 {
+		t.Errorf("refusing them allocated %d bytes, want at most 8 MiB", got)
 	}
 }

@@ -435,16 +435,16 @@ func (s *Server) runAggregate(rp reply, ctx context.Context, st *floodsql.Statem
 }
 
 // runSelect serves one projection through the typed row cursor, capping the
-// response at MaxResultRows.
+// response at MaxResultRows: the statement is this request's own, so the cap
+// becomes its LIMIT.
 func (s *Server) runSelect(rp reply, ctx context.Context, st *floodsql.Statement) {
-	limit := st.Limit
 	capped := false
-	if limit == 0 || limit > s.cfg.MaxResultRows {
-		limit = s.cfg.MaxResultRows
+	if st.Limit == 0 || st.Limit > s.cfg.MaxResultRows {
+		st.Limit = s.cfg.MaxResultRows
 		capped = true
 	}
-	qs, _ := st.Queries()
-	rows, stats, err := s.schema.SelectOrContext(ctx, s.store, qs, &flood.QueryOptions{Limit: limit}, st.Projection...)
+	limit := st.Limit
+	rows, stats, err := st.SelectContext(ctx, s.store)
 	if err != nil {
 		rp.failed(err, stats)
 		return

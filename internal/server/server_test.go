@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -194,6 +195,52 @@ func TestServerAggSelectMutate(t *testing.T) {
 	st := srv.Stats()
 	if st.AggQueries < 4 || st.Selects != 1 || st.Mutations != 2 {
 		t.Fatalf("stats dispatch counts = %+v", st)
+	}
+}
+
+// TestServerRefusesDNFBlowup sends predicates whose disjunctive normal form
+// passes floodsql.MaxDisjuncts — sixteen ANDed two-way ORs (65,536
+// rectangles) and a 10,000-value IN list — and one within it whose disjoint
+// decomposition passes floodsql.MaxPieces — 512 slabs on each of two columns,
+// ~260,000 pieces — and expects each to be a 400 that names the bound, with a
+// bounded allocation, while the server keeps answering.
+func TestServerRefusesDNFBlowup(t *testing.T) {
+	_, hs := typedFixture(t, nil)
+	var factors, values, slabs []string
+	for i := 0; i < 16; i++ {
+		factors = append(factors, fmt.Sprintf("(dist > %d OR fare > %d)", i, i))
+	}
+	for i := 0; i < 10_000; i++ {
+		values = append(values, fmt.Sprint(i))
+	}
+	for i := 0; i < 512; i++ {
+		slabs = append(slabs, fmt.Sprintf("dist = %d OR fare = %d", i, i))
+	}
+	for where, bound := range map[string]string{
+		strings.Join(factors, " AND "):                 "MaxDisjuncts",
+		"dist IN (" + strings.Join(values, ", ") + ")": "MaxDisjuncts",
+		strings.Join(slabs, " OR "):                    "MaxPieces",
+	} {
+		body, _ := json.Marshal(QueryRequest{SQL: "SELECT COUNT(*) FROM t WHERE " + where})
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		resp, err := http.Post(hs.URL+"/query", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e map[string]any
+		json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		runtime.ReadMemStats(&after)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(fmt.Sprint(e), bound) {
+			t.Fatalf("%.50s...: status %d, body %v; want 400 naming %s", where, resp.StatusCode, e, bound)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 16<<20 {
+			t.Errorf("%.50s...: refusing it allocated %d bytes, want at most 16 MiB", where, got)
+		}
+	}
+	if r, code := postQuery(t, hs.URL, "SELECT COUNT(*) FROM t WHERE city = 'boston'"); code != http.StatusOK || r.Value != 400 {
+		t.Fatalf("COUNT after the refusals = %+v (status %d), want 400", r, code)
 	}
 }
 

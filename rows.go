@@ -57,31 +57,49 @@ type colResolver interface {
 	NumCols() int
 }
 
+// projection is a Select's column list: names, or positions a caller
+// resolved already (a parsed statement); neither selects every column.
+type projection struct {
+	names []string
+	at    []int
+}
+
 // getRows returns a pooled cursor with the projection resolved against
-// resolve. Empty cols selects every column. Unknown column names panic —
-// like a malformed regexp, a bad projection is a programming error, and the
-// Select signature stays chainable.
-func getRows(s *Schema, resolve colResolver, cols []string) *Rows {
+// resolve. Unknown column names and positions out of range panic — like a
+// malformed regexp, a bad projection is a programming error, and the Select
+// signature stays chainable.
+func getRows(s *Schema, resolve colResolver, p projection) *Rows {
 	r := rowsPool.Get().(*Rows)
 	r.schema = s
 	r.closed = false
 	r.cols = r.cols[:0]
 	r.names = r.names[:0]
-	if len(cols) == 0 {
-		for i := 0; i < resolve.NumCols(); i++ {
-			r.cols = append(r.cols, i)
-			r.names = append(r.names, resolve.Name(i))
+	n := resolve.NumCols()
+	switch {
+	case len(p.at) > 0:
+		for _, c := range p.at {
+			if c < 0 || c >= n {
+				r.release()
+				panic(fmt.Sprintf("flood: Select: column position %d out of range [0, %d)", c, n))
+			}
+			r.cols = append(r.cols, c)
 		}
-	} else {
-		for _, name := range cols {
+	case len(p.names) > 0:
+		for _, name := range p.names {
 			c := resolve.ColumnIndex(name)
 			if c < 0 {
 				r.release()
 				panic(fmt.Sprintf("flood: Select: unknown column %q", name))
 			}
 			r.cols = append(r.cols, c)
-			r.names = append(r.names, resolve.Name(c))
 		}
+	default:
+		for i := 0; i < n; i++ {
+			r.cols = append(r.cols, i)
+		}
+	}
+	for _, c := range r.cols {
+		r.names = append(r.names, resolve.Name(c))
 	}
 	return r
 }
@@ -187,7 +205,10 @@ func (r *Rows) Float64(j int) float64 {
 	if !r.valid() {
 		return 0
 	}
-	f := r.mustField(j, KindFloat64)
+	f := r.field(j, KindFloat64)
+	if f == nil {
+		r.mismatch(j, KindFloat64)
+	}
 	return f.scaler.Decode(r.raw(j))
 }
 
@@ -197,7 +218,10 @@ func (r *Rows) String(j int) string {
 	if !r.valid() {
 		return ""
 	}
-	f := r.mustField(j, KindString)
+	f := r.field(j, KindString)
+	if f == nil {
+		r.mismatch(j, KindString)
+	}
 	return f.dict.Value(r.raw(j))
 }
 
@@ -208,7 +232,10 @@ func (r *Rows) Time(j int) time.Time {
 	if !r.valid() {
 		return time.Time{}
 	}
-	f := r.mustField(j, KindTime)
+	f := r.field(j, KindTime)
+	if f == nil {
+		r.mismatch(j, KindTime)
+	}
 	return f.tcodec.Decode(r.raw(j))
 }
 
@@ -225,15 +252,27 @@ func (r *Rows) Value(j int) any {
 	return r.schema.DecodeValue(r.cols[j], r.raw(j))
 }
 
-func (r *Rows) mustField(j int, want Kind) *field {
+// field returns projection position j's schema field when it is of kind
+// want, nil otherwise. It inlines into the typed accessors, so a decoded
+// value costs no call beyond the column read; they panic through mismatch on
+// nil.
+func (r *Rows) field(j int, want Kind) *field {
+	if r.schema != nil {
+		if f := &r.schema.fields[r.cols[j]]; f.kind == want {
+			return f
+		}
+	}
+	return nil
+}
+
+// mismatch panics for a typed accessor of kind want called on projection
+// position j, which field refused.
+func (r *Rows) mismatch(j int, want Kind) {
 	if r.schema == nil {
 		panic(fmt.Sprintf("flood: Rows: typed accessor %v needs a schema (index built without one)", want))
 	}
 	f := &r.schema.fields[r.cols[j]]
-	if f.kind != want {
-		panic(fmt.Sprintf("flood: Rows: column %q is %s, not %s", f.name, f.kind, want))
-	}
-	return f
+	panic(fmt.Sprintf("flood: Rows: column %q is %s, not %s", f.name, f.kind, want))
 }
 
 // orderKey is one (value, id) pair in an OrderBy heap.
@@ -369,15 +408,16 @@ func (r *Rows) Close() {
 	r.release()
 }
 
-// finish ends a select under ctl: the control's outcome (a satisfied limit
-// is the requested outcome, hence success), ordered ids, a rewound cursor.
-func (r *Rows) finish(ctl *query.Control, st Stats) (*Rows, Stats, error) {
+// finish ends a select under ctl: ordered ids, a rewound cursor, and the
+// control's outcome (a satisfied limit is the requested outcome, hence
+// success).
+func (r *Rows) finish(ctl *query.Control) error {
 	err := finish(ctl)
 	if err == ErrLimitReached {
 		err = nil
 	}
 	r.finalize()
-	return r, st, err
+	return err
 }
 
 // nameResolver adapts a plain column-name list to colResolver, so a facade
@@ -410,7 +450,8 @@ func (s *Schema) Select(idx Index, q Query, cols ...string) (*Rows, Stats) {
 // including the baselines — with cancellation and LIMIT pushdown. See the
 // facades' SelectContext method.
 func (s *Schema) SelectContext(ctx context.Context, idx Index, q Query, opts *QueryOptions, cols ...string) (*Rows, Stats, error) {
-	return s.typed(surfaceOf(idx, s).SelectContext(ctx, q, opts, cols...))
+	r, st, err := surfaceOf(idx, s).SelectContext(ctx, q, opts, cols...)
+	return s.typed(r), st, err
 }
 
 // SelectOr evaluates a disjunction (OR) of conjunctive queries and returns
@@ -425,14 +466,25 @@ func (s *Schema) SelectOr(idx Index, queries []Query, cols ...string) (*Rows, St
 // the disjunction share one cancellation signal and one limit budget, so a
 // LIMIT spanning an OR stops scanning globally after the limit-th match.
 func (s *Schema) SelectOrContext(ctx context.Context, idx Index, queries []Query, opts *QueryOptions, cols ...string) (*Rows, Stats, error) {
-	return s.typed(surfaceOf(idx, s).selectOr(ctx, queries, opts, cols))
+	r, st, err := surfaceOf(idx, s).selectOr(ctx, queries, opts, projection{names: cols})
+	return s.typed(r), st, err
+}
+
+// SelectColumns is SelectOrContext with the projection given as column
+// positions in schema order — as a caller that resolved the names already
+// holds it (floodsql's parsed statements) — so no name is looked up again.
+// No positions select every column; a position out of range panics, as an
+// unknown name does.
+func (s *Schema) SelectColumns(ctx context.Context, idx Index, queries []Query, opts *QueryOptions, cols []int) (*Rows, Stats, error) {
+	r, st, err := surfaceOf(idx, s).selectOr(ctx, queries, opts, projection{at: cols})
+	return s.typed(r), st, err
 }
 
 // typed attaches the schema to a cursor whose index was built without one:
 // the caller supplied it explicitly, so typed accessors should work.
-func (s *Schema) typed(r *Rows, st Stats, err error) (*Rows, Stats, error) {
+func (s *Schema) typed(r *Rows) *Rows {
 	if r.schema == nil {
 		r.schema = s
 	}
-	return r, st, err
+	return r
 }

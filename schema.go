@@ -220,6 +220,14 @@ func (s *Schema) Scaler(name string) *encode.DecimalScaler {
 	return s.fields[s.mustCol(name, KindFloat64)].scaler
 }
 
+// DictionaryAt is Dictionary for the column at position i, for a caller that
+// has resolved the name already; it is nil for a column of another kind.
+func (s *Schema) DictionaryAt(i int) *encode.Dictionary { return s.fields[i].dict }
+
+// ScalerAt is Scaler for the column at position i, for a caller that has
+// resolved the name already; it is nil for a column of another kind.
+func (s *Schema) ScalerAt(i int) *encode.DecimalScaler { return s.fields[i].scaler }
+
 // DecodeValue converts the physical int64 stored in column i back to its
 // logical value (int64, float64, string, or time.Time).
 func (s *Schema) DecodeValue(i int, raw int64) any {

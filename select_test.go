@@ -151,6 +151,28 @@ func TestSelectProjectionAndRowIDs(t *testing.T) {
 	if count != n {
 		t.Fatalf("re-iteration saw %d rows, want %d", count, n)
 	}
+
+	// The same projection given as positions, as a parsed statement holds
+	// it, names the same columns and yields the same rows.
+	byPos, _, err := fx.schema.SelectColumns(context.Background(), idx, []Query{q}, nil, []int{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer byPos.Close()
+	if got := byPos.Columns(); !slices.Equal(got, []string{"fare", "city"}) {
+		t.Fatalf("positional projection = %v", got)
+	}
+	if byPos.Len() != n {
+		t.Fatalf("positional projection: %d rows, by name %d", byPos.Len(), n)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("a projection position past the last column did not panic")
+			}
+		}()
+		fx.schema.SelectColumns(context.Background(), idx, []Query{q}, nil, []int{4})
+	}()
 }
 
 func TestSelectDeltaWithPending(t *testing.T) {

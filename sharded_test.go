@@ -226,7 +226,7 @@ func TestShardedExecuteOrEquivalence(t *testing.T) {
 // selectOrSharded drives the sharded OR select the way Schema.SelectOr
 // would: rows collected shard-outer into a striped id space.
 func selectOrSharded(s *ShardedIndex, queries []Query) (*Rows, Stats) {
-	r, st, _ := s.selectOr(context.Background(), queries, nil, nil)
+	r, st, _ := s.selectOr(context.Background(), queries, nil, projection{})
 	return r, st
 }
 
