@@ -222,12 +222,12 @@ func (a *AdaptiveIndex) pin() generation { return a.epoch.Load() }
 // during the base scan skips the log entirely. A row collector gets the base
 // table pinned first, so base rows occupy ids [0, base) whichever delivers
 // first, and log row r gets id base+r.
-func (ep *adaptiveEpoch) scan(ctl *query.Control, q Query, agg Aggregator, workers, cutover int) Stats {
+func (ep *adaptiveEpoch) scan(ctl *query.Control, q Query, agg Aggregator, workers int) Stats {
 	var logStart int64
 	if rc, ok := agg.(*query.RowCollector); ok {
 		logStart = rc.PinSource(ep.flood.Table()) + int64(ep.flood.Table().NumRows())
 	}
-	st := ep.flood.run(ctl, q, agg, workers, cutover)
+	st := ep.flood.run(ctl, q, agg, workers)
 	if n := ep.log.rows(); n > 0 && !ctl.Stopped() {
 		st.Add(ep.log.scan(q, n, agg, ctl, logStart))
 	}
@@ -238,10 +238,13 @@ func (ep *adaptiveEpoch) scan(ctl *query.Control, q Query, agg Aggregator, worke
 // query is sampled and feeds the drift monitor; a limit-truncated one is
 // real workload signal for the sample, but its truncated timing would drag
 // the window average below real full-query cost; a canceled one reaches
-// neither.
-func (ep *adaptiveEpoch) run(ctl *query.Control, q Query, agg Aggregator, workers, cutover int) Stats {
-	st := ep.scan(ctl, q, agg, workers, cutover)
-	switch ctl.Err() {
+// neither. The outcome is read after a last cancellation poll (Finish), the
+// one the caller's error comes from: a cancel that landed after the scan's
+// last poll — a morsel engine whose morsels were all claimed before it — is
+// a canceled query here too.
+func (ep *adaptiveEpoch) run(ctl *query.Control, q Query, agg Aggregator, workers int) Stats {
+	st := ep.scan(ctl, q, agg, workers)
+	switch ctl.Finish() {
 	case nil:
 		ep.a.observe(ep, q, st)
 	case ErrLimitReached:
@@ -254,15 +257,15 @@ func (ep *adaptiveEpoch) run(ctl *query.Control, q Query, agg Aggregator, worker
 // runPieces implements generation: the pieces bypass the drift monitor, and
 // unless canceled the disjunction counts as one served query whose
 // rectangles feed the workload sample.
-func (ep *adaptiveEpoch) runPieces(ctl *query.Control, pieces, shapes []Query, agg Aggregator, cutover int) Stats {
+func (ep *adaptiveEpoch) runPieces(ctl *query.Control, pieces, shapes []Query, agg Aggregator) Stats {
 	var total Stats
 	for _, piece := range pieces {
 		if ctl.Stopped() {
 			break
 		}
-		total.Add(ep.scan(ctl, piece, agg, 0, cutover))
+		total.Add(ep.scan(ctl, piece, agg, 0))
 	}
-	if ctl.Err() != ErrCanceled {
+	if ctl.Finish() != ErrCanceled {
 		ep.a.queries.Add(1)
 		for _, q := range shapes {
 			ep.a.sample.Add(q)

@@ -2,7 +2,6 @@ package flood
 
 import (
 	"flood/internal/baseline"
-	"flood/internal/baseline/clustered"
 	"flood/internal/baseline/plan"
 )
 
@@ -35,8 +34,6 @@ type BaselineOptions struct {
 	Dims []int
 	// PageSize bounds pages/buckets/leaves (default per baseline).
 	PageSize int
-	// RMILeaves overrides the clustered baseline's leaf count.
-	RMILeaves int
 }
 
 // BuildBaseline constructs one of the paper's baseline indexes over tbl on
@@ -51,9 +48,6 @@ func BuildBaseline(kind BaselineKind, tbl *Table, opts BaselineOptions) (Index, 
 		for i := range dims {
 			dims[i] = i
 		}
-	}
-	if kind == Clustered && opts.RMILeaves > 0 {
-		return built(clustered.Build(tbl, dims[0], opts.RMILeaves))
 	}
 	return built(baseline.Build(baseline.Kind(kind), tbl, dims, opts.PageSize))
 }

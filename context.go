@@ -23,7 +23,6 @@ package flood
 
 import (
 	"context"
-	"time"
 
 	"flood/internal/query"
 )
@@ -33,8 +32,8 @@ import (
 // aggregator or row cursor holds the rows delivered before the stop.
 var (
 	// ErrCanceled reports that execution stopped because the context was
-	// canceled or a deadline (the context's or QueryOptions.Deadline)
-	// passed. Inspect ctx.Err() to distinguish the two.
+	// canceled or its deadline passed. Inspect ctx.Err() to distinguish the
+	// two.
 	ErrCanceled = query.ErrCanceled
 	// ErrLimitReached reports that execution stopped because the
 	// QueryOptions.Limit row budget was exhausted. The Select paths treat
@@ -44,7 +43,7 @@ var (
 )
 
 // QueryOptions tunes one context-aware execution. The zero value (or nil)
-// applies no limit, no deadline, and the index's own parallel cutover.
+// applies no limit. Deadlines come from the context (context.WithDeadline).
 type QueryOptions struct {
 	// Limit stops execution once this many rows have matched (0 =
 	// unlimited). The budget is pushed down into the scan kernel and
@@ -52,18 +51,6 @@ type QueryOptions struct {
 	// pieces), so at most Limit rows are ever delivered and scanning
 	// stops as soon as the budget is drawn dry.
 	Limit int
-	// Deadline stops execution once the wall clock passes it (zero =
-	// none). It composes with the context's own deadline — whichever
-	// fires first wins — and is cheaper than deriving a context when the
-	// caller already has an absolute time.
-	Deadline time.Time
-	// ParallelCutoverRows overrides the index's Options.ParallelCutoverRows
-	// for this query only: 0 keeps the index default, a positive value is
-	// the estimated scanned-row count at which the scan fans out over the
-	// worker pool, and a negative value pins the query to the sequential
-	// path (useful under a small Limit, where parallel workers would race
-	// the budget).
-	ParallelCutoverRows int
 }
 
 // limit returns the configured row limit (0 when opts is nil).
@@ -74,30 +61,14 @@ func (o *QueryOptions) limit() int {
 	return o.Limit
 }
 
-// cutover returns the per-query parallel-cutover override (0 when opts is
-// nil).
-func (o *QueryOptions) cutover() int {
-	if o == nil {
-		return 0
-	}
-	return o.ParallelCutoverRows
-}
-
 // getControl derives the pooled execution control for (ctx, opts). It
 // returns (nil, nil) when nothing can ever fire — a nil control is the
 // unconditioned execution every engine accepts — and (nil, ErrCanceled) when
-// the context or the options deadline has already expired, so execution
-// returns promptly without scanning.
+// the context has already expired, so execution returns promptly without
+// scanning.
 func getControl(ctx context.Context, opts *QueryOptions) (*query.Control, error) {
 	if ctx.Err() != nil {
 		return nil, ErrCanceled
 	}
-	var deadline time.Time
-	if opts != nil {
-		deadline = opts.Deadline
-		if !deadline.IsZero() && !time.Now().Before(deadline) {
-			return nil, ErrCanceled
-		}
-	}
-	return query.GetControl(ctx.Done(), opts.limit(), deadline), nil
+	return query.GetControl(ctx.Done(), opts.limit()), nil
 }

@@ -54,8 +54,10 @@ func TestExecuteContextPreCanceled(t *testing.T) {
 		t.Fatalf("pre-canceled SelectContext = (%d rows, %d scanned, %v)", rows.Len(), st.Scanned, err)
 	}
 	rows.Close()
-	// An options deadline already in the past behaves the same.
-	rows, st, err = idx.SelectContext(context.Background(), q, &QueryOptions{Deadline: time.Now().Add(-time.Second)})
+	// A deadline already in the past behaves the same.
+	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	rows, st, err = idx.SelectContext(expired, q, &QueryOptions{Limit: 3})
 	if !errors.Is(err, ErrCanceled) || st.Scanned != 0 || rows.Len() != 0 {
 		t.Fatalf("expired-deadline SelectContext = (%d rows, %d scanned, %v)", rows.Len(), st.Scanned, err)
 	}

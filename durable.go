@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
-	"time"
 
 	"flood/internal/colstore"
 	"flood/internal/core"
@@ -53,10 +52,9 @@ const (
 
 // DurableOptions configures a durable store.
 type DurableOptions struct {
-	// Sync selects the WAL sync policy (default SyncAlways).
+	// Sync selects the WAL sync policy (default SyncAlways; SyncEveryInterval
+	// fsyncs every 50 ms).
 	Sync SyncPolicy
-	// SyncEvery is the flush period under SyncEveryInterval (default 50ms).
-	SyncEvery time.Duration
 	// Adaptive tunes the wrapped AdaptiveIndex (nil picks its defaults).
 	Adaptive *AdaptiveConfig
 }
@@ -66,10 +64,6 @@ func (o *DurableOptions) orDefault() DurableOptions {
 		return DurableOptions{}
 	}
 	return *o
-}
-
-func (o DurableOptions) walOptions() wal.Options {
-	return wal.Options{Policy: o.Sync, Interval: o.SyncEvery}
 }
 
 // RecoveryReport describes what OpenDurable reconstructed.
@@ -144,7 +138,7 @@ func newDurable(dir string, base *Flood, o DurableOptions) *AdaptiveIndex {
 // startLog makes a fresh segment of generation gen the active log. Nothing
 // else can reach a yet, so the writer lock is not needed.
 func (a *AdaptiveIndex) startLog(gen uint64) error {
-	l, err := wal.Create(filepath.Join(a.dur.dir, wal.SegmentName(gen)), gen, a.dur.opts.walOptions())
+	l, err := wal.Create(filepath.Join(a.dur.dir, wal.SegmentName(gen)), gen, a.dur.opts.Sync)
 	if err != nil {
 		return err
 	}
@@ -314,7 +308,7 @@ func (a *AdaptiveIndex) Checkpoint() error {
 	defer d.ckptMu.Unlock()
 
 	newGen := d.gen + 1
-	nl, err := wal.Create(filepath.Join(d.dir, wal.SegmentName(newGen)), newGen, d.opts.walOptions())
+	nl, err := wal.Create(filepath.Join(d.dir, wal.SegmentName(newGen)), newGen, d.opts.Sync)
 	if err != nil {
 		return err
 	}

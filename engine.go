@@ -197,15 +197,14 @@ func (s *mutableSurface) Update(q Query, set []Assignment) (int64, error) {
 type generation interface {
 	// run executes one query under ctl (nil = unconditioned). workers is 0
 	// for the adaptive scan strategy or 1 to pin the sequential kernel (a
-	// batch member: the batch supplies the parallelism); cutover overrides
-	// the parallel cutover (0 keeps the index default). A RowCollector is
+	// batch member: the batch supplies the parallelism). A RowCollector is
 	// handed ids in the facade's stable id space: base rows first, then the
 	// insert log, each shard in its own stride.
-	run(ctl *query.Control, q Query, agg Aggregator, workers, cutover int) Stats
+	run(ctl *query.Control, q Query, agg Aggregator, workers int) Stats
 	// runPieces executes the disjoint pieces of one disjunction. The pieces
 	// are fractions of a query and bypass per-query bookkeeping; shapes,
 	// the disjunction's original rectangles, are recorded once instead.
-	runPieces(ctl *query.Control, pieces, shapes []Query, agg Aggregator, cutover int) Stats
+	runPieces(ctl *query.Control, pieces, shapes []Query, agg Aggregator) Stats
 }
 
 // surface is the query API shared by every facade. The facades embed it, so
@@ -260,7 +259,7 @@ func finish(ctl *query.Control) error {
 // shard directly, and otherwise fans out in parallel with per-shard
 // aggregator clones merged at the end.
 func (s *surface) Execute(q Query, agg Aggregator) Stats {
-	return s.eng.pin().run(nil, q, agg, 0, 0)
+	return s.eng.pin().run(nil, q, agg, 0)
 }
 
 // ExecuteContext is Execute under ctx: execution stops cooperatively once
@@ -274,7 +273,7 @@ func (s *surface) ExecuteContext(ctx context.Context, q Query, agg Aggregator) (
 	if err != nil {
 		return Stats{}, err
 	}
-	st := s.eng.pin().run(ctl, q, agg, 0, 0)
+	st := s.eng.pin().run(ctl, q, agg, 0)
 	return st, finish(ctl)
 }
 
@@ -309,7 +308,7 @@ func (s *surface) executeBatch(ctl *query.Control, queries []Query, aggs []Aggre
 	stats := make([]Stats, len(queries))
 	core.RunBatch(len(queries), func(i int) {
 		if !ctl.Stopped() {
-			stats[i] = g.run(ctl, queries[i], aggs[i], 1, 0)
+			stats[i] = g.run(ctl, queries[i], aggs[i], 1)
 		}
 	})
 	return stats
@@ -323,7 +322,7 @@ func (s *surface) executeBatch(ctl *query.Control, queries []Query, aggs []Aggre
 // monitor: per-piece times are fractions of a query and would dilute the
 // window average against the per-query reference cost.
 func (s *surface) ExecuteOr(queries []Query, agg Aggregator) Stats {
-	return s.executeOr(nil, queries, agg, 0)
+	return s.executeOr(nil, queries, agg)
 }
 
 // ExecuteOrContext is ExecuteOr under ctx: the disjoint pieces share one
@@ -335,11 +334,11 @@ func (s *surface) ExecuteOrContext(ctx context.Context, queries []Query, agg Agg
 	if err != nil {
 		return Stats{}, err
 	}
-	st := s.executeOr(ctl, queries, agg, 0)
+	st := s.executeOr(ctl, queries, agg)
 	return st, finish(ctl)
 }
 
-func (s *surface) executeOr(ctl *query.Control, queries []Query, agg Aggregator, cutover int) Stats {
+func (s *surface) executeOr(ctl *query.Control, queries []Query, agg Aggregator) Stats {
 	if len(queries) == 1 {
 		// One rectangle is its own disjoint decomposition, or none at all
 		// when it is empty.
@@ -347,10 +346,10 @@ func (s *surface) executeOr(ctl *query.Control, queries []Query, agg Aggregator,
 		if queries[0].Empty() {
 			pieces = nil
 		}
-		return s.eng.pin().runPieces(ctl, pieces, queries, agg, cutover)
+		return s.eng.pin().runPieces(ctl, pieces, queries, agg)
 	}
 	d := query.Decompose(queries)
-	st := s.eng.pin().runPieces(ctl, d.Pieces, queries, agg, cutover)
+	st := s.eng.pin().runPieces(ctl, d.Pieces, queries, agg)
 	d.Release()
 	return st
 }
@@ -386,7 +385,7 @@ func (s *surface) SelectContext(ctx context.Context, q Query, opts *QueryOptions
 	if err != nil {
 		return r, Stats{}, err
 	}
-	st := s.eng.pin().run(ctl, q, &r.rc, 0, opts.cutover())
+	st := s.eng.pin().run(ctl, q, &r.rc, 0)
 	return r, st, r.finish(ctl)
 }
 
@@ -397,7 +396,7 @@ func (s *surface) selectOr(ctx context.Context, queries []Query, opts *QueryOpti
 	if err != nil {
 		return r, Stats{}, err
 	}
-	st := s.executeOr(ctl, queries, &r.rc, opts.cutover())
+	st := s.executeOr(ctl, queries, &r.rc)
 	return r, st, r.finish(ctl)
 }
 
@@ -439,15 +438,15 @@ type foreign struct {
 
 func (f *foreign) pin() generation { return f }
 
-func (f *foreign) run(ctl *query.Control, q Query, agg Aggregator, workers, cutover int) Stats {
+func (f *foreign) run(ctl *query.Control, q Query, agg Aggregator, workers int) Stats {
 	if ci, ok := f.idx.(query.ControlIndex); ok {
-		return ci.Run(ctl, q, agg, workers, cutover)
+		return ci.Run(ctl, q, agg, workers)
 	}
 	return f.idx.Execute(q, query.ControlledAggregator(ctl, agg))
 }
 
-func (f *foreign) runPieces(ctl *query.Control, pieces, _ []Query, agg Aggregator, cutover int) Stats {
-	return runEach(f, ctl, pieces, agg, cutover)
+func (f *foreign) runPieces(ctl *query.Control, pieces, _ []Query, agg Aggregator) Stats {
+	return runEach(f, ctl, pieces, agg)
 }
 
 // apply implements engine: the adapter is read-only (nothing embeds a
@@ -457,13 +456,13 @@ func (f *foreign) apply(mutation) (int64, error) {
 }
 
 // runEach runs the pieces in order against g until the control latches.
-func runEach(g generation, ctl *query.Control, pieces []Query, agg Aggregator, cutover int) Stats {
+func runEach(g generation, ctl *query.Control, pieces []Query, agg Aggregator) Stats {
 	var total Stats
 	for _, piece := range pieces {
 		if ctl.Stopped() {
 			break
 		}
-		total.Add(g.run(ctl, piece, agg, 0, cutover))
+		total.Add(g.run(ctl, piece, agg, 0))
 	}
 	return total
 }
@@ -473,10 +472,10 @@ func (f *Flood) pin() generation { return f }
 
 // run implements generation: project, refine, scan (§3.2), with nothing to
 // record.
-func (f *Flood) run(ctl *query.Control, q Query, agg Aggregator, workers, cutover int) Stats {
-	return f.idx.Run(ctl, q, agg, workers, cutover)
+func (f *Flood) run(ctl *query.Control, q Query, agg Aggregator, workers int) Stats {
+	return f.idx.Run(ctl, q, agg, workers)
 }
 
-func (f *Flood) runPieces(ctl *query.Control, pieces, _ []Query, agg Aggregator, cutover int) Stats {
-	return runEach(f, ctl, pieces, agg, cutover)
+func (f *Flood) runPieces(ctl *query.Control, pieces, _ []Query, agg Aggregator) Stats {
+	return runEach(f, ctl, pieces, agg)
 }

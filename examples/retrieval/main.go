@@ -113,10 +113,10 @@ func main() {
 	fmt.Printf("\nmalformed SQL: %v\n", err)
 
 	// --- 8. SelectContext: deadline + LIMIT pushdown -----------------
-	// Serving code bounds every query: the context (or
-	// QueryOptions.Deadline) caps wall time, and Limit stops the scan
-	// after the k-th match instead of materializing the full result —
-	// note how many fewer rows are scanned than in step 4.
+	// Serving code bounds every query: the context's deadline caps wall
+	// time, and QueryOptions.Limit stops the scan after the k-th match
+	// instead of materializing the full result — note how many fewer rows
+	// are scanned than in step 4.
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	rows, lst, err := idx.SelectContext(ctx, q, &flood.QueryOptions{Limit: 5}, "city", "fare")

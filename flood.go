@@ -157,9 +157,6 @@ type Options struct {
 	QuerySampleSize int
 	// GDSteps is the number of gradient-descent steps per restart.
 	GDSteps int
-	// Delta is the per-cell refinement model error budget (§7.8,
-	// default 50).
-	Delta float64
 	// ParallelCutoverRows is the estimated scanned-row count at or above
 	// which Execute switches from the zero-allocation sequential scan to
 	// the morsel-driven parallel engine. 0 picks the default (32K rows);
@@ -183,7 +180,6 @@ type Options struct {
 
 func (o Options) coreOptions() core.Options {
 	return core.Options{
-		Delta:                o.Delta,
 		ParallelCutover:      o.ParallelCutoverRows,
 		BitmapMaxCardinality: o.BitmapIndexMaxCardinality,
 	}

@@ -249,6 +249,9 @@ func TestStringLiteralEscapes(t *testing.T) {
 // Statement, its rectangle, that rectangle's ranges and the projection, and a
 // point lookup adds nothing the pooled cursor does not absorb.
 func TestLookupAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates inside the parse")
+	}
 	schema, idx, orderID := lookupSetup(t)
 	shapes := lookupShapes(orderID[len(orderID)/3])
 	for name, sql := range shapes {

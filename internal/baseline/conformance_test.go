@@ -230,13 +230,13 @@ func TestBaselineParallelMatchesSequential(t *testing.T) {
 			want := bruteCount(data, q)
 			for _, idx := range idxs {
 				seqAgg := query.NewCount()
-				seq := idx.Run(nil, q, seqAgg, 1, 0)
+				seq := idx.Run(nil, q, seqAgg, 1)
 				if seqAgg.Result() != want {
 					t.Fatalf("%s: sequential count = %d, want %d", idx.Name(), seqAgg.Result(), want)
 				}
 				for _, workers := range []int{0, 4} {
 					agg := query.NewCount()
-					st := idx.Run(nil, q, agg, workers, 0)
+					st := idx.Run(nil, q, agg, workers)
 					if agg.Result() != want {
 						t.Fatalf("%s workers=%d procs=%d: count = %d, want %d", idx.Name(), workers, procs, agg.Result(), want)
 					}

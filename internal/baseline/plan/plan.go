@@ -68,7 +68,7 @@ func (x *Index) Table() *colstore.Table { return x.t }
 
 // Execute implements query.Index.
 func (x *Index) Execute(q query.Query, agg query.Aggregator) query.Stats {
-	return x.Run(nil, q, agg, 0, 0)
+	return x.Run(nil, q, agg, 0)
 }
 
 // ExecuteContext implements query.Index: Execute under ctx's cancellation.
@@ -77,8 +77,8 @@ func (x *Index) ExecuteContext(ctx context.Context, q query.Query, agg query.Agg
 	if ctx.Err() != nil {
 		return query.Stats{}, query.ErrCanceled
 	}
-	ctl := query.GetControl(ctx.Done(), 0, time.Time{})
-	st := x.Run(ctl, q, agg, 0, 0)
+	ctl := query.GetControl(ctx.Done(), 0)
+	st := x.Run(ctl, q, agg, 0)
 	err := ctl.Finish()
 	ctl.Release()
 	return st, err
@@ -87,9 +87,10 @@ func (x *Index) ExecuteContext(ctx context.Context, q query.Query, agg query.Agg
 var spanPool = sync.Pool{New: func() any { return new([]core.Span) }}
 
 // Run implements query.ControlIndex with core.Flood.Run's arguments: plan
-// (IndexTime), then the scan stage (ScanTime). CellsVisited and ScanRanges
-// both count the planned spans — a baseline's pages, leaves or buckets.
-func (x *Index) Run(ctl *query.Control, q query.Query, agg query.Aggregator, workers, cutover int) query.Stats {
+// (IndexTime), then the scan stage at the default parallel cutover
+// (ScanTime). CellsVisited and ScanRanges both count the planned spans — a
+// baseline's pages, leaves or buckets.
+func (x *Index) Run(ctl *query.Control, q query.Query, agg query.Aggregator, workers int) query.Stats {
 	var st query.Stats
 	t0 := time.Now()
 	if q.Empty() || x.t.NumRows() == 0 || ctl.Stopped() {
@@ -102,7 +103,7 @@ func (x *Index) Run(ctl *query.Control, q query.Query, agg query.Aggregator, wor
 	st.ScanRanges = st.CellsVisited
 	t1 := time.Now()
 	st.IndexTime = t1.Sub(t0)
-	core.ScanSpans(x.t, nil, ctl, q, spans, agg, workers, cutover, &st)
+	core.ScanSpans(x.t, nil, ctl, q, spans, agg, workers, 0, &st)
 	*buf = spans
 	spanPool.Put(buf)
 	t2 := time.Now()

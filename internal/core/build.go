@@ -132,21 +132,19 @@ func (s *Source) Build(layout Layout) (*Flood, error) {
 	// Bucket every row along every grid dimension. Dimensions are
 	// independent, so they go to workers whole, each adding its dimensions'
 	// terms of the cell number into its own array.
-	// One scratch per goroutine poolFor can run at once, lent for a chunk.
+	// One scratch per goroutine RunBatch can run at once, lent for a task.
 	ws := make(chan *buildScratch, maxWorkers())
 	for range cap(ws) {
 		ws <- new(buildScratch)
 	}
 	f.buckets = make([]bucketer, len(layout.GridDims))
-	poolFor(len(layout.GridDims), 1, func(lo, hi int) {
+	RunBatch(len(layout.GridDims), func(gi int) {
 		w := <-ws
 		defer func() { ws <- w }()
 		if w.cells == nil {
 			w.cells = make([]int32, n)
 		}
-		for gi := lo; gi < hi; gi++ {
-			f.buckets[gi] = s.assign(layout, gi, int32(f.strides[gi]), w)
-		}
+		f.buckets[gi] = s.assign(layout, gi, int32(f.strides[gi]), w)
 	})
 	cells := make([]int32, n)
 	for range cap(ws) {
@@ -169,7 +167,7 @@ func (s *Source) Build(layout Layout) (*Flood, error) {
 	parts := min(maxWorkers(), max(1, n/max(numCells, 1<<16)))
 	span := (n + parts - 1) / parts
 	next := make([][]int32, parts)
-	poolFor(parts, 1, func(k, _ int) {
+	RunBatch(parts, func(k int) {
 		next[k] = make([]int32, numCells)
 		for _, c := range cells[k*span : min(n, k*span+span)] {
 			next[k][c]++
@@ -190,7 +188,7 @@ func (s *Source) Build(layout Layout) (*Flood, error) {
 	if layout.SortDim >= 0 {
 		keys, sortVals = make([]int64, n), s.column(layout.SortDim, &w.raw)
 	}
-	poolFor(parts, 1, func(k, _ int) {
+	RunBatch(parts, func(k int) {
 		lo := k * span
 		for i, c := range cells[lo:min(n, lo+span)] { // the range counted above
 			p := next[k][c]
@@ -207,9 +205,11 @@ func (s *Source) Build(layout Layout) (*Flood, error) {
 		// Chunks of about equal row count each sort the cells that start
 		// inside them: a cell's pairs fit a core's cache, and a skewed grid
 		// still splits evenly.
-		poolFor(n, max(n/(8*maxWorkers()), 1<<14), func(lo, hi int) {
+		grain := max(n/(8*maxWorkers()), 1<<14)
+		RunBatch((n+grain-1)/grain, func(k int) {
 			w := <-ws
 			defer func() { ws <- w }()
+			lo, hi := k*grain, min(n, k*grain+grain)
 			c := sort.Search(numCells, func(c int) bool { return int(f.cellStart[c]) >= lo })
 			for ; c < numCells && int(f.cellStart[c]) < hi; c++ {
 				cs, ce := f.cellStart[c], f.cellStart[c+1]
@@ -223,21 +223,19 @@ func (s *Source) Build(layout Layout) (*Flood, error) {
 	// index (residual filters on it become bitmap ANDs in the scan kernel)
 	// made from the values in hand.
 	tw := colstore.NewTableWriter(s.t.Names(), n, opts.bitmapMaxCard())
-	poolFor(d, 1, func(lo, hi int) {
+	RunBatch(d, func(c int) {
+		if c == layout.SortDim {
+			tw.SetColumn(c, keys, s.t.HasAggregate(c))
+			return
+		}
 		w := <-ws
 		defer func() { ws <- w }()
-		for c := lo; c < hi; c++ {
-			if c == layout.SortDim {
-				tw.SetColumn(c, keys, s.t.HasAggregate(c))
-				continue
-			}
-			raw := s.column(c, &w.raw)
-			w.out = slices.Grow(w.out[:0], n)[:n]
-			for r, p := range perm {
-				w.out[r] = raw[p]
-			}
-			tw.SetColumn(c, w.out, s.t.HasAggregate(c))
+		raw := s.column(c, &w.raw)
+		w.out = slices.Grow(w.out[:0], n)[:n]
+		for r, p := range perm {
+			w.out[r] = raw[p]
 		}
+		tw.SetColumn(c, w.out, s.t.HasAggregate(c))
 	})
 	f.t = tw.Table()
 

@@ -8,7 +8,7 @@
 // the goroutine that issued the query always participates, so a query never
 // waits for a pool slot and nesting (a parallel scan issued from inside a
 // batch task) cannot deadlock: nobody ever blocks waiting for a queued task
-// to be *scheduled*, only for claimed morsels to be *finished*.
+// to be *scheduled*, only for claimed work to be *finished*.
 //
 // Each worker scans with its own pooled query.Scanner into its own
 // aggregator clone (query.Mergeable) and accumulates private Stats; partial
@@ -16,10 +16,13 @@
 // and the Scanned/Matched/ExactMatched counters are therefore identical to a
 // sequential run.
 //
-// A helper that has just run a query's own parallel section — a morsel scan,
-// a parallel refinement, a sharded fan-out (RunTasks) — keeps polling the
-// queue for spinWindow before it parks, so the next query of a closed loop
-// finds it running instead of paying a parked goroutine's wake-up.
+// There is one way into the pool, RunTasks: a morsel scan (one task per
+// worker), a parallel refinement, a sharded fan-out, a build stage and a
+// batch of queries are each one pooled RunTasks job. A helper that has just
+// run a query's own parallel section keeps polling the queue for spinWindow
+// before it parks, so the next query of a closed loop finds it running
+// instead of paying a parked goroutine's wake-up; a helper of a closure — a
+// build stage or a batch — parks at once.
 package core
 
 import (
@@ -78,73 +81,26 @@ type workerPool struct {
 	spawned int
 }
 
-// poolTask is one queued helper: either a plain closure (the build paths and
-// RunBatch) or a (job, generation) pair — the jobs of the query path, morsel
-// scans, parallel refinement and RunTasks fan-outs, are recycled, so they
-// submit by value instead of binding a fresh closure per query, and the
-// generation lets a stale helper detect that its job has since been retired
-// and reused (see jobFence).
+// poolTask is one queued helper: the job, the generation the job had when
+// the helper was queued (jobs are recycled; see taskJob), and whether the
+// helper lingers afterwards. linger travels in the task because the job may
+// be reused by another caller the moment the helper leaves it.
 type poolTask struct {
-	fn  func()
-	job fencedJob
-	gen uint64
+	job    *taskJob
+	gen    uint64
+	linger bool
 }
 
-// fencedJob is a recycled job as a queued helper sees it: the fence to pass
-// before touching it, and the claim loop to run once through (helper is true
-// on a pool goroutine, false on the issuing one).
-type fencedJob interface {
-	fence() *jobFence
-	run(helper bool)
-}
-
-// run runs the task and reports whether its helper should linger (poll): a
-// query job is one query's parallel section and the next query's likely
-// follows within spinWindow; a closure is a build stage or a batch, whose
-// caller has no next query waiting on this helper.
+// run runs the helper and reports whether it should linger (poll): after a
+// query's own parallel section the next query's likely follows within
+// spinWindow; after a closure — a build stage or a batch — the caller has no
+// next query waiting on this helper.
 func (t poolTask) run() bool {
-	if t.fn != nil {
-		t.fn()
-		return false
+	if t.job.enter(t.gen) {
+		t.job.run(true, t.linger)
 	}
-	f := t.job.fence()
-	if f.enter(t.gen) {
-		t.job.run(true)
-	}
-	f.leave()
-	return true
-}
-
-// jobFence guards a recycled job against the helpers of its earlier uses,
-// which may still sit in the queue holding its pointer. A helper enters —
-// registering itself, then checking that the generation it was queued with
-// is still current — before it touches anything else in the job, and leaves
-// when done; retiring a job bumps the generation first and then waits the
-// entered helpers out, so a recycled job's plain fields are never written
-// while a stale helper can read them.
-type jobFence struct {
-	gen     atomic.Uint64
-	entered atomic.Int64
-}
-
-func (f *jobFence) fence() *jobFence { return f }
-
-func (f *jobFence) enter(gen uint64) bool {
-	f.entered.Add(1)
-	return f.gen.Load() == gen
-}
-
-func (f *jobFence) leave() { f.entered.Add(-1) }
-
-// shut invalidates the job for any helper still queued or racing in and
-// waits out those already past the generation check. Called once the job's
-// cursor is exhausted, so a straggler's claim loop returns at once — the spin
-// is a few scheduler yields at most.
-func (f *jobFence) shut() {
-	f.gen.Add(1)
-	for f.entered.Load() != 0 {
-		runtime.Gosched()
-	}
+	t.job.leave()
+	return t.linger
 }
 
 var execPool = &workerPool{tasks: make(chan poolTask, 1024)}
@@ -231,39 +187,31 @@ func (p *workerPool) poll() (t poolTask, ok bool) {
 	return t, ok
 }
 
-// joinCount is a query job's count of units claimed but not yet finished:
-// workers release what they claimed, the caller waits for zero. The wait
-// spins before it parks. A caller that parks leaves its processor idle; the
-// helper that releases the last unit then readies the caller onto the
-// helper's own processor, and the helper — displaced — sits in the run queue
-// until an idle thread wakes for it, the same 50 µs wake the lingering
-// avoids: with a parking wait, helpers joined only 27% of the micro
-// benchmark's morsel scans, 2.7 µs after the offer when they did.
-type joinCount struct {
-	left atomic.Int64
-	wg   sync.WaitGroup
+// offer enqueues up to helpers copies of t without blocking: a full queue
+// just means fewer helpers (the work still completes via the participating
+// caller and whichever helpers got in). Helpers are capped at GOMAXPROCS-1 —
+// beyond that they add no parallelism, and the cap keeps a caller-supplied
+// worker count from permanently growing the resident pool. RunTasks is its
+// only caller.
+func (p *workerPool) offer(helpers int, t poolTask) {
+	if max := maxWorkers() - 1; helpers > max {
+		helpers = max
+	}
+	if helpers <= 0 {
+		return
+	}
+	p.ensure(helpers)
+	for i := 0; i < helpers; i++ {
+		select {
+		case p.tasks <- t:
+		default:
+			return
+		}
+	}
 }
 
-func (c *joinCount) add(n int) {
-	c.left.Add(int64(n))
-	c.wg.Add(n)
-}
-
-func (c *joinCount) done(n int) {
-	c.left.Add(-int64(n))
-	c.wg.Add(-n)
-}
-
-// wait returns once every unit is released. The WaitGroup is waited on even
-// after the spin saw zero: a worker decrements left first, and the job may
-// not be recycled before its WaitGroup has settled.
-func (c *joinCount) wait() {
-	spin(func() bool { return c.left.Load() == 0 })
-	c.wg.Wait()
-}
-
-// Share counts the claimable units — morsels of a scan, tasks of a fan-out —
-// that query jobs handed out and how many of them pool helpers ran rather
+// Share counts the claimable units — morsels of a scan, tasks of a query
+// job — that were handed out and how many of them pool helpers ran rather
 // than the issuing goroutine.
 type Share struct{ Units, Helped int64 }
 
@@ -284,76 +232,132 @@ func (c *shareCounter) load() Share { return Share{c.units.Load(), c.helped.Load
 var morselShare, taskShare shareCounter
 
 // HelperShare reports, since the process started, the morsels of morsel-engine
-// scans and the tasks of RunTasks fan-outs, each with how many pool helpers
-// ran. Benchmarks report the difference of two readings as helper_frac.
+// scans and the tasks of query jobs (RunTasks over anything but a closure: a
+// fan-out, a parallel refinement, a morsel scan's per-worker tasks), each
+// with how many pool helpers ran. Benchmarks report the difference of two
+// readings as helper_frac.
 func HelperShare() (morsels, tasks Share) { return morselShare.load(), taskShare.load() }
 
-// offer enqueues up to helpers copies of t without blocking: a full queue
-// just means fewer helpers (the work still completes via the participating
-// caller and whichever helpers got in). Helpers are capped at GOMAXPROCS-1 —
-// beyond that they add no parallelism, and the cap keeps a caller-supplied
-// worker count from permanently growing the resident pool.
-func (p *workerPool) offer(helpers int, t poolTask) {
-	if max := maxWorkers() - 1; helpers > max {
-		helpers = max
-	}
-	if helpers <= 0 {
-		return
-	}
-	p.ensure(helpers)
-	for i := 0; i < helpers; i++ {
-		select {
-		case p.tasks <- t:
-		default:
-			return
+// --- the one way into the pool ---
+
+// Tasks is a parallel section as RunTasks sees it: n independent tasks,
+// RunTask(i, helper) running task i — helper is true on a pool goroutine,
+// false on the issuing one. The query path's implementations are pooled by
+// their owners, so a query's fan-out allocates nothing.
+type Tasks interface {
+	RunTask(i int, helper bool)
+}
+
+// taskFunc is a closure as Tasks: a build stage's chunks (parallelFor) or a
+// batch's members (RunBatch). Its helpers never linger.
+type taskFunc func(i int)
+
+// RunTask implements Tasks.
+func (f taskFunc) RunTask(i int, _ bool) { f(i) }
+
+// taskJob is the shared state of one RunTasks call: the tasks, a claim cursor
+// over them, and the count of tasks claimed but not yet finished (left, with
+// wg for a caller that parks).
+//
+// Jobs are pooled, so a helper still queued from an earlier use may hold a
+// job's pointer. A helper enters — registering itself, then checking that
+// the generation it was queued with is still current — before it touches
+// anything else in the job, and leaves when done; retiring a job bumps the
+// generation first and then waits the entered helpers out, so a recycled
+// job's plain fields are never written while a stale helper can read them.
+type taskJob struct {
+	gen     atomic.Uint64
+	entered atomic.Int64
+	tasks   Tasks
+	n       int
+	cursor  atomic.Int64
+	left    atomic.Int64
+	wg      sync.WaitGroup
+}
+
+var taskJobPool = sync.Pool{New: func() any { return new(taskJob) }}
+
+func (j *taskJob) enter(gen uint64) bool {
+	j.entered.Add(1)
+	return j.gen.Load() == gen
+}
+
+func (j *taskJob) leave() { j.entered.Add(-1) }
+
+// run is one claim loop, on the issuing goroutine or on a pool helper of a
+// job that lingers or not. Everything it does to the job and the counters
+// happens before it releases its tasks: the caller retires the job the
+// moment the last one is released, and then waits for the helper to leave.
+func (j *taskJob) run(helper, linger bool) {
+	done := 0
+	for {
+		i := int(j.cursor.Add(1)) - 1
+		if i >= j.n {
+			break
 		}
+		j.tasks.RunTask(i, helper)
+		done++
+	}
+	if helper && linger {
+		taskShare.helped.Add(int64(done))
+	}
+	// The WaitGroup is released before left, so a caller that saw left reach
+	// zero finds the WaitGroup settled and does not park in Wait: parking
+	// there, to be readied by the helper's release onto the helper's own
+	// processor (see RunTasks), cost the helper one in ten of the micro
+	// benchmark's morsel scans. A helper that claimed nothing leaves both
+	// alone: an Add, even of zero, racing the caller's Wait is a WaitGroup
+	// misuse.
+	if done > 0 {
+		j.wg.Add(-done)
+		j.left.Add(-int64(done))
 	}
 }
 
-// fanOut offers up to helpers copies of run to the pool, then runs one claim
-// loop on the calling goroutine. run must be safe to execute concurrently
-// and must be a no-op once its job's cursor is exhausted.
-func (p *workerPool) fanOut(helpers int, run func()) {
-	p.offer(helpers, poolTask{fn: run})
-	run()
-}
-
-// poolFor runs fn over [0, n) in grain-sized chunks claimed from a shared
-// cursor by pool workers plus the calling goroutine. It returns once every
-// chunk has finished.
-func poolFor(n, grain int, fn func(lo, hi int)) {
+// RunTasks runs ts.RunTask(i) for every i in [0, n) over the worker pool and
+// the calling goroutine, returning when all have finished. The job is
+// pooled, so the call allocates nothing beyond what ts does.
+//
+// A query job — any ts but a closure — is one query's parallel section, and
+// the next query's likely follows: its helpers linger (spinWindow), and the
+// caller polls for their last tasks before it parks. A caller that parks
+// leaves its processor idle; the helper that finishes the last task then
+// readies the caller onto the helper's own processor, and the helper —
+// displaced — sits in the run queue until an idle thread wakes for it, the
+// same 50 µs wake the lingering avoids: with a parking wait, helpers joined
+// only 27% of the micro benchmark's morsel scans. A closure's caller and
+// helpers park at once.
+func RunTasks(n int, ts Tasks) {
 	if n <= 0 {
 		return
 	}
-	chunks := (n + grain - 1) / grain
-	if chunks == 1 {
-		fn(0, n)
-		return
+	_, closure := ts.(taskFunc)
+	linger := !closure
+	j := taskJobPool.Get().(*taskJob)
+	j.tasks, j.n = ts, n
+	j.left.Store(int64(n))
+	j.wg.Add(n)
+	if linger {
+		taskShare.units.Add(int64(n))
 	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(chunks)
-	run := func() {
-		for {
-			c := int(cursor.Add(1)) - 1
-			if c >= chunks {
-				return
-			}
-			lo := c * grain
-			hi := lo + grain
-			if hi > n {
-				hi = n
-			}
-			fn(lo, hi)
-			wg.Done()
-		}
+	execPool.offer(n-1, poolTask{job: j, gen: j.gen.Load(), linger: linger})
+	j.run(false, linger)
+	if linger {
+		spin(func() bool { return j.left.Load() == 0 })
 	}
-	helpers := maxWorkers() - 1
-	if helpers > chunks-1 {
-		helpers = chunks - 1
+	// Returns at once after a spin that saw zero; parks a closure's caller,
+	// and a query job's whose spin gave up.
+	j.wg.Wait()
+	// Retire: invalidate the job for any helper still queued or racing in,
+	// and wait out those already past the generation check — their claim
+	// loops find the cursor exhausted, so this is a few yields at most.
+	j.gen.Add(1)
+	for j.entered.Load() != 0 {
+		runtime.Gosched()
 	}
-	execPool.fanOut(helpers, run)
-	wg.Wait()
+	j.tasks, j.n = nil, 0
+	j.cursor.Store(0)
+	taskJobPool.Put(j)
 }
 
 // parallelFor splits [0, n) into one contiguous chunk per available worker
@@ -361,15 +365,15 @@ func poolFor(n, grain int, fn func(lo, hi int)) {
 // Build for the embarrassingly parallel stages; results are identical to a
 // sequential run.
 func parallelFor(n int, fn func(lo, hi int)) {
-	workers := maxWorkers()
-	if workers > n {
-		workers = n
-	}
+	workers := min(maxWorkers(), n)
 	if workers <= 1 {
 		fn(0, n)
 		return
 	}
-	poolFor(n, (n+workers-1)/workers, fn)
+	grain := (n + workers - 1) / workers
+	RunTasks((n+grain-1)/grain, taskFunc(func(c int) {
+		fn(c*grain, min((c+1)*grain, n))
+	}))
 }
 
 // RunBatch runs fn(i) for every i in [0, n) across the shared worker pool
@@ -378,14 +382,8 @@ func parallelFor(n int, fn func(lo, hi int)) {
 // issued from inside another batch cannot deadlock. It is the batch path of
 // every facade (ExecuteBatch, the serving collector's): each member runs Run
 // with workers == 1 while the batch fans out across cores. Its helpers do not
-// linger — the parallel section of one query is RunTasks.
-func RunBatch(n int, fn func(i int)) {
-	poolFor(n, 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			fn(i)
-		}
-	})
-}
+// linger — the parallel section of one query is RunTasks over a query job.
+func RunBatch(n int, fn func(i int)) { RunTasks(n, taskFunc(fn)) }
 
 // --- morsel scan engine ---
 
@@ -424,99 +422,68 @@ func appendMorsels(dst, spans []Span, target int) []Span {
 	return dst
 }
 
-// morselJob is the shared state of one parallel scan: the morsel list, the
-// claim cursor, and the merge point. join counts morsels, not helpers — a
-// worker releases its claimed morsels only after folding its partial
-// aggregate and stats into the job, so join.wait() implies the merge is done.
-//
-// Jobs are pooled across queries, each keeping its morsel buffer; the fence
-// keeps the helpers of a finished query off a reused job.
-type morselJob struct {
-	jobFence
+// morselScan is one parallel scan as RunTasks tasks, one per worker: the
+// morsel list, its claim cursor, and the merge point. Pooled across queries
+// with its morsel buffer.
+type morselScan struct {
 	t       *colstore.Table
 	q       query.Query
 	ctl     *query.Control // nil: unconditioned scan
 	tomb    []uint64       // tombstone snapshot captured by the caller
 	morsels []Span
 	cursor  atomic.Int64
-	join    joinCount
 	mu      sync.Mutex
 	agg     query.Mergeable
 	st      query.Stats // merged scan counters
 }
 
-var morselJobPool = sync.Pool{New: func() any { return new(morselJob) }}
+var morselScanPool = sync.Pool{New: func() any { return new(morselScan) }}
 
-// retire shuts the fence, after which the job's fields may be rewritten and
-// the job pooled. Called after join.wait.
-func (j *morselJob) retire() {
-	j.shut()
-	j.t = nil
-	j.q = query.Query{}
-	j.ctl = nil
-	j.tomb = nil
-	j.morsels = j.morsels[:0]
-	j.agg = nil
-	j.cursor.Store(0)
-	j.st = query.Stats{}
-	morselJobPool.Put(j)
-}
-
-// run is one worker's claim loop; it executes on the issuing goroutine and
-// on any pool helpers the job attracted. The scanner and aggregator clone
-// are acquired lazily so a helper that arrives after the job drained (or
-// loses every claim race) allocates nothing and never touches j.q.
-func (j *morselJob) run(helper bool) {
-	if int(j.cursor.Load()) >= len(j.morsels) {
-		return
-	}
+// RunTask implements Tasks: one worker's claim loop over the shared morsel
+// list. The scanner and aggregator clone are acquired at the first claim, so
+// a task that starts after the list drained allocates nothing and never
+// touches s.q; the partial aggregate and stats fold into s under its lock
+// once the loop ends. A stopped control (cancellation, a satisfied limit)
+// ends the loop at the next claim.
+func (s *morselScan) RunTask(_ int, helper bool) {
 	var (
 		w    spanWalker
 		agg  query.Mergeable
 		st   query.Stats
-		done int
+		done int64
 	)
-	for {
-		i := int(j.cursor.Add(1)) - 1
-		if i >= len(j.morsels) {
+	for !s.ctl.Stopped() {
+		i := int(s.cursor.Add(1)) - 1
+		if i >= len(s.morsels) {
 			break
 		}
-		done++
-		if j.ctl.Stopped() {
-			// Cancellation/limit stop: keep claiming so the morsel count
-			// drains (join.wait depends on it), but skip the scan work. The
-			// job finishes in O(remaining morsels) atomic adds.
-			continue
-		}
 		if w.sc == nil {
-			w.open(j.t, j.tomb, j.ctl)
+			w.open(s.t, s.tomb, s.ctl)
 			// Prefer a recycled clone (compatibility only reads immutable
-			// config, so no lock); otherwise clone under the job lock —
-			// another worker may be Merge-ing into j.agg right now, and a
+			// config, so no lock); otherwise clone under the scan's lock —
+			// another worker may be Merge-ing into s.agg right now, and a
 			// user-supplied Mergeable is free to read state in CloneEmpty
 			// that Merge mutates.
-			if agg = query.GetClone(j.agg); agg == nil {
-				j.mu.Lock()
-				agg = j.agg.CloneEmpty()
-				j.mu.Unlock()
+			if agg = query.GetClone(s.agg); agg == nil {
+				s.mu.Lock()
+				agg = s.agg.CloneEmpty()
+				s.mu.Unlock()
 			}
 		}
-		w.scan(j.q, j.morsels[i], agg, &st)
+		w.scan(s.q, s.morsels[i], agg, &st)
+		done++
 	}
-	// A worker that only drained stopped claims has no scanner or partial
-	// aggregate to fold in, but must still release its claimed morsels.
 	if w.sc != nil {
 		w.close()
-		j.mu.Lock()
-		j.agg.Merge(agg)
-		j.st.Add(st)
-		j.mu.Unlock()
+		s.mu.Lock()
+		s.agg.Merge(agg)
+		s.st.Add(st)
+		s.mu.Unlock()
 		query.PutClone(agg)
 	}
 	if helper {
-		morselShare.helped.Add(int64(done))
+		morselShare.helped.Add(done)
 	}
-	j.join.done(done)
 }
 
 // scanParallel runs spans on the morsel engine with workers > 1 workers,
@@ -524,88 +491,18 @@ func (j *morselJob) run(helper bool) {
 // exact row count of spans. It reports false, having done nothing, when the
 // work does not split into more than one morsel.
 func scanParallel(t *colstore.Table, tomb []uint64, ctl *query.Control, q query.Query, spans []Span, agg query.Mergeable, workers, est int, st *query.Stats) bool {
-	j := morselJobPool.Get().(*morselJob)
-	j.morsels = appendMorsels(j.morsels, spans, morselTarget(est, workers))
-	if len(j.morsels) <= 1 {
-		j.morsels = j.morsels[:0]
-		morselJobPool.Put(j)
-		return false
+	s := morselScanPool.Get().(*morselScan)
+	s.morsels = appendMorsels(s.morsels, spans, morselTarget(est, workers))
+	n := len(s.morsels)
+	if n > 1 {
+		s.t, s.q, s.ctl, s.tomb, s.agg = t, q, ctl, tomb, agg
+		morselShare.units.Add(int64(n))
+		RunTasks(min(workers, n), s)
+		st.Add(s.st)
 	}
-	j.t, j.q, j.ctl, j.tomb, j.agg = t, q, ctl, tomb, agg
-	j.join.add(len(j.morsels))
-	morselShare.units.Add(int64(len(j.morsels)))
-	helpers := workers - 1
-	if helpers > len(j.morsels)-1 {
-		helpers = len(j.morsels) - 1
-	}
-	execPool.offer(helpers, poolTask{job: j, gen: j.gen.Load()})
-	j.run(false)
-	j.join.wait()
-	st.Add(j.st)
-	j.retire()
-	return true
-}
-
-// --- one query's fan-out of independent tasks ---
-
-// Tasks is a query's parallel section as RunTasks sees it: n independent
-// tasks, RunTask(i) running task i. Implementations are pooled by their
-// owners, so a fan-out allocates nothing.
-type Tasks interface {
-	RunTask(i int)
-}
-
-// taskJob is the shared state of one RunTasks call: the tasks, a claim
-// cursor over them, and a count of tasks still out. Pooled and fenced like
-// morselJob.
-type taskJob struct {
-	jobFence
-	tasks  Tasks
-	n      int
-	cursor atomic.Int64
-	join   joinCount
-}
-
-var taskJobPool = sync.Pool{New: func() any { return new(taskJob) }}
-
-// run is one worker's claim loop, on the issuing goroutine and on any pool
-// helpers the job attracted.
-func (j *taskJob) run(helper bool) {
-	done := 0
-	for {
-		i := int(j.cursor.Add(1)) - 1
-		if i >= j.n {
-			break
-		}
-		j.tasks.RunTask(i)
-		done++
-	}
-	if helper {
-		taskShare.helped.Add(int64(done))
-	}
-	j.join.done(done)
-}
-
-// RunTasks runs ts.RunTask(i) for every i in [0, n) over the worker pool and
-// the calling goroutine, returning when all have finished. It is for the
-// parallel section of one query — a sharded fan-out, a parallel refinement —
-// not for batches of queries (RunBatch): the job is pooled, so the call
-// allocates nothing, and its helpers linger for the next query's.
-func RunTasks(n int, ts Tasks) {
-	if n <= 0 {
-		return
-	}
-	j := taskJobPool.Get().(*taskJob)
-	j.tasks, j.n = ts, n
-	j.join.add(n)
-	taskShare.units.Add(int64(n))
-	execPool.offer(n-1, poolTask{job: j, gen: j.gen.Load()})
-	j.run(false)
-	j.join.wait()
-	j.shut()
-	j.tasks, j.n = nil, 0
-	j.cursor.Store(0)
-	taskJobPool.Put(j)
+	*s = morselScan{morsels: s.morsels[:0]}
+	morselScanPool.Put(s)
+	return n > 1
 }
 
 // --- parallel refinement ---
@@ -626,7 +523,7 @@ type refineTasks struct {
 var refineTasksPool = sync.Pool{New: func() any { return new(refineTasks) }}
 
 // RunTask implements Tasks.
-func (r *refineTasks) RunTask(i int) {
+func (r *refineTasks) RunTask(i int, _ bool) {
 	lo := i * refineGrain
 	hi := min(lo+refineGrain, len(r.spans))
 	r.f.refineRanges(r.q, r.spans[lo:hi], r.cells[lo:hi])

@@ -91,7 +91,7 @@ func TestParallelAllAggregators(t *testing.T) {
 		seqs, pars := mk(), mk()
 		for i := range seqs {
 			idx.Execute(q, sequentialOnly{seqs[i]})
-			idx.Run(nil, q, pars[i], 5, 0)
+			idx.Run(nil, q, pars[i], 5)
 			if pars[i].Result() != seqs[i].Result() {
 				t.Fatalf("trial %d agg %d: parallel %d != sequential %d",
 					trial, i, pars[i].Result(), seqs[i].Result())
@@ -149,7 +149,7 @@ func TestParallelRandomLayoutsProperty(t *testing.T) {
 			seq := query.NewCount()
 			seqSt := idx.Execute(q, sequentialOnly{seq})
 			par := query.NewCount()
-			parSt := idx.Run(nil, q, par, 3, 0)
+			parSt := idx.Run(nil, q, par, 3)
 			if par.Result() != want || seq.Result() != want {
 				t.Fatalf("layout %s mode %d: parallel %d / sequential %d != brute %d",
 					layout, mode, par.Result(), seq.Result(), want)
@@ -203,7 +203,7 @@ func TestRefineParallelEquivalence(t *testing.T) {
 func runBatch(idx *Flood, queries []query.Query, aggs []query.Aggregator) []query.Stats {
 	stats := make([]query.Stats, len(queries))
 	RunBatch(len(queries), func(i int) {
-		stats[i] = idx.Run(nil, queries[i], aggs[i], 1, 0)
+		stats[i] = idx.Run(nil, queries[i], aggs[i], 1)
 	})
 	return stats
 }
@@ -374,7 +374,7 @@ func TestParallelHelpersStopSpinning(t *testing.T) {
 	}
 	quiesce(t)
 	before := spins.Load()
-	idx.Run(nil, query.NewQuery(3), query.NewCount(), 2, 0)
+	idx.Run(nil, query.NewQuery(3), query.NewCount(), 2)
 	deadline := time.Now().Add(2 * time.Second)
 	for spins.Load() == before {
 		if time.Now().After(deadline) {
@@ -406,10 +406,10 @@ func TestParallelSingleProcStartsNoHelper(t *testing.T) {
 	spawned := execPool.spawned
 	execPool.mu.Unlock()
 	before := spins.Load()
-	var ran atomic.Int32
+	ran := make(eachOnce, 4)
 	for i := 0; i < 10; i++ {
-		idx.Run(nil, query.NewQuery(3), query.NewCount(), 4, 0)
-		RunTasks(4, taskFunc(func(int) { ran.Add(1) }))
+		idx.Run(nil, query.NewQuery(3), query.NewCount(), 4)
+		RunTasks(len(ran), ran)
 	}
 	time.Sleep(20 * spinWindow)
 	execPool.mu.Lock()
@@ -418,27 +418,47 @@ func TestParallelSingleProcStartsNoHelper(t *testing.T) {
 		t.Fatalf("GOMAXPROCS=1: pool grew %d -> %d, %d tasks queued, %d spins",
 			spawned, execPool.spawned, len(execPool.tasks), spins.Load()-before)
 	}
-	if ran.Load() != 40 {
-		t.Fatalf("RunTasks ran %d tasks, want 40", ran.Load())
+	for i := range ran {
+		if c := ran[i].Load(); c != 10 {
+			t.Fatalf("RunTasks ran task %d %d times, want 10", i, c)
+		}
 	}
 }
 
-// taskFunc adapts a function to Tasks for tests.
-type taskFunc func(i int)
+// eachOnce is a query job for tests: task i counts its runs in slot i. Not a
+// closure, so RunTasks treats it as one query's parallel section.
+type eachOnce []atomic.Int32
 
-func (f taskFunc) RunTask(i int) { f(i) }
+func (c eachOnce) RunTask(i int, _ bool) { c[i].Add(1) }
 
-// TestParallelRunTasksEachOnce: every task of a fan-out runs exactly once,
-// whichever goroutines claim them, and RunTasks returns only after all have.
+// TestParallelRunTasksEachOnce: every task of every way into the pool — a
+// query job, a batch, a build stage's chunks — runs exactly once, whichever
+// goroutines claim them, and the call returns only after all have.
 func TestParallelRunTasksEachOnce(t *testing.T) {
+	ways := []struct {
+		name string
+		run  func(counts eachOnce)
+	}{
+		{"RunTasks", func(c eachOnce) { RunTasks(len(c), c) }},
+		{"RunBatch", func(c eachOnce) { RunBatch(len(c), func(i int) { c.RunTask(i, false) }) }},
+		{"parallelFor", func(c eachOnce) {
+			parallelFor(len(c), func(lo, hi int) {
+				for i := lo; i < hi; i++ {
+					c.RunTask(i, false)
+				}
+			})
+		}},
+	}
 	for _, procs := range []int{1, 4} {
 		withGOMAXPROCS(t, procs, func(t *testing.T) {
-			for _, n := range []int{1, 2, 7, 64} {
-				counts := make([]atomic.Int32, n)
-				RunTasks(n, taskFunc(func(i int) { counts[i].Add(1) }))
-				for i := range counts {
-					if c := counts[i].Load(); c != 1 {
-						t.Fatalf("n=%d: task %d ran %d times", n, i, c)
+			for _, way := range ways {
+				for _, n := range []int{1, 2, 7, 64} {
+					counts := make(eachOnce, n)
+					way.run(counts)
+					for i := range counts {
+						if c := counts[i].Load(); c != 1 {
+							t.Fatalf("%s n=%d: task %d ran %d times", way.name, n, i, c)
+						}
 					}
 				}
 			}
@@ -496,7 +516,7 @@ func BenchmarkParallelExecute1M(b *testing.B) {
 			since, _ := HelperShare()
 			for i := 0; i < b.N; i++ {
 				cnt.Reset()
-				idx.Run(nil, queries[i%len(queries)], agg, workers, 0)
+				idx.Run(nil, queries[i%len(queries)], agg, workers)
 			}
 			morsels, _ := HelperShare()
 			b.ReportMetric(morsels.Frac(since), "helper_frac")
@@ -529,7 +549,7 @@ func BenchmarkExecuteBatch1M(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			reset()
 			for j, q := range queries {
-				idx.Run(nil, q, aggs[j], 1, 0)
+				idx.Run(nil, q, aggs[j], 1)
 			}
 		}
 	})

@@ -145,7 +145,7 @@ func (f *Flood) SizeBytes() int64 {
 // pool instead (see exec_parallel.go); results and scan counters are
 // identical either way.
 func (f *Flood) Execute(q query.Query, agg query.Aggregator) query.Stats {
-	return f.Run(nil, q, agg, 0, 0)
+	return f.Run(nil, q, agg, 0)
 }
 
 // Run is the one controlled entry point under Execute and every facade.
@@ -159,13 +159,12 @@ func (f *Flood) Execute(q query.Query, agg query.Aggregator) query.Stats {
 // about a thousand rows or one morsel; a nil control is the unconditioned
 // execution, allocation for allocation. The caller owns the control's
 // lifecycle: Release it only after every execution threading it has
-// returned. cutover overrides the index's parallel cutover for this query (0
-// keeps the index default, negative pins the query sequential).
+// returned.
 //
 // The four phase boundaries are monotonic clock readings (sinceBase), never
 // the wall clock, and the phase times are differences of them, so the three
 // add up to Total exactly.
-func (f *Flood) Run(ctl *query.Control, q query.Query, agg query.Aggregator, workers, cutover int) query.Stats {
+func (f *Flood) Run(ctl *query.Control, q query.Query, agg query.Aggregator, workers int) query.Stats {
 	var st query.Stats
 	t0 := sinceBase()
 	if q.Empty() || f.t.NumRows() == 0 || ctl.Stopped() {
@@ -175,12 +174,6 @@ func (f *Flood) Run(ctl *query.Control, q query.Query, agg query.Aggregator, wor
 	es := scratchPool.Get().(*execScratch)
 	f.project(q, es, &st)
 	st.ProjectTime = sinceBase() - t0
-
-	// The cost-based cutover, honoring a per-query override.
-	cut := f.parallelCutover
-	if cutover != 0 {
-		cut = resolveCutover(cutover)
-	}
 
 	// Capture the tombstone set once per query: the scan stage (sequential
 	// or morsel-parallel) masks against this snapshot only, giving the query
@@ -193,12 +186,12 @@ func (f *Flood) Run(ctl *query.Control, q query.Query, agg query.Aggregator, wor
 	// so the sequential cutover path and batch workers (workers == 1)
 	// never touch the pool, stay allocation-free, and skip the count
 	// entirely.
-	refineParallel := workers != 1 && spanRows(es.spans) >= cut
+	refineParallel := workers != 1 && spanRows(es.spans) >= f.parallelCutover
 	f.refine(q, es.spans, es.cells, &st, refineParallel)
 	st.IndexTime = sinceBase() - t0
 	st.RefineTime = st.IndexTime - st.ProjectTime
 
-	ScanSpans(f.t, tombW, ctl, q, es.spans, agg, workers, cut, &st)
+	ScanSpans(f.t, tombW, ctl, q, es.spans, agg, workers, f.parallelCutover, &st)
 	scratchPool.Put(es)
 	st.Total = sinceBase() - t0
 	st.ScanTime = st.Total - st.IndexTime

@@ -168,7 +168,7 @@ func TestParallelAlternatingAggregatesZeroAllocs(t *testing.T) {
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	tbl, _ := makeData(t, 40000, 4, 78)
-	idx, err := Build(tbl, Layout{GridDims: []int{0, 1}, GridCols: []int{8, 8}, SortDim: 2, Flatten: true}, Options{})
+	idx, err := Build(tbl, Layout{GridDims: []int{0, 1}, GridCols: []int{8, 8}, SortDim: 2, Flatten: true}, Options{ParallelCutover: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestParallelAlternatingAggregatesZeroAllocs(t *testing.T) {
 	rotate := func() {
 		for _, agg := range aggs {
 			agg.Reset()
-			idx.Run(nil, q, agg, 2, 1) // cutover 1: every query takes the morsel engine
+			idx.Run(nil, q, agg, 2) // workers 2: every query takes the morsel engine
 		}
 	}
 	rotate() // warm the pools
@@ -199,7 +199,7 @@ func TestParallelRefineZeroAllocs(t *testing.T) {
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	tbl, _ := makeData(t, 40000, 4, 79)
-	idx, err := Build(tbl, Layout{GridDims: []int{0, 1}, GridCols: []int{16, 16}, SortDim: 2, Flatten: true}, Options{})
+	idx, err := Build(tbl, Layout{GridDims: []int{0, 1}, GridCols: []int{16, 16}, SortDim: 2, Flatten: true}, Options{ParallelCutover: 30000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestParallelRefineZeroAllocs(t *testing.T) {
 		agg.Reset()
 		// workers 0 and a huge cutover: refinement fans out (the unrefined
 		// ranges cover the table), the scan that follows stays sequential.
-		if st := idx.Run(nil, q, agg, 0, 30000); st.RangesRefined < refineParallelRanges {
+		if st := idx.Run(nil, q, agg, 0); st.RangesRefined < refineParallelRanges {
 			t.Fatalf("only %d ranges refined: the query stays under the parallel threshold", st.RangesRefined)
 		}
 	}

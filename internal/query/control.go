@@ -4,7 +4,6 @@ import (
 	"errors"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"flood/internal/colstore"
 )
@@ -32,10 +31,11 @@ const (
 )
 
 // Control is the per-query execution controller threaded through the scan
-// path. It carries the caller's cancellation signal (a context Done channel
-// and/or an absolute deadline) and the remaining LIMIT budget, shared by
-// every worker of one execution: the sequential scan kernel polls it at
-// block-group boundaries, the morsel engine at morsel-claim boundaries, and
+// path. It carries the caller's cancellation signal (a context's Done
+// channel, closed on cancellation or at its deadline) and the remaining LIMIT
+// budget, shared by every worker of one execution: the sequential scan
+// kernel polls it at block-group boundaries, the morsel engine at
+// morsel-claim boundaries, and
 // the scanner's delivery loop draws match budget from it so a satisfied
 // LIMIT stops the scan instead of materializing the full result.
 //
@@ -44,27 +44,25 @@ const (
 // Control at zero cost. Obtain one with GetControl and return it with
 // Release once no scanner references it.
 type Control struct {
-	done     <-chan struct{}
-	deadline time.Time
-	limited  bool
-	limit    atomic.Int64
-	state    atomic.Int32
+	done    <-chan struct{}
+	limited bool
+	limit   atomic.Int64
+	state   atomic.Int32
 }
 
 var controlPool = sync.Pool{New: func() any { return new(Control) }}
 
 // GetControl returns a pooled Control watching done (a context's Done
-// channel; nil means not cancelable), enforcing limit matched rows
-// (limit <= 0 means unlimited), and expiring at deadline (zero means none).
-// When no feature is active it returns nil — the universal "no control"
-// value every consumer accepts — so unconditioned executions pay nothing.
-func GetControl(done <-chan struct{}, limit int, deadline time.Time) *Control {
-	if done == nil && limit <= 0 && deadline.IsZero() {
+// channel, which also closes at the context's deadline; nil means not
+// cancelable) and enforcing limit matched rows (limit <= 0 means unlimited).
+// When neither is active it returns nil — the universal "no control" value
+// every consumer accepts — so unconditioned executions pay nothing.
+func GetControl(done <-chan struct{}, limit int) *Control {
+	if done == nil && limit <= 0 {
 		return nil
 	}
 	c := controlPool.Get().(*Control)
 	c.done = done
-	c.deadline = deadline
 	c.limited = limit > 0
 	c.limit.Store(int64(limit))
 	c.state.Store(ctlRunning)
@@ -88,10 +86,10 @@ func (c *Control) Stopped() bool {
 	return c != nil && c.state.Load() != ctlRunning
 }
 
-// Check polls the cancellation sources — the done channel and the deadline —
-// latching the canceled state when either has fired, and reports whether the
-// control is stopped. It is the periodic poll the scan kernel runs every few
-// blocks; limit exhaustion latches through Take instead.
+// Check polls the done channel, latching the canceled state when it has
+// closed, and reports whether the control is stopped. It is the periodic poll
+// the scan kernel runs every few blocks; limit exhaustion latches through
+// Take instead.
 func (c *Control) Check() bool {
 	if c == nil {
 		return false
@@ -106,10 +104,6 @@ func (c *Control) Check() bool {
 			return true
 		default:
 		}
-	}
-	if !c.deadline.IsZero() && !time.Now().Before(c.deadline) {
-		c.state.CompareAndSwap(ctlRunning, ctlCanceled)
-		return true
 	}
 	return false
 }

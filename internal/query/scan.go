@@ -85,7 +85,7 @@ func (s *Scanner) SetScalarKernel(on bool) { s.scalar = on }
 func (s *Scanner) SetTombstones(words []uint64) { s.tomb = words }
 
 // ctlCheckBlocks is the cancellation poll cadence: the block loop runs a
-// full Control.Check (channel poll + deadline read, tens of nanoseconds)
+// full Control.Check (a channel poll, tens of nanoseconds)
 // once per this many blocks, i.e. once per ~1K rows — under 0.1ns of
 // amortized overhead per scanned row, with a cancellation response bound of
 // about one thousand rows.

@@ -3,7 +3,6 @@ package query
 import (
 	"math/rand"
 	"testing"
-	"time"
 
 	"flood/internal/colstore"
 )
@@ -62,7 +61,7 @@ func runKernel(t *colstore.Table, q Query, start, end, limit int, scalar bool) (
 	sc.SetScalarKernel(scalar)
 	var ctl *Control
 	if limit > 0 {
-		ctl = GetControl(nil, limit, time.Time{})
+		ctl = GetControl(nil, limit)
 		sc.SetControl(ctl)
 		defer ctl.Release()
 	}
@@ -290,7 +289,7 @@ func TestLimitPrefixEveryCut(t *testing.T) {
 						sc := NewScanner(tbl)
 						sc.SetScalarKernel(scalar)
 						sc.SetTombstones(words)
-						ctl := GetControl(nil, limit, time.Time{})
+						ctl := GetControl(nil, limit)
 						sc.SetControl(ctl)
 						sc.ScanRange(q, q.FilteredDims(), 3, n, agg)
 						ctl.Release()
@@ -353,7 +352,7 @@ func runKernelTomb(t *colstore.Table, q Query, tomb []uint64, start, end, limit 
 	sc.SetTombstones(tomb)
 	var ctl *Control
 	if limit > 0 {
-		ctl = GetControl(nil, limit, time.Time{})
+		ctl = GetControl(nil, limit)
 		sc.SetControl(ctl)
 		defer ctl.Release()
 	}

@@ -96,11 +96,13 @@ type Index interface {
 // externally owned Control, so one cancellation signal and one shared LIMIT
 // budget span several executions (the disjoint pieces of an OR, the base
 // and delta scans of a composite index). Run has core.Flood.Run's signature:
-// workers and cutover choose between the sequential scan and the morsel
-// engine, and Run(nil, q, agg, 0, 0) is identical to Execute.
+// workers chooses the scan strategy — 0 the index's own cost-based cutover
+// between the sequential kernel and the morsel engine, 1 the sequential
+// kernel, n > 1 the morsel engine with n workers — and Run(nil, q, agg, 0) is
+// identical to Execute.
 type ControlIndex interface {
 	Index
-	Run(ctl *Control, q Query, agg Aggregator, workers, cutover int) Stats
+	Run(ctl *Control, q Query, agg Aggregator, workers int) Stats
 }
 
 // BatchIndex is implemented by indexes that can execute many queries in one

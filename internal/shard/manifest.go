@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -65,40 +64,18 @@ func WriteManifest(dir string, m *Manifest) error {
 	if err := m.Validate(); err != nil {
 		return err
 	}
-	var buf bytes.Buffer
-	if err := wire.WriteHeader(&buf, manifestVersion, 1); err != nil {
-		return err
-	}
-	sw := wire.NewSectionWriter(&buf)
-	sw.Section("shrd", func(w *wire.Writer) {
-		w.Int(m.Dim)
-		w.I64s(m.Splits)
-		w.Strs(m.ShardDirs)
+	return wire.WriteFileAtomic(filepath.Join(dir, ManifestName), func(w io.Writer) error {
+		if err := wire.WriteHeader(w, manifestVersion, 1); err != nil {
+			return err
+		}
+		sw := wire.NewSectionWriter(w)
+		sw.Section("shrd", func(w *wire.Writer) {
+			w.Int(m.Dim)
+			w.I64s(m.Splits)
+			w.Strs(m.ShardDirs)
+		})
+		return sw.Err()
 	})
-	if err := sw.Err(); err != nil {
-		return err
-	}
-	path := filepath.Join(dir, ManifestName)
-	tmp, err := os.CreateTemp(dir, ".manifest-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(buf.Bytes()); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	return syncDir(dir)
 }
 
 // ReadManifest reads and validates dir's manifest.
@@ -143,14 +120,4 @@ func ReadManifest(dir string) (*Manifest, error) {
 		return nil, err
 	}
 	return m, nil
-}
-
-// syncDir fsyncs a directory so a just-renamed file's entry is durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
 }

@@ -54,13 +54,8 @@ const (
 	SyncNone
 )
 
-// Options configures a segment's durability behavior.
-type Options struct {
-	// Policy selects when appends reach stable storage (default SyncAlways).
-	Policy SyncPolicy
-	// Interval is the flush period for SyncInterval (default 50ms).
-	Interval time.Duration
-}
+// FlushInterval is the fsync period under SyncInterval.
+const FlushInterval = 50 * time.Millisecond
 
 // SegmentName returns the file name of the segment for a generation.
 func SegmentName(gen uint64) string { return fmt.Sprintf("wal-%06d.log", gen) }
@@ -101,10 +96,10 @@ type Log struct {
 	flushWG sync.WaitGroup
 }
 
-// Create creates a new segment file at path with the given generation,
-// fsyncs the header and the containing directory, and returns the open log.
-// The file must not already exist.
-func Create(path string, gen uint64, opts Options) (*Log, error) {
+// Create creates a new segment file at path with the given generation and
+// sync policy, fsyncs the header and the containing directory, and returns
+// the open log. The file must not already exist.
+func Create(path string, gen uint64, policy SyncPolicy) (*Log, error) {
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return nil, err
@@ -123,7 +118,7 @@ func Create(path string, gen uint64, opts Options) (*Log, error) {
 		os.Remove(path)
 		return nil, err
 	}
-	if err := syncDir(filepath.Dir(path)); err != nil {
+	if err := wire.SyncDir(filepath.Dir(path)); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -133,17 +128,13 @@ func Create(path string, gen uint64, opts Options) (*Log, error) {
 		f:      f,
 		offset: HeaderSize,
 		synced: HeaderSize,
-		policy: opts.Policy,
+		policy: policy,
 		closed: make(chan struct{}),
 	}
 	l.cond = sync.NewCond(&l.sm)
-	if opts.Policy == SyncInterval {
-		iv := opts.Interval
-		if iv <= 0 {
-			iv = 50 * time.Millisecond
-		}
+	if policy == SyncInterval {
 		l.flushWG.Add(1)
-		go l.flushLoop(iv)
+		go l.flushLoop()
 	}
 	return l, nil
 }
@@ -259,10 +250,10 @@ func (l *Log) syncTo(target int64) error {
 	}
 }
 
-// flushLoop periodically fsyncs under SyncInterval until Close.
-func (l *Log) flushLoop(iv time.Duration) {
+// flushLoop fsyncs every FlushInterval under SyncInterval until Close.
+func (l *Log) flushLoop() {
 	defer l.flushWG.Done()
-	t := time.NewTicker(iv)
+	t := time.NewTicker(FlushInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -321,7 +312,8 @@ type ReplayResult struct {
 // decides whether damage is tolerable (last segment) or fatal (earlier
 // segments). An error from apply aborts the walk and is returned as-is. A
 // damaged or truncated header yields Damaged with ValidSize 0 and no
-// records.
+// records. A record is allocated only once the file is known to hold it, so
+// a damaged length costs at most the file's size, never MaxRecordLen.
 func Replay(path string, apply func(payload []byte) error) (ReplayResult, error) {
 	var res ReplayResult
 	f, err := os.Open(path)
@@ -329,6 +321,10 @@ func Replay(path string, apply func(payload []byte) error) (ReplayResult, error)
 		return res, err
 	}
 	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return res, err
+	}
 
 	var h [HeaderSize]byte
 	if _, err := io.ReadFull(f, h[:]); err != nil {
@@ -358,6 +354,11 @@ func Replay(path string, apply func(payload []byte) error) (ReplayResult, error)
 		if int64(length) > MaxRecordLen {
 			res.Damaged = true
 			res.Err = fmt.Errorf("record declares %d bytes: %w", length, wire.ErrChecksum)
+			return res, nil
+		}
+		if left := fi.Size() - res.ValidSize - frameSize; int64(length) > left {
+			res.Damaged = true
+			res.Err = fmt.Errorf("record declares %d bytes, %d left in the segment: %w", length, left, wire.ErrTruncated)
 			return res, nil
 		}
 		if cap(payload) < int(length) {
@@ -397,17 +398,4 @@ func TruncateTail(path string, size int64) error {
 		return err
 	}
 	return f.Sync()
-}
-
-// syncDir fsyncs a directory so a preceding create or rename in it is
-// durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	// Directory fsync is unsupported on some filesystems; the open-and-sync
-	// attempt is the best available effort there.
-	d.Sync()
-	return d.Close()
 }

@@ -2,13 +2,17 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
 	"flood/internal/faultfs"
+	"flood/internal/wire"
 )
 
 func testRecords(n int) [][]byte {
@@ -19,10 +23,10 @@ func testRecords(n int) [][]byte {
 	return out
 }
 
-func writeSegment(t *testing.T, dir string, gen uint64, recs [][]byte, opts Options) string {
+func writeSegment(t *testing.T, dir string, gen uint64, recs [][]byte, policy SyncPolicy) string {
 	t.Helper()
 	path := filepath.Join(dir, SegmentName(gen))
-	l, err := Create(path, gen, opts)
+	l, err := Create(path, gen, policy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +56,7 @@ func replayAll(t *testing.T, path string) (ReplayResult, [][]byte) {
 
 func TestAppendReplayRoundtrip(t *testing.T) {
 	recs := testRecords(100)
-	path := writeSegment(t, t.TempDir(), 7, recs, Options{Policy: SyncNone})
+	path := writeSegment(t, t.TempDir(), 7, recs, SyncNone)
 	res, got := replayAll(t, path)
 	if res.Damaged {
 		t.Fatalf("clean segment reported damaged: %v", res.Err)
@@ -94,7 +98,7 @@ func TestSegmentNames(t *testing.T) {
 func TestReplayEveryTruncation(t *testing.T) {
 	dir := t.TempDir()
 	recs := testRecords(20)
-	path := writeSegment(t, dir, 1, recs, Options{Policy: SyncNone})
+	path := writeSegment(t, dir, 1, recs, SyncNone)
 	full, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +126,7 @@ func TestReplayEveryTruncation(t *testing.T) {
 func TestReplayEveryFlip(t *testing.T) {
 	dir := t.TempDir()
 	recs := testRecords(12)
-	path := writeSegment(t, dir, 1, recs, Options{Policy: SyncNone})
+	path := writeSegment(t, dir, 1, recs, SyncNone)
 	full, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -147,12 +151,39 @@ func TestReplayEveryFlip(t *testing.T) {
 	}
 }
 
+// TestReplayLengthBoundedByFile: a segment whose last frame declares 1<<30
+// bytes — one flipped length byte in a small file — replays its valid prefix
+// and reports truncation without allocating the declared length.
+func TestReplayLengthBoundedByFile(t *testing.T) {
+	recs := testRecords(10)
+	path := writeSegment(t, t.TempDir(), 1, recs, SyncNone)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := len(data) - frameSize - len(recs[len(recs)-1])
+	binary.LittleEndian.PutUint32(data[last:], 1<<30)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, got := replayAll(t, path)
+	runtime.ReadMemStats(&after)
+	if !res.Damaged || !errors.Is(res.Err, wire.ErrTruncated) || len(got) != len(recs)-1 || res.ValidSize != int64(last) {
+		t.Fatalf("replay = %+v with %d records; want ErrTruncated after %d records, valid size %d", res, len(got), len(recs)-1, last)
+	}
+	if a := after.TotalAlloc - before.TotalAlloc; a > 4<<20 {
+		t.Errorf("replaying the damaged segment allocated %d bytes, want at most 4 MiB", a)
+	}
+}
+
 // TestTruncateTailRecovers damages the tail, truncates at ValidSize, and
 // verifies the shortened segment replays cleanly with the surviving prefix.
 func TestTruncateTailRecovers(t *testing.T) {
 	dir := t.TempDir()
 	recs := testRecords(10)
-	path := writeSegment(t, dir, 3, recs, Options{Policy: SyncNone})
+	path := writeSegment(t, dir, 3, recs, SyncNone)
 	fi, _ := os.Stat(path)
 	if err := faultfs.TruncateFile(path, fi.Size()-3); err != nil {
 		t.Fatal(err)
@@ -177,7 +208,7 @@ func TestTruncateTailRecovers(t *testing.T) {
 func TestWALGroupCommit(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, SegmentName(1))
-	l, err := Create(path, 1, Options{Policy: SyncAlways})
+	l, err := Create(path, 1, SyncAlways)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +248,7 @@ func TestWALGroupCommit(t *testing.T) {
 func TestWALIntervalPolicySyncsOnClose(t *testing.T) {
 	dir := t.TempDir()
 	recs := testRecords(30)
-	path := writeSegment(t, dir, 1, recs, Options{Policy: SyncInterval})
+	path := writeSegment(t, dir, 1, recs, SyncInterval)
 	res, _ := replayAll(t, path)
 	if res.Damaged || res.Records != len(recs) {
 		t.Fatalf("replayed %d (damaged=%v), want %d", res.Records, res.Damaged, len(recs))
@@ -230,7 +261,7 @@ func TestTornHeaderIsDamage(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, SegmentName(1))
 	recs := testRecords(5)
-	full := writeSegment(t, dir, 2, recs, Options{Policy: SyncNone})
+	full := writeSegment(t, dir, 2, recs, SyncNone)
 	data, err := os.ReadFile(full)
 	if err != nil {
 		t.Fatal(err)
@@ -254,7 +285,7 @@ func TestTornHeaderIsDamage(t *testing.T) {
 // policy decision, not a code path to optimize here.
 func BenchmarkWALAppend(b *testing.B) {
 	dir := b.TempDir()
-	l, err := Create(filepath.Join(dir, SegmentName(1)), 1, Options{Policy: SyncNone})
+	l, err := Create(filepath.Join(dir, SegmentName(1)), 1, SyncNone)
 	if err != nil {
 		b.Fatal(err)
 	}

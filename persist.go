@@ -2,12 +2,8 @@ package flood
 
 import (
 	"bufio"
-	"errors"
-	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"syscall"
 
 	"flood/internal/core"
 	"flood/internal/optimizer"
@@ -132,54 +128,11 @@ func LoadFileWithReport(path string) (*Flood, LoadReport, error) {
 // fsync-directory sequence, so path holds either its previous contents or
 // the complete new contents — never a torn intermediate. It is the
 // building block under SaveFile and the durable checkpoint protocol.
-func WriteFileAtomic(path string, write func(io.Writer) error) (err error) {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	bw := bufio.NewWriterSize(tmp, 1<<20)
-	if err = write(bw); err != nil {
-		return err
-	}
-	if err = bw.Flush(); err != nil {
-		return err
-	}
-	if err = tmp.Sync(); err != nil {
-		return err
-	}
-	if err = tmp.Close(); err != nil {
-		return err
-	}
-	if err = os.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	return SyncDir(dir)
+func WriteFileAtomic(path string, write func(io.Writer) error) error {
+	return wire.WriteFileAtomic(path, write)
 }
 
 // SyncDir fsyncs a directory so preceding renames and creates in it are
 // durable. Filesystems that do not support fsync on directories report
-// EINVAL; that is ignored.
-func SyncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil && !ignorableSyncError(err) {
-		return fmt.Errorf("fsync %s: %w", dir, err)
-	}
-	return nil
-}
-
-// ignorableSyncError reports fsync errors that mean "not supported here"
-// rather than "your data did not reach the disk".
-func ignorableSyncError(err error) bool {
-	return errors.Is(err, syscall.EINVAL) || errors.Is(err, syscall.ENOTSUP)
-}
+// EINVAL or ENOTSUP; that is ignored.
+func SyncDir(dir string) error { return wire.SyncDir(dir) }

@@ -298,19 +298,19 @@ func (s *ShardedIndex) pin() generation { return s }
 // exactly the id the shard's own Select would have produced — the contract
 // DeleteRows routes by. Batch members (workers == 1) and non-mergeable
 // aggregators also visit their shards in sequence; everything else fans out.
-func (s *ShardedIndex) run(ctl *query.Control, q Query, agg Aggregator, workers, cutover int) Stats {
+func (s *ShardedIndex) run(ctl *query.Control, q Query, agg Aggregator, workers int) Stats {
 	first, last := s.prune(q)
 	rc, collecting := agg.(*query.RowCollector)
 	m, mergeable := agg.(query.Mergeable)
 	if first < last && mergeable && !collecting && workers != 1 {
-		return s.fanOut(ctl, q, m, first, last, cutover)
+		return s.fanOut(ctl, q, m, first, last)
 	}
 	var total Stats
 	for i := first; i <= last && !ctl.Stopped(); i++ {
 		if collecting {
 			rc.SkipTo(int64(i) * shardStride)
 		}
-		total.Add(s.shards[i].epoch.Load().run(ctl, q, agg, workers, cutover))
+		total.Add(s.shards[i].epoch.Load().run(ctl, q, agg, workers))
 	}
 	return total
 }
@@ -321,11 +321,11 @@ func (s *ShardedIndex) run(ctl *query.Control, q Query, agg Aggregator, workers,
 // merges the clones in shard order. The counts of the returned Stats are the
 // shards' summed; Total is the fan-out's wall time and the phase times are
 // scaled to fit inside it (query.Stats.SetWall).
-func (s *ShardedIndex) fanOut(ctl *query.Control, q Query, m query.Mergeable, first, last, cutover int) Stats {
+func (s *ShardedIndex) fanOut(ctl *query.Control, q Query, m query.Mergeable, first, last int) Stats {
 	t0 := time.Now()
 	n := last - first + 1
 	f := shardFanPool.Get().(*shardFan)
-	f.shards, f.ctl, f.q, f.m, f.cutover = s.shards[first:last+1], ctl, q, m, cutover
+	f.shards, f.ctl, f.q, f.m = s.shards[first:last+1], ctl, q, m
 	f.clones = slices.Grow(f.clones[:0], n)[:n]
 	f.stats = slices.Grow(f.stats[:0], n)[:n]
 	core.RunTasks(n, f)
@@ -348,19 +348,18 @@ func (s *ShardedIndex) fanOut(ctl *query.Control, q Query, m query.Mergeable, fi
 // shardFan is one fan-out as core.Tasks: task i runs the query on shards[i]
 // into clones[i] and records stats[i]. Pooled with its slices.
 type shardFan struct {
-	shards  []*AdaptiveIndex
-	ctl     *query.Control
-	q       Query
-	m       query.Mergeable
-	cutover int
-	clones  []query.Mergeable
-	stats   []Stats
+	shards []*AdaptiveIndex
+	ctl    *query.Control
+	q      Query
+	m      query.Mergeable
+	clones []query.Mergeable
+	stats  []Stats
 }
 
 var shardFanPool = sync.Pool{New: func() any { return new(shardFan) }}
 
 // RunTask implements core.Tasks.
-func (f *shardFan) RunTask(i int) {
+func (f *shardFan) RunTask(i int, _ bool) {
 	if f.ctl.Stopped() {
 		return
 	}
@@ -368,7 +367,7 @@ func (f *shardFan) RunTask(i int) {
 	if c == nil {
 		c = f.m.CloneEmpty()
 	}
-	f.stats[i] = f.shards[i].epoch.Load().run(f.ctl, f.q, c, 1, f.cutover)
+	f.stats[i] = f.shards[i].epoch.Load().run(f.ctl, f.q, c, 1)
 	f.clones[i] = c
 }
 
@@ -378,7 +377,7 @@ func (f *shardFan) RunTask(i int) {
 // collector's id watermark moves monotonically through the per-shard
 // strides — every source a shard registers (base, sealed log segments,
 // transient suffix tables) lands inside that shard's stride region.
-func (s *ShardedIndex) runPieces(ctl *query.Control, pieces, shapes []Query, agg Aggregator, cutover int) Stats {
+func (s *ShardedIndex) runPieces(ctl *query.Control, pieces, shapes []Query, agg Aggregator) Stats {
 	rc, collecting := agg.(*query.RowCollector)
 	dim := s.router.Dim()
 	mine := make([]Query, 0, len(pieces))
@@ -403,7 +402,7 @@ func (s *ShardedIndex) runPieces(ctl *query.Control, pieces, shapes []Query, agg
 		if collecting {
 			rc.SkipTo(int64(i) * shardStride)
 		}
-		total.Add(a.epoch.Load().runPieces(ctl, mine, shapes, agg, cutover))
+		total.Add(a.epoch.Load().runPieces(ctl, mine, shapes, agg))
 	}
 	return total
 }
