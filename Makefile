@@ -75,11 +75,12 @@ loc:
 # that workload's four statement shapes. SelectLimit10From1M
 # proves the LIMIT pushdown short-circuits (compare rows scanned against
 # SelectRows1M); Execute1M vs ExecuteContext1M is the context-plumbing
-# overhead-parity pair. Estimate and FindOptimalLayout are the layout search:
-# one sample evaluation (against the straight-line oracle), and one whole
-# search over 100k rows at the repository benchmark's effort and at the
-# optimizer's defaults. DecodeBlock and CompareBlock are one 128-value block
-# through the packed kernels (cmd/benchjson records which compare the host
+# overhead-parity pair. Estimate, ForestPredict and FindOptimalLayout are the
+# layout search: one sample evaluation (against the straight-line oracle), one
+# weight forest's prediction, and one whole search over 100k rows at the
+# repository benchmark's effort and at the optimizer's defaults, and over 2M
+# rows (olap_flat's table, where drawing the sample shows). DecodeBlock and
+# CompareBlock are one 128-value block through the packed kernels (cmd/benchjson records which compare the host
 # selected as scan_kernel) at the five commonest delta widths of the
 # repository benchmark's tables; AggregateBlock is one block's survivors
 # folded under the selection mask per aggregate, mask density and width, and
@@ -95,7 +96,7 @@ bench:
 		-bench 'Residual|WideRect|SteadyState|Build1M|Build200k|Build2M|RebuildMerge500k|Ablation|Parallel|Batch|DeleteHeavy' \
 		-benchmem -benchtime=1s | tee /tmp/bench_scan.txt
 	$(GO) test ./internal/rmi ./internal/rforest ./internal/costmodel -run '^$$' \
-		-bench '^BenchmarkTrainCDF$$|^BenchmarkForestTrain$$|^BenchmarkCalibrate100k$$' \
+		-bench '^BenchmarkTrainCDF$$|^BenchmarkForestTrain$$|^BenchmarkForestPredict$$|^BenchmarkCalibrate100k$$' \
 		-benchmem -benchtime=1s | tee -a /tmp/bench_scan.txt
 	$(GO) test ./internal/colstore -run '^$$' -bench '^BenchmarkDecodeBlock$$|^BenchmarkCompareBlock$$|^BenchmarkAggregateBlock$$|^BenchmarkBitmapAndBlock$$' \
 		-benchmem -benchtime=1s | tee -a /tmp/bench_scan.txt

@@ -381,7 +381,8 @@ func parallelFor(n int, fn func(lo, hi int)) {
 // so RunBatch makes progress even when the pool is saturated, and calls
 // issued from inside another batch cannot deadlock. It is the batch path of
 // every facade (ExecuteBatch, the serving collector's): each member runs Run
-// with workers == 1 while the batch fans out across cores. Its helpers do not
+// with workers == 1 while the batch fans out across cores. Build's per-item
+// stages and the layout search's descents are batches too. Its helpers do not
 // linger — the parallel section of one query is RunTasks over a query job.
 func RunBatch(n int, fn func(i int)) { RunTasks(n, taskFunc(fn)) }
 

@@ -33,8 +33,7 @@ func NewEstimator(tbl *colstore.Table, sampleSize int, seed int64) *Estimator {
 	if sampleSize <= 0 || sampleSize > n {
 		sampleSize = n
 	}
-	rng := rand.New(rand.NewSource(seed))
-	rows := rng.Perm(n)[:sampleSize]
+	rows := permPrefix(rand.New(rand.NewSource(seed)), n, sampleSize)
 	e := &Estimator{n: n, d: tbl.NumCols(), sample: sampleSize}
 	if sampleSize > 0 {
 		e.scale = float64(n) / float64(sampleSize)
@@ -60,6 +59,24 @@ func NewEstimator(tbl *colstore.Table, sampleSize int, seed int64) *Estimator {
 		slices.SortFunc(e.order[dim], func(a, b int32) int { return cmp.Compare(flat[a], flat[b]) })
 	}
 	return e
+}
+
+// permPrefix returns rng.Perm(n)[:k] and leaves rng as Perm would, in O(k)
+// memory. Perm's inside-out shuffle makes one draw per position i, j in
+// [0, i], and moves m[j] to i before writing i at j; a position at or past k
+// is never read back into one below it, so only writes below k are kept.
+func permPrefix(rng *rand.Rand, n, k int) []int {
+	m := make([]int, k)
+	for i := 0; i < k; i++ {
+		j := rng.Intn(i + 1)
+		m[i], m[j] = m[j], i
+	}
+	for i := k; i < n; i++ {
+		if j := rng.Intn(i + 1); j < k {
+			m[j] = i
+		}
+	}
+	return m
 }
 
 // SampleSize returns the number of sampled rows.

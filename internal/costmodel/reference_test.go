@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"flood/internal/colstore"
@@ -308,6 +310,51 @@ func TestSearchMatchesReference(t *testing.T) {
 				cand.Cols[i] = math.Max(1, cand.Cols[i]*math.Exp(rng.NormFloat64()/2))
 			}
 		}
+	}
+}
+
+// TestPermPrefixMatchesPerm holds the estimator's O(k) draw to the prefix of
+// rand.Perm it replays, and requires it to leave the generator where Perm
+// does: the optimizer draws its query sample from the same generator next.
+func TestPermPrefixMatchesPerm(t *testing.T) {
+	for _, n := range []int{1, 2, 5, 2000, 2001, 100000} {
+		for _, k := range []int{0, 1, n / 2, n} {
+			for seed := int64(0); seed < 3; seed++ {
+				want, wantRng := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+				gotRng := rand.New(rand.NewSource(seed))
+				got := permPrefix(gotRng, n, k)
+				if w := want.Perm(n)[:k]; !slices.Equal(got, w) {
+					t.Fatalf("n=%d k=%d seed=%d: permPrefix differs from Perm's prefix", n, k, seed)
+				}
+				wantRng.Perm(n)
+				if g, w := gotRng.Int63(), wantRng.Int63(); g != w {
+					t.Fatalf("n=%d k=%d seed=%d: next draw %d after permPrefix, %d after Perm", n, k, seed, g, w)
+				}
+			}
+		}
+	}
+}
+
+// TestNewEstimatorAllocatesSample bounds what drawing and flattening a
+// 2,000-row sample of a 2M-row table allocates: a permutation of the whole
+// table alone was 16 MB.
+func TestNewEstimatorAllocatesSample(t *testing.T) {
+	const n = 2_000_000
+	cols := [][]int64{make([]int64, n), make([]int64, n)}
+	for i := range cols[0] {
+		cols[0][i], cols[1][i] = int64(i), int64(i*7919%n)
+	}
+	tbl := colstore.MustNewTable([]string{"a", "b"}, cols)
+	cols = nil
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	e := NewEstimator(tbl, 2000, 1)
+	runtime.ReadMemStats(&after)
+	if e.SampleSize() != 2000 {
+		t.Fatalf("sample size %d", e.SampleSize())
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("NewEstimator allocated %d bytes over %d rows, want at most 1 MiB", got, n)
 	}
 }
 

@@ -3,13 +3,22 @@
 // iterate over sort-dimension choices, and run a multi-start gradient
 // descent over (continuous) per-dimension column counts, minimizing the
 // calibrated cost model's predicted average query time. No step requires
-// building a layout or running a query.
+// building a layout or running a query, and none reads more of the table than
+// the sample.
+//
+// The descents — one per (sort dimension, restart) — share only read-only
+// inputs (the estimator, the model and the flattened queries), so they run as
+// one core.RunBatch over the worker pool, each on a worker's own
+// costmodel.Search. Their results are reduced in the order a single loop
+// would visit them, with the same strict comparison, so the layout and its
+// predicted cost do not depend on how many cores ran the search.
 package optimizer
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 
 	"flood/internal/colstore"
@@ -119,9 +128,9 @@ func FindOptimalLayout(tbl *colstore.Table, queries []query.Query, m *costmodel.
 		sortCandidates = sortCandidates[:cfg.MaxSortCandidates]
 	}
 
-	search := est.NewSearch(m, fqs)
-	best := Result{PredictedCost: math.Inf(1)}
-	// Lines 12-21: try each dimension as the sort dimension.
+	// Lines 12-21: try each dimension as the sort dimension, from every
+	// restart.
+	ds := make([]descent, 0, len(sortCandidates)*len(cfg.Restarts))
 	for _, sortDim := range sortCandidates {
 		gridDims := make([]int, 0, len(candidates))
 		for _, d := range candidates {
@@ -129,10 +138,37 @@ func FindOptimalLayout(tbl *colstore.Table, queries []query.Query, m *costmodel.
 				gridDims = append(gridDims, d)
 			}
 		}
-		cand, cost := descend(search, gridDims, sortDim, sels, cfg)
-		if cost < best.PredictedCost {
-			best.PredictedCost = cost
-			best.Layout = finalize(cand)
+		gridFiltered := make([]bool, len(gridDims))
+		anyFiltered := false
+		for i, d := range gridDims {
+			gridFiltered[i] = sels[d] < 1
+			anyFiltered = anyFiltered || gridFiltered[i]
+		}
+		for _, budget := range cfg.Restarts {
+			ds = append(ds, descent{cand: costmodel.Candidate{
+				GridDims: gridDims,
+				Cols:     initialCols(gridDims, gridFiltered, anyFiltered, budget),
+				SortDim:  sortDim,
+			}})
+		}
+	}
+	// One scratch per goroutine RunBatch can run at once, lent for a task.
+	ws := make(chan *descender, runtime.GOMAXPROCS(0))
+	for range cap(ws) {
+		ws <- &descender{s: est.NewSearch(m, fqs)}
+	}
+	core.RunBatch(len(ds), func(i int) {
+		w := <-ws
+		defer func() { ws <- w }()
+		w.descend(&ds[i], cfg)
+	})
+	// The cheapest descent wins; a tie goes to the first sort candidate and
+	// then the first restart, the order the descents were listed in.
+	best := Result{PredictedCost: math.Inf(1)}
+	for i := range ds {
+		if ds[i].cost < best.PredictedCost {
+			best.PredictedCost = ds[i].cost
+			best.Layout = finalize(ds[i].cand)
 		}
 	}
 	if math.IsInf(best.PredictedCost, 1) {
@@ -141,73 +177,73 @@ func FindOptimalLayout(tbl *colstore.Table, queries []query.Query, m *costmodel.
 	return best, nil
 }
 
-// descend runs the multi-start gradient descent over column counts for a
-// fixed dimension ordering and returns the cheapest candidate.
-func descend(s *costmodel.Search, gridDims []int, sortDim int, sels []float64, cfg Config) (costmodel.Candidate, float64) {
-	filtered := make([]bool, len(gridDims))
-	anyFiltered := false
-	for i, d := range gridDims {
-		filtered[i] = sels[d] < 1
-		anyFiltered = anyFiltered || filtered[i]
+// descent is one restart of the gradient descent over column counts for a
+// fixed dimension ordering: cand starts at the restart's initial columns and
+// ends at the cheapest point reached, whose predicted cost is cost.
+type descent struct {
+	cand costmodel.Candidate
+	cost float64
+}
+
+// descender is one worker's scratch: a Search over the shared estimator,
+// model and flattened queries, and the step's trial columns and gradient.
+type descender struct {
+	s          *costmodel.Search
+	next, grad []float64
+}
+
+// descend runs d's descent on w's scratch.
+func (w *descender) descend(d *descent, cfg Config) {
+	cand := d.cand
+	n := len(cand.Cols)
+	if cap(w.next) < n {
+		w.next, w.grad = make([]float64, n), make([]float64, n)
 	}
-	bestCost := math.Inf(1)
-	bestCand := costmodel.Candidate{GridDims: gridDims, SortDim: sortDim}
-	// The step's trial point and the gradient live in scratch shared by
-	// every restart; an accepted step swaps the trial's columns with the
-	// candidate's.
-	next := costmodel.Candidate{GridDims: gridDims, Cols: make([]float64, len(gridDims)), SortDim: sortDim}
-	grad := make([]float64, len(gridDims))
-	for _, budget := range cfg.Restarts {
-		cand := costmodel.Candidate{
-			GridDims: gridDims,
-			Cols:     initialCols(gridDims, filtered, anyFiltered, budget),
-			SortDim:  sortDim,
-		}
-		clampCells(&cand, cfg.MaxTotalCells)
-		cost := s.Cost(cand)
-		lr := 0.6
-		norm := 0.0
-		moved := true // cand changed since grad was computed
-		for step := 0; step < cfg.GDSteps; step++ {
-			if moved {
-				// A rejected step leaves cand, and so its
-				// gradient, as they were.
-				s.Gradient(cand, gradientStep, grad)
-				norm = 0.0
-				for _, g := range grad {
-					norm += g * g
-				}
-				norm = math.Sqrt(norm)
-				moved = false
+	next := costmodel.Candidate{GridDims: cand.GridDims, Cols: w.next[:n], SortDim: cand.SortDim}
+	grad := w.grad[:n]
+	clampCells(&cand, cfg.MaxTotalCells)
+	cost := w.s.Cost(cand)
+	lr := 0.6
+	norm := 0.0
+	moved := true // cand changed since grad was computed
+	for step := 0; step < cfg.GDSteps; step++ {
+		if moved {
+			// A rejected step leaves cand, and so its gradient, as
+			// they were.
+			w.s.Gradient(cand, gradientStep, grad)
+			norm = 0.0
+			for _, g := range grad {
+				norm += g * g
 			}
-			if norm < 1e-12 {
+			norm = math.Sqrt(norm)
+			moved = false
+		}
+		if norm < 1e-12 {
+			break
+		}
+		for i, c := range cand.Cols {
+			// Move in log-space so steps are relative.
+			next.Cols[i] = math.Exp(math.Log(c) - lr*grad[i]/norm)
+			if next.Cols[i] < 1 {
+				next.Cols[i] = 1
+			}
+		}
+		clampCells(&next, cfg.MaxTotalCells)
+		nextCost := w.s.Cost(next)
+		if nextCost < cost {
+			cand.Cols, next.Cols = next.Cols, cand.Cols
+			cost, moved = nextCost, true
+		} else {
+			lr *= 0.5
+			if lr < 0.02 {
 				break
 			}
-			for i, c := range cand.Cols {
-				// Move in log-space so steps are relative.
-				next.Cols[i] = math.Exp(math.Log(c) - lr*grad[i]/norm)
-				if next.Cols[i] < 1 {
-					next.Cols[i] = 1
-				}
-			}
-			clampCells(&next, cfg.MaxTotalCells)
-			nextCost := s.Cost(next)
-			if nextCost < cost {
-				cand.Cols, next.Cols = next.Cols, cand.Cols
-				cost, moved = nextCost, true
-			} else {
-				lr *= 0.5
-				if lr < 0.02 {
-					break
-				}
-			}
-		}
-		if cost < bestCost {
-			bestCost = cost
-			bestCand.Cols = append(bestCand.Cols[:0], cand.Cols...)
 		}
 	}
-	return bestCand, bestCost
+	// An accepted step swaps the trial's columns with the candidate's, so
+	// the cheapest point may be in w's buffer.
+	copy(d.cand.Cols, cand.Cols)
+	d.cost = cost
 }
 
 // gradientStep is the log-space step of the numeric gradient of the

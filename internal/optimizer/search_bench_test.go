@@ -52,22 +52,26 @@ func syntheticModel(tb testing.TB) *costmodel.Model {
 
 // BenchmarkFindOptimalLayout times one layout search over 100k TPC-H rows at
 // the effort benchmark/ uses (5 steps x 25 queries) and at the optimizer's own
-// defaults (20 x 50).
+// defaults (20 x 50), and over 2M rows — olap_flat's table — at benchmark/'s
+// effort, where drawing the sample is a visible share of the search.
 func BenchmarkFindOptimalLayout(b *testing.B) {
-	ds := dataset.TPCH(100000, 81)
-	queries := workload.Standard(ds, 100, 82)
 	m := syntheticModel(b)
-	for _, effort := range []struct {
+	for _, bc := range []struct {
 		name string
+		rows int
 		cfg  Config
 	}{
-		{"steps5x25", Config{Seed: 83, GDSteps: 5, QuerySampleSize: 25}},
-		{"default20x50", Config{Seed: 83}},
+		{"steps5x25", 100_000, Config{Seed: 83, GDSteps: 5, QuerySampleSize: 25}},
+		{"default20x50", 100_000, Config{Seed: 83}},
+		{"rows2M/steps5x25", 2_000_000, Config{Seed: 83, GDSteps: 5, QuerySampleSize: 25}},
 	} {
-		b.Run(effort.name, func(b *testing.B) {
+		b.Run(bc.name, func(b *testing.B) {
+			ds := dataset.TPCH(bc.rows, 81)
+			queries := workload.Standard(ds, 100, 82)
 			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := FindOptimalLayout(ds.Table, queries, m, effort.cfg); err != nil {
+				if _, err := FindOptimalLayout(ds.Table, queries, m, bc.cfg); err != nil {
 					b.Fatal(err)
 				}
 			}

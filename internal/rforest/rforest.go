@@ -10,7 +10,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -45,21 +45,21 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// node is one tree node in 16 bytes. Trees are stored in pre-order, so an
+// inner node's left child is the node after it; right is the index of its
+// right child in the forest's node slice. v is an inner node's threshold and
+// a leaf's prediction.
 type node struct {
 	feature int32 // -1 for leaf
-	left    int32
 	right   int32
-	thresh  float64
-	value   float64 // leaf prediction
+	v       float64
 }
 
-type tree struct {
-	nodes []node
-}
-
-// Forest is a trained random forest regressor.
+// Forest is a trained random forest regressor: every tree's nodes in one
+// slice, tree after tree.
 type Forest struct {
-	trees     []tree
+	nodes     []node
+	roots     []int32 // roots[t] is tree t's first node
 	nFeatures int
 }
 
@@ -77,7 +77,7 @@ func Train(x [][]float64, y []float64, cfg Config) (*Forest, error) {
 	}
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	f := &Forest{trees: make([]tree, cfg.NumTrees), nFeatures: nf}
+	trees := make([][]node, cfg.NumTrees)
 	nSplitFeats := int(math.Ceil(cfg.FeatureFrac * float64(nf)))
 	if nSplitFeats < 1 {
 		nSplitFeats = 1
@@ -112,11 +112,28 @@ func Train(x [][]float64, y []float64, cfg Config) (*Forest, error) {
 					splitFeats: nSplitFeats,
 				}
 				b.build(draws[t].idx, 0)
-				f.trees[t] = tree{nodes: b.nodes}
+				trees[t] = b.nodes
 			}
 		}()
 	}
 	wg.Wait()
+	// Lay the trees end to end; a builder numbers right children from its
+	// own root.
+	total := 0
+	for _, t := range trees {
+		total += len(t)
+	}
+	f := &Forest{nodes: make([]node, 0, total), roots: make([]int32, len(trees)), nFeatures: nf}
+	for t, nodes := range trees {
+		root := int32(len(f.nodes))
+		f.roots[t] = root
+		for _, n := range nodes {
+			if n.feature >= 0 {
+				n.right += root
+			}
+			f.nodes = append(f.nodes, n)
+		}
+	}
 	return f, nil
 }
 
@@ -124,28 +141,36 @@ func Train(x [][]float64, y []float64, cfg Config) (*Forest, error) {
 // vector.
 func (f *Forest) Predict(x []float64) float64 {
 	var s float64
-	for i := range f.trees {
-		s += f.trees[i].predict(x)
+	for _, root := range f.roots {
+		s += f.predictTree(root, x)
 	}
-	return s / float64(len(f.trees))
+	return s / float64(len(f.roots))
 }
 
 // NumFeatures returns the feature width the forest was trained with.
 func (f *Forest) NumFeatures() int { return f.nFeatures }
 
-func (t *tree) predict(x []float64) float64 {
-	i := int32(0)
+// predictTree walks the tree rooted at node i to its leaf: a value at or
+// below the threshold goes to the left child, the node after its parent;
+// anything else, NaN included, goes right.
+func (f *Forest) predictTree(i int32, x []float64) float64 {
 	for {
-		n := t.nodes[i]
+		n := &f.nodes[i]
 		if n.feature < 0 {
-			return n.value
+			return n.v
 		}
-		if x[n.feature] <= n.thresh {
-			i = n.left
+		if x[n.feature] <= n.v {
+			i++
 		} else {
 			i = n.right
 		}
 	}
+}
+
+// keyed is one sample's value of the feature a split is being sought on.
+type keyed struct {
+	v float64
+	i int // sample row
 }
 
 type treeBuilder struct {
@@ -154,7 +179,8 @@ type treeBuilder struct {
 	cfg        Config
 	rng        *rand.Rand
 	splitFeats int
-	nodes      []node
+	nodes      []node  // this tree in pre-order, right children numbered from its root
+	keys       []keyed // bestSplit's scratch
 }
 
 // build grows the subtree over samples idx and returns its node index.
@@ -163,12 +189,12 @@ func (b *treeBuilder) build(idx []int, depth int) int32 {
 	b.nodes = append(b.nodes, node{feature: -1})
 	mean := b.mean(idx)
 	if depth >= b.cfg.MaxDepth || len(idx) < 2*b.cfg.MinLeaf || b.constant(idx) {
-		b.nodes[self].value = mean
+		b.nodes[self].v = mean
 		return self
 	}
 	feat, thresh, ok := b.bestSplit(idx)
 	if !ok {
-		b.nodes[self].value = mean
+		b.nodes[self].v = mean
 		return self
 	}
 	var left, right []int
@@ -180,12 +206,12 @@ func (b *treeBuilder) build(idx []int, depth int) int32 {
 		}
 	}
 	if len(left) < b.cfg.MinLeaf || len(right) < b.cfg.MinLeaf {
-		b.nodes[self].value = mean
+		b.nodes[self].v = mean
 		return self
 	}
-	li := b.build(left, depth+1)
+	b.build(left, depth+1) // self+1: pre-order
 	ri := b.build(right, depth+1)
-	b.nodes[self] = node{feature: int32(feat), left: li, right: ri, thresh: thresh}
+	b.nodes[self] = node{feature: int32(feat), right: ri, v: thresh}
 	return self
 }
 
@@ -220,17 +246,30 @@ func (b *treeBuilder) bestSplit(idx []int) (feat int, thresh float64, ok bool) {
 	}
 	n := float64(len(idx))
 	parentSSE := pSumSq - pSum*pSum/n
-	order := make([]int, len(idx))
+	if cap(b.keys) < len(idx) {
+		b.keys = make([]keyed, len(idx)) // the root's samples: the most any node has
+	}
+	keys := b.keys[:len(idx)]
 	for _, f := range feats {
-		copy(order, idx)
-		sort.Slice(order, func(a, c int) bool { return b.x[order[a]][f] < b.x[order[c]][f] })
+		for k, i := range idx {
+			keys[k] = keyed{b.x[i][f], i}
+		}
+		// The comparison sort.Slice made on the rows, so the same pdqsort
+		// orders ties, and sums below, exactly as it did: only "less"
+		// (a negative result) is ever tested.
+		slices.SortFunc(keys, func(a, c keyed) int {
+			if a.v < c.v {
+				return -1
+			}
+			return 0
+		})
 		var lSum, lSumSq float64
-		for k := 0; k < len(order)-1; k++ {
-			i := order[k]
+		for k := 0; k < len(keys)-1; k++ {
+			i := keys[k].i
 			lSum += b.y[i]
 			lSumSq += b.y[i] * b.y[i]
 			// Can't split between equal feature values.
-			if b.x[order[k]][f] == b.x[order[k+1]][f] {
+			if keys[k].v == keys[k+1].v {
 				continue
 			}
 			ln := float64(k + 1)
@@ -242,7 +281,7 @@ func (b *treeBuilder) bestSplit(idx []int) (feat int, thresh float64, ok bool) {
 			if gain > bestGain {
 				bestGain = gain
 				feat = f
-				thresh = (b.x[order[k]][f] + b.x[order[k+1]][f]) / 2
+				thresh = (keys[k].v + keys[k+1].v) / 2
 				ok = true
 			}
 		}

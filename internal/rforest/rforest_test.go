@@ -184,7 +184,11 @@ func goldenInput(n, nf int, seed int64) ([][]float64, []float64) {
 }
 
 // forestDigest hashes every node of every tree, in order: feature, threshold
-// bits, value bits, children.
+// bits, value bits, children. It hashes the fields of the pointer-free tree
+// the digests were recorded from — per tree its node count, and per node a
+// leaf's value with zero threshold and children, or an inner node's
+// threshold with zero value and its children numbered from the tree's root —
+// so the compact layout reproduces them.
 func forestDigest(f *Forest) string {
 	h := sha256.New()
 	var b [8]byte
@@ -193,14 +197,26 @@ func forestDigest(f *Forest) string {
 		h.Write(b[:])
 	}
 	put(uint64(f.nFeatures))
-	for _, t := range f.trees {
-		put(uint64(len(t.nodes)))
-		for _, n := range t.nodes {
+	for t, root := range f.roots {
+		end := int32(len(f.nodes))
+		if t+1 < len(f.roots) {
+			end = f.roots[t+1]
+		}
+		put(uint64(end - root))
+		for i := root; i < end; i++ {
+			n := f.nodes[i]
+			var thresh, value float64
+			var left, right int32
+			if n.feature < 0 {
+				value = n.v
+			} else {
+				thresh, left, right = n.v, i+1-root, n.right-root
+			}
 			put(uint64(int64(n.feature)))
-			put(math.Float64bits(n.thresh))
-			put(math.Float64bits(n.value))
-			put(uint64(int64(n.left)))
-			put(uint64(int64(n.right)))
+			put(math.Float64bits(thresh))
+			put(math.Float64bits(value))
+			put(uint64(int64(left)))
+			put(uint64(int64(right)))
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil))
@@ -248,3 +264,93 @@ func BenchmarkForestTrain(b *testing.B) {
 		}
 	}
 }
+
+// refNode is a tree node as a pointer structure: the reference Predict is
+// checked against.
+type refNode struct {
+	feature     int32
+	thresh, val float64
+	left, right *refNode
+}
+
+// refTrees rebuilds each tree of f as pointer nodes, reading the compact
+// layout's rule once: a left child is the next node.
+func refTrees(f *Forest) []*refNode {
+	var at func(i int32) *refNode
+	at = func(i int32) *refNode {
+		n := f.nodes[i]
+		if n.feature < 0 {
+			return &refNode{feature: -1, val: n.v}
+		}
+		return &refNode{feature: n.feature, thresh: n.v, left: at(i + 1), right: at(n.right)}
+	}
+	out := make([]*refNode, len(f.roots))
+	for t, root := range f.roots {
+		out[t] = at(root)
+	}
+	return out
+}
+
+// refPredict walks every pointer tree with a branch and averages in tree order.
+func refPredict(trees []*refNode, x []float64) float64 {
+	var s float64
+	for _, n := range trees {
+		for n.feature >= 0 {
+			if x[n.feature] <= n.thresh {
+				n = n.left
+			} else {
+				n = n.right
+			}
+		}
+		s += n.val
+	}
+	return s / float64(len(trees))
+}
+
+// TestPredictMatchesPointerWalk holds the branch-free walk over the compact
+// nodes to a pointer walk, bit for bit, on trained forests — at training
+// points, at thresholds exactly, off the training range and at NaN — and
+// requires that it allocate nothing.
+func TestPredictMatchesPointerWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, tc := range []struct {
+		n, nf int
+		cfg   Config
+	}{
+		{1000, 8, func() Config { c := DefaultConfig(); c.Seed = 42; return c }()},
+		{300, 5, Config{NumTrees: 7, MaxDepth: 6, MinLeaf: 3, FeatureFrac: 0.7, Seed: 9}},
+		{50, 3, Config{NumTrees: 3, MaxDepth: 20, MinLeaf: 1, Seed: 10}},
+	} {
+		x, y := goldenInput(tc.n, tc.nf, int64(tc.n))
+		f, err := Train(x, y, tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := refTrees(f)
+		probes := append([][]float64(nil), x...)
+		for i := 0; i < 500; i++ {
+			p := make([]float64, tc.nf)
+			for j := range p {
+				switch rng.Intn(4) {
+				case 0: // a threshold exactly, where <= decides
+					p[j] = f.nodes[rng.Intn(len(f.nodes))].v
+				case 1:
+					p[j] = math.NaN()
+				default:
+					p[j] = rng.NormFloat64() * 20
+				}
+			}
+			probes = append(probes, p)
+		}
+		for _, p := range probes {
+			if got, want := f.Predict(p), refPredict(ref, p); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("Predict(%v) = %v, pointer walk %v", p, got, want)
+			}
+		}
+		if allocs := testing.AllocsPerRun(100, func() { predictSink = f.Predict(probes[0]) }); allocs != 0 {
+			t.Fatalf("Predict allocated %.1f times, want 0", allocs)
+		}
+	}
+}
+
+var predictSink float64
