@@ -91,6 +91,8 @@ loc:
 # the build olap_flat's set-up waits for, one flattening CDF over a narrow and
 # over a full-range column, one live calibration as learn_build runs it, one
 # of its three forests, and one merge of buffered rows into an index.
+# TableBuilderBuild is ingest: fitting and encoding the 500k-row typed sales
+# table the SQL workloads start from.
 bench:
 	$(GO) test ./internal/core -run '^$$' \
 		-bench 'Residual|WideRect|SteadyState|Build1M|Build200k|Build2M|RebuildMerge500k|Ablation|Parallel|Batch|DeleteHeavy' \
@@ -100,7 +102,7 @@ bench:
 		-benchmem -benchtime=1s | tee -a /tmp/bench_scan.txt
 	$(GO) test ./internal/colstore -run '^$$' -bench '^BenchmarkDecodeBlock$$|^BenchmarkCompareBlock$$|^BenchmarkAggregateBlock$$|^BenchmarkBitmapAndBlock$$' \
 		-benchmem -benchtime=1s | tee -a /tmp/bench_scan.txt
-	$(GO) test . -run '^$$' -bench '^BenchmarkSelect|^BenchmarkExecute|^BenchmarkSaveLoad|^BenchmarkDict|^BenchmarkSharded' \
+	$(GO) test . -run '^$$' -bench '^BenchmarkSelect|^BenchmarkExecute|^BenchmarkSaveLoad|^BenchmarkDict|^BenchmarkSharded|^BenchmarkTableBuilderBuild$$' \
 		-benchmem -benchtime=1s | tee -a /tmp/bench_scan.txt
 	$(GO) test ./floodsql -run '^$$' -bench '^BenchmarkLookupPoint$$|^BenchmarkParseLookup$$' \
 		-benchmem -benchtime=1s | tee -a /tmp/bench_scan.txt
@@ -132,6 +134,8 @@ fuzz-smoke:
 	$(GO) test ./internal/colstore -run '^$$' -fuzz '^FuzzAggregateBlock$$' \
 		-fuzztime 30s -fuzzminimizetime 10x
 	$(GO) test ./internal/colstore -run '^$$' -fuzz '^FuzzRadixSort$$' \
+		-fuzztime 30s -fuzzminimizetime 10x
+	$(GO) test ./internal/encode -run '^$$' -fuzz '^FuzzFitDictionary$$' \
 		-fuzztime 30s -fuzzminimizetime 10x
 	$(GO) test ./internal/shard -run '^$$' -fuzz '^FuzzManifestDecode$$' \
 		-fuzztime 30s -fuzzminimizetime 10x

@@ -364,21 +364,13 @@ func encodeColumn(vals []string) ([]int64, string, error) {
 		floats[i] = v
 	}
 	if ok {
-		scaler, err := encode.InferDecimalScaler(floats, 6)
-		if err != nil {
-			return nil, "", err
-		}
-		col, err := scaler.Encode(floats)
+		scaler, col, err := encode.FitDecimalScaler(floats, 6)
 		if err != nil {
 			return nil, "", err
 		}
 		return col, fmt.Sprintf("decimal(%d)", scaler.Digits()), nil
 	}
 	// Fall back to a dictionary.
-	dict := encode.BuildDictionary(vals)
-	col, err := dict.Encode(vals)
-	if err != nil {
-		return nil, "", err
-	}
+	dict, col := encode.FitDictionary(vals)
 	return col, fmt.Sprintf("dict(%d)", dict.Len()), nil
 }

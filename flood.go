@@ -81,9 +81,46 @@ import (
 // dictionary and scale decimals to integers before loading.
 type Table = colstore.Table
 
-// NewTable builds a table from column-major int64 data.
+// NewTable builds a table from column-major int64 data, compressing the
+// columns in parallel on the worker pool. Every column must have the same
+// length; the columns are not retained.
 func NewTable(names []string, cols [][]int64) (*Table, error) {
-	return colstore.NewTable(names, cols)
+	if len(names) != len(cols) {
+		return nil, fmt.Errorf("flood: %d names for %d columns", len(names), len(cols))
+	}
+	if len(cols) == 0 {
+		return nil, fmt.Errorf("flood: table must have at least one column")
+	}
+	n := len(cols[0])
+	return newTable(names, n, func(c int) ([]int64, error) {
+		if len(cols[c]) != n {
+			return nil, fmt.Errorf("flood: column %q has %d rows, want %d", names[c], len(cols[c]), n)
+		}
+		return cols[c], nil
+	})
+}
+
+// newTable assembles a table of n rows as one pool task per column: column
+// c's task calls col(c) and compresses what it returns, which is not
+// retained. It is the one way the facade makes a table (NewTable,
+// TableBuilder.Build). The error is the lowest-numbered failing column's.
+func newTable(names []string, n int, col func(c int) ([]int64, error)) (*Table, error) {
+	w := colstore.NewTableWriter(names, n, 0)
+	errs := make([]error, len(names))
+	core.RunBatch(len(names), func(c int) {
+		raw, err := col(c)
+		if err != nil {
+			errs[c] = err
+			return
+		}
+		w.SetColumn(c, raw, false)
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return w.Table(), nil
 }
 
 // Query is a conjunction of per-dimension ranges (a hyper-rectangle).

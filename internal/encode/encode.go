@@ -7,7 +7,9 @@ package encode
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 )
 
@@ -18,22 +20,40 @@ type Dictionary struct {
 	codes  map[string]int64 // string -> code
 }
 
-// BuildDictionary constructs a dictionary over the distinct values of col.
-func BuildDictionary(col []string) *Dictionary {
-	seen := make(map[string]bool, len(col))
-	for _, s := range col {
-		seen[s] = true
+// FitDictionary constructs a dictionary over the distinct values of col and
+// returns col's codes with it, in one pass over the column: each row costs one
+// lookup in a map that grows with the distinct count, not the row count.
+// Rows first take the first-seen id of their value; once the distinct values
+// are sorted, each id is replaced by its value's rank.
+func FitDictionary(col []string) (*Dictionary, []int64) {
+	ids := make(map[string]int64)
+	var seen []string // first-seen id -> value
+	codes := make([]int64, len(col))
+	for i, s := range col {
+		id, ok := ids[s]
+		if !ok {
+			id = int64(len(seen))
+			ids[s] = id
+			seen = append(seen, s)
+		}
+		codes[i] = id
 	}
-	values := make([]string, 0, len(seen))
-	for s := range seen {
-		values = append(values, s)
+	order := make([]int64, len(seen)) // rank -> first-seen id
+	for i := range order {
+		order[i] = int64(i)
 	}
-	sort.Strings(values)
-	d := &Dictionary{values: values, codes: make(map[string]int64, len(values))}
-	for i, s := range values {
-		d.codes[s] = int64(i)
+	slices.SortFunc(order, func(a, b int64) int { return strings.Compare(seen[a], seen[b]) })
+	values := make([]string, len(seen))
+	rank := make([]int64, len(seen)) // first-seen id -> rank
+	for r, id := range order {
+		values[r] = seen[id]
+		rank[id] = int64(r)
+		ids[seen[id]] = int64(r)
 	}
-	return d
+	for i, id := range codes {
+		codes[i] = rank[id]
+	}
+	return &Dictionary{values: values, codes: ids}, codes
 }
 
 // DictionaryFromValues reconstructs a dictionary from its sorted distinct
@@ -62,19 +82,6 @@ func (d *Dictionary) Code(s string) (int64, bool) {
 
 // Value returns the string for a code; it panics on out-of-range codes.
 func (d *Dictionary) Value(code int64) string { return d.values[code] }
-
-// Encode maps a string column to codes. Unknown strings produce an error.
-func (d *Dictionary) Encode(col []string) ([]int64, error) {
-	out := make([]int64, len(col))
-	for i, s := range col {
-		c, ok := d.codes[s]
-		if !ok {
-			return nil, fmt.Errorf("encode: value %q not in dictionary", s)
-		}
-		out[i] = c
-	}
-	return out, nil
-}
 
 // RangeFor translates an inclusive string range into an inclusive code
 // range; ok is false when no dictionary value falls inside the range.
@@ -139,16 +146,20 @@ func NewDecimalScaler(digits int) (*DecimalScaler, error) {
 	return &DecimalScaler{digits: digits, factor: math.Pow(10, float64(digits))}, nil
 }
 
-// InferDecimalScaler finds the smallest digit count (up to maxDigits) that
-// represents every value exactly, e.g. prices with 2 decimal places.
-func InferDecimalScaler(col []float64, maxDigits int) (*DecimalScaler, error) {
+// FitDecimalScaler finds the smallest digit count (up to maxDigits, at most
+// 9) that represents every value exactly, e.g. prices with 2 decimal places,
+// and returns col's codes at that count from the pass that proved it exact.
+// A value that is exact but outside int64 at the chosen count (±Inf, 2^63)
+// fails as Encode fails on it.
+func FitDecimalScaler(col []float64, maxDigits int) (*DecimalScaler, []int64, error) {
 	if maxDigits > 9 {
 		maxDigits = 9
 	}
+	codes := make([]int64, len(col))
 	for digits := 0; digits <= maxDigits; digits++ {
 		factor := math.Pow(10, float64(digits))
-		exact := true
-		for _, v := range col {
+		exact, bad := true, -1
+		for i, v := range col {
 			// Binary floats cannot represent most decimals exactly
 			// (123.45*100 = 12344.999...), so the representability test is
 			// a round trip: the nearest integer code must decode back to
@@ -159,12 +170,25 @@ func InferDecimalScaler(col []float64, maxDigits int) (*DecimalScaler, error) {
 				exact = false
 				break
 			}
+			// NaN never gets here (it fails the round trip); >= as in Encode.
+			if r >= math.MaxInt64 || r < math.MinInt64 {
+				if bad < 0 {
+					bad = i
+				}
+				continue
+			}
+			codes[i] = int64(r)
 		}
-		if exact {
-			return NewDecimalScaler(digits)
+		if !exact {
+			continue
 		}
+		if bad >= 0 {
+			return nil, nil, fmt.Errorf("encode: value %g not representable at %d digits", col[bad], digits)
+		}
+		s, err := NewDecimalScaler(digits)
+		return s, codes, err
 	}
-	return nil, fmt.Errorf("encode: values need more than %d decimal digits", maxDigits)
+	return nil, nil, fmt.Errorf("encode: values need more than %d decimal digits", maxDigits)
 }
 
 // Digits returns the number of preserved decimal digits.
@@ -278,26 +302,43 @@ func (c TimeCodec) unit() int64 {
 
 const nsPerSec = int64(time.Second)
 
+// ticker is a unit's tick math with its case settled: perSec > 0 for a
+// sub-second unit dividing the second (perSec ticks a second), secs > 0 for a
+// whole-second multiple, neither for nanosecond math.
+type ticker struct{ u, perSec, secs int64 }
+
+func (c TimeCodec) ticker() ticker {
+	u := c.unit()
+	switch {
+	case nsPerSec%u == 0:
+		return ticker{u: u, perSec: nsPerSec / u}
+	case u%nsPerSec == 0:
+		return ticker{u: u, secs: u / nsPerSec}
+	default:
+		return ticker{u: u}
+	}
+}
+
 // split returns t's tick (floored toward negative infinity) and whether t
 // lies strictly inside the tick (a nonzero remainder), computed without
 // overflowing for out-of-nano-window times when the unit permits.
 func (c TimeCodec) split(t time.Time) (tick int64, inexact bool) {
-	u := c.unit()
-	sec, nsec := t.Unix(), int64(t.Nanosecond()) // nsec in [0, 1e9)
+	return c.ticker().split(t)
+}
+
+func (k ticker) split(t time.Time) (tick int64, inexact bool) {
 	switch {
-	case nsPerSec%u == 0:
-		// Sub-second unit dividing the second: k ticks per second.
-		k := nsPerSec / u
-		return sec*k + nsec/u, nsec%u != 0
-	case u%nsPerSec == 0:
-		// Whole-second multiple.
-		us := u / nsPerSec
-		q := floorDiv(sec, us)
-		return q, (sec-q*us) != 0 || nsec != 0
+	case k.perSec > 0:
+		nsec := int64(t.Nanosecond()) // in [0, 1e9)
+		return t.Unix()*k.perSec + nsec/k.u, nsec%k.u != 0
+	case k.secs > 0:
+		sec := t.Unix()
+		q := floorDiv(sec, k.secs)
+		return q, (sec-q*k.secs) != 0 || t.Nanosecond() != 0
 	default:
 		n := t.UnixNano()
-		q := floorDiv(n, u)
-		return q, n != q*u
+		q := floorDiv(n, k.u)
+		return q, n != q*k.u
 	}
 }
 
@@ -333,11 +374,13 @@ func floorDiv(n, d int64) int64 {
 	return q
 }
 
-// Encode converts a timestamp column to ticks.
+// Encode converts a timestamp column to ticks, settling the unit's case once
+// for the column rather than once a row.
 func (c TimeCodec) Encode(col []time.Time) []int64 {
+	k := c.ticker()
 	out := make([]int64, len(col))
 	for i, t := range col {
-		out[i] = c.EncodeValue(t)
+		out[i], _ = k.split(t)
 	}
 	return out
 }

@@ -3,6 +3,7 @@ package encode
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -11,21 +12,20 @@ import (
 
 func TestDictionaryRoundtrip(t *testing.T) {
 	col := []string{"cherry", "apple", "banana", "apple", "date", "banana"}
-	d := BuildDictionary(col)
+	d, codes := FitDictionary(col)
 	if d.Len() != 4 {
 		t.Fatalf("Len = %d, want 4", d.Len())
-	}
-	codes, err := d.Encode(col)
-	if err != nil {
-		t.Fatal(err)
 	}
 	for i, c := range codes {
 		if d.Value(c) != col[i] {
 			t.Fatalf("roundtrip failed at %d: %q", i, d.Value(c))
 		}
+		if k, ok := d.Code(col[i]); !ok || k != c {
+			t.Fatalf("Code(%q) = (%d, %v), want (%d, true)", col[i], k, ok, c)
+		}
 	}
-	if _, err := d.Encode([]string{"elderberry"}); err == nil {
-		t.Fatal("unknown value should fail")
+	if _, ok := d.Code("elderberry"); ok {
+		t.Fatal("unknown value should have no code")
 	}
 }
 
@@ -34,7 +34,7 @@ func TestDictionaryOrderPreserving(t *testing.T) {
 		if len(raw) < 2 {
 			return true
 		}
-		d := BuildDictionary(raw)
+		d, _ := FitDictionary(raw)
 		for i := 0; i < len(raw)-1; i++ {
 			a, _ := d.Code(raw[i])
 			b, _ := d.Code(raw[i+1])
@@ -50,7 +50,7 @@ func TestDictionaryOrderPreserving(t *testing.T) {
 }
 
 func TestDictionaryRangeFor(t *testing.T) {
-	d := BuildDictionary([]string{"ant", "bee", "cat", "dog", "eel"})
+	d, _ := FitDictionary([]string{"ant", "bee", "cat", "dog", "eel"})
 	lo, hi, ok := d.RangeFor("bee", "dog")
 	if !ok || d.Value(lo) != "bee" || d.Value(hi) != "dog" {
 		t.Fatalf("RangeFor(bee, dog) = (%d, %d, %v)", lo, hi, ok)
@@ -69,7 +69,7 @@ func TestDictionaryRangeFor(t *testing.T) {
 }
 
 func TestDictionaryPrefixRange(t *testing.T) {
-	d := BuildDictionary([]string{"car", "card", "care", "cart", "cat", "dog"})
+	d, _ := FitDictionary([]string{"car", "card", "care", "cart", "cat", "dog"})
 	lo, hi, ok := d.PrefixRange("car")
 	if !ok {
 		t.Fatal("prefix car should match")
@@ -112,19 +112,22 @@ func TestDecimalScaler(t *testing.T) {
 	}
 }
 
-func TestInferDecimalScaler(t *testing.T) {
-	s, err := InferDecimalScaler([]float64{1.25, 3.5, 7}, 6)
+func TestFitDecimalScaler(t *testing.T) {
+	s, codes, err := FitDecimalScaler([]float64{1.25, 3.5, 7}, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.Digits() != 2 {
 		t.Fatalf("inferred %d digits, want 2", s.Digits())
 	}
-	s, err = InferDecimalScaler([]float64{1, 2, 3}, 6)
+	if !slices.Equal(codes, []int64{125, 350, 700}) {
+		t.Fatalf("codes = %v, want [125 350 700]", codes)
+	}
+	s, _, err = FitDecimalScaler([]float64{1, 2, 3}, 6)
 	if err != nil || s.Digits() != 0 {
 		t.Fatal("integral floats should infer 0 digits")
 	}
-	if _, err := InferDecimalScaler([]float64{1.0 / 3.0}, 6); err == nil {
+	if _, _, err := FitDecimalScaler([]float64{1.0 / 3.0}, 6); err == nil {
 		t.Fatal("non-terminating decimal should fail")
 	}
 }
@@ -139,11 +142,7 @@ func TestDictionaryLargeRandom(t *testing.T) {
 		}
 		raw[i] = string(b)
 	}
-	d := BuildDictionary(raw)
-	codes, err := d.Encode(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, codes := FitDictionary(raw)
 	// Sorting by code must equal sorting by string.
 	idx := make([]int, len(raw))
 	for i := range idx {
@@ -158,7 +157,7 @@ func TestDictionaryLargeRandom(t *testing.T) {
 }
 
 func TestDictionaryBounds(t *testing.T) {
-	d := BuildDictionary([]string{"ant", "bee", "cat", "dog"})
+	d, _ := FitDictionary([]string{"ant", "bee", "cat", "dog"})
 	cases := []struct {
 		s            string
 		lower, upper int64
@@ -293,14 +292,14 @@ func TestDecimalScalerSnapIsExact(t *testing.T) {
 	}
 }
 
-func TestInferDecimalScalerRejectsLossy(t *testing.T) {
-	if _, err := InferDecimalScaler([]float64{1e-10}, 9); err == nil {
+func TestFitDecimalScalerRejectsLossy(t *testing.T) {
+	if _, _, err := FitDecimalScaler([]float64{1e-10}, 9); err == nil {
 		t.Fatal("sub-precision value should fail inference, not round to 0")
 	}
-	if _, err := InferDecimalScaler([]float64{0.1234567891}, 9); err == nil {
+	if _, _, err := FitDecimalScaler([]float64{0.1234567891}, 9); err == nil {
 		t.Fatal("10-digit value should fail 9-digit inference, not round")
 	}
-	s, err := InferDecimalScaler([]float64{0.123456789}, 9)
+	s, _, err := FitDecimalScaler([]float64{0.123456789}, 9)
 	if err != nil || s.Digits() != 9 {
 		t.Fatalf("9-digit value inferred (%v, %v)", s, err)
 	}

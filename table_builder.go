@@ -2,6 +2,7 @@ package flood
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"flood/internal/encode"
@@ -18,10 +19,12 @@ import (
 // scalers pick the smallest exact precision. The fitted schema is what
 // decodes Select results and resolves typed predicates afterwards.
 //
-// A TableBuilder is single-goroutine; it may be reused for another load
-// after Build, but doing so refits the shared Schema to the new data —
-// only safe once nothing built from the previous table still decodes
-// through that schema (see the Schema doc).
+// A TableBuilder is single-goroutine: load it from one goroutine. Build
+// spreads the columns over the worker pool itself and returns once every
+// column is done. A builder may be reused for another load after Build, but
+// doing so refits the shared Schema to the new data — only safe once nothing
+// built from the previous table still decodes through that schema (see the
+// Schema doc).
 type TableBuilder struct {
 	s       *Schema
 	ints    [][]int64
@@ -183,48 +186,45 @@ func (b *TableBuilder) colLen(i int) int {
 // Build fits the schema's encoders to the loaded data, encodes every column
 // to int64, and constructs the Table. The builder's logical columns are
 // released; the returned table is ready for flood.Build (or any baseline),
-// and the schema now decodes that table's values.
+// and the schema now decodes that table's values. Each column is fitted,
+// encoded and compressed in one pass by its own task on the worker pool. On
+// error the schema keeps its previous fit, and the error is the
+// lowest-numbered failing column's.
 func (b *TableBuilder) Build() (*Table, error) {
 	n := b.NumRows()
-	cols := make([][]int64, len(b.s.fields))
-	for i := range b.s.fields {
-		if l := b.colLen(i); l != n {
-			return nil, fmt.Errorf("flood: column %q has %d rows, want %d", b.s.fields[i].name, l, n)
+	fits := slices.Clone(b.s.fields)
+	tbl, err := newTable(b.s.Names(), n, func(c int) ([]int64, error) {
+		f := &fits[c]
+		if l := b.colLen(c); l != n {
+			return nil, fmt.Errorf("flood: column %q has %d rows, want %d", f.name, l, n)
 		}
-		f := &b.s.fields[i]
+		var (
+			col []int64
+			err error
+		)
 		switch f.kind {
 		case KindInt64:
-			cols[i] = b.ints[i]
+			col = b.ints[c]
 		case KindFloat64:
-			sc := f.scaler
 			if f.digits < 0 {
-				var err error
-				sc, err = encode.InferDecimalScaler(b.floats[i], 9)
-				if err != nil {
-					return nil, fmt.Errorf("flood: column %q: %w", f.name, err)
-				}
-				f.scaler = sc
+				f.scaler, col, err = encode.FitDecimalScaler(b.floats[c], 9)
+			} else {
+				col, err = f.scaler.Encode(b.floats[c])
 			}
-			enc, err := sc.Encode(b.floats[i])
-			if err != nil {
-				return nil, fmt.Errorf("flood: column %q: %w", f.name, err)
-			}
-			cols[i] = enc
 		case KindString:
-			f.dict = encode.BuildDictionary(b.strings[i])
-			enc, err := f.dict.Encode(b.strings[i])
-			if err != nil {
-				return nil, fmt.Errorf("flood: column %q: %w", f.name, err)
-			}
-			cols[i] = enc
+			f.dict, col = encode.FitDictionary(b.strings[c])
 		case KindTime:
-			cols[i] = f.tcodec.Encode(b.times[i])
+			col = f.tcodec.Encode(b.times[c])
 		}
-	}
-	tbl, err := NewTable(b.s.Names(), cols)
+		if err != nil {
+			return nil, fmt.Errorf("flood: column %q: %w", f.name, err)
+		}
+		return col, nil
+	})
 	if err != nil {
 		return nil, err
 	}
+	copy(b.s.fields, fits)
 	// Release the logical columns so the builder can be reused without
 	// pinning the previous load.
 	for i := range b.s.fields {
