@@ -55,7 +55,8 @@ docs: vet
 # sit between, then internal/colstore's hand-written files (kernels_gen.go is
 # `make generate` output), then internal/baseline with every package under
 # it, then the commands plus the model-test harness — the consumers that
-# adapt a store, so an adapter written per kind of store shows up here. CI
+# adapt a store, so an adapter written per kind of store shows up here — and
+# last the three packages ROADMAP tracks as candidates for deletion. CI
 # prints it on every run, so each PR shows its delta.
 LOC = ls $(1)/*.go | grep -vE '_test.go|kernels_gen.go' | xargs cat | grep -cvE '^[[:space:]]*(//|$$)'
 loc:
@@ -65,7 +66,8 @@ loc:
 	echo "floodsql: $$($(call LOC,floodsql))"; \
 	echo "internal/colstore (without kernels_gen.go): $$($(call LOC,internal/colstore))"; \
 	echo "internal/baseline/...: $$(find internal/baseline -name '*.go' ! -name '*_test.go' | xargs cat | grep -cvE '^[[:space:]]*(//|$$)')"; \
-	echo "cmd/... + internal/modeltest: $$(find cmd internal/modeltest -name '*.go' ! -name '*_test.go' | xargs cat | grep -cvE '^[[:space:]]*(//|$$)')"
+	echo "cmd/... + internal/modeltest: $$(find cmd internal/modeltest -name '*.go' ! -name '*_test.go' | xargs cat | grep -cvE '^[[:space:]]*(//|$$)')"; \
+	for p in internal/plm internal/rforest internal/bench; do echo "$$p: $$($(call LOC,$$p))"; done
 
 # bench runs the scan-kernel, build, parallel-execution, row-retrieval, and
 # context/limit benchmarks that gate perf PRs and records them in

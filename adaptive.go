@@ -25,9 +25,6 @@ type AdaptiveConfig struct {
 	// DriftFactor triggers a relearn when the window's average query time
 	// exceeds this multiple of the reference cost (default 3).
 	DriftFactor float64
-	// SampleSize bounds the reservoir sample of live queries that a
-	// relearn trains on (default 512).
-	SampleSize int
 	// MinRelearnQueries is the minimum number of sampled queries before a
 	// drift signal may start a relearn (default 32). Forced relearns
 	// require only one.
@@ -57,9 +54,6 @@ func (c *AdaptiveConfig) withDefaults() AdaptiveConfig {
 	if out.DriftFactor <= 1 {
 		out.DriftFactor = 3
 	}
-	if out.SampleSize <= 0 {
-		out.SampleSize = 512
-	}
 	if out.MinRelearnQueries <= 0 {
 		out.MinRelearnQueries = 32
 	}
@@ -68,6 +62,10 @@ func (c *AdaptiveConfig) withDefaults() AdaptiveConfig {
 	}
 	return out
 }
+
+// relearnSample is the size of the reservoir of live queries a relearn
+// trains on.
+const relearnSample = 512
 
 // AdaptiveStats is a point-in-time view of an AdaptiveIndex's lifecycle.
 type AdaptiveStats struct {
@@ -196,7 +194,7 @@ func NewAdaptiveIndex(base *Flood, cfg *AdaptiveConfig) *AdaptiveIndex {
 	c := cfg.withDefaults()
 	a := &AdaptiveIndex{
 		cfg:    c,
-		sample: workload.NewReservoir(c.SampleSize, c.Seed),
+		sample: workload.NewReservoir(relearnSample, c.Seed),
 	}
 	a.surface = newSurface(a, base.schema, base.Table().Names())
 	a.epoch.Store(a.newEpoch(base))

@@ -188,9 +188,8 @@ type Options struct {
 	// CalibrationLayouts is the number of random layouts used when
 	// calibrating (default 10, §4.1.1).
 	CalibrationLayouts int
-	// DataSampleSize / QuerySampleSize bound the layout-search samples
-	// (§7.7; defaults 2000 rows / 50 queries).
-	DataSampleSize  int
+	// QuerySampleSize bounds the layout search's workload sample (§7.7;
+	// default 50 queries). Its data sample is always 2000 rows.
 	QuerySampleSize int
 	// GDSteps is the number of gradient-descent steps per restart.
 	GDSteps int
@@ -265,7 +264,6 @@ func Build(tbl *Table, train []Query, opts *Options) (*Flood, error) {
 		}
 	}
 	res, err := optimizer.FindOptimalLayout(tbl, train, m, optimizer.Config{
-		DataSampleSize:  o.DataSampleSize,
 		QuerySampleSize: o.QuerySampleSize,
 		GDSteps:         o.GDSteps,
 		Seed:            o.Seed,

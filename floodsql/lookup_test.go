@@ -263,9 +263,8 @@ func TestLookupAllocations(t *testing.T) {
 			t.Errorf("ParseTyped of the %s lookup allocates %.0f times, want 1", name, n)
 		}
 	}
-	// The adaptive index copies each of its first SampleSize (512) queries
-	// into its workload reservoir; fill it, so what is counted is the
-	// steady state.
+	// The adaptive index copies each of its first 512 queries into its
+	// workload reservoir; fill it, so what is counted is the steady state.
 	ctx := context.Background()
 	point, err := ParseTyped(shapes["point"], schema)
 	if err != nil {

@@ -122,12 +122,8 @@ func (s *Source) Build(layout Layout) (*Flood, error) {
 	if limit := maxCells(n); numCells > limit {
 		return nil, fmt.Errorf("core: layout has %d cells over %d rows; at most %d are built", numCells, n, limit)
 	}
-	opts := s.opts
-	if opts.Delta <= 0 {
-		opts.Delta = plm.DefaultDelta
-	}
-	f := &Flood{layout: layout, opts: opts, numCells: numCells, strides: layout.strides()}
-	f.parallelCutover = resolveCutover(opts.ParallelCutover)
+	f := &Flood{layout: layout, opts: s.opts, numCells: numCells, strides: layout.strides()}
+	f.parallelCutover = resolveCutover(s.opts.ParallelCutover)
 
 	// Bucket every row along every grid dimension. Dimensions are
 	// independent, so they go to workers whole, each adding its dimensions'
@@ -222,7 +218,7 @@ func (s *Source) Build(layout Layout) (*Flood, error) {
 	// its aggregate companion and, for a low-cardinality column, its bitmap
 	// index (residual filters on it become bitmap ANDs in the scan kernel)
 	// made from the values in hand.
-	tw := colstore.NewTableWriter(s.t.Names(), n, opts.bitmapMaxCard())
+	tw := colstore.NewTableWriter(s.t.Names(), n, s.opts.bitmapMaxCard())
 	RunBatch(d, func(c int) {
 		if c == layout.SortDim {
 			tw.SetColumn(c, keys, s.t.HasAggregate(c))
@@ -239,19 +235,26 @@ func (s *Source) Build(layout Layout) (*Flood, error) {
 	})
 	f.t = tw.Table()
 
-	// Per-cell refinement models over the sort dimension (§5.2).
-	if n > 0 && layout.SortDim >= 0 && opts.Refinement == RefineModel {
-		f.models = make([]*plm.Model, numCells)
-		parallelFor(numCells, func(lo, hi int) {
-			for c := lo; c < hi; c++ {
-				if cs, ce := f.cellStart[c], f.cellStart[c+1]; cs != ce {
-					f.models[c] = plm.Train(keys[cs:ce], opts.Delta)
-				}
-			}
-		})
-	}
+	f.trainModels(keys)
 	f.computeCellStats()
 	return f, nil
+}
+
+// trainModels fits the per-cell refinement models over the sort dimension
+// (§5.2): one piecewise-linear model per non-empty cell, from keys, the
+// stored sort column. An index with no sort dimension or no rows has none.
+func (f *Flood) trainModels(keys []int64) {
+	if len(keys) == 0 {
+		return
+	}
+	f.models = make([]*plm.Model, f.numCells)
+	parallelFor(f.numCells, func(lo, hi int) {
+		for c := lo; c < hi; c++ {
+			if cs, ce := f.cellStart[c], f.cellStart[c+1]; cs != ce {
+				f.models[c] = plm.Train(keys[cs:ce], plm.DefaultDelta)
+			}
+		}
+	})
 }
 
 // assign fits grid dimension gi's bucketer and adds the dimension's term of
@@ -275,15 +278,11 @@ func (s *Source) assign(layout Layout, gi int, stride int32, w *buildScratch) bu
 		}
 		return cdfBucketer{cdf: s.flat[dim].cdf}
 	}
-	leaves := s.opts.CDFLeaves
-	if leaves <= 0 {
-		leaves = defaultCDFLeaves(s.n)
-	}
 	raw := s.column(dim, &w.raw)
 	// The sorted copy goes where the gather phase will put its columns.
 	w.out = append(w.out[:0], raw...)
 	colstore.RadixSort(w.out, nil, &w.sort)
-	cdf := rmi.TrainCDFSorted(w.out, leaves)
+	cdf := rmi.TrainCDFSorted(w.out, defaultCDFLeaves(s.n))
 	if s.flat == nil {
 		minV, maxV := cdf.Domain()
 		addTerms(cells, raw, minV, maxV, cdfBucketer{cdf: cdf}, cols, stride)

@@ -120,17 +120,16 @@ func randomLayout(rng *rand.Rand, nDims int) Layout {
 }
 
 // TestParallelRandomLayoutsProperty is the property test over random
-// layouts: whatever grid shape, sort dimension, and refinement mode are in
-// play, sequential, adaptive-parallel, forced-parallel, and batched
-// execution all agree with brute force.
+// layouts: whatever grid shape and sort dimension are in play, sequential,
+// adaptive-parallel, forced-parallel, and batched execution all agree with
+// brute force.
 func TestParallelRandomLayoutsProperty(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	tbl, data := makeData(t, 8000, 5, 305)
 	rng := rand.New(rand.NewSource(306))
 	for trial := 0; trial < 12; trial++ {
 		layout := randomLayout(rng, 5)
-		mode := RefinementMode(rng.Intn(3))
-		idx, err := Build(tbl, layout, Options{Refinement: mode, ParallelCutover: 1})
+		idx, err := Build(tbl, layout, Options{ParallelCutover: 1})
 		if err != nil {
 			t.Fatalf("layout %s: %v", layout, err)
 		}
@@ -144,15 +143,15 @@ func TestParallelRandomLayoutsProperty(t *testing.T) {
 		for i, q := range queries {
 			want := bruteCount(data, q)
 			if got := aggs[i].(*query.Count).Result(); got != want {
-				t.Fatalf("layout %s mode %d: batch count %d != brute %d", layout, mode, got, want)
+				t.Fatalf("layout %s: batch count %d != brute %d", layout, got, want)
 			}
 			seq := query.NewCount()
 			seqSt := idx.Execute(q, sequentialOnly{seq})
 			par := query.NewCount()
 			parSt := idx.Run(nil, q, par, 3)
 			if par.Result() != want || seq.Result() != want {
-				t.Fatalf("layout %s mode %d: parallel %d / sequential %d != brute %d",
-					layout, mode, par.Result(), seq.Result(), want)
+				t.Fatalf("layout %s: parallel %d / sequential %d != brute %d",
+					layout, par.Result(), seq.Result(), want)
 			}
 			assertScanStatsEqual(t, layout.String(), seqSt, parSt)
 			if batchStats[i].Scanned != seqSt.Scanned || batchStats[i].Matched != seqSt.Matched {

@@ -23,7 +23,7 @@ type Flood struct {
 	strides   []int      // mixed-radix strides per grid dimension
 	numCells  int
 	cellStart []int32      // len numCells+1: physical start per cell
-	models    []*plm.Model // per cell, nil when empty or refinement is not model-based
+	models    []*plm.Model // per cell, nil for an empty cell; none without a sort dimension or rows
 
 	// Cell-size statistics for the cost model (§4.1.1).
 	nonEmptyCells  int
@@ -94,10 +94,6 @@ func (f *Flood) Name() string { return "Flood" }
 
 // Layout returns the layout the index was built with.
 func (f *Flood) Layout() Layout { return f.layout }
-
-// Options returns the options the index was built with (so wrappers like the
-// delta index can rebuild with identical settings).
-func (f *Flood) Options() Options { return f.opts }
 
 // Table returns the index's reordered data.
 func (f *Flood) Table() *colstore.Table { return f.t }
@@ -208,8 +204,7 @@ func sinceBase() time.Duration { return time.Since(clockBase) }
 
 // refines reports whether sort-dimension refinement applies to q.
 func (f *Flood) refines(q query.Query) bool {
-	return f.layout.SortDim >= 0 && q.Ranges[f.layout.SortDim].Present &&
-		f.opts.Refinement != RefineNone
+	return f.layout.SortDim >= 0 && q.Ranges[f.layout.SortDim].Present
 }
 
 // project implements §3.2.1: identify the non-empty cells intersecting the
@@ -306,11 +301,12 @@ func (f *Flood) project(q query.Query, es *execScratch, st *query.Stats) {
 const refineParallelRanges = 128
 
 // refine implements §3.2.2 / §5.2: narrow each span along the sort
-// dimension, mutating spans in place (cells[i] is the cell spans[i] covers). Model predictions (or plain binary
-// search) are rectified through the column's block-decoded lower-bound
-// search — no per-probe accessor closures. When parallel is set, queries
-// touching many cells spread the probes per-range over the worker pool:
-// ranges are independent, so results match the sequential loop exactly.
+// dimension, mutating spans in place (cells[i] is the cell spans[i] covers).
+// Model predictions are rectified through the column's block-decoded
+// lower-bound search — no per-probe accessor closures. When parallel is set,
+// queries touching many cells spread the probes per-range over the worker
+// pool: ranges are independent, so results match the sequential loop
+// exactly.
 func (f *Flood) refine(q query.Query, spans []Span, cells []int32, st *query.Stats, parallel bool) {
 	if !f.refines(q) {
 		return
@@ -325,24 +321,20 @@ func (f *Flood) refine(q query.Query, spans []Span, cells []int32, st *query.Sta
 
 // refineRanges narrows one slice of ranges; it is the workhorse shared by
 // the sequential and parallel refinement paths. A range's lower bound comes
-// from the cell's model (or a plain search); its upper bound is then
-// galloped to from that lower bound rather than searched for from scratch —
-// a point or narrow range ends a few rows after it starts, and a wide one
-// pays two probes per doubling, about what a second model bracket costs.
+// from the cell's model, which every non-empty cell has after Build, Load or
+// a merge rebuild; its upper bound is then galloped to from that lower bound
+// rather than searched for from scratch — a point or narrow range ends a few
+// rows after it starts, and a wide one pays two probes per doubling, about
+// what a second model bracket costs.
 func (f *Flood) refineRanges(q query.Query, spans []Span, cells []int32) {
 	r := q.Ranges[f.layout.SortDim]
 	col := f.t.Column(f.layout.SortDim)
-	useModel := f.opts.Refinement == RefineModel && f.models != nil
 	for i := range spans {
 		rg := &spans[i]
 		base, end := int(rg.Start), int(rg.End)
 		i1, i2 := base, end
 		if r.Min != query.NegInf {
-			if m := f.models; useModel && m[cells[i]] != nil {
-				i1 = col.LowerBoundHint(base, end, base+m[cells[i]].Predict(r.Min), r.Min)
-			} else {
-				i1 = col.LowerBound(base, end, r.Min)
-			}
+			i1 = col.LowerBoundHint(base, end, base+f.models[cells[i]].Predict(r.Min), r.Min)
 		}
 		if r.Max != query.PosInf {
 			i2 = col.LowerBoundHint(i1, end, i1, r.Max+1)

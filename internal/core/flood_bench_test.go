@@ -9,9 +9,8 @@ import (
 	"flood/internal/query"
 )
 
-// Ablation benchmarks for two design choices of the paper: the
-// refinement strategy (learned PLM vs binary search vs none) and flattening
-// (CDF vs equi-width columns). Run with:
+// Ablation benchmarks for design choices of the paper: refinement through
+// per-cell PLM models and flattening (CDF vs equi-width columns). Run with:
 //
 //	go test ./internal/core -bench Ablation -benchmem
 
@@ -58,17 +57,7 @@ func benchExecute(b *testing.B, idx *Flood, queries []query.Query) {
 var ablationLayout = Layout{GridDims: []int{0}, GridCols: []int{64}, SortDim: 2, Flatten: true}
 
 func BenchmarkAblationRefinePLM(b *testing.B) {
-	idx, qs := benchIndex(b, ablationLayout, Options{Refinement: RefineModel})
-	benchExecute(b, idx, qs)
-}
-
-func BenchmarkAblationRefineBinary(b *testing.B) {
-	idx, qs := benchIndex(b, ablationLayout, Options{Refinement: RefineBinary})
-	benchExecute(b, idx, qs)
-}
-
-func BenchmarkAblationRefineNone(b *testing.B) {
-	idx, qs := benchIndex(b, ablationLayout, Options{Refinement: RefineNone})
+	idx, qs := benchIndex(b, ablationLayout, Options{})
 	benchExecute(b, idx, qs)
 }
 
@@ -80,28 +69,6 @@ func BenchmarkAblationFlattened(b *testing.B) {
 func BenchmarkAblationEquiWidth(b *testing.B) {
 	idx, qs := benchIndex(b, Layout{GridDims: []int{0, 1}, GridCols: []int{16, 8}, SortDim: 2, Flatten: false}, Options{})
 	benchExecute(b, idx, qs)
-}
-
-// BenchmarkAblationDeltaSweep measures end-to-end query impact of the PLM
-// error budget (§7.8).
-func BenchmarkAblationDelta(b *testing.B) {
-	for _, delta := range []float64{5, 50, 500} {
-		b.Run(deltaName(delta), func(b *testing.B) {
-			idx, qs := benchIndex(b, ablationLayout, Options{Delta: delta})
-			benchExecute(b, idx, qs)
-		})
-	}
-}
-
-func deltaName(d float64) string {
-	switch d {
-	case 5:
-		return "delta5"
-	case 50:
-		return "delta50"
-	default:
-		return "delta500"
-	}
 }
 
 func BenchmarkBuild200k(b *testing.B) {

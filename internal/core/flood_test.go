@@ -100,26 +100,24 @@ func TestFloodMatchesBruteForce(t *testing.T) {
 	tbl, data := makeData(t, 3000, 4, 1)
 	rng := rand.New(rand.NewSource(2))
 	for li, layout := range layoutsUnderTest() {
-		for _, mode := range []RefinementMode{RefineModel, RefineBinary, RefineNone} {
-			idx, err := Build(tbl, layout, Options{Refinement: mode})
-			if err != nil {
-				t.Fatalf("layout %d: %v", li, err)
+		idx, err := Build(tbl, layout, Options{})
+		if err != nil {
+			t.Fatalf("layout %d: %v", li, err)
+		}
+		for trial := 0; trial < 120; trial++ {
+			q := randomQuery(rng, data, 4)
+			agg := query.NewCount()
+			st := idx.Execute(q, agg)
+			want := bruteCount(data, q)
+			if agg.Result() != want {
+				t.Fatalf("layout %d (%s): count = %d, want %d (query %+v)",
+					li, layout, agg.Result(), want, q.Ranges)
 			}
-			for trial := 0; trial < 40; trial++ {
-				q := randomQuery(rng, data, 4)
-				agg := query.NewCount()
-				st := idx.Execute(q, agg)
-				want := bruteCount(data, q)
-				if agg.Result() != want {
-					t.Fatalf("layout %d (%s) mode %d: count = %d, want %d (query %+v)",
-						li, layout, mode, agg.Result(), want, q.Ranges)
-				}
-				if st.Matched != want {
-					t.Fatalf("layout %d: stats.Matched = %d, want %d", li, st.Matched, want)
-				}
-				if st.Scanned < st.Matched {
-					t.Fatalf("layout %d: scanned %d < matched %d", li, st.Scanned, st.Matched)
-				}
+			if st.Matched != want {
+				t.Fatalf("layout %d: stats.Matched = %d, want %d", li, st.Matched, want)
+			}
+			if st.Scanned < st.Matched {
+				t.Fatalf("layout %d: scanned %d < matched %d", li, st.Scanned, st.Matched)
 			}
 		}
 	}

@@ -124,30 +124,8 @@ func (l Layout) String() string {
 	return b.String()
 }
 
-// RefinementMode selects how per-cell sort-dimension refinement runs.
-type RefinementMode int
-
-const (
-	// RefineModel uses per-cell piecewise-linear CDF models rectified by
-	// exponential search (§5.2) — the paper's configuration.
-	RefineModel RefinementMode = iota
-	// RefineBinary uses plain binary search within each cell (§3.2.2),
-	// the pre-learning baseline of Fig. 17.
-	RefineBinary
-	// RefineNone skips refinement; the sort dimension is filter-checked
-	// during scans like any unindexed dimension.
-	RefineNone
-)
-
 // Options configures index construction.
 type Options struct {
-	// Refinement selects the per-cell refinement strategy.
-	Refinement RefinementMode
-	// Delta is the PLM average-error budget (§7.8); 0 means DefaultDelta.
-	Delta float64
-	// CDFLeaves is the leaf count for per-dimension flattening CDFs;
-	// 0 picks a size-based default.
-	CDFLeaves int
 	// ParallelCutover is the estimated scanned-row count at or above which
 	// Execute switches from the zero-alloc sequential scan to the
 	// morsel-driven parallel engine. 0 picks the default; negative keeps

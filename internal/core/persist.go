@@ -20,7 +20,10 @@ const (
 	// PersistVersion is the snapshot format version this package writes.
 	PersistVersion = 2
 
-	// SectionMeta holds the layout and build options.
+	// SectionMeta holds the layout, then three slots older builds filled
+	// with their refinement mode, model error budget and CDF leaf count.
+	// Save writes the defaults 0, 50 and 0, so snapshots keep their bytes
+	// and older binaries still read new ones; Load reads and discards them.
 	SectionMeta = "meta"
 	// SectionData holds the reordered compressed table.
 	SectionData = "data"
@@ -96,9 +99,9 @@ func (f *Flood) encodeMeta(w *wire.Writer) {
 	w.Ints(f.layout.GridCols)
 	w.Int(f.layout.SortDim)
 	w.Bool(f.layout.Flatten)
-	w.Int(int(f.opts.Refinement))
-	w.F64(f.opts.Delta)
-	w.Int(f.opts.CDFLeaves)
+	w.Int(0)
+	w.F64(plm.DefaultDelta)
+	w.Int(0)
 }
 
 // encodeBitmaps writes the bitmap indexes: an index count, then for each
@@ -313,21 +316,26 @@ sections:
 		res.Index = rebuilt
 		return res, nil
 	}
+	if f.models == nil && f.layout.SortDim >= 0 {
+		// Builds that refined by plain search, or not at all, saved no
+		// models: train them here, as Build would have.
+		f.trainModels(f.t.Column(f.layout.SortDim).DecodeInto(nil))
+	}
 	f.computeCellStats()
 	f.parallelCutover = resolveCutover(f.opts.ParallelCutover)
 	res.Index = f
 	return res, nil
 }
 
-// decodeMeta reads the layout and options from the meta section.
+// decodeMeta reads the layout from the meta section.
 func (f *Flood) decodeMeta(r *wire.Reader) error {
 	f.layout.GridDims = r.Ints()
 	f.layout.GridCols = r.Ints()
 	f.layout.SortDim = r.Int()
 	f.layout.Flatten = r.Bool()
-	f.opts.Refinement = RefinementMode(r.Int())
-	f.opts.Delta = r.F64()
-	f.opts.CDFLeaves = r.Int()
+	r.Int()
+	r.F64()
+	r.Int()
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("core: loading index header: %w", err)
 	}
@@ -379,6 +387,9 @@ func (f *Flood) decodeModels(r *wire.Reader) error {
 		f.models = make([]*plm.Model, f.numCells)
 		for c := range f.models {
 			if !r.Bool() {
+				if f.cellStart[c] != f.cellStart[c+1] {
+					return fmt.Errorf("core: cell %d holds rows but no model", c)
+				}
 				continue
 			}
 			m, err := plm.DecodeModel(r)

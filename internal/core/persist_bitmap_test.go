@@ -5,9 +5,11 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"os"
+	"slices"
 	"testing"
 
 	"flood/internal/colstore"
+	"flood/internal/plm"
 	"flood/internal/query"
 	"flood/internal/wire"
 )
@@ -170,22 +172,17 @@ func TestLoadBitmapSectionWithWrongContentRecovers(t *testing.T) {
 	if err := f.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	raw := buf.Bytes()
-	at := bytes.Index(raw, []byte(SectionBitmaps))
-	if at < 0 {
-		t.Fatal("snapshot has no bidx section")
-	}
-	// Frame: tag, payload length, payload, CRC over all three. Payload: index
-	// count, column, then the index — min, cardinality, rows, word count,
-	// words. Clear row 0 (and the rest of its byte) in all five bitmaps.
-	size := int(binary.LittleEndian.Uint64(raw[at+4:]))
-	payload := raw[at+12 : at+12+size]
-	const firstWord = 6 * 8
-	nWords := (3000 + 63) / 64
-	for v := 0; v < 5; v++ {
-		payload[firstWord+v*nWords*8] = 0
-	}
-	binary.LittleEndian.PutUint32(raw[at+12+size:], wire.Checksum(raw[at:at+12+size]))
+	// Payload: index count, column, then the index — min, cardinality, rows,
+	// word count, words. Clear row 0 (and the rest of its byte) in all five
+	// bitmaps.
+	raw := resealSection(t, buf.Bytes(), SectionBitmaps, func(payload []byte) []byte {
+		const firstWord = 6 * 8
+		nWords := (3000 + 63) / 64
+		for v := 0; v < 5; v++ {
+			payload[firstWord+v*nWords*8] = 0
+		}
+		return payload
+	})
 	res, err := LoadSections(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatalf("bidx with wrong content should recover, got %v", err)
@@ -195,6 +192,122 @@ func TestLoadBitmapSectionWithWrongContentRecovers(t *testing.T) {
 	}
 	if res.Retrained {
 		t.Fatal("bidx damage alone should not retrain the models")
+	}
+	checkBitmapQueries(t, f, res.Index)
+}
+
+// resealSection returns a copy of the snapshot raw whose tag section holds
+// what edit makes of its payload (edit may change the copy it is given in
+// place), framed and checksummed anew: tag, payload length, payload, CRC over
+// all three. Only the content is wrong, or old.
+func resealSection(t *testing.T, raw []byte, tag string, edit func(payload []byte) []byte) []byte {
+	t.Helper()
+	for at := wire.HeaderSize; at+12 <= len(raw); {
+		size := int(binary.LittleEndian.Uint64(raw[at+4:]))
+		end := at + 12 + size + 4
+		if string(raw[at:at+4]) != tag {
+			at = end
+			continue
+		}
+		payload := edit(slices.Clone(raw[at+12 : at+12+size]))
+		frame := binary.LittleEndian.AppendUint64([]byte(tag), uint64(len(payload)))
+		frame = append(frame, payload...)
+		frame = binary.LittleEndian.AppendUint32(frame, wire.Checksum(frame))
+		return slices.Concat(raw[:at], frame, raw[end:])
+	}
+	t.Fatalf("snapshot has no %q section", tag)
+	return nil
+}
+
+// TestLoadSnapshotWithoutRefinementModels loads what a build that refined by
+// plain binary search (meta refinement slot 1) or not at all (slot 2) saved:
+// a models section whose refinement-model flag is false. The load must train
+// every non-empty cell's model in place — no warning, no retrain — answer
+// like brute force, and save back to the bytes a fresh build saves. A models
+// section that leaves one non-empty cell without a model is damage instead.
+func TestLoadSnapshotWithoutRefinementModels(t *testing.T) {
+	f, data := bitmapTestIndex(t, 3000)
+	var buf bytes.Buffer
+	if err := f.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	fresh := buf.Bytes()
+	withModels := func(models []*plm.Model) []byte {
+		return resealSection(t, fresh, SectionModels, func([]byte) []byte {
+			var modl bytes.Buffer
+			w := wire.NewWriter(&modl)
+			if err := (&Flood{buckets: f.buckets, cellStart: f.cellStart, models: models}).encodeModels(w); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			return modl.Bytes()
+		})
+	}
+	noModels := withModels(nil)
+	if len(noModels) >= len(fresh) {
+		t.Fatal("the resealed snapshot still carries refinement models")
+	}
+	for _, mode := range []uint64{1, 2} {
+		// The meta section ends in three 8-byte slots: refinement mode,
+		// error budget, CDF leaf count.
+		old := resealSection(t, noModels, SectionMeta, func(payload []byte) []byte {
+			binary.LittleEndian.PutUint64(payload[len(payload)-24:], mode)
+			return payload
+		})
+		res, err := LoadSections(bytes.NewReader(old))
+		if err != nil {
+			t.Fatalf("mode %d: %v", mode, err)
+		}
+		if len(res.Warnings) != 0 || res.Retrained {
+			t.Fatalf("mode %d: a snapshot without models should load cleanly: retrained=%v warnings=%v",
+				mode, res.Retrained, res.Warnings)
+		}
+		g := res.Index
+		if len(g.models) != g.numCells {
+			t.Fatalf("mode %d: loaded index has %d models for %d cells", mode, len(g.models), g.numCells)
+		}
+		for c := range g.numCells {
+			if start, end := g.CellBounds(c); start != end && g.models[c] == nil {
+				t.Fatalf("mode %d: cell %d holds %d rows but has no model", mode, c, end-start)
+			}
+		}
+		checkBitmapQueries(t, f, g)
+		rng := rand.New(rand.NewSource(80))
+		for trial := 0; trial < 60; trial++ {
+			lo := rng.Int63n(10000)
+			q := query.NewQuery(3).WithRange(1, lo, lo+rng.Int63n(3)*rng.Int63n(2000))
+			if trial%2 == 0 {
+				q = q.WithRange(0, 0, rng.Int63n(1<<30))
+			}
+			agg := query.NewCount()
+			g.Execute(q, agg)
+			if want := bruteCount(data, q); agg.Result() != want {
+				t.Fatalf("mode %d, trial %d: loaded index counted %d, brute force %d", mode, trial, agg.Result(), want)
+			}
+		}
+		var re bytes.Buffer
+		if err := g.Save(&re); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(re.Bytes(), fresh) {
+			t.Errorf("mode %d: the loaded index saves to different bytes than a fresh build", mode)
+		}
+	}
+
+	// Models present but one non-empty cell without its own is damage, not
+	// an older build: the load retrains, and the cell is never refined
+	// without a model.
+	partial := slices.Clone(f.models)
+	partial[slices.IndexFunc(partial, func(m *plm.Model) bool { return m != nil })] = nil
+	res, err := LoadSections(bytes.NewReader(withModels(partial)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Retrained || len(res.Warnings) == 0 {
+		t.Fatalf("a non-empty cell without a model should retrain with a warning: retrained=%v warnings=%v",
+			res.Retrained, res.Warnings)
 	}
 	checkBitmapQueries(t, f, res.Index)
 }

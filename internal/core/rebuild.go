@@ -103,8 +103,8 @@ func (f *Flood) Rebuild(extra [][]int64) (*Flood, error) {
 }
 
 // RebuildLive is Rebuild with a tombstone set over the extra rows as well:
-// wrappers that tombstone buffered rows (the delta index's buffer, the
-// adaptive side log) pass it so their deletions compact in the same pass.
+// a wrapper that tombstones buffered rows (the adaptive side log) passes it
+// so their deletions compact in the same pass.
 func (f *Flood) RebuildLive(extra [][]int64, extraTomb *colstore.Tombstones) (*Flood, error) {
 	return f.RebuildCompact(extra, f.tomb.Load(), extraTomb)
 }

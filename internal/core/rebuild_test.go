@@ -117,7 +117,7 @@ func TestRebuildFromRawColumnsIsTheSameIndex(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := Build(merged, layout, base.Options())
+		want, err := Build(merged, layout, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
