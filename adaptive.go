@@ -19,16 +19,10 @@ import (
 // defaults suitable for analytical serving; every threshold can be tightened
 // for tests or latency-sensitive deployments.
 type AdaptiveConfig struct {
-	// WindowSize is the drift monitor's sliding window in queries
-	// (default 64). See Monitor.
-	WindowSize int
-	// DriftFactor triggers a relearn when the window's average query time
-	// exceeds this multiple of the reference cost (default 3).
+	// DriftFactor triggers a relearn when the average query time over the
+	// last 64 queries exceeds this multiple of the reference cost (default
+	// 3), once at least 32 queries have been sampled.
 	DriftFactor float64
-	// MinRelearnQueries is the minimum number of sampled queries before a
-	// drift signal may start a relearn (default 32). Forced relearns
-	// require only one.
-	MinRelearnQueries int
 	// MergeFraction schedules automatic delta merges: once the pending
 	// insert log exceeds this fraction of the base row count, a background
 	// merge folds it into the base layout. 0 picks the default (0.125);
@@ -48,14 +42,8 @@ func (c *AdaptiveConfig) withDefaults() AdaptiveConfig {
 	if c != nil {
 		out = *c
 	}
-	if out.WindowSize <= 0 {
-		out.WindowSize = 64
-	}
 	if out.DriftFactor <= 1 {
 		out.DriftFactor = 3
-	}
-	if out.MinRelearnQueries <= 0 {
-		out.MinRelearnQueries = 32
 	}
 	if out.MergeFraction == 0 {
 		out.MergeFraction = 0.125
@@ -89,7 +77,7 @@ type AdaptiveStats struct {
 	// LastError is the most recent background rebuild failure, if any.
 	LastError error
 	// Reference and WindowAverage expose the drift monitor's state in
-	// nanoseconds per query (see Monitor).
+	// nanoseconds per query.
 	Reference     float64
 	WindowAverage float64
 }
@@ -112,15 +100,15 @@ type adaptiveEpoch struct {
 	a     *AdaptiveIndex
 	flood *Flood
 	log   *sideLog
-	mon   *Monitor
+	mon   *monitor
 }
 
 // AdaptiveIndex is a concurrent serving facade that closes the relearn loop
 // of §8 ("Shifting workloads"): it serves queries and inserts continuously,
 // samples the live workload into a reservoir, watches for drift with a
-// Monitor, and — when the layout has gone stale or the insert log has grown
-// past its merge threshold — rebuilds in the background and publishes the
-// fresh index with an atomic pointer swap. Queries are never blocked: the
+// sliding-window monitor, and — when the layout has gone stale or the insert
+// log has grown past its merge threshold — rebuilds in the background and
+// publishes the fresh index with an atomic pointer swap. Queries are never blocked: the
 // old generation keeps serving until the instant the new one is visible.
 //
 // Concurrency contract: the query methods, Insert, Delete, Update, Stats,
@@ -206,7 +194,7 @@ func (a *AdaptiveIndex) newEpoch(f *Flood) *adaptiveEpoch {
 		a:     a,
 		flood: f,
 		log:   newSideLog(f.Table().Names()),
-		mon:   NewMonitor(f, a.cfg.WindowSize, a.cfg.DriftFactor),
+		mon:   newMonitor(f.PredictedCost(), a.cfg.DriftFactor),
 	}
 }
 
@@ -277,8 +265,8 @@ func (ep *adaptiveEpoch) runPieces(ctl *query.Control, pieces, shapes []Query, a
 func (a *AdaptiveIndex) observe(ep *adaptiveEpoch, q Query, st Stats) {
 	a.queries.Add(1)
 	a.sample.Add(q)
-	if ep.mon.Record(st) {
-		a.tryRebuild(rebuildRelearn, a.cfg.MinRelearnQueries)
+	if ep.mon.record(st) {
+		a.tryRebuild(rebuildRelearn, minRelearnQueries)
 	}
 }
 
@@ -292,6 +280,10 @@ func (a *AdaptiveIndex) observe(ep *adaptiveEpoch, q Query, st Stats) {
 func (a *AdaptiveIndex) apply(m mutation) (int64, error) {
 	a.mu.Lock()
 	ep, w := a.epoch.Load(), a.walLog
+	if w == nil && a.dur != nil {
+		a.mu.Unlock()
+		return 0, errClosed
+	}
 	before := ep.log.rows()
 	n, target, err := ep.apply(m, w)
 	pending := ep.log.rows()
@@ -702,14 +694,23 @@ func (a *AdaptiveIndex) Wait() {
 
 // Close stops accepting rebuild triggers, waits for any in-flight rebuild to
 // finish and, on a durable index, syncs and closes the active WAL segment (it
-// checkpoints nothing; the directory reopens with OpenDurable). Queries and
-// inserts remain valid after Close; they just stop adapting. A second Close
-// is a no-op.
+// checkpoints nothing; the directory reopens with OpenDurable). Queries
+// remain valid after Close; they just stop adapting. So do writes in
+// memory, but a durable index refuses every write and Checkpoint after
+// Close with an error, since it could no longer log them. A second Close is
+// a no-op.
 func (a *AdaptiveIndex) Close() error {
 	a.rebuildMu.Lock()
 	a.closed = true
 	a.rebuildMu.Unlock()
 	a.Wait()
+	if a.dur == nil {
+		return nil
+	}
+	// Under the checkpoint lock, so a Checkpoint either finishes first or
+	// finds the log gone.
+	a.dur.ckptMu.Lock()
+	defer a.dur.ckptMu.Unlock()
 	a.mu.Lock()
 	l := a.walLog
 	a.walLog = nil
@@ -736,9 +737,8 @@ func (a *AdaptiveIndex) Stats() AdaptiveStats {
 		Merges:         a.merges.Load(),
 		Rebuilding:     rebuilding,
 		LastError:      lastErr,
-		Reference:      ep.mon.Reference(),
-		WindowAverage:  ep.mon.WindowAverage(),
 	}
+	st.Reference, st.WindowAverage = ep.mon.state()
 	if ns := a.lastSwap.Load(); ns != 0 {
 		st.LastSwap = time.Unix(0, ns)
 	}

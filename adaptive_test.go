@@ -274,20 +274,17 @@ func TestAdaptiveAutoMerge(t *testing.T) {
 
 // TestAdaptiveMonitorDrivenRelearn drives the monitor with synthetic slow
 // stats and verifies the drift signal starts a relearn on its own — the
-// serving-loop path, without forced triggers.
+// serving-loop path, without forced triggers — once a full window has been
+// observed and enough queries sampled.
 func TestAdaptiveMonitorDrivenRelearn(t *testing.T) {
-	a, _, queries := adaptiveUnderTest(t, &AdaptiveConfig{
-		WindowSize:        8,
-		DriftFactor:       2,
-		MinRelearnQueries: 4,
-	})
+	a, _, queries := adaptiveUnderTest(t, &AdaptiveConfig{DriftFactor: 2})
 	ep := a.epoch.Load()
-	ref := ep.mon.Reference()
+	ref, _ := ep.mon.state()
 	if ref <= 0 {
 		t.Fatal("monitor should seed its reference from the predicted cost")
 	}
 	slow := Stats{Total: time.Duration(ref*100) * time.Nanosecond}
-	for i := 0; i < 32 && a.Stats().Relearns == 0; i++ {
+	for i := 0; i < 2*driftWindow && a.Stats().Relearns == 0; i++ {
 		a.observe(ep, queries[i%len(queries)], slow)
 		a.Wait()
 	}
@@ -297,8 +294,9 @@ func TestAdaptiveMonitorDrivenRelearn(t *testing.T) {
 	// The swap reset the monitor: the fresh window must not re-fire on
 	// normal traffic.
 	ep = a.epoch.Load()
-	fast := Stats{Total: time.Duration(ep.mon.Reference()) * time.Nanosecond}
-	for i := 0; i < 16; i++ {
+	ref, _ = ep.mon.state()
+	fast := Stats{Total: time.Duration(ref) * time.Nanosecond}
+	for i := 0; i < 2*driftWindow; i++ {
 		a.observe(ep, queries[i%len(queries)], fast)
 	}
 	a.Wait()

@@ -197,28 +197,28 @@ func (w indexOnly) ExecuteContext(ctx context.Context, q Query, agg Aggregator) 
 	return w.idx.ExecuteContext(ctx, q, agg)
 }
 
-// TestMonitorConcurrentRecord hammers Record from many goroutines — the
+// TestMonitorConcurrentRecord hammers record from many goroutines — the
 // situation batched serving creates — and relies on the race detector (CI
 // runs this package under -race) to catch unsynchronized window access.
 func TestMonitorConcurrentRecord(t *testing.T) {
-	mon := NewMonitor(nil, 32, 2.0)
+	mon := newMonitor(0, 2)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				mon.Record(Stats{Total: time.Duration(1+g) * time.Microsecond})
-				_ = mon.WindowAverage()
-				_ = mon.Reference()
+				mon.record(Stats{Total: time.Duration(1+g) * time.Microsecond})
+				_, _ = mon.state()
 			}
 		}(g)
 	}
 	wg.Wait()
-	if mon.Reference() == 0 {
+	ref, avg := mon.state()
+	if ref == 0 {
 		t.Fatal("reference should be established after 4000 records")
 	}
-	if avg := mon.WindowAverage(); avg < float64(time.Microsecond) || avg > float64(9*time.Microsecond) {
+	if avg < float64(time.Microsecond) || avg > float64(9*time.Microsecond) {
 		t.Fatalf("window average %v outside recorded range", time.Duration(avg))
 	}
 }

@@ -19,10 +19,11 @@
 //	floodserver -addr :8080 -load orders.flood
 //	floodserver -addr :8080 -dataset sales -rows 100000 -dir /var/lib/flood
 //
-// Endpoints: POST /query, POST /insert, GET /schema, GET /stats,
-// GET /healthz. SIGINT/SIGTERM triggers a graceful drain: the listener
-// stops accepting, in-flight requests and gathered batches finish, and the
-// store is checkpointed (durable) or closed (in-memory).
+// Endpoints: POST /query (reads, and the writes INSERT, DELETE and UPDATE),
+// GET /schema, GET /stats, GET /healthz. SIGINT/SIGTERM triggers a graceful
+// drain: the listener stops accepting, in-flight requests and gathered
+// batches finish, and the store is checkpointed (durable) or closed
+// (in-memory).
 package main
 
 import (

@@ -567,6 +567,33 @@ func TestFacadeConformance(t *testing.T) {
 					t.Fatalf("Close %d: %v", i+1, err)
 				}
 			}
+			// After Close an in-memory store keeps taking writes; a durable
+			// one refuses them and Checkpoint, and touches no log: a write it
+			// acknowledged without logging would be gone on reopen.
+			durable := f.dir != ""
+			var logged int64
+			if durable {
+				logged = f.walBytes(t)
+			}
+			r := f.live[0]
+			row, err := fx.schema.EncodeRow(r.ts, r.fare, r.city, r.pickup)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := f.store.Insert(row); (err != nil) != durable {
+				t.Fatalf("Insert after Close = %v; want an error only over a directory", err)
+			}
+			if _, err := f.store.Delete(fx.schema.Where().WithStringEquals("city", "denver").Query()); (err != nil) != durable {
+				t.Fatalf("Delete after Close = %v; want an error only over a directory", err)
+			}
+			if err := f.store.Checkpoint(); (err != nil) != durable {
+				t.Fatalf("Checkpoint after Close = %v; want an error only over a directory", err)
+			}
+			if !durable {
+				f.live = append(f.live, r)
+			} else if n := f.walBytes(t); n != logged {
+				t.Fatalf("the WAL grew from %d to %d bytes after Close", logged, n)
+			}
 			sameAsOracle(t, f)
 		}},
 	}

@@ -107,7 +107,7 @@ func TestExecuteContextZeroAllocSequential(t *testing.T) {
 		t.Skip("allocation counts differ under -race")
 	}
 	fx := newTypedFixture(t, 20_000, 31)
-	idx, err := BuildWithLayout(fx.tbl, fixtureLayout(fx), &Options{Schema: fx.schema, ParallelCutoverRows: -1})
+	idx, err := BuildWithLayout(fx.tbl, fixtureLayout(fx), &Options{Schema: fx.schema})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestDisjunctionZeroAllocAdaptive(t *testing.T) {
 		t.Skip("allocation counts differ under -race")
 	}
 	fx := newTypedFixture(t, 20_000, 31)
-	idx, err := BuildWithLayout(fx.tbl, fixtureLayout(fx), &Options{Schema: fx.schema, ParallelCutoverRows: -1})
+	idx, err := BuildWithLayout(fx.tbl, fixtureLayout(fx), &Options{Schema: fx.schema})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,10 +186,12 @@ func TestDisjunctionZeroAllocAdaptive(t *testing.T) {
 // TestSelectContextLimitPushdown pins the acceptance criterion: a LIMIT k
 // select scans strictly fewer rows than the unlimited select (asserted via
 // Stats), returns exactly k rows, and — on the deterministic sequential
-// path — returns the first k rows of the unlimited result.
+// path, pinned by one GOMAXPROCS — returns the first k rows of the
+// unlimited result.
 func TestSelectContextLimitPushdown(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	fx := newTypedFixture(t, 50_000, 33)
-	idx, err := BuildWithLayout(fx.tbl, fixtureLayout(fx), &Options{Schema: fx.schema, ParallelCutoverRows: -1})
+	idx, err := BuildWithLayout(fx.tbl, fixtureLayout(fx), &Options{Schema: fx.schema})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +237,7 @@ func TestSelectContextLimitPushdown(t *testing.T) {
 // limit inside the base row count never scans the delta.
 func TestSelectContextLimitAcrossDelta(t *testing.T) {
 	fx := newTypedFixture(t, 10_000, 35)
-	idx, err := BuildWithLayout(fx.tbl, fixtureLayout(fx), &Options{Schema: fx.schema, ParallelCutoverRows: -1})
+	idx, err := BuildWithLayout(fx.tbl, fixtureLayout(fx), &Options{Schema: fx.schema})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,8 +322,9 @@ func (c *cancelOnDeliver) Merge(o query.Mergeable) { c.n += o.(*cancelOnDeliver)
 func TestExecuteContextCancelMidScanParallel(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	fx := newTypedFixture(t, 200_000, 37)
-	// A tiny cutover forces the morsel engine for the broad query below.
-	idx, err := BuildWithLayout(fx.tbl, fixtureLayout(fx), &Options{Schema: fx.schema, ParallelCutoverRows: 1})
+	// The unfiltered query below scans all 200K rows, past the parallel
+	// cutover, so it runs on the morsel engine.
+	idx, err := BuildWithLayout(fx.tbl, fixtureLayout(fx), &Options{Schema: fx.schema})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +445,7 @@ func TestAdaptiveExecuteContextCancelDuringRelearn(t *testing.T) {
 // disjoint pieces of an OR: the union never exceeds the limit.
 func TestSelectOrContextSharedLimit(t *testing.T) {
 	fx := newTypedFixture(t, 20_000, 41)
-	idx, err := BuildWithLayout(fx.tbl, fixtureLayout(fx), &Options{Schema: fx.schema, ParallelCutoverRows: -1})
+	idx, err := BuildWithLayout(fx.tbl, fixtureLayout(fx), &Options{Schema: fx.schema})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -610,7 +613,7 @@ func TestRowsMisuseDeterministic(t *testing.T) {
 // stopped early.
 func TestSelectContextForeignIndexLimit(t *testing.T) {
 	fx := newTypedFixture(t, 5_000, 47)
-	idx, err := BuildWithLayout(fx.tbl, fixtureLayout(fx), &Options{Schema: fx.schema, ParallelCutoverRows: -1})
+	idx, err := BuildWithLayout(fx.tbl, fixtureLayout(fx), &Options{Schema: fx.schema})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -494,8 +494,7 @@ func TestCheckpointConcurrentServing(t *testing.T) {
 }
 
 // TestDurableSchemaTypedQueriesAfterRecovery verifies a reopened durable
-// index serves typed queries through the snapshot-restored schema with no
-// SetSchema call.
+// index serves typed queries through the snapshot-restored schema.
 func TestDurableSchemaTypedQueriesAfterRecovery(t *testing.T) {
 	fx := newTypedFixture(t, 400, 48)
 	idx, err := BuildWithLayout(fx.tbl, fixtureLayout(fx), &Options{Schema: fx.schema})

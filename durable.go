@@ -306,6 +306,9 @@ func (a *AdaptiveIndex) Checkpoint() error {
 	}
 	d.ckptMu.Lock()
 	defer d.ckptMu.Unlock()
+	if a.walLog == nil {
+		return errClosed
+	}
 
 	newGen := d.gen + 1
 	nl, err := wal.Create(filepath.Join(d.dir, wal.SegmentName(newGen)), newGen, d.opts.Sync)
@@ -336,10 +339,8 @@ func (a *AdaptiveIndex) Checkpoint() error {
 	d.gen = newGen
 	d.crash("rotated")
 
-	if old != nil {
-		if err := old.Close(); err != nil {
-			return fmt.Errorf("flood: closing wal segment: %w", err)
-		}
+	if err := old.Close(); err != nil {
+		return fmt.Errorf("flood: closing wal segment: %w", err)
 	}
 	d.crash("old-closed")
 

@@ -19,6 +19,7 @@ package flood
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"flood/internal/core"
@@ -114,7 +115,9 @@ type Store interface {
 	// memory.
 	Checkpoint() error
 	// Close stops background work and, over a directory, syncs and closes
-	// the log. Queries stay valid afterwards; a second Close is a no-op.
+	// the log. Queries stay valid afterwards, and so do writes in memory;
+	// over a directory every later write and Checkpoint returns an error. A
+	// second Close is a no-op.
 	Close() error
 }
 
@@ -122,6 +125,10 @@ var (
 	_ Store = (*AdaptiveIndex)(nil)
 	_ Store = (*ShardedIndex)(nil)
 )
+
+// errClosed is what a durable store answers a write or a Checkpoint with
+// after Close: it can no longer log them.
+var errClosed = errors.New("flood: durable store is closed")
 
 // mutableSurface is surface plus the write API, embedded by the facades that
 // accept every mutation: the methods below are their Insert, Delete,
@@ -249,8 +256,8 @@ func finish(ctl *query.Control) error {
 
 // Execute runs q through the index, feeding matching rows to agg. The
 // aggregator is not reset: callers reset it between queries. Small queries
-// run a zero-allocation sequential scan; queries whose refined ranges clear
-// Options.ParallelCutoverRows fan out over a process-wide worker pool when
+// run a zero-allocation sequential scan; queries whose refined ranges cover
+// 32K rows or more fan out over a process-wide worker pool when
 // the aggregator supports merging (all built-in aggregators do). Safe for
 // any number of goroutines. An AdaptiveIndex serves the query against its
 // current generation — learned base plus insert log — and records it in the
@@ -363,8 +370,8 @@ func (s *surface) executeOr(ctl *query.Control, queries []Query, agg Aggregator)
 // Rows from an insert log follow the base rows in the cursor, and a
 // ShardedIndex tiles each shard's rows in that shard's id stride; either
 // way DeleteRows accepts the cursor's RowID values directly. Typed accessors
-// on the result need the index's schema (SetSchema, or Options.Schema at
-// build time).
+// on the result need the index's schema (Options.Schema at build time, or
+// the one a snapshot restores).
 func (s *surface) Select(q Query, cols ...string) (*Rows, Stats) {
 	r, st, _ := s.SelectContext(context.Background(), q, nil, cols...)
 	return r, st

@@ -69,10 +69,8 @@ func main() {
 	fmt.Printf("era 0: built %s in %v\n", idx.Layout(), time.Since(start).Round(time.Millisecond))
 
 	a := flood.NewAdaptiveIndex(idx, &flood.AdaptiveConfig{
-		WindowSize:        32,
-		DriftFactor:       1.5,
-		MinRelearnQueries: 20,
-		Build:             &flood.Options{CostModel: model, Seed: 41},
+		DriftFactor: 1.5,
+		Build:       &flood.Options{CostModel: model, Seed: 41},
 	})
 	defer a.Close()
 	fmt.Printf("era 0: serving at %v/query\n", serve(a, test))

@@ -104,26 +104,26 @@ func TestKNNPublicAPI(t *testing.T) {
 }
 
 func TestMonitorDetectsDrift(t *testing.T) {
-	m := NewMonitor(nil, 10, 2)
+	m := newMonitor(0, 2)
 	// Establish a ~100µs reference window.
-	for i := 0; i < 10; i++ {
-		if m.Record(Stats{Total: 100 * time.Microsecond}) {
+	for i := 0; i < driftWindow; i++ {
+		if m.record(Stats{Total: 100 * time.Microsecond}) {
 			t.Fatal("monitor fired while establishing reference")
 		}
 	}
-	if m.Reference() == 0 {
+	if ref, _ := m.state(); ref == 0 {
 		t.Fatal("reference not established")
 	}
 	// Mild noise must not fire.
-	for i := 0; i < 10; i++ {
-		if m.Record(Stats{Total: 150 * time.Microsecond}) {
+	for i := 0; i < driftWindow; i++ {
+		if m.record(Stats{Total: 150 * time.Microsecond}) {
 			t.Fatal("monitor fired on mild noise")
 		}
 	}
 	// A sustained 5x regression must fire within a window.
 	fired := false
-	for i := 0; i < 10; i++ {
-		if m.Record(Stats{Total: 500 * time.Microsecond}) {
+	for i := 0; i < driftWindow; i++ {
+		if m.record(Stats{Total: 500 * time.Microsecond}) {
 			fired = true
 			break
 		}
@@ -133,14 +133,18 @@ func TestMonitorDetectsDrift(t *testing.T) {
 	}
 }
 
+// TestMonitorUsesPredictedCost: an adaptive generation's monitor takes its
+// reference from the index's predicted cost and its factor from the config.
 func TestMonitorUsesPredictedCost(t *testing.T) {
 	idx, _, _ := buildSmall(t)
-	m := NewMonitor(idx, 4, 1000) // absurd factor: never fires
-	if m.Reference() != idx.PredictedCost() {
-		t.Fatal("monitor should seed its reference from the predicted cost")
+	a := NewAdaptiveIndex(idx, &AdaptiveConfig{DriftFactor: 1000}) // absurd factor: never fires
+	defer a.Close()
+	m := a.epoch.Load().mon
+	if ref, _ := m.state(); ref == 0 || ref != idx.PredictedCost() {
+		t.Fatalf("monitor reference %v, want the predicted cost %v", ref, idx.PredictedCost())
 	}
-	for i := 0; i < 20; i++ {
-		if m.Record(Stats{Total: time.Millisecond}) {
+	for i := 0; i < 2*driftWindow; i++ {
+		if m.record(Stats{Total: time.Millisecond}) {
 			t.Fatal("factor 1000 should never fire here")
 		}
 	}

@@ -39,8 +39,8 @@
 //
 // For production serving, AdaptiveIndex wraps a built index in the adaptive
 // lifecycle of §8: it serves queries and inserts concurrently, samples the
-// live workload, detects drift with a Monitor, relearns the layout in the
-// background, and swaps the fresh index in atomically with zero downtime.
+// live workload, detects drift over a sliding window, relearns the layout in
+// the background, and swaps the fresh index in atomically with zero downtime.
 // ShardedIndex partitions the table across independent adaptive shards, and
 // Save/Load persist a built index. Those are the three facades, and every one
 // serves the same query surface: Execute, ExecuteBatch, ExecuteOr, Select,
@@ -193,11 +193,6 @@ type Options struct {
 	QuerySampleSize int
 	// GDSteps is the number of gradient-descent steps per restart.
 	GDSteps int
-	// ParallelCutoverRows is the estimated scanned-row count at or above
-	// which Execute switches from the zero-allocation sequential scan to
-	// the morsel-driven parallel engine. 0 picks the default (32K rows);
-	// negative keeps every query sequential.
-	ParallelCutoverRows int
 	// BitmapIndexMaxCardinality is the largest per-column value spread
 	// (max-min+1) for which Build creates a bitmap index. Residual filters
 	// on bitmap-indexed columns — dictionary-coded strings, enums, flags —
@@ -207,18 +202,15 @@ type Options struct {
 	// disables bitmap indexes.
 	BitmapIndexMaxCardinality int
 	// Schema attaches the typed schema the table was built with, enabling
-	// typed accessors on Select results. Equivalent to SetSchema after
-	// Build.
+	// typed accessors on Select results. Wrappers constructed from the index
+	// (NewAdaptiveIndex, CreateDurable) inherit it.
 	Schema *Schema
 	// Seed makes builds reproducible.
 	Seed int64
 }
 
 func (o Options) coreOptions() core.Options {
-	return core.Options{
-		ParallelCutover:      o.ParallelCutoverRows,
-		BitmapMaxCardinality: o.BitmapIndexMaxCardinality,
-	}
+	return core.Options{BitmapMaxCardinality: o.BitmapIndexMaxCardinality}
 }
 
 func (o *Options) orDefault() Options {
@@ -319,12 +311,6 @@ func (f *Flood) PredictedCost() float64 { return f.result.PredictedCost }
 
 // Table returns the index's reordered copy of the data.
 func (f *Flood) Table() *Table { return f.idx.Table() }
-
-// SetSchema attaches the typed schema the table was built with, so Select
-// results decode floats, strings, and timestamps. Wrappers constructed from
-// this index (NewAdaptiveIndex, CreateDurable) inherit the schema at
-// construction; set it before wrapping.
-func (f *Flood) SetSchema(s *Schema) { f.schema = s }
 
 // Neighbor is one k-nearest-neighbor result: a physical row in the index's
 // reordered table and its squared distance in flattened grid coordinates.

@@ -103,7 +103,7 @@ func (x *Index) Run(ctl *query.Control, q query.Query, agg query.Aggregator, wor
 	st.ScanRanges = st.CellsVisited
 	t1 := time.Now()
 	st.IndexTime = t1.Sub(t0)
-	core.ScanSpans(x.t, nil, ctl, q, spans, agg, workers, 0, &st)
+	core.ScanSpans(x.t, nil, ctl, q, spans, agg, workers, &st)
 	*buf = spans
 	spanPool.Put(buf)
 	t2 := time.Now()

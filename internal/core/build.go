@@ -123,7 +123,7 @@ func (s *Source) Build(layout Layout) (*Flood, error) {
 		return nil, fmt.Errorf("core: layout has %d cells over %d rows; at most %d are built", numCells, n, limit)
 	}
 	f := &Flood{layout: layout, opts: s.opts, numCells: numCells, strides: layout.strides()}
-	f.parallelCutover = resolveCutover(s.opts.ParallelCutover)
+	f.parallelCutover = defaultParallelCutover
 
 	// Bucket every row along every grid dimension. Dimensions are
 	// independent, so they go to workers whole, each adding its dimensions'

@@ -47,10 +47,11 @@ func assertScanStatsEqual(t *testing.T, label string, seq, par query.Stats) {
 func TestAdaptiveParallelEquivalence(t *testing.T) {
 	tbl, data := makeData(t, 30000, 4, 301)
 	layout := Layout{GridDims: []int{0, 1}, GridCols: []int{16, 8}, SortDim: 2, Flatten: true}
-	idx, err := Build(tbl, layout, Options{ParallelCutover: 1})
+	idx, err := Build(tbl, layout, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	idx.parallelCutover = 1
 	for _, procs := range []int{1, 4} {
 		withGOMAXPROCS(t, procs, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(302))
@@ -129,10 +130,11 @@ func TestParallelRandomLayoutsProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(306))
 	for trial := 0; trial < 12; trial++ {
 		layout := randomLayout(rng, 5)
-		idx, err := Build(tbl, layout, Options{ParallelCutover: 1})
+		idx, err := Build(tbl, layout, Options{})
 		if err != nil {
 			t.Fatalf("layout %s: %v", layout, err)
 		}
+		idx.parallelCutover = 1
 		queries := make([]query.Query, 8)
 		aggs := make([]query.Aggregator, len(queries))
 		for i := range queries {

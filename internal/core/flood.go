@@ -33,7 +33,9 @@ type Flood struct {
 
 	// parallelCutover is the estimated scanned-row count at or above which
 	// Execute leaves the zero-alloc sequential scan for the morsel-driven
-	// parallel engine (see exec_parallel.go).
+	// parallel engine (see exec_parallel.go). Build and Load set it to
+	// defaultParallelCutover; only tests lower it, to force the morsel
+	// engine on a small table.
 	parallelCutover int
 
 	// tomb is the current tombstone set (nil until the first delete). Each
@@ -136,7 +138,7 @@ func (f *Flood) SizeBytes() int64 {
 // allocations in steady state: projection scratch and scan ranges come from
 // a pool, and the scanner reuses per-dimension decode buffers. When the
 // aggregator is mergeable and the refined ranges cover at least the
-// cost-based cutover (Options.ParallelCutover rows, known exactly and for
+// cost-based cutover (defaultParallelCutover rows, known exactly and for
 // free after refinement), the scan fans out over the morsel-driven worker
 // pool instead (see exec_parallel.go); results and scan counters are
 // identical either way.
@@ -187,7 +189,7 @@ func (f *Flood) Run(ctl *query.Control, q query.Query, agg query.Aggregator, wor
 	st.IndexTime = sinceBase() - t0
 	st.RefineTime = st.IndexTime - st.ProjectTime
 
-	ScanSpans(f.t, tombW, ctl, q, es.spans, agg, workers, f.parallelCutover, &st)
+	scanSpans(f.t, tombW, ctl, q, es.spans, agg, workers, f.parallelCutover, &st)
 	scratchPool.Put(es)
 	st.Total = sinceBase() - t0
 	st.ScanTime = st.Total - st.IndexTime

@@ -127,7 +127,7 @@ func BenchmarkRebuildMerge500k(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := idx.Rebuild(extra); err != nil {
+		if _, err := idx.RebuildCompact(extra, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -126,11 +126,6 @@ func (l Layout) String() string {
 
 // Options configures index construction.
 type Options struct {
-	// ParallelCutover is the estimated scanned-row count at or above which
-	// Execute switches from the zero-alloc sequential scan to the
-	// morsel-driven parallel engine. 0 picks the default; negative keeps
-	// every query on the sequential path.
-	ParallelCutover int
 	// BitmapMaxCardinality is the largest per-column value spread
 	// (max-min+1) for which Build creates a bitmap index: low-cardinality
 	// columns (dictionary-coded strings, enums, flags) then resolve

@@ -322,7 +322,7 @@ sections:
 		f.trainModels(f.t.Column(f.layout.SortDim).DecodeInto(nil))
 	}
 	f.computeCellStats()
-	f.parallelCutover = resolveCutover(f.opts.ParallelCutover)
+	f.parallelCutover = defaultParallelCutover
 	res.Index = f
 	return res, nil
 }

@@ -6,23 +6,18 @@ import (
 	"flood/internal/colstore"
 )
 
-// MergeRows returns a new table holding t's rows followed by the given
-// column-major extra rows, preserving which columns have cumulative
-// aggregates enabled. extra must have one slice per table column, all of
-// equal length; with no extra rows the input table is returned unchanged.
-// Neither input is modified, so callers may pass live (immutable-prefix)
-// buffers without copying them first.
-func MergeRows(t *colstore.Table, extra [][]int64) (*colstore.Table, error) {
-	return MergeRowsLive(t, nil, extra, nil)
-}
-
-// MergeRowsLive is MergeRows restricted to live rows: rows of t marked dead
-// in tomb and extra rows marked dead in extraTomb are dropped instead of
-// copied. Either tombstone set may be nil (nothing dead) or cover more rows
-// than its input (the extra slice is a frozen prefix of a still-growing
-// buffer); rows beyond a set's coverage are live. This is the compaction
-// step: a rebuild over the merged result physically discards deleted rows,
-// and the fresh index starts with an empty tombstone set.
+// MergeRowsLive returns a new table holding t's live rows followed by the
+// live rows of the given column-major extra rows, preserving which columns
+// have cumulative aggregates enabled. extra must have one slice per table
+// column, all of equal length. Rows of t marked dead in tomb and extra rows
+// marked dead in extraTomb are dropped instead of copied. Either tombstone
+// set may be nil (nothing dead) or cover more rows than its input (the extra
+// slice is a frozen prefix of a still-growing buffer); rows beyond a set's
+// coverage are live. With nothing added and nothing dead the input table is
+// returned unchanged. Neither input is modified, so callers may pass live
+// (immutable-prefix) buffers without copying them first. This is the
+// compaction step: a build over the merged result physically discards
+// deleted rows, and the fresh index starts with an empty tombstone set.
 func MergeRowsLive(t *colstore.Table, tomb *colstore.Tombstones, extra [][]int64, extraTomb *colstore.Tombstones) (*colstore.Table, error) {
 	src, err := mergeSource(t, tomb, extra, extraTomb, Options{})
 	if err != nil {
@@ -90,31 +85,19 @@ func mergeSource(t *colstore.Table, tomb *colstore.Tombstones, extra [][]int64, 
 	return src, nil
 }
 
-// Rebuild constructs a fresh index over f's live rows plus the given
-// column-major extra rows, reusing f's layout and options. It is the merge
-// step of the differential-update scheme (§8, "Insertions"): the grid shape
-// is kept and only the physical placement is recomputed, so it is much
-// cheaper than a full relearn. Rows tombstoned in f are compacted away — the
-// returned index holds the same logical contents with an empty tombstone
-// set. f itself is not modified and remains fully usable — callers swap the
-// returned index in when ready.
-func (f *Flood) Rebuild(extra [][]int64) (*Flood, error) {
-	return f.RebuildLive(extra, nil)
-}
-
-// RebuildLive is Rebuild with a tombstone set over the extra rows as well:
-// a wrapper that tombstones buffered rows (the adaptive side log) passes it
-// so their deletions compact in the same pass.
-func (f *Flood) RebuildLive(extra [][]int64, extraTomb *colstore.Tombstones) (*Flood, error) {
-	return f.RebuildCompact(extra, f.tomb.Load(), extraTomb)
-}
-
-// RebuildCompact is RebuildLive against explicitly captured tombstone sets
-// rather than f's current ones. Concurrent wrappers use it: a background
-// rebuild captures the tombstones together with its frozen row snapshot, and
-// deletions that land during the build are re-applied to the fresh index
-// separately — compacting a later tombstone version here would make those
-// deletions apply twice.
+// RebuildCompact constructs a fresh index over f's rows outside tomb plus
+// the given column-major extra rows outside extraTomb, reusing f's layout
+// and options. It is the merge step of the differential-update scheme (§8,
+// "Insertions"): the grid shape is kept and only the physical placement is
+// recomputed, so it is much cheaper than a full relearn. Dead rows are
+// compacted away — the returned index starts with an empty tombstone set —
+// and f itself is not modified, so callers swap the result in when ready.
+//
+// The tombstone sets are passed explicitly, not read from f: a background
+// rebuild captures them together with its frozen row snapshot, and deletions
+// that land during the build are re-applied to the fresh index separately —
+// compacting a later tombstone version here would make those deletions apply
+// twice. Pass f.Tombstones() to compact f as it stands.
 func (f *Flood) RebuildCompact(extra [][]int64, tomb, extraTomb *colstore.Tombstones) (*Flood, error) {
 	src, err := mergeSource(f.t, tomb, extra, extraTomb, f.opts)
 	if err != nil {

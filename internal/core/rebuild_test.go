@@ -33,7 +33,7 @@ func TestRebuildMatchesScratchBuild(t *testing.T) {
 		all[c] = append(append([]int64(nil), data[c]...), extra[c]...)
 	}
 
-	rebuilt, err := base.Rebuild(extra)
+	rebuilt, err := base.RebuildCompact(extra, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,13 +62,13 @@ func TestRebuildMatchesScratchBuild(t *testing.T) {
 
 	// Degenerate inputs: no extra rows returns the same data; mismatched
 	// shapes fail loudly.
-	if same, err := MergeRows(base.Table(), nil); err != nil || same != base.Table() {
+	if same, err := MergeRowsLive(base.Table(), nil, nil, nil); err != nil || same != base.Table() {
 		t.Fatalf("empty merge should return the input table (err %v)", err)
 	}
-	if _, err := MergeRows(base.Table(), [][]int64{{1}}); err == nil {
+	if _, err := MergeRowsLive(base.Table(), nil, [][]int64{{1}}, nil); err == nil {
 		t.Fatal("column-count mismatch should fail")
 	}
-	if _, err := MergeRows(base.Table(), [][]int64{{1}, {1, 2}, {1}}); err == nil {
+	if _, err := MergeRowsLive(base.Table(), nil, [][]int64{{1}, {1, 2}, {1}}, nil); err == nil {
 		t.Fatal("ragged extra rows should fail")
 	}
 }

@@ -168,10 +168,11 @@ func TestParallelAlternatingAggregatesZeroAllocs(t *testing.T) {
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	tbl, _ := makeData(t, 40000, 4, 78)
-	idx, err := Build(tbl, Layout{GridDims: []int{0, 1}, GridCols: []int{8, 8}, SortDim: 2, Flatten: true}, Options{ParallelCutover: 1})
+	idx, err := Build(tbl, Layout{GridDims: []int{0, 1}, GridCols: []int{8, 8}, SortDim: 2, Flatten: true}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	idx.parallelCutover = 1
 	q := query.NewQuery(4).WithRange(0, 100, 900).WithRange(3, 0, 500)
 	aggs := []query.Aggregator{query.NewCount(), query.NewSum(3), query.NewMax(3), query.NewSum(1)}
 	rotate := func() {
@@ -199,10 +200,11 @@ func TestParallelRefineZeroAllocs(t *testing.T) {
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	tbl, _ := makeData(t, 40000, 4, 79)
-	idx, err := Build(tbl, Layout{GridDims: []int{0, 1}, GridCols: []int{16, 16}, SortDim: 2, Flatten: true}, Options{ParallelCutover: 30000})
+	idx, err := Build(tbl, Layout{GridDims: []int{0, 1}, GridCols: []int{16, 16}, SortDim: 2, Flatten: true}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	idx.parallelCutover = 30000
 	q := query.NewQuery(4).WithRange(2, 100, 900)
 	agg := query.NewCount()
 	run := func() {

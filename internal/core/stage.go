@@ -10,7 +10,6 @@
 package core
 
 import (
-	"math"
 	"math/bits"
 
 	"flood/internal/colstore"
@@ -27,35 +26,28 @@ type Span struct {
 	Mask       uint64
 }
 
-// resolveCutover maps a parallel-cutover setting to a row count: 0 picks the
-// default (the scan volume where parallel dispatch clearly amortizes),
-// negative never parallelizes.
-func resolveCutover(c int) int {
-	switch {
-	case c > 0:
-		return c
-	case c < 0:
-		return math.MaxInt
-	}
-	return defaultParallelCutover
-}
-
 // ScanSpans runs the scan phase of q over spans of t, feeding matching rows
 // to agg and adding the scan counters to st. workers selects the strategy as
-// in Flood.Run — 0 adaptive (sequential below cutover rows, GOMAXPROCS
-// workers at or above it), 1 the sequential kernel, n > 1 the morsel engine
-// with n workers — and the parallel paths need a query.Mergeable aggregator;
-// results and counters are identical either way. cutover is resolved like
-// Options.ParallelCutover (0 default, negative never). tomb is the
+// in Flood.Run — 0 adaptive (sequential below defaultParallelCutover rows,
+// GOMAXPROCS workers at or above it), 1 the sequential kernel, n > 1 the
+// morsel engine with n workers — and the parallel paths need a
+// query.Mergeable aggregator; results and counters are identical either
+// way. tomb is the
 // word-packed tombstone set masked out of every span (nil: none); ctl, when
 // non-nil, is polled between spans, inside the kernel every few blocks and
 // at every morsel claim, so a canceled or limit-satisfied query stops within
 // about a thousand rows or one morsel. The sequential path allocates
 // nothing in steady state.
-func ScanSpans(t *colstore.Table, tomb []uint64, ctl *query.Control, q query.Query, spans []Span, agg query.Aggregator, workers, cutover int, st *query.Stats) {
+func ScanSpans(t *colstore.Table, tomb []uint64, ctl *query.Control, q query.Query, spans []Span, agg query.Aggregator, workers int, st *query.Stats) {
+	scanSpans(t, tomb, ctl, q, spans, agg, workers, defaultParallelCutover, st)
+}
+
+// scanSpans is ScanSpans with the adaptive cutover given in rows: Flood.Run
+// passes its per-index cutover, which core's tests lower.
+func scanSpans(t *colstore.Table, tomb []uint64, ctl *query.Control, q query.Query, spans []Span, agg query.Aggregator, workers, cutover int, st *query.Stats) {
 	if m, ok := agg.(query.Mergeable); ok && workers != 1 {
 		est := spanRows(spans)
-		if workers == 0 && est >= resolveCutover(cutover) {
+		if workers == 0 && est >= cutover {
 			workers = maxWorkers()
 		}
 		if workers > 1 && scanParallel(t, tomb, ctl, q, spans, m, workers, est, st) {

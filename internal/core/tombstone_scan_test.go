@@ -80,7 +80,7 @@ func TestTombstoneCompactionRestoresParity(t *testing.T) {
 		before[i] = agg.Result()
 	}
 
-	compact, err := idx.Rebuild(nil)
+	compact, err := idx.RebuildCompact(nil, idx.Tombstones(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -156,9 +156,10 @@ func runUnderLoad(t *testing.T, srv *Server, url string, duration time.Duration)
 // TestServerCloseLeaksNoGoroutine serves a concurrent burst of aggregates,
 // SELECTs and INSERTs from a flat in-memory, a durable and a 4-shard store,
 // then closes the listener, the client's idle connections and the server:
-// the goroutine count must come back to its baseline within a second. The
-// baseline is taken after one full cycle, so the engine's worker pool, started
-// once per process, is already in it.
+// the goroutine count, and on Linux the open descriptor count, must come back
+// to their baselines within a second. The baselines are taken after one full
+// cycle, so the engine's worker pool, started once per process, is already in
+// them.
 func TestServerCloseLeaksNoGoroutine(t *testing.T) {
 	stores := []struct {
 		name string
@@ -174,10 +175,10 @@ func TestServerCloseLeaksNoGoroutine(t *testing.T) {
 		}},
 		{"sharded", func(t *testing.T) flood.Store { return shardedStore(t) }},
 	}
-	// settle polls for up to a second until at most want goroutines remain.
-	settle := func(want int) int {
-		n := runtime.NumGoroutine()
-		for deadline := time.Now().Add(time.Second); n > want && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+	// settle polls count for up to a second until it reads at most want.
+	settle := func(count func() int, want int) int {
+		n := count()
+		for deadline := time.Now().Add(time.Second); n > want && time.Now().Before(deadline); n = count() {
 			time.Sleep(10 * time.Millisecond)
 		}
 		return n
@@ -185,15 +186,29 @@ func TestServerCloseLeaksNoGoroutine(t *testing.T) {
 	burstAndClose(t, stores[0].open(t))
 	// The floor a second after the first cycle, once earlier tests' HTTP
 	// connections have wound down too.
-	base := settle(0)
+	base := settle(runtime.NumGoroutine, 0)
+	baseFDs := openFDs()
 	for _, tc := range stores {
 		burstAndClose(t, tc.open(t))
-		if n := settle(base); n > base {
+		if n := settle(runtime.NumGoroutine, base); n > base {
 			var stacks strings.Builder
 			pprof.Lookup("goroutine").WriteTo(&stacks, 1)
 			t.Fatalf("%s: %d goroutines a second after Close, %d before the cycle:\n%s", tc.name, n, base, stacks.String())
 		}
+		if n := settle(openFDs, baseFDs); n > baseFDs {
+			t.Fatalf("%s: %d open descriptors a second after Close, %d before the cycle", tc.name, n, baseFDs)
+		}
 	}
+}
+
+// openFDs counts the process's open file descriptors; it reads 0 where
+// /proc/self/fd does not exist, which makes the descriptor check a no-op.
+func openFDs() int {
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		return 0
+	}
+	return len(ents)
 }
 
 // burstAndClose serves store, sends it a concurrent burst of aggregates,

@@ -23,10 +23,10 @@
 // tightened per request via timeout_ms) riding the context-aware execution
 // API: queries over deadline stop scanning cooperatively and return 504.
 //
-// Endpoints: POST /query (floodsql: aggregates, projections, mutations),
-// POST /insert (bulk rows), GET /schema (column names, kinds and value
-// bounds), GET /stats (serving counters), GET /healthz. A request body over
-// maxBodyBytes is refused with 413.
+// Endpoints: POST /query (floodsql: aggregates, projections, and the
+// mutations INSERT, DELETE and UPDATE), GET /schema (column names, kinds and
+// value bounds), GET /stats (serving counters), GET /healthz. A request body
+// over maxBodyBytes is refused with 413.
 // See docs/SERVING.md for the full contract.
 package server
 
@@ -180,9 +180,6 @@ func (s *Server) version() uint64 {
 // need the per-shard fold).
 func (s *Server) refTable() *flood.Table { return s.store.Shard(0).Index().Table() }
 
-// numCols is the store's column count.
-func (s *Server) numCols() int { return s.refTable().NumCols() }
-
 // Close drains and shuts down: in-flight handlers finish, queued batches
 // flush through the collector, and then the store is released — checkpoint
 // first (so a durable store's acknowledged writes are both WAL-durable and
@@ -210,7 +207,6 @@ func (s *Server) Close() error {
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /query", s.wrap(s.handleQuery))
-	mux.HandleFunc("POST /insert", s.wrap(s.handleInsert))
 	mux.HandleFunc("GET /schema", s.wrap(s.handleSchema))
 	mux.HandleFunc("GET /stats", s.wrap(s.handleStats))
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -314,23 +310,6 @@ func (r reply) failed(err error, stats flood.Stats) {
 	writeError(r.w, http.StatusInternalServerError, err.Error())
 }
 
-// mutated accounts for one mutation request, from /query or /insert, that
-// affected the given number of rows (inserted of them new) and ended in err.
-// The cache version advances whenever the store may have changed — a
-// mutation can apply rows and then fail (a later row rejected, a WAL error
-// after the first disjunct) — so no aggregate cached before it is served
-// after it.
-func (s *Server) mutated(affected, inserted int64, err error) {
-	s.mutations.Add(1)
-	s.insertedRows.Add(inserted)
-	if err == nil || affected > 0 {
-		s.muts.Add(1)
-	}
-	if err != nil {
-		s.errorCount.Add(1)
-	}
-}
-
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
@@ -364,13 +343,20 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.selects.Add(1)
 		s.runSelect(rp, ctx, st)
 	case "delete", "update", "insert":
+		// The cache version advances whenever the store may have changed — a
+		// mutation can apply rows and then fail (a later row rejected, a WAL
+		// error after the first disjunct) — so no aggregate cached before it
+		// is served after it.
 		n, err := st.Exec(s.store)
-		var inserted int64
+		s.mutations.Add(1)
 		if st.Agg == "insert" {
-			inserted = n
+			s.insertedRows.Add(n)
 		}
-		s.mutated(n, inserted, err)
+		if err == nil || n > 0 {
+			s.muts.Add(1)
+		}
 		if err != nil {
+			s.errorCount.Add(1)
 			writeError(w, http.StatusBadRequest, err.Error())
 			return
 		}
@@ -463,119 +449,6 @@ func (s *Server) runSelect(rp reply, ctx context.Context, st *floodsql.Statement
 		Kind: "rows", Columns: cols, Rows: out,
 		Truncated: capped && len(out) == limit, Scanned: stats.Scanned,
 	})
-}
-
-func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.UseNumber()
-	var req InsertRequest
-	if err := dec.Decode(&req); err != nil {
-		badBody(w, err)
-		return
-	}
-	if len(req.Rows) == 0 {
-		writeError(w, http.StatusBadRequest, "no rows")
-		return
-	}
-	release, _, ok := s.admit(r.Context())
-	if !ok {
-		w.Header().Set("Retry-After", "0")
-		writeError(w, http.StatusTooManyRequests, "server overloaded; retry")
-		return
-	}
-	defer release()
-	var inserted int64
-	for i, raw := range req.Rows {
-		row, err := s.encodeRow(raw)
-		if err == nil {
-			err = s.store.Insert(row)
-		}
-		if err != nil {
-			s.mutated(inserted, inserted, err)
-			writeJSON2(w, http.StatusBadRequest, InsertResponse{
-				Inserted: inserted,
-				Error:    fmt.Sprintf("row %d: %v", i, err),
-			})
-			return
-		}
-		inserted++
-	}
-	s.mutated(inserted, inserted, nil)
-	writeJSON(w, InsertResponse{Inserted: inserted})
-}
-
-// encodeRow converts one JSON row to the physical int64 row: through the
-// typed schema when one is attached (int/float/string; time columns accept
-// RFC3339 strings, or a number that is the column's physical tick — seconds
-// on a second-unit column — exactly as floodsql's INSERT reads one), raw
-// int64 numbers otherwise.
-func (s *Server) encodeRow(raw []json.RawMessage) ([]int64, error) {
-	cols := s.numCols()
-	if len(raw) != cols {
-		return nil, fmt.Errorf("row has %d values, table has %d columns", len(raw), cols)
-	}
-	if s.schema == nil {
-		out := make([]int64, cols)
-		for i, m := range raw {
-			var v int64
-			if err := json.Unmarshal(m, &v); err != nil {
-				return nil, fmt.Errorf("column %d: want int64: %v", i, err)
-			}
-			out[i] = v
-		}
-		return out, nil
-	}
-	vals := make([]any, cols)
-	for i, m := range raw {
-		v, err := decodeTypedJSON(s.schema, i, m)
-		if err != nil {
-			return nil, fmt.Errorf("column %q: %w", s.schema.Name(i), err)
-		}
-		vals[i] = v
-	}
-	return s.schema.EncodeRow(vals...)
-}
-
-// decodeTypedJSON maps one JSON value onto the logical type EncodeRow
-// expects for column i's kind.
-func decodeTypedJSON(schema *flood.Schema, i int, m json.RawMessage) (any, error) {
-	kind := schema.KindAt(i)
-	switch kind {
-	case flood.KindInt64:
-		var v int64
-		if err := json.Unmarshal(m, &v); err != nil {
-			return nil, fmt.Errorf("want integer: %v", err)
-		}
-		return v, nil
-	case flood.KindFloat64:
-		var v float64
-		if err := json.Unmarshal(m, &v); err != nil {
-			return nil, fmt.Errorf("want number: %v", err)
-		}
-		return v, nil
-	case flood.KindString:
-		var v string
-		if err := json.Unmarshal(m, &v); err != nil {
-			return nil, fmt.Errorf("want string: %v", err)
-		}
-		return v, nil
-	case flood.KindTime:
-		var sv string
-		if err := json.Unmarshal(m, &sv); err == nil {
-			t, err := time.Parse(time.RFC3339Nano, sv)
-			if err != nil {
-				return nil, fmt.Errorf("want RFC3339 time: %v", err)
-			}
-			return t, nil
-		}
-		var ticks int64
-		if err := json.Unmarshal(m, &ticks); err != nil {
-			return nil, fmt.Errorf("want RFC3339 string or tick number: %v", err)
-		}
-		// The number is the stored tick; the column's own codec knows its unit.
-		return schema.DecodeValue(i, ticks), nil
-	}
-	return nil, fmt.Errorf("unsupported column kind %v", kind)
 }
 
 func (s *Server) handleSchema(w http.ResponseWriter, r *http.Request) {
@@ -717,25 +590,6 @@ type QueryResponse struct {
 	ElapsedMicros int64 `json:"elapsed_us"`
 }
 
-// InsertRequest is the POST /insert body: rows in schema column order.
-// Values are JSON numbers for int/float columns, strings for string
-// columns, and RFC3339 strings (or numbers: the column's physical tick, in
-// the column's own unit) for time columns.
-type InsertRequest struct {
-	// Rows holds the rows to insert, one array of column values each.
-	Rows [][]json.RawMessage `json:"rows"`
-}
-
-// InsertResponse is the POST /insert result. Inserted rows are acknowledged
-// — on a durable server they are WAL-fsynced — before the response is sent.
-type InsertResponse struct {
-	// Inserted counts rows durably accepted (on error, the prefix that
-	// succeeded before it).
-	Inserted int64 `json:"inserted"`
-	// Error describes the first failing row, when any.
-	Error string `json:"error,omitempty"`
-}
-
 // ColumnInfo describes one column of GET /schema: its logical kind and the
 // physical int64 domain observed in the base table.
 type ColumnInfo struct {
@@ -768,7 +622,7 @@ type Stats struct {
 	AggQueries int64 `json:"agg_queries"`
 	Selects    int64 `json:"selects"`
 	Mutations  int64 `json:"mutations"`
-	// InsertedRows counts rows accepted through /insert and INSERT.
+	// InsertedRows counts rows accepted through INSERT.
 	InsertedRows int64 `json:"inserted_rows"`
 	// Shed counts requests refused with 429 (admission or batch intake
 	// full); Timeouts counts 504s; Errors counts 4xx/5xx execution

@@ -257,41 +257,26 @@ func TestServerSelectRowCap(t *testing.T) {
 	}
 }
 
+// TestServerInsertEndpoint pins the write path through /query: a
+// multi-row SQL INSERT answers with its row count, and a row of the wrong
+// width or naming a string the column's dictionary does not hold answers 400.
 func TestServerInsertEndpoint(t *testing.T) {
 	srv, hs := typedFixture(t, nil)
-	body := `{"rows": [["nyc", 12.5, 42], ["austin", 0.75, 7]]}`
-	resp, err := http.Post(hs.URL+"/insert", "application/json", bytes.NewReader([]byte(body)))
-	if err != nil {
-		t.Fatal(err)
+	r, code := postQuery(t, hs.URL, "INSERT INTO t VALUES ('nyc', 12.5, 42), ('austin', 0.75, 7)")
+	if code != http.StatusOK || r.Kind != "exec" || r.Affected != 2 {
+		t.Fatalf("INSERT = %+v (status %d), want 2 rows", r, code)
 	}
-	var ir InsertResponse
-	json.NewDecoder(resp.Body).Decode(&ir)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || ir.Inserted != 2 {
-		t.Fatalf("insert = %+v (status %d), want 2 rows", ir, resp.StatusCode)
-	}
-	r, _ := postQuery(t, hs.URL, "SELECT COUNT(*) FROM t WHERE city = 'nyc' AND dist = 42")
+	r, _ = postQuery(t, hs.URL, "SELECT COUNT(*) FROM t WHERE city = 'nyc' AND dist = 42")
 	if r.Value != 1 {
 		t.Fatalf("COUNT inserted row = %d, want 1", r.Value)
 	}
-	// A row with a bad arity is rejected and reported with its index.
-	resp, err = http.Post(hs.URL+"/insert", "application/json", bytes.NewReader([]byte(`{"rows": [["nyc", 1.25]]}`)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	json.NewDecoder(resp.Body).Decode(&ir)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad-arity insert status = %d, want 400", resp.StatusCode)
-	}
-	// So is a string the column's dictionary does not hold.
-	resp, err = http.Post(hs.URL+"/insert", "application/json", strings.NewReader(`{"rows": [["gotham", 1.25, 3]]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown-city insert status = %d, want 400", resp.StatusCode)
+	for what, sql := range map[string]string{
+		"bad-arity":    "INSERT INTO t VALUES ('nyc', 1.25)",
+		"unknown-city": "INSERT INTO t VALUES ('gotham', 1.25, 3)",
+	} {
+		if _, code := postQuery(t, hs.URL, sql); code != http.StatusBadRequest {
+			t.Fatalf("%s insert status = %d, want 400", what, code)
+		}
 	}
 	if srv.Stats().InsertedRows != 2 {
 		t.Fatalf("InsertedRows = %d, want 2", srv.Stats().InsertedRows)
@@ -319,7 +304,7 @@ func TestServerSchemaEndpoint(t *testing.T) {
 }
 
 // TestServerSharded runs the whole serving surface — aggregates,
-// projections, SQL mutations, /insert, /schema, /stats — against a 4-shard
+// projections, SQL mutations, /schema, /stats — against a 4-shard
 // store, pinning that the Store generalization lost nothing and that the
 // per-shard stats block is populated.
 func TestServerSharded(t *testing.T) {
@@ -359,21 +344,14 @@ func TestServerSharded(t *testing.T) {
 		t.Fatalf("DELETE = %+v (status %d)", r, code)
 	}
 
-	// /insert rides the same mutator.
-	body := `{"rows": [["nyc", 12.5, 42]]}`
-	resp, err := http.Post(url+"/insert", "application/json", bytes.NewReader([]byte(body)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ir InsertResponse
-	json.NewDecoder(resp.Body).Decode(&ir)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || ir.Inserted != 1 {
-		t.Fatalf("insert = %+v (status %d)", ir, resp.StatusCode)
+	// A multi-row INSERT routes each row by the split point.
+	r, code = postQuery(t, url, "INSERT INTO t VALUES ('nyc', 12.5, 42), ('nyc', 12.5, 250)")
+	if code != http.StatusOK || r.Affected != 2 {
+		t.Fatalf("multi-row INSERT = %+v (status %d)", r, code)
 	}
 
 	// /schema folds row counts and column bounds across shards.
-	resp, err = http.Get(url + "/schema")
+	resp, err := http.Get(url + "/schema")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -583,18 +561,27 @@ func TestServerCloseRefusesRequests(t *testing.T) {
 	}
 }
 
-// TestServerInsertTimeTick pins what a number means on a time column: the
-// column's physical tick, in the column's own unit, whichever door it comes
-// through — POST /insert, a floodsql INSERT — and the RFC3339 string form
-// names the same instant. /insert used to read the number as nanoseconds.
+// TestServerInsertTimeTick pins what an INSERT number means on a time
+// column: the column's physical tick, in the column's own unit. One instant
+// spelled three ways stores one value — an RFC3339 string (encoded through the
+// schema, as floodsql takes no string literal on a time column), a tick on a
+// second-unit column, and a tick on a column with the default nanosecond
+// unit — and reads back as the same RFC3339 string.
 func TestServerInsertTimeTick(t *testing.T) {
+	const instant = "2023-11-14T22:23:20Z"
+	at, err := time.Parse(time.RFC3339, instant)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, unit := range []time.Duration{time.Second, time.Nanosecond} {
 		t.Run(unit.String(), func(t *testing.T) {
-			s := flood.NewSchema().Int64("id").TimeUnit("ts", unit)
+			s := flood.NewSchema().Int64("id").Time("ts") // the default unit: nanoseconds
+			if unit == time.Second {
+				s = flood.NewSchema().Int64("id").TimeUnit("ts", unit)
+			}
 			b := s.NewTableBuilder()
-			start := time.Date(2023, 11, 14, 0, 0, 0, 0, time.UTC)
 			for i := 0; i < 1000; i++ {
-				if err := b.AppendRow(int64(i), start.Add(time.Duration(i)*time.Second)); err != nil {
+				if err := b.AppendRow(int64(i), at.Add(time.Duration(i-5000)*time.Second)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -606,40 +593,34 @@ func TestServerInsertTimeTick(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			srv := New(flood.NewAdaptiveIndex(idx, nil), nil)
-			hs := httptest.NewServer(srv.Handler())
-			defer func() { hs.Close(); srv.Close() }()
+			store := flood.NewAdaptiveIndex(idx, nil)
+			_, hs := serve(t, store, nil)
 
-			// Three instants a second apart, one per door.
-			at := func(i int) time.Time { return time.Unix(1700005000+int64(i), 0).UTC() }
-			tick := func(i int) int64 { return at(i).UnixNano() / int64(unit) }
-			body := fmt.Sprintf(`{"rows": [[5000, %d], [5002, %q]]}`, tick(0), at(2).Format(time.RFC3339))
-			resp, err := http.Post(hs.URL+"/insert", "application/json", bytes.NewReader([]byte(body)))
+			row, err := s.EncodeRow(int64(5000), at)
+			if err == nil {
+				err = store.Insert(row)
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("/insert status %d", resp.StatusCode)
-			}
-			if r, code := postQuery(t, hs.URL, fmt.Sprintf("INSERT INTO t VALUES (5001, %d)", tick(1))); code != http.StatusOK || r.Affected != 1 {
+			sql := fmt.Sprintf("INSERT INTO t VALUES (5001, %d)", at.UnixNano()/int64(unit))
+			if r, code := postQuery(t, hs.URL, sql); code != http.StatusOK || r.Affected != 1 {
 				t.Fatalf("INSERT = %+v (status %d)", r, code)
 			}
-			r, code := postQuery(t, hs.URL, "SELECT id, ts FROM t WHERE id BETWEEN 5000 AND 5002")
-			if code != http.StatusOK || len(r.Rows) != 3 {
-				t.Fatalf("SELECT = %+v (status %d), want 3 rows", r, code)
+			r, code := postQuery(t, hs.URL, "SELECT id, ts FROM t WHERE id BETWEEN 5000 AND 5001")
+			if code != http.StatusOK || len(r.Rows) != 2 {
+				t.Fatalf("SELECT = %+v (status %d), want 2 rows", r, code)
 			}
 			for _, row := range r.Rows {
-				i := int(row[0].(float64)) - 5000
-				if got, want := row[1], at(i).Format(time.RFC3339); got != want {
-					t.Errorf("row %v (door %d) reads back as %v, want %s", row[0], i, got, want)
+				if row[1] != instant {
+					t.Errorf("row %v reads back as %v, want %s", row[0], row[1], instant)
 				}
 			}
 		})
 	}
 }
 
-// TestServerBodyLimit pins the body cap on both POST endpoints: one byte over
+// TestServerBodyLimit pins the body cap on POST /query: one byte over
 // maxBodyBytes is refused with 413, a body of exactly the cap is read, and so
 // is the next ordinary request.
 func TestServerBodyLimit(t *testing.T) {
@@ -648,19 +629,15 @@ func TestServerBodyLimit(t *testing.T) {
 	pad := func(head, tail string) func(n int) string {
 		return func(n int) string { return head + strings.Repeat(" ", n-len(head)-len(tail)) + tail }
 	}
-	for path, body := range map[string]func(int) string{
-		"/query":  pad(`{"sql":"SELECT COUNT(*) FROM t`, `"}`),
-		"/insert": pad(`{"rows": [["nyc", 12.5, 42]]`, `}`),
-	} {
-		for _, c := range []struct{ n, want int }{{maxBodyBytes + 1, 413}, {maxBodyBytes, 200}, {64, 200}} {
-			resp, err := http.Post(hs.URL+path, "application/json", strings.NewReader(body(c.n)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
-			if resp.StatusCode != c.want {
-				t.Fatalf("POST %s with a %d-byte body: status %d, want %d", path, c.n, resp.StatusCode, c.want)
-			}
+	body := pad(`{"sql":"SELECT COUNT(*) FROM t`, `"}`)
+	for _, c := range []struct{ n, want int }{{maxBodyBytes + 1, 413}, {maxBodyBytes, 200}, {64, 200}} {
+		resp, err := http.Post(hs.URL+"/query", "application/json", strings.NewReader(body(c.n)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Fatalf("POST /query with a %d-byte body: status %d, want %d", c.n, resp.StatusCode, c.want)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -45,14 +46,12 @@ func TestServerShutdownKeepsAckedWrites(t *testing.T) {
 		return r
 	}
 	insert := func(marker int64) bool {
-		var rows [][]json.RawMessage
-		var vals []json.RawMessage
+		vals := make([]string, 0, ds.Table.NumCols())
 		for _, v := range row(marker) {
-			vals = append(vals, json.RawMessage(fmt.Sprint(v)))
+			vals = append(vals, fmt.Sprint(v))
 		}
-		rows = append(rows, vals)
-		body, _ := json.Marshal(InsertRequest{Rows: rows})
-		resp, err := http.Post(hs.URL+"/insert", "application/json", bytes.NewReader(body))
+		body, _ := json.Marshal(QueryRequest{SQL: "INSERT INTO sales VALUES (" + strings.Join(vals, ", ") + ")"})
+		resp, err := http.Post(hs.URL+"/query", "application/json", bytes.NewReader(body))
 		if err != nil {
 			return false
 		}

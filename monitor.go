@@ -5,69 +5,54 @@ import (
 	"time"
 )
 
-// Monitor implements the workload-shift detection sketched in §8 ("Shifting
-// workloads"): it tracks query cost over a sliding window and signals when
-// the current layout has drifted far enough from its expected performance
-// that relearning is worthwhile. The reference cost is the cost model's
-// prediction when available (Build), otherwise the first full window
-// observed after construction.
+// driftWindow is the drift monitor's sliding window in queries.
+const driftWindow = 64
+
+// minRelearnQueries is the number of sampled queries a drift signal needs
+// before it may start a relearn. Forced relearns require only one.
+const minRelearnQueries = 32
+
+// monitor implements the workload-shift detection sketched in §8 ("Shifting
+// workloads"): it tracks query cost over a sliding window of driftWindow
+// queries and signals when the current layout has drifted far enough from
+// its expected performance that relearning is worthwhile. The reference cost
+// is the cost model's prediction when there is one, otherwise the first full
+// window observed. Each AdaptiveIndex generation owns one; the index owns
+// the rest of the loop (sample the workload, relearn in the background, swap
+// atomically).
 //
-// A Monitor is safe for concurrent use: Record may be called from many
+// A monitor is safe for concurrent use: record may be called from many
 // goroutines at once (the normal situation when queries are served through
 // ExecuteBatch or from concurrent request handlers). The sliding window is
-// guarded by a mutex, every Record observes a consistent window, and at
-// least one Record in any window-sized burst that pushes the average over
+// guarded by a mutex, every record observes a consistent window, and at
+// least one record in any window-sized burst that pushes the average over
 // the threshold reports true.
-//
-// Monitor is the detection half of the adaptive lifecycle; AdaptiveIndex
-// owns the full loop (sample the workload, detect drift, relearn in the
-// background, swap atomically), so serving code rarely constructs one
-// directly:
-//
-//	a := flood.NewAdaptiveIndex(idx, nil) // monitors, relearns, swaps
-//	defer a.Close()
-//	for q := range queries {
-//	    st := a.Execute(q, agg) // drift-checked; relearns happen in the background
-//	    _ = st
-//	}
-//
-// Construct a Monitor by hand only to drive a custom relearn policy.
-type Monitor struct {
+type monitor struct {
 	mu        sync.Mutex
-	window    []time.Duration
-	sum       time.Duration // running total of window (O(1) Record)
+	window    [driftWindow]time.Duration
+	sum       time.Duration // running total of window (O(1) record)
 	next      int
 	filled    bool
 	reference float64 // ns
 	factor    float64
 }
 
-// NewMonitor tracks idx over a sliding window of windowSize queries; Record
-// returns true once the window's average query time exceeds factor times
-// the reference cost.
-func NewMonitor(idx *Flood, windowSize int, factor float64) *Monitor {
-	if windowSize < 1 {
-		windowSize = 1
-	}
-	if factor <= 1 {
-		factor = 2
-	}
-	m := &Monitor{window: make([]time.Duration, windowSize), factor: factor}
-	if idx != nil && idx.PredictedCost() > 0 {
-		m.reference = idx.PredictedCost()
-	}
-	return m
+// newMonitor starts a window against the predicted cost reference (ns per
+// query; 0 takes the first full window instead); record fires once the
+// window's average query time exceeds factor times the reference.
+func newMonitor(reference, factor float64) *monitor {
+	return &monitor{reference: reference, factor: factor}
 }
 
-// Record adds one query's stats and reports whether the layout should be
+// record adds one query's stats and reports whether the layout should be
 // relearned. It never fires before a full window has been observed.
-func (m *Monitor) Record(st Stats) bool {
+func (m *monitor) record(st Stats) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.sum += st.Total - m.window[m.next]
 	m.window[m.next] = st.Total
 	m.next++
-	if m.next == len(m.window) {
+	if m.next == driftWindow {
 		m.next = 0
 		if !m.filled {
 			m.filled = true
@@ -83,22 +68,15 @@ func (m *Monitor) Record(st Stats) bool {
 	return m.windowAvg() > m.factor*m.reference
 }
 
-// Reference returns the baseline average query time in nanoseconds (0 until
-// established).
-func (m *Monitor) Reference() float64 {
+// state returns the reference cost (0 until established) and the current
+// window's average query time (only meaningful once a full window has been
+// recorded), both in nanoseconds per query.
+func (m *monitor) state() (reference, windowAvg float64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.reference
+	return m.reference, m.windowAvg()
 }
 
-// WindowAverage returns the current window's average query time in
-// nanoseconds (only meaningful once a full window has been recorded).
-func (m *Monitor) WindowAverage() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.windowAvg()
-}
-
-func (m *Monitor) windowAvg() float64 {
-	return float64(m.sum.Nanoseconds()) / float64(len(m.window))
+func (m *monitor) windowAvg() float64 {
+	return float64(m.sum.Nanoseconds()) / driftWindow
 }

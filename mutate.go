@@ -91,7 +91,7 @@ func (f *Flood) LiveRows() int { return f.idx.LiveRows() }
 // tombstoned rows are physically discarded and the new index starts with an
 // empty tombstone set. f is not modified.
 func (f *Flood) Rebuild() (*Flood, error) {
-	idx, err := f.idx.Rebuild(nil)
+	idx, err := f.idx.RebuildCompact(nil, f.idx.Tombstones(), nil)
 	if err != nil {
 		return nil, err
 	}

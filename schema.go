@@ -157,16 +157,6 @@ func (s *Schema) ColumnIndex(name string) int {
 	return -1
 }
 
-// ColumnKind returns the logical kind of the named column; ok is false for
-// unknown names.
-func (s *Schema) ColumnKind(name string) (Kind, bool) {
-	i, ok := s.byName[name]
-	if !ok {
-		return 0, false
-	}
-	return s.fields[i].kind, true
-}
-
 // KindAt returns the logical kind of column i.
 func (s *Schema) KindAt(i int) Kind { return s.fields[i].kind }
 

@@ -4,31 +4,35 @@ import (
 	"bytes"
 	"slices"
 	"testing"
+
+	"flood/internal/query"
 )
 
-// TestSelectParallelMatchesSequential pins Select through the morsel engine:
-// a result set far past the parallel cutover must equal the pinned
-// sequential path row for row (ids are sorted, so merge order cannot leak).
-// Runs in the CI race matrix.
+// TestSelectParallelMatchesSequential pins the row-collecting scan through
+// the morsel engine: every fixture query, run with four workers (which forces
+// the morsel engine whatever the scan volume), must collect the same ids and
+// scan the same rows as the sequential kernel (ids are sorted, as Select sorts
+// them, so merge order cannot leak). Runs in the CI race matrix.
 func TestSelectParallelMatchesSequential(t *testing.T) {
 	fx := newTypedFixture(t, 120_000, 31)
-	seqIdx, err := BuildWithLayout(fx.tbl, fixtureLayout(fx), &Options{Schema: fx.schema, ParallelCutoverRows: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parIdx, err := BuildWithLayout(fx.tbl, fixtureLayout(fx), &Options{Schema: fx.schema, ParallelCutoverRows: 1})
+	idx, err := BuildWithLayout(fx.tbl, fixtureLayout(fx), &Options{Schema: fx.schema})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range fixtureQueries(fx) {
-		seqRows, _ := seqIdx.Select(tc.q)
-		parRows, _ := parIdx.Select(tc.q)
-		if !slices.Equal(seqRows.rc.IDs(), parRows.rc.IDs()) {
-			t.Fatalf("%s: parallel Select ids diverge from sequential (%d vs %d rows)",
-				tc.name, parRows.Len(), seqRows.Len())
+		var seq, par query.RowCollector
+		seqSt := idx.run(nil, tc.q, &seq, 1)
+		parSt := idx.run(nil, tc.q, &par, 4)
+		seq.Sort()
+		par.Sort()
+		if !slices.Equal(seq.IDs(), par.IDs()) {
+			t.Fatalf("%s: parallel scan ids diverge from sequential (%d vs %d rows)",
+				tc.name, par.Len(), seq.Len())
 		}
-		seqRows.Close()
-		parRows.Close()
+		if seqSt.Scanned != parSt.Scanned || seqSt.Matched != parSt.Matched {
+			t.Fatalf("%s: parallel counters %d/%d, sequential %d/%d (scanned/matched)",
+				tc.name, parSt.Scanned, parSt.Matched, seqSt.Scanned, seqSt.Matched)
+		}
 	}
 }
 
@@ -65,7 +69,7 @@ func TestDeltaMergeSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if loaded.Schema() == nil {
-		t.Fatal("schema not auto-restored from the snapshot (no SetSchema needed)")
+		t.Fatal("schema not auto-restored from the snapshot")
 	}
 	if loaded.Table().NumRows() != 3500 {
 		t.Fatalf("loaded table has %d rows, want 3500", loaded.Table().NumRows())

@@ -366,8 +366,8 @@ func TestSelectZeroAllocSequential(t *testing.T) {
 		t.Skip("allocation counts differ under -race")
 	}
 	fx := newTypedFixture(t, 20_000, 27)
-	// Negative cutover pins the sequential path regardless of result size.
-	idx, err := BuildWithLayout(fx.tbl, fixtureLayout(fx), &Options{Schema: fx.schema, ParallelCutoverRows: -1})
+	// 20K rows stay below the parallel cutover: the sequential path.
+	idx, err := BuildWithLayout(fx.tbl, fixtureLayout(fx), &Options{Schema: fx.schema})
 	if err != nil {
 		t.Fatal(err)
 	}
