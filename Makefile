@@ -94,7 +94,9 @@ loc:
 # over a full-range column, one live calibration as learn_build runs it, one
 # of its three forests, and one merge of buffered rows into an index.
 # TableBuilderBuild is ingest: fitting and encoding the 500k-row typed sales
-# table the SQL workloads start from.
+# table the SQL workloads start from. AdaptiveInsert and
+# AdaptiveQueryPendingLog are the insert log's trade: one Insert, which seals
+# a block every 128 rows, and a selective read over 0 to 5,000 pending rows.
 bench:
 	$(GO) test ./internal/core -run '^$$' \
 		-bench 'Residual|WideRect|SteadyState|Build1M|Build200k|Build2M|RebuildMerge500k|Ablation|Parallel|Batch|DeleteHeavy' \
@@ -104,7 +106,7 @@ bench:
 		-benchmem -benchtime=1s | tee -a /tmp/bench_scan.txt
 	$(GO) test ./internal/colstore -run '^$$' -bench '^BenchmarkDecodeBlock$$|^BenchmarkCompareBlock$$|^BenchmarkAggregateBlock$$|^BenchmarkBitmapAndBlock$$' \
 		-benchmem -benchtime=1s | tee -a /tmp/bench_scan.txt
-	$(GO) test . -run '^$$' -bench '^BenchmarkSelect|^BenchmarkExecute|^BenchmarkSaveLoad|^BenchmarkDict|^BenchmarkSharded|^BenchmarkTableBuilderBuild$$' \
+	$(GO) test . -run '^$$' -bench '^BenchmarkSelect|^BenchmarkExecute|^BenchmarkSaveLoad|^BenchmarkDict|^BenchmarkSharded|^BenchmarkTableBuilderBuild$$|^BenchmarkAdaptiveInsert$$|^BenchmarkAdaptiveQueryPendingLog$$' \
 		-benchmem -benchtime=1s | tee -a /tmp/bench_scan.txt
 	$(GO) test ./floodsql -run '^$$' -bench '^BenchmarkLookupPoint$$|^BenchmarkParseLookup$$' \
 		-benchmem -benchtime=1s | tee -a /tmp/bench_scan.txt

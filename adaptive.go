@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"flood/internal/baseline/plan"
 	"flood/internal/colstore"
 	"flood/internal/core"
 	"flood/internal/query"
@@ -215,7 +216,7 @@ func (ep *adaptiveEpoch) scan(ctl *query.Control, q Query, agg Aggregator, worke
 	}
 	st := ep.flood.run(ctl, q, agg, workers)
 	if n := ep.log.rows(); n > 0 && !ctl.Stopped() {
-		st.Add(ep.log.scan(q, n, agg, ctl, logStart))
+		st.Add(ep.log.scan(ctl, q, n, agg, workers, logStart))
 	}
 	return st
 }
@@ -810,45 +811,40 @@ var _ query.BatchIndex = (*AdaptiveIndex)(nil)
 // facade's writer lock) append a row and then advance the atomic row count;
 // readers load the count once and may scan any prefix up to it without
 // locking — the count's release/acquire ordering guarantees those rows are
-// fully written. Scans reuse the block-skipping scan kernel by encoding the
-// log into immutable logViewStep-sized segment tables, sealed lazily as the
-// log grows; every row is encoded into a sealed segment exactly once, and
-// only the short unsealed suffix is encoded transiently per scan.
+// fully written. The log's whole blocks are also one compressed table the
+// writer extends a block at a time, so a read runs the shared scan stage over
+// that table and encodes only the last partial block (under
+// colstore.BlockSize rows) for itself.
 type sideLog struct {
 	names []string
 	cols  atomic.Pointer[[][]int64] // column-major; rows [0, count) published
 	count atomic.Int64
-	segs  atomic.Pointer[[]*logSegment] // sealed, contiguous from row 0
+	// sealed holds rows [0, k·BlockSize) compressed. It is published before
+	// the count passes its last row, so a reader that loads the count and
+	// then sealed finds every whole block below the count in it.
+	sealed atomic.Pointer[colstore.Table]
 	// tomb marks deleted log rows. Published values are immutable; a scan
-	// captures the pointer once, so its whole pass over segments and suffix
-	// masks against one consistent deletion snapshot. Segments start at
-	// multiples of logViewStep — a multiple of 64 — so each segment's mask
-	// is a word-aligned alias into the captured words (Tombstones.Slice).
+	// captures the pointer once, so its pass over the sealed table and the
+	// partial block masks against one consistent deletion snapshot.
 	tomb atomic.Pointer[colstore.Tombstones]
-}
-
-// logSegment is one sealed, encoded chunk of the log: rows [start, end).
-type logSegment struct {
-	start, end int64
-	t          *colstore.Table
 }
 
 func newSideLog(names []string) *sideLog {
 	l := &sideLog{names: names}
 	cols := make([][]int64, len(names))
 	l.cols.Store(&cols)
-	segs := []*logSegment{}
-	l.segs.Store(&segs)
+	l.sealed.Store(colstore.MustNewTable(names, cols))
 	return l
 }
 
 // rows returns the published row count; rows below it are immutable.
 func (l *sideLog) rows() int64 { return l.count.Load() }
 
-// append adds one row. Callers must serialize appends (the facade's writer
-// lock); readers are never blocked. The column headers are republished
-// copy-on-write before the count advances, so a reader that observes count n
-// always observes headers covering at least n rows.
+// append adds one row, sealing a block when it completes one. Callers must
+// serialize appends (the facade's writer lock); readers are never blocked.
+// The column headers and the sealed table are republished copy-on-write
+// before the count advances, so a reader that observes count n observes
+// headers covering at least n rows and every whole block below n sealed.
 func (l *sideLog) append(row []int64) error {
 	cur := *l.cols.Load()
 	if len(row) != len(cur) {
@@ -859,7 +855,11 @@ func (l *sideLog) append(row []int64) error {
 		next[c] = append(cur[c], row[c])
 	}
 	l.cols.Store(&next)
-	l.count.Add(1)
+	n := l.count.Load() + 1
+	if n%colstore.BlockSize == 0 {
+		l.sealed.Store(l.sealed.Load().AppendBlocks(l.columnsRange(n-colstore.BlockSize, n)))
+	}
+	l.count.Store(n)
 	return nil
 }
 
@@ -883,61 +883,48 @@ func (l *sideLog) columnsRange(from, to int64) [][]int64 {
 	return out
 }
 
-// seed installs n pre-published rows. Only valid before the log's epoch is
-// visible to any other goroutine (the swap holds the writer lock and the
-// epoch pointer is not yet stored).
+// seed installs n pre-published rows and seals their whole blocks. Only
+// valid before the log's epoch is visible to any other goroutine (the swap
+// holds the writer lock and the epoch pointer is not yet stored).
 func (l *sideLog) seed(cols [][]int64, n int64) {
 	if n == 0 {
 		return
 	}
 	l.cols.Store(&cols)
+	if whole := n - n%colstore.BlockSize; whole > 0 {
+		l.sealed.Store(l.sealed.Load().AppendBlocks(l.columnsRange(0, whole)))
+	}
 	l.count.Store(n)
 }
 
-// logViewStep is the sealed-segment granularity: once that many rows sit
-// past the last sealed segment, a scan seals them into encoded tables. Each
-// row is sealed exactly once — O(1) amortized over inserts — and the
-// transient suffix a scan encodes on the fly stays under one step, so
-// queries never absorb O(pending) encoding work.
-const logViewStep = 2048
-
-// scan filters the log's first n rows against q through the shared scan
-// kernel, accumulating matches into agg and returning delta-scan stats.
-// ctl, when non-nil, threads the query's cancellation signal and limit
-// budget into the segment scans, stopping between segments once latched.
-// When agg collects rows, every table scanned is placed at logStart, the id
-// of log row 0, plus its first log row, so a log row's id does not depend on
-// which earlier tables delivered or on which encoding of the unsealed suffix
-// it was read from.
-func (l *sideLog) scan(q Query, n int64, agg Aggregator, ctl *query.Control, logStart int64) Stats {
+// scan runs q over the log's first n rows through the shared scan stage,
+// accumulating matches into agg and returning the log's stats: once over
+// the sealed rows and once over the partial block past them, encoded for
+// this read, each a single span checked on every filtered dimension with the
+// query's workers. ctl, when non-nil, carries the query's cancellation
+// signal and limit budget into both. When agg collects rows, each table is
+// placed at logStart, the id of log row 0, plus its first log row, so a log
+// row's id does not depend on which earlier tables delivered or on which
+// version of the log's tables it was read from.
+func (l *sideLog) scan(ctl *query.Control, q Query, n int64, agg Aggregator, workers int, logStart int64) Stats {
 	var st Stats
 	t0 := time.Now()
-	dims := q.FilteredDims()
-	tw := l.tomb.Load()
+	tomb := l.tomb.Load()
+	sealed := l.sealed.Load()
+	k := min(int64(sealed.NumRows()), n)
 	rc, _ := agg.(*query.RowCollector)
-	scanTable := func(t *colstore.Table, start int64) {
+	run := func(t *colstore.Table, start, end int64, words []uint64) {
 		if rc != nil {
 			rc.PinSourceAt(t, logStart+start)
 		}
-		sc := query.GetScanner(t)
-		sc.SetControl(ctl)
-		sc.SetTombstones(tw.Slice(int(start) >> 6))
-		s, m := sc.ScanRange(q, dims, 0, t.NumRows(), agg)
-		sc.Release()
-		st.Scanned += s
-		st.Matched += m
+		spans := []core.Span{{End: int32(end - start), Mask: plan.FilterMask(q)}}
+		core.ScanSpans(t, words, ctl, q, spans, agg, workers, &st)
 	}
-	l.seal(n)
-	covered := int64(0)
-	for _, sg := range *l.segs.Load() {
-		if sg.end > n || ctl.Stopped() {
-			break
-		}
-		scanTable(sg.t, sg.start)
-		covered = sg.end
+	if k > 0 {
+		run(sealed, 0, k, tomb.Words())
 	}
-	if n > covered && !ctl.Stopped() {
-		scanTable(colstore.MustNewTable(l.names, l.columnsRange(covered, n)), covered)
+	if n > k && !ctl.Stopped() {
+		run(colstore.MustNewTable(l.names, l.columnsRange(k, n)), k, n, tomb.Slice(int(k)>>6))
 	}
 	st.ScanTime = time.Since(t0)
 	st.Total = st.ScanTime
@@ -960,60 +947,16 @@ func (l *sideLog) deleteRows(rows []int, n int64) int {
 	return added
 }
 
-// matchRows returns the live log rows among the first n that satisfy q, by
-// brute-force evaluation: the log is small by construction, and a pass over
-// its raw columns is several times cheaper than encoding the unsealed suffix
-// for the scan kernel. Caller holds the facade's writer lock, so rows below n
-// and the tombstone set are stable.
+// matchRows returns the live log rows among the first n that satisfy q, in
+// ascending order: the same scan as a query's, into a row collector with log
+// row 0 at id 0. Caller holds the facade's writer lock, so rows below n and
+// the tombstone set are stable.
 func (l *sideLog) matchRows(q Query, n int64) []int {
-	cols := *l.cols.Load()
-	tw := l.tomb.Load()
-	var rows []int
-next:
-	for i := 0; i < int(n); i++ {
-		if tw.Has(i) {
-			continue
-		}
-		for c, r := range q.Ranges {
-			if !r.Present {
-				continue
-			}
-			if v := cols[c][i]; v < r.Min || v > r.Max {
-				continue next
-			}
-		}
-		rows = append(rows, i)
+	var rc query.RowCollector
+	l.scan(nil, q, n, &rc, 1, 0)
+	rows := make([]int, rc.Len())
+	for i, id := range rc.IDs() {
+		rows[i] = int(id)
 	}
 	return rows
-}
-
-// seal encodes any full logViewStep-sized chunks of the first n rows into
-// immutable segment tables. Safe from any goroutine: the segment list is
-// copy-on-write and CAS-published, and concurrent sealers at worst encode
-// the same immutable rows twice. Returns quickly when there is nothing to
-// seal (one atomic load).
-func (l *sideLog) seal(n int64) {
-	for {
-		cur := l.segs.Load()
-		segs := *cur
-		start := int64(0)
-		if len(segs) > 0 {
-			start = segs[len(segs)-1].end
-		}
-		if n-start < logViewStep {
-			return
-		}
-		out := append([]*logSegment{}, segs...)
-		for n-start >= logViewStep {
-			end := start + logViewStep
-			out = append(out, &logSegment{
-				start: start, end: end,
-				t: colstore.MustNewTable(l.names, l.columnsRange(start, end)),
-			})
-			start = end
-		}
-		if l.segs.CompareAndSwap(cur, &out) {
-			return
-		}
-	}
 }

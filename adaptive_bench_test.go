@@ -7,11 +7,13 @@ import (
 	"flood/internal/dataset"
 )
 
-// BenchmarkAdaptiveQueryPendingLog measures what an unsealed insert log adds
+// BenchmarkAdaptiveQueryPendingLog measures what a pending insert log adds
 // to a selective query: a 0.1% range on the sort dimension of a 500k-row
-// index, with no pending rows and with 1,000. Fewer than logViewStep rows are
-// never sealed, so every query compresses them into a fresh table before it
-// scans them; that is the per-read cost serve_mixed's writes leave behind.
+// index, with no pending rows, with one short of a block, and with 1,000 and
+// 5,000. The writer seals the log's whole blocks as it goes, so a query scans
+// the sealed table and compresses at most the last partial block (under 128
+// rows) for itself; that is the per-read cost serve_mixed's writes leave
+// behind.
 func BenchmarkAdaptiveQueryPendingLog(b *testing.B) {
 	const n = 500_000
 	ds := dataset.Sales(n, 1401)
@@ -25,7 +27,7 @@ func BenchmarkAdaptiveQueryPendingLog(b *testing.B) {
 	}
 	// order_id is about 3 × the row number, so a width of 3n/1000 is 0.1%.
 	q := NewQuery(ds.Table.NumCols()).WithRange(0, 3*n/2, 3*n/2+3*n/1000)
-	for _, pending := range []int{0, 1000} {
+	for _, pending := range []int{0, 127, 1000, 5000} {
 		b.Run(fmt.Sprintf("pending=%d", pending), func(b *testing.B) {
 			a := NewAdaptiveIndex(base, &AdaptiveConfig{DriftFactor: 1e9, MergeFraction: -1})
 			defer a.Close()
@@ -53,4 +55,44 @@ func BenchmarkAdaptiveQueryPendingLog(b *testing.B) {
 			b.ReportMetric(float64(scanned)/float64(b.N), "scanned/op")
 		})
 	}
+}
+
+// BenchmarkAdaptiveInsert measures one Insert into the log of a 100k-row
+// index with merges off: the writer lock, the copy-on-write column headers
+// and, every 128th row, sealing a block. The index is replaced (outside the
+// timer) every 64K rows so the log's memory stays bounded at any b.N.
+func BenchmarkAdaptiveInsert(b *testing.B) {
+	const n, perIndex = 100_000, 1 << 16
+	ds := dataset.Sales(n, 1402)
+	base, err := BuildWithLayout(ds.Table, Layout{
+		GridDims: []int{3}, GridCols: []int{2}, SortDim: 0, Flatten: true,
+	}, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rows := make([][]int64, 1024)
+	for i := range rows {
+		rows[i] = make([]int64, ds.Table.NumCols())
+		for c := range rows[i] {
+			rows[i][c] = ds.Cols[c][(i*7919)%n]
+		}
+	}
+	var a *AdaptiveIndex
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%perIndex == 0 {
+			b.StopTimer()
+			if a != nil {
+				a.Close()
+			}
+			a = NewAdaptiveIndex(base, &AdaptiveConfig{DriftFactor: 1e9, MergeFraction: -1})
+			b.StartTimer()
+		}
+		if err := a.Insert(rows[i%len(rows)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	a.Close()
 }

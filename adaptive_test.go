@@ -3,13 +3,17 @@ package flood
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"flood/internal/core"
 	"flood/internal/dataset"
+	"flood/internal/query"
 	"flood/internal/workload"
 )
 
@@ -421,28 +425,225 @@ func TestAdaptiveBookkeepingByOutcome(t *testing.T) {
 	step("ExecuteContext canceled mid-scan", 0, 0, false)
 }
 
-// TestAdaptiveSideLogSegments pushes the insert log well past the sealing
-// granularity so scans cross multiple sealed segments plus the transient
-// suffix, and stay exact.
+// TestAdaptiveSideLogSegments holds the insert log's scan — the sealed
+// blocks plus the partial block a read encodes — to brute force at pending
+// counts on both sides of every block boundary: Count, Select (each id
+// decodes to the row inserted at that log position), a disjunction whose
+// pieces each read the partial block, Select ids fed back to DeleteRows, and
+// a predicate Delete resolving its log victims through the same scan.
 func TestAdaptiveSideLogSegments(t *testing.T) {
-	a, ds, _ := adaptiveUnderTest(t, &AdaptiveConfig{MergeFraction: -1})
+	idx, ds, _ := buildSmall(t)
 	dateCol := ds.ColumnIndex("date")
-	marker := NewQuery(ds.Table.NumCols()).WithRange(dateCol, 5000, 6000)
-	rng := rand.New(rand.NewSource(306))
-	const added = 5000 // > 2 sealed segments at logViewStep=2048
-	for i := 0; i < added; i++ {
-		if err := a.Insert(markerRow(ds, rng, dateCol, i)); err != nil {
+	other := (dateCol + 1) % ds.Table.NumCols()
+	vals := slices.Sorted(slices.Values(ds.Cols[other]))
+	p30, p50, p70 := vals[len(vals)*3/10], vals[len(vals)/2], vals[len(vals)*7/10]
+	base := int64(ds.Table.NumRows())
+	box := func(date0, date1, lo, hi int64) Query {
+		return NewQuery(ds.Table.NumCols()).WithRange(dateCol, date0, date1).WithRange(other, lo, hi)
+	}
+	marker := box(5000, 5999, NegInf, PosInf)
+	for _, pending := range []int{0, 1, 127, 128, 129, 255, 256, 1000, 5000} {
+		t.Run(fmt.Sprintf("pending=%d", pending), func(t *testing.T) {
+			a := NewAdaptiveIndex(idx, &AdaptiveConfig{DriftFactor: 1e9, MergeFraction: -1})
+			defer a.Close()
+			rng := rand.New(rand.NewSource(int64(306 + pending)))
+			logRows := make([][]int64, pending)
+			dead := make([]bool, pending)
+			for i := range logRows {
+				logRows[i] = markerRow(ds, rng, dateCol, i)
+				if err := a.Insert(logRows[i]); err != nil {
+					t.Fatal(err)
+				}
+				if i%100 == 0 { // reads interleaved with growth
+					a.Execute(marker, NewCount())
+				}
+			}
+			// brute is the ids of the live log rows matching any of qs.
+			brute := func(qs ...Query) (ids []int64) {
+				for i, row := range logRows {
+					if !dead[i] && slices.ContainsFunc(qs, func(q Query) bool { return q.Matches(row) }) {
+						ids = append(ids, base+int64(i))
+					}
+				}
+				return ids
+			}
+			// selected drains rows, checking each id decodes to the row
+			// inserted at its log position.
+			selected := func(rows *Rows) (ids []int64) {
+				defer rows.Close()
+				for rows.Next() {
+					id := rows.RowID()
+					if id < base || id >= base+int64(pending) {
+						t.Fatalf("row id %d outside the log's ids [%d, %d)", id, base, base+int64(pending))
+					}
+					for c, v := range logRows[id-base] {
+						if got := rows.Int64(c); got != v {
+							t.Fatalf("id %d column %d decodes %d, inserted %d", id, c, got, v)
+						}
+					}
+					ids = append(ids, id)
+				}
+				slices.Sort(ids)
+				return ids
+			}
+
+			if got := countOf(t, a, marker); got != int64(pending) {
+				t.Fatalf("log scan counted %d, want %d", got, pending)
+			}
+			band := box(5000, 5999, p30, p70)
+			sel, _ := a.Select(band)
+			ids := selected(sel)
+			if want := brute(band); !slices.Equal(ids, want) || (pending >= 100 && len(ids) == 0) {
+				t.Fatalf("Select found %d ids, brute force %d", len(ids), len(want))
+			}
+			or := []Query{box(5000, 5249, NegInf, p50), box(5100, 5499, p50, PosInf)}
+			orRows, _ := a.Schema().SelectOr(a, or)
+			if got, want := selected(orRows), brute(or...); !slices.Equal(got, want) {
+				t.Fatalf("SelectOr found %d ids, brute force %d", len(got), len(want))
+			}
+
+			n, err := a.DeleteRows(ids)
+			if err != nil || n != int64(len(ids)) {
+				t.Fatalf("DeleteRows of the selected ids = (%d, %v), want %d", n, err, len(ids))
+			}
+			for _, id := range ids {
+				dead[id-base] = true
+			}
+			if n, _ := a.DeleteRows(ids); n != 0 {
+				t.Fatalf("second DeleteRows deleted %d", n)
+			}
+			if got := countOf(t, a, band); got != 0 {
+				t.Fatalf("deleted band still counts %d", got)
+			}
+			head := box(5000, 5099, NegInf, PosInf)
+			want := brute(head)
+			if n, err := a.Delete(head); err != nil || n != int64(len(want)) {
+				t.Fatalf("Delete = (%d, %v), brute force %d", n, err, len(want))
+			}
+			for _, id := range want {
+				dead[id-base] = true
+			}
+			if got, want := countOf(t, a, marker), int64(len(brute(marker))); got != want {
+				t.Fatalf("after deletes the log counts %d, brute force %d", got, want)
+			}
+		})
+	}
+
+	// A log past the parallel cutover runs on the morsel engine and
+	// collects the ids the sequential kernel does.
+	t.Run("pending=40000", func(t *testing.T) {
+		a := NewAdaptiveIndex(idx, &AdaptiveConfig{DriftFactor: 1e9, MergeFraction: -1})
+		defer a.Close()
+		rng := rand.New(rand.NewSource(340))
+		for i := 0; i < 40000; i++ {
+			if err := a.Insert(markerRow(ds, rng, dateCol, i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := a.DeleteRows([]int64{base + 3, base + 20000, base + 39999}); err != nil {
 			t.Fatal(err)
 		}
-		if i%1500 == 0 { // interleave reads so sealing happens mid-growth
-			a.Execute(marker, NewCount())
+		ep := a.epoch.Load()
+		for _, q := range []Query{marker, box(5100, 5300, p30, p70)} {
+			var seq, par query.RowCollector
+			seqSt := ep.scan(nil, q, &seq, 1)
+			before, _ := core.HelperShare()
+			parSt := ep.scan(nil, q, &par, 4)
+			if after, _ := core.HelperShare(); after.Units == before.Units {
+				t.Fatal("a 40,000-row log scan with 4 workers did not take the morsel engine")
+			}
+			par.Sort()
+			if !slices.Equal(seq.IDs(), par.IDs()) || seqSt.Scanned != parSt.Scanned || seqSt.Matched != parSt.Matched {
+				t.Fatalf("parallel log scan: %d ids (scanned %d), sequential %d (scanned %d)",
+					par.Len(), parSt.Scanned, seq.Len(), seqSt.Scanned)
+			}
 		}
+	})
+}
+
+// TestAdaptiveSealedLogConcurrentReaders races inserters, whose rows cross
+// block boundaries and so seal blocks under the writer lock, against readers
+// running Execute and Select. Every row a reader decodes must be one whole
+// inserted row (no torn read across the sealed table and the partial
+// block), appear once, and a reader's counts never shrink.
+func TestAdaptiveSealedLogConcurrentReaders(t *testing.T) {
+	idx, ds, _ := buildSmall(t)
+	a := NewAdaptiveIndex(idx, &AdaptiveConfig{DriftFactor: 1e9, MergeFraction: -1})
+	defer a.Close()
+	const writers, perWriter, keyBase = 2, 700, 1 << 40
+	cols := ds.Table.NumCols()
+	// Row key k holds (c+1)·keyBase + k in column c, so the row is
+	// recoverable from any one column.
+	marker := NewQuery(cols).WithRange(0, keyBase, 2*keyBase-1)
+	var wg sync.WaitGroup
+	var done atomic.Bool
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				row := make([]int64, cols)
+				for c := range row {
+					row[c] = int64(c+1)*keyBase + int64(w*perWriter+i)
+				}
+				if err := a.Insert(row); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
 	}
-	if got := countOf(t, a, marker); got != added {
-		t.Fatalf("segmented log scan found %d, want %d", got, added)
+	errs := make(chan error, 2)
+	var readers sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			var lastCount, lastSel int64
+			for !done.Load() {
+				cnt := NewCount()
+				a.Execute(marker, cnt)
+				if cnt.Result() < lastCount {
+					errs <- fmt.Errorf("count went from %d to %d", lastCount, cnt.Result())
+					return
+				}
+				lastCount = cnt.Result()
+				rows, _ := a.Select(marker)
+				seen := map[int64]bool{}
+				for rows.Next() {
+					k := rows.Int64(0) - keyBase
+					for c := 1; c < cols; c++ {
+						if rows.Int64(c) != int64(c+1)*keyBase+k {
+							rows.Close()
+							errs <- fmt.Errorf("torn row: column %d holds %d for key %d", c, rows.Int64(c), k)
+							return
+						}
+					}
+					if seen[k] {
+						rows.Close()
+						errs <- fmt.Errorf("key %d selected twice", k)
+						return
+					}
+					seen[k] = true
+				}
+				rows.Close()
+				if int64(len(seen)) < lastSel {
+					errs <- fmt.Errorf("select went from %d rows to %d", lastSel, len(seen))
+					return
+				}
+				lastSel = int64(len(seen))
+			}
+		}()
 	}
-	if segs := *a.epoch.Load().log.segs.Load(); len(segs) < 2 {
-		t.Fatalf("expected >=2 sealed segments for %d rows, got %d", added, len(segs))
+	wg.Wait()
+	done.Store(true)
+	readers.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if got := countOf(t, a, marker); got != writers*perWriter {
+		t.Fatalf("final count %d, want %d", got, writers*perWriter)
 	}
 }
 

@@ -97,9 +97,9 @@ func (f *confFacade) brute(preds ...confPredicate) []string {
 // mutable ones carry pending inserts (marked by a fare far outside the
 // fixture's domain, spread over the whole ts range so every shard holds
 // some) and tombstones in both the base and the insert log. The inserts come
-// in three bands: 96 at fare 500+, then enough padding at 700+ to push every
-// log — each shard's too — past its first 2,048-row sealed segment, then 48
-// at 900+ that therefore sit in each log's unsealed suffix.
+// in three bands: 96 at fare 500+, then padding at 700+ that fills every log
+// — each shard's too — with sealed blocks, then 48 at 900+ at each log's
+// tail, where the partial block a read encodes for itself sits.
 func confFacades(t *testing.T) (*typedFixture, []*confFacade) {
 	t.Helper()
 	fx := newTypedFixture(t, 20_000, 91)
@@ -240,9 +240,9 @@ func TestFacadeConformance(t *testing.T) {
 		sch.Where().WithFloatRange("fare", 500, 600).Query(),
 		func(r confRow) bool { return r.fare >= 500 && r.fare <= 600 },
 	}
-	// The suffix predicates match only rows of the last band, which every
-	// log holds past a sealed segment that matches none of them: their ids
-	// must still count the sealed rows in front.
+	// The tail predicates match only rows of the last band, which every
+	// log holds past sealed blocks that match none of them: their ids must
+	// still count the sealed rows in front.
 	fareBand := func(lo, hi float64) confPredicate {
 		return confPredicate{
 			sch.Where().WithFloatRange("fare", lo, hi).Query(),
@@ -406,8 +406,8 @@ func TestFacadeConformance(t *testing.T) {
 				t.Fatalf("Update with an empty SET list = %d, %v; want %d", n, err, want)
 			}
 			sameAsOracle(t, f)
-			// The last band of pending rows sits past each log's first sealed
-			// segment, so their victims are resolved in the unsealed suffix.
+			// The last band of pending rows sits at each log's tail, so their
+			// victims are resolved mostly in its partial block.
 			late := fareBand(900, 929)
 			want = f.rewrite(late, func(r *confRow) { r.city = "nyc" })
 			n, err = up.Update(late.q, []Assignment{assign("city", "nyc")})

@@ -957,11 +957,11 @@ func (p *parser) encodeAssign(col int, v *value) (int64, error) {
 		if err != nil {
 			return 0, err
 		}
-		lo, hi := sc.EncodeLower(v.f), sc.EncodeUpper(v.f)
-		if lo != hi {
+		c, err := sc.EncodeExact(v.f)
+		if err != nil {
 			return 0, p.errAt(v.tok, "value %v is not representable in column %q's scale", v.f, p.cols.Name(col))
 		}
-		return lo, nil
+		return c, nil
 	default:
 		// Int64 columns, and time columns assigned as raw ticks.
 		return v.i, nil

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -953,5 +954,33 @@ func TestInsertStatement(t *testing.T) {
 	}
 	if got, _, err := check.Run(delta); err != nil || got != 1 {
 		t.Fatalf("inserted-row COUNT = %d (err %v), want 1 (column list reordering must land values in schema order)", got, err)
+	}
+}
+
+// TestInsertFloatMatchesEncodeRow holds SQL INSERT to Schema.EncodeRow on
+// floats a 2-digit column can and cannot store exactly: both refuse a value
+// between two codes or out of range, and both store the same code otherwise.
+func TestInsertFloatMatchesEncodeRow(t *testing.T) {
+	s, _, _, _, _ := typedFixture(t)
+	fare := s.ColumnIndex("fare")
+	for lit, want := range map[string]int64{
+		"1.005": -1, "2.675": -1, "1e300": -1, "1.25": 125, "0.1": 10, "9.99": 999,
+	} {
+		v, _ := strconv.ParseFloat(lit, 64)
+		row, rowErr := s.EncodeRow("boston", v, int64(3))
+		st, sqlErr := ParseTyped("INSERT INTO t VALUES ('boston', "+lit+", 3)", s)
+		if want < 0 {
+			if rowErr == nil || sqlErr == nil {
+				t.Errorf("fare %s: EncodeRow err %v, INSERT err %v; want both refused", lit, rowErr, sqlErr)
+			}
+			continue
+		}
+		if rowErr != nil || sqlErr != nil {
+			t.Errorf("fare %s: EncodeRow err %v, INSERT err %v; want both accepted", lit, rowErr, sqlErr)
+			continue
+		}
+		if row[fare] != want || st.InsertRows[0][fare] != want {
+			t.Errorf("fare %s: EncodeRow code %d, INSERT code %d, want %d", lit, row[fare], st.InsertRows[0][fare], want)
+		}
 	}
 }

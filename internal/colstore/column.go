@@ -12,7 +12,10 @@
 // O(1) without touching the underlying data.
 package colstore
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // BlockSize is the number of values per compression block (§7.1).
 const BlockSize = 128
@@ -29,41 +32,39 @@ type Column struct {
 
 // NewColumn compresses values into a Column. The input slice is not retained.
 func NewColumn(values []int64) *Column {
-	n := len(values)
-	nBlocks := (n + BlockSize - 1) / BlockSize
+	nBlocks := (len(values) + BlockSize - 1) / BlockSize
 	c := &Column{
-		n:       n,
-		mins:    make([]int64, nBlocks),
-		maxs:    make([]int64, nBlocks),
-		widths:  make([]uint8, nBlocks),
-		offsets: make([]uint32, nBlocks),
+		mins:    make([]int64, 0, nBlocks),
+		maxs:    make([]int64, 0, nBlocks),
+		widths:  make([]uint8, 0, nBlocks),
+		offsets: make([]uint32, 0, nBlocks),
 	}
-	totalWords := 0
-	for b := 0; b < nBlocks; b++ {
-		lo := b * BlockSize
-		hi := lo + BlockSize
-		if hi > n {
-			hi = n
-		}
-		blk := values[lo:hi]
+	c.appendBlocks(values)
+	return c
+}
+
+// appendBlocks encodes values as further blocks of c, which must end on a
+// block boundary: the zone map, width and word offset of each new block, then
+// its packed deltas. c's slices grow by append, so a header copied from c
+// before the call still reads exactly its own blocks; the storage past their
+// lengths belongs to whichever copy appends next.
+func (c *Column) appendBlocks(values []int64) {
+	first, words := len(c.mins), len(c.words)
+	for lo := 0; lo < len(values); lo += BlockSize {
+		blk := values[lo:min(lo+BlockSize, len(values))]
 		minV, maxV := blk[0], blk[0]
 		for _, v := range blk[1:] {
 			minV, maxV = min(minV, v), max(maxV, v)
 		}
 		w := bits.Len64(uint64(maxV) - uint64(minV))
-		c.mins[b] = minV
-		c.maxs[b] = maxV
-		c.widths[b] = uint8(w)
-		c.offsets[b] = uint32(totalWords)
-		totalWords += (len(blk)*w + 63) / 64
+		c.mins = append(c.mins, minV)
+		c.maxs = append(c.maxs, maxV)
+		c.widths = append(c.widths, uint8(w))
+		c.offsets = append(c.offsets, uint32(words))
+		words += (len(blk)*w + 63) / 64
 	}
-	c.words = make([]uint64, totalWords)
-	for b := 0; b < nBlocks; b++ {
-		lo := b * BlockSize
-		hi := lo + BlockSize
-		if hi > n {
-			hi = n
-		}
+	c.words = slices.Grow(c.words, words-len(c.words))[:words]
+	for b := first; b < len(c.mins); b++ {
 		w := uint(c.widths[b])
 		if w == 0 {
 			continue
@@ -71,11 +72,12 @@ func NewColumn(values []int64) *Column {
 		// Deltas accumulate in a register and reach memory a whole word at
 		// a time; a delta that straddles a word boundary leaves its high
 		// bits in the next accumulator.
+		lo := (b - first) * BlockSize
 		words := c.words[c.offsets[b]:]
 		minV := c.mins[b]
 		var acc uint64
 		used, wi := uint(0), 0
-		for _, v := range values[lo:hi] {
+		for _, v := range values[lo:min(lo+BlockSize, len(values))] {
 			delta := uint64(v) - uint64(minV)
 			acc |= delta << used
 			if used += w; used >= 64 {
@@ -92,7 +94,7 @@ func NewColumn(values []int64) *Column {
 			words[wi] = acc
 		}
 	}
-	return c
+	c.n += len(values)
 }
 
 // Len returns the number of values in the column.

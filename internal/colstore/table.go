@@ -51,6 +51,29 @@ func MustNewTable(names []string, data [][]int64) *Table {
 	return t
 }
 
+// AppendBlocks returns a table holding t's rows followed by cols, one slice
+// per column, each holding the same whole number of blocks. t must end on a
+// block boundary and carry no aggregate companions or bitmap indexes. The
+// result shares t's storage and t keeps reading exactly its own rows, so a
+// single writer can grow a table block by block while readers hold earlier
+// versions; only the newest version may be appended to.
+func (t *Table) AppendBlocks(cols [][]int64) *Table {
+	k := len(cols[0])
+	if t.n%BlockSize != 0 || k%BlockSize != 0 || len(cols) != len(t.cols) || t.bitmaps != nil {
+		panic("colstore: AppendBlocks needs whole blocks on a block boundary, one slice per column, and no bitmap indexes")
+	}
+	nt := &Table{names: t.names, cols: make([]*Column, len(t.cols)), prefixes: make([][]int64, len(t.cols)), n: t.n + k}
+	for c, col := range t.cols {
+		if len(cols[c]) != k || t.prefixes[c] != nil {
+			panic("colstore: AppendBlocks needs equal-length columns and no aggregate companions")
+		}
+		grown := *col
+		grown.appendBlocks(cols[c])
+		nt.cols[c] = &grown
+	}
+	return nt
+}
+
 // NumRows returns the number of rows.
 func (t *Table) NumRows() int { return t.n }
 

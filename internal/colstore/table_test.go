@@ -109,3 +109,103 @@ func TestTableSizeAccounting(t *testing.T) {
 		t.Fatalf("UncompressedSizeBytes = %d", tbl.UncompressedSizeBytes())
 	}
 }
+
+// TestAppendBlocksMatchesNewTable grows a table one block at a time, at every
+// delta width 0–64, and holds each version to NewTable over the same rows in
+// Get, DecodeBlock, BlockBounds and CompareBlock. Every earlier version must
+// still read exactly its own rows after the later appends.
+func TestAppendBlocksMatchesNewTable(t *testing.T) {
+	const blocks = 4
+	rng := rand.New(rand.NewSource(35))
+	names := []string{"a", "b"}
+	data := make([][]int64, len(names))
+	for c := range data {
+		for b := 0; b < blocks*65; b++ {
+			w := b % 65 // block b's deltas span w bits
+			base := rng.Int63() - 1<<62
+			for i := 0; i < BlockSize; i++ {
+				var d uint64
+				if w > 0 {
+					d = rng.Uint64() & mask(uint(w))
+				}
+				data[c] = append(data[c], base+int64(d))
+			}
+		}
+	}
+	check := func(got *Table, n int) {
+		t.Helper()
+		want := MustNewTable(names, [][]int64{data[0][:n], data[1][:n]})
+		if got.NumRows() != n {
+			t.Fatalf("grown table has %d rows, want %d", got.NumRows(), n)
+		}
+		var gb, wb [BlockSize]int64
+		for c := range names {
+			gc, wc := got.Column(c), want.Column(c)
+			for b := 0; b < wc.NumBlocks(); b++ {
+				gmin, gmax := gc.BlockBounds(b)
+				wmin, wmax := wc.BlockBounds(b)
+				if gmin != wmin || gmax != wmax {
+					t.Fatalf("n=%d col %d block %d bounds (%d,%d), want (%d,%d)", n, c, b, gmin, gmax, wmin, wmax)
+				}
+				if gc.DecodeBlock(b, gb[:]) != wc.DecodeBlock(b, wb[:]) || gb != wb {
+					t.Fatalf("n=%d col %d block %d decodes differently", n, c, b)
+				}
+				rmin := uint64(wmin) + uint64(wmax-wmin)/3
+				span := uint64(wmax-wmin) / 2
+				gs, ws := BlockBitmap{^uint64(0), ^uint64(0)}, BlockBitmap{^uint64(0), ^uint64(0)}
+				gc.CompareBlock(b, &gs, rmin, span)
+				wc.CompareBlock(b, &ws, rmin, span)
+				if gs != ws {
+					t.Fatalf("n=%d col %d block %d CompareBlock %x, want %x", n, c, b, gs, ws)
+				}
+			}
+			for r := 0; r < n; r += 37 {
+				if got.Get(c, r) != data[c][r] {
+					t.Fatalf("n=%d Get(%d,%d) = %d, want %d", n, c, r, got.Get(c, r), data[c][r])
+				}
+			}
+		}
+	}
+	versions := []*Table{MustNewTable(names, make([][]int64, len(names)))}
+	for n := BlockSize; n <= len(data[0]); n += BlockSize {
+		prev := versions[len(versions)-1]
+		next := prev.AppendBlocks([][]int64{data[0][n-BlockSize : n], data[1][n-BlockSize : n]})
+		versions = append(versions, next)
+		check(next, n)
+	}
+	for i, v := range versions {
+		check(v, i*BlockSize)
+	}
+	seen := map[uint8]bool{}
+	for _, w := range versions[len(versions)-1].Column(0).widths {
+		seen[w] = true
+	}
+	if len(seen) != 65 {
+		t.Fatalf("blocks cover %d of the 65 delta widths", len(seen))
+	}
+	// Several blocks at once land where one-at-a-time appends do.
+	check(versions[1].AppendBlocks([][]int64{data[0][BlockSize : 9*BlockSize], data[1][BlockSize : 9*BlockSize]}), 9*BlockSize)
+}
+
+func TestAppendBlocksRefusesMisuse(t *testing.T) {
+	tbl, _ := testTable(t, 2*BlockSize)
+	whole := [][]int64{make([]int64, BlockSize), make([]int64, BlockSize), make([]int64, BlockSize)}
+	partial, _ := testTable(t, BlockSize+1)
+	summed, _ := testTable(t, BlockSize)
+	summed.EnableAggregate(1)
+	for name, f := range map[string]func(){
+		"partial rows":     func() { tbl.AppendBlocks([][]int64{{1}, {2}, {3}}) },
+		"off the boundary": func() { partial.AppendBlocks(whole) },
+		"aggregate":        func() { summed.AppendBlocks(whole) },
+		"column count":     func() { tbl.AppendBlocks(whole[:2]) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: AppendBlocks did not panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+}

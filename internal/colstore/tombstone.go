@@ -101,9 +101,9 @@ func (t *Tombstones) Words() []uint64 {
 
 // Slice returns the tombstones restricted to rows [start*64, n) re-based at
 // word boundary start, for scans over a word-aligned suffix of the covered
-// rows (a side-log segment). The words are aliased, not copied, which is safe
-// because t is immutable. Nil-safe; a start at or beyond the covered words
-// returns nil.
+// rows (the insert log's partial block, encoded as a table of its own). The
+// words are aliased, not copied, which is safe because t is immutable.
+// Nil-safe; a start at or beyond the covered words returns nil.
 func (t *Tombstones) Slice(start int) []uint64 {
 	if t == nil || t.dead == 0 || start >= len(t.words) {
 		return nil

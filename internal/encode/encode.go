@@ -214,16 +214,18 @@ func (s *DecimalScaler) Encode(col []float64) ([]int64, error) {
 // EncodeValue scales one value (for query endpoints).
 func (s *DecimalScaler) EncodeValue(v float64) int64 { return int64(math.Round(v * s.factor)) }
 
-// EncodeChecked scales one value with the same representability validation
-// Encode performs, without the per-value slice allocations — the building
-// block for row-at-a-time insert paths.
-func (s *DecimalScaler) EncodeChecked(v float64) (int64, error) {
-	scaled := math.Round(v * s.factor)
-	// >= on the upper bound: see Encode.
-	if math.IsNaN(scaled) || scaled >= math.MaxInt64 || scaled < math.MinInt64 {
+// EncodeExact scales one value a column must store as written: its code must
+// decode back to exactly v and fit int64, or it is refused with an error. A
+// value between two codes (1.005 at two digits) is never rounded to a
+// neighbour, and NaN and ±Inf are refused. Every row-at-a-time write —
+// Schema.EncodeRow and SQL INSERT and UPDATE — goes through it.
+func (s *DecimalScaler) EncodeExact(v float64) (int64, error) {
+	r := math.Round(v * s.factor)
+	// NaN fails the round trip. >= on the upper bound: see Encode.
+	if r/s.factor != v || r >= math.MaxInt64 || r < math.MinInt64 {
 		return 0, fmt.Errorf("encode: value %g not representable at %d digits", v, s.digits)
 	}
-	return int64(scaled), nil
+	return int64(r), nil
 }
 
 // Decode converts a scaled integer back to a float.

@@ -305,19 +305,31 @@ func TestFitDecimalScalerRejectsLossy(t *testing.T) {
 	}
 }
 
-func TestEncodeCheckedRejectsBoundary(t *testing.T) {
+func TestEncodeExactRejectsBoundary(t *testing.T) {
 	s, err := NewDecimalScaler(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Exactly 2^63 is not representable in int64: must error, not wrap.
-	if v, err := s.EncodeChecked(9.223372036854775808e18); err == nil {
-		t.Fatalf("EncodeChecked(2^63) = %d, want error", v)
+	if v, err := s.EncodeExact(9.223372036854775808e18); err == nil {
+		t.Fatalf("EncodeExact(2^63) = %d, want error", v)
 	}
 	if _, err := s.Encode([]float64{9.223372036854775808e18}); err == nil {
 		t.Fatal("Encode(2^63) should error, not wrap")
 	}
-	if v, err := s.EncodeChecked(9.2e18); err != nil || v != 9200000000000000000 {
-		t.Fatalf("EncodeChecked(9.2e18) = (%d, %v)", v, err)
+	if v, err := s.EncodeExact(9.2e18); err != nil || v != 9200000000000000000 {
+		t.Fatalf("EncodeExact(9.2e18) = (%d, %v)", v, err)
+	}
+	// Between two codes is refused, not rounded; so are NaN and infinities.
+	s2, _ := NewDecimalScaler(2)
+	for _, v := range []float64{1.005, 2.675, 0.001, math.NaN(), math.Inf(1), math.Inf(-1), 1e300} {
+		if c, err := s2.EncodeExact(v); err == nil {
+			t.Errorf("EncodeExact(%v) at 2 digits = %d, want error", v, c)
+		}
+	}
+	for v, want := range map[float64]int64{1.25: 125, 0.1: 10, 9.99: 999, -3.07: -307, 0: 0} {
+		if c, err := s2.EncodeExact(v); err != nil || c != want {
+			t.Errorf("EncodeExact(%v) at 2 digits = (%d, %v), want %d", v, c, err, want)
+		}
 	}
 }

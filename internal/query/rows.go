@@ -9,7 +9,7 @@ import (
 
 // RowSource is one physical table whose rows a RowCollector observed, mapped
 // into the collector's global row-id space: the source's physical row r has
-// global id Start+r. Composite indexes (delta buffers, adaptive insert logs)
+// global id Start+r. Composite indexes (a base index and its insert log)
 // feed a query from several tables; sources record, in arrival order, how
 // those tables tile the id space so collected ids can be resolved back to
 // (table, physical row) for decoding.
@@ -72,11 +72,12 @@ func (rc *RowCollector) PinSource(t *colstore.Table) int64 {
 
 // PinSourceAt makes t the current source with its physical row 0 at id
 // start, unless t is already registered. The insert log places every table
-// it scans this way: sealed segments at their log offset whether or not an
-// earlier segment delivered anything, and each transient encoding of the
-// unsealed suffix at the same offset as the last. Two tables placed over
-// one id range must hold the same rows there (the log's published prefix is
-// immutable), so resolving an id through either decodes the same values.
+// it scans this way: its sealed table at the log's first id whether or not
+// it delivered anything, and the partial block a read encodes at the id of
+// that block's first row — again on every read, so a later, longer sealed
+// table may cover the same ids. Two tables placed over one id range must
+// hold the same rows there (the log's published prefix is immutable), so
+// resolving an id through either decodes the same values.
 func (rc *RowCollector) PinSourceAt(t *colstore.Table, start int64) {
 	for i := range rc.sources {
 		if rc.sources[i].Table == t {

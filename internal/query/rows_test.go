@@ -123,7 +123,7 @@ func TestRowCollectorResetReusesCapacity(t *testing.T) {
 }
 
 // TestRowCollectorPinSourceAt places tables the way the insert log does: a
-// silent first segment still owns its id range, and two encodings of the
+// silent sealed table still owns its id range, and two encodings of the
 // same trailing rows share one.
 func TestRowCollectorPinSourceAt(t *testing.T) {
 	base := seqTable(t, 100, 0)

@@ -131,7 +131,7 @@ func (s *Scanner) ScanRange(q Query, filterDims []int, start, end int, agg Aggre
 	if len(filterDims) == 0 && s.tomb == nil {
 		// Everything in the range matches: treat as exact. Poll
 		// cancellation here — there is no block loop to do it — so a
-		// canceled composite scan (delta buffer, side-log segments, OR
+		// canceled composite scan (a base index and its insert log, OR
 		// pieces) latches and stops delivering between calls instead of
 		// running every remaining range to completion.
 		n := end - start

@@ -268,7 +268,7 @@ func (s *Schema) encodeValue(i int, v any) (int64, error) {
 			if f.scaler == nil {
 				return 0, fmt.Errorf("flood: column %q: inferred scaler not fitted yet (call Build first)", f.name)
 			}
-			enc, err := f.scaler.EncodeChecked(x)
+			enc, err := f.scaler.EncodeExact(x)
 			if err != nil {
 				return 0, fmt.Errorf("flood: column %q: %w", f.name, err)
 			}

@@ -1,6 +1,7 @@
 package flood
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -212,6 +213,19 @@ func TestSchemaEncodeRow(t *testing.T) {
 	}
 	if _, err := fx.schema.EncodeRow(int64(1)); err == nil {
 		t.Fatal("short row should fail EncodeRow")
+	}
+	// A float the 2-digit fare column cannot hold exactly is refused, not
+	// stored as a rounded neighbour; floodsql's INSERT answers the same
+	// (TestInsertFloatMatchesEncodeRow).
+	for _, v := range []float64{1.005, 2.675, math.NaN(), 1e300} {
+		if row, err := fx.schema.EncodeRow(int64(1), v, "denver", fx.pickup[0]); err == nil {
+			t.Errorf("EncodeRow fare %v = %d, want an error", v, row[1])
+		}
+	}
+	for v, want := range map[float64]int64{1.25: 125, 0.1: 10, 9.99: 999} {
+		if row, err := fx.schema.EncodeRow(int64(1), v, "denver", fx.pickup[0]); err != nil || row[1] != want {
+			t.Errorf("EncodeRow fare %v = (%v, %v), want code %d", v, row, err, want)
+		}
 	}
 }
 

@@ -73,13 +73,13 @@ func TestAdaptiveSelectEquivalenceAcrossRelearn(t *testing.T) {
 }
 
 // TestAdaptiveSelectSeesInsertLog pins that Select reads the current
-// generation's insert log (including sealed segments) with log ids offset
-// past the base.
+// generation's insert log (its sealed blocks and its partial block) with log
+// ids offset past the base.
 func TestAdaptiveSelectSeesInsertLog(t *testing.T) {
 	a, ds, _ := adaptiveUnderTest(t, &AdaptiveConfig{MergeFraction: -1})
 	dateCol := ds.ColumnIndex("date")
 	rng := rand.New(rand.NewSource(402))
-	const added = 3000 // past one sealed sideLog segment
+	const added = 3000 // 23 sealed blocks and a partial one
 	for i := 0; i < added; i++ {
 		if err := a.Insert(markerRow(ds, rng, dateCol, i)); err != nil {
 			t.Fatal(err)

@@ -178,7 +178,7 @@ func TestSelectProjectionAndRowIDs(t *testing.T) {
 func TestSelectDeltaWithPending(t *testing.T) {
 	fx := newTypedFixture(t, 4000, 23)
 	// Build the index over the first 3000 rows; insert the remaining 1000
-	// through the delta buffer.
+	// through the insert log.
 	cut := 3000
 	head := &typedFixture{
 		schema: fx.schema,
@@ -462,7 +462,7 @@ func TestSelectOrDeltaPinsBaseFirst(t *testing.T) {
 	}
 	d := unmerged(t, idx)
 	// Pending rows that ONLY the first disjunct matches: without base
-	// pinning the delta table would register at id 0.
+	// pinning the insert log's table would register at id 0.
 	row, err := fx.schema.EncodeRow(int64(999_999), 1.00, fx.city[0], fx.pickup[0])
 	if err != nil {
 		t.Fatal(err)
@@ -472,7 +472,7 @@ func TestSelectOrDeltaPinsBaseFirst(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	q1 := fx.schema.Where().WithIntRange("ts", 999_999, 999_999).Query() // delta only
+	q1 := fx.schema.Where().WithIntRange("ts", 999_999, 999_999).Query() // log rows only
 	q2 := fx.schema.Where().WithIntRange("ts", 0, 50_000).Query()        // base rows
 	rows, _ := fx.schema.SelectOr(d, []Query{q1, q2})
 	defer rows.Close()

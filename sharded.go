@@ -375,8 +375,8 @@ func (f *shardFan) RunTask(i int, _ bool) {
 // its key range against one pinned generation of its own, and records the
 // disjunction once if it served any. The loop is shard-outer so a
 // collector's id watermark moves monotonically through the per-shard
-// strides — every source a shard registers (base, sealed log segments,
-// transient suffix tables) lands inside that shard's stride region.
+// strides — every source a shard registers (base, sealed log table,
+// partial-block tables) lands inside that shard's stride region.
 func (s *ShardedIndex) runPieces(ctl *query.Control, pieces, shapes []Query, agg Aggregator) Stats {
 	rc, collecting := agg.(*query.RowCollector)
 	dim := s.router.Dim()
