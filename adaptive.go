@@ -13,6 +13,7 @@ import (
 	"flood/internal/core"
 	"flood/internal/query"
 	"flood/internal/wal"
+	"flood/internal/wire"
 	"flood/internal/workload"
 )
 
@@ -393,7 +394,8 @@ func (ep *adaptiveEpoch) add(row []int64, w *wal.Log, target int64) (int64, erro
 		}
 		target = at
 	}
-	return target, ep.log.append(row)
+	ep.log.append(row)
+	return target, nil
 }
 
 // victims resolves the rows m names to live base rows and live log rows
@@ -487,26 +489,20 @@ func (ep *adaptiveEpoch) byValue(tuples [][]int64, logN int64) (baseRows, logRow
 		}
 		return out
 	}
-	cols := *ep.log.cols.Load()
 	return take(ep.flood.idx.CollectWhere(box), ep.flood.Table().Get),
-		take(ep.log.matchRows(box, logN), func(c, r int) int64 { return cols[c][r] })
+		take(ep.log.matchRows(box, logN), ep.log.get)
 }
 
 // tuples materializes the values of live base rows and log rows, in that
 // order.
 func (ep *adaptiveEpoch) tuples(baseRows, logRows []int) [][]int64 {
 	t := ep.flood.Table()
-	cols := *ep.log.cols.Load()
 	out := make([][]int64, 0, len(baseRows)+len(logRows))
 	for _, r := range baseRows {
-		out = append(out, rowValues(t, r))
+		out = append(out, rowValues(t.Get, t.NumCols(), r))
 	}
 	for _, r := range logRows {
-		row := make([]int64, len(cols))
-		for c := range cols {
-			row[c] = cols[c][r]
-		}
-		out = append(out, row)
+		out = append(out, rowValues(ep.log.get, t.NumCols(), r))
 	}
 	return out
 }
@@ -572,7 +568,6 @@ func (a *AdaptiveIndex) rebuild(kind rebuildKind, done chan struct{}) {
 	a.mu.Lock()
 	ep := a.epoch.Load()
 	frozen := ep.log.rows()
-	extra := ep.log.columns(frozen)
 	baseTomb := ep.flood.idx.Tombstones()
 	logTomb := ep.log.tomb.Load()
 	a.deferring = true
@@ -588,6 +583,8 @@ func (a *AdaptiveIndex) rebuild(kind rebuildKind, done chan struct{}) {
 		}
 	}()
 
+	// Outside the writer lock: rows below frozen never change.
+	extra := ep.log.decode(0, frozen)
 	var fresh *Flood
 	switch kind {
 	case rebuildRelearn:
@@ -624,18 +621,16 @@ func (a *AdaptiveIndex) rebuild(kind rebuildKind, done chan struct{}) {
 		return
 	}
 
-	// Swap: under the writer lock the log cannot grow, so the tail
-	// inserted while we were building is exactly rows [frozen, total).
-	// It seeds the new generation's log column-major in O(dims) pointer
-	// work — the tail slices are immutable, so they are aliased, not
-	// copied, and writers stall only for the swap itself. In-flight
-	// readers of the old generation stay correct — their base+log image
-	// is immutable.
+	// Swap: under the writer lock the log cannot grow, so the rows
+	// inserted while we were building are exactly [frozen, total). They
+	// are decoded and re-sealed into the new generation's log, work in
+	// proportion to the writes the build overlapped, for which writers
+	// stall. In-flight readers of the old generation stay correct — their
+	// base+log image is immutable.
 	a.mu.Lock()
 	cur := a.epoch.Load()
 	next := a.newEpoch(fresh)
-	total := cur.log.rows()
-	next.log.seed(cur.log.columnsRange(frozen, total), total-frozen)
+	next.log.seed(cur.log.decode(frozen, cur.log.rows()))
 	// The fresh epoch now holds every row live at the capture plus every row
 	// appended since — a superset, as a multiset, of what is live — and the
 	// difference is exactly the deferred deletions. They re-enter by value,
@@ -763,10 +758,11 @@ func (a *AdaptiveIndex) Shard(int) *AdaptiveIndex { return a }
 // ShardStats implements Store: a flat store has no per-shard block.
 func (a *AdaptiveIndex) ShardStats() []ShardStat { return nil }
 
-// SizeBytes implements Index: current base metadata plus the insert log.
+// SizeBytes implements Index: current base metadata plus the insert log's
+// sealed table and the raw rows of its partial block.
 func (a *AdaptiveIndex) SizeBytes() int64 {
 	ep := a.epoch.Load()
-	return ep.flood.SizeBytes() + ep.log.rows()*int64(ep.flood.Table().NumCols())*8
+	return ep.flood.SizeBytes() + ep.log.sizeBytes()
 }
 
 // NumRows returns the total row count (base + pending inserts), including
@@ -806,95 +802,143 @@ func (a *AdaptiveIndex) Index() *Flood { return a.epoch.Load().flood }
 
 var _ query.BatchIndex = (*AdaptiveIndex)(nil)
 
-// sideLog is the insert side of a generation: an append-only column-major
-// log whose published prefix is immutable. Writers (serialized by the
-// facade's writer lock) append a row and then advance the atomic row count;
-// readers load the count once and may scan any prefix up to it without
-// locking — the count's release/acquire ordering guarantees those rows are
-// fully written. The log's whole blocks are also one compressed table the
-// writer extends a block at a time, so a read runs the shared scan stage over
-// that table and encodes only the last partial block (under
-// colstore.BlockSize rows) for itself.
+// sideLog is the insert side of a generation: an append-only log whose
+// published prefix is immutable. Writers (serialized by the facade's writer
+// lock) append a row and then advance the atomic row count; readers load the
+// count once and may read any prefix up to it without locking — the count's
+// release/acquire ordering guarantees those rows are fully written. Each row
+// is held once: the log's whole blocks are one compressed table the writer
+// extends a block at a time, and only the partial block past them (under
+// colstore.BlockSize rows) is raw, so a read runs the shared scan stage over
+// the table and encodes the partial block for itself. Every reader of the
+// log's values goes through the methods below, the only code that knows this
+// layout.
 type sideLog struct {
 	names []string
-	cols  atomic.Pointer[[][]int64] // column-major; rows [0, count) published
+	// state is published before the count passes its last row, so a reader
+	// that loads the count and then state finds every row below the count in
+	// it. Under the writer lock the sealed table holds exactly the count's
+	// whole blocks.
+	state atomic.Pointer[logState]
 	count atomic.Int64
-	// sealed holds rows [0, k·BlockSize) compressed. It is published before
-	// the count passes its last row, so a reader that loads the count and
-	// then sealed finds every whole block below the count in it.
-	sealed atomic.Pointer[colstore.Table]
 	// tomb marks deleted log rows. Published values are immutable; a scan
 	// captures the pointer once, so its pass over the sealed table and the
 	// partial block masks against one consistent deletion snapshot.
 	tomb atomic.Pointer[colstore.Tombstones]
 }
 
+// logState is one layout of the log: rows [0, k·BlockSize) compressed in
+// sealed, and the rows past them in tail, BlockSize slots per column, column
+// after column, of which the count says how many are written. The writer
+// fills a tail in place and, once it is full, seals it into the next state's
+// table beside a fresh tail, so a tail is never written again once its block
+// is sealed.
+type logState struct {
+	sealed *colstore.Table
+	tail   []int64
+}
+
 func newSideLog(names []string) *sideLog {
 	l := &sideLog{names: names}
-	cols := make([][]int64, len(names))
-	l.cols.Store(&cols)
-	l.sealed.Store(colstore.MustNewTable(names, cols))
+	l.state.Store(&logState{
+		sealed: colstore.MustNewTable(names, make([][]int64, len(names))),
+		tail:   make([]int64, len(names)*colstore.BlockSize),
+	})
 	return l
 }
 
 // rows returns the published row count; rows below it are immutable.
 func (l *sideLog) rows() int64 { return l.count.Load() }
 
-// append adds one row, sealing a block when it completes one. Callers must
-// serialize appends (the facade's writer lock); readers are never blocked.
-// The column headers and the sealed table are republished copy-on-write
-// before the count advances, so a reader that observes count n observes
-// headers covering at least n rows and every whole block below n sealed.
-func (l *sideLog) append(row []int64) error {
-	cur := *l.cols.Load()
-	if len(row) != len(cur) {
-		return fmt.Errorf("flood: row has %d values, table has %d dimensions", len(row), len(cur))
+// append adds one row of the log's width (apply validates every row first),
+// sealing a block when it completes one. Callers must serialize appends (the
+// facade's writer lock); readers are never blocked. The row goes into the
+// tail past the published count, and a completed block is published in a new
+// state before the count advances over it.
+func (l *sideLog) append(row []int64) {
+	s, n := l.state.Load(), l.count.Load()
+	i := int(n) - s.sealed.NumRows()
+	for c, v := range row {
+		s.tail[c*colstore.BlockSize+i] = v
 	}
-	next := make([][]int64, len(cur))
-	for c := range cur {
-		next[c] = append(cur[c], row[c])
+	if i+1 == colstore.BlockSize {
+		l.state.Store(&logState{
+			sealed: s.sealed.AppendBlocks(l.part(s, i+1)),
+			tail:   make([]int64, len(row)*colstore.BlockSize),
+		})
 	}
-	l.cols.Store(&next)
-	n := l.count.Load() + 1
-	if n%colstore.BlockSize == 0 {
-		l.sealed.Store(l.sealed.Load().AppendBlocks(l.columnsRange(n-colstore.BlockSize, n)))
-	}
-	l.count.Store(n)
-	return nil
+	l.count.Store(n + 1)
 }
 
-// columns returns the column-major slices of the first n rows, aliasing the
-// log's immutable prefix — valid forever, copy-free.
-func (l *sideLog) columns(n int64) [][]int64 { return l.columnsRange(0, n) }
-
-// columnsRange returns the column-major slices of rows [from, to), aliasing
-// the log's immutable prefix with capacity capped at the slice itself, so a
-// successor log seeded from them reallocates on its first append instead of
-// writing into this log's storage.
-func (l *sideLog) columnsRange(from, to int64) [][]int64 {
-	if to <= from {
-		return nil
+// get returns column c of log row r, which must be below the published
+// count: from the sealed table below its row count, from the tail at or
+// above it.
+func (l *sideLog) get(c, r int) int64 {
+	s := l.state.Load()
+	if k := s.sealed.NumRows(); r >= k {
+		return s.tail[c*colstore.BlockSize+r-k]
 	}
-	cols := *l.cols.Load()
-	out := make([][]int64, len(cols))
-	for c := range cols {
-		out[c] = cols[c][from:to:to]
+	return s.sealed.Get(c, r)
+}
+
+// decode returns log rows [from, to), all below the published count, as
+// fresh column-major slices: the sealed blocks they reach decoded whole from
+// the block holding from, then the tail's raw values, with the rows before
+// from cut off.
+func (l *sideLog) decode(from, to int64) [][]int64 {
+	s := l.state.Load()
+	lo, hi := int(from-from%colstore.BlockSize), int(to)
+	k := min(s.sealed.NumRows(), hi)
+	out := l.part(s, hi-k)
+	for c, tail := range out {
+		col := make([]int64, 0, hi-lo+colstore.BlockSize)
+		for b := lo; b < k; b += colstore.BlockSize {
+			col = col[:len(col)+s.sealed.Column(c).DecodeBlock(b/colstore.BlockSize, col[len(col):cap(col)])]
+		}
+		out[c] = append(col[:k-lo], tail...)[int(from)-lo:]
 	}
 	return out
 }
 
-// seed installs n pre-published rows and seals their whole blocks. Only
-// valid before the log's epoch is visible to any other goroutine (the swap
-// holds the writer lock and the epoch pointer is not yet stored).
-func (l *sideLog) seed(cols [][]int64, n int64) {
-	if n == 0 {
-		return
+// seed appends cols, one slice per column, to this empty log, which seals
+// their whole blocks. Only valid before the log's epoch is visible to any
+// other goroutine (the swap holds the writer lock and the epoch pointer is
+// not yet stored; OpenDurable has not returned).
+func (l *sideLog) seed(cols [][]int64) {
+	row := make([]int64, len(cols))
+	for r := range cols[0] {
+		for c := range cols {
+			row[c] = cols[c][r]
+		}
+		l.append(row)
 	}
-	l.cols.Store(&cols)
-	if whole := n - n%colstore.BlockSize; whole > 0 {
-		l.sealed.Store(l.sealed.Load().AppendBlocks(l.columnsRange(0, whole)))
+}
+
+// encoder returns the writer of the snapshot section holding the log's first
+// n rows. The caller holds the writer lock, so the sealed table holds exactly
+// n's whole blocks: the section is that table as it stands, then the partial
+// block past it (colstore.Table.EncodeSealed; OpenDurable reads it back with
+// colstore.DecodeSealed).
+func (l *sideLog) encoder(n int64) func(*wire.Writer) {
+	s := l.state.Load()
+	part := l.part(s, int(n)-s.sealed.NumRows())
+	return func(w *wire.Writer) { s.sealed.EncodeSealed(w, part) }
+}
+
+// part returns the first m rows of s's tail, column-major.
+func (l *sideLog) part(s *logState, m int) [][]int64 {
+	cols := make([][]int64, len(l.names))
+	for c := range cols {
+		cols[c] = s.tail[c*colstore.BlockSize : c*colstore.BlockSize+m]
 	}
-	l.count.Store(n)
+	return cols
+}
+
+// sizeBytes reports the log's footprint: the sealed table's encoded bytes
+// plus the raw values of the rows in the partial block.
+func (l *sideLog) sizeBytes() int64 {
+	n, s := l.rows(), l.state.Load()
+	return s.sealed.SizeBytes() + max(n-int64(s.sealed.NumRows()), 0)*int64(len(l.names))*8
 }
 
 // scan runs q over the log's first n rows through the shared scan stage,
@@ -910,8 +954,8 @@ func (l *sideLog) scan(ctl *query.Control, q Query, n int64, agg Aggregator, wor
 	var st Stats
 	t0 := time.Now()
 	tomb := l.tomb.Load()
-	sealed := l.sealed.Load()
-	k := min(int64(sealed.NumRows()), n)
+	s := l.state.Load()
+	k := min(int64(s.sealed.NumRows()), n)
 	rc, _ := agg.(*query.RowCollector)
 	run := func(t *colstore.Table, start, end int64, words []uint64) {
 		if rc != nil {
@@ -921,10 +965,10 @@ func (l *sideLog) scan(ctl *query.Control, q Query, n int64, agg Aggregator, wor
 		core.ScanSpans(t, words, ctl, q, spans, agg, workers, &st)
 	}
 	if k > 0 {
-		run(sealed, 0, k, tomb.Words())
+		run(s.sealed, 0, k, tomb.Words())
 	}
 	if n > k && !ctl.Stopped() {
-		run(colstore.MustNewTable(l.names, l.columnsRange(k, n)), k, n, tomb.Slice(int(k)>>6))
+		run(colstore.MustNewTable(l.names, l.part(s, int(n-k))), k, n, tomb.Slice(int(k)>>6))
 	}
 	st.ScanTime = time.Since(t0)
 	st.Total = st.ScanTime

@@ -58,8 +58,8 @@ func BenchmarkAdaptiveQueryPendingLog(b *testing.B) {
 }
 
 // BenchmarkAdaptiveInsert measures one Insert into the log of a 100k-row
-// index with merges off: the writer lock, the copy-on-write column headers
-// and, every 128th row, sealing a block. The index is replaced (outside the
+// index with merges off: the writer lock, the row's values written into the
+// log's partial block and, every 128th row, sealing that block. The index is replaced (outside the
 // timer) every 64K rows so the log's memory stays bounded at any b.N.
 func BenchmarkAdaptiveInsert(b *testing.B) {
 	const n, perIndex = 100_000, 1 << 16

@@ -5,12 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"flood/internal/colstore"
 	"flood/internal/core"
 	"flood/internal/dataset"
 	"flood/internal/query"
@@ -645,6 +647,79 @@ func TestAdaptiveSealedLogConcurrentReaders(t *testing.T) {
 	if got := countOf(t, a, marker); got != writers*perWriter {
 		t.Fatalf("final count %d, want %d", got, writers*perWriter)
 	}
+}
+
+// TestSideLogHoldsEachRowOnce: a log of 25,000 pending rows — what the
+// default MergeFraction lets pend on a 200k-row sales base — costs the heap
+// its sealed table plus at most one raw block, with a fifth of the sealed
+// bytes to spare for slice growth. A log that also kept every row raw would
+// need about 6 times the sealed bytes. Another goroutine's live allocations
+// can only add to the measurement, so a reading over the limit is retaken
+// twice before the test fails.
+func TestSideLogHoldsEachRowOnce(t *testing.T) {
+	const n, pending = 200_000, 25_000
+	ds := dataset.Sales(n, 1403)
+	names := ds.Table.Names()
+	measure := func() (heap, sealed int64) {
+		row := make([]int64, len(names))
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		l := newSideLog(names)
+		for i := 0; i < pending; i++ {
+			for c := range row {
+				row[c] = ds.Cols[c][(i*7919)%n]
+			}
+			l.append(row)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(ds)
+		runtime.KeepAlive(l)
+		return int64(after.HeapAlloc) - int64(before.HeapAlloc), l.state.Load().sealed.SizeBytes()
+	}
+	heap, sealed := measure()
+	block := int64(colstore.BlockSize * len(names) * 8)
+	limit := sealed*6/5 + block
+	for try := 1; try < 3 && heap > limit; try++ {
+		heap, _ = measure()
+	}
+	if heap > limit {
+		t.Fatalf("log of %d rows holds %d heap bytes, want at most 1.2 × %d sealed + %d for one raw block = %d",
+			pending, heap, sealed, block, limit)
+	}
+	t.Logf("%d rows: %d heap bytes, %d sealed (%.1f B a row)", pending, heap, sealed, float64(heap)/pending)
+}
+
+// TestAdaptiveInsertAllocations pins the allocation floor of an Insert into
+// a merges-off log, amortised over 1,024 rows so every eighth block seal is
+// counted: at most 3 allocations a row.
+func TestAdaptiveInsertAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates inside the insert")
+	}
+	idx, ds, _ := buildSmall(t)
+	a := NewAdaptiveIndex(idx, &AdaptiveConfig{DriftFactor: 1e9, MergeFraction: -1})
+	defer a.Close()
+	const perRun = 1024
+	rows := make([][]int64, perRun)
+	for i := range rows {
+		rows[i] = make([]int64, ds.Table.NumCols())
+		for c := range rows[i] {
+			rows[i][c] = ds.Cols[c][(i*7919)%ds.Table.NumRows()]
+		}
+	}
+	allocs := testing.AllocsPerRun(4, func() {
+		for _, row := range rows {
+			if err := a.Insert(row); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if per := allocs / perRun; per > 3 {
+		t.Fatalf("Insert allocates %.2f times a row, want at most 3", per)
+	}
+	t.Logf("%.3f allocations a row", allocs/perRun)
 }
 
 // TestAdaptiveInsertValidation pins row-width checking and post-Close

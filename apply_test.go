@@ -171,14 +171,11 @@ func refValueVictims(ep *adaptiveEpoch, tuples [][]int64, logN int64) (baseRows,
 		return rows
 	}
 	t := ep.flood.Table()
-	baseRows = take(t.NumRows(), ep.flood.idx.Tombstones(), func(r int) []int64 { return rowValues(t, r) })
-	cols := *ep.log.cols.Load()
+	baseRows = take(t.NumRows(), ep.flood.idx.Tombstones(), func(r int) []int64 { return rowValues(t.Get, t.NumCols(), r) })
+	// The log's rows come from decode, not from get, which byValue reads.
+	logCols := ep.log.decode(0, logN)
 	logRows = take(int(logN), ep.log.tomb.Load(), func(r int) []int64 {
-		row := make([]int64, len(cols))
-		for c := range cols {
-			row[c] = cols[c][r]
-		}
-		return row
+		return rowValues(func(c, r int) int64 { return logCols[c][r] }, t.NumCols(), r)
 	})
 	return baseRows, logRows
 }
@@ -252,7 +249,7 @@ func TestValueVictimsMatchReference(t *testing.T) {
 				case wide && rng.Intn(4) != 0:
 					r := rng.Intn(int(logRows))
 					for c := range tp {
-						tp[c] = (*ep.log.cols.Load())[c][r]
+						tp[c] = ep.log.get(c, r)
 					}
 					tuples = append(tuples, tp)
 				case len(tuples) > 0 && rng.Intn(3) == 0:

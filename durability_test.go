@@ -3,15 +3,19 @@ package flood
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"flood/internal/core"
 	"flood/internal/faultfs"
 	"flood/internal/wal"
+	"flood/internal/wire"
 )
 
 // corruptionTyped reports whether err wraps one of the typed corruption
@@ -152,7 +156,7 @@ func TestSaveFileLoadFileAtomic(t *testing.T) {
 		}
 	}
 	// A failing write must leave no temp litter and not clobber the target.
-	if err := WriteFileAtomic(path, func(io.Writer) error { return errors.New("boom") }); err == nil {
+	if err := wire.WriteFileAtomic(path, func(io.Writer) error { return errors.New("boom") }); err == nil {
 		t.Fatal("injected write error lost")
 	}
 	entries, err := os.ReadDir(filepath.Dir(path))
@@ -297,7 +301,10 @@ func TestDurableRecoverEveryWALCorruption(t *testing.T) {
 // TestDurableSnapshotCorruptionIsTypedOrRecovered flips every byte of the
 // snapshot file in a durable directory: OpenDurable must either fail with a
 // typed corruption error or recover a fully correct index (models retrain,
-// WAL replay still applies every acknowledged insert).
+// WAL replay still applies every acknowledged insert and delete). The
+// snapshot is a checkpoint of a side log of one sealed block and a partial
+// block, with deleted rows in both, so the flips reach its side rows and its
+// log tombstones; the last inserts are only in the WAL.
 func TestDurableSnapshotCorruptionIsTypedOrRecovered(t *testing.T) {
 	fx := newTypedFixture(t, 48, 45)
 	idx, err := BuildWithLayout(fx.tbl, fixtureLayout(fx), &Options{Schema: fx.schema})
@@ -305,16 +312,43 @@ func TestDurableSnapshotCorruptionIsTypedOrRecovered(t *testing.T) {
 		t.Fatal(err)
 	}
 	master := t.TempDir()
-	d, err := CreateDurable(master, idx, &DurableOptions{Sync: SyncAlways})
+	d, err := CreateDurable(master, idx, &DurableOptions{Sync: SyncAlways, Adaptive: &AdaptiveConfig{MergeFraction: -1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const inserts = 8
+	// Every eighth checkpointed insert is preceded by a victim row, outside
+	// the ts ranges recoveredInserts and baseRows count, and the victims are
+	// deleted before the checkpoint: 152 inserts and 19 victims are 171 side
+	// rows, a sealed block and 43 rows past it.
+	const inserts, checkpointed, victimBase = 160, 152, 3 * insertBase
+	victims := NewQuery(4).WithRange(0, victimBase, victimBase+insertBase)
 	for i := 0; i < inserts; i++ {
+		if i == checkpointed {
+			if n, err := d.Delete(victims); err != nil || n != checkpointed/8 {
+				t.Fatalf("deleting victims: %d, %v", n, err)
+			}
+			if err := d.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if i < checkpointed && i%8 == 0 {
+			row, err := fx.schema.EncodeRow(int64(victimBase+i), 4.25, fx.city[0], fx.pickup[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Insert(row); err != nil {
+				t.Fatal(err)
+			}
+		}
 		if err := d.Insert(insertedRow(fx, i)); err != nil {
 			t.Fatal(err)
 		}
 	}
+	re, rep, err := OpenDurable(copyDir(t, master), nil)
+	if err != nil || rep.SnapshotRows != 48+checkpointed+checkpointed/8 {
+		t.Fatalf("clean open: %d snapshot rows, %v", rep.SnapshotRows, err)
+	}
+	re.Close()
 	fi, err := os.Stat(filepath.Join(master, snapshotFile))
 	if err != nil {
 		t.Fatal(err)
@@ -337,7 +371,115 @@ func TestDurableSnapshotCorruptionIsTypedOrRecovered(t *testing.T) {
 		if n := baseRows(re); n != 48 {
 			t.Fatalf("flip at %d: base data silently wrong: %d of 48 rows", off, n)
 		}
+		if n := countOf(t, re, victims); n != 0 {
+			t.Fatalf("flip at %d: %d deleted rows came back", off, n)
+		}
 		re.Close()
+	}
+}
+
+// TestOpenDurableReadsLegacySideRows: a snapshot written before the log
+// section holds its side rows as a dlta payload — column count, row count,
+// then each column as raw int64s. OpenDurable still reads it, and recovers
+// the same live rows, answers and pending count as from the log section a
+// checkpoint writes of the same rows: a sealed block and a partial block,
+// each with deleted rows.
+func TestOpenDurableReadsLegacySideRows(t *testing.T) {
+	fx := newTypedFixture(t, 48, 47)
+	idx, err := BuildWithLayout(fx.tbl, fixtureLayout(fx), &Options{Schema: fx.schema})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := &DurableOptions{Adaptive: &AdaptiveConfig{MergeFraction: -1}}
+	current := t.TempDir()
+	d, err := CreateDurable(current, idx, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const pending = 171
+	var side [][]int64
+	for i := 0; i < pending; i++ {
+		side = append(side, insertedRow(fx, i))
+		if err := d.Insert(side[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	logDead := []int64{3, 64, 127, 128, 150, 170}
+	ids := make([]int64, len(logDead))
+	for i, r := range logDead {
+		ids[i] = 48 + r
+	}
+	if n, err := d.DeleteRows(ids); err != nil || n != int64(len(ids)) {
+		t.Fatalf("DeleteRows: %d, %v", n, err)
+	}
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	legacy := t.TempDir()
+	err = wire.WriteFileAtomic(filepath.Join(legacy, snapshotFile), func(w io.Writer) error {
+		return idx.idx.SaveSections(w, []core.ExtraSection{
+			{Tag: sectionSchema, Encode: fx.schema.encodeSchema},
+			{Tag: sectionDelta, Encode: func(fw *wire.Writer) {
+				fw.Int(len(side[0]))
+				fw.I64(pending)
+				for c := range side[0] {
+					col := make([]int64, pending)
+					for r := range col {
+						col[r] = side[r][c]
+					}
+					fw.I64s(col)
+				}
+			}},
+			{Tag: sectionTomb, Encode: func(fw *wire.Writer) {
+				fw.Int(0)
+				fw.U64s(nil)
+				fw.I64s(logDead)
+			}},
+			{Tag: sectionMarker, Encode: func(fw *wire.Writer) { fw.U64(1) }},
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	type recovered struct {
+		rows                   []string
+		counts                 []int64
+		live, pending, inserts int64
+	}
+	open := func(dir string) recovered {
+		t.Helper()
+		re, _, err := OpenDurable(dir, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer re.Close()
+		rows, _ := re.Select(NewQuery(4))
+		var got recovered
+		for rows.Next() {
+			got.rows = append(got.rows, fmt.Sprint(rows.Int64(0), rows.Int64(1), rows.Int64(2), rows.Int64(3)))
+		}
+		rows.Close()
+		slices.Sort(got.rows)
+		got.counts = queryCounts(fx, re)
+		got.live, got.pending = int64(re.LiveRows()), int64(re.Stats().PendingRows)
+		got.inserts = countOf(t, re, NewQuery(4).WithRange(0, insertBase, 2*insertBase))
+		return got
+	}
+	want, got := open(current), open(legacy)
+	if want.pending != pending || want.live != 48+pending-int64(len(logDead)) ||
+		int64(len(want.rows)) != want.live || want.inserts != pending-int64(len(logDead)) {
+		t.Fatalf("log section recovered %d pending, %d live, %d selected, %d inserted rows",
+			want.pending, want.live, len(want.rows), want.inserts)
+	}
+	if !slices.Equal(got.rows, want.rows) || !slices.Equal(got.counts, want.counts) ||
+		got.live != want.live || got.pending != want.pending || got.inserts != want.inserts {
+		t.Fatalf("dlta snapshot recovered %d rows (%d live, %d pending), counts %v; log section %d (%d live, %d pending), counts %v",
+			len(got.rows), got.live, got.pending, got.counts, len(want.rows), want.live, want.pending, want.counts)
 	}
 }
 

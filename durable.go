@@ -6,7 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
 
 	"flood/internal/colstore"
@@ -36,8 +36,12 @@ const (
 //	wal-%06d.log     insert log segments; replay applies gens > g in order
 const (
 	snapshotFile = "snapshot.flood"
-	// sectionDelta persists the side-log rows a checkpoint captured beyond
-	// the base index, so a checkpoint never pays a base rebuild.
+	// sectionLog persists the side-log rows a checkpoint captured beyond the
+	// base index, so a checkpoint never pays a base rebuild: the log's sealed
+	// table as it stands, then its partial block (sideLog.encoder).
+	sectionLog = "logt"
+	// sectionDelta is the side-log rows as raw int64 columns, which
+	// snapshots written before sectionLog hold. It is read, never written.
 	sectionDelta = "dlta"
 	// sectionMarker persists the absorbed WAL generation.
 	sectionMarker = "wmrk"
@@ -158,7 +162,7 @@ func CreateDurable(dir string, base *Flood, opts *DurableOptions) (*AdaptiveInde
 		return nil, fmt.Errorf("flood: %s already contains a snapshot (use OpenDurable)", dir)
 	}
 	a := newDurable(dir, base, o)
-	if err := a.dur.writeSnapshot(0, base.idx, base.schema, nil, 0, base.idx.Tombstones(), nil); err != nil {
+	if err := a.dur.writeSnapshot(0, base.idx, base.schema, a.epoch.Load().log.encoder(0), base.idx.Tombstones(), nil); err != nil {
 		return nil, err
 	}
 	if err := a.startLog(1); err != nil {
@@ -204,37 +208,34 @@ func OpenDurable(dir string, opts *DurableOptions) (*AdaptiveIndex, RecoveryRepo
 	}
 	d := newDurable(dir, fl, o)
 
-	// Seed the side log with the checkpoint-captured rows.
-	if p, ok := res.Extra[sectionDelta]; ok {
-		cols, n, err := decodeSideRows(p, fl.Table().NumCols())
-		if err != nil {
-			return nil, rep, err
-		}
-		d.epoch.Load().log.seed(cols, n)
-		rep.SnapshotRows = fl.Table().NumRows() + int(n)
-	} else {
-		rep.SnapshotRows = fl.Table().NumRows()
+	// Seed the side log with the checkpoint-captured rows — the log section,
+	// or the raw side rows of a snapshot written before it — then mark its
+	// dead rows (floodFromLoadResult installed the base tombstones).
+	log := d.epoch.Load().log
+	side := make([][]int64, fl.Table().NumCols())
+	if p, ok := res.Extra[sectionLog]; ok {
+		side, err = colstore.DecodeSealed(wire.NewReaderBytes(p), fl.Table().NumCols())
+	} else if p, ok := res.Extra[sectionDelta]; ok {
+		side, err = decodeSideRows(p, fl.Table().NumCols())
 	}
-
-	// Restore the deletion state. The base tombstones were installed by
-	// floodFromLoadResult; the side-log dead rows apply after seeding.
+	if err != nil {
+		return nil, rep, err
+	}
+	log.seed(side)
+	n := log.rows()
+	rep.SnapshotRows = fl.Table().NumRows() + int(n)
 	if p, ok := res.Extra[sectionTomb]; ok {
 		_, logDead, err := decodeTombSection(p, fl.Table().NumRows())
 		if err != nil {
 			return nil, rep, err
 		}
-		if len(logDead) > 0 {
-			log := d.epoch.Load().log
-			n := log.rows()
-			rows := make([]int, 0, len(logDead))
-			for _, r := range logDead {
-				if r < 0 || r >= n {
-					return nil, rep, fmt.Errorf("flood: snapshot tombstones mark side row %d of %d: %w", r, n, ErrChecksum)
-				}
-				rows = append(rows, int(r))
+		rows := make([]int, len(logDead))
+		for i, r := range logDead {
+			if rows[i] = int(r); r < 0 || r >= n {
+				return nil, rep, fmt.Errorf("flood: snapshot tombstones mark side row %d of %d: %w", r, n, ErrChecksum)
 			}
-			log.deleteRows(rows, n)
 		}
+		log.deleteRows(rows, n)
 	}
 
 	// Replay WAL segments beyond the marker, oldest first. Generations at
@@ -323,7 +324,7 @@ func (a *AdaptiveIndex) Checkpoint() error {
 	a.mu.Lock()
 	ep := a.epoch.Load()
 	frozen := ep.log.rows()
-	cols := ep.log.columns(frozen)
+	side := ep.log.encoder(frozen)
 	idx := ep.flood.idx
 	// Deletions are WAL-appended and tombstone-published under one writer
 	// lock hold, so relative to this capture every delete is either fully
@@ -352,7 +353,7 @@ func (a *AdaptiveIndex) Checkpoint() error {
 			logDead = append(logDead, r)
 		}
 	}
-	if err := d.writeSnapshot(oldGen, idx, a.schema, cols, frozen, baseTomb, logDead); err != nil {
+	if err := d.writeSnapshot(oldGen, idx, a.schema, side, baseTomb, logDead); err != nil {
 		return err
 	}
 	d.crash("snapshot")
@@ -382,25 +383,18 @@ func (d *durability) crash(stage string) {
 }
 
 // writeSnapshot atomically replaces the snapshot file with the captured
-// image: base index, schema, side rows, deletion state, and the
-// absorbed-generation marker. baseTomb and logDead must be the versions
-// pinned at the same instant as cols/rows, never re-read at encode time — a
-// delete landing between capture and encode belongs to the new WAL segment.
-func (d *durability) writeSnapshot(marker uint64, idx *core.Flood, schema *Schema, cols [][]int64, rows int64, baseTomb *colstore.Tombstones, logDead []int64) error {
-	return WriteFileAtomic(filepath.Join(d.dir, snapshotFile), func(w io.Writer) error {
+// image: base index, schema, side rows (side writes them), deletion state,
+// and the absorbed-generation marker. baseTomb and logDead must be the
+// versions pinned at the same instant as side, never re-read at encode time —
+// a delete landing between capture and encode belongs to the new WAL
+// segment.
+func (d *durability) writeSnapshot(marker uint64, idx *core.Flood, schema *Schema, side func(*wire.Writer), baseTomb *colstore.Tombstones, logDead []int64) error {
+	return wire.WriteFileAtomic(filepath.Join(d.dir, snapshotFile), func(w io.Writer) error {
 		var extra []core.ExtraSection
 		if schema != nil {
 			extra = append(extra, core.ExtraSection{Tag: sectionSchema, Encode: schema.encodeSchema})
 		}
-		if rows > 0 {
-			extra = append(extra, core.ExtraSection{Tag: sectionDelta, Encode: func(fw *wire.Writer) {
-				fw.Int(len(cols))
-				fw.I64(rows)
-				for _, c := range cols {
-					fw.I64s(c)
-				}
-			}})
-		}
+		extra = append(extra, core.ExtraSection{Tag: sectionLog, Encode: side})
 		if baseTomb.Dead() > 0 || len(logDead) > 0 {
 			extra = append(extra, core.ExtraSection{Tag: sectionTomb, Encode: encodeTombSection(baseTomb, logDead)})
 		}
@@ -450,28 +444,20 @@ func decodeTombSection(payload []byte, baseRows int) (*colstore.Tombstones, []in
 	return t, logDead, nil
 }
 
-// decodeSideRows reads the checkpoint-captured side-log rows.
-func decodeSideRows(payload []byte, wantCols int) ([][]int64, int64, error) {
+// decodeSideRows reads the raw side-log rows of a snapshot written before
+// the log section (sectionDelta) into the column-major rows seed takes: the
+// column count, the row count, then each column. A payload the section
+// checksum passed that disagrees with itself or the table fails typed.
+func decodeSideRows(payload []byte, wantCols int) ([][]int64, error) {
 	r := wire.NewReaderBytes(payload)
-	nc := r.Int()
-	n := r.I64()
-	if err := r.Err(); err != nil {
-		return nil, 0, fmt.Errorf("flood: snapshot side rows: %w", err)
-	}
-	if nc != wantCols || n < 0 {
-		return nil, 0, fmt.Errorf("flood: snapshot side rows declare %d columns of %d rows, table has %d columns", nc, n, wantCols)
-	}
-	cols := make([][]int64, nc)
+	nc, n := r.Int(), r.I64()
+	cols := make([][]int64, wantCols)
 	for c := range cols {
-		cols[c] = r.I64s()
-		if err := r.Err(); err != nil {
-			return nil, 0, fmt.Errorf("flood: snapshot side rows: %w", err)
-		}
-		if int64(len(cols[c])) != n {
-			return nil, 0, fmt.Errorf("flood: snapshot side column %d has %d rows, expected %d", c, len(cols[c]), n)
+		if cols[c] = r.I64s(); nc != wantCols || int64(len(cols[c])) != n || r.Err() != nil {
+			return nil, fmt.Errorf("flood: snapshot side rows declare %d columns of %d rows, table has %d columns: %w", nc, n, wantCols, ErrChecksum)
 		}
 	}
-	return cols, n, nil
+	return cols, nil
 }
 
 // listSegments returns the WAL generations present in dir, ascending.
@@ -486,7 +472,7 @@ func listSegments(dir string) ([]uint64, error) {
 			gens = append(gens, g)
 		}
 	}
-	sort.Slice(gens, func(i, j int) bool { return gens[i] < gens[j] })
+	slices.Sort(gens)
 	return gens, nil
 }
 
@@ -502,6 +488,6 @@ func (d *durability) removeSegmentsThrough(g uint64, gens []uint64) {
 		}
 	}
 	if removed {
-		SyncDir(d.dir)
+		wire.SyncDir(d.dir)
 	}
 }

@@ -1,6 +1,7 @@
 package colstore
 
 import (
+	"errors"
 	"fmt"
 
 	"flood/internal/wire"
@@ -73,6 +74,37 @@ func DecodeTable(r *wire.Reader) (*Table, error) {
 		return nil, fmt.Errorf("colstore: decoding table: %w", err)
 	}
 	return t, nil
+}
+
+// EncodeSealed writes a table that grows a block at a time as it stands: t,
+// which must hold whole blocks, then tail — the rows past them, fewer than
+// BlockSize, one slice per column — as a second table.
+func (t *Table) EncodeSealed(w *wire.Writer, tail [][]int64) {
+	if t.n%BlockSize != 0 || len(tail[0]) >= BlockSize {
+		panic("colstore: EncodeSealed needs whole blocks, then a partial block")
+	}
+	t.Encode(w)
+	MustNewTable(t.names, tail).Encode(w)
+}
+
+// DecodeSealed reads what EncodeSealed writes, for a table of cols columns,
+// and returns the rows of both tables, column-major. On top of DecodeTable's
+// structural checks it refuses, with wire.ErrChecksum, a first table that is
+// not whole blocks, a second of BlockSize rows or more, and a column count
+// other than cols.
+func DecodeSealed(r *wire.Reader, cols int) ([][]int64, error) {
+	out := make([][]int64, cols)
+	for i := 0; i < 2; i++ {
+		t, err := DecodeTable(r)
+		if err != nil || t.NumCols() != cols || i == 0 && t.n%BlockSize != 0 || i == 1 && t.n >= BlockSize {
+			return nil, fmt.Errorf("colstore: sealed table part %d of 2 is not %d columns of whole blocks, then of under %d rows: %w",
+				i+1, cols, BlockSize, errors.Join(err, wire.ErrChecksum))
+		}
+		for c := range out {
+			out[c] = append(out[c], t.Raw(c)...)
+		}
+	}
+	return out, nil
 }
 
 // validate checks the structural invariants NewColumn establishes: per-block

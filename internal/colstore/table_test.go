@@ -1,8 +1,13 @@
 package colstore
 
 import (
+	"bytes"
+	"errors"
 	"math/rand"
+	"slices"
 	"testing"
+
+	"flood/internal/wire"
 )
 
 func testTable(t *testing.T, n int) (*Table, [][]int64) {
@@ -207,5 +212,91 @@ func TestAppendBlocksRefusesMisuse(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+// encodeTables writes tables one after another, as EncodeSealed does.
+func encodeTables(tables ...*Table) []byte {
+	var buf bytes.Buffer
+	w := wire.NewWriter(&buf)
+	for _, t := range tables {
+		t.Encode(w)
+	}
+	w.Flush()
+	return buf.Bytes()
+}
+
+// TestSealedRoundTrip: a table's whole blocks and the partial block past
+// them, written by EncodeSealed, read back as the rows they hold, on both
+// sides of every block boundary.
+func TestSealedRoundTrip(t *testing.T) {
+	_, data := testTable(t, 3*BlockSize)
+	names := []string{"a", "b", "c"}
+	for _, n := range []int{0, 1, BlockSize - 1, BlockSize, BlockSize + 1, 3*BlockSize - 1} {
+		whole := n - n%BlockSize
+		head, tail := make([][]int64, len(data)), make([][]int64, len(data))
+		for c := range data {
+			head[c], tail[c] = data[c][:whole], data[c][whole:n]
+		}
+		var buf bytes.Buffer
+		w := wire.NewWriter(&buf)
+		MustNewTable(names, head).EncodeSealed(w, tail)
+		w.Flush()
+		got, err := DecodeSealed(wire.NewReaderBytes(buf.Bytes()), len(data))
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		for c := range data {
+			if !slices.Equal(got[c], data[c][:n]) {
+				t.Fatalf("n=%d: column %d reads back %v", n, c, got[c])
+			}
+		}
+	}
+}
+
+// TestSealedRefusesMisuse: EncodeSealed panics rather than write a first
+// table off a block boundary or a partial block of BlockSize rows, and
+// DecodeSealed refuses either shape, a column count other than the caller's
+// and a cut payload with wire.ErrChecksum.
+func TestSealedRefusesMisuse(t *testing.T) {
+	block, _ := testTable(t, BlockSize)
+	short, _ := testTable(t, BlockSize-1)
+	empty, _ := testTable(t, 0)
+	for name, f := range map[string]func(){
+		"partial first table": func() { short.EncodeSealed(wire.NewWriter(&bytes.Buffer{}), [][]int64{{}, {}, {}}) },
+		"whole-block tail": func() {
+			tail := make([][]int64, 3)
+			for c := range tail {
+				tail[c] = make([]int64, BlockSize)
+			}
+			block.EncodeSealed(wire.NewWriter(&bytes.Buffer{}), tail)
+		},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: EncodeSealed did not panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+	valid := encodeTables(block, short)
+	for name, tc := range map[string]struct {
+		payload []byte
+		cols    int
+	}{
+		"partial first table": {encodeTables(short, empty), 3},
+		"whole-block tail":    {encodeTables(block, block), 3},
+		"column count":        {valid, 2},
+		"cut payload":         {valid[:len(valid)/2], 3},
+		"one table":           {encodeTables(block), 3},
+	} {
+		if _, err := DecodeSealed(wire.NewReaderBytes(tc.payload), tc.cols); !errors.Is(err, wire.ErrChecksum) {
+			t.Errorf("%s: DecodeSealed = %v, want an ErrChecksum error", name, err)
+		}
+	}
+	if _, err := DecodeSealed(wire.NewReaderBytes(valid), 3); err != nil {
+		t.Fatalf("valid payload: %v", err)
 	}
 }

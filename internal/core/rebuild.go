@@ -11,13 +11,12 @@ import (
 // have cumulative aggregates enabled. extra must have one slice per table
 // column, all of equal length. Rows of t marked dead in tomb and extra rows
 // marked dead in extraTomb are dropped instead of copied. Either tombstone
-// set may be nil (nothing dead) or cover more rows than its input (the extra
-// slice is a frozen prefix of a still-growing buffer); rows beyond a set's
+// set may be nil (nothing dead) or cover fewer rows than its input (an insert
+// log's set covers the rows it held at its last delete); rows beyond a set's
 // coverage are live. With nothing added and nothing dead the input table is
-// returned unchanged. Neither input is modified, so callers may pass live
-// (immutable-prefix) buffers without copying them first. This is the
-// compaction step: a build over the merged result physically discards
-// deleted rows, and the fresh index starts with an empty tombstone set.
+// returned unchanged. Neither input is modified. This is the compaction
+// step: a build over the merged result physically discards deleted rows, and
+// the fresh index starts with an empty tombstone set.
 func MergeRowsLive(t *colstore.Table, tomb *colstore.Tombstones, extra [][]int64, extraTomb *colstore.Tombstones) (*colstore.Table, error) {
 	src, err := mergeSource(t, tomb, extra, extraTomb, Options{})
 	if err != nil {

@@ -98,11 +98,12 @@ func (f *Flood) Rebuild() (*Flood, error) {
 	return newFlood(idx, f.result, f.model, f.schema), nil
 }
 
-// rowValues materializes one stored row as a value tuple.
-func rowValues(t *Table, r int) []int64 {
-	row := make([]int64, t.NumCols())
+// rowValues materializes row r of cols columns as a value tuple, reading
+// each value through get: a table's Get, or the insert log's.
+func rowValues(get func(c, r int) int64, cols, r int) []int64 {
+	row := make([]int64, cols)
 	for c := range row {
-		row[c] = t.Get(c, r)
+		row[c] = get(c, r)
 	}
 	return row
 }

@@ -104,7 +104,7 @@ func floodFromLoadResult(res core.LoadResult) (*Flood, error) {
 // crash at any point leaves either the old file or the new one, never a
 // partial mix.
 func (f *Flood) SaveFile(path string) error {
-	return WriteFileAtomic(path, f.Save)
+	return wire.WriteFileAtomic(path, f.Save)
 }
 
 // LoadFile reads an index from a snapshot file written by SaveFile (or any
@@ -123,16 +123,3 @@ func LoadFileWithReport(path string) (*Flood, LoadReport, error) {
 	defer file.Close()
 	return LoadWithReport(bufio.NewReaderSize(file, 1<<20))
 }
-
-// WriteFileAtomic writes a file through the write-temp, fsync, rename,
-// fsync-directory sequence, so path holds either its previous contents or
-// the complete new contents — never a torn intermediate. It is the
-// building block under SaveFile and the durable checkpoint protocol.
-func WriteFileAtomic(path string, write func(io.Writer) error) error {
-	return wire.WriteFileAtomic(path, write)
-}
-
-// SyncDir fsyncs a directory so preceding renames and creates in it are
-// durable. Filesystems that do not support fsync on directories report
-// EINVAL or ENOTSUP; that is ignored.
-func SyncDir(dir string) error { return wire.SyncDir(dir) }

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"flood/internal/colstore"
 	"flood/internal/query"
 )
 
@@ -88,8 +89,10 @@ func TestDeltaMergeSaveLoadRoundTrip(t *testing.T) {
 }
 
 // TestDeltaSizeBytesCountsPendingRows pins the memory reporting of the
-// insert log: a large insert burst is charged on top of the base metadata,
-// and a merge returns the accounting to the merged base's metadata.
+// insert log: a large insert burst is charged on top of the base metadata at
+// what the log holds — its whole blocks compressed, the partial block past
+// them raw — and a merge returns the accounting to the merged base's
+// metadata.
 func TestDeltaSizeBytesCountsPendingRows(t *testing.T) {
 	fx := newTypedFixture(t, 1000, 34)
 	idx, err := BuildWithLayout(fx.tbl, fixtureLayout(fx), &Options{Schema: fx.schema})
@@ -108,8 +111,14 @@ func TestDeltaSizeBytesCountsPendingRows(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got, want := d.SizeBytes(), base+int64(burst*len(row)*8); got != want {
-		t.Fatalf("SizeBytes = %d, want base %d + %d pending rows = %d", got, base, burst, want)
+	whole := burst - burst%colstore.BlockSize
+	sealed := make([][]int64, len(row))
+	for c := range sealed {
+		sealed[c] = slices.Repeat([]int64{row[c]}, whole)
+	}
+	logBytes := colstore.MustNewTable(fx.tbl.Names(), sealed).SizeBytes() + int64((burst-whole)*len(row)*8)
+	if got, want := d.SizeBytes(), base+logBytes; got != want {
+		t.Fatalf("SizeBytes = %d, want base %d + %d pending rows' %d log bytes = %d", got, base, burst, logBytes, want)
 	}
 	mergeNow(t, d)
 	if got := d.SizeBytes(); got != d.Index().SizeBytes() {
