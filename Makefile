@@ -41,7 +41,9 @@ vet:
 # docs gates the documentation: vet plus a lint that fails on undocumented
 # exported identifiers in the public API surface (root package, the SQL and
 # data-generation packages, and the internal packages the architecture docs
-# walk through). CI runs this on every push.
+# walk through), and on a callerless export of the root package: one that no
+# other package in the module names and no //api:keep line explains. CI runs
+# this on every push.
 docs: vet
 	$(GO) run ./cmd/doclint . ./floodsql ./datagen \
 		./internal/core ./internal/query ./internal/colstore ./internal/encode \

@@ -20,8 +20,8 @@ const (
 	RStarTree   = BaselineKind(baseline.RStarTree)
 )
 
-// Baselines lists every baseline kind in the paper's order.
-func Baselines() []BaselineKind {
+// baselines lists every baseline kind in the paper's order.
+func baselines() []BaselineKind {
 	return []BaselineKind{FullScan, Clustered, GridFile, ZOrder, UBTree, Hyperoctree, KDTree, RStarTree}
 }
 

@@ -80,7 +80,7 @@ func main() {
 	)
 	if *loadPath != "" {
 		t0 := time.Now()
-		learned, rep, err := flood.LoadFileWithReport(*loadPath)
+		learned, rep, err := flood.LoadFile(*loadPath)
 		if err != nil {
 			log.Fatalf("loading snapshot %s: %v", *loadPath, err)
 		}

@@ -195,7 +195,7 @@ func syntheticWorkload(datasetName string, rows int, seed int64) (*datagen.Datas
 func buildBase(datasetName string, rows int, seed int64, loadPath string) (*flood.Flood, error) {
 	t0 := time.Now()
 	if loadPath != "" {
-		idx, rep, err := flood.LoadFileWithReport(loadPath)
+		idx, rep, err := flood.LoadFile(loadPath)
 		if err != nil {
 			return nil, fmt.Errorf("loading snapshot %s: %w", loadPath, err)
 		}

@@ -39,6 +39,8 @@ var (
 	// QueryOptions.Limit row budget was exhausted. The Select paths treat
 	// it as success (a satisfied LIMIT is the requested outcome); it
 	// surfaces only from aggregate execution under an explicit limit.
+	//
+	//api:keep errors.Is target
 	ErrLimitReached = query.ErrLimitReached
 )
 

@@ -73,7 +73,7 @@ func TestExecuteContextPreCanceled(t *testing.T) {
 func TestExecuteContextBackgroundMatchesExecute(t *testing.T) {
 	idx, ds, queries := buildSmall(t)
 	indexes := []Index{idx}
-	for _, kind := range Baselines() {
+	for _, kind := range baselines() {
 		b, err := BuildBaseline(kind, ds.Table, BaselineOptions{})
 		if err != nil {
 			t.Fatal(err)
@@ -524,7 +524,7 @@ func TestControlIndexBaselines(t *testing.T) {
 		t.Fatal("fixture column 1 is constant")
 	}
 	probe := NewQuery(ds.Table.NumCols()).WithRange(1, minV, maxV-1)
-	for _, kind := range Baselines() {
+	for _, kind := range baselines() {
 		b, err := BuildBaseline(kind, ds.Table, BaselineOptions{})
 		if err != nil {
 			t.Fatal(err)

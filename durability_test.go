@@ -58,7 +58,7 @@ func TestSnapshotEveryTruncationAndFlip(t *testing.T) {
 
 	check := func(kind string, pos int, data []byte) {
 		t.Helper()
-		loaded, err := Load(bytes.NewReader(data))
+		loaded, _, err := load(bytes.NewReader(data))
 		if err != nil {
 			if !corruptionTyped(err) {
 				t.Fatalf("%s at %d: untyped error %v", kind, pos, err)
@@ -110,7 +110,7 @@ func TestSnapshotModelDamageRetrains(t *testing.T) {
 
 	// The models section is written last; damage its final payload byte
 	// (just before the trailing 4-byte CRC).
-	loaded, rep, err := LoadWithReport(bytes.NewReader(faultfs.Flip(snap, len(snap)-5)))
+	loaded, rep, err := load(bytes.NewReader(faultfs.Flip(snap, len(snap)-5)))
 	if err != nil {
 		t.Fatalf("model-section flip should degrade, got %v", err)
 	}
@@ -142,7 +142,7 @@ func TestSaveFileLoadFileAtomic(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	loaded, err := LoadFile(path)
+	loaded, _, err := LoadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestSaveFileLoadFileAtomic(t *testing.T) {
 	if len(entries) != 1 {
 		t.Fatalf("temp file litter: %v", entries)
 	}
-	if _, err := LoadFile(path); err != nil {
+	if _, _, err := LoadFile(path); err != nil {
 		t.Fatalf("failed overwrite clobbered the snapshot: %v", err)
 	}
 }

@@ -77,32 +77,6 @@ func TestUnmergedInsertAndQuery(t *testing.T) {
 	}
 }
 
-func TestKNNPublicAPI(t *testing.T) {
-	// KNN measures distance over the layout's grid dimensions, so the layout
-	// is pinned: buildSmall's is learned from live timings, and on 6,000 rows
-	// a sort-only layout (no grid at all) is sometimes the cheapest.
-	ds := dataset.Sales(6000, 201)
-	idx, err := BuildWithLayout(ds.Table, Layout{GridDims: []int{0, 5}, GridCols: []int{4, 6}, SortDim: 3, Flatten: true}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	point := make([]int64, ds.Table.NumCols())
-	for c := range point {
-		point[c] = ds.Cols[c][42]
-	}
-	nbrs, err := idx.KNN(point, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(nbrs) != 5 {
-		t.Fatalf("got %d neighbors", len(nbrs))
-	}
-	// The query point exists in the data, so the nearest distance is 0.
-	if nbrs[0].Dist != 0 {
-		t.Fatalf("nearest neighbor of an existing point should be at distance 0, got %f", nbrs[0].Dist)
-	}
-}
-
 func TestMonitorDetectsDrift(t *testing.T) {
 	m := newMonitor(0, 2)
 	// Establish a ~100µs reference window.

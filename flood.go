@@ -312,16 +312,6 @@ func (f *Flood) PredictedCost() float64 { return f.result.PredictedCost }
 // Table returns the index's reordered copy of the data.
 func (f *Flood) Table() *Table { return f.idx.Table() }
 
-// Neighbor is one k-nearest-neighbor result: a physical row in the index's
-// reordered table and its squared distance in flattened grid coordinates.
-type Neighbor = core.Neighbor
-
-// KNN returns the k nearest neighbors of point under the scale-free
-// flattened metric of the index's grid dimensions (§6). See core.Flood.KNN.
-func (f *Flood) KNN(point []int64, k int) ([]Neighbor, error) {
-	return f.idx.KNN(point, k)
-}
-
 var (
 	_ Index            = (*Flood)(nil)
 	_ query.BatchIndex = (*Flood)(nil)

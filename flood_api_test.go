@@ -95,7 +95,7 @@ func TestBuildBaselineKinds(t *testing.T) {
 	ds := dataset.Sales(4000, 79)
 	rng := rand.New(rand.NewSource(80))
 	queries := workload.Standard(ds, 20, 81)
-	for _, kind := range Baselines() {
+	for _, kind := range baselines() {
 		idx, err := BuildBaseline(kind, ds.Table, BaselineOptions{PageSize: 256})
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)

@@ -16,8 +16,8 @@ const v1Snapshot = "FLOODIX1garbage"
 
 // TestLoadV1MagicIsErrVersion pins the typed answer to a version-1 file.
 func TestLoadV1MagicIsErrVersion(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte(v1Snapshot))); !errors.Is(err, ErrVersion) {
-		t.Fatalf("Load(v1 magic) err = %v, want ErrVersion", err)
+	if _, _, err := load(bytes.NewReader([]byte(v1Snapshot))); !errors.Is(err, ErrVersion) {
+		t.Fatalf("load(v1 magic) err = %v, want ErrVersion", err)
 	}
 }
 
@@ -120,7 +120,7 @@ func FuzzWireDecode(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		idx, err := Load(bytes.NewReader(data))
+		idx, _, err := load(bytes.NewReader(data))
 		if err != nil {
 			return
 		}

@@ -32,7 +32,7 @@ func TestAllIndexesAgreeOnAllDatasets(t *testing.T) {
 				t.Fatal(err)
 			}
 			indexes = append(indexes, learned)
-			for _, kind := range Baselines() {
+			for _, kind := range baselines() {
 				idx, err := BuildBaseline(kind, ds.Table, BaselineOptions{Dims: order, PageSize: 512})
 				if err != nil {
 					// Grid File may legitimately refuse heavily skewed

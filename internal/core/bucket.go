@@ -7,9 +7,6 @@ import "flood/internal/rmi"
 // relies on: bucket(u) <= bucket(v) whenever u <= v.
 type bucketer interface {
 	bucket(v int64, cols int) int
-	// normalize maps v to flattened space [0, 1] — the metric space used
-	// by kNN search.
-	normalize(v int64) float64
 	sizeBytes() int64
 }
 
@@ -20,7 +17,6 @@ type cdfBucketer struct {
 }
 
 func (b cdfBucketer) bucket(v int64, cols int) int { return b.cdf.Bucket(v, cols) }
-func (b cdfBucketer) normalize(v int64) float64    { return b.cdf.At(v) }
 func (b cdfBucketer) sizeBytes() int64             { return b.cdf.SizeBytes() }
 
 // linearBucketer divides [min, max] into equally spaced columns (§3.1).
@@ -48,17 +44,6 @@ func (b linearBucketer) bucket(v int64, cols int) int {
 		return 0
 	}
 	return int(cf)
-}
-
-func (b linearBucketer) normalize(v int64) float64 {
-	u := (float64(v) - float64(b.min)) / b.rangeSz
-	if u < 0 {
-		return 0
-	}
-	if u > 1 {
-		return 1
-	}
-	return u
 }
 
 func (b linearBucketer) sizeBytes() int64 { return 16 }

@@ -87,27 +87,3 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		t.Fatal("retrained index has different cell structure")
 	}
 }
-
-func TestSaveLoadPreservesKNN(t *testing.T) {
-	tbl, data := makeData(t, 2000, 3, 134)
-	idx, _ := Build(tbl, Layout{GridDims: []int{0, 1}, GridCols: []int{6, 6}, SortDim: 2, Flatten: true}, Options{})
-	var buf bytes.Buffer
-	if err := idx.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	point := []int64{data[0][7], data[1][7], data[2][7]}
-	n1, err1 := idx.KNN(point, 5)
-	n2, err2 := loaded.KNN(point, 5)
-	if err1 != nil || err2 != nil {
-		t.Fatal(err1, err2)
-	}
-	for i := range n1 {
-		if n1[i].Dist != n2[i].Dist {
-			t.Fatalf("kNN changed across save/load at %d: %f vs %f", i, n1[i].Dist, n2[i].Dist)
-		}
-	}
-}

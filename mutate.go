@@ -53,7 +53,7 @@ type Updater interface {
 
 // Delete tombstones every live row matching q and returns how many rows were
 // newly deleted. The index's physical layout is untouched — deleted rows are
-// masked out of every subsequent query (Execute, Select, KNN, aggregates)
+// masked out of every subsequent query (Execute, Select, aggregates)
 // and compacted away on the next Rebuild. Queries already in flight keep the
 // snapshot they captured at scan setup. Single-writer: serialize Delete
 // calls with each other, not with readers.

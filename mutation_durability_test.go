@@ -284,7 +284,7 @@ func TestSnapshotTombSectionDamageIsTypedError(t *testing.T) {
 	wantLive := int64(idx.LiveRows())
 
 	for off := at; off < len(snap); off += corruptionStride {
-		loaded, err := Load(bytes.NewReader(faultfs.Flip(snap, off)))
+		loaded, _, err := load(bytes.NewReader(faultfs.Flip(snap, off)))
 		if err != nil {
 			if !corruptionTyped(err) {
 				t.Fatalf("flip at %d: untyped error %v", off, err)

@@ -11,19 +11,26 @@ import (
 )
 
 // Typed corruption errors, re-exported from the wire format so callers can
-// classify Load failures with errors.Is without importing internal packages.
+// classify LoadFile and OpenStore failures with errors.Is without importing
+// internal packages.
 var (
 	// ErrTruncated reports a snapshot or log that ends before a complete
 	// structure.
+	//
+	//api:keep errors.Is target
 	ErrTruncated = wire.ErrTruncated
 	// ErrChecksum reports data whose checksum does not match its contents —
 	// a bit flip, torn write, or foreign bytes.
+	//
+	//api:keep errors.Is target
 	ErrChecksum = wire.ErrChecksum
 	// ErrVersion reports a snapshot written by an unknown format version.
+	//
+	//api:keep errors.Is target
 	ErrVersion = wire.ErrVersion
 )
 
-// LoadReport describes degraded-recovery decisions a Load took. A loaded
+// LoadReport describes degraded-recovery decisions LoadFile took. A loaded
 // index answers queries correctly either way; the report says whether the
 // load had to pay a model retrain to get there.
 type LoadReport struct {
@@ -50,18 +57,9 @@ func (f *Flood) Save(w io.Writer) error {
 	return f.idx.SaveSections(w, extra)
 }
 
-// Load reads an index written by Save. Corruption
-// surfaces as an error wrapping ErrTruncated, ErrChecksum, or ErrVersion —
-// except damage confined to the learned-models section, which Load repairs
-// by retraining from the intact data (use LoadWithReport to observe that).
-// A schema persisted by Save is re-attached automatically.
-func Load(r io.Reader) (*Flood, error) {
-	f, _, err := LoadWithReport(r)
-	return f, err
-}
-
-// LoadWithReport is Load plus a report of any degraded-recovery decisions.
-func LoadWithReport(r io.Reader) (*Flood, LoadReport, error) {
+// load reads an index written by Save from r, with LoadFile's corruption
+// and recovery semantics.
+func load(r io.Reader) (*Flood, LoadReport, error) {
 	res, err := core.LoadSections(r)
 	if err != nil {
 		return nil, LoadReport{}, err
@@ -107,19 +105,16 @@ func (f *Flood) SaveFile(path string) error {
 	return wire.WriteFileAtomic(path, f.Save)
 }
 
-// LoadFile reads an index from a snapshot file written by SaveFile (or any
-// Save output on disk), with Load's corruption and recovery semantics.
-func LoadFile(path string) (*Flood, error) {
-	f, _, err := LoadFileWithReport(path)
-	return f, err
-}
-
-// LoadFileWithReport is LoadFile plus the degraded-recovery report.
-func LoadFileWithReport(path string) (*Flood, LoadReport, error) {
+// LoadFile reads an index from a snapshot file written by SaveFile.
+// Corruption surfaces as an error wrapping ErrTruncated, ErrChecksum, or
+// ErrVersion — except damage confined to the learned-models section, which
+// LoadFile repairs by retraining from the intact data and records in the
+// report. A schema persisted by Save is re-attached automatically.
+func LoadFile(path string) (*Flood, LoadReport, error) {
 	file, err := os.Open(path)
 	if err != nil {
 		return nil, LoadReport{}, err
 	}
 	defer file.Close()
-	return LoadWithReport(bufio.NewReaderSize(file, 1<<20))
+	return load(bufio.NewReaderSize(file, 1<<20))
 }

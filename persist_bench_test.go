@@ -32,7 +32,7 @@ func BenchmarkSaveLoad1M(b *testing.B) {
 	b.Run("load", func(b *testing.B) {
 		b.SetBytes(fi.Size())
 		for i := 0; i < b.N; i++ {
-			loaded, err := LoadFile(path)
+			loaded, _, err := LoadFile(path)
 			if err != nil {
 				b.Fatal(err)
 			}

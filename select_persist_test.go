@@ -65,7 +65,7 @@ func TestDeltaMergeSaveLoadRoundTrip(t *testing.T) {
 	if err := d.Index().Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(&buf)
+	loaded, _, err := load(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -252,7 +252,7 @@ func TestSelectDeltaWithPending(t *testing.T) {
 // shared scan stage — three rows back, fewer rows scanned than without it.
 func TestSelectBaselineEquivalence(t *testing.T) {
 	fx := newTypedFixture(t, 3000, 24)
-	for _, kind := range Baselines() {
+	for _, kind := range baselines() {
 		bidx, err := BuildBaseline(kind, fx.tbl, BaselineOptions{PageSize: 256})
 		if err != nil {
 			t.Fatal(err)

@@ -10,7 +10,7 @@ import (
 	"flood/internal/shard"
 )
 
-// ShardedRecoveryReport describes what OpenShardedDurable or OpenStore
+// ShardedRecoveryReport describes what openShardedDurable or OpenStore
 // reconstructed: one RecoveryReport per shard (one entry for a flat store)
 // plus the totals a caller usually wants.
 type ShardedRecoveryReport struct {
@@ -80,12 +80,12 @@ func closeAll(shards []*AdaptiveIndex) error {
 	return first
 }
 
-// OpenShardedDurable reopens a sharded store: the manifest is read and
+// openShardedDurable reopens a sharded store: the manifest is read and
 // validated first, then every shard's durable directory recovers
 // independently and in parallel — snapshot restore plus WAL-tail replay per
 // shard (see OpenDurable), so recovery time scales with the largest shard,
 // not the table. Acknowledged writes recover into the shard that owns them.
-func OpenShardedDurable(dir string, dopts *DurableOptions) (*ShardedIndex, ShardedRecoveryReport, error) {
+func openShardedDurable(dir string, dopts *DurableOptions) (*ShardedIndex, ShardedRecoveryReport, error) {
 	var rep ShardedRecoveryReport
 	m, err := shard.ReadManifest(dir)
 	if err != nil {
@@ -121,7 +121,7 @@ func foldReports(reps []RecoveryReport) ShardedRecoveryReport {
 }
 
 // OpenStore reopens whichever store dir holds, told apart by the directory's
-// own layout: a shard manifest reopens sharded (OpenShardedDurable), a
+// own layout: a shard manifest reopens sharded (openShardedDurable), a
 // snapshot reopens flat (OpenDurable, its report the one entry of Shards). A
 // directory holding neither — empty, missing, or a sharded create that
 // crashed before its manifest — is an error satisfying
@@ -138,7 +138,7 @@ func OpenStore(dir string, opts *DurableOptions) (Store, ShardedRecoveryReport, 
 	var err error
 	switch {
 	case holds(shard.ManifestName):
-		store, rep, err = OpenShardedDurable(dir, opts)
+		store, rep, err = openShardedDurable(dir, opts)
 	case holds(snapshotFile):
 		var r RecoveryReport
 		store, r, err = OpenDurable(dir, opts)

@@ -61,7 +61,7 @@ func TestShardedDurableRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, rep, err := OpenShardedDurable(dir, nil)
+	r, rep, err := openShardedDurable(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestShardedDurableCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, rep, err := OpenShardedDurable(dir, nil)
+	r, rep, err := openShardedDurable(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestShardedManifestGatekeeps(t *testing.T) {
 	if err := os.WriteFile(path, bad, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := OpenShardedDurable(dir, nil); err == nil {
+	if _, _, err := openShardedDurable(dir, nil); err == nil {
 		t.Fatal("corrupt manifest opened")
 	}
 
@@ -167,7 +167,7 @@ func TestShardedManifestGatekeeps(t *testing.T) {
 	if err := os.Remove(path); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := OpenShardedDurable(dir, nil); err == nil {
+	if _, _, err := openShardedDurable(dir, nil); err == nil {
 		t.Fatal("manifest-less root opened")
 	}
 
@@ -175,7 +175,7 @@ func TestShardedManifestGatekeeps(t *testing.T) {
 	if err := os.WriteFile(path, orig, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	r, _, err := OpenShardedDurable(dir, nil)
+	r, _, err := openShardedDurable(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,9 +33,8 @@ type TableBuilder struct {
 	times   [][]time.Time
 }
 
-// NewTableBuilder returns a builder for the schema. Equivalent to
-// s.NewTableBuilder().
-func NewTableBuilder(s *Schema) *TableBuilder {
+// NewTableBuilder returns a TableBuilder loading data for this schema.
+func (s *Schema) NewTableBuilder() *TableBuilder {
 	if len(s.fields) == 0 {
 		panic("flood: schema has no columns")
 	}
@@ -48,9 +47,6 @@ func NewTableBuilder(s *Schema) *TableBuilder {
 		times:   make([][]time.Time, n),
 	}
 }
-
-// NewTableBuilder returns a TableBuilder loading data for this schema.
-func (s *Schema) NewTableBuilder() *TableBuilder { return NewTableBuilder(s) }
 
 // AppendRow adds one logical row, one value per schema column in declaration
 // order. Int64 columns accept int64 or int; float columns float64; string
