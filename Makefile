@@ -88,8 +88,8 @@ loc:
 # selected as scan_kernel) at the five commonest delta widths of the
 # repository benchmark's tables; AggregateBlock is one block's survivors
 # folded under the selection mask per aggregate, mask density and width, and
-# BitmapAndBlock one block's predicate through the range-encoded bitmap index
-# by the number of values the range spans. DictEqScan1M and DictRangeScan1M
+# BitmapAndBlock one block's predicate through the interval-encoded bitmap
+# index by the number of values the range spans. DictEqScan1M and DictRangeScan1M
 # are the bitmap index against the residual compare, end to end. Build2M,
 # TrainCDF, Calibrate100k, ForestTrain and RebuildMerge500k are construction:
 # the build olap_flat's set-up waits for, one flattening CDF over a narrow and
@@ -136,6 +136,8 @@ fuzz-smoke:
 	$(GO) test ./floodsql -run '^$$' -fuzz '^FuzzSQLDifferential$$' \
 		-fuzztime 30s -fuzzminimizetime 10x
 	$(GO) test ./internal/colstore -run '^$$' -fuzz '^FuzzCompareBlock$$' \
+		-fuzztime 30s -fuzzminimizetime 10x
+	$(GO) test ./internal/colstore -run '^$$' -fuzz '^FuzzBitmapAndBlock$$' \
 		-fuzztime 30s -fuzzminimizetime 10x
 	$(GO) test ./internal/colstore -run '^$$' -fuzz '^FuzzAggregateBlock$$' \
 		-fuzztime 30s -fuzzminimizetime 10x

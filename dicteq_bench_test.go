@@ -87,7 +87,7 @@ func BenchmarkDictEqScan1M(b *testing.B) {
 }
 
 // BenchmarkDictRangeScan1M is the same pair under a range over twelve of the
-// forty dictionary codes of zone (plus the 10% ts band): the range-encoded
+// forty dictionary codes of zone (plus the 10% ts band): the interval-encoded
 // bitmap index resolves it with the two bitmaps an equality takes.
 func BenchmarkDictRangeScan1M(b *testing.B) {
 	dictEqBenchSetup(b)

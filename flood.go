@@ -196,7 +196,7 @@ type Options struct {
 	// BitmapIndexMaxCardinality is the largest per-column value spread
 	// (max-min+1) for which Build creates a bitmap index. Residual filters
 	// on bitmap-indexed columns — dictionary-coded strings, enums, flags —
-	// resolve from two precomputed (range-encoded) bitmaps in the scan
+	// resolve from two precomputed (interval-encoded) bitmaps in the scan
 	// kernel, whatever the width of the range, instead of a compare pass
 	// over the column. 0 picks the default (64 distinct values); negative
 	// disables bitmap indexes.

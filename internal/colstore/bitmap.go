@@ -1,13 +1,15 @@
 package colstore
 
 // Per-column bitmap indexes for low-cardinality columns (the kelindar/column
-// technique adapted to block-delta storage): one word-packed row bitmap per
-// value of a dense, narrow domain — dictionary-coded strings are the
-// canonical case. The bitmaps are range-encoded: bitmap v holds the rows
-// whose value is at most min+v, so a range predicate over such a column
+// technique adapted to block-delta storage) over a dense, narrow domain —
+// dictionary-coded strings are the canonical case. The bitmaps are
+// interval-encoded (Chan & Ioannidis, SIGMOD 1999): a domain of C values
+// keeps ⌈C/2⌉ word-packed row bitmaps, bitmap j holding the rows whose value
+// lies in [min+j, min+j+⌊C/2⌋-1], so a range predicate over such a column
 // (equality, a small IN set, a dictionary prefix range of any width) resolves
-// per block as one AND-NOT of two bitmaps ANDed into the scan kernel's
-// selection bitmap, replacing the residual decode-and-compare entirely.
+// per block as one word formula over at most two of them, ANDed into the scan
+// kernel's selection bitmap, replacing the residual decode-and-compare
+// entirely — from half the bytes one bitmap per value would take.
 
 // BlockWords is the number of 64-bit words in one block's selection bitmap
 // (the scan kernel's per-block survivor mask).
@@ -18,27 +20,31 @@ const BlockWords = BlockSize / 64
 type BlockBitmap [BlockWords]uint64
 
 // BitmapIndex is a positional index over one column whose values span a
-// small dense domain [min, min+card): for each value v the index stores a
-// bitmap of the rows holding v or less, packed 64 rows per word (the last
-// bitmap is therefore all ones). Bits at or beyond the row count are always
-// zero. A BitmapIndex is immutable after construction and safe for
-// concurrent readers.
+// small dense domain [min, min+card): with W = card/2 it stores, for each
+// j < ⌈card/2⌉, the bitmap I_j of the rows whose value lies in
+// [min+j, min+j+W-1], packed 64 rows per word (the top value, min+card-1,
+// is in none of them). Bits at or beyond the row count are always zero. A
+// BitmapIndex is immutable after construction and safe for concurrent
+// readers.
 type BitmapIndex struct {
 	min    int64
 	card   int
 	n      int      // rows covered
-	nWords int      // words per value bitmap: ceil(n/64)
-	bits   []uint64 // card consecutive cumulative bitmaps of nWords each
+	nWords int      // words per bitmap: ceil(n/64)
+	bits   []uint64 // ⌈card/2⌉ consecutive interval bitmaps of nWords each
 }
 
 // NewBitmapIndex builds a bitmap index over c, or returns nil when the
 // column does not qualify: empty columns, and columns whose global value
 // spread (max-min+1) exceeds maxCard, are skipped — a wide domain would cost
-// O(spread · rows/8) bytes for bitmaps that are almost all zero.
+// O(spread · rows/16) bytes for bitmaps that are almost all zero.
 func NewBitmapIndex(c *Column, maxCard int) *BitmapIndex { return newBitmapIndex(c, nil, maxCard) }
 
 // newBitmapIndex is NewBitmapIndex for a caller that still holds the values
-// it compressed into c: a non-nil raw is read instead of decoding c.
+// it compressed into c: a non-nil raw is read instead of decoding c a block
+// at a time. The intervals are built one 64-row word at a time from the
+// word's per-value bitmaps, so the index's own words and one word per value
+// are all it allocates.
 func newBitmapIndex(c *Column, raw []int64, maxCard int) *BitmapIndex {
 	if c.n == 0 || maxCard <= 0 {
 		return nil
@@ -62,43 +68,50 @@ func newBitmapIndex(c *Column, raw []int64, maxCard int) *BitmapIndex {
 		n:      c.n,
 		nWords: (c.n + 63) / 64,
 	}
-	bi.bits = make([]uint64, bi.card*bi.nWords)
-	if raw == nil {
-		raw = c.Decode()
+	bi.bits = make([]uint64, (bi.card+1)/2*bi.nWords)
+	var stack [64]uint64
+	eq := stack[:0]
+	if bi.card <= len(stack) {
+		eq = stack[:bi.card]
+	} else {
+		eq = make([]uint64, bi.card)
 	}
-	for row, v := range raw {
-		bi.bits[int(v-minV)*bi.nWords+row>>6] |= 1 << uint(row&63)
+	var buf [BlockSize]int64
+	for b := range c.NumBlocks() {
+		var vals []int64
+		if raw != nil {
+			vals = raw[b*BlockSize : min((b+1)*BlockSize, c.n)]
+		} else {
+			vals = buf[:c.DecodeBlock(b, buf[:])]
+		}
+		for k := 0; k < len(vals); k += 64 {
+			clear(eq)
+			for i, v := range vals[k:min(k+64, len(vals))] {
+				eq[v-minV] |= 1 << uint(i)
+			}
+			bi.setWord(b*BlockWords+k/64, eq)
+		}
 	}
-	bi.accumulate()
 	return bi
 }
 
-// accumulate turns per-value bitmaps (rows holding exactly min+v) into the
-// cumulative ones the index stores, and reports whether the input was a
-// partition of the rows: no row under two values, every row under one, no
-// bit at or beyond the row count.
-func (bi *BitmapIndex) accumulate() bool {
-	nw := bi.nWords
-	var overlap uint64
-	for at := nw; at < len(bi.bits); at++ {
-		overlap |= bi.bits[at] & bi.bits[at-nw]
-		bi.bits[at] |= bi.bits[at-nw]
+// setWord stores word k of every interval bitmap from eq, word k of each
+// value's own bitmap (eq[v]: the rows holding exactly min+v), which must be
+// disjoint: I_0 is the union of the first W values, and sliding an interval
+// one value up drops value j and adds value j+W.
+func (bi *BitmapIndex) setWord(k int, eq []uint64) {
+	w := bi.card / 2
+	var in uint64
+	for _, e := range eq[:w] {
+		in |= e
 	}
-	last := bi.bits[len(bi.bits)-nw:]
-	for k, w := range last {
-		want := ^uint64(0)
-		if k == nw-1 && bi.n&63 != 0 {
-			want = 1<<uint(bi.n&63) - 1
-		}
-		if w != want {
-			return false
-		}
+	for j, at := 0, k; at < len(bi.bits); j, at = j+1, at+bi.nWords {
+		bi.bits[at] = in
+		in = in&^eq[j] | eq[j+w]
 	}
-	return overlap == 0
 }
 
-// Cardinality returns the size of the indexed value domain (max-min+1, which
-// bounds the number of per-value bitmaps).
+// Cardinality returns the size of the indexed value domain (max-min+1).
 func (bi *BitmapIndex) Cardinality() int { return bi.card }
 
 // MinValue returns the smallest value of the indexed domain.
@@ -108,30 +121,102 @@ func (bi *BitmapIndex) MinValue() int64 { return bi.min }
 func (bi *BitmapIndex) SizeBytes() int64 { return int64(len(bi.bits)) * 8 }
 
 // AndBlock intersects sel with the set of rows of block b whose value lies
-// in [lo, hi]: rows at most hi minus rows below lo, two bitmaps whatever the
-// width of the range. Bounds outside the indexed domain clamp; an empty
-// intersection zeroes sel.
+// in [lo, hi]. Bounds outside the indexed domain clamp; an empty
+// intersection zeroes sel. A scan over many blocks plans the range once with
+// Range instead.
 func (bi *BitmapIndex) AndBlock(sel *BlockBitmap, b int, lo, hi int64) {
-	if maxV := bi.min + int64(bi.card) - 1; hi > maxV {
-		hi = maxV
+	r := bi.Range(lo, hi)
+	r.AndBlock(sel, b)
+}
+
+// BitmapRange is a range predicate planned against a BitmapIndex: the rows
+// it selects are fo ^ ((A ^ fa) & (B ^ fb)) for two of the index's interval
+// bitmaps A and B and three masks that are each zero or all ones, with the
+// bits past the last row cleared.
+type BitmapRange struct {
+	a, b       []uint64
+	fa, fb, fo uint64
+	tail       uint64 // the bits of the last word that are rows
+}
+
+// Range plans the predicate lo <= value <= hi, clamped to the domain, as
+// at most two interval bitmaps. With x and y its clamped bounds as offsets
+// from the smallest value, L = y-x+1 values wide, W = card/2 and
+// K = ⌈card/2⌉ intervals:
+//
+//	empty                 I_0 ∧ ¬I_0
+//	whole domain          ¬(I_0 ∧ ¬I_0)
+//	y = card-1, x >= W    ¬I_0 ∧ ¬I_{x-W}
+//	y = card-1, x < W     I_x ∨ ¬I_0
+//	L = W                 I_x
+//	L < W, y+1 < K        I_x ∧ ¬I_{y+1}
+//	L < W, x < K          I_x ∧ I_{y-W+1}
+//	L < W                 I_{y-W+1} ∧ ¬I_{x-W}
+//	L > W                 I_x ∨ I_{y-W+1}
+func (bi *BitmapIndex) Range(lo, hi int64) (r BitmapRange) {
+	const ones = ^uint64(0)
+	r.tail = ones
+	if rem := bi.n & 63; rem != 0 {
+		r.tail = 1<<uint(rem) - 1
 	}
-	if lo > hi || hi < bi.min {
-		*sel = BlockBitmap{}
-		return
+	lo = max(lo, bi.min)
+	hi = min(hi, bi.min+int64(bi.card)-1)
+	c, w, k := bi.card, bi.card/2, (bi.card+1)/2
+	i, j := 0, 0 // the intervals A and B
+	if lo > hi {
+		r.fb = ones
+	} else {
+		x, y := int(lo-bi.min), int(hi-bi.min)
+		switch l := y - x + 1; {
+		case l == c:
+			r.fb, r.fo = ones, ones
+		case y == c-1 && x >= w:
+			j, r.fa, r.fb = x-w, ones, ones
+		case y == c-1: // I_x ∨ ¬I_0 = ¬(¬I_x ∧ I_0)
+			i, r.fa, r.fo = x, ones, ones
+		case l == w:
+			i, j = x, x
+		case l < w && y+1 < k:
+			i, j, r.fb = x, y+1, ones
+		case l < w && x < k:
+			i, j = x, y-w+1
+		case l < w:
+			i, j, r.fb = y-w+1, x-w, ones
+		default: // I_x ∨ I_{y-W+1} = ¬(¬I_x ∧ ¬I_{y-W+1})
+			i, j, r.fa, r.fb, r.fo = x, y-w+1, ones, ones, ones
+		}
 	}
+	r.a = bi.bits[i*bi.nWords:][:bi.nWords]
+	r.b = bi.bits[j*bi.nWords:][:bi.nWords]
+	return r
+}
+
+// word returns word k of the rows r selects.
+func (r *BitmapRange) word(k int) uint64 {
+	m := r.fo ^ ((r.a[k] ^ r.fa) & (r.b[k] ^ r.fb))
+	if k == len(r.a)-1 {
+		m &= r.tail
+	}
+	return m
+}
+
+// AndBlock intersects sel with the rows of block b that r selects: two word
+// loads and one branch-free formula per selection word, whatever the width
+// of the range.
+func (r *BitmapRange) AndBlock(sel *BlockBitmap, b int) {
 	w0 := b * BlockWords
-	le := bi.bits[int(hi-bi.min)*bi.nWords:][:bi.nWords]
-	var below []uint64 // nil: no row is below lo
-	if lo > bi.min {
-		below = bi.bits[int(lo-1-bi.min)*bi.nWords:][:bi.nWords]
+	if w0+BlockWords < len(r.a) {
+		a := (*[BlockWords]uint64)(r.a[w0:])
+		bb := (*[BlockWords]uint64)(r.b[w0:])
+		for k := range sel {
+			sel[k] &= r.fo ^ ((a[k] ^ r.fa) & (bb[k] ^ r.fb))
+		}
+		return
 	}
 	for k := range sel {
 		var m uint64
-		if w0+k < bi.nWords {
-			m = le[w0+k]
-			if below != nil {
-				m &^= below[w0+k]
-			}
+		if w0+k < len(r.a) {
+			m = r.word(w0 + k)
 		}
 		sel[k] &= m
 	}

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"flood/internal/wire"
@@ -95,49 +97,143 @@ func TestBitmapIndexAndBlockMatchesBruteForce(t *testing.T) {
 }
 
 // TestBitmapIndexAndBlockEveryRange checks AndBlock against the per-row
-// definition for every [lo, hi] from two below the domain to two above it —
-// single values, inverted ranges and ranges clamped on either or both sides
-// included — in every block of a column whose last block is partial, under
-// a full and a random selection.
+// definition for every domain of 1 to 64 values and every [lo, hi] from two
+// below the domain to two above it — single values, inverted ranges and
+// ranges clamped on either or both sides included — in every block of a
+// column whose last block and last word are partial, under a full and a
+// random selection.
 func TestBitmapIndexAndBlockEveryRange(t *testing.T) {
-	const n, base, card = 3*BlockSize + 70, -4, 11
-	c, vals := lowCardColumn(n, base, card, 9)
-	bi := NewBitmapIndex(c, 64)
-	if bi == nil || bi.Cardinality() != card {
-		t.Fatalf("index over %d values did not build as such: %v", card, bi)
-	}
+	const n, base = 3*BlockSize + 70, -4
 	rng := rand.New(rand.NewSource(10))
-	for b := 0; b < c.NumBlocks(); b++ {
-		for lo := int64(base - 2); lo <= base+card+1; lo++ {
-			for hi := int64(base - 2); hi <= base+card+1; hi++ {
-				for _, sel := range []BlockBitmap{{^uint64(0), ^uint64(0)}, {rng.Uint64(), rng.Uint64()}} {
-					got := sel
-					bi.AndBlock(&got, b, lo, hi)
-					if want := bruteAndBlock(vals, sel, b, lo, hi); got != want {
-						t.Fatalf("AndBlock(b=%d, [%d,%d]) under %#x = %#x, want %#x", b, lo, hi, sel, got, want)
+	for card := 1; card <= 64; card++ {
+		_, vals := lowCardColumn(n, base, card, int64(card))
+		vals[0], vals[n-1] = base, base+int64(card)-1 // the whole domain occurs
+		c := NewColumn(vals)
+		bi := NewBitmapIndex(c, 64)
+		if bi == nil || bi.Cardinality() != card {
+			t.Fatalf("index over %d values did not build as such: %v", card, bi)
+		}
+		for b := 0; b < c.NumBlocks(); b++ {
+			for lo := int64(base - 2); lo <= base+int64(card)+1; lo++ {
+				for hi := int64(base - 2); hi <= base+int64(card)+1; hi++ {
+					for _, sel := range []BlockBitmap{{^uint64(0), ^uint64(0)}, {rng.Uint64(), rng.Uint64()}} {
+						got := sel
+						bi.AndBlock(&got, b, lo, hi)
+						if want := bruteAndBlock(vals, sel, b, lo, hi); got != want {
+							t.Fatalf("card %d: AndBlock(b=%d, [%d,%d]) under %#x = %#x, want %#x", card, b, lo, hi, sel, got, want)
+						}
 					}
 				}
 			}
 		}
-	}
-	// The extremes of int64 clamp like any other bound outside the domain.
-	for _, r := range [][2]int64{{math.MinInt64, math.MaxInt64}, {math.MinInt64, base}, {base + card - 1, math.MaxInt64}, {math.MaxInt64, math.MinInt64}} {
-		got := BlockBitmap{^uint64(0), ^uint64(0)}
-		bi.AndBlock(&got, 3, r[0], r[1])
-		if want := bruteAndBlock(vals, BlockBitmap{^uint64(0), ^uint64(0)}, 3, r[0], r[1]); got != want {
-			t.Fatalf("AndBlock(b=3, [%d,%d]) = %#x, want %#x", r[0], r[1], got, want)
+		// The extremes of int64 clamp like any other bound outside the domain.
+		top := base + int64(card) - 1
+		for _, r := range [][2]int64{{math.MinInt64, math.MaxInt64}, {math.MinInt64, base}, {top, math.MaxInt64}, {math.MaxInt64, math.MinInt64}} {
+			for b := 0; b < c.NumBlocks(); b++ {
+				got := BlockBitmap{^uint64(0), ^uint64(0)}
+				bi.AndBlock(&got, b, r[0], r[1])
+				if want := bruteAndBlock(vals, BlockBitmap{^uint64(0), ^uint64(0)}, b, r[0], r[1]); got != want {
+					t.Fatalf("card %d: AndBlock(b=%d, [%d,%d]) = %#x, want %#x", card, b, r[0], r[1], got, want)
+				}
+			}
 		}
 	}
 }
 
-// TestBitmapIndexSizeIsOneBitmapPerValue pins the footprint: range encoding
-// stores exactly the card × ceil(n/64) words the per-value encoding did.
-func TestBitmapIndexSizeIsOneBitmapPerValue(t *testing.T) {
+// TestBitmapIndexSizeIsOneBitmapPerTwoValues pins the footprint: interval
+// encoding stores ⌈card/2⌉ × ⌈n/64⌉ words, half the one bitmap per value
+// the wire form carries.
+func TestBitmapIndexSizeIsOneBitmapPerTwoValues(t *testing.T) {
 	for _, n := range []int{1, 64, 65, 5*BlockSize + 37} {
-		c, _ := lowCardColumn(n, 3, 9, int64(n))
-		bi := NewBitmapIndex(c, 64)
-		if want := int64(bi.Cardinality()) * int64((n+63)/64) * 8; bi.SizeBytes() != want {
-			t.Fatalf("n=%d: SizeBytes %d, want %d", n, bi.SizeBytes(), want)
+		for _, card := range []int{1, 2, 9, 50, 64} {
+			_, vals := lowCardColumn(n, 3, card, int64(n))
+			vals[n-1] = 3 + int64(card) - 1
+			bi := NewBitmapIndex(NewColumn(vals), 64)
+			if got := bi.Cardinality(); n > 1 && got != card {
+				t.Fatalf("n=%d: cardinality %d, want %d", n, got, card)
+			}
+			if want := int64((bi.Cardinality()+1)/2) * int64((n+63)/64) * 8; bi.SizeBytes() != want {
+				t.Fatalf("n=%d card=%d: SizeBytes %d, want %d", n, bi.Cardinality(), bi.SizeBytes(), want)
+			}
+		}
+	}
+}
+
+// TestBitmapIndexBuildAllocatesOnlyItsWords holds a build to the index's own
+// words plus O(card): no per-value scratch of card × ⌈n/64⌉ words and no
+// decoded copy of the column, whether the values come from the column or
+// from the caller.
+func TestBitmapIndexBuildAllocatesOnlyItsWords(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const n = 64*BlockSize + 37
+	for _, card := range []int{50, 64, 100} {
+		c, vals := lowCardColumn(n, 0, card, int64(card))
+		for name, raw := range map[string][]int64{"decoded": nil, "raw": vals} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			bi := newBitmapIndex(c, raw, 128)
+			runtime.ReadMemStats(&after)
+			if bi == nil || bi.Cardinality() != card {
+				t.Fatalf("card %d: index did not build", card)
+			}
+			got := int64(after.TotalAlloc - before.TotalAlloc)
+			// The index's words as the allocator rounds them, the struct and
+			// the per-value word buffer of a domain wider than the stack one.
+			runtime.ReadMemStats(&before)
+			wordsSink = make([]uint64, len(bi.bits))
+			runtime.ReadMemStats(&after)
+			words := int64(after.TotalAlloc - before.TotalAlloc)
+			if limit := words + 16*int64(card) + 256; got > limit {
+				t.Errorf("card %d, %s: build allocated %d B, want at most %d (the index is %d B)", card, name, got, limit, bi.SizeBytes())
+			}
+		}
+	}
+}
+
+var wordsSink []uint64
+
+// TestBitmapIndexRoundTripEveryCardinality encodes and decodes the index of
+// every domain of 1 to 64 values, in the middle and at both ends of int64,
+// over rows whose last word is partial: the wire form is one bitmap per
+// value, and decoding restores the intervals exactly.
+func TestBitmapIndexRoundTripEveryCardinality(t *testing.T) {
+	const n = 2*BlockSize + 45
+	nWords := (n + 63) / 64
+	for card := 1; card <= 64; card++ {
+		for _, base := range []int64{7, math.MinInt64, math.MaxInt64 - int64(card) + 1} {
+			_, vals := lowCardColumn(n, 0, card, int64(card))
+			for i := range vals {
+				vals[i] += base
+			}
+			vals[0], vals[n-1] = base, base+int64(card)-1
+			bi := NewBitmapIndex(NewColumn(vals), 64)
+			enc := encodeBitmap(t, bi)
+
+			var want bytes.Buffer
+			w := wire.NewWriter(&want)
+			w.I64(base)
+			w.Int(card)
+			w.Int(n)
+			eq := make([]uint64, card*nWords)
+			for row, v := range vals {
+				eq[int(v-base)*nWords+row/64] |= 1 << uint(row%64)
+			}
+			w.U64s(eq)
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(enc, want.Bytes()) {
+				t.Fatalf("card %d at %d: encoded bitmap index is not the per-value layout", card, base)
+			}
+			dec, err := DecodeBitmapIndex(wire.NewReaderBytes(enc), n)
+			if err != nil {
+				t.Fatalf("card %d at %d: %v", card, base, err)
+			}
+			if dec.min != bi.min || dec.card != bi.card || dec.nWords != bi.nWords || !slices.Equal(dec.bits, bi.bits) {
+				t.Fatalf("card %d at %d: decoded index differs from the built one", card, base)
+			}
 		}
 	}
 }
@@ -327,20 +423,55 @@ func TestEnableBitmapIndexes(t *testing.T) {
 }
 
 // BenchmarkBitmapAndBlock measures one block's predicate resolved through the
-// bitmap index, by the number of values the range spans: range encoding
-// makes it two bitmaps whatever the span.
+// bitmap index, planned once as a scan plans it per span, by the number of
+// values the range spans: interval encoding makes it two bitmaps whatever
+// the span.
 func BenchmarkBitmapAndBlock(b *testing.B) {
 	c, _ := lowCardColumn(1<<17, 0, 40, 13)
 	bi := NewBitmapIndex(c, 64)
 	for _, values := range []int64{1, 8, 32} {
 		b.Run(fmt.Sprintf("values=%d", values), func(b *testing.B) {
+			r := bi.Range(4, 4+values-1)
 			var kept uint64
 			for i := 0; i < b.N; i++ {
 				sel := BlockBitmap{^uint64(0), ^uint64(0)}
-				bi.AndBlock(&sel, i&(c.NumBlocks()-1), 4, 4+values-1)
+				r.AndBlock(&sel, i&(c.NumBlocks()-1))
 				kept += sel[0] ^ sel[1]
 			}
 			benchSink = kept
 		})
 	}
+}
+
+// FuzzBitmapAndBlock draws a domain of 1 to 128 values at a fuzzer-chosen
+// base, a column of up to four blocks over it, a block, bounds around the
+// domain and a selection, and checks AndBlock against the per-row
+// definition.
+func FuzzBitmapAndBlock(f *testing.F) {
+	f.Add(uint8(10), uint16(3*BlockSize+70), int64(1), int32(-4), uint8(2), int8(0), int8(4), ^uint64(0), ^uint64(0))
+	f.Add(uint8(0), uint16(1), int64(2), int32(0), uint8(0), int8(-1), int8(1), ^uint64(0), uint64(0))
+	f.Add(uint8(49), uint16(2*BlockSize), int64(3), int32(1<<20), uint8(1), int8(30), int8(60), uint64(0x5555), uint64(1<<63))
+	f.Add(uint8(99), uint16(BlockSize+5), int64(4), int32(-9), uint8(1), int8(100), int8(-3), ^uint64(0), ^uint64(0))
+	f.Fuzz(func(t *testing.T, cardB uint8, nB uint16, seed int64, base int32, blockB uint8, loOff, hiOff int8, s0, s1 uint64) {
+		card := int(cardB)%128 + 1
+		n := int(nB)%(4*BlockSize) + 1
+		rng := rand.New(rand.NewSource(seed))
+		vals := make([]int64, n)
+		for i := range vals {
+			vals[i] = int64(base) + rng.Int63n(int64(card))
+		}
+		c := NewColumn(vals)
+		bi := NewBitmapIndex(c, 128)
+		if bi == nil {
+			t.Fatal("a domain of at most 128 values did not build")
+		}
+		b := int(blockB) % c.NumBlocks()
+		lo, hi := int64(base)+int64(loOff), int64(base)+int64(hiOff)
+		sel := BlockBitmap{s0, s1}
+		got := sel
+		bi.AndBlock(&got, b, lo, hi)
+		if want := bruteAndBlock(vals, sel, b, lo, hi); got != want {
+			t.Fatalf("card %d, n %d: AndBlock(b=%d, [%d,%d]) under %#x = %#x, want %#x", bi.Cardinality(), n, b, lo, hi, sel, got, want)
+		}
+	})
 }

@@ -143,33 +143,34 @@ func (c *Column) validate() error {
 
 // Encode serializes bi for embedding in a snapshot section. The wire form
 // is one bitmap per value holding the rows with exactly that value — what
-// the index stored before it was range-encoded — so adjacent cumulative
-// bitmaps are differenced on the way out and snapshots read the same on
-// either side of that change.
+// the index stored before it was interval-encoded — so each value's bitmap
+// is derived from the intervals on the way out and snapshots read the same
+// on either side of that change.
 func (bi *BitmapIndex) Encode(w *wire.Writer) {
 	w.I64(bi.min)
 	w.Int(bi.card)
 	w.Int(bi.n)
-	w.Int(len(bi.bits))
-	for at, word := range bi.bits {
-		if at >= bi.nWords {
-			word &^= bi.bits[at-bi.nWords]
+	w.Int(bi.card * bi.nWords)
+	for v := range int64(bi.card) {
+		r := bi.Range(bi.min+v, bi.min+v)
+		for k := range bi.nWords {
+			w.U64(r.word(k))
 		}
-		w.U64(word)
 	}
 }
 
 // DecodeBitmapIndex reads a bitmap index written by BitmapIndex.Encode and
 // validates it against a table of n rows: its sizes and domain, and — the
 // CRC only proves the bytes are the ones written — that the per-value
-// bitmaps partition the rows, which accumulating them checks for free.
+// bitmaps partition the rows, checked word by word as they are converted to
+// intervals.
 func DecodeBitmapIndex(r *wire.Reader, n int) (*BitmapIndex, error) {
 	bi := &BitmapIndex{
 		min:  r.I64(),
 		card: r.Int(),
 		n:    r.Int(),
 	}
-	bi.bits = r.U64s()
+	eqs := r.U64s()
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("colstore: decoding bitmap index: %w", err)
 	}
@@ -178,16 +179,32 @@ func DecodeBitmapIndex(r *wire.Reader, n int) (*BitmapIndex, error) {
 	}
 	bi.nWords = (n + 63) / 64
 	// The upper bound keeps a hostile cardinality from wrapping the product
-	// below.
-	if bi.card < 1 || bi.nWords > 0 && bi.card > len(bi.bits) {
+	// below or sizing the buffers after it; an index over no rows is never
+	// written.
+	if bi.card < 1 || bi.card > len(eqs) {
 		return nil, fmt.Errorf("colstore: bitmap index declares cardinality %d", bi.card)
 	}
-	if len(bi.bits) != bi.card*bi.nWords {
+	if len(eqs) != bi.card*bi.nWords {
 		return nil, fmt.Errorf("colstore: bitmap index has %d words, %d values over %d rows need %d",
-			len(bi.bits), bi.card, n, bi.card*bi.nWords)
+			len(eqs), bi.card, n, bi.card*bi.nWords)
 	}
-	if !bi.accumulate() {
-		return nil, fmt.Errorf("colstore: bitmap index does not hold each of %d rows under exactly one of %d values", n, bi.card)
+	bi.bits = make([]uint64, (bi.card+1)/2*bi.nWords)
+	eq := make([]uint64, bi.card)
+	for k := range bi.nWords {
+		var seen, twice uint64
+		for v := range eq {
+			eq[v] = eqs[v*bi.nWords+k]
+			twice |= seen & eq[v]
+			seen |= eq[v]
+		}
+		rows := ^uint64(0)
+		if k == bi.nWords-1 && n&63 != 0 {
+			rows = 1<<uint(n&63) - 1
+		}
+		if twice != 0 || seen != rows {
+			return nil, fmt.Errorf("colstore: bitmap index does not hold each of %d rows under exactly one of %d values", n, bi.card)
+		}
+		bi.setWord(k, eq)
 	}
 	return bi, nil
 }

@@ -33,12 +33,13 @@ import (
 // A Scanner is not safe for concurrent use.
 type Scanner struct {
 	t         *colstore.Table
-	active    []int    // scratch: dims compared row by row in the current block
-	activeIdx []int    // scratch: dims served by a bitmap index in the current block
-	ctl       *Control // optional execution control (nil: unconditioned scan)
-	ctlTick   int      // blocks since the last cancellation poll
-	scalar    bool     // use the selection-vector fallback kernel
-	tomb      []uint64 // word-packed tombstone bitmap (nil: no deletions)
+	active    []int                  // scratch: dims compared row by row in the current block
+	activeIdx []int                  // scratch: filterDims positions served by a bitmap index in the current block
+	bitmaps   []colstore.BitmapRange // scratch: the span's bitmap plans, by filterDims position
+	ctl       *Control               // optional execution control (nil: unconditioned scan)
+	ctlTick   int                    // blocks since the last cancellation poll
+	scalar    bool                   // use the selection-vector fallback kernel
+	tomb      []uint64               // word-packed tombstone bitmap (nil: no deletions)
 	selw      colstore.BlockBitmap
 	sel       [colstore.BlockSize]int32
 	buf       [colstore.BlockSize]int64 // scalar kernel: the dimension being refined, decoded
@@ -107,6 +108,7 @@ func GetScanner(t *colstore.Table) *Scanner {
 // data beyond the query that used it.
 func (s *Scanner) Release() {
 	s.t = nil
+	clear(s.bitmaps[:cap(s.bitmaps)])
 	s.ctl = nil
 	s.ctlTick = 0
 	s.tomb = nil
@@ -156,6 +158,18 @@ func (s *Scanner) ScanRange(q Query, filterDims []int, start, end int, agg Aggre
 		}
 	}
 	t := s.t
+	if !s.scalar {
+		// Plan each bitmap-indexed predicate once for the whole span.
+		if cap(s.bitmaps) < len(filterDims) {
+			s.bitmaps = make([]colstore.BitmapRange, len(filterDims))
+		}
+		s.bitmaps = s.bitmaps[:len(filterDims)]
+		for i, d := range filterDims {
+			if bi := t.Bitmap(d); bi != nil {
+				s.bitmaps[i] = bi.Range(q.Ranges[d].Min, q.Ranges[d].Max)
+			}
+		}
+	}
 	firstBlock := start / colstore.BlockSize
 	lastBlock := (end - 1) / colstore.BlockSize
 	for b := firstBlock; b <= lastBlock; b++ {
@@ -186,7 +200,7 @@ func (s *Scanner) ScanRange(q Query, filterDims []int, start, end int, agg Aggre
 		// scalar kernel decodes everything).
 		active, activeIdx := s.active[:0], s.activeIdx[:0]
 		skip := false
-		for _, d := range filterDims {
+		for i, d := range filterDims {
 			bmin, bmax := t.Column(d).BlockBounds(b)
 			r := q.Ranges[d]
 			if bmin > r.Max || bmax < r.Min {
@@ -197,7 +211,7 @@ func (s *Scanner) ScanRange(q Query, filterDims []int, start, end int, agg Aggre
 				continue // whole block inside the predicate: no row checks
 			}
 			if !s.scalar && t.Bitmap(d) != nil {
-				activeIdx = append(activeIdx, d)
+				activeIdx = append(activeIdx, i)
 			} else {
 				active = append(active, d)
 			}
@@ -244,17 +258,16 @@ func (s *Scanner) ScanRange(q Query, filterDims []int, start, end int, agg Aggre
 
 // selectBitmap runs the word-packed kernel over one block: sel starts as
 // all-ones over [i0, i1) minus the tombstoned rows, each bitmap-indexed dim
-// ANDs its precomputed bitmaps in, and each remaining dim ANDs a branchless
-// compare mask over its packed block.
+// ANDs in the rows its span plan selects, and each remaining dim ANDs a
+// branchless compare mask over its packed block.
 func (s *Scanner) selectBitmap(q Query, b, i0, i1 int, sel *colstore.BlockBitmap) {
 	t := s.t
 	selInit(sel, i0, i1)
 	if s.tomb != nil {
 		s.andNotTomb(sel, b)
 	}
-	for _, d := range s.activeIdx {
-		r := q.Ranges[d]
-		t.Bitmap(d).AndBlock(sel, b, r.Min, r.Max)
+	for _, i := range s.activeIdx {
+		s.bitmaps[i].AndBlock(sel, b)
 	}
 	for _, d := range s.active {
 		if !selAny(sel) {
