@@ -201,21 +201,75 @@ func (c *Column) DecodeInto(dst []int64) []int64 {
 
 // LowerBound returns the smallest index i in [start, end) with Get(i) >= v,
 // or end if no such index exists. The rows [start, end) must be sorted
-// ascending. The search runs at row granularity until the remaining window
-// fits inside one compression block and then finishes with direct probes of
-// that block's packed deltas: the block's min, width and offset are read
-// once and each of the at most seven remaining steps extracts one delta —
-// several times cheaper than unpacking all 128 values to look at seven.
+// ascending. The zone map is the index: the minimum of a block that lies
+// wholly inside the run is the value of its first row, so a binary search
+// over those minima brackets the answer to one block (or to the run's
+// partial edge blocks), and probes of that block's packed deltas finish it.
 func (c *Column) LowerBound(start, end int, v int64) int {
-	lo, hi := start, end
-	for lo < hi && lo/BlockSize != (hi-1)/BlockSize {
+	first, last := wholeBlocks(start, end)
+	return c.finishLowerBound(start, end, c.searchMins(first, last, v), last, v)
+}
+
+// LowerBoundFrom is LowerBound for an answer expected near start: it gallops
+// over the block minima — the first whole block of the run, then 1, 3, 7, …
+// blocks past it — and binary-searches only the last stride. Searching a
+// range's upper bound from its lower bound so costs O(log) of the blocks
+// between them, not of the run.
+func (c *Column) LowerBoundFrom(start, end int, v int64) int {
+	first, last := wholeBlocks(start, end)
+	lo, hi := first, first
+	for step := 1; hi < last && c.mins[hi] < v; step <<= 1 {
+		lo, hi = hi+1, hi+step
+	}
+	return c.finishLowerBound(start, end, c.searchMins(lo, min(hi, last), v), last, v)
+}
+
+// wholeBlocks returns the blocks [first, last) that lie wholly inside the
+// rows [start, end); first > last when both ends fall inside one block.
+func wholeBlocks(start, end int) (first, last int) {
+	return (start + BlockSize - 1) / BlockSize, end / BlockSize
+}
+
+// searchMins returns the first block in [lo, hi) whose minimum is at least
+// v, or hi if none is.
+func (c *Column) searchMins(lo, hi int, v int64) int {
+	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if c.Get(mid) < v {
+		if c.mins[mid] < v {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
+	return lo
+}
+
+// finishLowerBound completes a LowerBound over the rows [start, end) whose
+// whole blocks end at last, given b, the first whole block whose minimum is
+// at least v (last if none). The answer is at most b's first row and past
+// the first row of block b-1 (whose minimum is below v), so it lies in block
+// b-1, in the run's partial head block when b is its first whole block, or —
+// when b is last — in block b-1 and the partial tail block after it.
+func (c *Column) finishLowerBound(start, end, b, last int, v int64) int {
+	lo, hi := max(start, (b-1)*BlockSize), end
+	if b < last {
+		hi = b * BlockSize
+	}
+	// [lo, hi) spans at most two blocks.
+	if split := (lo/BlockSize + 1) * BlockSize; split < hi {
+		if i := c.blockLowerBound(lo, split, v); i < split {
+			return i
+		}
+		lo = split
+	}
+	return c.blockLowerBound(lo, hi, v)
+}
+
+// blockLowerBound is LowerBound over rows [lo, hi) of one block, by direct
+// probes of its packed deltas: the block's min, width and offset are read
+// once and each of the at most seven steps extracts one delta — several
+// times cheaper than unpacking all 128 values to look at seven.
+func (c *Column) blockLowerBound(lo, hi int, v int64) int {
 	if lo >= hi {
 		return lo
 	}
@@ -242,51 +296,6 @@ func (c *Column) LowerBound(start, end int, v int64) int {
 		}
 	}
 	return b*BlockSize + int(i)
-}
-
-// LowerBoundHint is LowerBound seeded with a predicted position (e.g. from a
-// learned model, or a neighbouring answer): an exponential search outward
-// from hint brackets the answer between the last row probed below v and the
-// first probed at or above it, then LowerBound finishes inside the bracket.
-// hint is clamped into [start, end].
-func (c *Column) LowerBoundHint(start, end, hint int, v int64) int {
-	if hint < start {
-		hint = start
-	}
-	if hint > end {
-		hint = end
-	}
-	lo, hi := start, end
-	if hint < end && c.Get(hint) < v {
-		// The answer is above hint: gallop up.
-		lo = hint + 1
-		for step := 1; ; step <<= 1 {
-			p := lo + step - 1
-			if p >= end {
-				break
-			}
-			if c.Get(p) >= v {
-				hi = p
-				break
-			}
-			lo = p + 1
-		}
-	} else {
-		// Get(hint) >= v, or hint == end: the answer is at or below hint.
-		hi = hint
-		for step := 1; ; step <<= 1 {
-			p := hi - step
-			if p < start {
-				break
-			}
-			if c.Get(p) < v {
-				lo = p + 1
-				break
-			}
-			hi = p
-		}
-	}
-	return c.LowerBound(lo, hi, v)
 }
 
 // SizeBytes reports the in-memory footprint of the compressed column.

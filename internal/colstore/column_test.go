@@ -317,11 +317,8 @@ func TestColumnLowerBound(t *testing.T) {
 		if got := c.LowerBound(start, end, target); got != want {
 			t.Fatalf("LowerBound(%d, %d, %d) = %d, want %d", start, end, target, got, want)
 		}
-		for _, hint := range []int{start, end, (start + end) / 2, want} {
-			if got := c.LowerBoundHint(start, end, hint, target); got != want {
-				t.Fatalf("LowerBoundHint(%d, %d, hint=%d, %d) = %d, want %d",
-					start, end, hint, target, got, want)
-			}
+		if got := c.LowerBoundFrom(start, end, target); got != want {
+			t.Fatalf("LowerBoundFrom(%d, %d, %d) = %d, want %d", start, end, target, got, want)
 		}
 	}
 	for trial := 0; trial < 500; trial++ {
@@ -342,7 +339,7 @@ func TestColumnLowerBound(t *testing.T) {
 	check(0, n, math.MaxInt64)
 }
 
-// TestLowerBoundMatchesSortSearch holds LowerBound and LowerBoundHint to
+// TestLowerBoundMatchesSortSearch holds LowerBound and LowerBoundFrom to
 // sort.Search over the decoded values, for every delta width 0–64 and for
 // windows that sit inside one block, cover exactly one, start and end
 // mid-block across several, run into a partial tail block, or are empty.
@@ -400,14 +397,90 @@ func TestLowerBoundMatchesSortSearch(t *testing.T) {
 				if got := c.LowerBound(sh.start, sh.end, v); got != want {
 					t.Fatalf("width %d, window [%d,%d): LowerBound(%d) = %d, want %d", w, sh.start, sh.end, v, got, want)
 				}
-				for _, hint := range []int{sh.start - 3, sh.start, (sh.start + sh.end) / 2, want - 1, want, want + 1, sh.end, sh.end + 5} {
-					if got := c.LowerBoundHint(sh.start, sh.end, hint, v); got != want {
-						t.Fatalf("width %d, window [%d,%d): LowerBoundHint(hint %d, %d) = %d, want %d", w, sh.start, sh.end, hint, v, got, want)
-					}
+				if got := c.LowerBoundFrom(sh.start, sh.end, v); got != want {
+					t.Fatalf("width %d, window [%d,%d): LowerBoundFrom(%d) = %d, want %d", w, sh.start, sh.end, v, got, want)
 				}
 			}
 		}
 	}
+}
+
+// FuzzColumnLowerBound holds LowerBound and LowerBoundFrom to a linear scan
+// over a sorted run placed at an unaligned offset, with unsorted smaller and
+// larger values before and after it in the same blocks — what a cell boundary
+// inside a block looks like, where the edge blocks' minima are not the run's.
+// The run's values spread over spreadBits bits (0 is one repeated value) from
+// a base that may be near either end of the int64 range; start and end are
+// drawn from the run's ends, its block boundaries and rows inside it, and v
+// from block minima, the run's end values, rows ±1 and values outside the run.
+func FuzzColumnLowerBound(f *testing.F) {
+	f.Add(int64(1), uint16(37), uint16(1500), uint16(90), uint8(12), int64(-5000))
+	f.Add(int64(2), uint16(0), uint16(BlockSize), uint16(0), uint8(0), int64(7))
+	f.Add(int64(3), uint16(127), uint16(2), uint16(1), uint8(63), int64(math.MinInt64))
+	f.Add(int64(4), uint16(200), uint16(40*BlockSize+3), uint16(300), uint8(3), int64(math.MaxInt64-100))
+	f.Fuzz(func(t *testing.T, seed int64, preB, nB, postB uint16, spreadBits uint8, base int64) {
+		pre, n, post := int(preB)%(3*BlockSize), int(nB)%(48*BlockSize), int(postB)%(3*BlockSize)
+		spread := uint64(1)<<(spreadBits%64) - 1
+		if uint64(math.MaxInt64)-uint64(base) < spread { // keep base+spread in range
+			base = int64(uint64(math.MaxInt64) - spread)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		draw := func() int64 { return base + int64(rng.Uint64()&spread) }
+		vals := make([]int64, pre+n+post)
+		for i := range vals {
+			vals[i] = draw()
+		}
+		run := vals[pre : pre+n]
+		slices.Sort(run)
+		for i := range pre + post { // the neighbours: anything at all
+			if i >= pre {
+				i += n
+			}
+			if rng.Intn(3) > 0 {
+				vals[i] = int64(rng.Uint64())
+			}
+		}
+		c := NewColumn(vals)
+
+		rows := []int{pre, pre + n}
+		for b := (pre + BlockSize - 1) / BlockSize * BlockSize; b <= pre+n; b += BlockSize {
+			rows = append(rows, b)
+		}
+		for range 4 {
+			rows = append(rows, pre+rng.Intn(n+1))
+		}
+		targets := []int64{math.MinInt64, math.MaxInt64, base - 1, base + int64(spread) + 1}
+		for b := range c.NumBlocks() {
+			lo, hi := c.BlockBounds(b)
+			targets = append(targets, lo, hi)
+		}
+		if n > 0 {
+			targets = append(targets, run[0], run[n-1])
+			for range 8 {
+				v := run[rng.Intn(n)]
+				targets = append(targets, v, v-1, v+1)
+			}
+		}
+		for _, start := range rows {
+			for _, end := range rows {
+				if end < start {
+					continue
+				}
+				for _, v := range targets {
+					want := start
+					for want < end && vals[want] < v {
+						want++
+					}
+					if got := c.LowerBound(start, end, v); got != want {
+						t.Fatalf("run [%d,%d): LowerBound(%d, %d, %d) = %d, want %d", pre, pre+n, start, end, v, got, want)
+					}
+					if got := c.LowerBoundFrom(start, end, v); got != want {
+						t.Fatalf("run [%d,%d): LowerBoundFrom(%d, %d, %d) = %d, want %d", pre, pre+n, start, end, v, got, want)
+					}
+				}
+			}
+		}
+	})
 }
 
 // TestNewColumnWordsMatchBitwiseDefinition packs every delta width the slow

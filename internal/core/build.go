@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"flood/internal/colstore"
-	"flood/internal/plm"
 	"flood/internal/rmi"
 )
 
@@ -92,9 +91,8 @@ type buildScratch struct {
 // raw columns at a time whatever the table's width, which is why a grid
 // column is decoded a second time to be gathered rather than kept; the sort
 // dimension and the columns outside the grid are decoded once. The sorted
-// sort values are the stored column and train the per-cell models; aggregate
-// companions and bitmap indexes are made from the gathered values, not from
-// a decode of the new column.
+// sort values are the stored column; aggregate companions and bitmap indexes
+// are made from the gathered values, not from a decode of the new column.
 //
 // Tie order: within a cell, rows with equal sort keys — all rows of a cell,
 // when the layout has no sort dimension — keep the order they had in t. A
@@ -234,27 +232,8 @@ func (s *Source) Build(layout Layout) (*Flood, error) {
 		tw.SetColumn(c, w.out, s.t.HasAggregate(c))
 	})
 	f.t = tw.Table()
-
-	f.trainModels(keys)
 	f.computeCellStats()
 	return f, nil
-}
-
-// trainModels fits the per-cell refinement models over the sort dimension
-// (§5.2): one piecewise-linear model per non-empty cell, from keys, the
-// stored sort column. An index with no sort dimension or no rows has none.
-func (f *Flood) trainModels(keys []int64) {
-	if len(keys) == 0 {
-		return
-	}
-	f.models = make([]*plm.Model, f.numCells)
-	parallelFor(f.numCells, func(lo, hi int) {
-		for c := lo; c < hi; c++ {
-			if cs, ce := f.cellStart[c], f.cellStart[c+1]; cs != ce {
-				f.models[c] = plm.Train(keys[cs:ce], plm.DefaultDelta)
-			}
-		}
-	})
 }
 
 // assign fits grid dimension gi's bucketer and adds the dimension's term of

@@ -518,7 +518,6 @@ type refineTasks struct {
 	f     *Flood
 	q     query.Query
 	spans []Span
-	cells []int32
 }
 
 var refineTasksPool = sync.Pool{New: func() any { return new(refineTasks) }}
@@ -527,14 +526,14 @@ var refineTasksPool = sync.Pool{New: func() any { return new(refineTasks) }}
 func (r *refineTasks) RunTask(i int, _ bool) {
 	lo := i * refineGrain
 	hi := min(lo+refineGrain, len(r.spans))
-	r.f.refineRanges(r.q, r.spans[lo:hi], r.cells[lo:hi])
+	r.f.refineRanges(r.q, r.spans[lo:hi])
 }
 
 // refineParallel narrows spans over the worker pool, refineGrain ranges at a
 // time. Ranges are independent, so the result is the sequential loop's.
-func (f *Flood) refineParallel(q query.Query, spans []Span, cells []int32) {
+func (f *Flood) refineParallel(q query.Query, spans []Span) {
 	r := refineTasksPool.Get().(*refineTasks)
-	r.f, r.q, r.spans, r.cells = f, q, spans, cells
+	r.f, r.q, r.spans = f, q, spans
 	RunTasks((len(spans)+refineGrain-1)/refineGrain, r)
 	*r = refineTasks{}
 	refineTasksPool.Put(r)

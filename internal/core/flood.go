@@ -7,13 +7,13 @@ import (
 	"time"
 
 	"flood/internal/colstore"
-	"flood/internal/plm"
 	"flood/internal/query"
 )
 
 // Flood is a built index: the table reordered into grid traversal order, the
-// cell table mapping cells to physical ranges, per-dimension bucketing
-// models, and per-cell refinement models.
+// cell table mapping cells to physical ranges, and per-dimension bucketing
+// models. Refinement along the sort dimension searches the stored column's
+// zone map and needs no model of its own.
 type Flood struct {
 	t      *colstore.Table
 	layout Layout
@@ -22,8 +22,7 @@ type Flood struct {
 	buckets   []bucketer // one per grid dimension
 	strides   []int      // mixed-radix strides per grid dimension
 	numCells  int
-	cellStart []int32      // len numCells+1: physical start per cell
-	models    []*plm.Model // per cell, nil for an empty cell; none without a sort dimension or rows
+	cellStart []int32 // len numCells+1: physical start per cell
 
 	// Cell-size statistics for the cost model (§4.1.1).
 	nonEmptyCells  int
@@ -47,13 +46,11 @@ type Flood struct {
 }
 
 // execScratch holds the per-query working set of Execute — projection
-// coordinates, the span list, and (only when the query refines) the cell each
-// span came from — so the steady-state query path allocates nothing. Scratch
-// is pooled package-wide; slices grow to each index's dimensionality once and
-// are reused.
+// coordinates and the span list — so the steady-state query path allocates
+// nothing. Scratch is pooled package-wide; slices grow to each index's
+// dimensionality once and are reused.
 type execScratch struct {
 	spans   []Span
-	cells   []int32
 	los     []int
 	his     []int
 	coords  []int
@@ -117,17 +114,12 @@ func (f *Flood) CellBounds(c int) (start, end int) {
 	return int(f.cellStart[c]), int(f.cellStart[c+1])
 }
 
-// SizeBytes reports index metadata size: the cell table, bucketing models,
-// and per-cell refinement models. The stored data itself is excluded.
+// SizeBytes reports index metadata size: the cell table and the bucketing
+// models. The stored data itself is excluded.
 func (f *Flood) SizeBytes() int64 {
 	s := int64(len(f.cellStart)) * 4
 	for _, b := range f.buckets {
 		s += b.sizeBytes()
-	}
-	for _, m := range f.models {
-		if m != nil {
-			s += m.SizeBytes()
-		}
 	}
 	return s
 }
@@ -185,7 +177,7 @@ func (f *Flood) Run(ctl *query.Control, q query.Query, agg query.Aggregator, wor
 	// never touch the pool, stay allocation-free, and skip the count
 	// entirely.
 	refineParallel := workers != 1 && spanRows(es.spans) >= f.parallelCutover
-	f.refine(q, es.spans, es.cells, &st, refineParallel)
+	f.refine(q, es.spans, &st, refineParallel)
 	st.IndexTime = sinceBase() - t0
 	st.RefineTime = st.IndexTime - st.ProjectTime
 
@@ -253,7 +245,7 @@ func (f *Flood) project(q query.Query, es *execScratch, st *query.Stats) {
 		baseMask |= 1 << uint(d)
 	}
 
-	spans, cells := es.spans[:0], es.cells[:0]
+	spans := es.spans[:0]
 	copy(coords, los)
 	for {
 		cell := 0
@@ -267,9 +259,7 @@ func (f *Flood) project(q query.Query, es *execScratch, st *query.Stats) {
 		cs, ce := f.cellStart[cell], f.cellStart[cell+1]
 		if cs != ce {
 			st.CellsVisited++
-			if refine {
-				cells = append(cells, int32(cell))
-			} else if len(spans) > 0 {
+			if !refine && len(spans) > 0 {
 				if last := &spans[len(spans)-1]; last.Mask == mask && last.End == cs {
 					last.End = ce
 					goto next
@@ -291,55 +281,56 @@ func (f *Flood) project(q query.Query, es *execScratch, st *query.Stats) {
 			break
 		}
 	}
-	es.spans, es.cells = spans, cells
+	es.spans = spans
 	st.ScanRanges = int64(len(spans))
 }
 
 // refineParallelRanges is the range count at which refinement probes fan out
-// over the worker pool; below it, the probes cost less than handing a chunk
-// to a helper. That holds for a lingering helper (1–2 µs to join, see
-// spinWindow); a parked one costs 50–60 µs to wake, more than 128 probes, so
-// only a helper still awake from the previous query earns its keep here.
-const refineParallelRanges = 128
+// over the worker pool, two refineGrain tasks and up; below it, the probes
+// cost less than handing a chunk to a helper. That holds for a lingering
+// helper (1–2 µs to join, see spinWindow); a parked one costs 50–60 µs to
+// wake, more than a query's probes, so only a helper still awake from the
+// previous query earns its keep here. On olap_flat's queries of up to 180
+// cells (two-core 2.1 GHz Xeon, traced, four rounds) refinement took
+// 4.1–4.6 µs a query at 64, 4.5–5.3 at 128 and 5.1–5.5 never parallel.
+const refineParallelRanges = 64
 
-// refine implements §3.2.2 / §5.2: narrow each span along the sort
-// dimension, mutating spans in place (cells[i] is the cell spans[i] covers).
-// Model predictions are rectified through the column's block-decoded
-// lower-bound search — no per-probe accessor closures. When parallel is set,
-// queries touching many cells spread the probes per-range over the worker
-// pool: ranges are independent, so results match the sequential loop
-// exactly.
-func (f *Flood) refine(q query.Query, spans []Span, cells []int32, st *query.Stats, parallel bool) {
+// refine implements §3.2.2: narrow each span along the sort dimension,
+// mutating spans in place. When parallel is set, queries touching many cells
+// spread the probes per-range over the worker pool: ranges are independent,
+// so results match the sequential loop exactly.
+func (f *Flood) refine(q query.Query, spans []Span, st *query.Stats, parallel bool) {
 	if !f.refines(q) {
 		return
 	}
 	st.RangesRefined += int64(len(spans))
 	if parallel && len(spans) >= refineParallelRanges && maxWorkers() > 1 {
-		f.refineParallel(q, spans, cells)
+		f.refineParallel(q, spans)
 		return
 	}
-	f.refineRanges(q, spans, cells)
+	f.refineRanges(q, spans)
 }
 
 // refineRanges narrows one slice of ranges; it is the workhorse shared by
-// the sequential and parallel refinement paths. A range's lower bound comes
-// from the cell's model, which every non-empty cell has after Build, Load or
-// a merge rebuild; its upper bound is then galloped to from that lower bound
-// rather than searched for from scratch — a point or narrow range ends a few
-// rows after it starts, and a wide one pays two probes per doubling, about
-// what a second model bracket costs.
-func (f *Flood) refineRanges(q query.Query, spans []Span, cells []int32) {
+// the sequential and parallel refinement paths. Each range is one cell, and
+// a cell's rows are sorted on the sort dimension, so the stored column's
+// block minima index it exactly: a range's lower bound is a binary search
+// over them, and its upper bound a gallop from the lower bound — a point or
+// narrow range ends a few rows after it starts. The paper (§5.2) trains a
+// piecewise-linear model per cell for the lower bound instead; the zone map
+// answers the same, costs no build time or memory, and was faster on every
+// benchmark dataset (docs/BENCHMARKS.md, "What zone-map refinement changed").
+func (f *Flood) refineRanges(q query.Query, spans []Span) {
 	r := q.Ranges[f.layout.SortDim]
 	col := f.t.Column(f.layout.SortDim)
 	for i := range spans {
 		rg := &spans[i]
-		base, end := int(rg.Start), int(rg.End)
-		i1, i2 := base, end
+		i1, i2 := int(rg.Start), int(rg.End)
 		if r.Min != query.NegInf {
-			i1 = col.LowerBoundHint(base, end, base+f.models[cells[i]].Predict(r.Min), r.Min)
+			i1 = col.LowerBound(i1, i2, r.Min)
 		}
 		if r.Max != query.PosInf {
-			i2 = col.LowerBoundHint(i1, end, i1, r.Max+1)
+			i2 = col.LowerBoundFrom(i1, i2, r.Max+1)
 		}
 		rg.Start, rg.End = int32(i1), int32(i2)
 	}

@@ -9,8 +9,9 @@ import (
 	"flood/internal/query"
 )
 
-// Ablation benchmarks for design choices of the paper: refinement through
-// per-cell PLM models and flattening (CDF vs equi-width columns). Run with:
+// Ablation benchmarks for design choices of the paper: refinement along the
+// sort dimension (a search of its zone map, where the paper trains per-cell
+// models) and flattening (CDF vs equi-width columns). Run with:
 //
 //	go test ./internal/core -bench Ablation -benchmem
 
@@ -56,7 +57,7 @@ func benchExecute(b *testing.B, idx *Flood, queries []query.Query) {
 
 var ablationLayout = Layout{GridDims: []int{0}, GridCols: []int{64}, SortDim: 2, Flatten: true}
 
-func BenchmarkAblationRefinePLM(b *testing.B) {
+func BenchmarkAblationRefine(b *testing.B) {
 	idx, qs := benchIndex(b, ablationLayout, Options{})
 	benchExecute(b, idx, qs)
 }
@@ -71,7 +72,9 @@ func BenchmarkAblationEquiWidth(b *testing.B) {
 	benchExecute(b, idx, qs)
 }
 
-func BenchmarkBuild200k(b *testing.B) {
+// build200kTable is three uniform columns of 200k rows, the table
+// BenchmarkBuild200k and TestBuildAllocations build under ablationLayout.
+func build200kTable(tb testing.TB) *colstore.Table {
 	rng := rand.New(rand.NewSource(100))
 	n := 200_000
 	data := make([][]int64, 3)
@@ -83,8 +86,13 @@ func BenchmarkBuild200k(b *testing.B) {
 	}
 	tbl, err := colstore.NewTable([]string{"a", "b", "c"}, data)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return tbl
+}
+
+func BenchmarkBuild200k(b *testing.B) {
+	tbl := build200kTable(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Build(tbl, ablationLayout, Options{}); err != nil {

@@ -4,9 +4,10 @@
 // A layout arranges d attributes as a (d-1)-dimensional grid plus a sort
 // dimension. Grid column boundaries are learned per dimension from the data's
 // CDF ("flattening", §5.1) so that each column holds roughly the same number
-// of points; within a cell, points are sorted by the sort dimension and a
-// per-cell piecewise-linear model accelerates refinement (§5.2). Queries run
-// as projection → refinement → scan (§3.2).
+// of points; within a cell, points are sorted by the sort dimension, and
+// refinement searches that column's zone map where the paper trains a
+// per-cell piecewise-linear model (§5.2). Queries run as projection →
+// refinement → scan (§3.2).
 package core
 
 import (

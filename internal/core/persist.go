@@ -6,7 +6,6 @@ import (
 	"io"
 
 	"flood/internal/colstore"
-	"flood/internal/plm"
 	"flood/internal/rmi"
 	"flood/internal/wire"
 )
@@ -33,10 +32,12 @@ const (
 	// the models section it is reconstructible, so a damaged copy degrades
 	// to a rebuild instead of failing the load.
 	SectionBitmaps = "bidx"
-	// SectionModels holds the learned models (bucketers, cell table,
-	// per-cell refinement models). It is always the final section, and it
-	// is a section a loader can reconstruct: if it is damaged, Load
-	// retrains from the intact data instead of failing.
+	// SectionModels holds the learned models (bucketers, cell table), then
+	// a refinement-model flag Save writes false: older builds set it and
+	// stored a piecewise-linear model per cell after it, which Load reads
+	// and drops. It is always the final section, and it is a section a
+	// loader can reconstruct: if it is damaged, Load retrains from the
+	// intact data instead of failing.
 	SectionModels = "modl"
 )
 
@@ -69,8 +70,8 @@ type LoadResult struct {
 }
 
 // Save serializes the built index — layout, reordered data, bucketing
-// models, cell table, and per-cell refinement models — so it can be reloaded
-// with Load without re-sorting or re-training.
+// models and cell table — so it can be reloaded with Load without
+// re-sorting or re-training.
 func (f *Flood) Save(out io.Writer) error { return f.SaveSections(out, nil) }
 
 // SaveSections is Save with caller-supplied extra sections spliced between
@@ -100,7 +101,7 @@ func (f *Flood) encodeMeta(w *wire.Writer) {
 	w.Int(f.layout.SortDim)
 	w.Bool(f.layout.Flatten)
 	w.Int(0)
-	w.F64(plm.DefaultDelta)
+	w.F64(50)
 	w.Int(0)
 }
 
@@ -169,15 +170,7 @@ func (f *Flood) encodeModels(w *wire.Writer) error {
 		}
 	}
 	w.I32s(f.cellStart)
-	w.Bool(f.models != nil)
-	if f.models != nil {
-		for _, m := range f.models {
-			w.Bool(m != nil)
-			if m != nil {
-				m.Encode(w)
-			}
-		}
-	}
+	w.Bool(false) // no per-cell refinement models
 	return nil
 }
 
@@ -316,11 +309,6 @@ sections:
 		res.Index = rebuilt
 		return res, nil
 	}
-	if f.models == nil && f.layout.SortDim >= 0 {
-		// Builds that refined by plain search, or not at all, saved no
-		// models: train them here, as Build would have.
-		f.trainModels(f.t.Column(f.layout.SortDim).DecodeInto(nil))
-	}
 	f.computeCellStats()
 	f.parallelCutover = defaultParallelCutover
 	res.Index = f
@@ -354,9 +342,9 @@ func (f *Flood) validateLayout() error {
 	return nil
 }
 
-// decodeModels reads the learned models (bucketers, cell table, refinement
-// models) from the models section and validates the cell table against the
-// loaded data.
+// decodeModels reads the learned models (bucketers, cell table) from the
+// models section, validates the cell table against the loaded data, and
+// reads past the per-cell refinement models an older build stored.
 func (f *Flood) decodeModels(r *wire.Reader) error {
 	f.buckets = make([]bucketer, len(f.layout.GridDims))
 	for gi := range f.buckets {
@@ -384,25 +372,31 @@ func (f *Flood) decodeModels(r *wire.Reader) error {
 		return err
 	}
 	if r.Bool() {
-		f.models = make([]*plm.Model, f.numCells)
-		for c := range f.models {
-			if !r.Bool() {
-				if f.cellStart[c] != f.cellStart[c+1] {
-					return fmt.Errorf("core: cell %d holds rows but no model", c)
-				}
-				continue
-			}
-			m, err := plm.DecodeModel(r)
-			if err != nil {
-				return fmt.Errorf("core: loading cell model %d: %w", c, err)
-			}
-			f.models[c] = m
-		}
+		skipRefinementModels(r, f.numCells)
 	}
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("core: loading index: %w", err)
 	}
 	return nil
+}
+
+// skipRefinementModels reads past the per-cell piecewise-linear models an
+// older build stored: for each cell a presence flag, then the model — tag
+// PLM1, row count, segment count, and a key, base and slope per segment.
+// Nothing of them is kept; a truncated model surfaces as r's error.
+func skipRefinementModels(r *wire.Reader, cells int) {
+	for c := 0; c < cells && r.Err() == nil; c++ {
+		if !r.Bool() {
+			continue
+		}
+		r.Expect("PLM1")
+		r.Int()
+		for segs := r.Int(); segs > 0 && r.Err() == nil; segs-- {
+			r.I64()
+			r.F64()
+			r.F64()
+		}
+	}
 }
 
 // validateCellTable checks that the cell table is a monotone partition of

@@ -3,13 +3,14 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"slices"
 	"testing"
 
 	"flood/internal/colstore"
-	"flood/internal/plm"
 	"flood/internal/query"
 	"flood/internal/wire"
 )
@@ -219,97 +220,122 @@ func resealSection(t *testing.T, raw []byte, tag string, edit func(payload []byt
 	return nil
 }
 
-// TestLoadSnapshotWithoutRefinementModels loads what a build that refined by
-// plain binary search (meta refinement slot 1) or not at all (slot 2) saved:
-// a models section whose refinement-model flag is false. The load must train
-// every non-empty cell's model in place — no warning, no retrain — answer
-// like brute force, and save back to the bytes a fresh build saves. A models
-// section that leaves one non-empty cell without a model is damage instead.
-func TestLoadSnapshotWithoutRefinementModels(t *testing.T) {
-	f, data := bitmapTestIndex(t, 3000)
-	var buf bytes.Buffer
-	if err := f.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	fresh := buf.Bytes()
-	withModels := func(models []*plm.Model) []byte {
-		return resealSection(t, fresh, SectionModels, func([]byte) []byte {
-			var modl bytes.Buffer
-			w := wire.NewWriter(&modl)
-			if err := (&Flood{buckets: f.buckets, cellStart: f.cellStart, models: models}).encodeModels(w); err != nil {
-				t.Fatal(err)
-			}
-			if err := w.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			return modl.Bytes()
-		})
-	}
-	noModels := withModels(nil)
-	if len(noModels) >= len(fresh) {
-		t.Fatal("the resealed snapshot still carries refinement models")
-	}
-	for _, mode := range []uint64{1, 2} {
-		// The meta section ends in three 8-byte slots: refinement mode,
-		// error budget, CDF leaf count.
-		old := resealSection(t, noModels, SectionMeta, func(payload []byte) []byte {
-			binary.LittleEndian.PutUint64(payload[len(payload)-24:], mode)
-			return payload
-		})
-		res, err := LoadSections(bytes.NewReader(old))
-		if err != nil {
-			t.Fatalf("mode %d: %v", mode, err)
+// legacyRefinementModels returns what a build that trained a
+// piecewise-linear model per cell stored after the models section's
+// refinement-model flag: per cell a presence flag, then for a non-empty cell
+// the tag PLM1, its row count, a segment count and a key, base and slope per
+// segment. The segments' contents are arbitrary: a loader only reads past
+// them.
+func legacyRefinementModels(f *Flood) []byte {
+	var out []byte
+	for c := range f.numCells {
+		start, end := f.CellBounds(c)
+		if start == end {
+			out = append(out, 0)
+			continue
 		}
-		if len(res.Warnings) != 0 || res.Retrained {
-			t.Fatalf("mode %d: a snapshot without models should load cleanly: retrained=%v warnings=%v",
-				mode, res.Retrained, res.Warnings)
-		}
-		g := res.Index
-		if len(g.models) != g.numCells {
-			t.Fatalf("mode %d: loaded index has %d models for %d cells", mode, len(g.models), g.numCells)
-		}
-		for c := range g.numCells {
-			if start, end := g.CellBounds(c); start != end && g.models[c] == nil {
-				t.Fatalf("mode %d: cell %d holds %d rows but has no model", mode, c, end-start)
-			}
-		}
-		checkBitmapQueries(t, f, g)
-		rng := rand.New(rand.NewSource(80))
-		for trial := 0; trial < 60; trial++ {
-			lo := rng.Int63n(10000)
-			q := query.NewQuery(3).WithRange(1, lo, lo+rng.Int63n(3)*rng.Int63n(2000))
-			if trial%2 == 0 {
-				q = q.WithRange(0, 0, rng.Int63n(1<<30))
-			}
-			agg := query.NewCount()
-			g.Execute(q, agg)
-			if want := bruteCount(data, q); agg.Result() != want {
-				t.Fatalf("mode %d, trial %d: loaded index counted %d, brute force %d", mode, trial, agg.Result(), want)
-			}
-		}
-		var re bytes.Buffer
-		if err := g.Save(&re); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(re.Bytes(), fresh) {
-			t.Errorf("mode %d: the loaded index saves to different bytes than a fresh build", mode)
+		segs := 1 + c%3
+		out = append(append(out, 1), "PLM1"...)
+		out = binary.LittleEndian.AppendUint64(out, uint64(end-start))
+		out = binary.LittleEndian.AppendUint64(out, uint64(segs))
+		for s := range segs {
+			out = binary.LittleEndian.AppendUint64(out, uint64(f.t.Raw(f.layout.SortDim)[start]+int64(s)))
+			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(float64(s*40)))
+			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(0.25))
 		}
 	}
+	return out
+}
 
-	// Models present but one non-empty cell without its own is damage, not
-	// an older build: the load retrains, and the cell is never refined
-	// without a model.
-	partial := slices.Clone(f.models)
-	partial[slices.IndexFunc(partial, func(m *plm.Model) bool { return m != nil })] = nil
-	res, err := LoadSections(bytes.NewReader(withModels(partial)))
+// TestLoadSnapshotWithRefinementModels loads what older builds saved, over
+// an index with no empty cell and over one whose cells are mostly empty: a
+// models section whose refinement-model flag is set and followed by per-cell
+// models, and the model-less sections of builds whose meta section named
+// plain binary search or no refinement. Each must load — models read and
+// dropped, no warning, no retrain — answer like brute force, and save back
+// to the bytes this build saves. A section that ends inside the models is
+// damage instead: the load retrains, with a warning.
+func TestLoadSnapshotWithRefinementModels(t *testing.T) {
+	bitmapIdx, bitmapData := bitmapTestIndex(t, 3000)
+	ties := tiesData(6000)
+	tiesTbl, err := colstore.NewTable([]string{"a", "b", "c", "d", "e"}, ties)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Retrained || len(res.Warnings) == 0 {
-		t.Fatalf("a non-empty cell without a model should retrain with a warning: retrained=%v warnings=%v",
-			res.Retrained, res.Warnings)
+	tiesIdx, err := Build(tiesTbl, Layout{GridDims: []int{0, 4, 1}, GridCols: []int{40, 40, 3}, SortDim: 2, Flatten: true}, Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	checkBitmapQueries(t, f, res.Index)
+	for _, tc := range []struct {
+		name string
+		f    *Flood
+		data [][]int64
+	}{{"bitmap", bitmapIdx, bitmapData}, {"ties", tiesIdx, ties}} {
+		var buf bytes.Buffer
+		if err := tc.f.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		fresh := buf.Bytes()
+		models := legacyRefinementModels(tc.f)
+		withModels := func(models []byte) []byte {
+			return resealSection(t, fresh, SectionModels, func(payload []byte) []byte {
+				if payload[len(payload)-1] != 0 {
+					t.Fatalf("%s: Save set the refinement-model flag", tc.name)
+				}
+				payload[len(payload)-1] = 1
+				return append(payload, models...)
+			})
+		}
+		snapshots := map[string][]byte{"with models": withModels(models)}
+		for _, mode := range []uint64{1, 2} {
+			// What builds that refined by plain binary search (1) or not at
+			// all (2) saved: no models, and the mode in the first of the
+			// meta section's three trailing 8-byte slots.
+			snapshots[fmt.Sprintf("refinement mode %d", mode)] = resealSection(t, fresh, SectionMeta, func(payload []byte) []byte {
+				binary.LittleEndian.PutUint64(payload[len(payload)-24:], mode)
+				return payload
+			})
+		}
+		for what, snap := range snapshots {
+			res, err := LoadSections(bytes.NewReader(snap))
+			if err != nil {
+				t.Fatalf("%s, %s: %v", tc.name, what, err)
+			}
+			if len(res.Warnings) != 0 || res.Retrained {
+				t.Fatalf("%s, %s: the snapshot should load cleanly: retrained=%v warnings=%v",
+					tc.name, what, res.Retrained, res.Warnings)
+			}
+			g := res.Index
+			rng := rand.New(rand.NewSource(80))
+			for trial := 0; trial < 60; trial++ {
+				q := randomQuery(rng, tc.data, 2)
+				sd := tc.f.layout.SortDim
+				lo := tc.data[sd][rng.Intn(len(tc.data[sd]))]
+				q = q.WithRange(sd, lo, lo+rng.Int63n(3)*rng.Int63n(2000))
+				agg := query.NewCount()
+				g.Execute(q, agg)
+				if want := bruteCount(tc.data, q); agg.Result() != want {
+					t.Fatalf("%s, %s, trial %d: loaded index counted %d, brute force %d", tc.name, what, trial, agg.Result(), want)
+				}
+			}
+			var re bytes.Buffer
+			if err := g.Save(&re); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(re.Bytes(), fresh) {
+				t.Errorf("%s, %s: the loaded index saves to different bytes than this build", tc.name, what)
+			}
+		}
+
+		res, err := LoadSections(bytes.NewReader(withModels(models[:len(models)-5])))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Retrained || len(res.Warnings) == 0 {
+			t.Fatalf("%s: models cut short should retrain with a warning: retrained=%v warnings=%v",
+				tc.name, res.Retrained, res.Warnings)
+		}
+	}
 }
 
 // TestLoadSnapshotWrittenBeforeRangeEncoding opens testdata/pr21_bitmap.snapshot,
@@ -317,7 +343,10 @@ func TestLoadSnapshotWithoutRefinementModels(t *testing.T) {
 // bitmap index became range-encoded in memory (3000 rows: the last block and
 // the last bitmap word are both partial). It must load without a warning or a
 // rebuild, answer like a freshly built index and like brute force, and —
-// because the wire keeps one bitmap per value — save back to the same bytes.
+// because the wire keeps one bitmap per value — save back to the same bytes
+// in every section but the models section. That one it saves as it was with
+// the refinement-model flag cleared and the per-cell models after it gone:
+// refinement searches the zone map, and the models are read and dropped.
 // A fresh build is held to the answers and the scan counts only: the
 // snapshot's order among rows with equal sort keys is whatever the comparison
 // sort of its day left, where Build now keeps input order
@@ -361,7 +390,16 @@ func TestLoadSnapshotWrittenBeforeRangeEncoding(t *testing.T) {
 	if err := res.Index.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(buf.Bytes(), old) {
-		t.Error("loaded index saves to different bytes than the older snapshot")
+	want := resealSection(t, old, SectionModels, func(payload []byte) []byte {
+		// Cell 0 holds rows, so the first model's tag follows the
+		// refinement-model flag and cell 0's presence flag.
+		at := bytes.Index(payload, []byte("PLM1")) - 2
+		if at < 0 || payload[at] != 1 || payload[at+1] != 1 {
+			t.Fatal("the older snapshot carries no refinement models after a set flag")
+		}
+		return append(payload[:at], 0)
+	})
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Error("loaded index saves to different bytes than the older snapshot with its models dropped")
 	}
 }

@@ -1,5 +1,9 @@
-// Package plm implements the piecewise linear CDF models Flood builds per
-// grid cell to refine physical index ranges along the sort dimension (§5.2).
+// Package plm implements the piecewise linear CDF models the paper builds
+// per grid cell to refine physical index ranges along the sort dimension
+// (§5.2). The engine does not use them: refinement in internal/core searches
+// the sort column's zone map instead, which needs no training and measured
+// faster. The package's only caller is internal/bench's Fig. 17, which
+// reproduces the paper's comparison of PLM, RMI and binary-search lookups.
 //
 // A PLM partitions a sorted value list V into slices, each modeled by one
 // linear segment. Every segment lower-bounds the true first-occurrence index
