@@ -145,6 +145,8 @@ fuzz-smoke:
 		-fuzztime 30s -fuzzminimizetime 10x
 	$(GO) test ./internal/colstore -run '^$$' -fuzz '^FuzzColumnLowerBound$$' \
 		-fuzztime 30s -fuzzminimizetime 10x
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzStepPoints$$' \
+		-fuzztime 30s -fuzzminimizetime 10x
 	$(GO) test ./internal/encode -run '^$$' -fuzz '^FuzzFitDictionary$$' \
 		-fuzztime 30s -fuzzminimizetime 10x
 	$(GO) test ./internal/shard -run '^$$' -fuzz '^FuzzManifestDecode$$' \

@@ -294,8 +294,8 @@ func BuildWithLayout(tbl *Table, layout Layout, opts *Options) (*Flood, error) {
 // Name implements Index.
 func (f *Flood) Name() string { return f.idx.Name() }
 
-// SizeBytes reports index metadata size (cell table + models), excluding
-// the stored data.
+// SizeBytes reports index metadata size (cell table + each grid
+// dimension's step points), excluding the stored data.
 func (f *Flood) SizeBytes() int64 { return f.idx.SizeBytes() }
 
 // Layout returns the (learned or supplied) layout.

@@ -109,6 +109,16 @@ func FuzzWireDecode(f *testing.F) {
 		binary.LittleEndian.PutUint32(mut[at+12+size:], wire.Checksum(mut[at:at+12+size]))
 		f.Add(mut)
 	}
+	// The models section opens with the first grid dimension's step points:
+	// tag 3, a count, the points. A decreasing table under a right checksum
+	// must load through the retrain path.
+	if at := bytes.Index(snap, []byte("modl")); at >= 0 && snap[at+12] == 3 {
+		size := int(binary.LittleEndian.Uint64(snap[at+4:]))
+		mut := append([]byte(nil), snap...)
+		binary.LittleEndian.PutUint64(mut[at+12+9:], 1<<62)
+		binary.LittleEndian.PutUint32(mut[at+12+size:], wire.Checksum(mut[at:at+12+size]))
+		f.Add(mut)
+	}
 	// The tombstone section is NOT reconstructible: damage must surface as a
 	// typed load error, never as silently resurrected rows. Seed a bit flip
 	// inside it and a truncation through it.

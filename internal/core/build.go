@@ -83,7 +83,8 @@ type buildScratch struct {
 //
 // The build compares no two keys. A grid column is decoded to fit its
 // flattening CDF (to a copy ordered by colstore.RadixSort) and bucket every
-// row in the same pass; a counting sort over cell numbers — whose histogram is
+// row in the same pass, and the index keeps the CDF's step points, not the
+// CDF; a counting sort over cell numbers — whose histogram is
 // the cell table (§3.2.1) — places the rows and carries the sort dimension's
 // values with them; each cell's (value, row) run is then ordered by a stable
 // radix sort, cells in parallel; and every column but the sort dimension is
@@ -131,14 +132,14 @@ func (s *Source) Build(layout Layout) (*Flood, error) {
 	for range cap(ws) {
 		ws <- new(buildScratch)
 	}
-	f.buckets = make([]bucketer, len(layout.GridDims))
+	f.steps = make([]steps, len(layout.GridDims))
 	RunBatch(len(layout.GridDims), func(gi int) {
 		w := <-ws
 		defer func() { ws <- w }()
 		if w.cells == nil {
 			w.cells = make([]int32, n)
 		}
-		f.buckets[gi] = s.assign(layout, gi, int32(f.strides[gi]), w)
+		f.steps[gi] = s.assign(layout, gi, int32(f.strides[gi]), w)
 	})
 	cells := make([]int32, n)
 	for range cap(ws) {
@@ -236,9 +237,10 @@ func (s *Source) Build(layout Layout) (*Flood, error) {
 	return f, nil
 }
 
-// assign fits grid dimension gi's bucketer and adds the dimension's term of
-// every row's cell number, bucket × stride, into w.cells.
-func (s *Source) assign(layout Layout, gi int, stride int32, w *buildScratch) bucketer {
+// assign fits grid dimension gi's bucketing function, adds the dimension's
+// term of every row's cell number, bucket × stride, into w.cells, and returns
+// the function's step points; the model itself is dropped.
+func (s *Source) assign(layout Layout, gi int, stride int32, w *buildScratch) steps {
 	dim, cols := layout.GridDims[gi], layout.GridCols[gi]
 	cells := w.cells
 	if !layout.Flatten {
@@ -247,15 +249,16 @@ func (s *Source) assign(layout Layout, gi int, stride int32, w *buildScratch) bu
 		if len(raw) > 0 {
 			minV, maxV = slices.Min(raw), slices.Max(raw)
 		}
-		b := newLinearBucketer(minV, maxV)
-		addTerms(cells, raw, minV, maxV, b, cols, stride)
-		return b
+		rangeSz := float64(maxV) - float64(minV) + 1
+		bucket := func(v int64) int { return equalWidthBucket(v, minV, rangeSz, cols) }
+		addTerms(cells, raw, minV, maxV, bucket, stride)
+		return stepPoints(bucket, cols)
 	}
 	if s.flat != nil && s.flat[dim].cdf != nil {
 		for i, p := range s.flat[dim].pos {
 			cells[i] += int32(rmi.BucketAt(p, cols)) * stride
 		}
-		return cdfBucketer{cdf: s.flat[dim].cdf}
+		return cdfSteps(s.flat[dim].cdf, cols)
 	}
 	raw := s.column(dim, &w.raw)
 	// The sorted copy goes where the gather phase will put its columns.
@@ -264,8 +267,8 @@ func (s *Source) assign(layout Layout, gi int, stride int32, w *buildScratch) bu
 	cdf := rmi.TrainCDFSorted(w.out, defaultCDFLeaves(s.n))
 	if s.flat == nil {
 		minV, maxV := cdf.Domain()
-		addTerms(cells, raw, minV, maxV, cdfBucketer{cdf: cdf}, cols, stride)
-		return cdfBucketer{cdf: cdf}
+		addTerms(cells, raw, minV, maxV, func(v int64) int { return cdf.Bucket(v, cols) }, stride)
+		return cdfSteps(cdf, cols)
 	}
 	pos := make([]float64, len(raw))
 	for i, v := range raw {
@@ -273,18 +276,23 @@ func (s *Source) assign(layout Layout, gi int, stride int32, w *buildScratch) bu
 		cells[i] += int32(rmi.BucketAt(pos[i], cols)) * stride
 	}
 	s.flat[dim] = flattened{cdf: cdf, pos: pos}
-	return cdfBucketer{cdf: cdf}
+	return cdfSteps(cdf, cols)
 }
 
-// addTerms adds bucket × stride to every row's cell number, raw holding the
-// dimension's values, all within [minV, maxV]. A column much narrower than it
-// is long — dates, quantities, dictionary codes — has its term worked out
-// once per distinct value and looked up per row.
-func addTerms(cells []int32, raw []int64, minV, maxV int64, b bucketer, cols int, stride int32) {
+// cdfSteps is the step points of ⌊CDF(v)·cols⌋, the flattening bucketing.
+func cdfSteps(cdf *rmi.CDF, cols int) steps {
+	return stepPoints(func(v int64) int { return cdf.Bucket(v, cols) }, cols)
+}
+
+// addTerms adds bucket(v) × stride to every row's cell number, raw holding
+// the dimension's values, all within [minV, maxV]. A column much narrower
+// than it is long — dates, quantities, dictionary codes — has its term worked
+// out once per distinct value and looked up per row.
+func addTerms(cells []int32, raw []int64, minV, maxV int64, bucket func(int64) int, stride int32) {
 	if span := uint64(maxV) - uint64(minV); span < uint64(len(raw)/4) {
 		terms := make([]int32, span+1)
 		for k := range terms {
-			terms[k] = int32(b.bucket(minV+int64(k), cols)) * stride
+			terms[k] = int32(bucket(minV+int64(k))) * stride
 		}
 		for i, v := range raw {
 			cells[i] += terms[v-minV]
@@ -292,7 +300,7 @@ func addTerms(cells []int32, raw []int64, minV, maxV int64, b bucketer, cols int
 		return
 	}
 	for i, v := range raw {
-		cells[i] += int32(b.bucket(v, cols)) * stride
+		cells[i] += int32(bucket(v)) * stride
 	}
 }
 

@@ -89,12 +89,11 @@ func digestCases() []digestCase {
 }
 
 // buildDigest summarises what Build decided. models is the snapshot's models
-// section — every flattening CDF's parameters (or the equi-width bounds) and
-// the cell table; sortSeq is the sort
-// dimension read in physical order, which with the cell table fixed is every
-// cell's sequence of sort values; rowSets is, cell by cell, the sorted
-// original row numbers the cell holds — a multiset, so the order among rows
-// with equal sort keys does not enter.
+// section — every grid dimension's step points and the cell table; sortSeq
+// is the sort dimension read in physical order, which with the cell table
+// fixed is every cell's sequence of sort values; rowSets is, cell by cell,
+// the sorted original row numbers the cell holds — a multiset, so the order
+// among rows with equal sort keys does not enter.
 type buildDigest struct{ models, sortSeq, rowSets string }
 
 func digestOf(t testing.TB, f *Flood) buildDigest {
@@ -106,9 +105,7 @@ func digestOf(t testing.TB, f *Flood) buildDigest {
 	var d buildDigest
 	var buf bytes.Buffer
 	w := wire.NewWriter(&buf)
-	if err := f.encodeModels(w); err != nil {
-		t.Fatal(err)
-	}
+	f.encodeModels(w)
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -136,20 +133,23 @@ func digestOf(t testing.TB, f *Flood) buildDigest {
 // sorts left it. They may change only with a change that means to build a
 // different index. The models digests were re-recorded when the per-cell
 // refinement models left the index: each is the models section that build
-// wrote with no refinement models, its flag false.
+// wrote with no refinement models, its flag false. They were re-recorded
+// again when the index came to keep each grid dimension's step points in
+// place of its bucketing model; the sortSeq and rowSets digests held, so no
+// row changed cell.
 var buildDigests = map[string]buildDigest{
-	"sales":          {"81d55a0f2366a8da", "1ca8c4d54bed4d7f", "03f064ee7e565e45"},
-	"tpch":           {"dfe80cca70573cd9", "5bf8844c2fcca33b", "79074fe361a653bb"},
-	"osm":            {"4f5e3c3f8ed2a4de", "78e1045437a0d275", "d9fb5acfd68e1715"},
-	"perfmon":        {"8ce1134b8ee1a4cd", "4373d31c034eef13", "001e3d5eb300c2cb"},
-	"ties-flat":      {"5c9aaed1ada41924", "4948ef7cf26313f9", "58f723e68f015111"},
-	"ties-equiwidth": {"c8dd416040828b60", "6f3a68644e454b70", "5feaf9b6486811e9"},
-	"ties-nosort":    {"22dc2e09e48e533c", "", "11fb972d81863c40"},
-	"ties-flat-140k": {"80ef500e797f3e5f", "d4dfa74f3cb22857", "e3d286c065ae20a2"},
+	"sales":          {"8724292adf9241f4", "1ca8c4d54bed4d7f", "03f064ee7e565e45"},
+	"tpch":           {"c58f036c6d0070da", "5bf8844c2fcca33b", "79074fe361a653bb"},
+	"osm":            {"ff4ae4f06223fe52", "78e1045437a0d275", "d9fb5acfd68e1715"},
+	"perfmon":        {"7f662f4319901e37", "4373d31c034eef13", "001e3d5eb300c2cb"},
+	"ties-flat":      {"90b6228e37f74e69", "4948ef7cf26313f9", "58f723e68f015111"},
+	"ties-equiwidth": {"fcb7e077b9d80fb6", "6f3a68644e454b70", "5feaf9b6486811e9"},
+	"ties-nosort":    {"70b8ea58ac9524bb", "", "11fb972d81863c40"},
+	"ties-flat-140k": {"4cc0bb929fd15285", "d4dfa74f3cb22857", "e3d286c065ae20a2"},
 }
 
 // TestBuildSameIndex is the oracle for any change to how Build orders rows:
-// the bucketing models, the cell table, every cell's sort-value sequence and
+// the step points, the cell table, every cell's sort-value sequence and
 // every cell's set of rows are the committed ones, and every physical row
 // still carries the values of the original row it claims to be.
 func TestBuildSameIndex(t *testing.T) {

@@ -11,16 +11,16 @@ import (
 )
 
 // Flood is a built index: the table reordered into grid traversal order, the
-// cell table mapping cells to physical ranges, and per-dimension bucketing
-// models. Refinement along the sort dimension searches the stored column's
+// cell table mapping cells to physical ranges, and each grid dimension's step
+// points. Refinement along the sort dimension searches the stored column's
 // zone map and needs no model of its own.
 type Flood struct {
 	t      *colstore.Table
 	layout Layout
 	opts   Options
 
-	buckets   []bucketer // one per grid dimension
-	strides   []int      // mixed-radix strides per grid dimension
+	steps     []steps // one per grid dimension
+	strides   []int   // mixed-radix strides per grid dimension
 	numCells  int
 	cellStart []int32 // len numCells+1: physical start per cell
 
@@ -114,15 +114,20 @@ func (f *Flood) CellBounds(c int) (start, end int) {
 	return int(f.cellStart[c]), int(f.cellStart[c+1])
 }
 
-// SizeBytes reports index metadata size: the cell table and the bucketing
-// models. The stored data itself is excluded.
+// SizeBytes reports index metadata size: the cell table and every grid
+// dimension's step points, each table 8 bytes a point plus its slice header.
+// The stored data itself is excluded.
 func (f *Flood) SizeBytes() int64 {
 	s := int64(len(f.cellStart)) * 4
-	for _, b := range f.buckets {
-		s += b.sizeBytes()
+	for _, st := range f.steps {
+		s += stepsHeaderBytes + int64(len(st))*8
 	}
 	return s
 }
+
+// stepsHeaderBytes is what a grid dimension's step table costs besides its
+// points: the slice header.
+const stepsHeaderBytes = 24
 
 // Execute runs q through projection, refinement and scan (§3.2).
 //
@@ -218,13 +223,12 @@ func (f *Flood) project(q query.Query, es *execScratch, st *query.Stats) {
 	los, his, coords, present := es.grids(g)
 	for gi, dim := range f.layout.GridDims {
 		r := q.Ranges[dim]
-		cols := f.layout.GridCols[gi]
 		if r.Present {
-			los[gi] = f.buckets[gi].bucket(r.Min, cols)
-			his[gi] = f.buckets[gi].bucket(r.Max, cols)
+			los[gi] = f.steps[gi].bucket(r.Min)
+			his[gi] = f.steps[gi].bucket(r.Max)
 			present[gi] = true
 		} else {
-			los[gi], his[gi] = 0, cols-1
+			los[gi], his[gi] = 0, f.layout.GridCols[gi]-1
 			present[gi] = false
 		}
 	}

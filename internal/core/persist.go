@@ -32,12 +32,12 @@ const (
 	// the models section it is reconstructible, so a damaged copy degrades
 	// to a rebuild instead of failing the load.
 	SectionBitmaps = "bidx"
-	// SectionModels holds the learned models (bucketers, cell table), then
-	// a refinement-model flag Save writes false: older builds set it and
-	// stored a piecewise-linear model per cell after it, which Load reads
-	// and drops. It is always the final section, and it is a section a
-	// loader can reconstruct: if it is damaged, Load retrains from the
-	// intact data instead of failing.
+	// SectionModels holds each grid dimension's step points and the cell
+	// table, then a refinement-model flag Save writes false: older builds
+	// set it and stored a piecewise-linear model per cell after it, which
+	// Load reads and drops. It is always the final section, and it is a
+	// section a loader can reconstruct: if it is damaged, Load retrains from
+	// the intact data instead of failing.
 	SectionModels = "modl"
 )
 
@@ -87,11 +87,7 @@ func (f *Flood) SaveSections(out io.Writer, extra []ExtraSection) error {
 	for _, e := range extra {
 		sw.Section(e.Tag, e.Encode)
 	}
-	var encodeErr error
-	sw.Section(SectionModels, func(w *wire.Writer) { encodeErr = f.encodeModels(w) })
-	if encodeErr != nil {
-		return encodeErr
-	}
+	sw.Section(SectionModels, f.encodeModels)
 	return sw.Err()
 }
 
@@ -155,23 +151,22 @@ func (f *Flood) decodeBitmaps(r *wire.Reader) error {
 	return nil
 }
 
-func (f *Flood) encodeModels(w *wire.Writer) error {
-	for _, b := range f.buckets {
-		switch b := b.(type) {
-		case cdfBucketer:
-			w.U8(1)
-			b.cdf.Encode(w)
-		case linearBucketer:
-			w.U8(2)
-			w.I64(b.min)
-			w.F64(b.rangeSz)
-		default:
-			return fmt.Errorf("core: unknown bucketer type %T", b)
-		}
+// Bucketing tags of the models section, one per grid dimension. Save writes
+// stepsTag and the dimension's step points; the two older tags carried the
+// function itself, which Load turns into its step points (stepPoints).
+const (
+	legacyCDFTag        = 1 // a flattening CDF (rmi.CDF.Encode)
+	legacyEqualWidthTag = 2 // equal-width columns: min, then max − min + 1
+	stepsTag            = 3 // the step points
+)
+
+func (f *Flood) encodeModels(w *wire.Writer) {
+	for _, st := range f.steps {
+		w.U8(stepsTag)
+		w.I64s(st)
 	}
 	w.I32s(f.cellStart)
 	w.Bool(false) // no per-cell refinement models
-	return nil
 }
 
 // Load reads an index written by Save. A damaged
@@ -342,21 +337,36 @@ func (f *Flood) validateLayout() error {
 	return nil
 }
 
-// decodeModels reads the learned models (bucketers, cell table) from the
-// models section, validates the cell table against the loaded data, and
-// reads past the per-cell refinement models an older build stored.
+// decodeModels reads the learned models (step points, cell table) from the
+// models section, validates both against the loaded layout and data, and
+// reads past the per-cell refinement models an older build stored. A legacy
+// CDF or equal-width tag is converted to its step points once the cell table
+// has checked out: the conversion's cost grows with the column count, which
+// a cell table present in the section bounds.
 func (f *Flood) decodeModels(r *wire.Reader) error {
-	f.buckets = make([]bucketer, len(f.layout.GridDims))
-	for gi := range f.buckets {
+	f.steps = make([]steps, len(f.layout.GridDims))
+	legacy := make([]func(int64) int, len(f.steps))
+	for gi := range f.steps {
+		cols := f.layout.GridCols[gi]
 		switch tag := r.U8(); tag {
-		case 1:
+		case stepsTag:
+			st := r.I64s()
+			if err := r.Err(); err != nil {
+				return fmt.Errorf("core: loading step points: %w", err)
+			}
+			if err := validateSteps(st, cols); err != nil {
+				return fmt.Errorf("core: grid dimension %d: %w", gi, err)
+			}
+			f.steps[gi] = st
+		case legacyCDFTag:
 			cdf, err := rmi.DecodeCDF(r)
 			if err != nil {
 				return err
 			}
-			f.buckets[gi] = cdfBucketer{cdf: cdf}
-		case 2:
-			f.buckets[gi] = linearBucketer{min: r.I64(), rangeSz: r.F64()}
+			legacy[gi] = func(v int64) int { return cdf.Bucket(v, cols) }
+		case legacyEqualWidthTag:
+			minV, rangeSz := r.I64(), r.F64()
+			legacy[gi] = func(v int64) int { return equalWidthBucket(v, minV, rangeSz, cols) }
 		default:
 			if err := r.Err(); err != nil {
 				return fmt.Errorf("core: loading bucketers: %w", err)
@@ -376,6 +386,27 @@ func (f *Flood) decodeModels(r *wire.Reader) error {
 	}
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("core: loading index: %w", err)
+	}
+	for gi, bucket := range legacy {
+		if bucket != nil {
+			f.steps[gi] = stepPoints(bucket, f.layout.GridCols[gi])
+		}
+	}
+	return nil
+}
+
+// validateSteps checks that a decoded step table is one Build could have
+// written for cols columns: at most cols−1 points, non-decreasing. A longer
+// table would bucket values past the grid's last column, an unordered one
+// into the wrong columns.
+func validateSteps(st steps, cols int) error {
+	if len(st) > cols-1 {
+		return fmt.Errorf("%d step points for %d columns", len(st), cols)
+	}
+	for i := 1; i < len(st); i++ {
+		if st[i] < st[i-1] {
+			return fmt.Errorf("step points decrease at %d", i)
+		}
 	}
 	return nil
 }

@@ -12,6 +12,7 @@ import (
 
 	"flood/internal/colstore"
 	"flood/internal/query"
+	"flood/internal/rmi"
 	"flood/internal/wire"
 )
 
@@ -114,7 +115,7 @@ func TestLoadSnapshotWithoutBitmapSection(t *testing.T) {
 	sw := wire.NewSectionWriter(&buf)
 	sw.Section(SectionMeta, f.encodeMeta)
 	sw.Section(SectionData, func(w *wire.Writer) { f.t.Encode(w) })
-	sw.Section(SectionModels, func(w *wire.Writer) { _ = f.encodeModels(w) })
+	sw.Section(SectionModels, f.encodeModels)
 	if err := sw.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -345,8 +346,10 @@ func TestLoadSnapshotWithRefinementModels(t *testing.T) {
 // rebuild, answer like a freshly built index and like brute force, and —
 // because the wire keeps one bitmap per value — save back to the same bytes
 // in every section but the models section. That one it saves as it was with
-// the refinement-model flag cleared and the per-cell models after it gone:
-// refinement searches the zone map, and the models are read and dropped.
+// each grid dimension's flattening CDF replaced by the CDF's step points, the
+// refinement-model flag cleared and the per-cell models after it gone: the
+// index keeps step points, refinement searches the zone map, and the per-cell
+// models are read and dropped.
 // A fresh build is held to the answers and the scan counts only: the
 // snapshot's order among rows with equal sort keys is whatever the comparison
 // sort of its day left, where Build now keeps input order
@@ -397,9 +400,43 @@ func TestLoadSnapshotWrittenBeforeRangeEncoding(t *testing.T) {
 		if at < 0 || payload[at] != 1 || payload[at+1] != 1 {
 			t.Fatal("the older snapshot carries no refinement models after a set flag")
 		}
-		return append(payload[:at], 0)
+		return append(legacyCDFsAsSteps(t, payload[:at], res.Index.layout), 0)
 	})
 	if !bytes.Equal(buf.Bytes(), want) {
-		t.Error("loaded index saves to different bytes than the older snapshot with its models dropped")
+		t.Error("loaded index saves to different bytes than the older snapshot with its CDFs as step points and its models dropped")
 	}
+}
+
+// legacyCDFsAsSteps rewrites the start of an older models section — one
+// flattening CDF (tag 1) per grid dimension, then the cell table — as this
+// build writes it: tag 3 and the CDF's step points in each CDF's place.
+func legacyCDFsAsSteps(t *testing.T, payload []byte, layout Layout) []byte {
+	t.Helper()
+	var out bytes.Buffer
+	w := wire.NewWriter(&out)
+	for _, cols := range layout.GridCols {
+		if payload[0] != legacyCDFTag {
+			t.Fatalf("the older snapshot's bucketer tag is %d, want a CDF", payload[0])
+		}
+		cdf, err := rmi.DecodeCDF(wire.NewReaderBytes(payload[1:]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var enc bytes.Buffer
+		ew := wire.NewWriter(&enc)
+		cdf.Encode(ew)
+		if err := ew.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(payload[1:], enc.Bytes()) {
+			t.Fatal("the older snapshot's CDF does not re-encode to its own bytes")
+		}
+		payload = payload[1+enc.Len():]
+		w.U8(stepsTag)
+		w.I64s(cdfSteps(cdf, cols))
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return append(out.Bytes(), payload...)
 }
