@@ -86,15 +86,18 @@ loc:
 # rows (olap_flat's table, where drawing the sample shows). DecodeBlock and
 # CompareBlock are one 128-value block through the packed kernels (cmd/benchjson records which compare the host
 # selected as scan_kernel) at the five commonest delta widths of the
-# repository benchmark's tables; AggregateBlock is one block's survivors
+# repository benchmark's tables; NewColumn is 131,072 values encoded at one
+# delta width, the generated pack kernels at 5, 13 and 23 bits and the bit
+# loop at 40; AggregateBlock is one block's survivors
 # folded under the selection mask per aggregate, mask density and width, and
 # BitmapAndBlock one block's predicate through the interval-encoded bitmap
 # index by the number of values the range spans. DictEqScan1M and DictRangeScan1M
 # are the bitmap index against the residual compare, end to end. Build2M,
 # TrainCDF, Calibrate100k, ForestTrain and RebuildMerge500k are construction:
-# the build olap_flat's set-up waits for, one flattening CDF over a narrow and
-# over a full-range column, one live calibration as learn_build runs it, one
-# of its three forests, and one merge of buffered rows into an index.
+# the build olap_flat's set-up waits for, one CDF (the cost model's and the
+# shard splitter's model; a build trains none) over a narrow and over a
+# full-range column, one live calibration as learn_build runs it, one of its
+# three forests, and one merge of buffered rows into an index.
 # TableBuilderBuild is ingest: fitting and encoding the 500k-row typed sales
 # table the SQL workloads start from. AdaptiveInsert and
 # AdaptiveQueryPendingLog are the insert log's trade: one Insert, which seals
@@ -106,7 +109,7 @@ bench:
 	$(GO) test ./internal/rmi ./internal/rforest ./internal/costmodel -run '^$$' \
 		-bench '^BenchmarkTrainCDF$$|^BenchmarkForestTrain$$|^BenchmarkForestPredict$$|^BenchmarkCalibrate100k$$' \
 		-benchmem -benchtime=1s | tee -a /tmp/bench_scan.txt
-	$(GO) test ./internal/colstore -run '^$$' -bench '^BenchmarkDecodeBlock$$|^BenchmarkCompareBlock$$|^BenchmarkAggregateBlock$$|^BenchmarkBitmapAndBlock$$' \
+	$(GO) test ./internal/colstore -run '^$$' -bench '^BenchmarkDecodeBlock$$|^BenchmarkNewColumn$$|^BenchmarkCompareBlock$$|^BenchmarkAggregateBlock$$|^BenchmarkBitmapAndBlock$$' \
 		-benchmem -benchtime=1s | tee -a /tmp/bench_scan.txt
 	$(GO) test . -run '^$$' -bench '^BenchmarkSelect|^BenchmarkExecute|^BenchmarkSaveLoad|^BenchmarkDict|^BenchmarkSharded|^BenchmarkTableBuilderBuild$$|^BenchmarkAdaptiveInsert$$|^BenchmarkAdaptiveQueryPendingLog$$' \
 		-benchmem -benchtime=1s | tee -a /tmp/bench_scan.txt
@@ -144,6 +147,8 @@ fuzz-smoke:
 	$(GO) test ./internal/colstore -run '^$$' -fuzz '^FuzzRadixSort$$' \
 		-fuzztime 30s -fuzzminimizetime 10x
 	$(GO) test ./internal/colstore -run '^$$' -fuzz '^FuzzColumnLowerBound$$' \
+		-fuzztime 30s -fuzzminimizetime 10x
+	$(GO) test ./internal/colstore -run '^$$' -fuzz '^FuzzColumnEncode$$' \
 		-fuzztime 30s -fuzzminimizetime 10x
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzStepPoints$$' \
 		-fuzztime 30s -fuzzminimizetime 10x

@@ -113,7 +113,7 @@ func newTable(names []string, n int, col func(c int) ([]int64, error)) (*Table, 
 			errs[c] = err
 			return
 		}
-		w.SetColumn(c, raw, false)
+		w.SetColumn(c, raw, nil, false)
 	})
 	for _, err := range errs {
 		if err != nil {

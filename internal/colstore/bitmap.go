@@ -38,61 +38,64 @@ type BitmapIndex struct {
 // column does not qualify: empty columns, and columns whose global value
 // spread (max-min+1) exceeds maxCard, are skipped — a wide domain would cost
 // O(spread · rows/16) bytes for bitmaps that are almost all zero.
-func NewBitmapIndex(c *Column, maxCard int) *BitmapIndex { return newBitmapIndex(c, nil, maxCard) }
-
-// newBitmapIndex is NewBitmapIndex for a caller that still holds the values
-// it compressed into c: a non-nil raw is read instead of decoding c a block
-// at a time. The intervals are built one 64-row word at a time from the
-// word's per-value bitmaps, so the index's own words and one word per value
-// are all it allocates.
-func newBitmapIndex(c *Column, raw []int64, maxCard int) *BitmapIndex {
-	if c.n == 0 || maxCard <= 0 {
+//
+// The index is built a block at a time from the decoded column: its own
+// words and one word per value are all it allocates besides.
+func NewBitmapIndex(c *Column, maxCard int) *BitmapIndex {
+	if c.n == 0 {
 		return nil
 	}
 	minV, maxV := c.mins[0], c.maxs[0]
 	for b := 1; b < len(c.mins); b++ {
-		if c.mins[b] < minV {
-			minV = c.mins[b]
-		}
-		if c.maxs[b] > maxV {
-			maxV = c.maxs[b]
-		}
+		minV, maxV = min(minV, c.mins[b]), max(maxV, c.maxs[b])
 	}
-	spread := uint64(maxV) - uint64(minV)
-	if spread >= uint64(maxCard) {
+	bi := emptyBitmapIndex(minV, maxV, c.n, maxCard)
+	if bi == nil {
 		return nil
 	}
-	bi := &BitmapIndex{
-		min:    minV,
-		card:   int(spread) + 1,
-		n:      c.n,
-		nWords: (c.n + 63) / 64,
-	}
-	bi.bits = make([]uint64, (bi.card+1)/2*bi.nWords)
 	var stack [64]uint64
-	eq := stack[:0]
-	if bi.card <= len(stack) {
-		eq = stack[:bi.card]
-	} else {
-		eq = make([]uint64, bi.card)
-	}
+	eq := bi.valueWords(stack[:])
 	var buf [BlockSize]int64
 	for b := range c.NumBlocks() {
-		var vals []int64
-		if raw != nil {
-			vals = raw[b*BlockSize : min((b+1)*BlockSize, c.n)]
-		} else {
-			vals = buf[:c.DecodeBlock(b, buf[:])]
-		}
-		for k := 0; k < len(vals); k += 64 {
-			clear(eq)
-			for i, v := range vals[k:min(k+64, len(vals))] {
-				eq[v-minV] |= 1 << uint(i)
-			}
-			bi.setWord(b*BlockWords+k/64, eq)
-		}
+		bi.setBlock(b, buf[:c.DecodeBlock(b, buf[:])], eq)
 	}
 	return bi
+}
+
+// emptyBitmapIndex returns an index of n rows over the domain [minV, maxV]
+// with every bitmap clear, for setBlock to fill block by block, or nil when
+// the domain is wider than maxCard.
+func emptyBitmapIndex(minV, maxV int64, n, maxCard int) *BitmapIndex {
+	spread := uint64(maxV) - uint64(minV)
+	if n == 0 || maxCard <= 0 || spread >= uint64(maxCard) {
+		return nil
+	}
+	bi := &BitmapIndex{min: minV, card: int(spread) + 1, n: n, nWords: (n + 63) / 64}
+	bi.bits = make([]uint64, (bi.card+1)/2*bi.nWords)
+	return bi
+}
+
+// valueWords returns the one word per value that setBlock works in: stack,
+// when it holds the domain.
+func (bi *BitmapIndex) valueWords(stack []uint64) []uint64 {
+	if bi.card <= len(stack) {
+		return stack[:bi.card]
+	}
+	return make([]uint64, bi.card)
+}
+
+// setBlock sets block b's rows, whose values are vals, in every interval
+// bitmap, one 64-row word at a time from the word's per-value bitmaps built
+// in eq (valueWords): the index's own words and one word per value are all a
+// build allocates.
+func (bi *BitmapIndex) setBlock(b int, vals []int64, eq []uint64) {
+	for k := 0; k < len(vals); k += 64 {
+		clear(eq)
+		for i, v := range vals[k:min(k+64, len(vals))] {
+			eq[v-bi.min] |= 1 << uint(i)
+		}
+		bi.setWord(b*BlockWords+k/64, eq)
+	}
 }
 
 // setWord stores word k of every interval bitmap from eq, word k of each

@@ -13,6 +13,7 @@
 package colstore
 
 import (
+	"fmt"
 	"math/bits"
 	"slices"
 )
@@ -32,15 +33,21 @@ type Column struct {
 
 // NewColumn compresses values into a Column. The input slice is not retained.
 func NewColumn(values []int64) *Column {
-	nBlocks := (len(values) + BlockSize - 1) / BlockSize
-	c := &Column{
+	c := emptyColumn(len(values))
+	c.appendBlocks(values)
+	return c
+}
+
+// emptyColumn returns a column of no values with room for the block headers
+// of n.
+func emptyColumn(n int) *Column {
+	nBlocks := (n + BlockSize - 1) / BlockSize
+	return &Column{
 		mins:    make([]int64, 0, nBlocks),
 		maxs:    make([]int64, 0, nBlocks),
 		widths:  make([]uint8, 0, nBlocks),
 		offsets: make([]uint32, 0, nBlocks),
 	}
-	c.appendBlocks(values)
-	return c
 }
 
 // appendBlocks encodes values as further blocks of c, which must end on a
@@ -56,45 +63,69 @@ func (c *Column) appendBlocks(values []int64) {
 		for _, v := range blk[1:] {
 			minV, maxV = min(minV, v), max(maxV, v)
 		}
-		w := bits.Len64(uint64(maxV) - uint64(minV))
-		c.mins = append(c.mins, minV)
-		c.maxs = append(c.maxs, maxV)
-		c.widths = append(c.widths, uint8(w))
-		c.offsets = append(c.offsets, uint32(words))
-		words += (len(blk)*w + 63) / 64
+		words += blockWords(len(blk), c.appendHeader(minV, maxV, words))
 	}
 	c.words = slices.Grow(c.words, words-len(c.words))[:words]
 	for b := first; b < len(c.mins); b++ {
-		w := uint(c.widths[b])
-		if w == 0 {
-			continue
-		}
-		// Deltas accumulate in a register and reach memory a whole word at
-		// a time; a delta that straddles a word boundary leaves its high
-		// bits in the next accumulator.
 		lo := (b - first) * BlockSize
-		words := c.words[c.offsets[b]:]
-		minV := c.mins[b]
-		var acc uint64
-		used, wi := uint(0), 0
-		for _, v := range values[lo:min(lo+BlockSize, len(values))] {
-			delta := uint64(v) - uint64(minV)
-			acc |= delta << used
-			if used += w; used >= 64 {
-				words[wi] = acc
-				wi++
-				used -= 64
-				acc = 0
-				if used > 0 {
-					acc = delta >> (w - used)
-				}
-			}
-		}
-		if used > 0 {
-			words[wi] = acc
-		}
+		packBlock(values[lo:min(lo+BlockSize, len(values))], c.words[c.offsets[b]:], c.mins[b], uint(c.widths[b]))
 	}
 	c.n += len(values)
+}
+
+// appendHeader appends a block header to c — its zone map [minV, maxV], its
+// delta width and at, the index of its first packed word — and returns the
+// width.
+func (c *Column) appendHeader(minV, maxV int64, at int) uint {
+	w := bits.Len64(uint64(maxV) - uint64(minV))
+	c.mins = append(c.mins, minV)
+	c.maxs = append(c.maxs, maxV)
+	c.widths = append(c.widths, uint8(w))
+	c.offsets = append(c.offsets, uint32(at))
+	return uint(w)
+}
+
+// blockWords is the number of packed words n deltas of w bits take.
+func blockWords(n int, w uint) int { return (n*int(w) + 63) / 64 }
+
+// packBlock writes the w-bit deltas of blk from minV (w = 0 writes nothing)
+// to the front of words. A full block of 1..32-bit deltas packs through the
+// straight-line code generated for its width, 64 deltas into w words at a
+// time; a partial block and wider deltas take the bit loop.
+func packBlock(blk []int64, words []uint64, minV int64, w uint) {
+	switch {
+	case w == 0:
+	case len(blk) == BlockSize:
+		packWord(blk, words, minV, w)
+		packWord(blk[64:], words[w:], minV, w)
+	default:
+		packGeneric(blk, words, minV, w)
+	}
+}
+
+// packGeneric is the bit loop that packs the w-bit deltas (0 < w <= 64) of
+// any number of values. Deltas accumulate in a register and reach memory a
+// whole word at a time; a delta that straddles a word boundary leaves its
+// high bits in the next accumulator. Every word it covers is written whole.
+func packGeneric(values []int64, words []uint64, minV int64, w uint) {
+	var acc uint64
+	used, wi := uint(0), 0
+	for _, v := range values {
+		delta := uint64(v) - uint64(minV)
+		acc |= delta << used
+		if used += w; used >= 64 {
+			words[wi] = acc
+			wi++
+			used -= 64
+			acc = 0
+			if used > 0 {
+				acc = delta >> (w - used)
+			}
+		}
+	}
+	if used > 0 {
+		words[wi] = acc
+	}
 }
 
 // Len returns the number of values in the column.
@@ -309,20 +340,25 @@ func (c *Column) UncompressedSizeBytes() int64 { return int64(c.n) * 8 }
 
 // computeMaxs rebuilds the per-block maxima from the packed data. Decoded
 // (persisted) columns call this because the wire format predates zone maps
-// and carries only per-block minima.
-func (c *Column) computeMaxs() {
+// and carries only per-block minima. It refuses a block whose smallest
+// decoded value is not its stored minimum — a delta that wraps past the top
+// of int64 decodes below it — since every zone map and every domain taken
+// from them (bitmap indexes, a build's value table) must bound the values.
+func (c *Column) computeMaxs() error {
 	c.maxs = make([]int64, len(c.mins))
 	var buf [BlockSize]int64
 	for b := range c.mins {
 		cnt := c.DecodeBlock(b, buf[:])
-		maxV := buf[0]
+		minV, maxV := buf[0], buf[0]
 		for _, v := range buf[1:cnt] {
-			if v > maxV {
-				maxV = v
-			}
+			minV, maxV = min(minV, v), max(maxV, v)
+		}
+		if minV != c.mins[b] {
+			return fmt.Errorf("block %d decodes to a smallest value of %d, not its minimum %d", b, minV, c.mins[b])
 		}
 		c.maxs[b] = maxV
 	}
+	return nil
 }
 
 func mask(w uint) uint64 {

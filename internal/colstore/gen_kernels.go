@@ -1,8 +1,8 @@
 //go:build ignore
 
 // gen_kernels writes kernels_gen.go: for every delta width 1..32 a
-// straight-line decoder and a straight-line range compare over the 64 values
-// packed into that many words. Run it with `go generate ./internal/colstore`
+// straight-line decoder, a straight-line encoder and a straight-line range
+// compare over the 64 values packed into that many words. Run it with `go generate ./internal/colstore`
 // (or `make generate`); CI fails when the committed file differs from its
 // output.
 package main
@@ -13,6 +13,7 @@ import (
 	"go/format"
 	"log"
 	"os"
+	"strings"
 )
 
 // maxWidth is the widest delta that gets generated kernels. Wider blocks are
@@ -54,6 +55,34 @@ func genUnpack(buf *bytes.Buffer, w int) {
 		expr, last := lane(k, w)
 		loadThrough(buf, &loaded, last)
 		fmt.Fprintf(buf, "\tout[%d] = minV + int64(%s)\n", k, expr)
+	}
+	buf.WriteString("}\n\n")
+}
+
+// genPack emits the encoder, unpack64wN's inverse: word j is the OR of the
+// lanes that overlap it, each lane's delta computed once, shifted up into the
+// word it starts in and down into the word it spills over into. A block's
+// deltas fit its width, so no lane is masked.
+func genPack(buf *bytes.Buffer, w int) {
+	fmt.Fprintf(buf, "func pack64w%d(in []int64, out []uint64, minV int64) {\n", w)
+	fmt.Fprintf(buf, "\t_ = in[63]\n\t_ = out[%d]\n\tm := uint64(minV)\n", w-1)
+	next := 0 // the next lane whose delta is not yet computed
+	for j := 0; j < w; j++ {
+		var terms []string
+		for k := (64 * j) / w; k < 64 && k*w < 64*(j+1); k++ {
+			for ; next <= k; next++ {
+				fmt.Fprintf(buf, "\td%d := uint64(in[%d]) - m\n", next, next)
+			}
+			switch pos := k * w; {
+			case pos == 64*j:
+				terms = append(terms, fmt.Sprintf("d%d", k))
+			case pos > 64*j:
+				terms = append(terms, fmt.Sprintf("d%d<<%d", k, pos-64*j))
+			case pos+w > 64*j:
+				terms = append(terms, fmt.Sprintf("d%d>>%d", k, 64*j-pos))
+			}
+		}
+		fmt.Fprintf(buf, "\tout[%d] = %s\n", j, strings.Join(terms, " | "))
 	}
 	buf.WriteString("}\n\n")
 }
@@ -110,8 +139,8 @@ package colstore
 import "math/bits"
 
 `)
-	fmt.Fprintf(&buf, `// maxKernelWidth is the widest delta with generated kernels; unpack64 and
-// cmp64 accept widths 1..maxKernelWidth.
+	fmt.Fprintf(&buf, `// maxKernelWidth is the widest delta with generated kernels; unpack64,
+// pack64 and cmp64 accept widths 1..maxKernelWidth.
 const maxKernelWidth = %d
 
 `, maxWidth)
@@ -120,10 +149,13 @@ const maxKernelWidth = %d
 	// move every caller's stack decode buffer to the heap.
 	genDispatch(&buf, "unpack64 decodes the 64 w-bit deltas packed in in[:w] into out[:64], adding minV.",
 		"unpack64(w uint, in []uint64, out []int64, minV int64)", "", "unpack64w%d(in, out, minV)")
+	genDispatch(&buf, "pack64 packs the w-bit deltas of in[:64] from minV, which must all fit w bits, into out[:w].",
+		"pack64(w uint, in []int64, out []uint64, minV int64)", "", "pack64w%d(in, out, minV)")
 	genDispatch(&buf, "cmp64 returns sel minus the lanes k whose w-bit delta in in[:w] has delta+off > span\n// (wrapping add): the survivors of the range predicate among the 64 rows.",
 		"cmp64(w uint, in []uint64, sel, off, span uint64) uint64", "return ", "cmp64w%d(in, sel, off, span)")
 	for w := 1; w <= maxWidth; w++ {
 		genUnpack(&buf, w)
+		genPack(&buf, w)
 		genCmp(&buf, w)
 	}
 	src, err := format.Source(buf.Bytes())

@@ -26,6 +26,17 @@ func unpackWord(words []uint64, out []int64, minV int64, w uint) {
 	unpack64(w, words, out, minV)
 }
 
+// packWord packs the 64 w-bit deltas (0 < w <= 64) of in[:64] from minV into
+// words[:w]: through the generated straight-line kernel for w where there is
+// one, the generic bit loop otherwise.
+func packWord(in []int64, words []uint64, minV int64, w uint) {
+	if w > maxKernelWidth {
+		packGeneric(in[:64], words, minV, w)
+		return
+	}
+	pack64(w, in, words, minV)
+}
+
 // compareBlock refines sel with delta+off <= span over a full block of packed
 // w-bit deltas, words[:2*w]: through the vector routine where it applies, the
 // generated compare kernels otherwise. It reports false, leaving sel alone,

@@ -1,9 +1,13 @@
 package colstore
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -326,3 +330,113 @@ func BenchmarkCompareBlock(b *testing.B) {
 }
 
 var benchSink uint64
+
+// TestPackBlockEveryWidthAndLength packs blocks of every width 1..64 and
+// every length 1..128, at the extreme block minima, through packBlock — the
+// generated kernels for a full block of up to 32-bit deltas in the default
+// and purego builds — and through the bit loop alone, into words that start
+// out as garbage: both must write identical words, every word the deltas
+// cover written whole, and nothing past them.
+func TestPackBlockEveryWidthAndLength(t *testing.T) {
+	rng := rand.New(rand.NewSource(62))
+	const garbage = 0xdeadbeefcafef00d
+	var got, want [BlockSize + 1]uint64
+	for w := uint(1); w <= 64; w++ {
+		for _, minV := range blockMins(w) {
+			vals, _ := widthColumn(rng, w, BlockSize, minV)
+			for n := 1; n <= BlockSize; n++ {
+				for i := range got {
+					got[i], want[i] = garbage, ^uint64(garbage)
+				}
+				packBlock(vals[:n], got[:], minV, w)
+				packGeneric(vals[:n], want[:], minV, w)
+				nw := blockWords(n, w)
+				if !slices.Equal(got[:nw], want[:nw]) {
+					t.Fatalf("w=%d min=%d n=%d: the kernel path and the bit loop write different words", w, minV, n)
+				}
+				if slices.ContainsFunc(got[nw:], func(x uint64) bool { return x != garbage }) {
+					t.Fatalf("w=%d min=%d n=%d: packBlock wrote past its %d words", w, minV, n, nw)
+				}
+			}
+		}
+	}
+}
+
+// FuzzColumnEncode encodes arbitrary values as a column and requires the
+// round trip, the packed words of the bit loop block by block, and from
+// TableWriter.SetColumn — handed the values, or a permutation of fuzzed order
+// to gather them by — the column NewColumn writes, the prefix sums of their
+// definition and the bitmap index NewBitmapIndex makes from that column.
+func FuzzColumnEncode(f *testing.F) {
+	enc := func(vs ...int64) []byte {
+		var b []byte
+		for _, v := range vs {
+			b = binary.LittleEndian.AppendUint64(b, uint64(v))
+		}
+		return b
+	}
+	f.Add(enc(1, 2, 3, 4, 5, 6, 7, 8), uint8(0), int64(7))
+	f.Add(enc(math.MinInt64, math.MaxInt64, 0, -1), uint8(3), int64(1))
+	f.Add(enc(5, 5, 5, 5), uint8(2), int64(300))
+	f.Add(bytes.Repeat(enc(1<<20, 3, 1<<31-1, 9), 80), uint8(5), int64(3))
+	f.Fuzz(func(t *testing.T, data []byte, shape uint8, seed int64) {
+		vals := make([]int64, 0, len(data)/8)
+		for i := 0; i+8 <= len(data); i += 8 {
+			vals = append(vals, int64(binary.LittleEndian.Uint64(data[i:])))
+		}
+		if shape&1 != 0 { // shrink the deltas so the kernel widths come up
+			for i := range vals {
+				vals[i] >>= 8 * (shape >> 1 & 7)
+			}
+		}
+		c := NewColumn(vals)
+		if got := c.Decode(); !slices.Equal(got, vals) {
+			t.Fatalf("round trip: %v, want %v", got, vals)
+		}
+		want := make([]uint64, len(c.words))
+		for b := range c.NumBlocks() {
+			if w := uint(c.widths[b]); w > 0 {
+				packGeneric(vals[b*BlockSize:min((b+1)*BlockSize, len(vals))], want[c.offsets[b]:], c.mins[b], w)
+			}
+		}
+		if !slices.Equal(c.words, want) {
+			t.Fatalf("packed words differ from the bit loop's")
+		}
+		perm := rand.New(rand.NewSource(seed)).Perm(len(vals))
+		rows, gathered := make([]int32, len(vals)), make([]int64, len(vals))
+		for r, p := range perm {
+			rows[r], gathered[r] = int32(p), vals[p]
+		}
+		ref := NewColumn(gathered)
+		refPre := make([]int64, len(vals)+1)
+		for r, v := range gathered {
+			refPre[r+1] = refPre[r] + v
+		}
+		refBitmap := NewBitmapIndex(ref, 64)
+		for name, p := range map[string][]int32{"values": nil, "permutation": rows} {
+			tw, src := NewTableWriter([]string{"v"}, len(vals), 64), gathered
+			if p != nil {
+				src = vals
+			}
+			tw.SetColumn(0, src, p, true)
+			if got := tw.Table(); !reflect.DeepEqual(got.cols[0], ref) ||
+				!slices.Equal(got.prefixes[0], refPre) || !reflect.DeepEqual(got.Bitmap(0), refBitmap) {
+				t.Fatalf("SetColumn handed the %s writes another column, prefix sums or bitmap index than NewColumn and NewBitmapIndex", name)
+			}
+		}
+	})
+}
+
+// BenchmarkNewColumn encodes 131,072 values whose every block has delta
+// width w; divide by 131,072 for ns per value.
+func BenchmarkNewColumn(b *testing.B) {
+	for _, w := range []uint{5, 13, 23, 40} {
+		b.Run(fmt.Sprintf("w=%d", w), func(b *testing.B) {
+			vals, _ := widthColumn(rand.New(rand.NewSource(1)), w, 1<<17, 1000)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				NewColumn(vals)
+			}
+		})
+	}
+}

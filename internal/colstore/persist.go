@@ -62,7 +62,9 @@ func DecodeTable(r *wire.Reader) (*Table, error) {
 		if err := c.validate(); err != nil {
 			return nil, fmt.Errorf("colstore: column %d: %w", i, err)
 		}
-		c.computeMaxs()
+		if err := c.computeMaxs(); err != nil {
+			return nil, fmt.Errorf("colstore: column %d: %w", i, err)
+		}
 		t.cols[i] = c
 	}
 	for i := range t.prefixes {

@@ -3,6 +3,7 @@ package colstore
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 )
 
@@ -109,11 +110,15 @@ func (t *Table) Raw(i int) []int64 { return t.cols[i].Decode() }
 // perm must be a permutation of [0, NumRows). Aggregate columns are rebuilt
 // for the same set of columns that had them; bitmap indexes are positional
 // and are not carried over — builders call EnableBitmapIndexes on the
-// reordered table. Columns are independent, so they decode, permute, and
-// recompress in parallel, each worker holding two raw columns (the one it
-// decoded and the one it gathers into) whatever the table's width.
+// reordered table. Columns are independent, so they decode and recompress in
+// parallel, each worker holding the one raw column it decoded, which
+// SetColumn gathers from block by block.
 func (t *Table) Reorder(perm []int) *Table {
 	w := NewTableWriter(t.names, t.n, 0)
+	rows := make([]int32, len(perm))
+	for r, p := range perm {
+		rows[r] = int32(p)
+	}
 	workers := runtime.GOMAXPROCS(0)
 	if workers > len(t.cols) {
 		workers = len(t.cols)
@@ -124,13 +129,9 @@ func (t *Table) Reorder(perm []int) *Table {
 		go func(k int) {
 			defer wg.Done()
 			var raw []int64
-			buf := make([]int64, t.n)
 			for c := k; c < len(t.cols); c += workers {
 				raw = t.cols[c].DecodeInto(raw)
-				for r, p := range perm {
-					buf[r] = raw[p]
-				}
-				w.SetColumn(c, buf, t.prefixes[c] != nil)
+				w.SetColumn(c, raw, rows, t.prefixes[c] != nil)
 			}
 		}(k)
 	}
@@ -145,6 +146,7 @@ func (t *Table) Reorder(perm []int) *Table {
 type TableWriter struct {
 	t             *Table
 	bitmapMaxCard int
+	words         sync.Pool // *[]uint64: a gathered column's packed words before their copy
 }
 
 // NewTableWriter starts a table of n rows with the given column names. Every
@@ -160,21 +162,99 @@ func NewTableWriter(names []string, n, bitmapMaxCard int) *TableWriter {
 	if bitmapMaxCard > 0 {
 		t.bitmaps = make([]*BitmapIndex, len(names))
 	}
-	return &TableWriter{t: t, bitmapMaxCard: bitmapMaxCard}
+	tw := &TableWriter{t: t, bitmapMaxCard: bitmapMaxCard}
+	tw.words.New = func() any { return new([]uint64) }
+	return tw
 }
 
-// SetColumn compresses raw, which must hold the table's row count and is not
-// retained, into column c, with a cumulative-aggregate companion when
-// aggregate is set.
-func (w *TableWriter) SetColumn(c int, raw []int64, aggregate bool) {
-	t := w.t
-	t.cols[c] = NewColumn(raw)
+// SetColumn compresses column c, with a cumulative-aggregate companion when
+// aggregate is set. Row r of the column is raw[r], or raw[perm[r]] when perm
+// is given: a builder that reorders a table hands over a source column and
+// the permutation instead of a gathered copy. raw, and perm when given, must
+// hold the table's row count; neither is retained.
+//
+// Values in hand are encoded as NewColumn encodes them, into packed words of
+// their exact size. A gathered column is encoded a 128-row block at a time as
+// each block is gathered into a buffer on the stack, its packed words going
+// to a scratch buffer the writer lends to one call at a time and then copied
+// once into a slice of their own size. Either way prefix sums and bitmap
+// words are made from the same blocks.
+func (w *TableWriter) SetColumn(c int, raw []int64, perm []int32, aggregate bool) {
+	n := len(raw)
+	col := emptyColumn(n)
+	var scratch *[]uint64
+	if perm == nil {
+		col.appendBlocks(raw)
+	} else {
+		scratch = w.words.Get().(*[]uint64)
+		col.words = (*scratch)[:0]
+	}
+	var pre []int64
 	if aggregate {
-		t.buildPrefix(c, raw)
+		pre = make([]int64, n+1)
 	}
-	if w.bitmapMaxCard > 0 {
-		t.bitmaps[c] = newBitmapIndex(t.cols[c], raw, w.bitmapMaxCard)
+	var stack [64]uint64
+	var eq []uint64
+	bi := domainBitmap(raw, w.bitmapMaxCard)
+	if bi != nil {
+		eq = bi.valueWords(stack[:])
 	}
+	var buf [BlockSize]int64
+	var sum int64
+	for lo := 0; lo < n; lo += BlockSize {
+		blk := raw[lo:min(lo+BlockSize, n)]
+		if perm != nil {
+			blk = buf[:len(blk)]
+			for i, p := range perm[lo : lo+len(blk)] {
+				blk[i] = raw[p]
+			}
+			if b := lo / BlockSize; b > 0 && cap(col.words)-len(col.words) < BlockSize {
+				// The next block may not fit: make room for the rest of the
+				// column at the blocks' mean size so far, plus one block of
+				// 64-bit deltas.
+				col.words = slices.Grow(col.words, len(col.words)*((n-lo+BlockSize-1)/BlockSize)/b+BlockSize)
+			}
+			col.appendBlocks(blk)
+		}
+		if pre != nil {
+			for i, v := range blk {
+				sum += v
+				pre[lo+i+1] = sum
+			}
+		}
+		if bi != nil {
+			bi.setBlock(lo/BlockSize, blk, eq)
+		}
+	}
+	if scratch != nil {
+		*scratch = col.words
+		col.words = slices.Clone(col.words)
+		w.words.Put(scratch)
+	}
+	t := w.t
+	t.cols[c], t.prefixes[c] = col, pre
+	if bi != nil {
+		t.bitmaps[c] = bi
+	}
+}
+
+// domainBitmap returns the empty bitmap index of a column made of the values
+// in raw, in any order, or nil when it has none: no rows, or a spread of
+// maxCard values or more, which the scan for the domain stops at.
+func domainBitmap(raw []int64, maxCard int) *BitmapIndex {
+	if maxCard <= 0 || len(raw) == 0 {
+		return nil
+	}
+	minV, maxV := raw[0], raw[0]
+	for lo := 0; lo < len(raw); lo += BlockSize {
+		for _, v := range raw[lo:min(lo+BlockSize, len(raw))] {
+			minV, maxV = min(minV, v), max(maxV, v)
+		}
+		if uint64(maxV)-uint64(minV) >= uint64(maxCard) {
+			return nil
+		}
+	}
+	return emptyBitmapIndex(minV, maxV, len(raw), maxCard)
 }
 
 // Table returns the assembled table; every column must have been set.

@@ -3,8 +3,10 @@ package colstore
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"flood/internal/wire"
@@ -298,5 +300,41 @@ func TestSealedRefusesMisuse(t *testing.T) {
 	}
 	if _, err := DecodeSealed(wire.NewReaderBytes(valid), 3); err != nil {
 		t.Fatalf("valid payload: %v", err)
+	}
+}
+
+// TestDecodeTableRefusesBlockBelowItsMinimum encodes tables whose one block
+// is structurally sound but does not decode to its stored minimum: a minimum
+// raised so that a delta wraps past the top of int64 (every value would then
+// lie outside the zone map, and a domain read from the zone maps would index
+// a bitmap or a build's value table out of range), and packed words with no
+// zero delta. DecodeTable must refuse both, and accept the untouched table.
+func TestDecodeTableRefusesBlockBelowItsMinimum(t *testing.T) {
+	vals := []int64{math.MaxInt64 - 1, math.MaxInt64, math.MaxInt64 - 1, math.MaxInt64}
+	for _, tc := range []struct {
+		name   string
+		damage func(c *Column)
+		ok     bool
+	}{
+		{"untouched", func(*Column) {}, true},
+		{"a delta wraps", func(c *Column) { c.mins[0] = math.MaxInt64 }, false},
+		{"no zero delta", func(c *Column) { c.words[0] |= 0b0101 }, false},
+	} {
+		tbl := MustNewTable([]string{"v"}, [][]int64{slices.Clone(vals)})
+		tc.damage(tbl.cols[0])
+		var buf bytes.Buffer
+		w := wire.NewWriter(&buf)
+		tbl.Encode(w)
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeTable(wire.NewReaderBytes(buf.Bytes()))
+		if tc.ok {
+			if err != nil || !slices.Equal(got.Raw(0), vals) {
+				t.Errorf("%s: decoded %v, %v; want %v", tc.name, got, err, vals)
+			}
+		} else if err == nil || !strings.Contains(err.Error(), "smallest value") {
+			t.Errorf("%s: DecodeTable returned %v, want a refusal naming the block's smallest value", tc.name, err)
+		}
 	}
 }

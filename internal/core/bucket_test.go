@@ -17,6 +17,16 @@ import (
 // number of distinct values of some generator columns.
 var stepColumnCounts = []int{1, 2, 3, 5, 9, 14, 22, 64}
 
+// defaultCDFLeaves is the leaf count builds gave the flattening CDF while
+// the index was cut by one: what the CDF in a legacy (tag 1) snapshot has.
+func defaultCDFLeaves(n int) int { return min(max(n/64, 16), 1024) }
+
+// cdfSteps is the step points of ⌊CDF(v)·cols⌋, the flattening a legacy
+// snapshot's CDF stands for.
+func cdfSteps(cdf *rmi.CDF, cols int) steps {
+	return stepPoints(func(v int64) int { return cdf.Bucket(v, cols) }, cols)
+}
+
 // trainedBucketers returns the two bucketing functions Build fits to a
 // column for cols columns — the flattening CDF's and the equal-width one —
 // trained exactly as Build trains them.
@@ -229,4 +239,197 @@ func BenchmarkBucket(b *testing.B) {
 		}
 	})
 	_ = sink
+}
+
+// cutOf counts col as Build does and cuts it into cols columns, returning
+// the counts, the step points and every row's column as Build assigns it.
+func cutOf(col []int64, cols int) (*valueCounts, steps, []int32) {
+	var w buildScratch
+	var lo, hi int64
+	if len(col) > 0 {
+		lo, hi = slices.Min(col), slices.Max(col)
+	}
+	w.counts.count(col, lo, hi, &w)
+	vc := w.counts.clone()
+	st := vc.cut(cols)
+	rowCol := make([]int32, len(col))
+	addCutTerms(rowCol, col, lo, hi, st, 1, new([]int32))
+	return vc, st, rowCol
+}
+
+// fullest is the most rows any column holds with the rows bucketed by st.
+func fullest(col []int64, st steps) int {
+	n := make([]int, len(st)+1)
+	for _, v := range col {
+		n[st.bucket(v)]++
+	}
+	return slices.Max(n)
+}
+
+// quantileCut is the cut's definition written the plain way, from a sorted
+// copy of col: for each k the value boundary whose count of rows below it is
+// nearest k·n/cols, the lower on a tie, found by a linear scan; a boundary
+// past the last value ends the table.
+func quantileCut(col []int64, cols int) steps {
+	sorted := slices.Sorted(slices.Values(col))
+	var starts []int // the sorted position where each distinct value starts
+	for i, v := range sorted {
+		if i == 0 || v != sorted[i-1] {
+			starts = append(starts, i)
+		}
+	}
+	st := steps{}
+	if len(starts) <= 1 {
+		return st
+	}
+	starts = append(starts, len(col))
+	for k := 1; k < cols; k++ {
+		target := k * len(col) / cols
+		best := 0
+		for j, at := range starts {
+			if abs(at-target) < abs(starts[best]-target) {
+				best = j
+			}
+		}
+		if best == len(starts)-1 {
+			break
+		}
+		st = append(st, sorted[starts[best]])
+	}
+	return st
+}
+
+func abs(x int) int { return max(x, -x) }
+
+// checkCut holds the cut of col into cols columns to its definition
+// (quantileCut) and its consequences: at most cols−1 step points,
+// non-decreasing; no column fuller than n/cols rows plus the largest value's;
+// and every row in the column steps.bucket puts its value in.
+func checkCut(t *testing.T, what string, col []int64, cols int) (vc *valueCounts, st steps) {
+	t.Helper()
+	vc, st, rowCol := cutOf(col, cols)
+	if want := quantileCut(col, cols); !slices.Equal(st, want) {
+		t.Fatalf("%s: step points %v, the quantile cut is %v", what, st, want)
+	}
+	if len(st) > cols-1 || !slices.IsSorted(st) {
+		t.Fatalf("%s: step points %v for %d columns", what, st, cols)
+	}
+	for i, v := range col {
+		if got := st.bucket(v); got != int(rowCol[i]) {
+			t.Fatalf("%s: row %d (value %d) is in column %d, steps.bucket says %d", what, i, v, rowCol[i], got)
+		}
+	}
+	heaviest := 0
+	for j := range vc.vals {
+		heaviest = max(heaviest, int(vc.prefix[j+1]-vc.prefix[j]))
+	}
+	if got, bound := fullest(col, st), (len(col)+cols-1)/cols+heaviest; got > bound {
+		t.Fatalf("%s: the fullest column holds %d rows, more than n/c plus the heaviest value, %d", what, got, bound)
+	}
+	return vc, st
+}
+
+// TestGridCutIsQuantileCut checks the cut Build makes of every column of
+// every generator at 1k and 100k rows, through both the histogram (narrow)
+// and the sorted (wide) counts, at every column count in stepColumnCounts,
+// against its definition and its bounds (checkCut), and requires no column
+// fuller than the fullest under the flattening CDF's step points, the cut
+// builds made before. Small random columns of heavy and light values are
+// checked the same way.
+func TestGridCutIsQuantileCut(t *testing.T) {
+	sizes := []int{1000, 100_000}
+	if testing.Short() || raceEnabled {
+		sizes = sizes[:1]
+	}
+	paths := map[bool]int{}
+	for _, name := range dataset.Names() {
+		for _, n := range sizes {
+			ds := dataset.ByName(name, n, 7)
+			for c, col := range ds.Cols {
+				cdf := rmi.TrainCDF(col, defaultCDFLeaves(len(col)))
+				for _, cols := range stepColumnCounts {
+					what := fmt.Sprintf("%s/%d rows/column %d/%d columns", name, n, c, cols)
+					vc, st := checkCut(t, what, col, cols)
+					paths[narrow(vc.vals[0], vc.vals[len(vc.vals)-1], len(col))]++
+					if got, rmiFullest := fullest(col, st), fullest(col, cdfSteps(cdf, cols)); got > rmiFullest {
+						t.Fatalf("%s: the fullest column holds %d rows, %d under the CDF's step points", what, got, rmiFullest)
+					}
+				}
+			}
+		}
+	}
+	if paths[true] == 0 || paths[false] == 0 {
+		t.Fatalf("cuts by path (narrow: true): %v, want both", paths)
+	}
+	rng := rand.New(rand.NewSource(45))
+	for trial := range 2000 {
+		col := make([]int64, 0, 64)
+		for v := range int64(1 + rng.Intn(12)) {
+			k := 1 + rng.Intn(6)
+			if rng.Intn(4) == 0 {
+				k *= 10
+			}
+			for range k {
+				col = append(col, v*int64(1+rng.Intn(3)))
+			}
+		}
+		rng.Shuffle(len(col), func(i, j int) { col[i], col[j] = col[j], col[i] })
+		checkCut(t, fmt.Sprintf("trial %d", trial), col, 1+rng.Intn(8))
+	}
+}
+
+// TestGridCutEdgeCases cuts the columns whose counts are lopsided: a single
+// value (no step points whatever the column count); a duplicate-heavy
+// minimum, whose rows span several quantiles, so the columns below it are
+// empty (leading points equal to the minimum, as the CDF's leading MinInt64
+// points were) and it fills one column alone; a duplicate-heavy maximum,
+// which ends the table early; and more columns than distinct values, each
+// value then in a column of its own.
+func TestGridCutEdgeCases(t *testing.T) {
+	const n, w = 4000, 1_000_000
+	rng := rand.New(rand.NewSource(46))
+	heavyMax, heavyMin, single, few := make([]int64, n), make([]int64, n), make([]int64, n), make([]int64, n)
+	for i := range n {
+		single[i] = -5
+		few[i] = int64(i%7) * 1000
+		if i >= n/10 {
+			x := w + rng.Int63n(w)
+			heavyMin[i], heavyMax[i] = x, -x
+		}
+	}
+	// alone reports that value v of col has a column to itself.
+	alone := func(st steps, col []int64, v int64) bool {
+		for _, u := range col {
+			if u != v && st.bucket(u) == st.bucket(v) {
+				return false
+			}
+		}
+		return true
+	}
+	for _, tc := range []struct {
+		name string
+		col  []int64
+		cols int
+		want func(st steps) bool
+	}{
+		{"single value", single, 64, func(st steps) bool { return len(st) == 0 }},
+		{"duplicate-heavy minimum", heavyMin, 64, func(st steps) bool {
+			return len(st) == 63 && st[0] == 0 && st[1] == 0 && alone(st, heavyMin, 0)
+		}},
+		{"duplicate-heavy maximum", heavyMax, 64, func(st steps) bool {
+			return len(st) < 63 && st[len(st)-1] == 0 && st[len(st)-2] == 0 && alone(st, heavyMax, 0)
+		}},
+		{"more columns than values", few, 22, func(st steps) bool {
+			for v := int64(0); v < 7000; v += 1000 {
+				if !alone(st, few, v) {
+					return false
+				}
+			}
+			return len(st) <= 21
+		}},
+	} {
+		if _, st := checkCut(t, tc.name, tc.col, tc.cols); !tc.want(st) {
+			t.Errorf("%s: step points %v", tc.name, st)
+		}
+	}
 }

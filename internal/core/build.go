@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"flood/internal/colstore"
-	"flood/internal/rmi"
 )
 
 // Source is a table as a build reads it: compressed columns that are decoded
@@ -20,19 +19,12 @@ type Source struct {
 	n    int
 	opts Options
 
-	// flat[dim] is what flattening learns about a dimension whatever the
-	// layout, kept from the first layout that grids it; nil unless the
-	// source was made to be built from repeatedly (NewSource).
-	flat []flattened
+	// counted[dim] is a flattened dimension's value counts, kept from the
+	// first layout that grids it; nil unless the source was made to be
+	// built from repeatedly (NewSource).
+	counted []*valueCounts
 
 	decodes []int // whole-column decodes so far, per column
-}
-
-// flattened is a dimension's flattening CDF and that CDF's value at every
-// row, from which any column count buckets the row with one multiply.
-type flattened struct {
-	cdf *rmi.CDF
-	pos []float64
 }
 
 func tableSource(t *colstore.Table, opts Options) *Source {
@@ -41,19 +33,19 @@ func tableSource(t *colstore.Table, opts Options) *Source {
 
 // NewSource prepares t for building many layouts under opts — cost-model
 // calibration builds ten. Every column is decoded now, once, and each
-// dimension's flattening CDF and every row's position under it are kept from
-// the first layout that grids the dimension, so later layouts neither sort
-// the column nor evaluate the model again. That is the whole table and as
-// much again resident while the Source lives; a single build should use Build,
-// which holds a column or two per worker. Builds of one Source must not run
-// concurrently.
+// flattened dimension's value counts are kept from the first layout that
+// grids the dimension, so a later layout cuts the dimension at its own column
+// count from the counts and buckets its rows in one table pass, and neither
+// counts nor sorts it again. That is the whole table and its dimensions'
+// distinct values resident while the Source lives; a single build should use Build, which holds a column or two
+// per worker. Builds of one Source must not run concurrently.
 func NewSource(t *colstore.Table, opts Options) *Source {
 	s := tableSource(t, opts)
 	cols := make([][]int64, t.NumCols())
 	for c := range cols {
 		cols[c] = s.column(c, new([]int64))
 	}
-	s.cols, s.flat = cols, make([]flattened, len(cols))
+	s.cols, s.counted = cols, make([]*valueCounts, len(cols))
 	return s
 }
 
@@ -68,32 +60,64 @@ func (s *Source) column(c int, buf *[]int64) []int64 {
 	return *buf
 }
 
-// buildScratch is one worker's row-length buffers. They are allocated when
-// first needed and reused from column to column and phase to phase, so a
-// build's footprint is set by its worker count, not the table's width.
+// bounds returns the smallest and largest value of column c, whose rows raw
+// holds (0, 0 for no rows). A source that reads its columns from the table
+// takes them from the column's zone maps, a block's bounds each, which are
+// exact for any table: a built column's by construction, a decoded one's
+// because colstore.DecodeTable recomputes every block's maximum from its
+// values and refuses a block that does not decode to its stored minimum.
+// A source holding raw columns scans them, since a merge's are not the
+// table's rows; reading the zone maps saves a one-shot build that scan,
+// about 1 ns a value of every grid column.
+func (s *Source) bounds(c int, raw []int64) (lo, hi int64) {
+	if len(raw) == 0 {
+		return 0, 0
+	}
+	if s.cols != nil {
+		return slices.Min(raw), slices.Max(raw)
+	}
+	col := s.t.Column(c)
+	lo, hi = col.BlockBounds(0)
+	for b := 1; b < col.NumBlocks(); b++ {
+		bl, bh := col.BlockBounds(b)
+		lo, hi = min(lo, bl), max(hi, bh)
+	}
+	return lo, hi
+}
+
+// buildScratch is one worker's buffers. They are allocated when first needed
+// and reused from column to column and phase to phase, so a build's
+// footprint is set by its worker count, not the table's width.
 type buildScratch struct {
-	raw   []int64 // a column decoded from a compressed source
-	out   []int64 // a grid column sorted for its CDF; a column gathered into its new order
-	cells []int32 // this worker's share of every row's cell number
-	sort  colstore.SortScratch
+	raw    []int64 // a column decoded from a compressed source
+	cells  []int32 // this worker's share of every row's cell number
+	counts valueCounts
+	keys   []int64 // a wide grid column, sorted
+	terms  []int32 // a narrow column's histogram, then a grid dimension's column table
+	sort   colstore.SortScratch
 }
 
 // Build constructs a Flood index over t with the given layout. The input
 // table is not modified; the index holds a reordered copy.
 //
-// The build compares no two keys. A grid column is decoded to fit its
-// flattening CDF (to a copy ordered by colstore.RadixSort) and bucket every
-// row in the same pass, and the index keeps the CDF's step points, not the
-// CDF; a counting sort over cell numbers — whose histogram is
-// the cell table (§3.2.1) — places the rows and carries the sort dimension's
-// values with them; each cell's (value, row) run is then ordered by a stable
-// radix sort, cells in parallel; and every column but the sort dimension is
-// decoded, gathered into the final order and compressed. A worker holds two
-// raw columns at a time whatever the table's width, which is why a grid
-// column is decoded a second time to be gathered rather than kept; the sort
-// dimension and the columns outside the grid are decoded once. The sorted
-// sort values are the stored column; aggregate companions and bitmap indexes
-// are made from the gathered values, not from a decode of the new column.
+// The build compares no two keys and fits no model. A flattened grid column
+// is decoded and reduced to its distinct values' counts — a histogram when
+// its values span fewer than a quarter of its rows, a colstore.RadixSort of
+// a copy otherwise — and cut into its columns at the value boundaries
+// nearest its equal-count quantiles (valueCounts.cut); every row is then
+// bucketed through a table over the values' offsets (addCutTerms), and the
+// index keeps the cut's step points. A counting sort
+// over cell numbers — whose histogram is the cell table (§3.2.1) — places
+// the rows and carries the sort dimension's values with them; each cell's
+// (value, row) run is then ordered by a stable radix sort, cells in
+// parallel; and every column but the sort dimension is decoded and handed to
+// the table writer with the permutation, which gathers it a block at a time
+// as it compresses it. A worker holds one raw column at a time whatever the
+// table's width, which is why a grid column is decoded a second time to be
+// gathered rather than kept; the sort dimension and the columns outside the
+// grid are decoded once. The sorted sort values are the stored column;
+// aggregate companions and bitmap indexes are made from the gathered blocks,
+// not from a decode of the new column.
 //
 // Tie order: within a cell, rows with equal sort keys — all rows of a cell,
 // when the layout has no sort dimension — keep the order they had in t. A
@@ -141,14 +165,33 @@ func (s *Source) Build(layout Layout) (*Flood, error) {
 		}
 		f.steps[gi] = s.assign(layout, gi, int32(f.strides[gi]), w)
 	})
-	cells := make([]int32, n)
+	// The first worker's array becomes every row's cell number: the others
+	// are added into it, a row range per task.
+	var cells []int32
+	var terms [][]int32
 	for range cap(ws) {
 		w := <-ws
-		for i, c := range w.cells {
-			cells[i] += c
+		if cells == nil {
+			cells = w.cells
+		} else if w.cells != nil {
+			terms = append(terms, w.cells)
 		}
 		w.cells = nil
 		ws <- w
+	}
+	if cells == nil {
+		cells = make([]int32, n)
+	}
+	if len(terms) > 0 {
+		grain := max(n/maxWorkers(), 1<<16)
+		RunBatch((n+grain-1)/grain, func(k int) {
+			lo, hi := k*grain, min(n, k*grain+grain)
+			for _, t := range terms {
+				for i, c := range t[lo:hi] {
+					cells[lo+i] += c
+				}
+			}
+		})
 	}
 
 	// Order rows by (cell, sort value): a depth-first traversal of the grid
@@ -213,95 +256,58 @@ func (s *Source) Build(layout Layout) (*Flood, error) {
 		})
 	}
 
-	// Gather every other column into the new order and compress it, with
-	// its aggregate companion and, for a low-cardinality column, its bitmap
-	// index (residual filters on it become bitmap ANDs in the scan kernel)
-	// made from the values in hand.
+	// Gather every other column into the new order as it is compressed,
+	// with its aggregate companion and, for a low-cardinality column, its
+	// bitmap index (residual filters on it become bitmap ANDs in the scan
+	// kernel) made from the gathered blocks.
 	tw := colstore.NewTableWriter(s.t.Names(), n, s.opts.bitmapMaxCard())
 	RunBatch(d, func(c int) {
 		if c == layout.SortDim {
-			tw.SetColumn(c, keys, s.t.HasAggregate(c))
+			tw.SetColumn(c, keys, nil, s.t.HasAggregate(c))
 			return
 		}
 		w := <-ws
 		defer func() { ws <- w }()
-		raw := s.column(c, &w.raw)
-		w.out = slices.Grow(w.out[:0], n)[:n]
-		for r, p := range perm {
-			w.out[r] = raw[p]
-		}
-		tw.SetColumn(c, w.out, s.t.HasAggregate(c))
+		tw.SetColumn(c, s.column(c, &w.raw), perm, s.t.HasAggregate(c))
 	})
 	f.t = tw.Table()
 	f.computeCellStats()
 	return f, nil
 }
 
-// assign fits grid dimension gi's bucketing function, adds the dimension's
-// term of every row's cell number, bucket × stride, into w.cells, and returns
-// the function's step points; the model itself is dropped.
+// assign cuts grid dimension gi into its columns, adds the dimension's term
+// of every row's cell number, column × stride, into w.cells, and returns the
+// cut's step points. A flattened dimension is cut from its value counts; an
+// equal-width one (§3.1) divides [min, max] evenly, its step points found by
+// bisecting that function.
 func (s *Source) assign(layout Layout, gi int, stride int32, w *buildScratch) steps {
 	dim, cols := layout.GridDims[gi], layout.GridCols[gi]
-	cells := w.cells
-	if !layout.Flatten {
-		raw := s.column(dim, &w.raw)
-		var minV, maxV int64
-		if len(raw) > 0 {
-			minV, maxV = slices.Min(raw), slices.Max(raw)
-		}
-		rangeSz := float64(maxV) - float64(minV) + 1
-		bucket := func(v int64) int { return equalWidthBucket(v, minV, rangeSz, cols) }
-		addTerms(cells, raw, minV, maxV, bucket, stride)
-		return stepPoints(bucket, cols)
-	}
-	if s.flat != nil && s.flat[dim].cdf != nil {
-		for i, p := range s.flat[dim].pos {
-			cells[i] += int32(rmi.BucketAt(p, cols)) * stride
-		}
-		return cdfSteps(s.flat[dim].cdf, cols)
-	}
 	raw := s.column(dim, &w.raw)
-	// The sorted copy goes where the gather phase will put its columns.
-	w.out = append(w.out[:0], raw...)
-	colstore.RadixSort(w.out, nil, &w.sort)
-	cdf := rmi.TrainCDFSorted(w.out, defaultCDFLeaves(s.n))
-	if s.flat == nil {
-		minV, maxV := cdf.Domain()
-		addTerms(cells, raw, minV, maxV, func(v int64) int { return cdf.Bucket(v, cols) }, stride)
-		return cdfSteps(cdf, cols)
+	if !layout.Flatten {
+		minV, maxV := s.bounds(dim, raw)
+		rangeSz := float64(maxV) - float64(minV) + 1
+		st := stepPoints(func(v int64) int { return equalWidthBucket(v, minV, rangeSz, cols) }, cols)
+		addCutTerms(w.cells, raw, minV, maxV, st, stride, &w.terms)
+		return st
 	}
-	pos := make([]float64, len(raw))
-	for i, v := range raw {
-		pos[i] = cdf.At(v)
-		cells[i] += int32(rmi.BucketAt(pos[i], cols)) * stride
-	}
-	s.flat[dim] = flattened{cdf: cdf, pos: pos}
-	return cdfSteps(cdf, cols)
-}
-
-// cdfSteps is the step points of ⌊CDF(v)·cols⌋, the flattening bucketing.
-func cdfSteps(cdf *rmi.CDF, cols int) steps {
-	return stepPoints(func(v int64) int { return cdf.Bucket(v, cols) }, cols)
-}
-
-// addTerms adds bucket(v) × stride to every row's cell number, raw holding
-// the dimension's values, all within [minV, maxV]. A column much narrower
-// than it is long — dates, quantities, dictionary codes — has its term worked
-// out once per distinct value and looked up per row.
-func addTerms(cells []int32, raw []int64, minV, maxV int64, bucket func(int64) int, stride int32) {
-	if span := uint64(maxV) - uint64(minV); span < uint64(len(raw)/4) {
-		terms := make([]int32, span+1)
-		for k := range terms {
-			terms[k] = int32(bucket(minV+int64(k))) * stride
+	vc := &w.counts
+	if s.counted == nil || s.counted[dim] == nil {
+		lo, hi := s.bounds(dim, raw)
+		vc.count(raw, lo, hi, w)
+		if s.counted != nil {
+			s.counted[dim] = vc.clone()
 		}
-		for i, v := range raw {
-			cells[i] += terms[v-minV]
-		}
-		return
+	} else {
+		vc = s.counted[dim]
 	}
-	for i, v := range raw {
-		cells[i] += int32(bucket(v)) * stride
+	st := vc.cut(cols)
+	if nv := len(vc.vals); nv > 0 {
+		addCutTerms(w.cells, raw, vc.vals[0], vc.vals[nv-1], st, stride, &w.terms)
 	}
+	return st
 }
 
-func defaultCDFLeaves(n int) int { return min(max(n/64, 16), 1024) }
+// narrow reports whether n values within [minV, maxV] span fewer values than
+// a quarter of their count: a table with an entry per value is then cheaper
+// than sorting them or searching per row.
+func narrow(minV, maxV int64, n int) bool { return uint64(maxV)-uint64(minV) < uint64(n/4) }

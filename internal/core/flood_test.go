@@ -350,17 +350,19 @@ func TestFlatteningBalancesSkewedCells(t *testing.T) {
 	}
 }
 
-// TestBuildWithPrefittedCDFsIsTheSameIndex builds several layouts from one
-// Source, which fits each dimension's CDF and every row's position under it
-// for the first layout that grids the dimension and hands them to the rest:
-// each index must be the one a build of its own makes.
-func TestBuildWithPrefittedCDFsIsTheSameIndex(t *testing.T) {
+// TestBuildFromCountsCacheIsTheSameIndex builds several layouts from one
+// Source, which counts each flattened dimension's values for the first
+// layout that grids it and cuts the rest from those counts: each index must
+// be the one a build of its own makes, whether a dimension was counted by a
+// histogram (a narrow column) or by sorting (a wide one).
+func TestBuildFromCountsCacheIsTheSameIndex(t *testing.T) {
 	tbl, _ := makeData(t, 20000, 4, 91)
 	tbl.EnableAggregate(3)
 	src := NewSource(tbl, Options{})
 	for _, layout := range []Layout{
 		{GridDims: []int{2, 0}, GridCols: []int{9, 14}, SortDim: 1, Flatten: true},
-		{GridDims: []int{0, 2, 3}, GridCols: []int{3, 40, 2}, SortDim: 1, Flatten: true}, // 0 and 2 handed over, 3 fitted now
+		{GridDims: []int{0, 2, 3}, GridCols: []int{3, 40, 2}, SortDim: 1, Flatten: true}, // 0 and 2 handed over, 3 counted now
+		{GridDims: []int{1, 3}, GridCols: []int{22, 7}, SortDim: 2, Flatten: true},       // wide 1 counted now
 		{GridDims: []int{1, 2}, GridCols: []int{5, 5}, SortDim: 0, Flatten: false},
 	} {
 		want, err := Build(tbl, layout, Options{})
@@ -384,6 +386,13 @@ func TestBuildWithPrefittedCDFsIsTheSameIndex(t *testing.T) {
 		if !got.Table().HasAggregate(3) {
 			t.Fatalf("%v: the shared source dropped the aggregate column", layout)
 		}
+	}
+	wide := func(dim int) bool {
+		vals := src.counted[dim].vals
+		return !narrow(vals[0], vals[len(vals)-1], tbl.NumRows())
+	}
+	if wide(0) || !wide(1) {
+		t.Fatal("the cache should hold dimension 0 counted by histogram and dimension 1 by sorting")
 	}
 }
 

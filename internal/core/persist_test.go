@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
@@ -9,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"flood/internal/colstore"
 	"flood/internal/query"
 	"flood/internal/rmi"
 	"flood/internal/wire"
@@ -117,37 +119,35 @@ func rewriteSteps(t *testing.T, payload []byte, grids int, enc func(gi int, st [
 
 // TestLoadLegacyBucketers loads models sections written before the index
 // kept step points — a flattening CDF (tag 1) or equal-width bounds (tag 2)
-// per grid dimension — with no warning and no retrain: the loaded index holds
-// the step points a fresh build derives, answers like it, and saves to its
-// bytes.
+// per grid dimension — with no warning and no retrain. Each snapshot is an
+// index whose rows that model placed (referenceBuild over the step points
+// the model stands for): the loaded index holds those step points, answers
+// like brute force, and saves to the bytes of the same index written with
+// them, the snapshot's own re-save.
 func TestLoadLegacyBucketers(t *testing.T) {
 	tbl, data := makeData(t, 5000, 4, 134)
 	for _, layout := range []Layout{
 		{GridDims: []int{0, 1}, GridCols: []int{8, 5}, SortDim: 2, Flatten: true},
 		{GridDims: []int{3, 1}, GridCols: []int{16, 3}, SortDim: -1, Flatten: false},
 	} {
-		f, err := Build(tbl, layout, Options{})
-		if err != nil {
-			t.Fatal(err)
+		st := make([]steps, len(layout.GridDims))
+		enc := make([]func(w *wire.Writer), len(layout.GridDims))
+		for gi, dim := range layout.GridDims {
+			col, cols := data[dim], layout.GridCols[gi]
+			if layout.Flatten {
+				cdf := rmi.TrainCDF(col, defaultCDFLeaves(len(col)))
+				st[gi] = cdfSteps(cdf, cols)
+				enc[gi] = func(w *wire.Writer) { w.U8(legacyCDFTag); cdf.Encode(w) }
+				continue
+			}
+			minV, maxV := slices.Min(col), slices.Max(col)
+			rangeSz := float64(maxV) - float64(minV) + 1
+			st[gi] = stepPoints(func(v int64) int { return equalWidthBucket(v, minV, rangeSz, cols) }, cols)
+			enc[gi] = func(w *wire.Writer) { w.U8(legacyEqualWidthTag); w.I64(minV); w.F64(rangeSz) }
 		}
-		var buf bytes.Buffer
-		if err := f.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		fresh := buf.Bytes()
-		legacy := resealSection(t, fresh, SectionModels, func(payload []byte) []byte {
-			return rewriteSteps(t, payload, len(layout.GridDims), func(gi int, _ []int64, w *wire.Writer) {
-				col := data[layout.GridDims[gi]]
-				if layout.Flatten {
-					w.U8(legacyCDFTag)
-					rmi.TrainCDF(col, defaultCDFLeaves(len(col))).Encode(w)
-					return
-				}
-				minV, maxV := slices.Min(col), slices.Max(col)
-				w.U8(legacyEqualWidthTag)
-				w.I64(minV)
-				w.F64(float64(maxV) - float64(minV) + 1)
-			})
+		resaved := saved(t, referenceBuild(t, tbl, layout, Options{}, st))
+		legacy := resealSection(t, resaved, SectionModels, func(payload []byte) []byte {
+			return rewriteSteps(t, payload, len(layout.GridDims), func(gi int, _ []int64, w *wire.Writer) { enc[gi](w) })
 		})
 		res, err := LoadSections(bytes.NewReader(legacy))
 		if err != nil {
@@ -156,18 +156,14 @@ func TestLoadLegacyBucketers(t *testing.T) {
 		if len(res.Warnings) != 0 || res.Retrained {
 			t.Fatalf("%s: a legacy models section should load cleanly: retrained=%v warnings=%v", layout, res.Retrained, res.Warnings)
 		}
-		for gi, st := range res.Index.steps {
-			if !slices.Equal(st, f.steps[gi]) {
-				t.Fatalf("%s: grid dimension %d loads step points %v, a build derives %v", layout, gi, st, f.steps[gi])
+		for gi, got := range res.Index.steps {
+			if !slices.Equal(got, st[gi]) {
+				t.Fatalf("%s: grid dimension %d loads step points %v, its model stands for %v", layout, gi, got, st[gi])
 			}
 		}
 		checkLoadedAnswers(t, layout.String(), res.Index, data)
-		var re bytes.Buffer
-		if err := res.Index.Save(&re); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(re.Bytes(), fresh) {
-			t.Errorf("%s: the legacy snapshot saves to different bytes than a fresh build", layout)
+		if !bytes.Equal(saved(t, res.Index), resaved) {
+			t.Errorf("%s: the legacy snapshot saves to different bytes than the index it describes", layout)
 		}
 	}
 }
@@ -213,6 +209,53 @@ func TestLoadHostileStepPoints(t *testing.T) {
 			t.Fatalf("%s: hostile step points should retrain with a warning naming them: retrained=%v warnings=%v", tc.name, res.Retrained, res.Warnings)
 		}
 		checkLoadedAnswers(t, tc.name, res.Index, data)
+	}
+}
+
+// TestLoadHostileBlockMinimum raises a data block's stored minimum under a
+// right checksum so that a packed delta wraps past the top of int64, and
+// damages the step points too, so a load that accepted the table would
+// rebuild the index from it, reading the dimension's domain off the lying
+// zone maps. The load must refuse the table with an error, not panic.
+func TestLoadHostileBlockMinimum(t *testing.T) {
+	const n = 1000
+	rng := rand.New(rand.NewSource(137))
+	data := [][]int64{make([]int64, n), make([]int64, n)}
+	for i := range n {
+		data[0][i] = math.MaxInt64 - rng.Int63n(2)
+		data[1][i] = rng.Int63n(1000)
+	}
+	tbl, err := colstore.NewTable([]string{"a", "b"}, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	layout := Layout{GridDims: []int{0, 1}, GridCols: []int{2, 4}, SortDim: -1, Flatten: true}
+	f, err := Build(tbl, layout, Options{BitmapMaxCardinality: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := f.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	low, high := binary.LittleEndian.AppendUint64(nil, math.MaxInt64-1), binary.LittleEndian.AppendUint64(nil, math.MaxInt64)
+	snap := resealSection(t, buf.Bytes(), SectionData, func(payload []byte) []byte {
+		if !bytes.Contains(payload, low) {
+			t.Fatal("the data section holds no block minimum of MaxInt64-1")
+		}
+		return bytes.ReplaceAll(payload, low, high)
+	})
+	snap = resealSection(t, snap, SectionModels, func(payload []byte) []byte {
+		return rewriteSteps(t, payload, len(layout.GridDims), func(gi int, st []int64, w *wire.Writer) {
+			if gi == 1 {
+				st = append(st, math.MaxInt64)
+			}
+			w.U8(stepsTag)
+			w.I64s(st)
+		})
+	})
+	if _, err := LoadSections(bytes.NewReader(snap)); err == nil || !strings.Contains(err.Error(), "smallest value") {
+		t.Fatalf("a block that decodes below its minimum loaded with error %v", err)
 	}
 }
 

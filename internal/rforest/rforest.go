@@ -181,9 +181,11 @@ type treeBuilder struct {
 	splitFeats int
 	nodes      []node  // this tree in pre-order, right children numbered from its root
 	keys       []keyed // bestSplit's scratch
+	part       []int   // build's scratch: a node's right samples while it partitions
 }
 
-// build grows the subtree over samples idx and returns its node index.
+// build grows the subtree over samples idx, which it reorders, and returns
+// its node index.
 func (b *treeBuilder) build(idx []int, depth int) int32 {
 	self := int32(len(b.nodes))
 	b.nodes = append(b.nodes, node{feature: -1})
@@ -197,20 +199,26 @@ func (b *treeBuilder) build(idx []int, depth int) int32 {
 		b.nodes[self].v = mean
 		return self
 	}
-	var left, right []int
+	// Partition idx stably in place: the left samples move up to the front
+	// in their order, the right ones wait in the builder's one scratch slice
+	// and follow in theirs. The children then own disjoint halves of idx.
+	nl, right := 0, b.part[:0]
 	for _, i := range idx {
 		if b.x[i][feat] <= thresh {
-			left = append(left, i)
+			idx[nl] = i
+			nl++
 		} else {
 			right = append(right, i)
 		}
 	}
-	if len(left) < b.cfg.MinLeaf || len(right) < b.cfg.MinLeaf {
+	copy(idx[nl:], right)
+	b.part = right
+	if nl < b.cfg.MinLeaf || len(idx)-nl < b.cfg.MinLeaf {
 		b.nodes[self].v = mean
 		return self
 	}
-	b.build(left, depth+1) // self+1: pre-order
-	ri := b.build(right, depth+1)
+	b.build(idx[:nl], depth+1) // self+1: pre-order
+	ri := b.build(idx[nl:], depth+1)
 	b.nodes[self] = node{feature: int32(feat), right: ri, v: thresh}
 	return self
 }

@@ -1,7 +1,10 @@
 // Package rmi implements Recursive Model Indexes (Kraska et al., SIGMOD'18)
-// as used by Flood: monotone per-dimension CDF models that drive grid
-// flattening (§5.1), and position indexes with error bounds that implement
-// the learned clustered single-dimensional baseline (§7.2, Appendix A).
+// as used by Flood: monotone per-dimension CDF models — the cost model's
+// flattening of its sample (§5.1), the sharded store's split points, and the
+// flattening an older index snapshot stored, which a load turns into step
+// points; a build cuts its grid from value counts instead — and position
+// indexes with error bounds that implement the learned clustered
+// single-dimensional baseline (§7.2, Appendix A).
 //
 // Models are two-layer: a linear root routes a key to one of L leaves, and
 // each leaf is a linear regression over the keys it owns. For CDF models the
@@ -78,19 +81,12 @@ type CDF struct {
 // modified: the model is fitted to a sorted copy, ordered by radix
 // (colstore.RadixSort), and that copy and the sort's second buffer are the
 // only allocations that grow with len(values). numLeaves controls model
-// capacity; it is clamped to [1, len(values)].
+// capacity; it is clamped to [1, len(values)]. Root and leaves are each
+// fitted in one walk of the sorted copy over the empirical CDF points
+// (v_i, (i+1)/n), the upper rank making At(max) ~ 1.
 func TrainCDF(values []int64, numLeaves int) *CDF {
 	sorted := slices.Clone(values)
 	colstore.RadixSort(sorted, nil, new(colstore.SortScratch))
-	return TrainCDFSorted(sorted, numLeaves)
-}
-
-// TrainCDFSorted is TrainCDF over values already in ascending order, for a
-// caller that sorts into a buffer of its own; sorted is only read. Root and
-// leaves are each fitted in one walk of it over the empirical CDF points
-// (v_i, (i+1)/n), the upper rank making At(max) ~ 1, and nothing that grows
-// with the input is allocated.
-func TrainCDFSorted(sorted []int64, numLeaves int) *CDF {
 	if len(sorted) == 0 {
 		return &CDF{leaves: []cdfLeaf{{model: linear{}, lo: 0, hi: 1}}}
 	}
@@ -188,28 +184,6 @@ func (m *CDF) At(v int64) float64 {
 
 // Bucket maps v into one of n equi-CDF buckets: ⌊CDF(v)·n⌋ clamped to
 // [0, n-1] (§5.1).
-func (m *CDF) Bucket(v int64, n int) int { return BucketAt(m.At(v), n) }
-
-// BucketAt is Bucket for a caller that kept p = At(v): the same value is
-// bucketed at many column counts for one model evaluation.
-func BucketAt(p float64, n int) int {
-	b := int(p * float64(n))
-	if b < 0 {
-		b = 0
-	}
-	if b >= n {
-		b = n - 1
-	}
-	return b
+func (m *CDF) Bucket(v int64, n int) int {
+	return min(max(int(m.At(v)*float64(n)), 0), n-1)
 }
-
-// SizeBytes reports the model footprint.
-func (m *CDF) SizeBytes() int64 {
-	return int64(16 + len(m.leaves)*32 + 16)
-}
-
-// Domain returns the smallest and largest value the model was trained on.
-func (m *CDF) Domain() (min, max int64) { return m.minV, m.maxV }
-
-// NumLeaves returns the number of leaf models.
-func (m *CDF) NumLeaves() int { return len(m.leaves) }

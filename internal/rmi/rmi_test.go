@@ -175,9 +175,6 @@ func TestPositionEmptyAndDuplicates(t *testing.T) {
 
 func TestSizeBytesPositive(t *testing.T) {
 	vals := skewedValues(1000, 6)
-	if TrainCDF(vals, 16).SizeBytes() <= 0 {
-		t.Fatal("CDF SizeBytes must be positive")
-	}
 	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
 	if TrainPosition(vals, 16).SizeBytes() <= 0 {
 		t.Fatal("PositionIndex SizeBytes must be positive")
