@@ -91,7 +91,8 @@ loc:
 # loop at 40; AggregateBlock is one block's survivors
 # folded under the selection mask per aggregate, mask density and width, and
 # BitmapAndBlock one block's predicate through the interval-encoded bitmap
-# index by the number of values the range spans. DictEqScan1M and DictRangeScan1M
+# index by the number of values the range spans, over a uniform column and
+# over a drifting one whose stripes hold other domains. DictEqScan1M and DictRangeScan1M
 # are the bitmap index against the residual compare, end to end. Build2M,
 # TrainCDF, Calibrate100k, ForestTrain and RebuildMerge500k are construction:
 # the build olap_flat's set-up waits for, one CDF (the cost model's and the

@@ -283,14 +283,17 @@ func TestValueVictimsMatchReference(t *testing.T) {
 // apply — same framing, same record order, so old logs replay unchanged —
 // and a store reopened from that log equals the live one. A delete record
 // lists its victims, and an update re-inserts its rows, in the base index's
-// physical order, so the hash was re-recorded when grid cuts came to be made
-// from value counts: the segment kept its 13,861 bytes and its record
-// sequence, and each record the same victims or rows, four of them in
-// another order.
+// physical order, so the base has no grid dimension and sorts by pickup:
+// its physical order is the rows sorted by pickup time, the fixture's few
+// equal times in input order, which no change to the grid cut can move. The
+// hash was re-recorded once for that base: the segment kept its 13,861
+// bytes and its 115 records, each of the same kind and length, and each
+// delete the same victims and each update the same re-inserted rows, listed
+// in another order.
 func TestWALGoldenMutationScript(t *testing.T) {
-	const golden = "83f8b7f51ce01e00c732fe046d8bd41e9f55f7643e4d47fde67446591fb8cb47"
+	const golden = "8af5ab037881b3bccf583ae722cb73e4f9714934aad3cf3fa7c7810cbfea5af6"
 	fx := newTypedFixture(t, 3000, 77)
-	base, err := BuildWithLayout(fx.tbl, fixtureLayout(fx), &Options{Schema: fx.schema})
+	base, err := BuildWithLayout(fx.tbl, Layout{SortDim: 3}, &Options{Schema: fx.schema})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"slices"
 	"testing"
@@ -43,8 +44,8 @@ func TestBitmapIndexSkipsUnqualifiedColumns(t *testing.T) {
 	}
 	if bi := NewBitmapIndex(edge, 10); bi == nil {
 		t.Fatal("domain of 10 values should build at maxCard 10")
-	} else if bi.Cardinality() != 10 || bi.MinValue() != 5 {
-		t.Fatalf("card=%d min=%d, want 10, 5", bi.Cardinality(), bi.MinValue())
+	} else if bi.card != 10 || bi.min != 5 {
+		t.Fatalf("card=%d min=%d, want 10, 5", bi.card, bi.min)
 	}
 }
 
@@ -65,6 +66,12 @@ func bruteAndBlock(vals []int64, sel BlockBitmap, b int, lo, hi int64) BlockBitm
 		}
 	}
 	return out
+}
+
+// andBlock is AndBlock through a range planned for block b alone.
+func andBlock(bi *BitmapIndex, sel *BlockBitmap, b int, lo, hi int64) {
+	r := bi.Range(lo, hi)
+	r.AndBlock(sel, b)
 }
 
 func TestBitmapIndexAndBlockMatchesBruteForce(t *testing.T) {
@@ -89,7 +96,7 @@ func TestBitmapIndexAndBlockMatchesBruteForce(t *testing.T) {
 		}
 		want := bruteAndBlock(vals, sel, b, lo, hi)
 		got := sel
-		bi.AndBlock(&got, b, lo, hi)
+		andBlock(bi, &got, b, lo, hi)
 		if got != want {
 			t.Fatalf("trial %d: AndBlock(b=%d, [%d,%d]) = %v, want %v", trial, b, lo, hi, got, want)
 		}
@@ -100,17 +107,17 @@ func TestBitmapIndexAndBlockMatchesBruteForce(t *testing.T) {
 // definition for every domain of 1 to 64 values and every [lo, hi] from two
 // below the domain to two above it — single values, inverted ranges and
 // ranges clamped on either or both sides included — in every block of a
-// column whose last block and last word are partial, under a full and a
-// random selection.
+// column of one full stripe and a partial one whose last block and last
+// word are partial, under a full and a random selection.
 func TestBitmapIndexAndBlockEveryRange(t *testing.T) {
-	const n, base = 3*BlockSize + 70, -4
+	const n, base = stripeRows + 70, -4
 	rng := rand.New(rand.NewSource(10))
 	for card := 1; card <= 64; card++ {
 		_, vals := lowCardColumn(n, base, card, int64(card))
 		vals[0], vals[n-1] = base, base+int64(card)-1 // the whole domain occurs
 		c := NewColumn(vals)
 		bi := NewBitmapIndex(c, 64)
-		if bi == nil || bi.Cardinality() != card {
+		if bi == nil || bi.card != card {
 			t.Fatalf("index over %d values did not build as such: %v", card, bi)
 		}
 		for b := 0; b < c.NumBlocks(); b++ {
@@ -118,7 +125,7 @@ func TestBitmapIndexAndBlockEveryRange(t *testing.T) {
 				for hi := int64(base - 2); hi <= base+int64(card)+1; hi++ {
 					for _, sel := range []BlockBitmap{{^uint64(0), ^uint64(0)}, {rng.Uint64(), rng.Uint64()}} {
 						got := sel
-						bi.AndBlock(&got, b, lo, hi)
+						andBlock(bi, &got, b, lo, hi)
 						if want := bruteAndBlock(vals, sel, b, lo, hi); got != want {
 							t.Fatalf("card %d: AndBlock(b=%d, [%d,%d]) under %#x = %#x, want %#x", card, b, lo, hi, sel, got, want)
 						}
@@ -131,7 +138,7 @@ func TestBitmapIndexAndBlockEveryRange(t *testing.T) {
 		for _, r := range [][2]int64{{math.MinInt64, math.MaxInt64}, {math.MinInt64, base}, {top, math.MaxInt64}, {math.MaxInt64, math.MinInt64}} {
 			for b := 0; b < c.NumBlocks(); b++ {
 				got := BlockBitmap{^uint64(0), ^uint64(0)}
-				bi.AndBlock(&got, b, r[0], r[1])
+				andBlock(bi, &got, b, r[0], r[1])
 				if want := bruteAndBlock(vals, BlockBitmap{^uint64(0), ^uint64(0)}, b, r[0], r[1]); got != want {
 					t.Fatalf("card %d: AndBlock(b=%d, [%d,%d]) = %#x, want %#x", card, b, r[0], r[1], got, want)
 				}
@@ -141,55 +148,86 @@ func TestBitmapIndexAndBlockEveryRange(t *testing.T) {
 }
 
 // TestBitmapIndexSizeIsOneBitmapPerTwoValues pins the footprint: interval
-// encoding stores ⌈card/2⌉ × ⌈n/64⌉ words, half the one bitmap per value
-// the wire form carries.
+// encoding stores ⌈c/2⌉ bitmaps of a stripe's eight words for each stripe
+// over c values, none for a constant stripe, plus a 32-byte header per run
+// of stripes over one domain and each stripe's run number — about half the one bitmap per value of the
+// column's domain the wire form carries, less where stripes hold less of it.
 func TestBitmapIndexSizeIsOneBitmapPerTwoValues(t *testing.T) {
-	for _, n := range []int{1, 64, 65, 5*BlockSize + 37} {
+	rng := rand.New(rand.NewSource(15))
+	for _, n := range []int{1, 64, 65, 5*BlockSize + 37, 3*stripeRows + 64, 9 * stripeRows} {
 		for _, card := range []int{1, 2, 9, 50, 64} {
-			_, vals := lowCardColumn(n, 3, card, int64(n))
-			vals[n-1] = 3 + int64(card) - 1
-			bi := NewBitmapIndex(NewColumn(vals), 64)
-			if got := bi.Cardinality(); n > 1 && got != card {
-				t.Fatalf("n=%d: cardinality %d, want %d", n, got, card)
-			}
-			if want := int64((bi.Cardinality()+1)/2) * int64((n+63)/64) * 8; bi.SizeBytes() != want {
-				t.Fatalf("n=%d card=%d: SizeBytes %d, want %d", n, bi.Cardinality(), bi.SizeBytes(), want)
+			for shape := range uint8(3) {
+				vals := stripedValues(rng, shape, n, 3, card)
+				bi := NewBitmapIndex(NewColumn(vals), 64)
+				if got := int(slices.Max(vals)-slices.Min(vals)) + 1; bi.card != got {
+					t.Fatalf("n=%d: cardinality %d, want %d", n, bi.card, got)
+				}
+				want := int64(0)
+				var prev [2]int64
+				for lo := 0; lo < n; lo += stripeRows {
+					stripe := vals[lo:min(lo+stripeRows, n)]
+					dom := [2]int64{slices.Min(stripe), slices.Max(stripe)}
+					if c := int(dom[1]-dom[0]) + 1; c > 1 {
+						want += int64((c+1)/2) * stripeWords * 8
+					}
+					if lo == 0 || dom != prev {
+						want += 32 // a run's domain, offset and length
+					}
+					want += 4 // the stripe's run
+					prev = dom
+				}
+				if bi.SizeBytes() != want {
+					t.Fatalf("n=%d card=%d shape %d: SizeBytes %d, want %d", n, bi.card, shape, bi.SizeBytes(), want)
+				}
 			}
 		}
 	}
 }
 
-// TestBitmapIndexBuildAllocatesOnlyItsWords holds a build to the index's own
-// words plus O(card): no per-value scratch of card × ⌈n/64⌉ words and no
-// decoded copy of the column.
+// TestBitmapIndexBuildAllocatesOnlyItsWords holds a build to exactly the
+// index's own words, its run tables and its struct, plus the per-value
+// word buffer of a domain wider than the stack one: no per-value scratch of
+// card × ⌈n/64⌉ words, no decoded copy of the column and no growth of the
+// words, which are allocated once at the size the zone maps give.
 func TestBitmapIndexBuildAllocatesOnlyItsWords(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	const n = 64*BlockSize + 37
-	for _, card := range []int{50, 64, 100} {
-		c, _ := lowCardColumn(n, 0, card, int64(card))
+	allocated := func(f func()) int64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		bi := NewBitmapIndex(c, 128)
+		f()
 		runtime.ReadMemStats(&after)
-		if bi == nil || bi.Cardinality() != card {
+		return int64(after.TotalAlloc - before.TotalAlloc)
+	}
+	for _, card := range []int{50, 64, 100} {
+		c, _ := lowCardColumn(n, 0, card, int64(card))
+		var bi *BitmapIndex
+		got := allocated(func() { bi = NewBitmapIndex(c, 128) })
+		if bi == nil || bi.card != card {
 			t.Fatalf("card %d: index did not build", card)
 		}
-		got := int64(after.TotalAlloc - before.TotalAlloc)
-		// The index's words as the allocator rounds them, the struct and
-		// the per-value word buffer of a domain wider than the stack one.
-		runtime.ReadMemStats(&before)
-		wordsSink = make([]uint64, len(bi.bits))
-		runtime.ReadMemStats(&after)
-		words := int64(after.TotalAlloc - before.TotalAlloc)
-		if limit := words + 16*int64(card) + 256; got > limit {
+		// Each part as the allocator rounds it.
+		limit := allocated(func() { wordsSink = make([]uint64, len(bi.bits)) }) +
+			allocated(func() { runsSink = make([]bitmapRun, len(bi.runs)) }) +
+			allocated(func() { runOfSink = make([]uint32, len(bi.runOf)) }) +
+			allocated(func() { indexSink = new(BitmapIndex) })
+		if card > 64 {
+			limit += allocated(func() { wordsSink = make([]uint64, card) })
+		}
+		if got > limit {
 			t.Errorf("card %d: build allocated %d B, want at most %d (the index is %d B)", card, got, limit, bi.SizeBytes())
 		}
 	}
 }
 
-var wordsSink []uint64
+var (
+	wordsSink []uint64
+	runsSink  []bitmapRun
+	runOfSink []uint32
+	indexSink *BitmapIndex
+)
 
 // TestBitmapIndexRoundTripEveryCardinality encodes and decodes the index of
 // every domain of 1 to 64 values, in the middle and at both ends of int64,
@@ -228,7 +266,8 @@ func TestBitmapIndexRoundTripEveryCardinality(t *testing.T) {
 			if err != nil {
 				t.Fatalf("card %d at %d: %v", card, base, err)
 			}
-			if dec.min != bi.min || dec.card != bi.card || dec.nWords != bi.nWords || !slices.Equal(dec.bits, bi.bits) {
+			if dec.min != bi.min || dec.card != bi.card || dec.n != bi.n ||
+				!slices.Equal(dec.runs, bi.runs) || !slices.Equal(dec.bits, bi.bits) {
 				t.Fatalf("card %d at %d: decoded index differs from the built one", card, base)
 			}
 		}
@@ -239,12 +278,12 @@ func TestBitmapIndexAndBlockEmptyIntersection(t *testing.T) {
 	c, _ := lowCardColumn(200, 0, 8, 4)
 	bi := NewBitmapIndex(c, 64)
 	sel := BlockBitmap{^uint64(0), ^uint64(0)}
-	bi.AndBlock(&sel, 0, 100, 200) // entirely above the domain
+	andBlock(bi, &sel, 0, 100, 200) // entirely above the domain
 	if sel != (BlockBitmap{}) {
 		t.Fatalf("disjoint range should zero sel, got %v", sel)
 	}
 	sel = BlockBitmap{^uint64(0), ^uint64(0)}
-	bi.AndBlock(&sel, 0, -50, -10) // entirely below the domain
+	andBlock(bi, &sel, 0, -50, -10) // entirely below the domain
 	if sel != (BlockBitmap{}) {
 		t.Fatalf("disjoint range should zero sel, got %v", sel)
 	}
@@ -256,7 +295,7 @@ func TestBitmapIndexTailBitsZero(t *testing.T) {
 	c, _ := lowCardColumn(n, 0, 4, 5)
 	bi := NewBitmapIndex(c, 64)
 	sel := BlockBitmap{^uint64(0), ^uint64(0)}
-	bi.AndBlock(&sel, 1, 0, 3)
+	andBlock(bi, &sel, 1, 0, 3)
 	for i := n - BlockSize; i < BlockSize; i++ {
 		if sel[i/64]&(1<<uint(i%64)) != 0 {
 			t.Fatalf("bit %d set beyond row count", i)
@@ -274,15 +313,15 @@ func TestBitmapIndexRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Cardinality() != bi.Cardinality() || got.MinValue() != bi.MinValue() {
+	if got.card != bi.card || got.min != bi.min {
 		t.Fatalf("round trip changed domain: card %d→%d min %d→%d",
-			bi.Cardinality(), got.Cardinality(), bi.MinValue(), got.MinValue())
+			bi.card, got.card, bi.min, got.min)
 	}
 	// Decoded index answers identically.
 	sel1 := BlockBitmap{^uint64(0), ^uint64(0)}
 	sel2 := sel1
-	bi.AndBlock(&sel1, 1, 5, 9)
-	got.AndBlock(&sel2, 1, 5, 9)
+	andBlock(bi, &sel1, 1, 5, 9)
+	andBlock(got, &sel2, 1, 5, 9)
 	if sel1 != sel2 {
 		t.Fatalf("decoded index disagrees: %v vs %v", sel1, sel2)
 	}
@@ -420,55 +459,178 @@ func TestEnableBitmapIndexes(t *testing.T) {
 }
 
 // BenchmarkBitmapAndBlock measures one block's predicate resolved through the
-// bitmap index, planned once as a scan plans it per span, by the number of
-// values the range spans: interval encoding makes it two bitmaps whatever
-// the span.
+// bitmap index, by the number of values the range spans: interval encoding
+// makes it two bitmaps whatever the span. One range is reused over the
+// blocks a scan hands it — those whose zone map straddles the range — in
+// order, as a scan reuses it over a span. The uniform column's stripes all
+// hold the whole domain of 40 values, so the range is planned once; the
+// drifting column's window of eight values moves across the domain as a
+// grid dimension's values do after a build, so the range replans whenever
+// it reaches a stripe with another domain.
 func BenchmarkBitmapAndBlock(b *testing.B) {
-	c, _ := lowCardColumn(1<<17, 0, 40, 13)
-	bi := NewBitmapIndex(c, 64)
-	for _, values := range []int64{1, 8, 32} {
-		b.Run(fmt.Sprintf("values=%d", values), func(b *testing.B) {
-			r := bi.Range(4, 4+values-1)
-			var kept uint64
-			for i := 0; i < b.N; i++ {
-				sel := BlockBitmap{^uint64(0), ^uint64(0)}
-				r.AndBlock(&sel, i&(c.NumBlocks()-1))
-				kept += sel[0] ^ sel[1]
+	const n = 1 << 17
+	uniform, _ := lowCardColumn(n, 0, 40, 13)
+	rng, window := rand.New(rand.NewSource(13)), make([]int64, n)
+	for i := range window {
+		window[i] = int64(i*33/n) + rng.Int63n(8)
+	}
+	drifting := NewColumn(window)
+	for _, col := range []struct {
+		name string
+		c    *Column
+	}{{"", uniform}, {"drifting/", drifting}} {
+		bi := NewBitmapIndex(col.c, 64)
+		for _, values := range []int64{1, 8, 32} {
+			lo, hi := int64(4), 4+values-1
+			var blocks []int
+			for blk := range col.c.NumBlocks() {
+				if mn, mx := col.c.BlockBounds(blk); mn <= hi && mx >= lo && (mn < lo || mx > hi) {
+					blocks = append(blocks, blk)
+				}
 			}
-			benchSink = kept
-		})
+			b.Run(fmt.Sprintf("%svalues=%d", col.name, values), func(b *testing.B) {
+				r := bi.Range(lo, hi)
+				var kept uint64
+				for i, k := 0, 0; i < b.N; i, k = i+1, k+1 {
+					if k == len(blocks) {
+						k = 0
+					}
+					sel := BlockBitmap{^uint64(0), ^uint64(0)}
+					r.AndBlock(&sel, blocks[k])
+					kept += sel[0] ^ sel[1]
+				}
+				benchSink = kept
+			})
+		}
+	}
+}
+
+// stripedValues returns n values over [base, base+card) shaped as shape
+// picks: i.i.d. over the domain (0); a window of at most eight values
+// drifting from the bottom of the domain to its top, as a grid dimension
+// looks after a build (1); or per stripe a constant or a pair of adjacent
+// values at a random place in the domain (2).
+func stripedValues(rng *rand.Rand, shape uint8, n int, base int64, card int) []int64 {
+	vals := make([]int64, n)
+	switch shape % 3 {
+	case 0:
+		for i := range vals {
+			vals[i] = base + rng.Int63n(int64(card))
+		}
+	case 1:
+		width := 1 + rng.Intn(min(card, 8))
+		for i := range vals {
+			vals[i] = base + int64(i*(card-width+1)/n) + rng.Int63n(int64(width))
+		}
+	case 2:
+		for lo := 0; lo < n; lo += stripeRows {
+			c := min(card, 1+rng.Intn(2))
+			from := base + rng.Int63n(int64(card-c+1))
+			for i := lo; i < min(lo+stripeRows, n); i++ {
+				vals[i] = from + rng.Int63n(int64(c))
+			}
+		}
+	}
+	return vals
+}
+
+// checkEveryBlock checks one range reused over every block of bi in order,
+// and every block under a range planned for it alone, against the per-row
+// definition under sel.
+func checkEveryBlock(t *testing.T, bi *BitmapIndex, vals []int64, lo, hi int64, sel BlockBitmap) {
+	t.Helper()
+	r := bi.Range(lo, hi)
+	for b := range (len(vals) + BlockSize - 1) / BlockSize {
+		want := bruteAndBlock(vals, sel, b, lo, hi)
+		got := sel
+		r.AndBlock(&got, b)
+		fresh := sel
+		andBlock(bi, &fresh, b, lo, hi)
+		if got != want || fresh != want {
+			t.Fatalf("n %d: AndBlock(b=%d, [%d,%d]) under %#x = %#x in order, %#x alone, want %#x",
+				len(vals), b, lo, hi, sel, got, fresh, want)
+		}
+	}
+}
+
+// TestBitmapIndexStripeDomains checks every range from two below to two
+// above the domain, over every block, on columns whose stripes each hold
+// their own slice of the domain — drifting windows, constants and pairs —
+// with a partial last stripe whose last word is partial, one range reused
+// across stripes of different domains as the scanner reuses it; and that
+// SetColumn and the wire round trip build the same index.
+func TestBitmapIndexStripeDomains(t *testing.T) {
+	const n = 5*stripeRows + 2*BlockSize + 37
+	rng := rand.New(rand.NewSource(14))
+	for _, card := range []int{2, 3, 9, 40} {
+		for shape := range uint8(3) {
+			vals := stripedValues(rng, shape, n, -7, card)
+			bi := NewBitmapIndex(NewColumn(vals), 64)
+			// A writer gathering the column through a permutation builds
+			// the same index.
+			perm := rng.Perm(n)
+			rows, src := make([]int32, n), make([]int64, n)
+			for r, p := range perm {
+				rows[r], src[p] = int32(p), vals[r]
+			}
+			tw := NewTableWriter([]string{"v"}, n, 64)
+			tw.SetColumn(0, src, rows, false)
+			if !reflect.DeepEqual(tw.Table().Bitmap(0), bi) {
+				t.Fatalf("card %d shape %d: SetColumn built another index than NewBitmapIndex", card, shape)
+			}
+			enc := encodeBitmap(t, bi)
+			dec, err := DecodeBitmapIndex(wire.NewReaderBytes(enc), n)
+			if err != nil {
+				t.Fatalf("card %d shape %d: %v", card, shape, err)
+			}
+			if !reflect.DeepEqual(dec, bi) || !bytes.Equal(encodeBitmap(t, dec), enc) {
+				t.Fatalf("card %d shape %d: the decoded index is not the built one", card, shape)
+			}
+			nWords := (n + 63) / 64
+			eq := make([]uint64, bi.card*nWords)
+			for row, v := range vals {
+				eq[int(v-bi.min)*nWords+row/64] |= 1 << uint(row%64)
+			}
+			if !slices.Equal(wire.NewReaderBytes(enc[3*8:]).U64s(), eq) {
+				t.Fatalf("card %d shape %d: encoded bitmaps are not one per value", card, shape)
+			}
+			for lo := int64(-9); lo <= int64(card)-5; lo++ {
+				for hi := int64(-9); hi <= int64(card)-5; hi++ {
+					checkEveryBlock(t, bi, vals, lo, hi, BlockBitmap{rng.Uint64(), rng.Uint64()})
+				}
+			}
+		}
 	}
 }
 
 // FuzzBitmapAndBlock draws a domain of 1 to 128 values at a fuzzer-chosen
-// base, a column of up to four blocks over it, a block, bounds around the
-// domain and a selection, and checks AndBlock against the per-row
-// definition.
+// base, a column of up to six stripes over it — i.i.d., drifting, or
+// constant and two-value stripes — two ranges, one around the domain and
+// one around the domain of a chosen stripe (inside it, straddling it,
+// outside it or inverted), and a selection, and checks AndBlock against the
+// per-row definition in every block, with the range reused block after
+// block and planned for each block alone.
 func FuzzBitmapAndBlock(f *testing.F) {
-	f.Add(uint8(10), uint16(3*BlockSize+70), int64(1), int32(-4), uint8(2), int8(0), int8(4), ^uint64(0), ^uint64(0))
-	f.Add(uint8(0), uint16(1), int64(2), int32(0), uint8(0), int8(-1), int8(1), ^uint64(0), uint64(0))
-	f.Add(uint8(49), uint16(2*BlockSize), int64(3), int32(1<<20), uint8(1), int8(30), int8(60), uint64(0x5555), uint64(1<<63))
-	f.Add(uint8(99), uint16(BlockSize+5), int64(4), int32(-9), uint8(1), int8(100), int8(-3), ^uint64(0), ^uint64(0))
-	f.Fuzz(func(t *testing.T, cardB uint8, nB uint16, seed int64, base int32, blockB uint8, loOff, hiOff int8, s0, s1 uint64) {
+	f.Add(uint8(0), uint8(10), uint16(3*BlockSize+70), int64(1), int32(-4), uint8(2), int8(0), int8(4), ^uint64(0), ^uint64(0))
+	f.Add(uint8(0), uint8(0), uint16(1), int64(2), int32(0), uint8(0), int8(-1), int8(1), ^uint64(0), uint64(0))
+	f.Add(uint8(0), uint8(49), uint16(2*BlockSize), int64(3), int32(1<<20), uint8(1), int8(30), int8(60), uint64(0x5555), uint64(1<<63))
+	f.Add(uint8(0), uint8(99), uint16(BlockSize+5), int64(4), int32(-9), uint8(1), int8(100), int8(-3), ^uint64(0), ^uint64(0))
+	f.Add(uint8(1), uint8(60), uint16(5*stripeRows+77), int64(5), int32(-30), uint8(9), int8(1), int8(3), ^uint64(0), ^uint64(0))
+	f.Add(uint8(1), uint8(127), uint16(6*stripeRows-1), int64(6), int32(0), uint8(20), int8(-2), int8(2), ^uint64(0), uint64(0xf0f0))
+	f.Add(uint8(2), uint8(1), uint16(3*stripeRows+64), int64(7), int32(5), uint8(12), int8(0), int8(0), ^uint64(0), ^uint64(0))
+	f.Add(uint8(2), uint8(30), uint16(4*stripeRows+3), int64(8), int32(-1), uint8(16), int8(1), int8(-1), ^uint64(0), ^uint64(0))
+	f.Fuzz(func(t *testing.T, shape, cardB uint8, nB uint16, seed int64, base int32, blockB uint8, loOff, hiOff int8, s0, s1 uint64) {
 		card := int(cardB)%128 + 1
-		n := int(nB)%(4*BlockSize) + 1
-		rng := rand.New(rand.NewSource(seed))
-		vals := make([]int64, n)
-		for i := range vals {
-			vals[i] = int64(base) + rng.Int63n(int64(card))
-		}
+		n := int(nB)%(6*stripeRows) + 1
+		vals := stripedValues(rand.New(rand.NewSource(seed)), shape, n, int64(base), card)
 		c := NewColumn(vals)
 		bi := NewBitmapIndex(c, 128)
 		if bi == nil {
 			t.Fatal("a domain of at most 128 values did not build")
 		}
-		b := int(blockB) % c.NumBlocks()
-		lo, hi := int64(base)+int64(loOff), int64(base)+int64(hiOff)
 		sel := BlockBitmap{s0, s1}
-		got := sel
-		bi.AndBlock(&got, b, lo, hi)
-		if want := bruteAndBlock(vals, sel, b, lo, hi); got != want {
-			t.Fatalf("card %d, n %d: AndBlock(b=%d, [%d,%d]) under %#x = %#x, want %#x", bi.Cardinality(), n, b, lo, hi, sel, got, want)
-		}
+		checkEveryBlock(t, bi, vals, int64(base)+int64(loOff), int64(base)+int64(hiOff), sel)
+		mn, mx := c.stripeBounds(int(blockB) % c.NumBlocks() / stripeBlocks)
+		checkEveryBlock(t, bi, vals, mn+int64(loOff%8), mx+int64(hiOff%8), sel)
 	})
 }

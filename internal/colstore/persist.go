@@ -3,6 +3,7 @@ package colstore
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"flood/internal/wire"
 )
@@ -144,19 +145,26 @@ func (c *Column) validate() error {
 }
 
 // Encode serializes bi for embedding in a snapshot section. The wire form
-// is one bitmap per value holding the rows with exactly that value — what
-// the index stored before it was interval-encoded — so each value's bitmap
-// is derived from the intervals on the way out and snapshots read the same
-// on either side of that change.
+// is one bitmap per value of the column's domain over every row, holding the
+// rows with exactly that value — what the index stored before it was
+// interval-encoded and striped — so each value's bitmap is derived from the
+// stripes on the way out and snapshots read the same on either side of
+// those changes.
 func (bi *BitmapIndex) Encode(w *wire.Writer) {
+	nWords := (bi.n + 63) / 64
 	w.I64(bi.min)
 	w.Int(bi.card)
 	w.Int(bi.n)
-	w.Int(bi.card * bi.nWords)
+	w.Int(bi.card * nWords)
+	nBlocks := (bi.n + BlockSize - 1) / BlockSize
 	for v := range int64(bi.card) {
 		r := bi.Range(bi.min+v, bi.min+v)
-		for k := range bi.nWords {
-			w.U64(r.word(k))
+		for b := range nBlocks {
+			sel := BlockBitmap{^uint64(0), ^uint64(0)}
+			r.AndBlock(&sel, b)
+			for _, m := range sel[:min(BlockWords, nWords-b*BlockWords)] {
+				w.U64(m)
+			}
 		}
 	}
 }
@@ -164,49 +172,68 @@ func (bi *BitmapIndex) Encode(w *wire.Writer) {
 // DecodeBitmapIndex reads a bitmap index written by BitmapIndex.Encode and
 // validates it against a table of n rows: its sizes and domain, and — the
 // CRC only proves the bytes are the ones written — that the per-value
-// bitmaps partition the rows, checked word by word as they are converted to
-// intervals.
+// bitmaps partition the rows, checked word by word as each stripe's domain
+// is read off them; the stripes' intervals are then set from them.
 func DecodeBitmapIndex(r *wire.Reader, n int) (*BitmapIndex, error) {
-	bi := &BitmapIndex{
-		min:  r.I64(),
-		card: r.Int(),
-		n:    r.Int(),
-	}
+	minV, card, rows := r.I64(), r.Int(), r.Int()
 	eqs := r.U64s()
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("colstore: decoding bitmap index: %w", err)
 	}
-	if bi.n != n {
-		return nil, fmt.Errorf("colstore: bitmap index covers %d rows, table has %d", bi.n, n)
+	if rows != n {
+		return nil, fmt.Errorf("colstore: bitmap index covers %d rows, table has %d", rows, n)
 	}
-	bi.nWords = (n + 63) / 64
+	nWords := (n + 63) / 64
 	// The upper bound keeps a hostile cardinality from wrapping the product
-	// below or sizing the buffers after it; an index over no rows is never
-	// written.
-	if bi.card < 1 || bi.card > len(eqs) {
-		return nil, fmt.Errorf("colstore: bitmap index declares cardinality %d", bi.card)
+	// below or sizing the buffers after it, and the domain from wrapping
+	// past the largest int64; an index over no rows is never written.
+	if card < 1 || card > len(eqs) || minV > math.MaxInt64-int64(card-1) {
+		return nil, fmt.Errorf("colstore: bitmap index declares cardinality %d from %d", card, minV)
 	}
-	if len(eqs) != bi.card*bi.nWords {
+	if len(eqs) != card*nWords {
 		return nil, fmt.Errorf("colstore: bitmap index has %d words, %d values over %d rows need %d",
-			len(eqs), bi.card, n, bi.card*bi.nWords)
+			len(eqs), card, n, card*nWords)
 	}
-	bi.bits = make([]uint64, (bi.card+1)/2*bi.nWords)
-	eq := make([]uint64, bi.card)
-	for k := range bi.nWords {
-		var seen, twice uint64
-		for v := range eq {
-			eq[v] = eqs[v*bi.nWords+k]
-			twice |= seen & eq[v]
-			seen |= eq[v]
+	bi := emptyBitmapIndex(minV, minV+int64(card-1), n, card)
+	if bi == nil {
+		return nil, fmt.Errorf("colstore: bitmap index declares cardinality %d", card)
+	}
+	doms := make([][2]int64, bi.stripes())
+	for s := range doms {
+		lo, hi := card, 0
+		for k := s * stripeWords; k < min(s*stripeWords+stripeWords, nWords); k++ {
+			var seen, twice uint64
+			for v := range card {
+				e := eqs[v*nWords+k]
+				twice |= seen & e
+				seen |= e
+				if e != 0 {
+					lo, hi = min(lo, v), max(hi, v)
+				}
+			}
+			rows := ^uint64(0)
+			if k == nWords-1 && n&63 != 0 {
+				rows = 1<<uint(n&63) - 1
+			}
+			if twice != 0 || seen != rows {
+				return nil, fmt.Errorf("colstore: bitmap index does not hold each of %d rows under exactly one of %d values", n, card)
+			}
 		}
-		rows := ^uint64(0)
-		if k == bi.nWords-1 && n&63 != 0 {
-			rows = 1<<uint(n&63) - 1
+		doms[s] = [2]int64{minV + int64(lo), minV + int64(hi)}
+	}
+	bi.layRuns(func(s int) (int64, int64) { return doms[s][0], doms[s][1] })
+	eq := make([]uint64, card)
+	for _, run := range bi.runs {
+		c, off := int(run.card), int(run.min-minV)
+		if intervals(c) == 0 {
+			continue
 		}
-		if twice != 0 || seen != rows {
-			return nil, fmt.Errorf("colstore: bitmap index does not hold each of %d rows under exactly one of %d values", n, bi.card)
+		for w := range min(int(run.words), nWords-int(run.start)*stripeWords) {
+			for v := range c {
+				eq[v] = eqs[(off+v)*nWords+int(run.start)*stripeWords+w]
+			}
+			setWord(bi.bits[run.off+w:], int(run.words), eq[:c])
 		}
-		bi.setWord(k, eq)
 	}
 	return bi, nil
 }

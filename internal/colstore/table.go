@@ -177,8 +177,9 @@ func NewTableWriter(names []string, n, bitmapMaxCard int) *TableWriter {
 // their exact size. A gathered column is encoded a 128-row block at a time as
 // each block is gathered into a buffer on the stack, its packed words going
 // to a scratch buffer the writer lends to one call at a time and then copied
-// once into a slice of their own size. Either way prefix sums and bitmap
-// words are made from the same blocks.
+// once into a slice of their own size. Either way prefix sums are made from
+// the same blocks, and a bitmap index from the packed column
+// (NewBitmapIndex), whose zone maps give each stripe's domain.
 func (w *TableWriter) SetColumn(c int, raw []int64, perm []int32, aggregate bool) {
 	n := len(raw)
 	col := emptyColumn(n)
@@ -192,12 +193,6 @@ func (w *TableWriter) SetColumn(c int, raw []int64, perm []int32, aggregate bool
 	var pre []int64
 	if aggregate {
 		pre = make([]int64, n+1)
-	}
-	var stack [64]uint64
-	var eq []uint64
-	bi := domainBitmap(raw, w.bitmapMaxCard)
-	if bi != nil {
-		eq = bi.valueWords(stack[:])
 	}
 	var buf [BlockSize]int64
 	var sum int64
@@ -222,9 +217,6 @@ func (w *TableWriter) SetColumn(c int, raw []int64, perm []int32, aggregate bool
 				pre[lo+i+1] = sum
 			}
 		}
-		if bi != nil {
-			bi.setBlock(lo/BlockSize, blk, eq)
-		}
 	}
 	if scratch != nil {
 		*scratch = col.words
@@ -233,28 +225,9 @@ func (w *TableWriter) SetColumn(c int, raw []int64, perm []int32, aggregate bool
 	}
 	t := w.t
 	t.cols[c], t.prefixes[c] = col, pre
-	if bi != nil {
-		t.bitmaps[c] = bi
+	if t.bitmaps != nil {
+		t.bitmaps[c] = NewBitmapIndex(col, w.bitmapMaxCard)
 	}
-}
-
-// domainBitmap returns the empty bitmap index of a column made of the values
-// in raw, in any order, or nil when it has none: no rows, or a spread of
-// maxCard values or more, which the scan for the domain stops at.
-func domainBitmap(raw []int64, maxCard int) *BitmapIndex {
-	if maxCard <= 0 || len(raw) == 0 {
-		return nil
-	}
-	minV, maxV := raw[0], raw[0]
-	for lo := 0; lo < len(raw); lo += BlockSize {
-		for _, v := range raw[lo:min(lo+BlockSize, len(raw))] {
-			minV, maxV = min(minV, v), max(maxV, v)
-		}
-		if uint64(maxV)-uint64(minV) >= uint64(maxCard) {
-			return nil
-		}
-	}
-	return emptyBitmapIndex(minV, maxV, len(raw), maxCard)
 }
 
 // Table returns the assembled table; every column must have been set.

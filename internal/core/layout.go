@@ -138,11 +138,13 @@ type Options struct {
 }
 
 // DefaultBitmapMaxCardinality is the bitmap-index cardinality threshold used
-// when Options.BitmapMaxCardinality is zero. At 64 values a one-million-row
-// column costs 4 MB of interval-encoded bitmaps — half the raw column, but
-// about 4.4× the 0.91 MB its compressed form takes with values spread
-// uniformly — while an equality or range filter of any width replaces 1M
-// packed compares with 15.6K word formulas over two of those bitmaps.
+// when Options.BitmapMaxCardinality is zero. At 64 values spread uniformly,
+// a one-million-row column costs 4 MB of interval-encoded bitmaps — half the
+// raw column, but about 4.4× the 0.91 MB its compressed form takes — while
+// an equality or range filter of any width replaces 1M packed compares with
+// 15.6K word formulas over two of those bitmaps. Each 512-row stripe keeps
+// bitmaps only for the values it holds, so the same column as a grid
+// dimension of 8 columns, about 8 values a stripe, costs about 0.5 MB.
 const DefaultBitmapMaxCardinality = 64
 
 // bitmapMaxCard resolves Options.BitmapMaxCardinality to an effective

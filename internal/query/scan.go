@@ -35,7 +35,7 @@ type Scanner struct {
 	t         *colstore.Table
 	active    []int                  // scratch: dims compared row by row in the current block
 	activeIdx []int                  // scratch: filterDims positions served by a bitmap index in the current block
-	bitmaps   []colstore.BitmapRange // scratch: the span's bitmap plans, by filterDims position
+	bitmaps   []colstore.BitmapRange // scratch: the span's bitmap ranges, by filterDims position
 	ctl       *Control               // optional execution control (nil: unconditioned scan)
 	ctlTick   int                    // blocks since the last cancellation poll
 	scalar    bool                   // use the selection-vector fallback kernel
@@ -159,7 +159,8 @@ func (s *Scanner) ScanRange(q Query, filterDims []int, start, end int, agg Aggre
 	}
 	t := s.t
 	if !s.scalar {
-		// Plan each bitmap-indexed predicate once for the whole span.
+		// One range per bitmap-indexed predicate for the whole span; each
+		// plans itself against a stripe's domain as the blocks reach it.
 		if cap(s.bitmaps) < len(filterDims) {
 			s.bitmaps = make([]colstore.BitmapRange, len(filterDims))
 		}
@@ -258,7 +259,7 @@ func (s *Scanner) ScanRange(q Query, filterDims []int, start, end int, agg Aggre
 
 // selectBitmap runs the word-packed kernel over one block: sel starts as
 // all-ones over [i0, i1) minus the tombstoned rows, each bitmap-indexed dim
-// ANDs in the rows its span plan selects, and each remaining dim ANDs a
+// ANDs in the rows its span's range selects, and each remaining dim ANDs a
 // branchless compare mask over its packed block.
 func (s *Scanner) selectBitmap(q Query, b, i0, i1 int, sel *colstore.BlockBitmap) {
 	t := s.t

@@ -2,6 +2,7 @@ package query
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"flood/internal/colstore"
@@ -29,11 +30,42 @@ func equivTable(rng *rand.Rand, n int) (*colstore.Table, [][]int64) {
 	return tbl, data
 }
 
-// equivQuery draws a random predicate: per dim, one of unfiltered, a narrow
-// range, an equality, a full-range accept, or an empty range.
+// gridTable is equivTable with dim 0 laid out as a grid dimension looks
+// after a build: 40 values cut into 8 columns of 5, the rows of column k in
+// one run of random length holding values of that column only, runs in
+// column order — so each bitmap stripe holds a slice of the domain, or two
+// where a run ends inside it.
+func gridTable(rng *rand.Rand, n int) (*colstore.Table, [][]int64) {
+	_, data := equivTable(rng, n)
+	cuts := []int{0, n}
+	for range 7 {
+		cuts = append(cuts, rng.Intn(n+1))
+	}
+	slices.Sort(cuts)
+	for k := range 8 {
+		for i := cuts[k]; i < cuts[k+1]; i++ {
+			data[0][i] = int64(5*k-20) + rng.Int63n(5)
+		}
+	}
+	tbl, err := colstore.NewTable([]string{"a", "b", "c", "d"}, data)
+	if err != nil {
+		panic(err)
+	}
+	tbl.EnableBitmapIndexes(64)
+	return tbl, data
+}
+
+// equivQuery draws a random predicate over equivTable's dims: per dim, one
+// of unfiltered, a narrow range, an equality, a full-range accept, or an
+// empty range.
 func equivQuery(rng *rand.Rand) Query {
-	q := NewQuery(4)
-	cards := []int64{4, 13, 1 << 20, 50}
+	return equivQueryOver(rng, []int64{4, 13, 1 << 20, 50})
+}
+
+// equivQueryOver is equivQuery over dims whose values lie in
+// [-card/2, card/2) for the given cards.
+func equivQueryOver(rng *rand.Rand, cards []int64) Query {
+	q := NewQuery(len(cards))
 	for d, card := range cards {
 		lo := -card / 2
 		switch rng.Intn(6) {
@@ -419,6 +451,55 @@ func TestBitmapKernelEquivalenceTombstones(t *testing.T) {
 			}
 			if wantLen := min(limit, len(gotIDs)); len(limIDs) != wantLen || !equalIDs(limIDs, gotIDs[:wantLen]) {
 				t.Fatalf("density=%v trial=%d limit=%d: limited ids are not the unlimited prefix", density, trial, limit)
+			}
+		}
+	}
+}
+
+// TestBitmapKernelEquivalenceGridColumn runs the cross-kernel property on a
+// table whose bitmap-indexed dim 0 is a grid dimension, so consecutive
+// stripes index different slices of its domain and a span's ranges replan
+// as the scan crosses them: under tombstones and a LIMIT, both kernels must
+// deliver the same rows, stats and prefixes, and match the row by row count.
+func TestBitmapKernelEquivalenceGridColumn(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	cards := []int64{40, 13, 1 << 20, 50}
+	for _, n := range []int{colstore.BlockSize + 3, 4*512 + 77, 9 * 512} {
+		tbl, data := gridTable(rng, n)
+		for _, density := range []float64{0, 0.3} {
+			words, dead, _ := tombWords(rng, n, density)
+			for trial := 0; trial < 60; trial++ {
+				q := equivQueryOver(rng, cards)
+				start := rng.Intn(n)
+				end := start + 1 + rng.Intn(n-start)
+				gotIDs, gotScanned, gotMatched := runKernelTomb(tbl, q, words, start, end, 0, false)
+				wantIDs, wantScanned, wantMatched := runKernelTomb(tbl, q, words, start, end, 0, true)
+				if !equalIDs(gotIDs, wantIDs) || gotScanned != wantScanned || gotMatched != wantMatched {
+					t.Fatalf("n=%d density=%v trial=%d [%d,%d): bitmap (%d ids, %d, %d) != scalar (%d ids, %d, %d) (query %+v)",
+						n, density, trial, start, end, len(gotIDs), gotScanned, gotMatched, len(wantIDs), wantScanned, wantMatched, q.Ranges)
+				}
+				var want int64
+				row := make([]int64, len(data))
+				for i := start; i < end; i++ {
+					for c := range data {
+						row[c] = data[c][i]
+					}
+					if !dead[i] && q.Matches(row) {
+						want++
+					}
+				}
+				if gotMatched != want {
+					t.Fatalf("n=%d density=%v trial=%d: matched %d, live brute force %d", n, density, trial, gotMatched, want)
+				}
+				limit := 1 + rng.Intn(2*colstore.BlockSize)
+				limIDs, _, limMatched := runKernelTomb(tbl, q, words, start, end, limit, false)
+				scalIDs, _, scalMatched := runKernelTomb(tbl, q, words, start, end, limit, true)
+				if !equalIDs(limIDs, scalIDs) || limMatched != scalMatched {
+					t.Fatalf("n=%d density=%v trial=%d limit=%d: kernels disagree under limit", n, density, trial, limit)
+				}
+				if wantLen := min(limit, len(gotIDs)); !equalIDs(limIDs, gotIDs[:wantLen]) {
+					t.Fatalf("n=%d density=%v trial=%d limit=%d: limited ids are not the unlimited prefix", n, density, trial, limit)
+				}
 			}
 		}
 	}
