@@ -55,8 +55,6 @@ func BenchmarkFig13Dimensions(b *testing.B)    { runExperiment(b, "fig13") }
 func BenchmarkFig14CostTradeoff(b *testing.B)  { runExperiment(b, "fig14") }
 func BenchmarkFig15SampleRecords(b *testing.B) { runExperiment(b, "fig15") }
 func BenchmarkFig16SampleQueries(b *testing.B) { runExperiment(b, "fig16") }
-func BenchmarkFig17PerCellModels(b *testing.B) { runExperiment(b, "fig17a") }
-func BenchmarkFig17DeltaTradeoff(b *testing.B) { runExperiment(b, "fig17b") }
 func BenchmarkTable2Breakdown(b *testing.B)    { runExperiment(b, "table2") }
 func BenchmarkTable3Robustness(b *testing.B)   { runExperiment(b, "table3") }
 func BenchmarkTable4Creation(b *testing.B)     { runExperiment(b, "table4") }

@@ -1,45 +1,50 @@
 // Command doclint fails when a package exports identifiers without doc
-// comments, or when the module-root package exports a way in that nothing
-// outside it uses, keeping `go doc flood` coherent and no larger than its
-// callers need. It is the lint step behind `make docs` and the CI docs gate.
+// comments, or when a package exports a way in that nothing outside it uses,
+// keeping `go doc` of every package coherent and no larger than its callers
+// need. It is the lint step behind `make docs` and the CI docs gate.
 //
 // Usage:
 //
 //	go run ./cmd/doclint [package-dir ...]
 //
-// With no arguments the current directory is linted. Two rules apply; test
-// files are ignored by both.
+// With no arguments the current directory is linted. Run it from the module
+// root: the module is the one whose go.mod is in the current directory. Two
+// rules apply; test files are ignored by both.
 //
 // The doc rule: for every exported top-level type, function, method,
 // constant, and variable, either the declaration or its enclosing
 // declaration group must carry a doc comment; each package must also have a
 // package comment.
 //
-// The caller rule applies to a package directory that holds the module's
-// go.mod. Each of its exported top-level identifiers (methods are outside
-// the rule) must meet one of:
+// The caller rule: each exported top-level identifier of a linted package
+// (methods are outside the rule) must meet one of:
 //
 //   - it is named as pkg.X in a non-test file of another package in the
-//     module (directories named testdata, or starting with "." or "_", and
-//     nested modules are not part of it);
+//     module, commands, examples and benchmarks included (directories named
+//     testdata, or starting with "." or "_", and nested modules are not part
+//     of it);
 //   - its doc comment, or its declaration group's, carries a line
-//     `//api:keep <reason>`. A keep line without a reason is itself a
-//     finding;
+//     `//api:keep <reason>`;
 //   - it is a type that appears in the signature, type or exported fields
 //     of an identifier meeting one of the two conditions above, or in an
 //     exported method of a type that does, or it is a constant of such a
 //     type.
 //
-// The caller rule type-checks the package from source, and go/build looks
-// the module's own imports up in the current directory: run doclint from the
-// module root. Findings print as file:line: messages and the exit status is 1
-// when any exist.
+// An //api:keep line in the package comment keeps every export of the
+// package (a test harness whose callers are tests). A keep line without a
+// reason is itself a finding.
+//
+// The caller rule type-checks, from source, the files go/build selects for
+// the host, so a declaration split across //go:build twins is seen once.
+// Findings print as file:line: messages and the exit status is 1 when any
+// exist.
 package main
 
 import (
 	"errors"
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -57,21 +62,11 @@ func main() {
 	if len(dirs) == 0 {
 		dirs = []string{"."}
 	}
-	var findings []finding
-	for _, dir := range dirs {
-		fs, err := lintDir(dir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "doclint: %v\n", err)
-			os.Exit(2)
-		}
-		findings = append(findings, fs...)
+	findings, err := lint(dirs)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "doclint: %v\n", err)
+		os.Exit(2)
 	}
-	sort.Slice(findings, func(i, j int) bool {
-		if findings[i].pos.Filename != findings[j].pos.Filename {
-			return findings[i].pos.Filename < findings[j].pos.Filename
-		}
-		return findings[i].pos.Line < findings[j].pos.Line
-	})
 	for _, f := range findings {
 		fmt.Printf("%s:%d: %s\n", f.pos.Filename, f.pos.Line, f.msg)
 	}
@@ -86,37 +81,72 @@ type finding struct {
 	msg string
 }
 
-// lintDir parses one directory's non-test files and reports undocumented
-// exported identifiers and, when the directory is a module root, exported
-// identifiers nothing outside the package uses.
-func lintDir(dir string) ([]finding, error) {
+// lint applies both rules to each directory, which must lie in the module
+// rooted at the current directory, and returns the findings by position.
+func lint(dirs []string) ([]finding, error) {
+	modPath, err := modulePath(".")
+	if err != nil {
+		return nil, err
+	}
+	refs, err := moduleRefs(modPath)
+	if err != nil {
+		return nil, err
+	}
 	fset := token.NewFileSet()
+	imp := importer.ForCompiler(fset, "source", nil)
+	var findings []finding
+	for _, dir := range dirs {
+		fs, err := lintDir(fset, imp, dir, modPath, refs)
+		if err != nil {
+			return nil, err
+		}
+		findings = append(findings, fs...)
+	}
+	sort.Slice(findings, func(i, j int) bool {
+		if findings[i].pos.Filename != findings[j].pos.Filename {
+			return findings[i].pos.Filename < findings[j].pos.Filename
+		}
+		return findings[i].pos.Line < findings[j].pos.Line
+	})
+	return findings, nil
+}
+
+// lintDir parses one directory's non-test files, reports undocumented
+// exported identifiers in each of them and applies the caller rule to the
+// package go/build selects there, given the names refs says other packages
+// select from each import path.
+func lintDir(fset *token.FileSet, imp types.Importer, dir, modPath string, refs map[string]map[string]bool) ([]finding, error) {
 	pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
 	}, parser.ParseComments)
 	if err != nil {
 		return nil, err
 	}
-	modPath, err := modulePath(dir)
-	if err != nil {
-		return nil, err
-	}
 	var out []finding
 	for _, pkg := range pkgs {
 		out = append(out, lintPackage(fset, pkg)...)
-		if modPath != "" {
-			refs, err := outsideRefs(dir, modPath, pkg.Name)
-			if err != nil {
-				return nil, err
-			}
-			fs, err := lintCallers(fset, pkg, refs)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, fs...)
-		}
 	}
-	return out, nil
+	bp, err := build.ImportDir(dir, 0)
+	if err != nil {
+		return nil, err
+	}
+	rel, err := filepath.Rel(".", dir)
+	if err != nil || !filepath.IsLocal(rel) {
+		return nil, fmt.Errorf("%s is outside the module in the current directory", dir)
+	}
+	path := modPath
+	if rel != "." {
+		path += "/" + filepath.ToSlash(rel)
+	}
+	var files []*ast.File
+	for _, name := range bp.GoFiles {
+		files = append(files, pkgs[bp.Name].Files[filepath.Join(dir, name)])
+	}
+	fs, err := lintCallers(fset, imp, path, files, refs[path])
+	if err != nil {
+		return nil, err
+	}
+	return append(out, fs...), nil
 }
 
 func lintPackage(fset *token.FileSet, pkg *ast.Package) []finding {
@@ -226,12 +256,11 @@ func kindOf(tok token.Token) string {
 	return "variable"
 }
 
-// modulePath returns the module path declared by dir's go.mod, or "" when
-// dir holds no go.mod.
+// modulePath returns the module path declared by dir's go.mod.
 func modulePath(dir string) (string, error) {
 	data, err := os.ReadFile(filepath.Join(dir, "go.mod"))
 	if errors.Is(err, fs.ErrNotExist) {
-		return "", nil
+		return "", errors.New("no go.mod in the current directory: run doclint from the module root")
 	}
 	if err != nil {
 		return "", err
@@ -244,20 +273,20 @@ func modulePath(dir string) (string, error) {
 	return "", fmt.Errorf("%s/go.mod declares no module", dir)
 }
 
-// outsideRefs returns the names every non-test file of the module below
-// root, outside root itself, selects from the package imported as modPath
-// (declared as package pkgName).
-func outsideRefs(root, modPath, pkgName string) (map[string]bool, error) {
-	root = filepath.Clean(root)
-	refs := make(map[string]bool)
-	quoted := strconv.Quote(modPath)
+// moduleRefs returns, for each import path of the module rooted at the
+// current directory, the names that non-test files of the module select
+// from it. A file cannot import its own package, so every name recorded
+// for a package comes from another one.
+func moduleRefs(modPath string) (map[string]map[string]bool, error) {
+	refs := make(map[string]map[string]bool)
+	names := make(map[string]string) // package name by import path
 	fset := token.NewFileSet()
-	err := filepath.WalkDir(root, func(path string, e fs.DirEntry, err error) error {
+	err := filepath.WalkDir(".", func(path string, e fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		if e.IsDir() {
-			if path == root {
+			if path == "." {
 				return nil
 			}
 			name := e.Name()
@@ -269,7 +298,7 @@ func outsideRefs(root, modPath, pkgName string) (map[string]bool, error) {
 			}
 			return nil
 		}
-		if filepath.Dir(path) == root || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
@@ -277,17 +306,29 @@ func outsideRefs(root, modPath, pkgName string) (map[string]bool, error) {
 			return err
 		}
 		for _, imp := range f.Imports {
-			if imp.Path.Value != quoted {
+			ipath, _ := strconv.Unquote(imp.Path.Value) // the parser checked the literal
+			rel, ok := strings.CutPrefix(ipath, modPath)
+			if !ok || rel != "" && rel[0] != '/' {
 				continue
 			}
-			local := pkgName
+			local, ok := names[ipath]
+			if !ok {
+				bp, err := build.ImportDir("."+rel, 0)
+				if err != nil {
+					return fmt.Errorf("%s imports %s: %w", path, ipath, err)
+				}
+				local, names[ipath] = bp.Name, bp.Name
+			}
 			if imp.Name != nil {
 				local = imp.Name.Name
+			}
+			if refs[ipath] == nil {
+				refs[ipath] = make(map[string]bool)
 			}
 			ast.Inspect(f, func(n ast.Node) bool {
 				if sel, ok := n.(*ast.SelectorExpr); ok {
 					if x, ok := sel.X.(*ast.Ident); ok && x.Name == local {
-						refs[sel.Sel.Name] = true
+						refs[ipath][sel.Sel.Name] = true
 					}
 				}
 				return true
@@ -298,15 +339,23 @@ func outsideRefs(root, modPath, pkgName string) (map[string]bool, error) {
 	return refs, err
 }
 
-// lintCallers applies the caller rule to pkg, given the names other
-// packages of the module select from it. It type-checks pkg, from source, so
-// that a type it re-exports by alias and a constant declared by conversion
-// or through another package count as the types they are.
-func lintCallers(fset *token.FileSet, pkg *ast.Package, refs map[string]bool) ([]finding, error) {
-	var files []*ast.File
+// lintCallers applies the caller rule to the package of files, imported as
+// path, given the names other packages of the module select from it. It
+// type-checks the package, from source, so that a type it re-exports by
+// alias and a constant declared by conversion or through another package
+// count as the types they are.
+func lintCallers(fset *token.FileSet, imp types.Importer, path string, files []*ast.File, refs map[string]bool) ([]finding, error) {
+	for _, f := range files {
+		if k := keepOf(f.Doc); k.ok {
+			if k.reason == "" {
+				return []finding{{fset.Position(f.Package),
+					fmt.Sprintf("package %s has an //api:keep line without a reason", f.Name.Name)}}, nil
+			}
+			return nil, nil
+		}
+	}
 	keeps := make(map[token.Pos]keepLine) // by the position of the name
-	for _, f := range pkg.Files {
-		files = append(files, f)
+	for _, f := range files {
 		for _, decl := range f.Decls {
 			switch d := decl.(type) {
 			case *ast.FuncDecl:
@@ -327,8 +376,8 @@ func lintCallers(fset *token.FileSet, pkg *ast.Package, refs map[string]bool) ([
 			}
 		}
 	}
-	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
-	tpkg, err := conf.Check(pkg.Name, fset, files, nil)
+	conf := types.Config{Importer: imp}
+	tpkg, err := conf.Check(path, fset, files, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -401,7 +450,7 @@ func lintCallers(fset *token.FileSet, pkg *ast.Package, refs map[string]bool) ([
 		default:
 			out = append(out, finding{fset.Position(obj.Pos()),
 				fmt.Sprintf("exported %s %s has no caller outside package %s: name it from another package or give it an //api:keep <reason> line",
-					kindName(obj), obj.Name(), pkg.Name)})
+					kindName(obj), obj.Name(), tpkg.Name())})
 		}
 	}
 	return out, nil

@@ -10,28 +10,14 @@ import (
 
 // TestLintFixtureModule lints testdata/mod, a module whose root package
 // declares one case of each rule, and its package user, the outside caller,
-// whose callerless export Run passes: the caller rule applies at the module
-// root only. Every other export of the root package passes: Used and
+// whose export Run passes because the command cmd/tool calls it. Every other
+// export of the root package passes: Used and
 // Undocumented are named from user, Options and Result show in Used's
 // signature, Mode and the alias Policy in Options' exported fields, Detail in
 // a method of Result, ModeFast and ModeSlow are constants of Mode and Eager
 // one of Policy, and Kept and ErrKept carry //api:keep lines with a reason.
-// The fixture is linted from its own root, as make docs lints this module:
-// the type check resolves the module's imports in the current directory.
 func TestLintFixtureModule(t *testing.T) {
-	t.Chdir(filepath.Join("testdata", "mod"))
-	var got []string
-	for _, dir := range []string{".", "user"} {
-		fs, err := lintDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, f := range fs {
-			got = append(got, fmt.Sprintf("%s:%d: %s", filepath.Base(f.pos.Filename), f.pos.Line, f.msg))
-		}
-	}
-	sort.Strings(got)
-	callerless := ": name it from another package or give it an //api:keep <reason> line"
+	got := lintFixture(t, ".", "user")
 	want := []string{
 		"api.go:10: exported function Undocumented is undocumented",
 		"api.go:36: exported constant Limit has no caller outside package fixture" + callerless,
@@ -42,4 +28,40 @@ func TestLintFixtureModule(t *testing.T) {
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
+}
+
+// TestLintFixtureBelowRoot lints the fixture's packages below its root. The
+// caller rule covers them as it covers the root: pkg's Unused, named only by
+// a test, is reported and its Used, named by the root package, is not. twin
+// declares yield in two files under opposite //go:build lines, and type-checks
+// because only the host's file is read. harness's package comment carries an
+// //api:keep line with a reason, which keeps its callerless Check; noreason's
+// carries one without, which is the finding.
+func TestLintFixtureBelowRoot(t *testing.T) {
+	got := lintFixture(t, "internal/pkg", "internal/twin", "internal/harness", "internal/noreason")
+	want := []string{
+		"noreason.go:4: package noreason has an //api:keep line without a reason",
+		"pkg.go:9: exported function Unused has no caller outside package pkg" + callerless,
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+const callerless = ": name it from another package or give it an //api:keep <reason> line"
+
+// lintFixture lints dirs of the fixture module from its root, as make docs
+// lints this module, and returns the findings as base-name:line: lines.
+func lintFixture(t *testing.T, dirs ...string) []string {
+	t.Chdir(filepath.Join("testdata", "mod"))
+	fs, err := lint(dirs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, f := range fs {
+		got = append(got, fmt.Sprintf("%s:%d: %s", filepath.Base(f.pos.Filename), f.pos.Line, f.msg))
+	}
+	sort.Strings(got)
+	return got
 }

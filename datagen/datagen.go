@@ -1,8 +1,8 @@
 // Package datagen exposes the repository's dataset and workload generators
 // for use by examples, benchmarks, and downstream experimentation. The
 // datasets mirror the paper's evaluation suite (§7.3): a sales-database
-// stand-in, TPC-H lineitem, an OpenStreetMap stand-in, a performance
-// monitoring log stand-in, and uniform synthetic data.
+// stand-in, TPC-H lineitem, an OpenStreetMap stand-in, and (through ByName) a
+// performance monitoring log stand-in.
 package datagen
 
 import (
@@ -23,12 +23,6 @@ func TPCH(n int, seed int64) *Dataset { return dataset.TPCH(n, seed) }
 // OSM generates the 6-attribute OpenStreetMap stand-in.
 func OSM(n int, seed int64) *Dataset { return dataset.OSM(n, seed) }
 
-// Perfmon generates the 6-attribute performance-monitoring stand-in.
-func Perfmon(n int, seed int64) *Dataset { return dataset.Perfmon(n, seed) }
-
-// Uniform generates n rows of d-dimensional uniform data (§7.5).
-func Uniform(n, d int, seed int64) *Dataset { return dataset.Uniform(n, d, seed) }
-
 // DatasetNames lists the four evaluation datasets in the paper's order.
 func DatasetNames() []string { return dataset.Names() }
 
@@ -39,23 +33,6 @@ func ByName(name string, n int, seed int64) *Dataset { return dataset.ByName(nam
 // calibrated to ~0.1% average selectivity.
 func StandardWorkload(ds *Dataset, n int, seed int64) []flood.Query {
 	return workload.Standard(ds, n, seed)
-}
-
-// WorkloadWithSelectivity is StandardWorkload at an explicit selectivity.
-func WorkloadWithSelectivity(ds *Dataset, n int, target float64, seed int64) []flood.Query {
-	return workload.StandardWithSelectivity(ds, n, target, seed)
-}
-
-// ArchetypeKind names the Fig. 9 workload archetypes (FD, MD, OO, O, Ou,
-// O1, O2, ST).
-type ArchetypeKind = workload.ArchetypeKind
-
-// Archetypes lists the Fig. 9 workload kinds.
-func Archetypes() []ArchetypeKind { return workload.Archetypes() }
-
-// ArchetypeWorkload draws a Fig. 9 workload of the given kind.
-func ArchetypeWorkload(ds *Dataset, kind ArchetypeKind, n int, seed int64) []flood.Query {
-	return workload.Archetype(ds, kind, n, seed)
 }
 
 // RandomWorkload draws one of the Fig. 10 random workloads.

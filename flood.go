@@ -193,24 +193,12 @@ type Options struct {
 	QuerySampleSize int
 	// GDSteps is the number of gradient-descent steps per restart.
 	GDSteps int
-	// BitmapIndexMaxCardinality is the largest per-column value spread
-	// (max-min+1) for which Build creates a bitmap index. Residual filters
-	// on bitmap-indexed columns — dictionary-coded strings, enums, flags —
-	// resolve from two precomputed (interval-encoded) bitmaps in the scan
-	// kernel, whatever the width of the range, instead of a compare pass
-	// over the column. 0 picks the default (64 distinct values); negative
-	// disables bitmap indexes.
-	BitmapIndexMaxCardinality int
 	// Schema attaches the typed schema the table was built with, enabling
 	// typed accessors on Select results. Wrappers constructed from the index
 	// (NewAdaptiveIndex, CreateDurable) inherit it.
 	Schema *Schema
 	// Seed makes builds reproducible.
 	Seed int64
-}
-
-func (o Options) coreOptions() core.Options {
-	return core.Options{BitmapMaxCardinality: o.BitmapIndexMaxCardinality}
 }
 
 func (o *Options) orDefault() Options {
@@ -263,7 +251,7 @@ func Build(tbl *Table, train []Query, opts *Options) (*Flood, error) {
 	if err != nil {
 		return nil, fmt.Errorf("flood: optimizing layout: %w", err)
 	}
-	idx, err := core.Build(tbl, res.Layout, o.coreOptions())
+	idx, err := core.Build(tbl, res.Layout, core.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("flood: building layout: %w", err)
 	}
@@ -284,7 +272,7 @@ func Calibrate(tbl *Table, queries []Query, opts *Options) (*CostModel, error) {
 // learning. Useful for ablations and tests.
 func BuildWithLayout(tbl *Table, layout Layout, opts *Options) (*Flood, error) {
 	o := opts.orDefault()
-	idx, err := core.Build(tbl, layout, o.coreOptions())
+	idx, err := core.Build(tbl, layout, core.Options{})
 	if err != nil {
 		return nil, err
 	}

@@ -113,6 +113,8 @@ type Statement struct {
 // before the rectangles are built: a product of n two-way ORs is 2^n
 // rectangles, so a statement of a few hundred bytes could otherwise ask for
 // gigabytes.
+//
+//api:keep a documented SQL limit, named by the parse error that enforces it
 const MaxDisjuncts = 1024
 
 // MaxPieces bounds the disjoint decomposition of a WHERE clause of more than
@@ -122,6 +124,8 @@ const MaxDisjuncts = 1024
 // such a clause once and refuses it with a positioned error as soon as it
 // has cut more than MaxPieces pieces or compared more than maxPairs pairs of
 // rectangles.
+//
+//api:keep a documented SQL limit, named by the parse error that enforces it
 const MaxPieces = 1 << 14
 
 // maxPairs is the rectangle comparisons the MaxPieces check allows: a

@@ -13,14 +13,13 @@ import (
 	"flood/internal/colstore"
 	"flood/internal/core"
 	"flood/internal/query"
-	"flood/internal/rmi"
 )
 
 // index is a clustered single-dimensional learned index.
 type index struct {
 	t      *colstore.Table
 	keyDim int
-	pos    *rmi.PositionIndex
+	pos    *positionIndex
 }
 
 // Build sorts a copy of t by keyDim and trains the RMI over it with the
@@ -43,8 +42,7 @@ func Build(t *colstore.Table, keyDim, leaves int) (*plan.Index, error) {
 	if leaves <= 0 {
 		leaves = intSqrt(n)
 	}
-	pos := rmi.TrainPosition(sortedKeys, leaves)
-	pos.DropKeys()
+	pos := trainPosition(sortedKeys, leaves)
 	return plan.New(&index{t: t.Reorder(perm), keyDim: keyDim, pos: pos})
 }
 

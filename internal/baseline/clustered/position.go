@@ -1,29 +1,75 @@
-package rmi
+package clustered
 
 import "sort"
+
+// linear is y = slope·x + intercept.
+type linear struct {
+	slope, intercept float64
+}
+
+func (l linear) at(v float64) float64 { return l.slope*v + l.intercept }
+
+// fitLinear least-squares fits y = a*x + b over the given points. A
+// degenerate x-range yields a flat line through the mean y.
+func fitLinear(xs, ys []float64) linear {
+	n := float64(len(xs))
+	if len(xs) == 0 {
+		return linear{}
+	}
+	var sx, sy, sxx, sxy float64
+	for i := range xs {
+		sx += xs[i]
+		sy += ys[i]
+		sxx += xs[i] * xs[i]
+		sxy += xs[i] * ys[i]
+	}
+	den := n*sxx - sx*sx
+	if den == 0 {
+		return linear{slope: 0, intercept: sy / n}
+	}
+	a := (n*sxy - sx*sy) / den
+	b := (sy - a*sx) / n
+	return linear{slope: a, intercept: b}
+}
+
+// fitMonotone fits a linear model but clamps the slope to be non-negative,
+// so the root keeps routing larger keys to later leaves.
+func fitMonotone(xs, ys []float64) linear {
+	l := fitLinear(xs, ys)
+	if l.slope < 0 {
+		var sy float64
+		for _, y := range ys {
+			sy += y
+		}
+		return linear{slope: 0, intercept: sy / float64(len(ys))}
+	}
+	return l
+}
 
 type posLeaf struct {
 	model          linear
 	minErr, maxErr int32 // bounds of (true - predicted) over the leaf's keys
 }
 
-// PositionIndex is a learned index over a sorted array: Lookup(v) returns the
-// index of the first element >= v by predicting a position and then binary
-// searching within the leaf's guaranteed error window. This is the RMI-based
-// replacement for a B-tree used by the clustered single-dimensional baseline
-// (Appendix A) and the RMI contender of Fig. 17.
-type PositionIndex struct {
+// positionIndex is a two-layer recursive model index (Kraska et al.,
+// SIGMOD'18) over a sorted array: LookupAt(at, v) returns the index of the
+// first element >= v by predicting a position and then binary searching
+// within the leaf's guaranteed error window. It stands in for the B-tree of
+// the clustered single-dimensional baseline (§7.2, Appendix A). A linear
+// root routes a key to one of L leaves, and each leaf is a linear regression
+// over the keys it owns. The index keeps only its models: the sorted values
+// stay with the caller, who reaches them through at.
+type positionIndex struct {
 	root   linear
 	leaves []posLeaf
-	keys   []int64 // the sorted array being indexed (not owned)
 	n      int
 }
 
-// TrainPosition builds a position index over sorted (ascending). The slice is
-// retained and must not be mutated. numLeaves is clamped to [1, len(sorted)].
-func TrainPosition(sorted []int64, numLeaves int) *PositionIndex {
+// trainPosition builds a position index over sorted (ascending), which it
+// does not keep. numLeaves is clamped to [1, len(sorted)].
+func trainPosition(sorted []int64, numLeaves int) *positionIndex {
 	n := len(sorted)
-	idx := &PositionIndex{keys: sorted, n: n}
+	idx := &positionIndex{n: n}
 	if n == 0 {
 		idx.root = linear{}
 		idx.leaves = []posLeaf{{}}
@@ -74,21 +120,15 @@ func TrainPosition(sorted []int64, numLeaves int) *PositionIndex {
 	return idx
 }
 
-func (p *PositionIndex) leafFor(v int64) int {
+func (p *positionIndex) leafFor(v int64) int {
 	return clampInt(int(p.root.at(float64(v))*float64(len(p.leaves))), 0, len(p.leaves)-1)
 }
 
-// Lookup returns the index of the first element >= v (sort.SearchInt64s
-// semantics) in O(log windowSize) after an O(1) prediction.
-func (p *PositionIndex) Lookup(v int64) int {
-	return p.LookupAt(func(i int) int64 { return p.keys[i] }, v)
-}
-
-// LookupAt is Lookup with values reached through an accessor (e.g. a
-// compressed column holding the same sorted data the index was trained on).
-// Combined with DropKeys it lets callers avoid retaining a decoded copy of
-// the keys.
-func (p *PositionIndex) LookupAt(at func(int) int64, v int64) int {
+// LookupAt returns the index of the first element >= v (sort.SearchInt64s
+// semantics) of the sorted values the index was trained on, reached through
+// at (e.g. a compressed column holding them), in O(log windowSize) after an
+// O(1) prediction.
+func (p *positionIndex) LookupAt(at func(int) int64, v int64) int {
 	if p.n == 0 {
 		return 0
 	}
@@ -118,13 +158,9 @@ func (p *PositionIndex) LookupAt(at func(int) int64, v int64) int {
 	return lo + sort.Search(hi-lo, func(i int) bool { return at(lo+i) >= v })
 }
 
-// DropKeys releases the index's reference to the training array. After this
-// only LookupAt may be used.
-func (p *PositionIndex) DropKeys() { p.keys = nil }
-
 // SizeBytes reports the model footprint (excluding the indexed keys, which
 // belong to the data).
-func (p *PositionIndex) SizeBytes() int64 {
+func (p *positionIndex) SizeBytes() int64 {
 	return int64(16 + len(p.leaves)*24)
 }
 

@@ -20,8 +20,8 @@ import (
 	"flood/internal/query"
 )
 
-// DefaultPageSize bounds bucket occupancy.
-const DefaultPageSize = 1024
+// defaultPageSize bounds bucket occupancy.
+const defaultPageSize = 1024
 
 // maxBlocks caps directory growth (the paper aborted Grid File construction
 // past one hour; we abort past this directory size instead).
@@ -45,7 +45,7 @@ func Build(t *colstore.Table, dims []int, pageSize int) (*plan.Index, error) {
 		return nil, fmt.Errorf("gridfile: no dimensions to index")
 	}
 	if pageSize <= 0 {
-		pageSize = DefaultPageSize
+		pageSize = defaultPageSize
 	}
 	n := t.NumRows()
 	raws := make([][]int64, len(dims))

@@ -15,8 +15,8 @@ import (
 	"flood/internal/colstore"
 )
 
-// DefaultPageSize bounds leaf occupancy.
-const DefaultPageSize = 1024
+// defaultPageSize bounds leaf occupancy.
+const defaultPageSize = 1024
 
 // node is a tree node: the shared bounds, range and children, plus the split
 // that produced the two children.
@@ -43,7 +43,7 @@ func build(t *colstore.Table, dims []int, pageSize int) (*plan.Tree, *node, erro
 		return nil, nil, fmt.Errorf("kdtree: no dimensions to index")
 	}
 	if pageSize <= 0 {
-		pageSize = DefaultPageSize
+		pageSize = defaultPageSize
 	}
 	n := t.NumRows()
 	raws := make([][]int64, len(dims))

@@ -14,8 +14,8 @@ import (
 	"flood/internal/colstore"
 )
 
-// DefaultPageSize bounds leaf occupancy.
-const DefaultPageSize = 1024
+// defaultPageSize bounds leaf occupancy.
+const defaultPageSize = 1024
 
 // maxDepth caps subdivision on pathological (heavily duplicated) data.
 const maxDepth = 48
@@ -34,7 +34,7 @@ func build(t *colstore.Table, dims []int, pageSize int) (*plan.Tree, error) {
 		return nil, fmt.Errorf("octree: no dimensions to index")
 	}
 	if pageSize <= 0 {
-		pageSize = DefaultPageSize
+		pageSize = defaultPageSize
 	}
 	n := t.NumRows()
 	raws := make([][]int64, len(dims))

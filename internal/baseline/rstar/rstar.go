@@ -14,10 +14,10 @@ import (
 	"flood/internal/colstore"
 )
 
-// DefaultPageSize bounds leaf occupancy; DefaultFanout bounds internal nodes.
+// defaultPageSize bounds leaf occupancy; defaultFanout bounds internal nodes.
 const (
-	DefaultPageSize = 1024
-	DefaultFanout   = 16
+	defaultPageSize = 1024
+	defaultFanout   = 16
 )
 
 // Build packs t over dims using STR tiling.
@@ -34,7 +34,7 @@ func build(t *colstore.Table, dims []int, pageSize int) (*plan.Tree, error) {
 		return nil, fmt.Errorf("rstar: no dimensions to index")
 	}
 	if pageSize <= 0 {
-		pageSize = DefaultPageSize
+		pageSize = defaultPageSize
 	}
 	n := t.NumRows()
 	raws := make([][]int64, len(dims))
@@ -60,8 +60,8 @@ func build(t *colstore.Table, dims []int, pageSize int) (*plan.Tree, error) {
 	level := leaves
 	for len(level) > 1 {
 		var up []*plan.Node
-		for i := 0; i < len(level); i += DefaultFanout {
-			j := i + DefaultFanout
+		for i := 0; i < len(level); i += defaultFanout {
+			j := i + defaultFanout
 			if j > len(level) {
 				j = len(level)
 			}

@@ -47,7 +47,7 @@ func TestMBRInvariants(t *testing.T) {
 			}
 			return
 		}
-		if len(nd.Children) > DefaultFanout {
+		if len(nd.Children) > defaultFanout {
 			t.Fatalf("node has %d children > fanout", len(nd.Children))
 		}
 		for _, c := range nd.Children {

@@ -12,8 +12,8 @@ import (
 	"flood/internal/zcurve"
 )
 
-// DefaultPageSize matches the dense cache-aligned pages of §7.2.
-const DefaultPageSize = 1024
+// defaultPageSize matches the dense cache-aligned pages of §7.2.
+const defaultPageSize = 1024
 
 // Base is a Z-order-sorted table with page metadata.
 type Base struct {
@@ -33,7 +33,7 @@ func Build(t *colstore.Table, dims []int, pageSize int) (*Base, error) {
 		return nil, fmt.Errorf("zbase: no dimensions to index")
 	}
 	if pageSize <= 0 {
-		pageSize = DefaultPageSize
+		pageSize = defaultPageSize
 	}
 	n := t.NumRows()
 	mins := make([]int64, len(dims))

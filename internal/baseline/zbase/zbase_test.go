@@ -114,7 +114,7 @@ func TestDefaultPageSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.NumPages() != (3000+DefaultPageSize-1)/DefaultPageSize {
+	if b.NumPages() != (3000+defaultPageSize-1)/defaultPageSize {
 		t.Fatalf("default page size not applied: %d pages", b.NumPages())
 	}
 }

@@ -53,7 +53,7 @@ func runFig11(cfg Config) error {
 			"+Learning":   learned,
 		}
 		for _, v := range variants {
-			var r RunResult
+			var r runResult
 			if v == "+Learning" {
 				r = run(learnedIdx, e.test)
 			} else {

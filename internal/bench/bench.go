@@ -1,5 +1,6 @@
-// Package bench regenerates every table and figure of the paper's
-// evaluation (§7) at a configurable scale. Each experiment is registered
+// Package bench regenerates the tables and figures of the paper's evaluation
+// (§7) at a configurable scale: every one but Fig. 17, whose per-cell models
+// the engine replaced by exact structures. Each experiment is registered
 // under the paper artifact's ID (fig7, table2, ...) and prints the same
 // rows/series the paper reports; cmd/floodbench drives them and
 // bench_test.go wraps them as Go benchmarks.

@@ -24,7 +24,7 @@ func smokeCfg(buf *bytes.Buffer) Config {
 func TestRegistryComplete(t *testing.T) {
 	want := []string{
 		"fig5", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12a", "fig12b",
-		"fig13", "fig14", "fig15", "fig16", "fig17a", "fig17b",
+		"fig13", "fig14", "fig15", "fig16",
 		"table1", "table2", "table3", "table4",
 	}
 	for _, id := range want {
@@ -71,8 +71,6 @@ func TestFig13Smoke(t *testing.T)  { runSmoke(t, "fig13", "FullScan ratio") }
 func TestFig14Smoke(t *testing.T)  { runSmoke(t, "fig14", "learned optimum") }
 func TestFig15Smoke(t *testing.T)  { runSmoke(t, "fig15", "data sample") }
 func TestFig16Smoke(t *testing.T)  { runSmoke(t, "fig16", "query sample") }
-func TestFig17aSmoke(t *testing.T) { runSmoke(t, "fig17a", "osm-timestamps", "staggered-uniform") }
-func TestFig17bSmoke(t *testing.T) { runSmoke(t, "fig17b", "paper's configuration") }
 func TestTable2Smoke(t *testing.T) { runSmoke(t, "table2", "SO", "TPS") }
 func TestTable3Smoke(t *testing.T) { runSmoke(t, "table3", "model \\ layout") }
 func TestTable4Smoke(t *testing.T) { runSmoke(t, "table4", "Flood Learning", "Flood Loading") }

@@ -147,8 +147,8 @@ func (e *env) buildBaseline(kind baseline.Kind) (query.Index, time.Duration, err
 	return bestIdx, buildDur, nil
 }
 
-// RunResult aggregates a workload execution over one index.
-type RunResult struct {
+// runResult aggregates a workload execution over one index.
+type runResult struct {
 	Queries  int
 	AvgTotal time.Duration
 	AvgScan  time.Duration
@@ -159,7 +159,7 @@ type RunResult struct {
 }
 
 // SO is the scan overhead (Table 2).
-func (r RunResult) SO() float64 {
+func (r runResult) SO() float64 {
 	if r.Matched == 0 {
 		return float64(r.Scanned)
 	}
@@ -167,7 +167,7 @@ func (r RunResult) SO() float64 {
 }
 
 // TPS is the average scan time per scanned point in nanoseconds (Table 2).
-func (r RunResult) TPS() float64 {
+func (r runResult) TPS() float64 {
 	if r.Scanned == 0 {
 		return 0
 	}
@@ -182,8 +182,8 @@ type executor interface {
 }
 
 // run executes queries against idx and aggregates stats.
-func run(idx executor, queries []query.Query) RunResult {
-	var res RunResult
+func run(idx executor, queries []query.Query) runResult {
+	var res runResult
 	agg := query.NewCount()
 	var total query.Stats
 	for _, q := range queries {

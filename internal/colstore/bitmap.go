@@ -75,7 +75,7 @@ func intervals(card int) int {
 	return (card + 1) / 2
 }
 
-// NewBitmapIndex builds a bitmap index over c, or returns nil when the
+// newBitmapIndex builds a bitmap index over c, or returns nil when the
 // column does not qualify: empty columns, and columns whose global value
 // spread (max-min+1) exceeds maxCard, are skipped — a wide domain would cost
 // O(spread · rows/16) bytes for bitmaps that are almost all zero.
@@ -84,7 +84,7 @@ func intervals(card int) int {
 // read off the zone maps first: its own words, allocated at their exact
 // size, and one word per value of a domain wider than 64 are all it
 // allocates besides.
-func NewBitmapIndex(c *Column, maxCard int) *BitmapIndex {
+func newBitmapIndex(c *Column, maxCard int) *BitmapIndex {
 	if c.n == 0 {
 		return nil
 	}

@@ -21,28 +21,28 @@ func lowCardColumn(n int, base int64, card int, seed int64) (*Column, []int64) {
 	for i := range vals {
 		vals[i] = base + rng.Int63n(int64(card))
 	}
-	return NewColumn(vals), vals
+	return newColumn(vals), vals
 }
 
 func TestBitmapIndexSkipsUnqualifiedColumns(t *testing.T) {
-	if bi := NewBitmapIndex(NewColumn(nil), 64); bi != nil {
+	if bi := newBitmapIndex(newColumn(nil), 64); bi != nil {
 		t.Fatal("empty column should not build a bitmap index")
 	}
 	c, _ := lowCardColumn(100, 0, 10, 1)
-	if bi := NewBitmapIndex(c, 0); bi != nil {
+	if bi := newBitmapIndex(c, 0); bi != nil {
 		t.Fatal("maxCard 0 should disable bitmap indexes")
 	}
-	wide := NewColumn([]int64{0, 1 << 40})
-	if bi := NewBitmapIndex(wide, 64); bi != nil {
+	wide := newColumn([]int64{0, 1 << 40})
+	if bi := newBitmapIndex(wide, 64); bi != nil {
 		t.Fatal("wide-spread column should not build a bitmap index")
 	}
 	// maxCard bounds the value count (spread+1): exactly at the threshold
 	// builds, one over does not.
-	edge := NewColumn([]int64{5, 5 + 9}) // 10 distinct values in the domain
-	if bi := NewBitmapIndex(edge, 9); bi != nil {
+	edge := newColumn([]int64{5, 5 + 9}) // 10 distinct values in the domain
+	if bi := newBitmapIndex(edge, 9); bi != nil {
 		t.Fatal("domain of 10 values should be rejected at maxCard 9")
 	}
-	if bi := NewBitmapIndex(edge, 10); bi == nil {
+	if bi := newBitmapIndex(edge, 10); bi == nil {
 		t.Fatal("domain of 10 values should build at maxCard 10")
 	} else if bi.card != 10 || bi.min != 5 {
 		t.Fatalf("card=%d min=%d, want 10, 5", bi.card, bi.min)
@@ -79,7 +79,7 @@ func TestBitmapIndexAndBlockMatchesBruteForce(t *testing.T) {
 	// exercises the signed min/max handling.
 	const n = 5*BlockSize + 37
 	c, vals := lowCardColumn(n, -3, 17, 2)
-	bi := NewBitmapIndex(c, 64)
+	bi := newBitmapIndex(c, 64)
 	if bi == nil {
 		t.Fatal("index should build")
 	}
@@ -115,8 +115,8 @@ func TestBitmapIndexAndBlockEveryRange(t *testing.T) {
 	for card := 1; card <= 64; card++ {
 		_, vals := lowCardColumn(n, base, card, int64(card))
 		vals[0], vals[n-1] = base, base+int64(card)-1 // the whole domain occurs
-		c := NewColumn(vals)
-		bi := NewBitmapIndex(c, 64)
+		c := newColumn(vals)
+		bi := newBitmapIndex(c, 64)
 		if bi == nil || bi.card != card {
 			t.Fatalf("index over %d values did not build as such: %v", card, bi)
 		}
@@ -158,7 +158,7 @@ func TestBitmapIndexSizeIsOneBitmapPerTwoValues(t *testing.T) {
 		for _, card := range []int{1, 2, 9, 50, 64} {
 			for shape := range uint8(3) {
 				vals := stripedValues(rng, shape, n, 3, card)
-				bi := NewBitmapIndex(NewColumn(vals), 64)
+				bi := newBitmapIndex(newColumn(vals), 64)
 				if got := int(slices.Max(vals)-slices.Min(vals)) + 1; bi.card != got {
 					t.Fatalf("n=%d: cardinality %d, want %d", n, bi.card, got)
 				}
@@ -204,7 +204,7 @@ func TestBitmapIndexBuildAllocatesOnlyItsWords(t *testing.T) {
 	for _, card := range []int{50, 64, 100} {
 		c, _ := lowCardColumn(n, 0, card, int64(card))
 		var bi *BitmapIndex
-		got := allocated(func() { bi = NewBitmapIndex(c, 128) })
+		got := allocated(func() { bi = newBitmapIndex(c, 128) })
 		if bi == nil || bi.card != card {
 			t.Fatalf("card %d: index did not build", card)
 		}
@@ -243,23 +243,20 @@ func TestBitmapIndexRoundTripEveryCardinality(t *testing.T) {
 				vals[i] += base
 			}
 			vals[0], vals[n-1] = base, base+int64(card)-1
-			bi := NewBitmapIndex(NewColumn(vals), 64)
+			bi := newBitmapIndex(newColumn(vals), 64)
 			enc := encodeBitmap(t, bi)
 
-			var want bytes.Buffer
-			w := wire.NewWriter(&want)
-			w.I64(base)
-			w.Int(card)
-			w.Int(n)
-			eq := make([]uint64, card*nWords)
-			for row, v := range vals {
-				eq[int(v-base)*nWords+row/64] |= 1 << uint(row%64)
-			}
-			w.U64s(eq)
-			if err := w.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(enc, want.Bytes()) {
+			want := encodeBytes(t, func(w *wire.Writer) {
+				w.I64(base)
+				w.Int(card)
+				w.Int(n)
+				eq := make([]uint64, card*nWords)
+				for row, v := range vals {
+					eq[int(v-base)*nWords+row/64] |= 1 << uint(row%64)
+				}
+				w.U64s(eq)
+			})
+			if !bytes.Equal(enc, want) {
 				t.Fatalf("card %d at %d: encoded bitmap index is not the per-value layout", card, base)
 			}
 			dec, err := DecodeBitmapIndex(wire.NewReaderBytes(enc), n)
@@ -276,7 +273,7 @@ func TestBitmapIndexRoundTripEveryCardinality(t *testing.T) {
 
 func TestBitmapIndexAndBlockEmptyIntersection(t *testing.T) {
 	c, _ := lowCardColumn(200, 0, 8, 4)
-	bi := NewBitmapIndex(c, 64)
+	bi := newBitmapIndex(c, 64)
 	sel := BlockBitmap{^uint64(0), ^uint64(0)}
 	andBlock(bi, &sel, 0, 100, 200) // entirely above the domain
 	if sel != (BlockBitmap{}) {
@@ -293,7 +290,7 @@ func TestBitmapIndexTailBitsZero(t *testing.T) {
 	// Rows at or beyond n must never be set, even with a full-domain range.
 	const n = BlockSize + 5
 	c, _ := lowCardColumn(n, 0, 4, 5)
-	bi := NewBitmapIndex(c, 64)
+	bi := newBitmapIndex(c, 64)
 	sel := BlockBitmap{^uint64(0), ^uint64(0)}
 	andBlock(bi, &sel, 1, 0, 3)
 	for i := n - BlockSize; i < BlockSize; i++ {
@@ -306,7 +303,7 @@ func TestBitmapIndexTailBitsZero(t *testing.T) {
 func TestBitmapIndexRoundTrip(t *testing.T) {
 	const n = 3*BlockSize + 11
 	c, vals := lowCardColumn(n, 2, 23, 6)
-	bi := NewBitmapIndex(c, 64)
+	bi := newBitmapIndex(c, 64)
 
 	enc := encodeBitmap(t, bi)
 	got, err := DecodeBitmapIndex(wire.NewReaderBytes(enc), n)
@@ -337,15 +334,23 @@ func TestBitmapIndexRoundTrip(t *testing.T) {
 }
 
 // encodeBitmap returns bi's wire form.
-func encodeBitmap(t *testing.T, bi *BitmapIndex) []byte {
+func encodeBitmap(t *testing.T, bi *BitmapIndex) []byte { return encodeBytes(t, bi.Encode) }
+
+// encodeBytes returns what encode writes through a wire.Writer: the payload
+// of the one section a SectionWriter frames around it, read back.
+func encodeBytes(t testing.TB, encode func(*wire.Writer)) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	w := wire.NewWriter(&buf)
-	bi.Encode(w)
-	if err := w.Flush(); err != nil {
+	sw := wire.NewSectionWriter(&buf)
+	sw.Section("test", encode)
+	if err := sw.Err(); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	_, payload, err := wire.NewSectionReader(&buf, 1).Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return payload
 }
 
 // TestBitmapIndexWireFormIsPerValue pins the snapshot payload: whatever the
@@ -355,24 +360,21 @@ func encodeBitmap(t *testing.T, bi *BitmapIndex) []byte {
 func TestBitmapIndexWireFormIsPerValue(t *testing.T) {
 	const n = 2*BlockSize + 19
 	c, vals := lowCardColumn(n, -2, 7, 11)
-	bi := NewBitmapIndex(c, 64)
+	bi := newBitmapIndex(c, 64)
 	enc := encodeBitmap(t, bi)
 
-	var want bytes.Buffer
-	w := wire.NewWriter(&want)
-	w.I64(-2)
-	w.Int(7)
-	w.Int(n)
-	nWords := (n + 63) / 64
-	eq := make([]uint64, 7*nWords)
-	for row, v := range vals {
-		eq[int(v+2)*nWords+row/64] |= 1 << uint(row%64)
-	}
-	w.U64s(eq)
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(enc, want.Bytes()) {
+	want := encodeBytes(t, func(w *wire.Writer) {
+		w.I64(-2)
+		w.Int(7)
+		w.Int(n)
+		nWords := (n + 63) / 64
+		eq := make([]uint64, 7*nWords)
+		for row, v := range vals {
+			eq[int(v+2)*nWords+row/64] |= 1 << uint(row%64)
+		}
+		w.U64s(eq)
+	})
+	if !bytes.Equal(enc, want) {
 		t.Fatal("encoded bitmap index is not the per-value layout")
 	}
 	dec, err := DecodeBitmapIndex(wire.NewReaderBytes(enc), n)
@@ -390,7 +392,7 @@ func TestBitmapIndexWireFormIsPerValue(t *testing.T) {
 func TestDecodeBitmapIndexChecksContent(t *testing.T) {
 	const n = BlockSize + 40 // three words per bitmap, the last partial
 	c, _ := lowCardColumn(n, 0, 5, 12)
-	enc := encodeBitmap(t, NewBitmapIndex(c, 64))
+	enc := encodeBitmap(t, newBitmapIndex(c, 64))
 	const header = 4 * 8 // min, card, n, word count
 	word := func(v, k int) int { return header + (v*3+k)*8 }
 	for name, damage := range map[string]func(p []byte){
@@ -474,12 +476,12 @@ func BenchmarkBitmapAndBlock(b *testing.B) {
 	for i := range window {
 		window[i] = int64(i*33/n) + rng.Int63n(8)
 	}
-	drifting := NewColumn(window)
+	drifting := newColumn(window)
 	for _, col := range []struct {
 		name string
 		c    *Column
 	}{{"", uniform}, {"drifting/", drifting}} {
-		bi := NewBitmapIndex(col.c, 64)
+		bi := newBitmapIndex(col.c, 64)
 		for _, values := range []int64{1, 8, 32} {
 			lo, hi := int64(4), 4+values-1
 			var blocks []int
@@ -565,7 +567,7 @@ func TestBitmapIndexStripeDomains(t *testing.T) {
 	for _, card := range []int{2, 3, 9, 40} {
 		for shape := range uint8(3) {
 			vals := stripedValues(rng, shape, n, -7, card)
-			bi := NewBitmapIndex(NewColumn(vals), 64)
+			bi := newBitmapIndex(newColumn(vals), 64)
 			// A writer gathering the column through a permutation builds
 			// the same index.
 			perm := rng.Perm(n)
@@ -576,7 +578,7 @@ func TestBitmapIndexStripeDomains(t *testing.T) {
 			tw := NewTableWriter([]string{"v"}, n, 64)
 			tw.SetColumn(0, src, rows, false)
 			if !reflect.DeepEqual(tw.Table().Bitmap(0), bi) {
-				t.Fatalf("card %d shape %d: SetColumn built another index than NewBitmapIndex", card, shape)
+				t.Fatalf("card %d shape %d: SetColumn built another index than newBitmapIndex", card, shape)
 			}
 			enc := encodeBitmap(t, bi)
 			dec, err := DecodeBitmapIndex(wire.NewReaderBytes(enc), n)
@@ -623,8 +625,8 @@ func FuzzBitmapAndBlock(f *testing.F) {
 		card := int(cardB)%128 + 1
 		n := int(nB)%(6*stripeRows) + 1
 		vals := stripedValues(rand.New(rand.NewSource(seed)), shape, n, int64(base), card)
-		c := NewColumn(vals)
-		bi := NewBitmapIndex(c, 128)
+		c := newColumn(vals)
+		bi := newBitmapIndex(c, 128)
 		if bi == nil {
 			t.Fatal("a domain of at most 128 values did not build")
 		}

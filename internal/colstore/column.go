@@ -31,8 +31,8 @@ type Column struct {
 	words   []uint64 // packed deltas
 }
 
-// NewColumn compresses values into a Column. The input slice is not retained.
-func NewColumn(values []int64) *Column {
+// newColumn compresses values into a Column. The input slice is not retained.
+func newColumn(values []int64) *Column {
 	c := emptyColumn(len(values))
 	c.appendBlocks(values)
 	return c

@@ -19,7 +19,7 @@ func TestColumnRoundtripSmall(t *testing.T) {
 		{1, 2, 3, 4, 5, 6, 7, 8, 9, 10},
 	}
 	for _, vals := range cases {
-		c := NewColumn(vals)
+		c := newColumn(vals)
 		if c.Len() != len(vals) {
 			t.Fatalf("Len = %d, want %d", c.Len(), len(vals))
 		}
@@ -37,7 +37,7 @@ func TestColumnRoundtripExactBlockBoundaries(t *testing.T) {
 		for i := range vals {
 			vals[i] = int64(i * 31)
 		}
-		c := NewColumn(vals)
+		c := newColumn(vals)
 		got := c.Decode()
 		for i := range vals {
 			if got[i] != vals[i] {
@@ -52,7 +52,7 @@ func TestColumnRoundtripProperty(t *testing.T) {
 		if len(vals) == 0 {
 			return true
 		}
-		c := NewColumn(vals)
+		c := newColumn(vals)
 		for i, want := range vals {
 			if c.Get(i) != want {
 				return false
@@ -91,7 +91,7 @@ func TestColumnRoundtripWideAndNarrowBlocks(t *testing.T) {
 			vals[b*BlockSize+i] = gen()
 		}
 	}
-	c := NewColumn(vals)
+	c := newColumn(vals)
 	for i, want := range vals {
 		if got := c.Get(i); got != want {
 			t.Fatalf("Get(%d) = %d, want %d", i, got, want)
@@ -104,7 +104,7 @@ func TestColumnDecodeBlockPartial(t *testing.T) {
 	for i := range vals {
 		vals[i] = int64(i * i)
 	}
-	c := NewColumn(vals)
+	c := newColumn(vals)
 	var buf [BlockSize]int64
 	if cnt := c.DecodeBlock(1, buf[:]); cnt != 17 {
 		t.Fatalf("DecodeBlock(1) count = %d, want 17", cnt)
@@ -122,7 +122,7 @@ func TestColumnCompressionEffectiveness(t *testing.T) {
 	for i := range vals {
 		vals[i] = 1_000_000 + int64(i%50)
 	}
-	c := NewColumn(vals)
+	c := newColumn(vals)
 	if c.SizeBytes() >= c.UncompressedSizeBytes()/4 {
 		t.Fatalf("compressed %d bytes, want < 1/4 of %d", c.SizeBytes(), c.UncompressedSizeBytes())
 	}
@@ -134,7 +134,7 @@ func BenchmarkColumnGet(b *testing.B) {
 	for i := range vals {
 		vals[i] = rng.Int63n(1 << 30)
 	}
-	c := NewColumn(vals)
+	c := newColumn(vals)
 	b.ResetTimer()
 	var sink int64
 	for i := 0; i < b.N; i++ {
@@ -149,7 +149,7 @@ func BenchmarkColumnDecodeBlock(b *testing.B) {
 	for i := range vals {
 		vals[i] = rng.Int63n(1 << 30)
 	}
-	c := NewColumn(vals)
+	c := newColumn(vals)
 	var buf [BlockSize]int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -158,7 +158,7 @@ func BenchmarkColumnDecodeBlock(b *testing.B) {
 }
 
 func TestColumnEmpty(t *testing.T) {
-	c := NewColumn(nil)
+	c := newColumn(nil)
 	if c.Len() != 0 || c.NumBlocks() != 0 {
 		t.Fatalf("empty column: Len=%d NumBlocks=%d", c.Len(), c.NumBlocks())
 	}
@@ -180,7 +180,7 @@ func TestColumnSingleBlockTail(t *testing.T) {
 		for i := range vals {
 			vals[i] = int64(i*i - 50)
 		}
-		c := NewColumn(vals)
+		c := newColumn(vals)
 		if c.NumBlocks() != 1 {
 			t.Fatalf("n=%d: NumBlocks = %d, want 1", n, c.NumBlocks())
 		}
@@ -220,7 +220,7 @@ func TestColumnWidth64Deltas(t *testing.T) {
 	vals[0] = math.MinInt64
 	vals[1] = math.MaxInt64
 	vals[2*BlockSize] = math.MaxInt64 // tail block extreme
-	c := NewColumn(vals)
+	c := newColumn(vals)
 	var buf [BlockSize]int64
 	for b := 0; b < c.NumBlocks(); b++ {
 		cnt := c.DecodeBlock(b, buf[:])
@@ -270,7 +270,7 @@ func TestColumnDecodeBlockAgreesWithGet(t *testing.T) {
 				vals[i] = rng.Int63n(1 << 21) // generic width
 			}
 		}
-		c := NewColumn(vals)
+		c := newColumn(vals)
 		var buf [BlockSize]int64
 		for b := 0; b < c.NumBlocks(); b++ {
 			cnt := c.DecodeBlock(b, buf[:])
@@ -307,7 +307,7 @@ func TestColumnLowerBound(t *testing.T) {
 		v += rng.Int63n(7) // sorted with duplicates
 		vals[i] = v
 	}
-	c := NewColumn(vals)
+	c := newColumn(vals)
 	check := func(start, end int, target int64) {
 		t.Helper()
 		want := start
@@ -382,7 +382,7 @@ func TestLowerBoundMatchesSortSearch(t *testing.T) {
 			}
 			win := vals[sh.start:sh.end]
 			sort.Slice(win, func(i, j int) bool { return win[i] < win[j] })
-			c := NewColumn(vals)
+			c := newColumn(vals)
 			if b := sh.start / BlockSize; sh.end-sh.start >= 2 && b == (sh.end-1)/BlockSize && int(c.widths[b]) != w {
 				t.Fatalf("width %d: the window's block is %d bits wide", w, c.widths[b])
 			}
@@ -440,7 +440,7 @@ func FuzzColumnLowerBound(f *testing.F) {
 				vals[i] = int64(rng.Uint64())
 			}
 		}
-		c := NewColumn(vals)
+		c := newColumn(vals)
 
 		rows := []int{pre, pre + n}
 		for b := (pre + BlockSize - 1) / BlockSize * BlockSize; b <= pre+n; b += BlockSize {
@@ -485,7 +485,7 @@ func FuzzColumnLowerBound(f *testing.F) {
 
 // TestNewColumnWordsMatchBitwiseDefinition packs every delta width the slow
 // way — each delta OR-ed into the packed words at bit blockStart + row·width,
-// spilling into the next word when it straddles one — and requires NewColumn,
+// spilling into the next word when it straddles one — and requires newColumn,
 // which assembles words in a register, to produce the same words: the packed
 // form is what snapshots store, so its unused bits matter too.
 func TestNewColumnWordsMatchBitwiseDefinition(t *testing.T) {
@@ -496,7 +496,7 @@ func TestNewColumnWordsMatchBitwiseDefinition(t *testing.T) {
 		for i := range values {
 			values[i] = int64(rng.Uint64()&mask(w)) - 1<<40
 		}
-		c := NewColumn(values)
+		c := newColumn(values)
 		want := make([]uint64, len(c.words))
 		for i, v := range values {
 			b := i / BlockSize

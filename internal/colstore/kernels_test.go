@@ -28,7 +28,7 @@ func widthColumn(rng *rand.Rand, w uint, n int, minV int64) ([]int64, *Column) {
 		}
 		vals[i] = int64(uint64(minV) + delta)
 	}
-	return vals, NewColumn(vals)
+	return vals, newColumn(vals)
 }
 
 // blockMins are the block minima the width properties run at: the bottom of
@@ -365,8 +365,8 @@ func TestPackBlockEveryWidthAndLength(t *testing.T) {
 // FuzzColumnEncode encodes arbitrary values as a column and requires the
 // round trip, the packed words of the bit loop block by block, and from
 // TableWriter.SetColumn — handed the values, or a permutation of fuzzed order
-// to gather them by — the column NewColumn writes, the prefix sums of their
-// definition and the bitmap index NewBitmapIndex makes from that column.
+// to gather them by — the column newColumn writes, the prefix sums of their
+// definition and the bitmap index newBitmapIndex makes from that column.
 func FuzzColumnEncode(f *testing.F) {
 	enc := func(vs ...int64) []byte {
 		var b []byte
@@ -389,7 +389,7 @@ func FuzzColumnEncode(f *testing.F) {
 				vals[i] >>= 8 * (shape >> 1 & 7)
 			}
 		}
-		c := NewColumn(vals)
+		c := newColumn(vals)
 		if got := c.Decode(); !slices.Equal(got, vals) {
 			t.Fatalf("round trip: %v, want %v", got, vals)
 		}
@@ -407,12 +407,12 @@ func FuzzColumnEncode(f *testing.F) {
 		for r, p := range perm {
 			rows[r], gathered[r] = int32(p), vals[p]
 		}
-		ref := NewColumn(gathered)
+		ref := newColumn(gathered)
 		refPre := make([]int64, len(vals)+1)
 		for r, v := range gathered {
 			refPre[r+1] = refPre[r] + v
 		}
-		refBitmap := NewBitmapIndex(ref, 64)
+		refBitmap := newBitmapIndex(ref, 64)
 		for name, p := range map[string][]int32{"values": nil, "permutation": rows} {
 			tw, src := NewTableWriter([]string{"v"}, len(vals), 64), gathered
 			if p != nil {
@@ -421,7 +421,7 @@ func FuzzColumnEncode(f *testing.F) {
 			tw.SetColumn(0, src, p, true)
 			if got := tw.Table(); !reflect.DeepEqual(got.cols[0], ref) ||
 				!slices.Equal(got.prefixes[0], refPre) || !reflect.DeepEqual(got.Bitmap(0), refBitmap) {
-				t.Fatalf("SetColumn handed the %s writes another column, prefix sums or bitmap index than NewColumn and NewBitmapIndex", name)
+				t.Fatalf("SetColumn handed the %s writes another column, prefix sums or bitmap index than newColumn and newBitmapIndex", name)
 			}
 		}
 	})
@@ -435,7 +435,7 @@ func BenchmarkNewColumn(b *testing.B) {
 			vals, _ := widthColumn(rand.New(rand.NewSource(1)), w, 1<<17, 1000)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				NewColumn(vals)
+				newColumn(vals)
 			}
 		})
 	}

@@ -110,7 +110,7 @@ func DecodeSealed(r *wire.Reader, cols int) ([][]int64, error) {
 	return out, nil
 }
 
-// validate checks the structural invariants NewColumn establishes: per-block
+// validate checks the structural invariants newColumn establishes: per-block
 // metadata slices sized to the block count, bit widths within [0, 64], and
 // offsets forming the exact cumulative word layout the packed data occupies.
 // Decoding a column that fails any of these would index out of range.

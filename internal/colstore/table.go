@@ -38,7 +38,7 @@ func NewTable(names []string, data [][]int64) (*Table, error) {
 		if len(col) != n {
 			return nil, fmt.Errorf("colstore: column %q has %d rows, want %d", names[i], len(col), n)
 		}
-		t.cols[i] = NewColumn(col)
+		t.cols[i] = newColumn(col)
 	}
 	return t, nil
 }
@@ -150,7 +150,7 @@ type TableWriter struct {
 }
 
 // NewTableWriter starts a table of n rows with the given column names. Every
-// column whose value spread fits bitmapMaxCard (see NewBitmapIndex) gets a
+// column whose value spread fits bitmapMaxCard (see newBitmapIndex) gets a
 // bitmap index as it is set; bitmapMaxCard <= 0 builds none.
 func NewTableWriter(names []string, n, bitmapMaxCard int) *TableWriter {
 	t := &Table{
@@ -173,13 +173,13 @@ func NewTableWriter(names []string, n, bitmapMaxCard int) *TableWriter {
 // the permutation instead of a gathered copy. raw, and perm when given, must
 // hold the table's row count; neither is retained.
 //
-// Values in hand are encoded as NewColumn encodes them, into packed words of
+// Values in hand are encoded as newColumn encodes them, into packed words of
 // their exact size. A gathered column is encoded a 128-row block at a time as
 // each block is gathered into a buffer on the stack, its packed words going
 // to a scratch buffer the writer lends to one call at a time and then copied
 // once into a slice of their own size. Either way prefix sums are made from
 // the same blocks, and a bitmap index from the packed column
-// (NewBitmapIndex), whose zone maps give each stripe's domain.
+// (newBitmapIndex), whose zone maps give each stripe's domain.
 func (w *TableWriter) SetColumn(c int, raw []int64, perm []int32, aggregate bool) {
 	n := len(raw)
 	col := emptyColumn(n)
@@ -226,7 +226,7 @@ func (w *TableWriter) SetColumn(c int, raw []int64, perm []int32, aggregate bool
 	t := w.t
 	t.cols[c], t.prefixes[c] = col, pre
 	if t.bitmaps != nil {
-		t.bitmaps[c] = NewBitmapIndex(col, w.bitmapMaxCard)
+		t.bitmaps[c] = newBitmapIndex(col, w.bitmapMaxCard)
 	}
 }
 
@@ -257,7 +257,7 @@ func (t *Table) buildPrefix(c int, raw []int64) {
 func (t *Table) HasAggregate(c int) bool { return t.prefixes[c] != nil }
 
 // EnableBitmapIndexes builds a bitmap index for every column whose value
-// spread fits maxCard (see NewBitmapIndex), replacing any existing set, and
+// spread fits maxCard (see newBitmapIndex), replacing any existing set, and
 // returns how many columns were indexed. Columns build in parallel — each
 // pays one decode pass. The scan kernel consults the indexes automatically;
 // maxCard <= 0 clears them. Not safe to call concurrently with queries.
@@ -277,7 +277,7 @@ func (t *Table) EnableBitmapIndexes(maxCard int) int {
 		go func(w int) {
 			defer wg.Done()
 			for c := w; c < len(t.cols); c += workers {
-				bitmaps[c] = NewBitmapIndex(t.cols[c], maxCard)
+				bitmaps[c] = newBitmapIndex(t.cols[c], maxCard)
 			}
 		}(w)
 	}

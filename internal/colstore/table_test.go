@@ -1,7 +1,6 @@
 package colstore
 
 import (
-	"bytes"
 	"errors"
 	"math"
 	"math/rand"
@@ -218,14 +217,12 @@ func TestAppendBlocksRefusesMisuse(t *testing.T) {
 }
 
 // encodeTables writes tables one after another, as EncodeSealed does.
-func encodeTables(tables ...*Table) []byte {
-	var buf bytes.Buffer
-	w := wire.NewWriter(&buf)
-	for _, t := range tables {
-		t.Encode(w)
-	}
-	w.Flush()
-	return buf.Bytes()
+func encodeTables(t *testing.T, tables ...*Table) []byte {
+	return encodeBytes(t, func(w *wire.Writer) {
+		for _, tbl := range tables {
+			tbl.Encode(w)
+		}
+	})
 }
 
 // TestSealedRoundTrip: a table's whole blocks and the partial block past
@@ -240,11 +237,8 @@ func TestSealedRoundTrip(t *testing.T) {
 		for c := range data {
 			head[c], tail[c] = data[c][:whole], data[c][whole:n]
 		}
-		var buf bytes.Buffer
-		w := wire.NewWriter(&buf)
-		MustNewTable(names, head).EncodeSealed(w, tail)
-		w.Flush()
-		got, err := DecodeSealed(wire.NewReaderBytes(buf.Bytes()), len(data))
+		enc := encodeBytes(t, func(w *wire.Writer) { MustNewTable(names, head).EncodeSealed(w, tail) })
+		got, err := DecodeSealed(wire.NewReaderBytes(enc), len(data))
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -265,13 +259,15 @@ func TestSealedRefusesMisuse(t *testing.T) {
 	short, _ := testTable(t, BlockSize-1)
 	empty, _ := testTable(t, 0)
 	for name, f := range map[string]func(){
-		"partial first table": func() { short.EncodeSealed(wire.NewWriter(&bytes.Buffer{}), [][]int64{{}, {}, {}}) },
+		"partial first table": func() {
+			encodeBytes(t, func(w *wire.Writer) { short.EncodeSealed(w, [][]int64{{}, {}, {}}) })
+		},
 		"whole-block tail": func() {
 			tail := make([][]int64, 3)
 			for c := range tail {
 				tail[c] = make([]int64, BlockSize)
 			}
-			block.EncodeSealed(wire.NewWriter(&bytes.Buffer{}), tail)
+			encodeBytes(t, func(w *wire.Writer) { block.EncodeSealed(w, tail) })
 		},
 	} {
 		func() {
@@ -283,16 +279,16 @@ func TestSealedRefusesMisuse(t *testing.T) {
 			f()
 		}()
 	}
-	valid := encodeTables(block, short)
+	valid := encodeTables(t, block, short)
 	for name, tc := range map[string]struct {
 		payload []byte
 		cols    int
 	}{
-		"partial first table": {encodeTables(short, empty), 3},
-		"whole-block tail":    {encodeTables(block, block), 3},
+		"partial first table": {encodeTables(t, short, empty), 3},
+		"whole-block tail":    {encodeTables(t, block, block), 3},
 		"column count":        {valid, 2},
 		"cut payload":         {valid[:len(valid)/2], 3},
-		"one table":           {encodeTables(block), 3},
+		"one table":           {encodeTables(t, block), 3},
 	} {
 		if _, err := DecodeSealed(wire.NewReaderBytes(tc.payload), tc.cols); !errors.Is(err, wire.ErrChecksum) {
 			t.Errorf("%s: DecodeSealed = %v, want an ErrChecksum error", name, err)
@@ -322,13 +318,7 @@ func TestDecodeTableRefusesBlockBelowItsMinimum(t *testing.T) {
 	} {
 		tbl := MustNewTable([]string{"v"}, [][]int64{slices.Clone(vals)})
 		tc.damage(tbl.cols[0])
-		var buf bytes.Buffer
-		w := wire.NewWriter(&buf)
-		tbl.Encode(w)
-		if err := w.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		got, err := DecodeTable(wire.NewReaderBytes(buf.Bytes()))
+		got, err := DecodeTable(wire.NewReaderBytes(encodeBytes(t, tbl.Encode)))
 		if tc.ok {
 			if err != nil || !slices.Equal(got.Raw(0), vals) {
 				t.Errorf("%s: decoded %v, %v; want %v", tc.name, got, err, vals)

@@ -13,7 +13,6 @@ import (
 
 	"flood/internal/colstore"
 	"flood/internal/dataset"
-	"flood/internal/wire"
 )
 
 // digestCase is one table and layout whose build is pinned by a committed
@@ -104,13 +103,7 @@ func digestOf(t testing.TB, f *Flood) buildDigest {
 		return hex.EncodeToString(s[:8])
 	}
 	var d buildDigest
-	var buf bytes.Buffer
-	w := wire.NewWriter(&buf)
-	f.encodeModels(w)
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	d.models = short(buf.Bytes())
+	d.models = short(encodeBytes(t, f.encodeModels))
 
 	i64s := func(vs []int64) []byte {
 		out := make([]byte, 8*len(vs))

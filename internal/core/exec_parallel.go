@@ -35,11 +35,11 @@ import (
 	"flood/internal/query"
 )
 
-// MorselRows is the largest morsel handed to a worker: big enough to
+// morselRows is the largest morsel handed to a worker: big enough to
 // amortize the claim (one atomic add) and the final merge, small enough that
 // a skewed range still splits across cores. It is a multiple of
 // colstore.BlockSize so interior morsel boundaries align with storage blocks.
-const MorselRows = 64 * 1024
+const morselRows = 64 * 1024
 
 // minMorselRows bounds how finely a small parallel scan is chopped; below
 // this, per-morsel overhead would eat the parallel win.
@@ -236,6 +236,8 @@ var morselShare, taskShare shareCounter
 // fan-out, a parallel refinement, a morsel scan's per-worker tasks), each
 // with how many pool helpers ran. Benchmarks report the difference of two
 // readings as helper_frac.
+//
+//api:keep root-package tests and benchmarks read it, and the benchmark's planned core.helper_frac metric will (ROADMAP 1A(f))
 func HelperShare() (morsels, tasks Share) { return morselShare.load(), taskShare.load() }
 
 // --- the one way into the pool ---
@@ -390,11 +392,11 @@ func RunBatch(n int, fn func(i int)) { RunTasks(n, taskFunc(fn)) }
 
 // morselTarget picks a morsel size for a scan of est rows across workers:
 // roughly four morsels per worker for load balance, clamped to
-// [minMorselRows, MorselRows] and rounded to a block multiple.
+// [minMorselRows, morselRows] and rounded to a block multiple.
 func morselTarget(est, workers int) int {
 	t := est / (4 * workers)
-	if t > MorselRows {
-		t = MorselRows
+	if t > morselRows {
+		t = morselRows
 	}
 	if t < minMorselRows {
 		t = minMorselRows

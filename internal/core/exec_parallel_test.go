@@ -259,7 +259,7 @@ func TestAppendMorsels(t *testing.T) {
 		{Start: 80000, End: 80000, Mask: 1}, // empty: dropped
 		{Start: 90000, End: 300000, Mask: 9},
 	}
-	const target = MorselRows
+	const target = morselRows
 	got := appendMorsels(nil, spans, target)
 	var i int
 	for _, sp := range spans {
@@ -290,7 +290,7 @@ func TestAppendMorsels(t *testing.T) {
 func TestMorselTargetBounds(t *testing.T) {
 	for _, tc := range []struct{ est, workers, want int }{
 		{100, 8, minMorselRows},      // tiny scans stay coarse
-		{100_000_000, 8, MorselRows}, // huge scans cap at MorselRows
+		{100_000_000, 8, morselRows}, // huge scans cap at morselRows
 		{1_000_000, 8, 31232},        // 1M/32 rounded down to a block multiple
 	} {
 		if got := morselTarget(tc.est, tc.workers); got != tc.want {

@@ -32,7 +32,7 @@ type Flood struct {
 
 	// parallelCutover is the estimated scanned-row count at or above which
 	// Execute leaves the zero-alloc sequential scan for the morsel-driven
-	// parallel engine (see exec_parallel.go). Build and Load set it to
+	// parallel engine (see exec_parallel.go). Build and LoadSections set it to
 	// defaultParallelCutover; only tests lower it, to force the morsel
 	// engine on a small table.
 	parallelCutover int

@@ -125,20 +125,21 @@ func (l Layout) String() string {
 	return b.String()
 }
 
-// Options configures index construction.
+// Options configures index construction. Its zero value is what every
+// caller outside this package's tests builds with.
 type Options struct {
-	// BitmapMaxCardinality is the largest per-column value spread
+	// bitmapMaxCardinality is the largest per-column value spread
 	// (max-min+1) for which Build creates a bitmap index: low-cardinality
 	// columns (dictionary-coded strings, enums, flags) then resolve
 	// residual filters, equality or range, from two precomputed bitmaps in
 	// the scan kernel.
 	// 0 picks DefaultBitmapMaxCardinality; negative disables bitmap
 	// indexes.
-	BitmapMaxCardinality int
+	bitmapMaxCardinality int
 }
 
 // DefaultBitmapMaxCardinality is the bitmap-index cardinality threshold used
-// when Options.BitmapMaxCardinality is zero. At 64 values spread uniformly,
+// when Options.bitmapMaxCardinality is zero. At 64 values spread uniformly,
 // a one-million-row column costs 4 MB of interval-encoded bitmaps — half the
 // raw column, but about 4.4× the 0.91 MB its compressed form takes — while
 // an equality or range filter of any width replaces 1M packed compares with
@@ -147,13 +148,13 @@ type Options struct {
 // dimension of 8 columns, about 8 values a stripe, costs about 0.5 MB.
 const DefaultBitmapMaxCardinality = 64
 
-// bitmapMaxCard resolves Options.BitmapMaxCardinality to an effective
+// bitmapMaxCard resolves Options.bitmapMaxCardinality to an effective
 // threshold (0 means disabled).
 func (o Options) bitmapMaxCard() int {
 	switch {
-	case o.BitmapMaxCardinality > 0:
-		return o.BitmapMaxCardinality
-	case o.BitmapMaxCardinality < 0:
+	case o.bitmapMaxCardinality > 0:
+		return o.bitmapMaxCardinality
+	case o.bitmapMaxCardinality < 0:
 		return 0
 	default:
 		return DefaultBitmapMaxCardinality

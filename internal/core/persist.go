@@ -16,29 +16,30 @@ import (
 // decodes. Any other version — including the unframed, unchecksummed
 // version 1, which no release of this tree can write — is wire.ErrVersion.
 const (
-	// PersistVersion is the snapshot format version this package writes.
-	PersistVersion = 2
+	// persistVersion is the snapshot format version this package writes.
+	persistVersion = 2
 
-	// SectionMeta holds the layout, then three slots older builds filled
+	// sectionMeta holds the layout, then three slots older builds filled
 	// with their refinement mode, model error budget and CDF leaf count.
 	// Save writes the defaults 0, 50 and 0, so snapshots keep their bytes
-	// and older binaries still read new ones; Load reads and discards them.
-	SectionMeta = "meta"
-	// SectionData holds the reordered compressed table.
-	SectionData = "data"
-	// SectionBitmaps holds the per-column bitmap indexes of low-cardinality
+	// and older binaries still read new ones; LoadSections reads and
+	// discards them.
+	sectionMeta = "meta"
+	// sectionData holds the reordered compressed table.
+	sectionData = "data"
+	// sectionBitmaps holds the per-column bitmap indexes of low-cardinality
 	// columns. The section is additive: snapshots written before it existed
 	// load fine (the indexes are rebuilt from the data section), and like
 	// the models section it is reconstructible, so a damaged copy degrades
 	// to a rebuild instead of failing the load.
-	SectionBitmaps = "bidx"
-	// SectionModels holds each grid dimension's step points and the cell
+	sectionBitmaps = "bidx"
+	// sectionModels holds each grid dimension's step points and the cell
 	// table, then a refinement-model flag Save writes false: older builds
 	// set it and stored a piecewise-linear model per cell after it, which
-	// Load reads and drops. It is always the final section, and it is a
-	// section a loader can reconstruct: if it is damaged, Load retrains from
-	// the intact data instead of failing.
-	SectionModels = "modl"
+	// LoadSections reads and drops. It is always the final section, and it
+	// is a section a loader can reconstruct: if it is damaged, LoadSections
+	// retrains from the intact data instead of failing.
+	sectionModels = "modl"
 )
 
 // ExtraSection is a caller-supplied snapshot section (for example the typed
@@ -70,24 +71,24 @@ type LoadResult struct {
 }
 
 // Save serializes the built index — layout, reordered data, bucketing
-// models and cell table — so it can be reloaded with Load without
+// models and cell table — so it can be reloaded with LoadSections without
 // re-sorting or re-training.
 func (f *Flood) Save(out io.Writer) error { return f.SaveSections(out, nil) }
 
 // SaveSections is Save with caller-supplied extra sections spliced between
 // the data and models sections.
 func (f *Flood) SaveSections(out io.Writer, extra []ExtraSection) error {
-	if err := wire.WriteHeader(out, PersistVersion, 4+len(extra)); err != nil {
+	if err := wire.WriteHeader(out, persistVersion, 4+len(extra)); err != nil {
 		return err
 	}
 	sw := wire.NewSectionWriter(out)
-	sw.Section(SectionMeta, f.encodeMeta)
-	sw.Section(SectionData, func(w *wire.Writer) { f.t.Encode(w) })
-	sw.Section(SectionBitmaps, f.encodeBitmaps)
+	sw.Section(sectionMeta, f.encodeMeta)
+	sw.Section(sectionData, func(w *wire.Writer) { f.t.Encode(w) })
+	sw.Section(sectionBitmaps, f.encodeBitmaps)
 	for _, e := range extra {
 		sw.Section(e.Tag, e.Encode)
 	}
-	sw.Section(SectionModels, f.encodeModels)
+	sw.Section(sectionModels, f.encodeModels)
 	return sw.Err()
 }
 
@@ -104,8 +105,8 @@ func (f *Flood) encodeMeta(w *wire.Writer) {
 // encodeBitmaps writes the bitmap indexes: an index count, then for each
 // indexed column its column number followed by the bitmap payload. An index
 // with no bitmap-indexed columns writes a count of zero — a present-but-empty
-// section, distinct from an absent one (an older snapshot), which makes Load
-// rebuild the indexes from the data.
+// section, distinct from an absent one (an older snapshot), which makes
+// LoadSections rebuild the indexes from the data.
 func (f *Flood) encodeBitmaps(w *wire.Writer) {
 	cols := make([]int, 0, f.t.NumCols())
 	for c := 0; c < f.t.NumCols(); c++ {
@@ -153,7 +154,7 @@ func (f *Flood) decodeBitmaps(r *wire.Reader) error {
 
 // Bucketing tags of the models section, one per grid dimension. Save writes
 // stepsTag and the dimension's step points; the two older tags carried the
-// function itself, which Load turns into its step points (stepPoints).
+// function itself, which LoadSections turns into its step points (stepPoints).
 const (
 	legacyCDFTag        = 1 // a flattening CDF (rmi.CDF.Encode)
 	legacyEqualWidthTag = 2 // equal-width columns: min, then max − min + 1
@@ -169,17 +170,6 @@ func (f *Flood) encodeModels(w *wire.Writer) {
 	w.Bool(false) // no per-cell refinement models
 }
 
-// Load reads an index written by Save. A damaged
-// models section is recovered by retraining; use LoadSections to observe
-// whether that happened.
-func Load(in io.Reader) (*Flood, error) {
-	res, err := LoadSections(in)
-	if err != nil {
-		return nil, err
-	}
-	return res.Index, nil
-}
-
 // LoadSections reads a snapshot and returns the full LoadResult: the index,
 // any extra sections, and degraded-recovery details. Corruption surfaces as
 // an error wrapping wire.ErrTruncated, wire.ErrChecksum, or wire.ErrVersion —
@@ -191,7 +181,7 @@ func LoadSections(in io.Reader) (LoadResult, error) {
 	if _, err := io.ReadFull(in, h[:]); err != nil {
 		return res, fmt.Errorf("core: snapshot header: %w", wire.ErrTruncated)
 	}
-	count, err := wire.ParseHeader(h[:], PersistVersion)
+	count, err := wire.ParseHeader(h[:], persistVersion)
 	if err != nil {
 		return res, fmt.Errorf("core: %w", err)
 	}
@@ -208,7 +198,7 @@ sections:
 		case err == io.EOF:
 			break sections
 		case err == nil:
-		case errors.Is(err, wire.ErrChecksum) && tag == SectionModels:
+		case errors.Is(err, wire.ErrChecksum) && tag == sectionModels:
 			// The models frame is present but fails its CRC; the stream
 			// is still aligned, so keep reading the remaining sections
 			// and retrain the models from the data afterwards.
@@ -216,7 +206,7 @@ sections:
 			modlDamaged = true
 			seen++
 			continue
-		case errors.Is(err, wire.ErrChecksum) && tag == SectionBitmaps:
+		case errors.Is(err, wire.ErrChecksum) && tag == sectionBitmaps:
 			// Bitmap indexes are likewise reconstructible: note the damage
 			// and rebuild them from the data section after decoding.
 			res.Warnings = append(res.Warnings, err.Error())
@@ -224,7 +214,7 @@ sections:
 			seen++
 			continue
 		case errors.Is(err, wire.ErrTruncated) && meta != nil && data != nil &&
-			seen == count-1 && (tag == SectionModels || tag == ""):
+			seen == count-1 && (tag == sectionModels || tag == ""):
 			// The file ends inside (or just before) the final section.
 			// The models section is written last, so with every other
 			// section intact the loss is confined to reconstructible
@@ -237,13 +227,13 @@ sections:
 		}
 		seen++
 		switch tag {
-		case SectionMeta:
+		case sectionMeta:
 			meta = payload
-		case SectionData:
+		case sectionData:
 			data = payload
-		case SectionBitmaps:
+		case sectionBitmaps:
 			bidx = payload
-		case SectionModels:
+		case sectionModels:
 			modl = payload
 		default:
 			if res.Extra == nil {
@@ -253,10 +243,10 @@ sections:
 		}
 	}
 	if meta == nil {
-		return res, fmt.Errorf("core: snapshot has no %q section: %w", SectionMeta, wire.ErrTruncated)
+		return res, fmt.Errorf("core: snapshot has no %q section: %w", sectionMeta, wire.ErrTruncated)
 	}
 	if data == nil {
-		return res, fmt.Errorf("core: snapshot has no %q section: %w", SectionData, wire.ErrTruncated)
+		return res, fmt.Errorf("core: snapshot has no %q section: %w", sectionData, wire.ErrTruncated)
 	}
 
 	f := &Flood{}

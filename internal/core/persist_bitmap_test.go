@@ -68,13 +68,13 @@ func TestBuildCreatesBitmapIndexes(t *testing.T) {
 	// A negative threshold disables them.
 	tbl, _ := makeData(t, 500, 3, 99)
 	g, err := Build(tbl, Layout{GridDims: []int{0}, GridCols: []int{4}, SortDim: 1, Flatten: true},
-		Options{BitmapMaxCardinality: -1})
+		Options{bitmapMaxCardinality: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for c := 0; c < 3; c++ {
 		if g.t.Bitmap(c) != nil {
-			t.Fatal("BitmapMaxCardinality < 0 should disable bitmap indexes")
+			t.Fatal("bitmapMaxCardinality < 0 should disable bitmap indexes")
 		}
 	}
 }
@@ -174,13 +174,13 @@ func TestBitmapSnapshotResavesBytes(t *testing.T) {
 func TestLoadSnapshotWithoutBitmapSection(t *testing.T) {
 	f, _ := bitmapTestIndex(t, 3000)
 	var buf bytes.Buffer
-	if err := wire.WriteHeader(&buf, PersistVersion, 3); err != nil {
+	if err := wire.WriteHeader(&buf, persistVersion, 3); err != nil {
 		t.Fatal(err)
 	}
 	sw := wire.NewSectionWriter(&buf)
-	sw.Section(SectionMeta, f.encodeMeta)
-	sw.Section(SectionData, func(w *wire.Writer) { f.t.Encode(w) })
-	sw.Section(SectionModels, f.encodeModels)
+	sw.Section(sectionMeta, f.encodeMeta)
+	sw.Section(sectionData, func(w *wire.Writer) { f.t.Encode(w) })
+	sw.Section(sectionModels, f.encodeModels)
 	if err := sw.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestLoadDamagedBitmapSectionRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
-	at := bytes.Index(raw, []byte(SectionBitmaps))
+	at := bytes.Index(raw, []byte(sectionBitmaps))
 	if at < 0 {
 		t.Fatal("snapshot has no bidx section")
 	}
@@ -242,7 +242,7 @@ func TestLoadBitmapSectionWithWrongContentRecovers(t *testing.T) {
 	// Payload: index count, column, then the index — min, cardinality, rows,
 	// word count, words. Clear row 0 (and the rest of its byte) in all five
 	// bitmaps.
-	raw := resealSection(t, buf.Bytes(), SectionBitmaps, func(payload []byte) []byte {
+	raw := resealSection(t, buf.Bytes(), sectionBitmaps, func(payload []byte) []byte {
 		const firstWord = 6 * 8
 		nWords := (3000 + 63) / 64
 		for v := 0; v < 5; v++ {
@@ -344,7 +344,7 @@ func TestLoadSnapshotWithRefinementModels(t *testing.T) {
 		fresh := buf.Bytes()
 		models := legacyRefinementModels(tc.f)
 		withModels := func(models []byte) []byte {
-			return resealSection(t, fresh, SectionModels, func(payload []byte) []byte {
+			return resealSection(t, fresh, sectionModels, func(payload []byte) []byte {
 				if payload[len(payload)-1] != 0 {
 					t.Fatalf("%s: Save set the refinement-model flag", tc.name)
 				}
@@ -357,7 +357,7 @@ func TestLoadSnapshotWithRefinementModels(t *testing.T) {
 			// What builds that refined by plain binary search (1) or not at
 			// all (2) saved: no models, and the mode in the first of the
 			// meta section's three trailing 8-byte slots.
-			snapshots[fmt.Sprintf("refinement mode %d", mode)] = resealSection(t, fresh, SectionMeta, func(payload []byte) []byte {
+			snapshots[fmt.Sprintf("refinement mode %d", mode)] = resealSection(t, fresh, sectionMeta, func(payload []byte) []byte {
 				binary.LittleEndian.PutUint64(payload[len(payload)-24:], mode)
 				return payload
 			})
@@ -458,7 +458,7 @@ func TestLoadSnapshotWrittenBeforeRangeEncoding(t *testing.T) {
 	if err := res.Index.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	want := resealSection(t, old, SectionModels, func(payload []byte) []byte {
+	want := resealSection(t, old, sectionModels, func(payload []byte) []byte {
 		// Cell 0 holds rows, so the first model's tag follows the
 		// refinement-model flag and cell 0's presence flag.
 		at := bytes.Index(payload, []byte("PLM1")) - 2
@@ -477,31 +477,23 @@ func TestLoadSnapshotWrittenBeforeRangeEncoding(t *testing.T) {
 // build writes it: tag 3 and the CDF's step points in each CDF's place.
 func legacyCDFsAsSteps(t *testing.T, payload []byte, layout Layout) []byte {
 	t.Helper()
-	var out bytes.Buffer
-	w := wire.NewWriter(&out)
-	for _, cols := range layout.GridCols {
-		if payload[0] != legacyCDFTag {
-			t.Fatalf("the older snapshot's bucketer tag is %d, want a CDF", payload[0])
+	out := encodeBytes(t, func(w *wire.Writer) {
+		for _, cols := range layout.GridCols {
+			if payload[0] != legacyCDFTag {
+				t.Fatalf("the older snapshot's bucketer tag is %d, want a CDF", payload[0])
+			}
+			cdf, err := rmi.DecodeCDF(wire.NewReaderBytes(payload[1:]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			enc := encodeBytes(t, cdf.Encode)
+			if !bytes.HasPrefix(payload[1:], enc) {
+				t.Fatal("the older snapshot's CDF does not re-encode to its own bytes")
+			}
+			payload = payload[1+len(enc):]
+			w.U8(stepsTag)
+			w.I64s(cdfSteps(cdf, cols))
 		}
-		cdf, err := rmi.DecodeCDF(wire.NewReaderBytes(payload[1:]))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var enc bytes.Buffer
-		ew := wire.NewWriter(&enc)
-		cdf.Encode(ew)
-		if err := ew.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.HasPrefix(payload[1:], enc.Bytes()) {
-			t.Fatal("the older snapshot's CDF does not re-encode to its own bytes")
-		}
-		payload = payload[1+enc.Len():]
-		w.U8(stepsTag)
-		w.I64s(cdfSteps(cdf, cols))
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return append(out.Bytes(), payload...)
+	})
+	return append(out, payload...)
 }

@@ -3,7 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
+	"io"
 	"math"
 	"math/rand"
 	"slices"
@@ -15,6 +15,16 @@ import (
 	"flood/internal/rmi"
 	"flood/internal/wire"
 )
+
+// load reads an index written by Save, recovering a damaged models section
+// by retraining, as LoadSections does.
+func load(in io.Reader) (*Flood, error) {
+	res, err := LoadSections(in)
+	if err != nil {
+		return nil, err
+	}
+	return res.Index, nil
+}
 
 func TestSaveLoadRoundtrip(t *testing.T) {
 	tbl, data := makeData(t, 5000, 4, 131)
@@ -32,7 +42,7 @@ func TestSaveLoadRoundtrip(t *testing.T) {
 		if err := orig.Save(&buf); err != nil {
 			t.Fatal(err)
 		}
-		loaded, err := Load(&buf)
+		loaded, err := load(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,10 +74,10 @@ func TestSaveLoadRoundtrip(t *testing.T) {
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("not an index"))); err == nil {
+	if _, err := load(bytes.NewReader([]byte("not an index"))); err == nil {
 		t.Fatal("garbage should not load")
 	}
-	if _, err := Load(bytes.NewReader(nil)); err == nil {
+	if _, err := load(bytes.NewReader(nil)); err == nil {
 		t.Fatal("empty stream should not load")
 	}
 	// A truncated valid stream must fail cleanly, not panic.
@@ -78,7 +88,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cut := range []int{8, 64, buf.Len() / 2} {
-		if _, err := Load(bytes.NewReader(buf.Bytes()[:cut])); err == nil {
+		if _, err := load(bytes.NewReader(buf.Bytes()[:cut])); err == nil {
 			t.Fatalf("truncation at %d bytes should fail", cut)
 		}
 	}
@@ -101,20 +111,37 @@ func TestLoadRejectsGarbage(t *testing.T) {
 func rewriteSteps(t *testing.T, payload []byte, grids int, enc func(gi int, st []int64, w *wire.Writer)) []byte {
 	t.Helper()
 	r := wire.NewReaderBytes(payload)
-	var out bytes.Buffer
-	w := wire.NewWriter(&out)
-	for gi := range grids {
-		if tag := r.U8(); tag != stepsTag {
-			t.Fatalf("grid dimension %d has bucketer tag %d, want %d", gi, tag, stepsTag)
+	out := encodeBytes(t, func(w *wire.Writer) {
+		for gi := range grids {
+			if tag := r.U8(); tag != stepsTag {
+				t.Fatalf("grid dimension %d has bucketer tag %d, want %d", gi, tag, stepsTag)
+			}
+			st := r.I64s()
+			enc(gi, st, w)
+			payload = payload[1+8+8*len(st):]
 		}
-		st := r.I64s()
-		enc(gi, st, w)
-		payload = payload[1+8+8*len(st):]
-	}
-	if err := errors.Join(r.Err(), w.Flush()); err != nil {
+	})
+	if err := r.Err(); err != nil {
 		t.Fatal(err)
 	}
-	return append(out.Bytes(), payload...)
+	return append(out, payload...)
+}
+
+// encodeBytes returns what encode writes through a wire.Writer: the payload
+// of the one section a SectionWriter frames around it, read back.
+func encodeBytes(t testing.TB, encode func(*wire.Writer)) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	sw := wire.NewSectionWriter(&buf)
+	sw.Section("test", encode)
+	if err := sw.Err(); err != nil {
+		t.Fatal(err)
+	}
+	_, payload, err := wire.NewSectionReader(&buf, 1).Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return payload
 }
 
 // TestLoadLegacyBucketers loads models sections written before the index
@@ -146,7 +173,7 @@ func TestLoadLegacyBucketers(t *testing.T) {
 			enc[gi] = func(w *wire.Writer) { w.U8(legacyEqualWidthTag); w.I64(minV); w.F64(rangeSz) }
 		}
 		resaved := saved(t, referenceBuild(t, tbl, layout, Options{}, st))
-		legacy := resealSection(t, resaved, SectionModels, func(payload []byte) []byte {
+		legacy := resealSection(t, resaved, sectionModels, func(payload []byte) []byte {
 			return rewriteSteps(t, payload, len(layout.GridDims), func(gi int, _ []int64, w *wire.Writer) { enc[gi](w) })
 		})
 		res, err := LoadSections(bytes.NewReader(legacy))
@@ -192,7 +219,7 @@ func TestLoadHostileStepPoints(t *testing.T) {
 		{"one point too many", func(st []int64) []int64 { return append(st, math.MaxInt64) }},
 		{"a point per column", func(st []int64) []int64 { return append([]int64{math.MinInt64}, st...) }},
 	} {
-		snap := resealSection(t, buf.Bytes(), SectionModels, func(payload []byte) []byte {
+		snap := resealSection(t, buf.Bytes(), sectionModels, func(payload []byte) []byte {
 			return rewriteSteps(t, payload, len(layout.GridDims), func(gi int, st []int64, w *wire.Writer) {
 				if gi == 1 {
 					st = tc.edit(st)
@@ -230,7 +257,7 @@ func TestLoadHostileBlockMinimum(t *testing.T) {
 		t.Fatal(err)
 	}
 	layout := Layout{GridDims: []int{0, 1}, GridCols: []int{2, 4}, SortDim: -1, Flatten: true}
-	f, err := Build(tbl, layout, Options{BitmapMaxCardinality: 16})
+	f, err := Build(tbl, layout, Options{bitmapMaxCardinality: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,13 +266,13 @@ func TestLoadHostileBlockMinimum(t *testing.T) {
 		t.Fatal(err)
 	}
 	low, high := binary.LittleEndian.AppendUint64(nil, math.MaxInt64-1), binary.LittleEndian.AppendUint64(nil, math.MaxInt64)
-	snap := resealSection(t, buf.Bytes(), SectionData, func(payload []byte) []byte {
+	snap := resealSection(t, buf.Bytes(), sectionData, func(payload []byte) []byte {
 		if !bytes.Contains(payload, low) {
 			t.Fatal("the data section holds no block minimum of MaxInt64-1")
 		}
 		return bytes.ReplaceAll(payload, low, high)
 	})
-	snap = resealSection(t, snap, SectionModels, func(payload []byte) []byte {
+	snap = resealSection(t, snap, sectionModels, func(payload []byte) []byte {
 		return rewriteSteps(t, payload, len(layout.GridDims), func(gi int, st []int64, w *wire.Writer) {
 			if gi == 1 {
 				st = append(st, math.MaxInt64)

@@ -151,7 +151,7 @@ func TestPredictTimeRefinementTerm(t *testing.T) {
 }
 
 func TestFlattenQueryBounds(t *testing.T) {
-	ds := dataset.Perfmon(10000, 44)
+	ds := dataset.ByName("perfmon", 10000, 44)
 	est := NewEstimator(ds.Table, 2000, 45)
 	q := query.NewQuery(6).WithRange(2, 10, 50).WithEquals(1, 3)
 	fq := est.Flatten(q)

@@ -286,8 +286,8 @@ func (e *Estimator) PredictWorkload(m *Model, fqs []FlatQuery, cand Candidate) f
 }
 
 // DimSelectivities returns the average passing fraction per dimension over
-// the flattened queries (lower = more selective), mirroring
-// workload.DimSelectivities but computed on the estimator's sample.
+// the flattened queries (lower = more selective), as the workload package
+// measures it on its generator's sample, but computed on the estimator's.
 func (e *Estimator) DimSelectivities(fqs []FlatQuery) []float64 {
 	sums := make([]float64, e.d)
 	counts := make([]int, e.d)

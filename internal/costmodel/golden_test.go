@@ -27,10 +27,7 @@ func TestFindOptimalLayoutMatchesReferenceSearch(t *testing.T) {
 			t.Parallel()
 			ds := dataset.ByName(name, 20000, seed)
 			queries := workload.Standard(ds, 60, seed+1)
-			cfg := optimizer.Config{
-				DataSampleSize: 2000, QuerySampleSize: 20, Restarts: []float64{1 << 8, 1 << 12, 1 << 16},
-				GDSteps: 6, MaxTotalCells: 10000, MaxGridDims: 10, MaxSortCandidates: 8, Seed: seed + 2,
-			}
+			cfg := optimizer.Config{DataSampleSize: 2000, QuerySampleSize: 20, GDSteps: 6, Seed: seed + 2}
 			got, err := optimizer.FindOptimalLayout(ds.Table, queries, m, cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -47,11 +44,20 @@ func TestFindOptimalLayoutMatchesReferenceSearch(t *testing.T) {
 	}
 }
 
+// The search's fixed effort, written out for the reference: the restarts'
+// initial cell budgets, and the most dimensions a grid and the
+// sort-dimension candidates may use.
+var (
+	refRestarts                    = []float64{1 << 8, 1 << 12, 1 << 16}
+	refMaxGridDims, refMaxSortDims = 10, 8
+)
+
 // referenceSearch is the layout search as first written, kept as the oracle:
 // every evaluation a full pass over the sample through the reference
 // estimator, every gradient recomputed, fresh column copies throughout. cfg
 // must have every field set.
 func referenceSearch(tbl *colstore.Table, queries []query.Query, m *costmodel.Model, cfg optimizer.Config) (core.Layout, float64) {
+	maxCells := math.Max(1024, float64(tbl.NumRows())/2) // the search's cell cap
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	est := costmodel.NewEstimator(tbl, cfg.DataSampleSize, rng.Int63())
 	qs := queries
@@ -83,11 +89,11 @@ func referenceSearch(tbl *colstore.Table, queries []query.Query, m *costmodel.Mo
 		filtered = dims
 	}
 	candidates, sortCandidates := filtered, filtered
-	if len(candidates) > cfg.MaxGridDims {
-		candidates = candidates[:cfg.MaxGridDims]
+	if len(candidates) > refMaxGridDims {
+		candidates = candidates[:refMaxGridDims]
 	}
-	if len(sortCandidates) > cfg.MaxSortCandidates {
-		sortCandidates = sortCandidates[:cfg.MaxSortCandidates]
+	if len(sortCandidates) > refMaxSortDims {
+		sortCandidates = sortCandidates[:refMaxSortDims]
 	}
 
 	clamp := func(cols []float64) {
@@ -95,10 +101,10 @@ func referenceSearch(tbl *colstore.Table, queries []query.Query, m *costmodel.Mo
 		for _, v := range cols {
 			total *= math.Max(1, v)
 		}
-		if total <= cfg.MaxTotalCells {
+		if total <= maxCells {
 			return
 		}
-		shrink := math.Pow(total/cfg.MaxTotalCells, 1/float64(len(cols)))
+		shrink := math.Pow(total/maxCells, 1/float64(len(cols)))
 		for i := range cols {
 			cols[i] = math.Max(1, cols[i]/shrink)
 		}
@@ -118,7 +124,7 @@ func referenceSearch(tbl *colstore.Table, queries []query.Query, m *costmodel.Mo
 				nf++
 			}
 		}
-		for _, budget := range cfg.Restarts {
+		for _, budget := range refRestarts {
 			cand := costmodel.Candidate{GridDims: gridDims, Cols: make([]float64, len(gridDims)), SortDim: sortDim}
 			for i, d := range gridDims {
 				cand.Cols[i] = 1

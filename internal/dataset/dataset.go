@@ -156,10 +156,10 @@ func OSM(n int, seed int64) *Dataset {
 		[][]int64{id, timestamp, lat, lon, typ, category})
 }
 
-// Perfmon generates the performance-monitoring stand-in: a year of metrics
+// perfmon generates the performance-monitoring stand-in: a year of metrics
 // with diurnal timestamps, Zipf machine IDs, and heavy-tailed resource
 // usage ("non-uniform and often highly skewed", §7.3).
-func Perfmon(n int, seed int64) *Dataset {
+func perfmon(n int, seed int64) *Dataset {
 	rng := rand.New(rand.NewSource(seed))
 	ts := make([]int64, n)
 	machine := make([]int64, n)
@@ -218,7 +218,7 @@ func ByName(name string, n int, seed int64) *Dataset {
 	case "osm":
 		return OSM(n, seed)
 	case "perfmon":
-		return Perfmon(n, seed)
+		return perfmon(n, seed)
 	default:
 		return nil
 	}

@@ -10,7 +10,7 @@ func TestGeneratorsShapes(t *testing.T) {
 		{Sales(5000, 1), 6},
 		{TPCH(5000, 2), 7},
 		{OSM(5000, 3), 6},
-		{Perfmon(5000, 4), 6},
+		{perfmon(5000, 4), 6},
 		{Uniform(5000, 9, 5), 9},
 	}
 	for _, c := range cases {
@@ -97,7 +97,7 @@ func TestOSMSpatialClustering(t *testing.T) {
 }
 
 func TestPerfmonSkew(t *testing.T) {
-	ds := Perfmon(30000, 9)
+	ds := perfmon(30000, 9)
 	swap := ds.Cols[ds.ColumnIndex("swap")]
 	zeros := 0
 	for _, v := range swap {

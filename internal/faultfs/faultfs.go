@@ -4,6 +4,8 @@
 // prefix truncation and every single-byte corruption of snapshots and WAL
 // segments through these, asserting recovery is either exact or a clean
 // typed error — never a panic or silently wrong rows.
+//
+//api:keep a test harness: its callers are other packages' tests
 package faultfs
 
 import (

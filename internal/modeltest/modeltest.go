@@ -13,6 +13,8 @@
 // Sequences are deterministic in their seed, so a failure report is a
 // (seed, op-index) pair that reproduces exactly. ShrinkPrefix bisects a
 // failing sequence down to its shortest failing prefix for diagnosis.
+//
+//api:keep a test harness: its callers are other packages' tests
 package modeltest
 
 import (

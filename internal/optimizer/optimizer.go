@@ -34,49 +34,43 @@ type Config struct {
 	DataSampleSize int
 	// QuerySampleSize bounds the workload sample (default 50; §7.7).
 	QuerySampleSize int
-	// Restarts lists initial total-cell budgets for the multi-start
-	// descent (stand-in for Scipy basinhopping). Default {2^8, 2^12, 2^16}.
-	Restarts []float64
 	// GDSteps is the number of gradient steps per restart (default 20).
 	GDSteps int
-	// MaxTotalCells caps layout size (default n/2, min 1024).
-	MaxTotalCells float64
-	// MaxGridDims caps how many dimensions a candidate grid may use
-	// (default 10). Rarely filtered dimensions are dropped first — the
-	// behaviour §7.5 observes on high-dimensional data ("Flood chooses
-	// not to include the least frequently filtered dimensions").
-	MaxGridDims int
-	// MaxSortCandidates caps how many dimensions are tried as the sort
-	// dimension (default 8, most selective first).
-	MaxSortCandidates int
 	// Seed drives sampling.
 	Seed int64
 }
 
-func (c Config) withDefaults(n int) Config {
+func (c Config) withDefaults() Config {
 	if c.DataSampleSize <= 0 {
 		c.DataSampleSize = 2000
 	}
 	if c.QuerySampleSize <= 0 {
 		c.QuerySampleSize = 50
 	}
-	if len(c.Restarts) == 0 {
-		c.Restarts = []float64{1 << 8, 1 << 12, 1 << 16}
-	}
 	if c.GDSteps <= 0 {
 		c.GDSteps = 20
 	}
-	if c.MaxTotalCells <= 0 {
-		c.MaxTotalCells = math.Max(1024, float64(n)/2)
-	}
-	if c.MaxGridDims <= 0 {
-		c.MaxGridDims = 10
-	}
-	if c.MaxSortCandidates <= 0 {
-		c.MaxSortCandidates = 8
-	}
 	return c
 }
+
+// restarts lists the initial total-cell budgets of the multi-start descent
+// (a stand-in for Scipy's basinhopping).
+var restarts = [...]float64{1 << 8, 1 << 12, 1 << 16}
+
+const (
+	// maxGridDims caps how many dimensions a candidate grid may use.
+	// Rarely filtered dimensions are dropped first — the behaviour §7.5
+	// observes on high-dimensional data ("Flood chooses not to include the
+	// least frequently filtered dimensions").
+	maxGridDims = 10
+	// maxSortCandidates caps how many dimensions, most selective first,
+	// are tried as the sort dimension.
+	maxSortCandidates = 8
+)
+
+// maxTotalCells caps the size of a layout over n rows: n/2 cells, and no
+// fewer than 1024.
+func maxTotalCells(n int) float64 { return math.Max(1024, float64(n)/2) }
 
 // Result is the outcome of a layout search.
 type Result struct {
@@ -92,8 +86,8 @@ func FindOptimalLayout(tbl *colstore.Table, queries []query.Query, m *costmodel.
 	if m == nil {
 		return Result{}, fmt.Errorf("optimizer: need a calibrated cost model")
 	}
-	n := tbl.NumRows()
-	cfg = cfg.withDefaults(n)
+	cfg = cfg.withDefaults()
+	maxCells := maxTotalCells(tbl.NumRows())
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	// Algorithm 1 lines 4-8: sample and flatten.
@@ -120,17 +114,17 @@ func FindOptimalLayout(tbl *colstore.Table, queries []query.Query, m *costmodel.
 		filtered = dims
 	}
 	candidates := filtered
-	if len(candidates) > cfg.MaxGridDims {
-		candidates = candidates[:cfg.MaxGridDims]
+	if len(candidates) > maxGridDims {
+		candidates = candidates[:maxGridDims]
 	}
 	sortCandidates := filtered
-	if len(sortCandidates) > cfg.MaxSortCandidates {
-		sortCandidates = sortCandidates[:cfg.MaxSortCandidates]
+	if len(sortCandidates) > maxSortCandidates {
+		sortCandidates = sortCandidates[:maxSortCandidates]
 	}
 
 	// Lines 12-21: try each dimension as the sort dimension, from every
 	// restart.
-	ds := make([]descent, 0, len(sortCandidates)*len(cfg.Restarts))
+	ds := make([]descent, 0, len(sortCandidates)*len(restarts))
 	for _, sortDim := range sortCandidates {
 		gridDims := make([]int, 0, len(candidates))
 		for _, d := range candidates {
@@ -144,7 +138,7 @@ func FindOptimalLayout(tbl *colstore.Table, queries []query.Query, m *costmodel.
 			gridFiltered[i] = sels[d] < 1
 			anyFiltered = anyFiltered || gridFiltered[i]
 		}
-		for _, budget := range cfg.Restarts {
+		for _, budget := range restarts {
 			ds = append(ds, descent{cand: costmodel.Candidate{
 				GridDims: gridDims,
 				Cols:     initialCols(gridDims, gridFiltered, anyFiltered, budget),
@@ -160,7 +154,7 @@ func FindOptimalLayout(tbl *colstore.Table, queries []query.Query, m *costmodel.
 	core.RunBatch(len(ds), func(i int) {
 		w := <-ws
 		defer func() { ws <- w }()
-		w.descend(&ds[i], cfg)
+		w.descend(&ds[i], cfg.GDSteps, maxCells)
 	})
 	// The cheapest descent wins; a tie goes to the first sort candidate and
 	// then the first restart, the order the descents were listed in.
@@ -192,8 +186,9 @@ type descender struct {
 	next, grad []float64
 }
 
-// descend runs d's descent on w's scratch.
-func (w *descender) descend(d *descent, cfg Config) {
+// descend runs d's descent of at most steps gradient steps on w's scratch,
+// holding every point to maxCells cells.
+func (w *descender) descend(d *descent, steps int, maxCells float64) {
 	cand := d.cand
 	n := len(cand.Cols)
 	if cap(w.next) < n {
@@ -201,12 +196,12 @@ func (w *descender) descend(d *descent, cfg Config) {
 	}
 	next := costmodel.Candidate{GridDims: cand.GridDims, Cols: w.next[:n], SortDim: cand.SortDim}
 	grad := w.grad[:n]
-	clampCells(&cand, cfg.MaxTotalCells)
+	clampCells(&cand, maxCells)
 	cost := w.s.Cost(cand)
 	lr := 0.6
 	norm := 0.0
 	moved := true // cand changed since grad was computed
-	for step := 0; step < cfg.GDSteps; step++ {
+	for step := 0; step < steps; step++ {
 		if moved {
 			// A rejected step leaves cand, and so its gradient, as
 			// they were.
@@ -228,7 +223,7 @@ func (w *descender) descend(d *descent, cfg Config) {
 				next.Cols[i] = 1
 			}
 		}
-		clampCells(&next, cfg.MaxTotalCells)
+		clampCells(&next, maxCells)
 		nextCost := w.s.Cost(next)
 		if nextCost < cost {
 			cand.Cols, next.Cols = next.Cols, cand.Cols
@@ -352,23 +347,4 @@ func SimpleGridLayout(tbl *colstore.Table, queries []query.Query, targetCells fl
 		l.GridCols = append(l.GridCols, c)
 	}
 	return l
-}
-
-// AblationVariant derives the Fig. 11 intermediate layouts from a learned
-// layout: "+Sort Dim" moves the learned sort dimension back into effect on a
-// simple grid; "+Flattening" additionally flattens; "+Learning" is the
-// learned layout itself.
-func AblationVariant(learned core.Layout, flatten, sortDim bool) core.Layout {
-	v := learned
-	v.Flatten = flatten
-	if !sortDim {
-		// Fold the sort dimension into the grid with a modest column
-		// count so the variant still indexes it.
-		if v.SortDim >= 0 {
-			v.GridDims = append(append([]int(nil), v.GridDims...), v.SortDim)
-			v.GridCols = append(append([]int(nil), v.GridCols...), 8)
-			v.SortDim = -1
-		}
-	}
-	return v
 }

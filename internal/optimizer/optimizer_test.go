@@ -135,21 +135,6 @@ func TestSimpleGridLayout(t *testing.T) {
 	}
 }
 
-func TestAblationVariants(t *testing.T) {
-	learned := core.Layout{GridDims: []int{5, 1}, GridCols: []int{10, 4}, SortDim: 6, Flatten: true}
-	noSort := AblationVariant(learned, false, false)
-	if noSort.SortDim != -1 || len(noSort.GridDims) != 3 || noSort.Flatten {
-		t.Fatalf("no-sort variant wrong: %+v", noSort)
-	}
-	flatSort := AblationVariant(learned, true, true)
-	if flatSort.SortDim != 6 || !flatSort.Flatten {
-		t.Fatalf("flatten variant wrong: %+v", flatSort)
-	}
-	if err := noSort.Validate(7); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestFindOptimalLayoutAllocationBound(t *testing.T) {
 	// A search allocates to set up — the sample, its CDFs and sorted
 	// orders, the flattened queries, one column slice per restart — and

@@ -73,7 +73,7 @@ func TestMinMaxExactRangeMatchesPerRow(t *testing.T) {
 
 func TestMaxViaScannerMatchesBrute(t *testing.T) {
 	tbl, vals := aggTable(t, 5000, 93)
-	sc := NewScanner(tbl)
+	sc := newScanner(tbl)
 	q := NewQuery(1).WithRange(0, 0, 1<<40)
 	agg := NewMax(0)
 	sc.ScanRange(q, []int{0}, 0, len(vals), agg)

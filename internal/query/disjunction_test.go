@@ -169,7 +169,7 @@ type scanIndex struct{ t *colstore.Table }
 func (s *scanIndex) Name() string     { return "scan" }
 func (s *scanIndex) SizeBytes() int64 { return 0 }
 func (s *scanIndex) Execute(q Query, agg Aggregator) Stats {
-	scanned, matched := NewScanner(s.t).ScanRange(q, q.FilteredDims(), 0, s.t.NumRows(), agg)
+	scanned, matched := newScanner(s.t).ScanRange(q, q.FilteredDims(), 0, s.t.NumRows(), agg)
 	return Stats{Scanned: scanned, Matched: matched}
 }
 

@@ -67,7 +67,7 @@ func buildTestTable(t testing.TB, n int, seed int64) (*colstore.Table, [][]int64
 func TestScannerMatchesBruteForce(t *testing.T) {
 	tbl, data := buildTestTable(t, 1000, 11)
 	q := NewQuery(3).WithRange(0, 20, 60).WithRange(2, 10, 80)
-	sc := NewScanner(tbl)
+	sc := newScanner(tbl)
 	agg := NewCount()
 	scanned, matched := sc.ScanRange(q, q.FilteredDims(), 0, 1000, agg)
 	var want int64
@@ -87,7 +87,7 @@ func TestScannerMatchesBruteForce(t *testing.T) {
 func TestScannerSubRanges(t *testing.T) {
 	tbl, data := buildTestTable(t, 700, 13)
 	q := NewQuery(3).WithRange(1, 30, 70)
-	sc := NewScanner(tbl)
+	sc := newScanner(tbl)
 	agg := NewSum(0)
 	var scanned, matched int64
 	for _, rg := range [][2]int{{0, 100}, {100, 355}, {355, 700}} {
@@ -112,7 +112,7 @@ func TestScannerSubRanges(t *testing.T) {
 func TestScannerExactRangeUsesPrefix(t *testing.T) {
 	tbl, data := buildTestTable(t, 512, 17)
 	tbl.EnableAggregate(1)
-	sc := NewScanner(tbl)
+	sc := newScanner(tbl)
 	agg := NewSum(1)
 	scanned, matched := sc.ScanExactRange(100, 300, agg)
 	var want int64
@@ -126,7 +126,7 @@ func TestScannerExactRangeUsesPrefix(t *testing.T) {
 
 func TestScannerEmptyFilterIsExact(t *testing.T) {
 	tbl, _ := buildTestTable(t, 256, 19)
-	sc := NewScanner(tbl)
+	sc := newScanner(tbl)
 	agg := NewCount()
 	scanned, matched := sc.ScanRange(NewQuery(3), nil, 0, 256, agg)
 	if scanned != 256 || matched != 256 || agg.Result() != 256 {
@@ -136,7 +136,7 @@ func TestScannerEmptyFilterIsExact(t *testing.T) {
 
 func TestScannerDegenerateRanges(t *testing.T) {
 	tbl, _ := buildTestTable(t, 100, 23)
-	sc := NewScanner(tbl)
+	sc := newScanner(tbl)
 	agg := NewCount()
 	if s, m := sc.ScanRange(NewQuery(3), nil, 50, 50, agg); s != 0 || m != 0 {
 		t.Fatalf("empty range scanned %d matched %d", s, m)
@@ -232,7 +232,7 @@ func TestScannerInvertedRangeMatchesNothing(t *testing.T) {
 	// unsigned compares must not wrap them into match-everything.
 	tbl, _ := buildTestTable(t, 300, 37)
 	q := NewQuery(3).WithRange(1, 60, 40)
-	sc := NewScanner(tbl)
+	sc := newScanner(tbl)
 	agg := NewCount()
 	if s, m := sc.ScanRange(q, q.FilteredDims(), 0, 300, agg); s != 0 || m != 0 || agg.Result() != 0 {
 		t.Fatalf("inverted range: scanned=%d matched=%d agg=%d, want all 0", s, m, agg.Result())

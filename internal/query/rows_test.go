@@ -20,7 +20,7 @@ func TestRowCollectorSingleSource(t *testing.T) {
 	tbl := seqTable(t, 300, 0)
 	rc := NewRowCollector()
 	q := NewQuery(1).WithRange(0, 50, 259)
-	sc := NewScanner(tbl)
+	sc := newScanner(tbl)
 	_, m := sc.ScanRange(q, q.FilteredDims(), 0, tbl.NumRows(), rc)
 	if m != 210 || rc.Len() != 210 {
 		t.Fatalf("matched %d, collected %d, want 210", m, rc.Len())
@@ -45,7 +45,7 @@ func TestRowCollectorMultiSourceOffsets(t *testing.T) {
 	q := NewQuery(1).WithRange(0, 150, 1020)
 
 	for _, tbl := range []*colstore.Table{base, delta} {
-		sc := NewScanner(tbl)
+		sc := newScanner(tbl)
 		sc.ScanRange(q, q.FilteredDims(), 0, tbl.NumRows(), rc)
 	}
 	rc.Sort()
@@ -68,7 +68,7 @@ func TestRowCollectorMergeIdenticalSources(t *testing.T) {
 	parent := NewRowCollector()
 	for _, half := range [][2]int{{0, 128}, {128, 256}} {
 		clone := parent.CloneEmpty().(*RowCollector)
-		sc := NewScanner(tbl)
+		sc := newScanner(tbl)
 		sc.ScanRange(q, q.FilteredDims(), half[0], half[1], clone)
 		parent.Merge(clone)
 	}

@@ -45,13 +45,6 @@ type Scanner struct {
 	buf       [colstore.BlockSize]int64 // scalar kernel: the dimension being refined, decoded
 }
 
-// NewScanner returns a scanner over t.
-func NewScanner(t *colstore.Table) *Scanner {
-	s := &Scanner{}
-	s.Reset(t)
-	return s
-}
-
 // Reset points the scanner at t, so a long-lived Scanner can serve many
 // tables and queries. The kernel choice resets to the build default (see
 // SetScalarKernel).

@@ -12,6 +12,13 @@ import (
 // dims with wide ones, then enables bitmap indexes so the bitmap kernel takes
 // the precomputed-AND path on the low-card dims while the scalar kernel
 // decodes everything.
+// newScanner returns a scanner over t.
+func newScanner(t *colstore.Table) *Scanner {
+	s := &Scanner{}
+	s.Reset(t)
+	return s
+}
+
 func equivTable(rng *rand.Rand, n int) (*colstore.Table, [][]int64) {
 	cards := []int64{4, 13, 1 << 20, 50} // dims 0,1 indexed; 2 wide; 3 indexed
 	data := make([][]int64, len(cards))
@@ -89,7 +96,7 @@ func equivQueryOver(rng *rand.Rand, cards []int64) Query {
 // runKernel scans [start, end) with the chosen kernel and an optional row
 // limit, returning the collected ids and stats.
 func runKernel(t *colstore.Table, q Query, start, end, limit int, scalar bool) ([]int64, int64, int64) {
-	sc := NewScanner(t)
+	sc := newScanner(t)
 	sc.SetScalarKernel(scalar)
 	var ctl *Control
 	if limit > 0 {
@@ -241,7 +248,7 @@ func TestBitmapKernelAggregates(t *testing.T) {
 				} {
 					for _, scalar := range []bool{false, true} {
 						agg := mk()
-						sc := NewScanner(tbl)
+						sc := newScanner(tbl)
 						sc.SetScalarKernel(scalar)
 						sc.SetTombstones(words)
 						sc.ScanRange(q, q.FilteredDims(), 0, n, agg)
@@ -318,7 +325,7 @@ func TestLimitPrefixEveryCut(t *testing.T) {
 							qi, words != nil, limit, scalar, len(ids), matched)
 					}
 					for _, agg := range []Aggregator{NewCount(), NewSum(2)} {
-						sc := NewScanner(tbl)
+						sc := newScanner(tbl)
 						sc.SetScalarKernel(scalar)
 						sc.SetTombstones(words)
 						ctl := GetControl(nil, limit)
@@ -379,7 +386,7 @@ func tombWords(rng *rand.Rand, n int, density float64) ([]uint64, []bool, int) {
 
 // runKernelTomb is runKernel with a tombstone mask attached.
 func runKernelTomb(t *colstore.Table, q Query, tomb []uint64, start, end, limit int, scalar bool) ([]int64, int64, int64) {
-	sc := NewScanner(t)
+	sc := newScanner(t)
 	sc.SetScalarKernel(scalar)
 	sc.SetTombstones(tomb)
 	var ctl *Control

@@ -1,16 +1,13 @@
-// Package rmi implements Recursive Model Indexes (Kraska et al., SIGMOD'18)
-// as used by Flood: monotone per-dimension CDF models — the cost model's
+// Package rmi implements the Recursive Model Index (Kraska et al., SIGMOD'18)
+// Flood still trains: a monotone per-dimension CDF model — the cost model's
 // flattening of its sample (§5.1), the sharded store's split points, and the
 // flattening an older index snapshot stored, which a load turns into step
-// points; a build cuts its grid from value counts instead — and position
-// indexes with error bounds that implement the learned clustered
-// single-dimensional baseline (§7.2, Appendix A).
+// points. A build cuts its grid from value counts instead.
 //
-// Models are two-layer: a linear root routes a key to one of L leaves, and
-// each leaf is a linear regression over the keys it owns. For CDF models the
-// leaves are slope-clamped and range-clamped so the model is monotone
-// non-decreasing — the property §6 requires for partitioning points into
-// columns.
+// The model is two-layer: a linear root routes a key to one of L leaves, and
+// each leaf is a linear regression over the keys it owns. The leaves are
+// slope-clamped and range-clamped so the model is monotone non-decreasing —
+// the property §6 requires for partitioning points into columns.
 package rmi
 
 import (
@@ -20,48 +17,12 @@ import (
 	"flood/internal/colstore"
 )
 
+// linear is y = slope·x + intercept.
 type linear struct {
 	slope, intercept float64
 }
 
 func (l linear) at(v float64) float64 { return l.slope*v + l.intercept }
-
-// fitLinear least-squares fits y = a*x + b over the given points. A
-// degenerate x-range yields a flat line through the mean y.
-func fitLinear(xs, ys []float64) linear {
-	n := float64(len(xs))
-	if len(xs) == 0 {
-		return linear{}
-	}
-	var sx, sy, sxx, sxy float64
-	for i := range xs {
-		sx += xs[i]
-		sy += ys[i]
-		sxx += xs[i] * xs[i]
-		sxy += xs[i] * ys[i]
-	}
-	den := n*sxx - sx*sx
-	if den == 0 {
-		return linear{slope: 0, intercept: sy / n}
-	}
-	a := (n*sxy - sx*sy) / den
-	b := (sy - a*sx) / n
-	return linear{slope: a, intercept: b}
-}
-
-// fitMonotone fits a linear model but clamps the slope to be non-negative,
-// preserving monotonicity for CDF use.
-func fitMonotone(xs, ys []float64) linear {
-	l := fitLinear(xs, ys)
-	if l.slope < 0 {
-		var sy float64
-		for _, y := range ys {
-			sy += y
-		}
-		return linear{slope: 0, intercept: sy / float64(len(ys))}
-	}
-	return l
-}
 
 type cdfLeaf struct {
 	model  linear
@@ -125,10 +86,11 @@ func TrainCDF(values []int64, numLeaves int) *CDF {
 	return m
 }
 
-// fitCDFPoints is fitMonotone over the empirical CDF points of
-// sorted[start:end], x = sorted[i] and y = (i+1)/len(sorted), without
-// materialising them. The sums accumulate in index order, exactly as
-// fitLinear's do, so the fit is the one fitMonotone returns bit for bit.
+// fitCDFPoints is the least-squares line, its slope clamped at zero, through
+// the empirical CDF points of sorted[start:end], x = sorted[i] and
+// y = (i+1)/len(sorted), without materialising them. The sums accumulate in
+// index order, exactly as the test's reference fitMonotone does over the
+// materialised points, so the two fits agree bit for bit.
 func fitCDFPoints(sorted []int64, start, end int) linear {
 	total := float64(len(sorted))
 	var sx, sy, sxx, sxy float64

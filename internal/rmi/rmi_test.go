@@ -124,63 +124,6 @@ func TestCDFDegenerateInputs(t *testing.T) {
 	}
 }
 
-func TestPositionLookupExact(t *testing.T) {
-	for _, numLeaves := range []int{1, 8, 100} {
-		vals := skewedValues(8000, 4)
-		sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-		idx := TrainPosition(vals, numLeaves)
-		probes := append([]int64{vals[0] - 1, vals[len(vals)-1] + 1}, vals[:200]...)
-		rng := rand.New(rand.NewSource(5))
-		for i := 0; i < 500; i++ {
-			probes = append(probes, vals[rng.Intn(len(vals))]+rng.Int63n(7)-3)
-		}
-		for _, v := range probes {
-			want := sort.Search(len(vals), func(i int) bool { return vals[i] >= v })
-			if got := idx.Lookup(v); got != want {
-				t.Fatalf("leaves=%d: Lookup(%d) = %d, want %d", numLeaves, v, got, want)
-			}
-		}
-	}
-}
-
-func TestPositionLookupProperty(t *testing.T) {
-	f := func(raw []int64, probes []int64) bool {
-		sort.Slice(raw, func(i, j int) bool { return raw[i] < raw[j] })
-		idx := TrainPosition(raw, 4)
-		for _, v := range probes {
-			want := sort.Search(len(raw), func(i int) bool { return raw[i] >= v })
-			if idx.Lookup(v) != want {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPositionEmptyAndDuplicates(t *testing.T) {
-	idx := TrainPosition(nil, 4)
-	if idx.Lookup(5) != 0 {
-		t.Fatal("empty index Lookup != 0")
-	}
-	dup := []int64{3, 3, 3, 3, 3, 3, 7, 7, 7}
-	idx = TrainPosition(dup, 3)
-	if idx.Lookup(3) != 0 || idx.Lookup(4) != 6 || idx.Lookup(7) != 6 || idx.Lookup(8) != 9 {
-		t.Fatalf("duplicate lookups wrong: %d %d %d %d",
-			idx.Lookup(3), idx.Lookup(4), idx.Lookup(7), idx.Lookup(8))
-	}
-}
-
-func TestSizeBytesPositive(t *testing.T) {
-	vals := skewedValues(1000, 6)
-	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-	if TrainPosition(vals, 16).SizeBytes() <= 0 {
-		t.Fatal("PositionIndex SizeBytes must be positive")
-	}
-}
-
 func BenchmarkCDFAt(b *testing.B) {
 	vals := skewedValues(100000, 7)
 	m := TrainCDF(vals, 256)
@@ -188,18 +131,6 @@ func BenchmarkCDFAt(b *testing.B) {
 	var sink float64
 	for i := 0; i < b.N; i++ {
 		sink += m.At(vals[i%len(vals)])
-	}
-	_ = sink
-}
-
-func BenchmarkPositionLookup(b *testing.B) {
-	vals := skewedValues(100000, 8)
-	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-	idx := TrainPosition(vals, 316)
-	b.ResetTimer()
-	var sink int
-	for i := 0; i < b.N; i++ {
-		sink += idx.Lookup(vals[i%len(vals)])
 	}
 	_ = sink
 }
@@ -228,6 +159,43 @@ func TestCDFBucketMonotoneAtExtremes(t *testing.T) {
 	if got := m.Bucket(math.MaxInt64, cols); got != cols-1 {
 		t.Fatalf("Bucket(MaxInt64) = %d, want %d", got, cols-1)
 	}
+}
+
+// fitLinear least-squares fits y = a*x + b over the given points. A
+// degenerate x-range yields a flat line through the mean y.
+func fitLinear(xs, ys []float64) linear {
+	n := float64(len(xs))
+	if len(xs) == 0 {
+		return linear{}
+	}
+	var sx, sy, sxx, sxy float64
+	for i := range xs {
+		sx += xs[i]
+		sy += ys[i]
+		sxx += xs[i] * xs[i]
+		sxy += xs[i] * ys[i]
+	}
+	den := n*sxx - sx*sx
+	if den == 0 {
+		return linear{slope: 0, intercept: sy / n}
+	}
+	a := (n*sxy - sx*sy) / den
+	b := (sy - a*sx) / n
+	return linear{slope: a, intercept: b}
+}
+
+// fitMonotone fits a linear model but clamps the slope to be non-negative,
+// preserving monotonicity for CDF use. The reference fits through it.
+func fitMonotone(xs, ys []float64) linear {
+	l := fitLinear(xs, ys)
+	if l.slope < 0 {
+		var sy float64
+		for _, y := range ys {
+			sy += y
+		}
+		return linear{slope: 0, intercept: sy / float64(len(ys))}
+	}
+	return l
 }
 
 // trainCDFReference is TrainCDF as it stood at c4766b7, kept verbatim as the

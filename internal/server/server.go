@@ -453,14 +453,14 @@ func (s *Server) runSelect(rp reply, ctx context.Context, st *floodsql.Statement
 
 func (s *Server) handleSchema(w http.ResponseWriter, r *http.Request) {
 	tbl := s.refTable()
-	resp := SchemaResponse{Rows: s.store.NumRows(), Typed: s.schema != nil}
+	resp := schemaResponse{Rows: s.store.NumRows(), Typed: s.schema != nil}
 	for i := 0; i < tbl.NumCols(); i++ {
 		kind := "int64"
 		if s.schema != nil {
 			kind = s.schema.KindAt(i).String()
 		}
 		mn, mx := s.storeColumnBounds(i)
-		resp.Columns = append(resp.Columns, ColumnInfo{
+		resp.Columns = append(resp.Columns, columnInfo{
 			Name: tbl.Name(i), Kind: kind, Min: mn, Max: mx,
 		})
 	}
@@ -590,9 +590,9 @@ type QueryResponse struct {
 	ElapsedMicros int64 `json:"elapsed_us"`
 }
 
-// ColumnInfo describes one column of GET /schema: its logical kind and the
+// columnInfo describes one column of GET /schema: its logical kind and the
 // physical int64 domain observed in the base table.
-type ColumnInfo struct {
+type columnInfo struct {
 	// Name is the column name; Kind its logical kind ("int64", "float64",
 	// "string", "time").
 	Name string `json:"name"`
@@ -602,10 +602,10 @@ type ColumnInfo struct {
 	Max int64 `json:"max"`
 }
 
-// SchemaResponse is the GET /schema payload.
-type SchemaResponse struct {
+// schemaResponse is the GET /schema payload.
+type schemaResponse struct {
 	// Columns lists the table's columns in schema order.
-	Columns []ColumnInfo `json:"columns"`
+	Columns []columnInfo `json:"columns"`
 	// Rows is the current total row count (base + pending inserts).
 	Rows int `json:"rows"`
 	// Typed reports whether the server carries a typed schema (projections

@@ -290,7 +290,7 @@ func TestServerSchemaEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var sr SchemaResponse
+	var sr schemaResponse
 	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +355,7 @@ func TestServerSharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sr SchemaResponse
+	var sr schemaResponse
 	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
 		t.Fatal(err)
 	}

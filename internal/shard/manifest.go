@@ -38,7 +38,7 @@ func (m *Manifest) NumShards() int { return len(m.Splits) + 1 }
 // Validate checks the manifest's internal consistency: increasing splits
 // and one directory per shard.
 func (m *Manifest) Validate() error {
-	if err := Validate(m.Splits); err != nil {
+	if err := validateSplits(m.Splits); err != nil {
 		return err
 	}
 	if len(m.ShardDirs) != m.NumShards() {

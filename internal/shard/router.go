@@ -18,7 +18,7 @@ type Router struct {
 // NewRouter builds a router over strictly increasing split points on the
 // given dimension. An empty split list yields a single-shard router.
 func NewRouter(dim int, splits []int64) (*Router, error) {
-	if err := Validate(splits); err != nil {
+	if err := validateSplits(splits); err != nil {
 		return nil, err
 	}
 	return &Router{dim: dim, splits: append([]int64(nil), splits...)}, nil

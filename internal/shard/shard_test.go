@@ -133,7 +133,7 @@ func TestShardSplitsDegenerate(t *testing.T) {
 	// Two distinct values cannot support 8 shards; splits must still be
 	// strictly increasing (shard count collapses instead of duplicating).
 	s := FitSplits([]int64{0, 0, 0, 1, 1, 1}, 8)
-	if err := Validate(s); err != nil {
+	if err := validateSplits(s); err != nil {
 		t.Fatal(err)
 	}
 	if len(s) > 1 {

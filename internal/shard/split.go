@@ -153,9 +153,9 @@ func Partition(col []int64, r *Router) [][]int {
 	return parts
 }
 
-// Validate checks that splits are strictly increasing — the Router and
+// validateSplits checks that splits are strictly increasing — the Router and
 // Manifest invariant.
-func Validate(splits []int64) error {
+func validateSplits(splits []int64) error {
 	if !sort.SliceIsSorted(splits, func(i, j int) bool { return splits[i] < splits[j] }) {
 		return fmt.Errorf("shard: split points not strictly increasing: %v", splits)
 	}

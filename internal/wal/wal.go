@@ -29,12 +29,12 @@ import (
 // flipped length byte cannot redirect the frame walk to plausible garbage.
 const (
 	segmentMagic = "FLODWAL1"
-	// HeaderSize is the size of a segment header in bytes.
-	HeaderSize = 20
+	// headerSize is the size of a segment header in bytes.
+	headerSize = 20
 	frameSize  = 8
-	// MaxRecordLen bounds a record's declared payload length; larger values
+	// maxRecordLen bounds a record's declared payload length; larger values
 	// are treated as corruption rather than allocation requests.
-	MaxRecordLen = 1 << 30
+	maxRecordLen = 1 << 30
 )
 
 // SyncPolicy controls when appended records are fsynced to stable storage.
@@ -54,8 +54,8 @@ const (
 	SyncNone
 )
 
-// FlushInterval is the fsync period under SyncInterval.
-const FlushInterval = 50 * time.Millisecond
+// flushInterval is the fsync period under SyncInterval.
+const flushInterval = 50 * time.Millisecond
 
 // SegmentName returns the file name of the segment for a generation.
 func SegmentName(gen uint64) string { return fmt.Sprintf("wal-%06d.log", gen) }
@@ -104,7 +104,7 @@ func Create(path string, gen uint64, policy SyncPolicy) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
-	var h [HeaderSize]byte
+	var h [headerSize]byte
 	copy(h[:8], segmentMagic)
 	binary.LittleEndian.PutUint64(h[8:], gen)
 	binary.LittleEndian.PutUint32(h[16:], wire.Checksum(h[:16]))
@@ -126,8 +126,8 @@ func Create(path string, gen uint64, policy SyncPolicy) (*Log, error) {
 		path:   path,
 		gen:    gen,
 		f:      f,
-		offset: HeaderSize,
-		synced: HeaderSize,
+		offset: headerSize,
+		synced: headerSize,
 		policy: policy,
 		closed: make(chan struct{}),
 	}
@@ -169,7 +169,7 @@ func (l *Log) Append(payload []byte) error {
 // under their own lock can move the fsync wait outside it: appends stay
 // cheap and ordered, while concurrent WaitDurable calls group-commit.
 func (l *Log) AppendAsync(payload []byte) (int64, error) {
-	if int64(len(payload)) > MaxRecordLen {
+	if int64(len(payload)) > maxRecordLen {
 		return 0, fmt.Errorf("wal: record of %d bytes exceeds limit", len(payload))
 	}
 	frame := make([]byte, frameSize+len(payload))
@@ -250,10 +250,10 @@ func (l *Log) syncTo(target int64) error {
 	}
 }
 
-// flushLoop fsyncs every FlushInterval under SyncInterval until Close.
+// flushLoop fsyncs every flushInterval under SyncInterval until Close.
 func (l *Log) flushLoop() {
 	defer l.flushWG.Done()
-	t := time.NewTicker(FlushInterval)
+	t := time.NewTicker(flushInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -313,7 +313,7 @@ type ReplayResult struct {
 // segments). An error from apply aborts the walk and is returned as-is. A
 // damaged or truncated header yields Damaged with ValidSize 0 and no
 // records. A record is allocated only once the file is known to hold it, so
-// a damaged length costs at most the file's size, never MaxRecordLen.
+// a damaged length costs at most the file's size, never maxRecordLen.
 func Replay(path string, apply func(payload []byte) error) (ReplayResult, error) {
 	var res ReplayResult
 	f, err := os.Open(path)
@@ -326,7 +326,7 @@ func Replay(path string, apply func(payload []byte) error) (ReplayResult, error)
 		return res, err
 	}
 
-	var h [HeaderSize]byte
+	var h [headerSize]byte
 	if _, err := io.ReadFull(f, h[:]); err != nil {
 		res.Damaged = true
 		res.Err = fmt.Errorf("truncated segment header: %w", wire.ErrTruncated)
@@ -338,7 +338,7 @@ func Replay(path string, apply func(payload []byte) error) (ReplayResult, error)
 		return res, nil
 	}
 	res.Gen = binary.LittleEndian.Uint64(h[8:])
-	res.ValidSize = HeaderSize
+	res.ValidSize = headerSize
 
 	var frame [frameSize]byte
 	var payload []byte
@@ -351,7 +351,7 @@ func Replay(path string, apply func(payload []byte) error) (ReplayResult, error)
 			return res, nil
 		}
 		length := binary.LittleEndian.Uint32(frame[:4])
-		if int64(length) > MaxRecordLen {
+		if int64(length) > maxRecordLen {
 			res.Damaged = true
 			res.Err = fmt.Errorf("record declares %d bytes: %w", length, wire.ErrChecksum)
 			return res, nil

@@ -267,7 +267,7 @@ func TestTornHeaderIsDamage(t *testing.T) {
 		t.Fatal(err)
 	}
 	var torn bytes.Buffer
-	w := &faultfs.Writer{W: &torn, Limit: HeaderSize - 5}
+	w := &faultfs.Writer{W: &torn, Limit: headerSize - 5}
 	if _, err := w.Write(data); err != faultfs.ErrInjected {
 		t.Fatalf("torn writer returned %v", err)
 	}

@@ -20,13 +20,13 @@ import (
 // fewer sections than declared is ErrTruncated, trailing bytes past the last
 // declared section are ErrChecksum.
 const (
-	// SnapshotMagic prefixes every versioned snapshot.
-	SnapshotMagic = "FLOOD"
+	// snapshotMagic prefixes every versioned snapshot.
+	snapshotMagic = "FLOOD"
 	// HeaderSize is the fixed size of the snapshot header in bytes.
 	HeaderSize = 8
-	// MaxSectionLen bounds a section's declared payload length; anything
+	// maxSectionLen bounds a section's declared payload length; anything
 	// larger is treated as corruption rather than an allocation request.
-	MaxSectionLen = int64(1) << 40
+	maxSectionLen = int64(1) << 40
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -35,7 +35,7 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // of sections that follow.
 func WriteHeader(w io.Writer, version uint8, sections int) error {
 	var h [HeaderSize]byte
-	copy(h[:], SnapshotMagic)
+	copy(h[:], snapshotMagic)
 	h[5] = version
 	binary.LittleEndian.PutUint16(h[6:], uint16(sections))
 	_, err := w.Write(h[:])
@@ -46,7 +46,7 @@ func WriteHeader(w io.Writer, version uint8, sections int) error {
 // version and returns the declared section count. A wrong magic or version
 // byte yields ErrVersion.
 func ParseHeader(h []byte, version uint8) (sections int, err error) {
-	if len(h) < HeaderSize || string(h[:len(SnapshotMagic)]) != SnapshotMagic {
+	if len(h) < HeaderSize || string(h[:len(snapshotMagic)]) != snapshotMagic {
 		return 0, fmt.Errorf("not a flood snapshot: %w", ErrVersion)
 	}
 	if h[5] != version {
@@ -82,7 +82,7 @@ func (s *SectionWriter) Section(tag string, encode func(*Writer)) {
 		return
 	}
 	s.buf.Reset()
-	fw := NewWriter(&s.buf)
+	fw := newWriter(&s.buf)
 	encode(fw)
 	if s.err = fw.Flush(); s.err != nil {
 		return
@@ -138,7 +138,7 @@ func (s *SectionReader) Next() (tag string, payload []byte, err error) {
 	}
 	tag = string(frame[:4])
 	length := binary.LittleEndian.Uint64(frame[4:])
-	if length > uint64(MaxSectionLen) {
+	if length > uint64(maxSectionLen) {
 		return tag, nil, fmt.Errorf("section %q declares %d bytes: %w", tag, length, ErrChecksum)
 	}
 	// Read the payload in bounded chunks so a corrupt length cannot force a

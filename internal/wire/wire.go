@@ -35,8 +35,8 @@ type Writer struct {
 	err error
 }
 
-// NewWriter wraps w.
-func NewWriter(w io.Writer) *Writer { return &Writer{w: bufio.NewWriterSize(w, 1<<16)} }
+// newWriter wraps w.
+func newWriter(w io.Writer) *Writer { return &Writer{w: bufio.NewWriterSize(w, 1<<16)} }
 
 // Err returns the first error encountered.
 func (w *Writer) Err() error { return w.err }
@@ -173,9 +173,6 @@ type Reader struct {
 	r   *bufio.Reader
 	err error
 }
-
-// NewReader wraps r.
-func NewReader(r io.Reader) *Reader { return &Reader{r: bufio.NewReaderSize(r, 1<<16)} }
 
 // NewReaderBytes reads fields from an in-memory buffer, such as a verified
 // snapshot section payload.

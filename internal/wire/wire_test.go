@@ -9,7 +9,7 @@ import (
 
 func TestRoundtripAllTypes(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	w := newWriter(&buf)
 	w.Tag("TAG!")
 	w.U64(math.MaxUint64)
 	w.I64(math.MinInt64)
@@ -35,7 +35,7 @@ func TestRoundtripAllTypes(t *testing.T) {
 		t.Fatal("Len not tracked")
 	}
 
-	r := NewReader(&buf)
+	r := NewReaderBytes(buf.Bytes())
 	r.Expect("TAG!")
 	if r.U64() != math.MaxUint64 || r.I64() != math.MinInt64 || r.Int() != -42 {
 		t.Fatal("integer roundtrip failed")
@@ -79,14 +79,14 @@ func TestRoundtripAllTypes(t *testing.T) {
 func TestRoundtripProperty(t *testing.T) {
 	f := func(a []int64, b []float64, s string) bool {
 		var buf bytes.Buffer
-		w := NewWriter(&buf)
+		w := newWriter(&buf)
 		w.I64s(a)
 		w.F64s(b)
 		w.Str(s)
 		if w.Flush() != nil {
 			return false
 		}
-		r := NewReader(&buf)
+		r := NewReaderBytes(buf.Bytes())
 		ga := r.I64s()
 		gb := r.F64s()
 		gs := r.Str()
@@ -112,7 +112,7 @@ func TestRoundtripProperty(t *testing.T) {
 }
 
 func TestReaderStickyErrors(t *testing.T) {
-	r := NewReader(bytes.NewReader([]byte{1, 2}))
+	r := NewReaderBytes([]byte{1, 2})
 	_ = r.U64() // short read
 	if r.Err() == nil {
 		t.Fatal("short read should error")
@@ -125,10 +125,10 @@ func TestReaderStickyErrors(t *testing.T) {
 
 func TestExpectMismatch(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	w := newWriter(&buf)
 	w.Tag("AAAA")
 	w.Flush()
-	r := NewReader(&buf)
+	r := NewReaderBytes(buf.Bytes())
 	r.Expect("BBBB")
 	if r.Err() == nil {
 		t.Fatal("tag mismatch should error")
@@ -137,10 +137,10 @@ func TestExpectMismatch(t *testing.T) {
 
 func TestHostileLengthRejected(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	w := newWriter(&buf)
 	w.I64(math.MaxInt64) // absurd length prefix
 	w.Flush()
-	r := NewReader(&buf)
+	r := NewReaderBytes(buf.Bytes())
 	if r.I64s(); r.Err() == nil {
 		t.Fatal("absurd length must be rejected, not allocated")
 	}

@@ -7,16 +7,16 @@ import (
 	"flood/internal/query"
 )
 
-// DefaultSelectivity is the paper's workload-wide average selectivity
+// defaultSelectivity is the paper's workload-wide average selectivity
 // (§7.3: "0.1%").
-const DefaultSelectivity = 0.001
+const defaultSelectivity = 0.001
 
 // Standard generates the dataset's Fig. 7 OLAP workload: the templated
 // analyst-style query mix described in §7.3, calibrated to ~0.1% average
 // selectivity.
 func Standard(ds *dataset.Dataset, n int, seed int64) []query.Query {
 	g := NewGenerator(ds, seed)
-	return g.Draw(standardTemplates(ds), n, DefaultSelectivity)
+	return g.Draw(standardTemplates(ds), n, defaultSelectivity)
 }
 
 // StandardWithSelectivity is Standard with an explicit selectivity target
@@ -125,34 +125,34 @@ func Archetype(ds *dataset.Dataset, kind ArchetypeKind, n int, seed int64) []que
 			}
 			ts = append(ts, tp)
 		}
-		return g.Draw(ts, n, DefaultSelectivity)
+		return g.Draw(ts, n, defaultSelectivity)
 	case ManyDims:
 		d := ds.Table.NumCols()
 		dims := make([]int, d)
 		for i := range dims {
 			dims[i] = i
 		}
-		return g.Draw([]Template{{Dims: dims, Sels: evenSels(0.001, d), Weight: 1}}, n, DefaultSelectivity)
+		return g.Draw([]Template{{Dims: dims, Sels: evenSels(0.001, d), Weight: 1}}, n, defaultSelectivity)
 	case OLAPSkewed:
-		return g.Draw(std, n, DefaultSelectivity)
+		return g.Draw(std, n, defaultSelectivity)
 	case OLAPUniform:
 		var ts []Template
 		for _, tp := range std {
 			tp.Weight = 1
 			ts = append(ts, tp)
 		}
-		return g.Draw(ts, n, DefaultSelectivity)
+		return g.Draw(ts, n, defaultSelectivity)
 	case OLTP1:
 		return pointLookups(g, []int{keyDim}, n)
 	case OLTP2:
 		return pointLookups(g, []int{keyDim, 1}, n)
 	case Mixed:
 		half := pointLookups(g, []int{keyDim}, n/2)
-		return append(half, g.Draw(std, n-len(half), DefaultSelectivity)...)
+		return append(half, g.Draw(std, n-len(half), defaultSelectivity)...)
 	case SingleType:
-		return g.Draw(std[:1], n, DefaultSelectivity)
+		return g.Draw(std[:1], n, defaultSelectivity)
 	default:
-		return g.Draw(std, n, DefaultSelectivity)
+		return g.Draw(std, n, defaultSelectivity)
 	}
 }
 
@@ -190,7 +190,7 @@ func Random(ds *dataset.Dataset, n int, seed int64) []query.Query {
 		for i := range sels {
 			sels[i] = rng.Float64()
 		}
-		base := evenSels(DefaultSelectivity, k)
+		base := evenSels(defaultSelectivity, k)
 		for i := range sels {
 			sels[i] = clamp01(base[i] * (0.25 + 1.5*sels[i]))
 			if dims[i] == 0 {
@@ -199,7 +199,7 @@ func Random(ds *dataset.Dataset, n int, seed int64) []query.Query {
 		}
 		ts = append(ts, Template{Dims: dims, Sels: sels, Weight: 1 + rng.Float64()*3})
 	}
-	return g.Draw(ts, n, DefaultSelectivity)
+	return g.Draw(ts, n, defaultSelectivity)
 }
 
 func min(a, b int) int {

@@ -2,8 +2,8 @@
 // OLAP mixes with calibrated average selectivity (~0.1%), the workload
 // archetypes of Fig. 9 (point lookups, uniform/skewed OLAP, mixed OLTP+OLAP,
 // single-type, fewer-dims), and the random workloads of Fig. 10. It also
-// measures per-dimension selectivities, which both the layout optimizer and
-// the baseline tuners use to rank dimensions.
+// ranks dimensions by their per-dimension selectivity, which the baseline
+// tuners use.
 package workload
 
 import (
@@ -189,10 +189,10 @@ func evenSels(total float64, k int) []float64 {
 	return out
 }
 
-// DimSelectivities returns, per dimension, the average fraction of rows
+// dimSelectivities returns, per dimension, the average fraction of rows
 // passing that dimension's filter over the queries that filter it (1.0 for
 // dimensions never filtered). Lower = more selective.
-func DimSelectivities(g *Generator, queries []query.Query) []float64 {
+func dimSelectivities(g *Generator, queries []query.Query) []float64 {
 	d := len(g.sample)
 	sums := make([]float64, d)
 	counts := make([]int, d)
@@ -227,7 +227,7 @@ func DimSelectivities(g *Generator, queries []query.Query) []float64 {
 // average passing fraction) to least, considering only dims filtered by at
 // least one query; unfiltered dims follow in index order.
 func OrderBySelectivity(g *Generator, queries []query.Query) []int {
-	sels := DimSelectivities(g, queries)
+	sels := dimSelectivities(g, queries)
 	dims := make([]int, len(sels))
 	for i := range dims {
 		dims[i] = i

@@ -11,7 +11,7 @@ func TestStandardWorkloadsSelectivity(t *testing.T) {
 	for _, name := range dataset.Names() {
 		ds := dataset.ByName(name, 30000, 11)
 		g := NewGenerator(ds, 12)
-		queries := g.Draw(standardTemplates(ds), 60, DefaultSelectivity)
+		queries := g.Draw(standardTemplates(ds), 60, defaultSelectivity)
 		if len(queries) != 60 {
 			t.Fatalf("%s: got %d queries", name, len(queries))
 		}
@@ -21,8 +21,8 @@ func TestStandardWorkloadsSelectivity(t *testing.T) {
 		}
 		avg := total / float64(len(queries))
 		// Calibration is approximate: accept a generous band around 0.1%.
-		if avg < DefaultSelectivity/20 || avg > DefaultSelectivity*50 {
-			t.Fatalf("%s: average selectivity %.5f too far from %.5f", name, avg, DefaultSelectivity)
+		if avg < defaultSelectivity/20 || avg > defaultSelectivity*50 {
+			t.Fatalf("%s: average selectivity %.5f too far from %.5f", name, avg, defaultSelectivity)
 		}
 	}
 }
@@ -113,7 +113,7 @@ func TestDimSelectivitiesOrdering(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		queries = append(queries, g.FromTemplate(tight), g.FromTemplate(wide))
 	}
-	sels := DimSelectivities(g, queries)
+	sels := dimSelectivities(g, queries)
 	if sels[0] >= sels[2] {
 		t.Fatalf("orderkey (%.4f) should be more selective than quantity (%.4f)", sels[0], sels[2])
 	}

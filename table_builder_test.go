@@ -92,15 +92,21 @@ func (d typedCols) referenceTable(t *testing.T) (*Table, []string, int) {
 	return tbl, values, digits
 }
 
+// tableBytes returns tbl's wire form: the payload of the one section a
+// SectionWriter frames around it, read back.
 func tableBytes(t testing.TB, tbl *Table) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	w := wire.NewWriter(&buf)
-	tbl.Encode(w)
-	if err := w.Flush(); err != nil {
+	sw := wire.NewSectionWriter(&buf)
+	sw.Section("test", tbl.Encode)
+	if err := sw.Err(); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	_, payload, err := wire.NewSectionReader(&buf, 1).Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return payload
 }
 
 // TestTableBuilderMatchesReference holds the one-pass, pooled Build to the
