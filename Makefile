@@ -49,7 +49,7 @@ docs: vet
 		./internal/wal ./internal/wire ./internal/faultfs ./internal/modeltest \
 		./internal/server ./internal/shard ./internal/workload ./internal/dataset \
 		./internal/optimizer ./internal/costmodel ./internal/rmi ./internal/rforest \
-		./internal/zcurve ./internal/bench \
+		./internal/zcurve \
 		./internal/baseline ./internal/baseline/plan ./internal/baseline/clustered \
 		./internal/baseline/fullscan ./internal/baseline/gridfile \
 		./internal/baseline/kdtree ./internal/baseline/octree \
@@ -63,7 +63,7 @@ docs: vet
 # `make generate` output), then internal/baseline with every package under
 # it, then the commands plus the model-test harness — the consumers that
 # adapt a store, so an adapter written per kind of store shows up here — and
-# last the two packages ROADMAP tracks as candidates for deletion. CI
+# last internal/rforest, which ROADMAP tracks as a candidate for deletion. CI
 # prints it on every run, so each PR shows its delta.
 LOC = ls $(1)/*.go | grep -vE '_test.go|kernels_gen.go' | xargs cat | grep -cvE '^[[:space:]]*(//|$$)'
 loc:
@@ -74,7 +74,7 @@ loc:
 	echo "internal/colstore (without kernels_gen.go): $$($(call LOC,internal/colstore))"; \
 	echo "internal/baseline/...: $$(find internal/baseline -name '*.go' ! -name '*_test.go' | xargs cat | grep -cvE '^[[:space:]]*(//|$$)')"; \
 	echo "cmd/... + internal/modeltest: $$(find cmd internal/modeltest -name '*.go' ! -name '*_test.go' | xargs cat | grep -cvE '^[[:space:]]*(//|$$)')"; \
-	for p in internal/rforest internal/bench; do echo "$$p: $$($(call LOC,$$p))"; done
+	echo "internal/rforest: $$($(call LOC,internal/rforest))"
 
 # bench runs the scan-kernel, build, parallel-execution, row-retrieval, and
 # context/limit benchmarks that gate perf PRs and records them in

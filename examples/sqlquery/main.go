@@ -41,10 +41,3 @@ func main() {
 			sql, v, stats.Total.Round(time.Microsecond), stats.Scanned, max(1, len(st.Disjuncts)))
 	}
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

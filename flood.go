@@ -61,9 +61,9 @@
 //
 // The package also exposes the paper's eight baseline multi-dimensional
 // indexes (see BuildBaseline) on the same column-store substrate, which is
-// what the benchmark harness in cmd/floodbench uses to regenerate the
-// paper's evaluation. Architecture and lifecycle documentation lives under
-// docs/ in the repository.
+// what the paper-comparison test (TestPaperComparison) holds Flood against.
+// Architecture and lifecycle documentation lives under docs/ in the
+// repository.
 package flood
 
 import (

@@ -1,6 +1,9 @@
 package costmodel
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"math"
 	"testing"
 
@@ -40,6 +43,67 @@ func TestCalibrateValidation(t *testing.T) {
 	ds := dataset.Sales(1000, 35)
 	if _, err := Calibrate(ds.Table, nil, CalibrationConfig{}); err == nil {
 		t.Fatal("want error for empty workload")
+	}
+}
+
+// modelDigest hashes every field of the three forests, nodes included: two
+// models with equal digests predict alike bit for bit.
+func modelDigest(m *Model) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "%v|%v|%v", *m.WP, *m.WR, *m.WS)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+func TestTrainNeedsSamples(t *testing.T) {
+	if _, err := Train(nil, 1); err == nil {
+		t.Fatal("want error for an empty sample set")
+	}
+}
+
+func TestTrainWithoutRefinementSamplesReusesWP(t *testing.T) {
+	samples := make([]Sample, 50)
+	for i := range samples {
+		v := float64(i)
+		samples[i] = Sample{X: []float64{v, 2 * v}, WP: ptr(10 + v), WS: ptr(1 + v/10)}
+	}
+	m, err := Train(samples, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.WR != m.WP {
+		t.Fatal("WR is not WP when no sample has a refinement weight")
+	}
+}
+
+func TestTrainIsDeterministic(t *testing.T) {
+	a, b := syntheticModel(t), syntheticModel(t)
+	if da, db := modelDigest(a), modelDigest(b); da != db {
+		t.Fatalf("same samples and seed: digests %s and %s", da, db)
+	}
+	if a.WP == a.WR || a.WR == a.WS {
+		t.Fatal("the three forests are not distinct")
+	}
+}
+
+// TestCalibrateTrainsOverItsSamples holds Calibrate to the trainer: its
+// model is Train over the samples its timed executions gave, with its seed.
+func TestCalibrateTrainsOverItsSamples(t *testing.T) {
+	ds := dataset.TPCH(5000, 38)
+	queries := workload.Standard(ds, 12, 39)
+	cfg := CalibrationConfig{NumLayouts: 3, Seed: 40}
+	m, samples, err := calibrate(ds.Table, queries, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(samples) != cfg.NumLayouts*len(queries) {
+		t.Fatalf("%d samples from %d layouts x %d queries", len(samples), cfg.NumLayouts, len(queries))
+	}
+	want, err := Train(samples, cfg.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, w := modelDigest(m), modelDigest(want); got != w {
+		t.Fatalf("Calibrate's model %s, Train over its samples %s", got, w)
 	}
 }
 

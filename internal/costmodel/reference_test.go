@@ -11,7 +11,6 @@ import (
 	"flood/internal/colstore"
 	"flood/internal/dataset"
 	"flood/internal/query"
-	"flood/internal/rforest"
 	"flood/internal/workload"
 )
 
@@ -133,15 +132,13 @@ func (e *Estimator) gradientReference(m *Model, fqs []FlatQuery, cand Candidate)
 }
 
 // syntheticModel trains the three weight forests on made-up weight surfaces
-// with fixed seeds: a model with structure in every feature whose predictions
-// repeat run to run, unlike a calibrated one.
+// with a fixed seed: a model with structure in every feature whose
+// predictions repeat run to run, unlike a calibrated one.
 func syntheticModel(tb testing.TB) *Model {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(71))
-	const samples = 600
-	x := make([][]float64, samples)
-	wp, wr, ws := make([]float64, samples), make([]float64, samples), make([]float64, samples)
-	for i := range x {
+	samples := make([]Sample, 600)
+	for i := range samples {
 		cells := math.Exp(rng.Float64() * math.Log(50000))
 		nc := math.Max(1, cells*math.Pow(rng.Float64(), 3))
 		ns := nc * math.Exp(rng.Float64()*6)
@@ -150,23 +147,16 @@ func syntheticModel(tb testing.TB) *Model {
 			DimsFiltered: float64(1 + rng.Intn(3)), AvgVisitedPerCell: ns / nc,
 			ExactFraction: rng.Float64(), SortFiltered: float64(rng.Intn(2)),
 		}
-		x[i] = f.Vector()
-		wp[i] = 40 + 300/(1+nc/50)
-		wr[i] = 80 + 20*math.Log1p(f.AvgCellSize)
-		ws[i] = 1 + 6*(1-f.ExactFraction) + 30/(1+f.AvgVisitedPerCell)
-	}
-	cfg := rforest.DefaultConfig()
-	m := &Model{}
-	for i, t := range []struct {
-		forest **rforest.Forest
-		y      []float64
-	}{{&m.WP, wp}, {&m.WR, wr}, {&m.WS, ws}} {
-		cfg.Seed = int64(72 + i)
-		f, err := rforest.Train(x, t.y, cfg)
-		if err != nil {
-			tb.Fatal(err)
+		samples[i] = Sample{
+			X:  f.Vector(),
+			WP: ptr(40 + 300/(1+nc/50)),
+			WR: ptr(80 + 20*math.Log1p(f.AvgCellSize)),
+			WS: ptr(1 + 6*(1-f.ExactFraction) + 30/(1+f.AvgVisitedPerCell)),
 		}
-		*t.forest = f
+	}
+	m, err := Train(samples, 72)
+	if err != nil {
+		tb.Fatal(err)
 	}
 	return m
 }

@@ -191,22 +191,6 @@ func perfmon(n int, seed int64) *Dataset {
 		[][]int64{ts, machine, cpu, mem, swap, load})
 }
 
-// Uniform generates the d-dimensional uniform synthetic dataset of §7.5
-// (values uniform over [0, 2^30)).
-func Uniform(n, d int, seed int64) *Dataset {
-	rng := rand.New(rand.NewSource(seed))
-	cols := make([][]int64, d)
-	names := make([]string, d)
-	for j := 0; j < d; j++ {
-		cols[j] = make([]int64, n)
-		names[j] = "d" + itoa(j)
-		for i := 0; i < n; i++ {
-			cols[j][i] = rng.Int63n(1 << 30)
-		}
-	}
-	return build("uniform", names, cols)
-}
-
 // ByName builds a named evaluation dataset ("sales", "tpch", "osm",
 // "perfmon") at the given size. It returns nil for unknown names.
 func ByName(name string, n int, seed int64) *Dataset {
@@ -226,24 +210,3 @@ func ByName(name string, n int, seed int64) *Dataset {
 
 // Names lists the four evaluation datasets in the paper's order.
 func Names() []string { return []string{"sales", "tpch", "osm", "perfmon"} }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
-}

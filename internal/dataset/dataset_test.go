@@ -11,7 +11,6 @@ func TestGeneratorsShapes(t *testing.T) {
 		{TPCH(5000, 2), 7},
 		{OSM(5000, 3), 6},
 		{perfmon(5000, 4), 6},
-		{Uniform(5000, 9, 5), 9},
 	}
 	for _, c := range cases {
 		if c.ds.Table.NumRows() != 5000 {

@@ -314,37 +314,3 @@ func orderBySelectivity(sels []float64) []int {
 	sort.SliceStable(dims, func(a, b int) bool { return sels[dims[a]] < sels[dims[b]] })
 	return dims
 }
-
-// SimpleGridLayout builds the Fig. 11 "Simple Grid" ablation baseline: all d
-// dimensions form the grid (no sort dimension, no flattening), with column
-// counts proportional to each dimension's selectivity share of a fixed cell
-// budget.
-func SimpleGridLayout(tbl *colstore.Table, queries []query.Query, targetCells float64, seed int64) core.Layout {
-	est := costmodel.NewEstimator(tbl, 2000, seed)
-	fqs := make([]costmodel.FlatQuery, len(queries))
-	for i, q := range queries {
-		fqs[i] = est.Flatten(q)
-	}
-	sels := est.DimSelectivities(fqs)
-	dims := orderBySelectivity(sels)
-	l := core.Layout{SortDim: -1, Flatten: false}
-	// Selectivity share: more selective dimensions earn more columns.
-	inv := make([]float64, 0, len(dims))
-	var total float64
-	for _, d := range dims {
-		w := 1 / math.Max(sels[d], 1e-4)
-		inv = append(inv, w)
-		total += math.Log1p(w)
-	}
-	logT := math.Log(math.Max(targetCells, 1))
-	for i, d := range dims {
-		share := math.Log1p(inv[i]) / total
-		c := int(math.Exp(logT*share) + 0.5)
-		if c < 1 {
-			c = 1
-		}
-		l.GridDims = append(l.GridDims, d)
-		l.GridCols = append(l.GridCols, c)
-	}
-	return l
-}

@@ -108,33 +108,6 @@ func TestFindOptimalLayoutValidation(t *testing.T) {
 	}
 }
 
-func TestSimpleGridLayout(t *testing.T) {
-	ds := dataset.TPCH(10000, 60)
-	queries := workload.Standard(ds, 30, 61)
-	l := SimpleGridLayout(ds.Table, queries, 4096, 62)
-	if err := l.Validate(ds.Table.NumCols()); err != nil {
-		t.Fatal(err)
-	}
-	if l.SortDim != -1 || l.Flatten {
-		t.Fatal("simple grid must have no sort dim and no flattening")
-	}
-	if len(l.GridDims) != ds.Table.NumCols() {
-		t.Fatalf("simple grid should use all dims, got %d", len(l.GridDims))
-	}
-	if l.NumCells() < 16 {
-		t.Fatalf("simple grid too coarse: %d cells", l.NumCells())
-	}
-	idx, err := core.Build(ds.Table, l, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	agg := query.NewCount()
-	idx.Execute(query.NewQuery(7), agg)
-	if agg.Result() != 10000 {
-		t.Fatalf("simple grid full count = %d", agg.Result())
-	}
-}
-
 func TestFindOptimalLayoutAllocationBound(t *testing.T) {
 	// A search allocates to set up — the sample, its CDFs and sorted
 	// orders, the flattened queries, one column slice per restart — and

@@ -139,9 +139,6 @@ func Create(path string, gen uint64, policy SyncPolicy) (*Log, error) {
 	return l, nil
 }
 
-// Path returns the segment's file path.
-func (l *Log) Path() string { return l.path }
-
 // Gen returns the segment's generation number.
 func (l *Log) Gen() uint64 { return l.gen }
 

@@ -19,13 +19,6 @@ func Standard(ds *dataset.Dataset, n int, seed int64) []query.Query {
 	return g.Draw(standardTemplates(ds), n, defaultSelectivity)
 }
 
-// StandardWithSelectivity is Standard with an explicit selectivity target
-// (Fig. 12b).
-func StandardWithSelectivity(ds *dataset.Dataset, n int, target float64, seed int64) []query.Query {
-	g := NewGenerator(ds, seed)
-	return g.Draw(standardTemplates(ds), n, target)
-}
-
 func standardTemplates(ds *dataset.Dataset) []Template {
 	col := ds.ColumnIndex
 	switch ds.Name {
@@ -67,7 +60,7 @@ func standardTemplates(ds *dataset.Dataset) []Template {
 			{Dims: []int{col("load"), col("time"), col("cpu")}, Sels: evenSels(0.001, 3), Weight: 1},
 			{Dims: []int{col("machine"), col("cpu")}, Sels: []float64{0, 0.01}, Equality: []bool{true, false}, Weight: 1},
 		}
-	default: // uniform synthetic: filter the first k dims (§7.5)
+	default: // any other table: filter the first k dims
 		d := ds.Table.NumCols()
 		var ts []Template
 		for k := 1; k <= d; k++ {
@@ -79,96 +72,6 @@ func standardTemplates(ds *dataset.Dataset) []Template {
 		}
 		return ts
 	}
-}
-
-// ArchetypeKind names the Fig. 9 workload archetypes.
-type ArchetypeKind string
-
-const (
-	// FewerDims (FD): queries filter a strict subset of the indexed dims.
-	FewerDims ArchetypeKind = "FD"
-	// ManyDims (MD): queries filter as many dims as the index has.
-	ManyDims ArchetypeKind = "MD"
-	// OLAPSkewed (O): analyst mix with skewed type frequencies.
-	OLAPSkewed ArchetypeKind = "O"
-	// OLAPUniform (Ou): every query type equally likely.
-	OLAPUniform ArchetypeKind = "Ou"
-	// OLTP1 (O1): point lookups on one primary-key attribute.
-	OLTP1 ArchetypeKind = "O1"
-	// OLTP2 (O2): point lookups on two key attributes.
-	OLTP2 ArchetypeKind = "O2"
-	// Mixed (OO): an equal split of OLTP and OLAP queries.
-	Mixed ArchetypeKind = "OO"
-	// SingleType (ST): a single query type, fixed dims and selectivities.
-	SingleType ArchetypeKind = "ST"
-)
-
-// Archetypes lists the Fig. 9 workload kinds in the paper's order.
-func Archetypes() []ArchetypeKind {
-	return []ArchetypeKind{FewerDims, ManyDims, Mixed, OLAPSkewed, OLAPUniform, OLTP1, OLTP2, SingleType}
-}
-
-// Archetype generates a Fig. 9 workload of the given kind.
-func Archetype(ds *dataset.Dataset, kind ArchetypeKind, n int, seed int64) []query.Query {
-	g := NewGenerator(ds, seed)
-	std := standardTemplates(ds)
-	keyDim := 0 // generators emit a key-like attribute as column 0
-	switch kind {
-	case FewerDims:
-		// Only the first two dims of each template.
-		var ts []Template
-		for _, tp := range std {
-			if len(tp.Dims) > 2 {
-				tp.Dims = tp.Dims[:2]
-				tp.Sels = evenSels(0.001, 2)
-				tp.Equality = nil
-			}
-			ts = append(ts, tp)
-		}
-		return g.Draw(ts, n, defaultSelectivity)
-	case ManyDims:
-		d := ds.Table.NumCols()
-		dims := make([]int, d)
-		for i := range dims {
-			dims[i] = i
-		}
-		return g.Draw([]Template{{Dims: dims, Sels: evenSels(0.001, d), Weight: 1}}, n, defaultSelectivity)
-	case OLAPSkewed:
-		return g.Draw(std, n, defaultSelectivity)
-	case OLAPUniform:
-		var ts []Template
-		for _, tp := range std {
-			tp.Weight = 1
-			ts = append(ts, tp)
-		}
-		return g.Draw(ts, n, defaultSelectivity)
-	case OLTP1:
-		return pointLookups(g, []int{keyDim}, n)
-	case OLTP2:
-		return pointLookups(g, []int{keyDim, 1}, n)
-	case Mixed:
-		half := pointLookups(g, []int{keyDim}, n/2)
-		return append(half, g.Draw(std, n-len(half), defaultSelectivity)...)
-	case SingleType:
-		return g.Draw(std[:1], n, defaultSelectivity)
-	default:
-		return g.Draw(std, n, defaultSelectivity)
-	}
-}
-
-// pointLookups draws single-record equality queries over the given dims.
-func pointLookups(g *Generator, dims []int, n int) []query.Query {
-	out := make([]query.Query, 0, n)
-	nRows := g.ds.Table.NumRows()
-	for i := 0; i < n; i++ {
-		row := g.rng.Intn(nRows)
-		q := query.NewQuery(g.ds.Table.NumCols())
-		for _, d := range dims {
-			q = q.WithEquals(d, g.ds.Cols[d][row])
-		}
-		out = append(out, q)
-	}
-	return out
 }
 
 // Random generates one of the Fig. 10 random workloads: at most 10 distinct
@@ -200,11 +103,4 @@ func Random(ds *dataset.Dataset, n int, seed int64) []query.Query {
 		ts = append(ts, Template{Dims: dims, Sels: sels, Weight: 1 + rng.Float64()*3})
 	}
 	return g.Draw(ts, n, defaultSelectivity)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -42,46 +42,6 @@ func TestQueriesAreValid(t *testing.T) {
 	}
 }
 
-func TestArchetypes(t *testing.T) {
-	ds := dataset.TPCH(20000, 15)
-	for _, kind := range Archetypes() {
-		queries := Archetype(ds, kind, 40, 16)
-		if len(queries) != 40 {
-			t.Fatalf("%s: got %d queries", kind, len(queries))
-		}
-		switch kind {
-		case OLTP1:
-			for _, q := range queries {
-				if q.NumFiltered() != 1 {
-					t.Fatalf("O1 should filter exactly 1 dim, got %d", q.NumFiltered())
-				}
-				r := q.Ranges[0]
-				if !r.Present || r.Min != r.Max {
-					t.Fatal("O1 should be an equality on the key dim")
-				}
-			}
-		case OLTP2:
-			for _, q := range queries {
-				if q.NumFiltered() != 2 {
-					t.Fatalf("O2 should filter 2 dims, got %d", q.NumFiltered())
-				}
-			}
-		case ManyDims:
-			for _, q := range queries {
-				if q.NumFiltered() != ds.Table.NumCols() {
-					t.Fatalf("MD should filter all dims, got %d", q.NumFiltered())
-				}
-			}
-		case FewerDims:
-			for _, q := range queries {
-				if q.NumFiltered() > 2 {
-					t.Fatalf("FD should filter <= 2 dims, got %d", q.NumFiltered())
-				}
-			}
-		}
-	}
-}
-
 func TestRandomWorkloadsVary(t *testing.T) {
 	ds := dataset.TPCH(20000, 17)
 	a := Random(ds, 30, 1)
@@ -140,24 +100,5 @@ func TestSplitTrainTest(t *testing.T) {
 	_, test2 := SplitTrainTest(queries[:1], 0.99, 23)
 	if len(test2) == 0 {
 		t.Fatal("degenerate split must still produce a test set")
-	}
-}
-
-func TestPointLookupsMatchExistingRows(t *testing.T) {
-	ds := dataset.OSM(5000, 24)
-	queries := Archetype(ds, OLTP1, 20, 25)
-	for _, q := range queries {
-		// The equality value must exist in the data.
-		v := q.Ranges[0].Min
-		found := false
-		for _, x := range ds.Cols[0] {
-			if x == v {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Fatalf("point lookup value %d not present in column", v)
-		}
 	}
 }
