@@ -334,10 +334,6 @@ func (c *Column) SizeBytes() int64 {
 	return int64(len(c.mins)*8 + len(c.maxs)*8 + len(c.widths) + len(c.offsets)*4 + len(c.words)*8)
 }
 
-// UncompressedSizeBytes reports the footprint the column would occupy as a
-// plain []int64.
-func (c *Column) UncompressedSizeBytes() int64 { return int64(c.n) * 8 }
-
 // computeMaxs rebuilds the per-block maxima from the packed data. Decoded
 // (persisted) columns call this because the wire format predates zone maps
 // and carries only per-block minima. It refuses a block whose smallest

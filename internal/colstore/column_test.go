@@ -123,8 +123,8 @@ func TestColumnCompressionEffectiveness(t *testing.T) {
 		vals[i] = 1_000_000 + int64(i%50)
 	}
 	c := newColumn(vals)
-	if c.SizeBytes() >= c.UncompressedSizeBytes()/4 {
-		t.Fatalf("compressed %d bytes, want < 1/4 of %d", c.SizeBytes(), c.UncompressedSizeBytes())
+	if raw := int64(len(vals)) * 8; c.SizeBytes() >= raw/4 {
+		t.Fatalf("compressed %d bytes, want < 1/4 of %d", c.SizeBytes(), raw)
 	}
 }
 
@@ -165,8 +165,8 @@ func TestColumnEmpty(t *testing.T) {
 	if got := c.Decode(); len(got) != 0 {
 		t.Fatalf("Decode of empty column returned %d values", len(got))
 	}
-	if c.SizeBytes() < 0 || c.UncompressedSizeBytes() != 0 {
-		t.Fatalf("empty column sizes: %d / %d", c.SizeBytes(), c.UncompressedSizeBytes())
+	if c.SizeBytes() < 0 {
+		t.Fatalf("empty column size: %d", c.SizeBytes())
 	}
 	if got := c.LowerBound(0, 0, 42); got != 0 {
 		t.Fatalf("LowerBound on empty column = %d, want 0", got)

@@ -335,8 +335,3 @@ func (t *Table) SizeBytes() int64 {
 	}
 	return s
 }
-
-// UncompressedSizeBytes reports the footprint of the table as plain arrays.
-func (t *Table) UncompressedSizeBytes() int64 {
-	return int64(t.n) * int64(len(t.cols)) * 8
-}

@@ -99,6 +99,15 @@ func (c *collector) close() {
 	c.execs.Wait()
 }
 
+// netpollFloor is the shortest wait a Go timer keeps: an idle process sleeps
+// in epoll_pwait, whose timeout is whole milliseconds, so a timer under 1 ms
+// fires after about 1 ms and a longer one up to 1 ms late.
+const netpollFloor = time.Millisecond
+
+// sleepSlice bounds one precise sleep of the gather loop, and so how long a
+// batch that filled during the sleep waits before it executes.
+const sleepSlice = 50 * time.Microsecond
+
 // run is the gather loop: take one job, collect more for up to window (or
 // until the batch fills), then hand the batch to a fresh goroutine so
 // gathering of the next batch overlaps execution of this one.
@@ -109,25 +118,55 @@ func (c *collector) run() {
 		if !ok {
 			return
 		}
-		batch := make([]*aggJob, 1, c.max)
-		batch[0] = j
-		timer := time.NewTimer(c.window)
-	gather:
-		for len(batch) < c.max {
-			select {
-			case j2, ok := <-c.jobs:
-				if !ok {
-					break gather
-				}
-				batch = append(batch, j2)
-			case <-timer.C:
-				break gather
-			}
-		}
-		timer.Stop()
+		batch := c.gather(j)
 		c.execs.Add(1)
 		go c.execute(batch)
 	}
+}
+
+// gather returns a batch of first and the jobs queued after it, once it holds
+// max, the window since now has passed, or the intake closes. A Go timer
+// would stretch a sub-millisecond window to the netpoll floor, so the
+// window's last floor is waited out in precise sleeps of at most sleepSlice,
+// draining the intake between them. Before that (a window longer than the
+// floor) the loop blocks on the intake and a timer set one floor short, which
+// fires by the deadline even when late.
+func (c *collector) gather(first *aggJob) []*aggJob {
+	batch := append(make([]*aggJob, 0, c.max), first)
+	deadline := time.Now().Add(c.window)
+	var early <-chan time.Time
+	if c.window > netpollFloor {
+		early = time.After(c.window - netpollFloor)
+	}
+	for len(batch) < c.max {
+		if early != nil {
+			select {
+			case j, ok := <-c.jobs:
+				if !ok {
+					return batch
+				}
+				batch = append(batch, j)
+			case <-early:
+				early = nil
+			}
+			continue
+		}
+		select {
+		case j, ok := <-c.jobs:
+			if !ok {
+				return batch
+			}
+			batch = append(batch, j)
+			continue
+		default:
+		}
+		left := time.Until(deadline)
+		if left <= 0 {
+			return batch
+		}
+		preciseSleep(min(left, sleepSlice))
+	}
+	return batch
 }
 
 // execute runs one gathered batch through ExecuteBatchContext and delivers

@@ -530,18 +530,6 @@ func TestServerDeadlineOnlyTightens(t *testing.T) {
 	}
 }
 
-// TestBatchCollectorOverload pins submit's non-blocking contract without
-// the gather loop draining the intake queue.
-func TestBatchCollectorOverload(t *testing.T) {
-	c := &collector{jobs: make(chan *aggJob, 1)}
-	if err := c.submit(&aggJob{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.submit(&aggJob{}); err != errOverloaded {
-		t.Fatalf("second submit = %v, want errOverloaded", err)
-	}
-}
-
 // TestServerCloseRefusesRequests pins the shutdown barrier: after Close,
 // requests get 503 and the underlying store is released exactly once.
 func TestServerCloseRefusesRequests(t *testing.T) {
