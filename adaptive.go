@@ -772,13 +772,6 @@ func (a *AdaptiveIndex) NumRows() int {
 	return ep.flood.Table().NumRows() + int(ep.log.rows())
 }
 
-// Deleted returns the number of tombstoned (not yet compacted) rows across
-// the base index and the insert log. Approximate under concurrent mutation.
-func (a *AdaptiveIndex) Deleted() int {
-	ep := a.epoch.Load()
-	return ep.flood.idx.Deleted() + ep.log.tomb.Load().Dead()
-}
-
 // LiveRows returns the number of rows queries can observe: physical rows
 // minus tombstoned rows. Approximate under concurrent mutation.
 func (a *AdaptiveIndex) LiveRows() int {

@@ -755,9 +755,6 @@ func TestReservoirSampling(t *testing.T) {
 	if r.Len() != 50 {
 		t.Fatalf("reservoir holds %d, want 50", r.Len())
 	}
-	if r.Seen() != 1000 {
-		t.Fatalf("seen %d, want 1000", r.Seen())
-	}
 	snap := r.Snapshot()
 	late := 0
 	for _, q := range snap {
@@ -771,11 +768,27 @@ func TestReservoirSampling(t *testing.T) {
 		t.Fatalf("sample badly skewed: %d/50 from the second half of the stream", late)
 	}
 	r.Reset()
-	if r.Len() != 0 || r.Seen() != 0 {
+	if r.Len() != 0 {
 		t.Fatal("reset did not clear the reservoir")
 	}
 	if len(snap) != 50 {
 		t.Fatal("snapshot must survive a reset")
+	}
+	// A new era samples uniformly from its own start: of 1000 more queries,
+	// the first 50 should hold ~2.5 of the 50 slots. A reset that kept the
+	// old era's count would replace with probability 50/(1000+i) and leave
+	// ~26 of them resident.
+	for i := 1000; i < 2000; i++ {
+		r.Add(NewQuery(d).WithEquals(0, int64(i)))
+	}
+	early := 0
+	for _, q := range r.Snapshot() {
+		if q.Ranges[0].Min < 1050 {
+			early++
+		}
+	}
+	if early > 10 {
+		t.Fatalf("new era's first 50 queries hold %d/50 slots: reset kept the old era's count", early)
 	}
 }
 

@@ -20,11 +20,6 @@ const (
 	RStarTree   = BaselineKind(baseline.RStarTree)
 )
 
-// baselines lists every baseline kind in the paper's order.
-func baselines() []BaselineKind {
-	return []BaselineKind{FullScan, Clustered, GridFile, ZOrder, UBTree, Hyperoctree, KDTree, RStarTree}
-}
-
 // BaselineOptions tunes baseline construction. Dims orders the indexed
 // dimensions from most to least selective — pass the output of a workload
 // analysis for a tuned index. PageSize applies to page-based baselines.

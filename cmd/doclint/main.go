@@ -1,5 +1,5 @@
 // Command doclint fails when a package exports identifiers without doc
-// comments, or when a package exports a way in that nothing outside it uses,
+// comments, or when a package exports a way in that nothing else uses,
 // keeping `go doc` of every package coherent and no larger than its callers
 // need. It is the lint step behind `make docs` and the CI docs gate.
 //
@@ -16,13 +16,13 @@
 // declaration group must carry a doc comment; each package must also have a
 // package comment.
 //
-// The caller rule: each exported top-level identifier of a linted package
-// (methods are outside the rule) must meet one of:
+// The caller rule reads the uses of every non-test package of the module,
+// commands, examples and benchmarks included (directories named testdata,
+// or starting with "." or "_", and nested modules are not part of it),
+// type-checked together from source. Each exported top-level identifier of
+// a linted package must meet one of:
 //
-//   - it is named as pkg.X in a non-test file of another package in the
-//     module, commands, examples and benchmarks included (directories named
-//     testdata, or starting with "." or "_", and nested modules are not part
-//     of it);
+//   - a non-test file of another package in the module names it;
 //   - its doc comment, or its declaration group's, carries a line
 //     `//api:keep <reason>`;
 //   - it is a type that appears in the signature, type or exported fields
@@ -30,17 +30,28 @@
 //     exported method of a type that does, or it is a constant of such a
 //     type.
 //
-// An //api:keep line in the package comment keeps every export of the
-// package (a test harness whose callers are tests). A keep line without a
-// reason is itself a finding.
+// Each exported method of a named type of a linted package must meet one
+// of:
 //
-// The caller rule type-checks, from source, the files go/build selects for
-// the host, so a declaration split across //go:build twins is seen once.
-// Findings print as file:line: messages and the exit status is 1 when any
-// exist.
+//   - a non-test file of the module, its own package's included, selects it,
+//     directly or promoted through an embedded field;
+//   - a type of the module whose method set holds it, its own or one that
+//     embeds it, implements an interface that has it: an interface the
+//     module's non-test files declare or write, the predeclared error, or
+//     one a standard-library package they import declares;
+//   - its doc comment carries a line `//api:keep <reason>`.
+//
+// An //api:keep line in the package comment keeps every export of the
+// package, methods included (a test harness whose callers are tests). A
+// keep line without a reason is itself a finding.
+//
+// Only the files go/build selects for the host are type-checked, so a
+// declaration split across //go:build twins is seen once. Findings print as
+// file:line: messages and the exit status is 1 when any exist.
 package main
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"go/ast"
@@ -51,9 +62,9 @@ import (
 	"go/types"
 	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
-	"sort"
-	"strconv"
+	"slices"
 	"strings"
 )
 
@@ -81,94 +92,55 @@ type finding struct {
 	msg string
 }
 
-// lint applies both rules to each directory, which must lie in the module
-// rooted at the current directory, and returns the findings by position.
+// lint applies both rules to each directory, which must hold a package of
+// the module rooted at the current directory, and returns the findings by
+// position.
 func lint(dirs []string) ([]finding, error) {
-	modPath, err := modulePath(".")
+	m, err := loadModule()
 	if err != nil {
 		return nil, err
 	}
-	refs, err := moduleRefs(modPath)
-	if err != nil {
-		return nil, err
-	}
-	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "source", nil)
+	u := m.uses()
 	var findings []finding
 	for _, dir := range dirs {
-		fs, err := lintDir(fset, imp, dir, modPath, refs)
+		dir, err := m.rel(dir)
 		if err != nil {
 			return nil, err
 		}
-		findings = append(findings, fs...)
-	}
-	sort.Slice(findings, func(i, j int) bool {
-		if findings[i].pos.Filename != findings[j].pos.Filename {
-			return findings[i].pos.Filename < findings[j].pos.Filename
+		pkgs, err := parser.ParseDir(m.fset, dir, func(fi os.FileInfo) bool {
+			return !strings.HasSuffix(fi.Name(), "_test.go")
+		}, parser.ParseComments)
+		if err != nil {
+			return nil, err
 		}
-		return findings[i].pos.Line < findings[j].pos.Line
+		for _, pkg := range pkgs {
+			findings = append(findings, lintPackage(m.fset, pkg)...)
+		}
+		p, err := m.load(m.importPath(dir))
+		if err != nil {
+			return nil, err
+		}
+		findings = append(findings, lintCallers(m.fset, p, u)...)
+	}
+	slices.SortFunc(findings, func(a, b finding) int {
+		return cmp.Or(strings.Compare(a.pos.Filename, b.pos.Filename), cmp.Compare(a.pos.Line, b.pos.Line))
 	})
 	return findings, nil
 }
 
-// lintDir parses one directory's non-test files, reports undocumented
-// exported identifiers in each of them and applies the caller rule to the
-// package go/build selects there, given the names refs says other packages
-// select from each import path.
-func lintDir(fset *token.FileSet, imp types.Importer, dir, modPath string, refs map[string]map[string]bool) ([]finding, error) {
-	pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, parser.ParseComments)
-	if err != nil {
-		return nil, err
-	}
-	var out []finding
-	for _, pkg := range pkgs {
-		out = append(out, lintPackage(fset, pkg)...)
-	}
-	bp, err := build.ImportDir(dir, 0)
-	if err != nil {
-		return nil, err
-	}
-	rel, err := filepath.Rel(".", dir)
-	if err != nil || !filepath.IsLocal(rel) {
-		return nil, fmt.Errorf("%s is outside the module in the current directory", dir)
-	}
-	path := modPath
-	if rel != "." {
-		path += "/" + filepath.ToSlash(rel)
-	}
-	var files []*ast.File
-	for _, name := range bp.GoFiles {
-		files = append(files, pkgs[bp.Name].Files[filepath.Join(dir, name)])
-	}
-	fs, err := lintCallers(fset, imp, path, files, refs[path])
-	if err != nil {
-		return nil, err
-	}
-	return append(out, fs...), nil
-}
-
 func lintPackage(fset *token.FileSet, pkg *ast.Package) []finding {
 	var out []finding
-	hasPkgDoc := false
-	for _, f := range pkg.Files {
-		if f.Doc != nil {
-			hasPkgDoc = true
+	hasPkgDoc, first := false, ""
+	for name, f := range pkg.Files {
+		hasPkgDoc = hasPkgDoc || f.Doc != nil
+		if first == "" || name < first {
+			first = name
 		}
 	}
 	if !hasPkgDoc {
 		// Anchor the finding to the lexically first file for a stable,
 		// clickable location.
-		names := make([]string, 0, len(pkg.Files))
-		for name := range pkg.Files {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		out = append(out, finding{
-			pos: fset.Position(pkg.Files[names[0]].Package),
-			msg: fmt.Sprintf("package %s has no package comment", pkg.Name),
-		})
+		out = append(out, finding{fset.Position(pkg.Files[first].Package), "package " + pkg.Name + " has no package comment"})
 	}
 	for _, f := range pkg.Files {
 		for _, decl := range f.Decls {
@@ -181,14 +153,17 @@ func lintPackage(fset *token.FileSet, pkg *ast.Package) []finding {
 func lintDecl(fset *token.FileSet, decl ast.Decl) []finding {
 	switch d := decl.(type) {
 	case *ast.FuncDecl:
-		if d.Doc != nil || !d.Name.IsExported() || isExportedMethodOfUnexported(d) {
-			return nil
-		}
-		kind := "function"
-		name := d.Name.Name
+		kind, name := "function", d.Name.Name
 		if d.Recv != nil {
-			kind = "method"
-			name = recvTypeName(d.Recv) + "." + name
+			// A method of an unexported type never surfaces in go doc.
+			recv := recvTypeName(d.Recv)
+			if !ast.IsExported(recv) {
+				return nil
+			}
+			kind, name = "method", recv+"."+name
+		}
+		if d.Doc != nil || !d.Name.IsExported() {
+			return nil
 		}
 		return []finding{{fset.Position(d.Pos()), fmt.Sprintf("exported %s %s is undocumented", kind, name)}}
 	case *ast.GenDecl:
@@ -209,7 +184,7 @@ func lintDecl(fset *token.FileSet, decl ast.Decl) []finding {
 				for _, n := range s.Names {
 					if n.IsExported() {
 						out = append(out, finding{fset.Position(n.Pos()),
-							fmt.Sprintf("exported %s %s is undocumented", kindOf(d.Tok), n.Name)})
+							fmt.Sprintf("exported %s %s is undocumented", map[token.Token]string{token.CONST: "constant", token.VAR: "variable"}[d.Tok], n.Name)})
 					}
 				}
 			}
@@ -217,17 +192,6 @@ func lintDecl(fset *token.FileSet, decl ast.Decl) []finding {
 		return out
 	}
 	return nil
-}
-
-// isExportedMethodOfUnexported reports whether d is a method on an
-// unexported receiver type; such methods never surface in go doc, so they
-// are exempt.
-func isExportedMethodOfUnexported(d *ast.FuncDecl) bool {
-	if d.Recv == nil {
-		return false
-	}
-	name := recvTypeName(d.Recv)
-	return name != "" && !ast.IsExported(name)
 }
 
 func recvTypeName(recv *ast.FieldList) string {
@@ -249,13 +213,6 @@ func recvTypeName(recv *ast.FieldList) string {
 	}
 }
 
-func kindOf(tok token.Token) string {
-	if tok == token.CONST {
-		return "constant"
-	}
-	return "variable"
-}
-
 // modulePath returns the module path declared by dir's go.mod.
 func modulePath(dir string) (string, error) {
 	data, err := os.ReadFile(filepath.Join(dir, "go.mod"))
@@ -273,95 +230,212 @@ func modulePath(dir string) (string, error) {
 	return "", fmt.Errorf("%s/go.mod declares no module", dir)
 }
 
-// moduleRefs returns, for each import path of the module rooted at the
-// current directory, the names that non-test files of the module select
-// from it. A file cannot import its own package, so every name recorded
-// for a package comes from another one.
-func moduleRefs(modPath string) (map[string]map[string]bool, error) {
-	refs := make(map[string]map[string]bool)
-	names := make(map[string]string) // package name by import path
+// module is every non-test package of the module rooted at the current
+// directory, type-checked from source together, so that the object one
+// package uses is the object another declares.
+type module struct {
+	fset *token.FileSet
+	path string          // the module path
+	root string          // the absolute directory of the module root
+	pkgs map[string]*pkg // by import path
+	std  types.Importer  // for every package outside the module
+}
+
+// pkg is one type-checked package of the module.
+type pkg struct {
+	files []*ast.File
+	types *types.Package
+	info  *types.Info
+}
+
+func loadModule() (*module, error) {
+	modPath, err := modulePath(".")
+	if err != nil {
+		return nil, err
+	}
+	root, err := filepath.Abs(".")
+	if err != nil {
+		return nil, err
+	}
 	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, e fs.DirEntry, err error) error {
-		if err != nil {
+	m := &module{fset: fset, path: modPath, root: root, pkgs: make(map[string]*pkg),
+		std: importer.ForCompiler(fset, "source", nil)}
+	err = filepath.WalkDir(".", func(dir string, e fs.DirEntry, err error) error {
+		if err != nil || !e.IsDir() {
 			return err
 		}
-		if e.IsDir() {
-			if path == "." {
-				return nil
-			}
+		if dir != "." {
 			name := e.Name()
 			if name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
 				return filepath.SkipDir
 			}
-			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+			if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
 				return filepath.SkipDir // a nested module
 			}
+		}
+		_, err = m.load(m.importPath(dir))
+		if _, ok := err.(*build.NoGoError); ok {
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		return err
+	})
+	return m, err
+}
+
+// importPath returns the import path of dir, a directory of the module
+// given relative to its root.
+func (m *module) importPath(dir string) string { return path.Join(m.path, filepath.ToSlash(dir)) }
+
+// rel returns dir, absolute or relative to the current directory, relative
+// to the module root; it must lie in the module.
+func (m *module) rel(dir string) (string, error) {
+	abs, err := filepath.Abs(dir)
+	if err != nil {
+		return "", err
+	}
+	rel, err := filepath.Rel(m.root, abs)
+	if err != nil || !filepath.IsLocal(rel) {
+		return "", fmt.Errorf("%s is outside the module in the current directory", dir)
+	}
+	return rel, nil
+}
+
+// load type-checks, once, the package at path, a path in the module.
+func (m *module) load(path string) (*pkg, error) {
+	if p, ok := m.pkgs[path]; ok {
+		return p, nil
+	}
+	dir := "." + strings.TrimPrefix(path, m.path)
+	bp, err := build.ImportDir(dir, 0)
+	if err != nil {
+		return nil, err
+	}
+	p := &pkg{info: &types.Info{
+		Types: make(map[ast.Expr]types.TypeAndValue),
+		Defs:  make(map[*ast.Ident]types.Object),
+		Uses:  make(map[*ast.Ident]types.Object),
+	}}
+	for _, name := range bp.GoFiles {
+		f, err := parser.ParseFile(m.fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		for _, imp := range f.Imports {
-			ipath, _ := strconv.Unquote(imp.Path.Value) // the parser checked the literal
-			rel, ok := strings.CutPrefix(ipath, modPath)
-			if !ok || rel != "" && rel[0] != '/' {
-				continue
+		p.files = append(p.files, f)
+	}
+	conf := types.Config{Importer: m}
+	if p.types, err = conf.Check(path, m.fset, p.files, p.info); err != nil {
+		return nil, err
+	}
+	m.pkgs[path] = p
+	return p, nil
+}
+
+// inModule reports whether path is an import path of the module.
+func (m *module) inModule(path string) bool {
+	return path == m.path || strings.HasPrefix(path, m.path+"/")
+}
+
+// Import makes the module the importer of its own packages.
+func (m *module) Import(path string) (*types.Package, error) {
+	if !m.inModule(path) {
+		return m.std.Import(path)
+	}
+	p, err := m.load(path)
+	if err != nil {
+		return nil, err
+	}
+	return p.types, nil
+}
+
+// uses is what the non-test files of the module use: the top-level objects
+// each package names from another, and the methods that some file selects
+// or that an interface the module names reaches.
+type uses struct {
+	external map[types.Object]bool
+	methods  map[*types.Func]bool
+}
+
+func (m *module) uses() uses {
+	u := uses{external: make(map[types.Object]bool), methods: make(map[*types.Func]bool)}
+	ifaces := []*types.Interface{types.Universe.Lookup("error").Type().Underlying().(*types.Interface)}
+	var named []*types.Named
+	std := make(map[*types.Package]bool)
+	for _, p := range m.pkgs {
+		for _, obj := range p.info.Uses {
+			if fn, ok := obj.(*types.Func); ok && fn.Type().(*types.Signature).Recv() != nil {
+				u.methods[fn.Origin()] = true
+			} else if obj.Pkg() != nil && obj.Pkg() != p.types && obj.Parent() == obj.Pkg().Scope() {
+				u.external[obj] = true
 			}
-			local, ok := names[ipath]
-			if !ok {
-				bp, err := build.ImportDir("."+rel, 0)
-				if err != nil {
-					return fmt.Errorf("%s imports %s: %w", path, ipath, err)
+		}
+		for _, obj := range p.info.Defs {
+			if tn, ok := obj.(*types.TypeName); ok && !tn.IsAlias() {
+				if n, ok := tn.Type().(*types.Named); ok && !types.IsInterface(n) {
+					named = append(named, n)
 				}
-				local, names[ipath] = bp.Name, bp.Name
 			}
-			if imp.Name != nil {
-				local = imp.Name.Name
-			}
-			if refs[ipath] == nil {
-				refs[ipath] = make(map[string]bool)
-			}
+		}
+		for _, f := range p.files {
 			ast.Inspect(f, func(n ast.Node) bool {
-				if sel, ok := n.(*ast.SelectorExpr); ok {
-					if x, ok := sel.X.(*ast.Ident); ok && x.Name == local {
-						refs[ipath][sel.Sel.Name] = true
-					}
+				if it, ok := n.(*ast.InterfaceType); ok {
+					ifaces = append(ifaces, p.info.TypeOf(it).(*types.Interface))
 				}
 				return true
 			})
 		}
-		return nil
-	})
-	return refs, err
+		for _, imp := range p.types.Imports() {
+			if m.inModule(imp.Path()) || std[imp] {
+				continue
+			}
+			std[imp] = true
+			for _, name := range imp.Scope().Names() {
+				if tn, ok := imp.Scope().Lookup(name).(*types.TypeName); ok && tn.Exported() && types.IsInterface(tn.Type()) {
+					ifaces = append(ifaces, tn.Type().Underlying().(*types.Interface))
+				}
+			}
+		}
+	}
+	// A method that a type's method set holds, its own or promoted from an
+	// embedded field, is used when the type implements an interface that
+	// has it.
+	for _, n := range named {
+		ptr := types.NewPointer(n)
+		for _, it := range ifaces {
+			if it.NumMethods() == 0 || !it.IsMethodSet() || !types.Implements(ptr, it) {
+				continue
+			}
+			for i := 0; i < it.NumMethods(); i++ {
+				im := it.Method(i)
+				obj, _, _ := types.LookupFieldOrMethod(ptr, false, im.Pkg(), im.Name())
+				if fn, ok := obj.(*types.Func); ok {
+					u.methods[fn.Origin()] = true
+				}
+			}
+		}
+	}
+	return u
 }
 
-// lintCallers applies the caller rule to the package of files, imported as
-// path, given the names other packages of the module select from it. It
-// type-checks the package, from source, so that a type it re-exports by
-// alias and a constant declared by conversion or through another package
-// count as the types they are.
-func lintCallers(fset *token.FileSet, imp types.Importer, path string, files []*ast.File, refs map[string]bool) ([]finding, error) {
-	for _, f := range files {
+// lintCallers applies the caller rule to p given what the module uses.
+// Types count as the types they are, so that a type the package re-exports
+// by alias and a constant declared by conversion or through another package
+// are seen for what they name.
+func lintCallers(fset *token.FileSet, p *pkg, u uses) []finding {
+	for _, f := range p.files {
 		if k := keepOf(f.Doc); k.ok {
 			if k.reason == "" {
 				return []finding{{fset.Position(f.Package),
-					fmt.Sprintf("package %s has an //api:keep line without a reason", f.Name.Name)}}, nil
+					fmt.Sprintf("package %s has an //api:keep line without a reason", f.Name.Name)}}
 			}
-			return nil, nil
+			return nil
 		}
 	}
 	keeps := make(map[token.Pos]keepLine) // by the position of the name
-	for _, f := range files {
+	for _, f := range p.files {
 		for _, decl := range f.Decls {
 			switch d := decl.(type) {
 			case *ast.FuncDecl:
-				if d.Recv == nil {
-					keeps[d.Name.Pos()] = keepOf(d.Doc)
-				}
+				keeps[d.Name.Pos()] = keepOf(d.Doc)
 			case *ast.GenDecl:
 				for _, spec := range d.Specs {
 					switch s := spec.(type) {
@@ -375,11 +449,6 @@ func lintCallers(fset *token.FileSet, imp types.Importer, path string, files []*
 				}
 			}
 		}
-	}
-	conf := types.Config{Importer: imp}
-	tpkg, err := conf.Check(path, fset, files, nil)
-	if err != nil {
-		return nil, err
 	}
 
 	// Walk every type the referenced or kept identifiers show, and the
@@ -425,35 +494,45 @@ func lintCallers(fset *token.FileSet, imp types.Importer, path string, files []*
 			}
 		}
 	}
-	scope := tpkg.Scope()
+	scope := p.types.Scope()
 	var exports []types.Object
 	for _, name := range scope.Names() {
 		if obj := scope.Lookup(name); obj.Exported() {
 			exports = append(exports, obj)
-			if refs[name] || keeps[obj.Pos()].ok {
+			if u.external[obj] || keeps[obj.Pos()].ok {
 				walk(obj.Type())
 			}
 		}
 	}
 
 	var out []finding
+	check := func(obj types.Object, what string, used bool, fix string) {
+		switch k := keeps[obj.Pos()]; {
+		case k.ok && k.reason == "":
+			out = append(out, finding{fset.Position(obj.Pos()), "exported " + what + " has an //api:keep line without a reason"})
+		case !k.ok && !used:
+			out = append(out, finding{fset.Position(obj.Pos()), "exported " + what + " has no caller" + fix})
+		}
+	}
 	for _, obj := range exports {
-		k := keeps[obj.Pos()]
 		named, _ := types.Unalias(obj.Type()).(*types.Named)
 		_, isType := obj.(*types.TypeName)
 		_, isConst := obj.(*types.Const)
-		switch {
-		case k.ok && k.reason == "":
-			out = append(out, finding{fset.Position(obj.Pos()),
-				fmt.Sprintf("exported %s %s has an //api:keep line without a reason", kindName(obj), obj.Name())})
-		case k.ok, refs[obj.Name()], (isType || isConst) && shown[named]:
-		default:
-			out = append(out, finding{fset.Position(obj.Pos()),
-				fmt.Sprintf("exported %s %s has no caller outside package %s: name it from another package or give it an //api:keep <reason> line",
-					kindName(obj), obj.Name(), tpkg.Name())})
+		check(obj, kindName(obj)+" "+obj.Name(), u.external[obj] || (isType || isConst) && shown[named],
+			" outside package "+p.types.Name()+": name it from another package or give it an //api:keep <reason> line")
+	}
+	for _, name := range scope.Names() {
+		if tn, ok := scope.Lookup(name).(*types.TypeName); ok && !tn.IsAlias() {
+			named := tn.Type().(*types.Named)
+			for i := 0; i < named.NumMethods(); i++ {
+				if m := named.Method(i); m.Exported() {
+					check(m, "method "+name+"."+m.Name(), u.methods[m],
+						": select it from a non-test file, implement an interface with it or give it an //api:keep <reason> line")
+				}
+			}
 		}
 	}
-	return out, nil
+	return out
 }
 
 func kindName(obj types.Object) string {

@@ -16,6 +16,8 @@ import (
 // signature, Mode and the alias Policy in Options' exported fields, Detail in
 // a method of Result, ModeFast and ModeSlow are constants of Mode and Eager
 // one of Policy, and Kept and ErrKept carry //api:keep lines with a reason.
+// The method Result.Detail passes because user selects it, and the
+// unexported errorString's Error because it implements error.
 func TestLintFixtureModule(t *testing.T) {
 	got := lintFixture(t, ".", "user")
 	want := []string{
@@ -37,9 +39,20 @@ func TestLintFixtureModule(t *testing.T) {
 // because only the host's file is read. harness's package comment carries an
 // //api:keep line with a reason, which keeps its callerless Check; noreason's
 // carries one without, which is the finding.
+//
+// methods holds the method cases. Reset, selected only by a test, and through
+// an interface only a test declares, is reported, as is KeptNoReason, whose
+// keep line gives no reason. These pass: Add, selected only from its own
+// package; Frame's Describe, selected from the root package through Framed,
+// which embeds Frame; Framed's Name, reached only through the module's
+// interface Sizer; Frame's Area, reached only through Framed, which
+// implements Sizer with it; Label's String, which satisfies only
+// fmt.Stringer; and Kept, whose keep line has a reason.
 func TestLintFixtureBelowRoot(t *testing.T) {
-	got := lintFixture(t, "internal/pkg", "internal/twin", "internal/harness", "internal/noreason")
+	got := lintFixture(t, "internal/pkg", "internal/twin", "internal/harness", "internal/noreason", "internal/methods")
 	want := []string{
+		"methods.go:55: exported method Counter.Reset" + methodless,
+		"methods.go:65: exported method Counter.KeptNoReason has an //api:keep line without a reason",
 		"noreason.go:4: package noreason has an //api:keep line without a reason",
 		"pkg.go:9: exported function Unused has no caller outside package pkg" + callerless,
 	}
@@ -48,7 +61,10 @@ func TestLintFixtureBelowRoot(t *testing.T) {
 	}
 }
 
-const callerless = ": name it from another package or give it an //api:keep <reason> line"
+const (
+	callerless = ": name it from another package or give it an //api:keep <reason> line"
+	methodless = " has no caller: select it from a non-test file, implement an interface with it or give it an //api:keep <reason> line"
+)
 
 // lintFixture lints dirs of the fixture module from its root, as make docs
 // lints this module, and returns the findings as base-name:line: lines.

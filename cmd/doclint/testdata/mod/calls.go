@@ -1,6 +1,7 @@
 package fixture
 
 import (
+	"fixture/internal/methods"
 	"fixture/internal/pkg"
 	"fixture/internal/twin"
 )
@@ -9,4 +10,8 @@ import (
 func calls() {
 	pkg.Used()
 	twin.Spin()
+	methods.Measure(methods.Framed{})
+	_ = methods.Framed{}.Describe()
+	_ = methods.Label("label")
+	_ = methods.Counter{}
 }

@@ -3,8 +3,11 @@ package user
 
 import f "fixture"
 
-// Run names two exports of the root package under an import alias.
+// Run names two exports of the root package under an import alias, and
+// selects a method of one of their types.
 func Run() f.Result {
 	f.Undocumented()
-	return f.Used(f.Options{})
+	r := f.Used(f.Options{})
+	r.Detail()
+	return r
 }

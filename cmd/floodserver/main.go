@@ -56,7 +56,7 @@ func main() {
 		window      = flag.Duration("batch-window", 250*time.Microsecond, "micro-batch gather window")
 		batchMax    = flag.Int("batch-max", 64, "max queries per execution batch")
 		inflight    = flag.Int("max-inflight", 256, "admission-control in-flight bound")
-		queueWait   = flag.Duration("queue-wait", 2*time.Millisecond, "max admission queue wait before shedding with 429")
+		queueWait   = flag.Duration("queue-wait", 2*time.Millisecond, "max admission queue wait before shedding with 429 (0 sheds at once)")
 		cacheSize   = flag.Int("cache", 1024, "result cache entries (0 = default, negative disables)")
 		reqTimeout  = flag.Duration("request-timeout", 5*time.Second, "per-request execution deadline")
 		maxRows     = flag.Int("max-rows", 10000, "row cap for one SELECT response")
@@ -67,7 +67,7 @@ func main() {
 		BatchWindow:    *window,
 		BatchMax:       *batchMax,
 		MaxInFlight:    *inflight,
-		QueueWait:      *queueWait,
+		QueueWait:      queueWaitConfig(*queueWait),
 		CacheEntries:   *cacheSize,
 		RequestTimeout: *reqTimeout,
 		MaxResultRows:  *maxRows,
@@ -106,6 +106,16 @@ func main() {
 		log.Fatalf("store shutdown: %v", err)
 	}
 	log.Printf("shutdown complete")
+}
+
+// queueWaitConfig maps -queue-wait onto server.Config.QueueWait: the flag's
+// 0 sheds at once, which the Config spells as a negative wait, since its
+// zero stands for the default.
+func queueWaitConfig(d time.Duration) time.Duration {
+	if d == 0 {
+		return -1
+	}
+	return d
 }
 
 // resolveStore resolves the store precedence: whatever -dir already holds,

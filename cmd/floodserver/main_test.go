@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	flood "flood"
 )
@@ -79,5 +80,19 @@ func TestResolveStore(t *testing.T) {
 				t.Errorf("log does not mention %q:\n%s", c.logs, logged.String())
 			}
 		})
+	}
+}
+
+// TestQueueWaitZeroShedsAtOnce pins -queue-wait 0 to what its help says: the
+// server waits no time for an admission slot, which server.Config spells as
+// a negative wait (its zero is the 2ms default). Other values pass through.
+func TestQueueWaitZeroShedsAtOnce(t *testing.T) {
+	if got := queueWaitConfig(0); got >= 0 {
+		t.Errorf("-queue-wait 0 configures QueueWait %v, want a negative wait", got)
+	}
+	for _, d := range []time.Duration{time.Millisecond, 2 * time.Millisecond, time.Second} {
+		if got := queueWaitConfig(d); got != d {
+			t.Errorf("-queue-wait %v configures QueueWait %v", d, got)
+		}
 	}
 }

@@ -298,6 +298,81 @@ func TestDurableRecoverEveryWALCorruption(t *testing.T) {
 	}
 }
 
+// TestDurableOlderSegmentDamageIsTypedError covers the segments behind the
+// newest one. A checkpoint killed after rotating leaves the acknowledged
+// inserts in segment 1 and a fresh segment 2, so segment 1 is no tail:
+// damage to any of its bytes, or its removal, must fail the open with a
+// typed error, since recovering without it would silently drop acknowledged
+// inserts.
+func TestDurableOlderSegmentDamageIsTypedError(t *testing.T) {
+	fx := newTypedFixture(t, 64, 47)
+	idx, err := BuildWithLayout(fx.tbl, fixtureLayout(fx), &Options{Schema: fx.schema})
+	if err != nil {
+		t.Fatal(err)
+	}
+	master := t.TempDir()
+	d, err := CreateDurable(master, idx, &DurableOptions{Sync: SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		if err := d.Insert(insertedRow(fx, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d.SetCrashPoint(func(s string) {
+		if s == "rotated" {
+			panic("crash: rotated")
+		}
+	})
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("crash point did not fire")
+			}
+		}()
+		d.Checkpoint() //nolint:errcheck // panics by design
+	}()
+	older := wal.SegmentName(1)
+	if _, err := os.Stat(filepath.Join(master, wal.SegmentName(2))); err != nil {
+		t.Fatalf("the killed checkpoint left no newer segment: %v", err)
+	}
+	re, _, err := OpenDurable(copyDir(t, master), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j := recoveredInserts(t, re); j != 10 {
+		t.Fatalf("undamaged directory recovered %d of 10 acked inserts", j)
+	}
+	re.Close()
+
+	fi, err := os.Stat(filepath.Join(master, older))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for off := int64(0); off < fi.Size(); off += int64(corruptionStride) {
+		dir := copyDir(t, master)
+		if err := faultfs.FlipByteInFile(filepath.Join(dir, older), off); err != nil {
+			t.Fatal(err)
+		}
+		re, _, err := OpenDurable(dir, nil)
+		if err == nil {
+			re.Close()
+			t.Fatalf("flip at %d of %s: open succeeded", off, older)
+		}
+		if !corruptionTyped(err) {
+			t.Fatalf("flip at %d of %s: untyped error %v", off, older, err)
+		}
+	}
+	dir := copyDir(t, master)
+	if err := os.Remove(filepath.Join(dir, older)); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := OpenDurable(dir, nil); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("missing %s: err %v, want ErrTruncated", older, err)
+	}
+}
+
 // TestDurableSnapshotCorruptionIsTypedOrRecovered flips every byte of the
 // snapshot file in a durable directory: OpenDurable must either fail with a
 // typed corruption error or recover a fully correct index (models retrain,

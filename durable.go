@@ -366,16 +366,6 @@ func (a *AdaptiveIndex) Checkpoint() error {
 	return nil
 }
 
-// SetCrashPoint installs fn to run at the named stages of a checkpoint
-// ("rotated", "old-closed", "snapshot"). Fault-injection harnesses panic
-// from it to simulate a crash between any two durability steps; pass nil to
-// clear. Not for production use, and no effect on an in-memory index.
-func (a *AdaptiveIndex) SetCrashPoint(fn func(stage string)) {
-	if a.dur != nil {
-		a.dur.crashPoint = fn
-	}
-}
-
 func (d *durability) crash(stage string) {
 	if d.crashPoint != nil {
 		d.crashPoint(stage)

@@ -2,8 +2,8 @@
 // end: declare a schema with string, float, and time columns, load logical
 // rows through a TableBuilder, build a learned index, and get matching rows
 // back out — via typed predicates, via SQL with projection, and as a top-k
-// ordered cursor. Contrast with examples/quickstart, which stops at
-// aggregates over raw int64 columns.
+// ordered cursor — then insert a logical row. Contrast with
+// examples/quickstart, which stops at aggregates over raw int64 columns.
 package main
 
 import (
@@ -74,20 +74,28 @@ func main() {
 		WithTimeRange("pickup", day3, day3.Add(24*time.Hour)).
 		Query()
 	rows, st := idx.Select(q, "city", "fare", "pickup")
+	matched := rows.Len()
 	fmt.Printf("cheap nyc rides on day 3: %d (scanned %d points in %v)\n",
-		rows.Len(), st.Scanned, st.Total)
+		matched, st.Scanned, st.Total)
 	for i := 0; rows.Next() && i < 3; i++ {
 		fmt.Printf("  %s  $%.2f  %s\n",
 			rows.String(0), rows.Float64(1), rows.Time(2).Format(time.RFC3339))
 	}
 	rows.Close()
 
-	// --- 5. Top-k: the 5 cheapest matching rides ---------------------
+	// --- 5. Top-k: the 5 cheapest and the 3 longest matching rides ---
 	rows, _ = idx.Select(q, "fare", "dist")
 	rows.OrderBy("fare", 5)
 	fmt.Println("\n5 cheapest of those rides:")
 	for rows.Next() {
 		fmt.Printf("  $%.2f over %d blocks\n", rows.Float64(0), rows.Int64(1))
+	}
+	rows.Close()
+	rows, _ = idx.Select(q, "fare", "dist")
+	rows.OrderByDesc("dist", 3)
+	fmt.Println("3 longest of those rides:")
+	for rows.Next() {
+		fmt.Printf("  %d blocks for $%.2f\n", rows.Int64(1), rows.Float64(0))
 	}
 	rows.Close()
 
@@ -145,5 +153,23 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("SQL LIMIT 3: %d rows, scanned %d points\n", rows.Len(), lst.Scanned)
+	rows.Close()
+
+	// --- 9. Insert a logical row -------------------------------------
+	// Insert takes a physical int64 row; EncodeRow converts a logical one
+	// through the fitted encoders (a city must already be in the
+	// dictionary). The adaptive facade takes over serving from idx, and
+	// the row is visible to the next query.
+	live := flood.NewAdaptiveIndex(idx, nil)
+	defer live.Close()
+	row, err := schema.EncodeRow("nyc", 4.25, int64(12), day3.Add(time.Hour))
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := live.Insert(row); err != nil {
+		log.Fatal(err)
+	}
+	rows, _ = live.Select(q, "fare")
+	fmt.Printf("\nafter one typed insert: %d cheap nyc rides on day 3 (%d before)\n", rows.Len(), matched)
 	rows.Close()
 }

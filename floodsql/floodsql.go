@@ -254,8 +254,8 @@ func (s *Statement) Exec(idx flood.Index) (int64, error) {
 
 // Run executes an aggregation statement against any index built over the
 // same table, returning the result in the physical int64 domain (SUM/MIN/MAX
-// over a decimal-scaled float column return the scaled integer — use
-// RunTyped for the decoded logical value). Projection statements must run
+// over a decimal-scaled float column return the scaled integer — Typed
+// decodes it to the logical value). Projection statements must run
 // through Select instead.
 func (s *Statement) Run(idx flood.Index) (int64, flood.Stats, error) {
 	qs, agg := s.Queries()
@@ -276,16 +276,6 @@ func (s *Statement) RunContext(ctx context.Context, idx flood.Index) (int64, flo
 	}
 	st, err := flood.ExecuteOrContext(ctx, idx, qs, agg)
 	return agg.Result(), st, err
-}
-
-// RunTyped executes an aggregation like Run and decodes the result through
-// Typed. Requires a ParseTyped statement.
-func (s *Statement) RunTyped(idx flood.Index) (any, flood.Stats, error) {
-	v, st, err := s.Run(idx)
-	if err != nil {
-		return v, st, err
-	}
-	return s.Typed(v, st.Matched), st, nil
 }
 
 // Select executes a projection statement against any index built over the

@@ -544,12 +544,12 @@ func TestAggregateTypingRules(t *testing.T) {
 	if _, err := ParseTyped("SELECT MIN(city) FROM t", s); err == nil {
 		t.Fatal("MIN(city) should fail to parse")
 	}
-	// RunTyped decodes float aggregates into the logical domain.
+	// Typed decodes float aggregates into the logical domain.
 	st, err := ParseTyped("SELECT MIN(fare) FROM t WHERE fare >= 10.0", s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := st.RunTyped(idx)
+	got, err := runTyped(st, idx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -560,13 +560,13 @@ func TestAggregateTypingRules(t *testing.T) {
 		}
 	}
 	if got.(float64) != want {
-		t.Fatalf("RunTyped MIN(fare) = %v, want %v", got, want)
+		t.Fatalf("typed MIN(fare) = %v, want %v", got, want)
 	}
 	st, err = ParseTyped("SELECT SUM(fare) FROM t WHERE city = 'nyc'", s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err = st.RunTyped(idx)
+	got, err = runTyped(st, idx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -574,16 +574,26 @@ func TestAggregateTypingRules(t *testing.T) {
 	raw, _, _ := st.Run(idx)
 	sumScaled = raw
 	if got.(float64) != float64(sumScaled)/100 {
-		t.Fatalf("RunTyped SUM(fare) = %v, want %v", got, float64(sumScaled)/100)
+		t.Fatalf("typed SUM(fare) = %v, want %v", got, float64(sumScaled)/100)
 	}
-	// COUNT stays int64 through RunTyped.
+	// COUNT stays int64 through Typed.
 	st, err = ParseTyped("SELECT COUNT(*) FROM t", s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, _, _ := st.RunTyped(idx); got.(int64) != int64(len(fare)) {
-		t.Fatalf("RunTyped COUNT = %v", got)
+	if got, _ := runTyped(st, idx); got.(int64) != int64(len(fare)) {
+		t.Fatalf("typed COUNT = %v", got)
 	}
+}
+
+// runTyped runs st and decodes its result through Typed, as the server
+// answers an aggregate.
+func runTyped(st *Statement, idx flood.Index) (any, error) {
+	v, stats, err := st.Run(idx)
+	if err != nil {
+		return nil, err
+	}
+	return st.Typed(v, stats.Matched), nil
 }
 
 func TestRunTypedEmptyExtremumIsNil(t *testing.T) {
@@ -592,7 +602,7 @@ func TestRunTypedEmptyExtremumIsNil(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := st.RunTyped(idx)
+	got, err := runTyped(st, idx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -603,7 +613,7 @@ func TestRunTypedEmptyExtremumIsNil(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, _, _ := st.RunTyped(idx); got != nil {
+	if got, _ := runTyped(st, idx); got != nil {
 		t.Fatalf("empty MIN decoded to %v, want nil", got)
 	}
 }

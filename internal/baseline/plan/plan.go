@@ -63,9 +63,6 @@ func (x *Index) Name() string { return x.p.Name() }
 // SizeBytes implements query.Index.
 func (x *Index) SizeBytes() int64 { return x.p.SizeBytes() }
 
-// Table returns the index's table in its physical order.
-func (x *Index) Table() *colstore.Table { return x.t }
-
 // Execute implements query.Index.
 func (x *Index) Execute(q query.Query, agg query.Aggregator) query.Stats {
 	return x.Run(nil, q, agg, 0)

@@ -271,7 +271,6 @@ func (s *Source) Build(layout Layout) (*Flood, error) {
 		tw.SetColumn(c, s.column(c, &w.raw), perm, s.t.HasAggregate(c))
 	})
 	f.t = tw.Table()
-	f.computeCellStats()
 	return f, nil
 }
 

@@ -201,7 +201,6 @@ func referenceBuild(t testing.TB, tbl *colstore.Table, layout Layout, opts Optio
 		}
 	}
 	f.t.EnableBitmapIndexes(opts.bitmapMaxCard())
-	f.computeCellStats()
 	return f
 }
 

@@ -215,15 +215,6 @@ func (p *workerPool) offer(helpers int, t poolTask) {
 // than the issuing goroutine.
 type Share struct{ Units, Helped int64 }
 
-// Frac is the helpers' fraction of the units counted since an earlier
-// reading (0 when there were none).
-func (s Share) Frac(since Share) float64 {
-	if s.Units == since.Units {
-		return 0
-	}
-	return float64(s.Helped-since.Helped) / float64(s.Units-since.Units)
-}
-
 // shareCounter is the live form of a Share.
 type shareCounter struct{ units, helped atomic.Int64 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,12 +22,6 @@ type Flood struct {
 	strides   []int   // mixed-radix strides per grid dimension
 	numCells  int
 	cellStart []int32 // len numCells+1: physical start per cell
-
-	// Cell-size statistics for the cost model (§4.1.1).
-	nonEmptyCells  int
-	avgCellSize    float64
-	medianCellSize float64
-	p99CellSize    float64
 
 	// parallelCutover is the estimated scanned-row count at or above which
 	// Execute leaves the zero-alloc sequential scan for the morsel-driven
@@ -69,25 +62,6 @@ func (es *execScratch) grids(g int) (los, his, coords []int, present []bool) {
 	return es.los[:g], es.his[:g], es.coords[:g], es.present[:g]
 }
 
-func (f *Flood) computeCellStats() {
-	sizes := make([]int, 0, f.numCells)
-	total := 0
-	for c := 0; c < f.numCells; c++ {
-		if sz := int(f.cellStart[c+1] - f.cellStart[c]); sz > 0 {
-			sizes = append(sizes, sz)
-			total += sz
-		}
-	}
-	f.nonEmptyCells = len(sizes)
-	if len(sizes) == 0 {
-		return
-	}
-	sort.Ints(sizes)
-	f.avgCellSize = float64(total) / float64(len(sizes))
-	f.medianCellSize = float64(sizes[len(sizes)/2])
-	f.p99CellSize = float64(sizes[(len(sizes)-1)*99/100])
-}
-
 // Name identifies the index in reports.
 func (f *Flood) Name() string { return "Flood" }
 
@@ -99,20 +73,6 @@ func (f *Flood) Table() *colstore.Table { return f.t }
 
 // NumCells returns the total number of grid cells.
 func (f *Flood) NumCells() int { return f.numCells }
-
-// NonEmptyCells returns the number of cells holding at least one point.
-func (f *Flood) NonEmptyCells() int { return f.nonEmptyCells }
-
-// CellSizeStats returns (average, median, 99th percentile) of non-empty cell
-// sizes — cost model features (§4.1.1).
-func (f *Flood) CellSizeStats() (avg, median, p99 float64) {
-	return f.avgCellSize, f.medianCellSize, f.p99CellSize
-}
-
-// CellBounds returns the physical row range [start, end) stored for cell c.
-func (f *Flood) CellBounds(c int) (start, end int) {
-	return int(f.cellStart[c]), int(f.cellStart[c+1])
-}
 
 // SizeBytes reports index metadata size: the cell table and every grid
 // dimension's step points, each table 8 bytes a point plus its slice header.
@@ -216,8 +176,7 @@ func (f *Flood) refines(q query.Query) bool {
 // one contiguous physical range). A large query rectangle therefore produces
 // O(perimeter) scan ranges instead of O(volume). Coalescing is disabled when
 // sort-dimension refinement applies, since refinement relies on per-cell
-// sort order. CellsVisited counts only non-empty cells, matching
-// NonEmptyCells accounting.
+// sort order. CellsVisited counts only non-empty cells.
 func (f *Flood) project(q query.Query, es *execScratch, st *query.Stats) {
 	g := len(f.layout.GridDims)
 	los, his, coords, present := es.grids(g)

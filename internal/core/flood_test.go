@@ -307,18 +307,6 @@ func TestFloodEmptyTable(t *testing.T) {
 	}
 }
 
-func TestFloodCellStatsReasonable(t *testing.T) {
-	tbl, _ := makeData(t, 10000, 3, 12)
-	idx, _ := Build(tbl, Layout{GridDims: []int{0, 1}, GridCols: []int{10, 10}, SortDim: 2, Flatten: true}, Options{})
-	avg, med, p99 := idx.CellSizeStats()
-	if avg <= 0 || med <= 0 || p99 < med {
-		t.Fatalf("cell stats look wrong: avg=%f med=%f p99=%f", avg, med, p99)
-	}
-	if idx.NonEmptyCells() == 0 || idx.NonEmptyCells() > idx.NumCells() {
-		t.Fatalf("NonEmptyCells = %d of %d", idx.NonEmptyCells(), idx.NumCells())
-	}
-}
-
 func TestFlatteningBalancesSkewedCells(t *testing.T) {
 	// On heavily skewed data, flattened layouts should spread points far
 	// more evenly than equi-width layouts (§5.1).

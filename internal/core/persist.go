@@ -70,13 +70,10 @@ type LoadResult struct {
 	Warnings []string
 }
 
-// Save serializes the built index — layout, reordered data, bucketing
+// SaveSections serializes the built index — layout, reordered data, bucketing
 // models and cell table — so it can be reloaded with LoadSections without
-// re-sorting or re-training.
-func (f *Flood) Save(out io.Writer) error { return f.SaveSections(out, nil) }
-
-// SaveSections is Save with caller-supplied extra sections spliced between
-// the data and models sections.
+// re-sorting or re-training, with caller-supplied extra sections spliced
+// between the data and models sections.
 func (f *Flood) SaveSections(out io.Writer, extra []ExtraSection) error {
 	if err := wire.WriteHeader(out, persistVersion, 4+len(extra)); err != nil {
 		return err
@@ -294,7 +291,6 @@ sections:
 		res.Index = rebuilt
 		return res, nil
 	}
-	f.computeCellStats()
 	f.parallelCutover = defaultParallelCutover
 	res.Index = f
 	return res, nil

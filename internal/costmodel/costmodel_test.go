@@ -29,7 +29,7 @@ func TestCalibrateProducesPositiveWeights(t *testing.T) {
 	est := NewEstimator(ds.Table, 1500, 34)
 	fq := est.Flatten(queries[0])
 	cand := Candidate{GridDims: []int{5, 2}, Cols: []float64{16, 8}, SortDim: 6}
-	f := est.Estimate(fq, cand)
+	f := est.estimate(fq, cand)
 	if pt := m.PredictTime(f); pt < 0 || math.IsNaN(pt) {
 		t.Fatalf("predicted time %f invalid", pt)
 	}
@@ -153,7 +153,7 @@ func TestEstimatorTracksMeasured(t *testing.T) {
 	for _, q := range queries {
 		agg := query.NewCount()
 		st := idx.Execute(q, agg)
-		f := est.Estimate(est.Flatten(q), cand)
+		f := est.estimate(est.Flatten(q), cand)
 		measTotal += float64(st.Scanned)
 		estTotal += f.Ns
 	}
@@ -175,7 +175,7 @@ func TestEstimatorMoreCellsFewerScanned(t *testing.T) {
 	fq := est.Flatten(q)
 	prevNs := math.Inf(1)
 	for _, c := range []float64{2, 8, 32} {
-		f := est.Estimate(fq, Candidate{GridDims: []int{2, 3}, Cols: []float64{c, c}, SortDim: 1})
+		f := est.estimate(fq, Candidate{GridDims: []int{2, 3}, Cols: []float64{c, c}, SortDim: 1})
 		if f.Ns > prevNs*1.5 {
 			t.Fatalf("Ns grew sharply with more columns: %f -> %f at c=%f", prevNs, f.Ns, c)
 		}
@@ -198,7 +198,7 @@ func TestPredictTimeRefinementTerm(t *testing.T) {
 		t.Skip("no query filters receiptdate")
 	}
 	cand := Candidate{GridDims: []int{5}, Cols: []float64{32}, SortDim: 6}
-	f := est.Estimate(est.Flatten(q), cand)
+	f := est.estimate(est.Flatten(q), cand)
 	if f.SortFiltered != 1 {
 		t.Fatal("expected sort-filtered feature")
 	}

@@ -79,9 +79,6 @@ func permPrefix(rng *rand.Rand, n, k int) []int {
 	return m
 }
 
-// SampleSize returns the number of sampled rows.
-func (e *Estimator) SampleSize() int { return e.sample }
-
 // FlatQuery is a query with its ranges mapped through the per-dimension
 // CDFs.
 type FlatQuery struct {
@@ -266,23 +263,6 @@ func (e *Estimator) features(fq FlatQuery, cand Candidate, total float64, ns, ex
 		f.ExactFraction = float64(exact) * e.scale / f.Ns
 	}
 	return f
-}
-
-// Estimate computes the features q would produce under the candidate layout:
-// Nc from the query rectangle and column counts, Ns and the exact fraction by
-// counting sample rows inside the (smoothed) scan region and its interior.
-func (e *Estimator) Estimate(fq FlatQuery, cand Candidate) Features {
-	var buf [8]constraint
-	cs, hasResidual := e.constraints(fq, cand, buf[:0])
-	ns, exact := e.count(cs, hasResidual)
-	return e.features(fq, cand, cand.NumCells(), ns, exact)
-}
-
-// PredictWorkload returns the model's average predicted query time (ns) for
-// the flattened workload under the candidate layout.
-func (e *Estimator) PredictWorkload(m *Model, fqs []FlatQuery, cand Candidate) float64 {
-	s := Search{e: e, m: m, fqs: fqs}
-	return s.Cost(cand)
 }
 
 // DimSelectivities returns the average passing fraction per dimension over

@@ -5,7 +5,7 @@ import "testing"
 // The external golden test (package costmodel_test, which may import the
 // optimizer) runs its reference search over the oracle.
 
-// PredictWorkloadReference is PredictWorkload over estimateReference.
+// PredictWorkloadReference is a Search's Cost over estimateReference.
 func (e *Estimator) PredictWorkloadReference(m *Model, fqs []FlatQuery, cand Candidate) float64 {
 	return e.predictWorkloadReference(m, fqs, cand)
 }
@@ -17,3 +17,13 @@ func (e *Estimator) GradientReference(m *Model, fqs []FlatQuery, cand Candidate)
 
 // SyntheticModel is the fixed-seed model of the equivalence tests.
 func SyntheticModel(tb testing.TB) *Model { return syntheticModel(tb) }
+
+// estimate computes the features q would produce under the candidate layout:
+// Nc from the query rectangle and column counts, Ns and the exact fraction by
+// counting sample rows inside the (smoothed) scan region and its interior.
+func (e *Estimator) estimate(fq FlatQuery, cand Candidate) Features {
+	var buf [8]constraint
+	cs, hasResidual := e.constraints(fq, cand, buf[:0])
+	ns, exact := e.count(cs, hasResidual)
+	return e.features(fq, cand, cand.NumCells(), ns, exact)
+}

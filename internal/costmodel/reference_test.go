@@ -14,7 +14,7 @@ import (
 	"flood/internal/workload"
 )
 
-// estimateReference is Estimate as first written: a straight walk over every
+// estimateReference is estimate as first written: a straight walk over every
 // sample row, every bound recomputed per row. It is the oracle the windowed
 // estimator and the incremental gradient must match bit for bit.
 func (e *Estimator) estimateReference(fq FlatQuery, cand Candidate) Features {
@@ -102,7 +102,7 @@ func (e *Estimator) estimateReference(fq FlatQuery, cand Candidate) Features {
 	return f
 }
 
-// predictWorkloadReference is PredictWorkload over the oracle.
+// predictWorkloadReference is a Search's Cost over the oracle.
 func (e *Estimator) predictWorkloadReference(m *Model, fqs []FlatQuery, cand Candidate) float64 {
 	var total float64
 	for i := range fqs {
@@ -241,9 +241,9 @@ func TestEstimateMatchesReference(t *testing.T) {
 	for trial := 0; trial < 3000; trial++ {
 		e, fqs, cand := randomCase(rng)
 		for _, fq := range fqs {
-			got, want := e.Estimate(fq, cand), e.estimateReference(fq, cand)
+			got, want := e.estimate(fq, cand), e.estimateReference(fq, cand)
 			if got != want {
-				t.Fatalf("trial %d: Estimate = %+v, reference %+v\nquery %+v\ncandidate %+v", trial, got, want, fq, cand)
+				t.Fatalf("trial %d: estimate = %+v, reference %+v\nquery %+v\ncandidate %+v", trial, got, want, fq, cand)
 			}
 			if fq.Filtered > 0 {
 				filtered++
@@ -281,8 +281,8 @@ func TestSearchMatchesReference(t *testing.T) {
 			if got := s.Cost(cand); math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("trial %d: Cost = %v, reference %v\ncandidate %+v", trial, got, want, cand)
 			}
-			if got := e.PredictWorkload(m, fqs, cand); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("trial %d: PredictWorkload = %v, reference %v", trial, got, want)
+			if got := e.NewSearch(m, fqs).Cost(cand); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("trial %d: a fresh Search's Cost = %v, reference %v", trial, got, want)
 			}
 			before := append([]float64(nil), cand.Cols...)
 			grad := make([]float64, len(cand.Cols))
@@ -340,8 +340,8 @@ func TestNewEstimatorAllocatesSample(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	e := NewEstimator(tbl, 2000, 1)
 	runtime.ReadMemStats(&after)
-	if e.SampleSize() != 2000 {
-		t.Fatalf("sample size %d", e.SampleSize())
+	if e.sample != 2000 {
+		t.Fatalf("sample size %d", e.sample)
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
 		t.Fatalf("NewEstimator allocated %d bytes over %d rows, want at most 1 MiB", got, n)
@@ -362,7 +362,7 @@ func BenchmarkEstimate(b *testing.B) {
 	for _, impl := range []struct {
 		name     string
 		estimate func(FlatQuery, Candidate) Features
-	}{{"windowed", e.Estimate}, {"reference", e.estimateReference}} {
+	}{{"windowed", e.estimate}, {"reference", e.estimateReference}} {
 		b.Run(impl.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -211,9 +211,6 @@ func (s *DecimalScaler) Encode(col []float64) ([]int64, error) {
 	return out, nil
 }
 
-// EncodeValue scales one value (for query endpoints).
-func (s *DecimalScaler) EncodeValue(v float64) int64 { return int64(math.Round(v * s.factor)) }
-
 // EncodeExact scales one value a column must store as written: its code must
 // decode back to exactly v and fit int64, or it is refused with an error. A
 // value between two codes (1.005 at two digits) is never rounded to a

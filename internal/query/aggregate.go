@@ -54,9 +54,6 @@ type Sum struct {
 // NewSum returns a SUM aggregator over column col.
 func NewSum(col int) *Sum { return &Sum{col: col} }
 
-// Col returns the aggregated column index.
-func (s *Sum) Col() int { return s.col }
-
 // Reset implements Aggregator.
 func (s *Sum) Reset() { s.s = 0 }
 

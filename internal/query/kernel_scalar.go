@@ -4,5 +4,5 @@ package query
 
 // defaultScalarKernel selects the kernel a freshly Reset scanner uses. This
 // build was tagged floodscalar, so every scanner defaults to the portable
-// selection-vector kernel (SetScalarKernel overrides per scanner).
+// selection-vector kernel (the equivalence tests override it per scanner).
 const defaultScalarKernel = true

@@ -24,8 +24,8 @@ import (
 // together. The survivors of a block reach the aggregator in one call, as
 // that bitmap (Aggregator.AddBlock), so COUNT is a popcount and SUM/MIN/MAX
 // fold the packed deltas under the mask; a block that survives whole goes
-// through AddExactRange, where SUM's prefix lookups apply. SetScalarKernel
-// selects the selection-vector fallback kernel instead.
+// through AddExactRange, where SUM's prefix lookups apply. The floodscalar
+// build tag selects the selection-vector fallback kernel instead.
 //
 // All scratch lives inside the Scanner: a reused or pooled Scanner performs
 // zero allocations in steady state.
@@ -47,7 +47,7 @@ type Scanner struct {
 
 // Reset points the scanner at t, so a long-lived Scanner can serve many
 // tables and queries. The kernel choice resets to the build default (see
-// SetScalarKernel).
+// defaultScalarKernel).
 func (s *Scanner) Reset(t *colstore.Table) {
 	s.t = t
 	s.scalar = defaultScalarKernel
@@ -60,14 +60,6 @@ func (s *Scanner) Reset(t *colstore.Table) {
 // next boundary. A nil control (the default) scans unconditionally with no
 // extra work in the per-row loops.
 func (s *Scanner) SetControl(ctl *Control) { s.ctl = ctl }
-
-// SetScalarKernel selects the portable selection-vector kernel (true) or the
-// word-packed bitmap kernel (false) for this scanner's lifetime until the
-// next Reset. The default is the bitmap kernel unless the build was tagged
-// floodscalar. Both kernels deliver identical rows, stats, and LIMIT
-// prefixes; the scalar kernel never consults bitmap indexes, which makes the
-// pair the oracle for the cross-kernel equivalence tests.
-func (s *Scanner) SetScalarKernel(on bool) { s.scalar = on }
 
 // SetTombstones attaches a word-packed tombstone bitmap (bit row&63 of word
 // row>>6 set = row deleted, see colstore.Tombstones): every scan entry point

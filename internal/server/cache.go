@@ -78,13 +78,3 @@ func (c *resultCache) put(key string, e cacheEntry) {
 	}
 	c.m[key] = e
 }
-
-// len reports the current entry count (tests).
-func (c *resultCache) len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
-}

@@ -64,8 +64,8 @@ type Config struct {
 	// MaxInFlight bounds concurrently admitted requests (default 256).
 	MaxInFlight int
 	// QueueWait is how long an arriving request may wait for an admission
-	// slot before being shed with 429 (default 2ms). Zero sheds
-	// immediately when the semaphore is full.
+	// slot before being shed with 429 (zero means the default, 2ms). A
+	// negative wait sheds immediately when the semaphore is full.
 	QueueWait time.Duration
 	// CacheEntries bounds the aggregate result cache (default 1024;
 	// negative disables caching).
@@ -263,10 +263,10 @@ func (s *Server) release() { <-s.sem }
 // request timeout, tightened (never extended) by the request's timeout_ms.
 func (s *Server) deadlineFor(timeoutMillis int64) time.Time {
 	timeout := s.cfg.RequestTimeout
-	if timeoutMillis > 0 {
-		if t := time.Duration(timeoutMillis) * time.Millisecond; t < timeout {
-			timeout = t
-		}
+	// Compared in milliseconds before converting: a timeout_ms past
+	// ~292 years overflows time.Duration.
+	if timeoutMillis > 0 && timeoutMillis <= timeout.Milliseconds() {
+		timeout = time.Duration(timeoutMillis) * time.Millisecond
 	}
 	return time.Now().Add(timeout)
 }

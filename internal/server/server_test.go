@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -517,16 +518,31 @@ func TestServerRequestDeadline(t *testing.T) {
 }
 
 // TestServerDeadlineOnlyTightens pins timeout_ms against the server's
-// RequestTimeout: a shorter one tightens the deadline, a longer one is capped.
+// RequestTimeout: a shorter one tightens the deadline, a longer one is
+// capped, and one too large for a time.Duration is capped too rather than
+// overflowing into a deadline already past.
 func TestServerDeadlineOnlyTightens(t *testing.T) {
 	s := &Server{cfg: (&Config{RequestTimeout: time.Second}).withDefaults()}
 	for _, c := range []struct {
 		millis int64
 		want   time.Duration
-	}{{0, time.Second}, {10, 10 * time.Millisecond}, {60000, time.Second}} {
+	}{{0, time.Second}, {10, 10 * time.Millisecond}, {1000, time.Second}, {60000, time.Second},
+		{1 << 62, time.Second}, {math.MaxInt64, time.Second}} {
 		if got := time.Until(s.deadlineFor(c.millis)); got > c.want || got < c.want-100*time.Millisecond {
 			t.Errorf("timeout_ms %d: deadline %v away, want %v", c.millis, got, c.want)
 		}
+	}
+}
+
+// TestServerQueueWaitZeroIsDefault pins what Config.QueueWait documents: zero
+// is the default wait, and a negative wait is none at all
+// (TestServerAdmissionShed drives it).
+func TestServerQueueWaitZeroIsDefault(t *testing.T) {
+	if got := (&Config{}).withDefaults().QueueWait; got != 2*time.Millisecond {
+		t.Errorf("QueueWait 0 waits %v, want the 2ms default", got)
+	}
+	if got := (&Config{QueueWait: -1}).withDefaults().QueueWait; got != 0 {
+		t.Errorf("QueueWait -1 waits %v, want none", got)
 	}
 }
 
@@ -553,8 +569,7 @@ func TestServerCloseRefusesRequests(t *testing.T) {
 // column: the column's physical tick, in the column's own unit. One instant
 // spelled three ways stores one value — an RFC3339 string (encoded through the
 // schema, as floodsql takes no string literal on a time column), a tick on a
-// second-unit column, and a tick on a column with the default nanosecond
-// unit — and reads back as the same RFC3339 string.
+// second-unit column, and a tick on a nanosecond-unit column — and reads back as the same RFC3339 string.
 func TestServerInsertTimeTick(t *testing.T) {
 	const instant = "2023-11-14T22:23:20Z"
 	at, err := time.Parse(time.RFC3339, instant)
@@ -563,10 +578,7 @@ func TestServerInsertTimeTick(t *testing.T) {
 	}
 	for _, unit := range []time.Duration{time.Second, time.Nanosecond} {
 		t.Run(unit.String(), func(t *testing.T) {
-			s := flood.NewSchema().Int64("id").Time("ts") // the default unit: nanoseconds
-			if unit == time.Second {
-				s = flood.NewSchema().Int64("id").TimeUnit("ts", unit)
-			}
+			s := flood.NewSchema().Int64("id").TimeUnit("ts", unit)
 			b := s.NewTableBuilder()
 			for i := 0; i < 1000; i++ {
 				if err := b.AppendRow(int64(i), at.Add(time.Duration(i-5000)*time.Second)); err != nil {

@@ -79,7 +79,6 @@ func ParseSegmentName(name string) (gen uint64, ok bool) {
 // for concurrent use.
 type Log struct {
 	path string
-	gen  uint64
 
 	mu     sync.Mutex // serializes writes to f
 	f      *os.File
@@ -124,7 +123,6 @@ func Create(path string, gen uint64, policy SyncPolicy) (*Log, error) {
 	}
 	l := &Log{
 		path:   path,
-		gen:    gen,
 		f:      f,
 		offset: headerSize,
 		synced: headerSize,
@@ -137,28 +135,6 @@ func Create(path string, gen uint64, policy SyncPolicy) (*Log, error) {
 		go l.flushLoop()
 	}
 	return l, nil
-}
-
-// Gen returns the segment's generation number.
-func (l *Log) Gen() uint64 { return l.gen }
-
-// Size returns the bytes appended so far, including the header.
-func (l *Log) Size() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.offset
-}
-
-// Append writes one record and waits for the durability the sync policy
-// promises. A record that Append returned nil for is "acknowledged": replay
-// recovers every acknowledged record up to the sync guarantee of the policy
-// in force.
-func (l *Log) Append(payload []byte) error {
-	target, err := l.AppendAsync(payload)
-	if err != nil {
-		return err
-	}
-	return l.WaitDurable(target)
 }
 
 // AppendAsync writes one record to the OS without waiting for durability and

@@ -31,18 +31,11 @@ var (
 // Writer serializes primitive fields to an underlying stream.
 type Writer struct {
 	w   *bufio.Writer
-	n   int64
 	err error
 }
 
 // newWriter wraps w.
 func newWriter(w io.Writer) *Writer { return &Writer{w: bufio.NewWriterSize(w, 1<<16)} }
-
-// Err returns the first error encountered.
-func (w *Writer) Err() error { return w.err }
-
-// Len returns the number of bytes written so far.
-func (w *Writer) Len() int64 { return w.n }
 
 // Flush drains buffered output and returns the sticky error.
 func (w *Writer) Flush() error {
@@ -57,9 +50,7 @@ func (w *Writer) write(buf []byte) {
 	if w.err != nil {
 		return
 	}
-	k, err := w.w.Write(buf)
-	w.n += int64(k)
-	w.err = err
+	_, w.err = w.w.Write(buf)
 }
 
 // U64 writes a fixed 8-byte unsigned integer.
@@ -149,14 +140,6 @@ func (w *Writer) Ints(vs []int) {
 	}
 }
 
-// F64s writes a length-prefixed float64 slice.
-func (w *Writer) F64s(vs []float64) {
-	w.Int(len(vs))
-	for _, v := range vs {
-		w.F64(v)
-	}
-}
-
 // Strs writes a length-prefixed string slice.
 func (w *Writer) Strs(vs []string) {
 	w.Int(len(vs))
@@ -208,16 +191,6 @@ func (r *Reader) I64() int64 { return int64(r.U64()) }
 
 // Int reads an int written by Writer.Int.
 func (r *Reader) Int() int { return int(r.I64()) }
-
-// U32 reads a fixed 4-byte unsigned integer.
-func (r *Reader) U32() uint32 {
-	var buf [4]byte
-	r.read(buf[:])
-	if r.err != nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(buf[:])
-}
 
 // U8 reads one byte.
 func (r *Reader) U8() uint8 {
@@ -395,27 +368,6 @@ func (r *Reader) Ints() []int {
 		}
 		for i := 0; i < k; i++ {
 			out = append(out, int(int64(binary.LittleEndian.Uint64(buf[i*8:]))))
-		}
-	}
-	return out
-}
-
-// F64s reads a length-prefixed float64 slice.
-func (r *Reader) F64s() []float64 {
-	n := r.length()
-	if r.err != nil {
-		return nil
-	}
-	out := make([]float64, 0, allocHint(n))
-	var buf [8 * readBatch]byte
-	for len(out) < n {
-		k := min(n-len(out), readBatch)
-		r.read(buf[:8*k])
-		if r.err != nil {
-			return nil
-		}
-		for i := 0; i < k; i++ {
-			out = append(out, math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:])))
 		}
 	}
 	return out

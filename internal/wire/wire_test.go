@@ -14,7 +14,6 @@ func TestRoundtripAllTypes(t *testing.T) {
 	w.U64(math.MaxUint64)
 	w.I64(math.MinInt64)
 	w.Int(-42)
-	w.U32(1 << 31)
 	w.U8(255)
 	w.Bool(true)
 	w.Bool(false)
@@ -26,13 +25,9 @@ func TestRoundtripAllTypes(t *testing.T) {
 	w.I32s([]int32{-9, 9})
 	w.U8s([]byte{0xde, 0xad})
 	w.Ints([]int{5, -5})
-	w.F64s([]float64{1.5, -2.5})
 	w.Strs([]string{"a", "", "c"})
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
-	}
-	if w.Len() == 0 {
-		t.Fatal("Len not tracked")
 	}
 
 	r := NewReaderBytes(buf.Bytes())
@@ -40,7 +35,7 @@ func TestRoundtripAllTypes(t *testing.T) {
 	if r.U64() != math.MaxUint64 || r.I64() != math.MinInt64 || r.Int() != -42 {
 		t.Fatal("integer roundtrip failed")
 	}
-	if r.U32() != 1<<31 || r.U8() != 255 || !r.Bool() || r.Bool() {
+	if r.U8() != 255 || !r.Bool() || r.Bool() {
 		t.Fatal("small-type roundtrip failed")
 	}
 	if r.F64() != math.Pi || r.Str() != "hello, 世界" {
@@ -65,9 +60,6 @@ func TestRoundtripAllTypes(t *testing.T) {
 	if v := r.Ints(); len(v) != 2 || v[1] != -5 {
 		t.Fatal("ints roundtrip failed")
 	}
-	if f := r.F64s(); len(f) != 2 || f[1] != -2.5 {
-		t.Fatal("f64s roundtrip failed")
-	}
 	if s := r.Strs(); len(s) != 3 || s[1] != "" {
 		t.Fatal("strs roundtrip failed")
 	}
@@ -81,16 +73,21 @@ func TestRoundtripProperty(t *testing.T) {
 		var buf bytes.Buffer
 		w := newWriter(&buf)
 		w.I64s(a)
-		w.F64s(b)
+		for _, v := range b {
+			w.F64(v)
+		}
 		w.Str(s)
 		if w.Flush() != nil {
 			return false
 		}
 		r := NewReaderBytes(buf.Bytes())
 		ga := r.I64s()
-		gb := r.F64s()
+		gb := make([]float64, len(b))
+		for i := range gb {
+			gb[i] = r.F64()
+		}
 		gs := r.Str()
-		if r.Err() != nil || gs != s || len(ga) != len(a) || len(gb) != len(b) {
+		if r.Err() != nil || gs != s || len(ga) != len(a) {
 			return false
 		}
 		for i := range a {

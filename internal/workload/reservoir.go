@@ -78,13 +78,6 @@ func (r *Reservoir) Len() int {
 	return len(r.items)
 }
 
-// Seen returns the total number of queries offered since the last Reset.
-func (r *Reservoir) Seen() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.seen
-}
-
 // Snapshot returns a deep copy of the current sample, safe to use while
 // Adds continue (replacement writes into recycled Range storage, so a
 // shallow copy would see later mutations).

@@ -47,12 +47,6 @@ func NewEncoder(mins, maxs []int64, order []int) *Encoder {
 	return e
 }
 
-// Dims returns the number of dimensions.
-func (e *Encoder) Dims() int { return e.d }
-
-// BitsPerDim returns the number of code bits per dimension.
-func (e *Encoder) BitsPerDim() uint { return e.bitsPer }
-
 // Part quantizes one coordinate to its bitsPer-bit code contribution.
 func (e *Encoder) Part(dim int, v int64) uint64 {
 	return (uint64(v) - uint64(e.mins[dim])) >> e.shifts[dim]

@@ -70,14 +70,14 @@ func TestEncodeWideDomainsQuantize(t *testing.T) {
 		if lo > hi {
 			t.Fatalf("dim %d: quantized lo %d > hi %d", dim, lo, hi)
 		}
-		if hi >= 1<<e.BitsPerDim() {
-			t.Fatalf("dim %d: quantized hi %d exceeds %d bits", dim, hi, e.BitsPerDim())
+		if hi >= 1<<e.bitsPer {
+			t.Fatalf("dim %d: quantized hi %d exceeds %d bits", dim, hi, e.bitsPer)
 		}
 	}
 }
 
 func bruteBigMin(e *Encoder, z uint64, loParts, hiParts []uint64) (uint64, bool) {
-	d := e.Dims()
+	d := e.d
 	best := ^uint64(0)
 	found := false
 	// Enumerate the rectangle (small in tests).

@@ -80,9 +80,6 @@ func (f *Flood) apply(m mutation) (int64, error) {
 	return int64(f.idx.DeleteRows(rows)), nil
 }
 
-// Deleted returns the number of tombstoned (not yet compacted) rows.
-func (f *Flood) Deleted() int { return f.idx.Deleted() }
-
 // LiveRows returns the number of rows queries can observe: physical rows
 // minus tombstoned rows.
 func (f *Flood) LiveRows() int { return f.idx.LiveRows() }

@@ -266,10 +266,9 @@ func TestSnapshotTombSectionDamageIsTypedError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := idx.Delete(NewQuery(4).WithRange(0, 0, 40_000)); err != nil {
+	if n, err := idx.Delete(NewQuery(4).WithRange(0, 0, 40_000)); err != nil {
 		t.Fatal(err)
-	}
-	if idx.Deleted() == 0 {
+	} else if n == 0 {
 		t.Fatal("fixture deleted nothing; widen the predicate")
 	}
 	var buf bytes.Buffer

@@ -12,9 +12,9 @@ import (
 )
 
 // Rows is a cursor over the rows matched by a Select. It is produced by the
-// Select methods on every facade, and by Schema.Select for any other index
-// (the baselines). Iterate with Next and
-// read the projected columns with the typed accessors:
+// Select methods on every facade, and by Schema.SelectColumns (behind
+// floodsql's Statement.Select) for any other index (the baselines). Iterate
+// with Next and read the projected columns with the typed accessors:
 //
 //	rows, _ := idx.Select(q, "city", "fare")
 //	defer rows.Close()
@@ -436,41 +436,14 @@ func (n nameResolver) ColumnIndex(name string) int {
 func (n nameResolver) Name(i int) string { return n[i] }
 func (n nameResolver) NumCols() int      { return len(n) }
 
-// Select executes q against any index built over a table this schema
-// produced — including the baselines — and returns the matching rows. A
-// facade of this package serves it through its own Select, so composite
-// row-id spaces stay correct; the schema decodes the result when the index
-// carries none of its own.
-func (s *Schema) Select(idx Index, q Query, cols ...string) (*Rows, Stats) {
-	r, st, _ := s.SelectContext(context.Background(), idx, q, nil, cols...)
-	return r, st
-}
-
-// SelectContext is Schema.Select under ctx and opts, serving any index —
-// including the baselines — with cancellation and LIMIT pushdown. See the
-// facades' SelectContext method.
-func (s *Schema) SelectContext(ctx context.Context, idx Index, q Query, opts *QueryOptions, cols ...string) (*Rows, Stats, error) {
-	r, st, err := surfaceOf(idx, s).SelectContext(ctx, q, opts, cols...)
-	return s.typed(r), st, err
-}
-
-// SelectOr evaluates a disjunction (OR) of conjunctive queries and returns
-// the union of matching rows, each exactly once: the rectangles are
-// decomposed into disjoint pieces first (see ExecuteOr).
-func (s *Schema) SelectOr(idx Index, queries []Query, cols ...string) (*Rows, Stats) {
-	r, st, _ := s.SelectOrContext(context.Background(), idx, queries, nil, cols...)
-	return r, st
-}
-
-// SelectOrContext is SelectOr under ctx and opts: the disjoint pieces of
-// the disjunction share one cancellation signal and one limit budget, so a
-// LIMIT spanning an OR stops scanning globally after the limit-th match.
-func (s *Schema) SelectOrContext(ctx context.Context, idx Index, queries []Query, opts *QueryOptions, cols ...string) (*Rows, Stats, error) {
-	r, st, err := surfaceOf(idx, s).selectOr(ctx, queries, opts, projection{names: cols})
-	return s.typed(r), st, err
-}
-
-// SelectColumns is SelectOrContext with the projection given as column
+// SelectColumns evaluates a disjunction (OR) of conjunctive queries under
+// ctx and opts against any index built over a table this schema produced —
+// the baselines included — and returns the union of matching rows, each
+// exactly once: the rectangles are decomposed into disjoint pieces first
+// (see ExecuteOr), which share one cancellation signal and one limit
+// budget. A facade of this package serves it through its own surface, so
+// composite row-id spaces stay correct; the schema decodes the result when
+// the index carries none of its own. The projection is given as column
 // positions in schema order — as a caller that resolved the names already
 // holds it (floodsql's parsed statements) — so no name is looked up again.
 // No positions select every column; a position out of range panics, as an

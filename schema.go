@@ -54,7 +54,7 @@ type field struct {
 // then use the schema everywhere a logical value crosses the API boundary:
 // typed predicates (Where), typed row decoding (Rows accessors), SQL literal
 // resolution (floodsql.ParseTyped), and row retrieval over any index
-// (Schema.Select).
+// (Schema.SelectColumns, behind floodsql's Statement.Select).
 //
 //	s := flood.NewSchema().Int64("ts").Float64("fare", 2).String("city")
 //	b := s.NewTableBuilder()
@@ -120,10 +120,6 @@ func (s *Schema) Float64(name string, digits int) *Schema {
 // lexicographic order at Build, so range and prefix predicates on the column
 // match string order.
 func (s *Schema) String(name string) *Schema { return s.add(name, field{kind: KindString}) }
-
-// Time declares a timestamp column stored as nanosecond ticks since the Unix
-// epoch.
-func (s *Schema) Time(name string) *Schema { return s.TimeUnit(name, time.Nanosecond) }
 
 // TimeUnit declares a timestamp column stored as ticks of the given unit
 // (coarser units extend the representable range and compress better).
@@ -198,24 +194,13 @@ func (s *Schema) stringDict(name string) (int, *encode.Dictionary) {
 	return col, d
 }
 
-// Dictionary returns the fitted dictionary of a string column (nil before
-// the first Build).
-func (s *Schema) Dictionary(name string) *encode.Dictionary {
-	return s.fields[s.mustCol(name, KindString)].dict
-}
-
-// Scaler returns the fitted decimal scaler of a float column (nil before
-// the first Build when digits are inferred).
-func (s *Schema) Scaler(name string) *encode.DecimalScaler {
-	return s.fields[s.mustCol(name, KindFloat64)].scaler
-}
-
-// DictionaryAt is Dictionary for the column at position i, for a caller that
-// has resolved the name already; it is nil for a column of another kind.
+// DictionaryAt returns the fitted dictionary of the string column at
+// position i (nil before the first Build, and for a column of another kind).
 func (s *Schema) DictionaryAt(i int) *encode.Dictionary { return s.fields[i].dict }
 
-// ScalerAt is Scaler for the column at position i, for a caller that has
-// resolved the name already; it is nil for a column of another kind.
+// ScalerAt returns the fitted decimal scaler of the float column at position
+// i (nil before the first Build when digits are inferred, and for a column
+// of another kind).
 func (s *Schema) ScalerAt(i int) *encode.DecimalScaler { return s.fields[i].scaler }
 
 // DecodeValue converts the physical int64 stored in column i back to its
@@ -338,7 +323,7 @@ func (t *TypedQuery) WithIntEquals(name string, v int64) *TypedQuery {
 
 // WithFloatRange filters a float column to the inclusive range [lo, hi].
 // Endpoints more precise than the column's digits round conservatively
-// inward.
+// inward; an infinite endpoint leaves that side open.
 func (t *TypedQuery) WithFloatRange(name string, lo, hi float64) *TypedQuery {
 	col, sc := t.s.floatScaler(name)
 	l, h := sc.EncodeLower(lo), sc.EncodeUpper(hi)
@@ -346,20 +331,6 @@ func (t *TypedQuery) WithFloatRange(name string, lo, hi float64) *TypedQuery {
 		return t.impossible(col)
 	}
 	t.q = t.q.WithRange(col, l, h)
-	return t
-}
-
-// WithFloatMin filters a float column to values >= lo.
-func (t *TypedQuery) WithFloatMin(name string, lo float64) *TypedQuery {
-	col, sc := t.s.floatScaler(name)
-	t.q = t.q.WithRange(col, sc.EncodeLower(lo), PosInf)
-	return t
-}
-
-// WithFloatMax filters a float column to values <= hi.
-func (t *TypedQuery) WithFloatMax(name string, hi float64) *TypedQuery {
-	col, sc := t.s.floatScaler(name)
-	t.q = t.q.WithRange(col, NegInf, sc.EncodeUpper(hi))
 	return t
 }
 
@@ -372,62 +343,6 @@ func (t *TypedQuery) WithStringEquals(name string, v string) *TypedQuery {
 		return t.impossible(col)
 	}
 	t.q = t.q.WithEquals(col, c)
-	return t
-}
-
-// PreparedString is a string-equality predicate whose dictionary code was
-// resolved once, at preparation time. Hot query loops that filter on the
-// same value repeatedly (a serving tier fanning out one tenant's queries, a
-// benchmark) use it to skip the per-query dictionary hash lookup that
-// WithStringEquals pays. A PreparedString is bound to the fit that produced
-// it: re-running TableBuilder.Build on the schema invalidates outstanding
-// prepared predicates along with the rest of the fitted encoders.
-type PreparedString struct {
-	col  int
-	code int64
-	ok   bool
-}
-
-// PrepareString resolves a string-equality predicate against the fitted
-// dictionary once, for reuse across queries with WithPreparedString. A value
-// absent from the dictionary is not an error: applying the prepared
-// predicate yields an unsatisfiable query, like WithStringEquals.
-func (s *Schema) PrepareString(name, v string) PreparedString {
-	col, d := s.stringDict(name)
-	c, ok := d.Code(v)
-	return PreparedString{col: col, code: c, ok: ok}
-}
-
-// WithPreparedString applies a predicate prepared by Schema.PrepareString.
-func (t *TypedQuery) WithPreparedString(p PreparedString) *TypedQuery {
-	if !p.ok {
-		return t.impossible(p.col)
-	}
-	t.q = t.q.WithEquals(p.col, p.code)
-	return t
-}
-
-// WithStringRange filters a string column to the inclusive lexicographic
-// range [lo, hi]; endpoints need not exist in the data.
-func (t *TypedQuery) WithStringRange(name string, lo, hi string) *TypedQuery {
-	col, d := t.s.stringDict(name)
-	l, h, ok := d.RangeFor(lo, hi)
-	if !ok {
-		return t.impossible(col)
-	}
-	t.q = t.q.WithRange(col, l, h)
-	return t
-}
-
-// WithPrefix filters a string column to values starting with prefix
-// (LIKE 'prefix%').
-func (t *TypedQuery) WithPrefix(name string, prefix string) *TypedQuery {
-	col, d := t.s.stringDict(name)
-	l, h, ok := d.PrefixRange(prefix)
-	if !ok {
-		return t.impossible(col)
-	}
-	t.q = t.q.WithRange(col, l, h)
 	return t
 }
 

@@ -60,7 +60,7 @@ func newTypedFixture(t *testing.T, n int, seed int64) *typedFixture {
 }
 
 func TestTableBuilderAppendRowRoundTrip(t *testing.T) {
-	s := NewSchema().Int64("id").Float64("price", 2).String("name").Time("at")
+	s := NewSchema().Int64("id").Float64("price", 2).String("name").TimeUnit("at", time.Nanosecond)
 	b := s.NewTableBuilder()
 	at := time.Date(2024, 5, 1, 12, 0, 0, 0, time.UTC)
 	rows := []struct {
@@ -181,16 +181,9 @@ func TestTypedPredicatesEncode(t *testing.T) {
 	if q := fx.schema.Where().WithStringEquals("city", "gotham").Query(); !q.Empty() {
 		t.Fatal("unknown string should make the query unsatisfiable")
 	}
-	// Prefix predicate covers exactly the prefixed values.
-	q = fx.schema.Where().WithPrefix("city", "b").Query()
-	r := q.Ranges[fx.schema.ColumnIndex("city")]
-	d := fx.schema.Dictionary("city")
-	if d.Value(r.Min) != "boston" || d.Value(r.Max) != "boston" {
-		t.Fatalf("prefix range covers %q..%q", d.Value(r.Min), d.Value(r.Max))
-	}
 	// Over-precise float endpoints round conservatively inward.
 	q = fx.schema.Where().WithFloatRange("fare", 1.001, 1.999).Query()
-	r = q.Ranges[fx.schema.ColumnIndex("fare")]
+	r := q.Ranges[fx.schema.ColumnIndex("fare")]
 	if r.Min != 101 || r.Max != 199 {
 		t.Fatalf("float range encoded to [%d, %d], want [101, 199]", r.Min, r.Max)
 	}
@@ -252,13 +245,13 @@ func TestFloatBoundsClampOutOfRange(t *testing.T) {
 	fx := newTypedFixture(t, 500, 41)
 	// An absurdly large upper bound must behave like +infinity, not wrap
 	// negative and empty the result.
-	q := fx.schema.Where().WithFloatMax("fare", 1e18).Query()
+	q := fx.schema.Where().WithFloatRange("fare", math.Inf(-1), 1e18).Query()
 	if r := q.Ranges[fx.schema.ColumnIndex("fare")]; r.Max != PosInf {
-		t.Fatalf("WithFloatMax(1e18) encoded Max = %d, want PosInf", r.Max)
+		t.Fatalf("upper bound 1e18 encoded Max = %d, want PosInf", r.Max)
 	}
-	q = fx.schema.Where().WithFloatMin("fare", -1e18).Query()
+	q = fx.schema.Where().WithFloatRange("fare", -1e18, math.Inf(1)).Query()
 	if r := q.Ranges[fx.schema.ColumnIndex("fare")]; r.Min != NegInf {
-		t.Fatalf("WithFloatMin(-1e18) encoded Min = %d, want NegInf", r.Min)
+		t.Fatalf("lower bound -1e18 encoded Min = %d, want NegInf", r.Min)
 	}
 	// A range entirely past the representable domain clamps to
 	// [PosInf, PosInf] — no storable code can match it.
@@ -328,36 +321,4 @@ func TestTimeRangeDirectedRounding(t *testing.T) {
 	if r := q.Ranges[0]; r.Max != enc.EncodeValue(t0.Add(time.Minute)) {
 		t.Fatalf("sub-unit upper bound encoded to tick %d, want the 10:01 tick", r.Max)
 	}
-}
-
-func TestPreparedStringPredicate(t *testing.T) {
-	fx := newTypedFixture(t, 2000, 19)
-	// A prepared predicate encodes identically to WithStringEquals.
-	p := fx.schema.PrepareString("city", "nyc")
-	got := fx.schema.Where().WithPreparedString(p).Query()
-	want := fx.schema.Where().WithStringEquals("city", "nyc").Query()
-	col := fx.schema.ColumnIndex("city")
-	if got.Ranges[col] != want.Ranges[col] {
-		t.Fatalf("prepared predicate encoded %+v, WithStringEquals %+v", got.Ranges[col], want.Ranges[col])
-	}
-	// Reuse across many queries keeps working.
-	for i := 0; i < 3; i++ {
-		q := fx.schema.Where().WithPreparedString(p).Query()
-		if q.Ranges[col] != want.Ranges[col] {
-			t.Fatalf("reuse %d changed the predicate", i)
-		}
-	}
-	// An unknown value prepares fine and yields an unsatisfiable query.
-	if q := fx.schema.Where().WithPreparedString(fx.schema.PrepareString("city", "gotham")).Query(); !q.Empty() {
-		t.Fatal("unknown prepared string should make the query unsatisfiable")
-	}
-	// Unknown columns and kind mismatches still panic at prepare time.
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("PrepareString on an int column did not panic")
-			}
-		}()
-		fx.schema.PrepareString("ts", "x")
-	}()
 }

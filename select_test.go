@@ -15,6 +15,16 @@ func fixtureLayout(fx *typedFixture) Layout {
 	return Layout{GridDims: []int{0, 2}, GridCols: []int{8, 4}, SortDim: 1, Flatten: true}
 }
 
+// prefixQuery starts a typed predicate holding the string column col to the
+// values that start with prefix, as floodsql encodes LIKE 'prefix%'.
+func prefixQuery(s *Schema, col, prefix string) *TypedQuery {
+	lo, hi, ok := s.DictionaryAt(s.ColumnIndex(col)).PrefixRange(prefix)
+	if !ok {
+		lo, hi = 1, 0
+	}
+	return s.Where().WithRange(col, lo, hi)
+}
+
 // rowTuple renders one matched row as a comparable string over all four
 // fixture columns.
 func rowTuple(ts int64, fare float64, city string, pickup time.Time) string {
@@ -78,7 +88,7 @@ func fixtureQueries(fx *typedFixture) []struct {
 		},
 		{
 			"prefix+int",
-			fx.schema.Where().WithPrefix("city", "s").WithIntRange("ts", 10_000, 70_000).Query(),
+			prefixQuery(fx.schema, "city", "s").WithIntRange("ts", 10_000, 70_000).Query(),
 			func(i int) bool {
 				return fx.city[i] != "" && fx.city[i][0] == 's' && fx.ts[i] >= 10_000 && fx.ts[i] <= 70_000
 			},

@@ -502,12 +502,6 @@ func (s *ShardedIndex) LiveRows() int {
 	return int(s.sumShards(func(a *AdaptiveIndex) int64 { return int64(a.LiveRows()) }))
 }
 
-// Deleted returns the number of tombstoned (not yet compacted) rows across
-// shards.
-func (s *ShardedIndex) Deleted() int {
-	return int(s.sumShards(func(a *AdaptiveIndex) int64 { return int64(a.Deleted()) }))
-}
-
 // Epoch returns the sum of the shards' completed generation swaps — a
 // strictly monotonic counter that advances exactly when some shard's layout
 // changed, so epoch-keyed caches invalidate on any shard's relearn or merge

@@ -124,7 +124,8 @@ func BenchmarkShardedExecute1M(b *testing.B) {
 			}
 			b.StopTimer()
 			if _, tasks := core.HelperShare(); name == "fanout" {
-				b.ReportMetric(tasks.Frac(since), "helper_frac")
+				helped, units := tasks.Helped-since.Helped, tasks.Units-since.Units
+				b.ReportMetric(float64(helped)/float64(max(units, 1)), "helper_frac")
 			}
 			if cnt.Result() == 0 {
 				b.Fatal("benchmark query matched nothing")

@@ -1,6 +1,8 @@
 package flood
 
 import (
+	"errors"
+	"io/fs"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -139,8 +141,10 @@ func TestShardedDurableCheckpoint(t *testing.T) {
 }
 
 // TestShardedManifestGatekeeps pins the commit-point property: a root whose
-// manifest is missing or corrupt refuses to open, even though every shard
-// directory underneath is intact.
+// manifest is corrupt (a typed corruption error) or missing (fs.ErrNotExist)
+// refuses to open, even though every shard directory underneath is intact. A shard's snapshot where the manifest
+// belongs, and the manifest where a snapshot belongs, fail with ErrVersion:
+// the two formats can never be confused.
 func TestShardedManifestGatekeeps(t *testing.T) {
 	dir := t.TempDir()
 	s, _, _ := createShardedStore(t, dir)
@@ -159,22 +163,37 @@ func TestShardedManifestGatekeeps(t *testing.T) {
 	if err := os.WriteFile(path, bad, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := openShardedDurable(dir, nil); err == nil {
-		t.Fatal("corrupt manifest opened")
+	if _, _, err := openShardedDurable(dir, nil); !corruptionTyped(err) {
+		t.Fatalf("corrupt manifest: err %v, want a typed corruption error", err)
 	}
 
 	// Remove it entirely — the crash-mid-create shape.
 	if err := os.Remove(path); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := openShardedDurable(dir, nil); err == nil {
-		t.Fatal("manifest-less root opened")
+	if _, _, err := openShardedDurable(dir, nil); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("manifest-less root: err %v, want fs.ErrNotExist", err)
 	}
 
-	// Restore and the store opens again.
+	// A snapshot is no manifest, and the manifest no snapshot.
+	snap, err := os.ReadFile(filepath.Join(dir, "shard-0000", snapshotFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, snap, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := openShardedDurable(dir, nil); !errors.Is(err, ErrVersion) {
+		t.Fatalf("a snapshot as the manifest: err %v, want ErrVersion", err)
+	}
 	if err := os.WriteFile(path, orig, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	if _, _, err := LoadFile(path); !errors.Is(err, ErrVersion) {
+		t.Fatalf("the manifest as a snapshot: err %v, want ErrVersion", err)
+	}
+
+	// Restored, the store opens again.
 	r, _, err := openShardedDurable(dir, nil)
 	if err != nil {
 		t.Fatal(err)

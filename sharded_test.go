@@ -111,7 +111,8 @@ func TestShardedShardStats(t *testing.T) {
 
 // TestShardedSelectStrides checks the id contract of the sharded Select:
 // collected ids decode to the right tuples, ids carry their owning shard in
-// the high bits, and DeleteRows accepts them round-trip.
+// the high bits, rows arrive shard by shard in shard order, and DeleteRows
+// accepts the ids round-trip.
 func TestShardedSelectStrides(t *testing.T) {
 	s, flat, ds, _ := shardedUnderTest(t, 4)
 	q := NewQuery(ds.Table.NumCols()).WithRange(5, 100, 400) // date slice spanning shards
@@ -123,6 +124,7 @@ func TestShardedSelectStrides(t *testing.T) {
 	}
 	dim := s.SplitDim()
 	seenShards := map[int]bool{}
+	lastShard := 0
 	ids := make([]int64, 0, rows.Len())
 	for rows.Next() {
 		if d := rows.Int64(1); d < 100 || d > 400 {
@@ -130,6 +132,10 @@ func TestShardedSelectStrides(t *testing.T) {
 		}
 		id := rows.RowID()
 		sh := int(id >> shardStrideBits)
+		if sh < lastShard {
+			t.Fatalf("a row of shard %d after one of shard %d: shards out of order", sh, lastShard)
+		}
+		lastShard = sh
 		seenShards[sh] = true
 		// The id's high bits must agree with routing the row's split value.
 		if got := s.router.Shard(rows.Int64(0)); dim == 0 && got != sh {

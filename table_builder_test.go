@@ -147,13 +147,13 @@ func TestTableBuilderMatchesReference(t *testing.T) {
 				if !bytes.Equal(tableBytes(t, tbl), tableBytes(t, want)) {
 					t.Fatal("table encodes differently from the reference")
 				}
-				if got := s.Dictionary("city").Values(); !slices.Equal(got, values) {
+				if got := s.DictionaryAt(s.ColumnIndex("city")).Values(); !slices.Equal(got, values) {
 					t.Fatalf("dictionary %q, want %q", got, values)
 				}
-				if got := s.Scaler("ratio").Digits(); got != digits {
+				if got := s.ScalerAt(s.ColumnIndex("ratio")).Digits(); got != digits {
 					t.Fatalf("inferred %d digits, want %d", got, digits)
 				}
-				if got := s.Scaler("price").Digits(); got != 2 {
+				if got := s.ScalerAt(s.ColumnIndex("price")).Digits(); got != 2 {
 					t.Fatalf("declared digits became %d", got)
 				}
 			})
@@ -173,7 +173,7 @@ func TestTableBuilderLowestColumnError(t *testing.T) {
 	if _, err := b.Build(); err != nil {
 		t.Fatal(err)
 	}
-	dict, scaler := s.Dictionary("c"), s.Scaler("b")
+	dict, scaler := s.DictionaryAt(2), s.ScalerAt(1)
 	third := []float64{1.0 / 3}
 	for i := 0; i < 50; i++ {
 		for _, c := range []struct {
@@ -207,7 +207,7 @@ func TestTableBuilderLowestColumnError(t *testing.T) {
 			}
 		}
 	}
-	if s.Dictionary("c") != dict || s.Scaler("b") != scaler {
+	if s.DictionaryAt(2) != dict || s.ScalerAt(1) != scaler {
 		t.Fatal("a failed Build refitted the schema")
 	}
 }
